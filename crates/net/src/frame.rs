@@ -9,8 +9,12 @@
 use std::io::{self, Read, Write};
 
 use bytes::{BufMut, Bytes, BytesMut};
+use repl_types::{GlobalTxnId, ItemId, Value};
 
-use crate::msg::{NetError, WireMsg};
+use crate::msg::{
+    self, NetError, Payload, WireMsg, MAX_BATCH_PAYLOADS, MSG_BATCH, MSG_LINK, MSG_REPLY,
+    REPLY_STATE,
+};
 
 /// Upper bound on a frame body. Generously above any legitimate message
 /// (a propagation record is bounded by transaction size), far below
@@ -51,12 +55,97 @@ impl From<NetError> for ReadError {
 
 /// Encode `msg` as one frame: length prefix plus body.
 pub fn encode_framed(msg: &WireMsg) -> Bytes {
-    let body = msg.encode();
-    debug_assert!(body.len() as u64 <= u64::from(MAX_FRAME_LEN));
-    let mut buf = BytesMut::with_capacity(4 + body.len());
-    buf.put_u32(body.len() as u32);
-    buf.put_slice(&body);
-    buf.freeze()
+    let mut out = Vec::with_capacity(4 + 64);
+    msg.encode_framed_into(&mut out);
+    Bytes::from(out)
+}
+
+/// Append one frame to `out`: reserve the length prefix, let `body`
+/// append the frame body in place, then patch the prefix. Every frame
+/// encoder funnels through here, so a frame is written once, directly
+/// where it will be sent from.
+pub(crate) fn framed(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    body(out);
+    let len = out.len() - at - 4;
+    debug_assert!(len as u64 <= u64::from(MAX_FRAME_LEN));
+    out[at..at + 4].copy_from_slice(&(len as u32).to_be_bytes());
+}
+
+impl WireMsg {
+    /// Append this message as one frame to `out` — the bytes
+    /// [`encode_framed`] returns, without the intermediate buffers.
+    pub fn encode_framed_into(&self, out: &mut Vec<u8>) {
+        framed(out, |buf| self.encode_body_into(buf));
+    }
+}
+
+/// Append the frame of `WireMsg::Link { seq, payload }` to `out` from a
+/// borrowed payload.
+pub fn frame_link_into(out: &mut Vec<u8>, seq: u64, payload: &Payload) {
+    framed(out, |buf| msg::put_link(buf, seq, payload));
+}
+
+/// Append a run of consecutive link payloads (the first carrying
+/// sequence `first_seq`) to `out` as frames for a version ≥ 2
+/// connection: [`WireMsg::Batch`] frames, split so no batch holds more
+/// than [`MAX_BATCH_PAYLOADS`] payloads or encodes past the frame cap; a
+/// (sub-)run of one is a plain [`WireMsg::Link`] frame.
+pub fn frame_run_into(out: &mut Vec<u8>, first_seq: u64, payloads: &[Payload]) {
+    // Tag + first_seq + count; what the batch wrapper itself costs.
+    const BATCH_HEADER: usize = 1 + 8 + 4;
+    let budget = MAX_FRAME_LEN as usize - BATCH_HEADER;
+    let mut seq = first_seq;
+    let mut rest = payloads;
+    while !rest.is_empty() {
+        let mut n = 0usize;
+        framed(out, |buf| {
+            let header_at = buf.len();
+            buf.put_u8(MSG_BATCH);
+            buf.put_u64(seq);
+            buf.put_u32(0); // the count, patched below
+            let body_at = buf.len();
+            for payload in rest {
+                let before = buf.len();
+                msg::put_payload(buf, payload);
+                if n > 0 && (buf.len() - body_at > budget || n >= MAX_BATCH_PAYLOADS) {
+                    buf.truncate(before); // opens the next frame instead
+                    break;
+                }
+                n += 1;
+            }
+            if n == 1 {
+                // A Link body is the Batch body minus the count field.
+                buf[header_at] = MSG_LINK;
+                buf.drain(body_at - 4..body_at);
+            } else {
+                buf[body_at - 4..body_at].copy_from_slice(&(n as u32).to_be_bytes());
+            }
+        });
+        seq += n as u64;
+        rest = &rest[n..];
+    }
+}
+
+/// Append the frame of a [`crate::ClientReply::State`] reply to `out`,
+/// its image the copy-state encoding of `cells` (ascending item order,
+/// as for [`crate::encode_cells`]) written straight into the frame.
+pub fn frame_state_reply_into<V: std::borrow::Borrow<Value>>(
+    out: &mut Vec<u8>,
+    cells: impl ExactSizeIterator<Item = (ItemId, V, Option<GlobalTxnId>)>,
+) {
+    // An integer cell with a writer is 26 bytes.
+    out.reserve(32 + cells.len() * 26);
+    framed(out, |buf| {
+        buf.put_u8(MSG_REPLY);
+        buf.put_u8(REPLY_STATE);
+        buf.put_u64(0); // the image length, patched below
+        let image_at = buf.len();
+        msg::encode_cells_into(buf, cells);
+        let len = (buf.len() - image_at) as u64;
+        buf[image_at - 8..image_at].copy_from_slice(&len.to_be_bytes());
+    });
 }
 
 /// Decode one frame from `buf`, if a complete one is present.
@@ -76,8 +165,8 @@ pub fn decode_framed(buf: &mut BytesMut) -> Result<Option<WireMsg>, NetError> {
     if buf.len() < 4 + len {
         return Ok(None);
     }
-    buf.advance(4);
-    let body = buf.split_to(len).freeze();
+    let body = Bytes::from(&buf[4..4 + len]);
+    buf.advance(4 + len);
     WireMsg::decode(body).map(Some)
 }
 
@@ -193,6 +282,108 @@ mod tests {
         }
         assert_eq!(out, msgs);
         assert_eq!(reader.buffered(), 0);
+    }
+
+    /// 10 000 frames arriving in one chunk decode in one pass (the
+    /// shim's `draining_many_frames_compacts_at_most_twice` pins the
+    /// buffer work this costs; before the start cursor it was a memmove
+    /// of the whole backlog per frame).
+    #[test]
+    fn frame_reader_drains_a_large_backlog() {
+        let mut wire = Vec::new();
+        for seq in 0..10_000u64 {
+            WireMsg::Ack { seq }.encode_framed_into(&mut wire);
+        }
+        let mut reader = FrameReader::new();
+        reader.feed(&wire);
+        let mut next = 0u64;
+        while let Some(m) = reader.next_msg().unwrap() {
+            assert_eq!(m, WireMsg::Ack { seq: next });
+            next += 1;
+        }
+        assert_eq!((next, reader.buffered()), (10_000, 0));
+    }
+
+    fn decode_all(wire: &[u8]) -> Vec<WireMsg> {
+        let mut buf = BytesMut::from(wire);
+        let mut out = Vec::new();
+        while let Some(m) = decode_framed(&mut buf).unwrap() {
+            out.push(m);
+        }
+        assert!(buf.is_empty());
+        out
+    }
+
+    fn decision(n: u64) -> Payload {
+        Payload::Decision { gid: GlobalTxnId::new(repl_types::SiteId(0), n), commit: true }
+    }
+
+    #[test]
+    fn link_and_run_frames_match_the_typed_encoding() {
+        let payloads: Vec<Payload> = (0..5).map(decision).collect();
+        let mut out = Vec::new();
+        frame_link_into(&mut out, 9, &payloads[0]);
+        let typed = encode_framed(&WireMsg::Link { seq: 9, payload: payloads[0].clone() });
+        assert_eq!(out, typed.as_slice());
+        // A run of one degrades to a plain Link frame.
+        out.clear();
+        frame_run_into(&mut out, 9, &payloads[..1]);
+        assert_eq!(out, typed.as_slice());
+        // A longer run is one Batch frame.
+        out.clear();
+        frame_run_into(&mut out, 41, &payloads);
+        let typed = encode_framed(&WireMsg::Batch { first_seq: 41, payloads: payloads.clone() });
+        assert_eq!(out, typed.as_slice());
+        // An empty run writes nothing.
+        out.clear();
+        frame_run_into(&mut out, 1, &[]);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn runs_split_and_keep_sequences_contiguous() {
+        // A run past the payload cap splits; sequences stay contiguous,
+        // and a remainder of one rides a plain Link.
+        for extra in [1usize, 3] {
+            let n = MAX_BATCH_PAYLOADS + extra;
+            let payloads: Vec<Payload> = (0..n as u64).map(decision).collect();
+            let mut out = Vec::new();
+            frame_run_into(&mut out, 100, &payloads);
+            let msgs = decode_all(&out);
+            assert_eq!(msgs.len(), 2);
+            let WireMsg::Batch { first_seq, payloads: head } = &msgs[0] else {
+                panic!("unexpected split: {:?}", msgs[0].kind_name())
+            };
+            assert_eq!((*first_seq, head.len()), (100, MAX_BATCH_PAYLOADS));
+            assert_eq!(head[..], payloads[..MAX_BATCH_PAYLOADS]);
+            let tail_seq = 100 + MAX_BATCH_PAYLOADS as u64;
+            match &msgs[1] {
+                WireMsg::Link { seq, payload } if extra == 1 => {
+                    assert_eq!((*seq, payload), (tail_seq, &payloads[MAX_BATCH_PAYLOADS]));
+                }
+                WireMsg::Batch { first_seq, payloads: tail } if extra == 3 => {
+                    assert_eq!(
+                        (*first_seq, &tail[..]),
+                        (tail_seq, &payloads[MAX_BATCH_PAYLOADS..])
+                    );
+                }
+                other => panic!("unexpected tail: {}", other.kind_name()),
+            }
+        }
+    }
+
+    #[test]
+    fn state_reply_frame_matches_the_typed_encoding() {
+        let cells = vec![
+            (ItemId(0), Value::int(5), Some(GlobalTxnId::new(repl_types::SiteId(0), 1))),
+            (ItemId(3), Value::Initial, None),
+            (ItemId(9), Value::Bytes(vec![1, 2, 3]), None),
+        ];
+        let typed =
+            encode_framed(&WireMsg::Reply(crate::ClientReply::State(crate::encode_cells(&cells))));
+        let mut out = vec![7u8];
+        frame_state_reply_into(&mut out, cells.iter().cloned());
+        assert_eq!(&out[1..], typed.as_slice());
     }
 
     #[test]

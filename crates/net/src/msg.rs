@@ -259,7 +259,7 @@ pub const MAX_BATCH_PAYLOADS: usize = 4096;
 // Encoding
 // ---------------------------------------------------------------------
 
-fn put_timestamp(buf: &mut BytesMut, ts: &Timestamp) {
+fn put_timestamp(buf: &mut impl BufMut, ts: &Timestamp) {
     buf.put_u64(ts.epoch);
     buf.put_u32(ts.tuples.len() as u32);
     for (site, lts) in &ts.tuples {
@@ -280,7 +280,7 @@ fn get_timestamp(buf: &mut Bytes) -> Result<Timestamp, NetError> {
     Ok(Timestamp { epoch, tuples })
 }
 
-fn put_subtxn(buf: &mut BytesMut, sub: &Subtxn) {
+fn put_subtxn(buf: &mut impl BufMut, sub: &Subtxn) {
     codec::put_gid(buf, sub.gid);
     buf.put_u32(sub.origin.0);
     buf.put_u8(match sub.kind {
@@ -335,7 +335,7 @@ fn get_subtxn(buf: &mut Bytes) -> Result<Subtxn, NetError> {
     Ok(Subtxn { gid, origin, kind, ts, writes, dest_sites })
 }
 
-fn put_payload(buf: &mut BytesMut, payload: &Payload) {
+pub(crate) fn put_payload(buf: &mut impl BufMut, payload: &Payload) {
     match payload {
         Payload::Subtxn(sub) => {
             buf.put_u8(1);
@@ -365,7 +365,7 @@ fn get_payload(buf: &mut Bytes) -> Result<Payload, NetError> {
     }
 }
 
-fn put_ops(buf: &mut BytesMut, ops: &[Op]) {
+fn put_ops(buf: &mut impl BufMut, ops: &[Op]) {
     buf.put_u32(ops.len() as u32);
     for op in ops {
         buf.put_u8(match op.kind {
@@ -393,7 +393,7 @@ fn get_ops(buf: &mut Bytes) -> Result<Vec<Op>, NetError> {
     Ok(ops)
 }
 
-fn put_exec_error(buf: &mut BytesMut, e: &ExecError) {
+fn put_exec_error(buf: &mut impl BufMut, e: &ExecError) {
     match e {
         ExecError::NoCopy(s, i) => {
             buf.put_u8(1);
@@ -437,7 +437,7 @@ fn get_exec_error(buf: &mut Bytes) -> Result<ExecError, NetError> {
     })
 }
 
-fn put_client(buf: &mut BytesMut, msg: &ClientMsg) {
+fn put_client(buf: &mut impl BufMut, msg: &ClientMsg) {
     match msg {
         ClientMsg::Execute(ops) => {
             buf.put_u8(1);
@@ -489,7 +489,7 @@ fn get_client(buf: &mut Bytes) -> Result<ClientMsg, NetError> {
     })
 }
 
-fn put_reply(buf: &mut BytesMut, reply: &ClientReply) {
+fn put_reply(buf: &mut impl BufMut, reply: &ClientReply) {
     match reply {
         ClientReply::Executed(Ok(gid)) => {
             buf.put_u8(1);
@@ -533,7 +533,7 @@ fn put_reply(buf: &mut BytesMut, reply: &ClientReply) {
             buf.put_u32(*peers_down);
         }
         ClientReply::State(bytes) => {
-            buf.put_u8(5);
+            buf.put_u8(REPLY_STATE);
             buf.put_u64(bytes.len() as u64);
             buf.put_slice(bytes);
         }
@@ -543,28 +543,69 @@ fn put_reply(buf: &mut BytesMut, reply: &ClientReply) {
             codec::put_str(buf, msg);
         }
         ClientReply::History(txns) => {
-            buf.put_u8(8);
+            buf.put_u8(REPLY_HISTORY);
             buf.put_u32(txns.len() as u32);
             for (gid, reads, writes) in txns {
-                codec::put_gid(buf, *gid);
-                buf.put_u32(reads.len() as u32);
-                for (item, version) in reads {
-                    buf.put_u32(item.0);
-                    match version {
-                        None => buf.put_u8(0),
-                        Some(writer) => {
-                            buf.put_u8(1);
-                            codec::put_gid(buf, *writer);
-                        }
-                    }
-                }
-                buf.put_u32(writes.len() as u32);
-                for item in writes {
-                    buf.put_u32(item.0);
-                }
+                put_history_txn(buf, *gid, reads, writes.iter().copied());
             }
         }
     }
+}
+
+/// Tag of [`WireMsg::Reply`] in the message tag space.
+pub(crate) const MSG_REPLY: u8 = 7;
+/// Tag of [`ClientReply::State`] within a reply.
+pub(crate) const REPLY_STATE: u8 = 5;
+/// Tag of [`ClientReply::History`] within a reply.
+pub(crate) const REPLY_HISTORY: u8 = 8;
+
+/// Encode one transaction of a [`ClientReply::History`] body. Shared
+/// with [`crate::HistoryLog`], which keeps a site's history in exactly
+/// this form.
+pub(crate) fn put_history_txn(
+    buf: &mut impl BufMut,
+    gid: GlobalTxnId,
+    reads: &[(ItemId, Option<GlobalTxnId>)],
+    writes: impl ExactSizeIterator<Item = ItemId>,
+) {
+    codec::put_gid(buf, gid);
+    buf.put_u32(reads.len() as u32);
+    for (item, version) in reads {
+        buf.put_u32(item.0);
+        match version {
+            None => buf.put_u8(0),
+            Some(writer) => {
+                buf.put_u8(1);
+                codec::put_gid(buf, *writer);
+            }
+        }
+    }
+    buf.put_u32(writes.len() as u32);
+    for item in writes {
+        buf.put_u32(item.0);
+    }
+}
+
+/// Decode one transaction written by [`put_history_txn`].
+pub(crate) fn get_history_txn(buf: &mut impl Buf) -> Result<HistoryTxn, NetError> {
+    let gid = codec::get_gid(buf)?;
+    let reads_n = codec::get_u32(buf)? as usize;
+    let mut reads = Vec::with_capacity(reads_n.min(buf.remaining() / 5));
+    for _ in 0..reads_n {
+        let item = ItemId(codec::get_u32(buf)?);
+        let version = match codec::get_u8(buf)? {
+            0 => None,
+            1 => Some(codec::get_gid(buf)?),
+            t => return Err(NetError::BadTag(t)),
+        };
+        reads.push((item, version));
+    }
+    let writes_n = codec::get_u32(buf)? as usize;
+    let mut writes = Vec::with_capacity(writes_n.min(buf.remaining() / 4));
+    for _ in 0..writes_n {
+        writes.push(ItemId(codec::get_u32(buf)?));
+    }
+    Ok((gid, reads, writes))
 }
 
 fn get_reply(buf: &mut Bytes) -> Result<ClientReply, NetError> {
@@ -617,24 +658,7 @@ fn get_reply(buf: &mut Bytes) -> Result<ClientReply, NetError> {
             // Smallest possible txn: gid + two zero counts.
             let mut txns = Vec::with_capacity(n.min(buf.len() / 20));
             for _ in 0..n {
-                let gid = codec::get_gid(buf)?;
-                let reads_n = codec::get_u32(buf)? as usize;
-                let mut reads = Vec::with_capacity(reads_n.min(buf.len() / 5));
-                for _ in 0..reads_n {
-                    let item = ItemId(codec::get_u32(buf)?);
-                    let version = match codec::get_u8(buf)? {
-                        0 => None,
-                        1 => Some(codec::get_gid(buf)?),
-                        t => return Err(NetError::BadTag(t)),
-                    };
-                    reads.push((item, version));
-                }
-                let writes_n = codec::get_u32(buf)? as usize;
-                let mut writes = Vec::with_capacity(writes_n.min(buf.len() / 4));
-                for _ in 0..writes_n {
-                    writes.push(ItemId(codec::get_u32(buf)?));
-                }
-                txns.push((gid, reads, writes));
+                txns.push(get_history_txn(buf)?);
             }
             ClientReply::History(txns)
         }
@@ -646,6 +670,12 @@ impl WireMsg {
     /// Encode the message body (tag + fields), without a length prefix.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(64);
+        self.encode_body_into(&mut buf);
+        buf.freeze()
+    }
+
+    /// Append the message body (tag + fields) to `buf`.
+    pub(crate) fn encode_body_into(&self, buf: &mut impl BufMut) {
         match self {
             WireMsg::Hello(h) => {
                 buf.put_u8(1);
@@ -663,39 +693,34 @@ impl WireMsg {
             }
             WireMsg::Reject(reason) => {
                 buf.put_u8(3);
-                codec::put_str(&mut buf, reason);
+                codec::put_str(buf, reason);
             }
-            WireMsg::Link { seq, payload } => {
-                buf.put_u8(4);
-                buf.put_u64(*seq);
-                put_payload(&mut buf, payload);
-            }
+            WireMsg::Link { seq, payload } => put_link(buf, *seq, payload),
             WireMsg::Ack { seq } => {
                 buf.put_u8(5);
                 buf.put_u64(*seq);
             }
             WireMsg::Client(msg) => {
                 buf.put_u8(6);
-                put_client(&mut buf, msg);
+                put_client(buf, msg);
             }
             WireMsg::Reply(reply) => {
-                buf.put_u8(7);
-                put_reply(&mut buf, reply);
+                buf.put_u8(MSG_REPLY);
+                put_reply(buf, reply);
             }
             WireMsg::Batch { first_seq, payloads } => {
                 debug_assert!(
                     !payloads.is_empty() && payloads.len() <= MAX_BATCH_PAYLOADS,
                     "batch senders split before encoding"
                 );
-                buf.put_u8(8);
+                buf.put_u8(MSG_BATCH);
                 buf.put_u64(*first_seq);
                 buf.put_u32(payloads.len() as u32);
                 for payload in payloads {
-                    put_payload(&mut buf, payload);
+                    put_payload(buf, payload);
                 }
             }
         }
-        buf.freeze()
     }
 
     /// Decode one message body (tag + fields). Total: every input yields
@@ -761,47 +786,17 @@ impl WireMsg {
     }
 }
 
-/// Pack a run of consecutive link payloads (first one carrying sequence
-/// `first_seq`) into wire messages for a version ≥ 2 connection: a run
-/// of one stays a plain [`WireMsg::Link`]; longer runs become
-/// [`WireMsg::Batch`] frames, split so no batch holds more than
-/// [`MAX_BATCH_PAYLOADS`] payloads or encodes past the frame cap.
-pub fn batch_messages(first_seq: u64, payloads: Vec<Payload>) -> Vec<WireMsg> {
-    // Tag + first_seq + count; what the batch wrapper itself costs.
-    const BATCH_HEADER: usize = 1 + 8 + 4;
-    let budget = crate::frame::MAX_FRAME_LEN as usize - BATCH_HEADER;
-    let mut out = Vec::new();
-    let mut seq = first_seq;
-    let mut run: Vec<Payload> = Vec::new();
-    let mut run_bytes = 0usize;
-    for payload in payloads {
-        let mut scratch = BytesMut::new();
-        put_payload(&mut scratch, &payload);
-        let sz = scratch.len();
-        if !run.is_empty() && (run_bytes + sz > budget || run.len() >= MAX_BATCH_PAYLOADS) {
-            seq = flush_run(&mut out, seq, std::mem::take(&mut run));
-            run_bytes = 0;
-        }
-        run.push(payload);
-        run_bytes += sz;
-    }
-    flush_run(&mut out, seq, run);
-    out
-}
+/// Tag of [`WireMsg::Link`] in the message tag space.
+pub(crate) const MSG_LINK: u8 = 4;
+/// Tag of [`WireMsg::Batch`] in the message tag space.
+pub(crate) const MSG_BATCH: u8 = 8;
 
-fn flush_run(out: &mut Vec<WireMsg>, seq: u64, mut run: Vec<Payload>) -> u64 {
-    match run.len() {
-        0 => seq,
-        1 => {
-            // replint: allow(RL008) -- len matched as 1 on the arm above
-            out.push(WireMsg::Link { seq, payload: run.pop().expect("len checked") });
-            seq + 1
-        }
-        n => {
-            out.push(WireMsg::Batch { first_seq: seq, payloads: run });
-            seq + n as u64
-        }
-    }
+/// Body of a [`WireMsg::Link`], from a borrowed payload (the outbox
+/// keeps the payload until it is acknowledged; the wire only reads it).
+pub(crate) fn put_link(buf: &mut impl BufMut, seq: u64, payload: &Payload) {
+    buf.put_u8(MSG_LINK);
+    buf.put_u64(seq);
+    put_payload(buf, payload);
 }
 
 // ---------------------------------------------------------------------
@@ -815,11 +810,21 @@ fn flush_run(out: &mut Vec<WireMsg>, seq: u64, mut run: Vec<Payload>) -> u64 {
 /// transport tests.
 pub fn encode_cells(cells: &[(ItemId, Value, Option<GlobalTxnId>)]) -> Bytes {
     let mut buf = BytesMut::with_capacity(16 + cells.len() * 24);
+    encode_cells_into(&mut buf, cells.iter().map(|(item, value, writer)| (*item, value, *writer)));
+    buf.freeze()
+}
+
+/// [`encode_cells`] appending to `buf`, from cells produced on the fly
+/// (by reference or by value) — a site streams its store through this
+/// without first collecting the cells.
+pub fn encode_cells_into<V: std::borrow::Borrow<Value>>(
+    buf: &mut impl BufMut,
+    cells: impl ExactSizeIterator<Item = (ItemId, V, Option<GlobalTxnId>)>,
+) {
     buf.put_u32(cells.len() as u32);
     for (item, value, writer) in cells {
-        codec::put_cell(&mut buf, *item, value, *writer);
+        codec::put_cell(buf, item, value.borrow(), writer);
     }
-    buf.freeze()
 }
 
 /// Decode an image produced by [`encode_cells`].
@@ -849,8 +854,18 @@ mod tests {
     use super::*;
 
     fn roundtrip(msg: WireMsg) {
-        let decoded = WireMsg::decode(msg.encode()).unwrap();
+        let body = msg.encode();
+        let decoded = WireMsg::decode(body.clone()).unwrap();
         assert_eq!(decoded, msg);
+        // In-place framing appends exactly length prefix + body, after
+        // whatever the buffer already holds.
+        let mut expected = vec![0xEE; 5];
+        expected.extend_from_slice(&(body.len() as u32).to_be_bytes());
+        expected.extend_from_slice(&body);
+        let mut out = vec![0xEE; 5];
+        msg.encode_framed_into(&mut out);
+        assert_eq!(out, expected);
+        assert_eq!(crate::encode_framed(&msg).as_slice(), &expected[5..]);
     }
 
     #[test]
@@ -988,33 +1003,6 @@ mod tests {
         let mut raw = WireMsg::Ack { seq: 1 }.encode().to_vec();
         raw.push(0);
         assert!(WireMsg::decode(Bytes::from(raw)).is_err());
-    }
-
-    #[test]
-    fn batch_messages_split_and_keep_sequences_contiguous() {
-        let decision =
-            |n: u64| Payload::Decision { gid: GlobalTxnId::new(SiteId(0), n), commit: true };
-        // A run of one degrades to a plain Link.
-        let msgs = batch_messages(7, vec![decision(0)]);
-        assert!(matches!(msgs.as_slice(), [WireMsg::Link { seq: 7, .. }]));
-        // A run past the payload cap splits; sequences stay contiguous.
-        let n = MAX_BATCH_PAYLOADS + 3;
-        let msgs = batch_messages(100, (0..n as u64).map(decision).collect());
-        assert_eq!(msgs.len(), 2);
-        match (&msgs[0], &msgs[1]) {
-            (
-                WireMsg::Batch { first_seq: a, payloads: pa },
-                WireMsg::Batch { first_seq: b, payloads: pb },
-            ) => {
-                assert_eq!((*a, pa.len()), (100, MAX_BATCH_PAYLOADS));
-                assert_eq!((*b, pb.len()), (100 + MAX_BATCH_PAYLOADS as u64, 3));
-            }
-            other => panic!("unexpected split: {other:?}"),
-        }
-        // Every emitted frame fits the frame cap.
-        for m in &msgs {
-            assert!(m.encode().len() <= crate::frame::MAX_FRAME_LEN as usize);
-        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use proptest::prelude::*;
 
 use repl_net::{
-    batch_messages, decode_framed, encode_framed, ClientMsg, ClientReply, ExecError, Hello,
+    decode_framed, encode_framed, frame_run_into, ClientMsg, ClientReply, ExecError, Hello,
     HelloAck, NetError, Payload, Subtxn, SubtxnKind, WireMsg, MAX_BATCH_PAYLOADS, MAX_FRAME_LEN,
 };
 use repl_protocol::timestamp::Timestamp;
@@ -209,7 +209,7 @@ fn hostile_batch_counts_are_rejected_not_split() {
 }
 
 #[test]
-fn batch_messages_never_emit_over_cap_frames() {
+fn framed_runs_never_emit_over_cap_frames() {
     // The sender-side splitter must keep every frame under both caps
     // even for bulky payloads.
     let bulky: Vec<Payload> = (0..64)
@@ -224,24 +224,37 @@ fn batch_messages_never_emit_over_cap_frames() {
             })
         })
         .collect();
-    let msgs = batch_messages(5, bulky);
+    let mut wire = Vec::new();
+    frame_run_into(&mut wire, 5, &bulky);
+    // `decode_framed` refuses an over-cap frame, so decoding the stream
+    // to its end is the cap check.
+    let mut buf = BytesMut::from(&wire[..]);
+    let mut msgs = Vec::new();
+    while let Some(m) = decode_framed(&mut buf).expect("frame over cap or malformed") {
+        msgs.push(m);
+    }
+    assert!(buf.is_empty());
     let mut next_seq = 5;
-    for m in &msgs {
+    let mut carried = Vec::new();
+    for m in msgs {
         assert!(m.encode().len() <= MAX_FRAME_LEN as usize, "frame over cap");
         match m {
-            WireMsg::Link { seq, .. } => {
-                assert_eq!(*seq, next_seq);
+            WireMsg::Link { seq, payload } => {
+                assert_eq!(seq, next_seq);
                 next_seq += 1;
+                carried.push(payload);
             }
             WireMsg::Batch { first_seq, payloads } => {
-                assert_eq!(*first_seq, next_seq);
+                assert_eq!(first_seq, next_seq);
                 assert!(payloads.len() <= MAX_BATCH_PAYLOADS);
                 next_seq += payloads.len() as u64;
+                carried.extend(payloads);
             }
             other => panic!("unexpected message {other:?}"),
         }
     }
     assert_eq!(next_seq, 5 + 64);
+    assert_eq!(carried, bulky);
 }
 
 #[test]

@@ -52,8 +52,10 @@ impl DurableSite {
 
     /// Stage one commit record; appends the whole batch to the WAL when
     /// it fills (with batch size 1, every call appends immediately).
+    /// The write set is encoded straight from the borrow — nothing of
+    /// it is cloned or retained.
     pub fn log_commit(&mut self, gid: GlobalTxnId, writes: &[(ItemId, Value)]) {
-        if self.pipeline.enqueue(gid, writes.to_vec()) {
+        if self.pipeline.enqueue(gid, writes) {
             self.pipeline.flush(&mut self.wal);
         }
     }

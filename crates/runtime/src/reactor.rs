@@ -62,9 +62,9 @@ use epoll::{Epoll, Interest};
 use parking_lot::Mutex;
 
 use repl_net::{
-    batch_messages, cluster_fingerprint, encode_framed, negotiate, ClientMsg, ClientReply,
-    FrameReader, Hello, HelloAck, NetError, Payload, WireMsg, VERSION_BATCH, VERSION_MAX,
-    VERSION_MIN,
+    cluster_fingerprint, frame_link_into, frame_run_into, frame_state_reply_into, negotiate,
+    ClientMsg, ClientReply, FrameReader, Hello, HelloAck, HistoryLog, NetError, Payload, WireMsg,
+    VERSION_BATCH, VERSION_MAX, VERSION_MIN,
 };
 use repl_types::{AddressMap, GlobalTxnId, Op, SiteId};
 
@@ -97,28 +97,41 @@ const SHUTDOWN_GRACE: Duration = Duration::from_secs(1);
 /// Stack scratch buffer for socket reads.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// A byte queue in front of one socket: filled by frame encoders,
-/// drained by nonblocking writes.
+/// Past this capacity a fully drained [`WriteBuf`] gives its allocation
+/// back: the buffer grew for one oversized reply (a `History` or
+/// `CopyState` image), not for steady traffic.
+const WBUF_KEEP_CAP: usize = 64 * 1024;
+
+/// A byte queue in front of one socket: frame encoders append to it in
+/// place, nonblocking writes drain it from the front. Contiguous — the
+/// live bytes are `buf[head..]` — so a frame is encoded once, where it
+/// is sent from, and a flush is one `write` of one slice.
 #[derive(Default)]
 struct WriteBuf {
-    buf: VecDeque<u8>,
+    buf: Vec<u8>,
+    /// Bytes of `buf` already written to the socket.
+    head: usize,
 }
 
 impl WriteBuf {
-    fn push_bytes(&mut self, bytes: &[u8]) {
-        self.buf.extend(bytes.iter().copied());
+    /// The vector frame encoders append to. Appending is the only
+    /// mutation they may make: the bytes before the returned vector's
+    /// current length are not theirs.
+    fn tail(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
     }
 
     fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.head
     }
 
     fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     fn clear(&mut self) {
         self.buf.clear();
+        self.head = 0;
     }
 
     /// Write as much as the socket accepts. `Ok` with a non-empty
@@ -126,18 +139,30 @@ impl WriteBuf {
     /// write interest and try again on readiness. `Err` means the
     /// connection is broken.
     fn flush(&mut self, stream: &mut TcpStream) -> io::Result<()> {
-        while !self.buf.is_empty() {
-            let (head, _) = self.buf.as_slices();
-            match write_some(stream, head) {
+        while !self.is_empty() {
+            match write_some(stream, &self.buf[self.head..]) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => {
-                    self.buf.drain(..n);
+                Ok(n) => self.head += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    // Still backed up: reclaim the written prefix once it
+                    // outweighs what is left, so the buffer's footprint
+                    // tracks the backlog, not the traffic since it began.
+                    if self.head > self.len() {
+                        self.buf.drain(..self.head);
+                        self.head = 0;
+                    }
+                    return Ok(());
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
         }
+        if self.buf.capacity() > WBUF_KEEP_CAP {
+            self.buf = Vec::new();
+        } else {
+            self.buf.clear();
+        }
+        self.head = 0;
         Ok(())
     }
 }
@@ -196,7 +221,7 @@ impl Transport for ReactorWire {
             lane.stalled = true;
             return SendStatus::Backpressure;
         }
-        lane.buf.push_bytes(&encode_framed(&WireMsg::Link { seq, payload: payload.clone() }));
+        frame_link_into(lane.buf.tail(), seq, payload);
         SendStatus::Sent
     }
 
@@ -220,17 +245,12 @@ impl Transport for ReactorWire {
         }
         // A version-1 peer never sees a Batch frame; the run degrades to
         // one Link frame per payload in the same order.
-        let msgs: Vec<WireMsg> = if lane.version >= VERSION_BATCH {
-            batch_messages(first_seq, payloads.to_vec())
+        if lane.version >= VERSION_BATCH {
+            frame_run_into(lane.buf.tail(), first_seq, payloads);
         } else {
-            payloads
-                .iter()
-                .enumerate()
-                .map(|(i, p)| WireMsg::Link { seq: first_seq + i as u64, payload: p.clone() })
-                .collect()
-        };
-        for msg in &msgs {
-            lane.buf.push_bytes(&encode_framed(msg));
+            for (i, payload) in payloads.iter().enumerate() {
+                frame_link_into(lane.buf.tail(), first_seq + i as u64, payload);
+            }
         }
         SendStatus::Sent
     }
@@ -245,7 +265,7 @@ impl Transport for ReactorWire {
             // and the handshake resume_seq resynchronizes after drops.
             return SendStatus::Backpressure;
         }
-        lane.buf.push_bytes(&encode_framed(&WireMsg::Ack { seq }));
+        WireMsg::Ack { seq }.encode_framed_into(lane.buf.tail());
         SendStatus::Sent
     }
 
@@ -347,7 +367,7 @@ pub fn serve_epoll(cfg: ServeConfig) -> io::Result<()> {
     }
     let net = Arc::new(Net::new(links, raw));
     let durable = Arc::new(Mutex::new(DurableSite::new(n, opts.group_commit_batch)));
-    let history = Arc::new(Mutex::new(repl_core::history::History::new()));
+    let history = Arc::new(Mutex::new(HistoryLog::new()));
     let outstanding = Arc::new(std::sync::atomic::AtomicI64::new(0));
     let placement = Arc::new(cfg.placement.clone());
 
@@ -706,6 +726,12 @@ impl Reactor {
             {
                 continue;
             }
+            // No address yet (the launcher has not pushed `Peers`): there
+            // is nothing to dial, which is not a failed dial — it must
+            // neither count against the peer's health nor arm a backoff.
+            if self.peers.get(p).is_none() {
+                continue;
+            }
             let ok = self.dial_one(p);
             self.core.net.note_dial(self.me, p, ok);
             if ok {
@@ -767,7 +793,7 @@ impl Reactor {
                 let (peers_up, peers_suspect, peers_down) = self.core.health_counts();
                 let reply = ClientReply::Stats {
                     outstanding: self.core.outstanding.load(Ordering::SeqCst),
-                    committed: self.core.history.lock().committed_count() as u64,
+                    committed: self.core.history.lock().committed_count(),
                     decode_errors: self.decode_errors,
                     peers_up,
                     peers_suspect,
@@ -776,25 +802,28 @@ impl Reactor {
                 self.queue_reply(tok, reply);
                 true
             }
+            // The two bulk replies are framed straight from the site's
+            // state into the connection buffer: the history arena already
+            // is the reply body, and the copy-state cells stream off the
+            // store.
             ClientMsg::History => {
-                let txns = self
-                    .core
-                    .history
-                    .lock()
-                    .txns()
-                    .iter()
-                    .map(|t| (t.gid, t.reads.clone(), t.writes.clone()))
-                    .collect();
-                self.queue_reply(tok, ClientReply::History(txns));
+                self.queue_frame(tok, |core, out| core.history.lock().frame_reply_into(out));
                 true
             }
             ClientMsg::CopyState => {
-                let state = self.core.copy_state();
-                self.queue_reply(tok, ClientReply::State(state));
+                self.queue_frame(tok, |core, out| frame_state_reply_into(out, core.copy_cells()));
                 true
             }
             ClientMsg::Peers(entries) => {
+                let now = Instant::now();
                 for (site, addr) in entries {
+                    // A newly learned (or changed) address is dialed on
+                    // this very pass, not after a backoff it never earned.
+                    if site.index() < self.num_sites && self.peers.get(site) != Some(addr.as_str())
+                    {
+                        self.next_dial[site.index()] = now;
+                        self.dial_attempts[site.index()] = 0;
+                    }
                     self.peers.insert(site, addr);
                 }
                 self.queue_reply(tok, ClientReply::Ok);
@@ -901,9 +930,15 @@ impl Reactor {
     }
 
     fn queue_msg(&mut self, tok: usize, msg: &WireMsg) {
+        self.queue_frame(tok, |_, out| msg.encode_framed_into(out));
+    }
+
+    /// Let `frame` append one frame to the connection's buffer, in
+    /// place, reading whatever it needs of the site.
+    fn queue_frame(&mut self, tok: usize, frame: impl FnOnce(&SiteCore, &mut Vec<u8>)) {
         let overfull = {
             let Some(conn) = self.conns.get_mut(tok).and_then(Option::as_mut) else { return };
-            conn.wbuf.push_bytes(&encode_framed(msg));
+            frame(&self.core, conn.wbuf.tail());
             conn.wbuf.len() > CLIENT_WBUF_CAP
         };
         if overfull {

@@ -34,8 +34,7 @@ use crossbeam::channel::{RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
 use repl_copygraph::{CopyGraph, DataPlacement, PropagationTree};
-use repl_core::history::History;
-use repl_net::Payload;
+use repl_net::{HistoryLog, Payload};
 use repl_protocol::{
     destinations, planned_writes, Command as ProtoCommand, Input, ProtocolError, SiteMachine,
 };
@@ -123,7 +122,9 @@ pub(crate) struct SiteCore {
     /// deployment runs on).
     pub net: Arc<Net>,
     pub placement: Arc<DataPlacement>,
-    pub history: Arc<Mutex<History>>,
+    /// Every primary commit of this site (under channels: of the whole
+    /// cluster), already in its `History`-reply encoding.
+    pub history: Arc<Mutex<HistoryLog>>,
     /// Replica applications still in flight, cluster-wide (under TCP:
     /// this process's share; clients sum across processes).
     pub outstanding: Arc<AtomicI64>,
@@ -184,7 +185,7 @@ impl SiteSetup {
         store: Store,
         net: Arc<Net>,
         placement: Arc<DataPlacement>,
-        history: Arc<Mutex<History>>,
+        history: Arc<Mutex<HistoryLog>>,
         outstanding: Arc<AtomicI64>,
         durable: Arc<Mutex<DurableSite>>,
         opts: Arc<RuntimeOptions>,
@@ -225,7 +226,7 @@ impl SiteSetup {
         rx: TracedReceiver<Command>,
         net: Arc<Net>,
         placement: Arc<DataPlacement>,
-        history: Arc<Mutex<History>>,
+        history: Arc<Mutex<HistoryLog>>,
         outstanding: Arc<AtomicI64>,
         durable: Arc<Mutex<DurableSite>>,
         crashed: Arc<AtomicBool>,
@@ -424,7 +425,7 @@ impl SiteCore {
         } else {
             self.run_local_txn(ops, gid)
         };
-        self.finish_commit(gid, reads, &writes);
+        self.finish_commit(gid, &reads, &writes);
         let cmds = self.machine_input(Input::Committed { gid, writes });
         self.run_commands(cmds);
     }
@@ -636,19 +637,22 @@ impl SiteCore {
         }
         // replint: allow(RL008) -- one store txn at a time: conflicts are impossible
         let (info, _) = self.store.commit(txn).expect("commit serial txn");
-        (info.write_set(), info.reads)
+        // `commit` hands back the deduplicated write set.
+        (info.writes, info.reads)
     }
 
     /// WAL, history and outstanding-counter bookkeeping of a local
     /// commit. The commit is recorded *before* any subtransaction can
     /// be applied elsewhere, so readers-from always find the writer.
-    fn finish_commit(&mut self, gid: GlobalTxnId, reads: Reads, writes: &[(ItemId, Value)]) {
+    fn finish_commit(
+        &mut self,
+        gid: GlobalTxnId,
+        reads: &[(ItemId, Option<GlobalTxnId>)],
+        writes: &[(ItemId, Value)],
+    ) {
         self.durable.lock().log_commit(gid, writes);
         let dests = destinations(&self.placement, self.id, writes);
-        {
-            let mut h = self.history.lock();
-            h.record_commit(gid, reads, writes.iter().map(|(i, _)| *i).collect());
-        }
+        self.history.lock().record_commit(gid, reads, writes.iter().map(|(i, _)| *i));
         self.outstanding.fetch_add(dests.len() as i64, Ordering::SeqCst);
     }
 
@@ -716,20 +720,30 @@ impl SiteCore {
     }
 
     /// Every copy this site holds, ascending by item, with value and
-    /// writer — serialized with the shared wire codec so deployments
-    /// can be compared byte-for-byte.
-    pub fn copy_state(&self) -> bytes::Bytes {
+    /// writer, read off the store as the iterator is consumed — the
+    /// input of the shared copy-state codec
+    /// ([`repl_net::encode_cells_into`]), so deployments can be compared
+    /// byte-for-byte.
+    pub fn copy_cells(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (ItemId, Value, Option<GlobalTxnId>)> + '_ {
         let mut items: Vec<ItemId> = self.placement.items_at(self.id).to_vec();
         items.sort_unstable();
-        let cells: Vec<(ItemId, Value, Option<GlobalTxnId>)> = items
-            .into_iter()
-            .map(|i| {
-                // replint: allow(RL008) -- every placement copy was seeded at site start
-                let r = self.store.peek(i).expect("placement copy exists in store");
-                (i, r.value, r.writer)
-            })
-            .collect();
-        repl_net::encode_cells(&cells)
+        items.into_iter().map(|i| {
+            // replint: allow(RL008) -- every placement copy was seeded at site start
+            let r = self.store.peek(i).expect("placement copy exists in store");
+            (i, r.value, r.writer)
+        })
+    }
+
+    /// The serialized copy state ([`SiteCore::copy_cells`] through the
+    /// shared wire codec).
+    pub fn copy_state(&self) -> bytes::Bytes {
+        let cells = self.copy_cells();
+        // An integer cell with a writer is 26 bytes.
+        let mut image = bytes::BytesMut::with_capacity(4 + cells.len() * 26);
+        repl_net::encode_cells_into(&mut image, cells);
+        image.freeze()
     }
 }
 

@@ -24,7 +24,7 @@
 //! reader per dialed connection, one per client session.
 
 use std::collections::VecDeque;
-use std::io;
+use std::io::{self, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -34,11 +34,10 @@ use crossbeam::channel::bounded;
 use parking_lot::Mutex;
 
 use repl_copygraph::DataPlacement;
-use repl_core::history::History;
 use repl_net::{
-    batch_messages, client_handshake, cluster_fingerprint, negotiate, read_msg, write_msg,
-    ClientMsg, ClientReply, ExecError, Hello, HelloAck, Payload, ReadError, WireMsg, VERSION_BATCH,
-    VERSION_MAX, VERSION_MIN,
+    client_handshake, cluster_fingerprint, frame_link_into, frame_run_into, negotiate, read_msg,
+    write_msg, ClientMsg, ClientReply, ExecError, Hello, HelloAck, HistoryLog, Payload, ReadError,
+    WireMsg, VERSION_BATCH, VERSION_MAX, VERSION_MIN,
 };
 use repl_types::{AddressMap, SiteId};
 
@@ -57,6 +56,19 @@ use crate::transport::{Net, SendStatus, Transport, TransportEvent};
 struct OutConn {
     stream: TcpStream,
     version: u16,
+    /// Frames are encoded here from the borrowed payloads, then written
+    /// in one call; reused across sends.
+    frames: Vec<u8>,
+}
+
+impl OutConn {
+    /// Write what `frame` encodes into the scratch buffer.
+    fn send(&mut self, frame: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+        self.frames.clear();
+        frame(&mut self.frames);
+        self.stream.write_all(&self.frames)?;
+        self.stream.flush()
+    }
 }
 
 /// Per-peer socket slots. `out[p]` is the connection *we* dialed to
@@ -113,8 +125,7 @@ impl Transport for TcpWire {
     fn try_send(&self, _from: SiteId, to: SiteId, seq: u64, payload: &Payload) -> SendStatus {
         let mut slot = self.0.out[to.index()].lock();
         let Some(conn) = slot.as_mut() else { return SendStatus::Down };
-        let msg = WireMsg::Link { seq, payload: payload.clone() };
-        if write_msg(&mut conn.stream, &msg).is_err() {
+        if conn.send(|out| frame_link_into(out, seq, payload)).is_err() {
             *slot = None;
             return SendStatus::Down;
         }
@@ -133,20 +144,19 @@ impl Transport for TcpWire {
         // A version-1 peer never sees a Batch frame: the run degrades to
         // one Link frame per payload on the same connection, preserving
         // the sequence order the batch carried.
-        let msgs: Vec<WireMsg> = if conn.version >= VERSION_BATCH {
-            batch_messages(first_seq, payloads.to_vec())
-        } else {
-            payloads
-                .iter()
-                .enumerate()
-                .map(|(i, p)| WireMsg::Link { seq: first_seq + i as u64, payload: p.clone() })
-                .collect()
-        };
-        for msg in &msgs {
-            if write_msg(&mut conn.stream, msg).is_err() {
-                *slot = None;
-                return SendStatus::Down;
+        let batch_frames = conn.version >= VERSION_BATCH;
+        let sent = conn.send(|out| {
+            if batch_frames {
+                frame_run_into(out, first_seq, payloads);
+            } else {
+                for (i, payload) in payloads.iter().enumerate() {
+                    frame_link_into(out, first_seq + i as u64, payload);
+                }
             }
+        });
+        if sent.is_err() {
+            *slot = None;
+            return SendStatus::Down;
         }
         SendStatus::Sent
     }
@@ -196,7 +206,7 @@ struct Shared {
     net: Arc<Net>,
     site_tx: TracedSender<Command>,
     durable: Arc<Mutex<DurableSite>>,
-    history: Arc<Mutex<History>>,
+    history: Arc<Mutex<HistoryLog>>,
     outstanding: Arc<AtomicI64>,
     peers: Mutex<AddressMap>,
     opts: Arc<RuntimeOptions>,
@@ -227,7 +237,7 @@ pub fn serve(cfg: ServeConfig) -> io::Result<()> {
     }
     let net = Arc::new(Net::new(links, raw));
     let durable = Arc::new(Mutex::new(DurableSite::new(n, opts.group_commit_batch)));
-    let history = Arc::new(Mutex::new(History::new()));
+    let history = Arc::new(Mutex::new(HistoryLog::new()));
     let outstanding = Arc::new(AtomicI64::new(0));
     let crashed = Arc::new(AtomicBool::new(false));
     let shared_placement = Arc::new(cfg.placement.clone());
@@ -385,7 +395,7 @@ fn dial_peer(shared: &Arc<Shared>, peer: SiteId, addr: &str) -> bool {
     let Ok(write_half) = stream.try_clone() else { return false };
     let generation = {
         let mut slot = shared.tcp.out[peer.index()].lock();
-        *slot = Some(OutConn { stream: write_half, version: ack.version });
+        *slot = Some(OutConn { stream: write_half, version: ack.version, frames: Vec::new() });
         shared.tcp.out_gen[peer.index()].fetch_add(1, Ordering::SeqCst) + 1
     };
     // Prune + replay under the lane lock; a racing fresh send either
@@ -512,8 +522,9 @@ fn client_session(
             },
         };
         let stop = matches!(msg, ClientMsg::Shutdown);
-        let reply = handle_client(shared, msg);
-        if write_msg(&mut writer, &WireMsg::Reply(reply)).is_err() {
+        let mut frame = Vec::new();
+        frame_client_reply(shared, msg, &mut frame);
+        if writer.write_all(&frame).and_then(|()| writer.flush()).is_err() {
             break;
         }
         if stop {
@@ -527,25 +538,23 @@ fn client_session(
     }
 }
 
-fn handle_client(shared: &Arc<Shared>, msg: ClientMsg) -> ClientReply {
-    match msg {
+/// Carry out one client request and append its reply frame to `out`.
+fn frame_client_reply(shared: &Arc<Shared>, msg: ClientMsg, out: &mut Vec<u8>) {
+    const SITE_DOWN: &str = "site is down";
+    let reply = match msg {
         ClientMsg::Execute(ops) => {
             let (reply_tx, reply_rx) = bounded(1);
-            if shared.site_tx.send(Command::Execute { ops, reply: reply_tx }).is_err() {
-                return ClientReply::Executed(Err(ExecError::Disconnected));
-            }
-            match reply_rx.recv() {
-                Ok(Ok(gid)) => ClientReply::Executed(Ok(gid)),
-                Ok(Err(e)) => ClientReply::Executed(Err(exec_error(e))),
-                Err(_) => ClientReply::Executed(Err(ExecError::Disconnected)),
-            }
+            let sent = shared.site_tx.send(Command::Execute { ops, reply: reply_tx });
+            ClientReply::Executed(match sent.ok().and_then(|()| reply_rx.recv().ok()) {
+                Some(Ok(gid)) => Ok(gid),
+                Some(Err(e)) => Err(exec_error(e)),
+                None => Err(ExecError::Disconnected),
+            })
         }
         ClientMsg::Peek(item) => {
             let (reply_tx, reply_rx) = bounded(1);
-            if shared.site_tx.send(Command::Peek { item, reply: reply_tx }).is_err() {
-                return ClientReply::Cell(None);
-            }
-            ClientReply::Cell(reply_rx.recv().ok().flatten())
+            let sent = shared.site_tx.send(Command::Peek { item, reply: reply_tx });
+            ClientReply::Cell(sent.ok().and_then(|()| reply_rx.recv().ok()).flatten())
         }
         ClientMsg::Stats => {
             let (peers_up, peers_suspect, peers_down) = shared.net.health_counts(
@@ -555,7 +564,7 @@ fn handle_client(shared: &Arc<Shared>, msg: ClientMsg) -> ClientReply {
             );
             ClientReply::Stats {
                 outstanding: shared.outstanding.load(Ordering::SeqCst),
-                committed: shared.history.lock().committed_count() as u64,
+                committed: shared.history.lock().committed_count(),
                 decode_errors: shared.decode_errors.load(Ordering::SeqCst),
                 peers_up,
                 peers_suspect,
@@ -564,12 +573,10 @@ fn handle_client(shared: &Arc<Shared>, msg: ClientMsg) -> ClientReply {
         }
         ClientMsg::CopyState => {
             let (reply_tx, reply_rx) = bounded(1);
-            if shared.site_tx.send(Command::CopyState { reply: reply_tx }).is_err() {
-                return ClientReply::Err("site is down".into());
-            }
-            match reply_rx.recv() {
-                Ok(bytes) => ClientReply::State(bytes),
-                Err(_) => ClientReply::Err("site is down".into()),
+            let sent = shared.site_tx.send(Command::CopyState { reply: reply_tx });
+            match sent.ok().and_then(|()| reply_rx.recv().ok()) {
+                Some(bytes) => ClientReply::State(bytes),
+                None => ClientReply::Err(SITE_DOWN.into()),
             }
         }
         ClientMsg::Peers(entries) => {
@@ -580,20 +587,19 @@ fn handle_client(shared: &Arc<Shared>, msg: ClientMsg) -> ClientReply {
             ClientReply::Ok
         }
         ClientMsg::KillConn(peer) => {
-            if peer.index() >= shared.tcp.out.len() {
-                return ClientReply::Err(format!("no such peer {peer}"));
+            if peer.index() < shared.tcp.out.len() {
+                shared.tcp.kill_conn(peer);
+                ClientReply::Ok
+            } else {
+                ClientReply::Err(format!("no such peer {peer}"))
             }
-            shared.tcp.kill_conn(peer);
-            ClientReply::Ok
         }
         ClientMsg::Shutdown => ClientReply::Ok,
-        ClientMsg::History => {
-            let h = shared.history.lock();
-            ClientReply::History(
-                h.txns().iter().map(|t| (t.gid, t.reads.clone(), t.writes.clone())).collect(),
-            )
-        }
-    }
+        // The history log already is the reply body: framed as it
+        // stands, never decoded into a typed reply.
+        ClientMsg::History => return shared.history.lock().frame_reply_into(out),
+    };
+    WireMsg::Reply(reply).encode_framed_into(out);
 }
 
 /// Map the typed client error to its wire spelling (shared with the

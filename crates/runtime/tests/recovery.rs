@@ -50,7 +50,7 @@ fn primary_site_wal_contains_its_commits() {
     let wal = WriteAheadLog::decode(cluster.snapshot_wal(SiteId(0)).unwrap()).unwrap();
     assert_eq!(wal.len(), 5);
     // Records are in commit order with ascending sequence numbers.
-    let seqs: Vec<u64> = wal.records().iter().map(|r| r.writer.seq).collect();
+    let seqs: Vec<u64> = wal.records().map(|r| r.writer.seq).collect();
     let mut sorted = seqs.clone();
     sorted.sort_unstable();
     assert_eq!(seqs, sorted);

@@ -10,8 +10,12 @@
 //! [`CodecError`], never a panic, and length headers are distrusted —
 //! a claimed length is checked against the bytes actually remaining
 //! before any allocation sized from it.
+//!
+//! Encoders take any [`BufMut`] and decoders any [`Buf`], so the same
+//! functions fill a `BytesMut`, append in place to a `Vec<u8>` (a WAL,
+//! a socket write buffer) and walk a borrowed `&[u8]`.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut};
 
 use repl_types::{GlobalTxnId, ItemId, SiteId, Value};
 
@@ -37,7 +41,7 @@ impl std::error::Error for CodecError {}
 
 /// Encode a value: tag byte, then the payload.
 /// Tags: `0` Initial, `1` Int (i64), `2` Bytes (u64 length + bytes).
-pub fn put_value(buf: &mut BytesMut, value: &Value) {
+pub fn put_value(buf: &mut impl BufMut, value: &Value) {
     match value {
         Value::Initial => buf.put_u8(0),
         Value::Int(v) => {
@@ -53,7 +57,7 @@ pub fn put_value(buf: &mut BytesMut, value: &Value) {
 }
 
 /// Decode a value written by [`put_value`].
-pub fn get_value(buf: &mut Bytes) -> Result<Value, CodecError> {
+pub fn get_value(buf: &mut impl Buf) -> Result<Value, CodecError> {
     if buf.remaining() < 1 {
         return Err(CodecError::Truncated);
     }
@@ -80,13 +84,13 @@ pub fn get_value(buf: &mut Bytes) -> Result<Value, CodecError> {
 }
 
 /// Encode a global transaction id: origin site (u32) + sequence (u64).
-pub fn put_gid(buf: &mut BytesMut, gid: GlobalTxnId) {
+pub fn put_gid(buf: &mut impl BufMut, gid: GlobalTxnId) {
     buf.put_u32(gid.origin.0);
     buf.put_u64(gid.seq);
 }
 
 /// Decode a global transaction id written by [`put_gid`].
-pub fn get_gid(buf: &mut Bytes) -> Result<GlobalTxnId, CodecError> {
+pub fn get_gid(buf: &mut impl Buf) -> Result<GlobalTxnId, CodecError> {
     if buf.remaining() < 12 {
         return Err(CodecError::Truncated);
     }
@@ -96,7 +100,7 @@ pub fn get_gid(buf: &mut Bytes) -> Result<GlobalTxnId, CodecError> {
 }
 
 /// Decode a `u32` with a truncation check.
-pub fn get_u32(buf: &mut Bytes) -> Result<u32, CodecError> {
+pub fn get_u32(buf: &mut impl Buf) -> Result<u32, CodecError> {
     if buf.remaining() < 4 {
         return Err(CodecError::Truncated);
     }
@@ -104,7 +108,7 @@ pub fn get_u32(buf: &mut Bytes) -> Result<u32, CodecError> {
 }
 
 /// Decode a `u64` with a truncation check.
-pub fn get_u64(buf: &mut Bytes) -> Result<u64, CodecError> {
+pub fn get_u64(buf: &mut impl Buf) -> Result<u64, CodecError> {
     if buf.remaining() < 8 {
         return Err(CodecError::Truncated);
     }
@@ -112,7 +116,7 @@ pub fn get_u64(buf: &mut Bytes) -> Result<u64, CodecError> {
 }
 
 /// Decode a `u8` with a truncation check.
-pub fn get_u8(buf: &mut Bytes) -> Result<u8, CodecError> {
+pub fn get_u8(buf: &mut impl Buf) -> Result<u8, CodecError> {
     if buf.remaining() < 1 {
         return Err(CodecError::Truncated);
     }
@@ -120,14 +124,14 @@ pub fn get_u8(buf: &mut Bytes) -> Result<u8, CodecError> {
 }
 
 /// Encode a UTF-8 string: u32 length + bytes.
-pub fn put_str(buf: &mut BytesMut, s: &str) {
+pub fn put_str(buf: &mut impl BufMut, s: &str) {
     buf.put_u32(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
 
 /// Decode a string written by [`put_str`]. Invalid UTF-8 is a
 /// [`CodecError::BadTag`]-class error (the input is hostile, not short).
-pub fn get_str(buf: &mut Bytes) -> Result<String, CodecError> {
+pub fn get_str(buf: &mut impl Buf) -> Result<String, CodecError> {
     let len = get_u32(buf)? as usize;
     if buf.remaining() < len {
         return Err(CodecError::Truncated);
@@ -136,7 +140,7 @@ pub fn get_str(buf: &mut Bytes) -> Result<String, CodecError> {
 }
 
 /// Encode one copy-state cell: `(item, value, writer)`.
-pub fn put_cell(buf: &mut BytesMut, item: ItemId, value: &Value, writer: Option<GlobalTxnId>) {
+pub fn put_cell(buf: &mut impl BufMut, item: ItemId, value: &Value, writer: Option<GlobalTxnId>) {
     buf.put_u32(item.0);
     put_value(buf, value);
     match writer {
@@ -149,7 +153,7 @@ pub fn put_cell(buf: &mut BytesMut, item: ItemId, value: &Value, writer: Option<
 }
 
 /// Decode one cell written by [`put_cell`].
-pub fn get_cell(buf: &mut Bytes) -> Result<(ItemId, Value, Option<GlobalTxnId>), CodecError> {
+pub fn get_cell(buf: &mut impl Buf) -> Result<(ItemId, Value, Option<GlobalTxnId>), CodecError> {
     let item = ItemId(get_u32(buf)?);
     let value = get_value(buf)?;
     let writer = match get_u8(buf)? {
@@ -163,6 +167,7 @@ pub fn get_cell(buf: &mut Bytes) -> Result<(ItemId, Value, Option<GlobalTxnId>),
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::{Bytes, BytesMut};
 
     fn roundtrip_value(v: Value) {
         let mut buf = BytesMut::new();

@@ -18,31 +18,27 @@
 
 use repl_types::{GlobalTxnId, ItemId, Value};
 
-use crate::wal::{LogRecord, WriteAheadLog};
+use crate::wal::WriteAheadLog;
 
-/// One enqueued commit awaiting the batch flush.
-#[derive(Clone, Debug)]
-struct PendingCommit {
-    gid: GlobalTxnId,
-    /// The commit's deduplicated write set, in write order.
-    writes: Vec<(ItemId, Value)>,
-}
-
-/// The commits accumulated since the last flush, in enqueue order.
+/// The commits accumulated since the last flush, in enqueue order:
+/// their records already in log encoding (so the flush is one copy and
+/// the log comes out byte-identical to direct appends), and their gids
+/// for the acknowledgements.
 #[derive(Clone, Debug, Default)]
 pub struct CommitBatch {
-    entries: Vec<PendingCommit>,
+    staged: WriteAheadLog,
+    gids: Vec<GlobalTxnId>,
 }
 
 impl CommitBatch {
     /// Commits currently in the batch.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.gids.len()
     }
 
     /// True when nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.gids.is_empty()
     }
 }
 
@@ -90,15 +86,20 @@ impl CommitPipeline {
     /// Enqueue one commit's write set. Returns `true` when the batch is
     /// full and the caller must [`CommitPipeline::flush`] before
     /// releasing the commit's acknowledgement.
-    pub fn enqueue(&mut self, gid: GlobalTxnId, writes: Vec<(ItemId, Value)>) -> bool {
+    ///
+    /// The write set is only read (an owned `Vec` or a borrowed slice
+    /// both do): its records are encoded into the batch here, so
+    /// nothing of the caller's is retained or cloned.
+    pub fn enqueue(&mut self, gid: GlobalTxnId, writes: impl AsRef<[(ItemId, Value)]>) -> bool {
         self.stats.commits += 1;
-        self.batch.entries.push(PendingCommit { gid, writes });
-        self.batch.entries.len() >= self.max_batch
+        self.batch.staged.append_commit(gid, writes.as_ref());
+        self.batch.gids.push(gid);
+        self.batch.gids.len() >= self.max_batch
     }
 
     /// Commits enqueued but not yet flushed.
     pub fn pending(&self) -> usize {
-        self.batch.entries.len()
+        self.batch.len()
     }
 
     /// Flush the batch: append every pending record to `wal` in enqueue
@@ -106,20 +107,14 @@ impl CommitPipeline {
     /// acknowledgements may now be released — in batch order. A flush
     /// with nothing pending is free (no fsync, empty ack list).
     pub fn flush(&mut self, wal: &mut WriteAheadLog) -> Vec<GlobalTxnId> {
-        if self.batch.entries.is_empty() {
+        if self.batch.is_empty() {
             return Vec::new();
         }
         self.stats.flushes += 1;
-        let entries = std::mem::take(&mut self.batch.entries);
-        let mut acks = Vec::with_capacity(entries.len());
-        for commit in entries {
-            for (item, value) in &commit.writes {
-                self.stats.records += 1;
-                wal.append(LogRecord { item: *item, value: value.clone(), writer: commit.gid });
-            }
-            acks.push(commit.gid);
-        }
-        acks
+        self.stats.records += self.batch.staged.len() as u64;
+        wal.append_log(&self.batch.staged);
+        self.batch.staged.clear();
+        std::mem::take(&mut self.batch.gids)
     }
 
     /// The pipeline's counters so far.
@@ -162,10 +157,16 @@ mod tests {
         assert_eq!(p.pending(), 0);
         assert_eq!(p.stats(), PipelineStats { commits: 3, flushes: 1, records: 4 });
         // WAL record order matches enqueue order, per-commit write order.
-        let writers: Vec<_> = wal.records().iter().map(|r| r.writer).collect();
-        assert_eq!(writers, vec![gid(1), gid(2), gid(2), gid(3)]);
-        assert_eq!(wal.records()[1].item, ItemId(1));
-        assert_eq!(wal.records()[2].item, ItemId(2));
+        let written: Vec<_> = wal.records().map(|r| (r.writer, r.item)).collect();
+        assert_eq!(
+            written,
+            vec![
+                (gid(1), ItemId(0)),
+                (gid(2), ItemId(1)),
+                (gid(2), ItemId(2)),
+                (gid(3), ItemId(0))
+            ]
+        );
     }
 
     #[test]
@@ -192,7 +193,7 @@ mod tests {
             let mut wal = WriteAheadLog::new();
             let mut acks = Vec::new();
             for (g, writes) in &commits {
-                if p.enqueue(*g, writes.clone()) {
+                if p.enqueue(*g, writes) {
                     acks.extend(p.flush(&mut wal));
                 }
             }

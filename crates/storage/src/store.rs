@@ -72,7 +72,10 @@ struct TxnState {
 pub struct CommitInfo {
     /// `(item, writer-of-version-read)` pairs, in read order.
     pub reads: Vec<(ItemId, Option<GlobalTxnId>)>,
-    /// `(item, value)` pairs in write order (may repeat items).
+    /// `(item, value)` pairs in write order. As returned by
+    /// [`Store::commit`] this is already the deduplicated write set
+    /// (what [`CommitInfo::write_set`] computes), so a caller that owns
+    /// the info can take it without another pass.
     pub writes: Vec<(ItemId, Value)>,
 }
 
@@ -80,22 +83,25 @@ impl CommitInfo {
     /// The deduplicated write set: last value per item, in first-write
     /// order. This is what a secondary subtransaction carries.
     pub fn write_set(&self) -> Vec<(ItemId, Value)> {
-        let mut order: Vec<ItemId> = Vec::new();
-        let mut last: HashMap<ItemId, Value> = HashMap::new();
-        for (item, value) in &self.writes {
-            if !last.contains_key(item) {
-                order.push(*item);
-            }
-            last.insert(*item, value.clone());
-        }
-        order
-            .into_iter()
-            .map(|i| {
-                let v = last.remove(&i).expect("recorded above");
-                (i, v)
-            })
-            .collect()
+        last_write_wins(self.writes.iter().cloned(), self.writes.len())
     }
+}
+
+/// Order-preserving last-write-wins dedup: one allocation and a linear
+/// scan per write — write sets are a handful of items, where that beats
+/// building a hash map.
+fn last_write_wins(
+    writes: impl Iterator<Item = (ItemId, Value)>,
+    at_most: usize,
+) -> Vec<(ItemId, Value)> {
+    let mut set: Vec<(ItemId, Value)> = Vec::with_capacity(at_most);
+    for (item, value) in writes {
+        match set.iter_mut().find(|(i, _)| *i == item) {
+            Some(slot) => slot.1 = value,
+            None => set.push((item, value)),
+        }
+    }
+    set
 }
 
 /// The per-site main-memory store.
@@ -286,15 +292,17 @@ impl Store {
     pub fn commit(&mut self, txn: TxnId) -> Result<(CommitInfo, Vec<TxnId>), StorageError> {
         let state = self.txns.remove(&txn).ok_or(StorageError::NoSuchTxn(txn))?;
         let granted = self.locks.release_all(txn);
-        let info = CommitInfo { reads: state.reads, writes: state.writes };
+        let n = state.writes.len();
+        let info =
+            CommitInfo { reads: state.reads, writes: last_write_wins(state.writes.into_iter(), n) };
         if !info.writes.is_empty() {
             self.commit_ts += 1;
             let ts = self.commit_ts;
             let trim = self.snapshots.active_count() == 0;
-            for (item, value) in info.write_set() {
-                self.mvcc.install(item, ts, value, state.writer);
+            for (item, value) in &info.writes {
+                self.mvcc.install(*item, ts, value.clone(), state.writer);
                 if trim {
-                    self.mvcc.trim_to_latest(item);
+                    self.mvcc.trim_to_latest(*item);
                 }
             }
         }
@@ -444,6 +452,45 @@ mod tests {
         let r = s.read(t2, ItemId(1)).unwrap();
         assert_eq!(r.value, Value::int(2));
         assert_eq!(r.writer, Some(gid(1)));
+    }
+
+    mod write_set_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// With items repeating freely, the write set lists each
+            /// item once, in first-write order, with its last value —
+            /// from `write_set()` on raw writes and from `commit` alike.
+            #[test]
+            fn write_set_is_first_write_order_last_value(
+                writes in prop::collection::vec((0u32..6, 0i64..1000), 0..24),
+            ) {
+                let mut expected: Vec<(ItemId, Value)> = Vec::new();
+                for (item, v) in &writes {
+                    let item = ItemId(*item);
+                    if let Some(at) = expected.iter().position(|(i, _)| *i == item) {
+                        expected[at].1 = Value::int(*v);
+                    } else {
+                        expected.push((item, Value::int(*v)));
+                    }
+                }
+                let raw = CommitInfo {
+                    reads: Vec::new(),
+                    writes: writes.iter().map(|(i, v)| (ItemId(*i), Value::int(*v))).collect(),
+                };
+                prop_assert_eq!(raw.write_set(), expected.clone());
+
+                let mut s = store_with_items(6);
+                let t = s.begin();
+                for (item, v) in &writes {
+                    s.write(t, ItemId(*item), Value::int(*v), gid(1)).unwrap();
+                }
+                let (info, _) = s.commit(t).unwrap();
+                prop_assert_eq!(info.write_set(), expected.clone());
+                prop_assert_eq!(info.writes, expected);
+            }
+        }
     }
 
     #[test]

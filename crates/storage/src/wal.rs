@@ -6,10 +6,11 @@
 //! upstream commit is durable). This module provides the corresponding
 //! machinery for [`crate::Store`]:
 //!
-//! * a redo [`WriteAheadLog`] holding one [`LogRecord`] per committed
-//!   write, in commit order, with a serialized byte form
-//!   ([`WriteAheadLog::encode`] / [`WriteAheadLog::decode`]) built on
-//!   `bytes` so it can be shipped or persisted;
+//! * a redo [`WriteAheadLog`] holding one record per committed write,
+//!   in commit order, stored in its serialized byte form
+//!   ([`WriteAheadLog::encode`] / [`WriteAheadLog::decode`]) so it can
+//!   be shipped or persisted as is; [`LogRecord`]s are decoded on
+//!   demand ([`WriteAheadLog::records`]);
 //! * [`checkpoint`] — snapshot a store's committed state;
 //! * [`recover`] — rebuild a store from a checkpoint plus a log suffix,
 //!   idempotently (replaying a prefix twice is harmless because records
@@ -38,10 +39,32 @@ pub struct LogRecord {
     pub writer: GlobalTxnId,
 }
 
+fn put_record(buf: &mut impl BufMut, item: ItemId, writer: GlobalTxnId, value: &Value) {
+    buf.put_u32(item.0);
+    codec::put_gid(buf, writer);
+    codec::put_value(buf, value);
+}
+
+fn get_record(buf: &mut impl Buf) -> Result<LogRecord, CodecError> {
+    let item = ItemId(codec::get_u32(buf)?);
+    let writer = codec::get_gid(buf)?;
+    let value = codec::get_value(buf)?;
+    Ok(LogRecord { item, value, writer })
+}
+
 /// An in-memory redo log with a stable wire encoding.
+///
+/// Records are kept in their encoded form — the body of
+/// [`WriteAheadLog::encode`]'s image — so a record costs its wire size
+/// (25 bytes for an integer write) instead of a heap `LogRecord`, and
+/// taking the image is a header plus one copy.
 #[derive(Clone, Debug, Default)]
 pub struct WriteAheadLog {
-    records: Vec<LogRecord>,
+    /// The records back to back, each `item ‖ writer ‖ value`. Only
+    /// [`put_record`] and a validated [`WriteAheadLog::decode`] write
+    /// here, so the bytes always parse as exactly `count` records.
+    bytes: Vec<u8>,
+    count: usize,
 }
 
 /// Errors raised when decoding a log image.
@@ -73,6 +96,33 @@ impl From<CodecError> for WalError {
     }
 }
 
+/// Decoding iterator over a log's records ([`WriteAheadLog::records`]).
+#[derive(Clone, Debug)]
+pub struct Records<'a> {
+    rest: &'a [u8],
+    left: usize,
+}
+
+impl Iterator for Records<'_> {
+    type Item = LogRecord;
+
+    fn next(&mut self) -> Option<LogRecord> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        Some(
+            get_record(&mut self.rest).expect("the log holds only records it encoded or validated"),
+        )
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Records<'_> {}
+
 impl WriteAheadLog {
     /// An empty log.
     pub fn new() -> Self {
@@ -81,29 +131,49 @@ impl WriteAheadLog {
 
     /// Append a committed write.
     pub fn append(&mut self, record: LogRecord) {
-        self.records.push(record);
+        put_record(&mut self.bytes, record.item, record.writer, &record.value);
+        self.count += 1;
     }
 
     /// Append every write of a commit, in write order.
     pub fn append_commit(&mut self, writer: GlobalTxnId, writes: &[(ItemId, Value)]) {
         for (item, value) in writes {
-            self.append(LogRecord { item: *item, value: value.clone(), writer });
+            put_record(&mut self.bytes, *item, writer, value);
         }
+        self.count += writes.len();
+    }
+
+    /// Append every record of `other`, in order, with one copy (the
+    /// group-commit flush).
+    pub(crate) fn append_log(&mut self, other: &WriteAheadLog) {
+        self.bytes.extend_from_slice(&other.bytes);
+        self.count += other.count;
+    }
+
+    /// Forget every record, keeping the allocation.
+    pub(crate) fn clear(&mut self) {
+        self.bytes.clear();
+        self.count = 0;
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.count
     }
 
     /// True when the log holds no records.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.count == 0
     }
 
-    /// The records, in commit order.
-    pub fn records(&self) -> &[LogRecord] {
-        &self.records
+    /// Bytes the log's records occupy (the image minus its header).
+    pub fn encoded_len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// The records, in commit order, decoded as they are visited.
+    pub fn records(&self) -> Records<'_> {
+        Records { rest: &self.bytes, left: self.count }
     }
 
     /// Drop the first `n` records — everything already covered by a
@@ -117,39 +187,38 @@ impl WriteAheadLog {
     /// `truncated_log_recovers_identically`). `n` larger than the log
     /// clears it.
     pub fn truncate_prefix(&mut self, n: usize) {
-        let n = n.min(self.records.len());
-        self.records.drain(..n);
+        let n = n.min(self.count);
+        let mut records = self.records();
+        records.by_ref().take(n).for_each(drop);
+        let cut = self.bytes.len() - records.rest.len();
+        self.bytes.drain(..cut);
+        self.count -= n;
     }
 
-    /// Serialize the whole log.
+    /// Serialize the whole log: record count, then the records.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.records.len() * 32);
-        buf.put_u64(self.records.len() as u64);
-        for r in &self.records {
-            buf.put_u32(r.item.0);
-            codec::put_gid(&mut buf, r.writer);
-            codec::put_value(&mut buf, &r.value);
-        }
+        let mut buf = BytesMut::with_capacity(8 + self.bytes.len());
+        buf.put_u64(self.count as u64);
+        buf.put_slice(&self.bytes);
         buf.freeze()
     }
 
     /// Deserialize a log image produced by [`WriteAheadLog::encode`].
+    /// The claimed record count is distrusted: every record is parsed
+    /// once here, and only the bytes that parsed are kept.
     pub fn decode(mut buf: Bytes) -> Result<Self, WalError> {
         if buf.remaining() < 8 {
             return Err(WalError::Truncated);
         }
-        let n = buf.get_u64() as usize;
-        // Distrust the claimed count: a corrupt or adversarial header can
-        // claim 2^64 records. Pre-allocate at most what the remaining
-        // bytes could possibly hold (17 bytes is the smallest record).
-        let mut records = Vec::with_capacity(n.min(buf.remaining() / 17));
-        for _ in 0..n {
-            let item = ItemId(codec::get_u32(&mut buf)?);
-            let writer = codec::get_gid(&mut buf)?;
-            let value = codec::get_value(&mut buf)?;
-            records.push(LogRecord { item, value, writer });
+        let n = buf.get_u64();
+        let mut rest = buf.as_slice();
+        let mut count = 0usize;
+        while (count as u64) < n {
+            get_record(&mut rest)?;
+            count += 1;
         }
-        Ok(WriteAheadLog { records })
+        let parsed = buf.len() - rest.len();
+        Ok(WriteAheadLog { bytes: buf[..parsed].to_vec(), count })
     }
 }
 
@@ -185,7 +254,7 @@ pub fn recover(checkpoint: &Checkpoint, log: &WriteAheadLog) -> Store {
         if store.has_item(r.item) {
             let txn = store.begin();
             store
-                .write(txn, r.item, r.value.clone(), r.writer)
+                .write(txn, r.item, r.value, r.writer)
                 .expect("recovery replays onto an idle store");
             store.commit(txn).expect("recovery commit");
         }
@@ -203,6 +272,128 @@ mod tests {
         GlobalTxnId::new(SiteId(site), seq)
     }
 
+    /// A fixed 50-commit, 123-record log covering every value tag, empty
+    /// byte strings and negative integers.
+    fn golden_log() -> WriteAheadLog {
+        let mut wal = WriteAheadLog::new();
+        for seq in 0..50u64 {
+            let writer = GlobalTxnId::new(SiteId((seq % 3) as u32), seq * 1_000_003);
+            let writes: Vec<(ItemId, Value)> = (0..1 + seq % 4)
+                .map(|k| {
+                    let item = ItemId(((seq * 7 + k) % 100) as u32);
+                    let value = match (seq + k) % 3 {
+                        0 => Value::Initial,
+                        1 => Value::int(seq as i64 * 31 - 700 + k as i64),
+                        _ => Value::Bytes((0..(seq % 5) as u8).map(|b| b ^ seq as u8).collect()),
+                    };
+                    (item, value)
+                })
+                .collect();
+            wal.append_commit(writer, &writes);
+        }
+        wal
+    }
+
+    /// `encode()` of [`golden_log`] as produced by the `Vec<LogRecord>` log this
+    /// byte log replaced (commit 15d753b): the image format must never drift.
+    const GOLDEN_IMAGE_HEX: &str = "\
+        000000000000007b0000000000000000000000000000000000000000070000000100000000000f424301ffff\
+        fffffffffd63000000080000000100000000000f4243020000000000000001010000000e0000000200000000\
+        001e848602000000000000000202030000000f0000000200000000001e848600000000100000000200000000\
+        001e848601fffffffffffffd84000000150000000000000000002dc6c900000000160000000000000000002d\
+        c6c901fffffffffffffda2000000170000000000000000002dc6c90200000000000000030302010000001800\
+        00000000000000002dc6c9000000001c0000000100000000003d090c01fffffffffffffdc000000023000000\
+        0200000000004c4b4f020000000000000000000000240000000200000000004c4b4f000000002a0000000000\
+        000000005b8d92000000002b0000000000000000005b8d9201fffffffffffffdff0000002c00000000000000\
+        00005b8d9202000000000000000106000000310000000100000000006acfd501fffffffffffffe1d00000032\
+        0000000100000000006acfd50200000000000000020706000000330000000100000000006acfd50000000034\
+        0000000100000000006acfd501fffffffffffffe20000000380000000200000000007a121802000000000000\
+        000308090a0000003f00000000000000000089545b000000004000000000000000000089545b01ffffffffff\
+        fffe5c0000004600000001000000000098969e01fffffffffffffe7a0000004700000001000000000098969e\
+        0200000000000000000000004800000001000000000098969e000000004d000000020000000000a7d8e10200\
+        000000000000010b0000004e000000020000000000a7d8e1000000004f000000020000000000a7d8e101ffff\
+        fffffffffe9b00000050000000020000000000a7d8e10200000000000000010b000000540000000000000000\
+        00b71b24000000005b000000010000000000c65d6701fffffffffffffed70000005c000000010000000000c6\
+        5d670200000000000000030d0c0f00000062000000020000000000d59faa0200000000000000040e0f0c0d00\
+        000063000000020000000000d59faa0000000000000000020000000000d59faa01fffffffffffffef8000000\
+        05000000000000000000e4e1ed0000000006000000000000000000e4e1ed01ffffffffffffff160000000700\
+        0000000000000000e4e1ed02000000000000000000000008000000000000000000e4e1ed000000000c000000\
+        010000000000f4243001ffffffffffffff340000001300000002000000000103667302000000000000000211\
+        1000000014000000020000000001036673000000001a00000000000000000112a8b6000000001b0000000000\
+        0000000112a8b601ffffffffffffff730000001c00000000000000000112a8b6020000000000000003121310\
+        0000002100000001000000000121eaf901ffffffffffffff910000002200000001000000000121eaf9020000\
+        000000000004131211100000002300000001000000000121eaf9000000002400000001000000000121eaf901\
+        ffffffffffffff9400000028000000020000000001312d3c0200000000000000000000002f00000000000000\
+        0001406f7f0000000030000000000000000001406f7f01ffffffffffffffd000000036000000010000000001\
+        4fb1c201ffffffffffffffee000000370000000100000000014fb1c202000000000000000216170000003800\
+        00000100000000014fb1c2000000003d0000000200000000015ef4050200000000000000031716150000003e\
+        0000000200000000015ef405000000003f0000000200000000015ef40501000000000000000f000000400000\
+        000200000000015ef405020000000000000003171615000000440000000000000000016e3648000000004b00\
+        00000100000000017d788b01000000000000004b0000004c0000000100000000017d788b0200000000000000\
+        00000000520000000200000000018cbace0200000000000000011a000000530000000200000000018cbace00\
+        000000540000000200000000018cbace01000000000000006c000000590000000000000000019bfd11000000\
+        005a0000000000000000019bfd1101000000000000008a0000005b0000000000000000019bfd110200000000\
+        000000021b1a0000005c0000000000000000019bfd110000000060000000010000000001ab3f540100000000\
+        000000a800000003000000020000000001ba81970200000000000000041d1c1f1e0000000400000002000000\
+        0001ba8197000000000a000000000000000001c9c3da000000000b000000000000000001c9c3da0100000000\
+        000000e70000000c000000000000000001c9c3da02000000000000000000000011000000010000000001d906\
+        1d01000000000000010500000012000000010000000001d9061d0200000000000000011f0000001300000001\
+        0000000001d9061d0000000014000000010000000001d9061d01000000000000010800000018000000020000\
+        000001e8486002000000000000000220210000001f000000000000000001f78aa30000000020000000000000\
+        000001f78aa30100000000000001440000002600000001000000000206cce601000000000000016200000027\
+        00000001000000000206cce6020000000000000004222320210000002800000001000000000206cce6000000\
+        002d000000020000000002160f290200000000000000000000002e000000020000000002160f29000000002f\
+        000000020000000002160f2901000000000000018300000030000000020000000002160f2902000000000000\
+        00000000003400000000000000000225516c000000003b0000000100000000023493af0100000000000001bf\
+        0000003c0000000100000000023493af02000000000000000225240000004200000002000000000243d5f202\
+        00000000000000032627240000004300000002000000000243d5f2000000004400000002000000000243d5f2\
+        0100000000000001e000000049000000000000000002531835000000004a0000000000000000025318350100\
+        000000000001fe0000004b000000000000000002531835020000000000000004272625240000004c00000000\
+        00000000025318350000000050000000010000000002625a7801000000000000021c00000057000000020000\
+        000002719cbb0200000000000000012900000058000000020000000002719cbb000000005e00000000000000\
+        000280defe000000005f00000000000000000280defe01000000000000025b00000060000000000000000002\
+        80defe0200000000000000022a2b000000010000000100000000029021410100000000000002790000000200\
+        00000100000000029021410200000000000000032b2a29000000030000000100000000029021410000000004\
+        00000001000000000290214101000000000000027c000000080000000200000000029f638402000000000000\
+        00042c2d2e2f0000000f000000000000000002aea5c70000000010000000000000000002aea5c70100000000\
+        000002b800000016000000010000000002bde80a0100000000000002d600000017000000010000000002bde8\
+        0a0200000000000000012e00000018000000010000000002bde80a000000001d000000020000000002cd2a4d\
+        0200000000000000022f2e0000001e000000020000000002cd2a4d000000001f000000020000000002cd2a4d\
+        0100000000000002f700000020000000020000000002cd2a4d0200000000000000022f2e0000002400000000\
+        0000000002dc6c90000000002b000000010000000002ebaed30100000000000003330000002c000000010000\
+        000002ebaed302000000000000000431303332\
+    ";
+
+    #[test]
+    fn image_matches_the_golden_bytes() {
+        let wal = golden_log();
+        assert_eq!(wal.len(), 123);
+        let image = wal.encode();
+        let hex: String = image.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN_IMAGE_HEX);
+        assert_eq!(image.len(), 8 + wal.encoded_len());
+        // decode keeps the bytes: the roundtrip is the identity on images.
+        let decoded = WriteAheadLog::decode(image.clone()).unwrap();
+        assert_eq!(decoded.encode(), image);
+        assert!(decoded.records().eq(wal.records()));
+        // Trailing bytes after the claimed records are not kept.
+        let mut padded = image.to_vec();
+        padded.extend_from_slice(&[0xAB; 7]);
+        assert_eq!(WriteAheadLog::decode(Bytes::from(padded)).unwrap().encode(), image);
+    }
+
+    #[test]
+    fn truncate_prefix_cuts_at_a_record_boundary() {
+        let wal = golden_log();
+        for n in [0usize, 1, 2, 61, 122, 123] {
+            let mut cut = wal.clone();
+            cut.truncate_prefix(n);
+            assert_eq!(cut.len(), 123 - n);
+            assert!(cut.records().eq(wal.records().skip(n)), "n={n}");
+            assert!(WriteAheadLog::decode(cut.encode()).unwrap().records().eq(cut.records()));
+        }
+    }
+
     #[test]
     fn encode_decode_roundtrip() {
         let mut wal = WriteAheadLog::new();
@@ -214,7 +405,9 @@ mod tests {
             writer: gid(2, 3),
         });
         let decoded = WriteAheadLog::decode(wal.encode()).unwrap();
-        assert_eq!(decoded.records(), wal.records());
+        assert_eq!(decoded.len(), 3);
+        assert!(decoded.records().eq(wal.records()));
+        assert_eq!(decoded.records().nth(1).unwrap().value, Value::int(-5));
     }
 
     #[test]
@@ -290,7 +483,8 @@ mod tests {
         }
         // Checkpoint after the first six records; truncate them away.
         let full = recover(&boot, &wal);
-        let mid_wal = WriteAheadLog { records: wal.records()[..6].to_vec() };
+        let mut mid_wal = WriteAheadLog::new();
+        wal.records().take(6).for_each(|r| mid_wal.append(r));
         let mid_store = recover(&boot, &mid_wal);
         let cp = checkpoint(&mid_store, (0..4).map(ItemId));
         let mut truncated = wal.clone();
@@ -396,7 +590,8 @@ mod tests {
                 });
             }
             let decoded = WriteAheadLog::decode(wal.encode()).unwrap();
-            prop_assert_eq!(decoded.records(), wal.records());
+            prop_assert!(decoded.records().eq(wal.records()));
+            prop_assert_eq!(decoded.encode(), wal.encode());
         }
 
         /// Recovery reproduces the last committed value per item.

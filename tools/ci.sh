@@ -22,6 +22,12 @@ cargo test -q
 echo "==> mc_smoke (exhaustive bounded model check, 3 sites / 2 txns, all four protocols)"
 ./target/release/replmc --stats --max-states 2000000
 
+echo "==> benchmark package gate (benchmark/ path-depends on crates/ and may not be edited: an API break must fail here, not in the benchmark run)"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
+echo "==> per-commit byte budget gate (2000 Table-1 updates: 138 B history + 100 B WAL per commit, exact)"
+cargo test -q -p repl-runtime --lib commit_budget_2000_table1_updates
+
 echo "==> differential matrix gate (sim vs channel vs TCP threads vs TCP epoll, incl. MVCC column, quick)"
 DIFF_MATRIX_TXNS=6 cargo test -q -p repl-runtime --test differential_matrix
 
