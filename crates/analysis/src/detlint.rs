@@ -19,7 +19,7 @@
 //! | RL008 | `unwrap`/`expect`/`panic!`/`unreachable!` in non-test runtime code |
 //! | RL009 | blocking socket call patterns inside the epoll reactor |
 //! | RL010 | bare `thread::sleep` or hardcoded retry-duration consts in `crates/runtime` outside the policy module |
-//! | RL011 | lock-manager access on the MVCC snapshot-read path (storage `mvcc.rs`/`snapshot.rs`, and the `read_snapshot` body in `store.rs`) |
+//! | RL011 | lock-manager access on the MVCC snapshot-read path (storage `mvcc.rs`/`snapshot.rs`/`hash_index.rs`, and the `read_snapshot` and `trace_access` bodies in `store.rs`) |
 //! | RL012 | raw `Transport::try_send`/`try_send_batch` calls in `crates/runtime` outside `transport.rs`/`nemesis.rs` (bypassing the per-link outbox) |
 //!
 //! Files are classified by path ([`FileClass`]): paths under
@@ -74,12 +74,16 @@
 //! RL011 pins the MVCC subsystem's one structural invariant: snapshot
 //! reads never touch the lock manager, so a read-only transaction can
 //! neither block behind the write stream nor deadlock against it. The
-//! rule is path-gated inside the determinism class — `mvcc.rs` and
-//! `snapshot.rs` under `crates/storage` may not name `LockManager` (or
-//! reach it through `self.locks`) anywhere, and in `store.rs` the same
-//! ban covers the body of `fn read_snapshot`, tracked by brace depth.
-//! The rest of `store.rs` legitimately owns the 2PL path; `#[cfg(test)]`
-//! regions are skipped the same way RL008 skips them.
+//! rule is path-gated inside the determinism class — a snapshot read is
+//! one probe of the cell index and, past a newer commit, one side-chain
+//! lookup, so `hash_index.rs`, `mvcc.rs` and `snapshot.rs` under
+//! `crates/storage` may not name `LockManager` (or reach it through
+//! `self.locks`) anywhere, and in `store.rs` the same ban covers the
+//! bodies of `fn read_snapshot` and of the `fn trace_access` it calls
+//! (whose one read of the store's trace-scope id carries the allow),
+//! tracked by brace depth. The rest of `store.rs` legitimately owns the
+//! 2PL path; `#[cfg(test)]` regions are skipped the same way RL008 skips
+//! them.
 //!
 //! RL012 pins the propagation send funnel: every frame leaving a site
 //! must route through `Net::send`/`Net::send_batch` in
@@ -641,10 +645,15 @@ fn scan_raw_transport_send(src: &str, emit: &mut dyn FnMut(&'static str, &str, u
 const LOCK_PATH_PATTERNS: &[&str] =
     &["LockManager", "LockMode", "self.locks", ".locks()", ".locks_mut("];
 
+/// The functions of `storage/src/store.rs` on the snapshot-read path:
+/// the entry point and the trace helper it calls.
+const SNAPSHOT_READ_FNS: &[&str] = &["fn read_snapshot", "fn trace_access"];
+
 /// RL011: the MVCC snapshot-read path stays lock-free. In
-/// `storage/src/mvcc.rs` and `storage/src/snapshot.rs` the lock-manager
-/// tokens are banned everywhere; in `storage/src/store.rs` only inside
-/// the `fn read_snapshot` item, tracked by brace depth (the rest of the
+/// `storage/src/hash_index.rs`, `storage/src/mvcc.rs` and
+/// `storage/src/snapshot.rs` the lock-manager tokens are banned
+/// everywhere; in `storage/src/store.rs` only inside the
+/// [`SNAPSHOT_READ_FNS`] items, tracked by brace depth (the rest of the
 /// store legitimately owns the 2PL path). `#[cfg(test)]` regions are
 /// skipped the same way RL008 skips them; other determinism-class files
 /// are untouched.
@@ -654,14 +663,15 @@ fn scan_mvcc_lock_free(
     emit: &mut dyn FnMut(&'static str, &str, u32, &str),
 ) {
     let norm = path_label.replace('\\', "/");
-    let whole_file =
-        norm.contains("storage/src/mvcc.rs") || norm.contains("storage/src/snapshot.rs");
+    let whole_file = ["hash_index.rs", "mvcc.rs", "snapshot.rs"]
+        .iter()
+        .any(|file| norm.contains(&format!("storage/src/{file}")));
     let read_fn_only = norm.contains("storage/src/store.rs");
     if !whole_file && !read_fn_only {
         return;
     }
     let mut region = TestRegion::Outside;
-    // Brace depth of `fn read_snapshot`'s body while inside it
+    // Brace depth of a snapshot-read function's body while inside it
     // (`read_fn_only` files); the signature line itself is in scope.
     let mut read_fn: Option<i32> = None;
     let mut awaiting_read_fn_brace = false;
@@ -707,7 +717,7 @@ fn scan_mvcc_lock_free(
                 read_fn = if depth > 0 { Some(depth) } else { None };
             }
             true
-        } else if code_part.contains("fn read_snapshot") {
+        } else if SNAPSHOT_READ_FNS.iter().any(|name| code_part.contains(name)) {
             if opens > 0 {
                 let depth = opens - closes;
                 read_fn = if depth > 0 { Some(depth) } else { None };
@@ -728,7 +738,7 @@ fn scan_mvcc_lock_free(
                     &format!(
                         "lock-manager access ({pat}) on the MVCC snapshot-read \
                          path: snapshot reads must never block behind the write \
-                         stream; serve them from the version chains or justify \
+                         stream; serve them from the cell or its side chain, or justify \
                          with `// replint: allow(RL011)`"
                     ),
                     lineno,
@@ -1216,7 +1226,11 @@ mod tests {
     #[test]
     fn lock_manager_flagged_in_mvcc_files() {
         let src = "use crate::lock::LockManager;\nfn f(locks: &LockManager) { locks.request(t, i, LockMode::Shared); }\n";
-        for path in ["crates/storage/src/mvcc.rs", "crates/storage/src/snapshot.rs"] {
+        for path in [
+            "crates/storage/src/hash_index.rs",
+            "crates/storage/src/mvcc.rs",
+            "crates/storage/src/snapshot.rs",
+        ] {
             let codes: Vec<_> = scan_file(path, src).into_iter().map(|d| d.code).collect();
             assert_eq!(codes, vec!["RL011", "RL011"], "{path}");
         }
@@ -1243,6 +1257,13 @@ impl Store {
     pub fn abort(&mut self) {
         self.locks.release_all(t);
     }
+    fn trace_access(&self, item: ItemId) {
+        if trace::is_enabled() {
+            // replint: allow(RL011) -- reads the scope id only
+            record(self.locks.trace_scope(), item);
+            record(self.locks.holders_of(item), item);
+        }
+    }
 }
 ";
         let diags = scan_file("crates/storage/src/store.rs", src);
@@ -1253,9 +1274,11 @@ impl Store {
                 _ => 0,
             })
             .collect();
-        // Only the access inside `fn read_snapshot` (line 6) is flagged;
-        // the 2PL commit/abort paths keep their lock manager.
-        assert_eq!(flagged, vec![6]);
+        // Only the accesses inside `fn read_snapshot` (line 6) and the
+        // `fn trace_access` it calls (line 16; line 15 carries the
+        // allow) are flagged; the 2PL commit/abort paths keep their
+        // lock manager.
+        assert_eq!(flagged, vec![6, 16]);
         assert_eq!(diags[0].code, "RL011");
     }
 

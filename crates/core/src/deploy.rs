@@ -88,7 +88,7 @@ pub struct DeployConfig {
     /// Per-link outbox high-water mark override, in frames.
     pub outbox_high_water: Option<u64>,
     /// Serve all-read transactions from MVCC snapshots (lock-free
-    /// version-chain reads) instead of 2PL store transactions.
+    /// reads of committed versions) instead of 2PL store transactions.
     pub mvcc: Option<bool>,
     /// Group-commit batch size: WAL commit records are flushed every
     /// this-many update commits (1 = per-commit, the default).

@@ -200,7 +200,7 @@ pub enum Event {
         idx: usize,
     },
     /// The site fails abruptly (fault plan): in-flight local work is
-    /// aborted via the undo log, volatile state is lost, and its event
+    /// aborted (its buffered writes dropped), volatile state is lost, and its event
     /// stream parks until the matching [`Event::SiteRestart`].
     SiteCrash {
         /// The failing site.

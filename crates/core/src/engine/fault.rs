@@ -7,9 +7,10 @@
 //!   reconstructs it — priced as `replay_cpu` per logged item-write at
 //!   restart) and the inbound subtransaction queues (messages are logged
 //!   on receipt, so nothing already delivered is lost).
-//! * **Volatile (lost at crash):** in-flight primary attempts (rolled
-//!   back via the undo log), the applier's partially-applied secondary
-//!   (rolled back; its message is re-queued at the front for
+//! * **Volatile (lost at crash):** in-flight primary attempts (aborted;
+//!   their writes were never installed), the applier's
+//!   partially-applied secondary
+//!   (aborted; its message is re-queued at the front for
 //!   redelivery), and PSL/Eager proxies held here for remote
 //!   transactions (the remote origin's lock-wait timeout copes with the
 //!   lost grant).
@@ -71,7 +72,7 @@ impl Engine {
     }
 
     /// Abrupt site failure: park the event stream, lose volatile state,
-    /// roll back in-flight local work via the undo log.
+    /// abort in-flight local work (uncommitted writes are only buffered).
     pub(crate) fn site_crash(&mut self, now: SimTime, site: SiteId) {
         if !self.sites[site.index()].up {
             return; // already down (overlapping windows are pre-merged)
@@ -110,7 +111,7 @@ impl Engine {
             debug_assert!(_cmds.is_empty(), "a crash notification produces no commands");
         }
 
-        // In-flight primary attempts die with their undo log. A thread
+        // In-flight primary attempts die with their write buffers. A thread
         // parked between a deadlock abort and its retry has no live
         // storage transaction — the owner map is the source of truth.
         // Crash aborts are not client-visible aborts (§5.3 counts

@@ -181,15 +181,12 @@ impl Engine {
         let mut sites: Vec<SiteState> = programs
             .into_iter()
             .enumerate()
-            .map(|(i, p)| SiteState::new(SiteId(i as u32), p))
+            .map(|(i, p)| {
+                let id = SiteId(i as u32);
+                let copies = placement.items_at(id).iter().map(|&item| (item, Value::Initial));
+                SiteState::new(id, p, copies.collect())
+            })
             .collect();
-        for item in placement.items() {
-            let primary = placement.primary_of(item);
-            sites[primary.index()].store.create_item(item, Value::Initial);
-            for &r in placement.replicas_of(item) {
-                sites[r.index()].store.create_item(item, Value::Initial);
-            }
-        }
 
         // The shared propagation machines (lazy protocols only; PSL and
         // Eager never ship subtransactions).

@@ -262,12 +262,12 @@ pub struct SiteState {
 }
 
 impl SiteState {
-    /// Fresh state for site `id` with `threads` worker threads whose
-    /// programs are `programs[thread]`.
-    pub fn new(id: SiteId, programs: Vec<Vec<Vec<Op>>>) -> Self {
+    /// Fresh state for site `id` over its populated `store`, with
+    /// `threads` worker threads whose programs are `programs[thread]`.
+    pub fn new(id: SiteId, programs: Vec<Vec<Vec<Op>>>, store: Store) -> Self {
         SiteState {
             id,
-            store: Store::new(),
+            store,
             cpu: CpuQueue::new(),
             threads: programs
                 .into_iter()

@@ -16,6 +16,8 @@
 //! | 7 | [`ClientReply`] | repld → client |
 //! | 8 | `Batch` (first_seq + N [`Payload`]s) | dialer → accepter, version ≥ 2 |
 
+use std::fmt::{self, Write as _};
+
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use repl_protocol::timestamp::Timestamp;
@@ -837,16 +839,39 @@ pub fn decode_cells(mut buf: Bytes) -> Result<Vec<(ItemId, Value, Option<GlobalT
     Ok(cells)
 }
 
+/// FNV-1a over whatever is formatted into it.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn feed(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.feed(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// Fingerprint of a cluster's identity — FNV-1a over the placement spec
 /// and protocol name. Carried in [`Hello`] so two processes configured
 /// for different clusters refuse to exchange propagation records.
-pub fn cluster_fingerprint(placement_spec: &str, protocol: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in placement_spec.bytes().chain([0u8]).chain(protocol.bytes()) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+///
+/// The spec is hashed as it is formatted, so a placement can be passed
+/// as its `DataPlacement::spec()` without building the spec string; the
+/// value is the one the string itself gives.
+pub fn cluster_fingerprint(placement_spec: impl fmt::Display, protocol: &str) -> u64 {
+    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+    // The sink never fails.
+    let _ = write!(h, "{placement_spec}");
+    h.feed(&[0]);
+    h.feed(protocol.as_bytes());
+    h.0
 }
 
 #[cfg(test)]
@@ -1022,5 +1047,8 @@ mod tests {
         assert_eq!(a, cluster_fingerprint("3|0:1,2|1:2", "dagwt"));
         assert_ne!(a, cluster_fingerprint("3|0:1,2|1:2", "dagt"));
         assert_ne!(a, cluster_fingerprint("3|0:1,2", "dagwt"));
+        // Hashed as it is formatted: however the text arrives in pieces,
+        // the value is the whole string's.
+        assert_eq!(a, cluster_fingerprint(format_args!("{}|{}:{},{}|1:2", 3, 0, 1, 2), "dagwt"));
     }
 }

@@ -66,16 +66,18 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), String> {
-    let cfg = parse_args(std::env::args().skip(1))?;
+    let mut cfg = parse_args(std::env::args().skip(1))?;
 
     let site = cfg.site.ok_or("missing site id (--site or `site =` in the config)")?;
     let listen = cfg.listen.ok_or("missing listen address (--listen)")?.clone();
     let proto_name = cfg.protocol.as_deref().ok_or("missing protocol (--protocol)")?;
     let protocol = RuntimeProtocol::parse(proto_name)
         .ok_or_else(|| format!("unknown protocol {proto_name:?}"))?;
-    let spec = cfg.placement.as_deref().ok_or("missing placement (--placement)")?;
-    let placement =
-        DataPlacement::from_spec(spec).map_err(|e| format!("bad placement spec: {e}"))?;
+    let placement = {
+        // About four bytes an item: parsed, the string is not kept.
+        let spec = cfg.placement.take().ok_or("missing placement (--placement)")?;
+        DataPlacement::from_spec(&spec).map_err(|e| format!("bad placement spec: {e}"))?
+    };
 
     if !cfg.peers.is_empty() {
         let diags = check_address_map(&cfg.peers, placement.num_sites());

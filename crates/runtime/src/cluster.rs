@@ -12,7 +12,7 @@ use repl_copygraph::{BackEdgeSet, CopyGraph, DataPlacement, PropagationTree};
 use repl_core::history::{History, SerializationCycle};
 use repl_net::{HistoryLog, HistoryTxn};
 use repl_protocol::{ProtocolError, ProtocolId};
-use repl_storage::{recover, Checkpoint, Store, WriteAheadLog};
+use repl_storage::{recover, Store, WriteAheadLog};
 use repl_types::{GlobalTxnId, ItemId, Op, SiteId, Value};
 
 use crate::chan::{traced_unbounded, TracedSender};
@@ -252,18 +252,15 @@ pub struct Cluster {
     opts: Arc<RuntimeOptions>,
 }
 
-/// A site's store rebuilt from stable storage: an initial checkpoint of
-/// its item set plus a redo-WAL replay. With an empty WAL this is the
+/// A site's store rebuilt from stable storage: its item set at the
+/// initial values plus a redo-WAL replay. With an empty WAL this is the
 /// boot image; after a crash it is the recovery image.
 pub(crate) fn recovered_store(
     placement: &DataPlacement,
     site: SiteId,
     wal: &WriteAheadLog,
 ) -> Store {
-    let checkpoint = Checkpoint {
-        cells: placement.items_at(site).iter().map(|&i| (i, Value::Initial, None)).collect(),
-    };
-    recover(&checkpoint, wal)
+    recover(placement.items_at(site).iter().map(|&i| (i, Value::Initial)), wal)
 }
 
 impl Cluster {
@@ -700,6 +697,24 @@ mod tests {
         cluster.quiesce();
         assert!(cluster.check_serializability().is_ok());
         cluster.shutdown();
+    }
+
+    /// The `Hello` fingerprint of the benchmark's `chain3` placement
+    /// under DAG(WT), as every commit so far has computed it from the
+    /// spec string: a site that hashes the spec as it formats it must
+    /// still be admitted by one that hashed the string.
+    #[test]
+    fn chain3_dagwt_fingerprint_is_pinned() {
+        let mut chain3 = DataPlacement::new(3);
+        for (primary, replicas) in [(0, &[1, 2][..]), (1, &[2]), (2, &[])] {
+            let replicas: Vec<SiteId> = replicas.iter().map(|&r| SiteId(r)).collect();
+            for _ in 0..1000 {
+                chain3.add_item(SiteId(primary), &replicas);
+            }
+        }
+        let name = RuntimeProtocol::DagWt.name();
+        assert_eq!(repl_net::cluster_fingerprint(chain3.spec(), name), 0xefcf_0bf4_2bef_34c0);
+        assert_eq!(repl_net::cluster_fingerprint(chain3.to_spec(), name), 0xefcf_0bf4_2bef_34c0);
     }
 
     #[test]

@@ -113,7 +113,7 @@ pub struct RuntimeOptions {
     /// `None` runs the wire clean.
     pub nemesis: Option<NetFaultPlan>,
     /// Serve all-read client transactions from an MVCC snapshot of the
-    /// local store (lock-free version-chain reads) instead of running
+    /// local store (lock-free reads of committed versions) instead of running
     /// them through the 2PL store transaction.
     pub mvcc_reads: bool,
     /// Group-commit batch size for the redo WAL: commit records are

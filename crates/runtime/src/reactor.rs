@@ -6,9 +6,10 @@
 //! dialed peer links, the accepted peer links, and an arbitrary number
 //! of client sessions — from a single nonblocking thread driving a
 //! level-triggered epoll set (the `epoll` shim). That is what lets one
-//! `repld` process hold thousands of concurrent client connections
-//! (see the `loadgen` bench) on a couple of megabytes of buffers
-//! instead of thousands of stacks.
+//! `repld` process hold thousands of concurrent client connections on
+//! a couple of megabytes of buffers instead of thousands of stacks; it
+//! is the driver every fleet of the repository's benchmark
+//! (`benchmark/`) runs on.
 //!
 //! Structure of the loop, in the order each iteration runs it:
 //!
@@ -358,7 +359,7 @@ pub fn serve_epoll(cfg: ServeConfig) -> io::Result<()> {
         return Err(io::Error::new(io::ErrorKind::InvalidInput, "site id out of range"));
     }
 
-    let opts = Arc::new(cfg.options.clone());
+    let opts = Arc::new(cfg.options);
     let wire = Arc::new(ReactorWire::new(n));
     let links = Arc::new(Links::new(n));
     let mut raw: Box<dyn Transport> = Box::new(wire.clone());
@@ -369,7 +370,9 @@ pub fn serve_epoll(cfg: ServeConfig) -> io::Result<()> {
     let durable = Arc::new(Mutex::new(DurableSite::new(n, opts.group_commit_batch)));
     let history = Arc::new(Mutex::new(HistoryLog::new()));
     let outstanding = Arc::new(std::sync::atomic::AtomicI64::new(0));
-    let placement = Arc::new(cfg.placement.clone());
+    let fingerprint = cluster_fingerprint(cfg.placement.spec(), cfg.protocol.name());
+    // The one copy of the placement in this process.
+    let placement = Arc::new(cfg.placement);
 
     let setup = SiteSetup::new(
         cfg.site,
@@ -399,7 +402,7 @@ pub fn serve_epoll(cfg: ServeConfig) -> io::Result<()> {
         listener,
         me: cfg.site,
         num_sites: n,
-        fingerprint: cluster_fingerprint(&cfg.placement.to_spec(), cfg.protocol.name()),
+        fingerprint,
         core,
         wire,
         conns: Vec::new(),

@@ -228,7 +228,7 @@ pub fn serve(cfg: ServeConfig) -> io::Result<()> {
         return Err(io::Error::new(io::ErrorKind::InvalidInput, "site id out of range"));
     }
 
-    let opts = Arc::new(cfg.options.clone());
+    let opts = Arc::new(cfg.options);
     let tcp = Arc::new(TcpRaw::new(n));
     let links = Arc::new(Links::new(n));
     let mut raw: Box<dyn Transport> = Box::new(TcpWire(tcp.clone()));
@@ -240,7 +240,9 @@ pub fn serve(cfg: ServeConfig) -> io::Result<()> {
     let history = Arc::new(Mutex::new(HistoryLog::new()));
     let outstanding = Arc::new(AtomicI64::new(0));
     let crashed = Arc::new(AtomicBool::new(false));
-    let shared_placement = Arc::new(cfg.placement.clone());
+    let fingerprint = cluster_fingerprint(cfg.placement.spec(), cfg.protocol.name());
+    // The one copy of the placement in this process.
+    let shared_placement = Arc::new(cfg.placement);
 
     // Built here, before the site thread spawns, so a structural
     // protocol violation aborts `repld` startup with a typed error.
@@ -295,7 +297,7 @@ pub fn serve(cfg: ServeConfig) -> io::Result<()> {
 
     let shared = Arc::new(Shared {
         me: cfg.site,
-        fingerprint: cluster_fingerprint(&cfg.placement.to_spec(), cfg.protocol.name()),
+        fingerprint,
         tcp,
         net,
         site_tx,

@@ -4,7 +4,7 @@
 use repl_copygraph::DataPlacement;
 use repl_core::scenario;
 use repl_runtime::{Cluster, RuntimeProtocol};
-use repl_storage::{recover, Checkpoint, WriteAheadLog};
+use repl_storage::{recover, WriteAheadLog};
 use repl_types::{GlobalTxnId, ItemId, Op, SiteId, Value};
 
 #[test]
@@ -22,15 +22,13 @@ fn site_recovers_from_wal_snapshot() {
     }
     cluster.quiesce();
 
-    // "Crash" s2 (the pure replica site): rebuild it from an empty
-    // checkpoint of its item set plus its redo-log image.
+    // "Crash" s2 (the pure replica site): rebuild it from its item set
+    // at the initial values plus its redo-log image.
     let image = cluster.snapshot_wal(SiteId(2)).expect("snapshot");
     let wal = WriteAheadLog::decode(image).expect("valid image");
     assert!(!wal.is_empty(), "s2 applied secondaries");
-    let empty = Checkpoint {
-        cells: placement.items_at(SiteId(2)).iter().map(|&i| (i, Value::Initial, None)).collect(),
-    };
-    let recovered = recover(&empty, &wal);
+    let boot = placement.items_at(SiteId(2)).iter().map(|&i| (i, Value::Initial));
+    let recovered = recover(boot, &wal);
     for &item in placement.items_at(SiteId(2)) {
         let live = cluster.peek(SiteId(2), item).unwrap();
         let rec = recovered.peek(item).unwrap();

@@ -268,6 +268,7 @@ mod tests {
                 }
                 prop_assert_eq!(idx.len(), model.len());
             }
+            // replint: allow(RL004) -- each entry is checked on its own; order is irrelevant
             for (k, v) in &model {
                 prop_assert_eq!(idx.get(ItemId(*k)), Some(v));
             }

@@ -14,10 +14,13 @@
 //!   deadlock detection (the prototype used 50 ms lock timeouts instead;
 //!   both mechanisms are supported — timeouts are driven by the caller's
 //!   clock, cycle detection by [`lock::LockManager::find_deadlock`]);
-//! * per-transaction undo logs so aborted transactions roll back cleanly;
-//! * version metadata on every copy (the logical writer of the current
-//!   value) so the serializability checker in `repl-core` can reconstruct
-//!   reads-from relationships.
+//! * commit-time installation: a transaction's writes are buffered in its
+//!   own state and reach the cells only when it commits, so an abort has
+//!   nothing to roll back and the cells never hold uncommitted data;
+//! * version metadata on every copy (the logical writer and commit
+//!   timestamp of the current value) so the serializability checker in
+//!   `repl-core` can reconstruct reads-from relationships and snapshot
+//!   reads can resolve against the cell itself ([`mvcc`]).
 //!
 //! The engine is deliberately single-threaded: in the simulation each site
 //! is an event-driven actor, so internal synchronization would only add
@@ -34,12 +37,11 @@ pub mod lock;
 pub mod mvcc;
 pub mod snapshot;
 pub mod store;
-pub mod undo;
 pub mod wal;
 
 pub use commit_pipeline::{CommitBatch, CommitPipeline, PipelineStats};
 pub use lock::{LockManager, LockMode, LockOutcome};
-pub use mvcc::{Version, VersionChain, VersionChains};
+pub use mvcc::{SideChains, Version};
 pub use snapshot::{SnapshotId, SnapshotManager};
 pub use store::{CommitInfo, ReadResult, Store, TxnStatus};
 pub use wal::{checkpoint, recover, Checkpoint, LogRecord, WriteAheadLog};

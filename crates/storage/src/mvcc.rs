@@ -1,4 +1,4 @@
-//! Per-item version chains for multi-version snapshot reads.
+//! Versions for multi-version snapshot reads.
 //!
 //! Strict 2PL serializes read-only transactions against the propagation
 //! write stream: every S lock a read takes is an X-lock conflict waiting
@@ -8,12 +8,18 @@
 //! read the newest version at or below a snapshot timestamp fixed when
 //! they begin. No locks, no blocking, no aborts on the read path.
 //!
-//! This module owns the version storage: one [`VersionChain`] per item,
-//! ordered by commit timestamp. The policy layer — which timestamp a
-//! snapshot gets, when chains are garbage-collected — lives in
-//! [`crate::snapshot::SnapshotManager`]; the integration (stamping
-//! committed write sets, the lock-free `read_snapshot` entry point) in
-//! [`crate::Store`].
+//! A site keeps **one** resident [`Version`] per item: the store's cell
+//! *is* the newest committed version. Older versions exist only on
+//! demand — while a snapshot is open, a commit moves each cell it
+//! overwrites into that item's side chain here ([`SideChains::push`]),
+//! and closing the snapshot garbage-collects the chains again
+//! ([`SideChains::gc_below`]). With no snapshot open the chains are
+//! empty and the commit path never touches this module.
+//!
+//! The policy layer — which timestamp a snapshot gets, the GC low-water
+//! mark — lives in [`crate::snapshot::SnapshotManager`]; the integration
+//! (stamping cells at commit, the lock-free `read_snapshot` entry point)
+//! in [`crate::Store`].
 //!
 //! Chains are kept in a `BTreeMap` so garbage collection visits items in
 //! a deterministic order (the simulator's results must be a pure
@@ -38,126 +44,63 @@ pub struct Version {
     pub writer: Option<GlobalTxnId>,
 }
 
-/// The versions of one item, ascending by commit timestamp.
+/// Superseded versions, per item, ascending by commit timestamp.
 ///
-/// Timestamps are strictly increasing along a chain: each commit gets a
-/// fresh site-local timestamp and installs at most one version per item
-/// (the deduplicated write set).
+/// Every version in a chain is older than the item's cell, and
+/// timestamps are strictly increasing along a chain: each commit gets a
+/// fresh site-local timestamp and overwrites an item at most once (the
+/// deduplicated write set). An item with no superseded version has no
+/// entry.
 #[derive(Clone, Debug, Default)]
-pub struct VersionChain {
-    versions: Vec<Version>,
+pub struct SideChains {
+    chains: BTreeMap<ItemId, Vec<Version>>,
 }
 
-impl VersionChain {
-    /// The newest version with `commit_ts <= ts`, if any version that
-    /// old exists.
-    pub fn visible_at(&self, ts: u64) -> Option<&Version> {
-        // Binary search for the partition point: versions are ascending
-        // and timestamps unique per chain.
-        let idx = self.versions.partition_point(|v| v.commit_ts <= ts);
-        idx.checked_sub(1).map(|i| &self.versions[i])
-    }
-
-    /// The newest version (what a fresh snapshot would read).
-    pub fn latest(&self) -> Option<&Version> {
-        self.versions.last()
-    }
-
-    /// Number of versions retained.
-    pub fn len(&self) -> usize {
-        self.versions.len()
-    }
-
-    /// True when no version has been installed (never the case for a
-    /// seeded item).
-    pub fn is_empty(&self) -> bool {
-        self.versions.is_empty()
-    }
-
-    fn push(&mut self, v: Version) {
+impl SideChains {
+    /// Keep `superseded`, the version of `item` a commit just
+    /// overwrote, for the snapshots that can still read it.
+    pub fn push(&mut self, item: ItemId, superseded: Version) {
+        let chain = self.chains.entry(item).or_default();
         debug_assert!(
-            self.versions.last().map(|last| last.commit_ts < v.commit_ts).unwrap_or(true),
+            chain.last().is_none_or(|last| last.commit_ts < superseded.commit_ts),
             "version timestamps must be strictly increasing"
         );
-        self.versions.push(v);
+        chain.push(superseded);
     }
 
-    /// Drop every version older than the newest one with
-    /// `commit_ts <= low_water`: no snapshot at or above `low_water` can
-    /// ever read them. Returns how many versions were dropped.
-    fn gc_below(&mut self, low_water: u64) -> usize {
-        let keep_from = self.versions.partition_point(|v| v.commit_ts <= low_water);
-        let drop_n = keep_from.saturating_sub(1);
-        if drop_n > 0 {
-            self.versions.drain(..drop_n);
-        }
-        drop_n
-    }
-}
-
-/// All version chains of one site's store.
-#[derive(Clone, Debug, Default)]
-pub struct VersionChains {
-    chains: BTreeMap<ItemId, VersionChain>,
-}
-
-impl VersionChains {
-    /// Empty chain set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Seed `item` with its initial version at timestamp 0 (paired with
-    /// `Store::create_item` during database population).
-    pub fn seed(&mut self, item: ItemId, value: Value, writer: Option<GlobalTxnId>) {
-        let chain = self.chains.entry(item).or_default();
-        chain.versions.clear();
-        chain.push(Version { commit_ts: 0, value, writer });
-    }
-
-    /// Install a committed version of `item` at `commit_ts`.
-    pub fn install(
-        &mut self,
-        item: ItemId,
-        commit_ts: u64,
-        value: Value,
-        writer: Option<GlobalTxnId>,
-    ) {
-        self.chains.entry(item).or_default().push(Version { commit_ts, value, writer });
-    }
-
-    /// The version of `item` visible at snapshot timestamp `ts`.
+    /// The newest superseded version of `item` with `commit_ts <= ts`,
+    /// if one that old was kept.
     pub fn visible_at(&self, item: ItemId, ts: u64) -> Option<&Version> {
-        self.chains.get(&item).and_then(|c| c.visible_at(ts))
+        let chain = self.chains.get(&item)?;
+        // Versions are ascending and timestamps unique per chain.
+        let idx = chain.partition_point(|v| v.commit_ts <= ts);
+        idx.checked_sub(1).map(|i| &chain[i])
     }
 
-    /// The chain of `item`, if the item is known.
-    pub fn chain(&self, item: ItemId) -> Option<&VersionChain> {
-        self.chains.get(&item)
+    /// Drop every version no snapshot at or above `low_water` can read:
+    /// those whose successor — the next version in the chain, or the
+    /// item's cell, whose timestamp `newest_ts` reports — is itself at
+    /// or below `low_water`. Chains left empty are removed. Returns how
+    /// many versions were dropped.
+    pub fn gc_below(&mut self, low_water: u64, newest_ts: impl Fn(ItemId) -> u64) -> usize {
+        let mut dropped = 0;
+        self.chains.retain(|&item, chain| {
+            let drop_n = if newest_ts(item) <= low_water {
+                chain.len()
+            } else {
+                chain.partition_point(|v| v.commit_ts <= low_water).saturating_sub(1)
+            };
+            chain.drain(..drop_n);
+            dropped += drop_n;
+            !chain.is_empty()
+        });
+        dropped
     }
 
-    /// Garbage-collect every chain against `low_water` (the smallest
-    /// timestamp any active snapshot might read at). Returns the total
-    /// number of versions reclaimed.
-    pub fn gc_below(&mut self, low_water: u64) -> usize {
-        self.chains.values_mut().map(|c| c.gc_below(low_water)).sum()
-    }
-
-    /// Trim one item's chain to its newest version only — the fast path
-    /// taken at commit time while no snapshot is active, so chains stay
-    /// O(1) for workloads that never use MVCC reads.
-    pub fn trim_to_latest(&mut self, item: ItemId) {
-        if let Some(chain) = self.chains.get_mut(&item) {
-            if chain.versions.len() > 1 {
-                let last = chain.versions.len() - 1;
-                chain.versions.drain(..last);
-            }
-        }
-    }
-
-    /// Total number of versions retained across all chains.
+    /// Total number of superseded versions retained — zero while no
+    /// snapshot is open.
     pub fn total_versions(&self) -> usize {
-        self.chains.values().map(|c| c.len()).sum()
+        self.chains.values().map(Vec::len).sum()
     }
 }
 
@@ -170,12 +113,15 @@ mod tests {
         GlobalTxnId::new(SiteId(0), n)
     }
 
-    fn chains_with_history() -> VersionChains {
-        let mut c = VersionChains::new();
-        c.seed(ItemId(0), Value::Initial, None);
-        c.install(ItemId(0), 3, Value::int(30), Some(gid(3)));
-        c.install(ItemId(0), 7, Value::int(70), Some(gid(7)));
-        c.install(ItemId(0), 9, Value::int(90), Some(gid(9)));
+    /// Item 0 with superseded versions at ts 0, 3, 7; its cell (not
+    /// held here) is at ts 9.
+    const CELL_TS: u64 = 9;
+
+    fn chains_with_history() -> SideChains {
+        let mut c = SideChains::default();
+        c.push(ItemId(0), Version { commit_ts: 0, value: Value::Initial, writer: None });
+        c.push(ItemId(0), Version { commit_ts: 3, value: Value::int(30), writer: Some(gid(3)) });
+        c.push(ItemId(0), Version { commit_ts: 7, value: Value::int(70), writer: Some(gid(7)) });
         c
     }
 
@@ -186,7 +132,6 @@ mod tests {
         assert_eq!(c.visible_at(ItemId(0), 2).unwrap().value, Value::Initial);
         assert_eq!(c.visible_at(ItemId(0), 3).unwrap().value, Value::int(30));
         assert_eq!(c.visible_at(ItemId(0), 8).unwrap().value, Value::int(70));
-        assert_eq!(c.visible_at(ItemId(0), 100).unwrap().value, Value::int(90));
         assert_eq!(c.visible_at(ItemId(0), 8).unwrap().writer, Some(gid(7)));
     }
 
@@ -201,11 +146,10 @@ mod tests {
         let mut c = chains_with_history();
         // A snapshot at ts 7 still needs the ts-7 version, but nothing
         // older.
-        let dropped = c.gc_below(7);
+        let dropped = c.gc_below(7, |_| CELL_TS);
         assert_eq!(dropped, 2); // ts 0 and ts 3 go
-        assert_eq!(c.chain(ItemId(0)).unwrap().len(), 2);
+        assert_eq!(c.total_versions(), 1);
         assert_eq!(c.visible_at(ItemId(0), 7).unwrap().value, Value::int(70));
-        assert_eq!(c.visible_at(ItemId(0), 9).unwrap().value, Value::int(90));
     }
 
     #[test]
@@ -213,27 +157,23 @@ mod tests {
         let mut c = chains_with_history();
         // Low water 5: a snapshot at 5 reads the ts-3 version, so ts 3
         // must survive even though 3 < 5.
-        let dropped = c.gc_below(5);
+        let dropped = c.gc_below(5, |_| CELL_TS);
         assert_eq!(dropped, 1); // only ts 0 goes
         assert_eq!(c.visible_at(ItemId(0), 5).unwrap().value, Value::int(30));
     }
 
     #[test]
-    fn trim_to_latest_leaves_one_version() {
+    fn gc_at_or_above_the_cell_empties_the_chain() {
         let mut c = chains_with_history();
-        c.trim_to_latest(ItemId(0));
-        assert_eq!(c.chain(ItemId(0)).unwrap().len(), 1);
-        assert_eq!(c.visible_at(ItemId(0), u64::MAX).unwrap().value, Value::int(90));
-        // Below the surviving version nothing is visible.
-        assert!(c.visible_at(ItemId(0), 0).is_none());
-    }
-
-    #[test]
-    fn total_versions_counts_across_chains() {
-        let mut c = chains_with_history();
-        c.seed(ItemId(1), Value::Initial, None);
-        assert_eq!(c.total_versions(), 5);
-        c.gc_below(u64::MAX);
-        assert_eq!(c.total_versions(), 2);
+        c.push(ItemId(1), Version { commit_ts: 0, value: Value::Initial, writer: None });
+        assert_eq!(c.total_versions(), 4);
+        // Item 0's cell (ts 9) is visible to every snapshot from ts 9
+        // on, so nothing older is reachable; item 1's cell is newer.
+        let dropped = c.gc_below(CELL_TS, |item| if item == ItemId(0) { CELL_TS } else { 12 });
+        assert_eq!(dropped, 3);
+        assert!(c.visible_at(ItemId(0), 8).is_none());
+        assert_eq!(c.total_versions(), 1);
+        c.gc_below(12, |_| 12);
+        assert_eq!(c.total_versions(), 0);
     }
 }

@@ -2,18 +2,20 @@
 //!
 //! A [`SnapshotManager`] hands each read-only transaction a *snapshot
 //! timestamp* — the store's commit timestamp at begin — and tracks which
-//! snapshots are still live. Every read of the transaction resolves
-//! through [`crate::mvcc::VersionChains::visible_at`] at that one
-//! timestamp, so the transaction observes exactly the committed prefix
-//! of the site's local history up to its begin point: no torn reads
-//! (all-or-nothing per commit), no aborted versions (aborts never reach
-//! a chain), no blocking (never a lock).
+//! snapshots are still live. Every read of the transaction resolves at
+//! that one timestamp — against the item's cell, or, once a newer
+//! commit has overwritten it, through
+//! [`crate::mvcc::SideChains::visible_at`] — so the transaction
+//! observes exactly the committed prefix of the site's local history up
+//! to its begin point: no torn reads (all-or-nothing per commit), no
+//! uncommitted or aborted versions (only commit writes a cell), no
+//! blocking (never a lock).
 //!
 //! The manager also computes the GC *low-water mark*: the smallest
 //! timestamp any active snapshot might still read at (or the current
 //! commit timestamp when none is active). Versions strictly older than
 //! the newest version at-or-below the low-water mark are unreachable
-//! and reclaimed by [`crate::mvcc::VersionChains::gc_below`].
+//! and reclaimed by [`crate::mvcc::SideChains::gc_below`].
 //!
 //! The snapshot read path must never touch the lock manager; replint
 //! RL011 rejects any `LockManager` mention in this file.

@@ -13,6 +13,17 @@
 //!   serializability checker can recover reads-from edges;
 //! * commit returns the transaction's read and write sets (the write set
 //!   is what gets packaged into secondary subtransactions).
+//!
+//! Cells hold **committed** state only. A transaction's writes are
+//! buffered in its own state and installed by [`Store::commit`]; strict
+//! 2PL holds the X locks until then, so no other transaction could have
+//! observed them earlier anyway, and everything that reads outside a
+//! transaction ([`Store::peek`], checkpoints, snapshot reads) sees only
+//! what committed. Abort just drops the buffer.
+//!
+//! The cell *is* the newest committed [`Version`] of its item — the one
+//! resident copy of the value. Older versions are kept only while a
+//! snapshot is open (see [`crate::mvcc`]).
 
 use std::collections::HashMap;
 
@@ -21,19 +32,8 @@ use repl_types::{GlobalTxnId, ItemId, StorageError, TxnId, Value};
 
 use crate::hash_index::HashIndex;
 use crate::lock::{LockManager, LockMode, LockOutcome};
-use crate::mvcc::VersionChains;
+use crate::mvcc::{SideChains, Version};
 use crate::snapshot::{SnapshotId, SnapshotManager};
-use crate::undo::{UndoEntry, UndoLog};
-
-/// One item copy stored at a site.
-#[derive(Clone, Debug)]
-struct Cell {
-    value: Value,
-    /// Logical transaction that wrote the current value (`None` = initial).
-    writer: Option<GlobalTxnId>,
-    /// Monotone per-copy version counter.
-    version: u64,
-}
 
 /// Result of a transactional read.
 #[derive(Clone, Debug, PartialEq)]
@@ -57,13 +57,13 @@ pub enum TxnStatus {
 #[derive(Debug)]
 struct TxnState {
     status: TxnStatus,
-    undo: UndoLog,
     /// `(item, writer-of-version-read)` pairs, in read order.
     reads: Vec<(ItemId, Option<GlobalTxnId>)>,
-    /// `(item, value)` pairs in write order (may repeat items).
+    /// `(item, value)` pairs in write order (may repeat items). Not in
+    /// any cell until commit; a prepared transaction keeps them.
     writes: Vec<(ItemId, Value)>,
-    /// Logical writer of this transaction's writes (set on the first
-    /// write), stamped onto the versions installed at commit.
+    /// Logical writer of this transaction's writes, stamped onto the
+    /// cells installed at commit.
     writer: Option<GlobalTxnId>,
 }
 
@@ -107,16 +107,30 @@ fn last_write_wins(
 /// The per-site main-memory store.
 #[derive(Debug, Default)]
 pub struct Store {
-    cells: HashIndex<Cell>,
+    /// Item → its newest committed version.
+    cells: HashIndex<Version>,
     locks: LockManager,
     txns: HashMap<TxnId, TxnState>,
     next_txn: u64,
-    /// Per-item committed version chains (MVCC snapshot reads).
-    mvcc: VersionChains,
+    /// Versions overwritten while a snapshot was open; empty otherwise.
+    superseded: SideChains,
     /// Active read-only snapshots and the GC low-water mark.
     snapshots: SnapshotManager,
     /// Monotone commit timestamp, bumped by every writing commit.
     commit_ts: u64,
+}
+
+impl FromIterator<(ItemId, Value)> for Store {
+    /// A store populated with the given initial values, its index sized
+    /// once from the iterator's length hint.
+    fn from_iter<I: IntoIterator<Item = (ItemId, Value)>>(cells: I) -> Self {
+        let cells = cells.into_iter();
+        let mut store = Store::with_capacity(cells.size_hint().0);
+        for (item, value) in cells {
+            store.create_item(item, value);
+        }
+        store
+    }
 }
 
 impl Store {
@@ -125,11 +139,16 @@ impl Store {
         Self::default()
     }
 
+    /// Create an empty store whose index holds `items` copies without
+    /// rehashing.
+    pub fn with_capacity(items: usize) -> Self {
+        Store { cells: HashIndex::with_capacity(items), ..Self::default() }
+    }
+
     /// Install a copy of `item` with its initial value. Non-transactional;
     /// used during database population.
     pub fn create_item(&mut self, item: ItemId, value: Value) {
-        self.mvcc.seed(item, value.clone(), None);
-        self.cells.insert(item, Cell { value, writer: None, version: 0 });
+        self.cells.insert(item, Version { commit_ts: 0, value, writer: None });
     }
 
     /// True if this site stores a copy (primary or secondary) of `item`.
@@ -142,22 +161,17 @@ impl Store {
         self.cells.len()
     }
 
-    /// Non-transactional inspection of a copy's current value and writer
-    /// (used by convergence tests and examples).
+    /// Non-transactional inspection of a copy's committed value and
+    /// writer (used by checkpoints, convergence tests and examples).
     ///
     /// Takes **no lock**; in a happens-before trace the access is recorded
     /// with the [`trace::NO_TXN`] sentinel so the race detector can flag a
-    /// peek that races a concurrent writer.
+    /// peek that races a concurrent commit.
     pub fn peek(&self, item: ItemId) -> Option<ReadResult> {
         let result =
             self.cells.get(item).map(|c| ReadResult { value: c.value.clone(), writer: c.writer });
-        if result.is_some() && trace::is_enabled() {
-            trace::record(TraceEvent::Access {
-                scope: self.locks.trace_scope(),
-                item,
-                txn: trace::NO_TXN,
-                write: false,
-            });
+        if result.is_some() {
+            self.trace_access(item, trace::NO_TXN, false);
         }
         result
     }
@@ -170,7 +184,6 @@ impl Store {
             id,
             TxnState {
                 status: TxnStatus::Active,
-                undo: UndoLog::new(),
                 reads: Vec::new(),
                 writes: Vec::new(),
                 writer: None,
@@ -202,7 +215,8 @@ impl Store {
         }
     }
 
-    /// Transactional read under an S lock.
+    /// Transactional read under an S lock: the transaction's own latest
+    /// buffered write of `item` if it has one, else the committed cell.
     ///
     /// Returns [`StorageError::WouldBlock`] if the lock is unavailable; the
     /// request stays queued and the caller must retry after the grant.
@@ -214,24 +228,23 @@ impl Store {
         match self.locks.request(txn, item, LockMode::Shared) {
             LockOutcome::Queued => Err(StorageError::WouldBlock(item)),
             LockOutcome::Granted => {
-                let cell = self.cells.get(item).expect("checked above");
-                let result = ReadResult { value: cell.value.clone(), writer: cell.writer };
-                self.txns.get_mut(&txn).expect("checked active").reads.push((item, result.writer));
-                if trace::is_enabled() {
-                    trace::record(TraceEvent::Access {
-                        scope: self.locks.trace_scope(),
-                        item,
-                        txn,
-                        write: false,
-                    });
-                }
+                let state = self.txns.get_mut(&txn).expect("checked active");
+                let result = match state.writes.iter().rev().find(|(i, _)| *i == item) {
+                    Some((_, value)) => ReadResult { value: value.clone(), writer: state.writer },
+                    None => {
+                        let cell = self.cells.get(item).expect("checked above");
+                        ReadResult { value: cell.value.clone(), writer: cell.writer }
+                    }
+                };
+                state.reads.push((item, result.writer));
+                self.trace_access(item, txn, false);
                 Ok(result)
             }
         }
     }
 
-    /// Transactional write under an X lock, installing `value` attributed
-    /// to logical writer `writer`.
+    /// Transactional write under an X lock: buffer `value`, attributed
+    /// to logical writer `writer`, for installation at commit.
     pub fn write(
         &mut self,
         txn: TxnId,
@@ -246,26 +259,9 @@ impl Store {
         match self.locks.request(txn, item, LockMode::Exclusive) {
             LockOutcome::Queued => Err(StorageError::WouldBlock(item)),
             LockOutcome::Granted => {
-                let cell = self.cells.get_mut(item).expect("checked above");
-                let entry = UndoEntry {
-                    item,
-                    old_value: std::mem::replace(&mut cell.value, value.clone()),
-                    old_writer: cell.writer.replace(writer),
-                    old_version: cell.version,
-                };
-                cell.version += 1;
                 let state = self.txns.get_mut(&txn).expect("checked active");
-                state.undo.push(entry);
                 state.writes.push((item, value));
                 state.writer = Some(writer);
-                if trace::is_enabled() {
-                    trace::record(TraceEvent::Access {
-                        scope: self.locks.trace_scope(),
-                        item,
-                        txn,
-                        write: true,
-                    });
-                }
                 Ok(())
             }
         }
@@ -274,64 +270,56 @@ impl Store {
     /// Move `txn` to the `Prepared` state: execution is complete and its
     /// locks are pinned until a distributed commit decision arrives
     /// (BackEdge protocol, §4.1: backedge subtransactions "do not commit
-    /// and hold on to their locks").
+    /// and hold on to their locks"). Its writes stay buffered.
     pub fn prepare(&mut self, txn: TxnId) -> Result<(), StorageError> {
         self.check_active(txn)?;
         self.txns.get_mut(&txn).expect("checked").status = TxnStatus::Prepared;
         Ok(())
     }
 
-    /// Commit `txn`: release all locks (strict 2PL) and return its
-    /// read/write sets plus the transactions unblocked by the release.
+    /// Commit `txn`: install its write set, release all locks (strict
+    /// 2PL) and return its read/write sets plus the transactions
+    /// unblocked by the release.
     ///
-    /// A writing commit additionally installs one new version per
-    /// written item, stamped with a fresh site-local commit timestamp —
-    /// the versions snapshot reads resolve against. While no snapshot is
-    /// open the chains are trimmed back to their newest version, so
-    /// pure-2PL workloads pay O(1) space per item.
+    /// A writing commit stamps one cell per written item with a fresh
+    /// site-local commit timestamp — the versions snapshot reads resolve
+    /// against. Only while a snapshot is open is the overwritten version
+    /// kept (in the item's side chain); otherwise the value it replaces
+    /// is dropped on the spot and the store stays at one version per
+    /// item.
     pub fn commit(&mut self, txn: TxnId) -> Result<(CommitInfo, Vec<TxnId>), StorageError> {
         let state = self.txns.remove(&txn).ok_or(StorageError::NoSuchTxn(txn))?;
-        let granted = self.locks.release_all(txn);
         let n = state.writes.len();
         let info =
             CommitInfo { reads: state.reads, writes: last_write_wins(state.writes.into_iter(), n) };
         if !info.writes.is_empty() {
             self.commit_ts += 1;
-            let ts = self.commit_ts;
-            let trim = self.snapshots.active_count() == 0;
+            let keep_superseded = self.snapshots.active_count() > 0;
             for (item, value) in &info.writes {
-                self.mvcc.install(*item, ts, value.clone(), state.writer);
-                if trim {
-                    self.mvcc.trim_to_latest(*item);
+                let cell = self.cells.get_mut(*item).expect("write checked the item exists");
+                let installed = Version {
+                    commit_ts: self.commit_ts,
+                    value: value.clone(),
+                    writer: state.writer,
+                };
+                let superseded = std::mem::replace(cell, installed);
+                if keep_superseded {
+                    self.superseded.push(*item, superseded);
                 }
+                // The slot is rewritten under the still-held X lock.
+                self.trace_access(*item, txn, true);
             }
         }
-        Ok((info, granted))
+        Ok((info, self.locks.release_all(txn)))
     }
 
-    /// Abort `txn`: roll back its writes from the undo log, release all
-    /// locks, and return the transactions unblocked by the release.
+    /// Abort `txn`: drop its buffered writes, release all locks, and
+    /// return the transactions unblocked by the release.
     ///
     /// Safe to call on a blocked transaction (its queued lock request is
     /// cancelled) and on a prepared one (BackEdge global-deadlock aborts).
     pub fn abort(&mut self, txn: TxnId) -> Result<Vec<TxnId>, StorageError> {
-        let mut state = self.txns.remove(&txn).ok_or(StorageError::NoSuchTxn(txn))?;
-        for entry in state.undo.drain_rollback() {
-            let cell =
-                self.cells.get_mut(entry.item).expect("undo entries reference existing items");
-            cell.value = entry.old_value;
-            cell.writer = entry.old_writer;
-            cell.version = entry.old_version;
-            // Rollback rewrites the slot under the still-held X lock.
-            if trace::is_enabled() {
-                trace::record(TraceEvent::Access {
-                    scope: self.locks.trace_scope(),
-                    item: entry.item,
-                    txn,
-                    write: true,
-                });
-            }
-        }
+        self.txns.remove(&txn).ok_or(StorageError::NoSuchTxn(txn))?;
         Ok(self.locks.release_all(txn))
     }
 
@@ -345,20 +333,25 @@ impl Store {
     ///
     /// Every subsequent [`Store::read_snapshot`] through the returned
     /// handle observes exactly the committed prefix up to this point —
-    /// later commits are invisible, aborted writes never were. The
-    /// handle must be closed with [`Store::end_snapshot`] so version
-    /// garbage collection can advance.
+    /// later commits are invisible, uncommitted and aborted writes never
+    /// were. The handle must be closed with [`Store::end_snapshot`] so
+    /// version garbage collection can advance.
     pub fn begin_snapshot(&mut self) -> SnapshotId {
         self.snapshots.begin(self.commit_ts)
     }
 
-    /// Close `snap` and garbage-collect versions below the new low-water
-    /// mark (the oldest still-open snapshot, or the current commit
-    /// timestamp when none remains). Closing twice is harmless.
+    /// Close `snap`; if that moved the low-water mark (the oldest
+    /// still-open snapshot, or the current commit timestamp when none
+    /// remains) garbage-collect the superseded versions below it — with
+    /// none remaining, all of them. Closing twice is harmless.
     pub fn end_snapshot(&mut self, snap: SnapshotId) {
-        if self.snapshots.end(snap).is_some() {
-            let low_water = self.snapshots.low_water(self.commit_ts);
-            self.mvcc.gc_below(low_water);
+        let Some(ts) = self.snapshots.end(snap) else { return };
+        let low_water = self.snapshots.low_water(self.commit_ts);
+        // Every kept version is readable at or above the old mark, so
+        // there is nothing to collect unless the oldest snapshot closed.
+        if ts < low_water {
+            let cells = &self.cells;
+            self.superseded.gc_below(low_water, |item| cells.get(item).map_or(0, |c| c.commit_ts));
         }
     }
 
@@ -367,14 +360,17 @@ impl Store {
         self.snapshots.active_count()
     }
 
-    /// Total versions retained across all chains (observability for GC
-    /// tests and benches).
+    /// Total versions retained: one cell per item plus the superseded
+    /// versions open snapshots still pin (observability for GC tests and
+    /// benches).
     pub fn version_count(&self) -> usize {
-        self.mvcc.total_versions()
+        self.cells.len() + self.superseded.total_versions()
     }
 
     /// Lock-free snapshot read: the version of `item` visible at
-    /// `snap`'s timestamp.
+    /// `snap`'s timestamp — the cell itself unless a commit newer than
+    /// the snapshot has overwritten it, in which case the side chain
+    /// holds the version the snapshot pinned.
     ///
     /// This path never touches the lock manager (pinned by replint
     /// RL011 and the lock-trace test): it cannot block, cannot deadlock,
@@ -386,22 +382,24 @@ impl Store {
         item: ItemId,
     ) -> Result<ReadResult, StorageError> {
         let ts = self.snapshots.ts_of(snap).ok_or(StorageError::NoSuchSnapshot(snap.0))?;
-        let version = self.mvcc.visible_at(item, ts).ok_or(StorageError::NoSuchItem(item))?;
-        if trace::is_enabled() {
-            trace::record(TraceEvent::Access {
-                scope: self.trace_scope(),
-                item,
-                txn: trace::NO_TXN,
-                write: false,
-            });
-        }
+        let cell = self.cells.get(item).ok_or(StorageError::NoSuchItem(item))?;
+        let version = if cell.commit_ts <= ts {
+            cell
+        } else {
+            self.superseded.visible_at(item, ts).ok_or(StorageError::NoSuchItem(item))?
+        };
+        self.trace_access(item, trace::NO_TXN, false);
         Ok(ReadResult { value: version.value.clone(), writer: version.writer })
     }
 
-    /// The store's trace scope identity (shared with its lock scope so
-    /// snapshot reads and locked accesses land in one scope).
-    fn trace_scope(&self) -> u64 {
-        self.locks.trace_scope()
+    /// Record a slot access for the race detector, under the store's
+    /// trace scope (its lock scope, so snapshot reads and locked
+    /// accesses land in one scope).
+    fn trace_access(&self, item: ItemId, txn: TxnId, write: bool) {
+        if trace::is_enabled() {
+            // replint: allow(RL011) -- reads the scope id only; no lock state is consulted
+            trace::record(TraceEvent::Access { scope: self.locks.trace_scope(), item, txn, write });
+        }
     }
 }
 
@@ -618,6 +616,66 @@ mod tests {
         s.end_snapshot(snap);
     }
 
+    /// Outside a transaction only committed values are observable: an
+    /// open, a prepared and an aborted writer all leave `peek`, a
+    /// checkpoint and a snapshot — including one opened between a
+    /// writer's `write` and its `commit` — at the committed state.
+    #[test]
+    fn peek_checkpoint_and_snapshot_see_only_committed_values() {
+        use crate::wal::checkpoint;
+        let items = || (0..3).map(ItemId);
+        let committed = |s: &Store| -> Vec<(Value, Option<GlobalTxnId>)> {
+            items().map(|i| s.peek(i).map(|r| (r.value, r.writer)).unwrap()).collect()
+        };
+        let initial = vec![(Value::Initial, None); 3];
+        let mut s = store_with_items(3);
+
+        let open = s.begin();
+        s.write(open, ItemId(0), Value::int(10), gid(1)).unwrap();
+        let prepared = s.begin();
+        s.write(prepared, ItemId(1), Value::int(11), gid(2)).unwrap();
+        s.prepare(prepared).unwrap();
+        let aborted = s.begin();
+        s.write(aborted, ItemId(2), Value::int(12), gid(3)).unwrap();
+        // The writers see their own writes...
+        assert_eq!(s.read(open, ItemId(0)).unwrap().value, Value::int(10));
+        // ...nobody else does, through any door.
+        let snap = s.begin_snapshot();
+        let check = |s: &Store, expect: &[(Value, Option<GlobalTxnId>)]| {
+            assert_eq!(committed(s), expect);
+            let cp = checkpoint(s, items());
+            let image: Vec<_> = cp.cells.iter().map(|(_, v, w)| (v.clone(), *w)).collect();
+            assert_eq!(image, expect);
+        };
+        check(&s, &initial);
+        for i in items() {
+            assert_eq!(s.read_snapshot(snap, i).unwrap().value, Value::Initial);
+        }
+        s.abort(aborted).unwrap();
+        check(&s, &initial);
+
+        // The open and the prepared writer commit: the live state moves,
+        // the snapshot opened between their writes and commits does not.
+        s.commit(open).unwrap();
+        s.commit(prepared).unwrap();
+        check(
+            &s,
+            &[
+                (Value::int(10), Some(gid(1))),
+                (Value::int(11), Some(gid(2))),
+                (Value::Initial, None),
+            ],
+        );
+        for i in items() {
+            let r = s.read_snapshot(snap, i).unwrap();
+            assert_eq!((r.value, r.writer), (Value::Initial, None));
+        }
+        // The two overwritten initial versions are kept for `snap` only.
+        assert_eq!(s.version_count(), 5);
+        s.end_snapshot(snap);
+        assert_eq!(s.version_count(), 3);
+    }
+
     #[test]
     fn snapshot_gc_reclaims_below_low_water() {
         let mut s = store_with_items(1);
@@ -692,6 +750,7 @@ mod tests {
         use std::collections::BTreeMap;
 
         const ITEMS: u32 = 6;
+        const WRITERS: usize = 3;
 
         type ModelState = BTreeMap<u32, (Value, Option<GlobalTxnId>)>;
 
@@ -699,40 +758,86 @@ mod tests {
             (0..ITEMS).map(|i| (i, (Value::Initial, None))).collect()
         }
 
+        /// One of `WRITERS` concurrently open transactions.
+        struct Writer {
+            txn: TxnId,
+            gid: GlobalTxnId,
+            prepared: bool,
+            writes: Vec<(u32, i64)>,
+        }
+
         proptest! {
             /// Snapshot reads observe exactly the committed prefix at
             /// their begin point: whole transactions or nothing (no torn
-            /// reads), never an aborted write, regardless of how commits,
-            /// aborts and snapshot lifetimes interleave.
+            /// reads), never an open, prepared or aborted write —
+            /// however interleaved writers' writes, prepares, commits
+            /// and aborts fall around snapshots opening and closing.
+            /// `peek` tracks the committed state throughout, and
+            /// whenever no snapshot is open the store holds exactly one
+            /// version per item.
             #[test]
             fn snapshots_observe_a_committed_prefix(
                 script in prop::collection::vec(
-                    (prop::collection::vec((0u32..ITEMS, 0i64..1000), 1..4), prop::bool::ANY),
-                    1..24,
+                    (0u8..8, 0usize..WRITERS, 0u32..ITEMS, 0i64..1000),
+                    1..80,
                 ),
-                snap_raw in prop::collection::vec(0usize..24, 0..4),
             ) {
-                let snap_points: std::collections::BTreeSet<usize> =
-                    snap_raw.into_iter().collect();
                 let mut s = store_with_items(ITEMS);
                 let mut model = initial_model();
-                let mut open: Vec<(crate::snapshot::SnapshotId, ModelState)> = Vec::new();
-                for (i, (writes, commits)) in script.iter().enumerate() {
-                    if snap_points.contains(&i) {
-                        open.push((s.begin_snapshot(), model.clone()));
-                    }
-                    let w = gid(i as u64 + 1);
-                    let t = s.begin();
-                    for (item, v) in writes {
-                        s.write(t, ItemId(*item), Value::int(*v), w).unwrap();
-                    }
-                    if *commits {
-                        s.commit(t).unwrap();
-                        for (item, v) in writes {
-                            model.insert(*item, (Value::int(*v), Some(w)));
+                let mut writers: Vec<Option<Writer>> = (0..WRITERS).map(|_| None).collect();
+                let mut open: Vec<(SnapshotId, ModelState)> = Vec::new();
+                let mut next_gid = 1;
+                for (action, slot, item, v) in script {
+                    match action {
+                        // Write (opening the transaction first if needed).
+                        0..=2 => {
+                            let w = writers[slot].get_or_insert_with(|| {
+                                next_gid += 1;
+                                Writer {
+                                    txn: s.begin(),
+                                    gid: gid(next_gid),
+                                    prepared: false,
+                                    writes: Vec::new(),
+                                }
+                            });
+                            if !w.prepared {
+                                match s.write(w.txn, ItemId(item), Value::int(v), w.gid) {
+                                    Ok(()) => w.writes.push((item, v)),
+                                    // Lost a lock race to another writer: give up.
+                                    Err(StorageError::WouldBlock(_)) => {
+                                        s.abort(w.txn).unwrap();
+                                        writers[slot] = None;
+                                    }
+                                    Err(e) => prop_assert!(false, "write failed: {e}"),
+                                }
+                            }
                         }
-                    } else {
-                        s.abort(t).unwrap();
+                        3 => {
+                            if let Some(w) = writers[slot].as_mut().filter(|w| !w.prepared) {
+                                s.prepare(w.txn).unwrap();
+                                w.prepared = true;
+                            }
+                        }
+                        4 => {
+                            if let Some(w) = writers[slot].take() {
+                                s.commit(w.txn).unwrap();
+                                for (item, v) in w.writes {
+                                    model.insert(item, (Value::int(v), Some(w.gid)));
+                                }
+                            }
+                        }
+                        5 => {
+                            if let Some(w) = writers[slot].take() {
+                                s.abort(w.txn).unwrap();
+                            }
+                        }
+                        6 => open.push((s.begin_snapshot(), model.clone())),
+                        _ => {
+                            if !open.is_empty() {
+                                let (snap, _) = open.remove(item as usize % open.len());
+                                s.end_snapshot(snap);
+                            }
+                        }
                     }
                     // Every open snapshot still reads its own prefix —
                     // all items, atomically per transaction.
@@ -740,21 +845,21 @@ mod tests {
                         for item in 0..ITEMS {
                             let r = s.read_snapshot(*snap, ItemId(item)).unwrap();
                             let (ev, ew) = &expected[&item];
-                            prop_assert_eq!(&r.value, ev, "torn/aborted read at item {}", item);
+                            prop_assert_eq!(&r.value, ev, "torn/dirty read at item {}", item);
                             prop_assert_eq!(&r.writer, ew);
                         }
                     }
+                    // The live state is the committed history, never a
+                    // buffered write.
+                    for item in 0..ITEMS {
+                        let r = s.peek(ItemId(item)).unwrap();
+                        prop_assert_eq!(&(r.value, r.writer), &model[&item]);
+                    }
+                    prop_assert_eq!(s.active_snapshots(), open.len());
+                    if open.is_empty() {
+                        prop_assert_eq!(s.version_count(), ITEMS as usize, "side chains not empty");
+                    }
                 }
-                // The live state matches the full committed history.
-                for item in 0..ITEMS {
-                    let (ev, _) = &model[&item];
-                    prop_assert_eq!(&s.peek(ItemId(item)).unwrap().value, ev);
-                }
-                for (snap, _) in open {
-                    s.end_snapshot(snap);
-                }
-                // With every snapshot closed, GC leaves one version per item.
-                prop_assert_eq!(s.version_count(), ITEMS as usize);
             }
         }
     }

@@ -12,14 +12,14 @@
 //!   be shipped or persisted as is; [`LogRecord`]s are decoded on
 //!   demand ([`WriteAheadLog::records`]);
 //! * [`checkpoint`] — snapshot a store's committed state;
-//! * [`recover`] — rebuild a store from a checkpoint plus a log suffix,
-//!   idempotently (replaying a prefix twice is harmless because records
-//!   install absolute values, not deltas).
+//! * [`recover`] — rebuild a store from a checkpointed (or initial)
+//!   image plus a log suffix, idempotently (replaying a prefix twice is
+//!   harmless because records install absolute values, not deltas).
 //!
-//! Aborted transactions never reach the log: the engine's undo logging
-//! rolls them back in place, so the redo log is purely "commit order of
-//! installed values" — which is also exactly the order secondary
-//! subtransactions carry updates in.
+//! Aborted transactions never reach the log — nor the store: their
+//! writes are dropped with the transaction. The redo log is purely
+//! "commit order of installed values" — which is also exactly the
+//! order secondary subtransactions carry updates in.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -229,27 +229,32 @@ pub struct Checkpoint {
     pub cells: Vec<(ItemId, Value, Option<GlobalTxnId>)>,
 }
 
-/// Snapshot `store`'s committed state.
-///
-/// Must be taken at a quiescent point (no active transactions) — the
-/// engine checkpoints between event dispatches, where this always holds.
+impl Checkpoint {
+    /// The checkpointed `(item, value)` image, as [`recover`] takes it.
+    pub fn image(&self) -> impl ExactSizeIterator<Item = (ItemId, Value)> + '_ {
+        self.cells.iter().map(|(item, value, _writer)| (*item, value.clone()))
+    }
+}
+
+/// Snapshot `store`'s committed state. Open and prepared transactions
+/// do not show: their writes are not in any cell until they commit.
 pub fn checkpoint(store: &Store, items: impl Iterator<Item = ItemId>) -> Checkpoint {
     let cells =
         items.filter_map(|item| store.peek(item).map(|r| (item, r.value, r.writer))).collect();
     Checkpoint { cells }
 }
 
-/// Rebuild a store from a checkpoint and replay a redo-log suffix over it.
+/// Rebuild a store from an `(item, value)` image — a
+/// [`Checkpoint::image`], or a site's item set at its initial values
+/// when nothing was checkpointed yet — and replay a redo-log suffix
+/// over it.
 ///
 /// Replay is idempotent: records install absolute values, so replaying an
 /// already-applied prefix changes nothing.
-pub fn recover(checkpoint: &Checkpoint, log: &WriteAheadLog) -> Store {
-    let mut store = Store::new();
-    for (item, value, _writer) in &checkpoint.cells {
-        store.create_item(*item, value.clone());
-    }
-    // Writers from the checkpoint are restored through replay; items whose
-    // last writer predates the log suffix keep the checkpointed value.
+pub fn recover(image: impl IntoIterator<Item = (ItemId, Value)>, log: &WriteAheadLog) -> Store {
+    let mut store: Store = image.into_iter().collect();
+    // Writers are restored through replay; items whose last writer
+    // predates the log suffix keep the image's value.
     for r in log.records() {
         if store.has_item(r.item) {
             let txn = store.begin();
@@ -456,7 +461,7 @@ mod tests {
         let (info, _) = store.commit(t3).unwrap();
         wal.append_commit(gid(0, 3), &info.write_set());
 
-        let recovered = recover(&cp, &wal);
+        let recovered = recover(cp.image(), &wal);
         assert_eq!(recovered.peek(ItemId(0)).unwrap().value, Value::int(20));
         assert_eq!(recovered.peek(ItemId(0)).unwrap().writer, Some(gid(0, 3)));
         assert_eq!(recovered.peek(ItemId(1)).unwrap().value, Value::int(11));
@@ -482,15 +487,15 @@ mod tests {
             wal.append_commit(w, &info.write_set());
         }
         // Checkpoint after the first six records; truncate them away.
-        let full = recover(&boot, &wal);
+        let full = recover(boot.image(), &wal);
         let mut mid_wal = WriteAheadLog::new();
         wal.records().take(6).for_each(|r| mid_wal.append(r));
-        let mid_store = recover(&boot, &mid_wal);
+        let mid_store = recover(boot.image(), &mid_wal);
         let cp = checkpoint(&mid_store, (0..4).map(ItemId));
         let mut truncated = wal.clone();
         truncated.truncate_prefix(6);
         assert_eq!(truncated.len(), 4);
-        let from_truncated = recover(&cp, &truncated);
+        let from_truncated = recover(cp.image(), &truncated);
         for i in 0..4u32 {
             assert_eq!(
                 from_truncated.peek(ItemId(i)),
@@ -509,10 +514,10 @@ mod tests {
         wal.append_commit(gid(0, 1), &[(ItemId(0), Value::int(1))]);
         wal.append_commit(gid(0, 2), &[(ItemId(0), Value::int(2))]);
         let cp = Checkpoint { cells: vec![(ItemId(0), Value::Initial, None)] };
-        let once = recover(&cp, &wal);
+        let once = recover(cp.image(), &wal);
         // "Replay twice": recover from the once-recovered state.
         let cp2 = checkpoint(&once, std::iter::once(ItemId(0)));
-        let twice = recover(&cp2, &wal);
+        let twice = recover(cp2.image(), &wal);
         assert_eq!(twice.peek(ItemId(0)).unwrap().value, once.peek(ItemId(0)).unwrap().value);
     }
 
@@ -611,7 +616,7 @@ mod tests {
                 let (info, _) = store.commit(t).unwrap();
                 wal.append_commit(w, &info.write_set());
             }
-            let recovered = recover(&cp, &wal);
+            let recovered = recover(cp.image(), &wal);
             for i in 0..8u32 {
                 prop_assert_eq!(
                     recovered.peek(ItemId(i)).unwrap().value,

@@ -28,6 +28,10 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 echo "==> per-commit byte budget gate (2000 Table-1 updates: 138 B history + 100 B WAL per commit, exact)"
 cargo test -q -p repl-runtime --lib commit_budget_2000_table1_updates
 
+echo "==> per-item allocation budget gates (3000-item Store: <= 128 live B/item in <= 32 allocations, unchanged by 2000 updates; chain3 placement: 16 B/item, allocation count independent of the item count)"
+cargo test -q -p repl-storage --test alloc_budget store_of_3000_items_is_one_version_per_item
+cargo test -q -p repl-copygraph --test alloc_budget chain3_placement_is_sixteen_bytes_an_item
+
 echo "==> differential matrix gate (sim vs channel vs TCP threads vs TCP epoll, incl. MVCC column, quick)"
 DIFF_MATRIX_TXNS=6 cargo test -q -p repl-runtime --test differential_matrix
 
@@ -48,9 +52,8 @@ REPRO_SCALE=quick REPRO_WORKERS=4 REPRO_NO_CACHE=1 ./target/release/fault_sweep 
 echo "==> loopback TCP smoke (3 repld processes, mid-run connection kill)"
 ./target/release/tcp_smoke > /dev/null
 
-echo "==> epoll smoke (repld --reactor epoll, 64-connection closed-loop loadgen)"
-REPLD_BIN=./target/release/repld ./target/release/loadgen \
-    --reactor epoll --conns 64 --txns 3 --out /tmp/bench_reactor_smoke.json > /dev/null
+echo "==> epoll smoke (the benchmark's read_closed workload against a 3-process repld --reactor epoll fleet, 2 s, correctness pass included)"
+bash benchmark/run.sh --workload read_closed --seed 1 --seconds 2 --trace 0 > /dev/null
 
 echo "==> chaos smoke (seeded nemesis, 4 protocols on channel + tcp, convergence + 1SR)"
 REPLD_BIN=./target/release/repld ./target/release/chaos_soak \
