@@ -272,6 +272,8 @@ impl SweepResult {
 
     fn emit_files(&self, cols: &[Column]) {
         let Ok(emit) = std::env::var("REPRO_EMIT") else { return };
+        // Nothing under `results/` is tracked; a fresh checkout has no such directory.
+        let _ = std::fs::create_dir_all("results");
         for kind in emit.split(',') {
             let (path, body) = match kind.trim() {
                 "csv" => (format!("results/{}.csv", self.id), self.csv(cols)),

@@ -2,35 +2,48 @@
 //!
 //! A live site never queries its history: it appends one entry per
 //! primary commit, reports how many there are ([`ClientReply::Stats`])
-//! and hands the whole of it to a checker on request
-//! ([`ClientMsg::History`]). So the site keeps no indexed structure —
-//! just one append-only byte arena holding the transactions in exactly
-//! the body encoding of [`ClientReply::History`], plus their count. An
-//! entry costs its wire size (138 bytes for a 6-read, 4-write Table-1
-//! update), the reply is a header plus one copy of the arena, and the
-//! indexed `repl_analysis::history::History` is built only where a
+//! and hands it to a checker on request ([`ClientMsg::History`]). So
+//! the site keeps no indexed structure — just an append-only log
+//! ([`SegLog`]) holding the transactions in exactly the body encoding
+//! of [`ClientReply::History`]. An entry costs its wire size (138 bytes
+//! for a 6-read, 4-write Table-1 update); the log grows a 64 KiB
+//! segment at a time, and a checker fetches it a segment per reply
+//! ([`HistoryLog::frame_page_into`]): a reply is a header plus one copy
+//! of at most one segment however long the history is. The indexed
+//! `repl_analysis::history::History` is built only where a
 //! serializability verdict is wanted, from [`HistoryLog::txns`] or from
-//! the decoded reply.
+//! the decoded replies.
 //!
 //! [`ClientReply::Stats`]: crate::ClientReply::Stats
 //! [`ClientReply::History`]: crate::ClientReply::History
 //! [`ClientMsg::History`]: crate::ClientMsg::History
 
 use bytes::BufMut;
+use repl_storage::SegLog;
 use repl_types::{GlobalTxnId, ItemId};
 
 use crate::frame::framed;
-use crate::msg::{get_history_txn, put_history_txn, HistoryTxn, MSG_REPLY, REPLY_HISTORY};
+use crate::msg::{
+    get_history_txn, history_txn_len, put_history_txn, HistoryTxn, MSG_REPLY, REPLY_HISTORY,
+};
 
 /// Append-only record of the transactions committed at a site, in local
 /// commit order.
 #[derive(Clone, Debug, Default)]
 pub struct HistoryLog {
-    /// The transactions back to back, each as `put_history_txn` wrote
-    /// it — nothing else writes here, so the bytes always parse as
-    /// exactly `count` transactions.
-    arena: Vec<u8>,
-    count: u64,
+    /// One record per transaction, each as `put_history_txn` wrote it —
+    /// nothing else writes here, so every page parses as exactly its
+    /// record count of transactions.
+    txns: SegLog,
+}
+
+/// Length of the transaction at the front of `bytes`, which are the
+/// log's own.
+fn encoded_txn_len(bytes: &[u8]) -> usize {
+    let mut rest = bytes;
+    // replint: allow(RL008) -- the log is private and holds only what record_commit encoded
+    get_history_txn(&mut rest).expect("the log holds only what it encoded");
+    bytes.len() - rest.len()
 }
 
 impl HistoryLog {
@@ -48,48 +61,67 @@ impl HistoryLog {
         reads: &[(ItemId, Option<GlobalTxnId>)],
         writes: impl ExactSizeIterator<Item = ItemId>,
     ) {
-        put_history_txn(&mut self.arena, gid, reads, writes);
-        self.count += 1;
+        self.txns.append(1, history_txn_len(reads, writes.len()), |buf| {
+            put_history_txn(buf, gid, reads, writes);
+        });
     }
 
     /// Number of transactions recorded.
     pub fn committed_count(&self) -> u64 {
-        self.count
+        self.txns.len() as u64
     }
 
     /// Bytes the recorded transactions occupy.
     pub fn encoded_len(&self) -> usize {
-        self.arena.len()
+        self.txns.byte_len()
     }
 
     /// Append to `out` the frame of the [`crate::ClientReply::History`]
-    /// reply listing every recorded transaction — byte-identical to
-    /// encoding `WireMsg::Reply(ClientReply::History(self.txns()))`.
-    pub fn frame_reply_into(&self, out: &mut Vec<u8>) {
-        out.reserve(4 + 2 + 4 + self.arena.len());
+    /// reply to `ClientMsg::History { from }`: the transactions from
+    /// number `from` (counting from 0, in commit order) to the end of
+    /// the segment that holds it — byte-identical to encoding
+    /// `WireMsg::Reply(ClientReply::History(page))` for that slice of
+    /// [`HistoryLog::txns`]. At or past the end of the history the page
+    /// is empty, which is how a caller adding each page's length to its
+    /// cursor learns it has everything.
+    pub fn frame_page_into(&self, from: u64, out: &mut Vec<u8>) {
+        let page = usize::try_from(from).ok().and_then(|from| self.txns.page_of(from));
+        let (count, bytes) = page.map_or((0, &[][..]), |(skip, page)| {
+            let skipped = (0..skip).fold(0, |at, _| at + encoded_txn_len(&page.bytes[at..]));
+            (page.records - skip, &page.bytes[skipped..])
+        });
+        // Exactly: pages differ by a few bytes, and growing by doubling
+        // for the second one would hold two pages' worth for one.
+        out.reserve_exact(4 + 2 + 4 + bytes.len());
         framed(out, |buf| {
             buf.put_u8(MSG_REPLY);
             buf.put_u8(REPLY_HISTORY);
-            buf.put_u32(self.count as u32);
-            buf.put_slice(&self.arena);
+            buf.put_u32(count as u32);
+            buf.put_slice(bytes);
         });
     }
 
     /// The recorded transactions, decoded.
     pub fn txns(&self) -> Vec<HistoryTxn> {
-        let mut rest = &self.arena[..];
-        (0..self.count)
-            // replint: allow(RL008) -- the arena is private and holds only what record_commit encoded
-            .map(|_| get_history_txn(&mut rest).expect("the arena holds only what it encoded"))
-            .collect()
+        let mut txns = Vec::with_capacity(self.txns.len());
+        for page in self.txns.pages() {
+            let mut rest = page.bytes;
+            for _ in 0..page.records {
+                // replint: allow(RL008) -- the log is private and holds only what record_commit encoded
+                txns.push(get_history_txn(&mut rest).expect("the log holds only what it encoded"));
+            }
+        }
+        txns
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{encode_framed, ClientReply, WireMsg};
+    use crate::{decode_framed, encode_framed, ClientReply, WireMsg};
+    use bytes::BytesMut;
     use proptest::prelude::*;
+    use repl_storage::SEGMENT_BYTES;
     use repl_types::SiteId;
 
     fn gid_strategy() -> impl Strategy<Value = GlobalTxnId> {
@@ -109,27 +141,98 @@ mod tests {
         })
     }
 
+    fn log_of(txns: &[HistoryTxn]) -> HistoryLog {
+        let mut log = HistoryLog::new();
+        for (gid, reads, writes) in txns {
+            log.record_commit(*gid, reads, writes.iter().copied());
+        }
+        log
+    }
+
+    /// The page a fetch from `from` returns, decoded off its frame —
+    /// which never carries more than one segment.
+    fn page(log: &HistoryLog, from: u64) -> Vec<HistoryTxn> {
+        let mut out = Vec::new();
+        log.frame_page_into(from, &mut out);
+        assert!(out.len() <= 4 + 2 + 4 + SEGMENT_BYTES);
+        let mut buf = BytesMut::from(&out[..]);
+        match decode_framed(&mut buf).unwrap() {
+            Some(WireMsg::Reply(ClientReply::History(txns))) if buf.is_empty() => txns,
+            other => panic!("not one history reply frame: {other:?}"),
+        }
+    }
+
+    /// `n` Table-1 updates (6 reads of written versions, 4 writes): 138
+    /// bytes each, 474 to a segment.
+    fn table1_txns(n: u64) -> Vec<HistoryTxn> {
+        (0..n)
+            .map(|k| {
+                let gid = GlobalTxnId::new(SiteId(0), k);
+                let reads = (0..6).map(|j| (ItemId((k + j) as u32 % 20), Some(gid))).collect();
+                (gid, reads, (6..10).map(|j| ItemId((k + j) as u32 % 20)).collect())
+            })
+            .collect()
+    }
+
     proptest! {
-        /// The recorder's reply frame is the frame of the typed reply,
-        /// byte for byte — read-only transactions, initial-version reads
-        /// and the empty history included.
+        /// Every page's reply frame is the frame of the typed reply for
+        /// that slice of the history, byte for byte — read-only
+        /// transactions, initial-version reads, the empty history and
+        /// the empty page at its end included — and following the
+        /// cursor from any position collects exactly the rest.
         #[test]
         fn reply_frame_equals_the_typed_encoding(
             txns in prop::collection::vec(txn_strategy(), 0..20),
         ) {
-            let mut log = HistoryLog::new();
-            for (gid, reads, writes) in &txns {
-                log.record_commit(*gid, reads, writes.iter().copied());
-            }
+            let log = log_of(&txns);
             prop_assert_eq!(log.committed_count(), txns.len() as u64);
             prop_assert_eq!(log.txns(), txns.clone());
-            // Appended after whatever the buffer already holds.
-            let mut out = vec![0xEE; 3];
-            log.frame_reply_into(&mut out);
-            let typed = encode_framed(&WireMsg::Reply(ClientReply::History(txns)));
-            prop_assert_eq!(&out[..3], &[0xEE; 3][..]);
-            prop_assert_eq!(&out[3..], typed.as_slice());
-            prop_assert_eq!(out.len() - 3, 4 + 2 + 4 + log.encoded_len());
+            for from in 0..=txns.len() {
+                // Appended after whatever the buffer already holds.
+                let mut out = vec![0xEE; 3];
+                log.frame_page_into(from as u64, &mut out);
+                // One segment holds all of a history this small.
+                let typed = encode_framed(&WireMsg::Reply(ClientReply::History(
+                    txns[from..].to_vec(),
+                )));
+                prop_assert_eq!(&out[..3], &[0xEE; 3][..]);
+                prop_assert_eq!(&out[3..], typed.as_slice());
+            }
+            let mut out = Vec::new();
+            log.frame_page_into(0, &mut out);
+            prop_assert_eq!(out.len(), 4 + 2 + 4 + log.encoded_len());
+        }
+    }
+
+    #[test]
+    fn pages_end_at_segment_boundaries_and_the_cursor_collects_them() {
+        const PER_SEGMENT: usize = SEGMENT_BYTES / 138;
+        let txns = table1_txns(1500);
+        let log = log_of(&txns);
+        assert_eq!(log.encoded_len(), 1500 * 138);
+        // From the start of a segment: that whole segment, no more.
+        assert_eq!(page(&log, 0), txns[..PER_SEGMENT]);
+        assert_eq!(page(&log, PER_SEGMENT as u64), txns[PER_SEGMENT..2 * PER_SEGMENT]);
+        // From the middle of a segment: the rest of that segment.
+        assert_eq!(page(&log, 700), txns[700..2 * PER_SEGMENT]);
+        assert_eq!(page(&log, 2 * PER_SEGMENT as u64 - 1), txns[2 * PER_SEGMENT - 1..][..1]);
+        // The last segment is partly filled.
+        assert_eq!(page(&log, 1499), txns[1499..]);
+        // At and past the end: the empty page.
+        assert_eq!(page(&log, 1500), vec![]);
+        assert_eq!(page(&log, u64::MAX), vec![]);
+        assert_eq!(page(&HistoryLog::new(), 0), vec![]);
+        // Following the cursor from anywhere collects the rest.
+        for start in [0usize, 1, 473, 474, 1000] {
+            let mut got = Vec::new();
+            loop {
+                let next = page(&log, (start + got.len()) as u64);
+                if next.is_empty() {
+                    break;
+                }
+                got.extend(next);
+            }
+            assert_eq!(got, txns[start..], "from {start}");
         }
     }
 }

@@ -140,9 +140,17 @@ pub enum ClientMsg {
     KillConn(SiteId),
     /// Stop the site process gracefully; reply [`ClientReply::Ok`].
     Shutdown,
-    /// The site's committed-transaction history (for the one-copy
-    /// serializability checker); reply [`ClientReply::History`].
-    History,
+    /// A page of the site's committed-transaction history (for the
+    /// one-copy serializability checker); reply
+    /// [`ClientReply::History`]. A cursor fetch: the caller passes how
+    /// many of the site's transactions it already holds and adds the
+    /// length of each page to that count until a page comes back empty.
+    /// A page ends where the site's storage segment does, so a reply
+    /// stays far below the frame cap however long the history is.
+    History {
+        /// Transactions of this site the caller already holds.
+        from: u64,
+    },
 }
 
 /// One committed transaction in a [`ClientReply::History`] reply:
@@ -187,8 +195,10 @@ pub enum ClientReply {
     Ok,
     /// Generic failure, as text.
     Err(String),
-    /// Outcome of [`ClientMsg::History`]: every transaction committed
-    /// at this site, in local commit order.
+    /// Outcome of [`ClientMsg::History`]: the transactions committed
+    /// at this site from the requested position on, in local commit
+    /// order, up to the end of one storage segment; empty at the end of
+    /// the history.
     History(Vec<HistoryTxn>),
 }
 
@@ -464,7 +474,10 @@ fn put_client(buf: &mut impl BufMut, msg: &ClientMsg) {
             buf.put_u32(peer.0);
         }
         ClientMsg::Shutdown => buf.put_u8(7),
-        ClientMsg::History => buf.put_u8(8),
+        ClientMsg::History { from } => {
+            buf.put_u8(8);
+            buf.put_u64(*from);
+        }
     }
 }
 
@@ -486,7 +499,7 @@ fn get_client(buf: &mut Bytes) -> Result<ClientMsg, NetError> {
         }
         6 => ClientMsg::KillConn(SiteId(codec::get_u32(buf)?)),
         7 => ClientMsg::Shutdown,
-        8 => ClientMsg::History,
+        8 => ClientMsg::History { from: codec::get_u64(buf)? },
         t => return Err(NetError::BadTag(t)),
     })
 }
@@ -586,6 +599,13 @@ pub(crate) fn put_history_txn(
     for item in writes {
         buf.put_u32(item.0);
     }
+}
+
+/// Bytes [`put_history_txn`] writes for a transaction with these reads
+/// and `writes` written items.
+pub(crate) fn history_txn_len(reads: &[(ItemId, Option<GlobalTxnId>)], writes: usize) -> usize {
+    let reads: usize = reads.iter().map(|(_, version)| 4 + 1 + version.map_or(0, |_| 12)).sum();
+    12 + 4 + reads + 4 + 4 * writes
 }
 
 /// Decode one transaction written by [`put_history_txn`].
@@ -973,7 +993,8 @@ mod tests {
         ])));
         roundtrip(WireMsg::Client(ClientMsg::KillConn(SiteId(1))));
         roundtrip(WireMsg::Client(ClientMsg::Shutdown));
-        roundtrip(WireMsg::Client(ClientMsg::History));
+        roundtrip(WireMsg::Client(ClientMsg::History { from: 0 }));
+        roundtrip(WireMsg::Client(ClientMsg::History { from: u64::MAX - 1 }));
     }
 
     #[test]

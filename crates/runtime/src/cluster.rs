@@ -12,7 +12,7 @@ use repl_copygraph::{BackEdgeSet, CopyGraph, DataPlacement, PropagationTree};
 use repl_core::history::{History, SerializationCycle};
 use repl_net::{HistoryLog, HistoryTxn};
 use repl_protocol::{ProtocolError, ProtocolId};
-use repl_storage::{recover, Store, WriteAheadLog};
+use repl_storage::{recover, Store};
 use repl_types::{GlobalTxnId, ItemId, Op, SiteId, Value};
 
 use crate::chan::{traced_unbounded, TracedSender};
@@ -231,8 +231,9 @@ pub(crate) fn build_structure(
 ///
 /// Fault tolerance: [`Cluster::crash`] kills a site's thread abruptly
 /// (its store and queued inbox are lost) and [`Cluster::restart`]
-/// rejoins a replacement rebuilt from the site's durable WAL, with
-/// every lost delivery retransmitted from the senders' outboxes.
+/// rejoins a replacement rebuilt from the site's durable checkpoint and
+/// WAL, with every lost delivery retransmitted from the senders'
+/// outboxes.
 /// Dropping the cluster — including during a test panic — sets every
 /// site's crash flag before joining, so threads exit at their next
 /// command instead of draining arbitrarily long queues.
@@ -252,15 +253,25 @@ pub struct Cluster {
     opts: Arc<RuntimeOptions>,
 }
 
-/// A site's store rebuilt from stable storage: its item set at the
-/// initial values plus a redo-WAL replay. With an empty WAL this is the
-/// boot image; after a crash it is the recovery image.
+/// A site's store rebuilt from stable storage: its checkpoint — before
+/// the first one, its item set at the initial values — plus a replay of
+/// the redo-WAL suffix. With nothing logged yet this is the boot image;
+/// after a crash it is the recovery image.
 pub(crate) fn recovered_store(
     placement: &DataPlacement,
     site: SiteId,
-    wal: &WriteAheadLog,
+    durable: &mut DurableSite,
 ) -> Store {
-    recover(placement.items_at(site).iter().map(|&i| (i, Value::Initial)), wal)
+    // Commits still in the group-commit staging buffer are durable too.
+    durable.flush_log();
+    if durable.checkpoint.is_empty() {
+        let boot = placement.items_at(site).iter().map(|&i| (i, Value::Initial, None));
+        return recover(boot, &durable.wal);
+    }
+    let cells = repl_net::decode_cells(durable.checkpoint.as_slice().into())
+        // replint: allow(RL008) -- the image is this site's own encoding, kept in memory
+        .expect("a site's checkpoint is its own CopyState encoding");
+    recover(cells, &durable.wal)
 }
 
 impl Cluster {
@@ -350,11 +361,7 @@ impl Cluster {
                     // owner (the replacement store has a fresh trace
                     // scope; replay writes from another thread would be
                     // unordered with the thread's own first accesses).
-                    let store = {
-                        let mut d = durable.lock();
-                        d.flush_log();
-                        recovered_store(&placement, site, &d.wal)
-                    };
+                    let store = recovered_store(&placement, site, &mut durable.lock());
                     setup
                         .into_runtime(
                             store,
@@ -400,8 +407,9 @@ impl Cluster {
     /// Abruptly kill `site`: its thread exits at the next command
     /// without draining its queue, losing its store, its in-memory
     /// state and every undelivered message. Only the durable image
-    /// ([`DurableSite`]: WAL, id counter, per-link high-water marks)
-    /// survives for [`Cluster::restart`]. Idempotent while down.
+    /// ([`DurableSite`]: checkpoint, WAL, id counter, per-link
+    /// high-water marks) survives for [`Cluster::restart`]. Idempotent
+    /// while down.
     ///
     /// Clients of a crashed site get [`ClusterError::Disconnected`];
     /// updates destined for it park in their senders' outboxes (after a
@@ -420,11 +428,11 @@ impl Cluster {
         Ok(())
     }
 
-    /// Rejoin a crashed `site`: replay its WAL over an initial
-    /// checkpoint of its item set, start a replacement thread on a
-    /// fresh channel, and retransmit every unacknowledged delivery
-    /// from the other sites' outboxes (in per-link FIFO order). A
-    /// no-op if the site is up.
+    /// Rejoin a crashed `site`: replay its WAL over its checkpoint
+    /// (its item set at the initial values if the log was never cut),
+    /// start a replacement thread on a fresh channel, and retransmit
+    /// every unacknowledged delivery from the other sites' outboxes (in
+    /// per-link FIFO order). A no-op if the site is up.
     pub fn restart(&mut self, site: SiteId) -> Result<(), ClusterError> {
         self.check_site(site)?;
         self.check_faults_supported()?;
@@ -483,9 +491,11 @@ impl Cluster {
         reply_rx.recv().ok()
     }
 
-    /// Fetch the serialized redo log of `site` (everything it has
-    /// committed, in commit order) — the crash-recovery image: replaying
-    /// it over a fresh store of the site's items reproduces the site.
+    /// Fetch the serialized resident redo log of `site`: what it has
+    /// committed since its last checkpoint cut, in commit order. Until
+    /// the log first fills a segment (64 KiB, 655 Table-1 commits) that
+    /// is everything the site ever committed, and replaying it over a
+    /// fresh store of the site's items reproduces the site.
     pub fn snapshot_wal(&self, site: SiteId) -> Option<bytes::Bytes> {
         let (reply_tx, reply_rx) = bounded(1);
         self.sender(site).ok()?.send(Command::SnapshotWal { reply: reply_tx }).ok()?;
@@ -661,39 +671,57 @@ mod tests {
         cluster.shutdown();
     }
 
-    /// What a primary keeps per commit is its wire size, exactly: a
-    /// Table-1 update (6 reads of written versions, 4 writes) costs 138
-    /// bytes of history and 4 × 25 bytes of redo log. With the indexed
-    /// `History` and a `Vec<LogRecord>` it was about 1000.
+    /// What a primary keeps per commit is its history entry, exactly —
+    /// 138 bytes for a Table-1 update (6 reads of written versions, 4
+    /// writes) — and nothing else that grows: the 4 × 25 bytes of redo
+    /// log each commit appends refill one segment, emptied behind a
+    /// checkpoint each time it is full, so the resident log plus the
+    /// checkpoint stay under one segment plus 26 bytes a copy at 2 000
+    /// commits and at 20 000. (With the indexed `History` and a
+    /// `Vec<LogRecord>` a commit kept about 1000 bytes; with contiguous
+    /// arenas, 238.)
     #[test]
     fn commit_budget_2000_table1_updates() {
-        const COMMITS: usize = 2000;
+        use repl_storage::SEGMENT_BYTES;
         const HISTORY_ENTRY: usize = 12 + 4 + 6 * (4 + 1 + 12) + 4 + 4 * 4;
         const WAL_RECORDS: usize = 4 * (4 + 12 + 1 + 8);
+        const CELL: usize = 4 + 9 + 13;
         let mut placement = DataPlacement::new(3);
         let items: Vec<ItemId> =
             (0..20).map(|_| placement.add_item(SiteId(0), &[SiteId(1), SiteId(2)])).collect();
         let cluster = Cluster::start(&placement, RuntimeProtocol::DagWt).unwrap();
         // Write every item once, so every later read is of a written version.
         cluster.execute(SiteId(0), items.iter().map(|&i| Op::write(i, 0)).collect()).unwrap();
-        let retained = |c: &Cluster| {
-            let wal = c.snapshot_wal(SiteId(0)).unwrap().len() - 8; // minus the image header
-            (c.history.lock().encoded_len(), wal)
+        let history = |c: &Cluster| c.history.lock().encoded_len();
+        let durable = |c: &Cluster| {
+            let d = c.durables[0].lock();
+            (d.wal.encoded_len(), d.checkpoint.len())
         };
-        let before = retained(&cluster);
-        for k in 0..COMMITS {
-            let at = |j: usize| items[(k * 7 + j) % items.len()];
-            let ops = (0..6)
-                .map(|j| Op::read(at(j)))
-                .chain((6..10).map(|j| Op::write(at(j), k as i64)))
-                .collect();
-            cluster.execute(SiteId(0), ops).unwrap();
+        let before = history(&cluster);
+        // The cut rule: a commit that does not fit the segment empties it first.
+        let mut resident = items.len() * 25;
+        let mut cuts = 0;
+        let mut done = 0usize;
+        for commits in [2_000usize, 20_000] {
+            for k in done..commits {
+                let at = |j: usize| items[(k * 7 + j) % items.len()];
+                let ops = (0..6)
+                    .map(|j| Op::read(at(j)))
+                    .chain((6..10).map(|j| Op::write(at(j), k as i64)))
+                    .collect();
+                cluster.execute(SiteId(0), ops).unwrap();
+                if resident + WAL_RECORDS > SEGMENT_BYTES {
+                    (resident, cuts) = (0, cuts + 1);
+                }
+                resident += WAL_RECORDS;
+            }
+            done = commits;
+            assert_eq!(history(&cluster) - before, commits * HISTORY_ENTRY);
+            assert!(cuts >= commits * WAL_RECORDS / SEGMENT_BYTES, "{cuts} cuts");
+            // A checkpoint of every copy at the site, and the commits since.
+            assert_eq!(durable(&cluster), (resident, 4 + CELL * items.len()), "{commits}");
+            assert!(resident <= SEGMENT_BYTES);
         }
-        let after = retained(&cluster);
-        let (history, wal) = (after.0 - before.0, after.1 - before.1);
-        assert_eq!((history, wal), (COMMITS * HISTORY_ENTRY, COMMITS * WAL_RECORDS));
-        let per_commit = (history + wal) / COMMITS;
-        assert!(per_commit <= 256, "{per_commit} B retained per commit, budget 256");
         cluster.quiesce();
         assert!(cluster.check_serializability().is_ok());
         cluster.shutdown();

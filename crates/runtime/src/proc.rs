@@ -304,14 +304,25 @@ impl ProcCluster {
     /// Every transaction committed anywhere in the cluster, merged
     /// across the per-process histories, as `(gid, reads, writes)`
     /// tuples. Primaries record their own commits, so concatenating the
-    /// per-site fetches covers the cluster without duplicates.
+    /// per-site fetches covers the cluster without duplicates. Each
+    /// site's history is fetched a page at a time (a cursor over its
+    /// commit order) until a page comes back empty, so its length is
+    /// not bounded by the frame cap.
     pub fn history(&self) -> io::Result<Vec<HistoryTxn>> {
         let mut all = Vec::new();
         for i in 0..self.conns.len() {
-            match self.request(SiteId(i as u32), ClientMsg::History)? {
-                ClientReply::History(txns) => all.extend(txns),
-                other => {
-                    return Err(io::Error::other(format!("unexpected history reply: {other:?}")))
+            let mut from = 0u64;
+            loop {
+                match self.request(SiteId(i as u32), ClientMsg::History { from })? {
+                    ClientReply::History(page) if page.is_empty() => break,
+                    ClientReply::History(page) => {
+                        from += page.len() as u64;
+                        all.extend(page);
+                    }
+                    other => {
+                        let what = format!("unexpected history reply: {other:?}");
+                        return Err(io::Error::other(what));
+                    }
                 }
             }
         }

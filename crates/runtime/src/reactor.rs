@@ -382,11 +382,7 @@ pub fn serve_epoll(cfg: ServeConfig) -> io::Result<()> {
         structure.tree.clone(),
     )
     .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-    let store = {
-        let mut d = durable.lock();
-        d.flush_log();
-        recovered_store(&placement, cfg.site, &d.wal)
-    };
+    let store = recovered_store(&placement, cfg.site, &mut durable.lock());
     let core = setup.into_core(store, net, placement, history, outstanding, durable, opts.clone());
 
     let listener = TcpListener::bind(&cfg.listen)?;
@@ -806,11 +802,13 @@ impl Reactor {
                 true
             }
             // The two bulk replies are framed straight from the site's
-            // state into the connection buffer: the history arena already
-            // is the reply body, and the copy-state cells stream off the
-            // store.
-            ClientMsg::History => {
-                self.queue_frame(tok, |core, out| core.history.lock().frame_reply_into(out));
+            // state into the connection buffer: a segment of the history
+            // log already is the reply body, and the copy-state cells
+            // stream off the store.
+            ClientMsg::History { from } => {
+                self.queue_frame(tok, |core, out| {
+                    core.history.lock().frame_page_into(from, out);
+                });
                 true
             }
             ClientMsg::CopyState => {

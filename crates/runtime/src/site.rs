@@ -251,7 +251,7 @@ impl SiteCore {
         // Group commit: a partially filled batch must not wait for more
         // traffic forever — drain it whenever the site comes up for air
         // (a no-op when the pipeline is empty or the batch size is 1).
-        self.durable.lock().flush_log();
+        self.flush_log(&mut self.durable.lock());
         self.retransmit_tick();
         let Some(t) = self.timers.as_mut() else { return };
         let now = Instant::now();
@@ -435,12 +435,36 @@ impl SiteCore {
         self.store.peek(item).map(|r| (r.value, r.writer))
     }
 
-    /// The serialized redo log (crash-recovery image). Staged group
-    /// commits are flushed first so the image holds every commit.
+    /// The serialized resident redo log — every commit since the last
+    /// checkpoint cut, which is every commit until the log first fills a
+    /// segment. Staged group commits are flushed first so the image
+    /// holds them too.
     pub fn snapshot_wal(&self) -> bytes::Bytes {
         let mut d = self.durable.lock();
-        d.flush_log();
+        self.flush_log(&mut d);
         d.wal.encode()
+    }
+
+    /// Stage one commit's redo records, flushing the batch if that
+    /// filled it.
+    fn log_commit(&self, gid: GlobalTxnId, writes: &[(ItemId, Value)]) {
+        let mut d = self.durable.lock();
+        if d.stage_commit(gid, writes) {
+            self.flush_log(&mut d);
+        }
+    }
+
+    /// Flush the staged commits into the redo log — after cutting it, if
+    /// they would not fit its segment (see [`crate::durable`]): the
+    /// store, which already holds every commit logged or staged, is
+    /// checkpointed and the log starts its segment over. Every flush
+    /// this driver makes goes through here, so the resident log never
+    /// exceeds one segment plus the checkpoint.
+    fn flush_log(&self, d: &mut DurableSite) {
+        if d.flush_would_roll() {
+            d.install_checkpoint(self.copy_cells());
+        }
+        d.flush_log();
     }
 
     /// Id allocation is durable: a restarted site must never reuse a
@@ -596,7 +620,7 @@ impl SiteCore {
         }
         // replint: allow(RL008) -- same single-txn invariant
         self.store.commit(txn).expect("commit secondary");
-        self.durable.lock().log_commit(gid, writes);
+        self.log_commit(gid, writes);
         self.outstanding.fetch_sub(1, Ordering::SeqCst);
     }
 
@@ -650,7 +674,7 @@ impl SiteCore {
         reads: &[(ItemId, Option<GlobalTxnId>)],
         writes: &[(ItemId, Value)],
     ) {
-        self.durable.lock().log_commit(gid, writes);
+        self.log_commit(gid, writes);
         let dests = destinations(&self.placement, self.id, writes);
         self.history.lock().record_commit(gid, reads, writes.iter().map(|(i, _)| *i));
         self.outstanding.fetch_add(dests.len() as i64, Ordering::SeqCst);

@@ -268,11 +268,7 @@ pub fn serve(cfg: ServeConfig) -> io::Result<()> {
         std::thread::Builder::new()
             .name(format!("site-{}", site.0))
             .spawn(move || {
-                let store = {
-                    let mut d = durable.lock();
-                    d.flush_log();
-                    recovered_store(&placement, site, &d.wal)
-                };
+                let store = recovered_store(&placement, site, &mut durable.lock());
                 setup
                     .into_runtime(
                         store,
@@ -597,9 +593,11 @@ fn frame_client_reply(shared: &Arc<Shared>, msg: ClientMsg, out: &mut Vec<u8>) {
             }
         }
         ClientMsg::Shutdown => ClientReply::Ok,
-        // The history log already is the reply body: framed as it
-        // stands, never decoded into a typed reply.
-        ClientMsg::History => return shared.history.lock().frame_reply_into(out),
+        // The history log already is the reply body: one segment of it
+        // framed as it stands, never decoded into a typed reply.
+        ClientMsg::History { from } => {
+            return shared.history.lock().frame_page_into(from, out);
+        }
     };
     WireMsg::Reply(reply).encode_framed_into(out);
 }

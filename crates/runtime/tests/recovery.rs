@@ -3,8 +3,8 @@
 
 use repl_copygraph::DataPlacement;
 use repl_core::scenario;
-use repl_runtime::{Cluster, RuntimeProtocol};
-use repl_storage::{recover, WriteAheadLog};
+use repl_runtime::{Cluster, RuntimeOptions, RuntimeProtocol};
+use repl_storage::{recover, WriteAheadLog, SEGMENT_BYTES};
 use repl_types::{GlobalTxnId, ItemId, Op, SiteId, Value};
 
 #[test]
@@ -27,7 +27,7 @@ fn site_recovers_from_wal_snapshot() {
     let image = cluster.snapshot_wal(SiteId(2)).expect("snapshot");
     let wal = WriteAheadLog::decode(image).expect("valid image");
     assert!(!wal.is_empty(), "s2 applied secondaries");
-    let boot = placement.items_at(SiteId(2)).iter().map(|&i| (i, Value::Initial));
+    let boot = placement.items_at(SiteId(2)).iter().map(|&i| (i, Value::Initial, None));
     let recovered = recover(boot, &wal);
     for &item in placement.items_at(SiteId(2)) {
         let live = cluster.peek(SiteId(2), item).unwrap();
@@ -136,6 +136,99 @@ fn live_crash_rejoin_matches_uncrashed_control() {
             "{protocol:?}: crashed-and-rejoined cluster diverged from control"
         );
         assert!(faulted.check_serializability().is_ok(), "{protocol:?}");
+        control.shutdown();
+        faulted.shutdown();
+    }
+}
+
+/// Rejoin equivalence across checkpoint cuts. The victim applies enough
+/// Table-1 updates (100 bytes of redo log each) before it crashes that
+/// its log has been cut at least twice: what it restarts from is a
+/// checkpoint plus a log suffix, not the whole log. It must still come
+/// back byte-identical — values *and* writers, including copies last
+/// written long before the cut — to a control that never crashed, keep
+/// issuing the gids the control issues (`next_seq` survived) and apply
+/// every parked delivery exactly once (`applied_from` survived), with
+/// group commit off and on.
+#[test]
+fn crash_after_checkpoint_cuts_rejoins_identical_to_control() {
+    const HOT: usize = 20;
+    const UPDATES: usize = 1600; // 160 000 B of redo log at the victim
+    let mut placement = DataPlacement::new(3);
+    let replicas = [SiteId(1), SiteId(2)];
+    let hot: Vec<ItemId> = (0..HOT).map(|_| placement.add_item(SiteId(0), &replicas)).collect();
+    // Written once, by the first transaction: by the crash only the
+    // checkpoint remembers who wrote them.
+    let cold: Vec<ItemId> = (0..10).map(|_| placement.add_item(SiteId(0), &replicas)).collect();
+    let own: Vec<ItemId> = (0..10).map(|_| placement.add_item(SiteId(1), &[SiteId(2)])).collect();
+    let victim = SiteId(1);
+
+    // `n` Table-1 updates at s0 (6 reads, 4 writes over the hot items),
+    // every tenth followed by a commit of the victim's own unless it is
+    // sitting the phase out. Gids must match between the clusters.
+    let run = |control: &Cluster, faulted: &Cluster, salt: i64, n: usize, victim_up: bool| {
+        for k in 0..n {
+            let at = |j: usize| hot[(k * 7 + j) % HOT];
+            let ops: Vec<Op> = (0..6)
+                .map(|j| Op::read(at(j)))
+                .chain((6..10).map(|j| Op::write(at(j), salt + k as i64)))
+                .collect();
+            let c = control.execute(SiteId(0), ops.clone()).unwrap();
+            let f = faulted.execute(SiteId(0), ops).unwrap();
+            assert_eq!(c.gid, f.gid);
+            if victim_up && k % 10 == 0 {
+                let ops =
+                    vec![Op::read(at(0)), Op::write(own[k / 10 % own.len()], salt + k as i64)];
+                let c = control.execute(victim, ops.clone()).unwrap();
+                let f = faulted.execute(victim, ops).unwrap();
+                assert_eq!(c.gid, f.gid, "the restarted site re-issued or skipped a gid");
+            }
+        }
+    };
+
+    for group_commit_batch in [1, 8] {
+        let opts = || RuntimeOptions { group_commit_batch, ..RuntimeOptions::default() };
+        let control = Cluster::start_with(&placement, RuntimeProtocol::DagWt, opts()).unwrap();
+        let mut faulted = Cluster::start_with(&placement, RuntimeProtocol::DagWt, opts()).unwrap();
+        let seed: Vec<Op> = hot.iter().chain(&cold).map(|&i| Op::write(i, -1)).collect();
+        control.execute(SiteId(0), seed.clone()).unwrap();
+        faulted.execute(SiteId(0), seed).unwrap();
+
+        run(&control, &faulted, 1_000_000, UPDATES, true);
+        faulted.quiesce();
+        // The victim applied more than two segments of redo log and
+        // holds at most one: it checkpointed and cut at least twice.
+        const { assert!(UPDATES * 100 > 2 * SEGMENT_BYTES) };
+        let resident = WriteAheadLog::decode(faulted.snapshot_wal(victim).unwrap()).unwrap();
+        assert!(resident.encoded_len() <= SEGMENT_BYTES, "batch {group_commit_batch}: log not cut");
+
+        faulted.crash(victim).unwrap();
+        run(&control, &faulted, 2_000_000, 300, false);
+        assert!(faulted.pending_deliveries(victim) > 0, "nothing parked for the crashed site");
+        faulted.restart(victim).unwrap();
+        run(&control, &faulted, 3_000_000, 300, true);
+
+        control.quiesce();
+        faulted.quiesce();
+        // Quiescent means applied; the last acknowledgement may still be
+        // on its way back to the sender's outbox.
+        let acked = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while faulted.pending_deliveries(victim) > 0 && std::time::Instant::now() < acked {
+            std::thread::yield_now();
+        }
+        assert_eq!(faulted.pending_deliveries(victim), 0, "batch {group_commit_batch}");
+        assert_eq!(faulted.committed_count(), control.committed_count());
+        for s in 0..3 {
+            assert_eq!(
+                faulted.copy_state(SiteId(s)).unwrap(),
+                control.copy_state(SiteId(s)).unwrap(),
+                "batch {group_commit_batch}: site {s} diverged from the uncrashed control"
+            );
+        }
+        // The cold copies were restored from a checkpoint, writer and all.
+        let first = GlobalTxnId::new(SiteId(0), 0);
+        assert_eq!(faulted.peek(victim, cold[0]).unwrap(), (Value::int(-1), Some(first)));
+        assert!(faulted.check_serializability().is_ok());
         control.shutdown();
         faulted.shutdown();
     }

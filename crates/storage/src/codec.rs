@@ -56,6 +56,15 @@ pub fn put_value(buf: &mut impl BufMut, value: &Value) {
     }
 }
 
+/// Bytes [`put_value`] writes for `value`.
+pub fn value_len(value: &Value) -> usize {
+    match value {
+        Value::Initial => 1,
+        Value::Int(_) => 1 + 8,
+        Value::Bytes(b) => 1 + 8 + b.len(),
+    }
+}
+
 /// Decode a value written by [`put_value`].
 pub fn get_value(buf: &mut impl Buf) -> Result<Value, CodecError> {
     if buf.remaining() < 1 {
@@ -172,6 +181,7 @@ mod tests {
     fn roundtrip_value(v: Value) {
         let mut buf = BytesMut::new();
         put_value(&mut buf, &v);
+        assert_eq!(buf.len(), value_len(&v));
         let mut bytes = buf.freeze();
         assert_eq!(get_value(&mut bytes).unwrap(), v);
         assert_eq!(bytes.remaining(), 0);

@@ -18,7 +18,7 @@
 
 use repl_types::{GlobalTxnId, ItemId, Value};
 
-use crate::wal::WriteAheadLog;
+use crate::wal::{put_record, WriteAheadLog};
 
 /// The commits accumulated since the last flush, in enqueue order:
 /// their records already in log encoding (so the flush is one copy and
@@ -26,7 +26,11 @@ use crate::wal::WriteAheadLog;
 /// for the acknowledgements.
 #[derive(Clone, Debug, Default)]
 pub struct CommitBatch {
-    staged: WriteAheadLog,
+    /// The staged records back to back — a buffer of at most a batch,
+    /// emptied (and its allocation reused) at every flush.
+    staged: Vec<u8>,
+    /// How many records `staged` holds.
+    records: usize,
     gids: Vec<GlobalTxnId>,
 }
 
@@ -92,7 +96,11 @@ impl CommitPipeline {
     /// nothing of the caller's is retained or cloned.
     pub fn enqueue(&mut self, gid: GlobalTxnId, writes: impl AsRef<[(ItemId, Value)]>) -> bool {
         self.stats.commits += 1;
-        self.batch.staged.append_commit(gid, writes.as_ref());
+        let writes = writes.as_ref();
+        for (item, value) in writes {
+            put_record(&mut self.batch.staged, *item, gid, value);
+        }
+        self.batch.records += writes.len();
         self.batch.gids.push(gid);
         self.batch.gids.len() >= self.max_batch
     }
@@ -100,6 +108,11 @@ impl CommitPipeline {
     /// Commits enqueued but not yet flushed.
     pub fn pending(&self) -> usize {
         self.batch.len()
+    }
+
+    /// Bytes of log records the pending commits will append when flushed.
+    pub fn pending_bytes(&self) -> usize {
+        self.batch.staged.len()
     }
 
     /// Flush the batch: append every pending record to `wal` in enqueue
@@ -111,9 +124,10 @@ impl CommitPipeline {
             return Vec::new();
         }
         self.stats.flushes += 1;
-        self.stats.records += self.batch.staged.len() as u64;
-        wal.append_log(&self.batch.staged);
+        self.stats.records += self.batch.records as u64;
+        wal.append_encoded(&self.batch.staged, self.batch.records);
         self.batch.staged.clear();
+        self.batch.records = 0;
         std::mem::take(&mut self.batch.gids)
     }
 
@@ -150,11 +164,11 @@ mod tests {
         let mut wal = WriteAheadLog::new();
         assert!(!p.enqueue(gid(1), vec![(ItemId(0), Value::int(10))]));
         assert!(!p.enqueue(gid(2), vec![(ItemId(1), Value::int(20)), (ItemId(2), Value::int(21))]));
-        assert_eq!(p.pending(), 2);
+        assert_eq!((p.pending(), p.pending_bytes()), (2, 3 * 25));
         assert!(p.enqueue(gid(3), vec![(ItemId(0), Value::int(30))]));
         // One flush, acks in enqueue order.
         assert_eq!(p.flush(&mut wal), vec![gid(1), gid(2), gid(3)]);
-        assert_eq!(p.pending(), 0);
+        assert_eq!((p.pending(), p.pending_bytes()), (0, 0));
         assert_eq!(p.stats(), PipelineStats { commits: 3, flushes: 1, records: 4 });
         // WAL record order matches enqueue order, per-commit write order.
         let written: Vec<_> = wal.records().map(|r| (r.writer, r.item)).collect();

@@ -35,6 +35,7 @@ pub mod commit_pipeline;
 pub mod hash_index;
 pub mod lock;
 pub mod mvcc;
+pub mod seglog;
 pub mod snapshot;
 pub mod store;
 pub mod wal;
@@ -42,6 +43,7 @@ pub mod wal;
 pub use commit_pipeline::{CommitBatch, CommitPipeline, PipelineStats};
 pub use lock::{LockManager, LockMode, LockOutcome};
 pub use mvcc::{SideChains, Version};
+pub use seglog::{LogPage, SegLog, SEGMENT_BYTES};
 pub use snapshot::{SnapshotId, SnapshotManager};
 pub use store::{CommitInfo, ReadResult, Store, TxnStatus};
 pub use wal::{checkpoint, recover, Checkpoint, LogRecord, WriteAheadLog};

@@ -124,10 +124,19 @@ impl FromIterator<(ItemId, Value)> for Store {
     /// A store populated with the given initial values, its index sized
     /// once from the iterator's length hint.
     fn from_iter<I: IntoIterator<Item = (ItemId, Value)>>(cells: I) -> Self {
+        cells.into_iter().map(|(item, value)| (item, value, None)).collect()
+    }
+}
+
+impl FromIterator<(ItemId, Value, Option<GlobalTxnId>)> for Store {
+    /// A store populated from a checkpoint image: every copy with the
+    /// value *and* the writer it was checkpointed with. The index is
+    /// sized once from the iterator's length hint.
+    fn from_iter<I: IntoIterator<Item = (ItemId, Value, Option<GlobalTxnId>)>>(cells: I) -> Self {
         let cells = cells.into_iter();
         let mut store = Store::with_capacity(cells.size_hint().0);
-        for (item, value) in cells {
-            store.create_item(item, value);
+        for (item, value, writer) in cells {
+            store.cells.insert(item, Version { commit_ts: 0, value, writer });
         }
         store
     }

@@ -10,8 +10,12 @@
 //!   in commit order, stored in its serialized byte form
 //!   ([`WriteAheadLog::encode`] / [`WriteAheadLog::decode`]) so it can
 //!   be shipped or persisted as is; [`LogRecord`]s are decoded on
-//!   demand ([`WriteAheadLog::records`]);
-//! * [`checkpoint`] — snapshot a store's committed state;
+//!   demand ([`WriteAheadLog::records`]). The bytes sit in 64 KiB
+//!   segments ([`crate::SegLog`]), so the log grows without copying and
+//!   [`WriteAheadLog::truncate_prefix`] behind a checkpoint frees
+//!   memory instead of moving it;
+//! * [`checkpoint`] — snapshot a store's committed state, values and
+//!   writers;
 //! * [`recover`] — rebuild a store from a checkpointed (or initial)
 //!   image plus a log suffix, idempotently (replaying a prefix twice is
 //!   harmless because records install absolute values, not deltas).
@@ -26,6 +30,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use repl_types::{GlobalTxnId, ItemId, Value};
 
 use crate::codec::{self, CodecError};
+use crate::seglog::SegLog;
 use crate::store::Store;
 
 /// One committed write, as replayed during recovery.
@@ -39,10 +44,15 @@ pub struct LogRecord {
     pub writer: GlobalTxnId,
 }
 
-fn put_record(buf: &mut impl BufMut, item: ItemId, writer: GlobalTxnId, value: &Value) {
+pub(crate) fn put_record(buf: &mut impl BufMut, item: ItemId, writer: GlobalTxnId, value: &Value) {
     buf.put_u32(item.0);
     codec::put_gid(buf, writer);
     codec::put_value(buf, value);
+}
+
+/// Bytes [`put_record`] writes for a record installing `value`.
+fn record_len(value: &Value) -> usize {
+    4 + 12 + codec::value_len(value)
 }
 
 fn get_record(buf: &mut impl Buf) -> Result<LogRecord, CodecError> {
@@ -52,19 +62,28 @@ fn get_record(buf: &mut impl Buf) -> Result<LogRecord, CodecError> {
     Ok(LogRecord { item, value, writer })
 }
 
+/// Length of the record at the front of `bytes`, which are a log's own.
+fn encoded_record_len(bytes: &[u8]) -> usize {
+    let mut rest = bytes;
+    get_record(&mut rest).expect("the log holds only records it encoded or validated");
+    bytes.len() - rest.len()
+}
+
 /// An in-memory redo log with a stable wire encoding.
 ///
 /// Records are kept in their encoded form — the body of
 /// [`WriteAheadLog::encode`]'s image — so a record costs its wire size
-/// (25 bytes for an integer write) instead of a heap `LogRecord`, and
-/// taking the image is a header plus one copy.
+/// (25 bytes for an integer write) instead of a heap `LogRecord`. The
+/// bytes live in a [`SegLog`]: the log grows a 64 KiB segment at a time
+/// without ever copying what it holds, and
+/// [`WriteAheadLog::truncate_prefix`] behind a checkpoint frees whole
+/// segments.
 #[derive(Clone, Debug, Default)]
 pub struct WriteAheadLog {
-    /// The records back to back, each `item ‖ writer ‖ value`. Only
-    /// [`put_record`] and a validated [`WriteAheadLog::decode`] write
-    /// here, so the bytes always parse as exactly `count` records.
-    bytes: Vec<u8>,
-    count: usize,
+    /// The records, each `item ‖ writer ‖ value`. Only [`put_record`]
+    /// and a validated [`WriteAheadLog::decode`] write here, so the
+    /// bytes always parse as exactly `records.len()` records.
+    records: SegLog,
 }
 
 /// Errors raised when decoding a log image.
@@ -99,6 +118,9 @@ impl From<CodecError> for WalError {
 /// Decoding iterator over a log's records ([`WriteAheadLog::records`]).
 #[derive(Clone, Debug)]
 pub struct Records<'a> {
+    log: &'a SegLog,
+    /// The next segment to read once `rest` is used up.
+    next_seg: usize,
     rest: &'a [u8],
     left: usize,
 }
@@ -111,6 +133,10 @@ impl Iterator for Records<'_> {
             return None;
         }
         self.left -= 1;
+        while self.rest.is_empty() {
+            self.rest = self.log.page(self.next_seg).expect("records left to read").bytes;
+            self.next_seg += 1;
+        }
         Some(
             get_record(&mut self.rest).expect("the log holds only records it encoded or validated"),
         )
@@ -131,49 +157,61 @@ impl WriteAheadLog {
 
     /// Append a committed write.
     pub fn append(&mut self, record: LogRecord) {
-        put_record(&mut self.bytes, record.item, record.writer, &record.value);
-        self.count += 1;
+        self.append_commit(record.writer, &[(record.item, record.value)]);
     }
 
     /// Append every write of a commit, in write order.
     pub fn append_commit(&mut self, writer: GlobalTxnId, writes: &[(ItemId, Value)]) {
-        for (item, value) in writes {
-            put_record(&mut self.bytes, *item, writer, value);
+        if writes.is_empty() {
+            return;
         }
-        self.count += writes.len();
+        let len = writes.iter().map(|(_, value)| record_len(value)).sum();
+        self.records.append(writes.len(), len, |buf| {
+            for (item, value) in writes {
+                put_record(buf, *item, writer, value);
+            }
+        });
     }
 
-    /// Append every record of `other`, in order, with one copy (the
-    /// group-commit flush).
-    pub(crate) fn append_log(&mut self, other: &WriteAheadLog) {
-        self.bytes.extend_from_slice(&other.bytes);
-        self.count += other.count;
+    /// Append `records` records that [`put_record`] wrote back to back
+    /// into `bytes` — one copy when they fit the segment being filled
+    /// (the group-commit flush).
+    pub(crate) fn append_encoded(&mut self, bytes: &[u8], records: usize) {
+        self.records.append_run(bytes, records, encoded_record_len);
     }
 
-    /// Forget every record, keeping the allocation.
-    pub(crate) fn clear(&mut self) {
-        self.bytes.clear();
-        self.count = 0;
+    /// Forget every record — all of them are covered by a checkpoint —
+    /// keeping one segment's allocation for the records to come.
+    pub fn clear(&mut self) {
+        self.records.clear();
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.count
+        self.records.len()
     }
 
     /// True when the log holds no records.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.records.is_empty()
     }
 
     /// Bytes the log's records occupy (the image minus its header).
     pub fn encoded_len(&self) -> usize {
-        self.bytes.len()
+        self.records.byte_len()
+    }
+
+    /// Bytes of records the log can still take before it needs another
+    /// 64 KiB segment. A log cut ([`WriteAheadLog::clear`]) behind a
+    /// checkpoint whenever the next append would not fit stays in the
+    /// one segment it first allocated, however much is logged.
+    pub fn room(&self) -> usize {
+        self.records.room()
     }
 
     /// The records, in commit order, decoded as they are visited.
     pub fn records(&self) -> Records<'_> {
-        Records { rest: &self.bytes, left: self.count }
+        Records { log: &self.records, next_seg: 0, rest: &[], left: self.records.len() }
     }
 
     /// Drop the first `n` records — everything already covered by a
@@ -184,22 +222,21 @@ impl WriteAheadLog {
     /// because recovery replays *absolute* values over the checkpoint
     /// image: [`recover`]`(checkpoint, truncated)` is identical to
     /// replaying the full log (pinned by
-    /// `truncated_log_recovers_identically`). `n` larger than the log
+    /// `truncated_log_recovers_identically`). Whole segments before the
+    /// cut are freed and the cut itself is an offset into the first
+    /// segment that stays — nothing is moved. `n` larger than the log
     /// clears it.
     pub fn truncate_prefix(&mut self, n: usize) {
-        let n = n.min(self.count);
-        let mut records = self.records();
-        records.by_ref().take(n).for_each(drop);
-        let cut = self.bytes.len() - records.rest.len();
-        self.bytes.drain(..cut);
-        self.count -= n;
+        self.records.truncate_prefix(n, encoded_record_len);
     }
 
     /// Serialize the whole log: record count, then the records.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(8 + self.bytes.len());
-        buf.put_u64(self.count as u64);
-        buf.put_slice(&self.bytes);
+        let mut buf = BytesMut::with_capacity(8 + self.records.byte_len());
+        buf.put_u64(self.records.len() as u64);
+        for page in self.records.pages() {
+            buf.put_slice(page.bytes);
+        }
         buf.freeze()
     }
 
@@ -218,7 +255,9 @@ impl WriteAheadLog {
             count += 1;
         }
         let parsed = buf.len() - rest.len();
-        Ok(WriteAheadLog { bytes: buf[..parsed].to_vec(), count })
+        let mut records = SegLog::new();
+        records.append_run(&buf[..parsed], count, encoded_record_len);
+        Ok(WriteAheadLog { records })
     }
 }
 
@@ -230,9 +269,12 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// The checkpointed `(item, value)` image, as [`recover`] takes it.
-    pub fn image(&self) -> impl ExactSizeIterator<Item = (ItemId, Value)> + '_ {
-        self.cells.iter().map(|(item, value, _writer)| (*item, value.clone()))
+    /// The checkpointed `(item, value, writer)` image, as [`recover`]
+    /// takes it.
+    pub fn image(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (ItemId, Value, Option<GlobalTxnId>)> + '_ {
+        self.cells.iter().cloned()
     }
 }
 
@@ -244,17 +286,21 @@ pub fn checkpoint(store: &Store, items: impl Iterator<Item = ItemId>) -> Checkpo
     Checkpoint { cells }
 }
 
-/// Rebuild a store from an `(item, value)` image — a
+/// Rebuild a store from an `(item, value, writer)` image — a
 /// [`Checkpoint::image`], or a site's item set at its initial values
-/// when nothing was checkpointed yet — and replay a redo-log suffix
-/// over it.
+/// (no writer) when nothing was checkpointed yet — and replay a
+/// redo-log suffix over it.
 ///
 /// Replay is idempotent: records install absolute values, so replaying an
 /// already-applied prefix changes nothing.
-pub fn recover(image: impl IntoIterator<Item = (ItemId, Value)>, log: &WriteAheadLog) -> Store {
+pub fn recover(
+    image: impl IntoIterator<Item = (ItemId, Value, Option<GlobalTxnId>)>,
+    log: &WriteAheadLog,
+) -> Store {
     let mut store: Store = image.into_iter().collect();
-    // Writers are restored through replay; items whose last writer
-    // predates the log suffix keep the image's value.
+    // An item the log suffix does not write keeps the image's value
+    // *and* writer: a recovered copy must be indistinguishable from one
+    // that never crashed.
     for r in log.records() {
         if store.has_item(r.item) {
             let txn = store.begin();
@@ -397,6 +443,79 @@ mod tests {
             assert!(cut.records().eq(wal.records().skip(n)), "n={n}");
             assert!(WriteAheadLog::decode(cut.encode()).unwrap().records().eq(cut.records()));
         }
+    }
+
+    /// `n` Table-1 shaped commits (4 integer writes, 100 bytes).
+    fn table1_log(n: u64) -> WriteAheadLog {
+        let mut wal = WriteAheadLog::new();
+        for seq in 0..n {
+            let writes: Vec<(ItemId, Value)> = (0..4)
+                .map(|k| (ItemId((seq * 4 + k) as u32 % 997), Value::int(seq as i64)))
+                .collect();
+            wal.append_commit(gid(0, seq), &writes);
+        }
+        wal
+    }
+
+    /// A log of several segments is the same log: same records, same
+    /// image as one built by decoding that image, cut anywhere — across
+    /// segments, inside one, at a boundary — without disturbing the rest.
+    #[test]
+    fn a_log_of_many_segments_encodes_decodes_and_truncates() {
+        use crate::SEGMENT_BYTES;
+        const COMMITS: u64 = 2000; // 200 000 B: three sealed segments and a tail
+        let wal = table1_log(COMMITS);
+        assert_eq!((wal.len(), wal.encoded_len()), (8000, 200_000));
+        // A commit's records share a segment: 655 whole commits each.
+        let per_segment = 4 * (SEGMENT_BYTES / 100);
+        assert_eq!(wal.records.segments(), 4);
+        assert_eq!(wal.room(), SEGMENT_BYTES - 25 * (8000 - 3 * per_segment));
+        let image = wal.encode();
+        assert_eq!(image.len(), 8 + 200_000);
+        let decoded = WriteAheadLog::decode(image.clone()).unwrap();
+        assert_eq!(decoded.encode(), image);
+        assert_eq!(decoded.records.segments(), 4);
+        assert!(decoded.records().eq(wal.records()));
+        let all: Vec<LogRecord> = wal.records().collect();
+        assert_eq!(all.len(), 8000);
+        for n in [1, per_segment - 1, per_segment, per_segment + 1, 3 * per_segment, 7999, 8000] {
+            let mut cut = wal.clone();
+            cut.truncate_prefix(n);
+            assert_eq!(cut.len(), 8000 - n);
+            assert!(cut.records().eq(all[n..].iter().cloned()), "n={n}");
+            assert_eq!(cut.encode()[8..], image[8 + 25 * n..], "n={n}");
+            // A cut log keeps appending where it left off.
+            cut.append_commit(gid(1, 0), &[(ItemId(5), Value::int(5))]);
+            assert_eq!(cut.records().last().unwrap().writer, gid(1, 0));
+        }
+        // Cut at a segment boundary, whole segments go and nothing else.
+        let mut cut = wal.clone();
+        cut.truncate_prefix(3 * per_segment);
+        assert_eq!((cut.records.segments(), cut.room()), (1, wal.room()));
+        // Cleared, the log is empty and keeps one segment to refill.
+        cut.clear();
+        assert_eq!((cut.len(), cut.records.segments(), cut.room()), (0, 1, SEGMENT_BYTES));
+        assert_eq!(cut.encode().len(), 8);
+    }
+
+    /// A checkpointed copy comes back with the writer it had: the log
+    /// suffix only restores the writers of what it rewrites.
+    #[test]
+    fn recovery_from_a_checkpoint_keeps_the_writers() {
+        let mut store: Store = (0..3u32).map(|i| (ItemId(i), Value::Initial)).collect();
+        for (seq, item) in [(1u64, 0u32), (2, 1)] {
+            let t = store.begin();
+            store.write(t, ItemId(item), Value::int(seq as i64), gid(0, seq)).unwrap();
+            store.commit(t).unwrap();
+        }
+        let cp = checkpoint(&store, (0..3).map(ItemId));
+        let mut suffix = WriteAheadLog::new();
+        suffix.append_commit(gid(0, 3), &[(ItemId(1), Value::int(3))]);
+        let recovered = recover(cp.image(), &suffix);
+        let cell = |i: u32| recovered.peek(ItemId(i)).map(|r| (r.value, r.writer)).unwrap();
+        assert_eq!(cell(0), (Value::int(1), Some(gid(0, 1))), "checkpointed writer lost");
+        assert_eq!(cell(1), (Value::int(3), Some(gid(0, 3))));
+        assert_eq!(cell(2), (Value::Initial, None));
     }
 
     #[test]

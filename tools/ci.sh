@@ -25,8 +25,14 @@ echo "==> mc_smoke (exhaustive bounded model check, 3 sites / 2 txns, all four p
 echo "==> benchmark package gate (benchmark/ path-depends on crates/ and may not be edited: an API break must fail here, not in the benchmark run)"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> per-commit byte budget gate (2000 Table-1 updates: 138 B history + 100 B WAL per commit, exact)"
+echo "==> per-commit byte budget gate (Table-1 updates: 138 B history per commit, exact; resident WAL + checkpoint <= one 64 KiB segment + 26 B x copies, at 2000 and at 20 000 commits)"
 cargo test -q -p repl-runtime --lib commit_budget_2000_table1_updates
+
+echo "==> log allocation budget gate (2000 Table-1 commits: WAL and history allocate ceil(bytes / 64 KiB) segments each and reallocate nothing)"
+cargo test -q -p repl-net --test log_alloc_budget logs_of_2000_table1_commits_allocate_whole_segments_and_never_reallocate
+
+echo "==> paged history gate (10 000 Table-1 updates at one site, 1.38 MB of history: fetched and 1SR-checked over channel, TCP threads and TCP epoll)"
+cargo test -q -p repl-runtime --test history_paging ten_thousand_updates_are_fetched_and_checked_over_every_transport
 
 echo "==> per-item allocation budget gates (3000-item Store: <= 128 live B/item in <= 32 allocations, unchanged by 2000 updates; chain3 placement: 16 B/item, allocation count independent of the item count)"
 cargo test -q -p repl-storage --test alloc_budget store_of_3000_items_is_one_version_per_item
