@@ -7,7 +7,7 @@
 //! behaviour must be a pure function of their inputs (`crates/sim`,
 //! `crates/core`, `crates/copygraph`, `crates/protocol`, plus the model
 //! checker and history oracle in `crates/analysis`) with the
-//! determinism rules, the storage MVCC read path (`hash_index.rs`,
+//! determinism rules, the storage MVCC read path (`cells.rs`,
 //! `mvcc.rs`, `snapshot.rs`, `store.rs`) with the lock-free-read rule
 //! RL011, and
 //! the long-running runtime crates
@@ -43,7 +43,7 @@ fn main() {
             "crates/protocol",
             "crates/analysis/src/mc",
             "crates/analysis/src/history.rs",
-            "crates/storage/src/hash_index.rs",
+            "crates/storage/src/cells.rs",
             "crates/storage/src/mvcc.rs",
             "crates/storage/src/snapshot.rs",
             "crates/storage/src/store.rs",

@@ -19,7 +19,7 @@
 //! | RL008 | `unwrap`/`expect`/`panic!`/`unreachable!` in non-test runtime code |
 //! | RL009 | blocking socket call patterns inside the epoll reactor |
 //! | RL010 | bare `thread::sleep` or hardcoded retry-duration consts in `crates/runtime` outside the policy module |
-//! | RL011 | lock-manager access on the MVCC snapshot-read path (storage `mvcc.rs`/`snapshot.rs`/`hash_index.rs`, and the `read_snapshot` and `trace_access` bodies in `store.rs`) |
+//! | RL011 | lock-manager access on the MVCC snapshot-read path (storage `mvcc.rs`/`snapshot.rs`/`cells.rs`, and the `read_snapshot` and `trace_access` bodies in `store.rs`) |
 //! | RL012 | raw `Transport::try_send`/`try_send_batch` calls in `crates/runtime` outside `transport.rs`/`nemesis.rs` (bypassing the per-link outbox) |
 //!
 //! Files are classified by path ([`FileClass`]): paths under
@@ -75,8 +75,8 @@
 //! reads never touch the lock manager, so a read-only transaction can
 //! neither block behind the write stream nor deadlock against it. The
 //! rule is path-gated inside the determinism class — a snapshot read is
-//! one probe of the cell index and, past a newer commit, one side-chain
-//! lookup, so `hash_index.rs`, `mvcc.rs` and `snapshot.rs` under
+//! one lookup in the dense cell array and, past a newer commit, one
+//! side-chain lookup, so `cells.rs`, `mvcc.rs` and `snapshot.rs` under
 //! `crates/storage` may not name `LockManager` (or reach it through
 //! `self.locks`) anywhere, and in `store.rs` the same ban covers the
 //! bodies of `fn read_snapshot` and of the `fn trace_access` it calls
@@ -650,7 +650,7 @@ const LOCK_PATH_PATTERNS: &[&str] =
 const SNAPSHOT_READ_FNS: &[&str] = &["fn read_snapshot", "fn trace_access"];
 
 /// RL011: the MVCC snapshot-read path stays lock-free. In
-/// `storage/src/hash_index.rs`, `storage/src/mvcc.rs` and
+/// `storage/src/cells.rs`, `storage/src/mvcc.rs` and
 /// `storage/src/snapshot.rs` the lock-manager tokens are banned
 /// everywhere; in `storage/src/store.rs` only inside the
 /// [`SNAPSHOT_READ_FNS`] items, tracked by brace depth (the rest of the
@@ -663,7 +663,7 @@ fn scan_mvcc_lock_free(
     emit: &mut dyn FnMut(&'static str, &str, u32, &str),
 ) {
     let norm = path_label.replace('\\', "/");
-    let whole_file = ["hash_index.rs", "mvcc.rs", "snapshot.rs"]
+    let whole_file = ["cells.rs", "mvcc.rs", "snapshot.rs"]
         .iter()
         .any(|file| norm.contains(&format!("storage/src/{file}")));
     let read_fn_only = norm.contains("storage/src/store.rs");
@@ -1227,7 +1227,7 @@ mod tests {
     fn lock_manager_flagged_in_mvcc_files() {
         let src = "use crate::lock::LockManager;\nfn f(locks: &LockManager) { locks.request(t, i, LockMode::Shared); }\n";
         for path in [
-            "crates/storage/src/hash_index.rs",
+            "crates/storage/src/cells.rs",
             "crates/storage/src/mvcc.rs",
             "crates/storage/src/snapshot.rs",
         ] {
@@ -1238,8 +1238,10 @@ mod tests {
         // real files document the rule itself).
         let doc = "//! The read path never touches the LockManager.\nfn f() {}\n";
         assert!(scan_file("crates/storage/src/mvcc.rs", doc).is_empty());
-        // The same tokens in any other determinism-class file are fine.
+        // The same tokens in any other determinism-class file are fine —
+        // the hash index is the lock table's now, not the cells'.
         assert!(scan_file("crates/storage/src/lock.rs", src).is_empty());
+        assert!(scan_file("crates/storage/src/hash_index.rs", src).is_empty());
         assert!(scan_file("crates/sim/src/engine.rs", src).is_empty());
     }
 

@@ -133,7 +133,8 @@ impl DataPlacement {
         self.primary_of(item) == site || self.replicas_of(item).binary_search(&site).is_ok()
     }
 
-    /// All items with a copy at `site`.
+    /// All items with a copy at `site`, ascending by id (ids are handed
+    /// out in order and each item is listed as it is added).
     pub fn items_at(&self, site: SiteId) -> &[ItemId] {
         &self.items_at[site.index()]
     }
@@ -277,6 +278,35 @@ mod tests {
         assert_eq!(p.items_at(SiteId(2)), &[a, b]);
         assert_eq!(p.primaries_at(SiteId(1)), &[b]);
         assert_eq!(p.total_replicas(), 3);
+    }
+
+    /// Callers walk a site's copies in id order without sorting them
+    /// (`CopyState`, checkpoints): unsorted and duplicated replica lists,
+    /// interleaved primaries and a round trip through the spec all leave
+    /// every per-site list strictly ascending.
+    #[test]
+    fn per_site_item_lists_are_ascending_for_add_item_and_from_spec_alike() {
+        let mut p = DataPlacement::new(4);
+        for k in 0..40u32 {
+            let primary = SiteId(k * 7 % 4);
+            let replicas: Vec<SiteId> = [k % 4, (k / 2) % 4, (k * 3) % 4]
+                .map(SiteId)
+                .into_iter()
+                .filter(|r| *r != primary)
+                .rev()
+                .collect();
+            p.add_item(primary, &replicas);
+        }
+        let parsed = DataPlacement::from_spec(&p.to_spec()).unwrap();
+        for placement in [&p, &parsed] {
+            for site in placement.sites() {
+                for list in [placement.items_at(site), placement.primaries_at(site)] {
+                    assert!(list.windows(2).all(|w| w[0] < w[1]), "{site:?}: {list:?}");
+                }
+                let copies = placement.items().filter(|&i| placement.has_copy(site, i));
+                assert!(placement.items_at(site).iter().copied().eq(copies));
+            }
+        }
     }
 
     #[test]

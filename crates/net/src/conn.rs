@@ -19,7 +19,9 @@ pub const VERSION_MIN: u16 = 1;
 
 /// Highest wire-protocol version this build speaks. Version 2 adds the
 /// [`WireMsg::Batch`] frame (coalesced link payloads, one cumulative ack
-/// per batch); a version-1 peer never receives one.
+/// per batch); a version-1 peer never receives one. Negotiated on peer
+/// links only: a client session opens with no [`Hello`] and is
+/// unversioned — client and site come from one build (DESIGN.md §9.2).
 ///
 /// [`WireMsg::Batch`]: crate::msg::WireMsg::Batch
 pub const VERSION_MAX: u16 = 2;

@@ -5,8 +5,11 @@
 //! and hands it to a checker on request ([`ClientMsg::History`]). So
 //! the site keeps no indexed structure — just an append-only log
 //! ([`SegLog`]) holding the transactions in exactly the body encoding
-//! of [`ClientReply::History`]. An entry costs its wire size (138 bytes
-//! for a 6-read, 4-write Table-1 update); the log grows a 64 KiB
+//! of [`ClientReply::History`]. This is the one structure at a site
+//! that grows with every commit and is never cut, so that encoding is
+//! all varints: an entry costs its wire size, 43 bytes for a 6-read,
+//! 4-write Table-1 update while item ids and sequence numbers are below
+//! 2¹⁴ (138 with fixed-width fields). The log grows a 64 KiB
 //! segment at a time, and a checker fetches it a segment per reply
 //! ([`HistoryLog::frame_page_into`]): a reply is a header plus one copy
 //! of at most one segment however long the history is. The indexed
@@ -59,9 +62,9 @@ impl HistoryLog {
         &mut self,
         gid: GlobalTxnId,
         reads: &[(ItemId, Option<GlobalTxnId>)],
-        writes: impl ExactSizeIterator<Item = ItemId>,
+        writes: impl ExactSizeIterator<Item = ItemId> + Clone,
     ) {
-        self.txns.append(1, history_txn_len(reads, writes.len()), |buf| {
+        self.txns.append(1, history_txn_len(gid, reads, writes.clone()), |buf| {
             put_history_txn(buf, gid, reads, writes);
         });
     }
@@ -124,14 +127,18 @@ mod tests {
     use repl_storage::SEGMENT_BYTES;
     use repl_types::SiteId;
 
+    /// Ids and sequence numbers of every varint width, the extremes
+    /// included.
     fn gid_strategy() -> impl Strategy<Value = GlobalTxnId> {
-        (0u32..4, 0u64..u64::MAX).prop_map(|(site, seq)| GlobalTxnId::new(SiteId(site), seq))
+        (0u32..=u32::MAX, 0u64..=u64::MAX, 0u32..32, 0u32..64)
+            .prop_map(|(site, seq, a, b)| GlobalTxnId::new(SiteId(site >> a), seq >> b))
     }
 
     fn txn_strategy() -> impl Strategy<Value = HistoryTxn> {
+        let item = || (0u32..=u32::MAX, 0u32..32).prop_map(|(item, shift)| item >> shift);
         let version = prop_oneof![Just(None), gid_strategy().prop_map(Some)];
-        let reads = prop::collection::vec((0u32..1000, version), 0..12);
-        let writes = prop::collection::vec(0u32..1000, 0..6);
+        let reads = prop::collection::vec((item(), version), 0..12);
+        let writes = prop::collection::vec(item(), 0..6);
         (gid_strategy(), reads, writes).prop_map(|(gid, reads, writes)| {
             (
                 gid,
@@ -162,14 +169,16 @@ mod tests {
         }
     }
 
-    /// `n` Table-1 updates (6 reads of written versions, 4 writes): 138
-    /// bytes each, 474 to a segment.
+    /// `n` Table-1 updates (6 reads of written versions, 4 writes), item
+    /// ids and sequence numbers in the two-byte varint range: 43 bytes
+    /// each, 1524 to a segment.
     fn table1_txns(n: u64) -> Vec<HistoryTxn> {
         (0..n)
             .map(|k| {
-                let gid = GlobalTxnId::new(SiteId(0), k);
-                let reads = (0..6).map(|j| (ItemId((k + j) as u32 % 20), Some(gid))).collect();
-                (gid, reads, (6..10).map(|j| ItemId((k + j) as u32 % 20)).collect())
+                let gid = GlobalTxnId::new(SiteId(0), 128 + k);
+                let item = |j: u64| ItemId(128 + (k + j) as u32 % 800);
+                let reads = (0..6).map(|j| (item(j), Some(gid))).collect();
+                (gid, reads, (6..10).map(item).collect())
             })
             .collect()
     }
@@ -206,24 +215,24 @@ mod tests {
 
     #[test]
     fn pages_end_at_segment_boundaries_and_the_cursor_collects_them() {
-        const PER_SEGMENT: usize = SEGMENT_BYTES / 138;
-        let txns = table1_txns(1500);
+        const PER_SEGMENT: usize = SEGMENT_BYTES / 43;
+        let txns = table1_txns(4000);
         let log = log_of(&txns);
-        assert_eq!(log.encoded_len(), 1500 * 138);
+        assert_eq!(log.encoded_len(), 4000 * 43);
         // From the start of a segment: that whole segment, no more.
         assert_eq!(page(&log, 0), txns[..PER_SEGMENT]);
         assert_eq!(page(&log, PER_SEGMENT as u64), txns[PER_SEGMENT..2 * PER_SEGMENT]);
         // From the middle of a segment: the rest of that segment.
-        assert_eq!(page(&log, 700), txns[700..2 * PER_SEGMENT]);
+        assert_eq!(page(&log, 2000), txns[2000..2 * PER_SEGMENT]);
         assert_eq!(page(&log, 2 * PER_SEGMENT as u64 - 1), txns[2 * PER_SEGMENT - 1..][..1]);
         // The last segment is partly filled.
-        assert_eq!(page(&log, 1499), txns[1499..]);
+        assert_eq!(page(&log, 3999), txns[3999..]);
         // At and past the end: the empty page.
-        assert_eq!(page(&log, 1500), vec![]);
+        assert_eq!(page(&log, 4000), vec![]);
         assert_eq!(page(&log, u64::MAX), vec![]);
         assert_eq!(page(&HistoryLog::new(), 0), vec![]);
         // Following the cursor from anywhere collects the rest.
-        for start in [0usize, 1, 473, 474, 1000] {
+        for start in [0usize, 1, PER_SEGMENT - 1, PER_SEGMENT, 3000] {
             let mut got = Vec::new();
             loop {
                 let next = page(&log, (start + got.len()) as u64);
@@ -234,5 +243,27 @@ mod tests {
             }
             assert_eq!(got, txns[start..], "from {start}");
         }
+    }
+
+    /// The entry sizes the per-commit budget rests on: every field costs
+    /// what its value needs, and the initial version one byte.
+    #[test]
+    fn an_entry_costs_its_varints() {
+        let len = |txn: &HistoryTxn| log_of(std::slice::from_ref(txn)).encoded_len();
+        let g = |site, seq| GlobalTxnId::new(SiteId(site), seq);
+        // gid + the two counts.
+        assert_eq!(len(&(g(0, 0), vec![], vec![])), 4);
+        assert_eq!(len(&(g(u32::MAX, u64::MAX), vec![], vec![])), 5 + 10 + 2);
+        // A read of the initial version: item + one zero byte.
+        assert_eq!(len(&(g(0, 0), vec![(ItemId(5), None)], vec![])), 4 + 2);
+        // Origin u32::MAX is stored as 2^32, still five bytes.
+        let read = (ItemId(u32::MAX), Some(g(u32::MAX, 1 << 14)));
+        assert_eq!(len(&(g(0, 0), vec![read], vec![ItemId(128)])), 4 + (5 + 5 + 3) + 2);
+        assert_eq!(len(&table1_txns(1)[0]), 43);
+        // Past 2^14 commits the seven sequence numbers take a third byte.
+        let late = GlobalTxnId::new(SiteId(0), 1 << 14);
+        let (_, reads, writes) = table1_txns(1).remove(0);
+        let reads = reads.into_iter().map(|(item, _)| (item, Some(late))).collect();
+        assert_eq!(len(&(late, reads, writes)), 50);
     }
 }

@@ -37,6 +37,8 @@ pub enum NetError {
     Oversized(u64),
     /// A `Hello` whose magic number is not [`MAGIC`].
     BadMagic(u32),
+    /// A varint that is padded or does not fit its field.
+    Overlong,
 }
 
 impl std::fmt::Display for NetError {
@@ -46,6 +48,7 @@ impl std::fmt::Display for NetError {
             NetError::BadTag(t) => write!(f, "unknown wire tag {t}"),
             NetError::Oversized(n) => write!(f, "frame length {n} exceeds the frame cap"),
             NetError::BadMagic(m) => write!(f, "bad protocol magic {m:#010x}"),
+            NetError::Overlong => write!(f, "over-long varint"),
         }
     }
 }
@@ -57,6 +60,7 @@ impl From<CodecError> for NetError {
         match e {
             CodecError::Truncated => NetError::Truncated,
             CodecError::BadTag(t) => NetError::BadTag(t),
+            CodecError::Overlong => NetError::Overlong,
         }
     }
 }
@@ -574,58 +578,82 @@ pub(crate) const REPLY_STATE: u8 = 5;
 /// Tag of [`ClientReply::History`] within a reply.
 pub(crate) const REPLY_HISTORY: u8 = 8;
 
+/// The fields of one transaction of a [`ClientReply::History`] body, in
+/// encoding order, each of which is written as a varint
+/// ([`codec::put_varint`]): the gid as origin and sequence, the read
+/// count, each read as its item followed by `0` for the initial version
+/// or the writer's origin + 1 and sequence, the write count, each
+/// written item.
+fn history_txn_fields(
+    gid: GlobalTxnId,
+    reads: &[(ItemId, Option<GlobalTxnId>)],
+    writes: impl ExactSizeIterator<Item = ItemId>,
+    mut field: impl FnMut(u64),
+) {
+    field(u64::from(gid.origin.0));
+    field(gid.seq);
+    field(reads.len() as u64);
+    for (item, version) in reads {
+        field(u64::from(item.0));
+        match version {
+            None => field(0),
+            Some(writer) => {
+                field(u64::from(writer.origin.0) + 1);
+                field(writer.seq);
+            }
+        }
+    }
+    field(writes.len() as u64);
+    writes.for_each(|item| field(u64::from(item.0)));
+}
+
 /// Encode one transaction of a [`ClientReply::History`] body. Shared
 /// with [`crate::HistoryLog`], which keeps a site's history in exactly
-/// this form.
+/// this form — the one structure a site grows with every commit, hence
+/// all varints: a Table-1 update (6 reads, 4 writes) is 43 bytes while
+/// ids and sequence numbers stay below 2¹⁴.
 pub(crate) fn put_history_txn(
     buf: &mut impl BufMut,
     gid: GlobalTxnId,
     reads: &[(ItemId, Option<GlobalTxnId>)],
     writes: impl ExactSizeIterator<Item = ItemId>,
 ) {
-    codec::put_gid(buf, gid);
-    buf.put_u32(reads.len() as u32);
-    for (item, version) in reads {
-        buf.put_u32(item.0);
-        match version {
-            None => buf.put_u8(0),
-            Some(writer) => {
-                buf.put_u8(1);
-                codec::put_gid(buf, *writer);
-            }
-        }
-    }
-    buf.put_u32(writes.len() as u32);
-    for item in writes {
-        buf.put_u32(item.0);
-    }
+    history_txn_fields(gid, reads, writes, |v| codec::put_varint(buf, v));
 }
 
-/// Bytes [`put_history_txn`] writes for a transaction with these reads
-/// and `writes` written items.
-pub(crate) fn history_txn_len(reads: &[(ItemId, Option<GlobalTxnId>)], writes: usize) -> usize {
-    let reads: usize = reads.iter().map(|(_, version)| 4 + 1 + version.map_or(0, |_| 12)).sum();
-    12 + 4 + reads + 4 + 4 * writes
+/// Bytes [`put_history_txn`] writes for this transaction.
+pub(crate) fn history_txn_len(
+    gid: GlobalTxnId,
+    reads: &[(ItemId, Option<GlobalTxnId>)],
+    writes: impl ExactSizeIterator<Item = ItemId>,
+) -> usize {
+    let mut len = 0;
+    history_txn_fields(gid, reads, writes, |v| len += codec::varint_len(v));
+    len
 }
 
 /// Decode one transaction written by [`put_history_txn`].
 pub(crate) fn get_history_txn(buf: &mut impl Buf) -> Result<HistoryTxn, NetError> {
-    let gid = codec::get_gid(buf)?;
-    let reads_n = codec::get_u32(buf)? as usize;
-    let mut reads = Vec::with_capacity(reads_n.min(buf.remaining() / 5));
+    let gid = GlobalTxnId::new(SiteId(codec::get_varint_u32(buf)?), codec::get_varint(buf)?);
+    // A claimed count is capped by what the bytes left could hold: a
+    // read is at least two bytes, a write one.
+    let reads_n = usize::try_from(codec::get_varint(buf)?).map_err(|_| NetError::Overlong)?;
+    let mut reads = Vec::with_capacity(reads_n.min(buf.remaining() / 2));
     for _ in 0..reads_n {
-        let item = ItemId(codec::get_u32(buf)?);
-        let version = match codec::get_u8(buf)? {
+        let item = ItemId(codec::get_varint_u32(buf)?);
+        let version = match codec::get_varint(buf)? {
             0 => None,
-            1 => Some(codec::get_gid(buf)?),
-            t => return Err(NetError::BadTag(t)),
+            origin => {
+                let origin = u32::try_from(origin - 1).map_err(|_| NetError::Overlong)?;
+                Some(GlobalTxnId::new(SiteId(origin), codec::get_varint(buf)?))
+            }
         };
         reads.push((item, version));
     }
-    let writes_n = codec::get_u32(buf)? as usize;
-    let mut writes = Vec::with_capacity(writes_n.min(buf.remaining() / 4));
+    let writes_n = usize::try_from(codec::get_varint(buf)?).map_err(|_| NetError::Overlong)?;
+    let mut writes = Vec::with_capacity(writes_n.min(buf.remaining()));
     for _ in 0..writes_n {
-        writes.push(ItemId(codec::get_u32(buf)?));
+        writes.push(ItemId(codec::get_varint_u32(buf)?));
     }
     Ok((gid, reads, writes))
 }
@@ -677,8 +705,8 @@ fn get_reply(buf: &mut Bytes) -> Result<ClientReply, NetError> {
         7 => ClientReply::Err(codec::get_str(buf)?),
         8 => {
             let n = codec::get_u32(buf)? as usize;
-            // Smallest possible txn: gid + two zero counts.
-            let mut txns = Vec::with_capacity(n.min(buf.len() / 20));
+            // Smallest possible txn: a two-byte gid + two zero counts.
+            let mut txns = Vec::with_capacity(n.min(buf.len() / 4));
             for _ in 0..n {
                 txns.push(get_history_txn(buf)?);
             }

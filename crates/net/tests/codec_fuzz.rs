@@ -7,7 +7,8 @@ use proptest::prelude::*;
 
 use repl_net::{
     decode_framed, encode_framed, frame_run_into, ClientMsg, ClientReply, ExecError, Hello,
-    HelloAck, NetError, Payload, Subtxn, SubtxnKind, WireMsg, MAX_BATCH_PAYLOADS, MAX_FRAME_LEN,
+    HelloAck, HistoryTxn, NetError, Payload, Subtxn, SubtxnKind, WireMsg, MAX_BATCH_PAYLOADS,
+    MAX_FRAME_LEN,
 };
 use repl_protocol::timestamp::Timestamp;
 use repl_types::{GlobalTxnId, ItemId, Op, SiteId, Value};
@@ -60,6 +61,19 @@ fn arb_subtxn() -> BoxedStrategy<Subtxn> {
         .boxed()
 }
 
+/// A history transaction whose every field ranges over every varint
+/// width: ids up to `u32::MAX`, sequence numbers up to `u64::MAX`.
+fn arb_history_txn() -> BoxedStrategy<HistoryTxn> {
+    let gid = || {
+        (0u32..=u32::MAX, 0u64..=u64::MAX, 0u32..32, 0u32..64)
+            .prop_map(|(s, q, a, b)| GlobalTxnId::new(SiteId(s >> a), q >> b))
+    };
+    let item = || (0u32..=u32::MAX, 0u32..32).prop_map(|(i, shift)| ItemId(i >> shift));
+    let version = prop_oneof![Just(None), gid().prop_map(Some)];
+    (gid(), prop::collection::vec((item(), version), 0..8), prop::collection::vec(item(), 0..5))
+        .boxed()
+}
+
 fn arb_msg() -> BoxedStrategy<WireMsg> {
     prop_oneof![
         (0u32..8, 0u16..8, 0u16..8, 0u64..u64::MAX).prop_map(|(s, lo, hi, c)| {
@@ -88,6 +102,9 @@ fn arb_msg() -> BoxedStrategy<WireMsg> {
         }),
         Just(WireMsg::Client(ClientMsg::Stats)),
         (0u32..16).prop_map(|i| WireMsg::Client(ClientMsg::Peek(ItemId(i)))),
+        (0u64..=u64::MAX).prop_map(|from| WireMsg::Client(ClientMsg::History { from })),
+        prop::collection::vec(arb_history_txn(), 0..4)
+            .prop_map(|txns| WireMsg::Reply(ClientReply::History(txns))),
         arb_gid().prop_map(|g| WireMsg::Reply(ClientReply::Executed(Ok(g)))),
         arb_string().prop_map(|m| WireMsg::Reply(ClientReply::Executed(Err(ExecError::Other(m))))),
     ]
@@ -184,6 +201,37 @@ fn inner_count_headers_are_distrusted() {
     buf.put_u8(0); // ts None
     buf.put_u32(u32::MAX); // writes count — hostile
     assert!(WireMsg::decode(buf.freeze()).is_err());
+}
+
+#[test]
+fn history_counts_and_varints_are_distrusted() {
+    // A History reply claiming `txns` transactions, followed by `body`.
+    let decode = |txns: u32, body: &[u8]| {
+        let mut buf = BytesMut::new();
+        buf.put_u8(7); // Reply
+        buf.put_u8(8); // History
+        buf.put_u32(txns);
+        buf.put_slice(body);
+        WireMsg::decode(buf.freeze())
+    };
+    // The smallest transaction: gid (0, 0), no reads, no writes.
+    assert!(decode(1, &[0, 0, 0, 0]).is_ok());
+    // More transactions claimed than the bytes could hold, and 2^63
+    // reads claimed with none present: Truncated, not an allocation
+    // sized from the claim.
+    assert_eq!(decode(u32::MAX, &[0, 0, 0, 0]), Err(NetError::Truncated));
+    let claim = [&[0, 0][..], &[0xFF; 8], &[0x7F]].concat();
+    assert_eq!(decode(1, &claim), Err(NetError::Truncated));
+    // A sequence number padded to two bytes, and eleven continuation
+    // bytes where one belongs: no such varint, whatever follows.
+    assert_eq!(decode(1, &[0, 0x80, 0x00, 0, 0]), Err(NetError::Overlong));
+    let endless = [&[0][..], &[0xFF; 11], &[0, 0]].concat();
+    assert_eq!(decode(1, &endless), Err(NetError::Overlong));
+    // An item id, and a writer's origin (stored + 1), past u32.
+    let item = [&[0, 0, 0, 1][..], &[0x80, 0x80, 0x80, 0x80, 0x10]].concat();
+    assert_eq!(decode(1, &item), Err(NetError::Overlong));
+    let origin = [&[0, 0, 1, 7][..], &[0x81, 0x80, 0x80, 0x80, 0x10], &[0, 0]].concat();
+    assert_eq!(decode(1, &origin), Err(NetError::Overlong));
 }
 
 #[test]

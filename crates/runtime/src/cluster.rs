@@ -672,18 +672,22 @@ mod tests {
     }
 
     /// What a primary keeps per commit is its history entry, exactly —
-    /// 138 bytes for a Table-1 update (6 reads of written versions, 4
-    /// writes) — and nothing else that grows: the 4 × 25 bytes of redo
-    /// log each commit appends refill one segment, emptied behind a
-    /// checkpoint each time it is full, so the resident log plus the
-    /// checkpoint stay under one segment plus 26 bytes a copy at 2 000
-    /// commits and at 20 000. (With the indexed `History` and a
+    /// every field a varint, so a Table-1 update (6 reads of written
+    /// versions, 4 writes) costs 19 bytes plus its own sequence number
+    /// and those of the six versions it read: 26 bytes over these 20
+    /// one-byte items while sequence numbers are below 2⁷, 33 below 2¹⁴,
+    /// 40 after (43 at a site whose item ids take two bytes; 138 with
+    /// fixed-width fields) — and nothing else that grows: the 4 × 25
+    /// bytes of redo log each commit appends refill one segment, emptied
+    /// behind a checkpoint each time it is full, so the resident log
+    /// plus the checkpoint stay under one segment plus 26 bytes a copy
+    /// at 2 000 commits and at 20 000. (With the indexed `History` and a
     /// `Vec<LogRecord>` a commit kept about 1000 bytes; with contiguous
     /// arenas, 238.)
     #[test]
     fn commit_budget_2000_table1_updates() {
+        use repl_storage::codec::varint_len;
         use repl_storage::SEGMENT_BYTES;
-        const HISTORY_ENTRY: usize = 12 + 4 + 6 * (4 + 1 + 12) + 4 + 4 * 4;
         const WAL_RECORDS: usize = 4 * (4 + 12 + 1 + 8);
         const CELL: usize = 4 + 9 + 13;
         let mut placement = DataPlacement::new(3);
@@ -698,25 +702,35 @@ mod tests {
             (d.wal.encoded_len(), d.checkpoint.len())
         };
         let before = history(&cluster);
+        // Sequence number of each item's last writer, which is what a
+        // read of it records.
+        let mut written_by = vec![0u64; items.len()];
+        let mut entries = 0;
         // The cut rule: a commit that does not fit the segment empties it first.
         let mut resident = items.len() * 25;
         let mut cuts = 0;
         let mut done = 0usize;
-        for commits in [2_000usize, 20_000] {
+        for (commits, pinned) in [(2_000usize, 65_090), (20_000, 684_388)] {
             for k in done..commits {
-                let at = |j: usize| items[(k * 7 + j) % items.len()];
+                let at = |j: usize| (k * 7 + j) % items.len();
                 let ops = (0..6)
-                    .map(|j| Op::read(at(j)))
-                    .chain((6..10).map(|j| Op::write(at(j), k as i64)))
+                    .map(|j| Op::read(items[at(j)]))
+                    .chain((6..10).map(|j| Op::write(items[at(j)], k as i64)))
                     .collect();
-                cluster.execute(SiteId(0), ops).unwrap();
+                let gid = cluster.execute(SiteId(0), ops).unwrap().gid;
+                // Origin, the two counts and ten items: a byte each;
+                // each version read: origin + 1 and its sequence number.
+                let versions: usize = (0..6).map(|j| 1 + varint_len(written_by[at(j)])).sum();
+                entries += 1 + varint_len(gid.seq) + 1 + 6 + versions + 1 + 4;
+                (6..10).for_each(|j| written_by[at(j)] = gid.seq);
                 if resident + WAL_RECORDS > SEGMENT_BYTES {
                     (resident, cuts) = (0, cuts + 1);
                 }
                 resident += WAL_RECORDS;
             }
             done = commits;
-            assert_eq!(history(&cluster) - before, commits * HISTORY_ENTRY);
+            assert_eq!(history(&cluster) - before, entries);
+            assert_eq!(entries, pinned, "{commits}");
             assert!(cuts >= commits * WAL_RECORDS / SEGMENT_BYTES, "{cuts} cuts");
             // A checkpoint of every copy at the site, and the commits since.
             assert_eq!(durable(&cluster), (resident, 4 + CELL * items.len()), "{commits}");

@@ -413,6 +413,8 @@ pub fn serve_epoll(cfg: ServeConfig) -> io::Result<()> {
         next_dial: vec![Instant::now(); n],
         shutdown: None,
         events: Vec::new(),
+        read_buf: vec![0; READ_CHUNK],
+        msgs: Vec::new(),
     };
     reactor.run()
 }
@@ -449,6 +451,11 @@ struct Reactor {
     /// Set when a client requested shutdown: drain-and-exit deadline.
     shutdown: Option<Instant>,
     events: Vec<epoll::Event>,
+    /// What `read` fills on a readable event, allocated once.
+    read_buf: Vec<u8>,
+    /// The frames decoded off one readable event, emptied before the
+    /// next.
+    msgs: Vec<WireMsg>,
 }
 
 impl Reactor {
@@ -542,20 +549,20 @@ impl Reactor {
 
     /// Read until `WouldBlock`/EOF, then act on every decoded frame.
     fn handle_readable(&mut self, tok: usize) {
-        let mut scratch = [0u8; READ_CHUNK];
-        let mut msgs = Vec::new();
+        let mut msgs;
         let mut dead = false;
         let mut decode_err: Option<NetError> = None;
         {
             let Some(conn) = self.conns[tok].as_mut() else { return };
+            msgs = std::mem::take(&mut self.msgs);
             'read: loop {
-                match read_some(&mut conn.stream, &mut scratch) {
+                match read_some(&mut conn.stream, &mut self.read_buf) {
                     Ok(0) => {
                         dead = true;
                         break;
                     }
                     Ok(count) => {
-                        conn.reader.feed(&scratch[..count]);
+                        conn.reader.feed(&self.read_buf[..count]);
                         loop {
                             match conn.reader.next_msg() {
                                 Ok(Some(msg)) => msgs.push(msg),
@@ -576,10 +583,11 @@ impl Reactor {
                 }
             }
         }
-        for msg in msgs {
-            if !self.process_msg(tok, msg) {
-                return; // the connection was closed or re-fated
-            }
+        // Stops early if the connection was closed or re-fated.
+        let alive = msgs.drain(..).all(|msg| self.process_msg(tok, msg));
+        self.msgs = msgs;
+        if !alive {
+            return;
         }
         if let Some(e) = decode_err {
             self.on_decode_error(tok, e);

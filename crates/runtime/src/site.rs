@@ -751,9 +751,8 @@ impl SiteCore {
     pub fn copy_cells(
         &self,
     ) -> impl ExactSizeIterator<Item = (ItemId, Value, Option<GlobalTxnId>)> + '_ {
-        let mut items: Vec<ItemId> = self.placement.items_at(self.id).to_vec();
-        items.sort_unstable();
-        items.into_iter().map(|i| {
+        // `items_at` is ascending: the placement hands out ids in order.
+        self.placement.items_at(self.id).iter().map(|&i| {
             // replint: allow(RL008) -- every placement copy was seeded at site start
             let r = self.store.peek(i).expect("placement copy exists in store");
             (i, r.value, r.writer)

@@ -26,6 +26,9 @@ pub enum CodecError {
     Truncated,
     /// Unknown discriminant tag.
     BadTag(u8),
+    /// A varint that runs past ten bytes, carries bits beyond its
+    /// field's width, or pads its value with a trailing zero group.
+    Overlong,
 }
 
 impl std::fmt::Display for CodecError {
@@ -33,6 +36,7 @@ impl std::fmt::Display for CodecError {
         match self {
             CodecError::Truncated => write!(f, "input truncated"),
             CodecError::BadTag(t) => write!(f, "unknown tag {t}"),
+            CodecError::Overlong => write!(f, "over-long varint"),
         }
     }
 }
@@ -132,6 +136,50 @@ pub fn get_u8(buf: &mut impl Buf) -> Result<u8, CodecError> {
     Ok(buf.get_u8())
 }
 
+/// Encode `v` as an LEB128 varint: seven bits to a byte, least
+/// significant group first, the high bit set on every byte but the last
+/// — one byte below 2⁷, two below 2¹⁴, ten at the top of `u64`.
+pub fn put_varint(buf: &mut impl BufMut, mut v: u64) {
+    while v >= 0x80 {
+        buf.put_u8(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.put_u8(v as u8);
+}
+
+/// Bytes [`put_varint`] writes for `v`.
+pub fn varint_len(v: u64) -> usize {
+    let bits = 64 - (v | 1).leading_zeros() as usize;
+    bits.div_ceil(7)
+}
+
+/// Decode a varint written by [`put_varint`]. Only that one encoding of
+/// a value is accepted: a padded one (a trailing zero group) or one that
+/// does not fit 64 bits is [`CodecError::Overlong`], so equal values
+/// always have equal bytes.
+pub fn get_varint(buf: &mut impl Buf) -> Result<u64, CodecError> {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let byte = get_u8(buf)?;
+        let group = u64::from(byte & 0x7F);
+        // The tenth byte has room for bit 63 alone.
+        if group << shift >> shift != group || (byte == 0 && shift > 0) {
+            return Err(CodecError::Overlong);
+        }
+        v |= group << shift;
+        if byte & 0x80 == 0 {
+            return Ok(v);
+        }
+    }
+    Err(CodecError::Overlong)
+}
+
+/// Decode a varint into a 32-bit field (an item or site id); a larger
+/// value is [`CodecError::Overlong`].
+pub fn get_varint_u32(buf: &mut impl Buf) -> Result<u32, CodecError> {
+    u32::try_from(get_varint(buf)?).map_err(|_| CodecError::Overlong)
+}
+
 /// Encode a UTF-8 string: u32 length + bytes.
 pub fn put_str(buf: &mut impl BufMut, s: &str) {
     buf.put_u32(s.len() as u32);
@@ -206,6 +254,81 @@ mod tests {
         assert_eq!(get_gid(&mut bytes).unwrap(), gid);
         assert_eq!(get_cell(&mut bytes).unwrap(), (ItemId(7), Value::int(9), Some(gid)));
         assert_eq!(get_cell(&mut bytes).unwrap(), (ItemId(8), Value::Initial, None));
+    }
+
+    fn varint(v: u64) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_varint(&mut buf, v);
+        assert_eq!(buf.len(), varint_len(v), "{v}");
+        buf
+    }
+
+    #[test]
+    fn varints_roundtrip_at_the_byte_boundaries() {
+        assert_eq!(varint(0), [0]);
+        assert_eq!(varint(127), [0x7F]);
+        assert_eq!(varint(128), [0x80, 0x01]);
+        assert_eq!(varint((1 << 14) - 1).len(), 2);
+        assert_eq!(varint(1 << 14).len(), 3);
+        assert_eq!(varint(u64::from(u32::MAX)).len(), 5);
+        assert_eq!(varint(u64::MAX).len(), 10);
+        for v in [0, 127, 128, u64::from(u32::MAX), u64::from(u32::MAX) + 1, u64::MAX] {
+            let bytes = varint(v);
+            let mut rest = &bytes[..];
+            assert_eq!(get_varint(&mut rest), Ok(v));
+            assert!(rest.is_empty());
+            // Every proper prefix is a truncation.
+            for cut in 0..bytes.len() {
+                assert_eq!(get_varint(&mut &bytes[..cut]), Err(CodecError::Truncated), "{v}/{cut}");
+            }
+        }
+        assert_eq!(get_varint_u32(&mut &varint(u64::from(u32::MAX))[..]), Ok(u32::MAX));
+        assert_eq!(
+            get_varint_u32(&mut &varint(u64::from(u32::MAX) + 1)[..]),
+            Err(CodecError::Overlong)
+        );
+    }
+
+    #[test]
+    fn overlong_varints_are_errors() {
+        // Zero padded to two bytes, 128 padded to three.
+        assert_eq!(get_varint(&mut &[0x80, 0x00][..]), Err(CodecError::Overlong));
+        assert_eq!(get_varint(&mut &[0x80, 0x81, 0x00][..]), Err(CodecError::Overlong));
+        // Eleven bytes; ten bytes whose last carries bits past 2^64.
+        assert_eq!(get_varint(&mut &[0xFF; 11][..]), Err(CodecError::Overlong));
+        let mut past = [0xFF; 10];
+        past[9] = 0x02;
+        assert_eq!(get_varint(&mut &past[..]), Err(CodecError::Overlong));
+        // All continuation bytes and no end: still a truncation.
+        assert_eq!(get_varint(&mut &[0xFF; 9][..]), Err(CodecError::Truncated));
+    }
+
+    mod varint_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn any_value_roundtrips(v in 0u64..=u64::MAX, shift in 0u32..64) {
+                let v = v >> shift;
+                let bytes = varint(v);
+                let mut rest = &bytes[..];
+                prop_assert_eq!(get_varint(&mut rest), Ok(v));
+                prop_assert!(rest.is_empty());
+            }
+
+            /// Arbitrary bytes decode to a value or a typed error, never
+            /// a panic, and what does decode is the one encoding of its
+            /// value.
+            #[test]
+            fn any_bytes_decode_or_fail_cleanly(bytes in prop::collection::vec(0u8..=255, 0..12)) {
+                let mut rest = &bytes[..];
+                if let Ok(v) = get_varint(&mut rest) {
+                    let used = bytes.len() - rest.len();
+                    prop_assert_eq!(&varint(v)[..], &bytes[..used]);
+                }
+            }
+        }
     }
 
     #[test]

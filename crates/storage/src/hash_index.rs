@@ -1,14 +1,23 @@
 //! Open-addressing hash index keyed by [`ItemId`].
 //!
 //! The paper's prototype accessed items through a hash index on the item
-//! identifier; this module provides that index from scratch rather than
-//! leaning on `std::collections::HashMap`, both to keep the storage engine
-//! self-contained and to control probe behaviour (linear probing with
-//! backward-shift deletion — no tombstones, so long-lived sites never
-//! degrade).
+//! identifier. Item *copies* no longer need one here — ids are dense, so
+//! the store indexes its cells directly ([`crate::Store`]) — but the
+//! lock table does: it holds an entry only for the handful of items
+//! locked or waited for at this moment, scattered anywhere in the id
+//! space, which is exactly the sparse-key case a hash index is for. The
+//! index is built from scratch rather than leaning on
+//! `std::collections::HashMap`, both to keep the storage engine
+//! self-contained and to control probe behaviour: linear probing with
+//! backward-shift deletion — no tombstones, so a table whose entries
+//! come and go with every transaction never degrades, never rehashes
+//! once it has reached its working size, and allocates nothing per
+//! entry.
 //!
 //! Keys are hashed with a Fibonacci multiplicative hash, which is a good
-//! fit for the small dense integer ids the workloads use.
+//! fit for the small dense integer ids the workloads use and costs one
+//! multiplication (the default SipHash of the standard map cost more
+//! than the rest of a lock request put together).
 
 use repl_types::ItemId;
 
@@ -42,16 +51,22 @@ impl<V> Default for HashIndex<V> {
 }
 
 impl<V> HashIndex<V> {
-    /// Create an empty index.
+    /// Create an empty index, which allocates at its first insertion.
     pub fn new() -> Self {
-        Self::with_capacity(INITIAL_CAPACITY)
+        HashIndex { slots: Vec::new(), len: 0, mask: 0 }
     }
 
     /// Create an empty index sized for at least `cap` entries without
     /// rehashing.
     pub fn with_capacity(cap: usize) -> Self {
-        let cap = (cap.max(INITIAL_CAPACITY) * LOAD_DEN / LOAD_NUM).next_power_of_two();
+        let cap = Self::slots_for(cap);
         HashIndex { slots: (0..cap).map(|_| None).collect(), len: 0, mask: cap - 1 }
+    }
+
+    /// Slots that hold `cap` entries (at least [`INITIAL_CAPACITY`])
+    /// within the load factor.
+    fn slots_for(cap: usize) -> usize {
+        (cap.max(INITIAL_CAPACITY) * LOAD_DEN / LOAD_NUM).next_power_of_two()
     }
 
     /// Number of entries.
@@ -73,50 +88,63 @@ impl<V> HashIndex<V> {
         (h >> 32) as usize & self.mask
     }
 
-    /// Insert or replace; returns the previous value for `key`, if any.
-    pub fn insert(&mut self, key: ItemId, value: V) -> Option<V> {
+    /// Follow `key`'s probe chain: `Ok` with the slot that holds it, or
+    /// `Err` with the empty slot that ends the chain (where it would go).
+    fn probe(&self, key: ItemId) -> Result<usize, usize> {
+        let mut idx = self.bucket(key);
+        loop {
+            // Out of bounds only in an index that has not allocated yet.
+            match self.slots.get(idx) {
+                Some(Some(slot)) if slot.key == key => return Ok(idx),
+                Some(Some(_)) => idx = (idx + 1) & self.mask,
+                Some(None) | None => return Err(idx),
+            }
+        }
+    }
+
+    /// Make room for one more entry within the load factor.
+    fn reserve_one(&mut self) {
         if (self.len + 1) * LOAD_DEN > self.slots.len() * LOAD_NUM {
             self.grow();
         }
-        let mut idx = self.bucket(key);
-        loop {
-            match &mut self.slots[idx] {
-                Some(slot) if slot.key == key => {
-                    return Some(std::mem::replace(&mut slot.value, value));
-                }
-                Some(_) => idx = (idx + 1) & self.mask,
-                empty @ None => {
-                    *empty = Some(Slot { key, value });
-                    self.len += 1;
-                    return None;
-                }
+    }
+
+    /// Insert or replace; returns the previous value for `key`, if any.
+    pub fn insert(&mut self, key: ItemId, value: V) -> Option<V> {
+        self.reserve_one();
+        match self.probe(key) {
+            Ok(idx) => {
+                self.slots[idx].as_mut().map(|slot| std::mem::replace(&mut slot.value, value))
+            }
+            Err(idx) => {
+                self.slots[idx] = Some(Slot { key, value });
+                self.len += 1;
+                None
             }
         }
+    }
+
+    /// The value for `key`, which is first inserted as `default()` if
+    /// absent.
+    pub fn get_or_insert_with(&mut self, key: ItemId, default: impl FnOnce() -> V) -> &mut V {
+        self.reserve_one();
+        let idx = self.probe(key).unwrap_or_else(|empty| {
+            self.len += 1;
+            empty
+        });
+        &mut self.slots[idx].get_or_insert_with(|| Slot { key, value: default() }).value
     }
 
     /// Look up `key`.
     pub fn get(&self, key: ItemId) -> Option<&V> {
-        let mut idx = self.bucket(key);
-        loop {
-            match &self.slots[idx] {
-                Some(slot) if slot.key == key => return Some(&slot.value),
-                Some(_) => idx = (idx + 1) & self.mask,
-                None => return None,
-            }
-        }
+        let idx = self.probe(key).ok()?;
+        self.slots[idx].as_ref().map(|slot| &slot.value)
     }
 
     /// Look up `key`, allowing mutation of the stored value.
     pub fn get_mut(&mut self, key: ItemId) -> Option<&mut V> {
-        let mut idx = self.bucket(key);
-        loop {
-            match &self.slots[idx] {
-                Some(slot) if slot.key == key => break,
-                Some(_) => idx = (idx + 1) & self.mask,
-                None => return None,
-            }
-        }
-        self.slots[idx].as_mut().map(|s| &mut s.value)
+        let idx = self.probe(key).ok()?;
+        self.slots[idx].as_mut().map(|slot| &mut slot.value)
     }
 
     /// True if `key` is present.
@@ -127,14 +155,7 @@ impl<V> HashIndex<V> {
     /// Remove `key`, returning its value. Uses backward-shift deletion so
     /// probe chains stay intact without tombstones.
     pub fn remove(&mut self, key: ItemId) -> Option<V> {
-        let mut idx = self.bucket(key);
-        loop {
-            match &self.slots[idx] {
-                Some(slot) if slot.key == key => break,
-                Some(_) => idx = (idx + 1) & self.mask,
-                None => return None,
-            }
-        }
+        let idx = self.probe(key).ok()?;
         let removed = self.slots[idx].take().map(|s| s.value);
         self.len -= 1;
 
@@ -163,7 +184,7 @@ impl<V> HashIndex<V> {
     }
 
     fn grow(&mut self) {
-        let new_cap = self.slots.len() * 2;
+        let new_cap = (self.slots.len() * 2).max(Self::slots_for(0));
         let old = std::mem::replace(&mut self.slots, (0..new_cap).map(|_| None).collect());
         self.mask = new_cap - 1;
         self.len = 0;
@@ -191,6 +212,18 @@ mod tests {
             assert_eq!(idx.get(ItemId(i)), Some(&(i * 10)));
         }
         assert_eq!(idx.get(ItemId(1000)), None);
+    }
+
+    #[test]
+    fn a_new_index_allocates_at_its_first_insertion() {
+        let mut idx: HashIndex<u32> = HashIndex::new();
+        assert_eq!(idx.slots.capacity(), 0);
+        assert_eq!(idx.get(ItemId(3)), None);
+        assert_eq!(idx.remove(ItemId(3)), None);
+        assert_eq!(idx.iter().count(), 0);
+        *idx.get_or_insert_with(ItemId(3), || 1) += 1;
+        assert_eq!(idx.get(ItemId(3)), Some(&2));
+        assert_eq!(idx.slots.len(), HashIndex::<u32>::with_capacity(0).slots.len());
     }
 
     #[test]
@@ -256,15 +289,17 @@ mod tests {
         /// sequence of inserts and removes.
         #[test]
         fn model_equivalence(ops in prop::collection::vec(
-            (0u32..64, prop::bool::ANY, 0u64..1000), 0..400)) {
+            (0u32..64, 0u8..3, 0u64..1000), 0..400)) {
             let mut idx = HashIndex::new();
             let mut model: HashMap<u32, u64> = HashMap::new();
-            for (key, is_insert, val) in ops {
-                if is_insert {
-                    prop_assert_eq!(idx.insert(ItemId(key), val),
-                                    model.insert(key, val));
-                } else {
-                    prop_assert_eq!(idx.remove(ItemId(key)), model.remove(&key));
+            for (key, op, val) in ops {
+                match op {
+                    0 => prop_assert_eq!(idx.insert(ItemId(key), val), model.insert(key, val)),
+                    1 => prop_assert_eq!(idx.remove(ItemId(key)), model.remove(&key)),
+                    _ => prop_assert_eq!(
+                        idx.get_or_insert_with(ItemId(key), || val),
+                        model.entry(key).or_insert(val)
+                    ),
                 }
                 prop_assert_eq!(idx.len(), model.len());
             }

@@ -6,12 +6,15 @@
 //! manager"). It provides exactly what the §1.1 system model requires of a
 //! site-local database:
 //!
-//! * a main-memory store of item copies, accessed through a custom
-//!   open-addressing [`hash_index::HashIndex`] (the paper: "fast access to
-//!   an item is facilitated by a hash index on the item identifier");
+//! * a main-memory store of item copies, one dense array of cells behind
+//!   a direct index on the item identifier (the paper: "fast access to
+//!   an item is facilitated by a hash index on the item identifier" —
+//!   ids here are dense, so the index needs no hashing);
 //! * a strict two-phase-locking [`lock::LockManager`] with shared and
 //!   exclusive modes, lock upgrades, FIFO wait queues and waits-for-graph
-//!   deadlock detection (the prototype used 50 ms lock timeouts instead;
+//!   deadlock detection, its lock table — an entry only for an item
+//!   locked right now — a custom open-addressing
+//!   [`hash_index::HashIndex`] (the prototype used 50 ms lock timeouts instead;
 //!   both mechanisms are supported — timeouts are driven by the caller's
 //!   clock, cycle detection by [`lock::LockManager::find_deadlock`]);
 //! * commit-time installation: a transaction's writes are buffered in its
@@ -30,6 +33,7 @@
 
 #![warn(missing_docs)]
 
+mod cells;
 pub mod codec;
 pub mod commit_pipeline;
 pub mod hash_index;
@@ -38,6 +42,7 @@ pub mod mvcc;
 pub mod seglog;
 pub mod snapshot;
 pub mod store;
+mod txn_slab;
 pub mod wal;
 
 pub use commit_pipeline::{CommitBatch, CommitPipeline, PipelineStats};

@@ -28,10 +28,13 @@
 //! sequentially, a transaction waits on at most one item at a time; the
 //! waits-for graph construction relies on this.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use repl_types::trace::{self, TraceEvent};
 use repl_types::{ItemId, TxnId};
+
+use crate::hash_index::HashIndex;
+use crate::txn_slab::{TxnSlab, RECYCLED_ENTRIES};
 
 /// Lock mode: shared (reads) or exclusive (writes).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -60,39 +63,108 @@ struct Request {
     upgrade: bool,
 }
 
+/// Current holders of one lock, in grant order. Invariant: either any
+/// number of `Shared` entries or exactly one `Exclusive` entry; a
+/// transaction appears at most once.
+///
+/// The first holder is stored inline, so the common lock — one holder,
+/// nobody waiting — owns no heap memory; `rest` is non-empty only while
+/// several readers share the item, and is empty whenever `first` is.
 #[derive(Default, Debug)]
-struct LockState {
-    /// Current holders. Invariant: either any number of `Shared` entries or
-    /// exactly one `Exclusive` entry; a transaction appears at most once.
-    holders: Vec<(TxnId, LockMode)>,
-    queue: VecDeque<Request>,
+struct Holders {
+    first: Option<(TxnId, LockMode)>,
+    rest: Vec<(TxnId, LockMode)>,
 }
 
-impl LockState {
-    fn holder_mode(&self, txn: TxnId) -> Option<LockMode> {
-        self.holders.iter().find(|(t, _)| *t == txn).map(|(_, m)| *m)
+impl Holders {
+    fn iter(&self) -> impl Iterator<Item = (TxnId, LockMode)> + '_ {
+        self.first.iter().chain(&self.rest).copied()
     }
 
-    fn compatible(&self, mode: LockMode, requester: TxnId) -> bool {
-        match mode {
-            LockMode::Shared => {
-                self.holders.iter().all(|(t, m)| *t == requester || *m == LockMode::Shared)
-            }
-            LockMode::Exclusive => self.holders.iter().all(|(t, _)| *t == requester),
+    fn is_empty(&self) -> bool {
+        self.first.is_none()
+    }
+
+    /// The holder, if there is exactly one.
+    fn sole(&self) -> Option<TxnId> {
+        self.first.filter(|_| self.rest.is_empty()).map(|(txn, _)| txn)
+    }
+
+    fn mode_of(&self, txn: TxnId) -> Option<LockMode> {
+        self.iter().find(|(t, _)| *t == txn).map(|(_, m)| m)
+    }
+
+    fn push(&mut self, txn: TxnId, mode: LockMode) {
+        match self.first {
+            None => self.first = Some((txn, mode)),
+            Some(_) => self.rest.push((txn, mode)),
+        }
+    }
+
+    /// Strengthen the sole holder's lock to `Exclusive`.
+    fn upgrade_sole(&mut self) {
+        if let Some((_, mode)) = &mut self.first {
+            *mode = LockMode::Exclusive;
+        }
+    }
+
+    fn remove(&mut self, txn: TxnId) {
+        if self.first.is_some_and(|(t, _)| t == txn) {
+            self.first = if self.rest.is_empty() { None } else { Some(self.rest.remove(0)) };
+        } else {
+            self.rest.retain(|(t, _)| *t != txn);
         }
     }
 }
 
+#[derive(Default, Debug)]
+struct LockState {
+    holders: Holders,
+    queue: VecDeque<Request>,
+}
+
+impl LockState {
+    fn compatible(&self, mode: LockMode, requester: TxnId) -> bool {
+        match mode {
+            LockMode::Shared => {
+                self.holders.iter().all(|(t, m)| t == requester || m == LockMode::Shared)
+            }
+            LockMode::Exclusive => self.holders.iter().all(|(t, _)| t == requester),
+        }
+    }
+
+    fn is_free(&self) -> bool {
+        self.holders.is_empty() && self.queue.is_empty()
+    }
+}
+
+/// What the lock manager knows about one transaction, from its first
+/// request (or [`LockManager::set_arrival`]) until
+/// [`LockManager::release_all`].
+#[derive(Default, Debug)]
+struct TxnLocks {
+    /// Items on which the transaction currently holds a lock, in
+    /// acquisition order.
+    held: Vec<ItemId>,
+    /// The single item the transaction is blocked on, if it is.
+    waiting_on: Option<ItemId>,
+    /// Arrival ordinal for victim selection (latest arrival = victim).
+    arrival: u64,
+}
+
 /// The per-site lock manager.
+///
+/// The lock table holds an entry only for an item that is locked or
+/// waited for *now* — a handful out of thousands, scattered over the id
+/// space — so it is the crate's hash index; the transactions are few
+/// and sequential, so they sit in a `TxnSlab`. Once both are warm an
+/// uncontended request, grant or release neither allocates nor hashes
+/// beyond one multiplication; only a lock with a second holder or a
+/// waiter owns a list of them, for as long as it is held.
 #[derive(Debug)]
 pub struct LockManager {
-    table: HashMap<ItemId, LockState>,
-    /// Items on which each transaction currently holds a lock.
-    held: HashMap<TxnId, Vec<ItemId>>,
-    /// The single item each blocked transaction is waiting on.
-    waiting_on: HashMap<TxnId, ItemId>,
-    /// Arrival ordinals for victim selection (latest arrival = victim).
-    arrival: HashMap<TxnId, u64>,
+    table: HashIndex<LockState>,
+    txns: TxnSlab<TxnLocks>,
     next_arrival: u64,
     /// Identity of this lock manager in happens-before traces.
     trace_scope: u64,
@@ -101,10 +173,8 @@ pub struct LockManager {
 impl Default for LockManager {
     fn default() -> Self {
         LockManager {
-            table: HashMap::new(),
-            held: HashMap::new(),
-            waiting_on: HashMap::new(),
-            arrival: HashMap::new(),
+            table: HashIndex::new(),
+            txns: TxnSlab::default(),
             next_arrival: 0,
             trace_scope: trace::next_scope_id(),
         }
@@ -139,26 +209,18 @@ impl LockManager {
     /// Used by the engine to keep a resubmitted secondary subtransaction's
     /// original arrival so the latest-arrival victim policy is fair to it.
     pub fn set_arrival(&mut self, txn: TxnId, ordinal: u64) {
-        self.arrival.insert(txn, ordinal);
+        self.txns.get_or_insert(txn).0.arrival = ordinal;
         self.next_arrival = self.next_arrival.max(ordinal + 1);
     }
 
     /// The arrival ordinal assigned to `txn`, if any.
     pub fn arrival_of(&self, txn: TxnId) -> Option<u64> {
-        self.arrival.get(&txn).copied()
-    }
-
-    fn note_arrival(&mut self, txn: TxnId) {
-        if !self.arrival.contains_key(&txn) {
-            let ord = self.next_arrival;
-            self.next_arrival += 1;
-            self.arrival.insert(txn, ord);
-        }
+        self.txns.get(txn).map(|me| me.arrival)
     }
 
     /// Does `txn` hold a lock on `item` at least as strong as `mode`?
     pub fn holds(&self, txn: TxnId, item: ItemId, mode: LockMode) -> bool {
-        match self.table.get(&item).and_then(|s| s.holder_mode(txn)) {
+        match self.table.get(item).and_then(|s| s.holders.mode_of(txn)) {
             Some(LockMode::Exclusive) => true,
             Some(LockMode::Shared) => mode == LockMode::Shared,
             None => false,
@@ -167,25 +229,22 @@ impl LockManager {
 
     /// The item `txn` is currently blocked on, if any.
     pub fn waiting_on(&self, txn: TxnId) -> Option<ItemId> {
-        self.waiting_on.get(&txn).copied()
+        self.txns.get(txn).and_then(|me| me.waiting_on)
     }
 
     /// Current holders of locks on `item` (any mode).
     pub fn holders_of(&self, item: ItemId) -> Vec<TxnId> {
-        self.table
-            .get(&item)
-            .map(|s| s.holders.iter().map(|(t, _)| *t).collect())
-            .unwrap_or_default()
+        self.table.get(item).map(|s| s.holders.iter().map(|(t, _)| t).collect()).unwrap_or_default()
     }
 
     /// Items currently locked by `txn`.
     pub fn held_items(&self, txn: TxnId) -> &[ItemId] {
-        self.held.get(&txn).map(Vec::as_slice).unwrap_or(&[])
+        self.txns.get(txn).map_or(&[], |me| &me.held)
     }
 
     /// Number of transactions currently blocked.
     pub fn blocked_count(&self) -> usize {
-        self.waiting_on.len()
+        self.txns.iter().filter(|(_, me)| me.waiting_on.is_some()).count()
     }
 
     /// Request `mode` on `item` for `txn`.
@@ -193,53 +252,60 @@ impl LockManager {
     /// Re-entrant: requesting a mode already covered by a held lock is an
     /// immediate grant; requesting X while holding S is an upgrade.
     pub fn request(&mut self, txn: TxnId, item: ItemId, mode: LockMode) -> LockOutcome {
-        self.note_arrival(txn);
+        let (me, first_request) = self.txns.get_or_insert(txn);
+        if first_request {
+            me.arrival = self.next_arrival;
+            self.next_arrival += 1;
+        }
         debug_assert!(
-            !self.waiting_on.contains_key(&txn),
+            me.waiting_on.is_none(),
             "transaction {txn:?} issued a lock request while already blocked"
         );
-        let state = self.table.entry(item).or_default();
-        match state.holder_mode(txn) {
-            Some(LockMode::Exclusive) => LockOutcome::Granted,
-            Some(LockMode::Shared) if mode == LockMode::Shared => LockOutcome::Granted,
+        let state = self.table.get_or_insert_with(item, LockState::default);
+        let granted = match state.holders.mode_of(txn) {
+            Some(LockMode::Exclusive) => return LockOutcome::Granted,
+            Some(LockMode::Shared) if mode == LockMode::Shared => return LockOutcome::Granted,
             Some(LockMode::Shared) => {
                 // Upgrade. Granted immediately iff sole holder; otherwise
                 // the upgrade request jumps ahead of plain requests but
                 // behind earlier upgrades.
-                if state.holders.len() == 1 {
-                    state.holders[0].1 = LockMode::Exclusive;
-                    self.trace_acquire(txn, item, LockMode::Exclusive);
-                    LockOutcome::Granted
+                if state.holders.sole().is_some() {
+                    state.holders.upgrade_sole();
+                    true
                 } else {
                     let pos = state.queue.iter().take_while(|r| r.upgrade).count();
                     state
                         .queue
                         .insert(pos, Request { txn, mode: LockMode::Exclusive, upgrade: true });
-                    self.waiting_on.insert(txn, item);
-                    LockOutcome::Queued
+                    false
                 }
             }
             None => {
                 if state.queue.is_empty() && state.compatible(mode, txn) {
-                    state.holders.push((txn, mode));
-                    self.held.entry(txn).or_default().push(item);
-                    self.trace_acquire(txn, item, mode);
-                    LockOutcome::Granted
+                    state.holders.push(txn, mode);
+                    me.held.push(item);
+                    true
                 } else {
                     state.queue.push_back(Request { txn, mode, upgrade: false });
-                    self.waiting_on.insert(txn, item);
-                    LockOutcome::Queued
+                    false
                 }
             }
+        };
+        if granted {
+            self.trace_acquire(txn, item, mode);
+            LockOutcome::Granted
+        } else {
+            me.waiting_on = Some(item);
+            LockOutcome::Queued
         }
     }
 
     /// Grant as many queued requests on `item` as the FIFO-prefix policy
-    /// allows, returning the transactions whose requests were granted.
-    fn pump(&mut self, item: ItemId) -> Vec<TxnId> {
-        let mut granted = Vec::new();
-        let Some(state) = self.table.get_mut(&item) else {
-            return granted;
+    /// allows, appending the transactions whose requests were granted to
+    /// `granted`; an entry nobody holds or waits for leaves the table.
+    fn pump(&mut self, item: ItemId, granted: &mut Vec<TxnId>) {
+        let Some(state) = self.table.get_mut(item) else {
+            return;
         };
         while let Some(front) = state.queue.front() {
             let txn = front.txn;
@@ -247,22 +313,26 @@ impl LockManager {
             if front.upgrade {
                 // Upgrade grantable only when the upgrader is the sole
                 // remaining holder.
-                if state.holders.len() == 1 && state.holders[0].0 == txn {
-                    state.holders[0].1 = LockMode::Exclusive;
+                if state.holders.sole() == Some(txn) {
+                    state.holders.upgrade_sole();
                     granted_mode = LockMode::Exclusive;
                 } else {
                     break;
                 }
             } else if state.compatible(front.mode, txn) {
-                let mode = front.mode;
-                state.holders.push((txn, mode));
-                self.held.entry(txn).or_default().push(item);
-                granted_mode = mode;
+                granted_mode = front.mode;
+                state.holders.push(txn, granted_mode);
             } else {
                 break;
             }
+            let upgrade = front.upgrade;
             state.queue.pop_front();
-            self.waiting_on.remove(&txn);
+            if let Some(waiter) = self.txns.get_mut(txn) {
+                waiter.waiting_on = None;
+                if !upgrade {
+                    waiter.held.push(item);
+                }
+            }
             if trace::is_enabled() {
                 trace::record(TraceEvent::LockAcquire {
                     scope: self.trace_scope,
@@ -273,10 +343,9 @@ impl LockManager {
             }
             granted.push(txn);
         }
-        if state.holders.is_empty() && state.queue.is_empty() {
-            self.table.remove(&item);
+        if state.is_free() {
+            self.table.remove(item);
         }
-        granted
     }
 
     /// Release every lock held by `txn` (strict 2PL: called exactly once,
@@ -288,17 +357,21 @@ impl LockManager {
         // (e.g. removing a queued X lets queued S requests through);
         // those grants must be reported too or the wakeup is lost.
         let mut granted = self.cancel_wait(txn);
-        self.arrival.remove(&txn);
-        let items = self.held.remove(&txn).unwrap_or_default();
-        for item in items {
-            if let Some(state) = self.table.get_mut(&item) {
-                state.holders.retain(|(t, _)| *t != txn);
+        let Some(mut me) = self.txns.remove(txn) else {
+            return granted;
+        };
+        for &item in &me.held {
+            if let Some(state) = self.table.get_mut(item) {
+                state.holders.remove(txn);
             }
             if trace::is_enabled() {
                 trace::record(TraceEvent::LockRelease { scope: self.trace_scope, item, txn });
             }
-            granted.extend(self.pump(item));
+            self.pump(item, &mut granted);
         }
+        me.held.clear();
+        me.held.shrink_to(RECYCLED_ENTRIES);
+        self.txns.recycle(me);
         granted
     }
 
@@ -306,13 +379,15 @@ impl LockManager {
     /// aborted by timeout). Returns transactions unblocked as a side effect
     /// — removing a queued X request can let later S requests through.
     pub fn cancel_wait(&mut self, txn: TxnId) -> Vec<TxnId> {
-        let Some(item) = self.waiting_on.remove(&txn) else {
-            return Vec::new();
+        let mut granted = Vec::new();
+        let Some(item) = self.txns.get_mut(txn).and_then(|me| me.waiting_on.take()) else {
+            return granted;
         };
-        if let Some(state) = self.table.get_mut(&item) {
+        if let Some(state) = self.table.get_mut(item) {
             state.queue.retain(|r| r.txn != txn);
         }
-        self.pump(item)
+        self.pump(item, &mut granted);
+        granted
     }
 
     /// Build the waits-for graph and search it for a cycle.
@@ -320,15 +395,23 @@ impl LockManager {
     /// A blocked transaction waits for (a) every current holder of the item
     /// it wants and (b) every request queued ahead of it — (b) is exact,
     /// not conservative, because grants are strictly FIFO-prefix. Returns
-    /// the transactions forming one cycle, or `None`.
+    /// the transactions forming one cycle, or `None`. The search starts
+    /// from the blocked transactions in ascending id order and follows
+    /// each one's blockers holders-first, so which cycle it finds (and
+    /// where the returned list starts) is a function of the lock state
+    /// alone.
     pub fn find_deadlock(&self) -> Option<Vec<TxnId>> {
-        let mut edges: HashMap<TxnId, Vec<TxnId>> = HashMap::new();
-        for (&waiter, &item) in &self.waiting_on {
-            let Some(state) = self.table.get(&item) else { continue };
+        // The blocked transactions, ascending, and who each waits for.
+        let mut waiters: Vec<TxnId> = Vec::new();
+        let mut edges: Vec<Vec<TxnId>> = Vec::new();
+        for (waiter, me) in self.txns.iter() {
+            let Some(state) = me.waiting_on.and_then(|item| self.table.get(item)) else {
+                continue;
+            };
             let mut blockers = Vec::new();
-            for (holder, _) in &state.holders {
-                if *holder != waiter {
-                    blockers.push(*holder);
+            for (holder, _) in state.holders.iter() {
+                if holder != waiter {
+                    blockers.push(holder);
                 }
             }
             for r in &state.queue {
@@ -337,50 +420,49 @@ impl LockManager {
                 }
                 blockers.push(r.txn);
             }
-            edges.insert(waiter, blockers);
+            waiters.push(waiter);
+            edges.push(blockers);
         }
 
         // Iterative DFS over blocked transactions only (a cycle must consist
-        // entirely of blocked transactions).
+        // entirely of blocked transactions), by position in `waiters`.
         #[derive(Clone, Copy, PartialEq)]
         enum Color {
             White,
             Grey,
             Black,
         }
-        let mut color: HashMap<TxnId, Color> = HashMap::new();
-        for &start in edges.keys() {
-            if *color.get(&start).unwrap_or(&Color::White) != Color::White {
+        let mut color = vec![Color::White; waiters.len()];
+        for start in 0..waiters.len() {
+            if color[start] != Color::White {
                 continue;
             }
             // stack of (node, next-edge-index); path tracks the grey chain.
             let mut stack = vec![(start, 0usize)];
             let mut path = vec![start];
-            color.insert(start, Color::Grey);
+            color[start] = Color::Grey;
             while let Some(&mut (node, ref mut edge_idx)) = stack.last_mut() {
-                let succs = edges.get(&node).map(Vec::as_slice).unwrap_or(&[]);
-                if *edge_idx < succs.len() {
-                    let next = succs[*edge_idx];
+                if let Some(&next) = edges[node].get(*edge_idx) {
                     *edge_idx += 1;
                     // Only blocked transactions can be part of a cycle.
-                    if !edges.contains_key(&next) {
+                    let Ok(next) = waiters.binary_search(&next) else {
                         continue;
-                    }
-                    match color.get(&next).copied().unwrap_or(Color::White) {
+                    };
+                    match color[next] {
                         Color::Grey => {
                             // Found a cycle: slice the grey path from next.
-                            let pos = path.iter().position(|&t| t == next).unwrap();
-                            return Some(path[pos..].to_vec());
+                            let pos = path.iter().position(|&t| t == next)?;
+                            return Some(path[pos..].iter().map(|&t| waiters[t]).collect());
                         }
                         Color::White => {
-                            color.insert(next, Color::Grey);
+                            color[next] = Color::Grey;
                             stack.push((next, 0));
                             path.push(next);
                         }
                         Color::Black => {}
                     }
                 } else {
-                    color.insert(node, Color::Black);
+                    color[node] = Color::Black;
                     stack.pop();
                     path.pop();
                 }
@@ -394,7 +476,7 @@ impl LockManager {
     pub fn pick_victim(&self, cycle: &[TxnId]) -> TxnId {
         *cycle
             .iter()
-            .max_by_key(|t| self.arrival.get(t).copied().unwrap_or(u64::MAX))
+            .max_by_key(|t| self.arrival_of(**t).unwrap_or(u64::MAX))
             .expect("cycle is non-empty")
     }
 }
@@ -550,6 +632,20 @@ mod tests {
         lm.release_all(t(1));
         assert!(lm.held_items(t(1)).is_empty());
         assert!(!lm.holds(t(1), i(1), LockMode::Shared));
+    }
+
+    #[test]
+    fn a_wide_transactions_held_list_is_not_kept() {
+        let mut lm = LockManager::new();
+        for n in 0..1000 {
+            lm.request(t(1), i(n), LockMode::Shared);
+        }
+        assert_eq!(lm.held_items(t(1)).len(), 1000);
+        lm.release_all(t(1));
+        // The next transaction gets the recycled list, cut back to size.
+        lm.request(t(2), i(0), LockMode::Shared);
+        let held = &lm.txns.get(t(2)).unwrap().held;
+        assert!(held.capacity() <= RECYCLED_ENTRIES, "{} entries kept", held.capacity());
     }
 
     #[test]

@@ -24,16 +24,24 @@
 //! The cell *is* the newest committed [`Version`] of its item — the one
 //! resident copy of the value. Older versions are kept only while a
 //! snapshot is open (see [`crate::mvcc`]).
-
-use std::collections::HashMap;
+//!
+//! The transaction path is dense: an item's cell is found through a
+//! direct index, not a hash (item ids are allocated densely by the
+//! placement; a store may hold any subset of them, at 4 bytes of index
+//! per id below the largest it holds), live transactions sit in a small
+//! slab keyed by their sequential id, and a finished transaction's
+//! read and write buffers serve the next one. Once warm, `begin`,
+//! `read`, `write`, `commit` and `abort` allocate nothing but the two
+//! vectors of the [`CommitInfo`] handed to the caller.
 
 use repl_types::trace::{self, TraceEvent};
 use repl_types::{GlobalTxnId, ItemId, StorageError, TxnId, Value};
 
-use crate::hash_index::HashIndex;
+use crate::cells::Cells;
 use crate::lock::{LockManager, LockMode, LockOutcome};
 use crate::mvcc::{SideChains, Version};
 use crate::snapshot::{SnapshotId, SnapshotManager};
+use crate::txn_slab::{TxnSlab, RECYCLED_ENTRIES};
 
 /// Result of a transactional read.
 #[derive(Clone, Debug, PartialEq)]
@@ -45,16 +53,17 @@ pub struct ReadResult {
 }
 
 /// Lifecycle state of a local (sub)transaction.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum TxnStatus {
     /// Executing; may read, write, commit or abort.
+    #[default]
     Active,
     /// Finished execution but holding locks, awaiting a distributed-commit
     /// decision (BackEdge eager phase / 2PC participants).
     Prepared,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct TxnState {
     status: TxnStatus,
     /// `(item, writer-of-version-read)` pairs, in read order.
@@ -108,9 +117,9 @@ fn last_write_wins(
 #[derive(Debug, Default)]
 pub struct Store {
     /// Item → its newest committed version.
-    cells: HashIndex<Version>,
+    cells: Cells,
     locks: LockManager,
-    txns: HashMap<TxnId, TxnState>,
+    txns: TxnSlab<TxnState>,
     next_txn: u64,
     /// Versions overwritten while a snapshot was open; empty otherwise.
     superseded: SideChains,
@@ -121,7 +130,7 @@ pub struct Store {
 }
 
 impl FromIterator<(ItemId, Value)> for Store {
-    /// A store populated with the given initial values, its index sized
+    /// A store populated with the given initial values, its cells sized
     /// once from the iterator's length hint.
     fn from_iter<I: IntoIterator<Item = (ItemId, Value)>>(cells: I) -> Self {
         cells.into_iter().map(|(item, value)| (item, value, None)).collect()
@@ -130,14 +139,16 @@ impl FromIterator<(ItemId, Value)> for Store {
 
 impl FromIterator<(ItemId, Value, Option<GlobalTxnId>)> for Store {
     /// A store populated from a checkpoint image: every copy with the
-    /// value *and* the writer it was checkpointed with. The index is
-    /// sized once from the iterator's length hint.
+    /// value *and* the writer it was checkpointed with. The cells are
+    /// sized once from the iterator's length hint — exactly, when it
+    /// yields that many copies with ids below their count.
     fn from_iter<I: IntoIterator<Item = (ItemId, Value, Option<GlobalTxnId>)>>(cells: I) -> Self {
         let cells = cells.into_iter();
         let mut store = Store::with_capacity(cells.size_hint().0);
         for (item, value, writer) in cells {
             store.cells.insert(item, Version { commit_ts: 0, value, writer });
         }
+        store.cells.shrink_to_fit();
         store
     }
 }
@@ -148,10 +159,10 @@ impl Store {
         Self::default()
     }
 
-    /// Create an empty store whose index holds `items` copies without
-    /// rehashing.
+    /// Create an empty store with room for `items` copies whose ids are
+    /// below `items`, in two allocations of 60 bytes per copy together.
     pub fn with_capacity(items: usize) -> Self {
-        Store { cells: HashIndex::with_capacity(items), ..Self::default() }
+        Store { cells: Cells::with_capacity(items), ..Self::default() }
     }
 
     /// Install a copy of `item` with its initial value. Non-transactional;
@@ -189,21 +200,14 @@ impl Store {
     pub fn begin(&mut self) -> TxnId {
         let id = TxnId(self.next_txn);
         self.next_txn += 1;
-        self.txns.insert(
-            id,
-            TxnState {
-                status: TxnStatus::Active,
-                reads: Vec::new(),
-                writes: Vec::new(),
-                writer: None,
-            },
-        );
+        // A recycled state is as good as new: `retire` emptied it.
+        self.txns.get_or_insert(id);
         id
     }
 
     /// True if `txn` is currently known (active or prepared).
     pub fn is_active(&self, txn: TxnId) -> bool {
-        self.txns.contains_key(&txn)
+        self.txns.get(txn).is_some()
     }
 
     /// Access the lock manager (deadlock detection, arrival ordinals).
@@ -216,12 +220,26 @@ impl Store {
         &mut self.locks
     }
 
-    fn check_active(&self, txn: TxnId) -> Result<(), StorageError> {
-        match self.txns.get(&txn) {
-            Some(s) if s.status == TxnStatus::Active => Ok(()),
+    /// The state of `txn`, which must be executing.
+    fn active(txns: &mut TxnSlab<TxnState>, txn: TxnId) -> Result<&mut TxnState, StorageError> {
+        match txns.get_mut(txn) {
+            Some(s) if s.status == TxnStatus::Active => Ok(s),
             Some(_) => Err(StorageError::InvalidState(txn)),
             None => Err(StorageError::NoSuchTxn(txn)),
         }
+    }
+
+    /// Give a finished transaction's state, emptied, back to the slab:
+    /// its buffers' capacity serves the next transaction, except what
+    /// only an unusually wide one needed.
+    fn retire(&mut self, mut state: TxnState) {
+        state.status = TxnStatus::Active;
+        state.reads.clear();
+        state.reads.shrink_to(RECYCLED_ENTRIES);
+        state.writes.clear();
+        state.writes.shrink_to(RECYCLED_ENTRIES);
+        state.writer = None;
+        self.txns.recycle(state);
     }
 
     /// Transactional read under an S lock: the transaction's own latest
@@ -230,20 +248,14 @@ impl Store {
     /// Returns [`StorageError::WouldBlock`] if the lock is unavailable; the
     /// request stays queued and the caller must retry after the grant.
     pub fn read(&mut self, txn: TxnId, item: ItemId) -> Result<ReadResult, StorageError> {
-        self.check_active(txn)?;
-        if !self.cells.contains(item) {
-            return Err(StorageError::NoSuchItem(item));
-        }
+        let state = Self::active(&mut self.txns, txn)?;
+        let cell = self.cells.get(item).ok_or(StorageError::NoSuchItem(item))?;
         match self.locks.request(txn, item, LockMode::Shared) {
             LockOutcome::Queued => Err(StorageError::WouldBlock(item)),
             LockOutcome::Granted => {
-                let state = self.txns.get_mut(&txn).expect("checked active");
                 let result = match state.writes.iter().rev().find(|(i, _)| *i == item) {
                     Some((_, value)) => ReadResult { value: value.clone(), writer: state.writer },
-                    None => {
-                        let cell = self.cells.get(item).expect("checked above");
-                        ReadResult { value: cell.value.clone(), writer: cell.writer }
-                    }
+                    None => ReadResult { value: cell.value.clone(), writer: cell.writer },
                 };
                 state.reads.push((item, result.writer));
                 self.trace_access(item, txn, false);
@@ -261,14 +273,13 @@ impl Store {
         value: Value,
         writer: GlobalTxnId,
     ) -> Result<(), StorageError> {
-        self.check_active(txn)?;
+        let state = Self::active(&mut self.txns, txn)?;
         if !self.cells.contains(item) {
             return Err(StorageError::NoSuchItem(item));
         }
         match self.locks.request(txn, item, LockMode::Exclusive) {
             LockOutcome::Queued => Err(StorageError::WouldBlock(item)),
             LockOutcome::Granted => {
-                let state = self.txns.get_mut(&txn).expect("checked active");
                 state.writes.push((item, value));
                 state.writer = Some(writer);
                 Ok(())
@@ -281,8 +292,7 @@ impl Store {
     /// (BackEdge protocol, §4.1: backedge subtransactions "do not commit
     /// and hold on to their locks"). Its writes stay buffered.
     pub fn prepare(&mut self, txn: TxnId) -> Result<(), StorageError> {
-        self.check_active(txn)?;
-        self.txns.get_mut(&txn).expect("checked").status = TxnStatus::Prepared;
+        Self::active(&mut self.txns, txn)?.status = TxnStatus::Prepared;
         Ok(())
     }
 
@@ -297,10 +307,14 @@ impl Store {
     /// is dropped on the spot and the store stays at one version per
     /// item.
     pub fn commit(&mut self, txn: TxnId) -> Result<(CommitInfo, Vec<TxnId>), StorageError> {
-        let state = self.txns.remove(&txn).ok_or(StorageError::NoSuchTxn(txn))?;
+        let mut state = self.txns.remove(txn).ok_or(StorageError::NoSuchTxn(txn))?;
+        // Exact-size copies for the caller; the buffers they were
+        // collected in stay with the slab.
         let n = state.writes.len();
-        let info =
-            CommitInfo { reads: state.reads, writes: last_write_wins(state.writes.into_iter(), n) };
+        let info = CommitInfo {
+            reads: state.reads.clone(),
+            writes: last_write_wins(state.writes.drain(..), n),
+        };
         if !info.writes.is_empty() {
             self.commit_ts += 1;
             let keep_superseded = self.snapshots.active_count() > 0;
@@ -319,6 +333,7 @@ impl Store {
                 self.trace_access(*item, txn, true);
             }
         }
+        self.retire(state);
         Ok((info, self.locks.release_all(txn)))
     }
 
@@ -328,7 +343,8 @@ impl Store {
     /// Safe to call on a blocked transaction (its queued lock request is
     /// cancelled) and on a prepared one (BackEdge global-deadlock aborts).
     pub fn abort(&mut self, txn: TxnId) -> Result<Vec<TxnId>, StorageError> {
-        self.txns.remove(&txn).ok_or(StorageError::NoSuchTxn(txn))?;
+        let state = self.txns.remove(txn).ok_or(StorageError::NoSuchTxn(txn))?;
+        self.retire(state);
         Ok(self.locks.release_all(txn))
     }
 
@@ -377,9 +393,10 @@ impl Store {
     }
 
     /// Lock-free snapshot read: the version of `item` visible at
-    /// `snap`'s timestamp — the cell itself unless a commit newer than
-    /// the snapshot has overwritten it, in which case the side chain
-    /// holds the version the snapshot pinned.
+    /// `snap`'s timestamp — the cell itself (one direct index lookup,
+    /// `cells.rs`) unless a commit newer than the snapshot has
+    /// overwritten it, in which case the side chain holds the version
+    /// the snapshot pinned.
     ///
     /// This path never touches the lock manager (pinned by replint
     /// RL011 and the lock-trace test): it cannot block, cannot deadlock,

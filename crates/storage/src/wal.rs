@@ -93,6 +93,9 @@ pub enum WalError {
     Truncated,
     /// Unknown value-type tag.
     BadTag(u8),
+    /// An over-long varint (log records hold none; kept total over
+    /// [`CodecError`]).
+    Overlong,
 }
 
 impl std::fmt::Display for WalError {
@@ -100,6 +103,7 @@ impl std::fmt::Display for WalError {
         match self {
             WalError::Truncated => write!(f, "log image truncated"),
             WalError::BadTag(t) => write!(f, "unknown value tag {t}"),
+            WalError::Overlong => write!(f, "over-long varint in log image"),
         }
     }
 }
@@ -111,6 +115,7 @@ impl From<CodecError> for WalError {
         match e {
             CodecError::Truncated => WalError::Truncated,
             CodecError::BadTag(t) => WalError::BadTag(t),
+            CodecError::Overlong => WalError::Overlong,
         }
     }
 }
