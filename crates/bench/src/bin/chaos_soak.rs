@@ -4,9 +4,9 @@
 //! window, a one-way cut, link jitter, frame drops, duplicates and
 //! corruption — all drawn from the seed) is applied to the full
 //! protocol × transport matrix: NaiveLazy/DagWt/DagT/BackEdge on the
-//! in-process channel cluster and on process-per-site TCP under both
-//! I/O drivers. The workload is the differential matrix's conflict-free
-//! per-site program, so after the faults heal every deployment must:
+//! in-process channel cluster and on process-per-site TCP. The workload
+//! is the differential matrix's conflict-free per-site program, so
+//! after the faults heal every deployment must:
 //!
 //! - quiesce (no update parked forever behind a healed partition),
 //! - converge byte-identically to a fault-free control run,
@@ -25,7 +25,6 @@
 use std::time::{Duration, Instant};
 
 use repl_copygraph::DataPlacement;
-use repl_core::deploy::ReactorKind;
 use repl_core::history::History;
 use repl_runtime::{
     repld_bin, Cluster, ClusterError, ClusterHandle, LaunchOptions, NetFaultPlan, ProcCluster,
@@ -37,10 +36,9 @@ const USAGE: &str = "\
 usage: chaos_soak [--seeds N] [--txns N] [--out FILE] [--smoke]
 
 Defaults: --seeds 3, --txns 8, --out BENCH_chaos.json. Every seed is
-run against all four protocols on all three transports (channel,
-tcp-threads, tcp-epoll) and compared against a fault-free control.
---smoke shrinks the matrix to one seed on channel + tcp-threads for a
-fast CI gate.";
+run against all four protocols on both transports (channel, tcp) and
+compared against a fault-free control. --smoke shrinks the run to one
+seed with short fault windows for a fast CI gate.";
 
 const DEFAULT_SEEDS: u64 = 3;
 const DEFAULT_TXNS: u32 = 8;
@@ -100,19 +98,17 @@ fn parse_args(args: &[String]) -> Result<Config, String> {
 // The matrix.
 // ---------------------------------------------------------------------
 
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 enum TransportCol {
     Channel,
-    TcpThreads,
-    TcpEpoll,
+    Tcp,
 }
 
 impl TransportCol {
     fn name(self) -> &'static str {
         match self {
             TransportCol::Channel => "channel",
-            TransportCol::TcpThreads => "tcp-threads",
-            TransportCol::TcpEpoll => "tcp-epoll",
+            TransportCol::Tcp => "tcp",
         }
     }
 }
@@ -138,12 +134,6 @@ struct CellReport {
 fn run(args: &[String]) -> Result<(), String> {
     let cfg = parse_args(args)?;
     let placement = fan_placement();
-    let transports: &[TransportCol] = if cfg.smoke {
-        &[TransportCol::Channel, TransportCol::TcpThreads]
-    } else {
-        &[TransportCol::Channel, TransportCol::TcpThreads, TransportCol::TcpEpoll]
-    };
-
     let mut cells: Vec<CellReport> = Vec::new();
     for seed_idx in 0..cfg.seeds {
         let seed = 0xC4A0_0000 + seed_idx;
@@ -160,7 +150,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 cluster.shutdown();
                 states
             };
-            for &transport in transports {
+            for transport in [TransportCol::Channel, TransportCol::Tcp] {
                 let cell = run_cell(
                     &placement, protocol, proto_name, transport, seed, &plan, &progs, &control,
                 )?;
@@ -210,17 +200,9 @@ fn run_cell(
             cluster.shutdown();
             cell
         }
-        TransportCol::TcpThreads | TransportCol::TcpEpoll => {
-            let reactor = if transport == TransportCol::TcpEpoll {
-                ReactorKind::Epoll
-            } else {
-                ReactorKind::Threads
-            };
-            let launch = LaunchOptions {
-                reactor,
-                nemesis: Some(plan.to_spec()),
-                ..LaunchOptions::default()
-            };
+        TransportCol::Tcp => {
+            let launch =
+                LaunchOptions { nemesis: Some(plan.to_spec()), ..LaunchOptions::default() };
             let bin = repld_bin().map_err(|e| e.to_string())?;
             let cluster = ProcCluster::launch_with_options(&bin, placement, protocol, &launch)
                 .map_err(|e| format!("launch repld: {e}"))?;

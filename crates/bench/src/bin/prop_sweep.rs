@@ -11,7 +11,7 @@
 //! flushes. The sweep reports the paper's recency metric (§5.3.4
 //! commit-to-last-replica delay) next to throughput and message volume,
 //! and writes the figure as JSON (`--out`, default
-//! `BENCH_propagation.json`).
+//! `BENCH_propagation.json` — a local output, gitignored).
 //!
 //! The run exits 1 unless, for **both** DAG(WT) and DAG(T), some
 //! batched point strictly beats the serial control at the same x on

@@ -30,15 +30,17 @@ impl TransportKind {
     }
 }
 
-/// Which I/O driver a `repld` process runs its site on.
+/// The I/O driver a `repld` process runs its site on. There is one:
+/// the thread-per-connection driver was removed in PR 21 (it was an
+/// order of magnitude behind on every benchmark workload). The type,
+/// [`DeployConfig::reactor`] and `repld --reactor epoll` remain only
+/// because `benchmark/` names them and that PR could not edit it; they
+/// go with the benchmark's own `--reactor` flag.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ReactorKind {
-    /// Blocking I/O, one OS thread per connection (plus dialer and
-    /// accept threads).
-    #[default]
-    Threads,
     /// A single-threaded nonblocking epoll readiness loop owning every
-    /// connection — the scalable choice for large client counts.
+    /// connection.
+    #[default]
     Epoll,
 }
 
@@ -46,16 +48,18 @@ impl ReactorKind {
     /// Parse a config/flag spelling.
     pub fn parse(s: &str) -> Result<ReactorKind, String> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "threads" | "thread" | "blocking" => Ok(ReactorKind::Threads),
             "epoll" | "reactor" => Ok(ReactorKind::Epoll),
-            other => Err(format!("unknown reactor {other:?} (expected \"threads\" or \"epoll\")")),
+            "threads" | "thread" | "blocking" => Err(format!(
+                "reactor {s:?} was removed in PR 21: epoll is the only TCP driver \
+                 (drop the setting, or say \"epoll\")"
+            )),
+            other => Err(format!("unknown reactor {other:?} (expected \"epoll\")")),
         }
     }
 
     /// The canonical flag spelling (what `--reactor` accepts back).
     pub fn name(self) -> &'static str {
         match self {
-            ReactorKind::Threads => "threads",
             ReactorKind::Epoll => "epoll",
         }
     }
@@ -77,7 +81,8 @@ pub struct DeployConfig {
     pub placement: Option<String>,
     /// Transport selection.
     pub transport: Option<TransportKind>,
-    /// I/O driver selection (TCP deployments only).
+    /// I/O driver selection: accepted for compatibility, one value
+    /// (see [`ReactorKind`]).
     pub reactor: Option<ReactorKind>,
     /// Deterministic network-fault schedule, in the runtime's
     /// `NetFaultPlan` spec format (opaque to this parser; validated by
@@ -354,6 +359,7 @@ mod tests {
             ("[peers]\nzero = \"a:1\"", "site id"),
             ("transport = \"carrier-pigeon\"", "unknown transport"),
             ("reactor = \"fibers\"", "unknown reactor"),
+            ("reactor = \"threads\"", "removed in PR 21"),
             ("nemesis = seed=1", "quoted"),
             ("eager_timeout_ms = \"soon\"", "integer"),
             ("outbox_high_water = lots", "integer"),

@@ -28,24 +28,23 @@ use std::process::ExitCode;
 use repl_analysis::{check_address_map, has_errors, render};
 use repl_copygraph::DataPlacement;
 use repl_core::deploy::{DeployConfig, ReactorKind};
-use repl_runtime::{
-    serve, serve_epoll, NetFaultPlan, RuntimeOptions, RuntimeProtocol, ServeConfig,
-};
+use repl_runtime::{serve_epoll, NetFaultPlan, RuntimeOptions, RuntimeProtocol, ServeConfig};
 use repl_types::SiteId;
 
 const USAGE: &str = "\
 usage: repld [--config FILE] [--site N] [--listen HOST:PORT]
              [--protocol dagwt|dagt|backedge|naive] [--placement SPEC]
-             [--reactor threads|epoll] [--peer N=HOST:PORT]...
+             [--reactor epoll] [--peer N=HOST:PORT]...
              [--nemesis SPEC] [--eager-timeout-ms N] [--outbox-high-water N]
              [--mvcc] [--group-commit N] [--link-batch N] [--apply-pool N]
 
 Flags override --config values. --listen HOST:0 picks an ephemeral port
 and announces it on stdout as `repld: site N listening on ADDR`.
---reactor threads (default) spends one blocking OS thread per
-connection; --reactor epoll serves every connection from one
-nonblocking readiness loop. --nemesis injects a deterministic network
-fault schedule (see NetFaultPlan::parse; give every site the same spec);
+Every connection is served from one nonblocking epoll readiness loop;
+--reactor epoll names that driver and is accepted for compatibility
+(--reactor threads was removed in PR 21 and is refused). --nemesis
+injects a deterministic network fault schedule (see
+NetFaultPlan::parse; give every site the same spec);
 --eager-timeout-ms bounds a BackEdge eager phase before it aborts;
 --outbox-high-water caps per-link outbox growth before writes are
 refused with a backpressure error. --mvcc serves all-read transactions
@@ -112,10 +111,7 @@ fn run() -> Result<(), String> {
 
     let serve_cfg =
         ServeConfig { site: SiteId(site), placement, protocol, listen, peers: cfg.peers, options };
-    match cfg.reactor.unwrap_or_default() {
-        ReactorKind::Threads => serve(serve_cfg).map_err(|e| e.to_string()),
-        ReactorKind::Epoll => serve_epoll(serve_cfg).map_err(|e| e.to_string()),
-    }
+    serve_epoll(serve_cfg).map_err(|e| e.to_string())
 }
 
 fn parse_args(args: impl Iterator<Item = String>) -> Result<DeployConfig, String> {

@@ -1,9 +1,8 @@
 //! A deployment-independent cluster client API.
 //!
-//! The repo grows deployments sideways — in-process threads
-//! ([`Cluster`]), process-per-site over TCP ([`ProcCluster`], itself
-//! covering both the threaded and epoll-reactor `repld`) — while the
-//! protocol layer stays fixed. [`ClusterHandle`] is the seam that keeps
+//! The repo has two deployments — in-process threads ([`Cluster`]) and
+//! process-per-site over TCP ([`ProcCluster`], a fleet of `repld`) —
+//! while the protocol layer stays fixed. [`ClusterHandle`] is the seam that keeps
 //! the *drivers* fixed too: the differential matrix, fault tests and
 //! the load generator are written against this trait once and run
 //! against every deployment.

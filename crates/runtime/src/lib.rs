@@ -25,18 +25,16 @@
 //! site's durable WAL, with lost deliveries retransmitted from
 //! sender-side outboxes — see the `link` and `durable` modules.
 //!
-//! Three deployments share the site runtime through one event-oriented
+//! Two deployments share the site runtime through one event-oriented
 //! transport seam (the `transport` module): [`Cluster`] wires sites
-//! with in-process channels; [`serve`] runs one site per OS process
-//! speaking the `repl-net` wire protocol over blocking TCP with a
-//! thread per connection; and [`serve_epoll`] runs the same site on a
-//! single-threaded nonblocking epoll reactor (`repld --reactor epoll`).
-//! [`ProcCluster`] is the matching multi-process launcher for both
-//! `repld` modes, and [`ClusterHandle`] the deployment-generic client
-//! API drivers are written against. The sender-side outboxes and
-//! receiver-side dedup/gap marks are the same code everywhere, so
-//! exactly-once in-order delivery survives real connection drops the
-//! same way it survives [`Cluster::crash`].
+//! with in-process channels, and [`serve_epoll`] runs one site per OS
+//! process (`repld`) speaking the `repl-net` wire protocol over TCP
+//! from a single-threaded nonblocking epoll reactor. [`ProcCluster`]
+//! is the matching multi-process launcher, and [`ClusterHandle`] the
+//! deployment-generic client API drivers are written against. The
+//! sender-side outboxes and receiver-side dedup/gap marks are the same
+//! code in both, so exactly-once in-order delivery survives real
+//! connection drops the same way it survives [`Cluster::crash`].
 //!
 //! ```
 //! use repl_core::scenario;
@@ -65,7 +63,6 @@ mod policy;
 mod proc;
 mod reactor;
 mod site;
-mod tcp;
 mod transport;
 
 pub use cluster::{Cluster, ClusterError, RuntimeProtocol, TxnHandle};
@@ -73,7 +70,6 @@ pub use handle::{ClusterHandle, SiteStats};
 pub use nemesis::{NetFaultPlan, PartitionWindow, PauseWindow};
 pub use policy::{RetryPolicy, RuntimeOptions};
 pub use proc::{repld_bin, LaunchOptions, ProcCluster};
-pub use reactor::serve_epoll;
+pub use reactor::{serve_epoll, ServeConfig};
 pub use repl_net::HistoryTxn;
-pub use tcp::{serve, ServeConfig};
 pub use transport::PeerHealth;

@@ -22,9 +22,9 @@
 //!   sequence `s`, the receiver acks it, which prunes the outbox prefix
 //!   `<= s` at the sender.
 //!
-//! Everything here is shared verbatim by every transport — in-process
-//! channels, threaded TCP, and the epoll reactor ([`crate::transport`],
-//! [`crate::tcp`], [`crate::reactor`]). Only the "one nonblocking
+//! Everything here is shared verbatim by both transports — in-process
+//! channels and the epoll reactor's TCP ([`crate::transport`],
+//! [`crate::reactor`]). Only the "one nonblocking
 //! attempt to put bytes on the wire" step differs; that is the
 //! [`crate::transport::Transport`] trait, and the sequencing,
 //! outboxing, acking and replay logic exists exactly once, here and in

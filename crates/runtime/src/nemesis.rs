@@ -8,8 +8,8 @@
 //! plan against the same workload injects the same faults.
 //!
 //! [`ChaosWire`] interprets a plan as a [`Transport`] decorator. It
-//! composes over any of the three wires (in-process channels, threaded
-//! TCP, the epoll reactor) because it sits at the one seam they share:
+//! composes over either wire (in-process channels, the epoll reactor's
+//! TCP) because it sits at the one seam they share:
 //! every fault is applied to the *attempt*, and the reliable-link
 //! engine above ([`crate::transport::Net`]) never learns the wire was
 //! lying. That is the point — drops, duplicates and partitions must be

@@ -1,17 +1,13 @@
 //! Timing policy: every retry, backoff, timeout and pacing duration of
 //! the live runtime, in one place.
 //!
-//! Before this module existed the runtime had hardcoded `DIAL_RETRY`
-//! constants duplicated in `tcp.rs` and `reactor.rs`, a separate
-//! `CONNECT_TIMEOUT`, and bare `std::thread::sleep` calls sprinkled
-//! through the dialer and quiesce loops. Under fault injection those
-//! fixed paces are exactly wrong: a fixed 20 ms dial retry against a
-//! partitioned peer burns CPU and (worse) synchronizes every dialer in
-//! the cluster into lockstep reconnect storms. [`RetryPolicy`] replaces
-//! them with one configurable jittered-exponential backoff, seeded with
-//! splitmix64 so two runs with the same seed pace identically — no OS
-//! entropy, matching the determinism story of the simulator's
-//! `FaultPlan`.
+//! Under fault injection fixed paces are exactly wrong: a fixed 20 ms
+//! dial retry against a partitioned peer burns CPU and (worse)
+//! synchronizes every dialer in the cluster into lockstep reconnect
+//! storms. [`RetryPolicy`] is one configurable jittered-exponential
+//! backoff, seeded with splitmix64 so two runs with the same seed pace
+//! identically — no OS entropy, matching the determinism story of the
+//! simulator's `FaultPlan`.
 //!
 //! replint rule RL010 forbids `std::thread::sleep` and retry/timeout
 //! duration constants in `crates/runtime` outside this module; the
@@ -33,8 +29,7 @@ pub(crate) fn pace(d: Duration) {
     std::thread::sleep(d);
 }
 
-/// Jittered exponential backoff for reconnect/dial loops, shared by the
-/// threaded TCP dialer and the epoll reactor's dial pass.
+/// Jittered exponential backoff for the epoll reactor's dial pass.
 ///
 /// The delay before attempt `k` is drawn uniformly (splitmix64-seeded,
 /// deterministic per `(seed, k)`) from `[base·2^k / 2, base·2^k]`,

@@ -30,13 +30,15 @@ use crate::policy;
 /// How long to keep retrying the initial client connection to a child.
 const CONNECT_WINDOW: Duration = Duration::from_secs(10);
 
-/// Launch-time knobs beyond the placement and protocol: the I/O driver
-/// and the runtime-tolerance overrides forwarded to each `repld` child
-/// on its command line. [`Default`] matches [`ProcCluster::launch`]
-/// exactly (threaded driver, no nemesis, built-in timeouts).
+/// Launch-time knobs beyond the placement and protocol: the
+/// runtime-tolerance overrides forwarded to each `repld` child on its
+/// command line. [`Default`] matches [`ProcCluster::launch`] exactly
+/// (no nemesis, built-in timeouts).
 #[derive(Clone, Debug, Default)]
 pub struct LaunchOptions {
-    /// I/O driver for every child (`--reactor`).
+    /// I/O driver for every child (`--reactor`). One value: the field
+    /// stays only because `benchmark/` sets it and PR 21, which removed
+    /// the threaded driver, could not edit that package.
     pub reactor: ReactorKind,
     /// Nemesis fault plan in `NetFaultPlan::to_spec` form
     /// (`--nemesis`), applied identically by every child.
@@ -92,58 +94,17 @@ pub struct ProcCluster {
 
 impl ProcCluster {
     /// Spawn one `repld` process per site of `placement` (binary found
-    /// via [`repld_bin`]), wire the mesh, and connect a client session
-    /// to each. Children run the default threaded I/O driver; see
-    /// [`ProcCluster::launch_reactor`] to choose.
+    /// via [`repld_bin`]) with default [`LaunchOptions`], wire the mesh,
+    /// and connect a client session to each.
     pub fn launch(placement: &DataPlacement, protocol: RuntimeProtocol) -> io::Result<Self> {
-        Self::launch_with_bin(&repld_bin()?, placement, protocol)
+        Self::launch_with_options(&repld_bin()?, placement, protocol, &LaunchOptions::default())
     }
 
-    /// [`ProcCluster::launch`] with an explicit I/O driver: children
-    /// are started with `--reactor <kind>`.
-    pub fn launch_reactor(
-        placement: &DataPlacement,
-        protocol: RuntimeProtocol,
-        reactor: ReactorKind,
-    ) -> io::Result<Self> {
-        let opts = LaunchOptions { reactor, ..LaunchOptions::default() };
-        Self::launch_inner(&repld_bin()?, placement, protocol, &opts)
-    }
-
-    /// [`ProcCluster::launch`] with an explicit `repld` path.
-    pub fn launch_with_bin(
-        bin: &std::path::Path,
-        placement: &DataPlacement,
-        protocol: RuntimeProtocol,
-    ) -> io::Result<Self> {
-        Self::launch_inner(bin, placement, protocol, &LaunchOptions::default())
-    }
-
-    /// Explicit `repld` path *and* explicit I/O driver — what the test
-    /// suites use (`CARGO_BIN_EXE_repld` plus a reactor column).
-    pub fn launch_with_bin_reactor(
-        bin: &std::path::Path,
-        placement: &DataPlacement,
-        protocol: RuntimeProtocol,
-        reactor: ReactorKind,
-    ) -> io::Result<Self> {
-        let opts = LaunchOptions { reactor, ..LaunchOptions::default() };
-        Self::launch_inner(bin, placement, protocol, &opts)
-    }
-
-    /// Full-control launch: explicit `repld` path plus every
-    /// [`LaunchOptions`] knob — the chaos drivers use this to hand an
-    /// identical nemesis plan and tolerance overrides to every child.
+    /// [`ProcCluster::launch`] with an explicit `repld` path (test
+    /// suites pass `CARGO_BIN_EXE_repld`) and every [`LaunchOptions`]
+    /// knob — the chaos drivers use this to hand an identical nemesis
+    /// plan and tolerance overrides to every child.
     pub fn launch_with_options(
-        bin: &std::path::Path,
-        placement: &DataPlacement,
-        protocol: RuntimeProtocol,
-        options: &LaunchOptions,
-    ) -> io::Result<Self> {
-        Self::launch_inner(bin, placement, protocol, options)
-    }
-
-    fn launch_inner(
         bin: &std::path::Path,
         placement: &DataPlacement,
         protocol: RuntimeProtocol,

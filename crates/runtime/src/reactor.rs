@@ -1,15 +1,30 @@
-//! The epoll deployment: one site, one thread, one readiness loop.
+//! The TCP deployment: one OS process per site, one thread, one
+//! readiness loop.
 //!
-//! [`serve_epoll`] runs the same [`SiteCore`] as the threaded `repld`
-//! (`crate::tcp::serve`), but where that mode spends an OS thread per
-//! connection, this one owns *every* connection — the listener, the
-//! dialed peer links, the accepted peer links, and an arbitrary number
-//! of client sessions — from a single nonblocking thread driving a
-//! level-triggered epoll set (the `epoll` shim). That is what lets one
-//! `repld` process hold thousands of concurrent client connections on
-//! a couple of megabytes of buffers instead of thousands of stacks; it
-//! is the driver every fleet of the repository's benchmark
-//! (`benchmark/`) runs on.
+//! [`serve_epoll`] runs the same [`SiteCore`] as the in-process
+//! cluster's site threads, over real sockets: it owns *every*
+//! connection — the listener, the dialed peer links, the accepted peer
+//! links, and an arbitrary number of client sessions — from a single
+//! nonblocking thread driving a level-triggered epoll set (the `epoll`
+//! shim). That is what lets one `repld` process hold thousands of
+//! concurrent client connections on a couple of megabytes of buffers
+//! instead of thousands of stacks. It is the only TCP driver: the
+//! thread-per-connection one it replaced was an order of magnitude
+//! behind on every benchmark workload (EXPERIMENTS.md, "TCP drivers").
+//!
+//! Topology: every site dials every peer it has an address for. The
+//! connection `C(S → T)` is established by `S` with a
+//! [`repl_net::Hello`] / [`repl_net::HelloAck`] handshake (protocol
+//! version negotiation plus a cluster fingerprint check) and is used
+//! bidirectionally: `S` writes `Link` frames carrying propagation
+//! payloads, `T` writes cumulative `Ack` frames back on the same
+//! socket. When either side observes an error the connection closes
+//! and `S` re-dials with bounded backoff; `HelloAck.resume_seq` —
+//! `T`'s durable per-link high-water mark — prunes `S`'s outbox and
+//! everything above it is replayed in sequence order ([`Net::resume`]),
+//! so delivery stays exactly-once in-order across real connection
+//! drops. It is the same machinery (and the same code) that recovers
+//! site crashes under the channel transport.
 //!
 //! Structure of the loop, in the order each iteration runs it:
 //!
@@ -37,11 +52,12 @@
 //! recovery mechanism for both stalls and drops.
 //!
 //! **Eager phases.** A BackEdge transaction waits for its special to
-//! come home. A thread can park; the reactor instead parks the
-//! *transaction*: `in_flight` holds it (serializing clients exactly
-//! like the one-command-at-a-time site thread does), link frames keep
-//! flowing, and when [`SiteCore::take_home`] fires the loop completes
-//! the commit and replies.
+//! come home. The in-process cluster's site thread can park; the
+//! reactor instead parks the *transaction*: `in_flight` holds it
+//! (serializing clients exactly like the one-command-at-a-time site
+//! thread does), link frames keep flowing, and when
+//! [`SiteCore::take_home`] fires the loop completes the commit and
+//! replies.
 //!
 //! **Blocking discipline.** Every fd is nonblocking; all raw socket
 //! calls funnel through three audited helpers at the bottom of this
@@ -62,19 +78,20 @@ use std::time::{Duration, Instant};
 use epoll::{Epoll, Interest};
 use parking_lot::Mutex;
 
+use repl_copygraph::DataPlacement;
 use repl_net::{
     cluster_fingerprint, frame_link_into, frame_run_into, frame_state_reply_into, negotiate,
-    ClientMsg, ClientReply, FrameReader, Hello, HelloAck, HistoryLog, NetError, Payload, WireMsg,
-    VERSION_BATCH, VERSION_MAX, VERSION_MIN,
+    ClientMsg, ClientReply, ExecError, FrameReader, Hello, HelloAck, HistoryLog, NetError, Payload,
+    WireMsg, VERSION_BATCH, VERSION_MAX, VERSION_MIN,
 };
 use repl_types::{AddressMap, GlobalTxnId, Op, SiteId};
 
-use crate::cluster::{build_structure, recovered_store};
+use crate::cluster::{build_structure, recovered_store, ClusterError, RuntimeProtocol};
 use crate::durable::DurableSite;
 use crate::link::Links;
 use crate::nemesis::ChaosWire;
+use crate::policy::RuntimeOptions;
 use crate::site::{SiteCore, SiteSetup, Started};
-use crate::tcp::{exec_error, ServeConfig};
 use crate::transport::{Net, SendStatus, Transport, TransportEvent};
 
 /// The epoll token of the listening socket; connection tokens are slab
@@ -189,8 +206,8 @@ struct OutLane {
 /// inbound frames queue in the inbox the reactor drains via
 /// [`SiteCore::drain_net`]. The mutexes are uncontended formality: the
 /// whole deployment is single-threaded, but the `Transport` trait is
-/// shared with genuinely multi-threaded deployments and so requires
-/// `Send + Sync`.
+/// shared with the genuinely multi-threaded in-process cluster and so
+/// requires `Send + Sync`.
 struct ReactorWire {
     /// `lanes[p]`: link frames awaiting the connection we dialed to `p`.
     lanes: Vec<Mutex<OutLane>>,
@@ -345,12 +362,43 @@ struct InFlight {
     ops: Vec<Op>,
 }
 
+/// Configuration of one `repld` site process.
+pub struct ServeConfig {
+    /// This process's site.
+    pub site: SiteId,
+    /// The cluster-wide placement (identical in every process).
+    pub placement: DataPlacement,
+    /// The propagation protocol (identical in every process).
+    pub protocol: RuntimeProtocol,
+    /// Listen address; use port 0 to bind ephemerally — the bound
+    /// address is printed to stdout for launchers to harvest.
+    pub listen: String,
+    /// Peer addresses. May be incomplete (even empty) at start; a
+    /// launcher can push the full map later with [`ClientMsg::Peers`].
+    pub peers: AddressMap,
+    /// Timing/bound knobs, including the optional nemesis plan
+    /// (`repld --nemesis`). [`RuntimeOptions::default`] for a clean
+    /// deployment.
+    pub options: RuntimeOptions,
+}
+
+/// Map the typed client error to its wire spelling.
+fn exec_error(e: ClusterError) -> ExecError {
+    match e {
+        ClusterError::NoCopy(s, i) => ExecError::NoCopy(s, i),
+        ClusterError::NotPrimary(s, i) => ExecError::NotPrimary(s, i),
+        ClusterError::NoSuchSite(s) => ExecError::NoSuchSite(s),
+        ClusterError::Disconnected => ExecError::Disconnected,
+        ClusterError::Backpressure { peer, queued } => ExecError::Backpressure { peer, queued },
+        other => ExecError::Other(other.to_string()),
+    }
+}
+
 /// Run one site as this process on a single-threaded nonblocking epoll
-/// reactor — `repld --reactor epoll`. Same contract as
-/// [`crate::serve`]: binds `cfg.listen`, prints the
-/// `repld: site N listening on ADDR` banner first on stdout, serves
-/// peer and client connections until a client sends
-/// [`ClientMsg::Shutdown`].
+/// reactor — what `repld` does. Binds `cfg.listen`, prints the
+/// `repld: site N listening on ADDR` banner first on stdout (the
+/// launcher contract), and serves peer and client connections until a
+/// client sends [`ClientMsg::Shutdown`].
 pub fn serve_epoll(cfg: ServeConfig) -> io::Result<()> {
     let structure = build_structure(&cfg.placement, cfg.protocol)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
@@ -655,8 +703,8 @@ impl Reactor {
         }
     }
 
-    /// Accepter side of the peer handshake, mirroring the threaded
-    /// `handle_peer` validations.
+    /// Accepter side of the peer handshake: validate the `Hello`, reply
+    /// `HelloAck` with our durable resume point.
     fn setup_peer_in(&mut self, tok: usize, hello: Hello) -> bool {
         let reject = |this: &mut Self, tok: usize, why: &str| {
             this.queue_msg(tok, &WireMsg::Reject(why.into()));
@@ -921,7 +969,7 @@ impl Reactor {
             if self.core.check_eager_timeout() == Some(inflight.gid) {
                 // replint: allow(RL008) -- checked Some above; single-threaded loop
                 let inflight = self.in_flight.take().expect("in_flight present");
-                let err = crate::cluster::ClusterError::EagerTimeout(inflight.gid);
+                let err = ClusterError::EagerTimeout(inflight.gid);
                 self.queue_reply(inflight.token, ClientReply::Executed(Err(exec_error(err))));
                 self.pump_exec();
             }

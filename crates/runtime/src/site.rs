@@ -16,8 +16,8 @@
 //!   timers. Nothing in it blocks, sleeps or waits, so the epoll
 //!   reactor (`crate::reactor`) can drive it from a readiness loop.
 //! * [`SiteRuntime`] is the threaded shell used by the in-process
-//!   cluster and `repld --reactor threads`: one OS thread owning the
-//!   core, a command channel, and the blocking eager-phase wait loop.
+//!   cluster: one OS thread owning the core, a command channel, and
+//!   the blocking eager-phase wait loop.
 //!
 //! The split mirrors the eager phase's two shapes: a thread can park in
 //! [`SiteRuntime::wait_for_home`] until the BackEdge special returns,

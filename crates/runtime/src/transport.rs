@@ -1,29 +1,28 @@
-//! The transport abstraction: one reliable-link engine, three wires.
+//! The transport abstraction: one reliable-link engine, two wires.
 //!
 //! [`Net`] owns the sequencing/outbox/ack/replay logic (state in
 //! [`crate::link::Links`]) and delegates the steps that differ between
 //! deployments to a [`Transport`] — an *event-oriented, nonblocking*
-//! seam shared by all three back ends:
+//! seam shared by both back ends:
 //!
 //! * [`ChannelRaw`]: the in-process deployment. "The wire" is a
 //!   per-site event inbox drained by the destination's site thread
 //!   (woken through its command channel), and an ack is a direct prune
 //!   of the shared outbox table (standing in for the ack message a
 //!   networked deployment would send).
-//! * [`crate::tcp::TcpRaw`]: real sockets, one blocking reader thread
-//!   per connection. A send is a framed [`repl_net::WireMsg::Link`]
-//!   write into the kernel's socket buffer, an ack is a framed
-//!   [`repl_net::WireMsg::Ack`] written back on the same connection,
-//!   and reader threads park decoded frames in the process's inbox.
-//! * the epoll reactor's wire (`crate::reactor`): sends append to
-//!   per-peer write buffers flushed by the readiness loop, with typed
-//!   [`SendStatus::Backpressure`] once a buffer is full — nothing in
-//!   the send path can block or sleep.
+//! * the epoll reactor's wire (`crate::reactor`): real sockets. A send
+//!   appends a framed [`repl_net::WireMsg::Link`] to a per-peer write
+//!   buffer flushed by the readiness loop, an ack is a framed
+//!   [`repl_net::WireMsg::Ack`] buffered back toward the same
+//!   connection, with typed [`SendStatus::Backpressure`] once a buffer
+//!   is full — nothing in the send path can block or sleep.
+//!
+//! `crate::nemesis::ChaosWire` decorates either with a fault plan.
 //!
 //! Every attempt is **single-shot and nonblocking**: a send either
 //! reaches the wire ([`SendStatus::Sent`]), is refused by a full buffer
 //! ([`SendStatus::Backpressure`]), or finds the wire down
-//! ([`SendStatus::Down`]). In all three cases the payload is already
+//! ([`SendStatus::Down`]). In all three outcomes the payload is already
 //! enrolled in the outbox, so delivery is recovered by replay — a
 //! reconnect ([`Net::resume`]), a site restart
 //! ([`Net::retransmit_to`]), or a backpressure drain — and the
@@ -34,9 +33,8 @@
 //! lane lock*. That makes wire order equal sequence order per link — a
 //! reconnect replay ([`Net::resume`]) takes the same lock, so a fresh
 //! send can never jump ahead of a replayed predecessor on the stream.
-//! Nothing slow happens under the lock: a channel send is lock-free, a
-//! TCP send is a buffered write into the kernel, and a reactor send is
-//! a memcpy into a write buffer.
+//! Nothing slow happens under the lock: a channel send is lock-free
+//! and a reactor send is a memcpy into a write buffer.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

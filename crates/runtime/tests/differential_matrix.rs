@@ -1,10 +1,9 @@
-//! The differential matrix: one seeded workload, four deployments.
+//! The differential matrix: one seeded workload, three deployments.
 //!
 //! Since the propagation decisions of every protocol live in one shared
 //! sans-I/O [`repl_protocol::SiteMachine`], the discrete-event simulator,
-//! the in-process channel cluster, and process-per-site loopback TCP
-//! clusters under **both** I/O drivers (`--reactor threads` and
-//! `--reactor epoll`) must all end in **byte-identical** final copy
+//! the in-process channel cluster, and the process-per-site loopback
+//! TCP cluster (`repld`) must all end in **byte-identical** final copy
 //! state — same values, same writer transaction ids, same wire encoding
 //! — for every protocol on every placement.
 //!
@@ -17,13 +16,12 @@
 //! filtered differently, a subtransaction routed to the wrong place —
 //! shows up here as a byte diff.
 //!
-//! `tools/ci.sh` runs this file as an explicit gate after the build.
+//! `tools/ci.sh` re-runs this file at `DIFF_MATRIX_TXNS=6` as a gate.
 
 use std::path::Path;
 
 use repl_copygraph::DataPlacement;
 use repl_core::config::{ProtocolKind, SimParams};
-use repl_core::deploy::ReactorKind;
 use repl_core::engine::Engine;
 use repl_net::{decode_cells, encode_cells};
 use repl_runtime::{
@@ -274,16 +272,15 @@ fn channel_final_state(
     states
 }
 
-/// One `repld` OS process per site over loopback TCP, under the chosen
-/// I/O driver (`--reactor threads` or `--reactor epoll`).
+/// One `repld` OS process per site over loopback TCP.
 fn proc_final_state(
     placement: &DataPlacement,
     protocol: RuntimeProtocol,
     progs: &[Vec<Vec<Vec<Op>>>],
-    reactor: ReactorKind,
 ) -> Vec<bytes::Bytes> {
     let cluster =
-        ProcCluster::launch_with_bin_reactor(repld(), placement, protocol, reactor).unwrap();
+        ProcCluster::launch_with_options(repld(), placement, protocol, &LaunchOptions::default())
+            .unwrap();
     let states = drive_final_state(&cluster, progs);
     cluster.shutdown();
     states
@@ -330,10 +327,8 @@ fn assert_matrix_cell(
     let sim_state = sim_final_state(placement, sim, &progs, txns);
     let chan_state = channel_final_state(placement, runtime, &progs);
     assert_states_identical(label, "channel cluster", &sim_state, &chan_state);
-    let tcp_state = proc_final_state(placement, runtime, &progs, ReactorKind::Threads);
-    assert_states_identical(label, "TCP cluster (threads)", &sim_state, &tcp_state);
-    let epoll_state = proc_final_state(placement, runtime, &progs, ReactorKind::Epoll);
-    assert_states_identical(label, "TCP cluster (epoll)", &sim_state, &epoll_state);
+    let tcp_state = proc_final_state(placement, runtime, &progs);
+    assert_states_identical(label, "TCP cluster", &sim_state, &tcp_state);
     // Non-degenerate: the workload must actually have written something.
     assert!(sim_state.iter().any(|b| b.len() > 4), "{label}: empty workload");
 }
@@ -356,9 +351,9 @@ fn assert_history_1sr(label: &str, cluster: &dyn ClusterHandle) {
 /// The MVCC column: a mixed read/write workload with snapshot reads
 /// enabled in every deployment — the simulator runs with
 /// `SimParams::snapshot_reads`, the channel cluster with
-/// `RuntimeOptions::mvcc_reads`, and both `repld` reactors with
-/// `--mvcc`. Final copy state must stay byte-identical to the simulator
-/// and every live history must be one-copy serializable.
+/// `RuntimeOptions::mvcc_reads`, and the `repld` fleet with `--mvcc`.
+/// Final copy state must stay byte-identical to the simulator and every
+/// live history must be one-copy serializable.
 #[test]
 fn mvcc_snapshot_read_matrix() {
     let txns = txns_per_site();
@@ -389,18 +384,13 @@ fn mvcc_snapshot_read_matrix() {
         cluster.shutdown();
         assert_states_identical(label, "MVCC channel cluster", &sim_state, &chan_state);
 
-        for (reactor, col) in [
-            (ReactorKind::Threads, "MVCC TCP cluster (threads)"),
-            (ReactorKind::Epoll, "MVCC TCP cluster (epoll)"),
-        ] {
-            let launch = LaunchOptions { reactor, mvcc: true, ..LaunchOptions::default() };
-            let cluster = ProcCluster::launch_with_options(repld(), &placement, runtime, &launch)
-                .expect("launch repld");
-            let state = drive_final_state(&cluster, &progs);
-            assert_history_1sr(label, &cluster);
-            cluster.shutdown();
-            assert_states_identical(label, col, &sim_state, &state);
-        }
+        let launch = LaunchOptions { mvcc: true, ..LaunchOptions::default() };
+        let cluster = ProcCluster::launch_with_options(repld(), &placement, runtime, &launch)
+            .expect("launch repld");
+        let tcp_state = drive_final_state(&cluster, &progs);
+        assert_history_1sr(label, &cluster);
+        cluster.shutdown();
+        assert_states_identical(label, "MVCC TCP cluster", &sim_state, &tcp_state);
         assert!(sim_state.iter().any(|b| b.len() > 4), "{label}: empty workload");
     }
 }
@@ -409,7 +399,7 @@ fn mvcc_snapshot_read_matrix() {
 /// batching and the parallel apply window enabled in every deployment —
 /// the simulator runs with `SimParams::{batch_size, apply_pool}`, the
 /// channel cluster with `RuntimeOptions::{batch_size, apply_pool}`, and
-/// both `repld` reactors with `--link-batch`/`--apply-pool` (riding the
+/// the `repld` fleet with `--link-batch`/`--apply-pool` (riding the
 /// version-2 `WireMsg::Batch` frame with one cumulative ack each).
 /// Batching is a pure scheduling optimization, so final copy state must
 /// stay byte-identical to the **serial** `batch_size = 1` simulator
@@ -457,23 +447,14 @@ fn batched_propagation_matrix() {
         cluster.shutdown();
         assert_states_identical(label, "batched channel cluster", &serial_state, &chan_state);
 
-        for (reactor, col) in [
-            (ReactorKind::Threads, "batched TCP cluster (threads)"),
-            (ReactorKind::Epoll, "batched TCP cluster (epoll)"),
-        ] {
-            let launch = LaunchOptions {
-                reactor,
-                link_batch: Some(8),
-                apply_pool: Some(4),
-                ..LaunchOptions::default()
-            };
-            let cluster = ProcCluster::launch_with_options(repld(), &placement, runtime, &launch)
-                .expect("launch repld");
-            let state = drive_final_state(&cluster, &progs);
-            assert_history_1sr(label, &cluster);
-            cluster.shutdown();
-            assert_states_identical(label, col, &serial_state, &state);
-        }
+        let launch =
+            LaunchOptions { link_batch: Some(8), apply_pool: Some(4), ..LaunchOptions::default() };
+        let cluster = ProcCluster::launch_with_options(repld(), &placement, runtime, &launch)
+            .expect("launch repld");
+        let tcp_state = drive_final_state(&cluster, &progs);
+        assert_history_1sr(label, &cluster);
+        cluster.shutdown();
+        assert_states_identical(label, "batched TCP cluster", &serial_state, &tcp_state);
         assert!(serial_state.iter().any(|b| b.len() > 4), "{label}: empty workload");
     }
 }
@@ -512,19 +493,13 @@ fn partition_heal_matrix() {
         &chan_state,
     );
 
-    for (reactor, label) in [
-        (ReactorKind::Threads, "nemesis TCP cluster (threads)"),
-        (ReactorKind::Epoll, "nemesis TCP cluster (epoll)"),
-    ] {
-        let launch =
-            LaunchOptions { reactor, nemesis: Some(plan.to_spec()), ..LaunchOptions::default() };
-        let cluster =
-            ProcCluster::launch_with_options(repld(), &placement, RuntimeProtocol::DagWt, &launch)
-                .expect("launch repld");
-        let state = drive_final_state(&cluster, &progs);
-        cluster.shutdown();
-        assert_states_identical("partition-heal/fan", label, &sim_state, &state);
-    }
+    let launch = LaunchOptions { nemesis: Some(plan.to_spec()), ..LaunchOptions::default() };
+    let cluster =
+        ProcCluster::launch_with_options(repld(), &placement, RuntimeProtocol::DagWt, &launch)
+            .expect("launch repld");
+    let tcp_state = drive_final_state(&cluster, &progs);
+    cluster.shutdown();
+    assert_states_identical("partition-heal/fan", "nemesis TCP cluster", &sim_state, &tcp_state);
 }
 
 #[test]

@@ -1,18 +1,17 @@
-//! End-to-end tests for the epoll reactor deployment (`repld --reactor
-//! epoll`): transport equivalence against the in-process channel
-//! cluster, mid-run connection kills, a 256-connection smoke test on
-//! one readiness loop, and the typed-error path for malformed client
-//! frames.
+//! End-to-end tests for the process-per-site TCP deployment (`repld`,
+//! the epoll reactor): transport equivalence against the in-process
+//! channel cluster, mid-run connection kills, a 256-connection smoke
+//! test on one readiness loop, and the typed-error path for malformed
+//! client frames. `tcp_cluster.rs` holds the DAG(T) and `Stats` cases.
 
 use std::io::Write;
 use std::net::TcpStream;
 use std::path::Path;
 
 use repl_copygraph::DataPlacement;
-use repl_core::deploy::ReactorKind;
 use repl_core::scenario::{self, WorkloadMix};
 use repl_net::{read_msg, write_msg, ClientMsg, ClientReply, WireMsg};
-use repl_runtime::{Cluster, ClusterHandle, ProcCluster, RuntimeProtocol};
+use repl_runtime::{Cluster, ClusterHandle, LaunchOptions, ProcCluster, RuntimeProtocol};
 use repl_types::{ItemId, Op, SiteId, Value};
 
 fn repld() -> &'static Path {
@@ -20,7 +19,8 @@ fn repld() -> &'static Path {
 }
 
 fn epoll_cluster(placement: &DataPlacement, protocol: RuntimeProtocol) -> ProcCluster {
-    ProcCluster::launch_with_bin_reactor(repld(), placement, protocol, ReactorKind::Epoll).unwrap()
+    ProcCluster::launch_with_options(repld(), placement, protocol, &LaunchOptions::default())
+        .unwrap()
 }
 
 /// Forward-edge DAG placement with topological site numbering (valid

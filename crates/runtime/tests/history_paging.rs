@@ -1,20 +1,21 @@
 //! A history longer than one frame, fetched over every transport.
 //!
 //! A site's `History` reply used to be its whole history in one frame,
-//! so `history()` failed over TCP — an oversized frame under `--reactor
-//! threads`, a dropped connection under `--reactor epoll` — once a site
-//! held 1 MiB of it. The fetch is now a cursor over the site's log, a
-//! segment per reply. An entry is all varints — here 26 to 40 bytes
-//! against 138 with fixed-width fields — so outgrowing a frame now takes
-//! 41 000 Table-1 updates, not the ten thousand the test is named for.
+//! so `history()` failed over TCP — the reactor dropped the connection
+//! — once a site held 1 MiB of it. The fetch is now a cursor over the
+//! site's log, a segment per reply. An entry is all varints — here 26
+//! to 40 bytes against 138 with fixed-width fields — so outgrowing a
+//! frame now takes 41 000 Table-1 updates, not the ten thousand the
+//! test is named for.
 
 use std::path::Path;
 
 use repl_copygraph::DataPlacement;
-use repl_core::deploy::ReactorKind;
 use repl_core::history::History;
 use repl_net::MAX_FRAME_LEN;
-use repl_runtime::{Cluster, ClusterHandle, HistoryTxn, ProcCluster, RuntimeProtocol};
+use repl_runtime::{
+    Cluster, ClusterHandle, HistoryTxn, LaunchOptions, ProcCluster, RuntimeProtocol,
+};
 use repl_types::{GlobalTxnId, ItemId, Op, SiteId};
 
 const UPDATES: usize = 41_000;
@@ -56,20 +57,18 @@ fn ten_thousand_updates_are_fetched_and_checked_over_every_transport() {
     assert!(history.check_serializability().is_ok());
 
     let repld = Path::new(env!("CARGO_BIN_EXE_repld"));
-    for reactor in [ReactorKind::Epoll, ReactorKind::Threads] {
-        let cluster = ProcCluster::launch_with_bin_reactor(
-            repld,
-            &placement,
-            RuntimeProtocol::DagWt,
-            reactor,
-        )
-        .unwrap();
-        let got = run(&cluster, &items);
-        // One serial client: every deployment commits the same
-        // transactions, reading the same versions, so the same history
-        // passes the same check.
-        assert!(got == expected, "{reactor:?}: history differs from the channel cluster's");
-        assert_eq!(cluster.stats(SiteId(0)).unwrap().committed, UPDATES as u64 + 1);
-        cluster.shutdown();
-    }
+    let cluster = ProcCluster::launch_with_options(
+        repld,
+        &placement,
+        RuntimeProtocol::DagWt,
+        &LaunchOptions::default(),
+    )
+    .unwrap();
+    let got = run(&cluster, &items);
+    // One serial client: both deployments commit the same transactions,
+    // reading the same versions, so the same history passes the same
+    // check.
+    assert!(got == expected, "TCP: history differs from the channel cluster's");
+    assert_eq!(cluster.stats(SiteId(0)).unwrap().committed, UPDATES as u64 + 1);
+    cluster.shutdown();
 }

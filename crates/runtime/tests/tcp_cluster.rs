@@ -1,11 +1,12 @@
 //! Transport equivalence: the same seeded workload, run once on the
 //! in-process channel cluster and once on a loopback TCP cluster with
 //! one `repld` OS process per site, must end in byte-identical copy
-//! state at every site — for each protocol, and even when connections
-//! are killed mid-run.
+//! state at every site. This file holds the DAG(T) case and the
+//! per-process `Stats` counters; DAG(WT), BackEdge and the mid-run
+//! connection kill are in `epoll_cluster.rs`.
 //!
-//! This holds because final copy state is transport-independent by
-//! construction: each item is written only at its primary, links
+//! Equivalence holds because final copy state is transport-independent
+//! by construction: each item is written only at its primary, links
 //! deliver each origin's updates exactly once in order (outbox +
 //! dedup/gap marks on both transports), so the last applied write per
 //! copy is fixed by the per-site submission order alone.
@@ -14,11 +15,12 @@ use std::path::Path;
 
 use repl_copygraph::DataPlacement;
 use repl_core::scenario::{self, WorkloadMix};
-use repl_runtime::{Cluster, ProcCluster, RuntimeProtocol};
-use repl_types::{Op, SiteId};
+use repl_runtime::{Cluster, ClusterHandle, LaunchOptions, ProcCluster, RuntimeProtocol};
+use repl_types::{ItemId, Op, SiteId, Value};
 
-fn repld() -> &'static Path {
-    Path::new(env!("CARGO_BIN_EXE_repld"))
+fn tcp_cluster(placement: &DataPlacement, protocol: RuntimeProtocol) -> ProcCluster {
+    let repld = Path::new(env!("CARGO_BIN_EXE_repld"));
+    ProcCluster::launch_with_options(repld, placement, protocol, &LaunchOptions::default()).unwrap()
 }
 
 /// Forward-edge DAG placement with topological site numbering (valid
@@ -32,136 +34,52 @@ fn dag_placement() -> DataPlacement {
     p
 }
 
-/// Cyclic placement: exercises BackEdge's eager path.
-fn cyclic_placement() -> DataPlacement {
-    let mut p = DataPlacement::new(3);
-    p.add_item(SiteId(0), &[SiteId(1), SiteId(2)]);
-    p.add_item(SiteId(1), &[SiteId(2)]);
-    p.add_item(SiteId(2), &[SiteId(0)]);
-    p
-}
-
-/// The seeded per-site programs both deployments replay.
-fn programs(placement: &DataPlacement, txns_per_site: u32, seed: u64) -> Vec<Vec<Vec<Op>>> {
-    let mix = WorkloadMix { ops_per_txn: 4, read_txn_prob: 0.25, read_op_prob: 0.5 };
-    scenario::generate_programs(placement, &mix, 1, txns_per_site, seed)
-        .into_iter()
-        .map(|mut site| site.remove(0))
-        .collect()
-}
-
-/// Run `progs` round-robin on the channel cluster and return each
-/// site's serialized copy state.
-fn channel_final_state(
-    placement: &DataPlacement,
-    protocol: RuntimeProtocol,
-    progs: &[Vec<Vec<Op>>],
-) -> Vec<bytes::Bytes> {
-    let cluster = Cluster::start(placement, protocol).unwrap();
+/// Round-robin the seeded per-site programs through a deployment and
+/// return each site's quiescent copy state.
+fn final_state(cluster: &dyn ClusterHandle, progs: &[Vec<Vec<Op>>]) -> Vec<bytes::Bytes> {
     for round in 0..progs[0].len() {
         for (site, prog) in progs.iter().enumerate() {
             if !prog[round].is_empty() {
-                cluster.execute(SiteId(site as u32), prog[round].clone()).unwrap();
-            }
-        }
-    }
-    cluster.quiesce();
-    let states = (0..placement.num_sites())
-        .map(|s| cluster.copy_state(SiteId(s)).expect("copy state"))
-        .collect();
-    cluster.shutdown();
-    states
-}
-
-/// Same, on one `repld` process per site over loopback TCP. Killing
-/// `kill_at` = `Some((round, a, b))` severs both sockets between sites
-/// `a` and `b` after that round, mid-workload.
-fn tcp_final_state(
-    placement: &DataPlacement,
-    protocol: RuntimeProtocol,
-    progs: &[Vec<Vec<Op>>],
-    kill_at: Option<(usize, SiteId, SiteId)>,
-) -> Vec<bytes::Bytes> {
-    let cluster = ProcCluster::launch_with_bin(repld(), placement, protocol).unwrap();
-    for round in 0..progs[0].len() {
-        for (site, prog) in progs.iter().enumerate() {
-            if !prog[round].is_empty() {
-                cluster
-                    .execute(SiteId(site as u32), prog[round].clone())
-                    .expect("client io")
-                    .expect("commit");
-            }
-        }
-        if let Some((kill_round, a, b)) = kill_at {
-            if round == kill_round {
-                cluster.kill_conn(a, b).unwrap();
+                cluster.execute(SiteId(site as u32), prog[round].clone()).expect("commit");
             }
         }
     }
     cluster.quiesce().expect("quiesce");
-    let states = (0..placement.num_sites())
-        .map(|s| cluster.copy_state(SiteId(s)).expect("copy state"))
-        .collect();
-    cluster.shutdown();
-    states
-}
-
-fn assert_equivalent(placement: &DataPlacement, protocol: RuntimeProtocol, seed: u64) {
-    let progs = programs(placement, 25, seed);
-    let chan = channel_final_state(placement, protocol, &progs);
-    let tcp = tcp_final_state(placement, protocol, &progs, None);
-    assert_eq!(chan, tcp, "{} final copy state differs between transports", protocol.name());
-    // Non-degenerate: the workload must actually have written something.
-    assert!(chan.iter().any(|s| !s.is_empty()));
-}
-
-#[test]
-fn dag_wt_channel_and_tcp_states_identical() {
-    assert_equivalent(&dag_placement(), RuntimeProtocol::DagWt, 11);
+    (0..cluster.num_sites()).map(|s| cluster.copy_state(SiteId(s)).expect("copy state")).collect()
 }
 
 #[test]
 fn dag_t_channel_and_tcp_states_identical() {
-    assert_equivalent(&dag_placement(), RuntimeProtocol::DagT, 12);
-}
-
-#[test]
-fn backedge_channel_and_tcp_states_identical() {
-    assert_equivalent(&cyclic_placement(), RuntimeProtocol::BackEdge, 13);
-}
-
-/// The acceptance scenario: a mid-run connection kill between two sites
-/// forces reconnect + outbox retransmission, and the final state must
-/// still match the undisturbed channel run byte for byte.
-#[test]
-fn mid_run_connection_kill_recovers_to_identical_state() {
     let placement = dag_placement();
-    let progs = programs(&placement, 30, 14);
-    let chan = channel_final_state(&placement, RuntimeProtocol::DagWt, &progs);
-    let tcp = tcp_final_state(
-        &placement,
-        RuntimeProtocol::DagWt,
-        &progs,
-        Some((10, SiteId(0), SiteId(2))),
-    );
-    assert_eq!(chan, tcp, "kill + reconnect changed the final copy state");
+    let mix = WorkloadMix { ops_per_txn: 4, read_txn_prob: 0.25, read_op_prob: 0.5 };
+    let progs: Vec<Vec<Vec<Op>>> = scenario::generate_programs(&placement, &mix, 1, 25, 12)
+        .into_iter()
+        .map(|mut site| site.remove(0))
+        .collect();
+    let chan_cluster = Cluster::start(&placement, RuntimeProtocol::DagT).unwrap();
+    let chan = final_state(&chan_cluster, &progs);
+    chan_cluster.shutdown();
+    let tcp_cluster = tcp_cluster(&placement, RuntimeProtocol::DagT);
+    let tcp = final_state(&tcp_cluster, &progs);
+    tcp_cluster.shutdown();
+    assert_eq!(chan, tcp, "dagt final copy state differs between transports");
+    // Non-degenerate: the workload must actually have written something.
+    assert!(chan.iter().any(|s| !s.is_empty()));
 }
 
 /// The per-process stats counters agree with a quiescent cluster.
 #[test]
 fn stats_reach_zero_outstanding() {
-    let placement = dag_placement();
-    let cluster =
-        ProcCluster::launch_with_bin(repld(), &placement, RuntimeProtocol::DagWt).unwrap();
-    cluster.execute(SiteId(0), vec![Op::write(repl_types::ItemId(0), 9)]).unwrap().unwrap();
-    cluster.quiesce().expect("quiesce");
+    let cluster = tcp_cluster(&dag_placement(), RuntimeProtocol::DagWt);
+    cluster.execute(SiteId(0), vec![Op::write(ItemId(0), 9)]).unwrap().unwrap();
+    ProcCluster::quiesce(&cluster).expect("quiesce");
     // Per-process outstanding counters are deltas (+dests at the origin,
     // −1 per application elsewhere); only the cluster-wide sum is zero.
     let mut outstanding_sum = 0;
     let mut committed = 0;
     let mut decode_errors = 0;
     for s in 0..3 {
-        let stats = cluster.stats(SiteId(s)).unwrap();
+        let stats = ProcCluster::stats(&cluster, SiteId(s)).unwrap();
         outstanding_sum += stats.outstanding;
         committed += stats.committed;
         decode_errors += stats.decode_errors;
@@ -169,7 +87,7 @@ fn stats_reach_zero_outstanding() {
     assert_eq!(outstanding_sum, 0);
     assert_eq!(committed, 1);
     assert_eq!(decode_errors, 0, "no client sent a malformed frame");
-    let cell = cluster.peek(SiteId(2), repl_types::ItemId(0)).expect("replica readable");
-    assert_eq!(cell.0, repl_types::Value::int(9));
+    let cell = cluster.peek(SiteId(2), ItemId(0)).expect("replica readable");
+    assert_eq!(cell.0, Value::int(9));
     cluster.shutdown();
 }

@@ -12,8 +12,8 @@
 //!   be shipped or persisted as is; [`LogRecord`]s are decoded on
 //!   demand ([`WriteAheadLog::records`]). The bytes sit in 64 KiB
 //!   segments ([`crate::SegLog`]), so the log grows without copying and
-//!   [`WriteAheadLog::truncate_prefix`] behind a checkpoint frees
-//!   memory instead of moving it;
+//!   [`WriteAheadLog::clear`] behind a checkpoint keeps the one segment
+//!   it refills instead of allocating another;
 //! * [`checkpoint`] — snapshot a store's committed state, values and
 //!   writers;
 //! * [`recover`] — rebuild a store from a checkpointed (or initial)
@@ -75,9 +75,8 @@ fn encoded_record_len(bytes: &[u8]) -> usize {
 /// [`WriteAheadLog::encode`]'s image — so a record costs its wire size
 /// (25 bytes for an integer write) instead of a heap `LogRecord`. The
 /// bytes live in a [`SegLog`]: the log grows a 64 KiB segment at a time
-/// without ever copying what it holds, and
-/// [`WriteAheadLog::truncate_prefix`] behind a checkpoint frees whole
-/// segments.
+/// without ever copying what it holds, and [`WriteAheadLog::clear`]
+/// behind a checkpoint frees every segment but one.
 #[derive(Clone, Debug, Default)]
 pub struct WriteAheadLog {
     /// The records, each `item ‖ writer ‖ value`. Only [`put_record`]
@@ -217,22 +216,6 @@ impl WriteAheadLog {
     /// The records, in commit order, decoded as they are visited.
     pub fn records(&self) -> Records<'_> {
         Records { log: &self.records, next_seg: 0, rest: &[], left: self.records.len() }
-    }
-
-    /// Drop the first `n` records — everything already covered by a
-    /// [`Checkpoint`] taken after they committed.
-    ///
-    /// Without truncation the in-memory log grows without bound for the
-    /// lifetime of a site. Dropping a checkpointed prefix is safe
-    /// because recovery replays *absolute* values over the checkpoint
-    /// image: [`recover`]`(checkpoint, truncated)` is identical to
-    /// replaying the full log (pinned by
-    /// `truncated_log_recovers_identically`). Whole segments before the
-    /// cut are freed and the cut itself is an offset into the first
-    /// segment that stays — nothing is moved. `n` larger than the log
-    /// clears it.
-    pub fn truncate_prefix(&mut self, n: usize) {
-        self.records.truncate_prefix(n, encoded_record_len);
     }
 
     /// Serialize the whole log: record count, then the records.
@@ -438,18 +421,6 @@ mod tests {
         assert_eq!(WriteAheadLog::decode(Bytes::from(padded)).unwrap().encode(), image);
     }
 
-    #[test]
-    fn truncate_prefix_cuts_at_a_record_boundary() {
-        let wal = golden_log();
-        for n in [0usize, 1, 2, 61, 122, 123] {
-            let mut cut = wal.clone();
-            cut.truncate_prefix(n);
-            assert_eq!(cut.len(), 123 - n);
-            assert!(cut.records().eq(wal.records().skip(n)), "n={n}");
-            assert!(WriteAheadLog::decode(cut.encode()).unwrap().records().eq(cut.records()));
-        }
-    }
-
     /// `n` Table-1 shaped commits (4 integer writes, 100 bytes).
     fn table1_log(n: u64) -> WriteAheadLog {
         let mut wal = WriteAheadLog::new();
@@ -463,8 +434,8 @@ mod tests {
     }
 
     /// A log of several segments is the same log: same records, same
-    /// image as one built by decoding that image, cut anywhere — across
-    /// segments, inside one, at a boundary — without disturbing the rest.
+    /// image as one built by decoding that image; the checkpoint cut
+    /// (`clear`) truncates it to one empty segment.
     #[test]
     fn a_log_of_many_segments_encodes_decodes_and_truncates() {
         use crate::SEGMENT_BYTES;
@@ -481,26 +452,15 @@ mod tests {
         assert_eq!(decoded.encode(), image);
         assert_eq!(decoded.records.segments(), 4);
         assert!(decoded.records().eq(wal.records()));
-        let all: Vec<LogRecord> = wal.records().collect();
-        assert_eq!(all.len(), 8000);
-        for n in [1, per_segment - 1, per_segment, per_segment + 1, 3 * per_segment, 7999, 8000] {
-            let mut cut = wal.clone();
-            cut.truncate_prefix(n);
-            assert_eq!(cut.len(), 8000 - n);
-            assert!(cut.records().eq(all[n..].iter().cloned()), "n={n}");
-            assert_eq!(cut.encode()[8..], image[8 + 25 * n..], "n={n}");
-            // A cut log keeps appending where it left off.
-            cut.append_commit(gid(1, 0), &[(ItemId(5), Value::int(5))]);
-            assert_eq!(cut.records().last().unwrap().writer, gid(1, 0));
-        }
-        // Cut at a segment boundary, whole segments go and nothing else.
-        let mut cut = wal.clone();
-        cut.truncate_prefix(3 * per_segment);
-        assert_eq!((cut.records.segments(), cut.room()), (1, wal.room()));
+        assert_eq!(wal.records().count(), 8000);
         // Cleared, the log is empty and keeps one segment to refill.
+        let mut cut = wal;
         cut.clear();
         assert_eq!((cut.len(), cut.records.segments(), cut.room()), (0, 1, SEGMENT_BYTES));
         assert_eq!(cut.encode().len(), 8);
+        // A cut log keeps appending.
+        cut.append_commit(gid(1, 0), &[(ItemId(5), Value::int(5))]);
+        assert_eq!(cut.records().last().unwrap().writer, gid(1, 0));
     }
 
     /// A checkpointed copy comes back with the writer it had: the log
@@ -610,14 +570,14 @@ mod tests {
             let (info, _) = store.commit(t).unwrap();
             wal.append_commit(w, &info.write_set());
         }
-        // Checkpoint after the first six records; truncate them away.
+        // Checkpoint after the first six records; the log keeps the rest.
         let full = recover(boot.image(), &wal);
         let mut mid_wal = WriteAheadLog::new();
         wal.records().take(6).for_each(|r| mid_wal.append(r));
         let mid_store = recover(boot.image(), &mid_wal);
         let cp = checkpoint(&mid_store, (0..4).map(ItemId));
-        let mut truncated = wal.clone();
-        truncated.truncate_prefix(6);
+        let mut truncated = WriteAheadLog::new();
+        wal.records().skip(6).for_each(|r| truncated.append(r));
         assert_eq!(truncated.len(), 4);
         let from_truncated = recover(cp.image(), &truncated);
         for i in 0..4u32 {
@@ -627,9 +587,6 @@ mod tests {
                 "item {i} diverged after prefix truncation"
             );
         }
-        // Over-truncation clears without panicking.
-        truncated.truncate_prefix(999);
-        assert!(truncated.is_empty());
     }
 
     #[test]
