@@ -20,7 +20,7 @@
 //! | RL009 | blocking socket call patterns inside the epoll reactor |
 //! | RL010 | bare `thread::sleep` or hardcoded retry-duration consts in `crates/runtime` outside the policy module |
 //! | RL011 | lock-manager access on the MVCC snapshot-read path (storage `mvcc.rs`/`snapshot.rs`/`cells.rs`, and the `read_snapshot` and `trace_access` bodies in `store.rs`) |
-//! | RL012 | raw `Transport::try_send`/`try_send_batch` calls in `crates/runtime` outside `transport.rs`/`nemesis.rs` (bypassing the per-link outbox) |
+//! | RL012 | raw `Transport::try_send` calls in `crates/runtime` outside `transport.rs`/`nemesis.rs` (bypassing the per-link outbox) |
 //!
 //! Files are classified by path ([`FileClass`]): paths under
 //! `crates/runtime` or `crates/net` get the panic-freedom rule
@@ -86,17 +86,16 @@
 //! them.
 //!
 //! RL012 pins the propagation send funnel: every frame leaving a site
-//! must route through `Net::send`/`Net::send_batch` in
-//! `runtime/src/transport.rs`, which assigns the per-link sequence
-//! number and enrolls the payload in the unacked outbox *under one lane
-//! lock* — a raw `Transport::try_send` anywhere else would emit frames
-//! with no replay entry (lost on the first drop) or out of sequence
-//! (gap-dropped by the receiver's dedup discipline). `transport.rs`
-//! itself and the fault-injection shim `nemesis.rs` (which wraps the
-//! raw transport *below* the outbox) are the two sanctioned homes;
-//! trait-impl forwarding elsewhere carries `// replint: allow(RL012)`
-//! justifications. `#[cfg(test)]` regions are skipped the same way
-//! RL008 skips them.
+//! must route through `Net::send` in `runtime/src/transport.rs`, which
+//! assigns the per-link sequence number and enrolls the payload in the
+//! unacked outbox *under one lane lock* — a raw `Transport::try_send`
+//! anywhere else would emit frames with no replay entry (lost on the
+//! first drop) or out of sequence (gap-dropped by the receiver's dedup
+//! discipline). `transport.rs` itself and the fault-injection shim
+//! `nemesis.rs` (which wraps the raw transport *below* the outbox) are
+//! the two sanctioned homes; a call anywhere else needs a
+//! `// replint: allow(RL012)` justification (none does today).
+//! `#[cfg(test)]` regions are skipped the same way RL008 skips them.
 //!
 //! Any rule is silenced for one finding with a suppression comment on
 //! the same line or the line above: `// replint: allow(RL004)` (several
@@ -579,17 +578,16 @@ fn hardcoded_retry_const(code: &str) -> Option<String> {
     }
 }
 
-/// Raw transport send patterns banned outside the outbox funnel.
-const RAW_SEND_PATTERNS: &[&str] = &[".try_send(", ".try_send_batch("];
+/// The raw transport send banned outside the outbox funnel.
+const RAW_SEND_PATTERN: &str = ".try_send(";
 
 /// RL012: propagation sends route through the per-link outbox. A raw
-/// `Transport::try_send`/`try_send_batch` call anywhere in
-/// `crates/runtime` outside `transport.rs` (where `Net::send` and
-/// `Net::send_batch` assign sequence numbers and enroll payloads in the
-/// unacked outbox under one lane lock) and `nemesis.rs` (the fault shim
-/// wrapping the raw transport below the outbox) emits frames that the
-/// replay/dedup discipline never sees. `#[cfg(test)]` regions are
-/// skipped the same way RL008 skips them.
+/// `Transport::try_send` call anywhere in `crates/runtime` outside
+/// `transport.rs` (where `Net::send` assigns the sequence number and
+/// enrolls the payload in the unacked outbox under one lane lock) and
+/// `nemesis.rs` (the fault shim wrapping the raw transport below the
+/// outbox) emits frames that the replay/dedup discipline never sees.
+/// `#[cfg(test)]` regions are skipped the same way RL008 skips them.
 fn scan_raw_transport_send(src: &str, emit: &mut dyn FnMut(&'static str, &str, u32, &str)) {
     let mut region = TestRegion::Outside;
     for (idx, raw) in src.lines().enumerate() {
@@ -621,21 +619,18 @@ fn scan_raw_transport_send(src: &str, emit: &mut dyn FnMut(&'static str, &str, u
                 continue;
             }
         }
-        for pat in RAW_SEND_PATTERNS {
-            if code_part.contains(pat) {
-                emit(
-                    "RL012",
-                    &format!(
-                        "raw transport send ({pat}) outside the outbox funnel: \
-                         frames sent here bypass sequence assignment and the \
-                         unacked replay buffer; route through Net::send / \
-                         Net::send_batch or justify with `// replint: allow(RL012)`"
-                    ),
-                    lineno,
-                    line,
-                );
-                break;
-            }
+        if code_part.contains(RAW_SEND_PATTERN) {
+            emit(
+                "RL012",
+                &format!(
+                    "raw transport send ({RAW_SEND_PATTERN}) outside the outbox funnel: \
+                     frames sent here bypass sequence assignment and the \
+                     unacked replay buffer; route through Net::send or \
+                     justify with `// replint: allow(RL012)`"
+                ),
+                lineno,
+                line,
+            );
         }
     }
 }
@@ -1295,14 +1290,13 @@ impl Store {
 
     #[test]
     fn raw_transport_send_flagged_outside_funnel() {
-        let src = "let s = self.raw.try_send(from, to, seq, &payload);\n\
-                   let b = wire.try_send_batch(from, to, first, &payloads);\n";
+        let src = "let s = self.raw.try_send(from, to, seq, &payload);\n";
         let codes: Vec<_> =
             scan_file("crates/runtime/src/site.rs", src).into_iter().map(|d| d.code).collect();
-        assert_eq!(codes, vec!["RL012", "RL012"]);
+        assert_eq!(codes, vec!["RL012"]);
         let codes: Vec<_> =
             scan_file("crates/runtime/src/reactor.rs", src).into_iter().map(|d| d.code).collect();
-        assert_eq!(codes, vec!["RL012", "RL012"]);
+        assert_eq!(codes, vec!["RL012"]);
     }
 
     #[test]

@@ -285,7 +285,10 @@ pub struct SimParams {
     /// Propagation batching: up to this many payloads are coalesced into
     /// one link frame per destination (one network message, one
     /// `msg_cpu` at the receiver). 1 = the seed's one-frame-per-payload
-    /// path, byte-identical.
+    /// path, byte-identical. This, `batch_linger` and `apply_pool` are
+    /// the `prop_sweep` study and exist in the simulator alone: it has
+    /// a worker pool to overlap applies on, the live site has one
+    /// thread (DESIGN.md §14.4).
     pub batch_size: u32,
     /// Propagation batching: a partially filled per-link batch is
     /// flushed after lingering this long (bounds the recency cost of

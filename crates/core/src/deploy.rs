@@ -65,6 +65,18 @@ impl ReactorKind {
     }
 }
 
+/// The refusal for a removed live batching knob, by the spelling it was
+/// asked for under (`link_batch`, `--apply-pool`, …): the TOML parser,
+/// `repld`'s flag parser and the `ProcCluster` launcher all answer with
+/// this one message.
+pub fn removed_batching_knob(name: &str) -> String {
+    format!(
+        "{name} was removed in PR 23: link batching and the apply window are a simulator \
+         study (`prop_sweep`); a live site applies one transaction at a time and sends one \
+         frame per payload (drop the setting)"
+    )
+}
+
 /// Parsed deployment config for one `repld` process. All fields are
 /// optional here — `repld` decides which are mandatory after merging
 /// flags over the file.
@@ -98,14 +110,6 @@ pub struct DeployConfig {
     /// Group-commit batch size: WAL commit records are flushed every
     /// this-many update commits (1 = per-commit, the default).
     pub group_commit: Option<u64>,
-    /// Link-batching bound: coalesce up to this many same-destination
-    /// propagation payloads into one wire frame (1 = a frame per
-    /// payload, the default).
-    pub link_batch: Option<u64>,
-    /// Secondary apply-window width: how many non-conflicting replica
-    /// subtransactions one scheduling pass may admit together (1 = the
-    /// serial applier, the default).
-    pub apply_pool: Option<u64>,
     /// Site id → dial address for every peer. May be left empty when a
     /// launcher pushes the map over the client protocol instead.
     pub peers: AddressMap,
@@ -213,17 +217,8 @@ impl DeployConfig {
                             format!("line {lineno}: group_commit must be an integer")
                         })?);
                 }
-                "link_batch" => {
-                    cfg.link_batch =
-                        Some(value.parse().map_err(|_| {
-                            format!("line {lineno}: link_batch must be an integer")
-                        })?);
-                }
-                "apply_pool" => {
-                    cfg.apply_pool =
-                        Some(value.parse().map_err(|_| {
-                            format!("line {lineno}: apply_pool must be an integer")
-                        })?);
+                "link_batch" | "apply_pool" => {
+                    return Err(format!("line {lineno}: {}", removed_batching_knob(key)));
                 }
                 other => return Err(format!("line {lineno}: unknown key {other:?}")),
             }
@@ -266,12 +261,6 @@ impl DeployConfig {
         }
         if flags.group_commit.is_some() {
             self.group_commit = flags.group_commit;
-        }
-        if flags.link_batch.is_some() {
-            self.link_batch = flags.link_batch;
-        }
-        if flags.apply_pool.is_some() {
-            self.apply_pool = flags.apply_pool;
         }
         for (site, addr) in flags.peers.entries() {
             self.peers.insert(*site, addr.clone());
@@ -322,8 +311,6 @@ mod tests {
             outbox_high_water = 4096
             mvcc = true
             group_commit = 8
-            link_batch = 8
-            apply_pool = 4
 
             [peers]
             0 = "127.0.0.1:7100"
@@ -341,8 +328,6 @@ mod tests {
         assert_eq!(cfg.outbox_high_water, Some(4096));
         assert_eq!(cfg.mvcc, Some(true));
         assert_eq!(cfg.group_commit, Some(8));
-        assert_eq!(cfg.link_batch, Some(8));
-        assert_eq!(cfg.apply_pool, Some(4));
         assert_eq!(cfg.peers.len(), 3);
         assert_eq!(cfg.peers.get(SiteId(2)), Some("127.0.0.1:7102"));
     }
@@ -365,8 +350,8 @@ mod tests {
             ("outbox_high_water = lots", "integer"),
             ("mvcc = \"yes\"", "true or false"),
             ("group_commit = \"many\"", "integer"),
-            ("link_batch = lots", "integer"),
-            ("apply_pool = wide", "integer"),
+            ("link_batch = 8", "link_batch was removed in PR 23"),
+            ("apply_pool = 4", "apply_pool was removed in PR 23"),
         ] {
             let err = DeployConfig::parse(text).unwrap_err();
             assert!(err.contains(needle), "{text:?} → {err:?} missing {needle:?}");

@@ -17,21 +17,16 @@ pub const MAGIC: u32 = 0x5250_4C4E;
 /// Lowest wire-protocol version this build speaks.
 pub const VERSION_MIN: u16 = 1;
 
-/// Highest wire-protocol version this build speaks. Version 2 adds the
-/// [`WireMsg::Batch`] frame (coalesced link payloads, one cumulative ack
-/// per batch); a version-1 peer never receives one. Negotiated on peer
-/// links only: a client session opens with no [`Hello`] and is
-/// unversioned — client and site come from one build (DESIGN.md §9.2).
+/// Highest wire-protocol version this build speaks. A build that also
+/// speaks 2 (the version under which a link may carry
+/// [`WireMsg::Batch`] frames) negotiates 1 with this one and so sends it
+/// one `Link` frame per payload; this build never sends a `Batch` and
+/// closes a peer link that carries one. Negotiated on peer links only:
+/// a client session opens with no [`Hello`] and is unversioned — client
+/// and site come from one build (DESIGN.md §9.2).
 ///
 /// [`WireMsg::Batch`]: crate::msg::WireMsg::Batch
-pub const VERSION_MAX: u16 = 2;
-
-/// First protocol version that understands [`WireMsg::Batch`]; a
-/// connection negotiated below this must carry one `Link` frame per
-/// payload.
-///
-/// [`WireMsg::Batch`]: crate::msg::WireMsg::Batch
-pub const VERSION_BATCH: u16 = 2;
+pub const VERSION_MAX: u16 = 1;
 
 /// Why a handshake failed.
 #[derive(Debug)]

@@ -11,10 +11,7 @@ use std::io::{self, Read, Write};
 use bytes::{BufMut, Bytes, BytesMut};
 use repl_types::{GlobalTxnId, ItemId, Value};
 
-use crate::msg::{
-    self, NetError, Payload, WireMsg, MAX_BATCH_PAYLOADS, MSG_BATCH, MSG_LINK, MSG_REPLY,
-    REPLY_STATE,
-};
+use crate::msg::{self, NetError, Payload, WireMsg, MSG_REPLY, REPLY_STATE};
 
 /// Upper bound on a frame body. Generously above any legitimate message
 /// (a propagation record is bounded by transaction size), far below
@@ -85,47 +82,6 @@ impl WireMsg {
 /// borrowed payload.
 pub fn frame_link_into(out: &mut Vec<u8>, seq: u64, payload: &Payload) {
     framed(out, |buf| msg::put_link(buf, seq, payload));
-}
-
-/// Append a run of consecutive link payloads (the first carrying
-/// sequence `first_seq`) to `out` as frames for a version ≥ 2
-/// connection: [`WireMsg::Batch`] frames, split so no batch holds more
-/// than [`MAX_BATCH_PAYLOADS`] payloads or encodes past the frame cap; a
-/// (sub-)run of one is a plain [`WireMsg::Link`] frame.
-pub fn frame_run_into(out: &mut Vec<u8>, first_seq: u64, payloads: &[Payload]) {
-    // Tag + first_seq + count; what the batch wrapper itself costs.
-    const BATCH_HEADER: usize = 1 + 8 + 4;
-    let budget = MAX_FRAME_LEN as usize - BATCH_HEADER;
-    let mut seq = first_seq;
-    let mut rest = payloads;
-    while !rest.is_empty() {
-        let mut n = 0usize;
-        framed(out, |buf| {
-            let header_at = buf.len();
-            buf.put_u8(MSG_BATCH);
-            buf.put_u64(seq);
-            buf.put_u32(0); // the count, patched below
-            let body_at = buf.len();
-            for payload in rest {
-                let before = buf.len();
-                msg::put_payload(buf, payload);
-                if n > 0 && (buf.len() - body_at > budget || n >= MAX_BATCH_PAYLOADS) {
-                    buf.truncate(before); // opens the next frame instead
-                    break;
-                }
-                n += 1;
-            }
-            if n == 1 {
-                // A Link body is the Batch body minus the count field.
-                buf[header_at] = MSG_LINK;
-                buf.drain(body_at - 4..body_at);
-            } else {
-                buf[body_at - 4..body_at].copy_from_slice(&(n as u32).to_be_bytes());
-            }
-        });
-        seq += n as u64;
-        rest = &rest[n..];
-    }
 }
 
 /// Append the frame of a [`crate::ClientReply::State`] reply to `out`,
@@ -304,72 +260,14 @@ mod tests {
         assert_eq!((next, reader.buffered()), (10_000, 0));
     }
 
-    fn decode_all(wire: &[u8]) -> Vec<WireMsg> {
-        let mut buf = BytesMut::from(wire);
-        let mut out = Vec::new();
-        while let Some(m) = decode_framed(&mut buf).unwrap() {
-            out.push(m);
-        }
-        assert!(buf.is_empty());
-        out
-    }
-
-    fn decision(n: u64) -> Payload {
-        Payload::Decision { gid: GlobalTxnId::new(repl_types::SiteId(0), n), commit: true }
-    }
-
     #[test]
-    fn link_and_run_frames_match_the_typed_encoding() {
-        let payloads: Vec<Payload> = (0..5).map(decision).collect();
+    fn link_frame_matches_the_typed_encoding() {
+        let payload =
+            Payload::Decision { gid: GlobalTxnId::new(repl_types::SiteId(0), 3), commit: true };
         let mut out = Vec::new();
-        frame_link_into(&mut out, 9, &payloads[0]);
-        let typed = encode_framed(&WireMsg::Link { seq: 9, payload: payloads[0].clone() });
+        frame_link_into(&mut out, 9, &payload);
+        let typed = encode_framed(&WireMsg::Link { seq: 9, payload });
         assert_eq!(out, typed.as_slice());
-        // A run of one degrades to a plain Link frame.
-        out.clear();
-        frame_run_into(&mut out, 9, &payloads[..1]);
-        assert_eq!(out, typed.as_slice());
-        // A longer run is one Batch frame.
-        out.clear();
-        frame_run_into(&mut out, 41, &payloads);
-        let typed = encode_framed(&WireMsg::Batch { first_seq: 41, payloads: payloads.clone() });
-        assert_eq!(out, typed.as_slice());
-        // An empty run writes nothing.
-        out.clear();
-        frame_run_into(&mut out, 1, &[]);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn runs_split_and_keep_sequences_contiguous() {
-        // A run past the payload cap splits; sequences stay contiguous,
-        // and a remainder of one rides a plain Link.
-        for extra in [1usize, 3] {
-            let n = MAX_BATCH_PAYLOADS + extra;
-            let payloads: Vec<Payload> = (0..n as u64).map(decision).collect();
-            let mut out = Vec::new();
-            frame_run_into(&mut out, 100, &payloads);
-            let msgs = decode_all(&out);
-            assert_eq!(msgs.len(), 2);
-            let WireMsg::Batch { first_seq, payloads: head } = &msgs[0] else {
-                panic!("unexpected split: {:?}", msgs[0].kind_name())
-            };
-            assert_eq!((*first_seq, head.len()), (100, MAX_BATCH_PAYLOADS));
-            assert_eq!(head[..], payloads[..MAX_BATCH_PAYLOADS]);
-            let tail_seq = 100 + MAX_BATCH_PAYLOADS as u64;
-            match &msgs[1] {
-                WireMsg::Link { seq, payload } if extra == 1 => {
-                    assert_eq!((*seq, payload), (tail_seq, &payloads[MAX_BATCH_PAYLOADS]));
-                }
-                WireMsg::Batch { first_seq, payloads: tail } if extra == 3 => {
-                    assert_eq!(
-                        (*first_seq, &tail[..]),
-                        (tail_seq, &payloads[MAX_BATCH_PAYLOADS..])
-                    );
-                }
-                other => panic!("unexpected tail: {}", other.kind_name()),
-            }
-        }
     }
 
     #[test]

@@ -225,18 +225,18 @@ pub enum WireMsg {
         payload: Payload,
     },
     /// Cumulative acknowledgement: every link sequence ≤ `seq` received
-    /// on this connection has been accepted durably (one ack covers a
-    /// whole [`WireMsg::Batch`]).
+    /// on this connection has been accepted durably.
     Ack {
         /// The acknowledged high-water mark.
         seq: u64,
     },
-    /// Several consecutive link messages coalesced into one frame
-    /// (negotiated version ≥ 2 only): the payloads carry sequence
-    /// numbers `first_seq`, `first_seq + 1`, …, `first_seq + N - 1`, and
-    /// the receiver answers with a single cumulative [`WireMsg::Ack`]
-    /// for the last of them. Decoding caps `N` at
-    /// [`MAX_BATCH_PAYLOADS`]; senders must split, not hope.
+    /// Several consecutive link messages coalesced into one frame: the
+    /// payloads carry sequence numbers `first_seq`, `first_seq + 1`, …,
+    /// `first_seq + N - 1`. Decoding caps `N` at [`MAX_BATCH_PAYLOADS`].
+    /// No site sends one (a peer link that carries one is closed); the
+    /// codec stays only because the benchmark package times its
+    /// encoding (`net.encode_batch8_ns_per_payload`) and goes with that
+    /// probe.
     Batch {
         /// Sequence number of the first payload on the link.
         first_seq: u64,
@@ -267,8 +267,7 @@ impl WireMsg {
 
 /// Hard cap on the payload count of one [`WireMsg::Batch`]. A decoded
 /// count past this is rejected as [`NetError::Oversized`] before any
-/// payload is parsed, bounding allocation from hostile length prefixes;
-/// senders split batches at this count (and at the frame cap) instead.
+/// payload is parsed, bounding allocation from hostile length prefixes.
 pub const MAX_BATCH_PAYLOADS: usize = 4096;
 
 // ---------------------------------------------------------------------
@@ -351,7 +350,7 @@ fn get_subtxn(buf: &mut Bytes) -> Result<Subtxn, NetError> {
     Ok(Subtxn { gid, origin, kind, ts, writes, dest_sites })
 }
 
-pub(crate) fn put_payload(buf: &mut impl BufMut, payload: &Payload) {
+fn put_payload(buf: &mut impl BufMut, payload: &Payload) {
     match payload {
         Payload::Subtxn(sub) => {
             buf.put_u8(1);
@@ -837,9 +836,9 @@ impl WireMsg {
 }
 
 /// Tag of [`WireMsg::Link`] in the message tag space.
-pub(crate) const MSG_LINK: u8 = 4;
+const MSG_LINK: u8 = 4;
 /// Tag of [`WireMsg::Batch`] in the message tag space.
-pub(crate) const MSG_BATCH: u8 = 8;
+const MSG_BATCH: u8 = 8;
 
 /// Body of a [`WireMsg::Link`], from a borrowed payload (the outbox
 /// keeps the payload until it is acknowledged; the wire only reads it).

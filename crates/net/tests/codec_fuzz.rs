@@ -6,9 +6,8 @@ use bytes::{BufMut, Bytes, BytesMut};
 use proptest::prelude::*;
 
 use repl_net::{
-    decode_framed, encode_framed, frame_run_into, ClientMsg, ClientReply, ExecError, Hello,
-    HelloAck, HistoryTxn, NetError, Payload, Subtxn, SubtxnKind, WireMsg, MAX_BATCH_PAYLOADS,
-    MAX_FRAME_LEN,
+    decode_framed, encode_framed, ClientMsg, ClientReply, ExecError, Hello, HelloAck, HistoryTxn,
+    NetError, Payload, Subtxn, SubtxnKind, WireMsg, MAX_BATCH_PAYLOADS, MAX_FRAME_LEN,
 };
 use repl_protocol::timestamp::Timestamp;
 use repl_types::{GlobalTxnId, ItemId, Op, SiteId, Value};
@@ -254,55 +253,6 @@ fn hostile_batch_counts_are_rejected_not_split() {
     buf.put_u64(9);
     buf.put_u32(3);
     assert!(WireMsg::decode(buf.freeze()).is_err());
-}
-
-#[test]
-fn framed_runs_never_emit_over_cap_frames() {
-    // The sender-side splitter must keep every frame under both caps
-    // even for bulky payloads.
-    let bulky: Vec<Payload> = (0..64)
-        .map(|i| {
-            Payload::Subtxn(Subtxn {
-                gid: GlobalTxnId::new(SiteId(0), i),
-                origin: SiteId(0),
-                kind: SubtxnKind::Normal,
-                ts: None,
-                writes: (0..2048).map(|j| (ItemId(j), Value::Bytes(vec![7u8; 16]))).collect(),
-                dest_sites: vec![SiteId(1)],
-            })
-        })
-        .collect();
-    let mut wire = Vec::new();
-    frame_run_into(&mut wire, 5, &bulky);
-    // `decode_framed` refuses an over-cap frame, so decoding the stream
-    // to its end is the cap check.
-    let mut buf = BytesMut::from(&wire[..]);
-    let mut msgs = Vec::new();
-    while let Some(m) = decode_framed(&mut buf).expect("frame over cap or malformed") {
-        msgs.push(m);
-    }
-    assert!(buf.is_empty());
-    let mut next_seq = 5;
-    let mut carried = Vec::new();
-    for m in msgs {
-        assert!(m.encode().len() <= MAX_FRAME_LEN as usize, "frame over cap");
-        match m {
-            WireMsg::Link { seq, payload } => {
-                assert_eq!(seq, next_seq);
-                next_seq += 1;
-                carried.push(payload);
-            }
-            WireMsg::Batch { first_seq, payloads } => {
-                assert_eq!(first_seq, next_seq);
-                assert!(payloads.len() <= MAX_BATCH_PAYLOADS);
-                next_seq += payloads.len() as u64;
-                carried.extend(payloads);
-            }
-            other => panic!("unexpected message {other:?}"),
-        }
-    }
-    assert_eq!(next_seq, 5 + 64);
-    assert_eq!(carried, bulky);
 }
 
 #[test]

@@ -110,6 +110,25 @@ pub enum ProtocolError {
         /// The origin it must reach.
         origin: SiteId,
     },
+    /// The driver reported [`Input::Applied`] for a subtransaction that
+    /// is not the oldest one in the apply window. Completions are
+    /// released in admission order; a driver that reports them in any
+    /// other order has committed them in that order too.
+    OutOfOrderCompletion {
+        /// The subtransaction reported applied.
+        gid: GlobalTxnId,
+        /// The window front it should have been (`None`: nothing was in
+        /// flight).
+        front: Option<GlobalTxnId>,
+    },
+    /// A driver that never widened the apply window nor enabled send
+    /// coalescing was handed [`Command::ApplyMany`] or
+    /// [`Command::SendBatch`]. Raised by such drivers, not by the
+    /// machine: it is the machine's invariant that was broken.
+    UnrequestedBatch {
+        /// The site whose machine emitted the command.
+        at: SiteId,
+    },
 }
 
 impl fmt::Display for ProtocolError {
@@ -126,6 +145,15 @@ impl fmt::Display for ProtocolError {
             }
             ProtocolError::NoRouteToOrigin { at, origin } => {
                 write!(f, "{at} has no tree route toward origin {origin}")
+            }
+            ProtocolError::OutOfOrderCompletion { gid, front: Some(front) } => {
+                write!(f, "{gid} reported applied ahead of the apply-window front {front}")
+            }
+            ProtocolError::OutOfOrderCompletion { gid, front: None } => {
+                write!(f, "{gid} reported applied with nothing in flight")
+            }
+            ProtocolError::UnrequestedBatch { at } => {
+                write!(f, "{at} emitted a batched command its driver never enabled")
             }
         }
     }
@@ -246,10 +274,10 @@ pub enum Command {
         payload: Payload,
     },
     /// Ship `payloads` on the reliable FIFO link to `to`, in order, as
-    /// one coalesced batch (one link frame, one Ack). Equivalent to the
+    /// one coalesced batch (one simulated message). Equivalent to the
     /// same sequence of [`Command::Send`]s; emitted only when the driver
-    /// opted in via [`SiteMachine::set_send_coalescing`], and only for
-    /// runs of at least two payloads.
+    /// opted in via [`SiteMachine::set_send_coalescing`] — which only
+    /// the simulator does — and only for runs of at least two payloads.
     SendBatch {
         /// The destination site.
         to: SiteId,
@@ -262,8 +290,9 @@ pub enum Command {
     /// one [`Input::Applied`] per entry, in that order, even if the
     /// executions themselves ran in parallel. Emitted only when the
     /// driver widened the apply window past 1
-    /// ([`SiteMachine::set_apply_window`]), and only for at least two
-    /// admissions in one scheduling pass.
+    /// ([`SiteMachine::set_apply_window`]) — which only the simulator
+    /// does — and only for at least two admissions in one scheduling
+    /// pass.
     ApplyMany {
         /// `(gid, site-filtered writes)` per admitted subtransaction,
         /// in admission order.
@@ -420,9 +449,16 @@ impl SiteMachine {
     /// subtransactions (clamped to at least 1). With a window above 1
     /// the machine may emit [`Command::ApplyMany`]; the driver must then
     /// overlap executions but commit — and report
-    /// [`Input::Applied`] — in admission order. Call once at
+    /// [`Input::Applied`] — in admission order, or the machine answers
+    /// [`ProtocolError::OutOfOrderCompletion`]. Call once at
     /// construction time, before any input: the window is driver
     /// configuration, not protocol state.
+    ///
+    /// This and [`SiteMachine::set_send_coalescing`] are the simulator's
+    /// `prop_sweep` study: its virtual worker pool overlaps executions
+    /// and completes them in admission order. The live site runs one
+    /// transaction at a time, so a window there overlapped nothing, and
+    /// it never calls either (DESIGN.md §14.4).
     pub fn set_apply_window(&mut self, window: usize) {
         self.sched.set_window(window);
     }
@@ -434,7 +470,8 @@ impl SiteMachine {
 
     /// Opt in to [`Command::SendBatch`]: adjacent same-destination sends
     /// in one input's command list are merged into a single batch
-    /// command. Off by default.
+    /// command. Off by default; see [`SiteMachine::set_apply_window`]
+    /// for who turns it on.
     pub fn set_send_coalescing(&mut self, on: bool) {
         self.coalesce_sends = on;
     }
@@ -801,8 +838,7 @@ impl SiteMachine {
         // commits overlapped applies in admission order, so the front of
         // the window is always the next legal completion.
         let Some(inflight) = self.sched.complete_front(gid) else {
-            debug_assert!(false, "Applied {gid} does not match the apply-window front");
-            return Ok(());
+            return Err(ProtocolError::OutOfOrderCompletion { gid, front: self.sched.front_gid() });
         };
         match self.protocol {
             ProtocolId::DagWt | ProtocolId::BackEdge => {
@@ -980,4 +1016,67 @@ fn coalesce_send_runs(cmds: Vec<Command>) -> Vec<Command> {
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The order that wedged a live DAG(T) replica under `--apply-pool 4`:
+    /// two admitted subtransactions, the younger one reported applied
+    /// first. The machine must refuse it with a typed error (a driver
+    /// poisons its site on one) and still accept the right order after.
+    #[test]
+    fn out_of_order_completion_is_a_typed_error_at_window_two() {
+        let mut placement = DataPlacement::new(2);
+        let a = placement.add_item(SiteId(0), &[SiteId(1)]);
+        let b = placement.add_item(SiteId(0), &[SiteId(1)]);
+        let graph = CopyGraph::from_placement(&placement);
+        let tree = PropagationTree::chain(&graph).expect("a two-site DAG has a chain tree");
+        let mut m = SiteMachine::new(
+            SiteId(1),
+            ProtocolId::DagWt,
+            Arc::new(placement),
+            Arc::new(graph),
+            Some(Arc::new(tree)),
+        )
+        .expect("tree supplied");
+        m.set_apply_window(2);
+
+        let gid = |seq| GlobalTxnId::new(SiteId(0), seq);
+        let deliver = |m: &mut SiteMachine, seq, item| {
+            let sub = Subtxn {
+                gid: gid(seq),
+                origin: SiteId(0),
+                kind: SubtxnKind::Normal,
+                ts: None,
+                writes: vec![(item, Value::int(seq as i64))],
+                dest_sites: vec![SiteId(1)],
+            };
+            m.on_input(Input::Deliver { from: SiteId(0), payload: Payload::Subtxn(sub) })
+                .expect("deliver")
+        };
+        assert!(
+            matches!(deliver(&mut m, 1, a)[..], [Command::Apply { gid: g, .. }] if g == gid(1))
+        );
+        // Write-disjoint from T1, so the second slot admits it at once.
+        assert!(
+            matches!(deliver(&mut m, 2, b)[..], [Command::Apply { gid: g, .. }] if g == gid(2))
+        );
+        assert_eq!(m.inflight_len(), 2);
+
+        assert_eq!(
+            m.on_input(Input::Applied { gid: gid(2) }),
+            Err(ProtocolError::OutOfOrderCompletion { gid: gid(2), front: Some(gid(1)) })
+        );
+        // The refusal changed nothing: admission order still completes.
+        assert_eq!(m.inflight_len(), 2);
+        assert_eq!(m.on_input(Input::Applied { gid: gid(1) }), Ok(Vec::new()));
+        assert_eq!(m.on_input(Input::Applied { gid: gid(2) }), Ok(Vec::new()));
+        assert!(m.secondaries_idle());
+        assert_eq!(
+            m.on_input(Input::Applied { gid: gid(2) }),
+            Err(ProtocolError::OutOfOrderCompletion { gid: gid(2), front: None })
+        );
+    }
 }

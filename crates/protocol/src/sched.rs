@@ -61,7 +61,9 @@ pub(crate) struct InFlight {
 /// Owns the incoming per-parent queues and the in-flight window. The
 /// [`SiteMachine`](crate::SiteMachine) consults [`ApplyScheduler::pick`]
 /// for the next admissible queue, pops with [`ApplyScheduler::admit`],
-/// and releases completions in admission order.
+/// and releases completions in admission order. Only the simulator
+/// widens the window past 1 (its virtual worker pool is what overlaps);
+/// every live site and the model checker run the single slot.
 #[derive(Clone)]
 pub struct ApplyScheduler {
     /// Incoming subtransaction queues, keyed by sender. NaiveLazy: one

@@ -27,7 +27,7 @@ use std::process::ExitCode;
 
 use repl_analysis::{check_address_map, has_errors, render};
 use repl_copygraph::DataPlacement;
-use repl_core::deploy::{DeployConfig, ReactorKind};
+use repl_core::deploy::{removed_batching_knob, DeployConfig, ReactorKind};
 use repl_runtime::{serve_epoll, NetFaultPlan, RuntimeOptions, RuntimeProtocol, ServeConfig};
 use repl_types::SiteId;
 
@@ -36,7 +36,7 @@ usage: repld [--config FILE] [--site N] [--listen HOST:PORT]
              [--protocol dagwt|dagt|backedge|naive] [--placement SPEC]
              [--reactor epoll] [--peer N=HOST:PORT]...
              [--nemesis SPEC] [--eager-timeout-ms N] [--outbox-high-water N]
-             [--mvcc] [--group-commit N] [--link-batch N] [--apply-pool N]
+             [--mvcc] [--group-commit N]
 
 Flags override --config values. --listen HOST:0 picks an ephemeral port
 and announces it on stdout as `repld: site N listening on ADDR`.
@@ -49,10 +49,9 @@ NetFaultPlan::parse; give every site the same spec);
 --outbox-high-water caps per-link outbox growth before writes are
 refused with a backpressure error. --mvcc serves all-read transactions
 from lock-free MVCC snapshots; --group-commit batches N update commits
-per WAL flush (default 1). --link-batch coalesces up to N
-same-destination propagation payloads per wire frame (default 1);
---apply-pool admits up to N non-conflicting replica applications per
-scheduling pass (default 1).";
+per WAL flush (default 1). --link-batch and --apply-pool were removed
+in PR 23 and are refused: a site applies one transaction at a time and
+sends one frame per payload (batching is a simulator study).";
 
 fn main() -> ExitCode {
     match run() {
@@ -101,12 +100,6 @@ fn run() -> Result<(), String> {
     }
     if let Some(batch) = cfg.group_commit {
         options.group_commit_batch = batch.max(1) as usize;
-    }
-    if let Some(batch) = cfg.link_batch {
-        options.batch_size = batch.max(1) as usize;
-    }
-    if let Some(pool) = cfg.apply_pool {
-        options.apply_pool = pool.max(1) as usize;
     }
 
     let serve_cfg =
@@ -159,20 +152,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<DeployConfig, String
                         .map_err(|_| "group commit batch must be an integer")?,
                 );
             }
-            "--link-batch" => {
-                flags.link_batch = Some(
-                    value("--link-batch")?
-                        .parse()
-                        .map_err(|_| "link batch size must be an integer")?,
-                );
-            }
-            "--apply-pool" => {
-                flags.apply_pool = Some(
-                    value("--apply-pool")?
-                        .parse()
-                        .map_err(|_| "apply pool width must be an integer")?,
-                );
-            }
+            flag @ ("--link-batch" | "--apply-pool") => return Err(removed_batching_knob(flag)),
             "--peer" => {
                 let spec = value("--peer")?;
                 let (site, addr) = spec

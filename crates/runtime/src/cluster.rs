@@ -301,9 +301,9 @@ impl Cluster {
         // every slot is replaced before any site can send.
         let routes = Arc::new(Routes::new((0..n).map(|_| traced_unbounded().0).collect()));
         let links = Arc::new(Links::new(n));
-        let mut raw: Box<dyn Transport> = Box::new(ChannelRaw::new(routes.clone(), links.clone()));
+        let mut raw: Arc<dyn Transport> = Arc::new(ChannelRaw::new(routes.clone(), links.clone()));
         if let Some(plan) = &opts.nemesis {
-            raw = Box::new(ChaosWire::new(raw, plan.clone(), n));
+            raw = Arc::new(ChaosWire::new(raw, plan.clone(), n));
         }
         let net = Arc::new(Net::new(links, raw));
         let mut cluster = Cluster {

@@ -46,6 +46,7 @@
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -297,7 +298,7 @@ struct ChaosLane {
 /// The [`Transport`] decorator interpreting a [`NetFaultPlan`] over any
 /// inner wire.
 pub(crate) struct ChaosWire {
-    inner: Box<dyn Transport>,
+    inner: Arc<dyn Transport>,
     plan: NetFaultPlan,
     start: Instant,
     /// `lanes[from][to]`.
@@ -305,7 +306,7 @@ pub(crate) struct ChaosWire {
 }
 
 impl ChaosWire {
-    pub fn new(inner: Box<dyn Transport>, plan: NetFaultPlan, sites: usize) -> Self {
+    pub fn new(inner: Arc<dyn Transport>, plan: NetFaultPlan, sites: usize) -> Self {
         ChaosWire {
             inner,
             plan,
@@ -425,41 +426,6 @@ impl Transport for ChaosWire {
             return status;
         }
         self.inner.try_send(from, to, seq, payload)
-    }
-
-    fn try_send_batch(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        first_seq: u64,
-        payloads: &[Payload],
-    ) -> SendStatus {
-        self.pump();
-        if self.plan.cuts(from, to, self.elapsed().as_millis() as u64) {
-            // A cut swallows the whole batch — one wire message, one
-            // loss. The outbox keeps every payload; replay after heal.
-            return SendStatus::Sent;
-        }
-        let per_frame_faults = self.plan.drop_permille > 0
-            || self.plan.dup_permille > 0
-            || self.plan.corrupt_permille > 0
-            || self.plan.truncate_permille > 0
-            || self.plan.max_jitter_ms > 0;
-        let held_behind = !self.lanes[from.index()][to.index()].lock().held.is_empty();
-        if !per_frame_faults && !held_behind {
-            return self.inner.try_send_batch(from, to, first_seq, payloads);
-        }
-        // Probabilistic faults and jitter are drawn per frame: route
-        // each payload through the single-frame path so the seeded draw
-        // streams (and the hold queue's per-link FIFO) behave exactly as
-        // they would for the unbatched frames.
-        for (i, payload) in payloads.iter().enumerate() {
-            let status = self.try_send(from, to, first_seq + i as u64, payload);
-            if status != SendStatus::Sent {
-                return status;
-            }
-        }
-        SendStatus::Sent
     }
 
     fn send_ack(&self, from: SiteId, me: SiteId, seq: u64) -> SendStatus {

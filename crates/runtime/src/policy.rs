@@ -116,18 +116,6 @@ pub struct RuntimeOptions {
     /// log every this-many update commits (1 = append per commit,
     /// byte-identical to the historical behaviour).
     pub group_commit_batch: usize,
-    /// Link-batching bound: same-destination payloads produced while
-    /// carrying out one machine input's commands are coalesced into
-    /// batch sends of at most this many payloads (1 = one frame per
-    /// payload, byte-identical to the historical behaviour). Batches
-    /// ride `WireMsg::Batch` on wires that negotiated protocol
-    /// version ≥ 2 and are acknowledged with one cumulative ack.
-    pub batch_size: usize,
-    /// Width of the machine's secondary apply window
-    /// (`SiteMachine::set_apply_window`): how many non-conflicting
-    /// replica subtransactions one scheduling pass may admit together
-    /// (1 = the historical single applier slot).
-    pub apply_pool: usize,
 }
 
 impl Default for RuntimeOptions {
@@ -142,8 +130,6 @@ impl Default for RuntimeOptions {
             nemesis: None,
             mvcc_reads: false,
             group_commit_batch: 1,
-            batch_size: 1,
-            apply_pool: 1,
         }
     }
 }

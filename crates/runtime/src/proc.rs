@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use repl_copygraph::DataPlacement;
-use repl_core::deploy::ReactorKind;
+use repl_core::deploy::{removed_batching_knob, ReactorKind};
 use repl_net::{read_msg, write_msg, ClientMsg, ClientReply, ExecError, HistoryTxn, WireMsg};
 use repl_types::{GlobalTxnId, ItemId, Op, SiteId, Value};
 
@@ -55,11 +55,14 @@ pub struct LaunchOptions {
     /// Group-commit batch size: update commits per WAL flush
     /// (`--group-commit`).
     pub group_commit: Option<u64>,
-    /// Link batch size: same-destination propagation payloads coalesced
-    /// per wire frame (`--link-batch`).
+    /// Removed in PR 23 with `repld --link-batch`: anything but `None`
+    /// or `Some(1)` fails the launch with `InvalidInput`. This field and
+    /// [`LaunchOptions::apply_pool`] stay only because `benchmark/` sets
+    /// them and that PR could not edit it; they go with the benchmark's
+    /// own `--link-batch`/`--apply-pool` flags.
     pub link_batch: Option<u64>,
-    /// Apply pool width: non-conflicting replica applications admitted
-    /// per scheduling pass (`--apply-pool`).
+    /// Removed in PR 23 with `repld --apply-pool`; see
+    /// [`LaunchOptions::link_batch`].
     pub apply_pool: Option<u64>,
 }
 
@@ -103,13 +106,24 @@ impl ProcCluster {
     /// [`ProcCluster::launch`] with an explicit `repld` path (test
     /// suites pass `CARGO_BIN_EXE_repld`) and every [`LaunchOptions`]
     /// knob — the chaos drivers use this to hand an identical nemesis
-    /// plan and tolerance overrides to every child.
+    /// plan and tolerance overrides to every child. Fails with
+    /// `InvalidInput`, before any child is spawned, when `options` asks
+    /// for one of the removed batching knobs.
     pub fn launch_with_options(
         bin: &std::path::Path,
         placement: &DataPlacement,
         protocol: RuntimeProtocol,
         options: &LaunchOptions,
     ) -> io::Result<Self> {
+        // Refused here, by name, rather than by children exiting 2 on a
+        // flag they no longer have.
+        for (name, knob) in [("link_batch", options.link_batch), ("apply_pool", options.apply_pool)]
+        {
+            if knob.is_some_and(|n| n > 1) {
+                let why = removed_batching_knob(&format!("LaunchOptions::{name}"));
+                return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
+            }
+        }
         let n = placement.num_sites() as usize;
         let spec = placement.to_spec();
         let proto = match protocol {
@@ -155,14 +169,6 @@ impl ProcCluster {
             if let Some(batch) = options.group_commit {
                 args.push("--group-commit".into());
                 args.push(batch.to_string());
-            }
-            if let Some(batch) = options.link_batch {
-                args.push("--link-batch".into());
-                args.push(batch.to_string());
-            }
-            if let Some(pool) = options.apply_pool {
-                args.push("--apply-pool".into());
-                args.push(pool.to_string());
             }
             let mut child = Command::new(bin).args(&args).stdout(Stdio::piped()).spawn()?;
             // replint: allow(RL008) -- stdout is piped two lines up

@@ -80,9 +80,9 @@ use parking_lot::Mutex;
 
 use repl_copygraph::DataPlacement;
 use repl_net::{
-    cluster_fingerprint, frame_link_into, frame_run_into, frame_state_reply_into, negotiate,
-    ClientMsg, ClientReply, ExecError, FrameReader, Hello, HelloAck, HistoryLog, NetError, Payload,
-    WireMsg, VERSION_BATCH, VERSION_MAX, VERSION_MIN,
+    cluster_fingerprint, frame_link_into, frame_state_reply_into, negotiate, ClientMsg,
+    ClientReply, ExecError, FrameReader, Hello, HelloAck, HistoryLog, NetError, Payload, WireMsg,
+    VERSION_MAX, VERSION_MIN,
 };
 use repl_types::{AddressMap, GlobalTxnId, Op, SiteId};
 
@@ -195,9 +195,6 @@ struct OutLane {
     /// A `try_send` was refused for want of buffer space; the next
     /// sub-half-cap drain triggers an outbox replay.
     stalled: bool,
-    /// Protocol version the connection's handshake negotiated; decides
-    /// whether coalesced sends may ride a [`WireMsg::Batch`] frame.
-    version: u16,
     buf: WriteBuf,
 }
 
@@ -243,36 +240,6 @@ impl Transport for ReactorWire {
         SendStatus::Sent
     }
 
-    fn try_send_batch(
-        &self,
-        _from: SiteId,
-        to: SiteId,
-        first_seq: u64,
-        payloads: &[Payload],
-    ) -> SendStatus {
-        let mut lane = self.lanes[to.index()].lock();
-        if !lane.connected {
-            return SendStatus::Down;
-        }
-        // The cap is checked once for the whole run: a partially
-        // buffered batch would be pointless (the receiver gap-drops
-        // after a hole), so the run goes in atomically or not at all.
-        if lane.buf.len() >= LANE_BUF_CAP {
-            lane.stalled = true;
-            return SendStatus::Backpressure;
-        }
-        // A version-1 peer never sees a Batch frame; the run degrades to
-        // one Link frame per payload in the same order.
-        if lane.version >= VERSION_BATCH {
-            frame_run_into(lane.buf.tail(), first_seq, payloads);
-        } else {
-            for (i, payload) in payloads.iter().enumerate() {
-                frame_link_into(lane.buf.tail(), first_seq + i as u64, payload);
-            }
-        }
-        SendStatus::Sent
-    }
-
     fn send_ack(&self, from: SiteId, _me: SiteId, seq: u64) -> SendStatus {
         let mut lane = self.ack_lanes[from.index()].lock();
         if !lane.connected {
@@ -289,32 +256,6 @@ impl Transport for ReactorWire {
 
     fn poll_events(&self, _me: SiteId) -> Vec<TransportEvent> {
         std::mem::take(&mut *self.inbox.lock()).into()
-    }
-}
-
-impl Transport for Arc<ReactorWire> {
-    fn try_send(&self, from: SiteId, to: SiteId, seq: u64, payload: &Payload) -> SendStatus {
-        // replint: allow(RL012) -- trait forwarding through the Arc, no outbox here
-        (**self).try_send(from, to, seq, payload)
-    }
-
-    fn try_send_batch(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        first_seq: u64,
-        payloads: &[Payload],
-    ) -> SendStatus {
-        // replint: allow(RL012) -- trait forwarding through the Arc, no outbox here
-        (**self).try_send_batch(from, to, first_seq, payloads)
-    }
-
-    fn send_ack(&self, from: SiteId, me: SiteId, seq: u64) -> SendStatus {
-        (**self).send_ack(from, me, seq)
-    }
-
-    fn poll_events(&self, me: SiteId) -> Vec<TransportEvent> {
-        (**self).poll_events(me)
     }
 }
 
@@ -410,9 +351,9 @@ pub fn serve_epoll(cfg: ServeConfig) -> io::Result<()> {
     let opts = Arc::new(cfg.options);
     let wire = Arc::new(ReactorWire::new(n));
     let links = Arc::new(Links::new(n));
-    let mut raw: Box<dyn Transport> = Box::new(wire.clone());
+    let mut raw: Arc<dyn Transport> = wire.clone();
     if let Some(plan) = &opts.nemesis {
-        raw = Box::new(ChaosWire::new(raw, plan.clone(), n));
+        raw = Arc::new(ChaosWire::new(raw, plan.clone(), n));
     }
     let net = Arc::new(Net::new(links, raw));
     let durable = Arc::new(Mutex::new(DurableSite::new(n, opts.group_commit_batch)));
@@ -661,19 +602,13 @@ impl Reactor {
             },
             Role::PeerIn { from } => match msg {
                 WireMsg::Link { seq, payload } => {
-                    self.wire.inbox.lock().push_back(TransportEvent::Frame { from, seq, payload });
-                    true
-                }
-                WireMsg::Batch { first_seq, payloads } => {
-                    self.wire.inbox.lock().push_back(TransportEvent::Batch {
-                        from,
-                        first_seq,
-                        payloads,
-                    });
+                    self.wire.inbox.lock().push_back(TransportEvent { from, seq, payload });
                     true
                 }
                 _ => {
-                    // Protocol violation; drop the link, let it re-dial.
+                    // Protocol violation (a `Batch` frame included: this
+                    // build advertises no version that carries one);
+                    // drop the link, let it re-dial.
                     self.close_conn(tok);
                     false
                 }
@@ -763,7 +698,6 @@ impl Reactor {
             let mut lane = self.wire.lanes[peer.index()].lock();
             lane.connected = true;
             lane.stalled = false;
-            lane.version = ack.version;
             lane.buf.clear();
         }
         self.core.net.resume(self.me, peer, ack.resume_seq);

@@ -25,7 +25,7 @@
 //! false) and completes it from the readiness loop when the special's
 //! `CommitLocal` surfaces.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -181,7 +181,7 @@ impl SiteSetup {
     /// Join the protocol half with the I/O half into the shared core.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn into_core(
-        mut self,
+        self,
         store: Store,
         net: Arc<Net>,
         placement: Arc<DataPlacement>,
@@ -191,13 +191,6 @@ impl SiteSetup {
         opts: Arc<RuntimeOptions>,
     ) -> SiteCore {
         let sites = placement.num_sites() as usize;
-        // Driver configuration of the machine, applied before its first
-        // input: the apply window and send coalescing are deployment
-        // knobs (the same ones the simulator sets from `SimParams`), not
-        // protocol state. At the defaults (1 / off) the command stream
-        // is byte-identical to the historical machine.
-        self.machine.set_apply_window(opts.apply_pool.max(1));
-        self.machine.set_send_coalescing(opts.batch_size > 1);
         SiteCore {
             id: self.machine.me(),
             store,
@@ -328,15 +321,8 @@ impl SiteCore {
 
     /// Drain the transport inbox and apply every queued frame.
     pub fn drain_net(&mut self) {
-        for event in self.net.poll_events(self.id) {
-            match event {
-                TransportEvent::Frame { from, seq, payload } => {
-                    self.apply_frame(from, seq, payload)
-                }
-                TransportEvent::Batch { from, first_seq, payloads } => {
-                    self.apply_batch(from, first_seq, payloads)
-                }
-            }
+        for TransportEvent { from, seq, payload } in self.net.poll_events(self.id) {
+            self.apply_frame(from, seq, payload);
         }
     }
 
@@ -493,27 +479,13 @@ impl SiteCore {
     /// here, and their completion inputs' follow-up commands run
     /// depth-first — preserving the apply-then-forward order per
     /// subtransaction that per-link FIFO commit order relies on.
-    ///
-    /// With `batch_size > 1` outgoing payloads are not shipped one by
-    /// one: same-destination sends produced while draining this command
-    /// run are coalesced into per-destination lanes and flushed as batch
-    /// sends — when a lane reaches `batch_size`, and for every residue
-    /// when the run ends. Per-link order is exactly the serial send
-    /// order, so the receiver's FIFO dedup is unaffected; the run just
-    /// crosses the wire in fewer messages.
     fn run_commands(&mut self, cmds: Vec<ProtoCommand>) {
         let mut work: VecDeque<ProtoCommand> = cmds.into();
-        let mut lanes: BTreeMap<SiteId, Vec<Payload>> = BTreeMap::new();
         while let Some(cmd) = work.pop_front() {
             let responses = match cmd {
                 ProtoCommand::Send { to, payload } => {
-                    self.queue_send(&mut lanes, to, payload);
-                    Vec::new()
-                }
-                ProtoCommand::SendBatch { to, payloads } => {
-                    for payload in payloads {
-                        self.queue_send(&mut lanes, to, payload);
-                    }
+                    self.note_sent(to, &payload);
+                    let _ = self.net.send(self.id, to, payload);
                     Vec::new()
                 }
                 ProtoCommand::Apply { gid, writes } => {
@@ -521,22 +493,6 @@ impl SiteCore {
                         self.commit_replica_txn(gid, &writes);
                     }
                     self.machine_input(Input::Applied { gid })
-                }
-                // The simulator overlaps these executions on a virtual
-                // worker pool; a live site carries the run out inline,
-                // committing — and reporting `Applied` — in admission
-                // order, which is the order 1SR pins down. The wins here
-                // are upstream (one scheduling pass) and downstream (the
-                // forwards coalesce into batch frames).
-                ProtoCommand::ApplyMany { subs } => {
-                    let mut responses = Vec::new();
-                    for (gid, writes) in subs {
-                        if !writes.is_empty() {
-                            self.commit_replica_txn(gid, &writes);
-                        }
-                        responses.extend(self.machine_input(Input::Applied { gid }));
-                    }
-                    responses
                 }
                 // A serial site holds no locks: preparing is pure
                 // bookkeeping (the machine retains the writes), so the
@@ -564,38 +520,18 @@ impl SiteCore {
                     self.eager_deadline = Some((gid, Instant::now() + self.opts.eager_timeout));
                     Vec::new()
                 }
+                // Only a machine whose apply window or send coalescing
+                // was widened emits these, and this driver widens
+                // neither: one transaction at a time has nothing to
+                // overlap (DESIGN.md §14.4).
+                ProtoCommand::SendBatch { .. } | ProtoCommand::ApplyMany { .. } => {
+                    self.poisoned.get_or_insert(ProtocolError::UnrequestedBatch { at: self.id });
+                    Vec::new()
+                }
             };
             for r in responses.into_iter().rev() {
                 work.push_front(r);
             }
-        }
-        for (to, payloads) in lanes {
-            if !payloads.is_empty() {
-                let _ = self.net.send_batch(self.id, to, payloads);
-            }
-        }
-    }
-
-    /// Queue one outgoing payload: shipped immediately at
-    /// `batch_size <= 1` (the historical one-frame-per-payload path),
-    /// otherwise coalesced into the current command run's lane for `to`
-    /// and flushed as a batch once the lane is full.
-    fn queue_send(
-        &mut self,
-        lanes: &mut BTreeMap<SiteId, Vec<Payload>>,
-        to: SiteId,
-        payload: Payload,
-    ) {
-        self.note_sent(to, &payload);
-        if self.opts.batch_size <= 1 {
-            let _ = self.net.send(self.id, to, payload);
-            return;
-        }
-        let lane = lanes.entry(to).or_default();
-        lane.push(payload);
-        if lane.len() >= self.opts.batch_size {
-            let full = std::mem::take(lane);
-            let _ = self.net.send_batch(self.id, to, full);
         }
     }
 
@@ -705,42 +641,6 @@ impl SiteCore {
         let cmds = self.machine_input(Input::Deliver { from, payload });
         self.run_commands(cmds);
         self.net.ack_received(from, self.id, seq);
-    }
-
-    /// Apply a coalesced run of link frames with contiguous sequence
-    /// numbers. Each payload goes through exactly the
-    /// [`SiteCore::apply_frame`] dedup/gap discipline against the
-    /// durable per-link mark, but the acknowledgement is cumulative: one
-    /// ack for the last sequence of the accepted (or re-acked duplicate)
-    /// prefix. A gap mid-run drops the tail — those payloads are still
-    /// in the sender's outbox, and the unacknowledged suffix is exactly
-    /// what the next replay re-sends in FIFO order.
-    pub fn apply_batch(&mut self, from: SiteId, first_seq: u64, payloads: Vec<Payload>) {
-        self.net.note_peer_progress(self.id, from);
-        let mut acked: Option<u64> = None;
-        for (i, payload) in payloads.into_iter().enumerate() {
-            let seq = first_seq + i as u64;
-            let fresh = {
-                let mut d = self.durable.lock();
-                let mark = d.applied_from[from.index()];
-                if seq <= mark {
-                    false
-                } else if seq > mark + 1 {
-                    break;
-                } else {
-                    d.applied_from[from.index()] = seq;
-                    true
-                }
-            };
-            acked = Some(seq);
-            if fresh {
-                let cmds = self.machine_input(Input::Deliver { from, payload });
-                self.run_commands(cmds);
-            }
-        }
-        if let Some(seq) = acked {
-            self.net.ack_received(from, self.id, seq);
-        }
     }
 
     /// Every copy this site holds, ascending by item, with value and

@@ -147,32 +147,17 @@ pub(crate) enum SendStatus {
     Down,
 }
 
-/// Something the wire delivered to this site, surfaced by
-/// [`Transport::poll_events`] and fed into the protocol machine by the
-/// site driver (thread or reactor).
+/// One reliable-link message the wire delivered to this site on the
+/// `from -> me` link, surfaced by [`Transport::poll_events`] and fed
+/// into the protocol machine by the site driver (thread or reactor).
 #[derive(Debug)]
-pub(crate) enum TransportEvent {
-    /// One reliable-link message on the `from -> me` link.
-    Frame {
-        /// Sending site.
-        from: SiteId,
-        /// Sequence number on that link.
-        seq: u64,
-        /// The propagation payload.
-        payload: Payload,
-    },
-    /// A coalesced run of link messages on the `from -> me` link, with
-    /// contiguous sequence numbers `first_seq..first_seq + len`. The
-    /// receiver acknowledges the whole run with one cumulative ack.
-    Batch {
-        /// Sending site.
-        from: SiteId,
-        /// Sequence number of the first payload.
-        first_seq: u64,
-        /// The payloads, in sequence order (always at least two; a
-        /// singleton run is delivered as a plain [`TransportEvent::Frame`]).
-        payloads: Vec<Payload>,
-    },
+pub(crate) struct TransportEvent {
+    /// Sending site.
+    pub from: SiteId,
+    /// Sequence number on that link.
+    pub seq: u64,
+    /// The propagation payload.
+    pub payload: Payload,
 }
 
 /// One wire between sites: nonblocking single-attempt sends plus an
@@ -183,29 +168,6 @@ pub(crate) trait Transport: Send + Sync {
     /// Try once, without blocking, to hand `(seq, payload)` to `to` on
     /// the `from -> to` link.
     fn try_send(&self, from: SiteId, to: SiteId, seq: u64, payload: &Payload) -> SendStatus;
-
-    /// Try once, without blocking, to hand a run of payloads with
-    /// contiguous sequence numbers `first_seq..` to `to`. The default
-    /// degrades to per-payload [`Transport::try_send`] attempts,
-    /// stopping at the first failure (the receiver's gap marks would
-    /// drop everything after a hole anyway; replay recovers the tail).
-    /// Wires with a native batch frame override this to put the whole
-    /// run on the wire in one message.
-    fn try_send_batch(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        first_seq: u64,
-        payloads: &[Payload],
-    ) -> SendStatus {
-        for (i, payload) in payloads.iter().enumerate() {
-            let status = self.try_send(from, to, first_seq + i as u64, payload);
-            if status != SendStatus::Sent {
-                return status;
-            }
-        }
-        SendStatus::Sent
-    }
 
     /// Convey the receiver-side acknowledgement of `seq` on the
     /// `from -> me` link back to the sender. Best-effort: a lost ack
@@ -221,12 +183,12 @@ pub(crate) trait Transport: Send + Sync {
 /// The reliable-link engine shared by every transport.
 pub(crate) struct Net {
     links: Arc<Links>,
-    raw: Box<dyn Transport>,
+    raw: Arc<dyn Transport>,
     health: HealthTable,
 }
 
 impl Net {
-    pub fn new(links: Arc<Links>, raw: Box<dyn Transport>) -> Self {
+    pub fn new(links: Arc<Links>, raw: Arc<dyn Transport>) -> Self {
         let n = links.num_sites();
         Net { links, raw, health: HealthTable::new(n) }
     }
@@ -245,27 +207,6 @@ impl Net {
         // replint: allow(RL008) -- back() of a deque pushed to on the previous line
         let (_, payload) = lane.unacked.back().expect("just pushed");
         self.raw.try_send(from, to, seq, payload)
-    }
-
-    /// Enroll a coalesced run of payloads on the `from -> to` link under
-    /// one lane lock — their sequence numbers come out contiguous, which
-    /// is what lets the receiver dedup the run against a single durable
-    /// mark and ack it cumulatively — and attempt delivery once as a
-    /// batch. A singleton run degrades to [`Net::send`].
-    pub fn send_batch(&self, from: SiteId, to: SiteId, mut payloads: Vec<Payload>) -> SendStatus {
-        debug_assert!(!payloads.is_empty(), "empty batch send");
-        if payloads.len() == 1 {
-            // replint: allow(RL008) -- len checked on the previous line
-            return self.send(from, to, payloads.pop().expect("len checked"));
-        }
-        let mut lane = self.links.lane(from, to).lock();
-        let first_seq = lane.next_seq + 1;
-        for payload in &payloads {
-            lane.next_seq += 1;
-            let seq = lane.next_seq;
-            lane.unacked.push_back((seq, payload.clone()));
-        }
-        self.raw.try_send_batch(from, to, first_seq, &payloads)
     }
 
     /// Receiver side: report `seq` on the `from -> me` link durably
@@ -432,33 +373,13 @@ impl Transport for ChannelRaw {
         // that can fail — a crashed site's channel is gone — and the
         // restart path replays the outbox anyway, so report Down only
         // to keep the status honest for observers.
-        self.inboxes[to.index()].lock().push_back(TransportEvent::Frame {
+        self.inboxes[to.index()].lock().push_back(TransportEvent {
             from,
             seq,
             payload: payload.clone(),
         });
         // The route is re-read per send so a restart's fresh channel is
         // picked up immediately.
-        match self.routes.to(to).send(Command::Wake) {
-            Ok(()) => SendStatus::Sent,
-            Err(_) => SendStatus::Down,
-        }
-    }
-
-    fn try_send_batch(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        first_seq: u64,
-        payloads: &[Payload],
-    ) -> SendStatus {
-        // One inbox event and one wake-up for the whole run — the
-        // in-process analogue of one batch frame on a real wire.
-        self.inboxes[to.index()].lock().push_back(TransportEvent::Batch {
-            from,
-            first_seq,
-            payloads: payloads.to_vec(),
-        });
         match self.routes.to(to).send(Command::Wake) {
             Ok(()) => SendStatus::Sent,
             Err(_) => SendStatus::Down,

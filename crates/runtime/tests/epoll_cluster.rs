@@ -1,18 +1,24 @@
 //! End-to-end tests for the process-per-site TCP deployment (`repld`,
 //! the epoll reactor): transport equivalence against the in-process
 //! channel cluster, mid-run connection kills, a 256-connection smoke
-//! test on one readiness loop, and the typed-error path for malformed
-//! client frames. `tcp_cluster.rs` holds the DAG(T) and `Stats` cases.
+//! test on one readiness loop, the typed-error path for malformed
+//! client frames, and the refusals of the removed batching knobs and of
+//! a `Batch` frame on a peer link. `tcp_cluster.rs` holds the DAG(T)
+//! identity and `Stats` cases.
 
 use std::io::Write;
 use std::net::TcpStream;
 use std::path::Path;
+use std::time::Duration;
 
 use repl_copygraph::DataPlacement;
 use repl_core::scenario::{self, WorkloadMix};
-use repl_net::{read_msg, write_msg, ClientMsg, ClientReply, WireMsg};
+use repl_net::{
+    cluster_fingerprint, encode_framed, read_msg, write_msg, ClientMsg, ClientReply, Hello,
+    Payload, ReadError, WireMsg,
+};
 use repl_runtime::{Cluster, ClusterHandle, LaunchOptions, ProcCluster, RuntimeProtocol};
-use repl_types::{ItemId, Op, SiteId, Value};
+use repl_types::{GlobalTxnId, ItemId, Op, SiteId, Value};
 
 fn repld() -> &'static Path {
     Path::new(env!("CARGO_BIN_EXE_repld"))
@@ -185,7 +191,7 @@ fn epoll_malformed_frame_gets_typed_error_and_counter() {
         other => panic!("expected typed error, got {other:?}"),
     }
     // The server closes the failed session after replying.
-    assert!(matches!(read_msg(&mut conn), Err(repl_net::ReadError::Io(_))));
+    assert!(matches!(read_msg(&mut conn), Err(ReadError::Io(_))));
 
     // A structurally valid frame of the wrong kind (a peer Ack on a
     // client session) is refused with the frame kind named.
@@ -202,5 +208,150 @@ fn epoll_malformed_frame_gets_typed_error_and_counter() {
     assert_eq!(stats.decode_errors, 2);
     // The site still serves well-formed clients.
     cluster.execute(SiteId(0), vec![Op::write(ItemId(0), 5)]).unwrap().unwrap();
+    cluster.shutdown();
+}
+
+/// `protocols.rs::dagt_conflicting_heads_queued_behind_a_dummy_converge`
+/// on the TCP wire — the queue shape that wedged a replica under the
+/// removed `--apply-pool`, on the apply path that remains: chain3-like,
+/// every written item at s0 with copies at s1 and s2, s1 idle, two
+/// writers half a millisecond apart whose heads conflict only with
+/// their own, five or more of them released by each of s1's dummies.
+#[test]
+fn epoll_dagt_conflicting_heads_queued_behind_a_dummy_converge() {
+    let mut placement = DataPlacement::new(3);
+    let items: Vec<ItemId> =
+        (0..14).map(|_| placement.add_item(SiteId(0), &[SiteId(1), SiteId(2)])).collect();
+    placement.add_item(SiteId(1), &[SiteId(2)]);
+    placement.add_item(SiteId(2), &[]);
+    let cluster = epoll_cluster(&placement, RuntimeProtocol::DagT);
+    std::thread::scope(|scope| {
+        for w in 0..2usize {
+            let (cluster, items) = (&cluster, &items);
+            scope.spawn(move || {
+                for i in 0..300usize {
+                    let mut ops = vec![Op::write(items[7 * w], i as i64)];
+                    ops.extend(
+                        (0..3).map(|k| Op::write(items[7 * w + 1 + (3 * i + k) % 6], i as i64)),
+                    );
+                    cluster.execute(SiteId(0), ops).unwrap().unwrap();
+                    std::thread::sleep(Duration::from_micros(500));
+                }
+            });
+        }
+    });
+    ProcCluster::quiesce(&cluster).expect("quiesce");
+    for &item in &items {
+        let primary = cluster.peek(SiteId(0), item).expect("primary readable");
+        for s in [1u32, 2] {
+            assert_eq!(cluster.peek(SiteId(s), item), Some(primary.clone()), "{item:?} at s{s}");
+        }
+    }
+    let mut history = repl_core::History::new();
+    for (gid, reads, writes) in ProcCluster::history(&cluster).expect("history") {
+        history.record_commit(gid, reads, writes);
+    }
+    assert_eq!(history.txns().len(), 600);
+    assert!(history.check_serializability().is_ok(), "DAG(T) live history is not 1SR");
+    cluster.shutdown();
+}
+
+/// `LaunchOptions::{link_batch, apply_pool}` outlived the flags they
+/// forwarded (the benchmark package sets them): a value that asks for
+/// batching is refused before anything is spawned — the `repld` path
+/// here does not exist, so a spawn attempt would be `NotFound` — and
+/// the values that ask for nothing launch.
+#[test]
+fn removed_batching_knobs_are_refused_before_any_child_is_spawned() {
+    let placement = dag_placement();
+    for options in [
+        LaunchOptions { apply_pool: Some(4), ..LaunchOptions::default() },
+        LaunchOptions { link_batch: Some(8), ..LaunchOptions::default() },
+    ] {
+        let err = ProcCluster::launch_with_options(
+            Path::new("/nonexistent/repld"),
+            &placement,
+            RuntimeProtocol::DagWt,
+            &options,
+        )
+        .err()
+        .expect("refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        assert!(err.to_string().contains("removed in PR 23"), "{err}");
+    }
+    let unset = LaunchOptions { link_batch: Some(1), apply_pool: Some(1), ..Default::default() };
+    let cluster =
+        ProcCluster::launch_with_options(repld(), &placement, RuntimeProtocol::DagWt, &unset)
+            .expect("Some(1) is the serial site: launches");
+    cluster.execute(SiteId(0), vec![Op::write(ItemId(0), 3)]).unwrap().unwrap();
+    cluster.shutdown();
+}
+
+/// `repld` itself refuses the removed flags at startup: exit 2 and one
+/// message that names the removal and where batching still lives.
+#[test]
+fn repld_refuses_the_removed_batching_flags() {
+    for flag in ["--link-batch", "--apply-pool"] {
+        let out = std::process::Command::new(repld()).args([flag, "8"]).output().expect("run");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("{flag} was removed in PR 23")), "{flag}: {stderr}");
+        assert!(stderr.contains("simulator study"), "{flag}: {stderr}");
+    }
+}
+
+/// A peer built before the removal advertises versions 1..=2 and may
+/// hold a `Batch` frame: the handshake settles on 1, and a `Batch` frame
+/// sent anyway closes the link unapplied. The test poses as s0 dialing
+/// s1 (which supersedes s0's real link, so s0 re-dials); had the two
+/// payloads been taken as sequences 1 and 2, s0's own first frames would
+/// be dropped as duplicates and the write below would never reach s1.
+#[test]
+fn epoll_batch_frame_on_a_peer_link_closes_it_and_the_fleet_reconverges() {
+    let placement = dag_placement();
+    let cluster = epoll_cluster(&placement, RuntimeProtocol::DagWt);
+    let dial = || {
+        let link = TcpStream::connect(&cluster.addrs()[1]).unwrap();
+        link.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        link
+    };
+    let hello = encode_framed(&WireMsg::Hello(Hello {
+        site: SiteId(0),
+        version_min: 1,
+        version_max: 2,
+        cluster: cluster_fingerprint(placement.spec(), RuntimeProtocol::DagWt.name()),
+    }));
+
+    let mut link = dial();
+    link.write_all(&hello).unwrap();
+    match read_msg(&mut link).expect("handshake reply") {
+        WireMsg::HelloAck(ack) => assert_eq!((ack.version, ack.resume_seq), (1, 0)),
+        other => panic!("expected HelloAck, got {}", other.kind_name()),
+    }
+
+    // Hello and Batch in one write, so s1 reads both on one pass: the
+    // link is closed on the Batch before the HelloAck queued for it is
+    // flushed, and the first thing this end sees is the end of the
+    // stream — at once, not at the read timeout.
+    let abort = |seq| Payload::Decision { gid: GlobalTxnId::new(SiteId(0), seq), commit: false };
+    let batch = WireMsg::Batch { first_seq: 1, payloads: vec![abort(901), abort(902)] };
+    let mut bytes = hello.to_vec();
+    bytes.extend_from_slice(&encode_framed(&batch));
+    let mut link = dial();
+    link.write_all(&bytes).unwrap();
+    match read_msg(&mut link) {
+        Err(ReadError::Io(e)) => assert!(
+            !matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut),
+            "the link stayed open after a Batch frame"
+        ),
+        other => panic!("expected the link to close, got {other:?}"),
+    }
+
+    cluster.execute(SiteId(0), vec![Op::write(ItemId(0), 77)]).unwrap().unwrap();
+    ProcCluster::quiesce(&cluster).expect("quiesce after the re-dial");
+    for s in [1u32, 2] {
+        let cell = cluster.peek(SiteId(s), ItemId(0)).expect("replica readable");
+        assert_eq!(cell.0, Value::int(77), "site {s}");
+    }
     cluster.shutdown();
 }

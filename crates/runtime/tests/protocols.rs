@@ -93,6 +93,45 @@ fn dagt_idle_links_converge_via_heartbeats() {
 }
 
 #[test]
+fn dagt_conflicting_heads_queued_behind_a_dummy_converge() {
+    // chain3-like: every written item lives at s0 with copies at s1 and
+    // s2, and s1 (which also feeds s2) is idle. s2 may admit s0's
+    // updates only under a timestamp from s1, i.e. at s1's 2 ms dummies,
+    // so two writers committing every half millisecond leave s2's queue
+    // from s0 holding five or more heads per dummy. Each writer rewrites
+    // its own hot item plus three of its own six spread items, so its
+    // heads conflict with each other and never with the other writer's:
+    // an applier that overlapped write-disjoint heads had to complete
+    // them in admission order here (at 1 ms a dummy released only four,
+    // one short of the run that got the removed apply window stuck).
+    let mut placement = DataPlacement::new(3);
+    let items: Vec<_> =
+        (0..14).map(|_| placement.add_item(SiteId(0), &[SiteId(1), SiteId(2)])).collect();
+    placement.add_item(SiteId(1), &[SiteId(2)]);
+    placement.add_item(SiteId(2), &[]);
+    let cluster = Cluster::start(&placement, RuntimeProtocol::DagT).unwrap();
+    std::thread::scope(|scope| {
+        for w in 0..2usize {
+            let (cluster, items) = (&cluster, &items);
+            scope.spawn(move || {
+                for i in 0..300usize {
+                    let mut ops = vec![repl_types::Op::write(items[7 * w], i as i64)];
+                    ops.extend((0..3).map(|k| {
+                        repl_types::Op::write(items[7 * w + 1 + (3 * i + k) % 6], i as i64)
+                    }));
+                    cluster.execute(SiteId(0), ops).unwrap();
+                    std::thread::sleep(std::time::Duration::from_micros(500));
+                }
+            });
+        }
+    });
+    cluster.quiesce();
+    assert_converged(&cluster, &placement);
+    cluster.check_serializability().expect("Theorem 3.1: DAG(T) histories are serializable");
+    cluster.shutdown();
+}
+
+#[test]
 fn backedge_cyclic_graph_converges_and_is_serializable() {
     let placement = cyclic_placement();
     let cluster = Cluster::start(&placement, RuntimeProtocol::BackEdge).unwrap();
