@@ -7,10 +7,10 @@
 //! behaviour must be a pure function of their inputs (`crates/sim`,
 //! `crates/core`, `crates/copygraph`, `crates/protocol`, plus the model
 //! checker and history oracle in `crates/analysis`) with the
-//! determinism rules, the storage MVCC read path (`cells.rs`,
-//! `mvcc.rs`, `snapshot.rs`, `store.rs`) with the lock-free-read rule
-//! RL011, and
-//! the long-running runtime crates
+//! determinism rules, the storage crate's sources (`crates/storage/src`
+//! — not its tests: `tests/lock_model.rs` iterates a `HashMap` shadow on
+//! purpose) with the same rules plus, on the MVCC read path, the
+//! lock-free-read rule RL011, and the long-running runtime crates
 //! (`crates/runtime`, `crates/net`) with the panic-freedom rule — see
 //! [`repl_analysis::detlint`] for the path classification. Exits 1 if
 //! any error-severity finding is produced; warnings (stale
@@ -43,10 +43,7 @@ fn main() {
             "crates/protocol",
             "crates/analysis/src/mc",
             "crates/analysis/src/history.rs",
-            "crates/storage/src/cells.rs",
-            "crates/storage/src/mvcc.rs",
-            "crates/storage/src/snapshot.rs",
-            "crates/storage/src/store.rs",
+            "crates/storage/src",
             "crates/runtime",
             "crates/net",
         ]

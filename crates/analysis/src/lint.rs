@@ -123,13 +123,9 @@ pub fn lint_scenario(placement: &DataPlacement, cfg: &LintConfig) -> Vec<Diagnos
             let backedges = BackEdgeSet::by_site_order(&graph);
             diags.extend(check_backedge_set(&graph, &backedges));
             if backedges.is_valid(&graph) {
-                let constraints = backedges.augmented_constraints(&graph);
-                let mut cg = CopyGraph::empty(placement.num_sites());
-                for &(u, v) in &constraints {
-                    cg.add_edge(u, v, 1);
-                }
+                let cg = backedges.augmented_graph(&graph);
                 if let Ok(tree) = build_tree(&cg, cfg.tree) {
-                    diags.extend(check_tree(&tree, &constraints));
+                    diags.extend(check_tree(&tree, &backedges.augmented_constraints(&graph)));
                     diags.extend(check_replica_reachability(placement, &tree, Some(&backedges)));
                 }
             }

@@ -1,12 +1,15 @@
 //! `replmc`: exhaustive bounded model checking of the protocol machines.
 //!
 //! The sans-I/O [`SiteMachine`] already runs under a discrete-event
-//! simulator, a property-based differential harness, and a real TCP
-//! deployment — all of which *sample* schedules. This module closes the
-//! remaining gap: for small bounded workloads it drives a fleet of
-//! machines through **every** interleaving of deliverable inputs and
-//! checks the paper's correctness claims as oracles on each reached
-//! state.
+//! simulator and a real TCP deployment, both of which *sample*
+//! schedules. This module closes the remaining gap: for small bounded
+//! workloads it drives a fleet of machines through **every**
+//! interleaving of deliverable inputs and checks the paper's
+//! correctness claims as oracles on each reached state. The same
+//! [`World`], built by [`World::from_parts`] on generated placements too
+//! large to exhaust, is also the machine-level property suite
+//! (`tests/mc_walks.rs`): there a coin picks the next [`Action`] and the
+//! oracles are unchanged.
 //!
 //! The pieces:
 //!
@@ -38,8 +41,8 @@ pub mod world;
 
 pub use explore::{explore, Bounds, Config, Finding, Report, Stats};
 pub use scenario::{PlannedTxn, Scenario, Topology};
-pub use shrink::{replay, shrink, Replay};
-pub use world::{Action, World, OBSERVER_SEQ};
+pub use shrink::{replay, replay_from, shrink, shrink_from, Replay};
+pub use world::{Action, Budgets, Timers, World, OBSERVER_SEQ};
 
 use repl_protocol::ProtocolId;
 
@@ -71,4 +74,29 @@ pub fn gate_matrix() -> Vec<Scenario> {
         Scenario::new(ProtocolId::DagT, Topology::Chain, 3, 2),
         Scenario::new(ProtocolId::BackEdge, Topology::Cross, 3, 2),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `replmc --stats` on the gate matrix, pinned: a storage or protocol
+    /// change that is meant to leave the machines' behaviour alone must
+    /// leave the explored graph alone too.
+    #[test]
+    fn gate_matrix_stats_are_pinned() {
+        let stats: Vec<_> = gate_matrix()
+            .iter()
+            .map(|s| {
+                let r = check_scenario(s, &Config::default()).expect("explore");
+                assert!(r.findings.is_empty() && !r.stats.truncated, "{}", s.label());
+                let st = r.stats;
+                (st.states, st.transitions, st.quiescent_states, st.max_depth_seen)
+            })
+            .collect();
+        assert_eq!(
+            stats,
+            [(53, 52, 1, 10), (30, 29, 2, 8), (7029, 7028, 6, 18), (134, 133, 4, 12)]
+        );
+    }
 }

@@ -36,7 +36,13 @@ pub struct Replay {
 /// state); if the full trace executes cleanly and dead-ends short of
 /// quiescence, the stall oracle runs too.
 pub fn replay(scenario: &Scenario, trace: &[Action]) -> Result<Replay, String> {
-    let mut world = World::new(scenario)?;
+    Ok(replay_from(&World::new(scenario)?, trace))
+}
+
+/// [`replay`] from any initial state — a [`World::from_parts`] one has
+/// no [`Scenario`] to name it.
+pub fn replay_from(initial: &World, trace: &[Action]) -> Replay {
+    let mut world = initial.clone();
     let mut executed = Vec::new();
     let mut diagnostics = Vec::new();
     let mut checked: BTreeSet<u128> = BTreeSet::new();
@@ -66,7 +72,7 @@ pub fn replay(scenario: &Scenario, trace: &[Action]) -> Result<Replay, String> {
         diagnostics.extend(world.check_stall());
     }
     let codes = diagnostics.iter().map(|d| d.code).collect();
-    Ok(Replay { executed, codes, diagnostics })
+    Replay { executed, codes, diagnostics }
 }
 
 /// Greedily shrink `trace` to a 1-minimal schedule that still
@@ -74,10 +80,18 @@ pub fn replay(scenario: &Scenario, trace: &[Action]) -> Result<Replay, String> {
 /// does not replay to `code` in the first place (it should — the
 /// explorer produced it).
 pub fn shrink(scenario: &Scenario, trace: &[Action], code: &'static str) -> Vec<Action> {
+    match World::new(scenario) {
+        Ok(initial) => shrink_from(&initial, trace, code),
+        Err(_) => trace.to_vec(),
+    }
+}
+
+/// [`shrink`] from any initial state.
+pub fn shrink_from(initial: &World, trace: &[Action], code: &'static str) -> Vec<Action> {
     // Normalize to the executed prefix first: the explorer's trace may
     // extend past the step that made the violation inevitable.
-    let mut current = match replay(scenario, trace) {
-        Ok(r) if r.codes.contains(code) => r.executed,
+    let mut current = match replay_from(initial, trace) {
+        r if r.codes.contains(code) => r.executed,
         _ => return trace.to_vec(),
     };
     loop {
@@ -86,8 +100,8 @@ pub fn shrink(scenario: &Scenario, trace: &[Action], code: &'static str) -> Vec<
         while i < current.len() {
             let mut candidate = current.clone();
             candidate.remove(i);
-            match replay(scenario, &candidate) {
-                Ok(r) if r.codes.contains(code) && r.executed.len() < current.len() => {
+            match replay_from(initial, &candidate) {
+                r if r.codes.contains(code) && r.executed.len() < current.len() => {
                     current = r.executed;
                     improved = true;
                     // re-test index i (a new step now sits there)

@@ -14,7 +14,12 @@
 //!
 //! * A prepared BackEdge special holds write locks until its decision
 //!   (§4.1), so a local commit whose footprint intersects a prepared
-//!   special's write set is disabled until the decision arrives.
+//!   special's write set is disabled until the decision arrives, and
+//!   the site's MC002 observer does not read those items: between the
+//!   origin's commit and the decision's arrival the old copy is still
+//!   there, but no reader can get a lock on it (the schedule where
+//!   reading it anyway reports a false cycle is pinned in
+//!   `tests/mc_walks.rs`).
 //! * A BackEdge transaction in its eager phase holds its own read and
 //!   write locks at the origin from commit intent to commit, so
 //!   conflicting applies and prepares at the origin are disabled — this
@@ -35,13 +40,15 @@
 //! * **MC002** — the committed history plus per-site observer snapshots
 //!   is not one-copy serializable (checked at every state).
 //! * **MC003** — ordering discipline: a send off the protocol's legal
-//!   links, or a site applying one origin's subtransactions out of that
+//!   links, an `Apply`/`Prepare` carrying an item the site holds no copy
+//!   of, or a site applying one origin's subtransactions out of that
 //!   origin's commit order.
 //! * **MC004** — a site's DAG(T) epoch decreases.
 //! * **MC005** — an input reaches (or a command leaves) a crashed site.
 //! * **MC006** — a machine returns a [`ProtocolError`] on a legal input
-//!   sequence, or violates an internal contract (e.g. double-booking
-//!   the applier slot).
+//!   sequence, or violates an internal contract (double-booking the
+//!   applier slot; an `ApplyMany`/`SendBatch` from a machine nobody
+//!   widened).
 //!
 //! [`ProtocolError`]: repl_protocol::ProtocolError
 
@@ -51,7 +58,7 @@ use std::sync::Arc;
 
 use repl_copygraph::{BackEdgeSet, CopyGraph, DataPlacement, PropagationTree};
 use repl_protocol::digest::{digest_gid, digest_payload, digest_site, digest_value, digest_writes};
-use repl_protocol::{Command, Input, Payload, ProtocolId, SiteMachine, StableDigest};
+use repl_protocol::{Command, Input, Payload, ProtocolId, SeededBug, SiteMachine, StableDigest};
 use repl_types::{GlobalTxnId, ItemId, SiteId, Value};
 
 use super::scenario::{PlannedTxn, Scenario};
@@ -80,8 +87,11 @@ pub enum Action {
     Complete(SiteId),
     /// Complete the site's oldest direct (non-queued) prepare.
     Prep(SiteId),
-    /// DAG(T): fire one budgeted heartbeat at this site.
+    /// DAG(T): fire one heartbeat at this site (see [`Timers`]).
     Heartbeat(SiteId),
+    /// DAG(T), [`Timers::Free`] only: fire this copy-graph source's
+    /// epoch timer (§3.3).
+    Epoch(SiteId),
     /// DAG(T): crash this site (consumes the crash budget).
     Crash(SiteId),
     /// Recover a crashed site (sources bump their epoch, §3.3).
@@ -98,11 +108,40 @@ impl fmt::Display for Action {
             Action::Complete(s) => write!(f, "complete({s})"),
             Action::Prep(s) => write!(f, "prep({s})"),
             Action::Heartbeat(s) => write!(f, "heartbeat({s})"),
+            Action::Epoch(s) => write!(f, "epoch({s})"),
             Action::Crash(s) => write!(f, "crash({s})"),
             Action::Restart(s) => write!(f, "restart({s})"),
             Action::AbortEager(g) => write!(f, "abort-eager({g})"),
         }
     }
+}
+
+/// How the scheduler may fire DAG(T)'s two timers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Timers {
+    /// Exhaustive exploration: each site may heartbeat this many times,
+    /// and only towards children whose link *and* queue from it are
+    /// empty (a dummy behind queued work changes nothing an oracle sees,
+    /// so the filter is a state-space bound, not a protocol rule); the
+    /// epoch ticks only inside [`Action::Restart`].
+    Budgeted(u32),
+    /// Random walks: what the live `tick()` does once its periods have
+    /// passed — any site may declare *every* child idle, whatever is
+    /// queued, and any copy-graph source may tick its epoch
+    /// ([`Action::Epoch`]), at any step and without a budget. The state
+    /// space is infinite; only a bounded walk makes sense of it.
+    Free,
+}
+
+/// The bounds on otherwise-unbounded scheduler behaviour.
+#[derive(Clone, Copy, Debug)]
+pub struct Budgets {
+    /// DAG(T)'s heartbeat and epoch timers.
+    pub timers: Timers,
+    /// DAG(T): how many site crashes the scheduler may inject.
+    pub crashes: u32,
+    /// BackEdge: whether the scheduler may victimize eager phases.
+    pub allow_aborts: bool,
 }
 
 /// The immutable part of a run, shared by every cloned [`World`].
@@ -115,9 +154,7 @@ pub(crate) struct Fleet {
     pub plan: Vec<Vec<PlannedTxn>>,
     /// Plan entries by gid.
     pub txn_info: BTreeMap<GlobalTxnId, PlannedTxn>,
-    pub heartbeat_budget: u32,
-    pub crash_budget: u32,
-    pub allow_aborts: bool,
+    pub budgets: Budgets,
     /// Copy-graph sources (epoch owners, §3.3).
     pub sources: Vec<SiteId>,
 }
@@ -173,34 +210,46 @@ impl World {
     /// Build the initial state of a scenario.
     pub fn new(scenario: &Scenario) -> Result<World, String> {
         let placement = scenario.topology.build_placement(scenario.sites)?;
-        let graph = CopyGraph::from_placement(&placement);
-        if matches!(scenario.protocol, ProtocolId::DagWt | ProtocolId::DagT) && !graph.is_dag() {
-            return Err(format!(
-                "{} requires a DAG copy graph; topology {} is cyclic",
-                scenario.protocol,
-                scenario.topology.name()
-            ));
+        let plan = scenario.plan(&placement);
+        let budgets = Budgets {
+            timers: Timers::Budgeted(scenario.heartbeat_budget),
+            crashes: scenario.crash_budget,
+            allow_aborts: scenario.allow_aborts,
+        };
+        World::from_parts(scenario.protocol, placement, plan, budgets, scenario.bug)
+    }
+
+    /// Build an initial state from explicit parts: any placement, any
+    /// per-site commit plan (`plan[s]` is site `s`'s transactions in
+    /// issue order, each writing items primary at `s`), any budgets.
+    /// [`World::new`] is this on a [`Scenario`]'s canonical shapes; the
+    /// random walks in `tests/mc_walks.rs` call it on generated ones.
+    pub fn from_parts(
+        protocol: ProtocolId,
+        placement: DataPlacement,
+        plan: Vec<Vec<PlannedTxn>>,
+        budgets: Budgets,
+        bug: Option<SeededBug>,
+    ) -> Result<World, String> {
+        let n = placement.num_sites() as usize;
+        if plan.len() != n {
+            return Err(format!("plan covers {} sites, placement has {n}", plan.len()));
         }
-        let tree = match scenario.protocol {
+        let graph = CopyGraph::from_placement(&placement);
+        if matches!(protocol, ProtocolId::DagWt | ProtocolId::DagT) && !graph.is_dag() {
+            return Err(format!("{protocol} requires a DAG copy graph; this one is cyclic"));
+        }
+        let tree = match protocol {
             ProtocolId::DagWt => Some(
                 PropagationTree::chain(&graph)
                     .map_err(|_| "chain tree on a non-DAG".to_string())?,
             ),
-            ProtocolId::BackEdge => {
-                let b = BackEdgeSet::by_site_order(&graph);
-                let constraints = b.augmented_constraints(&graph);
-                let mut cg = CopyGraph::empty(placement.num_sites());
-                for &(u, v) in &constraints {
-                    cg.add_edge(u, v, 1);
-                }
-                Some(
-                    PropagationTree::chain(&cg)
-                        .map_err(|_| "augmented constraints are cyclic".to_string())?,
-                )
-            }
+            ProtocolId::BackEdge => Some(
+                PropagationTree::chain(&BackEdgeSet::by_site_order(&graph).augmented_graph(&graph))
+                    .map_err(|_| "augmented constraints are cyclic".to_string())?,
+            ),
             ProtocolId::NaiveLazy | ProtocolId::DagT => None,
         };
-        let plan = scenario.plan(&placement);
         let mut txn_info = BTreeMap::new();
         for t in plan.iter().flatten() {
             txn_info.insert(t.gid, t.clone());
@@ -209,34 +258,27 @@ impl World {
         let placement = Arc::new(placement);
         let graph = Arc::new(graph);
         let tree = tree.map(Arc::new);
-        let n = placement.num_sites() as usize;
         let mut machines = Vec::with_capacity(n);
         for s in 0..n {
             let mut m = SiteMachine::new(
                 SiteId(s as u32),
-                scenario.protocol,
+                protocol,
                 placement.clone(),
                 graph.clone(),
                 tree.clone(),
             )
             .map_err(|e| format!("machine build failed: {e}"))?;
-            if let Some(bug) = scenario.bug {
+            if let Some(bug) = bug {
                 m.inject_bug(bug);
             }
             machines.push(m);
         }
-        let fleet = Arc::new(Fleet {
-            protocol: scenario.protocol,
-            placement,
-            graph,
-            tree,
-            plan,
-            txn_info,
-            heartbeat_budget: scenario.heartbeat_budget,
-            crash_budget: scenario.crash_budget,
-            allow_aborts: scenario.allow_aborts,
-            sources,
-        });
+        let heartbeats = match budgets.timers {
+            Timers::Budgeted(per_site) => per_site,
+            Timers::Free => u32::MAX,
+        };
+        let fleet =
+            Arc::new(Fleet { protocol, placement, graph, tree, plan, txn_info, budgets, sources });
         Ok(World {
             machines,
             stores: vec![BTreeMap::new(); n],
@@ -251,8 +293,8 @@ impl World {
             eager_waiting: BTreeSet::new(),
             aborted: BTreeSet::new(),
             crashed: vec![false; n],
-            hb_budget: vec![fleet.heartbeat_budget; n],
-            crash_budget: fleet.crash_budget,
+            hb_budget: vec![heartbeats; n],
+            crash_budget: fleet.budgets.crashes,
             special_locks: vec![BTreeMap::new(); n],
             last_applied: vec![BTreeMap::new(); n],
             epoch_floor: vec![0; n],
@@ -265,19 +307,9 @@ impl World {
         self.machines.len()
     }
 
-    /// The protocol under test.
-    pub fn protocol(&self) -> ProtocolId {
-        self.fleet.protocol
-    }
-
     /// True once a machine errored; the branch stops here.
     pub fn poisoned(&self) -> bool {
         self.poisoned
-    }
-
-    /// Committed transaction count (gate statistics).
-    pub fn committed_count(&self) -> usize {
-        self.committed.len()
     }
 
     // ------------------------------------------------------------------
@@ -351,8 +383,11 @@ impl World {
                 }
             }
             if self.fleet.protocol == ProtocolId::DagT {
-                if self.hb_budget[s] > 0 && !self.idle_children(site).is_empty() {
+                if self.hb_budget[s] > 0 && !self.heartbeat_targets(site).is_empty() {
                     acts.push(Action::Heartbeat(site));
+                }
+                if self.fleet.budgets.timers == Timers::Free && self.fleet.sources.contains(&site) {
+                    acts.push(Action::Epoch(site));
                 }
                 if self.crash_budget > 0 {
                     acts.push(Action::Crash(site));
@@ -364,7 +399,7 @@ impl World {
                 acts.push(Action::Deliver(*from, *to));
             }
         }
-        if self.fleet.allow_aborts {
+        if self.fleet.budgets.allow_aborts {
             for &gid in &self.eager_waiting {
                 if !self.crashed[gid.origin.index()] {
                     acts.push(Action::AbortEager(gid));
@@ -396,14 +431,17 @@ impl World {
         !Self::conflicts(&locked, &self.footprint(t))
     }
 
-    /// DAG(T) children of `site` with an empty link *and* an empty
-    /// queue-from-`site` — the ones a heartbeat dummy would help.
-    fn idle_children(&self, site: SiteId) -> Vec<SiteId> {
+    /// The children a heartbeat at `site` declares idle: all of them
+    /// under [`Timers::Free`]; under a budget only those with an empty
+    /// link *and* an empty queue-from-`site` — the ones a dummy would
+    /// help.
+    fn heartbeat_targets(&self, site: SiteId) -> Vec<SiteId> {
+        let free = self.fleet.budgets.timers == Timers::Free;
         self.fleet
             .graph
             .children(site)
             .filter(|&c| {
-                self.links.get(&(site, c)).is_none_or(VecDeque::is_empty)
+                free || self.links.get(&(site, c)).is_none_or(VecDeque::is_empty)
                     && self.machines[c.index()]
                         .queue_summary()
                         .iter()
@@ -459,9 +497,10 @@ impl World {
             }
             Action::Heartbeat(site) => {
                 self.hb_budget[site.index()] -= 1;
-                let idle_children = self.idle_children(site);
+                let idle_children = self.heartbeat_targets(site);
                 self.feed(site, Input::HeartbeatTick { idle_children }, diags);
             }
+            Action::Epoch(site) => self.feed(site, Input::EpochTick, diags),
             Action::Crash(site) => {
                 self.crash_budget -= 1;
                 self.feed(site, Input::Crashed, diags);
@@ -491,27 +530,25 @@ impl World {
         self.check_epochs(diags);
     }
 
+    /// Record a violation that ends this branch.
+    fn poison(&mut self, diags: &mut Vec<Diagnostic>, code: &'static str, message: String) {
+        self.poisoned = true;
+        diags.push(Diagnostic::error(code, message, Witness::None));
+    }
+
     /// Feed one input to a machine and carry out its commands.
     fn feed(&mut self, site: SiteId, input: Input, diags: &mut Vec<Diagnostic>) {
         if self.crashed[site.index()] {
-            self.poisoned = true;
-            diags.push(Diagnostic::error(
-                "MC005",
-                format!("input {input:?} routed to crashed site {site}"),
-                Witness::None,
-            ));
+            self.poison(diags, "MC005", format!("input {input:?} routed to crashed site {site}"));
             return;
         }
         match self.machines[site.index()].on_input(input) {
             Ok(cmds) => self.run_commands(site, cmds, diags),
-            Err(e) => {
-                self.poisoned = true;
-                diags.push(Diagnostic::error(
-                    "MC006",
-                    format!("protocol error at {site} on a legal input sequence: {e}"),
-                    Witness::None,
-                ));
-            }
+            Err(e) => self.poison(
+                diags,
+                "MC006",
+                format!("protocol error at {site} on a legal input sequence: {e}"),
+            ),
         }
     }
 
@@ -526,69 +563,28 @@ impl World {
                         self.links.entry((site, to)).or_default().push_back(payload);
                     }
                 }
-                // A batch is definitionally the same payload sequence as
-                // the serial sends; the checker runs the default serial
-                // window, so seeing one at all is a machine bug — let
-                // the per-payload link checks judge it either way.
-                Command::SendBatch { to, payloads } => {
-                    for payload in payloads {
-                        if let Some(d) = self.check_link(site, to, &payload) {
-                            self.poisoned = true;
-                            diags.push(d);
-                        } else {
-                            self.links.entry((site, to)).or_default().push_back(payload);
-                        }
-                    }
-                }
+                // The model never widens a machine's apply window or
+                // turns on send coalescing (both are the simulator's
+                // `prop_sweep` study), so either command is a machine bug.
+                Command::SendBatch { .. } | Command::ApplyMany { .. } => self.poison(
+                    diags,
+                    "MC006",
+                    format!(
+                        "{site} issued a batched command from the serial configuration: {cmd:?}"
+                    ),
+                ),
                 Command::CommitLocal { gid } => self.commit_local(site, gid, diags),
                 Command::Apply { gid, writes } => {
-                    if self.applier[site.index()].is_some() {
-                        self.poisoned = true;
-                        diags.push(Diagnostic::error(
-                            "MC006",
-                            format!("{site} issued Apply({gid}) while its applier slot is busy"),
-                            Witness::None,
-                        ));
-                        continue;
-                    }
-                    self.applier[site.index()] = Some(PendingApply { gid, writes, prepare: false });
-                }
-                // The checker never widens the apply window, so a
-                // multi-admission is a protocol bug: unrolling it trips
-                // the single-slot oracle above on the second entry.
-                Command::ApplyMany { subs } => {
-                    for (gid, writes) in subs {
-                        if self.applier[site.index()].is_some() {
-                            self.poisoned = true;
-                            diags.push(Diagnostic::error(
-                                "MC006",
-                                format!(
-                                    "{site} issued ApplyMany({gid}) while its applier slot is busy"
-                                ),
-                                Witness::None,
-                            ));
-                            continue;
-                        }
-                        self.applier[site.index()] =
-                            Some(PendingApply { gid, writes, prepare: false });
-                    }
+                    self.occupy_applier(site, PendingApply { gid, writes, prepare: false }, diags);
                 }
                 Command::Prepare { gid, writes, queued, .. } => {
                     if queued {
-                        if self.applier[site.index()].is_some() {
-                            self.poisoned = true;
-                            diags.push(Diagnostic::error(
-                                "MC006",
-                                format!(
-                                    "{site} issued queued Prepare({gid}) while its applier slot is busy"
-                                ),
-                                Witness::None,
-                            ));
-                            continue;
-                        }
-                        self.applier[site.index()] =
-                            Some(PendingApply { gid, writes, prepare: true });
-                    } else {
+                        self.occupy_applier(
+                            site,
+                            PendingApply { gid, writes, prepare: true },
+                            diags,
+                        );
+                    } else if self.holds_copies(site, gid, &writes, diags) {
                         self.direct_preps[site.index()].push_back((gid, writes));
                     }
                 }
@@ -612,17 +608,47 @@ impl World {
         }
     }
 
+    /// MC003: a secondary or special subtransaction reaches `site` with
+    /// writes to held copies only.
+    fn holds_copies(
+        &mut self,
+        site: SiteId,
+        gid: GlobalTxnId,
+        writes: &WriteSet,
+        diags: &mut Vec<Diagnostic>,
+    ) -> bool {
+        let stray = writes.iter().find(|(i, _)| !self.fleet.placement.has_copy(site, *i));
+        if let Some((item, _)) = stray {
+            let message =
+                format!("{site} was handed {gid} writing {item}, which it holds no copy of");
+            self.poison(diags, "MC003", message);
+        }
+        stray.is_none()
+    }
+
+    /// Put an `Apply` or queued `Prepare` in the single applier slot
+    /// (MC006 if the machine double-booked it).
+    fn occupy_applier(&mut self, site: SiteId, work: PendingApply, diags: &mut Vec<Diagnostic>) {
+        if self.applier[site.index()].is_some() {
+            let what = if work.prepare { "queued Prepare" } else { "Apply" };
+            let message =
+                format!("{site} issued {what}({}) while its applier slot is busy", work.gid);
+            self.poison(diags, "MC006", message);
+        } else if self.holds_copies(site, work.gid, &work.writes, diags) {
+            self.applier[site.index()] = Some(work);
+        }
+    }
+
     /// Execute `CommitLocal`: record the versions the transaction read
     /// at its origin, install its writes, append to the origin's commit
     /// log, and propagate.
     fn commit_local(&mut self, site: SiteId, gid: GlobalTxnId, diags: &mut Vec<Diagnostic>) {
         let Some(t) = self.fleet.txn_info.get(&gid).cloned() else {
-            self.poisoned = true;
-            diags.push(Diagnostic::error(
+            self.poison(
+                diags,
                 "MC006",
                 format!("{site} issued CommitLocal for unknown transaction {gid}"),
-                Witness::None,
-            ));
+            );
             return;
         };
         let reads: Vec<(ItemId, Option<GlobalTxnId>)> = t
@@ -648,12 +674,11 @@ impl World {
             return;
         }
         let Some(&idx) = self.commit_index.get(&gid) else {
-            self.poisoned = true;
-            diags.push(Diagnostic::error(
+            self.poison(
+                diags,
                 "MC003",
                 format!("{site} applied {gid} before its origin committed it"),
-                Witness::None,
-            ));
+            );
             return;
         };
         let last = self.last_applied[site.index()].entry(gid.origin).or_insert(0);
@@ -830,7 +855,8 @@ impl World {
     /// The committed history this state's stores witness: every
     /// committed transaction (with the versions it read at its origin)
     /// in per-origin commit order, plus one read-only observer per site
-    /// snapshotting the site's current copies.
+    /// snapshotting every copy a reader there could get a lock on — all
+    /// but those a prepared special still holds.
     fn observed_history(&self) -> History {
         let mut h = History::new();
         for log in &self.commit_log {
@@ -848,6 +874,7 @@ impl World {
                 .placement
                 .items_at(site)
                 .iter()
+                .filter(|i| !self.special_locks[s].values().any(|held| held.contains(i)))
                 .map(|&i| (i, self.stores[s].get(&i).and_then(|(_, w)| *w)))
                 .collect();
             h.record_commit(GlobalTxnId::new(site, OBSERVER_SEQ), reads, Vec::new());
@@ -992,7 +1019,7 @@ impl World {
             Action::Commit(s) | Action::Complete(s) | Action::Prep(s) | Action::Crash(s) => vec![s],
             Action::Deliver(_, to) => vec![to],
             Action::AbortEager(g) => vec![g.origin],
-            Action::Heartbeat(s) => vec![s],
+            Action::Heartbeat(s) | Action::Epoch(s) => vec![s],
             Action::Restart(s) => {
                 let mut v = vec![s];
                 for &src in &self.fleet.sources {

@@ -235,6 +235,19 @@ impl BackEdgeSet {
         constraints.dedup();
         constraints
     }
+
+    /// [`augmented_constraints`](Self::augmented_constraints) as a unit-weight
+    /// graph — what every driver hands to [`PropagationTree`] construction
+    /// to get the BackEdge tree (acyclic for a minimal backedge set).
+    ///
+    /// [`PropagationTree`]: crate::tree::PropagationTree
+    pub fn augmented_graph(&self, graph: &CopyGraph) -> CopyGraph {
+        let mut augmented = CopyGraph::empty(graph.num_sites());
+        for (u, v) in self.augmented_constraints(graph) {
+            augmented.add_edge(u, v, 1);
+        }
+        augmented
+    }
 }
 
 #[cfg(test)]
@@ -375,12 +388,8 @@ mod tests {
             let g = random_graph(n, &edges);
             let b = BackEdgeSet::greedy_fas(&g);
             let constraints = b.augmented_constraints(&g);
-            // Build a graph over the constraints to get a topo order.
-            let mut cg = CopyGraph::empty(n);
-            for &(u, v) in &constraints {
-                cg.add_edge(u, v, 1);
-            }
-            let order = cg.topo_order().expect("augmented constraints are acyclic");
+            let order =
+                b.augmented_graph(&g).topo_order().expect("augmented constraints are acyclic");
             let t = PropagationTree::from_constraints(n, &constraints, &order);
             prop_assert!(t.verify(&constraints).is_ok());
             for &(from, to) in b.edges() {

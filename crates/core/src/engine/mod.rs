@@ -161,11 +161,7 @@ impl Engine {
                 let b = BackEdgeSet::by_site_order(&graph);
                 // Build the tree over Gdag plus reversed backedges so
                 // backedge targets are tree ancestors of their sources.
-                let constraints = b.augmented_constraints(&graph);
-                let mut cg = CopyGraph::empty(placement.num_sites());
-                for &(u, v) in &constraints {
-                    cg.add_edge(u, v, 1);
-                }
+                let cg = b.augmented_graph(&graph);
                 let t = match params.tree {
                     TreeKind::Chain => PropagationTree::chain(&cg),
                     TreeKind::General => PropagationTree::general(&cg),

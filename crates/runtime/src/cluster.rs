@@ -213,11 +213,7 @@ pub(crate) fn build_structure(
             // §4: break cycles with a backedge set, then route lazy
             // traffic on a tree over the augmented (always acyclic)
             // constraint graph.
-            let backedges = BackEdgeSet::by_site_order(&graph);
-            let mut dag = CopyGraph::empty(placement.num_sites());
-            for (u, v) in backedges.augmented_constraints(&graph) {
-                dag.add_edge(u, v, 1);
-            }
+            let dag = BackEdgeSet::by_site_order(&graph).augmented_graph(&graph);
             Some(Arc::new(
                 // replint: allow(RL008) -- augmented_constraints is acyclic by construction
                 PropagationTree::chain(&dag).expect("augmented constraint graph is acyclic"),
