@@ -34,13 +34,14 @@ impl CopyGraph {
         }
     }
 
-    /// Derive the copy graph of a data placement.
+    /// Derive the copy graph of a data placement, one run of equally
+    /// placed items at a time: a run of `count` items adds `count` to
+    /// each of its edges.
     pub fn from_placement(p: &DataPlacement) -> Self {
         let mut g = CopyGraph::empty(p.num_sites());
-        for item in p.items() {
-            let primary = p.primary_of(item);
-            for &replica in p.replicas_of(item) {
-                g.add_edge(primary, replica, 1);
+        for (primary, replicas, count) in p.runs() {
+            for &replica in replicas {
+                g.add_edge(primary, replica, u64::from(count));
             }
         }
         g

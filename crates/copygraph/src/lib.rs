@@ -27,5 +27,5 @@ pub mod tree;
 
 pub use backedge::BackEdgeSet;
 pub use graph::CopyGraph;
-pub use placement::DataPlacement;
+pub use placement::{DataPlacement, SpecError};
 pub use tree::PropagationTree;

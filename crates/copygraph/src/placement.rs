@@ -5,32 +5,75 @@ use std::ops::Range;
 
 use repl_types::{ItemId, SiteId};
 
-/// One distinct way an item is placed: its primary site and its replica
-/// set, as a range of [`DataPlacement::replica_sites`].
+/// One run of consecutive items placed alike: its primary site, its
+/// replica set as a range of [`DataPlacement::replica_sites`], and the id
+/// of its first item (the run ends where the next one starts).
 #[derive(Clone, Debug)]
 struct Layout {
     primary: SiteId,
     replicas: Range<u32>,
+    first: u32,
 }
+
+/// Why [`DataPlacement::from_spec`] refused a spec.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SpecError {
+    /// The leading site count is not an integer.
+    BadSiteCount(String),
+    /// The site count is zero.
+    ZeroSites,
+    /// A primary or replica site is not an integer.
+    BadSite(String),
+    /// A run length after `*` is not a positive integer.
+    BadRunLength(String),
+    /// A field names a site not below the site count.
+    SiteOutOfRange(String),
+    /// A field lists its primary among its replicas.
+    ReplicaIsPrimary(String),
+    /// The run lengths sum past `u32::MAX` items.
+    TooManyItems,
+}
+
+impl fmt::Display for SpecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SpecError::BadSiteCount(s) => write!(f, "bad site count {s:?} in placement spec"),
+            SpecError::ZeroSites => write!(f, "placement spec has zero sites"),
+            SpecError::BadSite(s) => write!(f, "bad site {s:?} in placement spec"),
+            SpecError::BadRunLength(s) => write!(f, "bad run length {s:?} in placement spec"),
+            SpecError::SiteOutOfRange(field) => {
+                write!(f, "site out of range in placement field {field:?}")
+            }
+            SpecError::ReplicaIsPrimary(field) => {
+                write!(f, "replica equals primary in placement field {field:?}")
+            }
+            SpecError::TooManyItems => {
+                write!(f, "placement spec has more than {} items", u32::MAX)
+            }
+        }
+    }
+}
+
+impl std::error::Error for SpecError {}
 
 /// Where every item's primary copy and replicas live.
 ///
-/// Items are added one at a time; the placement then answers the questions
-/// the protocols ask: who is the primary site of an item, which sites hold
-/// copies, which items have a copy at a given site.
+/// Items are added in runs (one item is a run of one); the placement then
+/// answers the questions the protocols ask: who is the primary site of an
+/// item, which sites hold copies, which items have a copy at a given site.
 ///
 /// Items are only ever appended, and real placements put long runs of
-/// consecutive items on the same sites, so an item stores nothing but
-/// the index of its [`Layout`]: consecutive items with the same primary
-/// and replica set share one. Memory is 4 bytes per item plus the
-/// per-site indexes, in a number of allocations that depends on the
-/// sites and layouts, not on the items.
+/// consecutive items on the same sites (§5.2's per-site classes), so an
+/// item stores nothing but the index of its run's [`Layout`]: a run is
+/// kept once, however long. Memory is 4 bytes per item plus the per-site
+/// indexes, in a number of allocations that depends on the sites and
+/// runs, not on the items.
 #[derive(Clone, Debug)]
 pub struct DataPlacement {
     num_sites: u32,
     /// item index → index into `layouts`
     layout_of: Vec<u32>,
-    /// The distinct layouts, in first-use order.
+    /// The maximal runs, in item order.
     layouts: Vec<Layout>,
     /// The layouts' replica sets back to back (each sorted, never
     /// containing its layout's primary).
@@ -78,40 +121,67 @@ impl DataPlacement {
     /// `replicas`, returning the new item's id.
     ///
     /// # Panics
-    /// If `primary` or any replica site is out of range, or a replica
-    /// duplicates the primary.
+    /// As [`DataPlacement::add_run`].
     pub fn add_item(&mut self, primary: SiteId, replicas: &[SiteId]) -> ItemId {
+        self.add_run(primary, replicas, 1)
+    }
+
+    /// Add `count` consecutive items, each with its primary copy at
+    /// `primary` and replicas at `replicas`, returning the first one's
+    /// id (the next item's, if `count` is 0).
+    ///
+    /// # Panics
+    /// If `primary` or any replica site is out of range, a replica
+    /// duplicates the primary, or the placement would exceed `u32::MAX`
+    /// items.
+    pub fn add_run(&mut self, primary: SiteId, replicas: &[SiteId], count: u32) -> ItemId {
         if replicas.windows(2).all(|w| w[0] < w[1]) {
-            self.add_item_sorted(primary, replicas)
+            self.add_run_sorted(primary, replicas, count)
         } else {
             let mut reps = replicas.to_vec();
             reps.sort_unstable();
             reps.dedup();
-            self.add_item_sorted(primary, &reps)
+            self.add_run_sorted(primary, &reps, count)
         }
     }
 
-    /// [`DataPlacement::add_item`] for a strictly ascending replica list.
-    fn add_item_sorted(&mut self, primary: SiteId, reps: &[SiteId]) -> ItemId {
+    /// [`DataPlacement::add_run`] for a strictly ascending replica list.
+    fn add_run_sorted(&mut self, primary: SiteId, reps: &[SiteId], count: u32) -> ItemId {
         assert!(primary.0 < self.num_sites, "primary site out of range");
         assert!(!reps.contains(&primary), "replica set must not contain the primary site");
         assert!(reps.iter().all(|r| r.0 < self.num_sites), "replica site out of range");
-        let id = ItemId(self.layout_of.len() as u32);
-        let shares_last = self.layouts.last().is_some_and(|last| {
+        let first = self.num_items();
+        let end = first.checked_add(count).expect("a placement holds at most u32::MAX items");
+        if count == 0 {
+            return ItemId(first);
+        }
+        let extends_last = self.layouts.last().is_some_and(|last| {
             last.primary == primary && &self.replica_sites[as_usize(&last.replicas)] == reps
         });
-        if !shares_last {
+        if !extends_last {
             let start = self.replica_sites.len() as u32;
             self.replica_sites.extend_from_slice(reps);
-            self.layouts.push(Layout { primary, replicas: start..self.replica_sites.len() as u32 });
+            let replicas = start..self.replica_sites.len() as u32;
+            self.layouts.push(Layout { primary, replicas, first });
         }
-        self.layout_of.push(self.layouts.len() as u32 - 1);
+        self.layout_of.resize(end as usize, self.layouts.len() as u32 - 1);
+        let ids = (first..end).map(ItemId);
         for r in reps {
-            self.items_at[r.index()].push(id);
+            self.items_at[r.index()].extend(ids.clone());
         }
-        self.items_at[primary.index()].push(id);
-        self.primaries_at[primary.index()].push(id);
-        id
+        self.items_at[primary.index()].extend(ids.clone());
+        self.primaries_at[primary.index()].extend(ids);
+        ItemId(first)
+    }
+
+    /// The placement as maximal runs of consecutive items placed alike,
+    /// in item order: `(primary, replicas, count)`, replicas sorted and
+    /// `count` at least 1. The counts sum to [`DataPlacement::num_items`].
+    pub fn runs(&self) -> impl Iterator<Item = (SiteId, &[SiteId], u32)> + '_ {
+        let ends = self.layouts.iter().skip(1).map(|next| next.first).chain([self.num_items()]);
+        self.layouts.iter().zip(ends).map(|(run, end)| {
+            (run.primary, &self.replica_sites[as_usize(&run.replicas)], end - run.first)
+        })
     }
 
     fn layout(&self, item: ItemId) -> &Layout {
@@ -147,38 +217,44 @@ impl DataPlacement {
 
     /// Total number of replicas in the system (secondary copies only).
     pub fn total_replicas(&self) -> usize {
-        self.items().map(|item| self.replicas_of(item).len()).sum()
+        self.runs().map(|(_, replicas, count)| replicas.len() * count as usize).sum()
     }
 
-    /// The placement's spec as a [`fmt::Display`] value: formatting it
-    /// writes the spec piece by piece, so it can feed a hasher or a
-    /// socket without ever being materialised. See
-    /// [`DataPlacement::to_spec`] for the format.
-    pub fn spec(&self) -> impl fmt::Display + '_ {
-        Spec(self)
+    /// The spec with every run written out item by item — one field per
+    /// item, no `*count` — as a [`fmt::Display`] value, so it can feed a
+    /// hasher without ever being materialised. This is the form the
+    /// cluster fingerprint is defined over, so that sites built before
+    /// run-length specs still admit this build's. Each run's field is
+    /// formatted once and written `count` times.
+    pub fn per_item_spec(&self) -> impl fmt::Display + '_ {
+        PerItemSpec(self)
     }
 
     /// A compact single-line description of the placement, parsable by
     /// [`DataPlacement::from_spec`], used to hand a placement to a
-    /// `repld` process on its command line or config file. Format:
-    /// `sites|primary[:r1,r2]|primary[:r1]|…` with one `|`-separated
-    /// field per item in item-id order, e.g. Example 1.1 is `3|0:1,2|1:2`.
+    /// `repld` process on its command line or config file. Grammar:
+    /// `sites|primary[:r1,r2][*count]|…` — one `|`-separated field per
+    /// maximal run of consecutive items placed alike, in item-id order;
+    /// `*count` is omitted for a run of one. Example 1.1 is `3|0:1,2|1:2`;
+    /// the benchmark's `chain3` is `3|0:1,2*1000|1:2*1000|2*1000`.
     pub fn to_spec(&self) -> String {
-        self.spec().to_string()
+        Spec(self).to_string()
     }
 
-    /// Parse a spec produced by [`DataPlacement::to_spec`].
-    pub fn from_spec(spec: &str) -> Result<DataPlacement, String> {
+    /// Parse a spec in [`DataPlacement::to_spec`]'s grammar. A field
+    /// without `*count` is a run of one, so the per-item form of a
+    /// placement parses to the same placement as its run form. Work and
+    /// allocations are per field and per site, beyond the per-item
+    /// indexes themselves, which are sized once from the checked total.
+    pub fn from_spec(spec: &str) -> Result<DataPlacement, SpecError> {
         let (sites, rest) = match spec.split_once('|') {
             Some((sites, rest)) => (sites, Some(rest)),
             None => (spec, None),
         };
-        let sites: u32 = sites
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad site count in placement spec {spec:?}"))?;
+        let sites: u32 =
+            sites.trim().parse().map_err(|_| SpecError::BadSiteCount(sites.to_string()))?;
         if sites == 0 {
-            return Err("placement spec has zero sites".into());
+            return Err(SpecError::ZeroSites);
         }
         let fields = || rest.into_iter().flat_map(|rest| rest.split('|'));
         // First pass: validate every field and size every array, so the
@@ -187,22 +263,23 @@ impl DataPlacement {
         let mut copies = vec![0usize; sites as usize];
         let mut primaries = vec![0usize; sites as usize];
         let mut replicas = Vec::new();
-        let mut items = 0;
+        let mut items = 0u32;
         for field in fields() {
-            let primary = parse_field(field, sites, &mut replicas)?;
-            items += 1;
-            primaries[primary.index()] += 1;
-            copies[primary.index()] += 1;
-            replicas.iter().for_each(|r| copies[r.index()] += 1);
+            let (primary, count) = parse_field(field, sites, &mut replicas)?;
+            items = items.checked_add(count).ok_or(SpecError::TooManyItems)?;
+            let count = count as usize;
+            primaries[primary.index()] += count;
+            copies[primary.index()] += count;
+            replicas.iter().for_each(|r| copies[r.index()] += count);
         }
-        p.layout_of.reserve_exact(items);
+        p.layout_of.reserve_exact(items as usize);
         for site in 0..sites as usize {
             p.items_at[site].reserve_exact(copies[site]);
             p.primaries_at[site].reserve_exact(primaries[site]);
         }
         for field in fields() {
-            let primary = parse_field(field, sites, &mut replicas)?;
-            p.add_item(primary, &replicas);
+            let (primary, count) = parse_field(field, sites, &mut replicas)?;
+            p.add_run_sorted(primary, &replicas, count);
         }
         Ok(p)
     }
@@ -212,46 +289,81 @@ fn as_usize(r: &Range<u32>) -> Range<usize> {
     r.start as usize..r.end as usize
 }
 
-/// Parse one `primary[:r1,r2]` item field of a spec over `sites` sites:
-/// returns the primary and leaves the replica list, sorted and
-/// deduplicated, in `replicas`.
-fn parse_field(field: &str, sites: u32, replicas: &mut Vec<SiteId>) -> Result<SiteId, String> {
-    let (primary, reps) = match field.split_once(':') {
-        Some((p, r)) => (p, Some(r)),
-        None => (field, None),
+/// Parse one `primary[:r1,r2][*count]` field of a spec over `sites`
+/// sites: returns the primary and the run length, and leaves the replica
+/// list, sorted and deduplicated, in `replicas`.
+fn parse_field(
+    field: &str,
+    sites: u32,
+    replicas: &mut Vec<SiteId>,
+) -> Result<(SiteId, u32), SpecError> {
+    let (placed, count) = match field.split_once('*') {
+        Some((placed, count)) => {
+            let n = count.trim().parse().ok().filter(|&n: &u32| n > 0);
+            (placed, n.ok_or_else(|| SpecError::BadRunLength(count.to_string()))?)
+        }
+        None => (field, 1),
     };
-    let primary: u32 = primary
-        .trim()
-        .parse()
-        .map_err(|_| format!("bad primary site {primary:?} in placement spec"))?;
+    let (primary, reps) = match placed.split_once(':') {
+        Some((p, r)) => (p, Some(r)),
+        None => (placed, None),
+    };
+    let primary: u32 = primary.trim().parse().map_err(|_| SpecError::BadSite(primary.into()))?;
     replicas.clear();
     for r in reps.into_iter().flat_map(|reps| reps.split(',')) {
-        let r: u32 =
-            r.trim().parse().map_err(|_| format!("bad replica site {r:?} in placement spec"))?;
+        let r: u32 = r.trim().parse().map_err(|_| SpecError::BadSite(r.into()))?;
         replicas.push(SiteId(r));
     }
     if primary >= sites || replicas.iter().any(|r| r.0 >= sites) {
-        return Err(format!("site out of range in placement field {field:?}"));
+        return Err(SpecError::SiteOutOfRange(field.into()));
     }
     if replicas.contains(&SiteId(primary)) {
-        return Err(format!("replica equals primary in placement field {field:?}"));
+        return Err(SpecError::ReplicaIsPrimary(field.into()));
     }
     replicas.sort_unstable();
     replicas.dedup();
-    Ok(SiteId(primary))
+    Ok((SiteId(primary), count))
 }
 
-/// [`DataPlacement::spec`]'s formatter.
+/// Write one run's `|primary[:r1,r2]` field, without its count.
+fn write_field(out: &mut impl fmt::Write, primary: SiteId, replicas: &[SiteId]) -> fmt::Result {
+    write!(out, "|{}", primary.0)?;
+    for (i, r) in replicas.iter().enumerate() {
+        write!(out, "{}{}", if i == 0 { ':' } else { ',' }, r.0)?;
+    }
+    Ok(())
+}
+
+/// [`DataPlacement::to_spec`]'s formatter.
 struct Spec<'a>(&'a DataPlacement);
 
 impl fmt::Display for Spec<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let p = self.0;
         write!(f, "{}", p.num_sites())?;
-        for item in p.items() {
-            write!(f, "|{}", p.primary_of(item).0)?;
-            for (i, r) in p.replicas_of(item).iter().enumerate() {
-                write!(f, "{}{}", if i == 0 { ':' } else { ',' }, r.0)?;
+        for (primary, replicas, count) in p.runs() {
+            write_field(f, primary, replicas)?;
+            if count > 1 {
+                write!(f, "*{count}")?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// [`DataPlacement::per_item_spec`]'s formatter.
+struct PerItemSpec<'a>(&'a DataPlacement);
+
+impl fmt::Display for PerItemSpec<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let p = self.0;
+        write!(f, "{}", p.num_sites())?;
+        let mut field = String::new();
+        for (primary, replicas, count) in p.runs() {
+            field.clear();
+            write_field(&mut field, primary, replicas)?;
+            for _ in 0..count {
+                f.write_str(&field)?;
             }
         }
         Ok(())
@@ -348,6 +460,59 @@ mod tests {
         for bad in ["", "x", "0", "2|", "2|5", "2|0:9", "2|0:0", "2|0:a", "2|0|"] {
             assert!(DataPlacement::from_spec(bad).is_err(), "{bad:?} should fail");
         }
+        let run = |s: &str| SpecError::BadRunLength(s.into());
+        for (bad, why) in [
+            ("2|0*0", run("0")),
+            ("2|0*", run("")),
+            ("2|0*x", run("x")),
+            ("2|0**2", run("*2")),
+            ("2|0:1*2*3", run("2*3")),
+            ("2|0*4294967296", run("4294967296")),
+            ("2|0*-1", run("-1")),
+            // Counts summing past `u32::MAX` items: the sum is checked
+            // before anything is sized from it.
+            ("3|0*4294967295|1*2", SpecError::TooManyItems),
+            ("3|0*4294967294|1*1|2*1", SpecError::TooManyItems),
+            ("2|0:5*3", SpecError::SiteOutOfRange("0:5*3".into())),
+            ("2|1:1*3", SpecError::ReplicaIsPrimary("1:1*3".into())),
+        ] {
+            assert_eq!(DataPlacement::from_spec(bad).unwrap_err(), why, "{bad:?}");
+        }
+    }
+
+    /// Adjacent fields placed alike merge into one run, and a run of one
+    /// is printed without `*1`.
+    #[test]
+    fn adjacent_fields_placed_alike_merge_into_one_run() {
+        let p = DataPlacement::from_spec("2|0:1*2|0:1|1*1|0").unwrap();
+        assert_eq!(p.to_spec(), "2|0:1*3|1|0");
+        assert_eq!(p.per_item_spec().to_string(), "2|0:1|0:1|0:1|1|0");
+        let runs: Vec<_> = p.runs().map(|(p, r, n)| (p.0, r.len(), n)).collect();
+        assert_eq!(runs, [(0, 1, 3), (1, 0, 1), (0, 0, 1)]);
+        assert_eq!((p.layouts.len(), p.total_replicas()), (3, 3));
+    }
+
+    #[test]
+    fn add_run_equals_add_item_repeated() {
+        let mut runs = DataPlacement::new(3);
+        assert_eq!(runs.add_run(SiteId(1), &[SiteId(2), SiteId(0)], 4), ItemId(0));
+        assert_eq!(runs.add_run(SiteId(2), &[], 0), ItemId(4));
+        assert_eq!(runs.add_run(SiteId(1), &[SiteId(0), SiteId(2)], 2), ItemId(4));
+        assert_eq!(runs.add_run(SiteId(2), &[SiteId(0)], 3), ItemId(6));
+        let mut items = DataPlacement::new(3);
+        for _ in 0..6 {
+            items.add_item(SiteId(1), &[SiteId(0), SiteId(2)]);
+        }
+        for _ in 0..3 {
+            items.add_item(SiteId(2), &[SiteId(0)]);
+        }
+        assert_eq!(runs.to_spec(), "3|1:0,2*6|2:0*3");
+        assert_eq!(runs.to_spec(), items.to_spec());
+        for site in runs.sites() {
+            assert_eq!(runs.items_at(site), items.items_at(site));
+            assert_eq!(runs.primaries_at(site), items.primaries_at(site));
+        }
+        assert!(runs.items().all(|i| runs.layout_of[i.index()] == items.layout_of[i.index()]));
     }
 
     #[test]

@@ -89,7 +89,11 @@ pub struct DeployConfig {
     pub listen: Option<String>,
     /// Protocol name (`dagwt`, `dagt`, `backedge`, `naive`).
     pub protocol: Option<String>,
-    /// Placement spec string (`DataPlacement::to_spec` format).
+    /// Placement spec string (`DataPlacement::to_spec` format), one
+    /// field per run of items placed alike, e.g. the benchmark's `chain3`
+    /// is `3|0:1,2*1000|1:2*1000|2*1000`. A config file's `placement =`
+    /// key is the route for a placement of more runs than one 128 KiB
+    /// command-line argument holds.
     pub placement: Option<String>,
     /// Transport selection.
     pub transport: Option<TransportKind>,
@@ -305,7 +309,7 @@ mod tests {
             protocol = "dagwt"
             transport = "tcp"
             reactor = "epoll"
-            placement = "3;0:0,1,2;1:1,2;2:2"
+            placement = "3|0:1,2*1000|1:2*1000|2*1000"
             nemesis = "seed=7;part=0-1@100..400"
             eager_timeout_ms = 250
             outbox_high_water = 4096
@@ -321,6 +325,8 @@ mod tests {
         assert_eq!(cfg.site, Some(1));
         assert_eq!(cfg.listen.as_deref(), Some("127.0.0.1:7101"));
         assert_eq!(cfg.protocol.as_deref(), Some("dagwt"));
+        let placement = repl_copygraph::DataPlacement::from_spec(cfg.placement.as_deref().unwrap());
+        assert_eq!(placement.map(|p| p.num_items()), Ok(3000));
         assert_eq!(cfg.transport, Some(TransportKind::Tcp));
         assert_eq!(cfg.reactor, Some(ReactorKind::Epoll));
         assert_eq!(cfg.nemesis.as_deref(), Some("seed=7;part=0-1@100..400"));

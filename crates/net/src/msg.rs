@@ -910,8 +910,9 @@ impl fmt::Write for Fnv1a {
 /// for different clusters refuse to exchange propagation records.
 ///
 /// The spec is hashed as it is formatted, so a placement can be passed
-/// as its `DataPlacement::spec()` without building the spec string; the
-/// value is the one the string itself gives.
+/// as its `DataPlacement::per_item_spec()` — the form every build hashes
+/// — without building the spec string; the value is the one the string
+/// itself gives.
 pub fn cluster_fingerprint(placement_spec: impl fmt::Display, protocol: &str) -> u64 {
     let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
     // The sink never fails.

@@ -10,9 +10,14 @@
 //! ```text
 //! repld --config site0.toml
 //! repld --site 0 --listen 127.0.0.1:7100 --protocol dagwt \
-//!       --placement "3;0:0,1,2;1:1,2" \
+//!       --placement "3|0:1,2*1000|1:2*1000|2*1000" \
 //!       --peer 0=127.0.0.1:7100 --peer 1=127.0.0.1:7101 --peer 2=127.0.0.1:7102
 //! ```
+//!
+//! The placement above is the benchmark's `chain3`: 1000 items with
+//! their primary at site 0 and replicas at 1 and 2, then 1000 at site 1
+//! replicated at 2, then 1000 at site 2 alone (see `USAGE` for the
+//! grammar).
 //!
 //! With `--listen 127.0.0.1:0` the kernel picks the port and the chosen
 //! address is announced as the first stdout line
@@ -37,6 +42,11 @@ usage: repld [--config FILE] [--site N] [--listen HOST:PORT]
              [--reactor epoll] [--peer N=HOST:PORT]...
              [--nemesis SPEC] [--eager-timeout-ms N] [--outbox-high-water N]
              [--mvcc] [--group-commit N]
+
+SPEC is `sites|primary[:r1,r2][*count]|…`: the site count, then one
+field per run of consecutive items placed alike, in item order — the
+run's primary site, its replica sites, and how many items it holds
+(`*count` left out: one). Example 1.1 is 3|0:1,2|1:2.
 
 Flags override --config values. --listen HOST:0 picks an ephemeral port
 and announces it on stdout as `repld: site N listening on ADDR`.
@@ -72,7 +82,7 @@ fn run() -> Result<(), String> {
     let protocol = RuntimeProtocol::parse(proto_name)
         .ok_or_else(|| format!("unknown protocol {proto_name:?}"))?;
     let placement = {
-        // About four bytes an item: parsed, the string is not kept.
+        // Parsed, the string is not kept.
         let spec = cfg.placement.take().ok_or("missing placement (--placement)")?;
         DataPlacement::from_spec(&spec).map_err(|e| format!("bad placement spec: {e}"))?
     };
@@ -167,4 +177,42 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<DeployConfig, String
         }
     }
     Ok(file_cfg.merged_with(flags))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The command line in this file's module doc, flags and all,
+    /// configures a site whose placement parses, and so does the
+    /// example in `USAGE`.
+    #[test]
+    fn documented_example_parses() {
+        let doc: String = include_str!("repld.rs")
+            .lines()
+            .filter_map(|line| line.strip_prefix("//!"))
+            .skip_while(|line| !line.contains("repld --site"))
+            .take_while(|line| !line.contains("```"))
+            .map(|line| line.trim_end_matches('\\'))
+            .collect();
+        let mut args = Vec::new();
+        for (i, part) in doc.split('"').enumerate() {
+            match i % 2 {
+                0 => args.extend(part.split_whitespace().map(String::from)),
+                _ => args.push(part.to_string()),
+            }
+        }
+        assert_eq!(args[0], "repld");
+        let cfg = parse_args(args.into_iter().skip(1)).unwrap();
+        assert_eq!((cfg.site, cfg.peers.len()), (Some(0), 3));
+        let spec = cfg.placement.expect("the example names a placement");
+        let placement = DataPlacement::from_spec(&spec).unwrap();
+        assert_eq!((placement.num_sites(), placement.num_items()), (3, 3000));
+        assert_eq!(placement.to_spec(), spec);
+        assert!(!has_errors(&check_address_map(&cfg.peers, placement.num_sites())));
+        assert!(USAGE.contains("SPEC is `sites|primary[:r1,r2][*count]|…`"));
+        let usage_example =
+            USAGE.split("Example 1.1 is ").nth(1).and_then(|s| s.split(".\n").next());
+        assert_eq!(DataPlacement::from_spec(usage_example.unwrap()).unwrap().num_items(), 2);
+    }
 }

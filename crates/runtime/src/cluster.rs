@@ -739,20 +739,62 @@ mod tests {
 
     /// The `Hello` fingerprint of the benchmark's `chain3` placement
     /// under DAG(WT), as every commit so far has computed it from the
-    /// spec string: a site that hashes the spec as it formats it must
-    /// still be admitted by one that hashed the string.
+    /// per-item spec string: a site that hashes the spec run by run as
+    /// it formats it must still be admitted by one that hashed the
+    /// string, and the run-form spec `repld` now receives is not what
+    /// is hashed.
     #[test]
     fn chain3_dagwt_fingerprint_is_pinned() {
         let mut chain3 = DataPlacement::new(3);
-        for (primary, replicas) in [(0, &[1, 2][..]), (1, &[2]), (2, &[])] {
-            let replicas: Vec<SiteId> = replicas.iter().map(|&r| SiteId(r)).collect();
-            for _ in 0..1000 {
-                chain3.add_item(SiteId(primary), &replicas);
+        chain3.add_run(SiteId(0), &[SiteId(1), SiteId(2)], 1000);
+        chain3.add_run(SiteId(1), &[SiteId(2)], 1000);
+        chain3.add_run(SiteId(2), &[], 1000);
+        let per_item =
+            format!("3{}{}{}", "|0:1,2".repeat(1000), "|1:2".repeat(1000), "|2".repeat(1000));
+        let name = RuntimeProtocol::DagWt.name();
+        let pinned = 0xefcf_0bf4_2bef_34c0;
+        assert_eq!(repl_net::cluster_fingerprint(chain3.per_item_spec(), name), pinned);
+        assert_eq!(repl_net::cluster_fingerprint(per_item, name), pinned);
+        assert_eq!(chain3.to_spec(), "3|0:1,2*1000|1:2*1000|2*1000");
+        assert_ne!(repl_net::cluster_fingerprint(chain3.to_spec(), name), pinned);
+    }
+
+    /// FNV-1a, written out independently of `repl-net`'s hasher.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    proptest::proptest! {
+        /// On random placements of 1–6 sites and runs of 1–50 items, the
+        /// fingerprint computed run by run equals FNV over the per-item
+        /// spec written out from the per-item answers.
+        #[test]
+        fn per_run_fingerprint_is_fnv_over_the_expanded_spec(
+            sites in 1u32..=6,
+            runs in proptest::collection::vec((0u32..6, 0u32..64, 1u32..=50), 0..12),
+        ) {
+            let mut p = DataPlacement::new(sites);
+            for (primary, mask, len) in runs {
+                let primary = SiteId(primary % sites);
+                let replicas: Vec<SiteId> =
+                    p.sites().filter(|&s| s != primary && mask >> s.0 & 1 == 1).collect();
+                p.add_run(primary, &replicas, len);
+            }
+            let mut expanded = p.num_sites().to_string();
+            for item in p.items() {
+                expanded += &format!("|{}", p.primary_of(item).0);
+                for (i, r) in p.replicas_of(item).iter().enumerate() {
+                    expanded += &format!("{}{}", if i == 0 { ':' } else { ',' }, r.0);
+                }
+            }
+            for protocol in ["dagwt", "dagt", "backedge"] {
+                let want = fnv1a(format!("{expanded}\0{protocol}").as_bytes());
+                let got = repl_net::cluster_fingerprint(p.per_item_spec(), protocol);
+                proptest::prop_assert_eq!(got, want);
             }
         }
-        let name = RuntimeProtocol::DagWt.name();
-        assert_eq!(repl_net::cluster_fingerprint(chain3.spec(), name), 0xefcf_0bf4_2bef_34c0);
-        assert_eq!(repl_net::cluster_fingerprint(chain3.to_spec(), name), 0xefcf_0bf4_2bef_34c0);
     }
 
     #[test]

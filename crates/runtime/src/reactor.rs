@@ -359,7 +359,7 @@ pub fn serve_epoll(cfg: ServeConfig) -> io::Result<()> {
     let durable = Arc::new(Mutex::new(DurableSite::new(n, opts.group_commit_batch)));
     let history = Arc::new(Mutex::new(HistoryLog::new()));
     let outstanding = Arc::new(std::sync::atomic::AtomicI64::new(0));
-    let fingerprint = cluster_fingerprint(cfg.placement.spec(), cfg.protocol.name());
+    let fingerprint = cluster_fingerprint(cfg.placement.per_item_spec(), cfg.protocol.name());
     // The one copy of the placement in this process.
     let placement = Arc::new(cfg.placement);
 

@@ -1,7 +1,9 @@
 //! End-to-end tests for the process-per-site TCP deployment (`repld`,
 //! the epoll reactor): transport equivalence against the in-process
 //! channel cluster, mid-run connection kills, a 256-connection smoke
-//! test on one readiness loop, the typed-error path for malformed
+//! test on one readiness loop, a placement too large to pass item by
+//! item on a command line and the handshake fingerprint of a run-form
+//! placement, the typed-error path for malformed
 //! client frames, and the refusals of the removed batching knobs and of
 //! a `Batch` frame on a peer link. `tcp_cluster.rs` holds the DAG(T)
 //! identity and `Stats` cases.
@@ -14,8 +16,8 @@ use std::time::Duration;
 use repl_copygraph::DataPlacement;
 use repl_core::scenario::{self, WorkloadMix};
 use repl_net::{
-    cluster_fingerprint, encode_framed, read_msg, write_msg, ClientMsg, ClientReply, Hello,
-    Payload, ReadError, WireMsg,
+    cluster_fingerprint, decode_cells, encode_framed, read_msg, write_msg, ClientMsg, ClientReply,
+    Hello, Payload, ReadError, WireMsg,
 };
 use repl_runtime::{Cluster, ClusterHandle, LaunchOptions, ProcCluster, RuntimeProtocol};
 use repl_types::{GlobalTxnId, ItemId, Op, SiteId, Value};
@@ -94,6 +96,66 @@ fn epoll_commits_and_replicates() {
         let cell = cluster.peek(SiteId(s), ItemId(0)).expect("copy readable");
         assert_eq!(cell.0, Value::int(41), "site {s} copy diverged");
     }
+    cluster.shutdown();
+}
+
+/// A placement too large to name item by item on a command line: a
+/// 3-site chain of 20 000 items a site. Its per-item spec is 240 kB,
+/// past the kernel's 128 KiB cap on one argv string, so while `repld`
+/// was handed one field per item this launch failed at spawn with E2BIG
+/// ("Argument list too long"); the run form is 31 bytes. One update at
+/// s0 then reaches both replicas, which agree on every item they share.
+#[test]
+fn epoll_chain_of_twenty_thousand_items_a_site_launches_and_converges() {
+    const PER_SITE: u32 = 20_000;
+    let mut placement = DataPlacement::new(3);
+    placement.add_run(SiteId(0), &[SiteId(1), SiteId(2)], PER_SITE);
+    placement.add_run(SiteId(1), &[SiteId(2)], PER_SITE);
+    placement.add_run(SiteId(2), &[], PER_SITE);
+    assert!(placement.per_item_spec().to_string().len() > 128 * 1024);
+    assert_eq!(placement.to_spec().len(), 31);
+
+    let cluster = epoll_cluster(&placement, RuntimeProtocol::DagWt);
+    let written = ItemId(PER_SITE - 1);
+    cluster.execute(SiteId(0), vec![Op::write(written, 7)]).unwrap().unwrap();
+    cluster.quiesce().expect("quiesce");
+    let cells = |site| decode_cells(cluster.copy_state(SiteId(site)).unwrap()).unwrap();
+    let (s1, s2) = (cells(1), cells(2));
+    cluster.shutdown();
+    assert_eq!(s1.len(), 2 * PER_SITE as usize);
+    assert_eq!(s2.len(), 3 * PER_SITE as usize);
+    let shared: Vec<_> =
+        s2.into_iter().filter(|(item, ..)| placement.has_copy(SiteId(1), *item)).collect();
+    assert_eq!(s1, shared);
+    assert!(s1.iter().any(|(item, value, _)| *item == written && *value == Value::int(7)));
+}
+
+/// A site built before specs had run lengths hashes the per-item spec
+/// string into its `Hello`. A site of this build, handed the run form,
+/// admits that fingerprint and refuses one over the run form. The test
+/// poses as s0 dialing s2, which supersedes s0's real link.
+#[test]
+fn epoll_admits_the_per_item_fingerprint_of_a_run_form_placement() {
+    let mut placement = DataPlacement::new(3);
+    placement.add_run(SiteId(0), &[SiteId(1), SiteId(2)], 5);
+    placement.add_run(SiteId(1), &[SiteId(2)], 5);
+    let cluster = epoll_cluster(&placement, RuntimeProtocol::DagWt);
+    let per_item = format!("3{}{}", "|0:1,2".repeat(5), "|1:2".repeat(5));
+    for (spec, admitted) in [(per_item, true), (placement.to_spec(), false)] {
+        let mut link = TcpStream::connect(&cluster.addrs()[2]).unwrap();
+        link.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let cluster_id = cluster_fingerprint(&spec, RuntimeProtocol::DagWt.name());
+        let hello = Hello { site: SiteId(0), version_min: 1, version_max: 1, cluster: cluster_id };
+        link.write_all(&encode_framed(&WireMsg::Hello(hello))).unwrap();
+        match read_msg(&mut link).expect("handshake reply") {
+            WireMsg::HelloAck(_) => assert!(admitted, "{spec:?} admitted"),
+            WireMsg::Reject(why) => assert!(!admitted, "{spec:?} refused: {why}"),
+            other => panic!("expected HelloAck or Reject, got {}", other.kind_name()),
+        }
+    }
+    cluster.execute(SiteId(0), vec![Op::write(ItemId(0), 3)]).unwrap().unwrap();
+    cluster.quiesce().expect("quiesce");
+    assert_eq!(cluster.peek(SiteId(2), ItemId(0)).map(|cell| cell.0), Some(Value::int(3)));
     cluster.shutdown();
 }
 
@@ -319,7 +381,7 @@ fn epoll_batch_frame_on_a_peer_link_closes_it_and_the_fleet_reconverges() {
         site: SiteId(0),
         version_min: 1,
         version_max: 2,
-        cluster: cluster_fingerprint(placement.spec(), RuntimeProtocol::DagWt.name()),
+        cluster: cluster_fingerprint(placement.per_item_spec(), RuntimeProtocol::DagWt.name()),
     }));
 
     let mut link = dial();
