@@ -1305,8 +1305,8 @@ impl Store {
         // The outbox funnel itself and the fault shim below it.
         assert!(scan_file("crates/runtime/src/transport.rs", src).is_empty());
         assert!(scan_file("crates/runtime/src/nemesis.rs", src).is_empty());
-        // Other crates (the channel cluster's mpsc try_send, say) are
-        // out of RL012's scope entirely.
+        // Other crates (the simulator's engine, say) are out of RL012's
+        // scope entirely.
         assert!(scan_file("crates/core/src/engine/mod.rs", src).is_empty());
     }
 

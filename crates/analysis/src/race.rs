@@ -1,13 +1,12 @@
 //! Happens-before race detection over runtime traces.
 //!
-//! The threaded deployment (`repl-runtime`) is supposed to confine every
-//! store to its site thread and order all cross-thread effects through
-//! channels and the lock table. This module checks that claim
-//! independently, ThreadSanitizer-style: replay a trace recorded by
-//! `repl_types::trace` (lock acquire/release, channel send/recv, store
-//! slot accesses), maintain a vector clock per thread, and report every
-//! pair of conflicting slot accesses that no happens-before path orders
-//! (code `RC001`).
+//! The live runtime (`repl-runtime`) is supposed to confine every store
+//! to its site's reactor thread, and the lock table orders what shares
+//! a store. This module checks that claim independently,
+//! ThreadSanitizer-style: replay a trace recorded by `repl_types::trace`
+//! (lock acquire/release, store slot accesses), maintain a vector clock
+//! per thread, and report every pair of conflicting slot accesses that
+//! no happens-before path orders (code `RC001`).
 //!
 //! Happens-before edges:
 //!
@@ -15,9 +14,7 @@
 //! * **lock order** — a release of item `x` in scope `S` synchronizes
 //!   with every later acquire of `x` in `S` (the release's clock is
 //!   joined into a per-`(scope, item)` lock clock; acquires join that
-//!   clock into the acquiring thread);
-//! * **channel order** — a send of sequence number `q` on channel `c`
-//!   synchronizes with the recv of `(c, q)`.
+//!   clock into the acquiring thread).
 //!
 //! Per slot the detector keeps each thread's *last* read and write
 //! stamp (FastTrack-style pruning). Dropping older same-thread accesses
@@ -95,7 +92,6 @@ fn remember(list: &mut Vec<Stamp>, stamp: Stamp) {
 pub fn detect_races(events: &[TimedEvent]) -> Vec<Diagnostic> {
     let mut threads: Vec<VClock> = Vec::new();
     let mut locks: HashMap<(u64, ItemId), VClock> = HashMap::new();
-    let mut channels: HashMap<(u64, u64), VClock> = HashMap::new();
     let mut slots: HashMap<(u64, ItemId), SlotState> = HashMap::new();
     let mut diags = Vec::new();
 
@@ -122,15 +118,6 @@ pub fn detect_races(events: &[TimedEvent]) -> Vec<Diagnostic> {
                 threads[ti].tick(t);
                 let entry = locks.entry((scope, item)).or_default();
                 entry.join(&threads[ti]);
-            }
-            TraceEvent::ChanSend { channel, seq } => {
-                threads[ti].tick(t);
-                channels.insert((channel, seq), threads[ti].clone());
-            }
-            TraceEvent::ChanRecv { channel, seq } => {
-                if let Some(sent) = channels.remove(&(channel, seq)) {
-                    threads[ti].join(&sent);
-                }
             }
             TraceEvent::Access { scope, item, txn, write } => {
                 threads[ti].tick(t);
@@ -290,22 +277,6 @@ mod tests {
         let diags = detect_races(&events);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert!(diags[0].message.contains("unlocked peek"), "{}", diags[0].message);
-    }
-
-    #[test]
-    fn channel_edge_orders_cross_thread_accesses() {
-        let chan = 3;
-        let ordered = vec![
-            access(0, txn(1), true),
-            ev(0, TraceEvent::ChanSend { channel: chan, seq: 0 }),
-            ev(1, TraceEvent::ChanRecv { channel: chan, seq: 0 }),
-            access(1, txn(2), true),
-        ];
-        assert!(detect_races(&ordered).is_empty());
-
-        // Without the recv edge the same accesses race.
-        let unordered = vec![access(0, txn(1), true), access(1, txn(2), true)];
-        assert_eq!(detect_races(&unordered).len(), 1);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! For each seed, a deterministic network-fault plan (a partition
 //! window, a one-way cut, link jitter, frame drops, duplicates and
 //! corruption — all drawn from the seed) is applied to the full
-//! protocol × transport matrix: NaiveLazy/DagWt/DagT/BackEdge on the
-//! in-process channel cluster and on process-per-site TCP. The workload
+//! protocol × deployment matrix: NaiveLazy/DagWt/DagT/BackEdge on the
+//! in-process cluster and on process-per-site TCP. The workload
 //! is the differential matrix's conflict-free per-site program, so
 //! after the faults heal every deployment must:
 //!
@@ -36,7 +36,7 @@ const USAGE: &str = "\
 usage: chaos_soak [--seeds N] [--txns N] [--out FILE] [--smoke]
 
 Defaults: --seeds 3, --txns 8, --out BENCH_chaos.json. Every seed is
-run against all four protocols on both transports (channel, tcp) and
+run against all four protocols on both deployments (inproc, tcp) and
 compared against a fault-free control. --smoke shrinks the run to one
 seed with short fault windows for a fast CI gate.";
 
@@ -100,14 +100,14 @@ fn parse_args(args: &[String]) -> Result<Config, String> {
 
 #[derive(Clone, Copy)]
 enum TransportCol {
-    Channel,
+    InProc,
     Tcp,
 }
 
 impl TransportCol {
     fn name(self) -> &'static str {
         match self {
-            TransportCol::Channel => "channel",
+            TransportCol::InProc => "inproc",
             TransportCol::Tcp => "tcp",
         }
     }
@@ -150,7 +150,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 cluster.shutdown();
                 states
             };
-            for transport in [TransportCol::Channel, TransportCol::Tcp] {
+            for transport in [TransportCol::InProc, TransportCol::Tcp] {
                 let cell = run_cell(
                     &placement, protocol, proto_name, transport, seed, &plan, &progs, &control,
                 )?;
@@ -191,11 +191,11 @@ fn run_cell(
     control: &[bytes::Bytes],
 ) -> Result<CellReport, String> {
     match transport {
-        TransportCol::Channel => {
+        TransportCol::InProc => {
             let options =
                 RuntimeOptions { nemesis: Some(plan.clone()), ..RuntimeOptions::default() };
             let cluster = Cluster::start_with(placement, protocol, options)
-                .map_err(|e| format!("channel cluster: {e}"))?;
+                .map_err(|e| format!("in-process cluster: {e}"))?;
             let cell = measure(&cluster, proto_name, transport, seed, progs, control);
             cluster.shutdown();
             cell

@@ -12,7 +12,8 @@ use repl_types::{AddressMap, SiteId};
 /// Which transport a deployment uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum TransportKind {
-    /// In-process crossbeam channels (the single-process `Cluster`).
+    /// In process: the single-process `Cluster`, a reactor thread per
+    /// site over loopback.
     #[default]
     Channel,
     /// Loopback/remote TCP with one OS process per site (`repld`).

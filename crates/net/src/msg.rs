@@ -119,6 +119,9 @@ pub enum ExecError {
         /// Messages queued towards it when the transaction was refused.
         queued: u64,
     },
+    /// A BackEdge eager phase outlived its deadline and the transaction
+    /// was aborted everywhere: nothing of it committed.
+    EagerTimeout(GlobalTxnId),
     /// Anything else, as text.
     Other(String),
 }
@@ -434,6 +437,10 @@ fn put_exec_error(buf: &mut impl BufMut, e: &ExecError) {
             buf.put_u32(peer.0);
             buf.put_u64(*queued);
         }
+        ExecError::EagerTimeout(gid) => {
+            buf.put_u8(7);
+            codec::put_gid(buf, *gid);
+        }
     }
 }
 
@@ -448,6 +455,7 @@ fn get_exec_error(buf: &mut Bytes) -> Result<ExecError, NetError> {
             peer: SiteId(codec::get_u32(buf)?),
             queued: codec::get_u64(buf)?,
         },
+        7 => ExecError::EagerTimeout(codec::get_gid(buf)?),
         t => return Err(NetError::BadTag(t)),
     })
 }
@@ -1042,6 +1050,9 @@ mod tests {
             peer: SiteId(2),
             queued: 100_000,
         }))));
+        roundtrip(WireMsg::Reply(ClientReply::Executed(Err(ExecError::EagerTimeout(
+            GlobalTxnId::new(SiteId(2), 17),
+        )))));
         roundtrip(WireMsg::Reply(ClientReply::Stats {
             outstanding: -2,
             committed: 10,

@@ -106,6 +106,8 @@ fn arb_msg() -> BoxedStrategy<WireMsg> {
             .prop_map(|txns| WireMsg::Reply(ClientReply::History(txns))),
         arb_gid().prop_map(|g| WireMsg::Reply(ClientReply::Executed(Ok(g)))),
         arb_string().prop_map(|m| WireMsg::Reply(ClientReply::Executed(Err(ExecError::Other(m))))),
+        arb_gid()
+            .prop_map(|g| WireMsg::Reply(ClientReply::Executed(Err(ExecError::EagerTimeout(g))))),
     ]
     .boxed()
 }

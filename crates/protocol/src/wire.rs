@@ -3,8 +3,8 @@
 //! These types used to live in `repl-net` (which still re-exports them
 //! and owns their binary encoding); they moved here because they are the
 //! *protocol's* vocabulary: every [`crate::Command::Send`] carries a
-//! [`Payload`], whether the driver ships it over a crossbeam channel, a
-//! TCP frame, or a simulated link with a delay distribution.
+//! [`Payload`], whether the driver ships it in a TCP frame or over a
+//! simulated link with a delay distribution.
 
 use repl_types::{GlobalTxnId, ItemId, SiteId, Value};
 

@@ -1,29 +1,29 @@
-//! Cluster assembly, the client API, and live crash/recovery.
+//! The in-process cluster: a reactor thread per site, live crash and
+//! restart, and the types every deployment shares.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::Arc;
+use std::io;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
-use crossbeam::channel::bounded;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use repl_copygraph::{BackEdgeSet, CopyGraph, DataPlacement, PropagationTree};
 use repl_core::history::{History, SerializationCycle};
-use repl_net::{HistoryLog, HistoryTxn};
+use repl_net::{cluster_fingerprint, ClientMsg, HistoryLog, HistoryTxn};
 use repl_protocol::{ProtocolError, ProtocolId};
-use repl_storage::{recover, Store};
-use repl_types::{GlobalTxnId, ItemId, Op, SiteId, Value};
+use repl_types::{AddressMap, GlobalTxnId, ItemId, Op, SiteId, Value};
 
-use crate::chan::{traced_unbounded, TracedSender};
 use crate::durable::DurableSite;
+use crate::handle::{io_error, ClusterHandle, Session};
 use crate::link::Links;
-use crate::nemesis::ChaosWire;
 use crate::policy::{self, RuntimeOptions};
-use crate::site::{Command, SiteSetup};
-use crate::transport::{ChannelRaw, Net, Routes, Transport};
+use crate::reactor::Reactor;
+use crate::site::{SiteParts, SiteSetup};
 
-/// Protocols the threaded runtime deploys.
+/// Protocols the live runtime deploys.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RuntimeProtocol {
     /// DAG(WT) (§2): tree-routed, FIFO, serializable (Theorem 2.1).
@@ -92,21 +92,19 @@ pub enum ClusterError {
     /// DAG(T) timestamps and BackEdge prepared sets are volatile in
     /// this runtime.
     FaultsUnsupported,
-    /// The site thread is gone (crashed, or the cluster shut down). A
-    /// transaction that got this reply may still have committed — the
-    /// usual at-most-once ambiguity of a server dying mid-request.
+    /// The site is down: an in-process site that crashed and has not
+    /// restarted. The request was not sent.
     Disconnected,
     /// The protocol core rejected the deployment's structure, or a
     /// link delivered something the protocol state machine cannot
     /// account for (the site refuses further transactions rather than
     /// guessing).
     Protocol(ProtocolError),
-    /// An I/O failure on the path to the site (process-per-site
-    /// deployments; the in-process cluster never produces this).
+    /// An I/O failure on the path to the site: its connection broke
+    /// mid-request, or the site answered with something untyped. A
+    /// transaction that got this reply may still have committed — the
+    /// usual at-most-once ambiguity of a server dying mid-request.
     Io(String),
-    /// The operation is not meaningful for this deployment (e.g.
-    /// killing a TCP connection of an in-process cluster).
-    Unsupported(&'static str),
     /// Quiescence did not complete within the deadline; carries the
     /// per-site outstanding deltas at expiry so a chaos run can report
     /// where propagation stalled instead of panicking.
@@ -151,9 +149,6 @@ impl fmt::Display for ClusterError {
             ClusterError::Disconnected => write!(f, "site is down or cluster is shut down"),
             ClusterError::Protocol(e) => write!(f, "protocol error: {e}"),
             ClusterError::Io(e) => write!(f, "i/o error: {e}"),
-            ClusterError::Unsupported(what) => {
-                write!(f, "operation not supported by this deployment: {what}")
-            }
             ClusterError::QuiesceTimeout { outstanding } => {
                 write!(f, "quiescence timed out; outstanding per site:")?;
                 for (site, n) in outstanding {
@@ -181,9 +176,8 @@ pub struct TxnHandle {
 }
 
 /// The propagation structures a deployment runs on: the copy graph and
-/// (for tree-routed protocols) the propagation tree. Shared by the
-/// in-process [`Cluster`] and the `repld` TCP server so both transports
-/// route identically.
+/// (for tree-routed protocols) the propagation tree. Built once per
+/// `repld` process, and once for all the sites of a [`Cluster`].
 pub(crate) struct Structure {
     pub tree: Option<Arc<PropagationTree>>,
     pub graph: Arc<CopyGraph>,
@@ -223,56 +217,76 @@ pub(crate) fn build_structure(
     Ok(Structure { tree, graph: Arc::new(graph) })
 }
 
-/// A running multi-threaded replication cluster.
-///
-/// Fault tolerance: [`Cluster::crash`] kills a site's thread abruptly
-/// (its store and queued inbox are lost) and [`Cluster::restart`]
-/// rejoins a replacement rebuilt from the site's durable checkpoint and
-/// WAL, with every lost delivery retransmitted from the senders'
-/// outboxes.
-/// Dropping the cluster — including during a test panic — sets every
-/// site's crash flag before joining, so threads exit at their next
-/// command instead of draining arbitrarily long queues.
+/// A running in-process replication cluster: one [`Reactor`] per site
+/// on a thread of its own, wired over loopback TCP and reached by
+/// clients exactly as `repld` processes are. Only how a site starts and
+/// stops is its own: [`Cluster::crash`] and [`Cluster::restart`], and a
+/// drop — including during a test panic — that stops every reactor.
 pub struct Cluster {
-    routes: Arc<Routes>,
-    net: Arc<Net>,
+    /// Each site's running reactor; `None` while it is crashed.
+    sites: Vec<Option<Incarnation>>,
+    // What of each site outlives its crash (`SiteParts`):
     durables: Vec<Arc<Mutex<DurableSite>>>,
-    crash_flags: Vec<Arc<AtomicBool>>,
-    threads: Vec<Option<JoinHandle<()>>>,
-    /// Every site's primary commits, in the order they were recorded.
-    history: Arc<Mutex<HistoryLog>>,
-    outstanding: Arc<AtomicI64>,
+    links: Vec<Arc<Links>>,
+    history: Histories,
+    outstanding: Vec<Arc<AtomicI64>>,
     protocol: RuntimeProtocol,
-    tree: Option<Arc<PropagationTree>>,
-    graph: Arc<CopyGraph>,
+    structure: Structure,
     placement: Arc<DataPlacement>,
     opts: Arc<RuntimeOptions>,
+    /// The handshake fingerprint, salted so that no two clusters wire
+    /// to each other through a port one released and the other reused.
+    fingerprint: u64,
 }
 
-/// A site's store rebuilt from stable storage: its checkpoint — before
-/// the first one, its item set at the initial values — plus a replay of
-/// the redo-WAL suffix. With nothing logged yet this is the boot image;
-/// after a crash it is the recovery image.
-pub(crate) fn recovered_store(
-    placement: &DataPlacement,
-    site: SiteId,
-    durable: &mut DurableSite,
-) -> Store {
-    // Commits still in the group-commit staging buffer are durable too.
-    durable.flush_log();
-    if durable.checkpoint.is_empty() {
-        let boot = placement.items_at(site).iter().map(|&i| (i, Value::Initial, None));
-        return recover(boot, &durable.wal);
+/// One run of a site's reactor.
+struct Incarnation {
+    addr: String,
+    session: Session,
+    stop: Arc<AtomicBool>,
+    thread: JoinHandle<()>,
+}
+
+impl Incarnation {
+    /// Return the reactor at its next pass and join its thread.
+    fn stop(self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let _ = self.thread.join();
     }
-    let cells = repl_net::decode_cells(durable.checkpoint.as_slice().into())
-        // replint: allow(RL008) -- the image is this site's own encoding, kept in memory
-        .expect("a site's checkpoint is its own CopyState encoding");
-    recover(cells, &durable.wal)
+}
+
+/// Every site's log of its primary commits.
+struct Histories(Vec<Arc<Mutex<HistoryLog>>>);
+
+impl Histories {
+    /// Lock every site's log, in site order.
+    fn lock(&self) -> HistoriesGuard<'_> {
+        HistoriesGuard(self.0.iter().map(|log| log.lock()).collect())
+    }
+}
+
+/// Every site's history log, locked.
+struct HistoriesGuard<'a>(Vec<MutexGuard<'a, HistoryLog>>);
+
+impl HistoriesGuard<'_> {
+    fn committed_count(&self) -> u64 {
+        self.0.iter().map(|log| log.committed_count()).sum()
+    }
+
+    fn txns(&self) -> Vec<HistoryTxn> {
+        self.0.iter().flat_map(|log| log.txns()).collect()
+    }
+
+    /// Bytes retained for the history, cluster-wide.
+    #[cfg(test)]
+    fn encoded_len(&self) -> usize {
+        self.0.iter().map(|log| log.encoded_len()).sum()
+    }
 }
 
 impl Cluster {
-    /// Spawn one thread per site of `placement`, wired with FIFO
-    /// channels, running `protocol`, with default options (clean wire,
+    /// Start one reactor thread per site of `placement`, wired over
+    /// loopback, running `protocol`, with default options (clean wire,
     /// default timeouts and bounds).
     pub fn start(
         placement: &DataPlacement,
@@ -283,112 +297,110 @@ impl Cluster {
 
     /// [`Cluster::start`] with explicit [`RuntimeOptions`] — including,
     /// when `options.nemesis` is set, a seeded fault-injection layer
-    /// wrapped around the channel wire.
+    /// wrapped around every site's wire.
     pub fn start_with(
         placement: &DataPlacement,
         protocol: RuntimeProtocol,
         options: RuntimeOptions,
     ) -> Result<Self, ClusterError> {
-        let Structure { tree, graph } = build_structure(placement, protocol)?;
-        let opts = Arc::new(options);
-
+        static CLUSTERS: AtomicU64 = AtomicU64::new(0);
+        let structure = build_structure(placement, protocol)?;
         let n = placement.num_sites() as usize;
-        // Placeholder routes (their receivers are dropped at once);
-        // every slot is replaced before any site can send.
-        let routes = Arc::new(Routes::new((0..n).map(|_| traced_unbounded().0).collect()));
-        let links = Arc::new(Links::new(n));
-        let mut raw: Arc<dyn Transport> = Arc::new(ChannelRaw::new(routes.clone(), links.clone()));
-        if let Some(plan) = &opts.nemesis {
-            raw = Arc::new(ChaosWire::new(raw, plan.clone(), n));
-        }
-        let net = Arc::new(Net::new(links, raw));
+        let batch = options.group_commit_batch;
+        let salt = (u64::from(std::process::id()) << 32) | CLUSTERS.fetch_add(1, Ordering::Relaxed);
         let mut cluster = Cluster {
-            routes,
-            net,
-            durables: (0..n)
-                .map(|_| Arc::new(Mutex::new(DurableSite::new(n, opts.group_commit_batch))))
-                .collect(),
-            crash_flags: (0..n).map(|_| Arc::new(AtomicBool::new(false))).collect(),
-            threads: (0..n).map(|_| None).collect(),
-            history: Arc::new(Mutex::new(HistoryLog::new())),
-            outstanding: Arc::new(AtomicI64::new(0)),
+            sites: (0..n).map(|_| None).collect(),
+            durables: (0..n).map(|_| Arc::new(Mutex::new(DurableSite::new(n, batch)))).collect(),
+            links: (0..n).map(|_| Arc::new(Links::new(n))).collect(),
+            history: Histories((0..n).map(|_| Arc::default()).collect()),
+            outstanding: (0..n).map(|_| Arc::default()).collect(),
             protocol,
-            tree,
-            graph,
+            structure,
             placement: Arc::new(placement.clone()),
-            opts,
+            opts: Arc::new(options),
+            fingerprint: cluster_fingerprint(placement.per_item_spec(), protocol.name()) ^ salt,
         };
-        for i in 0..n {
-            cluster.spawn_site(SiteId(i as u32))?;
+        for site in placement.sites() {
+            cluster.boot_site(site)?;
         }
         Ok(cluster)
     }
 
-    /// (Re)boot one site: build its protocol machine (fallibly, on this
-    /// thread, so a structural violation is a typed startup error),
-    /// rebuild its store from stable storage, wire a fresh inbox into
-    /// the routing table and start its thread.
-    fn spawn_site(&mut self, site: SiteId) -> Result<(), ClusterError> {
+    /// Boot `site` on a fresh loopback port, at start or after a crash,
+    /// through the `Reactor::boot` `repld` uses (on the reactor's own
+    /// thread, which recovers the store). The site dials every live
+    /// peer, and every live peer is told its address.
+    fn boot_site(&mut self, site: SiteId) -> Result<(), ClusterError> {
         let i = site.index();
-        let setup = SiteSetup::new(
-            site,
-            self.protocol,
-            self.placement.clone(),
-            self.graph.clone(),
-            self.tree.clone(),
-        )
-        .map_err(ClusterError::Protocol)?;
-        self.crash_flags[i].store(false, Ordering::SeqCst);
-        let (tx, rx) = traced_unbounded();
-        let net = self.net.clone();
-        let placement = self.placement.clone();
-        let history = self.history.clone();
-        let outstanding = self.outstanding.clone();
-        let durable = self.durables[i].clone();
-        let crashed = self.crash_flags[i].clone();
-        let opts = self.opts.clone();
-        self.routes.replace(site, tx);
-        self.threads[i] = Some(
-            std::thread::Builder::new()
-                .name(format!("site-{}", site.0))
-                .spawn(move || {
-                    // Recovery runs *on the site thread* so the race
-                    // detector sees the replayed store confined to its
-                    // owner (the replacement store has a fresh trace
-                    // scope; replay writes from another thread would be
-                    // unordered with the thread's own first accesses).
-                    let store = recovered_store(&placement, site, &mut durable.lock());
-                    setup
-                        .into_runtime(
-                            store,
-                            rx,
-                            net,
-                            placement,
-                            history,
-                            outstanding,
-                            durable,
-                            crashed,
-                            opts,
-                        )
-                        .run()
-                })
-                // replint: allow(RL008) -- OS thread exhaustion at startup is fatal by design
-                .expect("spawn site thread"),
-        );
+        let setup = SiteSetup::new(site, self.protocol, self.placement.clone(), &self.structure)
+            .map_err(ClusterError::Protocol)?;
+        let mut peers = AddressMap::new();
+        for (s, live) in self.sites.iter().enumerate() {
+            if let Some(live) = live {
+                peers.insert(SiteId(s as u32), live.addr.clone());
+            }
+        }
+        let parts = SiteParts {
+            durable: self.durables[i].clone(),
+            links: self.links[i].clone(),
+            history: self.history.0[i].clone(),
+            outstanding: self.outstanding[i].clone(),
+        };
+        let (opts, fingerprint) = (self.opts.clone(), self.fingerprint);
+        let stop = Arc::new(AtomicBool::new(false));
+        let thread_stop = stop.clone();
+        let (bound_tx, bound) = mpsc::channel();
+        let thread = std::thread::Builder::new()
+            .name(format!("site-{}", site.0))
+            .spawn(move || {
+                let listen = "127.0.0.1:0";
+                match Reactor::boot(listen, setup, parts, opts, fingerprint, peers, thread_stop) {
+                    Ok(mut reactor) => {
+                        let _ = bound_tx.send(reactor.local_addr());
+                        let _ = reactor.run();
+                    }
+                    Err(e) => {
+                        let _ = bound_tx.send(Err(e));
+                    }
+                }
+            })
+            .map_err(io_error)?;
+        let booted = bound
+            .recv()
+            .unwrap_or_else(|_| Err(io::Error::other("site thread exited during boot")))
+            .map(|addr| addr.to_string())
+            .and_then(|addr| Ok((Session::connect(&addr)?, addr)));
+        let (session, addr) = match booted {
+            Ok(booted) => booted,
+            Err(e) => {
+                stop.store(true, Ordering::SeqCst);
+                let _ = thread.join();
+                return Err(io_error(e));
+            }
+        };
+        self.sites[i] = Some(Incarnation { addr: addr.clone(), session, stop, thread });
+        let announce = ClientMsg::Peers(vec![(site, addr)]);
+        for (s, live) in self.sites.iter().enumerate() {
+            match live {
+                Some(live) if s != i => live.session.expect_ok(announce.clone()),
+                _ => Ok(()),
+            }
+            .map_err(io_error)?;
+        }
         Ok(())
     }
 
-    fn check_site(&self, site: SiteId) -> Result<(), ClusterError> {
-        if site.index() < self.threads.len() {
-            Ok(())
-        } else {
-            Err(ClusterError::NoSuchSite(site))
-        }
+    fn check_site(&self, site: SiteId) -> Result<&Option<Incarnation>, ClusterError> {
+        self.sites.get(site.index()).ok_or(ClusterError::NoSuchSite(site))
     }
 
-    fn sender(&self, site: SiteId) -> Result<TracedSender<Command>, ClusterError> {
-        self.check_site(site)?;
-        Ok(self.routes.to(site))
+    fn live(&self, site: SiteId) -> Result<&Incarnation, ClusterError> {
+        self.check_site(site)?.as_ref().ok_or(ClusterError::Disconnected)
+    }
+
+    /// The client session to `site`, if it is up.
+    pub(crate) fn session(&self, site: SiteId) -> Result<&Session, ClusterError> {
+        self.live(site).map(|live| &live.session)
     }
 
     fn check_faults_supported(&self) -> Result<(), ClusterError> {
@@ -400,102 +412,91 @@ impl Cluster {
         }
     }
 
-    /// Abruptly kill `site`: its thread exits at the next command
-    /// without draining its queue, losing its store, its in-memory
-    /// state and every undelivered message. Only the durable image
-    /// ([`DurableSite`]: checkpoint, WAL, id counter, per-link
-    /// high-water marks) survives for [`Cluster::restart`]. Idempotent
-    /// while down.
-    ///
-    /// Clients of a crashed site get [`ClusterError::Disconnected`];
-    /// updates destined for it park in their senders' outboxes (after a
-    /// bounded retry) until the site rejoins.
+    /// Abruptly kill `site`: its reactor returns at its next pass
+    /// without flushing, losing its store, its sockets and every frame
+    /// buffered in them. Its durable image ([`DurableSite`]), outboxes
+    /// and history survive for [`Cluster::restart`]. Idempotent while
+    /// down. Its clients get [`ClusterError::Disconnected`]; updates
+    /// for it park in their senders' outboxes.
     pub fn crash(&mut self, site: SiteId) -> Result<(), ClusterError> {
         self.check_site(site)?;
         self.check_faults_supported()?;
-        if self.crash_flags[site.index()].swap(true, Ordering::SeqCst) {
-            return Ok(()); // already down
-        }
-        // Wake the thread if it is idle; the flag does the killing.
-        let _ = self.routes.to(site).send(Command::Crash);
-        if let Some(t) = self.threads[site.index()].take() {
-            let _ = t.join();
+        if let Some(live) = self.sites[site.index()].take() {
+            live.stop();
         }
         Ok(())
     }
 
-    /// Rejoin a crashed `site`: replay its WAL over its checkpoint
-    /// (its item set at the initial values if the log was never cut),
-    /// start a replacement thread on a fresh channel, and retransmit
-    /// every unacknowledged delivery from the other sites' outboxes (in
-    /// per-link FIFO order). A no-op if the site is up.
+    /// Rejoin a crashed `site`: a replacement reactor replays the WAL
+    /// over the checkpoint, and each peer re-dials it at its new address
+    /// and replays, in per-link FIFO order, every delivery it has not
+    /// applied. A no-op if the site is up.
     pub fn restart(&mut self, site: SiteId) -> Result<(), ClusterError> {
         self.check_site(site)?;
         self.check_faults_supported()?;
-        if self.threads[site.index()].is_some() {
+        if self.sites[site.index()].is_some() {
             return Ok(()); // not crashed
         }
-        self.spawn_site(site)?;
-        self.net.retransmit_to(site);
-        Ok(())
+        self.boot_site(site)
     }
 
     /// Execute a transaction at `site`, blocking until it commits.
     pub fn execute(&self, site: SiteId, ops: Vec<Op>) -> Result<TxnHandle, ClusterError> {
-        let (reply_tx, reply_rx) = bounded(1);
-        self.sender(site)?
-            .send(Command::Execute { ops, reply: reply_tx })
-            .map_err(|_| ClusterError::Disconnected)?;
-        reply_rx.recv().map_err(|_| ClusterError::Disconnected)?.map(|gid| TxnHandle { gid })
+        ClusterHandle::execute(self, site, ops).map(|gid| TxnHandle { gid })
     }
 
-    /// A cloneable handle for submitting transactions to `site` from
-    /// other threads (concurrency tests, load generators).
+    /// A handle for submitting transactions to `site` from other
+    /// threads: a client connection of its own.
     pub fn client(&self, site: SiteId) -> Result<SiteClient, ClusterError> {
-        Ok(SiteClient { sender: self.sender(site)? })
+        let session = Session::connect(&self.live(site)?.addr).map_err(io_error)?;
+        Ok(SiteClient { session: Arc::new(session) })
     }
 
     /// Block until every committed update has been applied at every
-    /// destination replica. While a site is down this waits for its
-    /// restart — deliveries parked for it count as outstanding.
+    /// destination replica (the sites' outstanding shares sum to zero;
+    /// [`ClusterHandle::quiesce`] says why that is sound). No deadline:
+    /// deliveries parked for a down site count as outstanding.
     pub fn quiesce(&self) {
-        while self.outstanding.load(Ordering::SeqCst) > 0 {
-            policy::pace(std::time::Duration::from_micros(200));
+        while self.outstanding.iter().map(|share| share.load(Ordering::SeqCst)).sum::<i64>() > 0 {
+            policy::pace(Duration::from_micros(200));
         }
     }
 
-    /// Updates sent to `site` but not yet durably applied there —
-    /// non-zero while the site is down and senders are holding its
-    /// traffic for retransmission (observability for tests and demos).
+    /// Updates sent to `site` but not yet applied there (for tests and
+    /// demos).
     pub fn pending_deliveries(&self, site: SiteId) -> usize {
-        self.net.queued_for(site)
+        let applied = self.durables[site.index()].lock().applied_from.clone();
+        self.links.iter().zip(applied).map(|(links, mark)| links.unapplied(site, mark)).sum()
     }
 
     /// Non-transactional read of one copy (for tests and demos).
     pub fn peek(&self, site: SiteId, item: ItemId) -> Option<(Value, Option<GlobalTxnId>)> {
-        let (reply_tx, reply_rx) = bounded(1);
-        self.sender(site).ok()?.send(Command::Peek { item, reply: reply_tx }).ok()?;
-        reply_rx.recv().ok()?
+        ClusterHandle::peek(self, site, item)
     }
 
     /// Serialize `site`'s full copy state (ascending items, values and
     /// writers) with the shared wire codec — byte-comparable against
     /// any other deployment of the same placement and workload.
     pub fn copy_state(&self, site: SiteId) -> Option<bytes::Bytes> {
-        let (reply_tx, reply_rx) = bounded(1);
-        self.sender(site).ok()?.send(Command::CopyState { reply: reply_tx }).ok()?;
-        reply_rx.recv().ok()
+        ClusterHandle::copy_state(self, site).ok()
     }
 
-    /// Fetch the serialized resident redo log of `site`: what it has
+    /// The serialized resident redo log of `site`: what it has
     /// committed since its last checkpoint cut, in commit order. Until
     /// the log first fills a segment (64 KiB, 655 Table-1 commits) that
     /// is everything the site ever committed, and replaying it over a
-    /// fresh store of the site's items reproduces the site.
+    /// fresh store of the site's items reproduces the site. Taken once
+    /// the reactor has flushed staged group commits (every pass).
     pub fn snapshot_wal(&self, site: SiteId) -> Option<bytes::Bytes> {
-        let (reply_tx, reply_rx) = bounded(1);
-        self.sender(site).ok()?.send(Command::SnapshotWal { reply: reply_tx }).ok()?;
-        reply_rx.recv().ok()
+        loop {
+            self.session(site).ok()?;
+            let durable = self.durables[site.index()].lock();
+            if durable.pipeline.pending() == 0 {
+                return Some(durable.wal.encode());
+            }
+            drop(durable);
+            policy::pace(Duration::from_micros(200));
+        }
     }
 
     /// Run the one-copy-serializability oracle over everything committed
@@ -503,20 +504,10 @@ impl Cluster {
     /// [`History`] is built here, when a verdict is wanted.
     pub fn check_serializability(&self) -> Result<(), SerializationCycle> {
         let mut history = History::new();
-        for (gid, reads, writes) in self.history_txns() {
+        for (gid, reads, writes) in self.history.lock().txns() {
             history.record_commit(gid, reads, writes);
         }
         history.check_serializability()
-    }
-
-    /// Replica applications still in flight, cluster-wide.
-    pub(crate) fn outstanding_count(&self) -> i64 {
-        self.outstanding.load(Ordering::SeqCst)
-    }
-
-    /// `site`'s peer-health buckets `(up, suspect, down)`.
-    pub(crate) fn health_counts(&self, site: SiteId) -> (u32, u32, u32) {
-        self.net.health_counts(site, self.opts.suspect_after, self.opts.down_after)
     }
 
     /// Number of transactions committed so far.
@@ -524,60 +515,45 @@ impl Cluster {
         self.history.lock().committed_count() as usize
     }
 
-    /// Every committed transaction so far as `(gid, reads, writes)`
-    /// tuples — the deployment-generic history shape of
-    /// [`crate::ClusterHandle::history`].
-    pub(crate) fn history_txns(&self) -> Vec<HistoryTxn> {
-        self.history.lock().txns()
-    }
-
     /// The placement this cluster serves.
     pub fn placement(&self) -> &DataPlacement {
         &self.placement
     }
 
-    /// Stop every site thread gracefully (queues drain) and join them.
+    /// Stop every site and join its thread.
     pub fn shutdown(mut self) {
-        for i in 0..self.threads.len() {
-            let _ = self.routes.to(SiteId(i as u32)).send(Command::Shutdown);
+        self.stop_all();
+    }
+
+    /// Flag every reactor, then join them.
+    fn stop_all(&mut self) {
+        for live in self.sites.iter().flatten() {
+            live.stop.store(true, Ordering::SeqCst);
         }
-        for t in self.threads.iter_mut().filter_map(Option::take) {
-            let _ = t.join();
+        for live in self.sites.iter_mut().filter_map(Option::take) {
+            live.stop();
         }
     }
 }
 
 impl Drop for Cluster {
-    /// Abrupt teardown: crash-flag every site so threads exit at their
-    /// next command rather than draining what may be a deep queue.
-    /// This is the panic path — a failing test must never hang here —
-    /// so it must not block on anything unbounded. The graceful path
-    /// is [`Cluster::shutdown`], after which this is a no-op.
+    /// Never hangs: a reactor returns within a pass of its stop flag,
+    /// whatever its outboxes hold.
     fn drop(&mut self) {
-        for (i, flag) in self.crash_flags.iter().enumerate() {
-            flag.store(true, Ordering::SeqCst);
-            let _ = self.routes.to(SiteId(i as u32)).send(Command::Crash);
-        }
-        for t in self.threads.iter_mut().filter_map(Option::take) {
-            let _ = t.join();
-        }
+        self.stop_all();
     }
 }
 
 /// A cloneable per-site transaction submitter.
 #[derive(Clone)]
 pub struct SiteClient {
-    sender: TracedSender<Command>,
+    session: Arc<Session>,
 }
 
 impl SiteClient {
     /// Execute a transaction, blocking until commit.
     pub fn execute(&self, ops: Vec<Op>) -> Result<TxnHandle, ClusterError> {
-        let (reply_tx, reply_rx) = bounded(1);
-        self.sender
-            .send(Command::Execute { ops, reply: reply_tx })
-            .map_err(|_| ClusterError::Disconnected)?;
-        reply_rx.recv().map_err(|_| ClusterError::Disconnected)?.map(|gid| TxnHandle { gid })
+        self.session.commit(ops).map(|gid| TxnHandle { gid })
     }
 }
 

@@ -1,10 +1,10 @@
 //! The durable ("on disk") slice of a site's state.
 //!
-//! A crashed site loses its thread, its store and everything queued in
-//! its inbox; what it keeps is exactly what a real deployment would
-//! have forced to stable storage. The cluster owns one [`DurableSite`]
-//! per site and hands the site thread a shared handle, so the image
-//! survives the thread and seeds its replacement:
+//! A crashed site loses its reactor, its store and its sockets; what it
+//! keeps is exactly what a real deployment would have forced to stable
+//! storage. The in-process cluster holds one [`DurableSite`] per site
+//! and hands each run of its reactor a shared handle, so the image
+//! seeds the replacement:
 //!
 //! * the **checkpoint** — the store's committed copies, values *and*
 //!   writers, in the `CopyState` encoding
@@ -45,7 +45,7 @@
 //! log it replaces; the staged batch that follows it into the emptied
 //! log is redundant with it, harmlessly, because records install
 //! absolute values. Both steps happen under the one lock that guards
-//! this image, and a site "crashes" only between commands, so a
+//! this image, and a site "crashes" only between reactor passes, so a
 //! recovery never sees a new checkpoint with the old log or the
 //! reverse.
 

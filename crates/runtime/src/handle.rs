@@ -1,38 +1,39 @@
-//! A deployment-independent cluster client API.
-//!
-//! The repo has two deployments — in-process threads ([`Cluster`]) and
-//! process-per-site over TCP ([`ProcCluster`], a fleet of `repld`) —
-//! while the protocol layer stays fixed. [`ClusterHandle`] is the seam that keeps
-//! the *drivers* fixed too: the differential matrix, fault tests and
-//! the load generator are written against this trait once and run
-//! against every deployment.
-//!
-//! Semantics are uniform where the deployments are, and typed where
-//! they differ: an in-process cluster has no TCP connections to kill
-//! ([`ClusterError::Unsupported`]) and no wire on which a client frame
-//! could be malformed (`decode_errors` is always zero), while a process
-//! cluster surfaces transport failures as [`ClusterError::Io`].
+//! The client side of every deployment: a site is reached over a
+//! client [`Session`] whoever runs it, so [`ClusterHandle`] — what the
+//! differential matrix, the fault tests and the load generator are
+//! written against — is implemented once, over the sessions
+//! [`Cluster`] and [`ProcCluster`] hand it. A site's refusal comes back
+//! as the [`ClusterError`] it raised, a crashed in-process site is
+//! [`ClusterError::Disconnected`], a broken connection
+//! [`ClusterError::Io`].
 
-use repl_net::{ExecError, HistoryTxn};
+use std::io;
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
+
+use parking_lot::Mutex;
+
+use repl_net::{read_msg, write_msg, ClientMsg, ClientReply, ExecError, HistoryTxn, WireMsg};
 use repl_types::{GlobalTxnId, ItemId, Op, SiteId, Value};
 
 use crate::cluster::{Cluster, ClusterError};
+use crate::policy;
 use crate::proc::ProcCluster;
+
+/// How long to keep retrying the initial client connection to a site.
+const CONNECT_WINDOW: Duration = Duration::from_secs(10);
 
 /// One site's counters, as reported by [`ClusterHandle::stats`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SiteStats {
-    /// Replica applications still in flight. Per-process under
-    /// [`ProcCluster`]; the in-process [`Cluster`] keeps one
-    /// cluster-wide counter and reports it for every site.
+    /// This site's share of the replica applications in flight (+ per
+    /// destination of a commit here, −1 per application here); only the
+    /// sum over all sites is zero at quiescence.
     pub outstanding: i64,
-    /// Transactions committed, primaries only. Cluster-wide under
-    /// [`Cluster`] (one shared history), per-process under
-    /// [`ProcCluster`].
+    /// Transactions committed at this site as their primary.
     pub committed: u64,
-    /// Client request frames refused because they did not decode
-    /// (malformed, oversized, or mis-typed). Always zero in-process:
-    /// there is no wire for a client frame to be malformed on.
+    /// Client request frames this site refused because they did not
+    /// decode (malformed, oversized, or mis-typed).
     pub decode_errors: u64,
     /// Peers this site currently classifies `Up` (recent ack/frame
     /// progress, or nothing pending to judge by).
@@ -45,8 +46,7 @@ pub struct SiteStats {
     pub peers_down: u32,
 }
 
-/// The operations every deployment answers: the common denominator of
-/// the in-process and process-per-site clusters, for deployment-generic
+/// The operations every deployment answers, for deployment-generic
 /// tests and drivers.
 pub trait ClusterHandle {
     /// Number of sites in the deployment's placement.
@@ -82,7 +82,6 @@ pub trait ClusterHandle {
 
     /// Fault injection: drop the connections between `site` and `peer`,
     /// forcing reconnect + resume + retransmission.
-    /// [`ClusterError::Unsupported`] where there are no connections.
     fn kill_conn(&self, site: SiteId, peer: SiteId) -> Result<(), ClusterError>;
 
     /// Block until every committed update has been applied at every
@@ -99,58 +98,214 @@ pub trait ClusterHandle {
     fn history(&self) -> Result<Vec<HistoryTxn>, ClusterError>;
 }
 
-impl ClusterHandle for Cluster {
-    fn num_sites(&self) -> u32 {
-        self.placement().num_sites()
+/// A client connection to one site; one request at a time.
+pub(crate) struct Session(Mutex<TcpStream>);
+
+impl Session {
+    /// Connect to `addr`, retrying while the site comes up.
+    pub fn connect(addr: &str) -> io::Result<Session> {
+        let start = Instant::now();
+        let stream = loop {
+            match TcpStream::connect(addr) {
+                Ok(stream) => break stream,
+                Err(_) if start.elapsed() < CONNECT_WINDOW => {
+                    policy::pace(Duration::from_millis(5));
+                }
+                Err(e) => return Err(e),
+            }
+        };
+        let _ = stream.set_nodelay(true);
+        Ok(Session(Mutex::new(stream)))
     }
 
-    fn execute(&self, site: SiteId, ops: Vec<Op>) -> Result<GlobalTxnId, ClusterError> {
-        Cluster::execute(self, site, ops).map(|h| h.gid)
-    }
-
-    fn peek(&self, site: SiteId, item: ItemId) -> Option<(Value, Option<GlobalTxnId>)> {
-        Cluster::peek(self, site, item)
-    }
-
-    fn stats(&self, site: SiteId) -> Result<SiteStats, ClusterError> {
-        if site.index() >= self.num_sites() as usize {
-            return Err(ClusterError::NoSuchSite(site));
+    fn request(&self, msg: ClientMsg) -> io::Result<ClientReply> {
+        let mut conn = self.0.lock();
+        write_msg(&mut *conn, &WireMsg::Client(msg))?;
+        match read_msg(&mut *conn) {
+            Ok(WireMsg::Reply(reply)) => Ok(reply),
+            Ok(other) => Err(io::Error::other(format!("unexpected reply frame: {other:?}"))),
+            Err(e) => Err(io::Error::other(e.to_string())),
         }
-        let (peers_up, peers_suspect, peers_down) = self.health_counts(site);
-        Ok(SiteStats {
-            outstanding: self.outstanding_count(),
-            committed: self.committed_count() as u64,
-            decode_errors: 0,
-            peers_up,
-            peers_suspect,
-            peers_down,
-        })
     }
 
-    fn copy_state(&self, site: SiteId) -> Result<bytes::Bytes, ClusterError> {
-        Cluster::copy_state(self, site).ok_or(ClusterError::Disconnected)
+    /// Send a request whose only good answer is `Ok`.
+    pub fn expect_ok(&self, msg: ClientMsg) -> io::Result<()> {
+        match self.request(msg)? {
+            ClientReply::Ok => Ok(()),
+            other => Err(io::Error::other(format!("request refused: {other:?}"))),
+        }
     }
 
-    fn kill_conn(&self, _site: SiteId, _peer: SiteId) -> Result<(), ClusterError> {
-        Err(ClusterError::Unsupported("kill_conn: in-process cluster has no connections"))
+    /// Execute a transaction: the reply as it came off the wire.
+    pub fn execute(&self, ops: Vec<Op>) -> io::Result<Result<GlobalTxnId, ExecError>> {
+        match self.request(ClientMsg::Execute(ops))? {
+            ClientReply::Executed(result) => Ok(result),
+            other => Err(io::Error::other(format!("unexpected execute reply: {other:?}"))),
+        }
     }
 
-    fn quiesce(&self) -> Result<(), ClusterError> {
-        // The in-process quiesce has no deadline (tests that park
-        // deliveries for a crashed site rely on it blocking), so it
-        // cannot time out.
-        Cluster::quiesce(self);
-        Ok(())
+    /// [`Session::execute`] with both ways to fail as one typed error.
+    pub fn commit(&self, ops: Vec<Op>) -> Result<GlobalTxnId, ClusterError> {
+        match self.execute(ops) {
+            Ok(Ok(gid)) => Ok(gid),
+            Ok(Err(e)) => Err(from_exec_error(e)),
+            Err(e) => Err(io_error(e)),
+        }
     }
 
-    fn history(&self) -> Result<Vec<HistoryTxn>, ClusterError> {
-        Ok(self.history_txns())
+    /// Non-transactional read of one copy.
+    pub fn peek(&self, item: ItemId) -> Option<(Value, Option<GlobalTxnId>)> {
+        match self.request(ClientMsg::Peek(item)) {
+            Ok(ClientReply::Cell(cell)) => cell,
+            _ => None,
+        }
+    }
+
+    /// The site's counters.
+    pub fn stats(&self) -> io::Result<SiteStats> {
+        match self.request(ClientMsg::Stats)? {
+            ClientReply::Stats {
+                outstanding,
+                committed,
+                decode_errors,
+                peers_up,
+                peers_suspect,
+                peers_down,
+            } => Ok(SiteStats {
+                outstanding,
+                committed,
+                decode_errors,
+                peers_up,
+                peers_suspect,
+                peers_down,
+            }),
+            other => Err(io::Error::other(format!("unexpected stats reply: {other:?}"))),
+        }
+    }
+
+    /// The site's serialized copy state.
+    pub fn copy_state(&self) -> io::Result<bytes::Bytes> {
+        match self.request(ClientMsg::CopyState)? {
+            ClientReply::State(bytes) => Ok(bytes),
+            other => Err(io::Error::other(format!("unexpected state reply: {other:?}"))),
+        }
+    }
+
+    /// The site's primary commits, a page at a time until a page comes
+    /// back empty, so the frame cap does not bound them.
+    pub fn history(&self) -> io::Result<Vec<HistoryTxn>> {
+        let mut all = Vec::new();
+        loop {
+            match self.request(ClientMsg::History { from: all.len() as u64 })? {
+                ClientReply::History(page) if page.is_empty() => return Ok(all),
+                ClientReply::History(page) => all.extend(page),
+                other => {
+                    return Err(io::Error::other(format!("unexpected history reply: {other:?}")))
+                }
+            }
+        }
     }
 }
 
+/// What a deployment hands the shared client code.
+pub(crate) trait Fleet {
+    /// Number of sites in the placement.
+    fn site_count(&self) -> u32;
+
+    /// The session to `site`: [`ClusterError::NoSuchSite`] out of
+    /// range, [`ClusterError::Disconnected`] while the site is down.
+    fn session(&self, site: SiteId) -> Result<&Session, ClusterError>;
+}
+
+impl Fleet for Cluster {
+    fn site_count(&self) -> u32 {
+        self.placement().num_sites()
+    }
+
+    fn session(&self, site: SiteId) -> Result<&Session, ClusterError> {
+        Cluster::session(self, site)
+    }
+}
+
+impl Fleet for ProcCluster {
+    fn site_count(&self) -> u32 {
+        self.placement().num_sites()
+    }
+
+    fn session(&self, site: SiteId) -> Result<&Session, ClusterError> {
+        self.sessions().get(site.index()).ok_or(ClusterError::NoSuchSite(site))
+    }
+}
+
+impl<F: Fleet> ClusterHandle for F {
+    fn num_sites(&self) -> u32 {
+        self.site_count()
+    }
+
+    fn execute(&self, site: SiteId, ops: Vec<Op>) -> Result<GlobalTxnId, ClusterError> {
+        self.session(site)?.commit(ops)
+    }
+
+    fn peek(&self, site: SiteId, item: ItemId) -> Option<(Value, Option<GlobalTxnId>)> {
+        self.session(site).ok()?.peek(item)
+    }
+
+    fn stats(&self, site: SiteId) -> Result<SiteStats, ClusterError> {
+        self.session(site)?.stats().map_err(io_error)
+    }
+
+    fn copy_state(&self, site: SiteId) -> Result<bytes::Bytes, ClusterError> {
+        self.session(site)?.copy_state().map_err(io_error)
+    }
+
+    fn kill_conn(&self, site: SiteId, peer: SiteId) -> Result<(), ClusterError> {
+        self.session(site)?.expect_ok(ClientMsg::KillConn(peer)).map_err(io_error)
+    }
+
+    /// Sound because clients block for commit replies: once every
+    /// submitted transaction has returned, the per-site outstanding
+    /// shares only ever decrease, and each read is an upper bound on
+    /// the share's later values — so a zero *sum* of sequential reads
+    /// implies a zero cluster-wide count at the time of the last read.
+    fn quiesce(&self) -> Result<(), ClusterError> {
+        let start = Instant::now();
+        loop {
+            let mut per_site = Vec::with_capacity(self.site_count() as usize);
+            let mut total = 0i64;
+            for site in (0..self.site_count()).map(SiteId) {
+                let outstanding = self.stats(site).map(|s| s.outstanding).unwrap_or(i64::MAX / 2);
+                total += outstanding;
+                per_site.push((site, outstanding));
+            }
+            if total == 0 {
+                return Ok(());
+            }
+            if start.elapsed() >= policy::QUIESCE_TIMEOUT {
+                per_site.retain(|(_, outstanding)| *outstanding != 0);
+                return Err(ClusterError::QuiesceTimeout { outstanding: per_site });
+            }
+            policy::pace(Duration::from_millis(1));
+        }
+    }
+
+    /// Primaries record their own commits, so concatenating the
+    /// per-site histories covers the deployment without duplicates.
+    fn history(&self) -> Result<Vec<HistoryTxn>, ClusterError> {
+        let mut all = Vec::new();
+        for site in (0..self.site_count()).map(SiteId) {
+            all.extend(self.session(site)?.history().map_err(io_error)?);
+        }
+        Ok(all)
+    }
+}
+
+pub(crate) fn io_error(e: io::Error) -> ClusterError {
+    ClusterError::Io(e.to_string())
+}
+
 /// The wire's error spelling, translated back to the typed client
-/// error. Inverse of the mapping `repld` applies on the way out, so a
-/// driver sees the same [`ClusterError`] values from every deployment.
+/// error. Inverse of the mapping the reactor applies on the way out, so
+/// a driver sees the same [`ClusterError`] values from every deployment.
 fn from_exec_error(e: ExecError) -> ClusterError {
     match e {
         ExecError::NoCopy(s, i) => ClusterError::NoCopy(s, i),
@@ -158,44 +313,7 @@ fn from_exec_error(e: ExecError) -> ClusterError {
         ExecError::NoSuchSite(s) => ClusterError::NoSuchSite(s),
         ExecError::Disconnected => ClusterError::Disconnected,
         ExecError::Backpressure { peer, queued } => ClusterError::Backpressure { peer, queued },
+        ExecError::EagerTimeout(gid) => ClusterError::EagerTimeout(gid),
         ExecError::Other(msg) => ClusterError::Io(msg),
-    }
-}
-
-impl ClusterHandle for ProcCluster {
-    fn num_sites(&self) -> u32 {
-        self.placement().num_sites()
-    }
-
-    fn execute(&self, site: SiteId, ops: Vec<Op>) -> Result<GlobalTxnId, ClusterError> {
-        match ProcCluster::execute(self, site, ops) {
-            Ok(Ok(gid)) => Ok(gid),
-            Ok(Err(e)) => Err(from_exec_error(e)),
-            Err(e) => Err(ClusterError::Io(e.to_string())),
-        }
-    }
-
-    fn peek(&self, site: SiteId, item: ItemId) -> Option<(Value, Option<GlobalTxnId>)> {
-        ProcCluster::peek(self, site, item)
-    }
-
-    fn stats(&self, site: SiteId) -> Result<SiteStats, ClusterError> {
-        ProcCluster::stats(self, site).map_err(|e| ClusterError::Io(e.to_string()))
-    }
-
-    fn copy_state(&self, site: SiteId) -> Result<bytes::Bytes, ClusterError> {
-        ProcCluster::copy_state(self, site).map_err(|e| ClusterError::Io(e.to_string()))
-    }
-
-    fn kill_conn(&self, site: SiteId, peer: SiteId) -> Result<(), ClusterError> {
-        ProcCluster::kill_conn(self, site, peer).map_err(|e| ClusterError::Io(e.to_string()))
-    }
-
-    fn quiesce(&self) -> Result<(), ClusterError> {
-        ProcCluster::quiesce(self)
-    }
-
-    fn history(&self) -> Result<Vec<HistoryTxn>, ClusterError> {
-        ProcCluster::history(self).map_err(|e| ClusterError::Io(e.to_string()))
     }
 }

@@ -1,12 +1,12 @@
-//! A *threaded* deployment of the lazy update-propagation protocols.
+//! Live deployments of the lazy update-propagation protocols.
 //!
 //! The simulation engine in `repl-core` reproduces the paper's
 //! experiments in virtual time; this crate is the companion "real"
-//! runtime, architected like the paper's prototype: every site is an OS
-//! thread owning its own storage engine, and the network is a set of
-//! reliable FIFO channels (the prototype used TCP sockets between
-//! DataBlitz instances; crossbeam channels give the same per-link FIFO
-//! guarantee in-process).
+//! runtime, architected like the paper's prototype (DataBlitz instances
+//! over TCP): every site is one epoll reactor owning its own storage
+//! engine ([`serve_epoll`]). [`ProcCluster`] runs one per `repld`
+//! process, [`Cluster`] one per thread over loopback, and
+//! [`ClusterHandle`] is the client API drivers are written against.
 //!
 //! Scope: clients submit whole transactions to a site and each site
 //! executes them serially (one multiprogramming slot per site), so local
@@ -19,22 +19,10 @@
 //! are checked against the same [`repl_core::History`] oracle as the
 //! simulator.
 //!
-//! Faults are first-class: [`Cluster::crash`] kills a site thread
-//! abruptly (volatile state and queued messages are lost) and
-//! [`Cluster::restart`] rejoins a replacement recovered from the
-//! site's durable WAL, with lost deliveries retransmitted from
-//! sender-side outboxes — see the `link` and `durable` modules.
-//!
-//! Two deployments share the site runtime through one event-oriented
-//! transport seam (the `transport` module): [`Cluster`] wires sites
-//! with in-process channels, and [`serve_epoll`] runs one site per OS
-//! process (`repld`) speaking the `repl-net` wire protocol over TCP
-//! from a single-threaded nonblocking epoll reactor. [`ProcCluster`]
-//! is the matching multi-process launcher, and [`ClusterHandle`] the
-//! deployment-generic client API drivers are written against. The
-//! sender-side outboxes and receiver-side dedup/gap marks are the same
-//! code in both, so exactly-once in-order delivery survives real
-//! connection drops the same way it survives [`Cluster::crash`].
+//! Faults are first-class: [`Cluster::crash`] stops a site's reactor
+//! abruptly and [`Cluster::restart`] boots a replacement from the site's
+//! durable WAL, whose peers replay what it missed from their outboxes —
+//! see the `link` and `durable` modules.
 //!
 //! ```
 //! use repl_core::scenario;
@@ -53,7 +41,6 @@
 
 #![warn(missing_docs)]
 
-mod chan;
 mod cluster;
 mod durable;
 mod handle;
@@ -72,4 +59,3 @@ pub use policy::{RetryPolicy, RuntimeOptions};
 pub use proc::{repld_bin, LaunchOptions, ProcCluster};
 pub use reactor::{serve_epoll, ServeConfig};
 pub use repl_net::HistoryTxn;
-pub use transport::PeerHealth;

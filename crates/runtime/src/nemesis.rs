@@ -7,12 +7,10 @@
 //! truncation, and whole-site pauses. No OS entropy anywhere: the same
 //! plan against the same workload injects the same faults.
 //!
-//! [`ChaosWire`] interprets a plan as a [`Transport`] decorator. It
-//! composes over either wire (in-process channels, the epoll reactor's
-//! TCP) because it sits at the one seam they share:
-//! every fault is applied to the *attempt*, and the reliable-link
-//! engine above ([`crate::transport::Net`]) never learns the wire was
-//! lying. That is the point — drops, duplicates and partitions must be
+//! [`ChaosWire`] interprets a plan as a [`Transport`] decorator over a
+//! site's wire: every fault is applied to the *attempt*, and the
+//! reliable-link engine above ([`crate::transport::Net`]) never learns
+//! the wire was lying. That is the point — drops, duplicates and partitions must be
 //! masked by the outbox/replay/dedup machinery, and corruption must be
 //! survived by `repl-net`'s panic-free decoding, or the runtime has a
 //! robustness bug the chaos suite should expose.
@@ -40,9 +38,9 @@
 //! 5. **Duplicate**: delivered twice back-to-back; the receiver's
 //!    durable dedup marks must absorb the copy.
 //!
-//! Time is wall-clock relative to [`ChaosWire`] construction (each
-//! `repld` process anchors its plan at serve start), quantized to
-//! milliseconds in the plan.
+//! Time is wall-clock relative to [`ChaosWire`] construction (each site
+//! anchors its plan when its reactor boots), quantized to milliseconds
+//! in the plan.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -55,7 +53,7 @@ use repl_net::{encode_framed, FrameReader, Payload, WireMsg};
 use repl_types::SiteId;
 
 use crate::policy::splitmix64;
-use crate::transport::{SendStatus, Transport, TransportEvent};
+use crate::transport::{SendStatus, Transport};
 
 /// One partition window: the directed link `a → b` (and `b → a` when
 /// `symmetric`) is cut for `start_ms..end_ms`.
@@ -285,7 +283,7 @@ fn parse_window(window: &str, field: &str) -> Result<(u64, u64), String> {
     Ok((start, end))
 }
 
-/// Per-directed-link chaos state.
+/// Per-link chaos state.
 #[derive(Default)]
 struct ChaosLane {
     /// Frames attempted on this link so far (the per-frame draw index).
@@ -295,25 +293,25 @@ struct ChaosLane {
     held: VecDeque<(Duration, u64, Payload)>,
 }
 
-/// The [`Transport`] decorator interpreting a [`NetFaultPlan`] over any
-/// inner wire.
+/// The [`Transport`] decorator interpreting a [`NetFaultPlan`] over one
+/// site's wire.
 pub(crate) struct ChaosWire {
+    me: SiteId,
     inner: Arc<dyn Transport>,
     plan: NetFaultPlan,
     start: Instant,
-    /// `lanes[from][to]`.
-    lanes: Vec<Vec<Mutex<ChaosLane>>>,
+    /// Indexed by destination.
+    lanes: Vec<Mutex<ChaosLane>>,
 }
 
 impl ChaosWire {
-    pub fn new(inner: Arc<dyn Transport>, plan: NetFaultPlan, sites: usize) -> Self {
+    pub fn new(me: SiteId, inner: Arc<dyn Transport>, plan: NetFaultPlan, sites: usize) -> Self {
         ChaosWire {
+            me,
             inner,
             plan,
             start: Instant::now(),
-            lanes: (0..sites)
-                .map(|_| (0..sites).map(|_| Mutex::new(ChaosLane::default())).collect())
-                .collect(),
+            lanes: (0..sites).map(|_| Mutex::new(ChaosLane::default())).collect(),
         }
     }
 
@@ -322,21 +320,18 @@ impl ChaosWire {
     }
 
     /// Release every parked frame whose time has come. Called from all
-    /// three trait methods, so any wire activity (including the 1 ms
-    /// poll tick of every site driver) advances the delay queues.
+    /// three trait methods, so any wire activity (including the reactor's
+    /// tick every pass) advances the delay queues.
     fn pump(&self) {
         let now = self.elapsed();
-        for (from, row) in self.lanes.iter().enumerate() {
-            for (to, slot) in row.iter().enumerate() {
-                let mut lane = slot.lock();
-                while lane.held.front().is_some_and(|(due, _, _)| *due <= now) {
-                    // replint: allow(RL008) -- front() checked Some on the previous line
-                    let (_, seq, payload) = lane.held.pop_front().expect("checked front");
-                    // A failed attempt is fine: the payload is still in
-                    // the outbox and the stall replay recovers it.
-                    let _ =
-                        self.inner.try_send(SiteId(from as u32), SiteId(to as u32), seq, &payload);
-                }
+        for (to, slot) in self.lanes.iter().enumerate() {
+            let mut lane = slot.lock();
+            while lane.held.front().is_some_and(|(due, _, _)| *due <= now) {
+                // replint: allow(RL008) -- front() checked Some on the previous line
+                let (_, seq, payload) = lane.held.pop_front().expect("checked front");
+                // A failed attempt is fine: the payload is still in the
+                // outbox and the stall replay recovers it.
+                let _ = self.inner.try_send(SiteId(to as u32), seq, &payload);
             }
         }
     }
@@ -361,8 +356,9 @@ fn draw(state: &mut u64) -> u64 {
 }
 
 impl Transport for ChaosWire {
-    fn try_send(&self, from: SiteId, to: SiteId, seq: u64, payload: &Payload) -> SendStatus {
+    fn try_send(&self, to: SiteId, seq: u64, payload: &Payload) -> SendStatus {
         self.pump();
+        let from = self.me;
         let now = self.elapsed();
         let now_ms = now.as_millis() as u64;
         if self.plan.cuts(from, to, now_ms) {
@@ -371,7 +367,7 @@ impl Transport for ChaosWire {
             return SendStatus::Sent;
         }
         let (index, held_behind) = {
-            let mut lane = self.lanes[from.index()][to.index()].lock();
+            let mut lane = self.lanes[to.index()].lock();
             lane.msg_index += 1;
             (lane.msg_index, !lane.held.is_empty())
         };
@@ -410,7 +406,7 @@ impl Transport for ChaosWire {
         if delay_ms > 0 || held_behind {
             // Park it — behind any earlier parked frame, so per-link
             // FIFO survives the jitter.
-            let mut lane = self.lanes[from.index()][to.index()].lock();
+            let mut lane = self.lanes[to.index()].lock();
             let mut due = now + Duration::from_millis(delay_ms);
             if let Some((tail_due, _, _)) = lane.held.back() {
                 due = due.max(*tail_due);
@@ -421,26 +417,25 @@ impl Transport for ChaosWire {
         if self.plan.dup_permille > 0
             && draw(&mut stream) % 1000 < u64::from(self.plan.dup_permille)
         {
-            let status = self.inner.try_send(from, to, seq, payload);
-            let _ = self.inner.try_send(from, to, seq, payload);
+            let status = self.inner.try_send(to, seq, payload);
+            let _ = self.inner.try_send(to, seq, payload);
             return status;
         }
-        self.inner.try_send(from, to, seq, payload)
+        self.inner.try_send(to, seq, payload)
     }
 
-    fn send_ack(&self, from: SiteId, me: SiteId, seq: u64) -> SendStatus {
+    fn send_ack(&self, from: SiteId, seq: u64) -> SendStatus {
         self.pump();
         // The ack physically travels me → from. Only a cut loses acks:
         // they are cumulative, so anything subtler is invisible anyway.
-        if self.plan.cuts(me, from, self.elapsed().as_millis() as u64) {
+        if self.plan.cuts(self.me, from, self.elapsed().as_millis() as u64) {
             return SendStatus::Sent;
         }
-        self.inner.send_ack(from, me, seq)
+        self.inner.send_ack(from, seq)
     }
 
-    fn poll_events(&self, me: SiteId) -> Vec<TransportEvent> {
+    fn tick(&self) {
         self.pump();
-        self.inner.poll_events(me)
     }
 }
 

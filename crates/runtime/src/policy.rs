@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use crate::nemesis::NetFaultPlan;
 
-/// How long `ProcCluster::quiesce` (and the chaos drivers) wait for the
+/// How long `ClusterHandle::quiesce` (and the chaos drivers) wait for the
 /// outstanding-application count to reach zero before giving up with a
 /// typed `ClusterError::QuiesceTimeout`.
 pub(crate) const QUIESCE_TIMEOUT: Duration = Duration::from_secs(60);

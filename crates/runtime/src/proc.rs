@@ -1,7 +1,8 @@
 //! Process-per-site deployment: launch and drive a cluster of `repld`
-//! OS processes over loopback TCP, with a client API mirroring
-//! [`crate::Cluster`] so tests can run the same workload against both
-//! deployments and compare final copy state byte-for-byte.
+//! OS processes over loopback TCP. Its sites are reached through the
+//! same client sessions as [`crate::Cluster`]'s, so tests run the same
+//! workload against both deployments and compare final copy state
+//! byte-for-byte.
 //!
 //! Port races are avoided by construction: every child binds
 //! `127.0.0.1:0`, prints its actual listen address on stdout (the
@@ -11,24 +12,16 @@
 //! the full mesh up.
 
 use std::io::{self, BufRead, BufReader};
-use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
 
 use repl_copygraph::DataPlacement;
 use repl_core::deploy::{removed_batching_knob, ReactorKind};
-use repl_net::{read_msg, write_msg, ClientMsg, ClientReply, ExecError, HistoryTxn, WireMsg};
+use repl_net::{ClientMsg, ExecError, HistoryTxn};
 use repl_types::{GlobalTxnId, ItemId, Op, SiteId, Value};
 
-use crate::cluster::{ClusterError, RuntimeProtocol};
-use crate::handle::SiteStats;
-use crate::policy;
-
-/// How long to keep retrying the initial client connection to a child.
-const CONNECT_WINDOW: Duration = Duration::from_secs(10);
+use crate::cluster::RuntimeProtocol;
+use crate::handle::{Session, SiteStats};
 
 /// Launch-time knobs beyond the placement and protocol: the
 /// runtime-tolerance overrides forwarded to each `repld` child on its
@@ -90,7 +83,7 @@ pub fn repld_bin() -> io::Result<PathBuf> {
 /// A running process-per-site cluster.
 pub struct ProcCluster {
     children: Vec<Child>,
-    conns: Vec<Mutex<TcpStream>>,
+    sessions: Vec<Session>,
     addrs: Vec<String>,
     placement: DataPlacement,
 }
@@ -134,7 +127,7 @@ impl ProcCluster {
         };
         let mut cluster = ProcCluster {
             children: Vec::with_capacity(n),
-            conns: Vec::with_capacity(n),
+            sessions: Vec::with_capacity(n),
             addrs: Vec::with_capacity(n),
             placement: placement.clone(),
         };
@@ -190,15 +183,12 @@ impl ProcCluster {
             std::thread::spawn(move || for _ in lines.by_ref() {});
         }
         for addr in &cluster.addrs {
-            cluster.conns.push(Mutex::new(connect_retry(addr)?));
+            cluster.sessions.push(Session::connect(addr)?);
         }
         let peers: Vec<(SiteId, String)> =
             cluster.addrs.iter().enumerate().map(|(i, a)| (SiteId(i as u32), a.clone())).collect();
-        for i in 0..n {
-            match cluster.request(SiteId(i as u32), ClientMsg::Peers(peers.clone()))? {
-                ClientReply::Ok => {}
-                other => return Err(io::Error::other(format!("peers push rejected: {other:?}"))),
-            }
+        for session in &cluster.sessions {
+            session.expect_ok(ClientMsg::Peers(peers.clone()))?;
         }
         Ok(cluster)
     }
@@ -213,17 +203,15 @@ impl ProcCluster {
         &self.placement
     }
 
-    fn request(&self, site: SiteId, msg: ClientMsg) -> io::Result<ClientReply> {
-        if site.index() >= self.conns.len() {
-            return Err(io::Error::new(io::ErrorKind::InvalidInput, "no such site"));
-        }
-        let mut conn = self.conns[site.index()].lock();
-        write_msg(&mut *conn, &WireMsg::Client(msg))?;
-        match read_msg(&mut *conn) {
-            Ok(WireMsg::Reply(reply)) => Ok(reply),
-            Ok(other) => Err(io::Error::other(format!("unexpected reply frame: {other:?}"))),
-            Err(e) => Err(io::Error::other(e.to_string())),
-        }
+    /// The client session to each site, indexed by site.
+    pub(crate) fn sessions(&self) -> &[Session] {
+        &self.sessions
+    }
+
+    fn session(&self, site: SiteId) -> io::Result<&Session> {
+        self.sessions
+            .get(site.index())
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no such site"))
     }
 
     /// Execute a transaction at `site`, blocking until it commits there.
@@ -232,128 +220,38 @@ impl ProcCluster {
         site: SiteId,
         ops: Vec<Op>,
     ) -> io::Result<Result<GlobalTxnId, ExecError>> {
-        match self.request(site, ClientMsg::Execute(ops))? {
-            ClientReply::Executed(result) => Ok(result),
-            other => Err(io::Error::other(format!("unexpected execute reply: {other:?}"))),
-        }
+        self.session(site)?.execute(ops)
     }
 
     /// Non-transactional read of one copy.
     pub fn peek(&self, site: SiteId, item: ItemId) -> Option<(Value, Option<GlobalTxnId>)> {
-        match self.request(site, ClientMsg::Peek(item)) {
-            Ok(ClientReply::Cell(cell)) => cell,
-            _ => None,
-        }
+        self.session(site).ok()?.peek(item)
     }
 
     /// The counters of one site process ([`SiteStats`]).
     pub fn stats(&self, site: SiteId) -> io::Result<SiteStats> {
-        match self.request(site, ClientMsg::Stats)? {
-            ClientReply::Stats {
-                outstanding,
-                committed,
-                decode_errors,
-                peers_up,
-                peers_suspect,
-                peers_down,
-            } => Ok(SiteStats {
-                outstanding,
-                committed,
-                decode_errors,
-                peers_up,
-                peers_suspect,
-                peers_down,
-            }),
-            other => Err(io::Error::other(format!("unexpected stats reply: {other:?}"))),
-        }
+        self.session(site)?.stats()
     }
 
     /// Every transaction committed anywhere in the cluster, merged
     /// across the per-process histories, as `(gid, reads, writes)`
     /// tuples. Primaries record their own commits, so concatenating the
-    /// per-site fetches covers the cluster without duplicates. Each
-    /// site's history is fetched a page at a time (a cursor over its
-    /// commit order) until a page comes back empty, so its length is
-    /// not bounded by the frame cap.
+    /// per-site fetches covers the cluster without duplicates.
     pub fn history(&self) -> io::Result<Vec<HistoryTxn>> {
-        let mut all = Vec::new();
-        for i in 0..self.conns.len() {
-            let mut from = 0u64;
-            loop {
-                match self.request(SiteId(i as u32), ClientMsg::History { from })? {
-                    ClientReply::History(page) if page.is_empty() => break,
-                    ClientReply::History(page) => {
-                        from += page.len() as u64;
-                        all.extend(page);
-                    }
-                    other => {
-                        let what = format!("unexpected history reply: {other:?}");
-                        return Err(io::Error::other(what));
-                    }
-                }
-            }
-        }
-        Ok(all)
+        let per_site: io::Result<Vec<_>> = self.sessions.iter().map(Session::history).collect();
+        Ok(per_site?.concat())
     }
 
     /// Serialized copy state of `site` (ascending items, values,
     /// writers) — byte-comparable against [`crate::Cluster::copy_state`].
     pub fn copy_state(&self, site: SiteId) -> io::Result<bytes::Bytes> {
-        match self.request(site, ClientMsg::CopyState)? {
-            ClientReply::State(bytes) => Ok(bytes),
-            other => Err(io::Error::other(format!("unexpected state reply: {other:?}"))),
-        }
-    }
-
-    /// Fault injection: make `site` drop its connections to and from
-    /// `peer`, forcing a reconnect + resume + retransmission cycle.
-    pub fn kill_conn(&self, site: SiteId, peer: SiteId) -> io::Result<()> {
-        match self.request(site, ClientMsg::KillConn(peer))? {
-            ClientReply::Ok => Ok(()),
-            other => Err(io::Error::other(format!("kill_conn rejected: {other:?}"))),
-        }
-    }
-
-    /// Block until every committed update has been applied at every
-    /// destination replica, cluster-wide.
-    ///
-    /// Sound because clients block for commit replies: once every
-    /// submitted transaction has returned, the per-process outstanding
-    /// counters only ever decrease, and each read is an upper bound on
-    /// the counter's later values — so a zero *sum* of sequential reads
-    /// implies a zero cluster-wide count at the time of the last read.
-    ///
-    /// Returns [`ClusterError::QuiesceTimeout`] — with each stalled
-    /// site's residual outstanding count — if propagation has not
-    /// drained within the deployment deadline, so a chaos driver can
-    /// report *where* a partition left undelivered updates instead of
-    /// panicking the whole test process.
-    pub fn quiesce(&self) -> Result<(), ClusterError> {
-        let start = Instant::now();
-        loop {
-            let mut per_site = Vec::with_capacity(self.conns.len());
-            let mut total = 0i64;
-            for i in 0..self.conns.len() {
-                let outstanding =
-                    self.stats(SiteId(i as u32)).map(|s| s.outstanding).unwrap_or(i64::MAX / 2);
-                total += outstanding;
-                per_site.push((SiteId(i as u32), outstanding));
-            }
-            if total == 0 {
-                return Ok(());
-            }
-            if start.elapsed() >= policy::QUIESCE_TIMEOUT {
-                per_site.retain(|(_, outstanding)| *outstanding != 0);
-                return Err(ClusterError::QuiesceTimeout { outstanding: per_site });
-            }
-            policy::pace(Duration::from_millis(1));
-        }
+        self.session(site)?.copy_state()
     }
 
     /// Stop every process gracefully and reap them.
     pub fn shutdown(mut self) {
-        for i in 0..self.conns.len() {
-            let _ = self.request(SiteId(i as u32), ClientMsg::Shutdown);
+        for session in &self.sessions {
+            let _ = session.expect_ok(ClientMsg::Shutdown);
         }
         for child in &mut self.children {
             let _ = child.wait();
@@ -369,20 +267,6 @@ impl Drop for ProcCluster {
         for child in &mut self.children {
             let _ = child.kill();
             let _ = child.wait();
-        }
-    }
-}
-
-fn connect_retry(addr: &str) -> io::Result<TcpStream> {
-    let start = Instant::now();
-    loop {
-        match TcpStream::connect(addr) {
-            Ok(stream) => return Ok(stream),
-            Err(e) if start.elapsed() < CONNECT_WINDOW => {
-                let _ = e;
-                policy::pace(Duration::from_millis(5));
-            }
-            Err(e) => return Err(e),
         }
     }
 }

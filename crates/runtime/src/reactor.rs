@@ -1,16 +1,15 @@
-//! The TCP deployment: one OS process per site, one thread, one
-//! readiness loop.
+//! The site reactor: one thread, one readiness loop, every connection.
 //!
-//! [`serve_epoll`] runs the same [`SiteCore`] as the in-process
-//! cluster's site threads, over real sockets: it owns *every*
-//! connection — the listener, the dialed peer links, the accepted peer
-//! links, and an arbitrary number of client sessions — from a single
-//! nonblocking thread driving a level-triggered epoll set (the `epoll`
-//! shim). That is what lets one `repld` process hold thousands of
+//! A [`Reactor`] runs one site's [`SiteCore`] over real sockets: it owns
+//! *every* connection — the listener, the dialed peer links, the
+//! accepted peer links, and an arbitrary number of client sessions —
+//! from a single nonblocking thread driving a level-triggered epoll set
+//! (the `epoll` shim). That is what lets one site hold thousands of
 //! concurrent client connections on a couple of megabytes of buffers
-//! instead of thousands of stacks. It is the only TCP driver: the
-//! thread-per-connection one it replaced was an order of magnitude
-//! behind on every benchmark workload (EXPERIMENTS.md, "TCP drivers").
+//! instead of thousands of stacks. It is the only site driver:
+//! [`serve_epoll`] runs one as a `repld` process, the in-process
+//! `Cluster` one per thread, both booted by [`Reactor::boot`]
+//! (EXPERIMENTS.md, "TCP drivers" and "One site shell").
 //!
 //! Topology: every site dials every peer it has an address for. The
 //! connection `C(S → T)` is established by `S` with a
@@ -23,20 +22,20 @@
 //! `T`'s durable per-link high-water mark — prunes `S`'s outbox and
 //! everything above it is replayed in sequence order ([`Net::resume`]),
 //! so delivery stays exactly-once in-order across real connection
-//! drops. It is the same machinery (and the same code) that recovers
-//! site crashes under the channel transport.
+//! drops, and across an in-process site's crash and restart.
 //!
 //! Structure of the loop, in the order each iteration runs it:
 //!
+//! 0. Return at once if the stop flag is set (an in-process crash).
 //! 1. `epoll_wait` (1 ms timeout — the protocol tick). For each ready
 //!    fd: accept new connections, or read-until-`WouldBlock` through a
-//!    [`FrameReader`] and act on every decoded frame, or flush a
-//!    write-blocked connection.
+//!    [`FrameReader`] and act on every decoded frame (a `Link` frame is
+//!    applied at once), or flush a write-blocked connection.
 //! 2. Re-dial missing peer connections (paced, nonblocking after
-//!    connect) and run the DAG(T) timers ([`SiteCore::tick`]).
-//! 3. Apply queued link frames ([`SiteCore::drain_net`]), finish an
-//!    eager-phase transaction whose BackEdge special came home, and
-//!    start queued client transactions ([`Reactor::pump_exec`]).
+//!    connect) and run the site's timers ([`SiteCore::tick`]).
+//! 3. Finish an eager-phase transaction whose BackEdge special came
+//!    home, and start queued client transactions
+//!    ([`Reactor::pump_exec`]).
 //! 4. Flush every connection's pending bytes; register `EPOLLOUT`
 //!    interest only while something is actually buffered (the
 //!    level-triggered discipline — otherwise an idle writable socket
@@ -52,12 +51,10 @@
 //! recovery mechanism for both stalls and drops.
 //!
 //! **Eager phases.** A BackEdge transaction waits for its special to
-//! come home. The in-process cluster's site thread can park; the
-//! reactor instead parks the *transaction*: `in_flight` holds it
-//! (serializing clients exactly like the one-command-at-a-time site
-//! thread does), link frames keep flowing, and when
-//! [`SiteCore::take_home`] fires the loop completes the commit and
-//! replies.
+//! come home. The reactor parks the *transaction*, not the loop:
+//! `in_flight` holds it (clients behind it queue, so the site stays
+//! serial), link frames keep flowing, and when [`SiteCore::take_home`]
+//! fires the loop completes the commit and replies.
 //!
 //! **Blocking discipline.** Every fd is nonblocking; all raw socket
 //! calls funnel through three audited helpers at the bottom of this
@@ -69,9 +66,9 @@
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -81,18 +78,16 @@ use parking_lot::Mutex;
 use repl_copygraph::DataPlacement;
 use repl_net::{
     cluster_fingerprint, frame_link_into, frame_state_reply_into, negotiate, ClientMsg,
-    ClientReply, ExecError, FrameReader, Hello, HelloAck, HistoryLog, NetError, Payload, WireMsg,
-    VERSION_MAX, VERSION_MIN,
+    ClientReply, ExecError, FrameReader, Hello, HelloAck, NetError, Payload, WireMsg, VERSION_MAX,
+    VERSION_MIN,
 };
 use repl_types::{AddressMap, GlobalTxnId, Op, SiteId};
 
-use crate::cluster::{build_structure, recovered_store, ClusterError, RuntimeProtocol};
-use crate::durable::DurableSite;
-use crate::link::Links;
+use crate::cluster::{build_structure, ClusterError, RuntimeProtocol};
 use crate::nemesis::ChaosWire;
 use crate::policy::RuntimeOptions;
-use crate::site::{SiteCore, SiteSetup, Started};
-use crate::transport::{Net, SendStatus, Transport, TransportEvent};
+use crate::site::{SiteCore, SiteParts, SiteSetup, Started};
+use crate::transport::{SendStatus, Transport};
 
 /// The epoll token of the listening socket; connection tokens are slab
 /// indices, far below.
@@ -199,21 +194,15 @@ struct OutLane {
 }
 
 /// The reactor's [`Transport`]: sends are memcpys into per-peer lanes
-/// (never syscalls — the readiness loop owns all socket I/O), and
-/// inbound frames queue in the inbox the reactor drains via
-/// [`SiteCore::drain_net`]. The mutexes are uncontended formality: the
-/// whole deployment is single-threaded, but the `Transport` trait is
-/// shared with the genuinely multi-threaded in-process cluster and so
-/// requires `Send + Sync`.
+/// (never syscalls — the readiness loop owns all socket I/O). The
+/// mutexes are uncontended formality: one thread runs a reactor, but
+/// the `Transport` trait asks `Send + Sync` of every wire.
 struct ReactorWire {
     /// `lanes[p]`: link frames awaiting the connection we dialed to `p`.
     lanes: Vec<Mutex<OutLane>>,
     /// `ack_lanes[p]`: ack frames awaiting the connection `p` dialed to
     /// us.
     ack_lanes: Vec<Mutex<OutLane>>,
-    /// Link frames decoded off accepted peer connections, in read
-    /// order.
-    inbox: Mutex<VecDeque<TransportEvent>>,
 }
 
 impl ReactorWire {
@@ -221,13 +210,12 @@ impl ReactorWire {
         ReactorWire {
             lanes: (0..sites).map(|_| Mutex::new(OutLane::default())).collect(),
             ack_lanes: (0..sites).map(|_| Mutex::new(OutLane::default())).collect(),
-            inbox: Mutex::new(VecDeque::new()),
         }
     }
 }
 
 impl Transport for ReactorWire {
-    fn try_send(&self, _from: SiteId, to: SiteId, seq: u64, payload: &Payload) -> SendStatus {
+    fn try_send(&self, to: SiteId, seq: u64, payload: &Payload) -> SendStatus {
         let mut lane = self.lanes[to.index()].lock();
         if !lane.connected {
             return SendStatus::Down;
@@ -240,7 +228,7 @@ impl Transport for ReactorWire {
         SendStatus::Sent
     }
 
-    fn send_ack(&self, from: SiteId, _me: SiteId, seq: u64) -> SendStatus {
+    fn send_ack(&self, from: SiteId, seq: u64) -> SendStatus {
         let mut lane = self.ack_lanes[from.index()].lock();
         if !lane.connected {
             return SendStatus::Down;
@@ -252,10 +240,6 @@ impl Transport for ReactorWire {
         }
         WireMsg::Ack { seq }.encode_framed_into(lane.buf.tail());
         SendStatus::Sent
-    }
-
-    fn poll_events(&self, _me: SiteId) -> Vec<TransportEvent> {
-        std::mem::take(&mut *self.inbox.lock()).into()
     }
 }
 
@@ -331,6 +315,7 @@ fn exec_error(e: ClusterError) -> ExecError {
         ClusterError::NoSuchSite(s) => ExecError::NoSuchSite(s),
         ClusterError::Disconnected => ExecError::Disconnected,
         ClusterError::Backpressure { peer, queued } => ExecError::Backpressure { peer, queued },
+        ClusterError::EagerTimeout(gid) => ExecError::EagerTimeout(gid),
         other => ExecError::Other(other.to_string()),
     }
 }
@@ -341,74 +326,28 @@ fn exec_error(e: ClusterError) -> ExecError {
 /// launcher contract), and serves peer and client connections until a
 /// client sends [`ClientMsg::Shutdown`].
 pub fn serve_epoll(cfg: ServeConfig) -> io::Result<()> {
-    let structure = build_structure(&cfg.placement, cfg.protocol)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+    let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidInput, e);
+    let structure =
+        build_structure(&cfg.placement, cfg.protocol).map_err(|e| invalid(e.to_string()))?;
     let n = cfg.placement.num_sites() as usize;
     if cfg.site.index() >= n {
-        return Err(io::Error::new(io::ErrorKind::InvalidInput, "site id out of range"));
+        return Err(invalid("site id out of range".into()));
     }
-
-    let opts = Arc::new(cfg.options);
-    let wire = Arc::new(ReactorWire::new(n));
-    let links = Arc::new(Links::new(n));
-    let mut raw: Arc<dyn Transport> = wire.clone();
-    if let Some(plan) = &opts.nemesis {
-        raw = Arc::new(ChaosWire::new(raw, plan.clone(), n));
-    }
-    let net = Arc::new(Net::new(links, raw));
-    let durable = Arc::new(Mutex::new(DurableSite::new(n, opts.group_commit_batch)));
-    let history = Arc::new(Mutex::new(HistoryLog::new()));
-    let outstanding = Arc::new(std::sync::atomic::AtomicI64::new(0));
+    let parts = SiteParts::new(n, cfg.options.group_commit_batch);
     let fingerprint = cluster_fingerprint(cfg.placement.per_item_spec(), cfg.protocol.name());
     // The one copy of the placement in this process.
     let placement = Arc::new(cfg.placement);
-
-    let setup = SiteSetup::new(
-        cfg.site,
-        cfg.protocol,
-        placement.clone(),
-        structure.graph.clone(),
-        structure.tree.clone(),
-    )
-    .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-    let store = recovered_store(&placement, cfg.site, &mut durable.lock());
-    let core = setup.into_core(store, net, placement, history, outstanding, durable, opts.clone());
-
-    let listener = TcpListener::bind(&cfg.listen)?;
-    listener.set_nonblocking(true)?;
+    let setup = SiteSetup::new(cfg.site, cfg.protocol, placement, &structure)
+        .map_err(|e| invalid(e.to_string()))?;
+    let (opts, stop) = (Arc::new(cfg.options), Arc::default());
+    let mut reactor = Reactor::boot(&cfg.listen, setup, parts, opts, fingerprint, cfg.peers, stop)?;
     // The launcher contract: exactly this line, first, on stdout.
-    println!("repld: site {} listening on {}", cfg.site.0, listener.local_addr()?);
-
-    let epoll = Epoll::new()?;
-    epoll.add(listener.as_raw_fd(), LISTENER, Interest::READ)?;
-
-    let mut reactor = Reactor {
-        epoll,
-        listener,
-        me: cfg.site,
-        num_sites: n,
-        fingerprint,
-        core,
-        wire,
-        conns: Vec::new(),
-        free: Vec::new(),
-        out_conn: vec![None; n],
-        in_conn: vec![None; n],
-        peers: cfg.peers,
-        exec_queue: VecDeque::new(),
-        in_flight: None,
-        decode_errors: 0,
-        dial_attempts: vec![0; n],
-        next_dial: vec![Instant::now(); n],
-        shutdown: None,
-        events: Vec::new(),
-        read_buf: vec![0; READ_CHUNK],
-        msgs: Vec::new(),
-    };
+    println!("repld: site {} listening on {}", cfg.site.0, reactor.local_addr()?);
     reactor.run()
 }
 
-struct Reactor {
+/// One site's readiness loop and everything it owns.
+pub(crate) struct Reactor {
     epoll: Epoll,
     listener: TcpListener,
     me: SiteId,
@@ -445,11 +384,74 @@ struct Reactor {
     /// The frames decoded off one readable event, emptied before the
     /// next.
     msgs: Vec<WireMsg>,
+    /// Checked once a pass: when set, [`Reactor::run`] returns.
+    stop: Arc<AtomicBool>,
 }
 
 impl Reactor {
-    fn run(&mut self) -> io::Result<()> {
+    /// Bind `listen` and boot a site from `setup` and `parts`, its wire
+    /// under the nemesis if `opts` carry one. `stop` makes
+    /// [`Reactor::run`] return at its next pass; call `run` on the
+    /// booting thread, which recovered the store.
+    pub(crate) fn boot(
+        listen: &str,
+        setup: SiteSetup,
+        parts: SiteParts,
+        opts: Arc<RuntimeOptions>,
+        fingerprint: u64,
+        peers: AddressMap,
+        stop: Arc<AtomicBool>,
+    ) -> io::Result<Reactor> {
+        let listener = TcpListener::bind(listen)?;
+        listener.set_nonblocking(true)?;
+        let epoll = Epoll::new()?;
+        epoll.add(listener.as_raw_fd(), LISTENER, Interest::READ)?;
+
+        let n = parts.links.num_sites();
+        let me = setup.site();
+        let wire = Arc::new(ReactorWire::new(n));
+        let mut raw: Arc<dyn Transport> = wire.clone();
+        if let Some(plan) = &opts.nemesis {
+            raw = Arc::new(ChaosWire::new(me, raw, plan.clone(), n));
+        }
+        let core = setup.into_core(parts, raw, opts);
+        Ok(Reactor {
+            epoll,
+            listener,
+            me,
+            num_sites: n,
+            fingerprint,
+            core,
+            wire,
+            conns: Vec::new(),
+            free: Vec::new(),
+            out_conn: vec![None; n],
+            in_conn: vec![None; n],
+            peers,
+            exec_queue: VecDeque::new(),
+            in_flight: None,
+            decode_errors: 0,
+            dial_attempts: vec![0; n],
+            next_dial: vec![Instant::now(); n],
+            shutdown: None,
+            events: Vec::new(),
+            read_buf: vec![0; READ_CHUNK],
+            msgs: Vec::new(),
+            stop,
+        })
+    }
+
+    /// The address the site listens on.
+    pub(crate) fn local_addr(&self) -> io::Result<SocketAddr> {
+        self.listener.local_addr()
+    }
+
+    /// Serve until a client's `Shutdown` has drained or `stop` is set.
+    pub(crate) fn run(&mut self) -> io::Result<()> {
         loop {
+            if self.stop.load(Ordering::Relaxed) {
+                return Ok(());
+            }
             let mut events = std::mem::take(&mut self.events);
             events.clear();
             self.epoll.wait(&mut events, TICK_MS)?;
@@ -460,7 +462,6 @@ impl Reactor {
 
             self.dial_missing();
             self.core.tick();
-            self.core.drain_net();
             self.finish_in_flight();
             self.pump_exec();
             self.flush_all();
@@ -602,7 +603,7 @@ impl Reactor {
             },
             Role::PeerIn { from } => match msg {
                 WireMsg::Link { seq, payload } => {
-                    self.wire.inbox.lock().push_back(TransportEvent { from, seq, payload });
+                    self.core.apply_frame(from, seq, payload);
                     true
                 }
                 _ => {
@@ -623,7 +624,7 @@ impl Reactor {
             },
             Role::PeerOut { peer } => match msg {
                 WireMsg::Ack { seq } => {
-                    self.core.net.on_ack(self.me, peer, seq);
+                    self.core.net.on_ack(peer, seq);
                     true
                 }
                 _ => {
@@ -700,7 +701,7 @@ impl Reactor {
             lane.stalled = false;
             lane.buf.clear();
         }
-        self.core.net.resume(self.me, peer, ack.resume_seq);
+        self.core.net.resume(peer, ack.resume_seq);
         true
     }
 
@@ -722,7 +723,7 @@ impl Reactor {
                 continue;
             }
             let ok = self.dial_one(p);
-            self.core.net.note_dial(self.me, p, ok);
+            self.core.net.note_dial(p, ok);
             if ok {
                 self.dial_attempts[p.index()] = 0;
             } else {
@@ -815,7 +816,7 @@ impl Reactor {
                         self.next_dial[site.index()] = now;
                         self.dial_attempts[site.index()] = 0;
                     }
-                    self.peers.insert(site, addr);
+                    self.peers.set(site, addr);
                 }
                 self.queue_reply(tok, ClientReply::Ok);
                 true
@@ -873,10 +874,15 @@ impl Reactor {
     }
 
     /// Start queued client transactions until one parks in an eager
-    /// phase (or the queue empties). Mirrors the serial site thread:
-    /// at most one transaction is past `start_txn` at a time.
+    /// phase or waits for a prepared special's decision, or the queue
+    /// empties: at most one transaction is past `start_txn` at a time.
     fn pump_exec(&mut self) {
         while self.in_flight.is_none() {
+            // A head a prepared special holds waits for the decision,
+            // which comes in as a link frame, not through this queue.
+            if self.exec_queue.front().is_none_or(|(_, ops)| self.core.blocked(ops)) {
+                return;
+            }
             let Some((tok, ops)) = self.exec_queue.pop_front() else { return };
             match self.core.start_txn(&ops) {
                 Err(e) => {
@@ -893,13 +899,13 @@ impl Reactor {
         }
     }
 
-    /// Complete the parked eager-phase transaction if its special came
-    /// home with the frames just applied — or abort it if its armed
-    /// deadline expired first (a partitioned path site would otherwise
-    /// park the transaction, and every client behind it, forever).
+    /// Complete the parked eager-phase transaction once its special came
+    /// home and no prepared special holds what it touches — or abort it
+    /// if its armed deadline expired first (a partitioned path site
+    /// would otherwise park it, and every client behind it, forever).
     fn finish_in_flight(&mut self) {
         let Some(inflight) = &self.in_flight else { return };
-        if !self.core.take_home(inflight.gid) {
+        if self.core.blocked(&inflight.ops) || !self.core.take_home(inflight.gid) {
             if self.core.check_eager_timeout() == Some(inflight.gid) {
                 // replint: allow(RL008) -- checked Some above; single-threaded loop
                 let inflight = self.in_flight.take().expect("in_flight present");
@@ -1005,7 +1011,7 @@ impl Reactor {
             // on the wire are replayed too (resume cannot know which
             // made it); the receiver's dedup marks re-ack those. The
             // refilled lane flushes on the next readiness/tick pass.
-            self.core.net.resume(self.me, peer, 0);
+            self.core.net.resume(peer, 0);
         }
     }
 

@@ -1,54 +1,37 @@
-//! The per-site driver: a deployment-independent core plus a thin
-//! threaded shell.
+//! The per-site engine the reactor drives.
 //!
 //! All propagation *decisions* — queue admission, DAG(T) timestamp
 //! merging, tree routing, the BackEdge eager phase — are made by the
 //! sans-I/O [`SiteMachine`] from `repl-protocol`, the same machine the
-//! simulation engine drives. Around it, this module is split the same
-//! way:
-//!
-//! * [`SiteCore`] is the *nonblocking* half every deployment shares: it
-//!   feeds transport frames and client commits into the machine as
-//!   [`Input`]s and carries out the returned [`ProtoCommand`]s — local
-//!   transactions against the store, WAL records, outstanding-counter
-//!   bookkeeping, handing [`Payload`]s to the reliable link layer
-//!   ([`Net`]) — plus the clock side of the DAG(T) heartbeat/epoch
-//!   timers. Nothing in it blocks, sleeps or waits, so the epoll
-//!   reactor (`crate::reactor`) can drive it from a readiness loop.
-//! * [`SiteRuntime`] is the threaded shell used by the in-process
-//!   cluster: one OS thread owning the core, a command channel, and
-//!   the blocking eager-phase wait loop.
-//!
-//! The split mirrors the eager phase's two shapes: a thread can park in
-//! [`SiteRuntime::wait_for_home`] until the BackEdge special returns,
-//! while a reactor parks the *transaction* ([`Started::immediate`] =
-//! false) and completes it from the readiness loop when the special's
-//! `CommitLocal` surfaces.
+//! simulation engine drives. [`SiteCore`] feeds it transport frames and
+//! client commits as [`Input`]s and carries out the returned
+//! [`ProtoCommand`]s — local transactions against the store, WAL records,
+//! outstanding-counter bookkeeping, handing [`Payload`]s to the reliable
+//! link layer ([`Net`]) — plus the clock side of the DAG(T) timers.
+//! Nothing in it blocks: an eager phase parks the *transaction*
+//! ([`Started::immediate`] = false) until [`SiteCore::take_home`].
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
-use repl_copygraph::{CopyGraph, DataPlacement, PropagationTree};
+use repl_copygraph::{CopyGraph, DataPlacement};
 use repl_net::{HistoryLog, Payload};
 use repl_protocol::{
     destinations, planned_writes, Command as ProtoCommand, Input, ProtocolError, SiteMachine,
 };
-use repl_storage::Store;
+use repl_storage::{recover, Store};
 use repl_types::{GlobalTxnId, ItemId, Op, OpKind, SiteId, Value};
 
-use crate::chan::TracedReceiver;
-use crate::cluster::{ClusterError, RuntimeProtocol};
+use crate::cluster::{ClusterError, RuntimeProtocol, Structure};
 use crate::durable::DurableSite;
+use crate::link::Links;
 use crate::policy::RuntimeOptions;
-use crate::transport::{Net, TransportEvent};
+use crate::transport::{Net, Transport};
 
-/// Idle-receive window after which protocol timers run.
-pub(crate) const TICK: Duration = Duration::from_millis(1);
 /// DAG(T): send a dummy on a copy-graph child link idle this long.
 const HEARTBEAT_PERIOD: Duration = Duration::from_millis(2);
 /// DAG(T): bump the epoch component this often.
@@ -56,32 +39,6 @@ const EPOCH_PERIOD: Duration = Duration::from_millis(20);
 /// DAG(T): skip heartbeats into a lane already this deep (a down or
 /// slow peer must not accumulate unbounded dummies).
 const HEARTBEAT_LANE_CAP: usize = 64;
-
-/// Commands a site thread processes. Link frames do not appear here:
-/// they flow through the transport's event inbox
-/// ([`Net::poll_events`]), and [`Command::Wake`] just nudges the thread
-/// to drain it.
-pub(crate) enum Command {
-    /// Execute a whole transaction and reply with its outcome.
-    Execute { ops: Vec<Op>, reply: Sender<Result<GlobalTxnId, ClusterError>> },
-    /// Non-transactional inspection of one copy.
-    Peek { item: ItemId, reply: Sender<Option<(Value, Option<GlobalTxnId>)>> },
-    /// Serialize the site's full copy state (every item it holds, in
-    /// ascending item order, with values and writer ids) — the
-    /// byte-comparable convergence oracle across deployments.
-    CopyState { reply: Sender<bytes::Bytes> },
-    /// Serialize the site's redo log (crash-recovery support: replaying
-    /// the returned image over an empty store reproduces the site).
-    SnapshotWal { reply: Sender<bytes::Bytes> },
-    /// The transport queued events for this site; wake and drain them.
-    Wake,
-    /// Wake the thread so it notices its crash flag. Carries no state:
-    /// the flag, not the command, is the kill switch, so a crash takes
-    /// effect at the *next* command rather than after the queue drains.
-    Crash,
-    /// Drain and exit.
-    Shutdown,
-}
 
 /// The clock side of DAG(T)'s progress machinery (§3.3): when the last
 /// real send per copy-graph child happened and when the epoch last
@@ -113,23 +70,20 @@ pub(crate) struct Started {
     pub immediate: bool,
 }
 
-/// The nonblocking per-site engine shared by the threaded shell and the
-/// epoll reactor.
+/// The nonblocking per-site engine the reactor drives.
 pub(crate) struct SiteCore {
     pub id: SiteId,
     pub store: Store,
-    /// The reliable-link engine (outboxes + whichever wire this
-    /// deployment runs on).
-    pub net: Arc<Net>,
+    /// The reliable-link engine: outboxes over the site's wire.
+    pub net: Net,
     pub placement: Arc<DataPlacement>,
-    /// Every primary commit of this site (under channels: of the whole
-    /// cluster), already in its `History`-reply encoding.
+    /// Every primary commit of this site, already in its
+    /// `History`-reply encoding.
     pub history: Arc<Mutex<HistoryLog>>,
-    /// Replica applications still in flight, cluster-wide (under TCP:
-    /// this process's share; clients sum across processes).
+    /// This site's share of the replica applications in flight (+ per
+    /// destination of a commit here, −1 per application here).
     pub outstanding: Arc<AtomicI64>,
-    /// The site's stable storage, shared with the cluster so it
-    /// survives this driver.
+    /// The site's stable storage, which outlives this core.
     pub durable: Arc<Mutex<DurableSite>>,
     /// Deployment timing/bound knobs (retry, eager timeout, outbox
     /// high-water, replay cadence, health windows).
@@ -149,20 +103,43 @@ pub(crate) struct SiteCore {
     /// Front-of-outbox sequence per peer at the last sweep; an
     /// unchanged non-empty front means no ack progress → replay.
     front_marks: Vec<u64>,
+    /// The items each prepared BackEdge special holds until its
+    /// decision ([`SiteCore::blocked`]).
+    prepared: Vec<(GlobalTxnId, Vec<ItemId>)>,
     /// First protocol violation observed on the link path; reported to
     /// the next client instead of panicking the driver.
     poisoned: Option<ProtocolError>,
 }
 
-/// The protocol half of a site, built *before* its driver starts so a
+/// The state of a site that outlives a run of its reactor: `repld`
+/// builds it fresh, the in-process `Cluster` keeps it across a crash.
+pub(crate) struct SiteParts {
+    pub durable: Arc<Mutex<DurableSite>>,
+    pub links: Arc<Links>,
+    pub history: Arc<Mutex<HistoryLog>>,
+    pub outstanding: Arc<AtomicI64>,
+}
+
+impl SiteParts {
+    /// A site that has never run, in a cluster of `sites`.
+    pub fn new(sites: usize, group_commit_batch: usize) -> Self {
+        SiteParts {
+            durable: Arc::new(Mutex::new(DurableSite::new(sites, group_commit_batch))),
+            links: Arc::new(Links::new(sites)),
+            history: Arc::default(),
+            outstanding: Arc::default(),
+        }
+    }
+}
+
+/// The protocol half of a site, built *before* its reactor boots so a
 /// structural protocol violation is a typed startup error (surfaced as
 /// [`ClusterError::Protocol`] / a `repld` boot failure), not a mid-run
-/// panic. The store half is recovered on the driver itself (see the
-/// note in `Cluster::spawn_site`) and joined in
-/// [`SiteSetup::into_core`] / [`SiteSetup::into_runtime`].
+/// panic.
 pub(crate) struct SiteSetup {
     machine: SiteMachine,
     timers: Option<DagtTimers>,
+    placement: Arc<DataPlacement>,
 }
 
 impl SiteSetup {
@@ -170,64 +147,66 @@ impl SiteSetup {
         id: SiteId,
         protocol: RuntimeProtocol,
         placement: Arc<DataPlacement>,
-        graph: Arc<CopyGraph>,
-        tree: Option<Arc<PropagationTree>>,
+        Structure { graph, tree }: &Structure,
     ) -> Result<Self, ProtocolError> {
-        let timers = (protocol == RuntimeProtocol::DagT).then(|| DagtTimers::new(id, &graph));
-        let machine = SiteMachine::new(id, protocol.protocol_id(), placement, graph, tree)?;
-        Ok(SiteSetup { machine, timers })
+        let timers = (protocol == RuntimeProtocol::DagT).then(|| DagtTimers::new(id, graph));
+        let (graph, tree) = (graph.clone(), tree.clone());
+        let machine = SiteMachine::new(id, protocol.protocol_id(), placement.clone(), graph, tree)?;
+        Ok(SiteSetup { machine, timers, placement })
     }
 
-    /// Join the protocol half with the I/O half into the shared core.
-    #[allow(clippy::too_many_arguments)]
+    /// The site this half belongs to.
+    pub(crate) fn site(&self) -> SiteId {
+        self.machine.me()
+    }
+
+    /// Join the protocol half with the site's surviving state and wire,
+    /// recovering the store on the calling thread — the one the store
+    /// is then confined to.
     pub(crate) fn into_core(
         self,
-        store: Store,
-        net: Arc<Net>,
-        placement: Arc<DataPlacement>,
-        history: Arc<Mutex<HistoryLog>>,
-        outstanding: Arc<AtomicI64>,
-        durable: Arc<Mutex<DurableSite>>,
+        parts: SiteParts,
+        wire: Arc<dyn Transport>,
         opts: Arc<RuntimeOptions>,
     ) -> SiteCore {
-        let sites = placement.num_sites() as usize;
+        let id = self.machine.me();
+        let store = recovered_store(&self.placement, id, &mut parts.durable.lock());
         SiteCore {
-            id: self.machine.me(),
+            id,
             store,
-            net,
-            placement,
-            history,
-            outstanding,
-            durable,
+            net: Net::new(id, parts.links, wire),
+            front_marks: vec![0; self.placement.num_sites() as usize],
+            placement: self.placement,
+            history: parts.history,
+            outstanding: parts.outstanding,
+            durable: parts.durable,
             opts,
             machine: self.machine,
             timers: self.timers,
             home: None,
             eager_deadline: None,
             last_replay: Instant::now(),
-            front_marks: vec![0; sites],
+            prepared: Vec::new(),
             poisoned: None,
         }
     }
+}
 
-    /// Join the protocol half with the I/O half into a runnable
-    /// threaded site.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn into_runtime(
-        self,
-        store: Store,
-        rx: TracedReceiver<Command>,
-        net: Arc<Net>,
-        placement: Arc<DataPlacement>,
-        history: Arc<Mutex<HistoryLog>>,
-        outstanding: Arc<AtomicI64>,
-        durable: Arc<Mutex<DurableSite>>,
-        crashed: Arc<AtomicBool>,
-        opts: Arc<RuntimeOptions>,
-    ) -> SiteRuntime {
-        let core = self.into_core(store, net, placement, history, outstanding, durable, opts);
-        SiteRuntime { core, rx, crashed, pending: VecDeque::new() }
+/// A site's store rebuilt from stable storage: its checkpoint — before
+/// the first one, its item set at the initial values — plus a replay of
+/// the redo-WAL suffix. With nothing logged yet this is the boot image;
+/// after a crash it is the recovery image.
+fn recovered_store(placement: &DataPlacement, site: SiteId, durable: &mut DurableSite) -> Store {
+    // Commits still in the group-commit staging buffer are durable too.
+    durable.flush_log();
+    if durable.checkpoint.is_empty() {
+        let boot = placement.items_at(site).iter().map(|&i| (i, Value::Initial, None));
+        return recover(boot, &durable.wal);
     }
+    let cells = repl_net::decode_cells(durable.checkpoint.as_slice().into())
+        // replint: allow(RL008) -- the image is this site's own encoding, kept in memory
+        .expect("a site's checkpoint is its own CopyState encoding");
+    recover(cells, &durable.wal)
 }
 
 /// Write set of a local commit: item → final value.
@@ -245,6 +224,7 @@ impl SiteCore {
         // traffic forever — drain it whenever the site comes up for air
         // (a no-op when the pipeline is empty or the batch size is 1).
         self.flush_log(&mut self.durable.lock());
+        self.net.tick();
         self.retransmit_tick();
         let Some(t) = self.timers.as_mut() else { return };
         let now = Instant::now();
@@ -260,7 +240,7 @@ impl SiteCore {
             .iter()
             .enumerate()
             .filter(|&(i, _)| now.duration_since(t.last_sent[i]) >= HEARTBEAT_PERIOD)
-            .filter(|&(_, &c)| self.net.lane_len(self.id, c) < HEARTBEAT_LANE_CAP)
+            .filter(|&(_, &c)| self.net.lane_len(c) < HEARTBEAT_LANE_CAP)
             .map(|(_, &c)| c)
             .collect();
         if !idle_children.is_empty() {
@@ -286,11 +266,11 @@ impl SiteCore {
             if peer == self.id {
                 continue;
             }
-            match self.net.front_seq(self.id, peer) {
+            match self.net.front_seq(peer) {
                 None => self.front_marks[p] = 0,
                 Some(front) => {
                     if self.front_marks[p] == front {
-                        self.net.resume(self.id, peer, 0);
+                        self.net.resume(peer, 0);
                     }
                     self.front_marks[p] = front;
                 }
@@ -300,7 +280,7 @@ impl SiteCore {
 
     /// Peer-health counts for this site's stats: `(up, suspect, down)`.
     pub fn health_counts(&self) -> (u32, u32, u32) {
-        self.net.health_counts(self.id, self.opts.suspect_after, self.opts.down_after)
+        self.net.health_counts(self.opts.suspect_after, self.opts.down_after)
     }
 
     /// If an armed eager-phase deadline has expired, abort the waiting
@@ -317,13 +297,6 @@ impl SiteCore {
         let cmds = self.machine_input(Input::AbortEager { gid });
         self.run_commands(cmds);
         Some(gid)
-    }
-
-    /// Drain the transport inbox and apply every queued frame.
-    pub fn drain_net(&mut self) {
-        for TransportEvent { from, seq, payload } in self.net.poll_events(self.id) {
-            self.apply_frame(from, seq, payload);
-        }
     }
 
     /// Begin a primary transaction: validate, allocate its durable gid,
@@ -361,7 +334,7 @@ impl SiteCore {
                 if peer == self.id {
                     continue;
                 }
-                let queued = self.net.lane_len(self.id, peer);
+                let queued = self.net.lane_len(peer);
                 if queued >= self.opts.outbox_high_water {
                     return Err(ClusterError::Backpressure { peer, queued: queued as u64 });
                 }
@@ -384,6 +357,15 @@ impl SiteCore {
             self.home = None;
         }
         Ok(Started { gid, immediate })
+    }
+
+    /// True while a prepared BackEdge special holds an item `ops` touch:
+    /// the transaction waits for the decision, as for the special's
+    /// locks (§4.1). Run now, it would read the copy the decision is
+    /// about to overwrite after the special's origin committed.
+    pub fn blocked(&self, ops: &[Op]) -> bool {
+        let held = |item| self.prepared.iter().any(|(_, items)| items.contains(&item));
+        ops.iter().any(|op| held(op.item))
     }
 
     /// True exactly once after the machine emitted `CommitLocal` for
@@ -419,16 +401,6 @@ impl SiteCore {
     /// Non-transactional read of one copy.
     pub fn peek(&self, item: ItemId) -> Option<(Value, Option<GlobalTxnId>)> {
         self.store.peek(item).map(|r| (r.value, r.writer))
-    }
-
-    /// The serialized resident redo log — every commit since the last
-    /// checkpoint cut, which is every commit until the log first fills a
-    /// segment. Staged group commits are flushed first so the image
-    /// holds them too.
-    pub fn snapshot_wal(&self) -> bytes::Bytes {
-        let mut d = self.durable.lock();
-        self.flush_log(&mut d);
-        d.wal.encode()
     }
 
     /// Stage one commit's redo records, flushing the batch if that
@@ -485,7 +457,7 @@ impl SiteCore {
             let responses = match cmd {
                 ProtoCommand::Send { to, payload } => {
                     self.note_sent(to, &payload);
-                    let _ = self.net.send(self.id, to, payload);
+                    let _ = self.net.send(to, payload);
                     Vec::new()
                 }
                 ProtoCommand::Apply { gid, writes } => {
@@ -494,17 +466,24 @@ impl SiteCore {
                     }
                     self.machine_input(Input::Applied { gid })
                 }
-                // A serial site holds no locks: preparing is pure
-                // bookkeeping (the machine retains the writes), so the
-                // completion report is immediate.
-                ProtoCommand::Prepare { gid, .. } => self.machine_input(Input::Prepared { gid }),
+                // A serial site takes no locks: preparing records what
+                // the special holds (the machine retains the writes),
+                // so the completion report is immediate.
+                ProtoCommand::Prepare { gid, writes, .. } => {
+                    self.prepared.push((gid, writes.iter().map(|(item, _)| *item).collect()));
+                    self.machine_input(Input::Prepared { gid })
+                }
                 ProtoCommand::CommitPrepared { gid, writes } => {
+                    self.prepared.retain(|(g, _)| *g != gid);
                     if !writes.is_empty() {
                         self.commit_replica_txn(gid, &writes);
                     }
                     Vec::new()
                 }
-                ProtoCommand::AbortPrepared { .. } => Vec::new(),
+                ProtoCommand::AbortPrepared { gid } => {
+                    self.prepared.retain(|(g, _)| *g != gid);
+                    Vec::new()
+                }
                 ProtoCommand::CommitLocal { gid } => {
                     self.home = Some(gid);
                     if self.eager_deadline.is_some_and(|(g, _)| g == gid) {
@@ -624,13 +603,13 @@ impl SiteCore {
     /// retransmission can arrive in FIFO order.
     pub fn apply_frame(&mut self, from: SiteId, seq: u64, payload: Payload) {
         // Any frame is liveness evidence, duplicates and gaps included.
-        self.net.note_peer_progress(self.id, from);
+        self.net.note_progress(from);
         {
             let mut d = self.durable.lock();
             let mark = d.applied_from[from.index()];
             if seq <= mark {
                 drop(d);
-                self.net.ack_received(from, self.id, seq);
+                self.net.ack_received(from, seq);
                 return;
             }
             if seq > mark + 1 {
@@ -640,7 +619,7 @@ impl SiteCore {
         }
         let cmds = self.machine_input(Input::Deliver { from, payload });
         self.run_commands(cmds);
-        self.net.ack_received(from, self.id, seq);
+        self.net.ack_received(from, seq);
     }
 
     /// Every copy this site holds, ascending by item, with value and
@@ -658,153 +637,4 @@ impl SiteCore {
             (i, r.value, r.writer)
         })
     }
-
-    /// The serialized copy state ([`SiteCore::copy_cells`] through the
-    /// shared wire codec).
-    pub fn copy_state(&self) -> bytes::Bytes {
-        let cells = self.copy_cells();
-        // An integer cell with a writer is 26 bytes.
-        let mut image = bytes::BytesMut::with_capacity(4 + cells.len() * 26);
-        repl_net::encode_cells_into(&mut image, cells);
-        image.freeze()
-    }
-}
-
-/// The threaded shell: one OS thread owning a [`SiteCore`], fed by a
-/// command channel.
-pub(crate) struct SiteRuntime {
-    core: SiteCore,
-    rx: TracedReceiver<Command>,
-    /// Set by [`crate::Cluster::crash`]: abandon ship at the next
-    /// command, losing the store and everything still queued.
-    crashed: Arc<AtomicBool>,
-    /// Commands deferred while an eager phase was waiting for its
-    /// special to return home (BackEdge only).
-    pending: VecDeque<Command>,
-}
-
-impl SiteRuntime {
-    /// The thread body: process commands until shutdown or crash.
-    ///
-    /// A crash exit is abrupt by design: the command that woke us is
-    /// *not* processed and the channel queue is dropped un-drained.
-    /// Whatever was lost is exactly what retransmission from the
-    /// senders' outboxes must recover.
-    pub fn run(mut self) {
-        loop {
-            if self.crashed.load(Ordering::SeqCst) {
-                return;
-            }
-            self.core.drain_net();
-            let cmd = if let Some(cmd) = self.pending.pop_front() {
-                cmd
-            } else {
-                match self.rx.recv_timeout(TICK) {
-                    Ok(cmd) => cmd,
-                    Err(RecvTimeoutError::Timeout) => {
-                        self.core.tick();
-                        continue;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => return,
-                }
-            };
-            if self.crashed.load(Ordering::SeqCst) {
-                return;
-            }
-            match cmd {
-                Command::Execute { ops, reply } => {
-                    let result = self.execute(ops);
-                    let _ = reply.send(result);
-                }
-                Command::Peek { item, reply } => {
-                    let _ = reply.send(self.core.peek(item));
-                }
-                Command::CopyState { reply } => {
-                    let _ = reply.send(self.core.copy_state());
-                }
-                Command::SnapshotWal { reply } => {
-                    let _ = reply.send(self.core.snapshot_wal());
-                }
-                Command::Wake => {} // events were drained at the loop head
-                Command::Crash => return,
-                Command::Shutdown => break,
-            }
-            self.core.tick();
-        }
-    }
-
-    /// Execute a primary transaction, blocking through the eager phase
-    /// if the machine opens one.
-    fn execute(&mut self, ops: Vec<Op>) -> Result<GlobalTxnId, ClusterError> {
-        let started = self.core.start_txn(&ops)?;
-        if !started.immediate {
-            match self.wait_for_home(started.gid) {
-                WaitOutcome::Home => {}
-                // The eager deadline expired: the machine aborted the
-                // phase (tombstone + abort decisions down every path),
-                // so nothing committed anywhere.
-                WaitOutcome::Aborted => return Err(ClusterError::EagerTimeout(started.gid)),
-                // Crashed or torn down mid-eager-phase; the transaction
-                // never committed anywhere (prepared writes are not
-                // applied without a decision).
-                WaitOutcome::Dead => return Err(ClusterError::Disconnected),
-            }
-        }
-        self.core.complete_txn(started.gid, &ops);
-        Ok(started.gid)
-    }
-
-    /// Serve the inbox until our special returns home (§4: the machine
-    /// emits `CommitLocal` when it pops our special off the FIFO
-    /// queue). Client transactions and shutdown are deferred (the site
-    /// is inside a commit); link traffic, reads and snapshots proceed.
-    fn wait_for_home(&mut self, gid: GlobalTxnId) -> WaitOutcome {
-        loop {
-            self.core.drain_net();
-            if self.core.take_home(gid) {
-                return WaitOutcome::Home;
-            }
-            if self.core.check_eager_timeout() == Some(gid) {
-                return WaitOutcome::Aborted;
-            }
-            if self.crashed.load(Ordering::SeqCst) {
-                return WaitOutcome::Dead;
-            }
-            let cmd = match self.rx.recv_timeout(TICK) {
-                Ok(cmd) => cmd,
-                Err(RecvTimeoutError::Timeout) => {
-                    // Keep the stall replay running: the special (or
-                    // the decision coming back) may be exactly what a
-                    // partition swallowed.
-                    self.core.tick();
-                    continue;
-                }
-                Err(RecvTimeoutError::Disconnected) => return WaitOutcome::Dead,
-            };
-            match cmd {
-                Command::Wake => {} // drained at the loop head
-                Command::Peek { item, reply } => {
-                    let _ = reply.send(self.core.peek(item));
-                }
-                Command::CopyState { reply } => {
-                    let _ = reply.send(self.core.copy_state());
-                }
-                Command::SnapshotWal { reply } => {
-                    let _ = reply.send(self.core.snapshot_wal());
-                }
-                Command::Crash => return WaitOutcome::Dead,
-                cmd @ (Command::Execute { .. } | Command::Shutdown) => self.pending.push_back(cmd),
-            }
-        }
-    }
-}
-
-/// How an eager-phase wait ended.
-enum WaitOutcome {
-    /// The special came home; complete the commit.
-    Home,
-    /// The eager deadline expired and the machine aborted the phase.
-    Aborted,
-    /// The site crashed or was torn down while waiting.
-    Dead,
 }

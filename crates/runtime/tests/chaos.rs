@@ -12,12 +12,14 @@
 //!   the lane passes its high-water mark, so memory stays bounded no
 //!   matter how long the partition lasts.
 
+use std::path::Path;
 use std::time::Duration;
 
 use repl_copygraph::DataPlacement;
 use repl_core::history::History;
 use repl_runtime::{
-    Cluster, ClusterError, ClusterHandle, NetFaultPlan, RuntimeOptions, RuntimeProtocol,
+    Cluster, ClusterError, ClusterHandle, LaunchOptions, NetFaultPlan, ProcCluster, RuntimeOptions,
+    RuntimeProtocol,
 };
 use repl_types::{ItemId, Op, SiteId};
 
@@ -94,6 +96,50 @@ fn eager_phase_partition_aborts_and_heals() {
     assert!(saw_committed, "post-heal commit missing from history");
     history.check_serializability().expect("history serializes");
 
+    cluster.shutdown();
+}
+
+/// [`eager_phase_partition_aborts_and_heals`] on a `repld` fleet, where
+/// the abort crosses the wire: the client gets the same typed
+/// [`ClusterError::EagerTimeout`], not an untyped I/O error.
+#[test]
+fn eager_phase_partition_aborts_and_heals_on_repld() {
+    let plan = NetFaultPlan::seeded(0x00EA_9E12).partition(SiteId(0), SiteId(2), 0, 600);
+    let launch = LaunchOptions {
+        nemesis: Some(plan.to_spec()),
+        eager_timeout_ms: Some(150),
+        ..LaunchOptions::default()
+    };
+    let repld = Path::new(env!("CARGO_BIN_EXE_repld"));
+    let cluster = ProcCluster::launch_with_options(
+        repld,
+        &cyclic_placement(),
+        RuntimeProtocol::BackEdge,
+        &launch,
+    )
+    .expect("launch");
+    let handle: &dyn ClusterHandle = &cluster;
+
+    let aborted = match handle.execute(SiteId(2), vec![Op::write(ItemId(2), 1)]) {
+        Err(ClusterError::EagerTimeout(gid)) => gid,
+        other => panic!("expected an eager-timeout abort, got {other:?}"),
+    };
+    std::thread::sleep(Duration::from_millis(700));
+    let committed =
+        handle.execute(SiteId(2), vec![Op::write(ItemId(2), 2)]).expect("post-heal commit");
+    assert_ne!(aborted, committed);
+    handle.quiesce().expect("quiesce");
+    for site in [SiteId(2), SiteId(0)] {
+        let (value, writer) = handle.peek(site, ItemId(2)).expect("copy exists");
+        assert_eq!((value.as_int(), writer), (Some(2), Some(committed)), "site {site}");
+    }
+    let mut history = History::new();
+    for (gid, reads, writes) in handle.history().expect("history") {
+        assert_ne!(gid, aborted, "aborted gid leaked into the committed history");
+        history.record_commit(gid, reads, writes);
+    }
+    assert!(history.txns().iter().any(|t| t.gid == committed), "post-heal commit missing");
+    history.check_serializability().expect("history serializes");
     cluster.shutdown();
 }
 

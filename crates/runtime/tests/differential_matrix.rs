@@ -2,10 +2,11 @@
 //!
 //! Since the propagation decisions of every protocol live in one shared
 //! sans-I/O [`repl_protocol::SiteMachine`], the discrete-event simulator,
-//! the in-process channel cluster, and the process-per-site loopback
-//! TCP cluster (`repld`) must all end in **byte-identical** final copy
-//! state — same values, same writer transaction ids, same wire encoding
-//! — for every protocol on every placement.
+//! the in-process cluster (a reactor thread per site), and the
+//! process-per-site loopback cluster (`repld`) must all end in
+//! **byte-identical** final copy state — same values, same writer
+//! transaction ids, same wire encoding — for every protocol on every
+//! placement.
 //!
 //! The workloads are conflict-free by construction (write-only, one
 //! submitting thread per site, each site writing only its own primary
@@ -208,10 +209,10 @@ fn sim_final_state_tuned(
     params.threads_per_site = 1;
     params.txns_per_thread = txns_per_site;
     params.snapshot_reads = snapshot_reads;
-    // The runtime's `wait_for_home` has no timeout, so a sim-side eager
-    // timeout (which retries under a fresh gid) would skew the writer
-    // ids. The workload is conflict-free; the timeout can never be
-    // load-bearing here.
+    // A sim-side eager timeout retries the transaction under a fresh
+    // gid, which would skew the writer ids; the runtime's 10 s eager
+    // deadline never fires on this conflict-free workload, so neither
+    // may the simulator's.
     params.eager_wait_timeout_factor = 1_000_000;
     tune(&mut params);
     let mut engine = Engine::new(placement, &params, progs.to_vec()).expect("engine builds");
@@ -240,8 +241,8 @@ fn sim_final_state_tuned(
 }
 
 /// Round-robin the programs through any deployment and capture every
-/// site's quiescent copy state. One driver for the channel cluster and
-/// both TCP reactors — the [`ClusterHandle`] seam under test.
+/// site's quiescent copy state. One driver for both live deployments —
+/// the [`ClusterHandle`] seam under test.
 fn drive_final_state(
     cluster: &dyn ClusterHandle,
     progs: &[Vec<Vec<Vec<Op>>>],
@@ -260,8 +261,8 @@ fn drive_final_state(
     (0..cluster.num_sites()).map(|s| cluster.copy_state(SiteId(s)).expect("copy state")).collect()
 }
 
-/// The in-process channel cluster column.
-fn channel_final_state(
+/// The in-process cluster column.
+fn in_process_final_state(
     placement: &DataPlacement,
     protocol: RuntimeProtocol,
     progs: &[Vec<Vec<Vec<Op>>>],
@@ -325,8 +326,8 @@ fn assert_matrix_cell(
     let txns = txns_per_site();
     let progs = programs(placement, txns, seed);
     let sim_state = sim_final_state(placement, sim, &progs, txns);
-    let chan_state = channel_final_state(placement, runtime, &progs);
-    assert_states_identical(label, "channel cluster", &sim_state, &chan_state);
+    let in_process_state = in_process_final_state(placement, runtime, &progs);
+    assert_states_identical(label, "in-process cluster", &sim_state, &in_process_state);
     let tcp_state = proc_final_state(placement, runtime, &progs);
     assert_states_identical(label, "TCP cluster", &sim_state, &tcp_state);
     // Non-degenerate: the workload must actually have written something.
@@ -350,7 +351,7 @@ fn assert_history_1sr(label: &str, cluster: &dyn ClusterHandle) {
 
 /// The MVCC column: a mixed read/write workload with snapshot reads
 /// enabled in every deployment — the simulator runs with
-/// `SimParams::snapshot_reads`, the channel cluster with
+/// `SimParams::snapshot_reads`, the in-process cluster with
 /// `RuntimeOptions::mvcc_reads`, and the `repld` fleet with `--mvcc`.
 /// Final copy state must stay byte-identical to the simulator and every
 /// live history must be one-copy serializable.
@@ -379,10 +380,10 @@ fn mvcc_snapshot_read_matrix() {
 
         let options = RuntimeOptions { mvcc_reads: true, ..RuntimeOptions::default() };
         let cluster = Cluster::start_with(&placement, runtime, options).expect("cluster starts");
-        let chan_state = drive_final_state(&cluster, &progs);
+        let in_process_state = drive_final_state(&cluster, &progs);
         assert_history_1sr(label, &cluster);
         cluster.shutdown();
-        assert_states_identical(label, "MVCC channel cluster", &sim_state, &chan_state);
+        assert_states_identical(label, "MVCC in-process cluster", &sim_state, &in_process_state);
 
         let launch = LaunchOptions { mvcc: true, ..LaunchOptions::default() };
         let cluster = ProcCluster::launch_with_options(repld(), &placement, runtime, &launch)
@@ -447,13 +448,13 @@ fn partition_heal_matrix() {
     let options = RuntimeOptions { nemesis: Some(plan.clone()), ..RuntimeOptions::default() };
     let cluster =
         Cluster::start_with(&placement, RuntimeProtocol::DagWt, options).expect("cluster starts");
-    let chan_state = drive_final_state(&cluster, &progs);
+    let in_process_state = drive_final_state(&cluster, &progs);
     cluster.shutdown();
     assert_states_identical(
         "partition-heal/fan",
-        "nemesis channel cluster",
+        "nemesis in-process cluster",
         &sim_state,
-        &chan_state,
+        &in_process_state,
     );
 
     let launch = LaunchOptions { nemesis: Some(plan.to_spec()), ..LaunchOptions::default() };

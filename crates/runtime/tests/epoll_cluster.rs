@@ -1,6 +1,6 @@
 //! End-to-end tests for the process-per-site TCP deployment (`repld`,
-//! the epoll reactor): transport equivalence against the in-process
-//! channel cluster, mid-run connection kills, a 256-connection smoke
+//! the epoll reactor): equivalence with the in-process cluster, mid-run
+//! connection kills on both, a 256-connection smoke
 //! test on one readiness loop, a placement too large to pass item by
 //! item on a command line and the handshake fingerprint of a run-form
 //! placement, the typed-error path for malformed
@@ -91,7 +91,7 @@ fn epoll_commits_and_replicates() {
     let placement = dag_placement();
     let cluster = epoll_cluster(&placement, RuntimeProtocol::DagWt);
     cluster.execute(SiteId(0), vec![Op::write(ItemId(0), 41)]).unwrap().unwrap();
-    ProcCluster::quiesce(&cluster).expect("quiesce");
+    ClusterHandle::quiesce(&cluster).expect("quiesce");
     for s in [0u32, 1, 2] {
         let cell = cluster.peek(SiteId(s), ItemId(0)).expect("copy readable");
         assert_eq!(cell.0, Value::int(41), "site {s} copy diverged");
@@ -159,26 +159,33 @@ fn epoll_admits_the_per_item_fingerprint_of_a_run_form_placement() {
     cluster.shutdown();
 }
 
-/// The acceptance scenario on the epoll path: a mid-run connection kill
-/// between two sites forces reconnect + resume + outbox retransmission
-/// inside the readiness loop, and the final state must still match the
-/// undisturbed channel run byte for byte.
+/// The acceptance scenario: a mid-run connection kill between two sites
+/// forces reconnect + resume + outbox retransmission inside the
+/// readiness loop, and the final state must still match the undisturbed
+/// run byte for byte — on a `repld` fleet and on the in-process cluster.
 #[test]
 fn epoll_mid_run_connection_kill_recovers_to_identical_state() {
     let placement = dag_placement();
     let progs = programs(&placement, 30, 15);
+    let kill = Some((10, SiteId(0), SiteId(2)));
     let chan_cluster = Cluster::start(&placement, RuntimeProtocol::DagWt).unwrap();
     let chan = final_state(&chan_cluster, &progs, None);
     chan_cluster.shutdown();
     let epoll = epoll_cluster(&placement, RuntimeProtocol::DagWt);
-    let epoll_state = final_state(&epoll, &progs, Some((10, SiteId(0), SiteId(2))));
+    let epoll_state = final_state(&epoll, &progs, kill);
     epoll.shutdown();
     assert_eq!(chan, epoll_state, "kill + reconnect changed the final copy state");
+    let in_process = Cluster::start(&placement, RuntimeProtocol::DagWt).unwrap();
+    let in_process_state = final_state(&in_process, &progs, kill);
+    in_process.shutdown();
+    assert_eq!(chan, in_process_state, "kill + reconnect changed the in-process copy state");
     assert!(chan.iter().any(|s| !s.is_empty()));
 }
 
 /// BackEdge's eager phase (cyclic placement) through the reactor: the
-/// in-flight transaction parks while the eager round-trip completes.
+/// in-flight transaction parks while the eager round-trip completes, and
+/// one at the special's target waits for its decision (without that
+/// wait, this history had a cycle in four runs of ten).
 #[test]
 fn epoll_backedge_cyclic_matches_channel() {
     let placement = cyclic_placement();
@@ -188,8 +195,13 @@ fn epoll_backedge_cyclic_matches_channel() {
     chan_cluster.shutdown();
     let epoll = epoll_cluster(&placement, RuntimeProtocol::BackEdge);
     let epoll_state = final_state(&epoll, &progs, None);
+    let mut history = repl_core::History::new();
+    for (gid, reads, writes) in ProcCluster::history(&epoll).expect("history") {
+        history.record_commit(gid, reads, writes);
+    }
     epoll.shutdown();
     assert_eq!(chan, epoll_state, "BackEdge final copy state differs between deployments");
+    history.check_serializability().expect("Theorem 4.1: BackEdge histories are serializable");
 }
 
 /// One readiness loop serves 256 concurrent client connections: open
@@ -220,7 +232,7 @@ fn epoll_serves_256_concurrent_clients() {
     }
     assert_eq!(committed, CONNS);
 
-    ProcCluster::quiesce(&cluster).expect("quiesce");
+    ClusterHandle::quiesce(&cluster).expect("quiesce");
     // All copies converged on the same (last-committed) write.
     let origin = cluster.peek(SiteId(0), ItemId(0)).expect("primary readable");
     for s in [1u32, 2] {
@@ -302,7 +314,7 @@ fn epoll_dagt_conflicting_heads_queued_behind_a_dummy_converge() {
             });
         }
     });
-    ProcCluster::quiesce(&cluster).expect("quiesce");
+    ClusterHandle::quiesce(&cluster).expect("quiesce");
     for &item in &items {
         let primary = cluster.peek(SiteId(0), item).expect("primary readable");
         for s in [1u32, 2] {
@@ -410,7 +422,7 @@ fn epoll_batch_frame_on_a_peer_link_closes_it_and_the_fleet_reconverges() {
     }
 
     cluster.execute(SiteId(0), vec![Op::write(ItemId(0), 77)]).unwrap().unwrap();
-    ProcCluster::quiesce(&cluster).expect("quiesce after the re-dial");
+    ClusterHandle::quiesce(&cluster).expect("quiesce after the re-dial");
     for s in [1u32, 2] {
         let cell = cluster.peek(SiteId(s), ItemId(0)).expect("replica readable");
         assert_eq!(cell.0, Value::int(77), "site {s}");

@@ -1,4 +1,4 @@
-//! A history longer than one frame, fetched over every transport.
+//! A history longer than one frame, fetched from both deployments.
 //!
 //! A site's `History` reply used to be its whole history in one frame,
 //! so `history()` failed over TCP — the reactor dropped the connection
@@ -46,9 +46,9 @@ fn ten_thousand_updates_are_fetched_and_checked_over_every_transport() {
     // entry were as short as the first ones (26 bytes).
     const { assert!(UPDATES * 26 > MAX_FRAME_LEN as usize) };
 
-    let channel = Cluster::start(&placement, RuntimeProtocol::DagWt).unwrap();
-    let expected = run(&channel, &items);
-    channel.shutdown();
+    let in_process = Cluster::start(&placement, RuntimeProtocol::DagWt).unwrap();
+    let expected = run(&in_process, &items);
+    in_process.shutdown();
     assert_eq!(expected.len(), UPDATES + 1);
     let mut history = History::new();
     for (gid, reads, writes) in expected.iter().cloned() {
@@ -68,7 +68,7 @@ fn ten_thousand_updates_are_fetched_and_checked_over_every_transport() {
     // One serial client: both deployments commit the same transactions,
     // reading the same versions, so the same history passes the same
     // check.
-    assert!(got == expected, "TCP: history differs from the channel cluster's");
+    assert!(got == expected, "repld: history differs from the in-process cluster's");
     assert_eq!(cluster.stats(SiteId(0)).unwrap().committed, UPDATES as u64 + 1);
     cluster.shutdown();
 }

@@ -1,14 +1,14 @@
-//! Transport equivalence: the same seeded workload, run once on the
-//! in-process channel cluster and once on a loopback TCP cluster with
-//! one `repld` OS process per site, must end in byte-identical copy
-//! state at every site. This file holds the DAG(T) case and the
+//! Deployment equivalence: the same seeded workload, run once on the
+//! in-process cluster and once on a loopback TCP cluster with one
+//! `repld` OS process per site, must end in byte-identical copy state at
+//! every site. This file holds the DAG(T) case and the
 //! per-process `Stats` counters; DAG(WT), BackEdge and the mid-run
 //! connection kill are in `epoll_cluster.rs`.
 //!
 //! Equivalence holds because final copy state is transport-independent
 //! by construction: each item is written only at its primary, links
 //! deliver each origin's updates exactly once in order (outbox +
-//! dedup/gap marks on both transports), so the last applied write per
+//! dedup/gap marks), so the last applied write per
 //! copy is fixed by the per-site submission order alone.
 
 use std::path::Path;
@@ -72,7 +72,7 @@ fn dag_t_channel_and_tcp_states_identical() {
 fn stats_reach_zero_outstanding() {
     let cluster = tcp_cluster(&dag_placement(), RuntimeProtocol::DagWt);
     cluster.execute(SiteId(0), vec![Op::write(ItemId(0), 9)]).unwrap().unwrap();
-    ProcCluster::quiesce(&cluster).expect("quiesce");
+    ClusterHandle::quiesce(&cluster).expect("quiesce");
     // Per-process outstanding counters are deltas (+dests at the origin,
     // −1 per application elsewhere); only the cluster-wide sum is zero.
     let mut outstanding_sum = 0;

@@ -35,6 +35,12 @@ impl AddressMap {
         self.entries.insert(pos, (site, addr));
     }
 
+    /// Point `site` at `addr` alone (a site that moved, say).
+    pub fn set(&mut self, site: SiteId, addr: impl Into<String>) {
+        self.entries.retain(|(s, _)| *s != site);
+        self.insert(site, addr);
+    }
+
     /// The first address recorded for `site`.
     pub fn get(&self, site: SiteId) -> Option<&str> {
         self.entries.iter().find(|(s, _)| *s == site).map(|(_, a)| a.as_str())
@@ -86,6 +92,17 @@ mod tests {
         assert_eq!(sites, vec![0, 1, 1, 2]);
         assert_eq!(m.get(SiteId(1)), Some("b:2"));
         assert_eq!(m.len(), 4);
+    }
+
+    #[test]
+    fn set_replaces_every_address_of_the_site() {
+        let mut m = AddressMap::new();
+        m.insert(SiteId(1), "b:2");
+        m.insert(SiteId(1), "b2:4");
+        m.insert(SiteId(0), "a:1");
+        m.set(SiteId(1), "b3:5");
+        assert_eq!(m.get(SiteId(1)), Some("b3:5"));
+        assert_eq!(m.len(), 2);
     }
 
     #[test]

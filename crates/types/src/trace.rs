@@ -1,11 +1,12 @@
 //! Happens-before trace collection for the race detector.
 //!
-//! The threaded runtime (`repl-runtime`) and the storage engine
-//! (`repl-storage`) record synchronization and data-access events here when
-//! tracing is enabled; `repl-analysis` replays the recorded trace through a
-//! vector-clock happens-before analysis and reports conflicting store-slot
-//! accesses that no synchronization edge orders — an independent,
-//! ThreadSanitizer-style check on the DAG(WT) threaded deployment.
+//! The storage engine (`repl-storage`) records synchronization and
+//! data-access events here when tracing is enabled; `repl-analysis`
+//! replays the recorded trace through a vector-clock happens-before
+//! analysis and reports conflicting store-slot accesses that no
+//! synchronization edge orders — an independent, ThreadSanitizer-style
+//! check that the live runtime confines every store to its site's
+//! reactor thread.
 //!
 //! The collector is process-global and **off by default**: every
 //! instrumentation site is gated on one relaxed atomic load, so production
@@ -13,13 +14,11 @@
 //! the caller (the collector holds one global event log); the race-detector
 //! tests take a lock around enable/`take`.
 //!
-//! Three kinds of events are recorded:
+//! Two kinds of events are recorded:
 //!
 //! * **Lock events** from the strict-2PL lock manager: a release of an
 //!   item's lock happens-before every later acquire of the same item in
 //!   the same lock *scope* (one scope per store instance);
-//! * **Channel events** from the runtime's site channels: a send
-//!   happens-before the receive of the same `(channel, seq)` message;
 //! * **Access events**: transactional reads/writes of a store slot, plus
 //!   non-transactional `peek`s (which take no lock — exactly the kind of
 //!   access the detector exists to catch when it races a writer).
@@ -55,20 +54,6 @@ pub enum TraceEvent {
         /// The transaction that held the lock.
         txn: TxnId,
     },
-    /// Message `seq` was sent on `channel`.
-    ChanSend {
-        /// Channel identity (one per traced channel).
-        channel: u64,
-        /// Per-channel message sequence number.
-        seq: u64,
-    },
-    /// Message `seq` was received from `channel`.
-    ChanRecv {
-        /// Channel identity (one per traced channel).
-        channel: u64,
-        /// Per-channel message sequence number.
-        seq: u64,
-    },
     /// A store slot `(scope, item)` was read or written.
     Access {
         /// Store identity (shared with the store's lock scope).
@@ -98,7 +83,6 @@ pub struct TimedEvent {
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static EVENTS: Mutex<Vec<TimedEvent>> = Mutex::new(Vec::new());
 static NEXT_SCOPE: AtomicU64 = AtomicU64::new(1);
-static NEXT_CHANNEL: AtomicU64 = AtomicU64::new(1);
 static NEXT_THREAD: AtomicU32 = AtomicU32::new(0);
 
 thread_local! {
@@ -120,11 +104,6 @@ pub fn thread_index() -> u32 {
 /// Allocate a fresh lock/store scope identity.
 pub fn next_scope_id() -> u64 {
     NEXT_SCOPE.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Allocate a fresh channel identity.
-pub fn next_channel_id() -> u64 {
-    NEXT_CHANNEL.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Turn event recording on. Existing buffered events are kept; call
@@ -172,7 +151,7 @@ mod tests {
     fn disabled_collector_records_nothing() {
         disable();
         let _ = take();
-        record(TraceEvent::ChanSend { channel: 1, seq: 1 });
+        record(TraceEvent::Access { scope: 1, item: ItemId(1), txn: NO_TXN, write: true });
         assert!(take().is_empty());
     }
 
@@ -181,9 +160,6 @@ mod tests {
         let a = next_scope_id();
         let b = next_scope_id();
         assert_ne!(a, b);
-        let c = next_channel_id();
-        let d = next_channel_id();
-        assert_ne!(c, d);
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! A *live* replication cluster: real OS threads (one per site), real
-//! channels, concurrent clients — the threaded runtime from
-//! `repl-runtime`, architected like the paper's prototype (DataBlitz
-//! instances talking over sockets).
+//! A *live* replication cluster: one epoll reactor thread per site,
+//! talking to the others over loopback TCP, and concurrent clients —
+//! the in-process `Cluster` from `repl-runtime`, which runs the same
+//! site reactor as a `repld` process, architected like the paper's
+//! prototype (DataBlitz instances talking over sockets).
 //!
 //! Runs DAG(WT) over the warehouse-style topology with concurrent client
 //! threads, waits for quiescence, then checks one-copy serializability

@@ -27,7 +27,7 @@ echo "==> mc_smoke (exhaustive bounded model check, 3 sites / 2 txns, all four p
 echo "==> benchmark package gate (benchmark/ path-depends on crates/ and may not be edited: an API break must fail here, not in the benchmark run)"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> differential matrix gate (sim vs channel vs TCP at 6 txns a site, incl. the MVCC and nemesis cells; the batched cell is batched sim vs serial sim)"
+echo "==> differential matrix gate (sim vs in-process vs repld at 6 txns a site, incl. the MVCC and nemesis cells; the batched cell is batched sim vs serial sim)"
 DIFF_MATRIX_TXNS=6 cargo test -q -p repl-runtime --test differential_matrix
 
 echo "==> MVCC smoke gate (quick read-heavy sweep; exits 1 unless MVCC beats 2PL at read-pct >= 0.8)"
@@ -47,7 +47,7 @@ REPRO_SCALE=quick REPRO_WORKERS=4 REPRO_NO_CACHE=1 ./target/release/fault_sweep 
 echo "==> fleet smoke (the benchmark's read_closed workload against a 3-process repld fleet, 2 s, correctness pass included)"
 bash benchmark/run.sh --workload read_closed --seed 1 --seconds 2 --trace 0 > /dev/null
 
-echo "==> chaos smoke (seeded nemesis, 4 protocols on channel + tcp, convergence + 1SR)"
+echo "==> chaos smoke (seeded nemesis, 4 protocols on inproc + tcp, convergence + 1SR)"
 REPLD_BIN=./target/release/repld ./target/release/chaos_soak \
     --smoke --out /tmp/bench_chaos_smoke.json > /dev/null
 
