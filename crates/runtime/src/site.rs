@@ -22,6 +22,7 @@ use repl_copygraph::{CopyGraph, DataPlacement};
 use repl_net::{HistoryLog, Payload};
 use repl_protocol::{
     destinations, planned_writes, Command as ProtoCommand, Input, ProtocolError, SiteMachine,
+    Timestamp,
 };
 use repl_storage::{recover, Store};
 use repl_types::{GlobalTxnId, ItemId, Op, OpKind, SiteId, Value};
@@ -32,7 +33,11 @@ use crate::link::Links;
 use crate::policy::RuntimeOptions;
 use crate::transport::{Net, Transport};
 
-/// DAG(T): send a dummy on a copy-graph child link idle this long.
+/// DAG(T) idle fallback: send a dummy on a copy-graph child link idle
+/// this long. A child waiting on this site's column because of a
+/// secondary this site applied gets its dummy at once
+/// ([`SiteCore::apply_frame`]); this period covers a parent that
+/// applies nothing the child is waiting on.
 const HEARTBEAT_PERIOD: Duration = Duration::from_millis(2);
 /// DAG(T): bump the epoch component this often.
 const EPOCH_PERIOD: Duration = Duration::from_millis(20);
@@ -240,13 +245,34 @@ impl SiteCore {
             .iter()
             .enumerate()
             .filter(|&(i, _)| now.duration_since(t.last_sent[i]) >= HEARTBEAT_PERIOD)
-            .filter(|&(_, &c)| self.net.lane_len(c) < HEARTBEAT_LANE_CAP)
             .map(|(_, &c)| c)
             .collect();
-        if !idle_children.is_empty() {
-            let cmds = self.machine_input(Input::HeartbeatTick { idle_children });
+        self.send_dummies(idle_children);
+    }
+
+    /// DAG(T): feed the machine a heartbeat for `children`, less those
+    /// whose lane is already [`HEARTBEAT_LANE_CAP`] deep.
+    fn send_dummies(&mut self, mut children: Vec<SiteId>) {
+        children.retain(|&c| self.net.lane_len(c) < HEARTBEAT_LANE_CAP);
+        if !children.is_empty() {
+            let cmds = self.machine_input(Input::HeartbeatTick { idle_children: children });
             self.run_commands(cmds);
         }
+    }
+
+    /// DAG(T): if the secondaries a delivery just applied moved the
+    /// site timestamp past `before`, send every copy-graph child a dummy
+    /// now, not at the idle fallback. The site never forwards, so each
+    /// child got those transactions from their origin and may now be
+    /// waiting on this site's column (§3.3); the timestamp only grows,
+    /// so no frame sent before carries the moved one. When the merge
+    /// left it where it was (this site's epoch leads), nothing goes.
+    fn dummies_after_merge(&mut self, before: &Timestamp) {
+        if self.machine.site_ts() == before {
+            return;
+        }
+        let children = self.timers.as_ref().map_or_else(Vec::new, |t| t.children.clone());
+        self.send_dummies(children);
     }
 
     /// Stall recovery: every `replay_period`, replay any outgoing lane
@@ -618,7 +644,13 @@ impl SiteCore {
             d.applied_from[from.index()] = seq;
         }
         let cmds = self.machine_input(Input::Deliver { from, payload });
+        // DAG(T): the site timestamp before this delivery's secondaries
+        // apply (a delivered dummy has already merged inside `Deliver`).
+        let before = self.timers.is_some().then(|| self.machine.site_ts().clone());
         self.run_commands(cmds);
+        if let Some(before) = before {
+            self.dummies_after_merge(&before);
+        }
         self.net.ack_received(from, seq);
     }
 
@@ -636,5 +668,98 @@ impl SiteCore {
             let r = self.store.peek(i).expect("placement copy exists in store");
             (i, r.value, r.writer)
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::build_structure;
+    use crate::transport::SendStatus;
+    use repl_protocol::SubtxnKind;
+
+    /// A wire that keeps every frame handed to it.
+    #[derive(Default)]
+    struct Recorder(Mutex<Vec<(SiteId, u64, Payload)>>);
+
+    impl Recorder {
+        fn take(&self) -> Vec<(SiteId, u64, Payload)> {
+            std::mem::take(&mut *self.0.lock())
+        }
+    }
+
+    impl Transport for Recorder {
+        fn try_send(&self, to: SiteId, seq: u64, payload: &Payload) -> SendStatus {
+            self.0.lock().push((to, seq, payload.clone()));
+            SendStatus::Sent
+        }
+
+        fn send_ack(&self, _: SiteId, _: u64) -> SendStatus {
+            SendStatus::Sent
+        }
+    }
+
+    /// s0 and s1 of `chain3` with one item a site (s0's copied at s1
+    /// and s2, s1's at s2), each over its own recorder.
+    fn chain3_s0_s1(protocol: RuntimeProtocol) -> [(SiteCore, Arc<Recorder>); 2] {
+        let mut placement = DataPlacement::new(3);
+        placement.add_run(SiteId(0), &[SiteId(1), SiteId(2)], 1);
+        placement.add_run(SiteId(1), &[SiteId(2)], 1);
+        placement.add_run(SiteId(2), &[], 1);
+        let structure = build_structure(&placement, protocol).expect("chain3 is a DAG");
+        let placement = Arc::new(placement);
+        [0, 1].map(|s| {
+            let wire = Arc::new(Recorder::default());
+            let core = SiteSetup::new(SiteId(s), protocol, placement.clone(), &structure)
+                .expect("chain3 site")
+                .into_core(SiteParts::new(3, 1), wire.clone(), Arc::default());
+            (core, wire)
+        })
+    }
+
+    /// Commit `value` to s0's item at s0; the frame that carries it to s1.
+    fn commit_at_s0(s0: &mut SiteCore, wire: &Recorder, value: i64) -> (u64, Payload) {
+        let ops = [Op::write(ItemId(0), value)];
+        let started = s0.start_txn(&ops).expect("s0 is the item's primary");
+        assert!(started.immediate);
+        s0.complete_txn(started.gid, &ops);
+        let (_, seq, payload) =
+            wire.take().into_iter().find(|(to, ..)| *to == SiteId(1)).expect("a frame to s1");
+        (seq, payload)
+    }
+
+    /// Under DAG(T), s2 holds s0's update from s0 itself and may wait on
+    /// s1's column: the secondary s1 applies moves s1's timestamp, and
+    /// s1 sends s2 one dummy carrying it before any timer runs. Once
+    /// s1's epoch leads, a secondary leaves the timestamp where it was
+    /// and nothing goes. Under DAG(WT), s1 only forwards.
+    #[test]
+    fn an_applied_secondary_that_moves_the_timestamp_sends_the_child_a_dummy() {
+        let [(mut s0, w0), (mut s1, w1)] = chain3_s0_s1(RuntimeProtocol::DagT);
+        let (seq, sub) = commit_at_s0(&mut s0, &w0, 1);
+        let before = s1.machine.site_ts().clone();
+        s1.apply_frame(SiteId(0), seq, sub);
+        let ts = s1.machine.site_ts().clone();
+        assert!(ts > before, "{before:?} -> {ts:?}");
+        match &w1.take()[..] {
+            [(SiteId(2), _, Payload::Subtxn(dummy))] => {
+                assert_eq!(dummy.kind, SubtxnKind::Dummy);
+                assert_eq!(dummy.ts.as_ref(), Some(&ts));
+            }
+            sent => panic!("expected one dummy to s2, sent {sent:?}"),
+        }
+
+        assert!(s1.machine_input(Input::EpochTick).is_empty());
+        let ts = s1.machine.site_ts().clone();
+        let (seq, sub) = commit_at_s0(&mut s0, &w0, 2);
+        s1.apply_frame(SiteId(0), seq, sub);
+        assert_eq!(s1.peek(ItemId(0)).map(|(v, _)| v), Some(Value::int(2)));
+        assert_eq!(s1.machine.site_ts(), &ts);
+        assert_eq!(w1.take(), []);
+
+        let [(mut s0, w0), (mut s1, w1)] = chain3_s0_s1(RuntimeProtocol::DagWt);
+        let (seq, sub) = commit_at_s0(&mut s0, &w0, 1);
+        s1.apply_frame(SiteId(0), seq, sub.clone());
+        assert_eq!(w1.take(), [(SiteId(2), 1, sub)]);
     }
 }

@@ -1,12 +1,18 @@
 //! End-to-end tests for the process-per-site TCP deployment (`repld`,
-//! the epoll reactor): equivalence with the in-process cluster, mid-run
-//! connection kills on both, a 256-connection smoke
+//! the epoll reactor): equivalence with the in-process cluster under
+//! DAG(T) and BackEdge, mid-run connection kills on both, the
+//! per-process `Stats` counters, a 256-connection smoke
 //! test on one readiness loop, a placement too large to pass item by
 //! item on a command line and the handshake fingerprint of a run-form
 //! placement, the typed-error path for malformed
 //! client frames, and the refusals of the removed batching knobs and of
-//! a `Batch` frame on a peer link. `tcp_cluster.rs` holds the DAG(T)
-//! identity and `Stats` cases.
+//! a `Batch` frame on a peer link.
+//!
+//! Equivalence holds because final copy state is transport-independent
+//! by construction: each item is written only at its primary, links
+//! deliver each origin's updates exactly once in order (outbox +
+//! dedup/gap marks), so the last applied write per
+//! copy is fixed by the per-site submission order alone.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -82,6 +88,48 @@ fn final_state(
     }
     cluster.quiesce().expect("quiesce");
     (0..cluster.num_sites()).map(|s| cluster.copy_state(SiteId(s)).expect("copy state")).collect()
+}
+
+/// The same seeded DAG(T) workload ends in byte-identical copy state on
+/// the in-process cluster and on a `repld` fleet.
+#[test]
+fn dag_t_in_process_and_repld_states_identical() {
+    let placement = dag_placement();
+    let progs = programs(&placement, 25, 12);
+    let chan_cluster = Cluster::start(&placement, RuntimeProtocol::DagT).unwrap();
+    let chan = final_state(&chan_cluster, &progs, None);
+    chan_cluster.shutdown();
+    let tcp_cluster = epoll_cluster(&placement, RuntimeProtocol::DagT);
+    let tcp = final_state(&tcp_cluster, &progs, None);
+    tcp_cluster.shutdown();
+    assert_eq!(chan, tcp, "dagt final copy state differs between transports");
+    // Non-degenerate: the workload must actually have written something.
+    assert!(chan.iter().any(|s| !s.is_empty()));
+}
+
+/// The per-process stats counters agree with a quiescent cluster.
+#[test]
+fn stats_reach_zero_outstanding() {
+    let cluster = epoll_cluster(&dag_placement(), RuntimeProtocol::DagWt);
+    cluster.execute(SiteId(0), vec![Op::write(ItemId(0), 9)]).unwrap().unwrap();
+    ClusterHandle::quiesce(&cluster).expect("quiesce");
+    // Per-process outstanding counters are deltas (+dests at the origin,
+    // −1 per application elsewhere); only the cluster-wide sum is zero.
+    let mut outstanding_sum = 0;
+    let mut committed = 0;
+    let mut decode_errors = 0;
+    for s in 0..3 {
+        let stats = ProcCluster::stats(&cluster, SiteId(s)).unwrap();
+        outstanding_sum += stats.outstanding;
+        committed += stats.committed;
+        decode_errors += stats.decode_errors;
+    }
+    assert_eq!(outstanding_sum, 0);
+    assert_eq!(committed, 1);
+    assert_eq!(decode_errors, 0, "no client sent a malformed frame");
+    let cell = cluster.peek(SiteId(2), ItemId(0)).expect("replica readable");
+    assert_eq!(cell.0, Value::int(9));
+    cluster.shutdown();
 }
 
 /// Basic sanity: a write at the primary replicates to every copy
@@ -187,7 +235,7 @@ fn epoll_mid_run_connection_kill_recovers_to_identical_state() {
 /// one at the special's target waits for its decision (without that
 /// wait, this history had a cycle in four runs of ten).
 #[test]
-fn epoll_backedge_cyclic_matches_channel() {
+fn epoll_backedge_cyclic_matches_in_process() {
     let placement = cyclic_placement();
     let progs = programs(&placement, 20, 16);
     let chan_cluster = Cluster::start(&placement, RuntimeProtocol::BackEdge).unwrap();
@@ -286,11 +334,14 @@ fn epoll_malformed_frame_gets_typed_error_and_counter() {
 }
 
 /// `protocols.rs::dagt_conflicting_heads_queued_behind_a_dummy_converge`
-/// on the TCP wire — the queue shape that wedged a replica under the
-/// removed `--apply-pool`, on the apply path that remains: chain3-like,
-/// every written item at s0 with copies at s1 and s2, s1 idle, two
-/// writers half a millisecond apart whose heads conflict only with
-/// their own, five or more of them released by each of s1's dummies.
+/// on the TCP wire: chain3-like, every written item at s0 with copies
+/// at s1 and s2, s1 committing nothing, two writers half a millisecond
+/// apart whose updates conflict only with their own. s2 admits them
+/// only under s1's dummies — sent once s1 has applied them, or at its
+/// idle heartbeat — and all 600 must converge there in a serializable
+/// history. (When s1's dummies came only every 2 ms, each released five
+/// or more at once: the queue shape that wedged a replica under the
+/// removed `--apply-pool`.)
 #[test]
 fn epoll_dagt_conflicting_heads_queued_behind_a_dummy_converge() {
     let mut placement = DataPlacement::new(3);

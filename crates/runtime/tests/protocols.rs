@@ -30,6 +30,17 @@ fn cyclic_placement() -> DataPlacement {
     p
 }
 
+/// s2's parents are s0 and s1, but s0's items are copied at s2 alone:
+/// s1 never applies anything, so only its idle heartbeats — once an
+/// epoch tick carries them past s0's timestamps (§3.3) — release s2.
+fn idle_parent_placement() -> DataPlacement {
+    let mut p = DataPlacement::new(3);
+    p.add_item(SiteId(0), &[SiteId(2)]);
+    p.add_item(SiteId(1), &[SiteId(2)]);
+    p.add_item(SiteId(2), &[]);
+    p
+}
+
 /// Round-robin a seeded §5.2 workload through the cluster, one
 /// transaction per site per round.
 fn run_workload(cluster: &Cluster, placement: &DataPlacement, txns_per_site: u32, seed: u64) {
@@ -79,31 +90,35 @@ fn dagt_converges_and_is_serializable() {
 fn dagt_idle_links_converge_via_heartbeats() {
     // A single writer: every other inbound queue at the replicas only
     // ever sees dummy subtransactions, so convergence below proves the
-    // §3.3 heartbeat path unblocks the timestamp merge.
-    let placement = dag_placement();
-    let cluster = Cluster::start(&placement, RuntimeProtocol::DagT).unwrap();
-    for &item in placement.items_at(SiteId(0)) {
-        if placement.primary_of(item) == SiteId(0) {
-            cluster.execute(SiteId(0), vec![repl_types::Op::write(item, 7)]).unwrap();
+    // §3.3 heartbeat path unblocks the timestamp merge — on the second
+    // placement, the idle fallback alone.
+    for placement in [dag_placement(), idle_parent_placement()] {
+        let cluster = Cluster::start(&placement, RuntimeProtocol::DagT).unwrap();
+        for &item in placement.items_at(SiteId(0)) {
+            if placement.primary_of(item) == SiteId(0) {
+                cluster.execute(SiteId(0), vec![repl_types::Op::write(item, 7)]).unwrap();
+            }
         }
+        cluster.quiesce();
+        assert_converged(&cluster, &placement);
+        cluster.shutdown();
     }
-    cluster.quiesce();
-    assert_converged(&cluster, &placement);
-    cluster.shutdown();
 }
 
 #[test]
 fn dagt_conflicting_heads_queued_behind_a_dummy_converge() {
     // chain3-like: every written item lives at s0 with copies at s1 and
-    // s2, and s1 (which also feeds s2) is idle. s2 may admit s0's
-    // updates only under a timestamp from s1, i.e. at s1's 2 ms dummies,
-    // so two writers committing every half millisecond leave s2's queue
-    // from s0 holding five or more heads per dummy. Each writer rewrites
-    // its own hot item plus three of its own six spread items, so its
-    // heads conflict with each other and never with the other writer's:
-    // an applier that overlapped write-disjoint heads had to complete
-    // them in admission order here (at 1 ms a dummy released only four,
-    // one short of the run that got the removed apply window stuck).
+    // s2, and s1 (which also feeds s2) commits nothing. s2 may admit
+    // s0's updates only under a timestamp from s1: the dummy s1 sends
+    // once it has applied them, or its idle heartbeat. Two writers
+    // commit every half millisecond, each rewriting its own hot item
+    // plus three of its own six spread items, so s0's updates conflict
+    // within a writer and never across writers. Whatever run of them a
+    // dummy of s1 releases at s2, all 600 must apply there in an order
+    // that converges every copy and keeps the history serializable.
+    // (When s1's dummies came only every 2 ms they released five or
+    // more at once: the queue shape that wedged the removed apply
+    // window.)
     let mut placement = DataPlacement::new(3);
     let items: Vec<_> =
         (0..14).map(|_| placement.add_item(SiteId(0), &[SiteId(1), SiteId(2)])).collect();
