@@ -20,7 +20,7 @@
 //! | RL009 | blocking socket call patterns inside the epoll reactor |
 //! | RL010 | bare `thread::sleep` or hardcoded retry-duration consts in `crates/runtime` outside the policy module |
 //! | RL011 | lock-manager access on the MVCC snapshot-read path (storage `mvcc.rs`/`snapshot.rs`/`cells.rs`, and the `read_snapshot` and `trace_access` bodies in `store.rs`) |
-//! | RL012 | raw `Transport::try_send` calls in `crates/runtime` outside `transport.rs`/`nemesis.rs` (bypassing the per-link outbox) |
+//! | RL012 | raw `Transport::try_send` calls in `crates/runtime` outside `transport.rs`/`nemesis.rs` (bypassing the per-link log) |
 //!
 //! Files are classified by path ([`FileClass`]): paths under
 //! `crates/runtime` or `crates/net` get the panic-freedom rule
@@ -87,12 +87,12 @@
 //!
 //! RL012 pins the propagation send funnel: every frame leaving a site
 //! must route through `Net::send` in `runtime/src/transport.rs`, which
-//! assigns the per-link sequence number and enrolls the payload in the
-//! unacked outbox *under one lane lock* — a raw `Transport::try_send`
+//! assigns the per-link sequence number and encodes the frame into the
+//! link log *under the lane lock* — a raw `Transport::try_send`
 //! anywhere else would emit frames with no replay entry (lost on the
 //! first drop) or out of sequence (gap-dropped by the receiver's dedup
 //! discipline). `transport.rs` itself and the fault-injection shim
-//! `nemesis.rs` (which wraps the raw transport *below* the outbox) are
+//! `nemesis.rs` (which wraps the raw transport *below* the log) are
 //! the two sanctioned homes; a call anywhere else needs a
 //! `// replint: allow(RL012)` justification (none does today).
 //! `#[cfg(test)]` regions are skipped the same way RL008 skips them.
@@ -578,15 +578,15 @@ fn hardcoded_retry_const(code: &str) -> Option<String> {
     }
 }
 
-/// The raw transport send banned outside the outbox funnel.
+/// The raw transport send banned outside the send funnel.
 const RAW_SEND_PATTERN: &str = ".try_send(";
 
-/// RL012: propagation sends route through the per-link outbox. A raw
+/// RL012: propagation sends route through the per-link log. A raw
 /// `Transport::try_send` call anywhere in `crates/runtime` outside
 /// `transport.rs` (where `Net::send` assigns the sequence number and
-/// enrolls the payload in the unacked outbox under one lane lock) and
+/// encodes the frame into the link log under the lane lock) and
 /// `nemesis.rs` (the fault shim wrapping the raw transport below the
-/// outbox) emits frames that the replay/dedup discipline never sees.
+/// log) emits frames that the replay/dedup discipline never sees.
 /// `#[cfg(test)]` regions are skipped the same way RL008 skips them.
 fn scan_raw_transport_send(src: &str, emit: &mut dyn FnMut(&'static str, &str, u32, &str)) {
     let mut region = TestRegion::Outside;
@@ -623,9 +623,9 @@ fn scan_raw_transport_send(src: &str, emit: &mut dyn FnMut(&'static str, &str, u
             emit(
                 "RL012",
                 &format!(
-                    "raw transport send ({RAW_SEND_PATTERN}) outside the outbox funnel: \
+                    "raw transport send ({RAW_SEND_PATTERN}) outside the send funnel: \
                      frames sent here bypass sequence assignment and the \
-                     unacked replay buffer; route through Net::send or \
+                     link log replay reads; route through Net::send or \
                      justify with `// replint: allow(RL012)`"
                 ),
                 lineno,

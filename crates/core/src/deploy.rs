@@ -9,28 +9,6 @@
 
 use repl_types::{AddressMap, SiteId};
 
-/// Which transport a deployment uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum TransportKind {
-    /// In process: the single-process `Cluster`, a reactor thread per
-    /// site over loopback.
-    #[default]
-    Channel,
-    /// Loopback/remote TCP with one OS process per site (`repld`).
-    Tcp,
-}
-
-impl TransportKind {
-    /// Parse a config/flag spelling.
-    pub fn parse(s: &str) -> Result<TransportKind, String> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "channel" | "chan" | "inproc" => Ok(TransportKind::Channel),
-            "tcp" => Ok(TransportKind::Tcp),
-            other => Err(format!("unknown transport {other:?} (expected \"channel\" or \"tcp\")")),
-        }
-    }
-}
-
 /// The I/O driver a `repld` process runs its site on. There is one:
 /// the thread-per-connection driver was removed in PR 21 (it was an
 /// order of magnitude behind on every benchmark workload). The type,
@@ -96,8 +74,6 @@ pub struct DeployConfig {
     /// key is the route for a placement of more runs than one 128 KiB
     /// command-line argument holds.
     pub placement: Option<String>,
-    /// Transport selection.
-    pub transport: Option<TransportKind>,
     /// I/O driver selection: accepted for compatibility, one value
     /// (see [`ReactorKind`]).
     pub reactor: Option<ReactorKind>,
@@ -181,11 +157,11 @@ impl DeployConfig {
                     })?);
                 }
                 "transport" => {
-                    let s = unquote(value).ok_or_else(|| {
-                        format!("line {lineno}: transport must be a \"quoted\" string")
-                    })?;
-                    cfg.transport =
-                        Some(TransportKind::parse(&s).map_err(|e| format!("line {lineno}: {e}"))?);
+                    return Err(format!(
+                        "line {lineno}: transport was removed: every site is an epoll reactor \
+                         over TCP, in its own `repld` process or on a thread of the in-process \
+                         cluster (drop the setting)"
+                    ));
                 }
                 "reactor" => {
                     let s = unquote(value).ok_or_else(|| {
@@ -246,9 +222,6 @@ impl DeployConfig {
         if flags.placement.is_some() {
             self.placement = flags.placement;
         }
-        if flags.transport.is_some() {
-            self.transport = flags.transport;
-        }
         if flags.reactor.is_some() {
             self.reactor = flags.reactor;
         }
@@ -308,7 +281,6 @@ mod tests {
             site = 1
             listen = "127.0.0.1:7101"  # announced port
             protocol = "dagwt"
-            transport = "tcp"
             reactor = "epoll"
             placement = "3|0:1,2*1000|1:2*1000|2*1000"
             nemesis = "seed=7;part=0-1@100..400"
@@ -328,7 +300,6 @@ mod tests {
         assert_eq!(cfg.protocol.as_deref(), Some("dagwt"));
         let placement = repl_copygraph::DataPlacement::from_spec(cfg.placement.as_deref().unwrap());
         assert_eq!(placement.map(|p| p.num_items()), Ok(3000));
-        assert_eq!(cfg.transport, Some(TransportKind::Tcp));
         assert_eq!(cfg.reactor, Some(ReactorKind::Epoll));
         assert_eq!(cfg.nemesis.as_deref(), Some("seed=7;part=0-1@100..400"));
         assert_eq!(cfg.eager_timeout_ms, Some(250));
@@ -349,7 +320,7 @@ mod tests {
             ("frobnicate = 3", "unknown key"),
             ("just a line", "key = value"),
             ("[peers]\nzero = \"a:1\"", "site id"),
-            ("transport = \"carrier-pigeon\"", "unknown transport"),
+            ("transport = \"tcp\"", "transport was removed"),
             ("reactor = \"fibers\"", "unknown reactor"),
             ("reactor = \"threads\"", "removed in PR 21"),
             ("nemesis = seed=1", "quoted"),

@@ -52,7 +52,7 @@ pub mod timestamp;
 pub use repl_analysis::history;
 
 pub use config::{DeadlockMode, ProtocolKind, SimParams, TreeKind};
-pub use deploy::{DeployConfig, TransportKind};
+pub use deploy::DeployConfig;
 pub use engine::{Engine, RunReport};
 pub use history::History;
 pub use metrics::Metrics;

@@ -11,6 +11,8 @@ use std::io::{self, Read, Write};
 use bytes::{BufMut, Bytes, BytesMut};
 use repl_types::{GlobalTxnId, ItemId, Value};
 
+use repl_storage::codec;
+
 use crate::msg::{self, NetError, Payload, WireMsg, MSG_REPLY, REPLY_STATE};
 
 /// Upper bound on a frame body. Generously above any legitimate message
@@ -84,24 +86,39 @@ pub fn frame_link_into(out: &mut Vec<u8>, seq: u64, payload: &Payload) {
     framed(out, |buf| msg::put_link(buf, seq, payload));
 }
 
-/// Append the frame of a [`crate::ClientReply::State`] reply to `out`,
-/// its image the copy-state encoding of `cells` (ascending item order,
-/// as for [`crate::encode_cells`]) written straight into the frame.
-pub fn frame_state_reply_into<V: std::borrow::Borrow<Value>>(
+/// Append the frame of a [`crate::ClientReply::State`] page to `out`:
+/// the copy-state encoding (as for [`crate::encode_cells`], ascending
+/// item order) of the leading `cells` whose encodings fit `budget`
+/// bytes — at least one, so a cell past the budget is a page of its
+/// own — written straight into the frame. Returns how many it holds.
+pub fn frame_state_page_into<V: std::borrow::Borrow<Value>>(
     out: &mut Vec<u8>,
-    cells: impl ExactSizeIterator<Item = (ItemId, V, Option<GlobalTxnId>)>,
-) {
+    cells: impl Iterator<Item = (ItemId, V, Option<GlobalTxnId>)>,
+    budget: usize,
+) -> usize {
     // An integer cell with a writer is 26 bytes.
-    out.reserve(32 + cells.len() * 26);
+    out.reserve(32 + budget.min(cells.size_hint().0.saturating_mul(26)));
+    let mut count = 0;
     framed(out, |buf| {
         buf.put_u8(MSG_REPLY);
         buf.put_u8(REPLY_STATE);
         buf.put_u64(0); // the image length, patched below
         let image_at = buf.len();
-        msg::encode_cells_into(buf, cells);
+        buf.put_u32(0); // the cell count, patched below
+        for (item, value, writer) in cells {
+            let at = buf.len();
+            codec::put_cell(buf, item, value.borrow(), writer);
+            if count > 0 && buf.len() - image_at - 4 > budget {
+                buf.truncate(at);
+                break;
+            }
+            count += 1;
+        }
         let len = (buf.len() - image_at) as u64;
         buf[image_at - 8..image_at].copy_from_slice(&len.to_be_bytes());
+        buf[image_at..image_at + 4].copy_from_slice(&(count as u32).to_be_bytes());
     });
+    count
 }
 
 /// Decode one frame from `buf`, if a complete one is present.
@@ -280,8 +297,23 @@ mod tests {
         let typed =
             encode_framed(&WireMsg::Reply(crate::ClientReply::State(crate::encode_cells(&cells))));
         let mut out = vec![7u8];
-        frame_state_reply_into(&mut out, cells.iter().cloned());
+        assert_eq!(frame_state_page_into(&mut out, cells.iter().cloned(), usize::MAX), 3);
         assert_eq!(&out[1..], typed.as_slice());
+        // A budget ends the page at the last cell that fits, and never
+        // before the first.
+        let page_of = |count: usize| {
+            encode_framed(&WireMsg::Reply(crate::ClientReply::State(crate::encode_cells(
+                &cells[..count],
+            ))))
+        };
+        for count in 1..=cells.len() {
+            let fits = crate::encode_cells(&cells[..count]).len() - 4;
+            for (budget, want) in [(fits, count), (fits - 1, (count - 1).max(1))] {
+                let mut out = Vec::new();
+                assert_eq!(frame_state_page_into(&mut out, cells.iter().cloned(), budget), want);
+                assert_eq!(out, page_of(want).as_slice(), "budget {budget}");
+            }
+        }
     }
 
     #[test]

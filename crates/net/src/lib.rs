@@ -35,7 +35,7 @@ pub mod msg;
 
 pub use conn::{client_handshake, negotiate, HandshakeError, MAGIC, VERSION_MAX, VERSION_MIN};
 pub use frame::{
-    decode_framed, encode_framed, frame_link_into, frame_state_reply_into, read_msg, write_msg,
+    decode_framed, encode_framed, frame_link_into, frame_state_page_into, read_msg, write_msg,
     FrameReader, ReadError, MAX_FRAME_LEN,
 };
 pub use history::HistoryLog;

@@ -135,9 +135,16 @@ pub enum ClientMsg {
     Peek(ItemId),
     /// Progress counters; reply [`ClientReply::Stats`].
     Stats,
-    /// Canonical bytes of the site's copy state; reply
-    /// [`ClientReply::State`].
-    CopyState,
+    /// A page of the canonical bytes of the site's copy state; reply
+    /// [`ClientReply::State`]. A cursor fetch, like
+    /// [`ClientMsg::History`]: the reply images the site's copies from
+    /// number `from` on (ascending by item), as many as fit one storage
+    /// segment of cells, and none at the end. Joining the pages gives
+    /// the image a whole-store reply would, however large the store.
+    CopyState {
+        /// Copies of this site the caller already holds.
+        from: u64,
+    },
     /// Install the peer address map and start dialing; reply
     /// [`ClientReply::Ok`]. Used by launchers that bind listeners on
     /// ephemeral ports and only then learn the cluster's addresses.
@@ -196,7 +203,8 @@ pub enum ClientReply {
         /// the down window; the retry policy keeps probing).
         peers_down: u32,
     },
-    /// Outcome of [`ClientMsg::CopyState`].
+    /// Outcome of [`ClientMsg::CopyState`]: one page, itself an image
+    /// in the [`encode_cells`] format.
     State(Bytes),
     /// Generic success.
     Ok,
@@ -471,7 +479,10 @@ fn put_client(buf: &mut impl BufMut, msg: &ClientMsg) {
             buf.put_u32(item.0);
         }
         ClientMsg::Stats => buf.put_u8(3),
-        ClientMsg::CopyState => buf.put_u8(4),
+        ClientMsg::CopyState { from } => {
+            buf.put_u8(4);
+            buf.put_u64(*from);
+        }
         ClientMsg::Peers(addrs) => {
             buf.put_u8(5);
             buf.put_u32(addrs.len() as u32);
@@ -497,7 +508,7 @@ fn get_client(buf: &mut Bytes) -> Result<ClientMsg, NetError> {
         1 => ClientMsg::Execute(get_ops(buf)?),
         2 => ClientMsg::Peek(ItemId(codec::get_u32(buf)?)),
         3 => ClientMsg::Stats,
-        4 => ClientMsg::CopyState,
+        4 => ClientMsg::CopyState { from: codec::get_u64(buf)? },
         5 => {
             let n = codec::get_u32(buf)? as usize;
             let mut addrs = Vec::with_capacity(n.min(buf.len() / 8));
@@ -1022,7 +1033,8 @@ mod tests {
         ])));
         roundtrip(WireMsg::Client(ClientMsg::Peek(ItemId(3))));
         roundtrip(WireMsg::Client(ClientMsg::Stats));
-        roundtrip(WireMsg::Client(ClientMsg::CopyState));
+        roundtrip(WireMsg::Client(ClientMsg::CopyState { from: 0 }));
+        roundtrip(WireMsg::Client(ClientMsg::CopyState { from: 2520 }));
         roundtrip(WireMsg::Client(ClientMsg::Peers(vec![
             (SiteId(0), "127.0.0.1:9000".into()),
             (SiteId(1), "127.0.0.1:9001".into()),

@@ -403,6 +403,13 @@ impl Cluster {
         self.live(site).map(|live| &live.session)
     }
 
+    /// The loopback address `site` listens on, and the cluster
+    /// fingerprint a peer's `Hello` must carry (for tests that speak
+    /// the peer protocol to a site).
+    pub fn peer_endpoint(&self, site: SiteId) -> Result<(&str, u64), ClusterError> {
+        self.live(site).map(|live| (live.addr.as_str(), self.fingerprint))
+    }
+
     fn check_faults_supported(&self) -> Result<(), ClusterError> {
         match self.protocol {
             RuntimeProtocol::DagWt | RuntimeProtocol::NaiveLazy => Ok(()),

@@ -77,7 +77,8 @@ pub trait ClusterHandle {
 
     /// The site's full copy state (ascending items, values, writers),
     /// serialized with the shared wire codec — byte-comparable across
-    /// deployments.
+    /// deployments. It is fetched a segment of cells at a time, so it is
+    /// one consistent image while nothing commits at the site.
     fn copy_state(&self, site: SiteId) -> Result<bytes::Bytes, ClusterError>;
 
     /// Fault injection: drop the connections between `site` and `peer`,
@@ -183,12 +184,13 @@ impl Session {
         }
     }
 
-    /// The site's serialized copy state.
+    /// The site's serialized copy state, a page at a time until a page
+    /// comes back empty, so the frame cap does not bound it.
     pub fn copy_state(&self) -> io::Result<bytes::Bytes> {
-        match self.request(ClientMsg::CopyState)? {
-            ClientReply::State(bytes) => Ok(bytes),
+        join_state_pages(|from| match self.request(ClientMsg::CopyState { from })? {
+            ClientReply::State(page) => Ok(page),
             other => Err(io::Error::other(format!("unexpected state reply: {other:?}"))),
-        }
+        })
     }
 
     /// The site's primary commits, a page at a time until a page comes
@@ -204,6 +206,29 @@ impl Session {
                 }
             }
         }
+    }
+}
+
+/// Join a copy-state image from the pages `page(from)` returns for the
+/// cells joined so far, until one comes back empty. Each page is an
+/// image of its own (a cell count, then the cells); the whole is the
+/// count of every page's cells, then their cells in page order.
+pub(crate) fn join_state_pages(
+    mut page: impl FnMut(u64) -> io::Result<bytes::Bytes>,
+) -> io::Result<bytes::Bytes> {
+    let (mut image, mut cells) = (vec![0; 4], 0u32);
+    loop {
+        let page = page(u64::from(cells))?;
+        let Some((count, rest)) = page.split_first_chunk() else {
+            return Err(io::Error::other("state page without a cell count"));
+        };
+        let count = u32::from_be_bytes(*count);
+        if count == 0 {
+            image[..4].copy_from_slice(&cells.to_be_bytes());
+            return Ok(image.into());
+        }
+        image.extend_from_slice(rest);
+        cells = cells.checked_add(count).ok_or_else(|| io::Error::other("state past u32 cells"))?;
     }
 }
 

@@ -11,19 +11,19 @@
 //! site's wire: every fault is applied to the *attempt*, and the
 //! reliable-link engine above ([`crate::transport::Net`]) never learns
 //! the wire was lying. That is the point — drops, duplicates and partitions must be
-//! masked by the outbox/replay/dedup machinery, and corruption must be
+//! masked by the log/replay/dedup machinery, and corruption must be
 //! survived by `repl-net`'s panic-free decoding, or the runtime has a
 //! robustness bug the chaos suite should expose.
 //!
-//! Fault semantics, per attempted frame, in order:
+//! Fault semantics, per attempted frame of the bytes offered, in order:
 //!
 //! 1. **Partition / pause**: if the plan cuts `from → to` at this
 //!    moment (a partition window covering the directed pair, or a pause
 //!    window covering either endpoint), the frame is black-holed. The
-//!    outbox keeps it; the sender's periodic stall replay retries it
+//!    link's log keeps it; the sender's periodic stall replay retries it
 //!    after heal. Acks crossing a cut are dropped the same way.
 //! 2. **Drop**: black-holed as above, drawn per-frame by seeded coin.
-//! 3. **Corrupt / truncate**: the frame is *encoded to wire bytes*, a
+//! 3. **Corrupt / truncate**: the frame's *wire bytes* are copied, a
 //!    seeded byte is flipped (or a seeded tail cut off), and the bytes
 //!    are pushed through a real [`FrameReader`] — exercising the
 //!    decoder's panic-freedom end-to-end — then discarded, modeling a
@@ -49,11 +49,12 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use repl_net::{encode_framed, FrameReader, Payload, WireMsg};
+use repl_net::FrameReader;
 use repl_types::SiteId;
 
+use crate::link::frames;
 use crate::policy::splitmix64;
-use crate::transport::{SendStatus, Transport};
+use crate::transport::Transport;
 
 /// One partition window: the directed link `a → b` (and `b → a` when
 /// `symmetric`) is cut for `start_ms..end_ms`.
@@ -288,9 +289,9 @@ fn parse_window(window: &str, field: &str) -> Result<(u64, u64), String> {
 struct ChaosLane {
     /// Frames attempted on this link so far (the per-frame draw index).
     msg_index: u64,
-    /// Frames parked by delay: `(release_at, seq, payload)`, in FIFO
+    /// Frames parked by delay: `(release_at, frame bytes)`, in FIFO
     /// order with monotone release times.
-    held: VecDeque<(Duration, u64, Payload)>,
+    held: VecDeque<(Duration, Vec<u8>)>,
 }
 
 /// The [`Transport`] decorator interpreting a [`NetFaultPlan`] over one
@@ -326,12 +327,12 @@ impl ChaosWire {
         let now = self.elapsed();
         for (to, slot) in self.lanes.iter().enumerate() {
             let mut lane = slot.lock();
-            while lane.held.front().is_some_and(|(due, _, _)| *due <= now) {
+            while lane.held.front().is_some_and(|(due, _)| *due <= now) {
                 // replint: allow(RL008) -- front() checked Some on the previous line
-                let (_, seq, payload) = lane.held.pop_front().expect("checked front");
-                // A failed attempt is fine: the payload is still in the
-                // outbox and the stall replay recovers it.
-                let _ = self.inner.try_send(SiteId(to as u32), seq, &payload);
+                let (_, frame) = lane.held.pop_front().expect("checked front");
+                // A refused frame is fine: it is still in the link's log
+                // and the stall replay recovers it.
+                let _ = self.inner.try_send(SiteId(to as u32), &frame);
             }
         }
     }
@@ -347,24 +348,16 @@ impl ChaosWire {
         // more bytes. Whatever happens, it must not panic.
         while let Ok(Some(_)) = reader.next_msg() {}
     }
-}
 
-/// One permille draw off a chaos stream.
-fn draw(state: &mut u64) -> u64 {
-    *state = splitmix64(*state);
-    *state
-}
-
-impl Transport for ChaosWire {
-    fn try_send(&self, to: SiteId, seq: u64, payload: &Payload) -> SendStatus {
-        self.pump();
+    /// Apply the plan to one frame; false if the wire refused it.
+    fn attempt(&self, to: SiteId, frame: &[u8]) -> bool {
         let from = self.me;
         let now = self.elapsed();
         let now_ms = now.as_millis() as u64;
         if self.plan.cuts(from, to, now_ms) {
-            // Black hole. Report Sent: the wire accepted the frame and
-            // lost it, which is exactly what the outbox must mask.
-            return SendStatus::Sent;
+            // Black hole. Report it taken: the wire accepted the frame
+            // and lost it, which is exactly what the log must mask.
+            return true;
         }
         let (index, held_behind) = {
             let mut lane = self.lanes[to.index()].lock();
@@ -378,7 +371,7 @@ impl Transport for ChaosWire {
         if self.plan.drop_permille > 0
             && draw(&mut stream) % 1000 < u64::from(self.plan.drop_permille)
         {
-            return SendStatus::Sent; // lost on the wire
+            return true; // lost on the wire
         }
         let corrupt = self.plan.corrupt_permille > 0
             && draw(&mut stream) % 1000 < u64::from(self.plan.corrupt_permille);
@@ -386,8 +379,7 @@ impl Transport for ChaosWire {
             && self.plan.truncate_permille > 0
             && draw(&mut stream) % 1000 < u64::from(self.plan.truncate_permille);
         if corrupt || truncate {
-            let mut bytes =
-                encode_framed(&WireMsg::Link { seq, payload: payload.clone() }).to_vec();
+            let mut bytes = frame.to_vec();
             if corrupt {
                 let pos = (draw(&mut stream) as usize) % bytes.len();
                 bytes[pos] ^= 1 << (draw(&mut stream) % 8);
@@ -396,7 +388,7 @@ impl Transport for ChaosWire {
                 bytes.truncate(keep);
             }
             Self::exercise_decoder(&bytes);
-            return SendStatus::Sent; // checksum failure: frame discarded
+            return true; // checksum failure: frame discarded
         }
         let delay_ms = if self.plan.max_jitter_ms > 0 {
             draw(&mut stream) % (self.plan.max_jitter_ms + 1)
@@ -408,30 +400,42 @@ impl Transport for ChaosWire {
             // FIFO survives the jitter.
             let mut lane = self.lanes[to.index()].lock();
             let mut due = now + Duration::from_millis(delay_ms);
-            if let Some((tail_due, _, _)) = lane.held.back() {
+            if let Some((tail_due, _)) = lane.held.back() {
                 due = due.max(*tail_due);
             }
-            lane.held.push_back((due, seq, payload.clone()));
-            return SendStatus::Sent;
+            lane.held.push_back((due, frame.to_vec()));
+            return true;
         }
         if self.plan.dup_permille > 0
             && draw(&mut stream) % 1000 < u64::from(self.plan.dup_permille)
         {
-            let status = self.inner.try_send(to, seq, payload);
-            let _ = self.inner.try_send(to, seq, payload);
-            return status;
+            let taken = self.inner.try_send(to, frame);
+            let _ = self.inner.try_send(to, frame);
+            return taken > 0;
         }
-        self.inner.try_send(to, seq, payload)
+        self.inner.try_send(to, frame) > 0
+    }
+}
+
+/// One permille draw off a chaos stream.
+fn draw(state: &mut u64) -> u64 {
+    *state = splitmix64(*state);
+    *state
+}
+
+impl Transport for ChaosWire {
+    fn try_send(&self, to: SiteId, offered: &[u8]) -> usize {
+        self.pump();
+        frames(offered).take_while(|frame| self.attempt(to, frame)).map(<[u8]>::len).sum()
     }
 
-    fn send_ack(&self, from: SiteId, seq: u64) -> SendStatus {
+    fn send_ack(&self, from: SiteId, seq: u64) {
         self.pump();
         // The ack physically travels me → from. Only a cut loses acks:
         // they are cumulative, so anything subtler is invisible anyway.
-        if self.plan.cuts(self.me, from, self.elapsed().as_millis() as u64) {
-            return SendStatus::Sent;
+        if !self.plan.cuts(self.me, from, self.elapsed().as_millis() as u64) {
+            self.inner.send_ack(from, seq);
         }
-        self.inner.send_ack(from, seq)
     }
 
     fn tick(&self) {
@@ -497,7 +501,7 @@ mod tests {
 
     #[test]
     fn decoder_exercise_survives_damage() {
-        use repl_net::Subtxn;
+        use repl_net::{Payload, Subtxn};
         let payload = Payload::Subtxn(Subtxn {
             gid: repl_types::GlobalTxnId::new(SiteId(0), 1),
             origin: SiteId(0),
@@ -506,7 +510,13 @@ mod tests {
             writes: vec![(repl_types::ItemId(0), repl_types::Value::int(7))],
             dest_sites: vec![SiteId(1)],
         });
-        let clean = encode_framed(&WireMsg::Link { seq: 1, payload }).to_vec();
+        let mut log = crate::link::LinkState::default();
+        log.push(&payload);
+        let mut clean = Vec::new();
+        log.offer(|frame| {
+            clean = frame.to_vec();
+            frame.len()
+        });
         // Flip every byte position and truncate to every length: none
         // may panic the decoder.
         for pos in 0..clean.len() {

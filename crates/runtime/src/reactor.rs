@@ -29,8 +29,8 @@
 //! 0. Return at once if the stop flag is set (an in-process crash).
 //! 1. `epoll_wait` (1 ms timeout — the protocol tick). For each ready
 //!    fd: accept new connections, or read-until-`WouldBlock` through a
-//!    [`FrameReader`] and act on every decoded frame (a `Link` frame is
-//!    applied at once), or flush a write-blocked connection.
+//!    [`FrameReader`] and act on each frame as it decodes (a `Link` frame
+//!    is applied before the next is decoded), or flush a write-blocked connection.
 //! 2. Re-dial missing peer connections (paced, nonblocking after
 //!    connect) and run the site's timers ([`SiteCore::tick`]).
 //! 3. Finish an eager-phase transaction whose BackEdge special came
@@ -42,13 +42,13 @@
 //!    would wake the loop forever).
 //!
 //! **Backpressure.** Sends never block and never retry: a
-//! [`Transport::try_send`] into a full per-peer buffer returns
-//! [`SendStatus::Backpressure`] and the payload simply stays in the
-//! shared outbox ([`crate::link`]). When the buffer drains below half
-//! capacity the reactor replays the outbox ([`Net::resume`]); the
-//! receiver's durable dedup marks make the overlap exactly-once. The
-//! same replay path serves reconnects (`HelloAck.resume_seq`) — one
-//! recovery mechanism for both stalls and drops.
+//! [`Transport::try_send`] into a full per-peer buffer takes nothing,
+//! and the frames stay in the link's log past its send cursor
+//! ([`crate::link`]). When the buffer drains below its cap the reactor
+//! sends on from the cursor ([`Net::offer`]), so no frame is written
+//! twice; a reconnect (`HelloAck.resume_seq`) replays from the front
+//! ([`Net::resume`]), and the receiver's durable dedup marks make that
+//! overlap exactly-once.
 //!
 //! **Eager phases.** A BackEdge transaction waits for its special to
 //! come home. The reactor parks the *transaction*, not the loop:
@@ -77,29 +77,27 @@ use parking_lot::Mutex;
 
 use repl_copygraph::DataPlacement;
 use repl_net::{
-    cluster_fingerprint, frame_link_into, frame_state_reply_into, negotiate, ClientMsg,
-    ClientReply, ExecError, FrameReader, Hello, HelloAck, NetError, Payload, WireMsg, VERSION_MAX,
-    VERSION_MIN,
+    cluster_fingerprint, frame_state_page_into, negotiate, ClientMsg, ClientReply, ExecError,
+    FrameReader, Hello, HelloAck, NetError, WireMsg, VERSION_MAX, VERSION_MIN,
 };
+use repl_storage::SEGMENT_BYTES;
 use repl_types::{AddressMap, GlobalTxnId, Op, SiteId};
 
 use crate::cluster::{build_structure, ClusterError, RuntimeProtocol};
+use crate::link::{frames, WriteBuf};
 use crate::nemesis::ChaosWire;
 use crate::policy::RuntimeOptions;
 use crate::site::{SiteCore, SiteParts, SiteSetup, Started};
-use crate::transport::{SendStatus, Transport};
+use crate::transport::Transport;
 
 /// The epoll token of the listening socket; connection tokens are slab
 /// indices, far below.
 const LISTENER: u64 = u64::MAX;
 /// `epoll_wait` timeout — the protocol tick granularity.
 const TICK_MS: i32 = 1;
-/// Per-peer write-buffer cap: a `try_send` that would grow a lane past
-/// this returns [`SendStatus::Backpressure`] instead.
+/// Per-peer write-buffer cap: a `try_send` takes frames into a lane
+/// only while it holds less than this.
 const LANE_BUF_CAP: usize = 1 << 20;
-/// A stalled lane resumes outbox replay once its buffer drains below
-/// this (half the cap, so drain and replay don't thrash at the edge).
-const LANE_RESUME_AT: usize = LANE_BUF_CAP / 2;
 /// A client connection whose reply buffer exceeds this is not reading
 /// its replies; it is dropped rather than allowed to grow the buffer
 /// unboundedly.
@@ -110,72 +108,21 @@ const SHUTDOWN_GRACE: Duration = Duration::from_secs(1);
 /// Stack scratch buffer for socket reads.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// Past this capacity a fully drained [`WriteBuf`] gives its allocation
-/// back: the buffer grew for one oversized reply (a `History` or
-/// `CopyState` image), not for steady traffic.
-const WBUF_KEEP_CAP: usize = 64 * 1024;
-
-/// A byte queue in front of one socket: frame encoders append to it in
-/// place, nonblocking writes drain it from the front. Contiguous — the
-/// live bytes are `buf[head..]` — so a frame is encoded once, where it
-/// is sent from, and a flush is one `write` of one slice.
-#[derive(Default)]
-struct WriteBuf {
-    buf: Vec<u8>,
-    /// Bytes of `buf` already written to the socket.
-    head: usize,
-}
-
 impl WriteBuf {
-    /// The vector frame encoders append to. Appending is the only
-    /// mutation they may make: the bytes before the returned vector's
-    /// current length are not theirs.
-    fn tail(&mut self) -> &mut Vec<u8> {
-        &mut self.buf
-    }
-
-    fn len(&self) -> usize {
-        self.buf.len() - self.head
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn clear(&mut self) {
-        self.buf.clear();
-        self.head = 0;
-    }
-
     /// Write as much as the socket accepts. `Ok` with a non-empty
     /// buffer means the kernel buffer is full (`WouldBlock`) — register
     /// write interest and try again on readiness. `Err` means the
     /// connection is broken.
     fn flush(&mut self, stream: &mut TcpStream) -> io::Result<()> {
         while !self.is_empty() {
-            match write_some(stream, &self.buf[self.head..]) {
+            match write_some(stream, self.bytes()) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => self.head += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    // Still backed up: reclaim the written prefix once it
-                    // outweighs what is left, so the buffer's footprint
-                    // tracks the backlog, not the traffic since it began.
-                    if self.head > self.len() {
-                        self.buf.drain(..self.head);
-                        self.head = 0;
-                    }
-                    return Ok(());
-                }
+                Ok(n) => self.consume(n),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
         }
-        if self.buf.capacity() > WBUF_KEEP_CAP {
-            self.buf = Vec::new();
-        } else {
-            self.buf.clear();
-        }
-        self.head = 0;
         Ok(())
     }
 }
@@ -187,9 +134,6 @@ impl WriteBuf {
 struct OutLane {
     /// A connection is installed and handshaken.
     connected: bool,
-    /// A `try_send` was refused for want of buffer space; the next
-    /// sub-half-cap drain triggers an outbox replay.
-    stalled: bool,
     buf: WriteBuf,
 }
 
@@ -215,31 +159,26 @@ impl ReactorWire {
 }
 
 impl Transport for ReactorWire {
-    fn try_send(&self, to: SiteId, seq: u64, payload: &Payload) -> SendStatus {
+    fn try_send(&self, to: SiteId, offered: &[u8]) -> usize {
         let mut lane = self.lanes[to.index()].lock();
-        if !lane.connected {
-            return SendStatus::Down;
+        let mut taken = 0;
+        for frame in frames(offered) {
+            if !lane.connected || lane.buf.len() >= LANE_BUF_CAP {
+                break;
+            }
+            lane.buf.tail().extend_from_slice(frame);
+            taken += frame.len();
         }
-        if lane.buf.len() >= LANE_BUF_CAP {
-            lane.stalled = true;
-            return SendStatus::Backpressure;
-        }
-        frame_link_into(lane.buf.tail(), seq, payload);
-        SendStatus::Sent
+        taken
     }
 
-    fn send_ack(&self, from: SiteId, seq: u64) -> SendStatus {
+    fn send_ack(&self, from: SiteId, seq: u64) {
         let mut lane = self.ack_lanes[from.index()].lock();
-        if !lane.connected {
-            return SendStatus::Down;
+        // A refused ack is only a delay: the next ack is cumulative, and
+        // the handshake resume_seq resynchronizes after drops.
+        if lane.connected && lane.buf.len() < LANE_BUF_CAP {
+            WireMsg::Ack { seq }.encode_framed_into(lane.buf.tail());
         }
-        if lane.buf.len() >= LANE_BUF_CAP {
-            // A refused ack is only a delay: the next ack is cumulative,
-            // and the handshake resume_seq resynchronizes after drops.
-            return SendStatus::Backpressure;
-        }
-        WireMsg::Ack { seq }.encode_framed_into(lane.buf.tail());
-        SendStatus::Sent
     }
 }
 
@@ -381,9 +320,6 @@ pub(crate) struct Reactor {
     events: Vec<epoll::Event>,
     /// What `read` fills on a readable event, allocated once.
     read_buf: Vec<u8>,
-    /// The frames decoded off one readable event, emptied before the
-    /// next.
-    msgs: Vec<WireMsg>,
     /// Checked once a pass: when set, [`Reactor::run`] returns.
     stop: Arc<AtomicBool>,
 }
@@ -436,7 +372,6 @@ impl Reactor {
             shutdown: None,
             events: Vec::new(),
             read_buf: vec![0; READ_CHUNK],
-            msgs: Vec::new(),
             stop,
         })
     }
@@ -537,51 +472,30 @@ impl Reactor {
         Some(tok)
     }
 
-    /// Read until `WouldBlock`/EOF, then act on every decoded frame.
+    /// Read until `WouldBlock`/EOF, acting on each frame as it decodes —
+    /// until one closes or re-fates the connection; the rest is dropped.
     fn handle_readable(&mut self, tok: usize) {
-        let mut msgs;
-        let mut dead = false;
-        let mut decode_err: Option<NetError> = None;
-        {
+        let mut acting = true;
+        loop {
             let Some(conn) = self.conns[tok].as_mut() else { return };
-            msgs = std::mem::take(&mut self.msgs);
-            'read: loop {
-                match read_some(&mut conn.stream, &mut self.read_buf) {
-                    Ok(0) => {
-                        dead = true;
-                        break;
-                    }
-                    Ok(count) => {
-                        conn.reader.feed(&self.read_buf[..count]);
-                        loop {
-                            match conn.reader.next_msg() {
-                                Ok(Some(msg)) => msgs.push(msg),
-                                Ok(None) => break,
-                                Err(e) => {
-                                    decode_err = Some(e);
-                                    break 'read;
-                                }
-                            }
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
+            match read_some(&mut conn.stream, &mut self.read_buf) {
+                Ok(0) => break,
+                Ok(count) if acting => conn.reader.feed(&self.read_buf[..count]),
+                Ok(_) => continue,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break,
+            }
+            while acting {
+                let Some(conn) = self.conns[tok].as_mut() else { return };
+                match conn.reader.next_msg() {
+                    Ok(Some(msg)) => acting = self.process_msg(tok, msg),
+                    Ok(None) => break,
+                    Err(e) => return self.on_decode_error(tok, e),
                 }
             }
         }
-        // Stops early if the connection was closed or re-fated.
-        let alive = msgs.drain(..).all(|msg| self.process_msg(tok, msg));
-        self.msgs = msgs;
-        if !alive {
-            return;
-        }
-        if let Some(e) = decode_err {
-            self.on_decode_error(tok, e);
-        } else if dead {
+        if acting {
             self.close_conn(tok);
         }
     }
@@ -698,7 +612,6 @@ impl Reactor {
         {
             let mut lane = self.wire.lanes[peer.index()].lock();
             lane.connected = true;
-            lane.stalled = false;
             lane.buf.clear();
         }
         self.core.net.resume(peer, ack.resume_seq);
@@ -792,18 +705,21 @@ impl Reactor {
                 self.queue_reply(tok, reply);
                 true
             }
-            // The two bulk replies are framed straight from the site's
-            // state into the connection buffer: a segment of the history
-            // log already is the reply body, and the copy-state cells
-            // stream off the store.
+            // The two bulk replies are paged, and framed straight from
+            // the site's state into the connection buffer: a segment of
+            // the history log already is the reply body, and a segment's
+            // worth of copy-state cells streams off the store.
             ClientMsg::History { from } => {
                 self.queue_frame(tok, |core, out| {
                     core.history.lock().frame_page_into(from, out);
                 });
                 true
             }
-            ClientMsg::CopyState => {
-                self.queue_frame(tok, |core, out| frame_state_reply_into(out, core.copy_cells()));
+            ClientMsg::CopyState { from } => {
+                self.queue_frame(tok, |core, out| {
+                    let from = usize::try_from(from).unwrap_or(usize::MAX);
+                    frame_state_page_into(out, core.copy_cells(from), SEGMENT_BYTES);
+                });
                 true
             }
             ClientMsg::Peers(entries) => {
@@ -957,11 +873,11 @@ impl Reactor {
     /// replies), then — once those are through — the shared lane its
     /// role drains (link frames out, or acks back). Adjust `EPOLLOUT`
     /// interest to "buffered bytes remain", close broken or completed
-    /// `closing` connections, and kick outbox replay when a stalled
-    /// lane drains below the resume mark.
+    /// `closing` connections, and send on from the link's cursor when a
+    /// full lane drains below its cap.
     fn flush_conn(&mut self, tok: usize) {
         let mut broken = false;
-        let mut resume_peer: Option<SiteId> = None;
+        let mut reopened: Option<SiteId> = None;
         let mut drained_closing = false;
         {
             let Some(conn) = self.conns[tok].as_mut() else { return };
@@ -977,14 +893,13 @@ impl Reactor {
                 };
                 if let Some(slot) = lane_slot {
                     let mut lane = slot.lock();
+                    // Only a full lane can have refused frames.
+                    let full = lane.buf.len() >= LANE_BUF_CAP;
                     if lane.buf.flush(&mut conn.stream).is_err() {
                         broken = true;
                     } else {
-                        if lane.stalled && lane.buf.len() < LANE_RESUME_AT {
-                            lane.stalled = false;
-                            if let Role::PeerOut { peer } = conn.role {
-                                resume_peer = Some(peer);
-                            }
+                        if let Role::PeerOut { peer } = conn.role {
+                            reopened = (full && lane.buf.len() < LANE_BUF_CAP).then_some(peer);
                         }
                         lane_pending = !lane.buf.is_empty();
                     }
@@ -1006,12 +921,9 @@ impl Reactor {
             self.close_conn(tok);
             return;
         }
-        if let Some(peer) = resume_peer {
-            // Replay the outbox tail the stall refused. Entries already
-            // on the wire are replayed too (resume cannot know which
-            // made it); the receiver's dedup marks re-ack those. The
-            // refilled lane flushes on the next readiness/tick pass.
-            self.core.net.resume(peer, 0);
+        if let Some(peer) = reopened {
+            // The refilled lane flushes on the next readiness/tick pass.
+            self.core.net.offer(peer);
         }
     }
 
@@ -1026,9 +938,8 @@ impl Reactor {
                     self.out_conn[peer.index()] = None;
                     let mut lane = self.wire.lanes[peer.index()].lock();
                     lane.connected = false;
-                    lane.stalled = false;
                     // Buffered frames die with the connection; the
-                    // outbox replays them after the next handshake.
+                    // log replays them after the next handshake.
                     lane.buf.clear();
                 }
             }

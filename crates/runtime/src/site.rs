@@ -446,7 +446,7 @@ impl SiteCore {
     /// exceeds one segment plus the checkpoint.
     fn flush_log(&self, d: &mut DurableSite) {
         if d.flush_would_roll() {
-            d.install_checkpoint(self.copy_cells());
+            d.install_checkpoint(self.copy_cells(0));
         }
         d.flush_log();
     }
@@ -483,7 +483,7 @@ impl SiteCore {
             let responses = match cmd {
                 ProtoCommand::Send { to, payload } => {
                     self.note_sent(to, &payload);
-                    let _ = self.net.send(to, payload);
+                    self.net.send(to, &payload);
                     Vec::new()
                 }
                 ProtoCommand::Apply { gid, writes } => {
@@ -654,16 +654,18 @@ impl SiteCore {
         self.net.ack_received(from, seq);
     }
 
-    /// Every copy this site holds, ascending by item, with value and
-    /// writer, read off the store as the iterator is consumed — the
-    /// input of the shared copy-state codec
+    /// Every copy this site holds from number `from` on, ascending by
+    /// item, with value and writer, read off the store as the iterator
+    /// is consumed — the input of the shared copy-state codec
     /// ([`repl_net::encode_cells_into`]), so deployments can be compared
     /// byte-for-byte.
     pub fn copy_cells(
         &self,
+        from: usize,
     ) -> impl ExactSizeIterator<Item = (ItemId, Value, Option<GlobalTxnId>)> + '_ {
         // `items_at` is ascending: the placement hands out ids in order.
-        self.placement.items_at(self.id).iter().map(|&i| {
+        let items = self.placement.items_at(self.id);
+        items.get(from..).unwrap_or_default().iter().map(|&i| {
             // replint: allow(RL008) -- every placement copy was seeded at site start
             let r = self.store.peek(i).expect("placement copy exists in store");
             (i, r.value, r.writer)
@@ -675,10 +677,14 @@ impl SiteCore {
 mod tests {
     use super::*;
     use crate::cluster::build_structure;
-    use crate::transport::SendStatus;
+    use crate::handle::join_state_pages;
+    use repl_net::{
+        decode_framed, encode_cells, frame_state_page_into, ClientReply, FrameReader, WireMsg,
+    };
     use repl_protocol::SubtxnKind;
+    use repl_storage::SEGMENT_BYTES;
 
-    /// A wire that keeps every frame handed to it.
+    /// A wire that takes every frame handed to it and keeps it decoded.
     #[derive(Default)]
     struct Recorder(Mutex<Vec<(SiteId, u64, Payload)>>);
 
@@ -689,14 +695,17 @@ mod tests {
     }
 
     impl Transport for Recorder {
-        fn try_send(&self, to: SiteId, seq: u64, payload: &Payload) -> SendStatus {
-            self.0.lock().push((to, seq, payload.clone()));
-            SendStatus::Sent
+        fn try_send(&self, to: SiteId, frames: &[u8]) -> usize {
+            let mut reader = FrameReader::new();
+            reader.feed(frames);
+            while let Some(WireMsg::Link { seq, payload }) = reader.next_msg().unwrap() {
+                self.0.lock().push((to, seq, payload));
+            }
+            assert_eq!(reader.buffered(), 0, "whole link frames only");
+            frames.len()
         }
 
-        fn send_ack(&self, _: SiteId, _: u64) -> SendStatus {
-            SendStatus::Sent
-        }
+        fn send_ack(&self, _: SiteId, _: u64) {}
     }
 
     /// s0 and s1 of `chain3` with one item a site (s0's copied at s1
@@ -761,5 +770,46 @@ mod tests {
         let (seq, sub) = commit_at_s0(&mut s0, &w0, 1);
         s1.apply_frame(SiteId(0), seq, sub.clone());
         assert_eq!(w1.take(), [(SiteId(2), 1, sub)]);
+    }
+
+    /// A store of 50 copies, every third a 62 KiB value — 1.08 MB, past
+    /// the frame cap — is served in pages of at most a segment of cells
+    /// (a 62 KiB cell and the integers after it), and the pages a
+    /// client joins are the image of the whole store.
+    #[test]
+    fn copy_state_pages_join_into_the_whole_store_image() {
+        let mut placement = DataPlacement::new(1);
+        placement.add_run(SiteId(0), &[], 50);
+        let structure = build_structure(&placement, RuntimeProtocol::DagWt).unwrap();
+        let mut site =
+            SiteSetup::new(SiteId(0), RuntimeProtocol::DagWt, placement.into(), &structure)
+                .unwrap()
+                .into_core(SiteParts::new(1, 1), Arc::new(Recorder::default()), Arc::default());
+        for i in 0..50u32 {
+            let value = if i % 3 == 0 {
+                Value::Bytes(vec![i as u8; 62 << 10])
+            } else {
+                Value::int(i.into())
+            };
+            let ops = [Op::write(ItemId(i), value)];
+            let started = site.start_txn(&ops).unwrap();
+            site.complete_txn(started.gid, &ops);
+        }
+        let whole = encode_cells(&site.copy_cells(0).collect::<Vec<_>>());
+        assert!(whole.len() > repl_net::MAX_FRAME_LEN as usize);
+
+        let mut pages = 0;
+        let image = join_state_pages(|from| {
+            let mut frame = Vec::new();
+            frame_state_page_into(&mut frame, site.copy_cells(from as usize), SEGMENT_BYTES);
+            assert!(frame.len() <= 4 + 2 + 8 + 4 + SEGMENT_BYTES, "page {pages}: {}", frame.len());
+            pages += 1;
+            match decode_framed(&mut frame[..].into()).unwrap() {
+                Some(WireMsg::Reply(ClientReply::State(page))) => Ok(page),
+                other => panic!("not a state page: {other:?}"),
+            }
+        });
+        assert_eq!(pages, 18, "17 pages and the empty one");
+        assert_eq!(image.unwrap(), whole);
     }
 }

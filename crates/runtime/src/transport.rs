@@ -1,33 +1,32 @@
 //! The transport abstraction: one site's reliable-link engine over its
 //! wire.
 //!
-//! [`Net`] owns the site's sequencing/outbox/ack/replay logic (state in
+//! [`Net`] owns the site's sequencing/log/ack/replay logic (state in
 //! [`crate::link::Links`]) and delegates the one step that touches the
-//! wire to a [`Transport`]. The wire is the epoll reactor's: a send
-//! appends a framed [`repl_net::WireMsg::Link`] to a per-peer write
-//! buffer the readiness loop flushes, an ack a framed
-//! [`repl_net::WireMsg::Ack`], with typed [`SendStatus::Backpressure`]
-//! once a buffer is full — nothing in the send path can block.
+//! wire to a [`Transport`], which is offered framed bytes: the link's
+//! log from its send cursor on. The wire is the epoll reactor's: it
+//! copies the whole frames it takes into a per-peer write buffer the
+//! readiness loop flushes, and takes none once the buffer is full or
+//! the link is down — nothing in the send path can block.
 //! `crate::nemesis::ChaosWire` decorates it with a fault plan. Arriving
 //! frames do not pass through here: the reactor applies them.
 //!
-//! Every attempt is **single-shot and nonblocking**: a send either
-//! reaches the wire ([`SendStatus::Sent`]), is refused by a full buffer
-//! ([`SendStatus::Backpressure`]), or finds the wire down
-//! ([`SendStatus::Down`]). In all three outcomes the payload is already
-//! enrolled in the outbox, so delivery is recovered by replay — a
+//! Every attempt is **single-shot and nonblocking**: the cursor moves
+//! past the frames the wire took, and every frame stays in the log
+//! until acknowledged, so delivery is recovered by sending on from the
+//! cursor when a full buffer drains ([`Net::offer`]) or by replay — a
 //! reconnect ([`Net::resume`] from the peer's `HelloAck.resume_seq`,
-//! which is also how a restarted site catches up), a stalled lane's
-//! periodic replay, or a backpressure drain — and the receiver's
+//! which is also how a restarted site catches up) or a stalled lane's
+//! periodic replay — and the receiver's
 //! durable dedup/gap marks make the replays exactly-once.
 //!
-//! Lock discipline: [`Net::send`] assigns the sequence number, enrolls
-//! the payload and performs the delivery attempt *while holding the
+//! Lock discipline: [`Net::send`] assigns the sequence number, encodes
+//! the frame into the log and performs the delivery attempt *while holding the
 //! lane lock*. That makes wire order equal sequence order per link — a
 //! reconnect replay ([`Net::resume`]) takes the same lock, so a fresh
 //! send can never jump ahead of a replayed predecessor on the stream.
-//! Nothing slow happens under the lock: a send is a memcpy into a write
-//! buffer.
+//! Nothing slow happens under the lock: a send is an encode and a
+//! memcpy.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -37,7 +36,7 @@ use parking_lot::Mutex;
 use repl_net::Payload;
 use repl_types::SiteId;
 
-use crate::link::Links;
+use crate::link::{LinkState, Links};
 
 /// This site's progress record of one peer.
 struct HealthCell {
@@ -45,32 +44,21 @@ struct HealthCell {
     dial_failures: u32,
 }
 
-/// Typed outcome of one nonblocking delivery attempt.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum SendStatus {
-    /// The message reached the wire (or a buffer the wire will drain).
-    Sent,
-    /// The wire is up but its buffer is full; the message stays in the
-    /// outbox and a later drain replays it.
-    Backpressure,
-    /// The wire is down; the message stays in the outbox and the next
-    /// reconnect replays it.
-    Down,
-}
-
 /// One site's wire to its peers: nonblocking single-attempt sends.
 /// Implementations own whatever buffers the wire needs; the
 /// reliable-link engine ([`Net`]) above it is the same with or without
 /// a fault plan in between.
 pub(crate) trait Transport: Send + Sync {
-    /// Try once, without blocking, to hand `(seq, payload)` to `to`.
-    fn try_send(&self, to: SiteId, seq: u64, payload: &Payload) -> SendStatus;
+    /// Try once, without blocking, to hand `to` the whole `Link` frames
+    /// in `frames`, in order. Returns the bytes of the leading frames it
+    /// took: 0 while the link is down or its buffer is full.
+    fn try_send(&self, to: SiteId, frames: &[u8]) -> usize;
 
     /// Convey the acknowledgement of `seq` on the `from -> me` link back
     /// to `from`. Best-effort: a lost ack only delays pruning (the
     /// handshake `resume_seq` re-synchronizes on reconnect) and a
     /// duplicate delivery is re-acked.
-    fn send_ack(&self, from: SiteId, seq: u64) -> SendStatus;
+    fn send_ack(&self, from: SiteId, seq: u64);
 
     /// Once a reactor pass: release frames held back that are now due.
     fn tick(&self) {}
@@ -92,31 +80,37 @@ impl Net {
         Net { me, health: (0..links.num_sites()).map(|_| fresh()).collect(), links, raw }
     }
 
-    /// Enroll `payload` on the link to `to` and attempt delivery once.
-    /// The message is in the outbox before the attempt, so a failed (or
+    /// Encode `payload` into the log to `to` and attempt delivery once.
+    /// The frame is in the log before the attempt, so a failed (or
     /// half-failed: queued at a receiver that dies before applying)
     /// delivery is always recoverable by replay — there is no retry loop
     /// and no sleeping here, which is what lets the engine run inside a
     /// single-threaded reactor.
-    pub fn send(&self, to: SiteId, payload: Payload) -> SendStatus {
+    pub fn send(&self, to: SiteId, payload: &Payload) {
         let mut lane = self.links.lane(to).lock();
-        lane.next_seq += 1;
-        let seq = lane.next_seq;
-        lane.unacked.push_back((seq, payload));
-        // replint: allow(RL008) -- back() of a deque pushed to on the previous line
-        let (_, payload) = lane.unacked.back().expect("just pushed");
-        self.raw.try_send(to, seq, payload)
+        lane.push(payload);
+        self.attempt(to, &mut lane);
+    }
+
+    /// Offer the wire the frames of the locked lane past its cursor.
+    fn attempt(&self, to: SiteId, lane: &mut LinkState) {
+        lane.offer(|frames| self.raw.try_send(to, frames));
+    }
+
+    /// Send on from the cursor: the wire's full buffer for `to` drained.
+    pub fn offer(&self, to: SiteId) {
+        self.attempt(to, &mut self.links.lane(to).lock());
     }
 
     /// Receiver side: report `seq` on the link from `from` durably
-    /// applied, so the sender can prune its outbox.
+    /// applied, so the sender can prune its log.
     pub fn ack_received(&self, from: SiteId, seq: u64) {
-        let _ = self.raw.send_ack(from, seq);
+        self.raw.send_ack(from, seq);
     }
 
     /// Sender side: `to` acknowledged everything up to `seq`.
     pub fn on_ack(&self, to: SiteId, seq: u64) {
-        self.links.prune(to, seq);
+        self.links.lane(to).lock().prune(seq);
         // An ack is proof the peer is alive and applying.
         self.note_progress(to);
     }
@@ -150,7 +144,7 @@ impl Net {
                 continue;
             }
             let cell = cell.lock();
-            let pending = self.links.lane_len(peer) > 0 || cell.dial_failures > 0;
+            let pending = self.lane_len(peer) > 0 || cell.dial_failures > 0;
             let silent = cell.last_progress.elapsed();
             if !pending || silent < suspect_after {
                 up += 1;
@@ -163,13 +157,13 @@ impl Net {
         (up, suspect, down)
     }
 
-    /// Sequence number at the head of the outbox to `to` (the oldest
+    /// Sequence number at the head of the log to `to` (the oldest
     /// unacknowledged message), or `None` when the lane is empty. The
     /// stall-replay driver watches this: a non-empty lane whose front
     /// does not move between checks has made no ack progress and gets
     /// replayed.
     pub fn front_seq(&self, to: SiteId) -> Option<u64> {
-        self.links.front_seq(to)
+        self.links.lane(to).lock().front_seq()
     }
 
     /// Let the wire release what it holds back (see [`Transport::tick`]).
@@ -178,13 +172,10 @@ impl Net {
     }
 
     /// Re-synchronize the link to `to` after the connection was
-    /// re-established (a reconnect, or the destination restarted), the
-    /// lane stalled, or a backpressured buffer drained: prune everything
-    /// the destination reports durably applied (`acked`, the
-    /// handshake's `resume_seq`), then replay the rest in sequence
-    /// order. Replay stops at the first non-[`SendStatus::Sent`]
-    /// attempt — the receiver would gap-drop everything after the hole
-    /// anyway, and the next resume picks the tail up.
+    /// re-established (a reconnect, or the destination restarted) or the
+    /// lane stalled: prune everything the destination reports durably
+    /// applied (`acked`, the handshake's `resume_seq`), then rewind the
+    /// cursor and offer the rest in sequence order.
     ///
     /// Holding the lane lock across the replay orders it before any
     /// racing fresh send on the lane (sequence assignment and delivery
@@ -192,19 +183,13 @@ impl Net {
     /// that order downstream.
     pub fn resume(&self, to: SiteId, acked: u64) {
         let mut lane = self.links.lane(to).lock();
-        while lane.unacked.front().is_some_and(|(s, _)| *s <= acked) {
-            lane.unacked.pop_front();
-        }
-        for (seq, payload) in &lane.unacked {
-            if self.raw.try_send(to, *seq, payload) != SendStatus::Sent {
-                break;
-            }
-        }
+        lane.rewind(acked);
+        self.attempt(to, &mut lane);
     }
 
     /// Messages awaiting acknowledgement on the lane to `to` (send
     /// throttling).
     pub fn lane_len(&self, to: SiteId) -> usize {
-        self.links.lane_len(to)
+        self.links.lane(to).lock().len()
     }
 }
