@@ -20,7 +20,7 @@
 //! | RL009 | blocking socket call patterns inside the epoll reactor |
 //! | RL010 | bare `thread::sleep` or hardcoded retry-duration consts in `crates/runtime` outside the policy module |
 //! | RL011 | lock-manager access on the MVCC snapshot-read path (storage `mvcc.rs`/`snapshot.rs`/`cells.rs`, and the `read_snapshot` and `trace_access` bodies in `store.rs`) |
-//! | RL012 | raw `Transport::try_send` calls in `crates/runtime` outside `transport.rs`/`nemesis.rs` (bypassing the per-link log) |
+//! | RL012 | raw `Transport::try_send` calls in `crates/runtime` outside `Net::flush` in `transport.rs` (bytes on a peer socket that no link cursor accounts for) |
 //!
 //! Files are classified by path ([`FileClass`]): paths under
 //! `crates/runtime` or `crates/net` get the panic-freedom rule
@@ -37,7 +37,9 @@
 //! calls are rejected there by pattern. The three sanctioned
 //! nonblocking helpers at the bottom of the module carry
 //! `// replint: allow(RL009)` comments; everything else must funnel
-//! through them.
+//! through them — link frames too, which leave from the link log
+//! through the `write_some` sink the reactor hands `Net::flush`, so the
+//! one raw peer write is the audited helper's.
 //!
 //! RL006 keeps real sockets out of the deterministic layers: the
 //! simulator models the network in virtual time, so any code under the
@@ -86,15 +88,18 @@
 //! them.
 //!
 //! RL012 pins the propagation send funnel: every frame leaving a site
-//! must route through `Net::send` in `runtime/src/transport.rs`, which
-//! assigns the per-link sequence number and encodes the frame into the
-//! link log *under the lane lock* — a raw `Transport::try_send`
-//! anywhere else would emit frames with no replay entry (lost on the
-//! first drop) or out of sequence (gap-dropped by the receiver's dedup
-//! discipline). `transport.rs` itself and the fault-injection shim
-//! `nemesis.rs` (which wraps the raw transport *below* the log) are
-//! the two sanctioned homes; a call anywhere else needs a
-//! `// replint: allow(RL012)` justification (none does today).
+//! is encoded into its link log by `Net::send` (which assigns the
+//! per-link sequence number under the lane lock), and only `Net::flush`
+//! in `runtime/src/transport.rs` hands the wire bytes to write: the log
+//! from its send cursor, moving the cursor past what the socket took. A
+//! raw `Transport::try_send` anywhere else — elsewhere in
+//! `transport.rs` and in the fault-injection wire `nemesis.rs`
+//! included — would put bytes on a peer socket that no cursor accounts
+//! for: frames with no replay entry (lost on the first drop), out of
+//! sequence (gap-dropped by the receiver's dedup discipline), or inside
+//! another frame. The body of `fn flush` in `transport.rs` is the one
+//! sanctioned home, tracked by brace depth; a call anywhere else needs
+//! a `// replint: allow(RL012)` justification (none does today).
 //! `#[cfg(test)]` regions are skipped the same way RL008 skips them.
 //!
 //! Any rule is silenced for one finding with a suppression comment on
@@ -229,12 +234,11 @@ pub fn scan_file(path_label: &str, src: &str) -> Vec<Diagnostic> {
                 if in_runtime && !is_policy {
                     scan_timing(src, &mut |c, m, l, t| emit(&mut diags, c, m, l, t));
                 }
-                let is_send_funnel = path_label.contains("runtime/src/transport.rs")
-                    || path_label.contains("runtime\\src\\transport.rs")
-                    || path_label.contains("runtime/src/nemesis.rs")
-                    || path_label.contains("runtime\\src\\nemesis.rs");
-                if in_runtime && !is_send_funnel {
-                    scan_raw_transport_send(src, &mut |c, m, l, t| emit(&mut diags, c, m, l, t));
+                if in_runtime {
+                    let funnel = path_label.replace('\\', "/").contains("runtime/src/transport.rs");
+                    scan_raw_transport_send(src, funnel, &mut |c, m, l, t| {
+                        emit(&mut diags, c, m, l, t)
+                    });
                 }
             }
             FileClass::Exempt => return Vec::new(),
@@ -581,15 +585,51 @@ fn hardcoded_retry_const(code: &str) -> Option<String> {
 /// The raw transport send banned outside the send funnel.
 const RAW_SEND_PATTERN: &str = ".try_send(";
 
-/// RL012: propagation sends route through the per-link log. A raw
-/// `Transport::try_send` call anywhere in `crates/runtime` outside
-/// `transport.rs` (where `Net::send` assigns the sequence number and
-/// encodes the frame into the link log under the lane lock) and
-/// `nemesis.rs` (the fault shim wrapping the raw transport below the
-/// log) emits frames that the replay/dedup discipline never sees.
-/// `#[cfg(test)]` regions are skipped the same way RL008 skips them.
-fn scan_raw_transport_send(src: &str, emit: &mut dyn FnMut(&'static str, &str, u32, &str)) {
+/// The send funnel's signature in `runtime/src/transport.rs`.
+const SEND_FUNNEL_FN: &str = "fn flush(";
+
+/// The brace-depth extent of one item: fed every line with whether the
+/// item starts on it, it says whether the line is inside (the
+/// signature line and those up to its opening brace included).
+#[derive(Default)]
+struct ItemScope {
+    /// Brace depth of the item's body while inside it.
+    depth: Option<i32>,
+    /// Seen the signature, not yet its opening brace.
+    awaiting_brace: bool,
+}
+
+impl ItemScope {
+    fn step(&mut self, starts: bool, opens: i32, closes: i32) -> bool {
+        if let Some(depth) = self.depth {
+            let depth = depth + opens - closes;
+            self.depth = (depth > 0).then_some(depth);
+            return true;
+        }
+        if !starts && !self.awaiting_brace {
+            return false;
+        }
+        self.awaiting_brace = opens == 0;
+        let depth = opens - closes;
+        self.depth = (depth > 0).then_some(depth);
+        true
+    }
+}
+
+/// RL012: link bytes reach a peer socket only from the link log. A raw
+/// `Transport::try_send` call anywhere in `crates/runtime` outside the
+/// body of `Net::flush` in `transport.rs` (`funnel`: the file scanned
+/// is that one), which offers the wire the log from its send cursor
+/// under the lane lock and moves the cursor past what the socket took,
+/// writes bytes the replay/dedup discipline never sees. `#[cfg(test)]`
+/// regions are skipped the same way RL008 skips them.
+fn scan_raw_transport_send(
+    src: &str,
+    funnel: bool,
+    emit: &mut dyn FnMut(&'static str, &str, u32, &str),
+) {
     let mut region = TestRegion::Outside;
+    let mut flush = ItemScope::default();
     for (idx, raw) in src.lines().enumerate() {
         let line = raw.trim();
         let lineno = idx as u32 + 1;
@@ -619,13 +659,17 @@ fn scan_raw_transport_send(src: &str, emit: &mut dyn FnMut(&'static str, &str, u
                 continue;
             }
         }
+        if funnel && flush.step(code_part.contains(SEND_FUNNEL_FN), opens, closes) {
+            continue;
+        }
         if code_part.contains(RAW_SEND_PATTERN) {
             emit(
                 "RL012",
                 &format!(
-                    "raw transport send ({RAW_SEND_PATTERN}) outside the send funnel: \
-                     frames sent here bypass sequence assignment and the \
-                     link log replay reads; route through Net::send or \
+                    "raw transport send ({RAW_SEND_PATTERN}) outside Net::flush: \
+                     bytes written here bypass the link log's send cursor, \
+                     which sequencing, acks and replay read; send through \
+                     Net::send and let the reactor's flush write them, or \
                      justify with `// replint: allow(RL012)`"
                 ),
                 lineno,
@@ -666,10 +710,8 @@ fn scan_mvcc_lock_free(
         return;
     }
     let mut region = TestRegion::Outside;
-    // Brace depth of a snapshot-read function's body while inside it
-    // (`read_fn_only` files); the signature line itself is in scope.
-    let mut read_fn: Option<i32> = None;
-    let mut awaiting_read_fn_brace = false;
+    // A snapshot-read function's body (`read_fn_only` files).
+    let mut read_fn = ItemScope::default();
     for (idx, raw) in src.lines().enumerate() {
         let line = raw.trim();
         let lineno = idx as u32 + 1;
@@ -699,31 +741,8 @@ fn scan_mvcc_lock_free(
                 continue;
             }
         }
-        let in_scope = if whole_file {
-            true
-        } else if let Some(depth) = read_fn {
-            let depth = depth + opens - closes;
-            read_fn = if depth > 0 { Some(depth) } else { None };
-            true
-        } else if awaiting_read_fn_brace {
-            if opens > 0 {
-                awaiting_read_fn_brace = false;
-                let depth = opens - closes;
-                read_fn = if depth > 0 { Some(depth) } else { None };
-            }
-            true
-        } else if SNAPSHOT_READ_FNS.iter().any(|name| code_part.contains(name)) {
-            if opens > 0 {
-                let depth = opens - closes;
-                read_fn = if depth > 0 { Some(depth) } else { None };
-            } else {
-                awaiting_read_fn_brace = true;
-            }
-            true
-        } else {
-            false
-        };
-        if !in_scope {
+        let starts = SNAPSHOT_READ_FNS.iter().any(|name| code_part.contains(name));
+        if !whole_file && !read_fn.step(starts, opens, closes) {
             continue;
         }
         for pat in LOCK_PATH_PATTERNS {
@@ -1300,11 +1319,33 @@ impl Store {
     }
 
     #[test]
-    fn raw_transport_send_sanctioned_in_funnel_files() {
-        let src = "let s = self.raw.try_send(from, to, seq, &payload);\n";
-        // The outbox funnel itself and the fault shim below it.
-        assert!(scan_file("crates/runtime/src/transport.rs", src).is_empty());
-        assert!(scan_file("crates/runtime/src/nemesis.rs", src).is_empty());
+    fn raw_transport_send_sanctioned_only_in_net_flush() {
+        let funnel = "impl Net {\n\
+                      \x20   pub fn flush(&self, to: SiteId, sink: &mut Sink<'_>) -> io::Result<()> {\n\
+                      \x20       let mut lane = self.links.lane(to).lock();\n\
+                      \x20       lane.offer(|frames| self.raw.try_send(to, frames, sink))\n\
+                      \x20   }\n\
+                      \x20   pub fn send(&self, to: SiteId, frames: &[u8]) {\n\
+                      \x20       self.raw.try_send(to, frames, sink);\n\
+                      \x20   }\n\
+                      }\n";
+        let lines: Vec<u32> = scan_file("crates/runtime/src/transport.rs", funnel)
+            .iter()
+            .map(|d| match &d.witness {
+                Witness::Source { line, .. } => *line,
+                _ => 0,
+            })
+            .collect();
+        // The log's flush is the funnel; a send beside it is not.
+        assert_eq!(lines, vec![7]);
+        // Nor is the fault-injection wire, which writes what it is given.
+        let src = "let s = self.raw.try_send(to, frames, sink);\n";
+        let codes: Vec<_> =
+            scan_file("crates/runtime/src/nemesis.rs", src).into_iter().map(|d| d.code).collect();
+        assert_eq!(codes, vec!["RL012"]);
+        // A signature split over lines still opens the funnel.
+        let split = "fn flush(\n    &self,\n) {\n    self.raw.try_send(to, frames, sink)\n}\n";
+        assert!(scan_file("crates/runtime/src/transport.rs", split).is_empty());
         // Other crates (the simulator's engine, say) are out of RL012's
         // scope entirely.
         assert!(scan_file("crates/core/src/engine/mod.rs", src).is_empty());

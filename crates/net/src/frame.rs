@@ -20,6 +20,13 @@ use crate::msg::{self, NetError, Payload, WireMsg, MSG_REPLY, REPLY_STATE};
 /// anything that could act as an allocation amplifier.
 pub const MAX_FRAME_LEN: u32 = 1 << 20;
 
+/// Most bytes of whole records one page of a paged client reply carries
+/// — the transactions of a `History` page, the cells of a `CopyState`
+/// one; a record or cell larger than this is a page of its own. A site
+/// frames a page straight into the asking connection's write buffer, so
+/// this bounds what a bulk fetch stages there. A constant, not a knob.
+pub const PAGE_BYTES: usize = 16 * 1024;
+
 /// Errors raised while reading a frame from a stream.
 #[derive(Debug)]
 pub enum ReadError {
@@ -90,7 +97,9 @@ pub fn frame_link_into(out: &mut Vec<u8>, seq: u64, payload: &Payload) {
 /// the copy-state encoding (as for [`crate::encode_cells`], ascending
 /// item order) of the leading `cells` whose encodings fit `budget`
 /// bytes — at least one, so a cell past the budget is a page of its
-/// own — written straight into the frame. Returns how many it holds.
+/// own — written straight into the frame. A cell that does not fit is
+/// not written, so `out` grows by the page and its header, no more.
+/// Returns how many cells the page holds.
 pub fn frame_state_page_into<V: std::borrow::Borrow<Value>>(
     out: &mut Vec<u8>,
     cells: impl Iterator<Item = (ItemId, V, Option<GlobalTxnId>)>,
@@ -106,12 +115,11 @@ pub fn frame_state_page_into<V: std::borrow::Borrow<Value>>(
         let image_at = buf.len();
         buf.put_u32(0); // the cell count, patched below
         for (item, value, writer) in cells {
-            let at = buf.len();
-            codec::put_cell(buf, item, value.borrow(), writer);
-            if count > 0 && buf.len() - image_at - 4 > budget {
-                buf.truncate(at);
+            let len = codec::cell_len(value.borrow(), writer);
+            if count > 0 && buf.len() - image_at - 4 + len > budget {
                 break;
             }
+            codec::put_cell(buf, item, value.borrow(), writer);
             count += 1;
         }
         let len = (buf.len() - image_at) as u64;

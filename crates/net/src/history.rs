@@ -10,9 +10,10 @@
 //! all varints: an entry costs its wire size, 43 bytes for a 6-read,
 //! 4-write Table-1 update while item ids and sequence numbers are below
 //! 2¹⁴ (138 with fixed-width fields). The log grows a 64 KiB
-//! segment at a time, and a checker fetches it a segment per reply
+//! segment at a time, and a checker fetches it a page per reply
 //! ([`HistoryLog::frame_page_into`]): a reply is a header plus one copy
-//! of at most one segment however long the history is. The indexed
+//! of at most [`PAGE_BYTES`] of whole transactions, inside one segment,
+//! however long the history is. The indexed
 //! `repl_analysis::history::History` is built only where a
 //! serializability verdict is wanted, from [`HistoryLog::txns`] or from
 //! the decoded replies.
@@ -25,7 +26,7 @@ use bytes::BufMut;
 use repl_storage::SegLog;
 use repl_types::{GlobalTxnId, ItemId};
 
-use crate::frame::framed;
+use crate::frame::{framed, PAGE_BYTES};
 use crate::msg::{
     get_history_txn, history_txn_len, put_history_txn, HistoryTxn, MSG_REPLY, REPLY_HISTORY,
 };
@@ -81,7 +82,8 @@ impl HistoryLog {
 
     /// Append to `out` the frame of the [`crate::ClientReply::History`]
     /// reply to `ClientMsg::History { from }`: the transactions from
-    /// number `from` (counting from 0, in commit order) to the end of
+    /// number `from` (counting from 0, in commit order) on, as many as
+    /// fit [`PAGE_BYTES`] (at least one) and no further than the end of
     /// the segment that holds it — byte-identical to encoding
     /// `WireMsg::Reply(ClientReply::History(page))` for that slice of
     /// [`HistoryLog::txns`]. At or past the end of the history the page
@@ -90,8 +92,16 @@ impl HistoryLog {
     pub fn frame_page_into(&self, from: u64, out: &mut Vec<u8>) {
         let page = usize::try_from(from).ok().and_then(|from| self.txns.page_of(from));
         let (count, bytes) = page.map_or((0, &[][..]), |(skip, page)| {
-            let skipped = (0..skip).fold(0, |at, _| at + encoded_txn_len(&page.bytes[at..]));
-            (page.records - skip, &page.bytes[skipped..])
+            let start = (0..skip).fold(0, |at, _| at + encoded_txn_len(&page.bytes[at..]));
+            let (mut end, mut count) = (start, 0);
+            while count < page.records - skip {
+                let next = end + encoded_txn_len(&page.bytes[end..]);
+                if count > 0 && next - start > PAGE_BYTES {
+                    break;
+                }
+                (end, count) = (next, count + 1);
+            }
+            (count, &page.bytes[start..end])
         });
         // Exactly: pages differ by a few bytes, and growing by doubling
         // for the second one would hold two pages' worth for one.
@@ -157,21 +167,35 @@ mod tests {
     }
 
     /// The page a fetch from `from` returns, decoded off its frame —
-    /// which never carries more than one segment.
+    /// which never carries more than `PAGE_BYTES` of transactions, unless
+    /// it carries one.
     fn page(log: &HistoryLog, from: u64) -> Vec<HistoryTxn> {
         let mut out = Vec::new();
         log.frame_page_into(from, &mut out);
-        assert!(out.len() <= 4 + 2 + 4 + SEGMENT_BYTES);
         let mut buf = BytesMut::from(&out[..]);
-        match decode_framed(&mut buf).unwrap() {
+        let txns = match decode_framed(&mut buf).unwrap() {
             Some(WireMsg::Reply(ClientReply::History(txns))) if buf.is_empty() => txns,
             other => panic!("not one history reply frame: {other:?}"),
+        };
+        assert!(out.len() - (4 + 2 + 4) <= PAGE_BYTES || txns.len() == 1, "{}", out.len());
+        txns
+    }
+
+    /// Everything from `start` on, a page at a time until one is empty.
+    fn collect(log: &HistoryLog, start: usize) -> Vec<HistoryTxn> {
+        let mut got = Vec::new();
+        loop {
+            let next = page(log, (start + got.len()) as u64);
+            if next.is_empty() {
+                return got;
+            }
+            got.extend(next);
         }
     }
 
     /// `n` Table-1 updates (6 reads of written versions, 4 writes), item
     /// ids and sequence numbers in the two-byte varint range: 43 bytes
-    /// each, 1524 to a segment.
+    /// each, 381 to a page and 1524 to a segment.
     fn table1_txns(n: u64) -> Vec<HistoryTxn> {
         (0..n)
             .map(|k| {
@@ -200,7 +224,7 @@ mod tests {
                 // Appended after whatever the buffer already holds.
                 let mut out = vec![0xEE; 3];
                 log.frame_page_into(from as u64, &mut out);
-                // One segment holds all of a history this small.
+                // One page holds all of a history this small.
                 let typed = encode_framed(&WireMsg::Reply(ClientReply::History(
                     txns[from..].to_vec(),
                 )));
@@ -214,17 +238,20 @@ mod tests {
     }
 
     #[test]
-    fn pages_end_at_segment_boundaries_and_the_cursor_collects_them() {
+    fn pages_hold_a_page_of_whole_txns_inside_a_segment_and_the_cursor_collects_them() {
+        const PER_PAGE: usize = PAGE_BYTES / 43;
         const PER_SEGMENT: usize = SEGMENT_BYTES / 43;
         let txns = table1_txns(4000);
         let log = log_of(&txns);
         assert_eq!(log.encoded_len(), 4000 * 43);
-        // From the start of a segment: that whole segment, no more.
-        assert_eq!(page(&log, 0), txns[..PER_SEGMENT]);
-        assert_eq!(page(&log, PER_SEGMENT as u64), txns[PER_SEGMENT..2 * PER_SEGMENT]);
-        // From the middle of a segment: the rest of that segment.
-        assert_eq!(page(&log, 2000), txns[2000..2 * PER_SEGMENT]);
-        assert_eq!(page(&log, 2 * PER_SEGMENT as u64 - 1), txns[2 * PER_SEGMENT - 1..][..1]);
+        // From anywhere: as many whole transactions as fit a page.
+        assert_eq!(page(&log, 0), txns[..PER_PAGE]);
+        assert_eq!(page(&log, PER_PAGE as u64), txns[PER_PAGE..2 * PER_PAGE]);
+        assert_eq!(page(&log, 1000), txns[1000..1000 + PER_PAGE]);
+        // No further than the end of the segment that holds `from`.
+        assert_eq!(page(&log, 1500), txns[1500..PER_SEGMENT]);
+        assert_eq!(page(&log, PER_SEGMENT as u64 - 1), txns[PER_SEGMENT - 1..][..1]);
+        assert_eq!(page(&log, PER_SEGMENT as u64), txns[PER_SEGMENT..][..PER_PAGE]);
         // The last segment is partly filled.
         assert_eq!(page(&log, 3999), txns[3999..]);
         // At and past the end: the empty page.
@@ -232,17 +259,26 @@ mod tests {
         assert_eq!(page(&log, u64::MAX), vec![]);
         assert_eq!(page(&HistoryLog::new(), 0), vec![]);
         // Following the cursor from anywhere collects the rest.
-        for start in [0usize, 1, PER_SEGMENT - 1, PER_SEGMENT, 3000] {
-            let mut got = Vec::new();
-            loop {
-                let next = page(&log, (start + got.len()) as u64);
-                if next.is_empty() {
-                    break;
-                }
-                got.extend(next);
-            }
-            assert_eq!(got, txns[start..], "from {start}");
+        for start in [0usize, 1, PER_PAGE - 1, PER_SEGMENT, 3000] {
+            assert_eq!(collect(&log, start), txns[start..], "from {start}");
         }
+    }
+
+    /// A transaction past `PAGE_BYTES` — 6000 reads of written versions,
+    /// about 30 kB — is a page of its own, and the ones around it are not
+    /// held back by it.
+    #[test]
+    fn an_oversize_transaction_is_a_page_of_its_own() {
+        let mut txns = table1_txns(3);
+        let (gid, _, writes) = txns[1].clone();
+        let reads = (0..6000).map(|i| (ItemId(128 + i), Some(gid))).collect();
+        txns[1] = (gid, reads, writes);
+        let log = log_of(&txns);
+        assert!(log.encoded_len() > PAGE_BYTES + 2 * 43);
+        assert_eq!(page(&log, 0), txns[..1]);
+        assert_eq!(page(&log, 1), txns[1..2]);
+        assert_eq!(page(&log, 2), txns[2..]);
+        assert_eq!(collect(&log, 0), txns);
     }
 
     /// The entry sizes the per-commit budget rests on: every field costs

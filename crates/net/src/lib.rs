@@ -36,7 +36,7 @@ pub mod msg;
 pub use conn::{client_handshake, negotiate, HandshakeError, MAGIC, VERSION_MAX, VERSION_MIN};
 pub use frame::{
     decode_framed, encode_framed, frame_link_into, frame_state_page_into, read_msg, write_msg,
-    FrameReader, ReadError, MAX_FRAME_LEN,
+    FrameReader, ReadError, MAX_FRAME_LEN, PAGE_BYTES,
 };
 pub use history::HistoryLog;
 pub use msg::{

@@ -7,24 +7,33 @@
 //!
 //! * Every directed site pair has a [`LinkState`]: a monotone sequence
 //!   counter and a **log** of unacknowledged messages, each encoded once
-//!   as its `Link` frame, with a cursor at the first one the wire has
-//!   not taken. The log lives in a [`Links`] table outside the sending
-//!   reactor, so it survives the *sender* crashing too — it models the
-//!   durable commit record from which a recovering site can always
-//!   re-derive its propagation obligations.
+//!   as its `Link` frame, with a byte cursor at the first byte the
+//!   socket has not taken. The log is the one copy of a frame on its way
+//!   out: the reactor writes it to the peer's socket straight from the
+//!   cursor, and the kernel may take part of a frame, so the cursor can
+//!   stop inside one. The log lives in a [`Links`] table outside the
+//!   sending reactor, so it survives the *sender* crashing too — it
+//!   models the durable commit record from which a recovering site can
+//!   always re-derive its propagation obligations.
 //! * The receiver drops anything ahead of its durable per-link
 //!   high-water mark (a gap: the missing message is still in the log
 //!   and will arrive in order) and re-acks anything at or below it (a
 //!   duplicate), so delivery is exactly-once and per-link FIFO even
 //!   across crash/retransmit and reconnect/replay races.
-//! * Acknowledgement is receiver-driven: after durably applying
-//!   sequence `s`, the receiver acks it, which prunes the log's frames
+//! * Acknowledgement is receiver-driven and cumulative: the receiver
+//!   owes the sender its highest durably applied sequence `s`, and
+//!   writes that mark once a reactor pass; it prunes the log's frames
 //!   `<= s` at the sender.
+//! * A replay goes back to the front of the log on a frame boundary: a
+//!   reconnect starts a fresh stream, and a stall replay on a live one
+//!   first finishes the frame the socket is partway through.
 //!
-//! Only the "one nonblocking attempt to put bytes on the wire" step is
-//! the wire's ([`crate::transport::Transport`]); the sequencing,
-//! logging, acking and replay logic exists exactly once, here and in
+//! Only the "one nonblocking write of the log's bytes" step is the
+//! wire's ([`crate::transport::Transport`]); the sequencing, logging,
+//! acking and replay logic exists exactly once, here and in
 //! [`crate::transport::Net`].
+
+use std::io;
 
 use parking_lot::Mutex;
 
@@ -38,7 +47,7 @@ fn frame_len(bytes: &[u8]) -> usize {
 }
 
 /// The frames of `bytes`, front to back, prefixes included: the log
-/// and every wire hold whole frames only.
+/// holds whole frames only.
 pub(crate) fn frames(mut bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
     std::iter::from_fn(move || {
         let (frame, rest) = bytes.split_at(frame_len(bytes));
@@ -47,16 +56,38 @@ pub(crate) fn frames(mut bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
     })
 }
 
+/// A peer socket as the link layer sees it: one nonblocking `write`,
+/// returning the bytes it took or `WouldBlock`. The reactor hands its
+/// audited `write_some` helper in, so the raw write stays there.
+pub(crate) type Sink<'a> = dyn FnMut(&[u8]) -> io::Result<usize> + 'a;
+
+/// Write `bytes` to `sink` until it has taken them all or would block,
+/// and return how many it took. Any other error means the connection is
+/// broken.
+pub(crate) fn write_taken(sink: &mut Sink<'_>, bytes: &[u8]) -> io::Result<usize> {
+    let mut taken = 0;
+    while taken < bytes.len() {
+        match sink(&bytes[taken..]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => taken += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(taken)
+}
+
 /// Past this capacity a drained [`WriteBuf`] gives its allocation back:
-/// it grew for one burst (a `History` or `CopyState` reply, a backlog
-/// behind a partition), not for steady traffic.
+/// it grew for one burst (a backlog behind a partition), not for steady
+/// traffic.
 const WBUF_KEEP_CAP: usize = 64 * 1024;
 
 /// A byte queue: frame encoders append to it in place, and it is
-/// consumed from the front — a socket's write buffer as nonblocking
-/// writes drain it, a link's log as acks prune it. Contiguous — the
-/// live bytes are `buf[head..]` — so a frame is encoded once, where it
-/// is sent from, and a flush is one `write` of one slice.
+/// consumed from the front — a connection's private write buffer as
+/// nonblocking writes drain it, a link's log as acks prune it.
+/// Contiguous — the live bytes are `buf[head..]` — so a frame is encoded
+/// once, where it is sent from, and a flush is one `write` of one slice.
 #[derive(Default)]
 pub(crate) struct WriteBuf {
     buf: Vec<u8>,
@@ -84,11 +115,6 @@ impl WriteBuf {
         self.len() == 0
     }
 
-    pub(crate) fn clear(&mut self) {
-        self.buf.clear();
-        self.head = 0;
-    }
-
     /// Drop the first `n` live bytes, reclaiming the consumed prefix
     /// once it outweighs what is left, so the footprint tracks the
     /// backlog, not the traffic since it began.
@@ -101,6 +127,14 @@ impl WriteBuf {
             self.head = 0;
         }
     }
+
+    /// Write the live bytes to `sink` until it would block, consuming
+    /// what it takes.
+    pub(crate) fn flush(&mut self, sink: &mut Sink<'_>) -> io::Result<()> {
+        let taken = write_taken(sink, self.bytes())?;
+        self.consume(taken);
+        Ok(())
+    }
 }
 
 /// Sender-side state of one directed link.
@@ -108,12 +142,20 @@ impl WriteBuf {
 pub(crate) struct LinkState {
     /// Last sequence number assigned (the first message is 1).
     last: u64,
-    /// Last sequence number pruned: the log holds `acked + 1..=last`.
+    /// Highest sequence number acknowledged.
     acked: u64,
+    /// Last sequence number dropped: the log holds `dropped + 1..=last`.
+    /// Behind `acked` only while the socket is partway through a frame
+    /// the ack covers ([`LinkState::prune`]).
+    dropped: u64,
     /// Their frames, in sequence order.
     log: WriteBuf,
-    /// Bytes of the log the wire has taken.
+    /// Bytes of the log the wire has taken: whole frames, and part of
+    /// the next one when the socket took only part of it.
     cursor: usize,
+    /// Set by a replay asked for while the cursor is inside a frame:
+    /// where that frame ends, at which the cursor returns to the front.
+    rewind_at: Option<usize>,
 }
 
 impl LinkState {
@@ -128,27 +170,64 @@ impl LinkState {
         (self.last - self.acked) as usize
     }
 
-    /// Offer `wire` the frames past the cursor, in sequence order, and
-    /// move the cursor past the bytes of the whole frames it takes.
-    pub(crate) fn offer(&mut self, wire: impl FnOnce(&[u8]) -> usize) {
-        self.cursor += wire(&self.log.bytes()[self.cursor..]);
+    /// Offer `wire` the log past the cursor — the rest of the frame a
+    /// replay waits on first, then the log from its front — and move the
+    /// cursor past the bytes it takes.
+    pub(crate) fn offer(
+        &mut self,
+        mut wire: impl FnMut(&[u8]) -> io::Result<usize>,
+    ) -> io::Result<()> {
+        if let Some(end) = self.rewind_at {
+            self.cursor += wire(&self.log.bytes()[self.cursor..end])?;
+            if self.cursor < end {
+                return Ok(());
+            }
+            (self.cursor, self.rewind_at) = (0, None);
+        }
+        self.cursor += wire(&self.log.bytes()[self.cursor..])?;
+        // An ack that came while the socket was inside a frame it covers.
+        self.prune(self.acked);
+        Ok(())
     }
 
-    /// Drop every frame with a sequence number `<= seq`. Idempotent.
+    /// Drop every frame with a sequence number `<= seq`, except one the
+    /// socket is partway through and those after it: the rest of that
+    /// frame must still go, and they go once it has. Idempotent.
     pub(crate) fn prune(&mut self, seq: u64) {
+        self.acked = self.acked.max(seq.min(self.last));
         let mut pruned = 0;
-        while self.acked < seq.min(self.last) {
-            pruned += frame_len(&self.log.bytes()[pruned..]);
-            self.acked += 1;
+        while self.dropped < self.acked {
+            let end = pruned + frame_len(&self.log.bytes()[pruned..]);
+            if pruned < self.cursor && self.cursor < end {
+                break;
+            }
+            pruned = end;
+            self.dropped += 1;
         }
         self.log.consume(pruned);
         self.cursor = self.cursor.saturating_sub(pruned);
+        self.rewind_at = self.rewind_at.map(|end| end - pruned);
     }
 
-    /// Prune to `seq`; the next offer replays the log from its front.
-    pub(crate) fn rewind(&mut self, seq: u64) {
+    /// A new connection: prune to `seq`, the peer's durable mark, and
+    /// send the log from its front — a fresh stream starts on a frame.
+    pub(crate) fn resume(&mut self, seq: u64) {
+        (self.cursor, self.rewind_at) = (0, None);
         self.prune(seq);
-        self.cursor = 0;
+    }
+
+    /// Send the log again from its front on the live connection, once
+    /// the frame the socket is partway through, if any, is whole.
+    pub(crate) fn replay(&mut self) {
+        let mut end = 0;
+        while end < self.cursor {
+            end += frame_len(&self.log.bytes()[end..]);
+        }
+        if end == self.cursor {
+            (self.cursor, self.rewind_at) = (0, None);
+        } else {
+            self.rewind_at = Some(end);
+        }
     }
 
     /// Sequence number of the oldest unacknowledged message, if any.
@@ -186,7 +265,7 @@ impl Links {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::VecDeque;
+    use std::collections::{BTreeSet, VecDeque};
     use std::sync::Arc;
 
     use proptest::prelude::*;
@@ -194,45 +273,39 @@ mod tests {
     use repl_types::{GlobalTxnId, ItemId, Value};
 
     use super::*;
-    use crate::transport::{Net, Transport};
+    use crate::transport::{Direct, Net};
 
     const PEER: SiteId = SiteId(1);
 
-    /// A wire whose buffer has `room` bytes left, recording every offer
-    /// and every byte it took.
-    #[derive(Default)]
-    struct Gate(Mutex<GateState>);
-
-    #[derive(Default)]
-    struct GateState {
+    /// A socket whose kernel buffer has `room` bytes left and that takes
+    /// at most `chunk` bytes a `write`, keeping every byte it took.
+    struct Socket {
         room: usize,
-        offers: Vec<Vec<u8>>,
+        chunk: usize,
         taken: Vec<u8>,
     }
 
-    impl Transport for Gate {
-        fn try_send(&self, _: SiteId, offered: &[u8]) -> usize {
-            let mut gate = self.0.lock();
-            // Whole frames, while it has room, as the reactor's lanes do.
-            let mut taken = 0;
-            for frame in frames(offered) {
-                if taken >= gate.room {
-                    break;
-                }
-                taken += frame.len();
-            }
-            gate.room = gate.room.saturating_sub(taken);
-            gate.offers.push(offered.to_vec());
-            gate.taken.extend_from_slice(&offered[..taken]);
-            taken
+    impl Socket {
+        fn new(room: usize) -> Self {
+            Socket { room, chunk: usize::MAX, taken: Vec::new() }
         }
 
-        fn send_ack(&self, _: SiteId, _: u64) {}
+        fn sink(&mut self) -> impl FnMut(&[u8]) -> io::Result<usize> + '_ {
+            |bytes| {
+                let n = bytes.len().min(self.room).min(self.chunk);
+                if n == 0 {
+                    return Err(io::ErrorKind::WouldBlock.into());
+                }
+                self.room -= n;
+                self.taken.extend_from_slice(&bytes[..n]);
+                Ok(n)
+            }
+        }
     }
 
-    fn net_over_gate() -> (Net, Arc<Links>, Arc<Gate>) {
-        let (links, gate) = (Arc::new(Links::new(2)), Arc::new(Gate::default()));
-        (Net::new(SiteId(0), links.clone(), gate.clone()), links, gate)
+    fn net() -> (Net, Arc<Links>) {
+        let links = Arc::new(Links::new(2));
+        (Net::new(SiteId(0), links.clone(), Arc::new(Direct)), links)
     }
 
     /// The sequence numbers of the `Link` frames in `bytes`.
@@ -264,28 +337,35 @@ mod tests {
         })
     }
 
-    /// A lane with room for half of eight frames takes four and refuses
-    /// the rest; once it drains, the link sends on from its cursor. Every
-    /// sequence number reaches the wire exactly once — a drain that
-    /// replayed from the front would offer the four taken frames again.
+    /// A socket with room for four and a half of eight frames takes that
+    /// much — the cursor stops inside the fifth — and once it drains the
+    /// link writes on from the cursor. Every sequence number reaches the
+    /// socket exactly once, whole, and an ack that comes while the socket
+    /// is inside a frame it covers drops that frame once it is written.
     #[test]
     fn a_drained_lane_sends_on_from_the_cursor_and_repeats_no_frame() {
-        let (net, _, gate) = net_over_gate();
+        let (net, links) = net();
         let frame = encode_framed(&WireMsg::Link { seq: 1, payload: payload(0, 0, 0) }).len();
-        gate.0.lock().room = 4 * frame;
         for n in 0..8 {
             net.send(PEER, &payload(n, 0, 0));
         }
-        assert_eq!(seqs(&gate.0.lock().taken), [1, 2, 3, 4]);
+        let mut socket = Socket::new(4 * frame + frame / 2);
+        net.flush(PEER, &mut socket.sink()).unwrap();
+        assert_eq!(socket.taken.len(), 4 * frame + frame / 2);
+        assert_eq!(seqs(&socket.taken[..4 * frame]), [1, 2, 3, 4]);
         assert_eq!(net.lane_len(PEER), 8);
 
-        gate.0.lock().room = usize::MAX;
-        net.offer(PEER);
-        assert_eq!(seqs(&gate.0.lock().taken), (1..=8).collect::<Vec<_>>());
-        // An ack prunes what the wire took; nothing is offered twice.
+        // The peer applied 1..=5 (from an earlier copy): all but the
+        // fifth frame, whose rest is still to go, leave the log.
+        net.on_ack(PEER, 5);
+        assert_eq!((net.lane_len(PEER), links.lane(PEER).lock().dropped), (3, 4));
+        socket.room = usize::MAX;
+        net.flush(PEER, &mut socket.sink()).unwrap();
+        assert_eq!(seqs(&socket.taken), (1..=8).collect::<Vec<_>>());
+        assert_eq!(links.lane(PEER).lock().log.len(), 3 * frame);
         net.on_ack(PEER, 8);
-        net.offer(PEER);
-        assert_eq!(seqs(&gate.0.lock().taken), (1..=8).collect::<Vec<_>>());
+        net.flush(PEER, &mut socket.sink()).unwrap();
+        assert_eq!(seqs(&socket.taken), (1..=8).collect::<Vec<_>>());
         assert_eq!((net.lane_len(PEER), net.front_seq(PEER)), (0, None));
     }
 
@@ -298,10 +378,11 @@ mod tests {
         Ack(u64),
         /// A reconnect, the peer having applied the first `k`.
         Resume(u64),
-        /// The wire's buffer has `room` bytes left.
-        Room(usize),
-        /// The buffer drains and the link sends on from its cursor.
-        Drain,
+        /// The lane stalled: replay it on the live connection.
+        Replay,
+        /// Flush to a socket with `room` bytes left that takes at most
+        /// `chunk` a write.
+        Flush { room: usize, chunk: usize },
     }
 
     fn step() -> impl Strategy<Value = Step> {
@@ -309,19 +390,28 @@ mod tests {
             4 => (0usize..4, 0usize..40).prop_map(|(writes, bytes)| Step::Send { writes, bytes }),
             2 => (0u64..6).prop_map(Step::Ack),
             1 => (0u64..6).prop_map(Step::Resume),
-            2 => (0usize..300).prop_map(Step::Room),
-            1 => Just(Step::Drain),
+            1 => Just(Step::Replay),
+            3 => (prop_oneof![0usize..300, Just(usize::MAX)], 1usize..100)
+                .prop_map(|(room, chunk)| Step::Flush { room, chunk }),
         ]
     }
 
-    /// The link as the outbox of decoded payloads it replaced: the
-    /// unacknowledged `(seq, payload)` pairs, and how many of them the
-    /// wire has taken.
+    /// The link as the outbox of decoded payloads it replaced, and what
+    /// one connection's byte stream delivered of it.
     #[derive(Default)]
     struct Model {
         unacked: VecDeque<(u64, Payload)>,
         next_seq: u64,
-        sent: usize,
+        /// Every payload sent, by sequence number - 1.
+        sent: Vec<Payload>,
+        /// The current connection's stream, as the peer decodes it.
+        stream: FrameReader,
+        /// The last sequence number the stream delivered, if any.
+        last: Option<u64>,
+        /// The sequence numbers the stream delivered.
+        delivered: BTreeSet<u64>,
+        /// A replay was asked for since the stream last went back.
+        replaying: bool,
     }
 
     impl Model {
@@ -332,45 +422,44 @@ mod tests {
         fn prune(&mut self, seq: u64) {
             while self.unacked.front().is_some_and(|(s, _)| *s <= seq) {
                 self.unacked.pop_front();
-                self.sent = self.sent.saturating_sub(1);
             }
         }
 
-        /// The frames of the pairs from the `from`-th on.
-        fn encoded(&self, from: usize) -> Vec<u8> {
+        /// The frames of the sequence numbers past `from`.
+        fn encoded(&self, from: u64) -> Vec<u8> {
             let mut bytes = Vec::new();
-            for (seq, payload) in self.unacked.iter().skip(from) {
-                let frame = WireMsg::Link { seq: *seq, payload: payload.clone() };
-                bytes.extend_from_slice(&encode_framed(&frame));
+            for seq in from + 1..=self.next_seq {
+                let payload = self.sent[seq as usize - 1].clone();
+                bytes.extend_from_slice(&encode_framed(&WireMsg::Link { seq, payload }));
             }
             bytes
         }
     }
 
     proptest! {
-        /// Random sends, acks, reconnects, refusals and drains against
-        /// the outbox of decoded payloads: every offer is exactly the
-        /// model's frames from its cursor — after a rewind, all of them,
-        /// in order — the wire takes whole frames, and the counts the
-        /// site reads (`lane_len`, `front_seq`, `unapplied`) agree. The
-        /// log holds the frames' encoded bytes and nothing else.
+        /// Random sends, acks, reconnects, stall replays and flushes to a
+        /// socket that takes any number of bytes a write, against the
+        /// outbox of decoded payloads: the bytes a connection carries
+        /// decode to whole frames of the model's payloads, in sequence
+        /// order, skipping only acknowledged ones and going back only
+        /// after a replay — so a replay lands on a frame boundary — and a
+        /// flush the socket takes whole leaves every unacknowledged frame
+        /// delivered. The counts the site reads (`lane_len`, `front_seq`,
+        /// `unapplied`) agree with the model, and the log holds the
+        /// frames' encoded bytes and nothing else.
         #[test]
         fn the_link_log_offers_what_the_payload_outbox_would(
             steps in prop::collection::vec(step(), 1..60),
         ) {
-            let (net, links, gate) = net_over_gate();
-            gate.0.lock().room = usize::MAX;
+            let (net, links) = net();
             let mut model = Model::default();
             for (n, step) in steps.into_iter().enumerate() {
-                let (offers, taken) = {
-                    let gate = gate.0.lock();
-                    (gate.offers.len(), gate.taken.len())
-                };
                 match step {
                     Step::Send { writes, bytes } => {
                         let p = payload(n as u64, writes, bytes);
                         model.next_seq += 1;
                         model.unacked.push_back((model.next_seq, p.clone()));
+                        model.sent.push(p.clone());
                         net.send(PEER, &p);
                     }
                     Step::Ack(k) => {
@@ -381,35 +470,56 @@ mod tests {
                     Step::Resume(k) => {
                         let seq = (model.front() + k).saturating_sub(1).min(model.next_seq);
                         model.prune(seq);
-                        model.sent = 0;
+                        (model.stream, model.last) = (FrameReader::new(), None);
+                        model.delivered.clear();
+                        model.replaying = false;
                         net.resume(PEER, seq);
                     }
-                    Step::Room(room) => gate.0.lock().room = room,
-                    Step::Drain => {
-                        gate.0.lock().room = usize::MAX;
-                        net.offer(PEER);
+                    Step::Replay => {
+                        model.replaying = true;
+                        net.replay(PEER);
+                    }
+                    Step::Flush { room, chunk } => {
+                        let mut socket = Socket { room, chunk, taken: Vec::new() };
+                        net.flush(PEER, &mut socket.sink()).unwrap();
+                        model.stream.feed(&socket.taken);
+                        while let Some(msg) = model.stream.next_msg().unwrap() {
+                            let WireMsg::Link { seq, payload } = msg else {
+                                panic!("not a link frame: {msg:?}");
+                            };
+                            prop_assert_eq!(&payload, &model.sent[seq as usize - 1]);
+                            if let Some(last) = model.last {
+                                if seq <= last {
+                                    prop_assert!(model.replaying, "{} after {}", seq, last);
+                                    model.replaying = false;
+                                } else {
+                                    // Skipped only what the peer acknowledged.
+                                    prop_assert!(seq - 1 == last || seq <= model.front());
+                                }
+                            }
+                            model.last = Some(seq);
+                            model.delivered.insert(seq);
+                        }
+                        if room == usize::MAX {
+                            for (seq, _) in &model.unacked {
+                                prop_assert!(model.delivered.contains(seq), "{} undelivered", seq);
+                            }
+                        }
                     }
                 }
-                let gate = gate.0.lock();
-                if let Some(offer) = gate.offers.get(offers) {
-                    // One attempt, of the model's frames past its cursor;
-                    // the wire took the leading ones, whole.
-                    prop_assert_eq!(gate.offers.len(), offers + 1);
-                    prop_assert_eq!(offer, &model.encoded(model.sent));
-                    let took = seqs(&gate.taken[taken..]);
-                    let next = model.unacked.iter().skip(model.sent).map(|(seq, _)| *seq);
-                    prop_assert_eq!(&took, &next.take(took.len()).collect::<Vec<_>>());
-                    model.sent += took.len();
-                }
-                drop(gate);
                 prop_assert_eq!(net.lane_len(PEER), model.unacked.len());
                 prop_assert_eq!(net.front_seq(PEER), model.unacked.front().map(|(s, _)| *s));
                 for applied in [0, model.front().saturating_sub(1), model.front() + 1, model.next_seq] {
                     let want = model.unacked.iter().filter(|(s, _)| *s > applied).count();
                     prop_assert_eq!(links.unapplied(PEER, applied), want);
                 }
-                let live = links.lane(PEER).lock().log.len();
-                prop_assert_eq!(live, model.encoded(0).len());
+                let lane = links.lane(PEER).lock();
+                let kept = model.encoded(lane.dropped);
+                prop_assert_eq!(lane.log.bytes(), kept.as_slice());
+                if lane.dropped < lane.acked {
+                    // Kept for the rest of the frame the socket is inside.
+                    prop_assert!(0 < lane.cursor && lane.cursor < frame_len(lane.log.bytes()));
+                }
             }
         }
     }

@@ -7,15 +7,16 @@
 //! truncation, and whole-site pauses. No OS entropy anywhere: the same
 //! plan against the same workload injects the same faults.
 //!
-//! [`ChaosWire`] interprets a plan as a [`Transport`] decorator over a
-//! site's wire: every fault is applied to the *attempt*, and the
-//! reliable-link engine above ([`crate::transport::Net`]) never learns
-//! the wire was lying. That is the point — drops, duplicates and partitions must be
-//! masked by the log/replay/dedup machinery, and corruption must be
-//! survived by `repl-net`'s panic-free decoding, or the runtime has a
-//! robustness bug the chaos suite should expose.
+//! [`ChaosWire`] interprets a plan as a site's [`Transport`]: every
+//! fault is applied to the *write* of a frame from the link log to the
+//! peer's socket, and the reliable-link engine above
+//! ([`crate::transport::Net`]) never learns the wire was lying. That is
+//! the point — drops, duplicates and partitions must be masked by the
+//! log/replay/dedup machinery, and corruption must be survived by
+//! `repl-net`'s panic-free decoding, or the runtime has a robustness bug
+//! the chaos suite should expose.
 //!
-//! Fault semantics, per attempted frame of the bytes offered, in order:
+//! Fault semantics, per frame of the log offered, in order:
 //!
 //! 1. **Partition / pause**: if the plan cuts `from → to` at this
 //!    moment (a partition window covering the directed pair, or a pause
@@ -35,8 +36,15 @@
 //!    parked behind it even when they draw no delay, preserving
 //!    per-link FIFO (a reordering nemesis would break the paper's §2
 //!    network assumption, which the protocols are allowed to rely on).
-//! 5. **Duplicate**: delivered twice back-to-back; the receiver's
+//! 5. **Duplicate**: written twice back-to-back; the receiver's
 //!    durable dedup marks must absorb the copy.
+//!
+//! The wire takes whole frames off the log, so the link's cursor stays
+//! on frame boundaries, and it is the one wire that stages link bytes of
+//! its own: its held frames, its duplicates, and the rest of a frame
+//! the socket took only part of. Staged bytes go before anything new,
+//! and a new connection drops them (the log replays from the peer's
+//! mark).
 //!
 //! Time is wall-clock relative to [`ChaosWire`] construction (each site
 //! anchors its plan when its reactor boots), quantized to milliseconds
@@ -44,7 +52,7 @@
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::io;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -52,7 +60,7 @@ use parking_lot::Mutex;
 use repl_net::FrameReader;
 use repl_types::SiteId;
 
-use crate::link::frames;
+use crate::link::{frames, write_taken, Sink, WriteBuf};
 use crate::policy::splitmix64;
 use crate::transport::Transport;
 
@@ -292,13 +300,35 @@ struct ChaosLane {
     /// Frames parked by delay: `(release_at, frame bytes)`, in FIFO
     /// order with monotone release times.
     held: VecDeque<(Duration, Vec<u8>)>,
+    /// Bytes the socket is owed before anything else: the rest of a
+    /// frame it took part of, and a duplicate it had no room for.
+    staged: WriteBuf,
 }
 
-/// The [`Transport`] decorator interpreting a [`NetFaultPlan`] over one
-/// site's wire.
+impl ChaosLane {
+    /// Write `frame` to the socket behind the staged bytes, staging
+    /// whatever it does not take now: the stream must carry it whole.
+    fn put(&mut self, sink: &mut Sink<'_>, frame: &[u8]) -> io::Result<()> {
+        let taken = if self.staged.is_empty() { write_taken(sink, frame)? } else { 0 };
+        self.staged.tail().extend_from_slice(&frame[taken..]);
+        Ok(())
+    }
+}
+
+/// What the plan does with one frame.
+enum Fate {
+    /// Black-holed, dropped, or damaged and discarded: never written.
+    Lost,
+    /// Parked until the given time.
+    Held(Duration),
+    /// Written now, once or (duplicated) twice.
+    Sent { copies: usize },
+}
+
+/// The [`Transport`] interpreting a [`NetFaultPlan`] over one site's
+/// peer sockets.
 pub(crate) struct ChaosWire {
     me: SiteId,
-    inner: Arc<dyn Transport>,
     plan: NetFaultPlan,
     start: Instant,
     /// Indexed by destination.
@@ -306,10 +336,9 @@ pub(crate) struct ChaosWire {
 }
 
 impl ChaosWire {
-    pub fn new(me: SiteId, inner: Arc<dyn Transport>, plan: NetFaultPlan, sites: usize) -> Self {
+    pub fn new(me: SiteId, plan: NetFaultPlan, sites: usize) -> Self {
         ChaosWire {
             me,
-            inner,
             plan,
             start: Instant::now(),
             lanes: (0..sites).map(|_| Mutex::new(ChaosLane::default())).collect(),
@@ -318,23 +347,6 @@ impl ChaosWire {
 
     fn elapsed(&self) -> Duration {
         self.start.elapsed()
-    }
-
-    /// Release every parked frame whose time has come. Called from all
-    /// three trait methods, so any wire activity (including the reactor's
-    /// tick every pass) advances the delay queues.
-    fn pump(&self) {
-        let now = self.elapsed();
-        for (to, slot) in self.lanes.iter().enumerate() {
-            let mut lane = slot.lock();
-            while lane.held.front().is_some_and(|(due, _)| *due <= now) {
-                // replint: allow(RL008) -- front() checked Some on the previous line
-                let (_, frame) = lane.held.pop_front().expect("checked front");
-                // A refused frame is fine: it is still in the link's log
-                // and the stall replay recovers it.
-                let _ = self.inner.try_send(SiteId(to as u32), &frame);
-            }
-        }
     }
 
     /// Push damaged wire bytes through a real frame decoder — the
@@ -349,29 +361,23 @@ impl ChaosWire {
         while let Ok(Some(_)) = reader.next_msg() {}
     }
 
-    /// Apply the plan to one frame; false if the wire refused it.
-    fn attempt(&self, to: SiteId, frame: &[u8]) -> bool {
+    /// Apply the plan to one frame on the link to `to`.
+    fn fate(&self, to: SiteId, lane: &mut ChaosLane, now: Duration, frame: &[u8]) -> Fate {
         let from = self.me;
-        let now = self.elapsed();
-        let now_ms = now.as_millis() as u64;
-        if self.plan.cuts(from, to, now_ms) {
-            // Black hole. Report it taken: the wire accepted the frame
-            // and lost it, which is exactly what the log must mask.
-            return true;
+        if self.plan.cuts(from, to, now.as_millis() as u64) {
+            // Black hole: the wire takes the frame and loses it, which
+            // is exactly what the log must mask.
+            return Fate::Lost;
         }
-        let (index, held_behind) = {
-            let mut lane = self.lanes[to.index()].lock();
-            lane.msg_index += 1;
-            (lane.msg_index, !lane.held.is_empty())
-        };
+        lane.msg_index += 1;
         let mut stream = self
             .plan
             .seed
-            .wrapping_add((u64::from(from.0) << 40) ^ (u64::from(to.0) << 20) ^ index);
+            .wrapping_add((u64::from(from.0) << 40) ^ (u64::from(to.0) << 20) ^ lane.msg_index);
         if self.plan.drop_permille > 0
             && draw(&mut stream) % 1000 < u64::from(self.plan.drop_permille)
         {
-            return true; // lost on the wire
+            return Fate::Lost; // lost on the wire
         }
         let corrupt = self.plan.corrupt_permille > 0
             && draw(&mut stream) % 1000 < u64::from(self.plan.corrupt_permille);
@@ -388,32 +394,22 @@ impl ChaosWire {
                 bytes.truncate(keep);
             }
             Self::exercise_decoder(&bytes);
-            return true; // checksum failure: frame discarded
+            return Fate::Lost; // checksum failure: frame discarded
         }
         let delay_ms = if self.plan.max_jitter_ms > 0 {
             draw(&mut stream) % (self.plan.max_jitter_ms + 1)
         } else {
             0
         };
-        if delay_ms > 0 || held_behind {
+        if delay_ms > 0 || !lane.held.is_empty() {
             // Park it — behind any earlier parked frame, so per-link
             // FIFO survives the jitter.
-            let mut lane = self.lanes[to.index()].lock();
-            let mut due = now + Duration::from_millis(delay_ms);
-            if let Some((tail_due, _)) = lane.held.back() {
-                due = due.max(*tail_due);
-            }
-            lane.held.push_back((due, frame.to_vec()));
-            return true;
+            let due = now + Duration::from_millis(delay_ms);
+            return Fate::Held(lane.held.back().map_or(due, |(tail_due, _)| due.max(*tail_due)));
         }
-        if self.plan.dup_permille > 0
-            && draw(&mut stream) % 1000 < u64::from(self.plan.dup_permille)
-        {
-            let taken = self.inner.try_send(to, frame);
-            let _ = self.inner.try_send(to, frame);
-            return taken > 0;
-        }
-        self.inner.try_send(to, frame) > 0
+        let dup = self.plan.dup_permille > 0
+            && draw(&mut stream) % 1000 < u64::from(self.plan.dup_permille);
+        Fate::Sent { copies: 1 + usize::from(dup) }
     }
 }
 
@@ -424,22 +420,54 @@ fn draw(state: &mut u64) -> u64 {
 }
 
 impl Transport for ChaosWire {
-    fn try_send(&self, to: SiteId, offered: &[u8]) -> usize {
-        self.pump();
-        frames(offered).take_while(|frame| self.attempt(to, frame)).map(<[u8]>::len).sum()
-    }
-
-    fn send_ack(&self, from: SiteId, seq: u64) {
-        self.pump();
-        // The ack physically travels me → from. Only a cut loses acks:
-        // they are cumulative, so anything subtler is invisible anyway.
-        if !self.plan.cuts(self.me, from, self.elapsed().as_millis() as u64) {
-            self.inner.send_ack(from, seq);
+    /// What the socket is owed goes first — staged bytes, then parked
+    /// frames now due — and new frames only once all of it went. A new
+    /// frame the socket refuses outright is not taken: the log keeps it.
+    fn try_send(&self, to: SiteId, offered: &[u8], sink: &mut Sink<'_>) -> io::Result<usize> {
+        let mut lane = self.lanes[to.index()].lock();
+        let now = self.elapsed();
+        lane.staged.flush(sink)?;
+        while lane.staged.is_empty() && lane.held.front().is_some_and(|(due, _)| *due <= now) {
+            let Some((_, frame)) = lane.held.pop_front() else { break };
+            lane.put(sink, &frame)?;
         }
+        if !lane.staged.is_empty() {
+            return Ok(0);
+        }
+        let mut taken = 0;
+        for frame in frames(offered) {
+            match self.fate(to, &mut lane, now, frame) {
+                Fate::Lost => {}
+                Fate::Held(due) => lane.held.push_back((due, frame.to_vec())),
+                Fate::Sent { copies } => {
+                    let written = write_taken(sink, frame)?;
+                    if written == 0 {
+                        break;
+                    }
+                    lane.staged.tail().extend_from_slice(&frame[written..]);
+                    for _ in 1..copies {
+                        lane.put(sink, frame)?;
+                    }
+                }
+            }
+            taken += frame.len();
+            if !lane.staged.is_empty() {
+                break;
+            }
+        }
+        Ok(taken)
     }
 
-    fn tick(&self) {
-        self.pump();
+    /// The ack physically travels me → from. Only a cut loses acks:
+    /// they are cumulative, so anything subtler is invisible anyway.
+    fn passes_ack(&self, from: SiteId) -> bool {
+        !self.plan.cuts(self.me, from, self.elapsed().as_millis() as u64)
+    }
+
+    fn reset(&self, to: SiteId) {
+        let mut lane = self.lanes[to.index()].lock();
+        lane.held.clear();
+        lane.staged = WriteBuf::default();
     }
 }
 
@@ -499,6 +527,66 @@ mod tests {
         assert!(!plan.cuts(SiteId(1), SiteId(2), 35));
     }
 
+    /// A socket that takes at most `room` bytes, appending them to `stream`.
+    fn socket<'a>(
+        stream: &'a mut Vec<u8>,
+        mut room: usize,
+    ) -> impl FnMut(&[u8]) -> io::Result<usize> + 'a {
+        move |bytes| {
+            let n = bytes.len().min(room);
+            if n == 0 {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            room -= n;
+            stream.extend_from_slice(&bytes[..n]);
+            Ok(n)
+        }
+    }
+
+    /// The sequence numbers of the whole `Link` frames in `stream`.
+    fn seqs(stream: &[u8]) -> Vec<u64> {
+        let mut reader = FrameReader::new();
+        reader.feed(stream);
+        let mut seqs = Vec::new();
+        while let Some(repl_net::WireMsg::Link { seq, .. }) = reader.next_msg().unwrap() {
+            seqs.push(seq);
+        }
+        seqs
+    }
+
+    /// Every frame duplicated, over a socket that takes 40 bytes a
+    /// flush: the stream carries whole frames, each twice back to back,
+    /// because what the socket refused of a frame or of its copy goes
+    /// before anything new. A new connection drops what was staged for
+    /// the old one and starts on a frame boundary.
+    #[test]
+    fn staged_bytes_go_first_and_a_new_connection_drops_them() {
+        let wire = ChaosWire::new(SiteId(0), NetFaultPlan::seeded(1).duplicate_frames(1000), 2);
+        let to = SiteId(1);
+        let mut log = crate::link::LinkState::default();
+        for n in 1..=5 {
+            let gid = repl_types::GlobalTxnId::new(SiteId(0), n);
+            log.push(&repl_net::Payload::Decision { gid, commit: true });
+        }
+        let mut stream = Vec::new();
+        for _ in 0..50 {
+            let mut sink = socket(&mut stream, 40);
+            log.offer(|frames| wire.try_send(to, frames, &mut sink)).unwrap();
+        }
+        assert_eq!(seqs(&stream), [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]);
+
+        // Part of the first frame, then the connection drops.
+        log.resume(0);
+        let mut old = Vec::new();
+        log.offer(|frames| wire.try_send(to, frames, &mut socket(&mut old, 7))).unwrap();
+        assert_eq!(old.len(), 7);
+        log.resume(2);
+        wire.reset(to);
+        let mut fresh = Vec::new();
+        log.offer(|frames| wire.try_send(to, frames, &mut socket(&mut fresh, usize::MAX))).unwrap();
+        assert_eq!(seqs(&fresh), [3, 3, 4, 4, 5, 5]);
+    }
+
     #[test]
     fn decoder_exercise_survives_damage() {
         use repl_net::{Payload, Subtxn};
@@ -515,8 +603,9 @@ mod tests {
         let mut clean = Vec::new();
         log.offer(|frame| {
             clean = frame.to_vec();
-            frame.len()
-        });
+            Ok(frame.len())
+        })
+        .unwrap();
         // Flip every byte position and truncate to every length: none
         // may panic the decoder.
         for pos in 0..clean.len() {

@@ -16,39 +16,45 @@
 //! [`repl_net::Hello`] / [`repl_net::HelloAck`] handshake (protocol
 //! version negotiation plus a cluster fingerprint check) and is used
 //! bidirectionally: `S` writes `Link` frames carrying propagation
-//! payloads, `T` writes cumulative `Ack` frames back on the same
-//! socket. When either side observes an error the connection closes
-//! and `S` re-dials with bounded backoff; `HelloAck.resume_seq` —
-//! `T`'s durable per-link high-water mark — prunes `S`'s outbox and
-//! everything above it is replayed in sequence order ([`Net::resume`]),
-//! so delivery stays exactly-once in-order across real connection
-//! drops, and across an in-process site's crash and restart.
+//! payloads straight from its link log, `T` writes cumulative `Ack`
+//! frames back on the same socket. When either side observes an error
+//! the connection closes and `S` re-dials with bounded backoff;
+//! `HelloAck.resume_seq` — `T`'s durable per-link high-water mark —
+//! prunes `S`'s outbox and everything above it is replayed in sequence
+//! order ([`Net::resume`]), so delivery stays exactly-once in-order
+//! across real connection drops, and across an in-process site's crash
+//! and restart.
 //!
 //! Structure of the loop, in the order each iteration runs it:
 //!
 //! 0. Return at once if the stop flag is set (an in-process crash).
 //! 1. `epoll_wait` (1 ms timeout — the protocol tick). For each ready
-//!    fd: accept new connections, or read-until-`WouldBlock` through a
-//!    [`FrameReader`] and act on each frame as it decodes (a `Link` frame
-//!    is applied before the next is decoded), or flush a write-blocked connection.
+//!    fd: accept new connections, or read until a short read drains the
+//!    socket through a [`FrameReader`] and act on each frame as it
+//!    decodes (a `Link` frame is applied before the next is decoded), or
+//!    flush a write-blocked connection.
 //! 2. Re-dial missing peer connections (paced, nonblocking after
 //!    connect) and run the site's timers ([`SiteCore::tick`]).
 //! 3. Finish an eager-phase transaction whose BackEdge special came
 //!    home, and start queued client transactions
 //!    ([`Reactor::pump_exec`]).
-//! 4. Flush every connection's pending bytes; register `EPOLLOUT`
-//!    interest only while something is actually buffered (the
-//!    level-triggered discipline — otherwise an idle writable socket
-//!    would wake the loop forever).
+//! 4. Flush every connection: its private bytes (handshakes, client
+//!    replies), then a dialed peer link's log from its send cursor, or an
+//!    accepted one's owed cumulative `Ack`. Register `EPOLLOUT` interest
+//!    only while the socket refused bytes (the level-triggered discipline
+//!    — otherwise an idle writable socket would wake the loop forever).
 //!
-//! **Backpressure.** Sends never block and never retry: a
-//! [`Transport::try_send`] into a full per-peer buffer takes nothing,
-//! and the frames stay in the link's log past its send cursor
-//! ([`crate::link`]). When the buffer drains below its cap the reactor
-//! sends on from the cursor ([`Net::offer`]), so no frame is written
-//! twice; a reconnect (`HelloAck.resume_seq`) replays from the front
+//! **Backpressure.** Sends never block and never retry: a send appends
+//! to the link's log ([`crate::link`]), and the flush writes the log
+//! from its cursor to the socket with one nonblocking `write`. What the
+//! kernel refuses — part of a frame included — stays in the log past
+//! the cursor and goes on the next flush, so no byte is written twice; a
+//! reconnect (`HelloAck.resume_seq`) replays from the front
 //! ([`Net::resume`]), and the receiver's durable dedup marks make that
-//! overlap exactly-once.
+//! overlap exactly-once. An outgoing byte is staged in one place: the
+//! link log, or a connection's private buffer for everything else (a
+//! reply page of at most [`repl_net::PAGE_BYTES`], and an ack frame the
+//! socket refused).
 //!
 //! **Eager phases.** A BackEdge transaction waits for its special to
 //! come home. The reactor parks the *transaction*, not the loop:
@@ -58,10 +64,11 @@
 //!
 //! **Blocking discipline.** Every fd is nonblocking; all raw socket
 //! calls funnel through three audited helpers at the bottom of this
-//! file. replint rule RL009 rejects any other `read`/`write`/`accept`
-//! call site in this file, so the no-blocking property is mechanically
-//! enforced. The two deliberate exceptions are startup-shaped:
-//! `TcpListener::bind` and the paced, timeout-capped
+//! file — link bytes too: [`Net::flush`] writes through the
+//! `write_some` sink it is handed. replint rule RL009 rejects any other
+//! `read`/`write`/`accept` call site in this file, so the no-blocking
+//! property is mechanically enforced. The two deliberate exceptions are
+//! startup-shaped: `TcpListener::bind` and the paced, timeout-capped
 //! `TcpStream::connect_timeout` in the dialer.
 
 use std::collections::VecDeque;
@@ -73,31 +80,25 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use epoll::{Epoll, Interest};
-use parking_lot::Mutex;
-
 use repl_copygraph::DataPlacement;
 use repl_net::{
-    cluster_fingerprint, frame_state_page_into, negotiate, ClientMsg, ClientReply, ExecError,
-    FrameReader, Hello, HelloAck, NetError, WireMsg, VERSION_MAX, VERSION_MIN,
+    cluster_fingerprint, negotiate, ClientMsg, ClientReply, ExecError, FrameReader, Hello,
+    HelloAck, NetError, WireMsg, VERSION_MAX, VERSION_MIN,
 };
-use repl_storage::SEGMENT_BYTES;
 use repl_types::{AddressMap, GlobalTxnId, Op, SiteId};
 
 use crate::cluster::{build_structure, ClusterError, RuntimeProtocol};
-use crate::link::{frames, WriteBuf};
+use crate::link::WriteBuf;
 use crate::nemesis::ChaosWire;
 use crate::policy::RuntimeOptions;
 use crate::site::{SiteCore, SiteParts, SiteSetup, Started};
-use crate::transport::Transport;
+use crate::transport::{Direct, Transport};
 
 /// The epoll token of the listening socket; connection tokens are slab
 /// indices, far below.
 const LISTENER: u64 = u64::MAX;
 /// `epoll_wait` timeout — the protocol tick granularity.
 const TICK_MS: i32 = 1;
-/// Per-peer write-buffer cap: a `try_send` takes frames into a lane
-/// only while it holds less than this.
-const LANE_BUF_CAP: usize = 1 << 20;
 /// A client connection whose reply buffer exceeds this is not reading
 /// its replies; it is dropped rather than allowed to grow the buffer
 /// unboundedly.
@@ -107,80 +108,6 @@ const CLIENT_WBUF_CAP: usize = 1 << 20;
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(1);
 /// Stack scratch buffer for socket reads.
 const READ_CHUNK: usize = 16 * 1024;
-
-impl WriteBuf {
-    /// Write as much as the socket accepts. `Ok` with a non-empty
-    /// buffer means the kernel buffer is full (`WouldBlock`) — register
-    /// write interest and try again on readiness. `Err` means the
-    /// connection is broken.
-    fn flush(&mut self, stream: &mut TcpStream) -> io::Result<()> {
-        while !self.is_empty() {
-            match write_some(stream, self.bytes()) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => self.consume(n),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    }
-}
-
-/// One directed byte lane the transport writes into and the reactor
-/// flushes: link frames toward a dialed peer, or ack frames back on an
-/// accepted peer connection.
-#[derive(Default)]
-struct OutLane {
-    /// A connection is installed and handshaken.
-    connected: bool,
-    buf: WriteBuf,
-}
-
-/// The reactor's [`Transport`]: sends are memcpys into per-peer lanes
-/// (never syscalls — the readiness loop owns all socket I/O). The
-/// mutexes are uncontended formality: one thread runs a reactor, but
-/// the `Transport` trait asks `Send + Sync` of every wire.
-struct ReactorWire {
-    /// `lanes[p]`: link frames awaiting the connection we dialed to `p`.
-    lanes: Vec<Mutex<OutLane>>,
-    /// `ack_lanes[p]`: ack frames awaiting the connection `p` dialed to
-    /// us.
-    ack_lanes: Vec<Mutex<OutLane>>,
-}
-
-impl ReactorWire {
-    fn new(sites: usize) -> Self {
-        ReactorWire {
-            lanes: (0..sites).map(|_| Mutex::new(OutLane::default())).collect(),
-            ack_lanes: (0..sites).map(|_| Mutex::new(OutLane::default())).collect(),
-        }
-    }
-}
-
-impl Transport for ReactorWire {
-    fn try_send(&self, to: SiteId, offered: &[u8]) -> usize {
-        let mut lane = self.lanes[to.index()].lock();
-        let mut taken = 0;
-        for frame in frames(offered) {
-            if !lane.connected || lane.buf.len() >= LANE_BUF_CAP {
-                break;
-            }
-            lane.buf.tail().extend_from_slice(frame);
-            taken += frame.len();
-        }
-        taken
-    }
-
-    fn send_ack(&self, from: SiteId, seq: u64) {
-        let mut lane = self.ack_lanes[from.index()].lock();
-        // A refused ack is only a delay: the next ack is cumulative, and
-        // the handshake resume_seq resynchronizes after drops.
-        if lane.connected && lane.buf.len() < LANE_BUF_CAP {
-            WireMsg::Ack { seq }.encode_framed_into(lane.buf.tail());
-        }
-    }
-}
 
 /// What one registered connection currently is.
 #[derive(Clone, Copy, Debug)]
@@ -204,9 +131,10 @@ enum Role {
 struct Conn {
     stream: TcpStream,
     reader: FrameReader,
-    /// Connection-private outgoing bytes: handshakes and client
-    /// replies. Peer traffic lives in the shared lanes instead, so the
-    /// outbox/backpressure accounting sees one number per peer.
+    /// Connection-private outgoing bytes: handshakes, client replies,
+    /// and an ack frame the socket refused. Link frames go from the link
+    /// log instead, so the outbox/backpressure accounting sees one number
+    /// per peer.
     wbuf: WriteBuf,
     role: Role,
     /// Whether the current epoll registration includes `EPOLLOUT`.
@@ -293,7 +221,6 @@ pub(crate) struct Reactor {
     num_sites: usize,
     fingerprint: u64,
     core: SiteCore,
-    wire: Arc<ReactorWire>,
     /// Slab of connections; the epoll token of a connection is its
     /// index here.
     conns: Vec<Option<Conn>>,
@@ -345,11 +272,10 @@ impl Reactor {
 
         let n = parts.links.num_sites();
         let me = setup.site();
-        let wire = Arc::new(ReactorWire::new(n));
-        let mut raw: Arc<dyn Transport> = wire.clone();
-        if let Some(plan) = &opts.nemesis {
-            raw = Arc::new(ChaosWire::new(me, raw, plan.clone(), n));
-        }
+        let raw: Arc<dyn Transport> = match &opts.nemesis {
+            Some(plan) => Arc::new(ChaosWire::new(me, plan.clone(), n)),
+            None => Arc::new(Direct),
+        };
         let core = setup.into_core(parts, raw, opts);
         Ok(Reactor {
             epoll,
@@ -358,7 +284,6 @@ impl Reactor {
             num_sites: n,
             fingerprint,
             core,
-            wire,
             conns: Vec::new(),
             free: Vec::new(),
             out_conn: vec![None; n],
@@ -472,19 +397,24 @@ impl Reactor {
         Some(tok)
     }
 
-    /// Read until `WouldBlock`/EOF, acting on each frame as it decodes —
-    /// until one closes or re-fates the connection; the rest is dropped.
+    /// Read until a short read, `WouldBlock` or EOF, acting on each
+    /// frame as it decodes — until one closes or re-fates the connection;
+    /// the rest is dropped. Under level-triggered epoll a short read means
+    /// the socket was drained: whatever arrives after it, EOF included, is
+    /// reported again, so no read is spent on the `WouldBlock`.
     fn handle_readable(&mut self, tok: usize) {
         let mut acting = true;
         loop {
             let Some(conn) = self.conns[tok].as_mut() else { return };
-            match read_some(&mut conn.stream, &mut self.read_buf) {
+            let count = match read_some(&mut conn.stream, &mut self.read_buf) {
                 Ok(0) => break,
-                Ok(count) if acting => conn.reader.feed(&self.read_buf[..count]),
-                Ok(_) => continue,
+                Ok(count) => count,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => break,
+            };
+            if acting {
+                conn.reader.feed(&self.read_buf[..count]);
             }
             while acting {
                 let Some(conn) = self.conns[tok].as_mut() else { return };
@@ -493,6 +423,9 @@ impl Reactor {
                     Ok(None) => break,
                     Err(e) => return self.on_decode_error(tok, e),
                 }
+            }
+            if count < self.read_buf.len() {
+                return;
             }
         }
         if acting {
@@ -587,14 +520,11 @@ impl Reactor {
             conn.role = Role::PeerIn { from };
         }
         self.in_conn[from.index()] = Some(tok);
-        let mut lane = self.wire.ack_lanes[from.index()].lock();
-        lane.connected = true;
-        lane.buf.clear(); // acks for the dead predecessor are moot
         true
     }
 
     /// Dialer side: `HelloAck` received — the link is up; prune to the
-    /// peer's durable mark and replay the outbox tail into the lane.
+    /// peer's durable mark, and the flush writes the rest of the log.
     fn establish_peer_out(&mut self, tok: usize, peer: SiteId, ack: HelloAck) -> bool {
         if ack.site != peer {
             // Mis-addressed: the process at that address is another site.
@@ -608,11 +538,6 @@ impl Reactor {
         }
         if let Some(conn) = self.conns[tok].as_mut() {
             conn.role = Role::PeerOut { peer };
-        }
-        {
-            let mut lane = self.wire.lanes[peer.index()].lock();
-            lane.connected = true;
-            lane.buf.clear();
         }
         self.core.net.resume(peer, ack.resume_seq);
         true
@@ -705,10 +630,11 @@ impl Reactor {
                 self.queue_reply(tok, reply);
                 true
             }
-            // The two bulk replies are paged, and framed straight from
-            // the site's state into the connection buffer: a segment of
-            // the history log already is the reply body, and a segment's
-            // worth of copy-state cells streams off the store.
+            // The two bulk replies are paged, at most `PAGE_BYTES` of
+            // whole transactions or cells a reply, and framed straight
+            // from the site's state into the connection buffer: the
+            // history log's bytes already are the reply body, and the
+            // copy-state cells stream off the store.
             ClientMsg::History { from } => {
                 self.queue_frame(tok, |core, out| {
                     core.history.lock().frame_page_into(from, out);
@@ -716,10 +642,7 @@ impl Reactor {
                 true
             }
             ClientMsg::CopyState { from } => {
-                self.queue_frame(tok, |core, out| {
-                    let from = usize::try_from(from).unwrap_or(usize::MAX);
-                    frame_state_page_into(out, core.copy_cells(from), SEGMENT_BYTES);
-                });
+                self.queue_frame(tok, |core, out| core.frame_state_page(from, out));
                 true
             }
             ClientMsg::Peers(entries) => {
@@ -870,60 +793,43 @@ impl Reactor {
     }
 
     /// Flush one connection: private bytes first (handshakes, client
-    /// replies), then — once those are through — the shared lane its
-    /// role drains (link frames out, or acks back). Adjust `EPOLLOUT`
-    /// interest to "buffered bytes remain", close broken or completed
-    /// `closing` connections, and send on from the link's cursor when a
-    /// full lane drains below its cap.
+    /// replies), then — once those are through — what its role sends: a
+    /// dialed peer link's log from its cursor, or an accepted one's owed
+    /// ack. Keep `EPOLLOUT` interest while the socket refuses bytes, and
+    /// close broken or completed `closing` connections.
     fn flush_conn(&mut self, tok: usize) {
-        let mut broken = false;
-        let mut reopened: Option<SiteId> = None;
-        let mut drained_closing = false;
-        {
-            let Some(conn) = self.conns[tok].as_mut() else { return };
-            if !conn.wbuf.is_empty() && conn.wbuf.flush(&mut conn.stream).is_err() {
-                broken = true;
-            }
-            let mut lane_pending = false;
-            if !broken && conn.wbuf.is_empty() {
-                let lane_slot = match conn.role {
-                    Role::PeerOut { peer } => Some(&self.wire.lanes[peer.index()]),
-                    Role::PeerIn { from } => Some(&self.wire.ack_lanes[from.index()]),
-                    _ => None,
-                };
-                if let Some(slot) = lane_slot {
-                    let mut lane = slot.lock();
-                    // Only a full lane can have refused frames.
-                    let full = lane.buf.len() >= LANE_BUF_CAP;
-                    if lane.buf.flush(&mut conn.stream).is_err() {
-                        broken = true;
-                    } else {
-                        if let Role::PeerOut { peer } = conn.role {
-                            reopened = (full && lane.buf.len() < LANE_BUF_CAP).then_some(peer);
-                        }
-                        lane_pending = !lane.buf.is_empty();
+        let Some(conn) = self.conns[tok].as_mut() else { return };
+        let mut refused = false;
+        let mut sink = |bytes: &[u8]| {
+            let written = write_some(&mut conn.stream, bytes);
+            refused |= matches!(&written, Err(e) if e.kind() == io::ErrorKind::WouldBlock);
+            written
+        };
+        let net = &self.core.net;
+        let mut flushed = conn.wbuf.flush(&mut sink);
+        if flushed.is_ok() && conn.wbuf.is_empty() {
+            flushed = match conn.role {
+                Role::PeerOut { peer } => net.flush(peer, &mut sink),
+                // One cumulative ack a pass; the mark stays owed while the
+                // buffer holds bytes the socket refused.
+                Role::PeerIn { from } => match net.take_ack(from) {
+                    Some(seq) => {
+                        WireMsg::Ack { seq }.encode_framed_into(conn.wbuf.tail());
+                        conn.wbuf.flush(&mut sink)
                     }
-                }
-            }
-            if !broken {
-                let want = lane_pending || !conn.wbuf.is_empty();
-                if want != conn.want_write {
-                    conn.want_write = want;
-                    let interest = if want { Interest::READ_WRITE } else { Interest::READ };
-                    if self.epoll.modify(conn.stream.as_raw_fd(), tok as u64, interest).is_err() {
-                        broken = true;
-                    }
-                }
-                drained_closing = conn.closing && conn.wbuf.is_empty();
-            }
+                    None => Ok(()),
+                },
+                _ => Ok(()),
+            };
         }
-        if broken || drained_closing {
+        let mut broken = flushed.is_err();
+        if !broken && refused != conn.want_write {
+            conn.want_write = refused;
+            let interest = if refused { Interest::READ_WRITE } else { Interest::READ };
+            broken = self.epoll.modify(conn.stream.as_raw_fd(), tok as u64, interest).is_err();
+        }
+        if broken || (conn.closing && conn.wbuf.is_empty()) {
             self.close_conn(tok);
-            return;
-        }
-        if let Some(peer) = reopened {
-            // The refilled lane flushes on the next readiness/tick pass.
-            self.core.net.offer(peer);
         }
     }
 
@@ -933,22 +839,16 @@ impl Reactor {
         let _ = self.epoll.delete(conn.stream.as_raw_fd());
         let _ = conn.stream.shutdown(Shutdown::Both);
         match conn.role {
+            // A frame the socket took part of dies with the connection;
+            // the log replays from the peer's mark after the next handshake.
             Role::PeerOutHs { peer } | Role::PeerOut { peer } => {
                 if self.out_conn[peer.index()] == Some(tok) {
                     self.out_conn[peer.index()] = None;
-                    let mut lane = self.wire.lanes[peer.index()].lock();
-                    lane.connected = false;
-                    // Buffered frames die with the connection; the
-                    // log replays them after the next handshake.
-                    lane.buf.clear();
                 }
             }
             Role::PeerIn { from } => {
                 if self.in_conn[from.index()] == Some(tok) {
                     self.in_conn[from.index()] = None;
-                    let mut lane = self.wire.ack_lanes[from.index()].lock();
-                    lane.connected = false;
-                    lane.buf.clear();
                 }
             }
             Role::Pending | Role::Client => {}

@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use repl_copygraph::{CopyGraph, DataPlacement};
-use repl_net::{HistoryLog, Payload};
+use repl_net::{frame_state_page_into, HistoryLog, Payload, PAGE_BYTES};
 use repl_protocol::{
     destinations, planned_writes, Command as ProtoCommand, Input, ProtocolError, SiteMachine,
     Timestamp,
@@ -229,7 +229,6 @@ impl SiteCore {
         // traffic forever — drain it whenever the site comes up for air
         // (a no-op when the pipeline is empty or the batch size is 1).
         self.flush_log(&mut self.durable.lock());
-        self.net.tick();
         self.retransmit_tick();
         let Some(t) = self.timers.as_mut() else { return };
         let now = Instant::now();
@@ -296,7 +295,7 @@ impl SiteCore {
                 None => self.front_marks[p] = 0,
                 Some(front) => {
                     if self.front_marks[p] == front {
-                        self.net.resume(peer, 0);
+                        self.net.replay(peer);
                     }
                     self.front_marks[p] = front;
                 }
@@ -624,9 +623,9 @@ impl SiteCore {
     /// Apply one link frame. Delivery is exactly-once against the
     /// durable per-link high-water mark: a sequence at or below it is a
     /// retransmitted duplicate (already applied and forwarded — just
-    /// re-ack it); one ahead of `mark + 1` raced past a message lost on
-    /// the wire (still in its sender's outbox) and is dropped so the
-    /// retransmission can arrive in FIFO order.
+    /// re-ack the mark); one ahead of `mark + 1` raced past a message
+    /// lost on the wire (still in its sender's outbox) and is dropped so
+    /// the retransmission can arrive in FIFO order.
     pub fn apply_frame(&mut self, from: SiteId, seq: u64, payload: Payload) {
         // Any frame is liveness evidence, duplicates and gaps included.
         self.net.note_progress(from);
@@ -635,7 +634,7 @@ impl SiteCore {
             let mark = d.applied_from[from.index()];
             if seq <= mark {
                 drop(d);
-                self.net.ack_received(from, seq);
+                self.net.ack_received(from, mark);
                 return;
             }
             if seq > mark + 1 {
@@ -652,6 +651,14 @@ impl SiteCore {
             self.dummies_after_merge(&before);
         }
         self.net.ack_received(from, seq);
+    }
+
+    /// Append to `out` the reply frame to `CopyState { from }`: the
+    /// copies from number `from` on, at most [`PAGE_BYTES`] of cells (a
+    /// larger cell is a page of its own).
+    pub fn frame_state_page(&self, from: u64, out: &mut Vec<u8>) {
+        let from = usize::try_from(from).unwrap_or(usize::MAX);
+        frame_state_page_into(out, self.copy_cells(from), PAGE_BYTES);
     }
 
     /// Every copy this site holds from number `from` on, ascending by
@@ -678,39 +685,34 @@ mod tests {
     use super::*;
     use crate::cluster::build_structure;
     use crate::handle::join_state_pages;
-    use repl_net::{
-        decode_framed, encode_cells, frame_state_page_into, ClientReply, FrameReader, WireMsg,
-    };
+    use crate::transport::Direct;
+    use repl_net::{decode_cells, decode_framed, encode_cells, ClientReply, FrameReader, WireMsg};
     use repl_protocol::SubtxnKind;
-    use repl_storage::SEGMENT_BYTES;
 
-    /// A wire that takes every frame handed to it and keeps it decoded.
-    #[derive(Default)]
-    struct Recorder(Mutex<Vec<(SiteId, u64, Payload)>>);
-
-    impl Recorder {
-        fn take(&self) -> Vec<(SiteId, u64, Payload)> {
-            std::mem::take(&mut *self.0.lock())
-        }
-    }
-
-    impl Transport for Recorder {
-        fn try_send(&self, to: SiteId, frames: &[u8]) -> usize {
+    /// The frames `site` sent since the last look: each peer's log
+    /// flushed to a socket that takes everything, decoded.
+    fn take_sent(site: &SiteCore) -> Vec<(SiteId, u64, Payload)> {
+        let mut sent = Vec::new();
+        for to in (0..site.placement.num_sites()).map(SiteId) {
+            let mut bytes = Vec::new();
+            let mut socket = |b: &[u8]| {
+                bytes.extend_from_slice(b);
+                Ok(b.len())
+            };
+            site.net.flush(to, &mut socket).unwrap();
             let mut reader = FrameReader::new();
-            reader.feed(frames);
+            reader.feed(&bytes);
             while let Some(WireMsg::Link { seq, payload }) = reader.next_msg().unwrap() {
-                self.0.lock().push((to, seq, payload));
+                sent.push((to, seq, payload));
             }
             assert_eq!(reader.buffered(), 0, "whole link frames only");
-            frames.len()
         }
-
-        fn send_ack(&self, _: SiteId, _: u64) {}
+        sent
     }
 
     /// s0 and s1 of `chain3` with one item a site (s0's copied at s1
-    /// and s2, s1's at s2), each over its own recorder.
-    fn chain3_s0_s1(protocol: RuntimeProtocol) -> [(SiteCore, Arc<Recorder>); 2] {
+    /// and s2, s1's at s2).
+    fn chain3_s0_s1(protocol: RuntimeProtocol) -> [SiteCore; 2] {
         let mut placement = DataPlacement::new(3);
         placement.add_run(SiteId(0), &[SiteId(1), SiteId(2)], 1);
         placement.add_run(SiteId(1), &[SiteId(2)], 1);
@@ -718,22 +720,20 @@ mod tests {
         let structure = build_structure(&placement, protocol).expect("chain3 is a DAG");
         let placement = Arc::new(placement);
         [0, 1].map(|s| {
-            let wire = Arc::new(Recorder::default());
-            let core = SiteSetup::new(SiteId(s), protocol, placement.clone(), &structure)
+            SiteSetup::new(SiteId(s), protocol, placement.clone(), &structure)
                 .expect("chain3 site")
-                .into_core(SiteParts::new(3, 1), wire.clone(), Arc::default());
-            (core, wire)
+                .into_core(SiteParts::new(3, 1), Arc::new(Direct), Arc::default())
         })
     }
 
     /// Commit `value` to s0's item at s0; the frame that carries it to s1.
-    fn commit_at_s0(s0: &mut SiteCore, wire: &Recorder, value: i64) -> (u64, Payload) {
+    fn commit_at_s0(s0: &mut SiteCore, value: i64) -> (u64, Payload) {
         let ops = [Op::write(ItemId(0), value)];
         let started = s0.start_txn(&ops).expect("s0 is the item's primary");
         assert!(started.immediate);
         s0.complete_txn(started.gid, &ops);
         let (_, seq, payload) =
-            wire.take().into_iter().find(|(to, ..)| *to == SiteId(1)).expect("a frame to s1");
+            take_sent(s0).into_iter().find(|(to, ..)| *to == SiteId(1)).expect("a frame to s1");
         (seq, payload)
     }
 
@@ -744,13 +744,13 @@ mod tests {
     /// and nothing goes. Under DAG(WT), s1 only forwards.
     #[test]
     fn an_applied_secondary_that_moves_the_timestamp_sends_the_child_a_dummy() {
-        let [(mut s0, w0), (mut s1, w1)] = chain3_s0_s1(RuntimeProtocol::DagT);
-        let (seq, sub) = commit_at_s0(&mut s0, &w0, 1);
+        let [mut s0, mut s1] = chain3_s0_s1(RuntimeProtocol::DagT);
+        let (seq, sub) = commit_at_s0(&mut s0, 1);
         let before = s1.machine.site_ts().clone();
         s1.apply_frame(SiteId(0), seq, sub);
         let ts = s1.machine.site_ts().clone();
         assert!(ts > before, "{before:?} -> {ts:?}");
-        match &w1.take()[..] {
+        match &take_sent(&s1)[..] {
             [(SiteId(2), _, Payload::Subtxn(dummy))] => {
                 assert_eq!(dummy.kind, SubtxnKind::Dummy);
                 assert_eq!(dummy.ts.as_ref(), Some(&ts));
@@ -760,37 +760,35 @@ mod tests {
 
         assert!(s1.machine_input(Input::EpochTick).is_empty());
         let ts = s1.machine.site_ts().clone();
-        let (seq, sub) = commit_at_s0(&mut s0, &w0, 2);
+        let (seq, sub) = commit_at_s0(&mut s0, 2);
         s1.apply_frame(SiteId(0), seq, sub);
         assert_eq!(s1.peek(ItemId(0)).map(|(v, _)| v), Some(Value::int(2)));
         assert_eq!(s1.machine.site_ts(), &ts);
-        assert_eq!(w1.take(), []);
+        assert_eq!(take_sent(&s1), []);
 
-        let [(mut s0, w0), (mut s1, w1)] = chain3_s0_s1(RuntimeProtocol::DagWt);
-        let (seq, sub) = commit_at_s0(&mut s0, &w0, 1);
+        let [mut s0, mut s1] = chain3_s0_s1(RuntimeProtocol::DagWt);
+        let (seq, sub) = commit_at_s0(&mut s0, 1);
         s1.apply_frame(SiteId(0), seq, sub.clone());
-        assert_eq!(w1.take(), [(SiteId(2), 1, sub)]);
+        assert_eq!(take_sent(&s1), [(SiteId(2), 1, sub)]);
     }
 
-    /// A store of 50 copies, every third a 62 KiB value — 1.08 MB, past
-    /// the frame cap — is served in pages of at most a segment of cells
-    /// (a 62 KiB cell and the integers after it), and the pages a
-    /// client joins are the image of the whole store.
+    /// A store of 1000 integer copies and then 20 of 62 KiB values —
+    /// 1.27 MB, past the frame cap — is served in pages of at most
+    /// `PAGE_BYTES` of cells, a 62 KiB cell a page of its own, and the
+    /// pages a client joins are the image of the whole store.
     #[test]
     fn copy_state_pages_join_into_the_whole_store_image() {
+        const INTS: u32 = 1000;
         let mut placement = DataPlacement::new(1);
-        placement.add_run(SiteId(0), &[], 50);
+        placement.add_run(SiteId(0), &[], INTS + 20);
         let structure = build_structure(&placement, RuntimeProtocol::DagWt).unwrap();
         let mut site =
             SiteSetup::new(SiteId(0), RuntimeProtocol::DagWt, placement.into(), &structure)
                 .unwrap()
-                .into_core(SiteParts::new(1, 1), Arc::new(Recorder::default()), Arc::default());
-        for i in 0..50u32 {
-            let value = if i % 3 == 0 {
-                Value::Bytes(vec![i as u8; 62 << 10])
-            } else {
-                Value::int(i.into())
-            };
+                .into_core(SiteParts::new(1, 1), Arc::new(Direct), Arc::default());
+        for i in 0..INTS + 20 {
+            let value =
+                if i < INTS { Value::int(i.into()) } else { Value::Bytes(vec![i as u8; 62 << 10]) };
             let ops = [Op::write(ItemId(i), value)];
             let started = site.start_txn(&ops).unwrap();
             site.complete_txn(started.gid, &ops);
@@ -798,18 +796,27 @@ mod tests {
         let whole = encode_cells(&site.copy_cells(0).collect::<Vec<_>>());
         assert!(whole.len() > repl_net::MAX_FRAME_LEN as usize);
 
-        let mut pages = 0;
+        let mut pages = Vec::new();
         let image = join_state_pages(|from| {
             let mut frame = Vec::new();
-            frame_state_page_into(&mut frame, site.copy_cells(from as usize), SEGMENT_BYTES);
-            assert!(frame.len() <= 4 + 2 + 8 + 4 + SEGMENT_BYTES, "page {pages}: {}", frame.len());
-            pages += 1;
-            match decode_framed(&mut frame[..].into()).unwrap() {
-                Some(WireMsg::Reply(ClientReply::State(page))) => Ok(page),
+            site.frame_state_page(from, &mut frame);
+            let page = match decode_framed(&mut frame[..].into()).unwrap() {
+                Some(WireMsg::Reply(ClientReply::State(page))) => page,
                 other => panic!("not a state page: {other:?}"),
-            }
+            };
+            let cells = decode_cells(page.clone()).unwrap().len();
+            // The cell count, then the cells; and a cell that does not
+            // fit was never written into the buffer.
+            assert!(page.len() - 4 <= PAGE_BYTES || cells == 1, "{} cells", cells);
+            assert!(frame.capacity() <= 32 + PAGE_BYTES || cells == 1, "{}", frame.capacity());
+            pages.push(cells);
+            Ok(page)
         });
-        assert_eq!(pages, 18, "17 pages and the empty one");
         assert_eq!(image.unwrap(), whole);
+        // 26 bytes an integer cell: 630 to a page.
+        let mut want = vec![630, 370];
+        want.extend([1; 20]);
+        want.push(0);
+        assert_eq!(pages, want);
     }
 }

@@ -3,31 +3,37 @@
 //!
 //! [`Net`] owns the site's sequencing/log/ack/replay logic (state in
 //! [`crate::link::Links`]) and delegates the one step that touches the
-//! wire to a [`Transport`], which is offered framed bytes: the link's
-//! log from its send cursor on. The wire is the epoll reactor's: it
-//! copies the whole frames it takes into a per-peer write buffer the
-//! readiness loop flushes, and takes none once the buffer is full or
-//! the link is down — nothing in the send path can block.
-//! `crate::nemesis::ChaosWire` decorates it with a fault plan. Arriving
+//! socket to a [`Transport`]. A send only appends the frame to the
+//! link's log; the reactor's flush step ([`Net::flush`]) then offers the
+//! wire the log from its send cursor together with the peer's socket,
+//! and the wire writes what the socket takes. [`Direct`] writes the
+//! log's bytes straight to the socket, so a frame is never copied on its
+//! way out, and part of a frame the kernel refused stays in the log
+//! behind the cursor. `crate::nemesis::ChaosWire` interprets a fault plan
+//! instead and is the one wire that stages bytes of its own. Arriving
 //! frames do not pass through here: the reactor applies them.
 //!
-//! Every attempt is **single-shot and nonblocking**: the cursor moves
-//! past the frames the wire took, and every frame stays in the log
-//! until acknowledged, so delivery is recovered by sending on from the
-//! cursor when a full buffer drains ([`Net::offer`]) or by replay — a
-//! reconnect ([`Net::resume`] from the peer's `HelloAck.resume_seq`,
-//! which is also how a restarted site catches up) or a stalled lane's
-//! periodic replay — and the receiver's
-//! durable dedup/gap marks make the replays exactly-once.
+//! Every write is **single-shot and nonblocking**: the cursor moves past
+//! the bytes the socket took, and every frame stays in the log until
+//! acknowledged, so delivery is recovered by writing on from the cursor
+//! on the next pass or by replay — a reconnect ([`Net::resume`] from the
+//! peer's `HelloAck.resume_seq`, which is also how a restarted site
+//! catches up) or a stalled lane's periodic replay ([`Net::replay`]) —
+//! and the receiver's durable dedup/gap marks make the replays
+//! exactly-once.
 //!
-//! Lock discipline: [`Net::send`] assigns the sequence number, encodes
-//! the frame into the log and performs the delivery attempt *while holding the
-//! lane lock*. That makes wire order equal sequence order per link — a
-//! reconnect replay ([`Net::resume`]) takes the same lock, so a fresh
-//! send can never jump ahead of a replayed predecessor on the stream.
-//! Nothing slow happens under the lock: a send is an encode and a
-//! memcpy.
+//! The receiving half is one owed mark per peer: the highest sequence
+//! applied from it ([`Net::ack_received`]), written as one cumulative
+//! `Ack` when the reactor next flushes that peer's connection
+//! ([`Net::take_ack`]).
+//!
+//! Lock discipline: [`Net::send`] assigns the sequence number and
+//! encodes the frame into the log under the lane lock, and
+//! [`Net::flush`] writes under the same lock, so wire order is sequence
+//! order per link.
 
+use std::io;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -36,7 +42,7 @@ use parking_lot::Mutex;
 use repl_net::Payload;
 use repl_types::SiteId;
 
-use crate::link::{LinkState, Links};
+use crate::link::{write_taken, Links, Sink};
 
 /// This site's progress record of one peer.
 struct HealthCell {
@@ -44,24 +50,35 @@ struct HealthCell {
     dial_failures: u32,
 }
 
-/// One site's wire to its peers: nonblocking single-attempt sends.
-/// Implementations own whatever buffers the wire needs; the
-/// reliable-link engine ([`Net`]) above it is the same with or without
-/// a fault plan in between.
+/// One site's wire to its peers: nonblocking single-shot writes to a
+/// connected peer's socket. The reliable-link engine ([`Net`]) above it
+/// is the same with or without a fault plan in between.
 pub(crate) trait Transport: Send + Sync {
-    /// Try once, without blocking, to hand `to` the whole `Link` frames
-    /// in `frames`, in order. Returns the bytes of the leading frames it
-    /// took: 0 while the link is down or its buffer is full.
-    fn try_send(&self, to: SiteId, frames: &[u8]) -> usize;
+    /// Write to `sink`, `to`'s socket, without blocking, what it takes
+    /// of `frames`: the link log from its send cursor, which starts on a
+    /// frame boundary unless this wire left one half-written. Returns the
+    /// bytes of `frames` taken; an error means the connection is broken.
+    fn try_send(&self, to: SiteId, frames: &[u8], sink: &mut Sink<'_>) -> io::Result<usize>;
 
-    /// Convey the acknowledgement of `seq` on the `from -> me` link back
-    /// to `from`. Best-effort: a lost ack only delays pruning (the
-    /// handshake `resume_seq` re-synchronizes on reconnect) and a
-    /// duplicate delivery is re-acked.
-    fn send_ack(&self, from: SiteId, seq: u64);
+    /// Whether an acknowledgement may go to `from` now. A withheld one
+    /// only delays pruning: the next is cumulative, and the handshake's
+    /// `resume_seq` re-synchronizes after drops.
+    fn passes_ack(&self, _from: SiteId) -> bool {
+        true
+    }
 
-    /// Once a reactor pass: release frames held back that are now due.
-    fn tick(&self) {}
+    /// A new connection to `to`: forget what was staged for the old one.
+    fn reset(&self, _to: SiteId) {}
+}
+
+/// The wire without a fault plan: the log's bytes go straight to the
+/// socket, as many as it takes.
+pub(crate) struct Direct;
+
+impl Transport for Direct {
+    fn try_send(&self, _: SiteId, frames: &[u8], sink: &mut Sink<'_>) -> io::Result<usize> {
+        write_taken(sink, frames)
+    }
 }
 
 /// The reliable-link engine of one site.
@@ -72,40 +89,52 @@ pub(crate) struct Net {
     /// Indexed by peer: every site judges every peer on its own (an
     /// asymmetric partition really does look different from each end).
     health: Vec<Mutex<HealthCell>>,
+    /// Indexed by peer: the highest sequence applied from it that its
+    /// connection has not been told of (0: none owed).
+    owed: Vec<AtomicU64>,
 }
 
 impl Net {
     pub fn new(me: SiteId, links: Arc<Links>, raw: Arc<dyn Transport>) -> Self {
         let fresh = || Mutex::new(HealthCell { last_progress: Instant::now(), dial_failures: 0 });
-        Net { me, health: (0..links.num_sites()).map(|_| fresh()).collect(), links, raw }
+        let n = links.num_sites();
+        Net {
+            me,
+            health: (0..n).map(|_| fresh()).collect(),
+            owed: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            links,
+            raw,
+        }
     }
 
-    /// Encode `payload` into the log to `to` and attempt delivery once.
-    /// The frame is in the log before the attempt, so a failed (or
-    /// half-failed: queued at a receiver that dies before applying)
-    /// delivery is always recoverable by replay — there is no retry loop
-    /// and no sleeping here, which is what lets the engine run inside a
-    /// single-threaded reactor.
+    /// Encode `payload` into the log to `to`. The frame is in the log
+    /// before any write, so a failed (or half-failed: queued at a
+    /// receiver that dies before applying) delivery is always
+    /// recoverable by replay — there is no retry loop and no sleeping
+    /// here, which is what lets the engine run inside a single-threaded
+    /// reactor.
     pub fn send(&self, to: SiteId, payload: &Payload) {
-        let mut lane = self.links.lane(to).lock();
-        lane.push(payload);
-        self.attempt(to, &mut lane);
+        self.links.lane(to).lock().push(payload);
     }
 
-    /// Offer the wire the frames of the locked lane past its cursor.
-    fn attempt(&self, to: SiteId, lane: &mut LinkState) {
-        lane.offer(|frames| self.raw.try_send(to, frames));
+    /// Write the log to `to` from its cursor to `sink`, `to`'s socket, as
+    /// far as it takes it. An error means the connection is broken.
+    pub fn flush(&self, to: SiteId, sink: &mut Sink<'_>) -> io::Result<()> {
+        self.links.lane(to).lock().offer(|frames| self.raw.try_send(to, frames, sink))
     }
 
-    /// Send on from the cursor: the wire's full buffer for `to` drained.
-    pub fn offer(&self, to: SiteId) {
-        self.attempt(to, &mut self.links.lane(to).lock());
-    }
-
-    /// Receiver side: report `seq` on the link from `from` durably
-    /// applied, so the sender can prune its log.
+    /// Receiver side: `seq` on the link from `from` is durably applied;
+    /// the sender is owed the news.
     pub fn ack_received(&self, from: SiteId, seq: u64) {
-        self.raw.send_ack(from, seq);
+        self.owed[from.index()].fetch_max(seq, Ordering::Relaxed);
+    }
+
+    /// Receiver side: the mark `from` is owed, to write as one
+    /// cumulative `Ack` — `None` when nothing is owed, or the wire
+    /// withholds it (then it is not owed any more either).
+    pub fn take_ack(&self, from: SiteId) -> Option<u64> {
+        let seq = self.owed[from.index()].swap(0, Ordering::Relaxed);
+        (seq > 0 && self.raw.passes_ack(from)).then_some(seq)
     }
 
     /// Sender side: `to` acknowledged everything up to `seq`.
@@ -166,25 +195,19 @@ impl Net {
         self.links.lane(to).lock().front_seq()
     }
 
-    /// Let the wire release what it holds back (see [`Transport::tick`]).
-    pub fn tick(&self) {
-        self.raw.tick();
+    /// Re-synchronize the link to `to` on a new connection (a reconnect,
+    /// or the destination restarted): prune everything the destination
+    /// reports durably applied (`acked`, the handshake's `resume_seq`),
+    /// and write the rest from the log's front on the next flush.
+    pub fn resume(&self, to: SiteId, acked: u64) {
+        self.links.lane(to).lock().resume(acked);
+        self.raw.reset(to);
     }
 
-    /// Re-synchronize the link to `to` after the connection was
-    /// re-established (a reconnect, or the destination restarted) or the
-    /// lane stalled: prune everything the destination reports durably
-    /// applied (`acked`, the handshake's `resume_seq`), then rewind the
-    /// cursor and offer the rest in sequence order.
-    ///
-    /// Holding the lane lock across the replay orders it before any
-    /// racing fresh send on the lane (sequence assignment and delivery
-    /// take the same lock), and per-link FIFO of the wire preserves
-    /// that order downstream.
-    pub fn resume(&self, to: SiteId, acked: u64) {
-        let mut lane = self.links.lane(to).lock();
-        lane.rewind(acked);
-        self.attempt(to, &mut lane);
+    /// The lane to `to` stalled: write its log again from the front, on
+    /// the connection it has, once the frame in progress is whole.
+    pub fn replay(&self, to: SiteId) {
+        self.links.lane(to).lock().replay();
     }
 
     /// Messages awaiting acknowledgement on the lane to `to` (send

@@ -196,6 +196,11 @@ pub fn get_str(buf: &mut impl Buf) -> Result<String, CodecError> {
     String::from_utf8(buf.copy_to_bytes(len).to_vec()).map_err(|_| CodecError::BadTag(0xFF))
 }
 
+/// Bytes [`put_cell`] writes for a cell of `value` and `writer`.
+pub fn cell_len(value: &Value, writer: Option<GlobalTxnId>) -> usize {
+    4 + value_len(value) + 1 + writer.map_or(0, |_| 12)
+}
+
 /// Encode one copy-state cell: `(item, value, writer)`.
 pub fn put_cell(buf: &mut impl BufMut, item: ItemId, value: &Value, writer: Option<GlobalTxnId>) {
     buf.put_u32(item.0);
@@ -254,6 +259,15 @@ mod tests {
         assert_eq!(get_gid(&mut bytes).unwrap(), gid);
         assert_eq!(get_cell(&mut bytes).unwrap(), (ItemId(7), Value::int(9), Some(gid)));
         assert_eq!(get_cell(&mut bytes).unwrap(), (ItemId(8), Value::Initial, None));
+        for (value, writer) in [
+            (Value::int(9), Some(gid)),
+            (Value::Initial, None),
+            (Value::Bytes(vec![1; 300]), Some(gid)),
+        ] {
+            let mut buf = BytesMut::new();
+            put_cell(&mut buf, ItemId(7), &value, writer);
+            assert_eq!(buf.len(), cell_len(&value, writer), "{value:?}");
+        }
     }
 
     fn varint(v: u64) -> Vec<u8> {
