@@ -89,8 +89,8 @@
 //!
 //! RL012 pins the propagation send funnel: every frame leaving a site
 //! is encoded into its link log by `Net::send` (which assigns the
-//! per-link sequence number under the lane lock), and only `Net::flush`
-//! in `runtime/src/transport.rs` hands the wire bytes to write: the log
+//! per-link sequence number), and only `Net::flush` in
+//! `runtime/src/transport.rs` hands the wire bytes to write: the log
 //! from its send cursor, moving the cursor past what the socket took. A
 //! raw `Transport::try_send` anywhere else — elsewhere in
 //! `transport.rs` and in the fault-injection wire `nemesis.rs`
@@ -619,9 +619,8 @@ impl ItemScope {
 /// RL012: link bytes reach a peer socket only from the link log. A raw
 /// `Transport::try_send` call anywhere in `crates/runtime` outside the
 /// body of `Net::flush` in `transport.rs` (`funnel`: the file scanned
-/// is that one), which offers the wire the log from its send cursor
-/// under the lane lock and moves the cursor past what the socket took,
-/// writes bytes the replay/dedup discipline never sees. `#[cfg(test)]`
+/// is that one), which offers the wire the log from its send cursor and
+/// moves the cursor past what the socket took, writes bytes the replay/dedup discipline never sees. `#[cfg(test)]`
 /// regions are skipped the same way RL008 skips them.
 fn scan_raw_transport_send(
     src: &str,
@@ -1321,11 +1320,11 @@ impl Store {
     #[test]
     fn raw_transport_send_sanctioned_only_in_net_flush() {
         let funnel = "impl Net {\n\
-                      \x20   pub fn flush(&self, to: SiteId, sink: &mut Sink<'_>) -> io::Result<()> {\n\
-                      \x20       let mut lane = self.links.lane(to).lock();\n\
-                      \x20       lane.offer(|frames| self.raw.try_send(to, frames, sink))\n\
+                      \x20   pub fn flush(&mut self, to: SiteId, sink: &mut Sink<'_>) -> io::Result<()> {\n\
+                      \x20       let raw = &mut self.raw;\n\
+                      \x20       self.links[to.index()].offer(|frames| raw.try_send(to, frames, sink))\n\
                       \x20   }\n\
-                      \x20   pub fn send(&self, to: SiteId, frames: &[u8]) {\n\
+                      \x20   pub fn send(&mut self, to: SiteId, frames: &[u8]) {\n\
                       \x20       self.raw.try_send(to, frames, sink);\n\
                       \x20   }\n\
                       }\n";

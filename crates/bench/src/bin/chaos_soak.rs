@@ -25,7 +25,6 @@
 use std::time::{Duration, Instant};
 
 use repl_copygraph::DataPlacement;
-use repl_core::history::History;
 use repl_runtime::{
     repld_bin, Cluster, ClusterError, ClusterHandle, LaunchOptions, NetFaultPlan, ProcCluster,
     RuntimeOptions, RuntimeProtocol,
@@ -241,11 +240,7 @@ fn measure(
         );
     }
 
-    let mut history = History::new();
-    for (gid, reads, writes) in handle.history().map_err(|e| e.to_string())? {
-        history.record_commit(gid, reads, writes);
-    }
-    let serializable = history.check_serializability().is_ok();
+    let serializable = handle.check_serializability().map_err(|e| e.to_string())?.is_ok();
 
     Ok(CellReport {
         protocol: proto_name,

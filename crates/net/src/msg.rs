@@ -202,6 +202,11 @@ pub enum ClientReply {
         /// Peers this site currently classifies `Down` (no progress for
         /// the down window; the retry policy keeps probing).
         peers_down: u32,
+        /// Per site, indexed by id, this site's link marks `(sent,
+        /// applied)`: the last link sequence it assigned toward that
+        /// site, and the highest it durably applied from it (`(0, 0)`
+        /// for itself).
+        links: Vec<(u64, u64)>,
     },
     /// Outcome of [`ClientMsg::CopyState`]: one page, itself an image
     /// in the [`encode_cells`] format.
@@ -560,6 +565,7 @@ fn put_reply(buf: &mut impl BufMut, reply: &ClientReply) {
             peers_up,
             peers_suspect,
             peers_down,
+            links,
         } => {
             buf.put_u8(4);
             buf.put_i64(*outstanding);
@@ -568,6 +574,11 @@ fn put_reply(buf: &mut impl BufMut, reply: &ClientReply) {
             buf.put_u32(*peers_up);
             buf.put_u32(*peers_suspect);
             buf.put_u32(*peers_down);
+            buf.put_u32(links.len() as u32);
+            for (sent, applied) in links {
+                buf.put_u64(*sent);
+                buf.put_u64(*applied);
+            }
         }
         ClientReply::State(bytes) => {
             buf.put_u8(REPLY_STATE);
@@ -694,7 +705,7 @@ fn get_reply(buf: &mut Bytes) -> Result<ClientReply, NetError> {
             t => return Err(NetError::BadTag(t)),
         },
         4 => {
-            if buf.len() < 36 {
+            if buf.len() < 40 {
                 return Err(NetError::Truncated);
             }
             let outstanding = buf.get_i64();
@@ -703,6 +714,13 @@ fn get_reply(buf: &mut Bytes) -> Result<ClientReply, NetError> {
             let peers_up = buf.get_u32();
             let peers_suspect = buf.get_u32();
             let peers_down = buf.get_u32();
+            // The count is the sender's claim: the bytes left must hold
+            // it, 16 a site.
+            let n = buf.get_u32() as usize;
+            if buf.len() / 16 < n {
+                return Err(NetError::Truncated);
+            }
+            let links = (0..n).map(|_| (buf.get_u64(), buf.get_u64())).collect();
             ClientReply::Stats {
                 outstanding,
                 committed,
@@ -710,6 +728,7 @@ fn get_reply(buf: &mut Bytes) -> Result<ClientReply, NetError> {
                 peers_up,
                 peers_suspect,
                 peers_down,
+                links,
             }
         }
         5 => {
@@ -1072,6 +1091,7 @@ mod tests {
             peers_up: 2,
             peers_suspect: 1,
             peers_down: 1,
+            links: vec![(0, 0), (7, 3), (u64::MAX, 1)],
         }));
         roundtrip(WireMsg::Reply(ClientReply::State(Bytes::from_static(&[1, 2, 3]))));
         roundtrip(WireMsg::Reply(ClientReply::Ok));
@@ -1084,6 +1104,29 @@ mod tests {
             ),
             (GlobalTxnId::new(SiteId(2), 9), vec![], vec![ItemId(2), ItemId(3)]),
         ])));
+    }
+
+    /// A `Stats` reply's link count is the sender's claim: one past what
+    /// its bytes hold, or `u32::MAX`, is refused as truncated before
+    /// anything is reserved for it.
+    #[test]
+    fn stats_link_count_is_checked_against_the_bytes() {
+        let stats = WireMsg::Reply(ClientReply::Stats {
+            outstanding: 0,
+            committed: 0,
+            decode_errors: 0,
+            peers_up: 0,
+            peers_suspect: 0,
+            peers_down: 0,
+            links: vec![(1, 2)],
+        });
+        let raw = stats.encode().to_vec();
+        let count = raw.len() - 16 - 4;
+        for claim in [2, u32::MAX] {
+            let mut raw = raw.clone();
+            raw[count..count + 4].copy_from_slice(&claim.to_be_bytes());
+            assert!(matches!(WireMsg::decode(Bytes::from(raw)), Err(NetError::Truncated)));
+        }
     }
 
     #[test]

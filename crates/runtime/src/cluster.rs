@@ -1,26 +1,27 @@
 //! The in-process cluster: a reactor thread per site, live crash and
 //! restart, and the types every deployment shares.
+//!
+//! A running site's state belongs to its reactor thread alone. The
+//! cluster holds no handle into it: it reads a running site through the
+//! site's client session, as `ProcCluster` does, and holds a site's
+//! state ([`SiteParts`]) only while the site is down — handed back by
+//! the joined thread at [`Cluster::crash`], moved into the replacement
+//! at [`Cluster::restart`].
 
 use std::fmt;
-use std::io;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
-
-use parking_lot::{Mutex, MutexGuard};
 
 use repl_copygraph::{BackEdgeSet, CopyGraph, DataPlacement, PropagationTree};
-use repl_core::history::{History, SerializationCycle};
-use repl_net::{cluster_fingerprint, ClientMsg, HistoryLog, HistoryTxn};
+use repl_core::history::SerializationCycle;
+use repl_net::{cluster_fingerprint, ClientMsg};
 use repl_protocol::{ProtocolError, ProtocolId};
 use repl_types::{AddressMap, GlobalTxnId, ItemId, Op, SiteId, Value};
 
-use crate::durable::DurableSite;
 use crate::handle::{io_error, ClusterHandle, Session};
-use crate::link::Links;
-use crate::policy::{self, RuntimeOptions};
-use crate::reactor::Reactor;
+use crate::policy::RuntimeOptions;
+use crate::reactor::{Listener, Reactor};
 use crate::site::{SiteParts, SiteSetup};
 
 /// Protocols the live runtime deploys.
@@ -225,11 +226,9 @@ pub(crate) fn build_structure(
 pub struct Cluster {
     /// Each site's running reactor; `None` while it is crashed.
     sites: Vec<Option<Incarnation>>,
-    // What of each site outlives its crash (`SiteParts`):
-    durables: Vec<Arc<Mutex<DurableSite>>>,
-    links: Vec<Arc<Links>>,
-    history: Histories,
-    outstanding: Vec<Arc<AtomicI64>>,
+    /// What each crashed site handed back, until its restart; `None`
+    /// while it runs (its reactor owns it then).
+    parked: Vec<Option<SiteParts>>,
     protocol: RuntimeProtocol,
     structure: Structure,
     placement: Arc<DataPlacement>,
@@ -244,44 +243,25 @@ struct Incarnation {
     addr: String,
     session: Session,
     stop: Arc<AtomicBool>,
-    thread: JoinHandle<()>,
+    /// Returns what outlives the run.
+    thread: JoinHandle<SiteParts>,
 }
 
 impl Incarnation {
-    /// Return the reactor at its next pass and join its thread.
-    fn stop(self) {
+    /// Return the reactor at its next pass, join its thread and take
+    /// back what it owned (`None`: the reactor panicked).
+    fn stop(self) -> Option<SiteParts> {
         self.stop.store(true, Ordering::SeqCst);
-        let _ = self.thread.join();
+        self.thread.join().ok()
     }
 }
 
-/// Every site's log of its primary commits.
-struct Histories(Vec<Arc<Mutex<HistoryLog>>>);
-
-impl Histories {
-    /// Lock every site's log, in site order.
-    fn lock(&self) -> HistoriesGuard<'_> {
-        HistoriesGuard(self.0.iter().map(|log| log.lock()).collect())
-    }
-}
-
-/// Every site's history log, locked.
-struct HistoriesGuard<'a>(Vec<MutexGuard<'a, HistoryLog>>);
-
-impl HistoriesGuard<'_> {
-    fn committed_count(&self) -> u64 {
-        self.0.iter().map(|log| log.committed_count()).sum()
-    }
-
-    fn txns(&self) -> Vec<HistoryTxn> {
-        self.0.iter().flat_map(|log| log.txns()).collect()
-    }
-
-    /// Bytes retained for the history, cluster-wide.
-    #[cfg(test)]
-    fn encoded_len(&self) -> usize {
-        self.0.iter().map(|log| log.encoded_len()).sum()
-    }
+/// The answer of an inspection of an in-process cluster. Its sites
+/// answer over loopback from threads of this process, so a failure is a
+/// lost reactor thread.
+fn answered<T>(answer: Result<T, ClusterError>) -> T {
+    // replint: allow(RL008) -- a lost in-process reactor is a bug the calling test must fail on
+    answer.unwrap_or_else(|e| panic!("an in-process site did not answer: {e}"))
 }
 
 impl Cluster {
@@ -310,10 +290,7 @@ impl Cluster {
         let salt = (u64::from(std::process::id()) << 32) | CLUSTERS.fetch_add(1, Ordering::Relaxed);
         let mut cluster = Cluster {
             sites: (0..n).map(|_| None).collect(),
-            durables: (0..n).map(|_| Arc::new(Mutex::new(DurableSite::new(n, batch)))).collect(),
-            links: (0..n).map(|_| Arc::new(Links::new(n))).collect(),
-            history: Histories((0..n).map(|_| Arc::default()).collect()),
-            outstanding: (0..n).map(|_| Arc::default()).collect(),
+            parked: (0..n).map(|_| Some(SiteParts::new(n, batch))).collect(),
             protocol,
             structure,
             placement: Arc::new(placement.clone()),
@@ -326,10 +303,11 @@ impl Cluster {
         Ok(cluster)
     }
 
-    /// Boot `site` on a fresh loopback port, at start or after a crash,
-    /// through the `Reactor::boot` `repld` uses (on the reactor's own
-    /// thread, which recovers the store). The site dials every live
-    /// peer, and every live peer is told its address.
+    /// Boot `site` on a fresh loopback port from its parked parts, at
+    /// start or after a crash, through the `Reactor::boot` `repld` uses
+    /// (on the reactor's own thread, which recovers the store and owns
+    /// the parts until it stops). The site dials every live peer, and
+    /// every live peer is told its address.
     fn boot_site(&mut self, site: SiteId) -> Result<(), ClusterError> {
         let i = site.index();
         let setup = SiteSetup::new(site, self.protocol, self.placement.clone(), &self.structure)
@@ -340,41 +318,31 @@ impl Cluster {
                 peers.insert(SiteId(s as u32), live.addr.clone());
             }
         }
-        let parts = SiteParts {
-            durable: self.durables[i].clone(),
-            links: self.links[i].clone(),
-            history: self.history.0[i].clone(),
-            outstanding: self.outstanding[i].clone(),
-        };
+        let listener = Listener::bind("127.0.0.1:0").map_err(io_error)?;
+        let addr = listener.local_addr().map_err(io_error)?.to_string();
+        let lost =
+            || ClusterError::Io(format!("site {site} lost its state with its reactor thread"));
+        let parts = self.parked[i].take().ok_or_else(lost)?;
         let (opts, fingerprint) = (self.opts.clone(), self.fingerprint);
         let stop = Arc::new(AtomicBool::new(false));
         let thread_stop = stop.clone();
-        let (bound_tx, bound) = mpsc::channel();
+        // A spawn that fails drops the parts with its closure.
         let thread = std::thread::Builder::new()
             .name(format!("site-{}", site.0))
             .spawn(move || {
-                let listen = "127.0.0.1:0";
-                match Reactor::boot(listen, setup, parts, opts, fingerprint, peers, thread_stop) {
-                    Ok(mut reactor) => {
-                        let _ = bound_tx.send(reactor.local_addr());
-                        let _ = reactor.run();
-                    }
-                    Err(e) => {
-                        let _ = bound_tx.send(Err(e));
-                    }
-                }
+                let mut reactor =
+                    Reactor::boot(listener, setup, parts, opts, fingerprint, peers, thread_stop);
+                let _ = reactor.run();
+                reactor.into_parts()
             })
             .map_err(io_error)?;
-        let booted = bound
-            .recv()
-            .unwrap_or_else(|_| Err(io::Error::other("site thread exited during boot")))
-            .map(|addr| addr.to_string())
-            .and_then(|addr| Ok((Session::connect(&addr)?, addr)));
-        let (session, addr) = match booted {
-            Ok(booted) => booted,
+        // The socket listens already: the session queues until the
+        // reactor has recovered the store and accepts it.
+        let session = match Session::connect(&addr) {
+            Ok(session) => session,
             Err(e) => {
                 stop.store(true, Ordering::SeqCst);
-                let _ = thread.join();
+                self.parked[i] = thread.join().ok();
                 return Err(io_error(e));
             }
         };
@@ -403,6 +371,11 @@ impl Cluster {
         self.live(site).map(|live| &live.session)
     }
 
+    /// What `site` handed back when it crashed, while it is down.
+    pub(crate) fn parked(&self, site: SiteId) -> Option<&SiteParts> {
+        self.parked.get(site.index())?.as_ref()
+    }
+
     /// The loopback address `site` listens on, and the cluster
     /// fingerprint a peer's `Hello` must carry (for tests that speak
     /// the peer protocol to a site).
@@ -421,15 +394,23 @@ impl Cluster {
 
     /// Abruptly kill `site`: its reactor returns at its next pass
     /// without flushing, losing its store, its sockets and every frame
-    /// buffered in them. Its durable image ([`DurableSite`]), outboxes
-    /// and history survive for [`Cluster::restart`]. Idempotent while
-    /// down. Its clients get [`ClusterError::Disconnected`]; updates
-    /// for it park in their senders' outboxes.
+    /// buffered in them. What it hands back — its durable image,
+    /// outboxes, history and outstanding share — waits here for
+    /// [`Cluster::restart`]. Idempotent while down. Its clients get
+    /// [`ClusterError::Disconnected`]; updates for it park in their
+    /// senders' outboxes.
     pub fn crash(&mut self, site: SiteId) -> Result<(), ClusterError> {
         self.check_site(site)?;
         self.check_faults_supported()?;
         if let Some(live) = self.sites[site.index()].take() {
-            live.stop();
+            let mut parts = live.stop();
+            // A staged group-commit batch survives with the image, and a
+            // restart appends it to the log before anything else: do it
+            // now, so the log parked is the one recovered from.
+            if let Some(parts) = parts.as_mut() {
+                parts.durable.flush_log();
+            }
+            self.parked[site.index()] = parts;
         }
         Ok(())
     }
@@ -460,20 +441,18 @@ impl Cluster {
     }
 
     /// Block until every committed update has been applied at every
-    /// destination replica (the sites' outstanding shares sum to zero;
+    /// destination replica (the sites' outstanding shares, a crashed
+    /// site's from its parked parts, sum to zero;
     /// [`ClusterHandle::quiesce`] says why that is sound). No deadline:
     /// deliveries parked for a down site count as outstanding.
     pub fn quiesce(&self) {
-        while self.outstanding.iter().map(|share| share.load(Ordering::SeqCst)).sum::<i64>() > 0 {
-            policy::pace(Duration::from_micros(200));
-        }
+        while ClusterHandle::quiesce(self).is_err() {}
     }
 
     /// Updates sent to `site` but not yet applied there (for tests and
-    /// demos).
+    /// demos; [`ClusterHandle::pending_deliveries`]).
     pub fn pending_deliveries(&self, site: SiteId) -> usize {
-        let applied = self.durables[site.index()].lock().applied_from.clone();
-        self.links.iter().zip(applied).map(|(links, mark)| links.unapplied(site, mark)).sum()
+        answered(ClusterHandle::pending_deliveries(self, site))
     }
 
     /// Non-transactional read of one copy (for tests and demos).
@@ -488,38 +467,26 @@ impl Cluster {
         ClusterHandle::copy_state(self, site).ok()
     }
 
-    /// The serialized resident redo log of `site`: what it has
-    /// committed since its last checkpoint cut, in commit order. Until
-    /// the log first fills a segment (64 KiB, 655 Table-1 commits) that
-    /// is everything the site ever committed, and replaying it over a
-    /// fresh store of the site's items reproduces the site. Taken once
-    /// the reactor has flushed staged group commits (every pass).
+    /// The serialized resident redo log a crashed `site` parked — what
+    /// its restart recovers from: what it committed since its last
+    /// checkpoint cut, in commit order. Until the log first fills a
+    /// segment (64 KiB, 655 Table-1 commits) that is everything the site
+    /// ever committed, and replaying it over a fresh store of the site's
+    /// items reproduces the site. `None` while the site runs.
     pub fn snapshot_wal(&self, site: SiteId) -> Option<bytes::Bytes> {
-        loop {
-            self.session(site).ok()?;
-            let durable = self.durables[site.index()].lock();
-            if durable.pipeline.pending() == 0 {
-                return Some(durable.wal.encode());
-            }
-            drop(durable);
-            policy::pace(Duration::from_micros(200));
-        }
+        self.parked(site).map(|parts| parts.durable.wal.encode())
     }
 
     /// Run the one-copy-serializability oracle over everything committed
-    /// so far. The sites only log their commits; the checker's indexed
-    /// [`History`] is built here, when a verdict is wanted.
+    /// so far, crashed sites' commits included
+    /// ([`ClusterHandle::check_serializability`]).
     pub fn check_serializability(&self) -> Result<(), SerializationCycle> {
-        let mut history = History::new();
-        for (gid, reads, writes) in self.history.lock().txns() {
-            history.record_commit(gid, reads, writes);
-        }
-        history.check_serializability()
+        answered(ClusterHandle::check_serializability(self))
     }
 
-    /// Number of transactions committed so far.
+    /// Number of transactions committed so far, crashed sites' included.
     pub fn committed_count(&self) -> usize {
-        self.history.lock().committed_count() as usize
+        answered(ClusterHandle::committed_count(self))
     }
 
     /// The placement this cluster serves.
@@ -662,7 +629,8 @@ mod tests {
     /// plus the checkpoint stay under one segment plus 26 bytes a copy
     /// at 2 000 commits and at 20 000. (With the indexed `History` and a
     /// `Vec<LogRecord>` a commit kept about 1000 bytes; with contiguous
-    /// arenas, 238.)
+    /// arenas, 238.) The sizes are read off the parts s0 hands back when
+    /// it crashes, and it restarts from them.
     #[test]
     fn commit_budget_2000_table1_updates() {
         use repl_storage::codec::varint_len;
@@ -672,15 +640,19 @@ mod tests {
         let mut placement = DataPlacement::new(3);
         let items: Vec<ItemId> =
             (0..20).map(|_| placement.add_item(SiteId(0), &[SiteId(1), SiteId(2)])).collect();
-        let cluster = Cluster::start(&placement, RuntimeProtocol::DagWt).unwrap();
+        let mut cluster = Cluster::start(&placement, RuntimeProtocol::DagWt).unwrap();
         // Write every item once, so every later read is of a written version.
         cluster.execute(SiteId(0), items.iter().map(|&i| Op::write(i, 0)).collect()).unwrap();
-        let history = |c: &Cluster| c.history.lock().encoded_len();
-        let durable = |c: &Cluster| {
-            let d = c.durables[0].lock();
-            (d.wal.encoded_len(), d.checkpoint.len())
+        // s0's history bytes, and its resident log and checkpoint bytes.
+        let retained = |c: &mut Cluster| {
+            c.crash(SiteId(0)).unwrap();
+            let parts = c.parked(SiteId(0)).unwrap();
+            let d = &parts.durable;
+            let sizes = (parts.history.encoded_len(), (d.wal.encoded_len(), d.checkpoint.len()));
+            c.restart(SiteId(0)).unwrap();
+            sizes
         };
-        let before = history(&cluster);
+        let (before, _) = retained(&mut cluster);
         // Sequence number of each item's last writer, which is what a
         // read of it records.
         let mut written_by = vec![0u64; items.len()];
@@ -708,11 +680,12 @@ mod tests {
                 resident += WAL_RECORDS;
             }
             done = commits;
-            assert_eq!(history(&cluster) - before, entries);
+            let (history, durable) = retained(&mut cluster);
+            assert_eq!(history - before, entries);
             assert_eq!(entries, pinned, "{commits}");
             assert!(cuts >= commits * WAL_RECORDS / SEGMENT_BYTES, "{cuts} cuts");
             // A checkpoint of every copy at the site, and the commits since.
-            assert_eq!(durable(&cluster), (resident, 4 + CELL * items.len()), "{commits}");
+            assert_eq!(durable, (resident, 4 + CELL * items.len()), "{commits}");
             assert!(resident <= SEGMENT_BYTES);
         }
         cluster.quiesce();

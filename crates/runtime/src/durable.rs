@@ -2,9 +2,10 @@
 //!
 //! A crashed site loses its reactor, its store and its sockets; what it
 //! keeps is exactly what a real deployment would have forced to stable
-//! storage. The in-process cluster holds one [`DurableSite`] per site
-//! and hands each run of its reactor a shared handle, so the image
-//! seeds the replacement:
+//! storage. A [`DurableSite`] is plain data its reactor owns: the
+//! in-process cluster moves it into each run of the reactor and gets it
+//! back when the crashed thread is joined, so the image seeds the
+//! replacement:
 //!
 //! * the **checkpoint** — the store's committed copies, values *and*
 //!   writers, in the `CopyState` encoding
@@ -44,10 +45,10 @@
 //! staged, and the site is serial), so the checkpoint covers the whole
 //! log it replaces; the staged batch that follows it into the emptied
 //! log is redundant with it, harmlessly, because records install
-//! absolute values. Both steps happen under the one lock that guards
-//! this image, and a site "crashes" only between reactor passes, so a
-//! recovery never sees a new checkpoint with the old log or the
-//! reverse.
+//! absolute values. Both steps happen within one call on the reactor
+//! thread that owns this image, and a site "crashes" only between
+//! reactor passes, so a recovery never sees a new checkpoint with the
+//! old log or the reverse.
 
 use repl_storage::{CommitPipeline, WriteAheadLog};
 use repl_types::{GlobalTxnId, ItemId, Value};

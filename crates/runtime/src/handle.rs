@@ -5,26 +5,30 @@
 //! [`Cluster`] and [`ProcCluster`] hand it. A site's refusal comes back
 //! as the [`ClusterError`] it raised, a crashed in-process site is
 //! [`ClusterError::Disconnected`], a broken connection
-//! [`ClusterError::Io`].
+//! [`ClusterError::Io`]. The inspection methods read a running site
+//! through its session too; a crashed in-process site answers from the
+//! state it handed back ([`Fleet::parked`]).
 
 use std::io;
 use std::net::TcpStream;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
+use repl_core::history::{History, SerializationCycle};
 use repl_net::{read_msg, write_msg, ClientMsg, ClientReply, ExecError, HistoryTxn, WireMsg};
 use repl_types::{GlobalTxnId, ItemId, Op, SiteId, Value};
 
 use crate::cluster::{Cluster, ClusterError};
+use crate::link::link_marks;
 use crate::policy;
 use crate::proc::ProcCluster;
+use crate::site::SiteParts;
 
 /// How long to keep retrying the initial client connection to a site.
 const CONNECT_WINDOW: Duration = Duration::from_secs(10);
 
 /// One site's counters, as reported by [`ClusterHandle::stats`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SiteStats {
     /// This site's share of the replica applications in flight (+ per
     /// destination of a commit here, −1 per application here); only the
@@ -44,6 +48,10 @@ pub struct SiteStats {
     /// Peers this site currently classifies `Down` (no progress for the
     /// down window; retries continue with backoff).
     pub peers_down: u32,
+    /// Per site, indexed by id, this site's link marks `(sent, applied)`:
+    /// the last link sequence it assigned toward that site, and the
+    /// highest it durably applied from it (`(0, 0)` for itself).
+    pub links: Vec<(u64, u64)>,
 }
 
 /// The operations every deployment answers, for deployment-generic
@@ -72,7 +80,8 @@ pub trait ClusterHandle {
     /// copy).
     fn peek(&self, site: SiteId, item: ItemId) -> Option<(Value, Option<GlobalTxnId>)>;
 
-    /// The site's counters ([`SiteStats`]).
+    /// The site's counters ([`SiteStats`]); a crashed in-process site's
+    /// outstanding share, commits and link marks from what it parked.
     fn stats(&self, site: SiteId) -> Result<SiteStats, ClusterError>;
 
     /// The site's full copy state (ascending items, values, writers),
@@ -97,6 +106,40 @@ pub trait ClusterHandle {
     /// `repl_core::history::History` to run the one-copy
     /// serializability checker over a live run.
     fn history(&self) -> Result<Vec<HistoryTxn>, ClusterError>;
+
+    /// Number of transactions committed so far, deployment-wide.
+    fn committed_count(&self) -> Result<usize, ClusterError> {
+        let sites = (0..self.num_sites()).map(SiteId);
+        sites.map(|s| Ok(self.stats(s)?.committed as usize)).sum()
+    }
+
+    /// Run the one-copy-serializability oracle over everything
+    /// committed so far; the outer error is a site that could not be
+    /// asked. The checker's indexed [`History`] is built here, when a
+    /// verdict is wanted.
+    fn check_serializability(&self) -> Result<Result<(), SerializationCycle>, ClusterError> {
+        let mut history = History::new();
+        for (gid, reads, writes) in self.history()? {
+            history.record_commit(gid, reads, writes);
+        }
+        Ok(history.check_serializability())
+    }
+
+    /// Updates sent to `site` that it has not durably applied: over the
+    /// other sites, the last link sequence each assigned toward `site`
+    /// minus the highest `site` applied from it. Independent of acks;
+    /// `site`'s marks are read first, and both only grow, so it never
+    /// undercounts.
+    fn pending_deliveries(&self, site: SiteId) -> Result<usize, ClusterError> {
+        let applied = self.stats(site)?.links;
+        let mut pending = 0;
+        for from in (0..self.num_sites()).map(SiteId).filter(|&s| s != site) {
+            let (sent, _) = self.stats(from)?.links.get(site.index()).copied().unwrap_or_default();
+            let (_, mark) = applied.get(from.index()).copied().unwrap_or_default();
+            pending += sent.saturating_sub(mark) as usize;
+        }
+        Ok(pending)
+    }
 }
 
 /// A client connection to one site; one request at a time.
@@ -120,7 +163,9 @@ impl Session {
     }
 
     fn request(&self, msg: ClientMsg) -> io::Result<ClientReply> {
-        let mut conn = self.0.lock();
+        // A thread that panicked mid-request may have left its reply
+        // unread: the stream is no longer in step.
+        let mut conn = self.0.lock().map_err(|_| io::Error::other("session poisoned"))?;
         write_msg(&mut *conn, &WireMsg::Client(msg))?;
         match read_msg(&mut *conn) {
             Ok(WireMsg::Reply(reply)) => Ok(reply),
@@ -172,6 +217,7 @@ impl Session {
                 peers_up,
                 peers_suspect,
                 peers_down,
+                links,
             } => Ok(SiteStats {
                 outstanding,
                 committed,
@@ -179,6 +225,7 @@ impl Session {
                 peers_up,
                 peers_suspect,
                 peers_down,
+                links,
             }),
             other => Err(io::Error::other(format!("unexpected stats reply: {other:?}"))),
         }
@@ -240,6 +287,12 @@ pub(crate) trait Fleet {
     /// The session to `site`: [`ClusterError::NoSuchSite`] out of
     /// range, [`ClusterError::Disconnected`] while the site is down.
     fn session(&self, site: SiteId) -> Result<&Session, ClusterError>;
+
+    /// What `site` handed back when it crashed: `Some` only while an
+    /// in-process site is down.
+    fn parked(&self, _site: SiteId) -> Option<&SiteParts> {
+        None
+    }
 }
 
 impl Fleet for Cluster {
@@ -249,6 +302,10 @@ impl Fleet for Cluster {
 
     fn session(&self, site: SiteId) -> Result<&Session, ClusterError> {
         Cluster::session(self, site)
+    }
+
+    fn parked(&self, site: SiteId) -> Option<&SiteParts> {
+        Cluster::parked(self, site)
     }
 }
 
@@ -276,7 +333,15 @@ impl<F: Fleet> ClusterHandle for F {
     }
 
     fn stats(&self, site: SiteId) -> Result<SiteStats, ClusterError> {
-        self.session(site)?.stats().map_err(io_error)
+        match self.parked(site) {
+            Some(parts) => Ok(SiteStats {
+                outstanding: parts.outstanding,
+                committed: parts.history.committed_count(),
+                links: link_marks(&parts.links, &parts.durable.applied_from),
+                ..SiteStats::default()
+            }),
+            None => self.session(site)?.stats().map_err(io_error),
+        }
     }
 
     fn copy_state(&self, site: SiteId) -> Result<bytes::Bytes, ClusterError> {
@@ -318,7 +383,10 @@ impl<F: Fleet> ClusterHandle for F {
     fn history(&self) -> Result<Vec<HistoryTxn>, ClusterError> {
         let mut all = Vec::new();
         for site in (0..self.site_count()).map(SiteId) {
-            all.extend(self.session(site)?.history().map_err(io_error)?);
+            all.extend(match self.parked(site) {
+                Some(parts) => parts.history.txns(),
+                None => self.session(site)?.history().map_err(io_error)?,
+            });
         }
         Ok(all)
     }

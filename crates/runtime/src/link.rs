@@ -11,10 +11,10 @@
 //!   socket has not taken. The log is the one copy of a frame on its way
 //!   out: the reactor writes it to the peer's socket straight from the
 //!   cursor, and the kernel may take part of a frame, so the cursor can
-//!   stop inside one. The log lives in a [`Links`] table outside the
-//!   sending reactor, so it survives the *sender* crashing too — it
-//!   models the durable commit record from which a recovering site can
-//!   always re-derive its propagation obligations.
+//!   stop inside one. The log is part of what a site hands back when
+//!   it crashes (`SiteParts`), so it survives the *sender* crashing too
+//!   — it models the durable commit record from which a recovering site
+//!   can always re-derive its propagation obligations.
 //! * The receiver drops anything ahead of its durable per-link
 //!   high-water mark (a gap: the missing message is still in the log
 //!   and will arrive in order) and re-acks anything at or below it (a
@@ -35,10 +35,7 @@
 
 use std::io;
 
-use parking_lot::Mutex;
-
 use repl_net::{frame_link_into, Payload};
-use repl_types::SiteId;
 
 /// Bytes of the frame at the front of `bytes`, its prefix included.
 fn frame_len(bytes: &[u8]) -> usize {
@@ -237,40 +234,22 @@ impl LinkState {
 }
 
 /// One site's outgoing links, indexed by destination.
-pub(crate) struct Links {
-    lanes: Vec<Mutex<LinkState>>,
-}
+pub(crate) type Links = Vec<LinkState>;
 
-impl Links {
-    pub fn new(sites: usize) -> Self {
-        Links { lanes: (0..sites).map(|_| Mutex::new(LinkState::default())).collect() }
-    }
-
-    /// Number of sites the table is dimensioned for.
-    pub fn num_sites(&self) -> usize {
-        self.lanes.len()
-    }
-
-    pub(crate) fn lane(&self, to: SiteId) -> &Mutex<LinkState> {
-        &self.lanes[to.index()]
-    }
-
-    /// Messages on the link to `to` past the destination's durable
-    /// applied mark: unlike [`LinkState::len`], not waiting for acks.
-    pub fn unapplied(&self, to: SiteId, applied: u64) -> usize {
-        let lane = self.lane(to).lock();
-        lane.last.saturating_sub(lane.acked.max(applied)) as usize
-    }
+/// Per peer, `(sent, applied)`: the last sequence number `links` assigned
+/// toward it, and the highest one `applied` from it — the link marks a
+/// site serves in its `Stats` (`(0, 0)` for itself).
+pub(crate) fn link_marks(links: &[LinkState], applied: &[u64]) -> Vec<(u64, u64)> {
+    links.iter().zip(applied).map(|(lane, &applied)| (lane.last, applied)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use std::collections::{BTreeSet, VecDeque};
-    use std::sync::Arc;
 
     use proptest::prelude::*;
     use repl_net::{encode_framed, FrameReader, Subtxn, SubtxnKind, WireMsg};
-    use repl_types::{GlobalTxnId, ItemId, Value};
+    use repl_types::{GlobalTxnId, ItemId, SiteId, Value};
 
     use super::*;
     use crate::transport::{Direct, Net};
@@ -303,9 +282,13 @@ mod tests {
         }
     }
 
-    fn net() -> (Net, Arc<Links>) {
-        let links = Arc::new(Links::new(2));
-        (Net::new(SiteId(0), links.clone(), Arc::new(Direct)), links)
+    fn net() -> Net {
+        Net::new(SiteId(0), (0..2).map(|_| LinkState::default()).collect(), Box::new(Direct))
+    }
+
+    /// The link to [`PEER`].
+    fn lane(net: &Net) -> &LinkState {
+        &net.links()[PEER.index()]
     }
 
     /// The sequence numbers of the `Link` frames in `bytes`.
@@ -344,7 +327,7 @@ mod tests {
     /// is inside a frame it covers drops that frame once it is written.
     #[test]
     fn a_drained_lane_sends_on_from_the_cursor_and_repeats_no_frame() {
-        let (net, links) = net();
+        let mut net = net();
         let frame = encode_framed(&WireMsg::Link { seq: 1, payload: payload(0, 0, 0) }).len();
         for n in 0..8 {
             net.send(PEER, &payload(n, 0, 0));
@@ -358,11 +341,11 @@ mod tests {
         // The peer applied 1..=5 (from an earlier copy): all but the
         // fifth frame, whose rest is still to go, leave the log.
         net.on_ack(PEER, 5);
-        assert_eq!((net.lane_len(PEER), links.lane(PEER).lock().dropped), (3, 4));
+        assert_eq!((net.lane_len(PEER), lane(&net).dropped), (3, 4));
         socket.room = usize::MAX;
         net.flush(PEER, &mut socket.sink()).unwrap();
         assert_eq!(seqs(&socket.taken), (1..=8).collect::<Vec<_>>());
-        assert_eq!(links.lane(PEER).lock().log.len(), 3 * frame);
+        assert_eq!(lane(&net).log.len(), 3 * frame);
         net.on_ack(PEER, 8);
         net.flush(PEER, &mut socket.sink()).unwrap();
         assert_eq!(seqs(&socket.taken), (1..=8).collect::<Vec<_>>());
@@ -445,13 +428,13 @@ mod tests {
         /// after a replay — so a replay lands on a frame boundary — and a
         /// flush the socket takes whole leaves every unacknowledged frame
         /// delivered. The counts the site reads (`lane_len`, `front_seq`,
-        /// `unapplied`) agree with the model, and the log holds the
+        /// the sent mark) agree with the model, and the log holds the
         /// frames' encoded bytes and nothing else.
         #[test]
         fn the_link_log_offers_what_the_payload_outbox_would(
             steps in prop::collection::vec(step(), 1..60),
         ) {
-            let (net, links) = net();
+            let mut net = net();
             let mut model = Model::default();
             for (n, step) in steps.into_iter().enumerate() {
                 match step {
@@ -509,11 +492,8 @@ mod tests {
                 }
                 prop_assert_eq!(net.lane_len(PEER), model.unacked.len());
                 prop_assert_eq!(net.front_seq(PEER), model.unacked.front().map(|(s, _)| *s));
-                for applied in [0, model.front().saturating_sub(1), model.front() + 1, model.next_seq] {
-                    let want = model.unacked.iter().filter(|(s, _)| *s > applied).count();
-                    prop_assert_eq!(links.unapplied(PEER, applied), want);
-                }
-                let lane = links.lane(PEER).lock();
+                let lane = lane(&net);
+                prop_assert_eq!(link_marks(net.links(), &[0, 0])[PEER.index()], (model.next_seq, 0));
                 let kept = model.encoded(lane.dropped);
                 prop_assert_eq!(lane.log.bytes(), kept.as_slice());
                 if lane.dropped < lane.acked {

@@ -44,7 +44,8 @@
 //! its own: its held frames, its duplicates, and the rest of a frame
 //! the socket took only part of. Staged bytes go before anything new,
 //! and a new connection drops them (the log replays from the peer's
-//! mark).
+//! mark) That per-link state is plain data of the one
+//! reactor that owns the wire, as the link logs are.
 //!
 //! Time is wall-clock relative to [`ChaosWire`] construction (each site
 //! anchors its plan when its reactor boots), quantized to milliseconds
@@ -54,8 +55,6 @@ use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io;
 use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
 
 use repl_net::FrameReader;
 use repl_types::SiteId;
@@ -313,6 +312,55 @@ impl ChaosLane {
         self.staged.tail().extend_from_slice(&frame[taken..]);
         Ok(())
     }
+
+    /// Apply `plan` to one frame on the link `from → to`.
+    fn fate(
+        &mut self,
+        plan: &NetFaultPlan,
+        (from, to): (SiteId, SiteId),
+        now: Duration,
+        frame: &[u8],
+    ) -> Fate {
+        if plan.cuts(from, to, now.as_millis() as u64) {
+            // Black hole: the wire takes the frame and loses it, which
+            // is exactly what the log must mask.
+            return Fate::Lost;
+        }
+        self.msg_index += 1;
+        let mut stream = plan
+            .seed
+            .wrapping_add((u64::from(from.0) << 40) ^ (u64::from(to.0) << 20) ^ self.msg_index);
+        if plan.drop_permille > 0 && draw(&mut stream) % 1000 < u64::from(plan.drop_permille) {
+            return Fate::Lost; // lost on the wire
+        }
+        let corrupt = plan.corrupt_permille > 0
+            && draw(&mut stream) % 1000 < u64::from(plan.corrupt_permille);
+        let truncate = !corrupt
+            && plan.truncate_permille > 0
+            && draw(&mut stream) % 1000 < u64::from(plan.truncate_permille);
+        if corrupt || truncate {
+            let mut bytes = frame.to_vec();
+            if corrupt {
+                let pos = (draw(&mut stream) as usize) % bytes.len();
+                bytes[pos] ^= 1 << (draw(&mut stream) % 8);
+            } else {
+                let keep = (draw(&mut stream) as usize) % bytes.len();
+                bytes.truncate(keep);
+            }
+            ChaosWire::exercise_decoder(&bytes);
+            return Fate::Lost; // checksum failure: frame discarded
+        }
+        let delay_ms =
+            if plan.max_jitter_ms > 0 { draw(&mut stream) % (plan.max_jitter_ms + 1) } else { 0 };
+        if delay_ms > 0 || !self.held.is_empty() {
+            // Park it — behind any earlier parked frame, so per-link
+            // FIFO survives the jitter.
+            let due = now + Duration::from_millis(delay_ms);
+            return Fate::Held(self.held.back().map_or(due, |(tail_due, _)| due.max(*tail_due)));
+        }
+        let dup = plan.dup_permille > 0 && draw(&mut stream) % 1000 < u64::from(plan.dup_permille);
+        Fate::Sent { copies: 1 + usize::from(dup) }
+    }
 }
 
 /// What the plan does with one frame.
@@ -332,7 +380,7 @@ pub(crate) struct ChaosWire {
     plan: NetFaultPlan,
     start: Instant,
     /// Indexed by destination.
-    lanes: Vec<Mutex<ChaosLane>>,
+    lanes: Vec<ChaosLane>,
 }
 
 impl ChaosWire {
@@ -341,7 +389,7 @@ impl ChaosWire {
             me,
             plan,
             start: Instant::now(),
-            lanes: (0..sites).map(|_| Mutex::new(ChaosLane::default())).collect(),
+            lanes: (0..sites).map(|_| ChaosLane::default()).collect(),
         }
     }
 
@@ -360,57 +408,6 @@ impl ChaosWire {
         // more bytes. Whatever happens, it must not panic.
         while let Ok(Some(_)) = reader.next_msg() {}
     }
-
-    /// Apply the plan to one frame on the link to `to`.
-    fn fate(&self, to: SiteId, lane: &mut ChaosLane, now: Duration, frame: &[u8]) -> Fate {
-        let from = self.me;
-        if self.plan.cuts(from, to, now.as_millis() as u64) {
-            // Black hole: the wire takes the frame and loses it, which
-            // is exactly what the log must mask.
-            return Fate::Lost;
-        }
-        lane.msg_index += 1;
-        let mut stream = self
-            .plan
-            .seed
-            .wrapping_add((u64::from(from.0) << 40) ^ (u64::from(to.0) << 20) ^ lane.msg_index);
-        if self.plan.drop_permille > 0
-            && draw(&mut stream) % 1000 < u64::from(self.plan.drop_permille)
-        {
-            return Fate::Lost; // lost on the wire
-        }
-        let corrupt = self.plan.corrupt_permille > 0
-            && draw(&mut stream) % 1000 < u64::from(self.plan.corrupt_permille);
-        let truncate = !corrupt
-            && self.plan.truncate_permille > 0
-            && draw(&mut stream) % 1000 < u64::from(self.plan.truncate_permille);
-        if corrupt || truncate {
-            let mut bytes = frame.to_vec();
-            if corrupt {
-                let pos = (draw(&mut stream) as usize) % bytes.len();
-                bytes[pos] ^= 1 << (draw(&mut stream) % 8);
-            } else {
-                let keep = (draw(&mut stream) as usize) % bytes.len();
-                bytes.truncate(keep);
-            }
-            Self::exercise_decoder(&bytes);
-            return Fate::Lost; // checksum failure: frame discarded
-        }
-        let delay_ms = if self.plan.max_jitter_ms > 0 {
-            draw(&mut stream) % (self.plan.max_jitter_ms + 1)
-        } else {
-            0
-        };
-        if delay_ms > 0 || !lane.held.is_empty() {
-            // Park it — behind any earlier parked frame, so per-link
-            // FIFO survives the jitter.
-            let due = now + Duration::from_millis(delay_ms);
-            return Fate::Held(lane.held.back().map_or(due, |(tail_due, _)| due.max(*tail_due)));
-        }
-        let dup = self.plan.dup_permille > 0
-            && draw(&mut stream) % 1000 < u64::from(self.plan.dup_permille);
-        Fate::Sent { copies: 1 + usize::from(dup) }
-    }
 }
 
 /// One permille draw off a chaos stream.
@@ -423,9 +420,9 @@ impl Transport for ChaosWire {
     /// What the socket is owed goes first — staged bytes, then parked
     /// frames now due — and new frames only once all of it went. A new
     /// frame the socket refuses outright is not taken: the log keeps it.
-    fn try_send(&self, to: SiteId, offered: &[u8], sink: &mut Sink<'_>) -> io::Result<usize> {
-        let mut lane = self.lanes[to.index()].lock();
+    fn try_send(&mut self, to: SiteId, offered: &[u8], sink: &mut Sink<'_>) -> io::Result<usize> {
         let now = self.elapsed();
+        let lane = &mut self.lanes[to.index()];
         lane.staged.flush(sink)?;
         while lane.staged.is_empty() && lane.held.front().is_some_and(|(due, _)| *due <= now) {
             let Some((_, frame)) = lane.held.pop_front() else { break };
@@ -436,7 +433,7 @@ impl Transport for ChaosWire {
         }
         let mut taken = 0;
         for frame in frames(offered) {
-            match self.fate(to, &mut lane, now, frame) {
+            match lane.fate(&self.plan, (self.me, to), now, frame) {
                 Fate::Lost => {}
                 Fate::Held(due) => lane.held.push_back((due, frame.to_vec())),
                 Fate::Sent { copies } => {
@@ -464,8 +461,8 @@ impl Transport for ChaosWire {
         !self.plan.cuts(self.me, from, self.elapsed().as_millis() as u64)
     }
 
-    fn reset(&self, to: SiteId) {
-        let mut lane = self.lanes[to.index()].lock();
+    fn reset(&mut self, to: SiteId) {
+        let lane = &mut self.lanes[to.index()];
         lane.held.clear();
         lane.staged = WriteBuf::default();
     }
@@ -561,7 +558,7 @@ mod tests {
     /// the old one and starts on a frame boundary.
     #[test]
     fn staged_bytes_go_first_and_a_new_connection_drops_them() {
-        let wire = ChaosWire::new(SiteId(0), NetFaultPlan::seeded(1).duplicate_frames(1000), 2);
+        let mut wire = ChaosWire::new(SiteId(0), NetFaultPlan::seeded(1).duplicate_frames(1000), 2);
         let to = SiteId(1);
         let mut log = crate::link::LinkState::default();
         for n in 1..=5 {

@@ -88,7 +88,7 @@ use repl_net::{
 use repl_types::{AddressMap, GlobalTxnId, Op, SiteId};
 
 use crate::cluster::{build_structure, ClusterError, RuntimeProtocol};
-use crate::link::WriteBuf;
+use crate::link::{link_marks, WriteBuf};
 use crate::nemesis::ChaosWire;
 use crate::policy::RuntimeOptions;
 use crate::site::{SiteCore, SiteParts, SiteSetup, Started};
@@ -207,10 +207,33 @@ pub fn serve_epoll(cfg: ServeConfig) -> io::Result<()> {
     let setup = SiteSetup::new(cfg.site, cfg.protocol, placement, &structure)
         .map_err(|e| invalid(e.to_string()))?;
     let (opts, stop) = (Arc::new(cfg.options), Arc::default());
-    let mut reactor = Reactor::boot(&cfg.listen, setup, parts, opts, fingerprint, cfg.peers, stop)?;
+    let listener = Listener::bind(&cfg.listen)?;
+    let addr = listener.local_addr()?;
+    let mut reactor = Reactor::boot(listener, setup, parts, opts, fingerprint, cfg.peers, stop);
     // The launcher contract: exactly this line, first, on stdout.
-    println!("repld: site {} listening on {}", cfg.site.0, reactor.local_addr()?);
+    println!("repld: site {} listening on {addr}", cfg.site.0);
     reactor.run()
+}
+
+/// A listening socket in a fresh epoll set: the fallible half of a
+/// boot, done before the site's state is handed over.
+pub(crate) struct Listener {
+    epoll: Epoll,
+    listener: TcpListener,
+}
+
+impl Listener {
+    pub(crate) fn bind(listen: &str) -> io::Result<Listener> {
+        let listener = TcpListener::bind(listen)?;
+        listener.set_nonblocking(true)?;
+        let epoll = Epoll::new()?;
+        epoll.add(listener.as_raw_fd(), LISTENER, Interest::READ)?;
+        Ok(Listener { epoll, listener })
+    }
+
+    pub(crate) fn local_addr(&self) -> io::Result<SocketAddr> {
+        self.listener.local_addr()
+    }
 }
 
 /// One site's readiness loop and everything it owns.
@@ -252,32 +275,28 @@ pub(crate) struct Reactor {
 }
 
 impl Reactor {
-    /// Bind `listen` and boot a site from `setup` and `parts`, its wire
-    /// under the nemesis if `opts` carry one. `stop` makes
-    /// [`Reactor::run`] return at its next pass; call `run` on the
+    /// Boot a site on `listener` from `setup` and the `parts` it takes
+    /// over, its wire under the nemesis if `opts` carry one. `stop` makes
+    /// [`Reactor::run`] return at its next pass, and
+    /// [`Reactor::into_parts`] hands the parts back; call both on the
     /// booting thread, which recovered the store.
     pub(crate) fn boot(
-        listen: &str,
+        Listener { epoll, listener }: Listener,
         setup: SiteSetup,
         parts: SiteParts,
         opts: Arc<RuntimeOptions>,
         fingerprint: u64,
         peers: AddressMap,
         stop: Arc<AtomicBool>,
-    ) -> io::Result<Reactor> {
-        let listener = TcpListener::bind(listen)?;
-        listener.set_nonblocking(true)?;
-        let epoll = Epoll::new()?;
-        epoll.add(listener.as_raw_fd(), LISTENER, Interest::READ)?;
-
-        let n = parts.links.num_sites();
+    ) -> Reactor {
+        let n = parts.links.len();
         let me = setup.site();
-        let raw: Arc<dyn Transport> = match &opts.nemesis {
-            Some(plan) => Arc::new(ChaosWire::new(me, plan.clone(), n)),
-            None => Arc::new(Direct),
+        let raw: Box<dyn Transport> = match &opts.nemesis {
+            Some(plan) => Box::new(ChaosWire::new(me, plan.clone(), n)),
+            None => Box::new(Direct),
         };
         let core = setup.into_core(parts, raw, opts);
-        Ok(Reactor {
+        Reactor {
             epoll,
             listener,
             me,
@@ -298,12 +317,13 @@ impl Reactor {
             events: Vec::new(),
             read_buf: vec![0; READ_CHUNK],
             stop,
-        })
+        }
     }
 
-    /// The address the site listens on.
-    pub(crate) fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.listener.local_addr()
+    /// Stop: drop every connection and hand back what outlives this run
+    /// of the site.
+    pub(crate) fn into_parts(self) -> SiteParts {
+        self.core.into_parts()
     }
 
     /// Serve until a client's `Shutdown` has drained or `stop` is set.
@@ -514,7 +534,7 @@ impl Reactor {
                 self.close_conn(old);
             }
         }
-        let resume_seq = self.core.durable.lock().applied_from[from.index()];
+        let resume_seq = self.core.durable.applied_from[from.index()];
         self.queue_msg(tok, &WireMsg::HelloAck(HelloAck { version, site: self.me, resume_seq }));
         if let Some(conn) = self.conns[tok].as_mut() {
             conn.role = Role::PeerIn { from };
@@ -620,12 +640,13 @@ impl Reactor {
             ClientMsg::Stats => {
                 let (peers_up, peers_suspect, peers_down) = self.core.health_counts();
                 let reply = ClientReply::Stats {
-                    outstanding: self.core.outstanding.load(Ordering::SeqCst),
-                    committed: self.core.history.lock().committed_count(),
+                    outstanding: self.core.outstanding,
+                    committed: self.core.history.committed_count(),
                     decode_errors: self.decode_errors,
                     peers_up,
                     peers_suspect,
                     peers_down,
+                    links: link_marks(self.core.net.links(), &self.core.durable.applied_from),
                 };
                 self.queue_reply(tok, reply);
                 true
@@ -636,9 +657,7 @@ impl Reactor {
             // history log's bytes already are the reply body, and the
             // copy-state cells stream off the store.
             ClientMsg::History { from } => {
-                self.queue_frame(tok, |core, out| {
-                    core.history.lock().frame_page_into(from, out);
-                });
+                self.queue_frame(tok, |core, out| core.history.frame_page_into(from, out));
                 true
             }
             ClientMsg::CopyState { from } => {
@@ -646,12 +665,17 @@ impl Reactor {
                 true
             }
             ClientMsg::Peers(entries) => {
+                // All or nothing: a push naming a site outside the
+                // placement changes no entry.
+                if let Some((site, _)) = entries.iter().find(|(s, _)| s.index() >= self.num_sites) {
+                    self.queue_reply(tok, ClientReply::Err(format!("no such site {site}")));
+                    return true;
+                }
                 let now = Instant::now();
                 for (site, addr) in entries {
                     // A newly learned (or changed) address is dialed on
                     // this very pass, not after a backoff it never earned.
-                    if site.index() < self.num_sites && self.peers.get(site) != Some(addr.as_str())
-                    {
+                    if self.peers.get(site) != Some(addr.as_str()) {
                         self.next_dial[site.index()] = now;
                         self.dial_attempts[site.index()] = 0;
                     }
@@ -743,21 +767,18 @@ impl Reactor {
     /// if its armed deadline expired first (a partitioned path site
     /// would otherwise park it, and every client behind it, forever).
     fn finish_in_flight(&mut self) {
-        let Some(inflight) = &self.in_flight else { return };
-        if self.core.blocked(&inflight.ops) || !self.core.take_home(inflight.gid) {
-            if self.core.check_eager_timeout() == Some(inflight.gid) {
-                // replint: allow(RL008) -- checked Some above; single-threaded loop
-                let inflight = self.in_flight.take().expect("in_flight present");
-                let err = ClusterError::EagerTimeout(inflight.gid);
-                self.queue_reply(inflight.token, ClientReply::Executed(Err(exec_error(err))));
-                self.pump_exec();
+        let Some(inflight) = self.in_flight.take() else { return };
+        let outcome = if self.core.blocked(&inflight.ops) || !self.core.take_home(inflight.gid) {
+            if self.core.check_eager_timeout() != Some(inflight.gid) {
+                self.in_flight = Some(inflight);
+                return;
             }
-            return;
-        }
-        // replint: allow(RL008) -- checked Some two lines up; single-threaded loop
-        let inflight = self.in_flight.take().expect("in_flight present");
-        self.core.complete_txn(inflight.gid, &inflight.ops);
-        self.queue_reply(inflight.token, ClientReply::Executed(Ok(inflight.gid)));
+            Err(exec_error(ClusterError::EagerTimeout(inflight.gid)))
+        } else {
+            self.core.complete_txn(inflight.gid, &inflight.ops);
+            Ok(inflight.gid)
+        };
+        self.queue_reply(inflight.token, ClientReply::Executed(outcome));
         self.pump_exec();
     }
 
@@ -805,7 +826,7 @@ impl Reactor {
             refused |= matches!(&written, Err(e) if e.kind() == io::ErrorKind::WouldBlock);
             written
         };
-        let net = &self.core.net;
+        let net = &mut self.core.net;
         let mut flushed = conn.wbuf.flush(&mut sink);
         if flushed.is_ok() && conn.wbuf.is_empty() {
             flushed = match conn.role {

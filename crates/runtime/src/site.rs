@@ -10,13 +10,15 @@
 //! link layer ([`Net`]) — plus the clock side of the DAG(T) timers.
 //! Nothing in it blocks: an eager phase parks the *transaction*
 //! ([`Started::immediate`] = false) until [`SiteCore::take_home`].
+//!
+//! A site shares nothing: its store, durable image, history log,
+//! outstanding share and link logs are plain fields of the one reactor
+//! thread that runs it. What outlives a crash ([`SiteParts`]) moves in
+//! when the reactor boots and comes back out when it stops.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
 
 use repl_copygraph::{CopyGraph, DataPlacement};
 use repl_net::{frame_state_page_into, HistoryLog, Payload, PAGE_BYTES};
@@ -29,7 +31,7 @@ use repl_types::{GlobalTxnId, ItemId, Op, OpKind, SiteId, Value};
 
 use crate::cluster::{ClusterError, RuntimeProtocol, Structure};
 use crate::durable::DurableSite;
-use crate::link::Links;
+use crate::link::{LinkState, Links};
 use crate::policy::RuntimeOptions;
 use crate::transport::{Net, Transport};
 
@@ -84,12 +86,12 @@ pub(crate) struct SiteCore {
     pub placement: Arc<DataPlacement>,
     /// Every primary commit of this site, already in its
     /// `History`-reply encoding.
-    pub history: Arc<Mutex<HistoryLog>>,
+    pub history: HistoryLog,
     /// This site's share of the replica applications in flight (+ per
     /// destination of a commit here, −1 per application here).
-    pub outstanding: Arc<AtomicI64>,
+    pub outstanding: i64,
     /// The site's stable storage, which outlives this core.
-    pub durable: Arc<Mutex<DurableSite>>,
+    pub durable: DurableSite,
     /// Deployment timing/bound knobs (retry, eager timeout, outbox
     /// high-water, replay cadence, health windows).
     pub opts: Arc<RuntimeOptions>,
@@ -116,23 +118,24 @@ pub(crate) struct SiteCore {
     poisoned: Option<ProtocolError>,
 }
 
-/// The state of a site that outlives a run of its reactor: `repld`
-/// builds it fresh, the in-process `Cluster` keeps it across a crash.
+/// The state of a site that outlives a run of its reactor, as one
+/// value: `repld` builds it fresh, the in-process `Cluster` moves it into
+/// each run and parks what a crashed run hands back until the restart.
 pub(crate) struct SiteParts {
-    pub durable: Arc<Mutex<DurableSite>>,
-    pub links: Arc<Links>,
-    pub history: Arc<Mutex<HistoryLog>>,
-    pub outstanding: Arc<AtomicI64>,
+    pub durable: DurableSite,
+    pub links: Links,
+    pub history: HistoryLog,
+    pub outstanding: i64,
 }
 
 impl SiteParts {
     /// A site that has never run, in a cluster of `sites`.
     pub fn new(sites: usize, group_commit_batch: usize) -> Self {
         SiteParts {
-            durable: Arc::new(Mutex::new(DurableSite::new(sites, group_commit_batch))),
-            links: Arc::new(Links::new(sites)),
-            history: Arc::default(),
-            outstanding: Arc::default(),
+            durable: DurableSite::new(sites, group_commit_batch),
+            links: (0..sites).map(|_| LinkState::default()).collect(),
+            history: HistoryLog::default(),
+            outstanding: 0,
         }
     }
 }
@@ -170,12 +173,12 @@ impl SiteSetup {
     /// is then confined to.
     pub(crate) fn into_core(
         self,
-        parts: SiteParts,
-        wire: Arc<dyn Transport>,
+        mut parts: SiteParts,
+        wire: Box<dyn Transport>,
         opts: Arc<RuntimeOptions>,
     ) -> SiteCore {
         let id = self.machine.me();
-        let store = recovered_store(&self.placement, id, &mut parts.durable.lock());
+        let store = recovered_store(&self.placement, id, &mut parts.durable);
         SiteCore {
             id,
             store,
@@ -228,7 +231,7 @@ impl SiteCore {
         // Group commit: a partially filled batch must not wait for more
         // traffic forever — drain it whenever the site comes up for air
         // (a no-op when the pipeline is empty or the batch size is 1).
-        self.flush_log(&mut self.durable.lock());
+        self.flush_log();
         self.retransmit_tick();
         let Some(t) = self.timers.as_mut() else { return };
         let now = Instant::now();
@@ -300,6 +303,16 @@ impl SiteCore {
                     self.front_marks[p] = front;
                 }
             }
+        }
+    }
+
+    /// What outlives this run of the site, handed back as one value.
+    pub fn into_parts(self) -> SiteParts {
+        SiteParts {
+            durable: self.durable,
+            links: self.net.into_links(),
+            history: self.history,
+            outstanding: self.outstanding,
         }
     }
 
@@ -430,10 +443,9 @@ impl SiteCore {
 
     /// Stage one commit's redo records, flushing the batch if that
     /// filled it.
-    fn log_commit(&self, gid: GlobalTxnId, writes: &[(ItemId, Value)]) {
-        let mut d = self.durable.lock();
-        if d.stage_commit(gid, writes) {
-            self.flush_log(&mut d);
+    fn log_commit(&mut self, gid: GlobalTxnId, writes: &[(ItemId, Value)]) {
+        if self.durable.stage_commit(gid, writes) {
+            self.flush_log();
         }
     }
 
@@ -443,19 +455,19 @@ impl SiteCore {
     /// checkpointed and the log starts its segment over. Every flush
     /// this driver makes goes through here, so the resident log never
     /// exceeds one segment plus the checkpoint.
-    fn flush_log(&self, d: &mut DurableSite) {
-        if d.flush_would_roll() {
-            d.install_checkpoint(self.copy_cells(0));
+    fn flush_log(&mut self) {
+        if self.durable.flush_would_roll() {
+            let items = self.placement.items_at(self.id).iter();
+            self.durable.install_checkpoint(items.map(|&i| cell(&self.store, i)));
         }
-        d.flush_log();
+        self.durable.flush_log();
     }
 
     /// Id allocation is durable: a restarted site must never reuse a
     /// pre-crash gid (the history oracle keys on them).
-    fn fresh_gid(&self) -> GlobalTxnId {
-        let mut d = self.durable.lock();
-        let gid = GlobalTxnId::new(self.id, d.next_seq);
-        d.next_seq += 1;
+    fn fresh_gid(&mut self) -> GlobalTxnId {
+        let gid = GlobalTxnId::new(self.id, self.durable.next_seq);
+        self.durable.next_seq += 1;
         gid
     }
 
@@ -561,7 +573,7 @@ impl SiteCore {
         // replint: allow(RL008) -- same single-txn invariant
         self.store.commit(txn).expect("commit secondary");
         self.log_commit(gid, writes);
-        self.outstanding.fetch_sub(1, Ordering::SeqCst);
+        self.outstanding -= 1;
     }
 
     /// Run an all-read transaction against an MVCC snapshot: pin the
@@ -616,8 +628,8 @@ impl SiteCore {
     ) {
         self.log_commit(gid, writes);
         let dests = destinations(&self.placement, self.id, writes);
-        self.history.lock().record_commit(gid, reads, writes.iter().map(|(i, _)| *i));
-        self.outstanding.fetch_add(dests.len() as i64, Ordering::SeqCst);
+        self.history.record_commit(gid, reads, writes.iter().map(|(i, _)| *i));
+        self.outstanding += dests.len() as i64;
     }
 
     /// Apply one link frame. Delivery is exactly-once against the
@@ -629,19 +641,15 @@ impl SiteCore {
     pub fn apply_frame(&mut self, from: SiteId, seq: u64, payload: Payload) {
         // Any frame is liveness evidence, duplicates and gaps included.
         self.net.note_progress(from);
-        {
-            let mut d = self.durable.lock();
-            let mark = d.applied_from[from.index()];
-            if seq <= mark {
-                drop(d);
-                self.net.ack_received(from, mark);
-                return;
-            }
-            if seq > mark + 1 {
-                return;
-            }
-            d.applied_from[from.index()] = seq;
+        let mark = self.durable.applied_from[from.index()];
+        if seq <= mark {
+            self.net.ack_received(from, mark);
+            return;
         }
+        if seq > mark + 1 {
+            return;
+        }
+        self.durable.applied_from[from.index()] = seq;
         let cmds = self.machine_input(Input::Deliver { from, payload });
         // DAG(T): the site timestamp before this delivery's secondaries
         // apply (a delivered dummy has already merged inside `Deliver`).
@@ -672,12 +680,15 @@ impl SiteCore {
     ) -> impl ExactSizeIterator<Item = (ItemId, Value, Option<GlobalTxnId>)> + '_ {
         // `items_at` is ascending: the placement hands out ids in order.
         let items = self.placement.items_at(self.id);
-        items.get(from..).unwrap_or_default().iter().map(|&i| {
-            // replint: allow(RL008) -- every placement copy was seeded at site start
-            let r = self.store.peek(i).expect("placement copy exists in store");
-            (i, r.value, r.writer)
-        })
+        items.get(from..).unwrap_or_default().iter().map(|&i| cell(&self.store, i))
     }
+}
+
+/// The copy of `item` in `store`, with value and writer.
+fn cell(store: &Store, item: ItemId) -> (ItemId, Value, Option<GlobalTxnId>) {
+    // replint: allow(RL008) -- every placement copy was seeded at site start
+    let r = store.peek(item).expect("placement copy exists in store");
+    (item, r.value, r.writer)
 }
 
 #[cfg(test)]
@@ -691,7 +702,7 @@ mod tests {
 
     /// The frames `site` sent since the last look: each peer's log
     /// flushed to a socket that takes everything, decoded.
-    fn take_sent(site: &SiteCore) -> Vec<(SiteId, u64, Payload)> {
+    fn take_sent(site: &mut SiteCore) -> Vec<(SiteId, u64, Payload)> {
         let mut sent = Vec::new();
         for to in (0..site.placement.num_sites()).map(SiteId) {
             let mut bytes = Vec::new();
@@ -722,7 +733,7 @@ mod tests {
         [0, 1].map(|s| {
             SiteSetup::new(SiteId(s), protocol, placement.clone(), &structure)
                 .expect("chain3 site")
-                .into_core(SiteParts::new(3, 1), Arc::new(Direct), Arc::default())
+                .into_core(SiteParts::new(3, 1), Box::new(Direct), Arc::default())
         })
     }
 
@@ -750,7 +761,7 @@ mod tests {
         s1.apply_frame(SiteId(0), seq, sub);
         let ts = s1.machine.site_ts().clone();
         assert!(ts > before, "{before:?} -> {ts:?}");
-        match &take_sent(&s1)[..] {
+        match &take_sent(&mut s1)[..] {
             [(SiteId(2), _, Payload::Subtxn(dummy))] => {
                 assert_eq!(dummy.kind, SubtxnKind::Dummy);
                 assert_eq!(dummy.ts.as_ref(), Some(&ts));
@@ -764,12 +775,119 @@ mod tests {
         s1.apply_frame(SiteId(0), seq, sub);
         assert_eq!(s1.peek(ItemId(0)).map(|(v, _)| v), Some(Value::int(2)));
         assert_eq!(s1.machine.site_ts(), &ts);
-        assert_eq!(take_sent(&s1), []);
+        assert_eq!(take_sent(&mut s1), []);
 
         let [mut s0, mut s1] = chain3_s0_s1(RuntimeProtocol::DagWt);
         let (seq, sub) = commit_at_s0(&mut s0, 1);
         s1.apply_frame(SiteId(0), seq, sub.clone());
-        assert_eq!(take_sent(&s1), [(SiteId(2), 1, sub)]);
+        assert_eq!(take_sent(&mut s1), [(SiteId(2), 1, sub)]);
+    }
+
+    /// `ring3` under BackEdge, one item a site — s0's copied at s1, s1's
+    /// at s2, s2's at s0 — with `opts`: the copy edge s2 → s0 is the
+    /// backedge, so a write at s2 to its item runs an eager phase whose
+    /// special prepares at s0.
+    fn ring3(opts: RuntimeOptions) -> [SiteCore; 3] {
+        let mut placement = DataPlacement::new(3);
+        placement.add_run(SiteId(0), &[SiteId(1)], 1);
+        placement.add_run(SiteId(1), &[SiteId(2)], 1);
+        placement.add_run(SiteId(2), &[SiteId(0)], 1);
+        let protocol = RuntimeProtocol::BackEdge;
+        let structure = build_structure(&placement, protocol).expect("BackEdge takes any graph");
+        let (placement, opts) = (Arc::new(placement), Arc::new(opts));
+        [0, 1, 2].map(|s| {
+            SiteSetup::new(SiteId(s), protocol, placement.clone(), &structure)
+                .expect("ring3 site")
+                .into_core(SiteParts::new(3, 1), Box::new(Direct), opts.clone())
+        })
+    }
+
+    /// Deliver what the sites sent, and what that makes them send, until
+    /// nothing moves; a frame `pass(from, to)` refuses is lost.
+    fn pump(sites: &mut [SiteCore; 3], pass: impl Fn(SiteId, SiteId) -> bool) {
+        loop {
+            let mut moved = false;
+            for from in (0..3).map(SiteId) {
+                for (to, seq, payload) in take_sent(&mut sites[from.index()]) {
+                    if pass(from, to) {
+                        sites[to.index()].apply_frame(from, seq, payload);
+                        moved = true;
+                    }
+                }
+            }
+            if !moved {
+                return;
+            }
+        }
+    }
+
+    /// s2's item, which its eager phase writes and s0's copy prepares.
+    const BACK: ItemId = ItemId(2);
+
+    /// A prepared special's commit decision: once the special has come
+    /// home and s2 commits, the decision installs the write at s0, logs
+    /// it, and releases the item a reader at s0 waited on.
+    #[test]
+    fn a_prepared_special_commits_on_its_decision_and_releases() {
+        let mut sites = ring3(RuntimeOptions::default());
+        let ops = [Op::write(BACK, 7)];
+        let started = sites[2].start_txn(&ops).unwrap();
+        assert!(!started.immediate, "a backedge write waits for its special");
+        pump(&mut sites, |_, _| true);
+        assert!(sites[0].blocked(&[Op::read(BACK)]), "s0 prepared the special");
+        assert_eq!(sites[0].peek(BACK).map(|(v, _)| v), Some(Value::Initial));
+        assert!(sites[2].take_home(started.gid), "the special came home");
+
+        sites[2].complete_txn(started.gid, &ops);
+        pump(&mut sites, |_, _| true);
+        assert!(!sites[0].blocked(&[Op::read(BACK)]), "the decision released the item");
+        assert_eq!(sites[0].peek(BACK), Some((Value::int(7), Some(started.gid))));
+        assert!(sites[0].durable.wal.records().any(|r| r.writer == started.gid));
+    }
+
+    /// A prepared special's abort decision: s2's eager phase times out
+    /// before its special comes home, and the abort it sends s0 leaves
+    /// s0's store and log as they were and releases the item.
+    #[test]
+    fn a_prepared_special_aborts_on_its_decision_and_releases() {
+        let opts = RuntimeOptions { eager_timeout: Duration::ZERO, ..RuntimeOptions::default() };
+        let mut sites = ring3(opts);
+        let wal = sites[0].durable.wal.encode();
+        let started = sites[2].start_txn(&[Op::write(BACK, 7)]).unwrap();
+        // Only s2's frames arrive: s0 prepares the special and loses it.
+        pump(&mut sites, |from, _| from == SiteId(2));
+        assert!(sites[0].blocked(&[Op::read(BACK)]), "s0 prepared the special");
+
+        assert_eq!(sites[2].check_eager_timeout(), Some(started.gid));
+        pump(&mut sites, |from, _| from == SiteId(2));
+        assert!(!sites[0].blocked(&[Op::read(BACK)]), "the abort released the item");
+        assert_eq!(sites[0].peek(BACK), Some((Value::Initial, None)));
+        assert_eq!(sites[0].durable.wal.encode(), wal);
+    }
+
+    /// An eager phase past its deadline: `check_eager_timeout` aborts it
+    /// and names it, an abort decision is in the log to the path site s0,
+    /// and the special that then comes home completes nothing.
+    #[test]
+    fn an_eager_phase_past_its_deadline_aborts_down_its_path() {
+        let opts = RuntimeOptions { eager_timeout: Duration::ZERO, ..RuntimeOptions::default() };
+        let mut sites = ring3(opts);
+        let started = sites[2].start_txn(&[Op::write(BACK, 7)]).unwrap();
+        let special = take_sent(&mut sites[2]);
+        assert!(!special.is_empty());
+
+        assert_eq!(sites[2].check_eager_timeout(), Some(started.gid));
+        let abort = Payload::Decision { gid: started.gid, commit: false };
+        let sent = take_sent(&mut sites[2]);
+        assert!(sent.iter().any(|(to, _, p)| *to == SiteId(0) && *p == abort), "{sent:?}");
+
+        for (to, seq, payload) in special.into_iter().chain(sent) {
+            sites[to.index()].apply_frame(SiteId(2), seq, payload);
+        }
+        pump(&mut sites, |_, _| true);
+        assert!(!sites[2].take_home(started.gid), "an aborted eager phase came home");
+        assert_eq!(sites[2].check_eager_timeout(), None);
+        assert_eq!(sites[2].peek(BACK), Some((Value::Initial, None)));
     }
 
     /// A store of 1000 integer copies and then 20 of 62 KiB values —
@@ -785,7 +903,7 @@ mod tests {
         let mut site =
             SiteSetup::new(SiteId(0), RuntimeProtocol::DagWt, placement.into(), &structure)
                 .unwrap()
-                .into_core(SiteParts::new(1, 1), Arc::new(Direct), Arc::default());
+                .into_core(SiteParts::new(1, 1), Box::new(Direct), Arc::default());
         for i in 0..INTS + 20 {
             let value =
                 if i < INTS { Value::int(i.into()) } else { Value::Bytes(vec![i as u8; 62 << 10]) };

@@ -1,12 +1,14 @@
 //! The transport abstraction: one site's reliable-link engine over its
 //! wire.
 //!
-//! [`Net`] owns the site's sequencing/log/ack/replay logic (state in
-//! [`crate::link::Links`]) and delegates the one step that touches the
-//! socket to a [`Transport`]. A send only appends the frame to the
-//! link's log; the reactor's flush step ([`Net::flush`]) then offers the
-//! wire the log from its send cursor together with the peer's socket,
-//! and the wire writes what the socket takes. [`Direct`] writes the
+//! [`Net`] owns the site's sequencing/log/ack/replay logic and its
+//! state — the link logs ([`crate::link::Links`]), the peer-health
+//! records and the owed acks, all plain data of the one reactor thread
+//! that runs the site — and delegates the one step that touches the
+//! socket to a [`Transport`] it owns too. A send only appends the frame
+//! to the link's log; the reactor's flush step ([`Net::flush`]) then
+//! offers the wire the log from its send cursor together with the
+//! peer's socket, and the wire writes what the socket takes. [`Direct`] writes the
 //! log's bytes straight to the socket, so a frame is never copied on its
 //! way out, and part of a frame the kernel refused stays in the log
 //! behind the cursor. `crate::nemesis::ChaosWire` interprets a fault plan
@@ -26,25 +28,17 @@
 //! applied from it ([`Net::ack_received`]), written as one cumulative
 //! `Ack` when the reactor next flushes that peer's connection
 //! ([`Net::take_ack`]).
-//!
-//! Lock discipline: [`Net::send`] assigns the sequence number and
-//! encodes the frame into the log under the lane lock, and
-//! [`Net::flush`] writes under the same lock, so wire order is sequence
-//! order per link.
 
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
 
 use repl_net::Payload;
 use repl_types::SiteId;
 
-use crate::link::{write_taken, Links, Sink};
+use crate::link::{write_taken, LinkState, Links, Sink};
 
 /// This site's progress record of one peer.
+#[derive(Clone)]
 struct HealthCell {
     last_progress: Instant,
     dial_failures: u32,
@@ -53,12 +47,12 @@ struct HealthCell {
 /// One site's wire to its peers: nonblocking single-shot writes to a
 /// connected peer's socket. The reliable-link engine ([`Net`]) above it
 /// is the same with or without a fault plan in between.
-pub(crate) trait Transport: Send + Sync {
+pub(crate) trait Transport: Send {
     /// Write to `sink`, `to`'s socket, without blocking, what it takes
     /// of `frames`: the link log from its send cursor, which starts on a
     /// frame boundary unless this wire left one half-written. Returns the
     /// bytes of `frames` taken; an error means the connection is broken.
-    fn try_send(&self, to: SiteId, frames: &[u8], sink: &mut Sink<'_>) -> io::Result<usize>;
+    fn try_send(&mut self, to: SiteId, frames: &[u8], sink: &mut Sink<'_>) -> io::Result<usize>;
 
     /// Whether an acknowledgement may go to `from` now. A withheld one
     /// only delays pruning: the next is cumulative, and the handshake's
@@ -68,7 +62,7 @@ pub(crate) trait Transport: Send + Sync {
     }
 
     /// A new connection to `to`: forget what was staged for the old one.
-    fn reset(&self, _to: SiteId) {}
+    fn reset(&mut self, _to: SiteId) {}
 }
 
 /// The wire without a fault plan: the log's bytes go straight to the
@@ -76,7 +70,7 @@ pub(crate) trait Transport: Send + Sync {
 pub(crate) struct Direct;
 
 impl Transport for Direct {
-    fn try_send(&self, _: SiteId, frames: &[u8], sink: &mut Sink<'_>) -> io::Result<usize> {
+    fn try_send(&mut self, _: SiteId, frames: &[u8], sink: &mut Sink<'_>) -> io::Result<usize> {
         write_taken(sink, frames)
     }
 }
@@ -84,27 +78,32 @@ impl Transport for Direct {
 /// The reliable-link engine of one site.
 pub(crate) struct Net {
     me: SiteId,
-    links: Arc<Links>,
-    raw: Arc<dyn Transport>,
+    /// Indexed by destination.
+    links: Links,
+    raw: Box<dyn Transport>,
     /// Indexed by peer: every site judges every peer on its own (an
     /// asymmetric partition really does look different from each end).
-    health: Vec<Mutex<HealthCell>>,
+    health: Vec<HealthCell>,
     /// Indexed by peer: the highest sequence applied from it that its
     /// connection has not been told of (0: none owed).
-    owed: Vec<AtomicU64>,
+    owed: Vec<u64>,
 }
 
 impl Net {
-    pub fn new(me: SiteId, links: Arc<Links>, raw: Arc<dyn Transport>) -> Self {
-        let fresh = || Mutex::new(HealthCell { last_progress: Instant::now(), dial_failures: 0 });
-        let n = links.num_sites();
-        Net {
-            me,
-            health: (0..n).map(|_| fresh()).collect(),
-            owed: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            links,
-            raw,
-        }
+    pub fn new(me: SiteId, links: Links, raw: Box<dyn Transport>) -> Self {
+        let n = links.len();
+        let fresh = HealthCell { last_progress: Instant::now(), dial_failures: 0 };
+        Net { me, health: vec![fresh; n], owed: vec![0; n], links, raw }
+    }
+
+    /// The outgoing links, indexed by destination.
+    pub fn links(&self) -> &[LinkState] {
+        &self.links
+    }
+
+    /// Hand the links back: they outlive this run of the site.
+    pub fn into_links(self) -> Links {
+        self.links
     }
 
     /// Encode `payload` into the log to `to`. The frame is in the log
@@ -113,50 +112,50 @@ impl Net {
     /// recoverable by replay — there is no retry loop and no sleeping
     /// here, which is what lets the engine run inside a single-threaded
     /// reactor.
-    pub fn send(&self, to: SiteId, payload: &Payload) {
-        self.links.lane(to).lock().push(payload);
+    pub fn send(&mut self, to: SiteId, payload: &Payload) {
+        self.links[to.index()].push(payload);
     }
 
     /// Write the log to `to` from its cursor to `sink`, `to`'s socket, as
     /// far as it takes it. An error means the connection is broken.
-    pub fn flush(&self, to: SiteId, sink: &mut Sink<'_>) -> io::Result<()> {
-        self.links.lane(to).lock().offer(|frames| self.raw.try_send(to, frames, sink))
+    pub fn flush(&mut self, to: SiteId, sink: &mut Sink<'_>) -> io::Result<()> {
+        let raw = &mut self.raw;
+        self.links[to.index()].offer(|frames| raw.try_send(to, frames, sink))
     }
 
     /// Receiver side: `seq` on the link from `from` is durably applied;
     /// the sender is owed the news.
-    pub fn ack_received(&self, from: SiteId, seq: u64) {
-        self.owed[from.index()].fetch_max(seq, Ordering::Relaxed);
+    pub fn ack_received(&mut self, from: SiteId, seq: u64) {
+        let owed = &mut self.owed[from.index()];
+        *owed = (*owed).max(seq);
     }
 
     /// Receiver side: the mark `from` is owed, to write as one
     /// cumulative `Ack` — `None` when nothing is owed, or the wire
     /// withholds it (then it is not owed any more either).
-    pub fn take_ack(&self, from: SiteId) -> Option<u64> {
-        let seq = self.owed[from.index()].swap(0, Ordering::Relaxed);
+    pub fn take_ack(&mut self, from: SiteId) -> Option<u64> {
+        let seq = std::mem::take(&mut self.owed[from.index()]);
         (seq > 0 && self.raw.passes_ack(from)).then_some(seq)
     }
 
     /// Sender side: `to` acknowledged everything up to `seq`.
-    pub fn on_ack(&self, to: SiteId, seq: u64) {
-        self.links.lane(to).lock().prune(seq);
+    pub fn on_ack(&mut self, to: SiteId, seq: u64) {
+        self.links[to.index()].prune(seq);
         // An ack is proof the peer is alive and applying.
         self.note_progress(to);
     }
 
     /// A frame or an ack came from `peer`, whatever it was.
-    pub fn note_progress(&self, peer: SiteId) {
-        let mut cell = self.health[peer.index()].lock();
-        cell.last_progress = Instant::now();
-        cell.dial_failures = 0;
+    pub fn note_progress(&mut self, peer: SiteId) {
+        self.health[peer.index()] = HealthCell { last_progress: Instant::now(), dial_failures: 0 };
     }
 
     /// A dial attempt to `peer` finished.
-    pub fn note_dial(&self, peer: SiteId, ok: bool) {
+    pub fn note_dial(&mut self, peer: SiteId, ok: bool) {
         if ok {
             self.note_progress(peer);
         } else {
-            let mut cell = self.health[peer.index()].lock();
+            let cell = &mut self.health[peer.index()];
             cell.dial_failures = cell.dial_failures.saturating_add(1);
         }
     }
@@ -172,7 +171,6 @@ impl Net {
             if peer == self.me {
                 continue;
             }
-            let cell = cell.lock();
             let pending = self.lane_len(peer) > 0 || cell.dial_failures > 0;
             let silent = cell.last_progress.elapsed();
             if !pending || silent < suspect_after {
@@ -192,27 +190,27 @@ impl Net {
     /// does not move between checks has made no ack progress and gets
     /// replayed.
     pub fn front_seq(&self, to: SiteId) -> Option<u64> {
-        self.links.lane(to).lock().front_seq()
+        self.links[to.index()].front_seq()
     }
 
     /// Re-synchronize the link to `to` on a new connection (a reconnect,
     /// or the destination restarted): prune everything the destination
     /// reports durably applied (`acked`, the handshake's `resume_seq`),
     /// and write the rest from the log's front on the next flush.
-    pub fn resume(&self, to: SiteId, acked: u64) {
-        self.links.lane(to).lock().resume(acked);
+    pub fn resume(&mut self, to: SiteId, acked: u64) {
+        self.links[to.index()].resume(acked);
         self.raw.reset(to);
     }
 
     /// The lane to `to` stalled: write its log again from the front, on
     /// the connection it has, once the frame in progress is whole.
-    pub fn replay(&self, to: SiteId) {
-        self.links.lane(to).lock().replay();
+    pub fn replay(&mut self, to: SiteId) {
+        self.links[to.index()].replay();
     }
 
     /// Messages awaiting acknowledgement on the lane to `to` (send
     /// throttling).
     pub fn lane_len(&self, to: SiteId) -> usize {
-        self.links.lane(to).lock().len()
+        self.links[to.index()].len()
     }
 }

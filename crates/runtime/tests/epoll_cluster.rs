@@ -5,8 +5,9 @@
 //! test on one readiness loop, a placement too large to pass item by
 //! item on a command line and the handshake fingerprint of a run-form
 //! placement, the typed-error path for malformed
-//! client frames, and the refusals of the removed batching knobs and of
-//! a `Batch` frame on a peer link.
+//! client frames, the refusals of the removed batching knobs, of a
+//! `Batch` frame on a peer link and of a `Peers` push naming a site
+//! outside the placement, and `pending_deliveries` across a cut link.
 //!
 //! Equivalence holds because final copy state is transport-independent
 //! by construction: each item is written only at its primary, links
@@ -17,7 +18,7 @@
 use std::io::Write;
 use std::net::TcpStream;
 use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use repl_copygraph::DataPlacement;
 use repl_core::scenario::{self, WorkloadMix};
@@ -25,7 +26,9 @@ use repl_net::{
     cluster_fingerprint, decode_cells, encode_framed, read_msg, write_msg, ClientMsg, ClientReply,
     Hello, Payload, ReadError, WireMsg,
 };
-use repl_runtime::{Cluster, ClusterHandle, LaunchOptions, ProcCluster, RuntimeProtocol};
+use repl_runtime::{
+    Cluster, ClusterHandle, LaunchOptions, NetFaultPlan, ProcCluster, RuntimeProtocol,
+};
 use repl_types::{GlobalTxnId, ItemId, Op, SiteId, Value};
 
 fn repld() -> &'static Path {
@@ -243,13 +246,10 @@ fn epoll_backedge_cyclic_matches_in_process() {
     chan_cluster.shutdown();
     let epoll = epoll_cluster(&placement, RuntimeProtocol::BackEdge);
     let epoll_state = final_state(&epoll, &progs, None);
-    let mut history = repl_core::History::new();
-    for (gid, reads, writes) in ProcCluster::history(&epoll).expect("history") {
-        history.record_commit(gid, reads, writes);
-    }
+    let verdict = epoll.check_serializability().expect("history");
     epoll.shutdown();
     assert_eq!(chan, epoll_state, "BackEdge final copy state differs between deployments");
-    history.check_serializability().expect("Theorem 4.1: BackEdge histories are serializable");
+    verdict.expect("Theorem 4.1: BackEdge histories are serializable");
 }
 
 /// One readiness loop serves 256 concurrent client connections: open
@@ -372,12 +372,11 @@ fn epoll_dagt_conflicting_heads_queued_behind_a_dummy_converge() {
             assert_eq!(cluster.peek(SiteId(s), item), Some(primary.clone()), "{item:?} at s{s}");
         }
     }
-    let mut history = repl_core::History::new();
-    for (gid, reads, writes) in ProcCluster::history(&cluster).expect("history") {
-        history.record_commit(gid, reads, writes);
-    }
-    assert_eq!(history.txns().len(), 600);
-    assert!(history.check_serializability().is_ok(), "DAG(T) live history is not 1SR");
+    assert_eq!(cluster.committed_count().expect("stats"), 600);
+    assert!(
+        cluster.check_serializability().expect("history").is_ok(),
+        "DAG(T) live history is not 1SR"
+    );
     cluster.shutdown();
 }
 
@@ -478,5 +477,66 @@ fn epoll_batch_frame_on_a_peer_link_closes_it_and_the_fleet_reconverges() {
         let cell = cluster.peek(SiteId(s), ItemId(0)).expect("replica readable");
         assert_eq!(cell.0, Value::int(77), "site {s}");
     }
+    cluster.shutdown();
+}
+
+/// A `Peers` push naming a site outside the placement is refused whole,
+/// with the site named, before any entry changes: a push that would also
+/// have moved s1's address leaves it where it was, so the link s0
+/// re-dials after a kill reaches the real s1, and the fleet commits and
+/// converges.
+#[test]
+fn epoll_refuses_a_peers_push_naming_a_site_outside_the_placement() {
+    let placement = dag_placement();
+    let cluster = epoll_cluster(&placement, RuntimeProtocol::DagWt);
+    let nowhere = "127.0.0.1:1".to_string();
+    let mut conn = TcpStream::connect(&cluster.addrs()[0]).unwrap();
+    for push in [
+        vec![(SiteId(9), nowhere.clone())],
+        vec![(SiteId(1), nowhere.clone()), (SiteId(9), nowhere.clone())],
+    ] {
+        write_msg(&mut conn, &WireMsg::Client(ClientMsg::Peers(push))).unwrap();
+        match read_msg(&mut conn).expect("reply") {
+            WireMsg::Reply(ClientReply::Err(msg)) => assert!(msg.contains("s9"), "{msg}"),
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+    }
+    cluster.kill_conn(SiteId(0), SiteId(1)).unwrap();
+    cluster.execute(SiteId(0), vec![Op::write(ItemId(0), 12)]).unwrap().unwrap();
+    ClusterHandle::quiesce(&cluster).expect("quiesce");
+    for s in [1u32, 2] {
+        assert_eq!(cluster.peek(SiteId(s), ItemId(0)).map(|c| c.0), Some(Value::int(12)), "s{s}");
+    }
+    cluster.shutdown();
+}
+
+/// `pending_deliveries` on a `repld` fleet, read through the sites'
+/// `Stats` link marks: while a nemesis cuts s0 → s1, an update s0
+/// commits is sent toward s1 and not applied there; after the heal the
+/// stall replay delivers it, and once the fleet is quiescent nothing is
+/// pending anywhere.
+#[test]
+fn epoll_pending_deliveries_count_a_cut_link_until_the_heal() {
+    const CUT_MS: u64 = 2_000;
+    let plan = NetFaultPlan::seeded(0x0C07).oneway(SiteId(0), SiteId(1), 0, CUT_MS);
+    let launch = LaunchOptions { nemesis: Some(plan.to_spec()), ..LaunchOptions::default() };
+    let start = Instant::now();
+    let cluster = ProcCluster::launch_with_options(
+        repld(),
+        &dag_placement(),
+        RuntimeProtocol::DagWt,
+        &launch,
+    )
+    .unwrap();
+    cluster.execute(SiteId(0), vec![Op::write(ItemId(0), 5)]).unwrap().unwrap();
+    let pending = cluster.pending_deliveries(SiteId(1)).unwrap();
+    assert!(start.elapsed() < Duration::from_millis(CUT_MS), "the cut healed before the check");
+    assert!(pending > 0, "nothing pending toward the cut destination");
+
+    ClusterHandle::quiesce(&cluster).expect("quiesce after the heal");
+    for s in 0..3 {
+        assert_eq!(cluster.pending_deliveries(SiteId(s)).unwrap(), 0, "s{s}");
+    }
+    assert_eq!(cluster.peek(SiteId(1), ItemId(0)).map(|c| c.0), Some(Value::int(5)));
     cluster.shutdown();
 }

@@ -94,7 +94,8 @@ const PER_FRAME: isize = 40;
 
 /// `chain3` under DAG(WT) with 16 items at s1, replicated at s2: s2's
 /// tree parent is s1. The test warms s2 with 200 s1 commits of all 16
-/// items — past its first WAL cut and checkpoint — then poses as s1,
+/// items — past its first WAL cut and checkpoint, which the image it
+/// parks across a crash and restart shows — then poses as s1,
 /// sending `Hello` and `BURST` one-write updates in one `write` before
 /// s2 accepts the connection, and reads s2's acks until the last: s2
 /// applies the burst in one pass and acks it with one frame.
@@ -107,7 +108,7 @@ fn a_burst_of_link_frames_is_applied_in_place_of_a_vector_of_them() {
     let first = placement.num_items();
     placement.add_run(SiteId(1), &[SiteId(2)], ITEMS);
     let items: Vec<ItemId> = (first..first + ITEMS).map(ItemId).collect();
-    let cluster = Cluster::start(&placement, RuntimeProtocol::DagWt).unwrap();
+    let mut cluster = Cluster::start(&placement, RuntimeProtocol::DagWt).unwrap();
 
     // 16 writes an update: 400 bytes of s2's WAL each, past one 64 KiB
     // segment in 200, so s2 has cut its log and allocated its
@@ -117,8 +118,10 @@ fn a_burst_of_link_frames_is_applied_in_place_of_a_vector_of_them() {
         cluster.execute(SiteId(1), ops).unwrap();
     }
     cluster.quiesce();
+    cluster.crash(SiteId(2)).unwrap();
     let wal = cluster.snapshot_wal(SiteId(2)).unwrap().len();
     assert!(wal < (WARM_UP * u64::from(ITEMS) * 25) as usize, "no cut: {wal} bytes of WAL");
+    cluster.restart(SiteId(2)).unwrap();
 
     let (addr, fingerprint) = cluster.peer_endpoint(SiteId(2)).unwrap();
     let hello = Hello { site: SiteId(1), version_min: 1, version_max: 1, cluster: fingerprint };

@@ -10,7 +10,7 @@ use repl_types::{GlobalTxnId, ItemId, Op, SiteId, Value};
 #[test]
 fn site_recovers_from_wal_snapshot() {
     let placement = scenario::example_1_1_placement();
-    let cluster = Cluster::start(&placement, RuntimeProtocol::DagWt).unwrap();
+    let mut cluster = Cluster::start(&placement, RuntimeProtocol::DagWt).unwrap();
     let a = ItemId(0);
     let b = ItemId(1);
 
@@ -21,30 +21,36 @@ fn site_recovers_from_wal_snapshot() {
         }
     }
     cluster.quiesce();
+    let items = placement.items_at(SiteId(2));
+    let live: Vec<_> = items.iter().map(|&item| cluster.peek(SiteId(2), item).unwrap()).collect();
 
-    // "Crash" s2 (the pure replica site): rebuild it from its item set
-    // at the initial values plus its redo-log image.
+    // Crash s2 (the pure replica site) and rebuild it from its item set
+    // at the initial values plus the redo-log image it parked.
+    cluster.crash(SiteId(2)).unwrap();
     let image = cluster.snapshot_wal(SiteId(2)).expect("snapshot");
     let wal = WriteAheadLog::decode(image).expect("valid image");
     assert!(!wal.is_empty(), "s2 applied secondaries");
-    let boot = placement.items_at(SiteId(2)).iter().map(|&i| (i, Value::Initial, None));
+    let boot = items.iter().map(|&i| (i, Value::Initial, None));
     let recovered = recover(boot, &wal);
-    for &item in placement.items_at(SiteId(2)) {
-        let live = cluster.peek(SiteId(2), item).unwrap();
+    for (&item, live) in items.iter().zip(&live) {
         let rec = recovered.peek(item).unwrap();
-        assert_eq!((rec.value, rec.writer), live, "{item} differs after recovery");
+        assert_eq!(&(rec.value, rec.writer), live, "{item} differs after recovery");
     }
+    // A running site has no image to snapshot.
+    cluster.restart(SiteId(2)).unwrap();
+    assert_eq!(cluster.snapshot_wal(SiteId(2)), None);
     cluster.shutdown();
 }
 
 #[test]
 fn primary_site_wal_contains_its_commits() {
     let placement = scenario::example_1_1_placement();
-    let cluster = Cluster::start(&placement, RuntimeProtocol::DagWt).unwrap();
+    let mut cluster = Cluster::start(&placement, RuntimeProtocol::DagWt).unwrap();
     for v in 1..=5i64 {
         cluster.execute(SiteId(0), vec![Op::write(ItemId(0), v)]).unwrap();
     }
     cluster.quiesce();
+    cluster.crash(SiteId(0)).unwrap();
     let wal = WriteAheadLog::decode(cluster.snapshot_wal(SiteId(0)).unwrap()).unwrap();
     assert_eq!(wal.len(), 5);
     // Records are in commit order with ascending sequence numbers.
@@ -196,13 +202,13 @@ fn crash_after_checkpoint_cuts_rejoins_identical_to_control() {
 
         run(&control, &faulted, 1_000_000, UPDATES, true);
         faulted.quiesce();
+        faulted.crash(victim).unwrap();
         // The victim applied more than two segments of redo log and
         // holds at most one: it checkpointed and cut at least twice.
         const { assert!(UPDATES * 100 > 2 * SEGMENT_BYTES) };
         let resident = WriteAheadLog::decode(faulted.snapshot_wal(victim).unwrap()).unwrap();
         assert!(resident.encoded_len() <= SEGMENT_BYTES, "batch {group_commit_batch}: log not cut");
 
-        faulted.crash(victim).unwrap();
         run(&control, &faulted, 2_000_000, 300, false);
         assert!(faulted.pending_deliveries(victim) > 0, "nothing parked for the crashed site");
         faulted.restart(victim).unwrap();
