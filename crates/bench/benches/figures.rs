@@ -2,8 +2,9 @@
 //! bench` tracks the end-to-end cost of every experiment code path.
 //!
 //! These measure *simulator* wall-clock per experiment point (the full
-//! figures are regenerated by the binaries in `src/bin`); they exist to
-//! catch performance regressions in the engine.
+//! figures are regenerated by `repro <experiment>`, from the registry in
+//! `src/experiments`); they exist to catch performance regressions in
+//! the engine.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use repl_core::config::{ProtocolKind, SimParams};

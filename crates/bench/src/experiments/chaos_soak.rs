@@ -19,8 +19,10 @@
 //! written.
 //!
 //! ```text
-//! chaos_soak [--seeds N] [--txns N] [--out FILE] [--smoke]
+//! repro chaos_soak [--seeds N] [--txns N] [--out FILE] [--smoke]
 //! ```
+//!
+//! Bad arguments and failed cells both exit 2.
 
 use std::time::{Duration, Instant};
 
@@ -31,8 +33,10 @@ use repl_runtime::{
 };
 use repl_types::{Op, SiteId};
 
+use super::Failure;
+
 const USAGE: &str = "\
-usage: chaos_soak [--seeds N] [--txns N] [--out FILE] [--smoke]
+usage: repro chaos_soak [--seeds N] [--txns N] [--out FILE] [--smoke]
 
 Defaults: --seeds 3, --txns 8, --out BENCH_chaos.json. Every seed is
 run against all four protocols on both deployments (inproc, tcp) and
@@ -43,17 +47,6 @@ const DEFAULT_SEEDS: u64 = 3;
 const DEFAULT_TXNS: u32 = 8;
 /// Bounded retry for commits refused under backpressure.
 const MAX_RETRIES_PER_TXN: u32 = 2000;
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(()) => {}
-        Err(msg) => {
-            eprintln!("chaos_soak: {msg}");
-            std::process::exit(2);
-        }
-    }
-}
 
 struct Config {
     seeds: u64,
@@ -130,7 +123,8 @@ struct CellReport {
     serializable: bool,
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+/// Run the soak; see the module docs for the flags and exit codes.
+pub fn main(args: &[String]) -> Result<(), Failure> {
     let cfg = parse_args(args)?;
     let placement = fan_placement();
     let mut cells: Vec<CellReport> = Vec::new();
@@ -173,7 +167,9 @@ fn run(args: &[String]) -> Result<(), String> {
     println!("{json}");
     eprintln!("chaos_soak: wrote {}", cfg.out);
     if cells.iter().any(|c| !c.converged || !c.serializable) {
-        return Err("one or more cells failed convergence or serializability".into());
+        return Err(Failure::Error(
+            "one or more cells failed convergence or serializability".into(),
+        ));
     }
     Ok(())
 }

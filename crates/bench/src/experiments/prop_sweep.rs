@@ -15,51 +15,35 @@
 //!
 //! The run exits 1 unless, for **both** DAG(WT) and DAG(T), some
 //! batched point strictly beats the serial control at the same x on
-//! recency or on throughput — the ISSUE 10 acceptance bar. (`--smoke`
+//! recency or on throughput — the batching acceptance bar. (`--smoke`
 //! shrinks the axis to `{1, 8}` and the averaging to one seed for the
 //! ci.sh gate.)
 //!
 //! ```text
-//! prop_sweep [--out FILE] [--smoke]
+//! repro prop_sweep [--out FILE] [--smoke]
 //! ```
 //!
 //! Scale knobs are the runner's usual environment variables
 //! (`REPRO_SCALE=quick`, `REPRO_TXNS`, `REPRO_SEEDS`, `REPRO_WORKERS`).
 
-use repl_bench::{Column, ExperimentSpec};
 use repl_core::config::{ProtocolKind, SimParams};
 use repl_workload::TableOneParams;
 
+use super::Failure;
+use crate::{Column, Scale};
+
 const USAGE: &str =
-    "usage: prop_sweep [--out FILE] [--smoke]\n\nDefault: --out BENCH_propagation.json.";
+    "usage: repro prop_sweep [--out FILE] [--smoke]\n\nDefault: --out BENCH_propagation.json.";
 
 /// Apply-window width of every batched series.
 const POOL: u32 = 4;
 
-fn main() {
-    let mut out = "BENCH_propagation.json".to_string();
-    let mut smoke = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => match args.next() {
-                Some(v) => out = v,
-                None => {
-                    eprintln!("prop_sweep: --out needs a value\n\n{USAGE}");
-                    std::process::exit(2);
-                }
-            },
-            "--smoke" => smoke = true,
-            "--help" | "-h" => {
-                eprintln!("{USAGE}");
-                return;
-            }
-            other => {
-                eprintln!("prop_sweep: unknown flag {other:?}\n\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
+/// Run the sweep; see the module docs for the flags and exit codes.
+pub fn main(args: &[String]) -> Result<(), Failure> {
+    let Some((out, smoke)) = super::out_flags(args, "BENCH_propagation.json", true, USAGE)? else {
+        return Ok(());
+    };
+    let scale = Scale::from_env()?;
 
     // Every protocol shares one acyclic placement (the DAG protocols
     // require it; BackEdge degenerates to its lazy phase, which is
@@ -73,7 +57,7 @@ fn main() {
         backedge_prob: 0.0,
         replication_prob: 0.6,
         site_prob: 1.0,
-        ..repl_bench::default_table()
+        ..scale.table()
     };
 
     // NaiveLazy is absent by harness design: the runner rejects its
@@ -83,19 +67,17 @@ fn main() {
     let protocols = [ProtocolKind::DagWt, ProtocolKind::DagT, ProtocolKind::BackEdge];
     let xs: Vec<f64> = if smoke { vec![1.0, 8.0] } else { vec![1.0, 2.0, 4.0, 8.0, 16.0] };
 
-    let mut spec = ExperimentSpec::new(
-        "prop_sweep",
-        "Batched propagation: recency and throughput vs link batch size",
-    )
-    .table(table)
-    // The serial controls are pinned (`apply_pool == 1` marks them), so
-    // the axis only sweeps the batched series; identical control points
-    // collapse in the result cache.
-    .axis("link batch", xs, |_, sim, b| {
-        if sim.apply_pool > 1 {
-            sim.batch_size = b as u32;
-        }
-    });
+    let mut spec = scale
+        .spec("prop_sweep", "Batched propagation: recency and throughput vs link batch size")
+        .table(table)
+        // The serial controls are pinned (`apply_pool == 1` marks them),
+        // so the axis only sweeps the batched series; identical control
+        // points collapse in the result cache.
+        .axis("link batch", xs, |_, sim, b| {
+            if sim.apply_pool > 1 {
+                sim.batch_size = b as u32;
+            }
+        });
     if smoke {
         spec = spec.seeds(1);
     }
@@ -110,7 +92,7 @@ fn main() {
             .series(format!("{} serial", p.name()), serial)
             .series(format!("{} batched", p.name()), batched);
     }
-    let result = spec.run();
+    let result = scale.runner().run(&spec);
 
     result.print(&[Column::Throughput, Column::PropMs, Column::Messages]);
     for (x, series, err) in result.errors() {
@@ -155,14 +137,10 @@ fn main() {
         }
     }
 
-    match std::fs::write(&out, result.json()) {
-        Ok(()) => eprintln!("prop_sweep: wrote {out}"),
-        Err(e) => {
-            eprintln!("prop_sweep: cannot write {out}: {e}");
-            std::process::exit(2);
-        }
-    }
+    std::fs::write(&out, result.json()).map_err(|e| format!("cannot write {out}: {e}"))?;
+    eprintln!("prop_sweep: wrote {out}");
     if bar_failed {
-        std::process::exit(1);
+        return Err(Failure::Bar);
     }
+    Ok(())
 }

@@ -14,45 +14,31 @@
 //! has no writers, so the two read paths legitimately tie).
 //!
 //! ```text
-//! read_sweep [--out FILE]
+//! repro read_sweep [--out FILE]
 //! ```
 //!
 //! Scale knobs are the runner's usual environment variables
 //! (`REPRO_SCALE=quick`, `REPRO_TXNS`, `REPRO_SEEDS`, `REPRO_WORKERS`).
 
-use repl_bench::{Column, ExperimentSpec};
 use repl_core::config::{ProtocolKind, SimParams};
 use repl_sim::SimDuration;
 use repl_workload::TableOneParams;
 
-const USAGE: &str = "usage: read_sweep [--out FILE]\n\nDefault: --out BENCH_mvcc.json.";
+use super::Failure;
+use crate::{Column, Scale};
 
-/// The x values where the acceptance bar applies (ISSUE 9: MVCC must
+const USAGE: &str = "usage: repro read_sweep [--out FILE]\n\nDefault: --out BENCH_mvcc.json.";
+
+/// The x values where the acceptance bar applies (MVCC must
 /// beat 2PL at read-pct >= 0.8).
 const ACCEPTANCE_X: f64 = 0.8;
 
-fn main() {
-    let mut out = "BENCH_mvcc.json".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => match args.next() {
-                Some(v) => out = v,
-                None => {
-                    eprintln!("read_sweep: --out needs a value\n\n{USAGE}");
-                    std::process::exit(2);
-                }
-            },
-            "--help" | "-h" => {
-                eprintln!("{USAGE}");
-                return;
-            }
-            other => {
-                eprintln!("read_sweep: unknown flag {other:?}\n\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
+/// Run the sweep; see the module docs for the flags and exit codes.
+pub fn main(args: &[String]) -> Result<(), Failure> {
+    let Some((out, _)) = super::out_flags(args, "BENCH_mvcc.json", false, USAGE)? else {
+        return Ok(());
+    };
+    let scale = Scale::from_env()?;
 
     // All series pay the same per-flush fsync-equivalent, so the 2PL/MVCC
     // gap isolates the read path and the GC8 series isolates batching.
@@ -64,18 +50,19 @@ fn main() {
     let mvcc = SimParams { snapshot_reads: true, ..base.clone() };
     let mvcc_gc8 = SimParams { group_commit_batch: 8, ..mvcc.clone() };
 
-    let result = ExperimentSpec::new(
-        "read_sweep",
-        "MVCC snapshot reads vs 2PL: Throughput vs Read Transaction Probability",
-    )
-    // DAG(WT) needs an acyclic copy graph, so the placement runs with
-    // b = 0 (the same base the DAG figures use).
-    .table(TableOneParams { backedge_prob: 0.0, ..repl_bench::default_table() })
-    .axis("read-txn prob", (5..=10).map(|i| i as f64 / 10.0), |t, _, p| t.read_txn_prob = p)
-    .series("2PL", base)
-    .series("MVCC", mvcc)
-    .series("MVCC+GC8", mvcc_gc8)
-    .run();
+    let spec = scale
+        .spec(
+            "read_sweep",
+            "MVCC snapshot reads vs 2PL: Throughput vs Read Transaction Probability",
+        )
+        // DAG(WT) needs an acyclic copy graph, so the placement runs with
+        // b = 0 (the same base the DAG figures use).
+        .table(TableOneParams { backedge_prob: 0.0, ..scale.table() })
+        .axis("read-txn prob", (5..=10).map(|i| i as f64 / 10.0), |t, _, p| t.read_txn_prob = p)
+        .series("2PL", base)
+        .series("MVCC", mvcc)
+        .series("MVCC+GC8", mvcc_gc8);
+    let result = scale.runner().run(&spec);
 
     result.print(&[Column::Throughput, Column::ResponseMs, Column::AbortPct]);
 
@@ -108,14 +95,10 @@ fn main() {
         bar_failed = true;
     }
 
-    match std::fs::write(&out, result.json()) {
-        Ok(()) => eprintln!("read_sweep: wrote {out}"),
-        Err(e) => {
-            eprintln!("read_sweep: cannot write {out}: {e}");
-            std::process::exit(2);
-        }
-    }
+    std::fs::write(&out, result.json()).map_err(|e| format!("cannot write {out}: {e}"))?;
+    eprintln!("read_sweep: wrote {out}");
     if bar_failed {
-        std::process::exit(1);
+        return Err(Failure::Bar);
     }
+    Ok(())
 }

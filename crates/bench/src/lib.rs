@@ -2,9 +2,10 @@
 //!
 //! One *point* = one simulation run at a fixed parameter setting; one
 //! *series* = a protocol swept over one Table-1 parameter; one *figure* =
-//! the series the paper plots. Binaries under `src/bin/` regenerate each
-//! figure/table; `benches/figures.rs` wraps scaled-down versions in
-//! Criterion for timing regression.
+//! the series the paper plots. The `repro` binary regenerates each
+//! figure/table by name from the [`experiments::EXPERIMENTS`] registry;
+//! `benches/figures.rs` wraps scaled-down versions in Criterion for
+//! timing regression.
 //!
 //! Figures are declared with [`runner::ExperimentSpec`] and executed by
 //! the parallel [`runner::Runner`]: every point is a pure function of
@@ -13,7 +14,7 @@
 //! `results/cache/`, and still aggregates byte-identical output.
 //!
 //! Scale knobs (environment variables, so the full paper-scale run and a
-//! quick smoke run share binaries):
+//! quick smoke run share one binary), read once by [`Scale::from_env`]:
 //!
 //! * `REPRO_TXNS`     — transactions per thread (default 1000, Table 1);
 //! * `REPRO_SEEDS`    — seeds averaged per point (default 1);
@@ -25,45 +26,88 @@
 
 #![warn(missing_docs)]
 
+pub mod experiments;
 pub mod runner;
 
 pub use runner::{
-    env_workers, try_run_point_with, Column, ExperimentSpec, PointCache, PointJob, RunError,
-    Runner, RunnerStats, SweepResult, SweepRow, CACHE_VERSION,
+    try_run_point_with, Column, ExperimentSpec, PointCache, PointJob, RunError, Runner,
+    RunnerStats, SweepResult, SweepRow, CACHE_VERSION,
 };
 
 use repl_core::config::{ProtocolKind, SimParams};
 use repl_core::metrics::MetricsSummary;
 use repl_workload::TableOneParams;
 
-/// How many transactions per thread the environment asks for.
-pub fn env_txns() -> u32 {
-    if std::env::var("REPRO_SCALE").map(|s| s == "quick").unwrap_or(false) {
-        return 150;
+/// The harness's scale knobs, parsed from the environment in one place.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Scale {
+    /// Transactions per thread (`REPRO_TXNS`, or 150 under
+    /// `REPRO_SCALE=quick`; default 1000).
+    pub txns: u32,
+    /// Seeds averaged per point (`REPRO_SEEDS`; default 1).
+    pub seeds: u64,
+    /// Worker threads (`REPRO_WORKERS`; default: all cores).
+    pub workers: usize,
+    /// Whether the on-disk point cache is used (`REPRO_NO_CACHE=1` turns
+    /// it off).
+    pub cache: bool,
+}
+
+impl Scale {
+    /// Read the knobs from the process environment.
+    pub fn from_env() -> Result<Scale, String> {
+        Scale::parse(|name| std::env::var(name).ok())
     }
-    std::env::var("REPRO_TXNS").ok().and_then(|s| s.parse().ok()).unwrap_or(1000)
-}
 
-/// How many seeds to average per point.
-pub fn env_seeds() -> u64 {
-    std::env::var("REPRO_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(1)
-}
+    /// Read the knobs through `var`. A numeric knob that is set but does
+    /// not parse, or is 0, is an error naming the variable.
+    fn parse(var: impl Fn(&str) -> Option<String>) -> Result<Scale, String> {
+        let positive = |name: &str| match var(name) {
+            None => Ok(None),
+            Some(raw) => match raw.parse::<u32>() {
+                Ok(n) if n > 0 => Ok(Some(n)),
+                _ => Err(format!("{name} must be a positive integer, got {raw:?}")),
+            },
+        };
+        let (txns, seeds) = (positive("REPRO_TXNS")?, positive("REPRO_SEEDS")?);
+        let workers = positive("REPRO_WORKERS")?;
+        let quick = var("REPRO_SCALE").is_some_and(|s| s == "quick");
+        Ok(Scale {
+            txns: if quick { 150 } else { txns.unwrap_or(1000) },
+            seeds: seeds.map_or(1, u64::from),
+            workers: workers.map_or_else(
+                || std::thread::available_parallelism().map_or(1, |n| n.get()),
+                |n| n as usize,
+            ),
+            cache: var("REPRO_NO_CACHE").is_none_or(|v| v != "1"),
+        })
+    }
 
-/// Run one experiment point and return its metrics, as a fallible
-/// [`Result`]; see [`try_run_point_with`].
-pub fn try_run_point(
-    table: &TableOneParams,
-    protocol: ProtocolKind,
-    seed: u64,
-) -> Result<MetricsSummary, RunError> {
-    let base = SimParams { protocol, ..SimParams::default() };
-    try_run_point_with(table, &base, seed)
+    /// Default Table-1 configuration at this scale.
+    pub fn table(&self) -> TableOneParams {
+        TableOneParams { txns_per_thread: self.txns, ..Default::default() }
+    }
+
+    /// A spec named `id` titled `title` on [`Scale::table`], averaging
+    /// this scale's seeds.
+    pub fn spec(&self, id: &str, title: &str) -> ExperimentSpec {
+        ExperimentSpec::new(id, title).table(self.table()).seeds(self.seeds)
+    }
+
+    /// The pool at this scale: its workers, the shared `results/cache`
+    /// unless the cache is off, progress on stderr.
+    pub fn runner(&self) -> Runner {
+        Runner::new()
+            .workers(self.workers)
+            .cache_dir(self.cache.then(|| "results/cache".into()))
+            .progress(true)
+    }
 }
 
 /// Run one experiment point and return its metrics.
 ///
-/// Thin panicking wrapper over [`try_run_point`] for tests that want a
-/// failure to tear the process down; harness code goes through the
+/// Thin panicking wrapper over [`try_run_point_with`] for tests that want
+/// a failure to tear the process down; harness code goes through the
 /// fallible runner API instead.
 pub fn run_point(table: &TableOneParams, protocol: ProtocolKind, seed: u64) -> MetricsSummary {
     let base = SimParams { protocol, ..SimParams::default() };
@@ -72,85 +116,36 @@ pub fn run_point(table: &TableOneParams, protocol: ProtocolKind, seed: u64) -> M
 
 /// Like [`run_point`], with full control over the engine parameters
 /// (tree kind, deadlock mode, cost model) for the ablation studies.
-///
-/// Thin panicking wrapper over [`try_run_point_with`]; kept for tests.
 pub fn run_point_with(table: &TableOneParams, base: &SimParams, seed: u64) -> MetricsSummary {
     try_run_point_with(table, base, seed).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Run `seeds` points with explicit engine parameters and average.
-pub fn run_averaged_with(table: &TableOneParams, base: &SimParams, seeds: u64) -> MetricsSummary {
-    let mut runs: Vec<MetricsSummary> =
-        (0..seeds.max(1)).map(|s| run_point_with(table, base, 42 + s)).collect();
-    average(&mut runs)
-}
+#[cfg(test)]
+mod tests {
+    use super::Scale;
 
-/// Run `seeds` points and average the headline metrics.
-pub fn run_averaged(table: &TableOneParams, protocol: ProtocolKind, seeds: u64) -> MetricsSummary {
-    let base = SimParams { protocol, ..SimParams::default() };
-    run_averaged_with(table, &base, seeds)
-}
-
-/// Average the headline metrics of several seed runs (identity for one
-/// run). Shared by the serial helpers above and the parallel runner's
-/// cell aggregation so both produce bit-identical figures.
-pub(crate) fn average(runs: &mut [MetricsSummary]) -> MetricsSummary {
-    if runs.len() == 1 {
-        return runs[0].clone();
+    fn parse(vars: &[(&str, &str)]) -> Result<Scale, String> {
+        Scale::parse(|name| vars.iter().find(|(k, _)| *k == name).map(|(_, v)| v.to_string()))
     }
-    let n = runs.len() as f64;
-    let mut acc = runs[0].clone();
-    acc.throughput_per_site = runs.iter().map(|r| r.throughput_per_site).sum::<f64>() / n;
-    acc.abort_rate_pct = runs.iter().map(|r| r.abort_rate_pct).sum::<f64>() / n;
-    acc.mean_response_ms = runs.iter().map(|r| r.mean_response_ms).sum::<f64>() / n;
-    acc.mean_propagation_ms = runs.iter().map(|r| r.mean_propagation_ms).sum::<f64>() / n;
-    acc.max_propagation_ms = runs.iter().map(|r| r.max_propagation_ms).fold(0.0_f64, f64::max);
-    acc.commits = runs.iter().map(|r| r.commits).sum::<u64>() / runs.len() as u64;
-    acc.aborts = runs.iter().map(|r| r.aborts).sum::<u64>() / runs.len() as u64;
-    acc.messages = runs.iter().map(|r| r.messages).sum::<u64>() / runs.len() as u64;
-    acc.crashes = runs.iter().map(|r| r.crashes).sum::<u64>() / runs.len() as u64;
-    acc.availability_pct = runs.iter().map(|r| r.availability_pct).sum::<f64>() / n;
-    acc.mean_recovery_ms = runs.iter().map(|r| r.mean_recovery_ms).sum::<f64>() / n;
-    acc.stall_ms = runs.iter().map(|r| r.stall_ms).sum::<f64>() / n;
-    acc
-}
 
-/// Default Table-1 configuration at the environment's scale.
-pub fn default_table() -> TableOneParams {
-    TableOneParams { txns_per_thread: env_txns(), ..Default::default() }
-}
+    #[test]
+    fn unset_knobs_take_paper_defaults() {
+        let s = parse(&[("REPRO_WORKERS", "3")]).unwrap();
+        assert_eq!(s, Scale { txns: 1000, seeds: 1, workers: 3, cache: true });
+        let quick = parse(&[("REPRO_SCALE", "quick"), ("REPRO_TXNS", "40")]).unwrap();
+        assert_eq!(quick.txns, 150, "quick wins over REPRO_TXNS, as it always has");
+        assert!(!parse(&[("REPRO_NO_CACHE", "1")]).unwrap().cache);
+    }
 
-/// Pre-run configuration lint for experiment binaries.
-///
-/// Lints `table`'s placement (across the seeds the run will use) under
-/// every protocol in `protocols`, printing all findings. Error-severity
-/// findings terminate the process with exit code 1 before any simulation
-/// runs; warnings are advisory.
-///
-/// The runner performs the same lint per point and reports failures as
-/// [`RunError::Lint`] cells; this helper remains for binaries that drive
-/// the [`repl_core::engine::Engine`] directly.
-pub fn preflight(table: &TableOneParams, protocols: &[ProtocolKind]) {
-    let mut errors = false;
-    for seed in 0..env_seeds().max(1) {
-        let placement = repl_workload::build_placement(table, 42 + seed);
-        for &protocol in protocols {
-            let base = SimParams { protocol, ..SimParams::default() };
-            let params = table.sim_params(&base);
-            let diags = repl_core::lint::lint(&placement, &params);
-            if !diags.is_empty() {
-                eprint!(
-                    "preflight [{} seed {}]:\n{}",
-                    protocol.name(),
-                    42 + seed,
-                    repl_analysis::render(&diags)
-                );
+    #[test]
+    fn a_zero_or_unparsable_knob_names_its_variable() {
+        for name in ["REPRO_TXNS", "REPRO_SEEDS", "REPRO_WORKERS"] {
+            for bad in ["0", "abc", "", "-1"] {
+                let err = parse(&[(name, bad)]).unwrap_err();
+                assert!(err.starts_with(name), "{name}={bad:?}: {err}");
             }
-            errors |= repl_analysis::has_errors(&diags);
         }
-    }
-    if errors {
-        eprintln!("preflight: configuration errors; refusing to run");
-        std::process::exit(1);
+        // Validated even where REPRO_SCALE=quick overrides the value.
+        assert!(parse(&[("REPRO_SCALE", "quick"), ("REPRO_TXNS", "abc")]).is_err());
     }
 }

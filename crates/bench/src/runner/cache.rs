@@ -10,7 +10,7 @@
 //! both sides.
 //!
 //! Writes are atomic (temp file + rename), so concurrent workers — or
-//! concurrent bench binaries — can share one cache: both sides compute
+//! concurrent `repro` runs — can share one cache: both sides compute
 //! identical bytes for identical keys, and a torn read is impossible.
 
 use std::path::{Path, PathBuf};
@@ -32,13 +32,6 @@ pub struct PointCache {
 }
 
 impl PointCache {
-    /// The shared harness cache: `results/cache/v<CACHE_VERSION>` under
-    /// the current working directory (bench binaries run from the repo
-    /// root).
-    pub fn default_location() -> Self {
-        PointCache::at(PathBuf::from("results/cache"))
-    }
-
     /// A cache rooted at `dir` (the `v<N>` component is appended).
     pub fn at(dir: PathBuf) -> Self {
         PointCache { dir: dir.join(format!("v{CACHE_VERSION}")) }

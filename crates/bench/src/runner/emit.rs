@@ -1,6 +1,5 @@
 //! The single emit path for every figure: aligned text tables for the
-//! terminal, CSV/JSON for downstream tooling — replacing the per-binary
-//! `println!` formatting the harness used to duplicate.
+//! terminal, CSV/JSON for downstream tooling.
 //!
 //! All output is a pure function of the [`SweepResult`] rows, so a sweep
 //! emits byte-identical series no matter how many workers produced it —
@@ -25,16 +24,12 @@ pub enum Column {
     MaxPropMs,
     /// Total network messages.
     Messages,
-    /// Virtual run length, seconds.
-    VirtSecs,
     /// Site crashes injected by the fault plan.
     Crashes,
     /// Percentage of site-time the sites were up.
     Availability,
     /// Mean restart-to-caught-up recovery latency, ms.
     RecoveryMs,
-    /// Cumulative fault-injected message delay, ms.
-    StallMs,
 }
 
 impl Column {
@@ -47,11 +42,9 @@ impl Column {
             Column::PropMs => "prop ms",
             Column::MaxPropMs => "max prop",
             Column::Messages => "msgs",
-            Column::VirtSecs => "virt s",
             Column::Crashes => "crash",
             Column::Availability => "avail%",
             Column::RecoveryMs => "recov ms",
-            Column::StallMs => "stall ms",
         }
     }
 
@@ -64,11 +57,9 @@ impl Column {
             Column::PropMs => "mean_propagation_ms",
             Column::MaxPropMs => "max_propagation_ms",
             Column::Messages => "messages",
-            Column::VirtSecs => "virtual_secs",
             Column::Crashes => "crashes",
             Column::Availability => "availability_pct",
             Column::RecoveryMs => "mean_recovery_ms",
-            Column::StallMs => "stall_ms",
         }
     }
 
@@ -81,11 +72,9 @@ impl Column {
             Column::PropMs => format!("{:.1}", s.mean_propagation_ms),
             Column::MaxPropMs => format!("{:.1}", s.max_propagation_ms),
             Column::Messages => s.messages.to_string(),
-            Column::VirtSecs => format!("{:.1}", s.virtual_duration.as_secs_f64()),
             Column::Crashes => s.crashes.to_string(),
             Column::Availability => format!("{:.2}", s.availability_pct),
             Column::RecoveryMs => format!("{:.1}", s.mean_recovery_ms),
-            Column::StallMs => format!("{:.1}", s.stall_ms),
         }
     }
 
@@ -98,11 +87,9 @@ impl Column {
             Column::PropMs => s.mean_propagation_ms.to_string(),
             Column::MaxPropMs => s.max_propagation_ms.to_string(),
             Column::Messages => s.messages.to_string(),
-            Column::VirtSecs => s.virtual_duration.as_secs_f64().to_string(),
             Column::Crashes => s.crashes.to_string(),
             Column::Availability => s.availability_pct.to_string(),
             Column::RecoveryMs => s.mean_recovery_ms.to_string(),
-            Column::StallMs => s.stall_ms.to_string(),
         }
     }
 }
@@ -170,7 +157,7 @@ impl SweepResult {
     }
 
     /// Single-x experiments rendered with one row per *series* (the shape
-    /// `probe`/`response_time`/`propagation` report in).
+    /// `response_time`/`propagation` report in).
     pub fn text_transposed(&self, cols: &[Column]) -> String {
         let mut table: Vec<Vec<String>> = Vec::with_capacity(self.series.len() + 1);
         let mut header = vec!["series".to_string()];

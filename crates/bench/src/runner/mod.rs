@@ -9,10 +9,11 @@
 //! The module is three layers:
 //!
 //! * [`spec`] — the declarative [`ExperimentSpec`]/[`SweepResult`] API the
-//!   bench binaries build figures with;
-//! * [`Runner`] (this file) — the worker pool: `REPRO_WORKERS` threads fed
-//!   over the vendored crossbeam channels, per-sweep progress and
-//!   wall-clock reporting on stderr, deterministic aggregation;
+//!   experiments build figures with;
+//! * [`Runner`] (this file) — the worker pool: `REPRO_WORKERS` scoped
+//!   threads claiming job indices from one shared counter, per-sweep
+//!   progress and wall-clock reporting on stderr, deterministic
+//!   aggregation;
 //! * [`cache`] — the content-addressed on-disk result cache under
 //!   `results/cache/`, keyed by a stable hash of every parameter that can
 //!   influence a point (`REPRO_NO_CACHE=1` opts out).
@@ -27,6 +28,8 @@ pub use spec::{ExperimentSpec, SweepResult, SweepRow};
 
 use std::io::{IsTerminal, Write as _};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use repl_core::config::{SimParams, StableHash, StableHasher};
@@ -143,8 +146,8 @@ pub fn try_run_point_with(
     Ok(report.summary)
 }
 
-/// One fully-specified experiment point: pure data, cheap to clone across
-/// the worker channel.
+/// One fully-specified experiment point: pure data that workers read in
+/// place.
 #[derive(Clone, Debug)]
 pub struct PointJob {
     /// Workload/placement parameters (Table 1).
@@ -193,21 +196,11 @@ pub struct RunnerStats {
     pub wall: Duration,
 }
 
-/// How many worker threads the environment asks for: `REPRO_WORKERS`, or
-/// every available core.
-pub fn env_workers() -> usize {
-    std::env::var("REPRO_WORKERS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
-}
-
 /// The worker-pool executor.
 ///
-/// Construct with [`Runner::from_env`] in binaries (honours
-/// `REPRO_WORKERS` / `REPRO_NO_CACHE`) or [`Runner::new`] in tests for
-/// explicit, environment-independent configuration.
+/// `repro` builds one with [`crate::Scale::runner`] (honours
+/// `REPRO_WORKERS` / `REPRO_NO_CACHE`); tests configure [`Runner::new`]
+/// explicitly, independent of the environment.
 #[derive(Debug)]
 pub struct Runner {
     workers: usize,
@@ -219,18 +212,6 @@ impl Runner {
     /// A serial runner with no cache and no progress output.
     pub fn new() -> Self {
         Runner { workers: 1, cache: None, progress: false }
-    }
-
-    /// The binary-facing configuration: `REPRO_WORKERS` threads (default:
-    /// all cores), the shared `results/cache` point cache unless
-    /// `REPRO_NO_CACHE=1`, progress reporting on stderr.
-    pub fn from_env() -> Self {
-        let no_cache = std::env::var("REPRO_NO_CACHE").map(|v| v == "1").unwrap_or(false);
-        Runner {
-            workers: env_workers(),
-            cache: if no_cache { None } else { Some(PointCache::default_location()) },
-            progress: true,
-        }
     }
 
     /// Set the worker-thread count (clamped to ≥ 1).
@@ -268,69 +249,45 @@ impl Runner {
         label: &str,
         jobs: &[PointJob],
     ) -> (Vec<Result<MetricsSummary, RunError>>, RunnerStats) {
-        struct Outcome {
-            result: Result<MetricsSummary, RunError>,
-            cached: bool,
-        }
-
         let started = Instant::now();
         let workers = self.workers.max(1).min(jobs.len().max(1));
         let mut slots: Vec<Option<Result<MetricsSummary, RunError>>> =
             (0..jobs.len()).map(|_| None).collect();
         let mut stats = RunnerStats { points: jobs.len(), workers, ..RunnerStats::default() };
 
-        let (job_tx, job_rx) = crossbeam::channel::unbounded::<(usize, PointJob)>();
-        let (res_tx, res_rx) = crossbeam::channel::unbounded::<(usize, Outcome)>();
-        for (i, job) in jobs.iter().enumerate() {
-            job_tx.send((i, job.clone())).expect("receiver alive");
-        }
-        drop(job_tx);
-
+        // Workers claim job indices from one counter (`Relaxed`: it guards
+        // no other data; results travel over the channel), and results come
+        // back tagged with their index, so completion order never shows.
+        let next = AtomicUsize::new(0);
+        let (res_tx, res_rx) = mpsc::channel::<(usize, Result<MetricsSummary, RunError>, bool)>();
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                let job_rx = job_rx.clone();
                 let res_tx = res_tx.clone();
-                let cache = self.cache.as_ref();
-                scope.spawn(move || {
-                    while let Ok((i, job)) = job_rx.recv() {
-                        let outcome = match cache {
-                            Some(c) => {
-                                let key = job.cache_key();
-                                match c.load(&key) {
-                                    Some(summary) => Outcome { result: Ok(summary), cached: true },
-                                    None => {
-                                        let result = job.run();
-                                        if let Ok(s) = &result {
-                                            c.store(&key, s);
-                                        }
-                                        Outcome { result, cached: false }
-                                    }
-                                }
-                            }
-                            None => Outcome { result: job.run(), cached: false },
-                        };
-                        if res_tx.send((i, outcome)).is_err() {
-                            break;
-                        }
+                let next = &next;
+                scope.spawn(move || loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(job) = jobs.get(i) else { break };
+                    let (result, cached) = self.run_job(job);
+                    if res_tx.send((i, result, cached)).is_err() {
+                        break;
                     }
                 });
             }
             drop(res_tx);
-            drop(job_rx);
 
             let fancy = self.progress && std::io::stderr().is_terminal();
             let mut done = 0usize;
-            while let Ok((i, outcome)) = res_rx.recv() {
+            for (i, result, cached) in res_rx {
                 done += 1;
-                if outcome.cached {
+                if cached {
                     stats.cache_hits += 1;
                 } else {
                     stats.executed += 1;
                 }
-                if outcome.result.is_err() {
+                if result.is_err() {
                     stats.failed += 1;
                 }
-                slots[i] = Some(outcome.result);
+                slots[i] = Some(result);
                 if fancy {
                     eprint!(
                         "\r[{label}] {done}/{} points ({} cached, {} failed) {:.1}s",
@@ -362,6 +319,21 @@ impl Runner {
         let results =
             slots.into_iter().map(|s| s.expect("every job index reported exactly once")).collect();
         (results, stats)
+    }
+
+    /// Serve `job` from the cache, or run it and cache a success. The
+    /// flag says whether the cache served it.
+    fn run_job(&self, job: &PointJob) -> (Result<MetricsSummary, RunError>, bool) {
+        let Some(cache) = &self.cache else { return (job.run(), false) };
+        let key = job.cache_key();
+        if let Some(summary) = cache.load(&key) {
+            return (Ok(summary), true);
+        }
+        let result = job.run();
+        if let Ok(s) = &result {
+            cache.store(&key, s);
+        }
+        (result, false)
     }
 }
 
@@ -420,20 +392,29 @@ mod tests {
     #[test]
     fn pool_preserves_job_order_at_any_worker_count() {
         // Different seeds produce different histories; results must land
-        // at their job index regardless of completion order.
+        // at their job index regardless of completion order, also when
+        // there are more workers than jobs.
         let jobs: Vec<PointJob> = (0..6)
             .map(|s| PointJob { table: tiny(), sim: SimParams::default(), seed: 42 + s })
             .collect();
         let (serial, s1) = Runner::new().run_points("test", &jobs);
-        let (parallel, s4) = Runner::new().workers(4).run_points("test", &jobs);
         assert_eq!(s1.executed, 6);
-        assert_eq!(s4.executed, 6);
-        assert_eq!(s4.workers, 4);
-        for (a, b) in serial.iter().zip(parallel.iter()) {
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-            assert_eq!(a.commits, b.commits);
-            assert_eq!(a.messages, b.messages);
-            assert_eq!(a.virtual_duration, b.virtual_duration);
+        for (asked, used) in [(4, 4), (8, 6)] {
+            let (parallel, stats) = Runner::new().workers(asked).run_points("test", &jobs);
+            assert_eq!((stats.executed, stats.workers), (6, used));
+            for (a, b) in serial.iter().zip(parallel.iter()) {
+                let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+                assert_eq!(a.commits, b.commits);
+                assert_eq!(a.messages, b.messages);
+                assert_eq!(a.virtual_duration, b.virtual_duration);
+            }
         }
+    }
+
+    #[test]
+    fn pool_returns_at_once_with_no_jobs() {
+        let (results, stats) = Runner::new().workers(4).run_points("empty", &[]);
+        assert!(results.is_empty());
+        assert_eq!((stats.points, stats.executed, stats.workers), (0, 0, 1));
     }
 }

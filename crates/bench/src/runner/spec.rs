@@ -1,25 +1,23 @@
 //! The declarative experiment API: what to sweep, which series to run,
-//! how many seeds to average — replacing the hand-rolled struct-update
-//! loops the bench binaries used to copy-paste.
+//! how many seeds to average.
 //!
 //! A spec is `base Table-1 config × swept axis × series × seeds`:
 //!
 //! ```no_run
-//! use repl_bench::runner::{Column, ExperimentSpec};
+//! use repl_bench::runner::{Column, ExperimentSpec, Runner};
 //! use repl_core::config::ProtocolKind;
 //!
-//! ExperimentSpec::new("fig2a", "Figure 2(a): Throughput vs Backedge Probability")
+//! let spec = ExperimentSpec::new("fig2a", "Figure 2(a): Throughput vs Backedge Probability")
 //!     .axis("b", (0..=10).map(|i| i as f64 / 10.0), |t, _, b| t.backedge_prob = b)
-//!     .protocols(&[ProtocolKind::BackEdge, ProtocolKind::Psl])
-//!     .run()
-//!     .print(&[Column::Throughput, Column::AbortPct]);
+//!     .protocols(&[ProtocolKind::BackEdge, ProtocolKind::Psl]);
+//! Runner::new().workers(4).run(&spec).print(&[Column::Throughput, Column::AbortPct]);
 //! ```
 
 use repl_core::config::{ProtocolKind, SimParams};
 use repl_core::metrics::MetricsSummary;
 use repl_workload::TableOneParams;
 
-use super::{PointJob, RunError, Runner, RunnerStats};
+use super::{PointJob, RunError, RunnerStats};
 
 /// Mutates the workload/engine parameters for one swept x value.
 pub type AxisSetter = Box<dyn Fn(&mut TableOneParams, &mut SimParams, f64)>;
@@ -33,9 +31,8 @@ struct Series {
     table: Option<TableOneParams>,
 }
 
-/// A declarative sweep: build with the fluent methods, execute with
-/// [`ExperimentSpec::run`] (environment-configured pool) or hand it to an
-/// explicit [`Runner`].
+/// A declarative sweep: build with the fluent methods, execute on a
+/// [`super::Runner`] (`repro` uses [`crate::Scale::runner`]).
 pub struct ExperimentSpec {
     id: String,
     title: String,
@@ -44,50 +41,30 @@ pub struct ExperimentSpec {
     xs: Vec<f64>,
     set: AxisSetter,
     series: Vec<Series>,
-    base_sim: SimParams,
     seeds: u64,
-}
-
-impl std::fmt::Debug for ExperimentSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExperimentSpec")
-            .field("id", &self.id)
-            .field("xs", &self.xs)
-            .field("series", &self.series.iter().map(|s| &s.label).collect::<Vec<_>>())
-            .field("seeds", &self.seeds)
-            .finish()
-    }
 }
 
 impl ExperimentSpec {
     /// A spec named `id` (progress label, emitted-file stem) titled
-    /// `title`, starting from [`crate::default_table`], one x point, no
-    /// axis, `REPRO_SEEDS` seeds.
+    /// `title`, starting from the Table-1 defaults, one x point, no axis,
+    /// one seed. [`crate::Scale::spec`] starts one at the environment's
+    /// scale instead.
     pub fn new(id: impl Into<String>, title: impl Into<String>) -> Self {
         ExperimentSpec {
             id: id.into(),
             title: title.into(),
             xlabel: String::new(),
-            table: crate::default_table(),
+            table: TableOneParams::default(),
             xs: vec![0.0],
             set: Box::new(|_, _, _| {}),
             series: Vec::new(),
-            base_sim: SimParams::default(),
-            seeds: crate::env_seeds(),
+            seeds: 1,
         }
     }
 
     /// Replace the base Table-1 configuration.
     pub fn table(mut self, table: TableOneParams) -> Self {
         self.table = table;
-        self
-    }
-
-    /// Base engine parameters that [`ExperimentSpec::protocols`] derives
-    /// series from — call before `protocols` when overriding the cost
-    /// model or tree kind for the whole figure.
-    pub fn sim(mut self, sim: SimParams) -> Self {
-        self.base_sim = sim;
         self
     }
 
@@ -110,7 +87,7 @@ impl ExperimentSpec {
         for &p in protocols {
             self.series.push(Series {
                 label: p.name().to_string(),
-                sim: SimParams { protocol: p, ..self.base_sim.clone() },
+                sim: SimParams { protocol: p, ..SimParams::default() },
                 table: None,
             });
         }
@@ -135,7 +112,7 @@ impl ExperimentSpec {
         self
     }
 
-    /// Seeds averaged per `(x, series)` cell (default: `REPRO_SEEDS`).
+    /// Seeds averaged per `(x, series)` cell (default 1).
     pub fn seeds(mut self, seeds: u64) -> Self {
         self.seeds = seeds.max(1);
         self
@@ -199,21 +176,30 @@ impl ExperimentSpec {
             stats,
         }
     }
-
-    /// Execute on the environment-configured pool
-    /// (`REPRO_WORKERS`/`REPRO_NO_CACHE`, progress on stderr).
-    pub fn run(self) -> SweepResult {
-        Runner::from_env().run(&self)
-    }
 }
 
-/// Average seed runs of one cell; any failed seed fails the cell.
+/// Average the headline metrics of one cell's seed runs (identity for
+/// one run); any failed seed fails the cell.
 fn average_cell(runs: Vec<Result<MetricsSummary, RunError>>) -> Result<MetricsSummary, RunError> {
-    let mut summaries = Vec::with_capacity(runs.len());
-    for r in runs {
-        summaries.push(r?);
+    let runs = runs.into_iter().collect::<Result<Vec<_>, _>>()?;
+    if runs.len() == 1 {
+        return Ok(runs[0].clone());
     }
-    Ok(crate::average(&mut summaries))
+    let n = runs.len() as f64;
+    let mut acc = runs[0].clone();
+    acc.throughput_per_site = runs.iter().map(|r| r.throughput_per_site).sum::<f64>() / n;
+    acc.abort_rate_pct = runs.iter().map(|r| r.abort_rate_pct).sum::<f64>() / n;
+    acc.mean_response_ms = runs.iter().map(|r| r.mean_response_ms).sum::<f64>() / n;
+    acc.mean_propagation_ms = runs.iter().map(|r| r.mean_propagation_ms).sum::<f64>() / n;
+    acc.max_propagation_ms = runs.iter().map(|r| r.max_propagation_ms).fold(0.0_f64, f64::max);
+    acc.commits = runs.iter().map(|r| r.commits).sum::<u64>() / runs.len() as u64;
+    acc.aborts = runs.iter().map(|r| r.aborts).sum::<u64>() / runs.len() as u64;
+    acc.messages = runs.iter().map(|r| r.messages).sum::<u64>() / runs.len() as u64;
+    acc.crashes = runs.iter().map(|r| r.crashes).sum::<u64>() / runs.len() as u64;
+    acc.availability_pct = runs.iter().map(|r| r.availability_pct).sum::<f64>() / n;
+    acc.mean_recovery_ms = runs.iter().map(|r| r.mean_recovery_ms).sum::<f64>() / n;
+    acc.stall_ms = runs.iter().map(|r| r.stall_ms).sum::<f64>() / n;
+    Ok(acc)
 }
 
 /// One emitted row: the swept x value and one result per series.

@@ -666,44 +666,4 @@ impl Engine {
     pub fn messages_sent(&self) -> u64 {
         self.net.total_messages()
     }
-
-    /// Developer diagnostic: print what every site is doing. Used to
-    /// localize stalls; not part of the stable API.
-    pub fn dump_stall_state(&self) {
-        eprintln!(
-            "live_threads={} unpropagated={} pending_events={}",
-            self.live_threads,
-            self.metrics.unpropagated(),
-            self.queue.len()
-        );
-        for st in &self.sites {
-            let queues: Vec<String> = st
-                .machine
-                .as_ref()
-                .map(|m| m.queue_summary().iter().map(|(from, n)| format!("{from}:{n}")).collect())
-                .unwrap_or_default();
-            eprintln!(
-                "site {}: appliers={:?} queues=[{}] backedge_txns={:?} blocked_locks={}",
-                st.id,
-                st.appliers
-                    .iter()
-                    .map(|a| (a.gid, a.special, a.blocked, a.exec_done))
-                    .collect::<Vec<_>>(),
-                queues.join(","),
-                st.backedge_txns
-                    .iter()
-                    .map(|(g, r)| (*g, r.prepared, r.blocked))
-                    .collect::<Vec<_>>(),
-                st.store.locks().blocked_count(),
-            );
-            for (t, th) in st.threads.iter().enumerate() {
-                if let Some(a) = &th.active {
-                    eprintln!(
-                        "  thread {t}: txn {} pc={} phase={:?} wait_seq={}",
-                        a.gid, a.pc, a.phase, a.wait_seq
-                    );
-                }
-            }
-        }
-    }
 }

@@ -31,24 +31,24 @@ echo "==> differential matrix gate (sim vs in-process vs repld at 6 txns a site,
 DIFF_MATRIX_TXNS=6 cargo test -q -p repl-runtime --test differential_matrix
 
 echo "==> MVCC smoke gate (quick read-heavy sweep; exits 1 unless MVCC beats 2PL at read-pct >= 0.8)"
-REPRO_SCALE=quick REPRO_WORKERS=4 REPRO_NO_CACHE=1 ./target/release/read_sweep \
+REPRO_SCALE=quick REPRO_WORKERS=4 REPRO_NO_CACHE=1 ./target/release/repro read_sweep \
     --out /tmp/bench_mvcc_smoke.json > /dev/null
 
 echo "==> batching smoke gate (batch {1,8}; exits 1 unless batched+parallel beats serial for both DAG protocols; byte-identity at batch 8 is in the matrix gate above, for the simulator)"
-REPRO_SCALE=quick REPRO_WORKERS=4 REPRO_NO_CACHE=1 ./target/release/prop_sweep \
+REPRO_SCALE=quick REPRO_WORKERS=4 REPRO_NO_CACHE=1 ./target/release/repro prop_sweep \
     --smoke --out /tmp/bench_propagation_smoke.json > /dev/null
 
 echo "==> smoke sweep (quick fig2a on the 4-worker pool, cache off)"
-REPRO_SCALE=quick REPRO_WORKERS=4 REPRO_NO_CACHE=1 ./target/release/fig2a > /dev/null
+REPRO_SCALE=quick REPRO_WORKERS=4 REPRO_NO_CACHE=1 ./target/release/repro fig2a > /dev/null
 
 echo "==> fault smoke sweep (seeded crash plans, cache off)"
-REPRO_SCALE=quick REPRO_WORKERS=4 REPRO_NO_CACHE=1 ./target/release/fault_sweep > /dev/null
+REPRO_SCALE=quick REPRO_WORKERS=4 REPRO_NO_CACHE=1 ./target/release/repro fault_sweep > /dev/null
 
 echo "==> fleet smoke (the benchmark's read_closed workload against a 3-process repld fleet, 2 s, correctness pass included)"
 bash benchmark/run.sh --workload read_closed --seed 1 --seconds 2 --trace 0 > /dev/null
 
 echo "==> chaos smoke (seeded nemesis, 4 protocols on inproc + tcp, convergence + 1SR)"
-REPLD_BIN=./target/release/repld ./target/release/chaos_soak \
+REPLD_BIN=./target/release/repld ./target/release/repro chaos_soak \
     --smoke --out /tmp/bench_chaos_smoke.json > /dev/null
 
 echo "ci: all gates passed"
