@@ -47,8 +47,8 @@
 //! * **MC005** — an input reaches (or a command leaves) a crashed site.
 //! * **MC006** — a machine returns a [`ProtocolError`] on a legal input
 //!   sequence, or violates an internal contract (double-booking the
-//!   applier slot; an `ApplyMany`/`SendBatch` from a machine nobody
-//!   widened).
+//!   applier slot; an `ApplyMany`/`SendBatch`, which no machine
+//!   emits).
 //!
 //! [`ProtocolError`]: repl_protocol::ProtocolError
 
@@ -563,15 +563,11 @@ impl World {
                         self.links.entry((site, to)).or_default().push_back(payload);
                     }
                 }
-                // The model never widens a machine's apply window or
-                // turns on send coalescing (both are the simulator's
-                // `prop_sweep` study), so either command is a machine bug.
-                Command::SendBatch { .. } | Command::ApplyMany { .. } => self.poison(
+                // No machine emits these, so either is a machine bug.
+                Command::SendBatch | Command::ApplyMany => self.poison(
                     diags,
                     "MC006",
-                    format!(
-                        "{site} issued a batched command from the serial configuration: {cmd:?}"
-                    ),
+                    format!("{site} issued a batched command, which no machine emits: {cmd:?}"),
                 ),
                 Command::CommitLocal { gid } => self.commit_local(site, gid, diags),
                 Command::Apply { gid, writes } => {

@@ -1,7 +1,7 @@
 //! Every experiment `repro` runs, by name: the paper's §5 table, figures
 //! and measurements, the Table-1 range studies and ablations, and the
-//! three experiments with flags of their own ([`read_sweep`],
-//! [`prop_sweep`], [`chaos_soak`]).
+//! two experiments with flags of their own ([`read_sweep`],
+//! [`chaos_soak`]).
 //!
 //! A sweep experiment is a function from the environment's [`Scale`] to
 //! a [`Sweep`]: the [`ExperimentSpec`] to run and how to print its result.
@@ -9,7 +9,6 @@
 //! its `REPRO_EMIT` file stem.
 
 pub mod chaos_soak;
-pub mod prop_sweep;
 pub mod read_sweep;
 
 use repl_core::config::{ProtocolKind, SimParams, TreeKind};
@@ -83,7 +82,6 @@ pub const EXPERIMENTS: &[(&str, &str, Run)] = &[
     ("ablation_eager", "ablation: Eager vs the lazy protocols", Run::Sweep(ablation_eager)),
     ("fault_sweep", "availability and recovery vs crash intensity", Run::Sweep(fault_sweep)),
     ("read_sweep", "MVCC vs 2PL reads; --out FILE", Run::Main(read_sweep::main)),
-    ("prop_sweep", "batched vs serial propagation; --out, --smoke", Run::Main(prop_sweep::main)),
     ("chaos_soak", "nemesis soak of the live deployments; --help", Run::Main(chaos_soak::main)),
 ];
 
@@ -100,15 +98,10 @@ fn no_args(args: &[String]) -> Result<Scale, Failure> {
     Ok(Scale::from_env()?)
 }
 
-/// Parse `--out FILE` (default `out`) and, if `smoke_flag`, `--smoke`.
-/// `None` means `--help` printed `usage` and the experiment is done.
-fn out_flags(
-    args: &[String],
-    out: &str,
-    smoke_flag: bool,
-    usage: &str,
-) -> Result<Option<(String, bool)>, Failure> {
-    let (mut out, mut smoke) = (out.to_string(), false);
+/// Parse `--out FILE` (default `out`). `None` means `--help` printed
+/// `usage` and the experiment is done.
+fn out_flag(args: &[String], out: &str, usage: &str) -> Result<Option<String>, Failure> {
+    let mut out = out.to_string();
     let mut args = args.iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -116,7 +109,6 @@ fn out_flags(
                 Some(v) => out = v.clone(),
                 None => return Err(Failure::Error(format!("--out needs a value\n\n{usage}"))),
             },
-            "--smoke" if smoke_flag => smoke = true,
             "--help" | "-h" => {
                 eprintln!("{usage}");
                 return Ok(None);
@@ -124,7 +116,7 @@ fn out_flags(
             other => return Err(Failure::Error(format!("unknown flag {other:?}\n\n{usage}"))),
         }
     }
-    Ok(Some((out, smoke)))
+    Ok(Some(out))
 }
 
 /// Regenerate Table 1: parameter settings of the performance study.

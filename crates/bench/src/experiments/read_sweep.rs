@@ -35,7 +35,7 @@ const ACCEPTANCE_X: f64 = 0.8;
 
 /// Run the sweep; see the module docs for the flags and exit codes.
 pub fn main(args: &[String]) -> Result<(), Failure> {
-    let Some((out, _)) = super::out_flags(args, "BENCH_mvcc.json", false, USAGE)? else {
+    let Some(out) = super::out_flag(args, "BENCH_mvcc.json", USAGE)? else {
         return Ok(());
     };
     let scale = Scale::from_env()?;

@@ -4,10 +4,7 @@
 //! workload on a 4-site diamond placement — the event loop, the lock
 //! tables, the propagation machinery and the metrics fold all sit on
 //! this path, so a regression here multiplies into hours across a
-//! parameter sweep. Each protocol runs twice: the seed's serial
-//! one-frame-per-payload path and the batched configuration
-//! (`batch_size = 8, apply_pool = 4`), so the coalescing bookkeeping
-//! itself stays honest.
+//! parameter sweep.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 
@@ -61,30 +58,23 @@ fn bench_engine_step(c: &mut Criterion) {
     for protocol in
         [ProtocolKind::NaiveLazy, ProtocolKind::DagWt, ProtocolKind::DagT, ProtocolKind::BackEdge]
     {
-        for (variant, batch, pool) in [("serial", 1, 1), ("batched", 8, 4)] {
-            let mut params = SimParams::quick_test(protocol);
-            params.threads_per_site = 1;
-            params.txns_per_thread = TXNS;
-            params.batch_size = batch;
-            params.apply_pool = pool;
-            c.bench_function(
-                &format!("engine_step/{}/{variant}/{TXNS}_txns", protocol.name()),
-                |b| {
-                    b.iter_batched(
-                        || {
-                            Engine::new(&placement, &params, progs.clone())
-                                .expect("diamond placement builds for every protocol")
-                        },
-                        |mut engine| {
-                            let report = engine.run();
-                            assert!(!report.stalled);
-                            black_box(report.summary.commits)
-                        },
-                        BatchSize::SmallInput,
-                    );
+        let mut params = SimParams::quick_test(protocol);
+        params.threads_per_site = 1;
+        params.txns_per_thread = TXNS;
+        c.bench_function(&format!("engine_step/{}/serial/{TXNS}_txns", protocol.name()), |b| {
+            b.iter_batched(
+                || {
+                    Engine::new(&placement, &params, progs.clone())
+                        .expect("diamond placement builds for every protocol")
                 },
+                |mut engine| {
+                    let report = engine.run();
+                    assert!(!report.stalled);
+                    black_box(report.summary.commits)
+                },
+                BatchSize::SmallInput,
             );
-        }
+        });
     }
 }
 

@@ -282,22 +282,6 @@ pub struct SimParams {
     /// CPU cost of the fsync-equivalent a WAL batch flush pays (0 keeps
     /// the historical in-memory-log cost model).
     pub fsync_cpu: SimDuration,
-    /// Propagation batching: up to this many payloads are coalesced into
-    /// one link frame per destination (one network message, one
-    /// `msg_cpu` at the receiver). 1 = the seed's one-frame-per-payload
-    /// path, byte-identical. This, `batch_linger` and `apply_pool` are
-    /// the `prop_sweep` study and exist in the simulator alone: it has
-    /// a worker pool to overlap applies on, the live site has one
-    /// thread (DESIGN.md §14.4).
-    pub batch_size: u32,
-    /// Propagation batching: a partially filled per-link batch is
-    /// flushed after lingering this long (bounds the recency cost of
-    /// waiting for a full batch).
-    pub batch_linger: SimDuration,
-    /// Apply-window width: how many non-conflicting secondary
-    /// subtransactions may execute concurrently at a site (commits stay
-    /// in admission order). 1 = the seed's serial applier.
-    pub apply_pool: u32,
 }
 
 impl Default for SimParams {
@@ -325,9 +309,6 @@ impl Default for SimParams {
             snapshot_reads: false,
             group_commit_batch: 1,
             fsync_cpu: SimDuration::micros(0),
-            batch_size: 1,
-            batch_linger: SimDuration::micros(500),
-            apply_pool: 1,
         }
     }
 }
@@ -368,9 +349,6 @@ impl StableHash for SimParams {
             snapshot_reads,
             group_commit_batch,
             fsync_cpu,
-            batch_size,
-            batch_linger,
-            apply_pool,
         } = self;
         protocol.stable_hash(h);
         tree.stable_hash(h);
@@ -394,9 +372,6 @@ impl StableHash for SimParams {
         h.write_bool(*snapshot_reads);
         h.write_u32(*group_commit_batch);
         fsync_cpu.stable_hash(h);
-        h.write_u32(*batch_size);
-        batch_linger.stable_hash(h);
-        h.write_u32(*apply_pool);
     }
 }
 
@@ -447,9 +422,6 @@ mod tests {
             SimParams { snapshot_reads: true, ..base.clone() },
             SimParams { group_commit_batch: 8, ..base.clone() },
             SimParams { fsync_cpu: SimDuration::micros(100), ..base.clone() },
-            SimParams { batch_size: 8, ..base.clone() },
-            SimParams { batch_linger: SimDuration::micros(501), ..base.clone() },
-            SimParams { apply_pool: 4, ..base.clone() },
         ];
         for v in &variants {
             assert_ne!(digest(&base), digest(v), "digest blind to a field: {v:?}");

@@ -50,9 +50,9 @@ impl ReactorKind {
 /// this one message.
 pub fn removed_batching_knob(name: &str) -> String {
     format!(
-        "{name} was removed in PR 23: link batching and the apply window are a simulator \
-         study (`prop_sweep`); a live site applies one transaction at a time and sends one \
-         frame per payload (drop the setting)"
+        "{name} was removed in PR 23: link batching and the apply window were removed from \
+         `repld` in PR 23 and from the simulator in PR 33; a site applies one transaction at \
+         a time and sends one frame per payload (drop the setting)"
     )
 }
 

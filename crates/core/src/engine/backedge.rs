@@ -143,11 +143,7 @@ impl Engine {
     /// locks) and tell the machine, which forwards the special and pumps
     /// the next queued subtransaction into the freed applier.
     pub(crate) fn special_executed(&mut self, now: SimTime, site: SiteId) {
-        debug_assert!(
-            self.sites[site.index()].appliers.len() == 1,
-            "a special only ever occupies an otherwise-empty window"
-        );
-        let a = self.sites[site.index()].appliers.pop().expect("special in applier");
+        let a = self.sites[site.index()].applier.take().expect("special in applier");
         let gid = a.gid;
         self.sites[site.index()].owner.insert(a.local, Owner::Backedge { gid });
         let _ = self.sites[site.index()].store.prepare(a.local);
@@ -213,9 +209,7 @@ impl Engine {
             return;
         }
         // The machine already cleared its busy slot; free the driver's.
-        let in_applier = self.sites[site.index()].appliers.iter().position(|ap| ap.gid == gid);
-        if let Some(idx) = in_applier {
-            let ap = self.sites[site.index()].appliers.remove(idx);
+        if let Some(ap) = self.sites[site.index()].applier.take_if(|ap| ap.gid == gid) {
             self.sites[site.index()].owner.remove(&ap.local);
             let granted =
                 self.sites[site.index()].store.abort(ap.local).expect("abort special in applier");

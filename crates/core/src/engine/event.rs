@@ -20,16 +20,6 @@ pub enum Message {
         /// The protocol payload.
         payload: Payload,
     },
-    /// Several link payloads coalesced into one frame
-    /// (`SimParams::batch_size` > 1): the receiver charges one message
-    /// CPU slice for the batch and delivers the payloads in order.
-    LinkBatch {
-        /// Sending site (the queue key at the receiver).
-        from: SiteId,
-        /// The coalesced payloads, in send order. Always ≥ 2; a lane
-        /// holding a single payload degrades to [`Message::Link`].
-        payloads: Vec<Payload>,
-    },
     /// PSL / Eager: request a lock at the primary site of `item` on
     /// behalf of remote transaction `gid`.
     RemoteLockReq {
@@ -206,17 +196,6 @@ pub enum Event {
         /// The failing site.
         site: SiteId,
     },
-    /// The linger deadline of an outbox lane expired: flush whatever the
-    /// lane holds (`SimParams::batch_linger`).
-    LinkFlush {
-        /// The sending site that owns the lane.
-        from: SiteId,
-        /// The lane's destination.
-        to: SiteId,
-        /// Lane-generation guard: a flush (by size, crash, or an earlier
-        /// linger) bumps the lane's generation, so stale events die here.
-        gen: u64,
-    },
     /// The site rejoins: it replays its WAL, drains the message backlog
     /// buffered while it was down, and (DAG(T)) bumps its epoch so
     /// post-recovery timestamps dominate (§3.3).
@@ -243,7 +222,6 @@ impl Event {
             | Event::BackedgeStepDone { site, .. }
             | Event::SiteCrash { site }
             | Event::SiteRestart { site } => site,
-            Event::LinkFlush { from, .. } => from,
             Event::Deliver { to, .. } => to,
         }
     }

@@ -77,30 +77,19 @@ impl Engine {
         if !self.sites[site.index()].up {
             return; // already down (overlapping windows are pre-merged)
         }
-        // Outbox lanes hold payloads the machine already considers sent;
-        // links are reliable (§1.1), so flush them onto the wire before
-        // the site goes dark rather than silently dropping them.
-        let dests: Vec<SiteId> = self.sites[site.index()].outbox.keys().copied().collect();
-        for to in dests {
-            self.flush_lane(now, site, to);
-        }
         self.sites[site.index()].up = false;
         self.sites[site.index()].tick_gen += 1;
         self.metrics.on_crash(site, now);
 
-        // The appliers' partial work is undone, but their messages were
-        // durably received: the machine puts them back at the heads of
-        // their queues (in admission order) so the restarted site
-        // re-applies them in order, and drops its volatile
-        // prepare/eager state.
+        // The applier's partial work is undone, but its message was
+        // durably received: the machine puts it back at the head of its
+        // queue so the restarted site re-applies it in order, and drops
+        // its volatile prepare/eager state.
         {
             let st = &mut self.sites[site.index()];
-            let appliers = std::mem::take(&mut st.appliers);
-            if !appliers.is_empty() {
+            if let Some(a) = st.applier.take() {
                 st.applier_gen += 1;
                 st.sec_wait_seq += 1;
-            }
-            for a in appliers {
                 if st.owner.remove(&a.local).is_some() {
                     let _ = st.store.abort(a.local);
                 }

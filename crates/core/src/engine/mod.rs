@@ -28,7 +28,9 @@ mod secondary;
 use std::sync::Arc;
 
 use repl_copygraph::{BackEdgeSet, CopyGraph, DataPlacement, PropagationTree};
-use repl_protocol::{Command as ProtoCommand, Input, Payload, ProtocolId, SiteMachine};
+use repl_protocol::{
+    Command as ProtoCommand, Input, Payload, ProtocolError, ProtocolId, SiteMachine,
+};
 use repl_sim::{EventQueue, Network, SimDuration, SimTime};
 use repl_storage::TxnId;
 use repl_types::{GlobalTxnId, ItemId, Op, SiteId, Value};
@@ -198,12 +200,8 @@ impl Engine {
         };
         if let Some(pid) = machine_protocol {
             for s in &mut sites {
-                let mut m =
-                    SiteMachine::new(s.id, pid, placement.clone(), graph.clone(), tree.clone())
-                        .expect("engine builds a tree for tree-routed protocols");
-                m.set_apply_window(params.apply_pool.max(1) as usize);
-                m.set_send_coalescing(params.batch_size > 1);
-                s.machine = Some(m);
+                let m = SiteMachine::new(s.id, pid, placement.clone(), graph.clone(), tree.clone());
+                s.machine = Some(m.expect("engine builds a tree for tree-routed protocols"));
             }
         }
 
@@ -360,7 +358,6 @@ impl Engine {
             Event::BackedgeStepDone { site, gid, idx } => {
                 self.backedge_step_done(now, site, gid, idx)
             }
-            Event::LinkFlush { from, to, gen } => self.link_flush(now, from, to, gen),
             Event::SiteCrash { .. } | Event::SiteRestart { .. } => unreachable!("handled above"),
         }
     }
@@ -373,14 +370,6 @@ impl Engine {
             Message::Link { from, payload } => {
                 let cmds = self.machine_input(to, Input::Deliver { from, payload });
                 self.run_commands(now, to, cmds);
-            }
-            Message::LinkBatch { from, payloads } => {
-                // One msg_cpu slice (charged above) covers the whole
-                // frame — the batching win on the receive path.
-                for payload in payloads {
-                    let cmds = self.machine_input(to, Input::Deliver { from, payload });
-                    self.run_commands(now, to, cmds);
-                }
             }
             Message::BackedgeAbortReq { gid } => self.recv_backedge_abort_req(now, to, gid),
             Message::RemoteLockReq { item, exclusive, value, gid, origin_site, origin_thread } => {
@@ -422,25 +411,10 @@ impl Engine {
     pub(crate) fn run_commands(&mut self, now: SimTime, site: SiteId, cmds: Vec<ProtoCommand>) {
         for cmd in cmds {
             match cmd {
-                ProtoCommand::Send { to, payload } => {
-                    self.queue_link(now, site, to, payload);
-                }
-                ProtoCommand::SendBatch { to, payloads } => {
-                    for payload in payloads {
-                        self.queue_link(now, site, to, payload);
-                    }
-                }
+                ProtoCommand::Send { to, payload } => self.send_link(now, site, to, payload),
                 ProtoCommand::CommitLocal { gid } => self.commit_local_ready(now, site, gid),
                 ProtoCommand::Apply { gid, writes } => {
                     self.start_applier(now, site, gid, writes, false)
-                }
-                ProtoCommand::ApplyMany { subs } => {
-                    // Admission order = serial order; the appliers run
-                    // concurrently (write-disjoint) but commit in this
-                    // exact order, front-of-window first.
-                    for (gid, writes) in subs {
-                        self.start_applier(now, site, gid, writes, false);
-                    }
                 }
                 ProtoCommand::Prepare { gid, origin, writes, queued } => {
                     if queued {
@@ -452,6 +426,10 @@ impl Engine {
                 ProtoCommand::CommitPrepared { gid, .. } => self.commit_prepared(now, site, gid),
                 ProtoCommand::AbortPrepared { gid } => self.abort_prepared(now, site, gid),
                 ProtoCommand::ArmEagerTimeout { gid } => self.arm_eager_timeout(now, site, gid),
+                ProtoCommand::SendBatch | ProtoCommand::ApplyMany => {
+                    let e = ProtocolError::UnrequestedBatch { at: site };
+                    panic!("protocol invariant violated at {site}: {e}")
+                }
             }
         }
         // Machine inputs can drain the last real update at a recovering
@@ -459,68 +437,16 @@ impl Engine {
         self.maybe_mark_recovered(now, site);
     }
 
-    /// DAG(T) dummy suppression: remember when this link last carried a
-    /// subtransaction, so heartbeats skip busy links (§3.3).
-    fn note_sent(&mut self, now: SimTime, site: SiteId, to: SiteId, payload: &Payload) {
+    /// Put one machine-emitted link payload on the wire. DAG(T) also
+    /// remembers when the link last carried a subtransaction, so
+    /// heartbeats skip busy links (§3.3).
+    fn send_link(&mut self, now: SimTime, site: SiteId, to: SiteId, payload: Payload) {
         if self.params.protocol == ProtocolKind::DagT {
             if let Payload::Subtxn(_) = payload {
                 self.sites[site.index()].last_sent.insert(to, now);
             }
         }
-    }
-
-    /// Route one machine-emitted link payload: straight onto the wire at
-    /// `batch_size = 1` (the seed path, byte-identical), otherwise into
-    /// the per-destination outbox lane, which flushes when it reaches
-    /// `batch_size` payloads or its `batch_linger` deadline fires.
-    fn queue_link(&mut self, now: SimTime, site: SiteId, to: SiteId, payload: Payload) {
-        self.note_sent(now, site, to, &payload);
-        if self.params.batch_size <= 1 {
-            self.send(now, site, to, Message::Link { from: site, payload });
-            return;
-        }
-        let lane = self.sites[site.index()].outbox.entry(to).or_default();
-        lane.payloads.push(payload);
-        let (len, gen) = (lane.payloads.len(), lane.gen);
-        if len >= self.params.batch_size as usize {
-            self.flush_lane(now, site, to);
-        } else if len == 1 {
-            // First payload into an empty lane: arm its linger deadline.
-            // A by-size flush bumps the gen, killing this event; the
-            // next fill arms a fresh one, so a non-empty lane always has
-            // exactly one live flush pending.
-            self.queue
-                .push_at(now + self.params.batch_linger, Event::LinkFlush { from: site, to, gen });
-        }
-    }
-
-    /// A lane's linger deadline fired.
-    pub(crate) fn link_flush(&mut self, now: SimTime, from: SiteId, to: SiteId, gen: u64) {
-        let live = self.sites[from.index()]
-            .outbox
-            .get(&to)
-            .map(|lane| lane.gen == gen && !lane.payloads.is_empty())
-            .unwrap_or(false);
-        if live {
-            self.flush_lane(now, from, to);
-        }
-    }
-
-    /// Put a lane's contents on the wire as one frame (a single payload
-    /// degrades to a plain [`Message::Link`] for parity with the unbatched
-    /// path) and bump its generation.
-    pub(crate) fn flush_lane(&mut self, now: SimTime, from: SiteId, to: SiteId) {
-        let Some(lane) = self.sites[from.index()].outbox.get_mut(&to) else { return };
-        let payloads = std::mem::take(&mut lane.payloads);
-        lane.gen += 1;
-        match payloads.len() {
-            0 => {}
-            1 => {
-                let payload = payloads.into_iter().next().expect("len checked");
-                self.send(now, from, to, Message::Link { from, payload });
-            }
-            _ => self.send(now, from, to, Message::LinkBatch { from, payloads }),
-        }
+        self.send(now, site, to, Message::Link { from: site, payload });
     }
 
     // ------------------------------------------------------------------
@@ -610,9 +536,9 @@ impl Engine {
             Some(Owner::Primary { thread }) => self.abort_primary(now, site, thread, true),
             Some(Owner::Secondary) => {
                 let gen = self.sites[site.index()]
-                    .appliers
-                    .iter()
-                    .find(|a| a.local == victim)
+                    .applier
+                    .as_ref()
+                    .filter(|a| a.local == victim)
                     .map(|a| a.gen);
                 if let Some(gen) = gen {
                     self.abort_and_resubmit_secondary(now, site, gen);

@@ -1,18 +1,13 @@
-//! The per-site applier pool: the driver half of secondary
-//! subtransactions.
+//! The per-site applier: the driver half of secondary subtransactions.
 //!
-//! Which subtransactions run next — queue admission, DAG(T)'s
+//! Which subtransaction runs next — queue admission, DAG(T)'s
 //! minimum-timestamp rule, dummy consumption, forwarding — is decided by
-//! the shared [`repl_protocol::SiteMachine`] and its `ApplyScheduler`.
-//! This module executes the machine's `Apply`/`ApplyMany` commands
-//! against the simulated store: up to `SimParams::apply_pool`
-//! write-disjoint secondaries execute concurrently (their CPU slices
-//! interleave on the site CPU), but **commits happen strictly in
-//! admission order** — only the front of the window may commit, and
-//! 2PL holds every applier's locks until its commit — so the site's
-//! commit order equals the serial order the paper's protocols require
-//! (§2 FIFO, §3.2.3 minimum timestamp). At `apply_pool = 1` this is
-//! byte-identical to the classic one-at-a-time applier.
+//! the shared [`repl_protocol::SiteMachine`], which admits one at a time
+//! into its applier slot. This module executes the machine's `Apply`
+//! commands (and queued `Prepare`s) against the simulated store, one
+//! item write per `apply_cpu` slice, then commits, so the site's commit
+//! order is the machine's admission order (§2 FIFO, §3.2.3 minimum
+//! timestamp).
 //!
 //! A secondary aborted by a local deadlock is resubmitted until it
 //! succeeds, keeping its original arrival ordinal so the fair victim
@@ -33,10 +28,8 @@ use super::Engine;
 
 impl Engine {
     /// Execute a machine-issued `Apply` (or queued `Prepare`) command:
-    /// open a storage transaction in an applier slot and start writing.
-    /// The writes are already filtered to this site's copies, and the
-    /// machine's scheduler guarantees everything concurrently admitted
-    /// is write-disjoint (specials only enter an empty window).
+    /// open a storage transaction in the applier slot and start writing.
+    /// The writes are already filtered to this site's copies.
     pub(crate) fn start_applier(
         &mut self,
         now: SimTime,
@@ -46,10 +39,7 @@ impl Engine {
         special: bool,
     ) {
         let st = &mut self.sites[site.index()];
-        debug_assert!(
-            !special || st.appliers.is_empty(),
-            "machine admitted a special into a non-empty window"
-        );
+        debug_assert!(st.applier.is_none(), "machine admitted into a busy applier slot");
         let local = st.store.begin();
         st.owner.insert(local, Owner::Secondary);
         let arrival_ord = st.next_arrival;
@@ -57,7 +47,7 @@ impl Engine {
         st.store.locks_mut().set_arrival(local, arrival_ord);
         st.applier_gen += 1;
         let gen = st.applier_gen;
-        st.appliers.push(ActiveSecondary {
+        st.applier = Some(ActiveSecondary {
             gid,
             writes,
             special,
@@ -66,15 +56,14 @@ impl Engine {
             arrival_ord,
             gen,
             blocked: false,
-            exec_done: false,
             committing: false,
             wait_seq: 0,
         });
         self.exec_secondary_step(now, site, gen);
     }
 
-    /// Apply the next item write of applier `gen`, or mark it executed
-    /// (commit happens when it reaches the front of the window).
+    /// Apply the next item write of applier `gen`, or start its commit
+    /// once every write executed.
     fn exec_secondary_step(&mut self, now: SimTime, site: SiteId, gen: u64) {
         let (local, gid, next, special) = {
             let a = self.sites[site.index()].applier_by_gen(gen).expect("applier active");
@@ -108,40 +97,23 @@ impl Engine {
                     // BackEdge: prepare + forward, never commit here.
                     self.special_executed(now, site);
                 } else {
-                    let a = self.sites[site.index()].applier_by_gen(gen).expect("applier active");
-                    a.exec_done = true;
-                    self.maybe_commit_front(now, site);
+                    self.sites[site.index()]
+                        .applier_by_gen(gen)
+                        .expect("applier active")
+                        .committing = true;
+                    let at = self.sites[site.index()].cpu.run(now, self.params.commit_cpu);
+                    self.queue.push_at(at, Event::SecondaryCommitDone { site, gen });
                 }
             }
         }
     }
 
-    /// Start the commit CPU slice for the front applier if it has
-    /// finished executing. Commits are admission-order only: a later
-    /// applier that finished first parks (holding its locks) until it
-    /// becomes the front.
-    fn maybe_commit_front(&mut self, now: SimTime, site: SiteId) {
-        let gen = {
-            let Some(a) = self.sites[site.index()].appliers.first_mut() else { return };
-            if !a.exec_done || a.committing {
-                return;
-            }
-            a.committing = true;
-            a.gen
-        };
-        let at = self.sites[site.index()].cpu.run(now, self.params.commit_cpu);
-        self.queue.push_at(at, Event::SecondaryCommitDone { site, gen });
-    }
-
     pub(crate) fn secondary_step_done(&mut self, now: SimTime, site: SiteId, gen: u64) {
-        let valid = self.sites[site.index()]
-            .applier_by_gen(gen)
-            .map(|a| !a.blocked && !a.exec_done)
-            .unwrap_or(false);
-        if !valid {
+        let Some(a) = self.sites[site.index()].applier_by_gen(gen) else { return };
+        if a.blocked || a.committing {
             return;
         }
-        self.sites[site.index()].applier_by_gen(gen).expect("validated").write_idx += 1;
+        a.write_idx += 1;
         self.exec_secondary_step(now, site, gen);
     }
 
@@ -149,9 +121,8 @@ impl Engine {
     /// was granted.
     pub(crate) fn resume_secondary(&mut self, now: SimTime, site: SiteId, txn: TxnId) {
         let gen = {
-            let st = &mut self.sites[site.index()];
-            let Some(a) = st.appliers.iter_mut().find(|a| a.local == txn) else { return };
-            if !a.blocked {
+            let Some(a) = self.sites[site.index()].applier.as_mut() else { return };
+            if a.local != txn || !a.blocked {
                 return;
             }
             a.blocked = false;
@@ -162,9 +133,9 @@ impl Engine {
 
     pub(crate) fn secondary_timeout(&mut self, now: SimTime, site: SiteId, wait_seq: u64) {
         let Some(gen) = self.sites[site.index()]
-            .appliers
-            .iter()
-            .find(|a| a.blocked && a.wait_seq == wait_seq)
+            .applier
+            .as_ref()
+            .filter(|a| a.blocked && a.wait_seq == wait_seq)
             .map(|a| a.gen)
         else {
             return; // resumed or resubmitted since; the timeout is stale
@@ -185,65 +156,42 @@ impl Engine {
 
     /// Deadlock-abort applier `gen` and immediately resubmit it (§2:
     /// "repeatedly resubmitted until it succeeds"), keeping its arrival
-    /// ordinal for fair victim selection. Every applier admitted *after*
-    /// it is aborted and resubmitted too: later appliers hold their
-    /// locks while waiting for the front to commit, an edge the lock
-    /// waits-for graph cannot see, so releasing the whole tail is what
-    /// guarantees the cycle is broken. At `apply_pool = 1` this is
-    /// exactly the classic single-applier resubmit. The machine's
-    /// `Apply` commands stay outstanding across resubmissions, so it
-    /// needs no input here.
+    /// ordinal for fair victim selection. The machine's `Apply` command
+    /// stays outstanding across resubmissions, so it needs no input
+    /// here.
     pub(crate) fn abort_and_resubmit_secondary(&mut self, now: SimTime, site: SiteId, gen: u64) {
         let st = &mut self.sites[site.index()];
-        let Some(start) = st.appliers.iter().position(|a| a.gen == gen) else { return };
-        let tail_gens: Vec<u64> = st.appliers[start..].iter().map(|a| a.gen).collect();
-        let mut granted_all = Vec::new();
-        for k in (start..st.appliers.len()).rev() {
-            let local = st.appliers[k].local;
-            st.owner.remove(&local);
-            let granted = st.store.abort(local).expect("abort live secondary");
-            granted_all.extend(granted);
-        }
-        self.resume_granted(now, site, granted_all);
-        for g in tail_gens {
-            let st = &mut self.sites[site.index()];
-            // The applier can vanish while earlier grants cascade (e.g.
-            // a BackEdge decision clearing a prepared special).
-            let Some(idx) = st.appliers.iter().position(|a| a.gen == g) else { continue };
-            let arrival_ord = st.appliers[idx].arrival_ord;
-            let local = st.store.begin();
-            st.owner.insert(local, Owner::Secondary);
-            st.store.locks_mut().set_arrival(local, arrival_ord);
-            st.applier_gen += 1;
-            let new_gen = st.applier_gen;
-            let a = &mut st.appliers[idx];
-            a.local = local;
-            a.write_idx = 0;
-            a.blocked = false;
-            a.exec_done = false;
-            a.committing = false;
-            a.gen = new_gen;
-            a.wait_seq = 0;
-            self.exec_secondary_step(now, site, new_gen);
-        }
+        let Some(local) = st.applier_by_gen(gen).map(|a| a.local) else { return };
+        st.owner.remove(&local);
+        let granted = st.store.abort(local).expect("abort live secondary");
+        self.resume_granted(now, site, granted);
+        let st = &mut self.sites[site.index()];
+        // The applier can vanish while the grants cascade (e.g. a
+        // BackEdge decision clearing a prepared special).
+        let Some(arrival_ord) = st.applier_by_gen(gen).map(|a| a.arrival_ord) else { return };
+        let local = st.store.begin();
+        st.owner.insert(local, Owner::Secondary);
+        st.store.locks_mut().set_arrival(local, arrival_ord);
+        st.applier_gen += 1;
+        let new_gen = st.applier_gen;
+        let a = st.applier.as_mut().expect("found above");
+        a.local = local;
+        a.write_idx = 0;
+        a.blocked = false;
+        a.committing = false;
+        a.gen = new_gen;
+        a.wait_seq = 0;
+        self.exec_secondary_step(now, site, new_gen);
     }
 
-    /// The front applier committed: pop it from the window, record
-    /// metrics, and tell the machine — it merges timestamps, forwards
-    /// down the tree, and pumps the next subtransactions.
+    /// The applier committed: empty the slot, record metrics, and tell
+    /// the machine — it merges timestamps, forwards down the tree, and
+    /// pumps the next subtransaction.
     pub(crate) fn secondary_commit_done(&mut self, now: SimTime, site: SiteId, gen: u64) {
-        let valid = self.sites[site.index()]
-            .appliers
-            .first()
-            .map(|a| a.gen == gen && a.committing)
-            .unwrap_or(false);
-        if !valid {
-            return;
-        }
-        let a = self.sites[site.index()].appliers.remove(0);
-        self.sites[site.index()].owner.remove(&a.local);
-        let (_, granted) =
-            self.sites[site.index()].store.commit(a.local).expect("commit live secondary");
+        let st = &mut self.sites[site.index()];
+        let Some(a) = st.applier.take_if(|a| a.gen == gen && a.committing) else { return };
+        st.owner.remove(&a.local);
+        let (_, granted) = st.store.commit(a.local).expect("commit live secondary");
         self.resume_granted(now, site, granted);
 
         if !a.writes.is_empty() {
@@ -251,11 +199,8 @@ impl Engine {
             self.sites[site.index()].wal_len += a.writes.len() as u64;
         }
 
-        // Applied is fed in admission order because only the front ever
-        // commits — exactly the serial order the machine expects.
         let cmds = self.machine_input(site, Input::Applied { gid: a.gid });
         self.run_commands(now, site, cmds);
-        self.maybe_commit_front(now, site);
     }
 
     // ------------------------------------------------------------------

@@ -5,9 +5,9 @@
 //! driver-side state the simulator owns — storage transactions, CPU
 //! accounting, threads, lock waits and crash/recovery bookkeeping.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
-use repl_protocol::{Payload, SiteMachine};
+use repl_protocol::SiteMachine;
 use repl_sim::{CpuQueue, SimTime};
 use repl_storage::{SnapshotId, Store, TxnId};
 use repl_types::{GlobalTxnId, ItemId, Op, SiteId};
@@ -104,9 +104,9 @@ impl ThreadState {
     }
 }
 
-/// The secondary subtransaction currently being applied at a site. The
-/// machine picked it and pre-filtered the writes to this site's copies;
-/// the driver just executes them under the local lock manager.
+/// The secondary subtransaction in a site's applier slot. The machine
+/// picked it and pre-filtered the writes to this site's copies; the
+/// driver just executes them under the local lock manager.
 #[derive(Clone, Debug)]
 pub struct ActiveSecondary {
     /// The transaction whose writes these are.
@@ -125,30 +125,15 @@ pub struct ActiveSecondary {
     pub arrival_ord: u64,
     /// Generation guard: unique per admitted applier (and bumped on
     /// deadlock resubmission), so stale CPU-completion events are
-    /// ignored and events find their applier in the window.
+    /// ignored.
     pub gen: u64,
     /// True while blocked on a local lock.
     pub blocked: bool,
-    /// True once every write executed; the applier then waits its turn
-    /// to commit (commits happen strictly in admission order).
-    pub exec_done: bool,
-    /// True while the commit CPU slice is in flight.
+    /// True once every write executed and the commit CPU slice is in
+    /// flight.
     pub committing: bool,
     /// Wait-sequence guard for this applier's lock-wait timeouts.
     pub wait_seq: u64,
-}
-
-/// An outbox lane: link payloads for one destination, held back until
-/// the lane reaches `SimParams::batch_size` or its linger deadline.
-#[derive(Clone, Debug, Default)]
-pub struct OutLane {
-    /// Payloads queued for the destination, in send order.
-    pub payloads: Vec<Payload>,
-    /// Bumped on every flush so pending [`Event::LinkFlush`] events for
-    /// earlier fills are recognised as stale.
-    ///
-    /// [`Event::LinkFlush`]: super::event::Event::LinkFlush
-    pub gen: u64,
 }
 
 /// A BackEdge backedge/special subtransaction executing or prepared at a
@@ -213,11 +198,10 @@ pub struct SiteState {
     /// The sans-I/O propagation state machine for this site. `None` for
     /// PSL/Eager, which do not propagate lazily.
     pub machine: Option<SiteMachine>,
-    /// Subtransactions currently being applied, in admission order. The
-    /// machine admits up to `SimParams::apply_pool` write-disjoint
-    /// subtransactions; only the front may commit, so the site commit
-    /// order equals the admission (serial) order.
-    pub appliers: Vec<ActiveSecondary>,
+    /// The subtransaction being applied, mirroring the machine's
+    /// applier slot: one at a time, so the site commit order is the
+    /// machine's admission order.
+    pub applier: Option<ActiveSecondary>,
     /// Monotone generation counter for applier guards.
     pub applier_gen: u64,
     /// Wait-sequence counter for the applier's timeouts.
@@ -255,10 +239,6 @@ pub struct SiteState {
     /// Update commits since the last fsync-equivalent (group commit):
     /// every `SimParams::group_commit_batch`-th one pays `fsync_cpu`.
     pub commits_since_fsync: u32,
-    /// Outbox lanes keyed by destination (`SimParams::batch_size` > 1):
-    /// link sends park here until the lane fills or its linger deadline
-    /// fires. BTreeMap so flush-all orders are deterministic.
-    pub outbox: BTreeMap<SiteId, OutLane>,
 }
 
 impl SiteState {
@@ -275,7 +255,7 @@ impl SiteState {
                 .collect(),
             owner: HashMap::new(),
             machine: None,
-            appliers: Vec::new(),
+            applier: None,
             applier_gen: 0,
             sec_wait_seq: 0,
             next_arrival: 0,
@@ -290,7 +270,6 @@ impl SiteState {
             recovering: false,
             tick_gen: 0,
             commits_since_fsync: 0,
-            outbox: BTreeMap::new(),
         }
     }
 
@@ -303,12 +282,12 @@ impl SiteState {
 
     /// True when every incoming queue is empty and no applier is active.
     pub fn secondaries_idle(&self) -> bool {
-        self.appliers.is_empty() && self.machine.as_ref().is_none_or(SiteMachine::secondaries_idle)
+        self.applier.is_none() && self.machine.as_ref().is_none_or(SiteMachine::secondaries_idle)
     }
 
-    /// Look up an active applier by its generation guard.
+    /// The applier, if its generation guard is `gen`.
     pub fn applier_by_gen(&mut self, gen: u64) -> Option<&mut ActiveSecondary> {
-        self.appliers.iter_mut().find(|a| a.gen == gen)
+        self.applier.as_mut().filter(|a| a.gen == gen)
     }
 
     /// True when no *update-carrying* secondary work is pending: the
@@ -318,7 +297,6 @@ impl SiteState {
     /// never see fully-empty queues — but once only dummies remain, its
     /// backlog of real updates has been applied.
     pub fn no_pending_updates(&self) -> bool {
-        self.appliers.is_empty()
-            && self.machine.as_ref().is_none_or(SiteMachine::no_pending_updates)
+        self.applier.is_none() && self.machine.as_ref().is_none_or(SiteMachine::no_pending_updates)
     }
 }

@@ -65,13 +65,6 @@ fn drive(machines: &mut [SiteMachine], n: u64) -> u64 {
                         }
                     }
                     Command::Apply { gid, .. } => work.push((site, Input::Applied { gid })),
-                    // Completions must be fed in admission order; the
-                    // work list is a stack, so push in reverse.
-                    Command::ApplyMany { subs } => {
-                        for (gid, _) in subs.into_iter().rev() {
-                            work.push((site, Input::Applied { gid }));
-                        }
-                    }
                     Command::Prepare { gid, .. } => work.push((site, Input::Prepared { gid })),
                     Command::Send { to, payload } => {
                         work.push((
@@ -79,17 +72,12 @@ fn drive(machines: &mut [SiteMachine], n: u64) -> u64 {
                             Input::Deliver { from: SiteId(site as u32), payload },
                         ));
                     }
-                    Command::SendBatch { to, payloads } => {
-                        for payload in payloads.into_iter().rev() {
-                            work.push((
-                                to.index(),
-                                Input::Deliver { from: SiteId(site as u32), payload },
-                            ));
-                        }
-                    }
                     Command::CommitPrepared { .. }
                     | Command::AbortPrepared { .. }
                     | Command::ArmEagerTimeout { .. } => {}
+                    Command::SendBatch | Command::ApplyMany => {
+                        unreachable!("no machine emits a batched command")
+                    }
                 }
             }
         }

@@ -35,13 +35,11 @@
 pub mod digest;
 pub mod machine;
 pub mod route;
-pub mod sched;
 pub mod timestamp;
 pub mod wire;
 
 pub use digest::StableDigest;
 pub use machine::{Command, Input, ProtocolError, ProtocolId, SeededBug, SiteMachine};
 pub use route::{destinations, dummy_gid, planned_writes, write_set_in_order, writes_for_site};
-pub use sched::ApplyScheduler;
 pub use timestamp::Timestamp;
 pub use wire::{Payload, Subtxn, SubtxnKind};

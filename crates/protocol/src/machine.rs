@@ -38,7 +38,6 @@ use repl_types::{GlobalTxnId, ItemId, SiteId, Value};
 use crate::digest::StableDigest;
 use crate::digest::{digest_gid, digest_site, digest_subtxn, digest_timestamp, digest_writes};
 use crate::route::{destinations, dummy_gid, writes_for_site};
-use crate::sched::{ApplyScheduler, InFlight};
 use crate::timestamp::Timestamp;
 use crate::wire::{Payload, Subtxn, SubtxnKind};
 
@@ -111,20 +110,19 @@ pub enum ProtocolError {
         origin: SiteId,
     },
     /// The driver reported [`Input::Applied`] for a subtransaction that
-    /// is not the oldest one in the apply window. Completions are
-    /// released in admission order; a driver that reports them in any
-    /// other order has committed them in that order too.
+    /// is not the one in the applier slot. The machine changes nothing
+    /// on this error.
     OutOfOrderCompletion {
         /// The subtransaction reported applied.
         gid: GlobalTxnId,
-        /// The window front it should have been (`None`: nothing was in
+        /// The subtransaction in the slot (`None`: nothing was in
         /// flight).
         front: Option<GlobalTxnId>,
     },
-    /// A driver that never widened the apply window nor enabled send
-    /// coalescing was handed [`Command::ApplyMany`] or
-    /// [`Command::SendBatch`]. Raised by such drivers, not by the
-    /// machine: it is the machine's invariant that was broken.
+    /// A driver was handed [`Command::ApplyMany`] or
+    /// [`Command::SendBatch`], which no machine emits. Raised by the
+    /// driver, not by the machine: it is the machine's invariant that
+    /// was broken.
     UnrequestedBatch {
         /// The site whose machine emitted the command.
         at: SiteId,
@@ -147,13 +145,13 @@ impl fmt::Display for ProtocolError {
                 write!(f, "{at} has no tree route toward origin {origin}")
             }
             ProtocolError::OutOfOrderCompletion { gid, front: Some(front) } => {
-                write!(f, "{gid} reported applied ahead of the apply-window front {front}")
+                write!(f, "{gid} reported applied while {front} holds the applier slot")
             }
             ProtocolError::OutOfOrderCompletion { gid, front: None } => {
                 write!(f, "{gid} reported applied with nothing in flight")
             }
             ProtocolError::UnrequestedBatch { at } => {
-                write!(f, "{at} emitted a batched command its driver never enabled")
+                write!(f, "{at} emitted a batched command, which no machine emits")
             }
         }
     }
@@ -273,31 +271,15 @@ pub enum Command {
         /// The payload to ship.
         payload: Payload,
     },
-    /// Ship `payloads` on the reliable FIFO link to `to`, in order, as
-    /// one coalesced batch (one simulated message). Equivalent to the
-    /// same sequence of [`Command::Send`]s; emitted only when the driver
-    /// opted in via [`SiteMachine::set_send_coalescing`] — which only
-    /// the simulator does — and only for runs of at least two payloads.
-    SendBatch {
-        /// The destination site.
-        to: SiteId,
-        /// The payloads to ship, in send order.
-        payloads: Vec<Payload>,
-    },
-    /// Apply several non-conflicting secondary subtransactions whose
-    /// executions may overlap. Admission (vector) order is the serial
-    /// order: the driver must commit them in that order and feed back
-    /// one [`Input::Applied`] per entry, in that order, even if the
-    /// executions themselves ran in parallel. Emitted only when the
-    /// driver widened the apply window past 1
-    /// ([`SiteMachine::set_apply_window`]) — which only the simulator
-    /// does — and only for at least two admissions in one scheduling
-    /// pass.
-    ApplyMany {
-        /// `(gid, site-filtered writes)` per admitted subtransaction,
-        /// in admission order.
-        subs: Vec<(GlobalTxnId, Vec<(ItemId, Value)>)>,
-    },
+    /// Nothing emits this. It named the coalesced sends of the removed
+    /// batching study; the variant stays only because the benchmark
+    /// package's probe still matches it, and it goes when that arm does.
+    /// A driver handed it reports [`ProtocolError::UnrequestedBatch`].
+    SendBatch,
+    /// Nothing emits this. It named the overlapped applies of the
+    /// removed apply window; it stays, and goes, with
+    /// [`Command::SendBatch`].
+    ApplyMany,
     /// Arm a safety timeout for the eager phase of `gid` (drivers
     /// without timeout machinery may ignore this).
     ArmEagerTimeout {
@@ -328,6 +310,18 @@ pub enum SeededBug {
     SkipForward,
 }
 
+/// The subtransaction occupying a site's applier slot.
+#[derive(Clone)]
+struct InFlight {
+    /// The admitted record.
+    sub: Subtxn,
+    /// The queue it was admitted from (a crash puts it back there).
+    queue: usize,
+    /// True when the slot holds a BackEdge special executing toward
+    /// prepared rather than a normal apply.
+    prepare: bool,
+}
+
 /// The pure protocol state machine for one site. See the module docs for
 /// the machine/driver split.
 #[derive(Clone)]
@@ -337,21 +331,22 @@ pub struct SiteMachine {
     placement: Arc<DataPlacement>,
     graph: Arc<CopyGraph>,
     tree: Option<Arc<PropagationTree>>,
-    /// The partial-order apply scheduler: owns the incoming per-parent
-    /// queues and the in-flight window. With the default window of 1 it
-    /// is exactly the seed's single applier slot (§3.2.3's simplifying
-    /// assumption; what FIFO commit order in DAG(WT) requires).
-    sched: ApplyScheduler,
-    /// Merge adjacent same-destination sends into [`Command::SendBatch`]
-    /// (driver opt-in; off by default so existing drivers see an
-    /// unchanged command stream).
-    coalesce_sends: bool,
+    /// Incoming subtransaction queues, keyed by sender. NaiveLazy: one
+    /// arrival-ordered catch-all (keyed by the local site). DAG(WT)/
+    /// BackEdge: the tree parent's queue. DAG(T): one per copy-graph
+    /// parent.
+    queues: Vec<(SiteId, VecDeque<Subtxn>)>,
+    /// The applier slot: the one admitted subtransaction being applied
+    /// (or, for a queued BackEdge special, prepared). One at a time is
+    /// §3.2.3's simplifying assumption and what FIFO commit order in
+    /// DAG(WT) requires.
+    busy: Option<InFlight>,
     /// DAG(T) local transaction counter (§3.1).
     lts: u64,
     /// DAG(T) site timestamp (§3.2).
     site_ts: Timestamp,
     /// BackEdge specials executing toward prepared, by gid (direct
-    /// arrivals from the origin; queued ones live in `busy`).
+    /// arrivals from the origin; a queued one lives in `busy`).
     preparing: BTreeMap<GlobalTxnId, Subtxn>,
     /// BackEdge specials holding prepared writes, awaiting a decision.
     prepared: BTreeMap<GlobalTxnId, Vec<(ItemId, Value)>>,
@@ -373,7 +368,6 @@ impl fmt::Debug for SiteMachine {
             .field("protocol", &self.protocol)
             .field("queues", &self.queue_summary())
             .field("busy", &self.busy_gid())
-            .field("window", &self.sched.window())
             .field("site_ts", &self.site_ts)
             .finish_non_exhaustive()
     }
@@ -412,8 +406,8 @@ impl SiteMachine {
             placement,
             graph,
             tree,
-            sched: ApplyScheduler::new(queues),
-            coalesce_sends: false,
+            queues,
+            busy: None,
             lts: 0,
             site_ts: Timestamp::initial(me),
             preparing: BTreeMap::new(),
@@ -445,63 +439,27 @@ impl SiteMachine {
         &self.site_ts
     }
 
-    /// Widen the apply window to `window` concurrent secondary
-    /// subtransactions (clamped to at least 1). With a window above 1
-    /// the machine may emit [`Command::ApplyMany`]; the driver must then
-    /// overlap executions but commit — and report
-    /// [`Input::Applied`] — in admission order, or the machine answers
-    /// [`ProtocolError::OutOfOrderCompletion`]. Call once at
-    /// construction time, before any input: the window is driver
-    /// configuration, not protocol state.
-    ///
-    /// This and [`SiteMachine::set_send_coalescing`] are the simulator's
-    /// `prop_sweep` study: its virtual worker pool overlaps executions
-    /// and completes them in admission order. The live site runs one
-    /// transaction at a time, so a window there overlapped nothing, and
-    /// it never calls either (DESIGN.md §14.4).
-    pub fn set_apply_window(&mut self, window: usize) {
-        self.sched.set_window(window);
-    }
-
-    /// The configured apply window.
-    pub fn apply_window(&self) -> usize {
-        self.sched.window()
-    }
-
-    /// Opt in to [`Command::SendBatch`]: adjacent same-destination sends
-    /// in one input's command list are merged into a single batch
-    /// command. Off by default; see [`SiteMachine::set_apply_window`]
-    /// for who turns it on.
-    pub fn set_send_coalescing(&mut self, on: bool) {
-        self.coalesce_sends = on;
-    }
-
-    /// True when the apply window is empty and every incoming queue is
+    /// True when the applier slot is empty and every incoming queue is
     /// empty (the quiescence test drivers poll).
     pub fn secondaries_idle(&self) -> bool {
-        self.sched.idle()
+        self.busy.is_none() && self.queues.iter().all(|(_, q)| q.is_empty())
     }
 
     /// True when nothing but DAG(T) dummies is queued and nothing is
     /// applying: a recovering site with this property has caught up.
     pub fn no_pending_updates(&self) -> bool {
-        self.sched.only_dummies_queued()
+        self.busy.is_none()
+            && self.queues.iter().all(|(_, q)| q.iter().all(|sub| sub.kind == SubtxnKind::Dummy))
     }
 
     /// Queue occupancy by sender, for stall diagnostics.
     pub fn queue_summary(&self) -> Vec<(SiteId, usize)> {
-        self.sched.queue_summary()
+        self.queues.iter().map(|(s, q)| (*s, q.len())).collect()
     }
 
-    /// The oldest in-flight subtransaction, if any (the only one, under
-    /// the default window of 1).
+    /// The subtransaction in the applier slot, if any.
     pub fn busy_gid(&self) -> Option<GlobalTxnId> {
-        self.sched.front_gid()
-    }
-
-    /// Number of subtransactions currently occupying apply-window slots.
-    pub fn inflight_len(&self) -> usize {
-        self.sched.inflight_len()
+        self.busy.as_ref().map(|f| f.sub.gid)
     }
 
     /// Absorb this machine's full protocol state into `d`, canonically.
@@ -526,7 +484,23 @@ impl SiteMachine {
             ProtocolId::DagT => 2,
             ProtocolId::BackEdge => 3,
         });
-        self.sched.fingerprint(d);
+        d.write_usize(self.queues.len());
+        for (sender, q) in &self.queues {
+            digest_site(d, *sender);
+            d.write_usize(q.len());
+            for sub in q {
+                digest_subtxn(d, sub);
+            }
+        }
+        // A slot count of 0 or 1, then the entry: the bytes a window of
+        // in-flight entries wrote, so digests predating the single slot
+        // still match.
+        d.write_usize(usize::from(self.busy.is_some()));
+        if let Some(f) = &self.busy {
+            digest_subtxn(d, &f.sub);
+            d.write_usize(f.queue);
+            d.write_u8(u8::from(f.prepare));
+        }
         d.write_u64(self.lts);
         digest_timestamp(d, &self.site_ts);
         d.write_usize(self.preparing.len());
@@ -567,9 +541,6 @@ impl SiteMachine {
             Input::HeartbeatTick { idle_children } => self.heartbeat(&idle_children, &mut out),
             Input::EpochTick => self.site_ts.epoch += 1,
             Input::Crashed => self.crashed(),
-        }
-        if self.coalesce_sends {
-            out = coalesce_send_runs(out);
         }
         Ok(out)
     }
@@ -739,17 +710,16 @@ impl SiteMachine {
                 // A special arriving from anywhere but our queue parent is
                 // the origin's direct send to its farthest ancestor
                 // (§4.1 step 1): prepare it without the applier slot.
-                if sub.kind == SubtxnKind::Special && self.sched.queue_index(from).is_none() {
+                if sub.kind == SubtxnKind::Special && self.queue_index(from).is_none() {
                     return self.direct_special(sub, out);
                 }
                 let qi = match self.protocol {
                     ProtocolId::NaiveLazy => 0,
                     _ => self
-                        .sched
                         .queue_index(from)
                         .ok_or(ProtocolError::UnknownLink { at: self.me, from })?,
                 };
-                self.sched.enqueue(qi, sub);
+                self.queues[qi].1.push_back(sub);
                 self.pump(out)
             }
         }
@@ -775,7 +745,7 @@ impl SiteMachine {
             // special coming home, which requires our forward first).
             debug_assert!(!commit, "commit decision for a special not yet prepared");
             out.push(Command::AbortPrepared { gid });
-        } else if self.sched.take_prepare(gid).is_some() {
+        } else if self.take_prepare(gid).is_some() {
             debug_assert!(!commit, "commit decision for a special not yet prepared");
             out.push(Command::AbortPrepared { gid });
             // The applier slot is free again; schedule the next arrival.
@@ -809,7 +779,7 @@ impl SiteMachine {
         gid: GlobalTxnId,
         out: &mut Vec<Command>,
     ) -> Result<(), ProtocolError> {
-        let (sub, from_queue) = if let Some(inflight) = self.sched.take_prepare(gid) {
+        let (sub, from_queue) = if let Some(inflight) = self.take_prepare(gid) {
             (inflight.sub, true)
         } else if let Some(sub) = self.preparing.remove(&gid) {
             (sub, false)
@@ -830,15 +800,17 @@ impl SiteMachine {
         Ok(())
     }
 
-    /// The driver finished applying the in-flight subtransaction:
+    /// The driver finished applying the subtransaction in the slot:
     /// forward (DAG(WT)/BackEdge) or merge the timestamp (DAG(T)), then
     /// schedule the next one.
     fn applied(&mut self, gid: GlobalTxnId, out: &mut Vec<Command>) -> Result<(), ProtocolError> {
-        // Completions are released in admission order: the driver
-        // commits overlapped applies in admission order, so the front of
-        // the window is always the next legal completion.
-        let Some(inflight) = self.sched.complete_front(gid) else {
-            return Err(ProtocolError::OutOfOrderCompletion { gid, front: self.sched.front_gid() });
+        let inflight = match self.busy.take() {
+            Some(f) if f.sub.gid == gid => f,
+            other => {
+                let front = other.as_ref().map(|f| f.sub.gid);
+                self.busy = other;
+                return Err(ProtocolError::OutOfOrderCompletion { gid, front });
+            }
         };
         match self.protocol {
             ProtocolId::DagWt | ProtocolId::BackEdge => {
@@ -859,22 +831,13 @@ impl SiteMachine {
     // Queue scheduling.
     // ------------------------------------------------------------------
 
-    /// While the scheduler admits something — window capacity free, the
-    /// protocol's ordering rule picks a queue head, and (past the first
-    /// slot) write sets are disjoint — start it. Dummies and home-coming
-    /// specials are consumed inline (they occupy no applier time), so
-    /// this loops until nothing is admissible.
-    ///
-    /// With a window above 1 a single pass may admit several
-    /// non-conflicting normals; those are emitted as one
-    /// [`Command::ApplyMany`] so the driver can overlap their
-    /// executions. A single admission stays a plain [`Command::Apply`],
-    /// which keeps the default window's command stream byte-identical to
-    /// the seed's single-slot machine.
+    /// While the slot is free and the protocol's ordering rule picks a
+    /// queue head, start it. Dummies and home-coming specials are
+    /// consumed inline (they occupy no applier time), so this loops
+    /// until the slot is taken or nothing is admissible.
     fn pump(&mut self, out: &mut Vec<Command>) -> Result<(), ProtocolError> {
-        let mut admitted: Vec<(GlobalTxnId, Vec<(ItemId, Value)>)> = Vec::new();
-        while let Some(qi) = self.sched.pick(self.protocol, self.bug)? {
-            let sub = self.sched.admit(qi);
+        while let Some(qi) = self.pick()? {
+            let sub = self.queues[qi].1.pop_front().expect("picked queue is non-empty");
             match sub.kind {
                 SubtxnKind::Dummy => {
                     // §3.3: dummies only push the site timestamp forward.
@@ -900,26 +863,66 @@ impl SiteMachine {
                     let writes = writes_for_site(&self.placement, self.me, &sub.writes);
                     let gid = sub.gid;
                     let origin = sub.origin;
-                    self.sched.begin(InFlight { sub, queue: qi, prepare: true });
+                    self.busy = Some(InFlight { sub, queue: qi, prepare: true });
                     out.push(Command::Prepare { gid, origin, writes, queued: true });
                 }
                 SubtxnKind::Normal => {
                     let writes = writes_for_site(&self.placement, self.me, &sub.writes);
                     let gid = sub.gid;
-                    self.sched.begin(InFlight { sub, queue: qi, prepare: false });
-                    admitted.push((gid, writes));
+                    self.busy = Some(InFlight { sub, queue: qi, prepare: false });
+                    out.push(Command::Apply { gid, writes });
                 }
             }
         }
-        match admitted.len() {
-            0 => {}
-            1 => {
-                let (gid, writes) = admitted.pop().expect("len checked");
-                out.push(Command::Apply { gid, writes });
-            }
-            _ => out.push(Command::ApplyMany { subs: admitted }),
-        }
         Ok(())
+    }
+
+    /// Index of the queue fed by `from`, if any.
+    fn queue_index(&self, from: SiteId) -> Option<usize> {
+        self.queues.iter().position(|(s, _)| *s == from)
+    }
+
+    /// The queue whose head may start now under the protocol's ordering
+    /// rule; `None` while the slot is taken or nothing is admissible.
+    fn pick(&self) -> Result<Option<usize>, ProtocolError> {
+        if self.busy.is_some() {
+            return Ok(None);
+        }
+        match self.protocol {
+            ProtocolId::DagT => self.pick_min_timestamp(),
+            // First (only) non-empty queue, strict FIFO.
+            _ => Ok(self.queues.iter().position(|(_, q)| !q.is_empty())),
+        }
+    }
+
+    /// DAG(T) §3.2.3: only when every incoming queue is non-empty, pick
+    /// the minimum-timestamp head (ties to the lowest queue index).
+    fn pick_min_timestamp(&self) -> Result<Option<usize>, ProtocolError> {
+        if self.queues.is_empty() {
+            return Ok(None);
+        }
+        if self.bug == Some(SeededBug::SkipMinTimestamp) {
+            // Seeded bug: greedy FIFO without the wait-for-all-queues
+            // minimum rule (what the checker must catch).
+            return Ok(self.queues.iter().position(|(_, q)| !q.is_empty()));
+        }
+        let mut best: Option<(usize, &Timestamp)> = None;
+        for (i, (_, q)) in self.queues.iter().enumerate() {
+            // Any empty queue ⇒ wait (progress via dummies, §3.3).
+            let Some(head) = q.front() else { return Ok(None) };
+            let ts = head.ts.as_ref().ok_or(ProtocolError::MissingTimestamp { gid: head.gid })?;
+            match best {
+                Some((_, bts)) if ts >= bts => {}
+                _ => best = Some((i, ts)),
+            }
+        }
+        Ok(best.map(|(i, _)| i))
+    }
+
+    /// Empty the slot if it holds the queued special `gid` (its decision
+    /// or its prepared report arrived).
+    fn take_prepare(&mut self, gid: GlobalTxnId) -> Option<InFlight> {
+        self.busy.take_if(|f| f.prepare && f.sub.gid == gid)
     }
 
     /// §3.2.3: merge a subtransaction's timestamp into the site
@@ -967,10 +970,10 @@ impl SiteMachine {
         }
     }
 
-    /// Crash semantics: every in-flight subtransaction goes back to the
-    /// front of its queue (the driver's store rolled them back; the link
-    /// layer's durable high-water mark means they will not be
-    /// redelivered, so the machine must keep them). All prepare/eager
+    /// Crash semantics: the subtransaction in the slot goes back to the
+    /// front of its queue (the driver's store rolled it back; the link
+    /// layer's durable high-water mark means it will not be
+    /// redelivered, so the machine must keep it). All prepare/eager
     /// bookkeeping is volatile and lost. Queue contents and the site
     /// timestamp survive: the former are re-fed by the reliable link
     /// layer's replay against the durable applied marks, the latter is
@@ -978,62 +981,32 @@ impl SiteMachine {
     /// again. Tombstones persist so a post-restart special arrival is
     /// still dropped.
     fn crashed(&mut self) {
-        self.sched.crashed();
+        if let Some(f) = self.busy.take() {
+            self.queues[f.queue].1.push_front(f.sub);
+        }
         self.preparing.clear();
         self.prepared.clear();
         self.pending_eager.clear();
     }
 }
 
-/// Merge adjacent runs of [`Command::Send`] to the same destination into
-/// one [`Command::SendBatch`] per run. Non-send commands and singleton
-/// runs pass through untouched, and relative order is preserved — the
-/// batch is exactly the same payload sequence the serial commands would
-/// have shipped.
-fn coalesce_send_runs(cmds: Vec<Command>) -> Vec<Command> {
-    let mut out: Vec<Command> = Vec::with_capacity(cmds.len());
-    for cmd in cmds {
-        let Command::Send { to, payload } = cmd else {
-            out.push(cmd);
-            continue;
-        };
-        // Extend a batch already forming for this destination, or start
-        // one by folding in the previous single send.
-        let same_dest_batch =
-            matches!(out.last(), Some(Command::SendBatch { to: prev, .. }) if *prev == to);
-        let same_dest_single =
-            matches!(out.last(), Some(Command::Send { to: prev, .. }) if *prev == to);
-        if same_dest_batch {
-            if let Some(Command::SendBatch { payloads, .. }) = out.last_mut() {
-                payloads.push(payload);
-            }
-        } else if same_dest_single {
-            if let Some(Command::Send { payload: first, .. }) = out.pop() {
-                out.push(Command::SendBatch { to, payloads: vec![first, payload] });
-            }
-        } else {
-            out.push(Command::Send { to, payload });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The order that wedged a live DAG(T) replica under `--apply-pool 4`:
-    /// two admitted subtransactions, the younger one reported applied
-    /// first. The machine must refuse it with a typed error (a driver
-    /// poisons its site on one) and still accept the right order after.
-    #[test]
-    fn out_of_order_completion_is_a_typed_error_at_window_two() {
+    fn gid(seq: u64) -> GlobalTxnId {
+        GlobalTxnId::new(SiteId(0), seq)
+    }
+
+    /// Site 1 of a two-site DAG(WT) chain, and two items s0 replicates
+    /// there.
+    fn replica() -> (SiteMachine, ItemId, ItemId) {
         let mut placement = DataPlacement::new(2);
         let a = placement.add_item(SiteId(0), &[SiteId(1)]);
         let b = placement.add_item(SiteId(0), &[SiteId(1)]);
         let graph = CopyGraph::from_placement(&placement);
         let tree = PropagationTree::chain(&graph).expect("a two-site DAG has a chain tree");
-        let mut m = SiteMachine::new(
+        let m = SiteMachine::new(
             SiteId(1),
             ProtocolId::DagWt,
             Arc::new(placement),
@@ -1041,42 +1014,93 @@ mod tests {
             Some(Arc::new(tree)),
         )
         .expect("tree supplied");
-        m.set_apply_window(2);
+        (m, a, b)
+    }
 
-        let gid = |seq| GlobalTxnId::new(SiteId(0), seq);
-        let deliver = |m: &mut SiteMachine, seq, item| {
-            let sub = Subtxn {
-                gid: gid(seq),
-                origin: SiteId(0),
-                kind: SubtxnKind::Normal,
-                ts: None,
-                writes: vec![(item, Value::int(seq as i64))],
-                dest_sites: vec![SiteId(1)],
-            };
-            m.on_input(Input::Deliver { from: SiteId(0), payload: Payload::Subtxn(sub) })
-                .expect("deliver")
+    fn deliver(m: &mut SiteMachine, seq: u64, item: ItemId) -> Vec<Command> {
+        let sub = Subtxn {
+            gid: gid(seq),
+            origin: SiteId(0),
+            kind: SubtxnKind::Normal,
+            ts: None,
+            writes: vec![(item, Value::int(seq as i64))],
+            dest_sites: vec![SiteId(1)],
         };
+        m.on_input(Input::Deliver { from: SiteId(0), payload: Payload::Subtxn(sub) })
+            .expect("deliver")
+    }
+
+    fn queued(m: &SiteMachine) -> Vec<u64> {
+        m.queues[0].1.iter().map(|sub| sub.gid.seq).collect()
+    }
+
+    /// One subtransaction at a time: a write-disjoint second arrival
+    /// waits in the queue until the first is reported applied.
+    #[test]
+    fn nothing_is_admitted_while_the_slot_is_busy() {
+        let (mut m, a, b) = replica();
         assert!(
             matches!(deliver(&mut m, 1, a)[..], [Command::Apply { gid: g, .. }] if g == gid(1))
         );
-        // Write-disjoint from T1, so the second slot admits it at once.
-        assert!(
-            matches!(deliver(&mut m, 2, b)[..], [Command::Apply { gid: g, .. }] if g == gid(2))
-        );
-        assert_eq!(m.inflight_len(), 2);
+        assert_eq!(deliver(&mut m, 2, b), Vec::new());
+        assert_eq!(m.busy_gid(), Some(gid(1)));
+        assert_eq!(queued(&m), vec![2]);
+        assert!(matches!(
+            m.on_input(Input::Applied { gid: gid(1) }).expect("applied")[..],
+            [Command::Apply { gid: g, .. }] if g == gid(2)
+        ));
+        assert_eq!(m.on_input(Input::Applied { gid: gid(2) }), Ok(Vec::new()));
+        assert!(m.secondaries_idle());
+    }
 
+    /// A crash puts the subtransaction in the slot back at the front of
+    /// its queue, ahead of the ones queued behind it, and the restarted
+    /// machine admits them in the original order.
+    #[test]
+    fn a_crash_puts_the_slot_back_at_the_front_of_its_queue() {
+        let (mut m, a, b) = replica();
+        deliver(&mut m, 1, a);
+        deliver(&mut m, 2, b);
+        deliver(&mut m, 3, a);
+        assert_eq!(m.on_input(Input::Crashed), Ok(Vec::new()));
+        assert_eq!(m.busy_gid(), None);
+        assert_eq!(queued(&m), vec![1, 2, 3]);
+        // The next delivery pumps the queue from its restored front.
+        assert!(
+            matches!(deliver(&mut m, 4, b)[..], [Command::Apply { gid: g, .. }] if g == gid(1))
+        );
+        assert_eq!(queued(&m), vec![2, 3, 4]);
+    }
+
+    /// An `Applied` for a gid that is not in the slot is a typed error
+    /// (a driver poisons its site on one) and changes nothing.
+    #[test]
+    fn an_applied_for_a_gid_not_in_the_slot_is_refused_and_changes_nothing() {
+        let (mut m, a, b) = replica();
+        deliver(&mut m, 1, a);
+        deliver(&mut m, 2, b);
+        let before = m.clone();
+        let digest = |m: &SiteMachine| {
+            let mut d = StableDigest::new();
+            m.fingerprint(&mut d);
+            d.finish()
+        };
         assert_eq!(
             m.on_input(Input::Applied { gid: gid(2) }),
             Err(ProtocolError::OutOfOrderCompletion { gid: gid(2), front: Some(gid(1)) })
         );
-        // The refusal changed nothing: admission order still completes.
-        assert_eq!(m.inflight_len(), 2);
-        assert_eq!(m.on_input(Input::Applied { gid: gid(1) }), Ok(Vec::new()));
+        assert_eq!(digest(&m), digest(&before));
+        assert!(matches!(
+            m.on_input(Input::Applied { gid: gid(1) }).expect("applied")[..],
+            [Command::Apply { gid: g, .. }] if g == gid(2)
+        ));
         assert_eq!(m.on_input(Input::Applied { gid: gid(2) }), Ok(Vec::new()));
-        assert!(m.secondaries_idle());
+        let idle = m.clone();
         assert_eq!(
             m.on_input(Input::Applied { gid: gid(2) }),
             Err(ProtocolError::OutOfOrderCompletion { gid: gid(2), front: None })
         );
+        assert_eq!(digest(&m), digest(&idle));
+        assert!(m.secondaries_idle());
     }
 }

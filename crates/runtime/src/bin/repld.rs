@@ -61,7 +61,7 @@ refused with a backpressure error. --mvcc serves all-read transactions
 from lock-free MVCC snapshots; --group-commit batches N update commits
 per WAL flush (default 1). --link-batch and --apply-pool were removed
 in PR 23 and are refused: a site applies one transaction at a time and
-sends one frame per payload (batching is a simulator study).";
+sends one frame per payload.";
 
 fn main() -> ExitCode {
     match run() {

@@ -112,7 +112,7 @@ impl ProcCluster {
         // flag they no longer have.
         for (name, knob) in [("link_batch", options.link_batch), ("apply_pool", options.apply_pool)]
         {
-            if knob.is_some_and(|n| n > 1) {
+            if knob.is_some_and(|n| n != 1) {
                 let why = removed_batching_knob(&format!("LaunchOptions::{name}"));
                 return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
             }

@@ -536,11 +536,8 @@ impl SiteCore {
                     self.eager_deadline = Some((gid, Instant::now() + self.opts.eager_timeout));
                     Vec::new()
                 }
-                // Only a machine whose apply window or send coalescing
-                // was widened emits these, and this driver widens
-                // neither: one transaction at a time has nothing to
-                // overlap (DESIGN.md §14.4).
-                ProtoCommand::SendBatch { .. } | ProtoCommand::ApplyMany { .. } => {
+                // No machine emits these (DESIGN.md §14).
+                ProtoCommand::SendBatch | ProtoCommand::ApplyMany => {
                     self.poisoned.get_or_insert(ProtocolError::UnrequestedBatch { at: self.id });
                     Vec::new()
                 }

@@ -191,20 +191,6 @@ fn sim_final_state_opts(
     txns_per_site: u32,
     snapshot_reads: bool,
 ) -> Vec<bytes::Bytes> {
-    sim_final_state_tuned(placement, protocol, progs, txns_per_site, snapshot_reads, |_| {})
-}
-
-/// [`sim_final_state_opts`] with an arbitrary engine-parameter tweak —
-/// the batching column runs the simulator with its propagation batching
-/// and apply-window knobs set.
-fn sim_final_state_tuned(
-    placement: &DataPlacement,
-    protocol: ProtocolKind,
-    progs: &[Vec<Vec<Vec<Op>>>],
-    txns_per_site: u32,
-    snapshot_reads: bool,
-    tune: impl FnOnce(&mut SimParams),
-) -> Vec<bytes::Bytes> {
     let mut params = SimParams::quick_test(protocol);
     params.threads_per_site = 1;
     params.txns_per_thread = txns_per_site;
@@ -214,7 +200,6 @@ fn sim_final_state_tuned(
     // deadline never fires on this conflict-free workload, so neither
     // may the simulator's.
     params.eager_wait_timeout_factor = 1_000_000;
-    tune(&mut params);
     let mut engine = Engine::new(placement, &params, progs.to_vec()).expect("engine builds");
     let report = engine.run();
     assert!(!report.stalled, "{protocol:?} sim stalled");
@@ -393,33 +378,6 @@ fn mvcc_snapshot_read_matrix() {
         cluster.shutdown();
         assert_states_identical(label, "MVCC TCP cluster", &sim_state, &tcp_state);
         assert!(sim_state.iter().any(|b| b.len() > 4), "{label}: empty workload");
-    }
-}
-
-/// The batching column, simulator only: link batching and the apply
-/// window (`SimParams::{batch_size, apply_pool}`) are a pure scheduling
-/// study, so the batched simulator's final copy state must stay
-/// byte-identical to the **serial** simulator control on every
-/// protocol. No live deployment has either knob (DESIGN.md §14.4); what
-/// the live wires carry is pinned against this same serial control by
-/// the plain, MVCC and nemesis columns.
-#[test]
-fn batched_propagation_matrix() {
-    let txns = txns_per_site();
-    for (label, placement, sim, seed) in [
-        ("batched/dag-wt/fan", fan_placement(), ProtocolKind::DagWt, 0xBA01),
-        ("batched/dag-t/diamond", diamond_placement(), ProtocolKind::DagT, 0xBA02),
-        ("batched/backedge/cyclic", cyclic_placement(), ProtocolKind::BackEdge, 0xBA03),
-    ] {
-        let progs = mixed_programs(&placement, txns, seed);
-        let serial_state = sim_final_state(&placement, sim, &progs, txns);
-        // Must coalesce and overlap to the same bytes.
-        let batched_sim = sim_final_state_tuned(&placement, sim, &progs, txns, false, |p| {
-            p.batch_size = 8;
-            p.apply_pool = 4;
-        });
-        assert_states_identical(label, "batched simulator", &serial_state, &batched_sim);
-        assert!(serial_state.iter().any(|b| b.len() > 4), "{label}: empty workload");
     }
 }
 

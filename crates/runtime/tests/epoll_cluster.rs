@@ -381,16 +381,18 @@ fn epoll_dagt_conflicting_heads_queued_behind_a_dummy_converge() {
 }
 
 /// `LaunchOptions::{link_batch, apply_pool}` outlived the flags they
-/// forwarded (the benchmark package sets them): a value that asks for
-/// batching is refused before anything is spawned — the `repld` path
-/// here does not exist, so a spawn attempt would be `NotFound` — and
-/// the values that ask for nothing launch.
+/// forwarded (the benchmark package sets them): any value but `None` or
+/// `Some(1)` — `Some(0)` included — is refused before anything is
+/// spawned (the `repld` path here does not exist, so a spawn attempt
+/// would be `NotFound`), and the values that ask for nothing launch.
 #[test]
 fn removed_batching_knobs_are_refused_before_any_child_is_spawned() {
     let placement = dag_placement();
     for options in [
         LaunchOptions { apply_pool: Some(4), ..LaunchOptions::default() },
         LaunchOptions { link_batch: Some(8), ..LaunchOptions::default() },
+        LaunchOptions { apply_pool: Some(0), ..LaunchOptions::default() },
+        LaunchOptions { link_batch: Some(0), ..LaunchOptions::default() },
     ] {
         let err = ProcCluster::launch_with_options(
             Path::new("/nonexistent/repld"),
@@ -412,7 +414,7 @@ fn removed_batching_knobs_are_refused_before_any_child_is_spawned() {
 }
 
 /// `repld` itself refuses the removed flags at startup: exit 2 and one
-/// message that names the removal and where batching still lives.
+/// message that names both removals, from `repld` and the simulator.
 #[test]
 fn repld_refuses_the_removed_batching_flags() {
     for flag in ["--link-batch", "--apply-pool"] {
@@ -420,7 +422,7 @@ fn repld_refuses_the_removed_batching_flags() {
         assert_eq!(out.status.code(), Some(2), "{flag}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(&format!("{flag} was removed in PR 23")), "{flag}: {stderr}");
-        assert!(stderr.contains("simulator study"), "{flag}: {stderr}");
+        assert!(stderr.contains("from the simulator in PR 33"), "{flag}: {stderr}");
     }
 }
 

@@ -27,16 +27,12 @@ echo "==> mc_smoke (exhaustive bounded model check, 3 sites / 2 txns, all four p
 echo "==> benchmark package gate (benchmark/ path-depends on crates/ and may not be edited: an API break must fail here, not in the benchmark run)"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> differential matrix gate (sim vs in-process vs repld at 6 txns a site, incl. the MVCC and nemesis cells; the batched cell is batched sim vs serial sim)"
+echo "==> differential matrix gate (sim vs in-process vs repld at 6 txns a site, incl. the MVCC and nemesis cells)"
 DIFF_MATRIX_TXNS=6 cargo test -q -p repl-runtime --test differential_matrix
 
 echo "==> MVCC smoke gate (quick read-heavy sweep; exits 1 unless MVCC beats 2PL at read-pct >= 0.8)"
 REPRO_SCALE=quick REPRO_WORKERS=4 REPRO_NO_CACHE=1 ./target/release/repro read_sweep \
     --out /tmp/bench_mvcc_smoke.json > /dev/null
-
-echo "==> batching smoke gate (batch {1,8}; exits 1 unless batched+parallel beats serial for both DAG protocols; byte-identity at batch 8 is in the matrix gate above, for the simulator)"
-REPRO_SCALE=quick REPRO_WORKERS=4 REPRO_NO_CACHE=1 ./target/release/repro prop_sweep \
-    --smoke --out /tmp/bench_propagation_smoke.json > /dev/null
 
 echo "==> smoke sweep (quick fig2a on the 4-worker pool, cache off)"
 REPRO_SCALE=quick REPRO_WORKERS=4 REPRO_NO_CACHE=1 ./target/release/repro fig2a > /dev/null
