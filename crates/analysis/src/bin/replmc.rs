@@ -21,13 +21,13 @@ use repl_analysis::diag::{render, Diagnostic, Witness};
 use repl_analysis::mc::{check_scenario, Config, Scenario, Topology};
 use repl_protocol::{ProtocolId, SeededBug};
 
+/// [`ProtocolId::parse`]'s spellings plus three short ones.
 fn parse_protocol(s: &str) -> Option<ProtocolId> {
     match s.to_ascii_lowercase().as_str() {
-        "naive" | "naivelazy" | "naive-lazy" => Some(ProtocolId::NaiveLazy),
-        "dagwt" | "dag-wt" | "dag(wt)" | "wt" => Some(ProtocolId::DagWt),
-        "dagt" | "dag-t" | "dag(t)" | "t" => Some(ProtocolId::DagT),
-        "backedge" | "back-edge" | "be" => Some(ProtocolId::BackEdge),
-        _ => None,
+        "wt" => Some(ProtocolId::DagWt),
+        "t" => Some(ProtocolId::DagT),
+        "be" => Some(ProtocolId::BackEdge),
+        other => ProtocolId::parse(other),
     }
 }
 

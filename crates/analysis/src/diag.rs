@@ -1,17 +1,16 @@
 //! Diagnostic records shared by every analysis pass.
 //!
 //! A [`Diagnostic`] carries a stable code (`RA…` for configuration lints,
-//! `RC…` for race reports, `RL…` for the source determinism lint, `MC…`
-//! for model-checker violations), a
-//! severity, a human-readable message and a machine-readable
-//! [`Witness`] — the concrete structure that proves the finding (a cycle,
-//! an edge, a pair of unordered accesses). Diagnostics serialize to JSON
-//! via the workspace `serde` so harnesses can archive them next to run
-//! results.
+//! `RL…` for the source determinism lint, `MC…` for model-checker
+//! violations), a severity, a human-readable message and a
+//! machine-readable [`Witness`] — the concrete structure that proves the
+//! finding (a cycle, an edge, a scheduler trace). Diagnostics serialize
+//! to JSON via the workspace `serde` so harnesses can archive them next
+//! to run results.
 
 use serde::Serialize;
 
-use repl_types::{ItemId, SiteId, TxnId};
+use repl_types::{ItemId, SiteId};
 
 /// How bad a finding is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize)]
@@ -81,17 +80,6 @@ pub enum Witness {
         /// Rendered scheduler actions, in execution order.
         steps: Vec<String>,
     },
-    /// Two conflicting slot accesses with no happens-before order.
-    RacePair {
-        /// Store scope the slot belongs to.
-        scope: u64,
-        /// The item both accesses touch.
-        item: ItemId,
-        /// First access: (thread index, transaction, is-write).
-        first: (u32, TxnId, bool),
-        /// Second access: (thread index, transaction, is-write).
-        second: (u32, TxnId, bool),
-    },
 }
 
 /// One finding from an analysis pass.
@@ -99,7 +87,7 @@ pub enum Witness {
 pub struct Diagnostic {
     /// Finding severity.
     pub severity: Severity,
-    /// Stable diagnostic code (`RA001`, `RC001`, `RL002`, …).
+    /// Stable diagnostic code (`RA001`, `RL002`, `MC003`, …).
     pub code: &'static str,
     /// Human-readable description.
     pub message: String,

@@ -7,17 +7,13 @@
 //!    preconditions of Breitbart et al. *before* any simulation runs
 //!    (codes `RA001`–`RA009`). The engine and every bench binary call
 //!    [`lint::lint_scenario`] and fail fast on errors.
-//! 2. **Race detector** ([`race`]) — replays a `repl_types::trace` event
-//!    log with vector clocks and reports conflicting store-slot accesses
-//!    unordered by happens-before (code `RC001`). An independent check on
-//!    the threaded DAG(WT) deployment's thread-confinement discipline.
-//! 3. **Determinism lint** ([`detlint`], `replint` binary) — a source
+//! 2. **Determinism lint** ([`detlint`], `replint` binary) — a source
 //!    scanner that rejects wall-clock reads, ambient randomness and
 //!    hash-order iteration in the simulator crates (codes `RL001`–`RL004`),
 //!    forbids panicking calls in the long-running runtime crates
 //!    (`RL008`), and warns on stale suppressions (`RL000`), keeping runs
 //!    reproducible from their seeds.
-//! 4. **Model checker** ([`mc`], `replmc` binary) — a stateless DFS
+//! 3. **Model checker** ([`mc`], `replmc` binary) — a stateless DFS
 //!    explorer that drives the sans-I/O `SiteMachine`s through *every*
 //!    interleaving of deliverable inputs for bounded workloads, with
 //!    sleep-set pruning and state-fingerprint dedup, and checks
@@ -32,9 +28,7 @@ pub mod diag;
 pub mod history;
 pub mod lint;
 pub mod mc;
-pub mod race;
 
 pub use diag::{has_errors, render, Diagnostic, Severity, Witness};
 pub use history::History;
 pub use lint::{check_address_map, lint_scenario, LintConfig, LintProtocol, LintTree};
-pub use race::detect_races;

@@ -180,11 +180,18 @@ impl DeployConfig {
                         format!("line {lineno}: eager_timeout_ms must be an integer")
                     })?);
                 }
-                "outbox_high_water" => {
-                    cfg.outbox_high_water = Some(value.parse().map_err(|_| {
-                        format!("line {lineno}: outbox_high_water must be an integer")
-                    })?);
-                }
+                "outbox_high_water" => match value.parse() {
+                    Ok(0) => {
+                        return Err(format!(
+                            "line {lineno}: outbox_high_water must be at least 1 \
+                             (0 refuses every write)"
+                        ))
+                    }
+                    Ok(hw) => cfg.outbox_high_water = Some(hw),
+                    Err(_) => {
+                        return Err(format!("line {lineno}: outbox_high_water must be an integer"))
+                    }
+                },
                 "mvcc" => {
                     cfg.mvcc = Some(
                         value
@@ -326,6 +333,7 @@ mod tests {
             ("nemesis = seed=1", "quoted"),
             ("eager_timeout_ms = \"soon\"", "integer"),
             ("outbox_high_water = lots", "integer"),
+            ("outbox_high_water = 0", "outbox_high_water must be at least 1"),
             ("mvcc = \"yes\"", "true or false"),
             ("group_commit = \"many\"", "integer"),
             ("link_batch = 8", "link_batch was removed in PR 23"),

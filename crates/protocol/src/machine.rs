@@ -68,6 +68,18 @@ impl ProtocolId {
             ProtocolId::BackEdge => "BackEdge",
         }
     }
+
+    /// Parse a command-line/config spelling; every [`ProtocolId::name`]
+    /// parses back to its protocol.
+    pub fn parse(s: &str) -> Option<ProtocolId> {
+        match s.to_ascii_lowercase().as_str() {
+            "dagwt" | "dag(wt)" | "dag-wt" => Some(ProtocolId::DagWt),
+            "dagt" | "dag(t)" | "dag-t" => Some(ProtocolId::DagT),
+            "backedge" | "back-edge" => Some(ProtocolId::BackEdge),
+            "naive" | "naivelazy" | "naive-lazy" => Some(ProtocolId::NaiveLazy),
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for ProtocolId {
@@ -996,6 +1008,17 @@ mod tests {
 
     fn gid(seq: u64) -> GlobalTxnId {
         GlobalTxnId::new(SiteId(0), seq)
+    }
+
+    #[test]
+    fn every_name_parses_back_and_nothing_else_does() {
+        for id in [ProtocolId::NaiveLazy, ProtocolId::DagWt, ProtocolId::DagT, ProtocolId::BackEdge]
+        {
+            assert_eq!(ProtocolId::parse(id.name()), Some(id));
+        }
+        assert_eq!(ProtocolId::parse("dag-t"), Some(ProtocolId::DagT));
+        assert_eq!(ProtocolId::parse("naive"), Some(ProtocolId::NaiveLazy));
+        assert_eq!(ProtocolId::parse("eager"), None);
     }
 
     /// Site 1 of a two-site DAG(WT) chain, and two items s0 replicates

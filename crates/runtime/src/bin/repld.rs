@@ -148,11 +148,15 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<DeployConfig, String
                 );
             }
             "--outbox-high-water" => {
-                flags.outbox_high_water = Some(
-                    value("--outbox-high-water")?
-                        .parse()
-                        .map_err(|_| "outbox high water must be an integer (frames)")?,
-                );
+                let hw = value("--outbox-high-water")?
+                    .parse()
+                    .map_err(|_| "outbox high water must be an integer (frames)")?;
+                if hw == 0 {
+                    return Err(
+                        "--outbox-high-water must be at least 1 (0 refuses every write)".into()
+                    );
+                }
+                flags.outbox_high_water = Some(hw);
             }
             "--mvcc" => flags.mvcc = Some(true),
             "--group-commit" => {
@@ -214,5 +218,17 @@ mod tests {
         let usage_example =
             USAGE.split("Example 1.1 is ").nth(1).and_then(|s| s.split(".\n").next());
         assert_eq!(DataPlacement::from_spec(usage_example.unwrap()).unwrap().num_items(), 2);
+    }
+
+    /// A high water of 0 would refuse every write with `Backpressure`
+    /// (`queued >= 0` always holds), so the flag is refused before the
+    /// site starts; `DeployConfig::parse` refuses the config key.
+    #[test]
+    fn zero_outbox_high_water_is_refused() {
+        let parse =
+            |hw: &str| parse_args(["--outbox-high-water", hw].map(String::from).into_iter());
+        let err = parse("0").unwrap_err();
+        assert!(err.contains("--outbox-high-water must be at least 1"), "{err}");
+        assert_eq!(parse("1").unwrap().outbox_high_water, Some(1));
     }
 }

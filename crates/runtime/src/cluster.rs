@@ -16,7 +16,7 @@ use std::thread::JoinHandle;
 use repl_copygraph::{BackEdgeSet, CopyGraph, DataPlacement, PropagationTree};
 use repl_core::history::SerializationCycle;
 use repl_net::{cluster_fingerprint, ClientMsg};
-use repl_protocol::{ProtocolError, ProtocolId};
+use repl_protocol::ProtocolError;
 use repl_types::{AddressMap, GlobalTxnId, ItemId, Op, SiteId, Value};
 
 use crate::handle::{io_error, ClusterHandle, Session};
@@ -24,54 +24,10 @@ use crate::policy::RuntimeOptions;
 use crate::reactor::{Listener, Reactor};
 use crate::site::{SiteParts, SiteSetup};
 
-/// Protocols the live runtime deploys.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RuntimeProtocol {
-    /// DAG(WT) (§2): tree-routed, FIFO, serializable (Theorem 2.1).
-    DagWt,
-    /// DAG(T) (§3): timestamped direct propagation, per-parent merge.
-    DagT,
-    /// BackEdge (§4): eager specials along backedges, lazy elsewhere.
-    BackEdge,
-    /// Indiscriminate lazy propagation — the Example 1.1 strawman; can
-    /// produce genuinely non-serializable interleavings on a real
-    /// scheduler.
-    NaiveLazy,
-}
-
-impl RuntimeProtocol {
-    /// Stable display name (also feeds the wire handshake's cluster
-    /// fingerprint, so both ends agree on what they are running).
-    pub fn name(self) -> &'static str {
-        match self {
-            RuntimeProtocol::DagWt => "DAG(WT)",
-            RuntimeProtocol::DagT => "DAG(T)",
-            RuntimeProtocol::BackEdge => "BackEdge",
-            RuntimeProtocol::NaiveLazy => "NaiveLazy",
-        }
-    }
-
-    /// The corresponding state machine in the shared protocol core.
-    pub fn protocol_id(self) -> ProtocolId {
-        match self {
-            RuntimeProtocol::DagWt => ProtocolId::DagWt,
-            RuntimeProtocol::DagT => ProtocolId::DagT,
-            RuntimeProtocol::BackEdge => ProtocolId::BackEdge,
-            RuntimeProtocol::NaiveLazy => ProtocolId::NaiveLazy,
-        }
-    }
-
-    /// Parse a command-line/config spelling.
-    pub fn parse(s: &str) -> Option<RuntimeProtocol> {
-        match s.to_ascii_lowercase().as_str() {
-            "dagwt" | "dag(wt)" | "dag-wt" => Some(RuntimeProtocol::DagWt),
-            "dagt" | "dag(t)" | "dag-t" => Some(RuntimeProtocol::DagT),
-            "backedge" | "back-edge" => Some(RuntimeProtocol::BackEdge),
-            "naive" | "naivelazy" | "naive-lazy" => Some(RuntimeProtocol::NaiveLazy),
-            _ => None,
-        }
-    }
-}
+/// Protocols the live runtime deploys: the shared protocol core's
+/// identity. Its `name()` also feeds the wire handshake's cluster
+/// fingerprint, so both ends agree on what they are running.
+pub use repl_protocol::ProtocolId as RuntimeProtocol;
 
 /// Errors from cluster assembly and transaction execution.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -119,12 +119,6 @@ impl ProcCluster {
         }
         let n = placement.num_sites() as usize;
         let spec = placement.to_spec();
-        let proto = match protocol {
-            RuntimeProtocol::DagWt => "dagwt",
-            RuntimeProtocol::DagT => "dagt",
-            RuntimeProtocol::BackEdge => "backedge",
-            RuntimeProtocol::NaiveLazy => "naive",
-        };
         let mut cluster = ProcCluster {
             children: Vec::with_capacity(n),
             sessions: Vec::with_capacity(n),
@@ -138,7 +132,7 @@ impl ProcCluster {
                 "--listen".into(),
                 "127.0.0.1:0".into(),
                 "--protocol".into(),
-                proto.into(),
+                protocol.name().into(),
                 "--placement".into(),
                 spec.clone(),
                 "--reactor".into(),

@@ -159,7 +159,7 @@ impl SiteSetup {
     ) -> Result<Self, ProtocolError> {
         let timers = (protocol == RuntimeProtocol::DagT).then(|| DagtTimers::new(id, graph));
         let (graph, tree) = (graph.clone(), tree.clone());
-        let machine = SiteMachine::new(id, protocol.protocol_id(), placement.clone(), graph, tree)?;
+        let machine = SiteMachine::new(id, protocol, placement.clone(), graph, tree)?;
         Ok(SiteSetup { machine, timers, placement })
     }
 

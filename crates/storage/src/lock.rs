@@ -30,7 +30,6 @@
 
 use std::collections::VecDeque;
 
-use repl_types::trace::{self, TraceEvent};
 use repl_types::{ItemId, TxnId};
 
 use crate::hash_index::HashIndex;
@@ -161,47 +160,17 @@ struct TxnLocks {
 /// uncontended request, grant or release neither allocates nor hashes
 /// beyond one multiplication; only a lock with a second holder or a
 /// waiter owns a list of them, for as long as it is held.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct LockManager {
     table: HashIndex<LockState>,
     txns: TxnSlab<TxnLocks>,
     next_arrival: u64,
-    /// Identity of this lock manager in happens-before traces.
-    trace_scope: u64,
-}
-
-impl Default for LockManager {
-    fn default() -> Self {
-        LockManager {
-            table: HashIndex::new(),
-            txns: TxnSlab::default(),
-            next_arrival: 0,
-            trace_scope: trace::next_scope_id(),
-        }
-    }
 }
 
 impl LockManager {
     /// Create an empty lock manager.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The scope identity under which this manager's lock events (and the
-    /// owning store's slot accesses) appear in happens-before traces.
-    pub fn trace_scope(&self) -> u64 {
-        self.trace_scope
-    }
-
-    fn trace_acquire(&self, txn: TxnId, item: ItemId, mode: LockMode) {
-        if trace::is_enabled() {
-            trace::record(TraceEvent::LockAcquire {
-                scope: self.trace_scope,
-                item,
-                txn,
-                exclusive: mode == LockMode::Exclusive,
-            });
-        }
     }
 
     /// Register (or re-register) the arrival ordinal of `txn` explicitly.
@@ -292,7 +261,6 @@ impl LockManager {
             }
         };
         if granted {
-            self.trace_acquire(txn, item, mode);
             LockOutcome::Granted
         } else {
             me.waiting_on = Some(item);
@@ -309,19 +277,16 @@ impl LockManager {
         };
         while let Some(front) = state.queue.front() {
             let txn = front.txn;
-            let granted_mode;
             if front.upgrade {
                 // Upgrade grantable only when the upgrader is the sole
                 // remaining holder.
                 if state.holders.sole() == Some(txn) {
                     state.holders.upgrade_sole();
-                    granted_mode = LockMode::Exclusive;
                 } else {
                     break;
                 }
             } else if state.compatible(front.mode, txn) {
-                granted_mode = front.mode;
-                state.holders.push(txn, granted_mode);
+                state.holders.push(txn, front.mode);
             } else {
                 break;
             }
@@ -332,14 +297,6 @@ impl LockManager {
                 if !upgrade {
                     waiter.held.push(item);
                 }
-            }
-            if trace::is_enabled() {
-                trace::record(TraceEvent::LockAcquire {
-                    scope: self.trace_scope,
-                    item,
-                    txn,
-                    exclusive: granted_mode == LockMode::Exclusive,
-                });
             }
             granted.push(txn);
         }
@@ -363,9 +320,6 @@ impl LockManager {
         for &item in &me.held {
             if let Some(state) = self.table.get_mut(item) {
                 state.holders.remove(txn);
-            }
-            if trace::is_enabled() {
-                trace::record(TraceEvent::LockRelease { scope: self.trace_scope, item, txn });
             }
             self.pump(item, &mut granted);
         }

@@ -34,7 +34,6 @@
 //! `read`, `write`, `commit` and `abort` allocate nothing but the two
 //! vectors of the [`CommitInfo`] handed to the caller.
 
-use repl_types::trace::{self, TraceEvent};
 use repl_types::{GlobalTxnId, ItemId, StorageError, TxnId, Value};
 
 use crate::cells::Cells;
@@ -184,16 +183,10 @@ impl Store {
     /// Non-transactional inspection of a copy's committed value and
     /// writer (used by checkpoints, convergence tests and examples).
     ///
-    /// Takes **no lock**; in a happens-before trace the access is recorded
-    /// with the [`trace::NO_TXN`] sentinel so the race detector can flag a
-    /// peek that races a concurrent commit.
+    /// Takes **no lock**: the store belongs to one thread, so nothing can
+    /// commit while a peek runs, and cells hold committed values only.
     pub fn peek(&self, item: ItemId) -> Option<ReadResult> {
-        let result =
-            self.cells.get(item).map(|c| ReadResult { value: c.value.clone(), writer: c.writer });
-        if result.is_some() {
-            self.trace_access(item, trace::NO_TXN, false);
-        }
-        result
+        self.cells.get(item).map(|c| ReadResult { value: c.value.clone(), writer: c.writer })
     }
 
     /// Begin a new local (sub)transaction.
@@ -258,7 +251,6 @@ impl Store {
                     None => ReadResult { value: cell.value.clone(), writer: cell.writer },
                 };
                 state.reads.push((item, result.writer));
-                self.trace_access(item, txn, false);
                 Ok(result)
             }
         }
@@ -329,8 +321,6 @@ impl Store {
                 if keep_superseded {
                     self.superseded.push(*item, superseded);
                 }
-                // The slot is rewritten under the still-held X lock.
-                self.trace_access(*item, txn, true);
             }
         }
         self.retire(state);
@@ -399,9 +389,9 @@ impl Store {
     /// the snapshot pinned.
     ///
     /// This path never touches the lock manager (pinned by replint
-    /// RL011 and the lock-trace test): it cannot block, cannot deadlock,
-    /// and cannot be aborted. Reads-from edges for the serializability
-    /// checker come from the returned `writer`.
+    /// RL011 and the `snapshot_reads_take_zero_locks` test): it cannot
+    /// block, cannot deadlock, and cannot be aborted. Reads-from edges
+    /// for the serializability checker come from the returned `writer`.
     pub fn read_snapshot(
         &self,
         snap: SnapshotId,
@@ -414,18 +404,7 @@ impl Store {
         } else {
             self.superseded.visible_at(item, ts).ok_or(StorageError::NoSuchItem(item))?
         };
-        self.trace_access(item, trace::NO_TXN, false);
         Ok(ReadResult { value: version.value.clone(), writer: version.writer })
-    }
-
-    /// Record a slot access for the race detector, under the store's
-    /// trace scope (its lock scope, so snapshot reads and locked
-    /// accesses land in one scope).
-    fn trace_access(&self, item: ItemId, txn: TxnId, write: bool) {
-        if trace::is_enabled() {
-            // replint: allow(RL011) -- reads the scope id only; no lock state is consulted
-            trace::record(TraceEvent::Access { scope: self.locks.trace_scope(), item, txn, write });
-        }
     }
 }
 
@@ -731,43 +710,18 @@ mod tests {
         let t = s.begin();
         s.write(t, ItemId(0), Value::int(7), gid(1)).unwrap();
         s.commit(t).unwrap();
-        let scope = s.locks().trace_scope();
-        let in_scope = |ev: &TraceEvent| match *ev {
-            TraceEvent::LockAcquire { scope: sc, .. }
-            | TraceEvent::LockRelease { scope: sc, .. } => sc == scope,
-            _ => false,
-        };
 
-        // Control: a 2PL read of the same item does acquire a lock.
-        trace::enable();
-        let t = s.begin();
-        s.read(t, ItemId(0)).unwrap();
-        s.commit(t).unwrap();
-        trace::disable();
-        let control = trace::take();
-        assert!(
-            control.iter().any(|e| in_scope(&e.event)),
-            "2PL control read recorded no lock event"
-        );
+        // A 2PL writer holds X on the item; any locked read would queue.
+        let writer = s.begin();
+        s.write(writer, ItemId(0), Value::int(8), gid(2)).unwrap();
 
-        // The MVCC path: same read, zero lock events in this scope.
-        trace::enable();
         let snap = s.begin_snapshot();
         let r = s.read_snapshot(snap, ItemId(0)).unwrap();
         s.end_snapshot(snap);
-        trace::disable();
-        let events = trace::take();
         assert_eq!(r.value, Value::int(7));
-        assert!(
-            events.iter().all(|e| !in_scope(&e.event)),
-            "snapshot read touched the lock manager: {events:?}"
-        );
-        // The access itself is still visible to the race detector.
-        assert!(events.iter().any(|e| matches!(
-            e.event,
-            TraceEvent::Access { scope: sc, txn, write: false, .. }
-                if sc == scope && txn == trace::NO_TXN
-        )));
+        // The lock table is exactly as the writer left it.
+        assert_eq!(s.locks().holders_of(ItemId(0)), vec![writer]);
+        assert_eq!(s.locks().blocked_count(), 0);
     }
 
     mod snapshot_props {

@@ -16,7 +16,6 @@ pub mod error;
 pub mod id;
 pub mod netaddr;
 pub mod op;
-pub mod trace;
 pub mod value;
 
 pub use error::{StorageError, TxnError};

@@ -24,6 +24,13 @@ cargo test -q
 echo "==> mc_smoke (exhaustive bounded model check, 3 sites / 2 txns, all four protocols)"
 ./target/release/replmc --stats --max-states 2000000
 
+# Building the benchmark package (this gate and the fleet smoke) prunes
+# `benchmark/Cargo.lock` of packages the workspace no longer has; the
+# committed file is put back however the script exits.
+bench_lock="$(mktemp)"
+cp benchmark/Cargo.lock "$bench_lock"
+trap 'cp "$bench_lock" benchmark/Cargo.lock; rm -f "$bench_lock"' EXIT
+
 echo "==> benchmark package gate (benchmark/ path-depends on crates/ and may not be edited: an API break must fail here, not in the benchmark run)"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
