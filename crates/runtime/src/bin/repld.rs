@@ -5,7 +5,8 @@
 //! selected propagation protocol against a recovered local store.
 //!
 //! Configuration comes from an optional TOML-lite file (`--config`)
-//! overridden field-by-field by flags:
+//! overridden setting by setting by flags, both read through the one
+//! settings table in `repl_runtime::config`:
 //!
 //! ```text
 //! repld --config site0.toml
@@ -31,40 +32,16 @@
 use std::process::ExitCode;
 
 use repl_analysis::{check_address_map, has_errors, render};
-use repl_copygraph::DataPlacement;
-use repl_core::deploy::{removed_batching_knob, DeployConfig, ReactorKind};
-use repl_runtime::{serve_epoll, NetFaultPlan, RuntimeOptions, RuntimeProtocol, ServeConfig};
-use repl_types::SiteId;
-
-const USAGE: &str = "\
-usage: repld [--config FILE] [--site N] [--listen HOST:PORT]
-             [--protocol dagwt|dagt|backedge|naive] [--placement SPEC]
-             [--reactor epoll] [--peer N=HOST:PORT]...
-             [--nemesis SPEC] [--eager-timeout-ms N] [--outbox-high-water N]
-             [--mvcc] [--group-commit N]
-
-SPEC is `sites|primary[:r1,r2][*count]|…`: the site count, then one
-field per run of consecutive items placed alike, in item order — the
-run's primary site, its replica sites, and how many items it holds
-(`*count` left out: one). Example 1.1 is 3|0:1,2|1:2.
-
-Flags override --config values. --listen HOST:0 picks an ephemeral port
-and announces it on stdout as `repld: site N listening on ADDR`.
-Every connection is served from one nonblocking epoll readiness loop;
---reactor epoll names that driver and is accepted for compatibility
-(--reactor threads was removed in PR 21 and is refused). --nemesis
-injects a deterministic network fault schedule (see
-NetFaultPlan::parse; give every site the same spec);
---eager-timeout-ms bounds a BackEdge eager phase before it aborts;
---outbox-high-water caps per-link outbox growth before writes are
-refused with a backpressure error. --mvcc serves all-read transactions
-from lock-free MVCC snapshots; --group-commit batches N update commits
-per WAL flush (default 1). --link-batch and --apply-pool were removed
-in PR 23 and are refused: a site applies one transaction at a time and
-sends one frame per payload.";
+use repl_runtime::config::USAGE;
+use repl_runtime::{serve_epoll, ServeConfig};
 
 fn main() -> ExitCode {
-    match run() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|arg| arg == "--help" || arg == "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    match run(args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("repld: {msg}");
@@ -73,118 +50,22 @@ fn main() -> ExitCode {
     }
 }
 
-fn run() -> Result<(), String> {
-    let mut cfg = parse_args(std::env::args().skip(1))?;
-
-    let site = cfg.site.ok_or("missing site id (--site or `site =` in the config)")?;
-    let listen = cfg.listen.ok_or("missing listen address (--listen)")?.clone();
-    let proto_name = cfg.protocol.as_deref().ok_or("missing protocol (--protocol)")?;
-    let protocol = RuntimeProtocol::parse(proto_name)
-        .ok_or_else(|| format!("unknown protocol {proto_name:?}"))?;
-    let placement = {
-        // Parsed, the string is not kept.
-        let spec = cfg.placement.take().ok_or("missing placement (--placement)")?;
-        DataPlacement::from_spec(&spec).map_err(|e| format!("bad placement spec: {e}"))?
-    };
-
+fn run(args: Vec<String>) -> Result<(), String> {
+    let cfg = ServeConfig::from_args(args)?;
     if !cfg.peers.is_empty() {
-        let diags = check_address_map(&cfg.peers, placement.num_sites());
+        let diags = check_address_map(&cfg.peers, cfg.placement.num_sites());
         if has_errors(&diags) {
             return Err(format!("malformed address map:\n{}", render(&diags)));
         }
     }
-
-    let mut options = RuntimeOptions::default();
-    if let Some(spec) = cfg.nemesis.as_deref() {
-        options.nemesis =
-            Some(NetFaultPlan::parse(spec).map_err(|e| format!("bad nemesis spec: {e}"))?);
-    }
-    if let Some(ms) = cfg.eager_timeout_ms {
-        options.eager_timeout = std::time::Duration::from_millis(ms);
-    }
-    if let Some(hw) = cfg.outbox_high_water {
-        options.outbox_high_water = hw as usize;
-    }
-    if let Some(mvcc) = cfg.mvcc {
-        options.mvcc_reads = mvcc;
-    }
-    if let Some(batch) = cfg.group_commit {
-        options.group_commit_batch = batch.max(1) as usize;
-    }
-
-    let serve_cfg =
-        ServeConfig { site: SiteId(site), placement, protocol, listen, peers: cfg.peers, options };
-    serve_epoll(serve_cfg).map_err(|e| e.to_string())
-}
-
-fn parse_args(args: impl Iterator<Item = String>) -> Result<DeployConfig, String> {
-    let mut args = args.peekable();
-    let mut file_cfg = DeployConfig::default();
-    let mut flags = DeployConfig::default();
-    while let Some(arg) = args.next() {
-        let mut value =
-            |name: &str| args.next().ok_or_else(|| format!("{name} needs a value\n\n{USAGE}"));
-        match arg.as_str() {
-            "--config" => {
-                let path = value("--config")?;
-                let text = std::fs::read_to_string(&path)
-                    .map_err(|e| format!("cannot read {path}: {e}"))?;
-                file_cfg = DeployConfig::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-            }
-            "--site" => {
-                flags.site =
-                    Some(value("--site")?.parse().map_err(|_| "site id must be an integer")?);
-            }
-            "--listen" => flags.listen = Some(value("--listen")?),
-            "--protocol" => flags.protocol = Some(value("--protocol")?),
-            "--placement" => flags.placement = Some(value("--placement")?),
-            "--reactor" => flags.reactor = Some(ReactorKind::parse(&value("--reactor")?)?),
-            "--nemesis" => flags.nemesis = Some(value("--nemesis")?),
-            "--eager-timeout-ms" => {
-                flags.eager_timeout_ms = Some(
-                    value("--eager-timeout-ms")?
-                        .parse()
-                        .map_err(|_| "eager timeout must be an integer (milliseconds)")?,
-                );
-            }
-            "--outbox-high-water" => {
-                let hw = value("--outbox-high-water")?
-                    .parse()
-                    .map_err(|_| "outbox high water must be an integer (frames)")?;
-                if hw == 0 {
-                    return Err(
-                        "--outbox-high-water must be at least 1 (0 refuses every write)".into()
-                    );
-                }
-                flags.outbox_high_water = Some(hw);
-            }
-            "--mvcc" => flags.mvcc = Some(true),
-            "--group-commit" => {
-                flags.group_commit = Some(
-                    value("--group-commit")?
-                        .parse()
-                        .map_err(|_| "group commit batch must be an integer")?,
-                );
-            }
-            flag @ ("--link-batch" | "--apply-pool") => return Err(removed_batching_knob(flag)),
-            "--peer" => {
-                let spec = value("--peer")?;
-                let (site, addr) = spec
-                    .split_once('=')
-                    .ok_or_else(|| format!("--peer wants N=HOST:PORT, got {spec:?}"))?;
-                let site: u32 =
-                    site.parse().map_err(|_| format!("bad site id in --peer {spec:?}"))?;
-                flags.peers.insert(SiteId(site), addr.to_string());
-            }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown flag {other:?}\n\n{USAGE}")),
-        }
-    }
-    Ok(file_cfg.merged_with(flags))
+    serve_epoll(cfg).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
 mod tests {
+    use repl_copygraph::DataPlacement;
+    use repl_types::SiteId;
+
     use super::*;
 
     /// The command line in this file's module doc, flags and all,
@@ -207,12 +88,12 @@ mod tests {
             }
         }
         assert_eq!(args[0], "repld");
-        let cfg = parse_args(args.into_iter().skip(1)).unwrap();
-        assert_eq!((cfg.site, cfg.peers.len()), (Some(0), 3));
-        let spec = cfg.placement.expect("the example names a placement");
-        let placement = DataPlacement::from_spec(&spec).unwrap();
+        let spec = args.iter().skip_while(|arg| *arg != "--placement").nth(1).cloned();
+        let cfg = ServeConfig::from_args(args.into_iter().skip(1)).unwrap();
+        assert_eq!((cfg.site, cfg.peers.len()), (SiteId(0), 3));
+        let placement = cfg.placement;
         assert_eq!((placement.num_sites(), placement.num_items()), (3, 3000));
-        assert_eq!(placement.to_spec(), spec);
+        assert_eq!(Some(placement.to_spec()), spec);
         assert!(!has_errors(&check_address_map(&cfg.peers, placement.num_sites())));
         assert!(USAGE.contains("SPEC is `sites|primary[:r1,r2][*count]|…`"));
         let usage_example =
@@ -222,13 +103,17 @@ mod tests {
 
     /// A high water of 0 would refuse every write with `Backpressure`
     /// (`queued >= 0` always holds), so the flag is refused before the
-    /// site starts; `DeployConfig::parse` refuses the config key.
+    /// site starts; the settings table refuses the config key the same
+    /// way.
     #[test]
     fn zero_outbox_high_water_is_refused() {
-        let parse =
-            |hw: &str| parse_args(["--outbox-high-water", hw].map(String::from).into_iter());
-        let err = parse("0").unwrap_err();
+        let parse = |hw: &str| {
+            let site = ["--site", "0", "--listen", "127.0.0.1:0", "--protocol", "dagwt"];
+            let args = site.into_iter().chain(["--placement", "1|0", "--outbox-high-water", hw]);
+            ServeConfig::from_args(args.map(String::from))
+        };
+        let err = parse("0").err().expect("refused");
         assert!(err.contains("--outbox-high-water must be at least 1"), "{err}");
-        assert_eq!(parse("1").unwrap().outbox_high_water, Some(1));
+        assert_eq!(parse("1").unwrap().options.outbox_high_water, 1);
     }
 }

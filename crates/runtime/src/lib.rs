@@ -42,6 +42,7 @@
 #![warn(missing_docs)]
 
 mod cluster;
+pub mod config;
 mod durable;
 mod handle;
 mod link;

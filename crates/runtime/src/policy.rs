@@ -80,7 +80,7 @@ impl RetryPolicy {
 /// Every tunable timing/bound knob of a live deployment, with defaults
 /// matching the pre-nemesis behaviour closely enough that fault-free
 /// runs are unaffected.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RuntimeOptions {
     /// Reconnect/dial backoff.
     pub retry: RetryPolicy,

@@ -16,46 +16,39 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 
 use repl_copygraph::DataPlacement;
-use repl_core::deploy::{removed_batching_knob, ReactorKind};
+use repl_core::deploy::ReactorKind;
 use repl_net::{ClientMsg, ExecError, HistoryTxn};
 use repl_types::{GlobalTxnId, ItemId, Op, SiteId, Value};
 
 use crate::cluster::RuntimeProtocol;
+use crate::config::{self, Launch};
 use crate::handle::{Session, SiteStats};
+use crate::ServeConfig;
 
-/// Launch-time knobs beyond the placement and protocol: the
-/// runtime-tolerance overrides forwarded to each `repld` child on its
-/// command line. [`Default`] matches [`ProcCluster::launch`] exactly
-/// (no nemesis, built-in timeouts).
+/// Launch-time knobs beyond the placement and protocol, handed to each
+/// `repld` child as the flags of its settings table (`crate::config`).
+/// [`Default`] matches [`ProcCluster::launch`] exactly (no nemesis,
+/// built-in timeouts).
 #[derive(Clone, Debug, Default)]
 pub struct LaunchOptions {
-    /// I/O driver for every child (`--reactor`). One value: the field
-    /// stays only because `benchmark/` sets it and PR 21, which removed
-    /// the threaded driver, could not edit that package.
+    /// I/O driver for every child. One value: the field stays only because
+    /// `benchmark/` sets it.
     pub reactor: ReactorKind,
-    /// Nemesis fault plan in `NetFaultPlan::to_spec` form
-    /// (`--nemesis`), applied identically by every child.
+    /// Nemesis fault plan in `NetFaultPlan::to_spec` form, for every child.
     pub nemesis: Option<String>,
-    /// Override for the eager-phase abort deadline in milliseconds
-    /// (`--eager-timeout-ms`).
+    /// Override for the eager-phase abort deadline in milliseconds.
     pub eager_timeout_ms: Option<u64>,
-    /// Override for the per-link outbox high-water mark
-    /// (`--outbox-high-water`).
+    /// Override for the per-link outbox high-water mark.
     pub outbox_high_water: Option<u64>,
-    /// Serve all-read transactions from lock-free MVCC snapshots
-    /// (`--mvcc`).
+    /// Serve all-read transactions from lock-free MVCC snapshots.
     pub mvcc: bool,
-    /// Group-commit batch size: update commits per WAL flush
-    /// (`--group-commit`).
+    /// Group-commit batch size: update commits per WAL flush.
     pub group_commit: Option<u64>,
-    /// Removed in PR 23 with `repld --link-batch`: anything but `None`
-    /// or `Some(1)` fails the launch with `InvalidInput`. This field and
-    /// [`LaunchOptions::apply_pool`] stay only because `benchmark/` sets
-    /// them and that PR could not edit it; they go with the benchmark's
-    /// own `--link-batch`/`--apply-pool` flags.
+    /// Removed from `repld`: anything but `None` or `Some(1)` fails the
+    /// launch with `InvalidInput`. It and `apply_pool` stay only because
+    /// `benchmark/` sets them; they go with the benchmark's own flags.
     pub link_batch: Option<u64>,
-    /// Removed in PR 23 with `repld --apply-pool`; see
-    /// [`LaunchOptions::link_batch`].
+    /// Removed from `repld`; see [`LaunchOptions::link_batch`].
     pub apply_pool: Option<u64>,
 }
 
@@ -100,64 +93,31 @@ impl ProcCluster {
     /// suites pass `CARGO_BIN_EXE_repld`) and every [`LaunchOptions`]
     /// knob — the chaos drivers use this to hand an identical nemesis
     /// plan and tolerance overrides to every child. Fails with
-    /// `InvalidInput`, before any child is spawned, when `options` asks
-    /// for one of the removed batching knobs.
+    /// `InvalidInput`, before any child is spawned, when the arguments
+    /// `options` turns into are refused (a removed batching knob, an
+    /// outbox high water or eager timeout of 0, a malformed nemesis).
     pub fn launch_with_options(
         bin: &std::path::Path,
         placement: &DataPlacement,
         protocol: RuntimeProtocol,
         options: &LaunchOptions,
     ) -> io::Result<Self> {
-        // Refused here, by name, rather than by children exiting 2 on a
-        // flag they no longer have.
-        for (name, knob) in [("link_batch", options.link_batch), ("apply_pool", options.apply_pool)]
-        {
-            if knob.is_some_and(|n| n != 1) {
-                let why = removed_batching_knob(&format!("LaunchOptions::{name}"));
-                return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
-            }
-        }
         let n = placement.num_sites() as usize;
         let spec = placement.to_spec();
+        let args =
+            |site| config::launch_args(&Launch { site, protocol, placement: &spec, options });
+        // Refused here, by the table every child parses its arguments
+        // through, rather than by children exiting 2.
+        ServeConfig::from_args(args(SiteId(0)))
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let mut cluster = ProcCluster {
             children: Vec::with_capacity(n),
             sessions: Vec::with_capacity(n),
             addrs: Vec::with_capacity(n),
             placement: placement.clone(),
         };
-        for i in 0..n {
-            let mut args: Vec<String> = vec![
-                "--site".into(),
-                i.to_string(),
-                "--listen".into(),
-                "127.0.0.1:0".into(),
-                "--protocol".into(),
-                protocol.name().into(),
-                "--placement".into(),
-                spec.clone(),
-                "--reactor".into(),
-                options.reactor.name().into(),
-            ];
-            if let Some(nemesis) = &options.nemesis {
-                args.push("--nemesis".into());
-                args.push(nemesis.clone());
-            }
-            if let Some(ms) = options.eager_timeout_ms {
-                args.push("--eager-timeout-ms".into());
-                args.push(ms.to_string());
-            }
-            if let Some(hw) = options.outbox_high_water {
-                args.push("--outbox-high-water".into());
-                args.push(hw.to_string());
-            }
-            if options.mvcc {
-                args.push("--mvcc".into());
-            }
-            if let Some(batch) = options.group_commit {
-                args.push("--group-commit".into());
-                args.push(batch.to_string());
-            }
-            let mut child = Command::new(bin).args(&args).stdout(Stdio::piped()).spawn()?;
+        for site in placement.sites() {
+            let mut child = Command::new(bin).args(args(site)).stdout(Stdio::piped()).spawn()?;
             // replint: allow(RL008) -- stdout is piped two lines up
             let stdout = child.stdout.take().expect("stdout piped");
             cluster.children.push(child);

@@ -7,7 +7,9 @@
 //! placement, the typed-error path for malformed
 //! client frames, the refusals of the removed batching knobs, of a
 //! `Batch` frame on a peer link and of a `Peers` push naming a site
-//! outside the placement, and `pending_deliveries` across a cut link.
+//! outside the placement, and `pending_deliveries` across a cut link;
+//! and `repld`'s own command line — a site booted from a `--config`
+//! file, a flag over that file, `--help`, an eager timeout of 0.
 //!
 //! Equivalence holds because final copy state is transport-independent
 //! by construction: each item is written only at its primary, links
@@ -413,6 +415,24 @@ fn removed_batching_knobs_are_refused_before_any_child_is_spawned() {
     cluster.shutdown();
 }
 
+/// An eager timeout of 0 in `LaunchOptions` is refused like the flag it
+/// becomes, before anything is spawned (the `repld` path here does not
+/// exist, so a spawn attempt would be `NotFound`).
+#[test]
+fn zero_eager_timeout_is_refused_before_any_child_is_spawned() {
+    let options = LaunchOptions { eager_timeout_ms: Some(0), ..LaunchOptions::default() };
+    let err = ProcCluster::launch_with_options(
+        Path::new("/nonexistent/repld"),
+        &cyclic_placement(),
+        RuntimeProtocol::BackEdge,
+        &options,
+    )
+    .err()
+    .expect("refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    assert!(err.to_string().contains("--eager-timeout-ms must be at least 1"), "{err}");
+}
+
 /// `repld` itself refuses the removed flags at startup: exit 2 and one
 /// message that names both removals, from `repld` and the simulator.
 #[test]
@@ -541,4 +561,102 @@ fn epoll_pending_deliveries_count_a_cut_link_until_the_heal() {
     }
     assert_eq!(cluster.peek(SiteId(1), ItemId(0)).map(|c| c.0), Some(Value::int(5)));
     cluster.shutdown();
+}
+
+/// A `repld` child a failing test still kills.
+struct Child(std::process::Child);
+
+impl Drop for Child {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Start `repld` with `args`, and read its banner: the site it says it
+/// is, and the address it listens on.
+fn spawn_repld(args: &[&str]) -> (Child, String) {
+    let mut child = std::process::Command::new(repld())
+        .args(args)
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn repld");
+    let stdout = child.stdout.take().expect("stdout piped");
+    let child = Child(child);
+    let mut banner = String::new();
+    std::io::BufRead::read_line(&mut std::io::BufReader::new(stdout), &mut banner).unwrap();
+    let banner = banner.trim().strip_prefix("repld: ").expect("banner").to_string();
+    (child, banner)
+}
+
+/// One request on a client session, and its reply.
+fn request(conn: &mut TcpStream, msg: ClientMsg) -> ClientReply {
+    write_msg(conn, &WireMsg::Client(msg)).unwrap();
+    match read_msg(conn).unwrap() {
+        WireMsg::Reply(reply) => reply,
+        other => panic!("expected a reply, got {other:?}"),
+    }
+}
+
+/// Write a config file into the test's scratch directory.
+fn config_file(name: &str, text: &str) -> String {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{name}.toml"));
+    std::fs::write(&path, text).unwrap();
+    path.to_str().unwrap().to_string()
+}
+
+/// A site booted from a TOML file alone announces itself and serves a
+/// client session: an update, an all-read transaction (the MVCC path
+/// the file turns on) and `Stats`, under group commit.
+#[test]
+fn repld_boots_from_a_config_file_alone() {
+    let path = config_file(
+        "repld-config-alone",
+        "site = 0\nlisten = \"127.0.0.1:0\"\nprotocol = \"dagwt\"\n\
+         placement = \"1|0*16\"\nmvcc = true\ngroup_commit = 4\n",
+    );
+    let (mut child, banner) = spawn_repld(&["--config", &path]);
+    let addr = banner.strip_prefix("site 0 listening on ").expect(&banner).to_string();
+    let mut conn = TcpStream::connect(&addr).unwrap();
+    for ops in [vec![Op::write(ItemId(3), 7)], vec![Op::read(ItemId(3))]] {
+        let reply = request(&mut conn, ClientMsg::Execute(ops));
+        assert!(matches!(reply, ClientReply::Executed(Ok(_))), "{reply:?}");
+    }
+    match request(&mut conn, ClientMsg::Stats) {
+        ClientReply::Stats { committed, decode_errors, .. } => {
+            assert_eq!((committed, decode_errors), (2, 0));
+        }
+        other => panic!("expected stats, got {other:?}"),
+    }
+    assert_eq!(request(&mut conn, ClientMsg::Shutdown), ClientReply::Ok);
+    assert!(child.0.wait().unwrap().success());
+}
+
+/// A flag overrides the file's key: the file says site 1, `--site 0`
+/// wins, and the site takes writes to the items whose primary is s0.
+#[test]
+fn repld_flag_overrides_its_config_file() {
+    let path = config_file(
+        "repld-config-override",
+        "site = 1\nlisten = \"127.0.0.1:0\"\nprotocol = \"dagwt\"\n\
+         placement = \"2|0:1*4|1*4\"\n",
+    );
+    let (mut child, banner) = spawn_repld(&["--config", &path, "--site", "0"]);
+    let addr = banner.strip_prefix("site 0 listening on ").expect(&banner).to_string();
+    let mut conn = TcpStream::connect(&addr).unwrap();
+    let reply = request(&mut conn, ClientMsg::Execute(vec![Op::write(ItemId(0), 1)]));
+    assert!(matches!(reply, ClientReply::Executed(Ok(_))), "{reply:?}");
+    assert_eq!(request(&mut conn, ClientMsg::Shutdown), ClientReply::Ok);
+    assert!(child.0.wait().unwrap().success());
+}
+
+/// `repld --help` is an answer, not an error: the usage text on stdout
+/// and exit 0.
+#[test]
+fn repld_help_prints_usage_and_exits_zero() {
+    let out = std::process::Command::new(repld()).arg("--help").output().expect("run");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("usage: repld [--config FILE]"), "{stdout}");
+    assert!(out.stderr.is_empty());
 }
