@@ -20,7 +20,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use repl_analysis::detlint;
-use repl_analysis::diag::Diagnostic;
+use repl_analysis::diag::{to_json, Diagnostic};
 
 fn main() {
     let mut json = false;
@@ -76,7 +76,7 @@ fn main() {
 
     let errors = diags.iter().filter(|d| d.severity == repl_analysis::Severity::Error).count();
     if json {
-        println!("{}", serde::to_json(&diags));
+        println!("{}", to_json(&diags));
     } else {
         print!("{}", repl_analysis::render(&diags));
         eprintln!(

@@ -17,7 +17,7 @@
 //! diagnostics, 1 on any diagnostic, 2 on usage or truncation (a
 //! truncated run proved nothing).
 
-use repl_analysis::diag::{render, Diagnostic, Witness};
+use repl_analysis::diag::{render, to_json, Diagnostic, Witness};
 use repl_analysis::mc::{check_scenario, Config, Scenario, Topology};
 use repl_protocol::{ProtocolId, SeededBug};
 
@@ -212,7 +212,7 @@ fn main() {
         }
     }
     if cli.json {
-        println!("{}", serde::to_json(&all_diags));
+        println!("{}", to_json(&all_diags));
     }
     if !all_diags.is_empty() {
         std::process::exit(1);

@@ -5,15 +5,14 @@
 //! violations), a severity, a human-readable message and a
 //! machine-readable [`Witness`] — the concrete structure that proves the
 //! finding (a cycle, an edge, a scheduler trace). Diagnostics serialize
-//! to JSON via the workspace `serde` so harnesses can archive them next
-//! to run results.
+//! to JSON ([`to_json`]) so harnesses can archive them next to run
+//! results.
 
-use serde::Serialize;
-
+use repl_types::json::{self, Object};
 use repl_types::{ItemId, SiteId};
 
 /// How bad a finding is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Suspicious but runnable: the simulation proceeds, the configuration
     /// deserves a second look (e.g. an epoch period shorter than the
@@ -34,7 +33,7 @@ impl std::fmt::Display for Severity {
 }
 
 /// The structure that substantiates a diagnostic.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Witness {
     /// No structural witness (timing lints, source lints).
     None,
@@ -83,7 +82,7 @@ pub enum Witness {
 }
 
 /// One finding from an analysis pass.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Diagnostic {
     /// Finding severity.
     pub severity: Severity,
@@ -111,6 +110,73 @@ impl std::fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}[{}]: {}", self.severity, self.code, self.message)
     }
+}
+
+impl Witness {
+    /// Append the witness as JSON: the bare variant name for `None`,
+    /// otherwise `{"Variant":payload}` — the site list for `Cycle`, an
+    /// object of the named fields for the rest.
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Witness::None => json::string(out, "None"),
+            Witness::Cycle(sites) => tagged(out, "Cycle", |out| {
+                json::array(out, sites, |out, s| out.push_str(&s.0.to_string()))
+            }),
+            Witness::Edge { from, to } => variant(out, "Edge", |o| {
+                o.uint("from", from.0.into()).uint("to", to.0.into());
+            }),
+            Witness::Replica { item, primary, replica } => variant(out, "Replica", |o| {
+                o.uint("item", item.0.into()).uint("primary", primary.0.into());
+                o.uint("replica", replica.0.into());
+            }),
+            Witness::Timing { value_us, bound_us } => variant(out, "Timing", |o| {
+                o.uint("value_us", *value_us).uint("bound_us", *bound_us);
+            }),
+            Witness::Source { file, line, text } => variant(out, "Source", |o| {
+                o.str("file", file).uint("line", (*line).into()).str("text", text);
+            }),
+            Witness::McTrace { steps } => variant(out, "McTrace", |o| {
+                o.field("steps", |out| json::array(out, steps, |out, s| json::string(out, s)));
+            }),
+        }
+    }
+}
+
+/// Append `{"name":payload}`, an enum variant with a payload.
+fn tagged(out: &mut String, name: &str, payload: impl FnOnce(&mut String)) {
+    let mut o = Object::new(out);
+    o.field(name, payload);
+    o.end();
+}
+
+/// Append `{"name":{fields…}}`, a variant with named fields.
+fn variant(out: &mut String, name: &str, fields: impl FnOnce(&mut Object)) {
+    tagged(out, name, |out| {
+        let mut o = Object::new(out);
+        fields(&mut o);
+        o.end();
+    });
+}
+
+impl Diagnostic {
+    fn write_json(&self, out: &mut String) {
+        let severity = match self.severity {
+            Severity::Warning => "Warning",
+            Severity::Error => "Error",
+        };
+        let mut o = Object::new(out);
+        o.str("severity", severity).str("code", self.code).str("message", &self.message);
+        o.field("witness", |out| self.witness.write_json(out));
+        o.end();
+    }
+}
+
+/// `diags` as a JSON array of `{"severity", "code", "message",
+/// "witness"}` objects (what `replint --json` and `replmc --json` print).
+pub fn to_json(diags: &[Diagnostic]) -> String {
+    let mut out = String::new();
+    json::array(&mut out, diags, |out, d| d.write_json(out));
+    out
 }
 
 /// True if any diagnostic in `diags` is an [`Severity::Error`].
@@ -147,9 +213,43 @@ mod tests {
             "cycle in copy graph",
             Witness::Cycle(vec![SiteId(0), SiteId(1)]),
         );
-        let json = serde::to_json(&d);
+        let json = to_json(&[d]);
         assert!(json.contains("\"RA001\""), "{json}");
         assert!(json.contains("Cycle"), "{json}");
+    }
+
+    /// The bytes the `serde` derive wrote for one diagnostic per witness
+    /// variant, before the hand-written writer replaced it.
+    #[test]
+    fn json_is_byte_identical_for_every_witness() {
+        let message = "q\"b\\n\nc\u{1}t\té→";
+        let witnesses = [
+            Witness::None,
+            Witness::Cycle(vec![SiteId(0), SiteId(2), SiteId(1)]),
+            Witness::Edge { from: SiteId(3), to: SiteId(4) },
+            Witness::Replica { item: ItemId(7), primary: SiteId(0), replica: SiteId(2) },
+            Witness::Timing { value_us: 10, bound_us: 150 },
+            Witness::Source { file: "a\\b.rs".into(), line: 9, text: "x = \"y\";\r".into() },
+            Witness::McTrace { steps: vec!["commit s0 t1".into(), "deliver s0→s1".into()] },
+        ];
+        let pinned = [
+            r#"{"severity":"Error","code":"RA001","message":"q\"b\\n\nc\u0001t\té→","witness":"None"}"#,
+            r#"{"severity":"Warning","code":"MC003","message":"q\"b\\n\nc\u0001t\té→","witness":{"Cycle":[0,2,1]}}"#,
+            r#"{"severity":"Error","code":"RA001","message":"q\"b\\n\nc\u0001t\té→","witness":{"Edge":{"from":3,"to":4}}}"#,
+            r#"{"severity":"Warning","code":"MC003","message":"q\"b\\n\nc\u0001t\té→","witness":{"Replica":{"item":7,"primary":0,"replica":2}}}"#,
+            r#"{"severity":"Error","code":"RA001","message":"q\"b\\n\nc\u0001t\té→","witness":{"Timing":{"value_us":10,"bound_us":150}}}"#,
+            r#"{"severity":"Warning","code":"MC003","message":"q\"b\\n\nc\u0001t\té→","witness":{"Source":{"file":"a\\b.rs","line":9,"text":"x = \"y\";\r"}}}"#,
+            r#"{"severity":"Error","code":"RA001","message":"q\"b\\n\nc\u0001t\té→","witness":{"McTrace":{"steps":["commit s0 t1","deliver s0→s1"]}}}"#,
+        ];
+        for (i, (w, want)) in witnesses.into_iter().zip(pinned).enumerate() {
+            let d = if i % 2 == 0 {
+                Diagnostic::error("RA001", message, w)
+            } else {
+                Diagnostic::warning("MC003", message, w)
+            };
+            assert_eq!(to_json(&[d]), format!("[{want}]"));
+        }
+        assert_eq!(to_json(&[]), "[]");
     }
 
     #[test]

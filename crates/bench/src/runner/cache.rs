@@ -5,7 +5,7 @@
 //! [`super::PointJob::cache_key`] (which folds [`CACHE_VERSION`] into the
 //! digest, so bumping the version orphans every old entry *and* moves the
 //! directory). Values are the point's [`MetricsSummary`] serialized as the
-//! flat JSON object the vendored serde shim emits; floats round-trip
+//! flat JSON object [`MetricsSummary::to_json`] writes; floats round-trip
 //! exactly because Rust's shortest-representation formatting is used on
 //! both sides.
 //!
@@ -69,18 +69,17 @@ impl PointCache {
             std::process::id(),
             TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
-        if std::fs::write(&tmp, serde::to_json(summary)).is_ok()
-            && std::fs::rename(&tmp, &path).is_err()
+        if std::fs::write(&tmp, summary.to_json()).is_ok() && std::fs::rename(&tmp, &path).is_err()
         {
             let _ = std::fs::remove_file(&tmp);
         }
     }
 }
 
-/// Parse the flat JSON object the serde shim emits for
-/// [`MetricsSummary`]. Strict: every field must be present, unknown
-/// fields are rejected — drift between writer and reader reads as a
-/// cache miss, never as a wrong result.
+/// Parse the flat JSON object [`MetricsSummary::to_json`] writes.
+/// Strict: every field must be present, unknown fields are rejected —
+/// drift between writer and reader reads as a cache miss, never as a
+/// wrong result.
 pub(crate) fn parse_summary(json: &str) -> Option<MetricsSummary> {
     let body = json.trim().strip_prefix('{')?.strip_suffix('}')?;
     let mut fields: Vec<(&str, &str)> = Vec::with_capacity(14);
@@ -96,7 +95,7 @@ pub(crate) fn parse_summary(json: &str) -> Option<MetricsSummary> {
     let u64_of = |name: &str| get(name)?.parse::<u64>().ok();
     let f64_of = |name: &str| {
         let v = get(name)?;
-        // The shim writes non-finite floats as null (JSON has no NaN).
+        // The writer puts null for a non-finite float (JSON has no NaN).
         if v == "null" {
             Some(f64::NAN)
         } else {
@@ -147,7 +146,7 @@ mod tests {
     #[test]
     fn summary_round_trips_exactly_through_json() {
         let s = sample();
-        let parsed = parse_summary(&serde::to_json(&s)).expect("parse");
+        let parsed = parse_summary(&s.to_json()).expect("parse");
         assert_eq!(parsed.commits, s.commits);
         assert_eq!(parsed.aborts, s.aborts);
         assert_eq!(parsed.throughput_per_site.to_bits(), s.throughput_per_site.to_bits());
@@ -169,7 +168,7 @@ mod tests {
         assert!(parse_summary("").is_none());
         assert!(parse_summary("{}").is_none());
         assert!(parse_summary("{\"commits\":1}").is_none());
-        let mut json = serde::to_json(&sample());
+        let mut json = sample().to_json();
         json.push('x');
         assert!(parse_summary(&json).is_none());
     }

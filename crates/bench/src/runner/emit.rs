@@ -6,6 +6,7 @@
 //! the property `tests/parallel_runner.rs` pins down.
 
 use repl_core::metrics::MetricsSummary;
+use repl_types::json::{self, Object};
 
 use super::spec::SweepResult;
 
@@ -211,36 +212,27 @@ impl SweepResult {
     /// The full sweep — every metric of every cell — as JSON.
     pub fn json(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\"id\":");
-        serde::ser::escape_str(&mut out, &self.id);
-        out.push_str(",\"title\":");
-        serde::ser::escape_str(&mut out, &self.title);
-        out.push_str(",\"xlabel\":");
-        serde::ser::escape_str(&mut out, &self.xlabel);
-        out.push_str(",\"series\":");
-        out.push_str(&serde::to_json(&self.series));
-        out.push_str(",\"rows\":[");
-        for (ri, row) in self.rows.iter().enumerate() {
-            if ri > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"x\":{},\"cells\":[", row.x));
-            for (ci, cell) in row.cells.iter().enumerate() {
-                if ci > 0 {
-                    out.push(',');
-                }
-                match cell {
-                    Ok(s) => out.push_str(&serde::to_json(s)),
-                    Err(e) => {
-                        out.push_str("{\"error\":");
-                        serde::ser::escape_str(&mut out, &e.to_string());
-                        out.push('}');
-                    }
-                }
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
+        let mut o = Object::new(&mut out);
+        o.str("id", &self.id).str("title", &self.title).str("xlabel", &self.xlabel);
+        o.field("series", |out| json::array(out, &self.series, |out, s| json::string(out, s)));
+        o.field("rows", |out| {
+            json::array(out, &self.rows, |out, row| {
+                let mut r = Object::new(out);
+                r.field("x", |out| out.push_str(&row.x.to_string()));
+                r.field("cells", |out| {
+                    json::array(out, &row.cells, |out, cell| match cell {
+                        Ok(s) => out.push_str(&s.to_json()),
+                        Err(e) => {
+                            let mut err = Object::new(out);
+                            err.str("error", &e.to_string());
+                            err.end();
+                        }
+                    })
+                });
+                r.end();
+            })
+        });
+        o.end();
         out
     }
 

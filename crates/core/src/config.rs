@@ -2,7 +2,6 @@
 //! plus the stable parameter hashing the experiment cache is keyed on.
 
 use repl_sim::{FaultPlan, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// 128-bit FNV-1a hasher with a *stable* digest: unlike
 /// [`std::hash::Hasher`] implementations, the result is guaranteed
@@ -115,7 +114,7 @@ impl StableHash for FaultPlan {
 }
 
 /// Which update-propagation protocol the engine runs.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ProtocolKind {
     /// Indiscriminate lazy propagation — the commercial-style strawman of
     /// §1/Example 1.1. **Not serializable**; included to demonstrate the
@@ -184,7 +183,7 @@ impl StableHash for ProtocolKind {
 }
 
 /// Propagation-tree shape for DAG(WT)/BackEdge.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum TreeKind {
     /// The chain over a topological order — what the paper's prototype
     /// used (§5.1).
@@ -203,7 +202,7 @@ impl StableHash for TreeKind {
 }
 
 /// How local deadlocks are detected.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum DeadlockMode {
     /// Lock-wait timeouts — the prototype's mechanism (50 ms, §5). Also
     /// the only mechanism that catches *global* deadlocks.
@@ -225,7 +224,7 @@ impl StableHash for DeadlockMode {
 
 /// All engine parameters. Workload-shape parameters (Table 1) live in
 /// `repl-workload`; these are the execution-model knobs.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SimParams {
     /// Protocol under test.
     pub protocol: ProtocolKind,

@@ -4,8 +4,8 @@
 use std::collections::HashMap;
 
 use repl_sim::{SimDuration, SimTime};
+use repl_types::json::Object;
 use repl_types::{GlobalTxnId, SiteId};
-use serde::{Deserialize, Serialize};
 
 #[derive(Debug)]
 struct PendingPropagation {
@@ -213,7 +213,7 @@ impl Metrics {
 }
 
 /// The numbers a finished run reports — one row of a figure series.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MetricsSummary {
     /// Committed primary subtransactions.
     pub commits: u64,
@@ -251,6 +251,30 @@ pub struct MetricsSummary {
     pub stall_ms: f64,
 }
 
+impl MetricsSummary {
+    /// The summary as one flat JSON object, fields in declaration order
+    /// (`virtual_duration` in microseconds, a non-finite float as `null`).
+    pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        let mut o = Object::new(&mut out);
+        o.uint("commits", self.commits).uint("aborts", self.aborts);
+        o.float("throughput_per_site", self.throughput_per_site);
+        o.float("abort_rate_pct", self.abort_rate_pct);
+        o.float("mean_response_ms", self.mean_response_ms);
+        o.float("mean_propagation_ms", self.mean_propagation_ms);
+        o.float("max_propagation_ms", self.max_propagation_ms);
+        o.uint("incomplete_propagations", self.incomplete_propagations);
+        o.uint("messages", self.messages);
+        o.uint("virtual_duration", self.virtual_duration.as_micros());
+        o.uint("crashes", self.crashes);
+        o.float("availability_pct", self.availability_pct);
+        o.float("mean_recovery_ms", self.mean_recovery_ms);
+        o.float("stall_ms", self.stall_ms);
+        o.end();
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,6 +299,33 @@ mod tests {
         assert_eq!(sum.messages, 7);
         // Mean response: (1s + 1s) / 2.
         assert!((sum.mean_response_ms - 1_000.0).abs() < 1e-9);
+    }
+
+    /// The bytes the `serde` derive wrote for a summary with NaN,
+    /// infinite, integral, huge and negative-zero floats, before the
+    /// hand-written writer replaced it.
+    #[test]
+    fn summary_json_is_byte_identical() {
+        let s = MetricsSummary {
+            commits: 1234,
+            aborts: 56,
+            throughput_per_site: 78.9012345678,
+            abort_rate_pct: f64::NAN,
+            mean_response_ms: 181.25,
+            mean_propagation_ms: f64::INFINITY,
+            max_propagation_ms: 1e21,
+            incomplete_propagations: 0,
+            messages: 424242,
+            virtual_duration: SimDuration::micros(123_456_789),
+            crashes: 3,
+            availability_pct: 100.0,
+            mean_recovery_ms: 0.1,
+            stall_ms: -0.0,
+        };
+        assert_eq!(
+            s.to_json(),
+            r#"{"commits":1234,"aborts":56,"throughput_per_site":78.9012345678,"abort_rate_pct":null,"mean_response_ms":181.25,"mean_propagation_ms":null,"max_propagation_ms":1000000000000000000000,"incomplete_propagations":0,"messages":424242,"virtual_duration":123456789,"crashes":3,"availability_pct":100,"mean_recovery_ms":0.1,"stall_ms":-0}"#
+        );
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! at [`Cluster::restart`].
 
 use std::fmt;
+use std::net::{Ipv4Addr, SocketAddr};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -17,7 +18,7 @@ use repl_copygraph::{BackEdgeSet, CopyGraph, DataPlacement, PropagationTree};
 use repl_core::history::SerializationCycle;
 use repl_net::{cluster_fingerprint, ClientMsg};
 use repl_protocol::ProtocolError;
-use repl_types::{AddressMap, GlobalTxnId, ItemId, Op, SiteId, Value};
+use repl_types::{GlobalTxnId, ItemId, Op, SiteId, Value};
 
 use crate::handle::{io_error, ClusterHandle, Session};
 use crate::policy::RuntimeOptions;
@@ -196,7 +197,7 @@ pub struct Cluster {
 
 /// One run of a site's reactor.
 struct Incarnation {
-    addr: String,
+    addr: SocketAddr,
     session: Session,
     stop: Arc<AtomicBool>,
     /// Returns what outlives the run.
@@ -268,14 +269,10 @@ impl Cluster {
         let i = site.index();
         let setup = SiteSetup::new(site, self.protocol, self.placement.clone(), &self.structure)
             .map_err(ClusterError::Protocol)?;
-        let mut peers = AddressMap::new();
-        for (s, live) in self.sites.iter().enumerate() {
-            if let Some(live) = live {
-                peers.insert(SiteId(s as u32), live.addr.clone());
-            }
-        }
-        let listener = Listener::bind("127.0.0.1:0").map_err(io_error)?;
-        let addr = listener.local_addr().map_err(io_error)?.to_string();
+        let peers = self.sites.iter().map(|live| live.as_ref().map(|live| live.addr)).collect();
+        let listener =
+            Listener::bind(SocketAddr::from((Ipv4Addr::LOCALHOST, 0))).map_err(io_error)?;
+        let addr = listener.local_addr().map_err(io_error)?;
         let lost =
             || ClusterError::Io(format!("site {site} lost its state with its reactor thread"));
         let parts = self.parked[i].take().ok_or_else(lost)?;
@@ -294,7 +291,7 @@ impl Cluster {
             .map_err(io_error)?;
         // The socket listens already: the session queues until the
         // reactor has recovered the store and accepts it.
-        let session = match Session::connect(&addr) {
+        let session = match Session::connect(addr) {
             Ok(session) => session,
             Err(e) => {
                 stop.store(true, Ordering::SeqCst);
@@ -302,8 +299,8 @@ impl Cluster {
                 return Err(io_error(e));
             }
         };
-        self.sites[i] = Some(Incarnation { addr: addr.clone(), session, stop, thread });
-        let announce = ClientMsg::Peers(vec![(site, addr)]);
+        self.sites[i] = Some(Incarnation { addr, session, stop, thread });
+        let announce = ClientMsg::Peers(vec![(site, addr.to_string())]);
         for (s, live) in self.sites.iter().enumerate() {
             match live {
                 Some(live) if s != i => live.session.expect_ok(announce.clone()),
@@ -335,8 +332,8 @@ impl Cluster {
     /// The loopback address `site` listens on, and the cluster
     /// fingerprint a peer's `Hello` must carry (for tests that speak
     /// the peer protocol to a site).
-    pub fn peer_endpoint(&self, site: SiteId) -> Result<(&str, u64), ClusterError> {
-        self.live(site).map(|live| (live.addr.as_str(), self.fingerprint))
+    pub fn peer_endpoint(&self, site: SiteId) -> Result<(SocketAddr, u64), ClusterError> {
+        self.live(site).map(|live| (live.addr, self.fingerprint))
     }
 
     fn check_faults_supported(&self) -> Result<(), ClusterError> {
@@ -392,7 +389,7 @@ impl Cluster {
     /// A handle for submitting transactions to `site` from other
     /// threads: a client connection of its own.
     pub fn client(&self, site: SiteId) -> Result<SiteClient, ClusterError> {
-        let session = Session::connect(&self.live(site)?.addr).map_err(io_error)?;
+        let session = Session::connect(self.live(site)?.addr).map_err(io_error)?;
         Ok(SiteClient { session: Arc::new(session) })
     }
 

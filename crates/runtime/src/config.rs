@@ -18,9 +18,9 @@ use crate::{LaunchOptions, NetFaultPlan, RuntimeOptions, RuntimeProtocol, ServeC
 
 /// `repld --help`, and the tail of every flag-syntax error.
 pub const USAGE: &str = "\
-usage: repld [--config FILE] [--site N] [--listen HOST:PORT]
+usage: repld [--config FILE] [--site N] [--listen IP:PORT]
              [--protocol dagwt|dagt|backedge|naive] [--placement SPEC]
-             [--reactor epoll] [--peer N=HOST:PORT]...
+             [--reactor epoll] [--peer N=IP:PORT]...
              [--nemesis SPEC] [--eager-timeout-ms N] [--outbox-high-water N]
              [--mvcc] [--group-commit N]
 
@@ -29,7 +29,8 @@ field per run of consecutive items placed alike, in item order — the
 run's primary site, its replica sites, and how many items it holds
 (`*count` left out: one). Example 1.1 is 3|0:1,2|1:2.
 
-Flags override --config values. --listen HOST:0 picks an ephemeral port
+Flags override --config values. Addresses are an IP and a port; host
+names are refused, not resolved. --listen IP:0 picks an ephemeral port
 and announces it on stdout as `repld: site N listening on ADDR`.
 Every connection is served from one nonblocking epoll readiness loop;
 --reactor epoll names that driver and is accepted for compatibility
@@ -230,10 +231,10 @@ fn positive<T: FromStr + Default + PartialEq>(
 }
 
 impl Draft {
-    /// Add one `[peers]` entry or `--peer` flag, as `N=HOST:PORT`.
+    /// Add one `[peers]` entry or `--peer` flag, as `N=IP:PORT`.
     fn peer(&mut self, name: &str, v: &str) -> Result<(), String> {
         let (site, addr) =
-            v.split_once('=').ok_or_else(|| format!("{name} wants N=HOST:PORT, got {v:?}"))?;
+            v.split_once('=').ok_or_else(|| format!("{name} wants N=IP:PORT, got {v:?}"))?;
         let id = site.parse().map_err(|_| format!("peer key {site:?} is not a site id"))?;
         self.peers.insert(SiteId(id), addr);
         Ok(())

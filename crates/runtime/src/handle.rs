@@ -10,7 +10,7 @@
 //! state it handed back ([`Fleet::parked`]).
 
 use std::io;
-use std::net::TcpStream;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -147,7 +147,7 @@ pub(crate) struct Session(Mutex<TcpStream>);
 
 impl Session {
     /// Connect to `addr`, retrying while the site comes up.
-    pub fn connect(addr: &str) -> io::Result<Session> {
+    pub fn connect(addr: impl ToSocketAddrs + Copy) -> io::Result<Session> {
         let start = Instant::now();
         let stream = loop {
             match TcpStream::connect(addr) {

@@ -73,7 +73,7 @@
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -162,11 +162,13 @@ pub struct ServeConfig {
     pub placement: DataPlacement,
     /// The propagation protocol (identical in every process).
     pub protocol: RuntimeProtocol,
-    /// Listen address; use port 0 to bind ephemerally — the bound
-    /// address is printed to stdout for launchers to harvest.
+    /// Listen address, an IP and a port; use port 0 to bind
+    /// ephemerally — the bound address is printed to stdout for
+    /// launchers to harvest.
     pub listen: String,
-    /// Peer addresses. May be incomplete (even empty) at start; a
-    /// launcher can push the full map later with [`ClientMsg::Peers`].
+    /// Peer addresses, each an IP and a port. May be incomplete (even
+    /// empty) at start; a launcher can push the full map later with
+    /// [`ClientMsg::Peers`].
     pub peers: AddressMap,
     /// Timing/bound knobs, including the optional nemesis plan
     /// (`repld --nemesis`). [`RuntimeOptions::default`] for a clean
@@ -187,11 +189,18 @@ fn exec_error(e: ClusterError) -> ExecError {
     }
 }
 
+/// Parse a listen or peer address: an IP literal and a port. A host
+/// name is refused, not resolved — resolving would block the site's one
+/// thread on the system resolver at every dial.
+fn socket_addr(addr: &str) -> Result<SocketAddr, String> {
+    addr.parse().map_err(|_| format!("address {addr:?} is not an IP address and a port"))
+}
+
 /// Run one site as this process on a single-threaded nonblocking epoll
-/// reactor — what `repld` does. Binds `cfg.listen`, prints the
-/// `repld: site N listening on ADDR` banner first on stdout (the
-/// launcher contract), and serves peer and client connections until a
-/// client sends [`ClientMsg::Shutdown`].
+/// reactor — what `repld` does. Parses every address, binds
+/// `cfg.listen`, prints the `repld: site N listening on ADDR` banner
+/// first on stdout (the launcher contract), and serves peer and client
+/// connections until a client sends [`ClientMsg::Shutdown`].
 pub fn serve_epoll(cfg: ServeConfig) -> io::Result<()> {
     let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidInput, e);
     let structure =
@@ -200,6 +209,15 @@ pub fn serve_epoll(cfg: ServeConfig) -> io::Result<()> {
     if cfg.site.index() >= n {
         return Err(invalid("site id out of range".into()));
     }
+    let listen = socket_addr(&cfg.listen).map_err(|e| invalid(format!("listen {e}")))?;
+    let mut peers = vec![None; n];
+    for (site, addr) in cfg.peers.iter() {
+        let slot =
+            peers.get_mut(site.index()).ok_or_else(|| invalid(format!("no such site {site}")))?;
+        let addr = socket_addr(addr).map_err(|e| invalid(format!("peer {site} {e}")))?;
+        // The first address recorded for a site, as `AddressMap::get`.
+        slot.get_or_insert(addr);
+    }
     let parts = SiteParts::new(n, cfg.options.group_commit_batch);
     let fingerprint = cluster_fingerprint(cfg.placement.per_item_spec(), cfg.protocol.name());
     // The one copy of the placement in this process.
@@ -207,9 +225,9 @@ pub fn serve_epoll(cfg: ServeConfig) -> io::Result<()> {
     let setup = SiteSetup::new(cfg.site, cfg.protocol, placement, &structure)
         .map_err(|e| invalid(e.to_string()))?;
     let (opts, stop) = (Arc::new(cfg.options), Arc::default());
-    let listener = Listener::bind(&cfg.listen)?;
+    let listener = Listener::bind(listen)?;
     let addr = listener.local_addr()?;
-    let mut reactor = Reactor::boot(listener, setup, parts, opts, fingerprint, cfg.peers, stop);
+    let mut reactor = Reactor::boot(listener, setup, parts, opts, fingerprint, peers, stop);
     // The launcher contract: exactly this line, first, on stdout.
     println!("repld: site {} listening on {addr}", cfg.site.0);
     reactor.run()
@@ -223,7 +241,7 @@ pub(crate) struct Listener {
 }
 
 impl Listener {
-    pub(crate) fn bind(listen: &str) -> io::Result<Listener> {
+    pub(crate) fn bind(listen: SocketAddr) -> io::Result<Listener> {
         let listener = TcpListener::bind(listen)?;
         listener.set_nonblocking(true)?;
         let epoll = Epoll::new()?;
@@ -253,7 +271,8 @@ pub(crate) struct Reactor {
     out_conn: Vec<Option<usize>>,
     /// Token of the connection each peer dialed to us.
     in_conn: Vec<Option<usize>>,
-    peers: AddressMap,
+    /// Each peer's address, once known.
+    peers: Vec<Option<SocketAddr>>,
     /// Client transactions not yet started (FIFO — the site is serial).
     exec_queue: VecDeque<(usize, Vec<Op>)>,
     /// The one transaction inside its eager phase, if any.
@@ -286,7 +305,7 @@ impl Reactor {
         parts: SiteParts,
         opts: Arc<RuntimeOptions>,
         fingerprint: u64,
-        peers: AddressMap,
+        peers: Vec<Option<SocketAddr>>,
         stop: Arc<AtomicBool>,
     ) -> Reactor {
         let n = parts.links.len();
@@ -577,7 +596,7 @@ impl Reactor {
             // No address yet (the launcher has not pushed `Peers`): there
             // is nothing to dial, which is not a failed dial — it must
             // neither count against the peer's health nor arm a backoff.
-            if self.peers.get(p).is_none() {
+            if self.peers[p.index()].is_none() {
                 continue;
             }
             let ok = self.dial_one(p);
@@ -596,11 +615,9 @@ impl Reactor {
     /// on an installed connection (the handshake itself completes
     /// asynchronously on the readiness loop).
     fn dial_one(&mut self, p: SiteId) -> bool {
-        let Some(addr) = self.peers.get(p).map(str::to_owned) else { return false };
-        let Ok(mut addrs) = addr.to_socket_addrs() else { return false };
-        let Some(sockaddr) = addrs.next() else { return false };
+        let Some(addr) = self.peers[p.index()] else { return false };
         let connect_timeout = self.core.opts.retry.connect_timeout;
-        let Ok(stream) = TcpStream::connect_timeout(&sockaddr, connect_timeout) else {
+        let Ok(stream) = TcpStream::connect_timeout(&addr, connect_timeout) else {
             return false;
         };
         if stream.set_nonblocking(true).is_err() {
@@ -666,20 +683,33 @@ impl Reactor {
             }
             ClientMsg::Peers(entries) => {
                 // All or nothing: a push naming a site outside the
-                // placement changes no entry.
-                if let Some((site, _)) = entries.iter().find(|(s, _)| s.index() >= self.num_sites) {
-                    self.queue_reply(tok, ClientReply::Err(format!("no such site {site}")));
-                    return true;
-                }
+                // placement, or an address that is not an IP and a
+                // port, changes no entry.
+                let parsed: Result<Vec<(SiteId, SocketAddr)>, String> = entries
+                    .iter()
+                    .map(|(site, addr)| {
+                        if site.index() >= self.num_sites {
+                            return Err(format!("no such site {site}"));
+                        }
+                        socket_addr(addr).map(|a| (*site, a))
+                    })
+                    .collect();
+                let entries = match parsed {
+                    Ok(entries) => entries,
+                    Err(e) => {
+                        self.queue_reply(tok, ClientReply::Err(e));
+                        return true;
+                    }
+                };
                 let now = Instant::now();
                 for (site, addr) in entries {
                     // A newly learned (or changed) address is dialed on
                     // this very pass, not after a backoff it never earned.
-                    if self.peers.get(site) != Some(addr.as_str()) {
+                    if self.peers[site.index()] != Some(addr) {
                         self.next_dial[site.index()] = now;
                         self.dial_attempts[site.index()] = 0;
                     }
-                    self.peers.set(site, addr);
+                    self.peers[site.index()] = Some(addr);
                 }
                 self.queue_reply(tok, ClientReply::Ok);
                 true

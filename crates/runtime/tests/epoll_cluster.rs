@@ -7,9 +7,10 @@
 //! placement, the typed-error path for malformed
 //! client frames, the refusals of the removed batching knobs, of a
 //! `Batch` frame on a peer link and of a `Peers` push naming a site
-//! outside the placement, and `pending_deliveries` across a cut link;
-//! and `repld`'s own command line — a site booted from a `--config`
-//! file, a flag over that file, `--help`, an eager timeout of 0.
+//! outside the placement or a host name, and `pending_deliveries` across
+//! a cut link; and `repld`'s own command line — a site booted from a
+//! `--config` file, a flag over that file, `--help`, an eager timeout of
+//! 0, a host name for an address.
 //!
 //! Equivalence holds because final copy state is transport-independent
 //! by construction: each item is written only at its primary, links
@@ -446,6 +447,34 @@ fn repld_refuses_the_removed_batching_flags() {
     }
 }
 
+/// `repld` resolves no host name: a `--listen` or `--peer` address that
+/// is not an IP and a port is refused before any socket opens, exit 2,
+/// with the address named.
+#[test]
+fn repld_refuses_a_host_name_for_an_address() {
+    let site = ["--site", "0", "--protocol", "dagwt", "--placement", "2|0:1*4|1*4"];
+    for (args, named) in [
+        (vec!["--listen", "localhost:0"], "localhost:0"),
+        (
+            vec![
+                "--listen",
+                "127.0.0.1:0",
+                "--peer",
+                "0=127.0.0.1:7100",
+                "--peer",
+                "1=localhost:7101",
+            ],
+            "localhost:7101",
+        ),
+    ] {
+        let out = std::process::Command::new(repld()).args(site).args(&args).output().expect("run");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: a banner was printed");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(named) && stderr.contains("not an IP address"), "{stderr}");
+    }
+}
+
 /// A peer built before the removal advertises versions 1..=2 and may
 /// hold a `Batch` frame: the handshake settles on 1, and a `Batch` frame
 /// sent anyway closes the link unapplied. The test poses as s0 dialing
@@ -502,24 +531,26 @@ fn epoll_batch_frame_on_a_peer_link_closes_it_and_the_fleet_reconverges() {
     cluster.shutdown();
 }
 
-/// A `Peers` push naming a site outside the placement is refused whole,
-/// with the site named, before any entry changes: a push that would also
-/// have moved s1's address leaves it where it was, so the link s0
-/// re-dials after a kill reaches the real s1, and the fleet commits and
-/// converges.
+/// A `Peers` push naming a site outside the placement, or a host name
+/// instead of an IP address, is refused whole, with the culprit named,
+/// before any entry changes: a push that would also have moved s1's
+/// address leaves it where it was, so the link s0 re-dials after a kill
+/// reaches the real s1, and the fleet commits and converges.
 #[test]
 fn epoll_refuses_a_peers_push_naming_a_site_outside_the_placement() {
     let placement = dag_placement();
     let cluster = epoll_cluster(&placement, RuntimeProtocol::DagWt);
     let nowhere = "127.0.0.1:1".to_string();
+    let host = "localhost:7101".to_string();
     let mut conn = TcpStream::connect(&cluster.addrs()[0]).unwrap();
-    for push in [
-        vec![(SiteId(9), nowhere.clone())],
-        vec![(SiteId(1), nowhere.clone()), (SiteId(9), nowhere.clone())],
+    for (push, named) in [
+        (vec![(SiteId(9), nowhere.clone())], "s9"),
+        (vec![(SiteId(1), nowhere.clone()), (SiteId(9), nowhere.clone())], "s9"),
+        (vec![(SiteId(1), nowhere.clone()), (SiteId(2), host.clone())], "localhost:7101"),
     ] {
         write_msg(&mut conn, &WireMsg::Client(ClientMsg::Peers(push))).unwrap();
         match read_msg(&mut conn).expect("reply") {
-            WireMsg::Reply(ClientReply::Err(msg)) => assert!(msg.contains("s9"), "{msg}"),
+            WireMsg::Reply(ClientReply::Err(msg)) => assert!(msg.contains(named), "{msg}"),
             other => panic!("expected a refusal, got {other:?}"),
         }
     }

@@ -122,6 +122,10 @@ fn a_burst_of_link_frames_is_applied_in_place_of_a_vector_of_them() {
     let wal = cluster.snapshot_wal(SiteId(2)).unwrap().len();
     assert!(wal < (WARM_UP * u64::from(ITEMS) * 25) as usize, "no cut: {wal} bytes of WAL");
     cluster.restart(SiteId(2)).unwrap();
+    // `restart` returns once s2 listens, which can be before its reactor
+    // has recovered the store and allocated its read buffer: a reply
+    // from s2 keeps that boot work out of the counted window.
+    assert!(cluster.peek(SiteId(2), items[0]).is_some());
 
     let (addr, fingerprint) = cluster.peer_endpoint(SiteId(2)).unwrap();
     let hello = Hello { site: SiteId(1), version_min: 1, version_max: 1, cluster: fingerprint };

@@ -18,13 +18,12 @@
 //!   the same plan replay the same failure history.
 
 use repl_types::SiteId;
-use serde::{Deserialize, Serialize};
 
 use crate::time::{SimDuration, SimTime};
 
 /// One site failure: the site crashes at `at` and, if `restart` is set,
 /// rejoins (with WAL replay) at that later instant.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CrashWindow {
     /// The site that fails.
     pub site: SiteId,
@@ -36,7 +35,7 @@ pub struct CrashWindow {
 
 /// One transient outage of the ordered link `from → to`: messages whose
 /// send falls inside `[start, end)` depart only at `end`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LinkOutage {
     /// Sending side of the affected ordered link.
     pub from: SiteId,
@@ -51,7 +50,7 @@ pub struct LinkOutage {
 /// A declarative, seeded fault schedule consulted by [`crate::Network`]
 /// and the engine. The empty plan ([`FaultPlan::none`]) injects nothing
 /// and costs nothing.
-#[derive(Clone, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     /// Site crash/restart windows, in schedule order.
     pub crashes: Vec<CrashWindow>,

@@ -6,14 +6,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a site (a node in the distributed system).
 ///
 /// Sites are totally ordered (`s1 < s2 < … < sm`); the DAG(T) timestamp
 /// order of Definition 3.3 and the chain-tree construction both rely on
 /// this order, which is simply the order of the underlying integers.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SiteId(pub u32);
 
 impl SiteId {
@@ -40,7 +38,7 @@ impl fmt::Display for SiteId {
 ///
 /// A logical item has exactly one *primary copy* (at its primary site) and
 /// zero or more *secondary copies* (replicas) at other sites.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ItemId(pub u32);
 
 impl ItemId {
@@ -65,7 +63,7 @@ impl fmt::Display for ItemId {
 
 /// Identifier of a worker thread within one site (the multiprogramming
 /// level of §5.2 is the number of these per site).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ThreadId(pub u32);
 
 impl fmt::Debug for ThreadId {
@@ -79,7 +77,7 @@ impl fmt::Debug for ThreadId {
 /// Each site's storage engine numbers the (sub)transactions it executes;
 /// the pair `(SiteId, TxnId)` is globally unique but the storage crate is
 /// deliberately unaware of sites.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxnId(pub u64);
 
 impl fmt::Debug for TxnId {
@@ -94,7 +92,7 @@ impl fmt::Debug for TxnId {
 /// secondary subtransactions that carry its updates to other sites. Every
 /// installed version is tagged with the `GlobalTxnId` of its logical writer,
 /// which is what the serializability checker keys on.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GlobalTxnId {
     /// Site at which the primary subtransaction originated.
     pub origin: SiteId,

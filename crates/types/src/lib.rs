@@ -14,6 +14,7 @@
 
 pub mod error;
 pub mod id;
+pub mod json;
 pub mod netaddr;
 pub mod op;
 pub mod value;

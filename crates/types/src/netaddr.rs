@@ -1,12 +1,13 @@
 //! Cluster address maps.
 //!
 //! A deployed cluster (one OS process per site, `repld`) is described by
-//! a map from site id to a `host:port` string. The map is a plain sorted
-//! vector rather than a hash map so iteration order is deterministic and
-//! duplicate entries remain *representable* — the `repl-analysis` RA011
-//! lint wants to see malformed maps (duplicate site ids, duplicate
-//! addresses, missing peers) as data, not have them silently collapsed
-//! by insertion.
+//! a map from site id to a `host:port` string (`repld` itself takes only
+//! an IP address for the host, and resolves no names). The map is a
+//! plain sorted vector rather than a hash map so iteration order is
+//! deterministic and duplicate entries remain *representable* — the
+//! `repl-analysis` RA011 lint wants to see malformed maps (duplicate
+//! site ids, duplicate addresses, missing peers) as data, not have them
+//! silently collapsed by insertion.
 //!
 //! Addresses are kept as strings: this crate (and everything below
 //! `repl-runtime`) stays free of `std::net` so the deterministic layers

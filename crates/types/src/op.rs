@@ -1,11 +1,9 @@
 //! Transaction operations.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ItemId, Value};
 
 /// The kind of an operation: read or write.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum OpKind {
     /// Shared-mode access returning the item's current value.
     Read,
@@ -26,7 +24,7 @@ impl OpKind {
 /// Per the §1.1 system model, a transaction may *read* any item present at
 /// its originating site (primary copy or replica) but may only *write*
 /// items whose primary copy lives at that site.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Op {
     /// The logical item accessed.
     pub item: ItemId,

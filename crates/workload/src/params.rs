@@ -3,13 +3,12 @@
 use repl_core::config::{SimParams, StableHash, StableHasher};
 use repl_core::scenario::WorkloadMix;
 use repl_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// The full parameter space of Table 1.
 ///
 /// Field defaults are the paper's default column; the `Range` column of
 /// Table 1 is what the figure sweeps vary.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TableOneParams {
     /// Number of sites `m` (default 9, range 3–15).
     pub num_sites: u32,
