@@ -1,8 +1,7 @@
 //! Diagnostic records shared by every analysis pass.
 //!
 //! A [`Diagnostic`] carries a stable code (`RA…` for configuration lints,
-//! `RL…` for the source determinism lint, `MC…` for model-checker
-//! violations), a severity, a human-readable message and a
+//! `MC…` for model-checker violations), a severity, a human-readable message and a
 //! machine-readable [`Witness`] — the concrete structure that proves the
 //! finding (a cycle, an edge, a scheduler trace). Diagnostics serialize
 //! to JSON ([`to_json`]) so harnesses can archive them next to run
@@ -35,7 +34,7 @@ impl std::fmt::Display for Severity {
 /// The structure that substantiates a diagnostic.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Witness {
-    /// No structural witness (timing lints, source lints).
+    /// No structural witness (timing lints).
     None,
     /// A cycle through these sites, in order (closing edge implied).
     Cycle(Vec<SiteId>),
@@ -62,15 +61,6 @@ pub enum Witness {
         /// The bound it violates, in microseconds.
         bound_us: u64,
     },
-    /// A source location (determinism lint).
-    Source {
-        /// Path of the offending file.
-        file: String,
-        /// 1-based line number.
-        line: u32,
-        /// The offending source line, trimmed.
-        text: String,
-    },
     /// A model-checker counterexample: the (shrunk) scheduler trace that
     /// reproduces the violation, one rendered action per step. Replaying
     /// the steps in order from the scenario's initial state reaches the
@@ -86,7 +76,7 @@ pub enum Witness {
 pub struct Diagnostic {
     /// Finding severity.
     pub severity: Severity,
-    /// Stable diagnostic code (`RA001`, `RL002`, `MC003`, …).
+    /// Stable diagnostic code (`RA001`, `MC003`, …).
     pub code: &'static str,
     /// Human-readable description.
     pub message: String,
@@ -132,9 +122,6 @@ impl Witness {
             Witness::Timing { value_us, bound_us } => variant(out, "Timing", |o| {
                 o.uint("value_us", *value_us).uint("bound_us", *bound_us);
             }),
-            Witness::Source { file, line, text } => variant(out, "Source", |o| {
-                o.str("file", file).uint("line", (*line).into()).str("text", text);
-            }),
             Witness::McTrace { steps } => variant(out, "McTrace", |o| {
                 o.field("steps", |out| json::array(out, steps, |out, s| json::string(out, s)));
             }),
@@ -172,7 +159,7 @@ impl Diagnostic {
 }
 
 /// `diags` as a JSON array of `{"severity", "code", "message",
-/// "witness"}` objects (what `replint --json` and `replmc --json` print).
+/// "witness"}` objects (what `replmc --json` prints).
 pub fn to_json(diags: &[Diagnostic]) -> String {
     let mut out = String::new();
     json::array(&mut out, diags, |out, d| d.write_json(out));
@@ -219,7 +206,9 @@ mod tests {
     }
 
     /// The bytes the `serde` derive wrote for one diagnostic per witness
-    /// variant, before the hand-written writer replaced it.
+    /// variant, before the hand-written writer replaced it. The last
+    /// case pins the escaping of a witness string: a backslash, a quote,
+    /// a control character and non-ASCII text.
     #[test]
     fn json_is_byte_identical_for_every_witness() {
         let message = "q\"b\\n\nc\u{1}t\té→";
@@ -229,8 +218,8 @@ mod tests {
             Witness::Edge { from: SiteId(3), to: SiteId(4) },
             Witness::Replica { item: ItemId(7), primary: SiteId(0), replica: SiteId(2) },
             Witness::Timing { value_us: 10, bound_us: 150 },
-            Witness::Source { file: "a\\b.rs".into(), line: 9, text: "x = \"y\";\r".into() },
             Witness::McTrace { steps: vec!["commit s0 t1".into(), "deliver s0→s1".into()] },
+            Witness::McTrace { steps: vec!["a\\b.rs".into(), "x = \"y\";\r\u{1f}é".into()] },
         ];
         let pinned = [
             r#"{"severity":"Error","code":"RA001","message":"q\"b\\n\nc\u0001t\té→","witness":"None"}"#,
@@ -238,8 +227,8 @@ mod tests {
             r#"{"severity":"Error","code":"RA001","message":"q\"b\\n\nc\u0001t\té→","witness":{"Edge":{"from":3,"to":4}}}"#,
             r#"{"severity":"Warning","code":"MC003","message":"q\"b\\n\nc\u0001t\té→","witness":{"Replica":{"item":7,"primary":0,"replica":2}}}"#,
             r#"{"severity":"Error","code":"RA001","message":"q\"b\\n\nc\u0001t\té→","witness":{"Timing":{"value_us":10,"bound_us":150}}}"#,
-            r#"{"severity":"Warning","code":"MC003","message":"q\"b\\n\nc\u0001t\té→","witness":{"Source":{"file":"a\\b.rs","line":9,"text":"x = \"y\";\r"}}}"#,
-            r#"{"severity":"Error","code":"RA001","message":"q\"b\\n\nc\u0001t\té→","witness":{"McTrace":{"steps":["commit s0 t1","deliver s0→s1"]}}}"#,
+            r#"{"severity":"Warning","code":"MC003","message":"q\"b\\n\nc\u0001t\té→","witness":{"McTrace":{"steps":["commit s0 t1","deliver s0→s1"]}}}"#,
+            r#"{"severity":"Error","code":"RA001","message":"q\"b\\n\nc\u0001t\té→","witness":{"McTrace":{"steps":["a\\b.rs","x = \"y\";\r\u001fé"]}}}"#,
         ];
         for (i, (w, want)) in witnesses.into_iter().zip(pinned).enumerate() {
             let d = if i % 2 == 0 {

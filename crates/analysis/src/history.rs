@@ -23,7 +23,7 @@
 //! Example 1.1 shows the indiscriminate protocol can fail — both are
 //! exercised in this workspace's test suites.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use repl_types::{GlobalTxnId, ItemId};
 
@@ -42,11 +42,11 @@ pub struct CommittedTxn {
 #[derive(Default, Debug)]
 pub struct History {
     txns: Vec<CommittedTxn>,
-    index_of: HashMap<GlobalTxnId, usize>,
+    index_of: BTreeMap<GlobalTxnId, usize>,
     /// item → writers in version order (version k+1 = writers[k]).
-    writers: HashMap<ItemId, Vec<GlobalTxnId>>,
+    writers: BTreeMap<ItemId, Vec<GlobalTxnId>>,
     /// (writer, item) → version sequence number (1-based; 0 = initial).
-    version_of: HashMap<(GlobalTxnId, ItemId), u64>,
+    version_of: BTreeMap<(GlobalTxnId, ItemId), u64>,
 }
 
 /// A serializability violation: a cycle in the serialization graph.
@@ -103,7 +103,6 @@ impl History {
 
     /// Total number of versions installed across all items.
     pub fn version_count(&self) -> usize {
-        // Order-insensitive sum. // replint: allow(hash-iter)
         self.writers.values().map(Vec::len).sum()
     }
 
@@ -120,9 +119,7 @@ impl History {
             }
         };
 
-        // ww edges. Per-item edge sets are independent, so the graph (and
-        // the cycle verdict) does not depend on the iteration order.
-        // replint: allow(hash-iter)
+        // ww edges, item by item.
         for writers in self.writers.values() {
             for w in writers.windows(2) {
                 push_edge(self.index_of[&w[0]], self.index_of[&w[1]], &mut adj);

@@ -1,19 +1,13 @@
 //! Static and dynamic analyses for the replication suite.
 //!
-//! Three independent passes, one diagnostic vocabulary ([`Diagnostic`]):
+//! Two independent passes, one diagnostic vocabulary ([`Diagnostic`]):
 //!
 //! 1. **Configuration linter** ([`lint`]) — checks a data placement, its
 //!    copy graph, and the run's timing parameters against the protocol
 //!    preconditions of Breitbart et al. *before* any simulation runs
 //!    (codes `RA001`–`RA009`). The engine and every bench binary call
 //!    [`lint::lint_scenario`] and fail fast on errors.
-//! 2. **Determinism lint** ([`detlint`], `replint` binary) — a source
-//!    scanner that rejects wall-clock reads, ambient randomness and
-//!    hash-order iteration in the simulator crates (codes `RL001`–`RL004`),
-//!    forbids panicking calls in the long-running runtime crates
-//!    (`RL008`), and warns on stale suppressions (`RL000`), keeping runs
-//!    reproducible from their seeds.
-//! 3. **Model checker** ([`mc`], `replmc` binary) — a stateless DFS
+//! 2. **Model checker** ([`mc`], `replmc` binary) — a stateless DFS
 //!    explorer that drives the sans-I/O `SiteMachine`s through *every*
 //!    interleaving of deliverable inputs for bounded workloads, with
 //!    sleep-set pruning and state-fingerprint dedup, and checks
@@ -22,8 +16,13 @@
 //!    serializability oracle reuses [`history::History`], which lives
 //!    here (re-exported by `repl-core`) so both the engine and the model
 //!    checker can share it.
+//!
+//! The source rules that keep runs reproducible from their seeds — no
+//! wall clock, no sleep, no socket and no hash-ordered map in the
+//! deterministic crates — are the compiler's: the workspace's
+//! `clippy.toml` lists them, and `tools/ci.sh` runs clippy with
+//! `-D warnings`.
 
-pub mod detlint;
 pub mod diag;
 pub mod history;
 pub mod lint;

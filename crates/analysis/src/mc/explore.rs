@@ -23,7 +23,7 @@
 //! marks the report truncated (gates treat truncation as failure to
 //! *exhaustively* explore, distinct from finding a violation).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use super::scenario::Scenario;
 use super::world::{Action, World};
@@ -112,7 +112,7 @@ struct Explorer {
     stats: Stats,
     findings: Vec<Finding>,
     /// fingerprint → minimal antichain of sleep sets explored under.
-    visited: HashMap<u128, Vec<BTreeSet<Action>>>,
+    visited: BTreeMap<u128, Vec<BTreeSet<Action>>>,
     /// fingerprints whose state-oracles already ran.
     checked: BTreeSet<u128>,
     /// fingerprints whose state-oracles reported a violation; their
@@ -129,7 +129,7 @@ pub fn explore(scenario: &Scenario, config: &Config) -> Result<Report, String> {
         config: *config,
         stats: Stats::default(),
         findings: Vec::new(),
-        visited: HashMap::new(),
+        visited: BTreeMap::new(),
         checked: BTreeSet::new(),
         bad: BTreeSet::new(),
         fingerprints: BTreeSet::new(),

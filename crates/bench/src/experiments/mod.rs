@@ -408,7 +408,8 @@ mod tests {
 
     #[test]
     fn each_sweep_spec_id_is_its_registry_name() {
-        let scale = Scale { txns: 10, seeds: 1, workers: 1, cache: false };
+        let scale =
+            Scale { txns: 10, seeds: 1, workers: 1, cache: false, emit: crate::Emit::default() };
         let mut sweeps = 0;
         for &(name, _, run) in EXPERIMENTS {
             if let Run::Sweep(build) = run {

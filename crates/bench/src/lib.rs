@@ -20,9 +20,13 @@
 //! * `REPRO_SEEDS`    — seeds averaged per point (default 1);
 //! * `REPRO_SCALE`    — shorthand: `quick` sets `REPRO_TXNS=150`;
 //! * `REPRO_WORKERS`  — worker threads (default: all cores);
-//! * `REPRO_NO_CACHE` — `1` disables the on-disk point cache;
+//! * `REPRO_NO_CACHE` — `1` disables the on-disk point cache (`0`
+//!   keeps it);
 //! * `REPRO_EMIT`     — comma list of `csv`,`json`: also write
 //!   `results/<figure>.<ext>` next to the printed table.
+//!
+//! A knob that is set to anything else is refused, naming the variable:
+//! `repro` exits 2 before it runs a point.
 
 #![warn(missing_docs)]
 
@@ -30,7 +34,7 @@ pub mod experiments;
 pub mod runner;
 
 pub use runner::{
-    try_run_point_with, Column, ExperimentSpec, PointCache, PointJob, RunError, Runner,
+    try_run_point_with, Column, Emit, ExperimentSpec, PointCache, PointJob, RunError, Runner,
     RunnerStats, SweepResult, SweepRow, CACHE_VERSION,
 };
 
@@ -51,6 +55,9 @@ pub struct Scale {
     /// Whether the on-disk point cache is used (`REPRO_NO_CACHE=1` turns
     /// it off).
     pub cache: bool,
+    /// The files a printed sweep also writes (`REPRO_EMIT`; default
+    /// none).
+    pub emit: Emit,
 }
 
 impl Scale {
@@ -59,8 +66,11 @@ impl Scale {
         Scale::parse(|name| std::env::var(name).ok())
     }
 
-    /// Read the knobs through `var`. A numeric knob that is set but does
-    /// not parse, or is 0, is an error naming the variable.
+    /// Read the knobs through `var`. A knob that is set to a value it
+    /// does not take — a numeric one that does not parse or is 0, a
+    /// `REPRO_SCALE` other than `quick`, a `REPRO_NO_CACHE` other than
+    /// `0` or `1`, a `REPRO_EMIT` entry other than `csv` or `json` — is
+    /// an error naming the variable.
     fn parse(var: impl Fn(&str) -> Option<String>) -> Result<Scale, String> {
         let positive = |name: &str| match var(name) {
             None => Ok(None),
@@ -71,7 +81,20 @@ impl Scale {
         };
         let (txns, seeds) = (positive("REPRO_TXNS")?, positive("REPRO_SEEDS")?);
         let workers = positive("REPRO_WORKERS")?;
-        let quick = var("REPRO_SCALE").is_some_and(|s| s == "quick");
+        let quick = match var("REPRO_SCALE").as_deref() {
+            None => false,
+            Some("quick") => true,
+            Some(raw) => return Err(format!("REPRO_SCALE must be quick or unset, got {raw:?}")),
+        };
+        let cache = match var("REPRO_NO_CACHE").as_deref() {
+            None | Some("0") => true,
+            Some("1") => false,
+            Some(raw) => return Err(format!("REPRO_NO_CACHE must be 0 or 1, got {raw:?}")),
+        };
+        let emit = match var("REPRO_EMIT") {
+            None => Emit::default(),
+            Some(raw) => Emit::parse(&raw).map_err(|e| format!("REPRO_EMIT {raw:?}: {e}"))?,
+        };
         Ok(Scale {
             txns: if quick { 150 } else { txns.unwrap_or(1000) },
             seeds: seeds.map_or(1, u64::from),
@@ -79,7 +102,8 @@ impl Scale {
                 || std::thread::available_parallelism().map_or(1, |n| n.get()),
                 |n| n as usize,
             ),
-            cache: var("REPRO_NO_CACHE").is_none_or(|v| v != "1"),
+            cache,
+            emit,
         })
     }
 
@@ -95,12 +119,14 @@ impl Scale {
     }
 
     /// The pool at this scale: its workers, the shared `results/cache`
-    /// unless the cache is off, progress on stderr.
+    /// unless the cache is off, progress on stderr, and the files its
+    /// sweeps also write.
     pub fn runner(&self) -> Runner {
         Runner::new()
             .workers(self.workers)
             .cache_dir(self.cache.then(|| "results/cache".into()))
             .progress(true)
+            .emit(self.emit)
     }
 }
 
@@ -122,7 +148,7 @@ pub fn run_point_with(table: &TableOneParams, base: &SimParams, seed: u64) -> Me
 
 #[cfg(test)]
 mod tests {
-    use super::Scale;
+    use super::{Emit, Scale};
 
     fn parse(vars: &[(&str, &str)]) -> Result<Scale, String> {
         Scale::parse(|name| vars.iter().find(|(k, _)| *k == name).map(|(_, v)| v.to_string()))
@@ -131,10 +157,15 @@ mod tests {
     #[test]
     fn unset_knobs_take_paper_defaults() {
         let s = parse(&[("REPRO_WORKERS", "3")]).unwrap();
-        assert_eq!(s, Scale { txns: 1000, seeds: 1, workers: 3, cache: true });
+        let none = Emit::default();
+        assert_eq!(s, Scale { txns: 1000, seeds: 1, workers: 3, cache: true, emit: none });
         let quick = parse(&[("REPRO_SCALE", "quick"), ("REPRO_TXNS", "40")]).unwrap();
         assert_eq!(quick.txns, 150, "quick wins over REPRO_TXNS, as it always has");
         assert!(!parse(&[("REPRO_NO_CACHE", "1")]).unwrap().cache);
+        assert!(parse(&[("REPRO_NO_CACHE", "0")]).unwrap().cache);
+        let both = Emit { csv: true, json: true };
+        assert_eq!(parse(&[("REPRO_EMIT", "csv, json")]).unwrap().emit, both);
+        assert_eq!(parse(&[("REPRO_EMIT", "json")]).unwrap().emit, Emit { json: true, ..none });
     }
 
     #[test]
@@ -147,5 +178,18 @@ mod tests {
         }
         // Validated even where REPRO_SCALE=quick overrides the value.
         assert!(parse(&[("REPRO_SCALE", "quick"), ("REPRO_TXNS", "abc")]).is_err());
+        // A misspelt word would otherwise run at full scale, keep the
+        // cache, or write no file, and exit 0.
+        let words = [
+            ("REPRO_SCALE", &["Quick", "fast", "full", ""][..]),
+            ("REPRO_NO_CACHE", &["true", "yes", "2", ""]),
+            ("REPRO_EMIT", &["jsn", "CSV", "csv,", ""]),
+        ];
+        for (name, spellings) in words {
+            for bad in spellings {
+                let err = parse(&[(name, bad)]).unwrap_err();
+                assert!(err.starts_with(name), "{name}={bad:?}: {err}");
+            }
+        }
     }
 }

@@ -10,6 +10,32 @@ use repl_types::json::{self, Object};
 
 use super::spec::SweepResult;
 
+/// The files a printed sweep also writes under `results/`, beside its
+/// text table (`REPRO_EMIT`, read by `Scale::from_env`).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Emit {
+    /// Write `results/<id>.csv`.
+    pub csv: bool,
+    /// Write `results/<id>.json`.
+    pub json: bool,
+}
+
+impl Emit {
+    /// Parse a comma list of `csv` and `json`. Any other entry, an empty
+    /// one included, is refused with the entry named.
+    pub fn parse(list: &str) -> Result<Emit, String> {
+        let mut emit = Emit::default();
+        for kind in list.split(',') {
+            match kind.trim() {
+                "csv" => emit.csv = true,
+                "json" => emit.json = true,
+                other => return Err(format!("unknown kind {other:?} (want csv, json)")),
+            }
+        }
+        Ok(emit)
+    }
+}
+
 /// A metric column of an emitted series.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Column {
@@ -236,8 +262,8 @@ impl SweepResult {
         out
     }
 
-    /// Print the text table to stdout and honour `REPRO_EMIT` (a comma
-    /// list of `csv`/`json`) by also writing `results/<id>.<ext>`.
+    /// Print the text table to stdout and also write
+    /// `results/<id>.<ext>` for each kind [`SweepResult::emit`] names.
     pub fn print(&self, cols: &[Column]) {
         print!("{}", self.text(cols));
         self.emit_files(cols);
@@ -250,15 +276,15 @@ impl SweepResult {
     }
 
     fn emit_files(&self, cols: &[Column]) {
-        let Ok(emit) = std::env::var("REPRO_EMIT") else { return };
+        let Emit { csv, json } = self.emit;
+        if !(csv || json) {
+            return;
+        }
         // Nothing under `results/` is tracked; a fresh checkout has no such directory.
         let _ = std::fs::create_dir_all("results");
-        for kind in emit.split(',') {
-            let (path, body) = match kind.trim() {
-                "csv" => (format!("results/{}.csv", self.id), self.csv(cols)),
-                "json" => (format!("results/{}.json", self.id), self.json()),
-                _ => continue,
-            };
+        let csv = csv.then(|| (format!("results/{}.csv", self.id), self.csv(cols)));
+        let json = json.then(|| (format!("results/{}.json", self.id), self.json()));
+        for (path, body) in csv.into_iter().chain(json) {
             match std::fs::write(&path, body) {
                 Ok(()) => eprintln!("[{}] wrote {path}", self.id),
                 Err(e) => eprintln!("[{}] failed to write {path}: {e}", self.id),
@@ -309,6 +335,7 @@ mod tests {
                 },
             ],
             stats: RunnerStats::default(),
+            emit: Emit::default(),
         }
     }
 

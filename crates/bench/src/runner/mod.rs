@@ -23,7 +23,7 @@ mod emit;
 mod spec;
 
 pub use cache::{PointCache, CACHE_VERSION};
-pub use emit::Column;
+pub use emit::{Column, Emit};
 pub use spec::{ExperimentSpec, SweepResult, SweepRow};
 
 use std::io::{IsTerminal, Write as _};
@@ -206,12 +206,13 @@ pub struct Runner {
     workers: usize,
     cache: Option<PointCache>,
     progress: bool,
+    emit: Emit,
 }
 
 impl Runner {
     /// A serial runner with no cache and no progress output.
     pub fn new() -> Self {
-        Runner { workers: 1, cache: None, progress: false }
+        Runner { workers: 1, cache: None, progress: false, emit: Emit::default() }
     }
 
     /// Set the worker-thread count (clamped to ≥ 1).
@@ -232,13 +233,19 @@ impl Runner {
         self
     }
 
+    /// The files a sweep's [`SweepResult::print`] also writes.
+    pub fn emit(mut self, emit: Emit) -> Self {
+        self.emit = emit;
+        self
+    }
+
     /// Expand `spec` into points, execute them across the pool and
     /// aggregate into a [`SweepResult`] whose emitted series are
     /// byte-identical for any worker count.
     pub fn run(&self, spec: &ExperimentSpec) -> SweepResult {
         let jobs = spec.jobs();
         let (results, stats) = self.run_points(spec.id(), &jobs);
-        spec.aggregate(results, stats)
+        SweepResult { emit: self.emit, ..spec.aggregate(results, stats) }
     }
 
     /// Execute raw points, returning per-point results **in job order**

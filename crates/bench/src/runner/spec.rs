@@ -17,7 +17,7 @@ use repl_core::config::{ProtocolKind, SimParams};
 use repl_core::metrics::MetricsSummary;
 use repl_workload::TableOneParams;
 
-use super::{PointJob, RunError, RunnerStats};
+use super::{Emit, PointJob, RunError, RunnerStats};
 
 /// Mutates the workload/engine parameters for one swept x value.
 pub type AxisSetter = Box<dyn Fn(&mut TableOneParams, &mut SimParams, f64)>;
@@ -174,6 +174,7 @@ impl ExperimentSpec {
             series: self.series.iter().map(|s| s.label.clone()).collect(),
             rows,
             stats,
+            emit: Emit::default(),
         }
     }
 }
@@ -226,6 +227,8 @@ pub struct SweepResult {
     pub rows: Vec<SweepRow>,
     /// Pool statistics (executed/cached/wall clock).
     pub stats: RunnerStats,
+    /// The files [`SweepResult::print`] also writes.
+    pub emit: Emit,
 }
 
 impl SweepResult {

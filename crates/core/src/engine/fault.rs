@@ -114,22 +114,16 @@ impl Engine {
             }
         }
 
-        // Proxies held *here* for remote transactions are volatile.
-        // Sorted drain: HashMap iteration order must never shape a run.
+        // Proxies held *here* for remote transactions are volatile;
+        // they drain in `GlobalTxnId` order, the maps' own.
         {
             let st = &mut self.sites[site.index()];
-            let mut gids: Vec<GlobalTxnId> = st.proxies.keys().copied().collect();
-            gids.sort_unstable();
-            for gid in gids {
-                let p = st.proxies.remove(&gid).expect("collected above");
+            for (_, p) in std::mem::take(&mut st.proxies) {
                 if st.owner.remove(&p.local).is_some() {
                     let _ = st.store.abort(p.local);
                 }
             }
-            let mut gids: Vec<GlobalTxnId> = st.backedge_txns.keys().copied().collect();
-            gids.sort_unstable();
-            for gid in gids {
-                let r = st.backedge_txns.remove(&gid).expect("collected above");
+            for (_, r) in std::mem::take(&mut st.backedge_txns) {
                 if st.owner.remove(&r.local).is_some() {
                     let _ = st.store.abort(r.local);
                 }
@@ -145,9 +139,8 @@ impl Engine {
             if other == site.index() || !self.sites[other].up {
                 continue;
             }
-            let mut orphans: Vec<GlobalTxnId> =
+            let orphans: Vec<GlobalTxnId> =
                 self.sites[other].proxies.keys().copied().filter(|g| g.origin == site).collect();
-            orphans.sort_unstable();
             for gid in orphans {
                 self.recv_proxy_release(now, SiteId(other as u32), gid, false);
             }

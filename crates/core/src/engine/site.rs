@@ -5,7 +5,7 @@
 //! driver-side state the simulator owns — storage transactions, CPU
 //! accounting, threads, lock waits and crash/recovery bookkeeping.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use repl_protocol::SiteMachine;
 use repl_sim::{CpuQueue, SimTime};
@@ -194,7 +194,7 @@ pub struct SiteState {
     /// Worker threads.
     pub threads: Vec<ThreadState>,
     /// Owner map for local storage transactions.
-    pub owner: HashMap<TxnId, Owner>,
+    pub owner: BTreeMap<TxnId, Owner>,
     /// The sans-I/O propagation state machine for this site. `None` for
     /// PSL/Eager, which do not propagate lazily.
     pub machine: Option<SiteMachine>,
@@ -210,14 +210,14 @@ pub struct SiteState {
     pub next_arrival: u64,
     /// DAG(T): last time anything was sent to each copy-graph child
     /// (drives dummy generation, §3.3).
-    pub last_sent: HashMap<SiteId, SimTime>,
+    pub last_sent: BTreeMap<SiteId, SimTime>,
     /// Per-attempt counter feeding [`GlobalTxnId`]s.
     pub next_seq: u64,
     /// PSL/Eager proxies keyed by remote transaction.
-    pub proxies: HashMap<GlobalTxnId, ProxyState>,
+    pub proxies: BTreeMap<GlobalTxnId, ProxyState>,
     /// BackEdge: executing or prepared backedge/special subtransactions
     /// keyed by transaction.
-    pub backedge_txns: HashMap<GlobalTxnId, BackedgeRun>,
+    pub backedge_txns: BTreeMap<GlobalTxnId, BackedgeRun>,
     /// False while the site is crashed (fault plan); its event stream is
     /// parked and deliveries are buffered into `backlog`.
     pub up: bool,
@@ -253,16 +253,16 @@ impl SiteState {
                 .into_iter()
                 .map(|p| ThreadState { programs: p, next_txn: 0, active: None })
                 .collect(),
-            owner: HashMap::new(),
+            owner: BTreeMap::new(),
             machine: None,
             applier: None,
             applier_gen: 0,
             sec_wait_seq: 0,
             next_arrival: 0,
-            last_sent: HashMap::new(),
+            last_sent: BTreeMap::new(),
             next_seq: 0,
-            proxies: HashMap::new(),
-            backedge_txns: HashMap::new(),
+            proxies: BTreeMap::new(),
+            backedge_txns: BTreeMap::new(),
             up: true,
             backlog: Vec::new(),
             wal_len: 0,

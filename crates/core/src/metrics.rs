@@ -1,7 +1,7 @@
 //! Run metrics matching §5.3: throughput, abort rate, response time and
 //! update-propagation delay.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use repl_sim::{SimDuration, SimTime};
 use repl_types::json::Object;
@@ -22,7 +22,7 @@ pub struct Metrics {
     aborts: u64,
     response_total_us: u64,
     response_count: u64,
-    pending: HashMap<GlobalTxnId, PendingPropagation>,
+    pending: BTreeMap<GlobalTxnId, PendingPropagation>,
     prop_total_us: u64,
     prop_count: u64,
     prop_max_us: u64,
@@ -44,7 +44,7 @@ impl Metrics {
             aborts: 0,
             response_total_us: 0,
             response_count: 0,
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
             prop_total_us: 0,
             prop_count: 0,
             prop_max_us: 0,

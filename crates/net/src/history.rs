@@ -45,7 +45,7 @@ pub struct HistoryLog {
 /// log's own.
 fn encoded_txn_len(bytes: &[u8]) -> usize {
     let mut rest = bytes;
-    // replint: allow(RL008) -- the log is private and holds only what record_commit encoded
+    #[expect(clippy::expect_used, reason = "the log is private and holds only what it encoded")]
     get_history_txn(&mut rest).expect("the log holds only what it encoded");
     bytes.len() - rest.len()
 }
@@ -120,7 +120,10 @@ impl HistoryLog {
         for page in self.txns.pages() {
             let mut rest = page.bytes;
             for _ in 0..page.records {
-                // replint: allow(RL008) -- the log is private and holds only what record_commit encoded
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the log is private and holds only what it encoded"
+                )]
                 txns.push(get_history_txn(&mut rest).expect("the log holds only what it encoded"));
             }
         }

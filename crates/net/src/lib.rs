@@ -27,6 +27,13 @@
 //! message body.
 
 #![warn(missing_docs)]
+// A long-running site must survive bad input: outside tests a panicking
+// call is a compile error here, and each deliberate one carries an
+// `#[expect]` with its reason.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
 
 pub mod conn;
 pub mod frame;

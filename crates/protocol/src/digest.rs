@@ -174,6 +174,7 @@ pub fn digest_payload(d: &mut StableDigest, payload: &Payload) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alloc::vec;
     use repl_types::ItemId;
 
     #[test]

@@ -26,11 +26,17 @@
 //! the simulator and in a live deployment *by construction* — the
 //! differential sim/channel/TCP matrix test pins this down end to end.
 //!
-//! Purity is enforced mechanically: replint rule RL007 forbids
-//! `std::thread`, `std::time`, `std::net` and crossbeam imports inside
-//! this crate (see `tools/ci.sh`).
+//! Purity is enforced by the compiler: the crate is `#![no_std]` and
+//! links only `alloc`, so `std::thread`, `std::time`, `std::net` and
+//! `std::collections::HashMap` do not resolve here, and a clock, a
+//! thread, a socket or a hash-ordered map cannot be named.
 
+#![no_std]
 #![warn(missing_docs)]
+
+extern crate alloc;
+#[cfg(test)]
+extern crate std;
 
 pub mod digest;
 pub mod machine;

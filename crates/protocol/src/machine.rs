@@ -28,9 +28,11 @@
 //! simulator stretch an apply over simulated lock waits while the live
 //! runtime finishes it synchronously — same machine, same decisions.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt;
-use std::sync::Arc;
+use alloc::collections::{BTreeMap, BTreeSet, VecDeque};
+use alloc::sync::Arc;
+use alloc::vec;
+use alloc::vec::Vec;
+use core::fmt;
 
 use repl_copygraph::{CopyGraph, DataPlacement, PropagationTree};
 use repl_types::{GlobalTxnId, ItemId, SiteId, Value};
@@ -169,7 +171,7 @@ impl fmt::Display for ProtocolError {
     }
 }
 
-impl std::error::Error for ProtocolError {}
+impl core::error::Error for ProtocolError {}
 
 /// An event fed into the machine by its driver.
 #[derive(Clone, Debug, PartialEq, Eq)]

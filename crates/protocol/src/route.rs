@@ -5,7 +5,8 @@
 //! writes apply here". They are trivial, but duplicated trivia is where
 //! the sim and the runtime used to drift apart.
 
-use std::collections::BTreeMap;
+use alloc::collections::BTreeMap;
+use alloc::vec::Vec;
 
 use repl_copygraph::DataPlacement;
 use repl_types::{GlobalTxnId, ItemId, Op, SiteId, Value};

@@ -17,8 +17,10 @@
 //! epoch alone. This yields a total order over all timestamps ever
 //! generated (each site's tuple counter is strictly monotone).
 
-use std::cmp::Ordering;
-use std::fmt;
+use alloc::vec;
+use alloc::vec::Vec;
+use core::cmp::Ordering;
+use core::fmt;
 
 use repl_types::SiteId;
 
@@ -139,6 +141,7 @@ impl Ord for Timestamp {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::format;
 
     fn s(n: u32) -> SiteId {
         SiteId(n)

@@ -6,6 +6,8 @@
 //! [`Payload`], whether the driver ships it in a TCP frame or over a
 //! simulated link with a delay distribution.
 
+use alloc::vec::Vec;
+
 use repl_types::{GlobalTxnId, ItemId, SiteId, Value};
 
 use crate::timestamp::Timestamp;

@@ -29,6 +29,11 @@
 //! A non-empty address map is linted (RA011) before any socket opens;
 //! lint errors abort the process with the rendered diagnostics.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 use std::process::ExitCode;
 
 use repl_analysis::{check_address_map, has_errors, render};

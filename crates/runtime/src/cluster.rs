@@ -166,10 +166,12 @@ pub(crate) fn build_structure(
             // traffic on a tree over the augmented (always acyclic)
             // constraint graph.
             let dag = BackEdgeSet::by_site_order(&graph).augmented_graph(&graph);
-            Some(Arc::new(
-                // replint: allow(RL008) -- augmented_constraints is acyclic by construction
-                PropagationTree::chain(&dag).expect("augmented constraint graph is acyclic"),
-            ))
+            #[expect(
+                clippy::expect_used,
+                reason = "the augmented graph is acyclic by construction"
+            )]
+            let tree = PropagationTree::chain(&dag).expect("augmented constraint graph is acyclic");
+            Some(Arc::new(tree))
         }
     };
     Ok(Structure { tree, graph: Arc::new(graph) })
@@ -216,8 +218,11 @@ impl Incarnation {
 /// The answer of an inspection of an in-process cluster. Its sites
 /// answer over loopback from threads of this process, so a failure is a
 /// lost reactor thread.
+#[expect(
+    clippy::panic,
+    reason = "a lost in-process reactor is a bug the calling test must fail on"
+)]
 fn answered<T>(answer: Result<T, ClusterError>) -> T {
-    // replint: allow(RL008) -- a lost in-process reactor is a bug the calling test must fail on
     answer.unwrap_or_else(|e| panic!("an in-process site did not answer: {e}"))
 }
 

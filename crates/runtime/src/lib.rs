@@ -40,6 +40,13 @@
 //! ```
 
 #![warn(missing_docs)]
+// A long-running site must survive bad input: outside tests a panicking
+// call is a compile error here, and each deliberate one carries an
+// `#[expect]` with its reason.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
 
 mod cluster;
 pub mod config;

@@ -61,7 +61,7 @@ use repl_types::SiteId;
 
 use crate::link::{frames, write_taken, Sink, WriteBuf};
 use crate::policy::splitmix64;
-use crate::transport::Transport;
+use crate::transport::{SendPermit, Transport};
 
 /// One partition window: the directed link `a → b` (and `b → a` when
 /// `symmetric`) is cut for `start_ms..end_ms`.
@@ -420,7 +420,13 @@ impl Transport for ChaosWire {
     /// What the socket is owed goes first — staged bytes, then parked
     /// frames now due — and new frames only once all of it went. A new
     /// frame the socket refuses outright is not taken: the log keeps it.
-    fn try_send(&mut self, to: SiteId, offered: &[u8], sink: &mut Sink<'_>) -> io::Result<usize> {
+    fn try_send(
+        &mut self,
+        _: SendPermit,
+        to: SiteId,
+        offered: &[u8],
+        sink: &mut Sink<'_>,
+    ) -> io::Result<usize> {
         let now = self.elapsed();
         let lane = &mut self.lanes[to.index()];
         lane.staged.flush(sink)?;
@@ -568,19 +574,26 @@ mod tests {
         let mut stream = Vec::new();
         for _ in 0..50 {
             let mut sink = socket(&mut stream, 40);
-            log.offer(|frames| wire.try_send(to, frames, &mut sink)).unwrap();
+            log.offer(|frames| wire.try_send(SendPermit::for_test(), to, frames, &mut sink))
+                .unwrap();
         }
         assert_eq!(seqs(&stream), [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]);
 
         // Part of the first frame, then the connection drops.
         log.resume(0);
         let mut old = Vec::new();
-        log.offer(|frames| wire.try_send(to, frames, &mut socket(&mut old, 7))).unwrap();
+        log.offer(|frames| {
+            wire.try_send(SendPermit::for_test(), to, frames, &mut socket(&mut old, 7))
+        })
+        .unwrap();
         assert_eq!(old.len(), 7);
         log.resume(2);
         wire.reset(to);
         let mut fresh = Vec::new();
-        log.offer(|frames| wire.try_send(to, frames, &mut socket(&mut fresh, usize::MAX))).unwrap();
+        log.offer(|frames| {
+            wire.try_send(SendPermit::for_test(), to, frames, &mut socket(&mut fresh, usize::MAX))
+        })
+        .unwrap();
         assert_eq!(seqs(&fresh), [3, 3, 4, 4, 5, 5]);
     }
 

@@ -9,9 +9,8 @@
 //! identically — no OS entropy, matching the determinism story of the
 //! simulator's `FaultPlan`.
 //!
-//! replint rule RL010 forbids `std::thread::sleep` and retry/timeout
-//! duration constants in `crates/runtime` outside this module; the
-//! sanctioned sleep is [`pace`].
+//! `crates/runtime/clippy.toml` disallows `std::thread::sleep` in the
+//! crate, and the sanctioned sleep is [`pace`], its one `#[expect]`.
 
 use std::time::Duration;
 
@@ -23,8 +22,9 @@ use crate::nemesis::NetFaultPlan;
 pub(crate) const QUIESCE_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// The sanctioned blocking sleep of the runtime crate. Everything that
-/// paces a loop goes through here so RL010 can reject bare
-/// `std::thread::sleep` calls everywhere else.
+/// paces a loop goes through here: `crates/runtime/clippy.toml`
+/// disallows `std::thread::sleep` everywhere else.
+#[expect(clippy::disallowed_methods, reason = "the one sanctioned sleep of the runtime")]
 pub(crate) fn pace(d: Duration) {
     std::thread::sleep(d);
 }

@@ -118,7 +118,7 @@ impl ProcCluster {
         };
         for site in placement.sites() {
             let mut child = Command::new(bin).args(args(site)).stdout(Stdio::piped()).spawn()?;
-            // replint: allow(RL008) -- stdout is piped two lines up
+            #[expect(clippy::expect_used, reason = "stdout is piped one line up")]
             let stdout = child.stdout.take().expect("stdout piped");
             cluster.children.push(child);
             let mut lines = BufReader::new(stdout).lines();

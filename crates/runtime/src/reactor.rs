@@ -29,10 +29,11 @@
 //!
 //! 0. Return at once if the stop flag is set (an in-process crash).
 //! 1. `epoll_wait` (1 ms timeout — the protocol tick). For each ready
-//!    fd: accept new connections, or read until a short read drains the
-//!    socket through a [`FrameReader`] and act on each frame as it
-//!    decodes (a `Link` frame is applied before the next is decoded), or
-//!    flush a write-blocked connection.
+//!    fd: accept new connections, or read — until a short read drains
+//!    the socket, or [`READS_PER_EVENT`] chunks — through a
+//!    [`FrameReader`] and act on each frame as it decodes (a `Link`
+//!    frame is applied before the next is decoded), or flush a
+//!    write-blocked connection.
 //! 2. Re-dial missing peer connections (paced, nonblocking after
 //!    connect) and run the site's timers ([`SiteCore::tick`]).
 //! 3. Finish an eager-phase transaction whose BackEdge special came
@@ -62,18 +63,24 @@
 //! serial), link frames keep flowing, and when [`SiteCore::take_home`]
 //! fires the loop completes the commit and replies.
 //!
-//! **Blocking discipline.** Every fd is nonblocking; all raw socket
-//! calls funnel through three audited helpers at the bottom of this
-//! file — link bytes too: [`Net::flush`] writes through the
-//! `write_some` sink it is handed. replint rule RL009 rejects any other
-//! `read`/`write`/`accept` call site in this file, so the no-blocking
-//! property is mechanically enforced. The two deliberate exceptions are
-//! startup-shaped: `TcpListener::bind` and the paced, timeout-capped
-//! `TcpStream::connect_timeout` in the dialer.
+//! **Blocking discipline.** Every fd is nonblocking. The reactor's
+//! sockets are the newtypes of the private `sock` module at the bottom
+//! of this file, which set that mode when they wrap a socket and offer
+//! only `read_some`, `write_some` and `accept_some` — no `Read`, no
+//! `Write`, no `accept` — so a blocking call on a connection does not
+//! compile outside that module. Link bytes go the same way:
+//! [`Net::flush`] writes through the `write_some` sink it is handed. The
+//! one deliberate wait is startup-shaped: the paced, timeout-capped
+//! connect in the dialer.
+//!
+//! **Fair reads.** A readable event reads at most [`READS_PER_EVENT`]
+//! chunks before the pass moves on to its flush. A peer that keeps the
+//! socket full therefore still gets its `Ack` every pass; level-triggered
+//! epoll reports the unread rest on the next one.
 
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::SocketAddr;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -108,6 +115,10 @@ const CLIENT_WBUF_CAP: usize = 1 << 20;
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(1);
 /// Stack scratch buffer for socket reads.
 const READ_CHUNK: usize = 16 * 1024;
+/// Full reads one readable event may make before the pass moves on.
+/// Bounding them lets the pass reach its flush, and with it the `Ack`
+/// the peer is owed, while the peer keeps the socket full.
+const READS_PER_EVENT: usize = 4;
 
 /// What one registered connection currently is.
 #[derive(Clone, Copy, Debug)]
@@ -129,7 +140,7 @@ enum Role {
 
 /// Per-connection state in the reactor's slab.
 struct Conn {
-    stream: TcpStream,
+    stream: sock::Stream,
     reader: FrameReader,
     /// Connection-private outgoing bytes: handshakes, client replies,
     /// and an ack frame the socket refused. Link frames go from the link
@@ -237,13 +248,12 @@ pub fn serve_epoll(cfg: ServeConfig) -> io::Result<()> {
 /// boot, done before the site's state is handed over.
 pub(crate) struct Listener {
     epoll: Epoll,
-    listener: TcpListener,
+    listener: sock::Acceptor,
 }
 
 impl Listener {
     pub(crate) fn bind(listen: SocketAddr) -> io::Result<Listener> {
-        let listener = TcpListener::bind(listen)?;
-        listener.set_nonblocking(true)?;
+        let listener = sock::Acceptor::bind(listen)?;
         let epoll = Epoll::new()?;
         epoll.add(listener.as_raw_fd(), LISTENER, Interest::READ)?;
         Ok(Listener { epoll, listener })
@@ -257,7 +267,7 @@ impl Listener {
 /// One site's readiness loop and everything it owns.
 pub(crate) struct Reactor {
     epoll: Epoll,
-    listener: TcpListener,
+    listener: sock::Acceptor,
     me: SiteId,
     num_sites: usize,
     fingerprint: u64,
@@ -395,12 +405,8 @@ impl Reactor {
 
     fn accept_all(&mut self) {
         loop {
-            match accept_some(&self.listener) {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
+            match self.listener.accept_some() {
+                Ok(stream) => {
                     self.install_conn(stream, Role::Pending);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -413,7 +419,7 @@ impl Reactor {
         }
     }
 
-    fn install_conn(&mut self, stream: TcpStream, role: Role) -> Option<usize> {
+    fn install_conn(&mut self, stream: sock::Stream, role: Role) -> Option<usize> {
         let tok = match self.free.pop() {
             Some(tok) => tok,
             None => {
@@ -436,16 +442,19 @@ impl Reactor {
         Some(tok)
     }
 
-    /// Read until a short read, `WouldBlock` or EOF, acting on each
-    /// frame as it decodes — until one closes or re-fates the connection;
-    /// the rest is dropped. Under level-triggered epoll a short read means
-    /// the socket was drained: whatever arrives after it, EOF included, is
-    /// reported again, so no read is spent on the `WouldBlock`.
+    /// Read until a short read, `WouldBlock`, EOF or [`READS_PER_EVENT`]
+    /// full reads, acting on each frame as it decodes — until one closes
+    /// or re-fates the connection; the rest is dropped. Under
+    /// level-triggered epoll a short read means the socket was drained:
+    /// whatever arrives after it, EOF included, is reported again, so no
+    /// read is spent on the `WouldBlock`; after the last full read the
+    /// unread rest is reported again the same way.
     fn handle_readable(&mut self, tok: usize) {
         let mut acting = true;
+        let mut reads = 0;
         loop {
             let Some(conn) = self.conns[tok].as_mut() else { return };
-            let count = match read_some(&mut conn.stream, &mut self.read_buf) {
+            let count = match conn.stream.read_some(&mut self.read_buf) {
                 Ok(0) => break,
                 Ok(count) => count,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -463,7 +472,8 @@ impl Reactor {
                     Err(e) => return self.on_decode_error(tok, e),
                 }
             }
-            if count < self.read_buf.len() {
+            reads += 1;
+            if count < self.read_buf.len() || reads == READS_PER_EVENT {
                 return;
             }
         }
@@ -617,13 +627,9 @@ impl Reactor {
     fn dial_one(&mut self, p: SiteId) -> bool {
         let Some(addr) = self.peers[p.index()] else { return false };
         let connect_timeout = self.core.opts.retry.connect_timeout;
-        let Ok(stream) = TcpStream::connect_timeout(&addr, connect_timeout) else {
+        let Ok(stream) = sock::Stream::connect(&addr, connect_timeout) else {
             return false;
         };
-        if stream.set_nonblocking(true).is_err() {
-            return false;
-        }
-        let _ = stream.set_nodelay(true);
         let Some(tok) = self.install_conn(stream, Role::PeerOutHs { peer: p }) else {
             return false;
         };
@@ -852,7 +858,7 @@ impl Reactor {
         let Some(conn) = self.conns[tok].as_mut() else { return };
         let mut refused = false;
         let mut sink = |bytes: &[u8]| {
-            let written = write_some(&mut conn.stream, bytes);
+            let written = conn.stream.write_some(bytes);
             refused |= matches!(&written, Err(e) if e.kind() == io::ErrorKind::WouldBlock);
             written
         };
@@ -888,7 +894,7 @@ impl Reactor {
     fn close_conn(&mut self, tok: usize) {
         let Some(conn) = self.conns[tok].take() else { return };
         let _ = self.epoll.delete(conn.stream.as_raw_fd());
-        let _ = conn.stream.shutdown(Shutdown::Both);
+        conn.stream.shutdown();
         match conn.role {
             // A frame the socket took part of dies with the connection;
             // the log replays from the peer's mark after the next handshake.
@@ -916,24 +922,75 @@ impl Reactor {
     }
 }
 
-// ---------------------------------------------------------------------
-// The only raw socket calls in this module. Every fd handed to these is
-// nonblocking, so the syscalls return `WouldBlock` instead of parking
-// the reactor. replint rule RL009 rejects blocking-call patterns
-// anywhere else in this file.
-// ---------------------------------------------------------------------
+/// The reactor's sockets: the only raw socket calls of the site loop.
+/// Each newtype puts its fd in nonblocking mode when it wraps it, and
+/// offers the nonblocking calls only, so a read, a write or an accept
+/// returns `WouldBlock` rather than parking the reactor. Neither type
+/// implements `Read` or `Write`, and their fields are private here, so
+/// code outside this module cannot reach a blocking call.
+mod sock {
+    use std::io::{self, Read, Write};
+    use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+    use std::os::fd::{AsRawFd, RawFd};
+    use std::time::Duration;
 
-fn read_some(stream: &mut TcpStream, buf: &mut [u8]) -> io::Result<usize> {
-    // replint: allow(RL009) -- nonblocking fd: returns WouldBlock, never parks the reactor
-    stream.read(buf)
-}
+    /// A connected nonblocking socket with `TCP_NODELAY` set.
+    pub(super) struct Stream(TcpStream);
 
-fn write_some(stream: &mut TcpStream, buf: &[u8]) -> io::Result<usize> {
-    // replint: allow(RL009) -- nonblocking fd: returns WouldBlock, never parks the reactor
-    stream.write(buf)
-}
+    impl Stream {
+        fn adopt(stream: TcpStream) -> io::Result<Stream> {
+            stream.set_nonblocking(true)?;
+            let _ = stream.set_nodelay(true);
+            Ok(Stream(stream))
+        }
 
-fn accept_some(listener: &TcpListener) -> io::Result<(TcpStream, std::net::SocketAddr)> {
-    // replint: allow(RL009) -- nonblocking listener: returns WouldBlock, never parks the reactor
-    listener.accept()
+        /// Dial `addr`. The connect is the reactor's one wait, capped
+        /// at `timeout` and paced by the dialer's backoff.
+        pub(super) fn connect(addr: &SocketAddr, timeout: Duration) -> io::Result<Stream> {
+            Stream::adopt(TcpStream::connect_timeout(addr, timeout)?)
+        }
+
+        pub(super) fn read_some(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.0.read(buf)
+        }
+
+        pub(super) fn write_some(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.write(buf)
+        }
+
+        pub(super) fn shutdown(&self) {
+            let _ = self.0.shutdown(Shutdown::Both);
+        }
+    }
+
+    impl AsRawFd for Stream {
+        fn as_raw_fd(&self) -> RawFd {
+            self.0.as_raw_fd()
+        }
+    }
+
+    /// A nonblocking listening socket.
+    pub(super) struct Acceptor(TcpListener);
+
+    impl Acceptor {
+        pub(super) fn bind(addr: SocketAddr) -> io::Result<Acceptor> {
+            let listener = TcpListener::bind(addr)?;
+            listener.set_nonblocking(true)?;
+            Ok(Acceptor(listener))
+        }
+
+        pub(super) fn local_addr(&self) -> io::Result<SocketAddr> {
+            self.0.local_addr()
+        }
+
+        pub(super) fn accept_some(&self) -> io::Result<Stream> {
+            Stream::adopt(self.0.accept()?.0)
+        }
+    }
+
+    impl AsRawFd for Acceptor {
+        fn as_raw_fd(&self) -> RawFd {
+            self.0.as_raw_fd()
+        }
+    }
 }

@@ -211,8 +211,8 @@ fn recovered_store(placement: &DataPlacement, site: SiteId, durable: &mut Durabl
         let boot = placement.items_at(site).iter().map(|&i| (i, Value::Initial, None));
         return recover(boot, &durable.wal);
     }
+    #[expect(clippy::expect_used, reason = "the image is this site's own encoding, kept in memory")]
     let cells = repl_net::decode_cells(durable.checkpoint.as_slice().into())
-        // replint: allow(RL008) -- the image is this site's own encoding, kept in memory
         .expect("a site's checkpoint is its own CopyState encoding");
     recover(cells, &durable.wal)
 }
@@ -240,7 +240,7 @@ impl SiteCore {
             let cmds = self.machine_input(Input::EpochTick);
             self.run_commands(cmds);
         }
-        // replint: allow(RL008) -- timers is Some for the lifetime of a DAG(T) site
+        #[expect(clippy::expect_used, reason = "timers is Some for the lifetime of a DAG(T) site")]
         let t = self.timers.as_ref().expect("still DAG(T)");
         let idle_children: Vec<SiteId> = t
             .children
@@ -564,10 +564,10 @@ impl SiteCore {
     fn commit_replica_txn(&mut self, gid: GlobalTxnId, writes: &[(ItemId, Value)]) {
         let txn = self.store.begin();
         for (item, value) in writes {
-            // replint: allow(RL008) -- one store txn at a time: conflicts are impossible
+            #[expect(clippy::expect_used, reason = "one store txn at a time: no conflicts")]
             self.store.write(txn, *item, value.clone(), gid).expect("serial site: no conflicts");
         }
-        // replint: allow(RL008) -- same single-txn invariant
+        #[expect(clippy::expect_used, reason = "one store txn at a time: no conflicts")]
         self.store.commit(txn).expect("commit secondary");
         self.log_commit(gid, writes);
         self.outstanding -= 1;
@@ -581,7 +581,10 @@ impl SiteCore {
         let reads = ops
             .iter()
             .map(|op| {
-                // replint: allow(RL008) -- ops validated against the placement in start_txn
+                #[expect(
+                    clippy::expect_used,
+                    reason = "ops are validated against the placement in start_txn"
+                )]
                 let r = self.store.read_snapshot(snap, op.item).expect("validated read");
                 (op.item, r.writer)
             })
@@ -597,18 +600,24 @@ impl SiteCore {
         for op in ops {
             match op.kind {
                 OpKind::Read => {
-                    // replint: allow(RL008) -- one store txn at a time: conflicts are impossible
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "one store txn at a time: no conflicts"
+                    )]
                     self.store.read(txn, op.item).expect("serial site: no conflicts");
                 }
                 OpKind::Write => {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "one store txn at a time: no conflicts"
+                    )]
                     self.store
                         .write(txn, op.item, op.value.clone(), gid)
-                        // replint: allow(RL008) -- one store txn at a time: conflicts are impossible
                         .expect("serial site: no conflicts");
                 }
             }
         }
-        // replint: allow(RL008) -- one store txn at a time: conflicts are impossible
+        #[expect(clippy::expect_used, reason = "one store txn at a time: no conflicts")]
         let (info, _) = self.store.commit(txn).expect("commit serial txn");
         // `commit` hands back the deduplicated write set.
         (info.writes, info.reads)
@@ -683,7 +692,7 @@ impl SiteCore {
 
 /// The copy of `item` in `store`, with value and writer.
 fn cell(store: &Store, item: ItemId) -> (ItemId, Value, Option<GlobalTxnId>) {
-    // replint: allow(RL008) -- every placement copy was seeded at site start
+    #[expect(clippy::expect_used, reason = "every placement copy was seeded at site start")]
     let r = store.peek(item).expect("placement copy exists in store");
     (item, r.value, r.writer)
 }

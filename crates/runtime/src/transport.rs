@@ -24,6 +24,12 @@
 //! and the receiver's durable dedup/gap marks make the replays
 //! exactly-once.
 //!
+//! Only [`Net::flush`] can call [`Transport::try_send`]: the call takes
+//! a [`SendPermit`], which only this module can make. So every byte on
+//! a peer socket is a link log's, written from its send cursor; a frame
+//! written around the log would have no replay entry and no place in
+//! the receiver's sequence.
+//!
 //! The receiving half is one owed mark per peer: the highest sequence
 //! applied from it ([`Net::ack_received`]), written as one cumulative
 //! `Ack` when the reactor next flushes that peer's connection
@@ -44,6 +50,18 @@ struct HealthCell {
     dial_failures: u32,
 }
 
+/// Leave to write to a peer's socket: [`Net::flush`] makes one for each
+/// [`Transport::try_send`], and nothing outside this module can.
+pub(crate) struct SendPermit(());
+
+impl SendPermit {
+    /// A permit for a wire's unit tests, which drive it without a `Net`.
+    #[cfg(test)]
+    pub(crate) fn for_test() -> SendPermit {
+        SendPermit(())
+    }
+}
+
 /// One site's wire to its peers: nonblocking single-shot writes to a
 /// connected peer's socket. The reliable-link engine ([`Net`]) above it
 /// is the same with or without a fault plan in between.
@@ -52,7 +70,13 @@ pub(crate) trait Transport: Send {
     /// of `frames`: the link log from its send cursor, which starts on a
     /// frame boundary unless this wire left one half-written. Returns the
     /// bytes of `frames` taken; an error means the connection is broken.
-    fn try_send(&mut self, to: SiteId, frames: &[u8], sink: &mut Sink<'_>) -> io::Result<usize>;
+    fn try_send(
+        &mut self,
+        permit: SendPermit,
+        to: SiteId,
+        frames: &[u8],
+        sink: &mut Sink<'_>,
+    ) -> io::Result<usize>;
 
     /// Whether an acknowledgement may go to `from` now. A withheld one
     /// only delays pruning: the next is cumulative, and the handshake's
@@ -70,7 +94,13 @@ pub(crate) trait Transport: Send {
 pub(crate) struct Direct;
 
 impl Transport for Direct {
-    fn try_send(&mut self, _: SiteId, frames: &[u8], sink: &mut Sink<'_>) -> io::Result<usize> {
+    fn try_send(
+        &mut self,
+        _: SendPermit,
+        _: SiteId,
+        frames: &[u8],
+        sink: &mut Sink<'_>,
+    ) -> io::Result<usize> {
         write_taken(sink, frames)
     }
 }
@@ -120,7 +150,7 @@ impl Net {
     /// far as it takes it. An error means the connection is broken.
     pub fn flush(&mut self, to: SiteId, sink: &mut Sink<'_>) -> io::Result<()> {
         let raw = &mut self.raw;
-        self.links[to.index()].offer(|frames| raw.try_send(to, frames, sink))
+        self.links[to.index()].offer(|frames| raw.try_send(SendPermit(()), to, frames, sink))
     }
 
     /// Receiver side: `seq` on the link from `from` is durably applied;

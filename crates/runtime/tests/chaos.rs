@@ -11,6 +11,7 @@
 //!   control refuses new writes with a typed backpressure error once
 //!   the lane passes its high-water mark, so memory stays bounded no
 //!   matter how long the partition lasts.
+#![expect(clippy::disallowed_methods, reason = "a test paces a live fleet by the wall clock")]
 
 use std::path::Path;
 use std::time::Duration;

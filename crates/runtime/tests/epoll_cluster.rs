@@ -17,6 +17,7 @@
 //! deliver each origin's updates exactly once in order (outbox +
 //! dedup/gap marks), so the last applied write per
 //! copy is fixed by the per-site submission order alone.
+#![expect(clippy::disallowed_methods, reason = "a test paces a live fleet by the wall clock")]
 
 use std::io::Write;
 use std::net::TcpStream;

@@ -1,6 +1,7 @@
 //! Live fault injection on the threaded runtime: abrupt site crashes
 //! lose queued messages, sender-side outboxes recover them, and the
 //! cluster stays serializable and convergent throughout.
+#![expect(clippy::disallowed_methods, reason = "a test paces a live fleet by the wall clock")]
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

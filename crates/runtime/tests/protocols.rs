@@ -1,6 +1,7 @@
 //! Protocol coverage for the threaded runtime beyond DAG(WT): DAG(T)'s
 //! timestamp/epoch ordering and BackEdge's eager specials, each run on
 //! real threads and checked against the serializability oracle.
+#![expect(clippy::disallowed_methods, reason = "a test paces a live fleet by the wall clock")]
 
 use repl_copygraph::DataPlacement;
 use repl_core::scenario::{self, WorkloadMix};

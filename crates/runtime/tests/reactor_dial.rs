@@ -11,6 +11,7 @@
 //!
 //! Alone in its test binary on purpose: the assertions are about
 //! milliseconds, and tests of one binary run in parallel.
+#![expect(clippy::disallowed_methods, reason = "a test paces a live fleet by the wall clock")]
 
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;

@@ -9,6 +9,7 @@
 //! relay's heap by 66.7 kB, the log's 64 KiB and change; a second copy
 //! of the frames would take it past the 1.5 × bound.
 #![allow(unsafe_code)]
+#![expect(clippy::disallowed_methods, reason = "a test paces a live fleet by the wall clock")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -56,8 +56,8 @@ proptest! {
     ) {
         let mut net = Network::new(4, SimDuration::micros(100));
         let mut now = SimTime::ZERO;
-        let mut last_per_link: std::collections::HashMap<(u64, u64), SimTime> =
-            std::collections::HashMap::new();
+        let mut last_per_link: std::collections::BTreeMap<(u64, u64), SimTime> =
+            std::collections::BTreeMap::new();
         for (from, to, gap, latency) in msgs {
             if from == to {
                 continue;

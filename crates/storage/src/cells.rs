@@ -13,8 +13,8 @@
 //! no copy of costs 4 bytes if a larger one is held: sparse ids are
 //! legal, merely not free.
 //!
-//! This is the cell lookup of the lock-free snapshot-read path; replint
-//! RL011 rejects any `LockManager` mention in this file.
+//! This is the cell lookup of the lock-free snapshot-read path,
+//! `snapshot::read_at`, which is not handed the lock table.
 
 use repl_types::ItemId;
 

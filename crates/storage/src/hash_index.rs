@@ -195,6 +195,7 @@ impl<V> HashIndex<V> {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_types, reason = "the model is the std HashMap the index stands in for")]
 mod tests {
     use super::*;
     use proptest::prelude::*;
@@ -303,7 +304,7 @@ mod tests {
                 }
                 prop_assert_eq!(idx.len(), model.len());
             }
-            // replint: allow(RL004) -- each entry is checked on its own; order is irrelevant
+            // Each entry is checked on its own; the order is irrelevant.
             for (k, v) in &model {
                 prop_assert_eq!(idx.get(ItemId(*k)), Some(v));
             }

@@ -23,10 +23,11 @@
 //!
 //! Chains are kept in a `BTreeMap` so garbage collection visits items in
 //! a deterministic order (the simulator's results must be a pure
-//! function of the seed; replint RL004 forbids hash-order iteration).
+//! function of the seed; the workspace's `clippy.toml` disallows the
+//! hash-ordered maps).
 //!
-//! The snapshot read path must never touch the lock manager; replint
-//! RL011 rejects any `LockManager` mention in this file.
+//! The snapshot read path never touches the lock manager: its one
+//! function, `snapshot::read_at`, is not handed the lock table.
 
 use std::collections::BTreeMap;
 

@@ -17,10 +17,17 @@
 //! the newest version at-or-below the low-water mark are unreachable
 //! and reclaimed by [`crate::mvcc::SideChains::gc_below`].
 //!
-//! The snapshot read path must never touch the lock manager; replint
-//! RL011 rejects any `LockManager` mention in this file.
+//! The snapshot read itself is `read_at`, which `Store::read_snapshot`
+//! delegates to. It is handed the snapshots, the cells and the side
+//! chains, not the store, so it cannot reach the lock table.
 
 use std::collections::BTreeMap;
+
+use repl_types::{ItemId, StorageError};
+
+use crate::cells::Cells;
+use crate::mvcc::SideChains;
+use crate::store::ReadResult;
 
 /// Handle to one active snapshot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -72,6 +79,27 @@ impl SnapshotManager {
     pub fn low_water(&self, current_ts: u64) -> u64 {
         self.active.values().copied().min().unwrap_or(current_ts)
     }
+}
+
+/// The version of `item` visible at `snap`'s timestamp: the cell
+/// itself (one direct index lookup) unless a commit newer than the
+/// snapshot has overwritten it, in which case the side chain holds the
+/// version the snapshot pinned.
+pub(crate) fn read_at(
+    snapshots: &SnapshotManager,
+    cells: &Cells,
+    superseded: &SideChains,
+    snap: SnapshotId,
+    item: ItemId,
+) -> Result<ReadResult, StorageError> {
+    let ts = snapshots.ts_of(snap).ok_or(StorageError::NoSuchSnapshot(snap.0))?;
+    let cell = cells.get(item).ok_or(StorageError::NoSuchItem(item))?;
+    let version = if cell.commit_ts <= ts {
+        cell
+    } else {
+        superseded.visible_at(item, ts).ok_or(StorageError::NoSuchItem(item))?
+    };
+    Ok(ReadResult { value: version.value.clone(), writer: version.writer })
 }
 
 #[cfg(test)]

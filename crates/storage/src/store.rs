@@ -39,7 +39,7 @@ use repl_types::{GlobalTxnId, ItemId, StorageError, TxnId, Value};
 use crate::cells::Cells;
 use crate::lock::{LockManager, LockMode, LockOutcome};
 use crate::mvcc::{SideChains, Version};
-use crate::snapshot::{SnapshotId, SnapshotManager};
+use crate::snapshot::{self, SnapshotId, SnapshotManager};
 use crate::txn_slab::{TxnSlab, RECYCLED_ENTRIES};
 
 /// Result of a transactional read.
@@ -388,23 +388,19 @@ impl Store {
     /// overwritten it, in which case the side chain holds the version
     /// the snapshot pinned.
     ///
-    /// This path never touches the lock manager (pinned by replint
-    /// RL011 and the `snapshot_reads_take_zero_locks` test): it cannot
-    /// block, cannot deadlock, and cannot be aborted. Reads-from edges
-    /// for the serializability checker come from the returned `writer`.
+    /// This path never touches the lock manager: it delegates to
+    /// `snapshot::read_at`, which is handed the snapshots, the cells
+    /// and the side chains and not the store, so the lock table is out
+    /// of its reach (and `snapshot_reads_take_zero_locks` pins it). It
+    /// cannot block, cannot deadlock, and cannot be aborted. Reads-from
+    /// edges for the serializability checker come from the returned
+    /// `writer`.
     pub fn read_snapshot(
         &self,
         snap: SnapshotId,
         item: ItemId,
     ) -> Result<ReadResult, StorageError> {
-        let ts = self.snapshots.ts_of(snap).ok_or(StorageError::NoSuchSnapshot(snap.0))?;
-        let cell = self.cells.get(item).ok_or(StorageError::NoSuchItem(item))?;
-        let version = if cell.commit_ts <= ts {
-            cell
-        } else {
-            self.superseded.visible_at(item, ts).ok_or(StorageError::NoSuchItem(item))?
-        };
-        Ok(ReadResult { value: version.value.clone(), writer: version.writer })
+        snapshot::read_at(&self.snapshots, &self.cells, &self.superseded, snap, item)
     }
 }
 

@@ -2,6 +2,11 @@
 //! operation sequences and check the 2PL safety and liveness invariants
 //! after every step.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "an unordered shadow checks the lock table's invariants"
+)]
+
 use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;

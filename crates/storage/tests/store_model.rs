@@ -2,6 +2,8 @@
 //! equal a sequential map with rollback, under random interleavings of
 //! concurrent transactions.
 
+#![expect(clippy::disallowed_types, reason = "an unordered shadow of the committed state")]
+
 use std::collections::HashMap;
 
 use proptest::prelude::*;

@@ -1,5 +1,5 @@
 //! A small JSON writer for the two kinds of record the tree writes:
-//! analysis diagnostics (`replint`/`replmc --json`) and a run's metrics
+//! analysis diagnostics (`replmc --json`) and a run's metrics
 //! summary (`repro`'s emitted sweeps and its point cache).
 //!
 //! Each record writes itself field by field through [`Object`]. Strings

@@ -10,8 +10,8 @@
 //! silently collapsed by insertion.
 //!
 //! Addresses are kept as strings: this crate (and everything below
-//! `repl-runtime`) stays free of `std::net` so the deterministic layers
-//! cannot accidentally grow a socket dependency (replint RL006).
+//! `repl-runtime`) stays free of `std::net` sockets, which the
+//! workspace's `clippy.toml` disallows in the deterministic layers.
 
 /// A site-id → address table for one cluster.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
