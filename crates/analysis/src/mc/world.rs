@@ -239,6 +239,11 @@ impl World {
         if matches!(protocol, ProtocolId::DagWt | ProtocolId::DagT) && !graph.is_dag() {
             return Err(format!("{protocol} requires a DAG copy graph; this one is cyclic"));
         }
+        // DAG(T) orders by site id; else a walk reports this as MC002.
+        let misordered = crate::lint::check_site_order_topological(&graph);
+        if let (ProtocolId::DagT, Some(d)) = (protocol, misordered.first()) {
+            return Err(d.to_string());
+        }
         let tree = match protocol {
             ProtocolId::DagWt => Some(
                 PropagationTree::chain(&graph)

@@ -290,3 +290,20 @@ fn prepared_special_hides_its_items_from_the_observer() {
     assert_eq!(r.executed, trace, "every step of the pinned schedule is enabled");
     assert!(r.codes.is_empty(), "{:?}", r.diagnostics);
 }
+
+/// DAG(T) on a site numbering that is not topological is a
+/// configuration error, refused when the world is built (as `Engine::new`
+/// and the runtime refuse it), not a walk that reports MC002. DAG(WT)
+/// does not order by site id and takes the same placement.
+#[test]
+fn dag_t_refuses_a_numbering_that_is_not_topological() {
+    let mut placement = DataPlacement::new(2);
+    placement.add_item(SiteId(1), &[SiteId(0)]); // the one edge: s1 -> s0
+    let plan = vec![vec![], vec![]];
+    let budgets = Budgets { timers: Timers::Free, crashes: 0, allow_aborts: false };
+    let build =
+        |protocol| World::from_parts(protocol, placement.clone(), plan.clone(), budgets, None);
+    let err = build(ProtocolId::DagT).err().expect("DAG(T) on s1 -> s0 builds");
+    assert!(err.contains("RA009"), "{err}");
+    assert!(build(ProtocolId::DagWt).is_ok());
+}

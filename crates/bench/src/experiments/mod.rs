@@ -263,15 +263,16 @@ pub fn sweep_threads(scale: &Scale) -> Sweep {
 pub fn sweep_latency(scale: &Scale) -> Sweep {
     let spec = scale
         .spec("sweep_latency", "Range study: Throughput vs Network Latency (0.15 - 100 ms)")
-        .axis("latency ms", [0.15, 1.0, 5.0, 20.0, 100.0], |t, _, ms| {
+        .axis("latency ms", [0.15, 1.0, 5.0, 20.0, 100.0], |t, sim, ms| {
             let us = (ms * 1000.0).round() as u64;
             t.network_latency = SimDuration::micros(us);
             // Long latencies stretch both PSL's remote-lock holds and
             // the BackEdge special's round trip (up to ~2x sites x
-            // latency) past the 50 ms timeout; scale the timeout with
-            // latency, as a real deployment would.
+            // latency) past the 50 ms timeouts; scale the lock and the
+            // eager timeout with latency, as a real deployment would.
             if us >= 5_000 {
                 t.deadlock_timeout = SimDuration::micros(us * 25);
+                sim.tuning.eager_timeout = std::time::Duration::from_micros(us * 25);
             }
         })
         .protocols(&[ProtocolKind::BackEdge, ProtocolKind::Psl]);
@@ -342,8 +343,8 @@ pub fn ablation_epoch(scale: &Scale) -> Sweep {
         .table(table)
         .axis("period ms", [10.0, 20.0, 50.0, 100.0, 200.0], |_, sim, ms| {
             let ms = ms as u64;
-            sim.epoch_period = SimDuration::millis(ms);
-            sim.heartbeat_period = SimDuration::millis((ms / 2).max(1));
+            sim.tuning.epoch_period = std::time::Duration::from_millis(ms);
+            sim.tuning.heartbeat_period = std::time::Duration::from_millis((ms / 2).max(1));
         })
         .protocols(&[ProtocolKind::DagT]);
     (spec, |r| r.print(&[Column::Throughput, Column::PropMs, Column::Messages]))

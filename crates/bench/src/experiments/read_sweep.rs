@@ -47,8 +47,10 @@ pub fn main(args: &[String]) -> Result<(), Failure> {
         fsync_cpu: SimDuration::micros(800),
         ..SimParams::default()
     };
-    let mvcc = SimParams { snapshot_reads: true, ..base.clone() };
-    let mvcc_gc8 = SimParams { group_commit_batch: 8, ..mvcc.clone() };
+    let mut mvcc = base.clone();
+    mvcc.tuning.mvcc_reads = true;
+    let mut mvcc_gc8 = mvcc.clone();
+    mvcc_gc8.tuning.group_commit_batch = std::num::NonZeroUsize::new(8).unwrap();
 
     let spec = scale
         .spec(

@@ -1,6 +1,7 @@
 //! Simulation parameters (the knobs of Table 1) and protocol selection,
 //! plus the stable parameter hashing the experiment cache is keyed on.
 
+pub use repl_protocol::Tuning;
 use repl_sim::{FaultPlan, SimDuration};
 
 /// 128-bit FNV-1a hasher with a *stable* digest: unlike
@@ -110,6 +111,24 @@ impl StableHash for FaultPlan {
         }
         max_jitter.stable_hash(h);
         h.write_u64(*seed);
+    }
+}
+
+impl StableHash for Tuning {
+    fn stable_hash(&self, h: &mut StableHasher) {
+        // Destructured like SimParams below.
+        let Tuning {
+            epoch_period,
+            heartbeat_period,
+            eager_timeout,
+            mvcc_reads,
+            group_commit_batch,
+        } = self;
+        for d in [epoch_period, heartbeat_period, eager_timeout] {
+            h.write_u64(d.as_micros() as u64);
+        }
+        h.write_bool(*mvcc_reads);
+        h.write_u64(group_commit_batch.get() as u64);
     }
 }
 
@@ -250,20 +269,8 @@ pub struct SimParams {
     pub apply_cpu: SimDuration,
     /// Delay before a deadlock-aborted primary is retried.
     pub retry_backoff: SimDuration,
-    /// DAG(T): period at which source sites bump their epoch (§3.3).
-    pub epoch_period: SimDuration,
-    /// DAG(T): a site sends a dummy subtransaction on a link idle longer
-    /// than this (§3.3 "no communication for a while").
-    pub heartbeat_period: SimDuration,
-    /// BackEdge: multiple of the deadlock timeout after which a primary
-    /// still waiting for its special subtransaction gives up (the
-    /// prototype's lock timeout applied to the commit wait as well; large
-    /// values rely on blocker inspection instead).
-    pub eager_wait_timeout_factor: u64,
-    /// BackEdge: when a lock wait times out and a blocker is an
-    /// eager-phase participant, abort that participant (the generalized
-    /// Example 4.1 rule). Disabling leaves only the eager-wait timeout.
-    pub victimize_eager_holders: bool,
+    /// The settings the live fleet reads too ([`Tuning::PAPER`] here).
+    pub tuning: Tuning,
     /// Safety valve: the run aborts if virtual time exceeds this.
     pub max_virtual_time: SimDuration,
     /// Injected faults: site crash/restart windows, link outages, delay
@@ -271,13 +278,6 @@ pub struct SimParams {
     pub faults: FaultPlan,
     /// CPU cost of replaying one WAL record during crash recovery.
     pub replay_cpu: SimDuration,
-    /// Run read-only transactions as lock-free MVCC snapshot reads
-    /// instead of 2PL S-lock reads (the snapshot-read protocol-matrix
-    /// dimension).
-    pub snapshot_reads: bool,
-    /// Group-commit batch size: one fsync-equivalent is paid per this
-    /// many commits at a site (1 = classic per-commit durability).
-    pub group_commit_batch: u32,
     /// CPU cost of the fsync-equivalent a WAL batch flush pays (0 keeps
     /// the historical in-memory-log cost model).
     pub fsync_cpu: SimDuration,
@@ -298,15 +298,10 @@ impl Default for SimParams {
             msg_cpu: SimDuration::micros(250),
             apply_cpu: SimDuration::micros(800),
             retry_backoff: SimDuration::millis(5),
-            epoch_period: SimDuration::millis(50),
-            heartbeat_period: SimDuration::millis(25),
-            eager_wait_timeout_factor: 1,
-            victimize_eager_holders: true,
+            tuning: Tuning::PAPER,
             max_virtual_time: SimDuration::secs(36_000),
             faults: FaultPlan::none(),
             replay_cpu: SimDuration::micros(50),
-            snapshot_reads: false,
-            group_commit_batch: 1,
             fsync_cpu: SimDuration::micros(0),
         }
     }
@@ -338,15 +333,10 @@ impl StableHash for SimParams {
             msg_cpu,
             apply_cpu,
             retry_backoff,
-            epoch_period,
-            heartbeat_period,
-            eager_wait_timeout_factor,
-            victimize_eager_holders,
+            tuning,
             max_virtual_time,
             faults,
             replay_cpu,
-            snapshot_reads,
-            group_commit_batch,
             fsync_cpu,
         } = self;
         protocol.stable_hash(h);
@@ -361,21 +351,19 @@ impl StableHash for SimParams {
         msg_cpu.stable_hash(h);
         apply_cpu.stable_hash(h);
         retry_backoff.stable_hash(h);
-        epoch_period.stable_hash(h);
-        heartbeat_period.stable_hash(h);
-        h.write_u64(*eager_wait_timeout_factor);
-        h.write_bool(*victimize_eager_holders);
+        tuning.stable_hash(h);
         max_virtual_time.stable_hash(h);
         faults.stable_hash(h);
         replay_cpu.stable_hash(h);
-        h.write_bool(*snapshot_reads);
-        h.write_u32(*group_commit_batch);
         fsync_cpu.stable_hash(h);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::num::NonZeroUsize;
+    use std::time::Duration;
+
     use super::*;
 
     #[test]
@@ -397,6 +385,7 @@ mod tests {
     fn stable_hash_is_reproducible_and_sensitive() {
         let base = SimParams::default();
         assert_eq!(digest(&base), digest(&base.clone()));
+        let tuned = |tuning| SimParams { tuning, ..base.clone() };
         // Every kind of knob moves the digest.
         let variants = [
             SimParams { protocol: ProtocolKind::Psl, ..base.clone() },
@@ -404,7 +393,6 @@ mod tests {
             SimParams { deadlock_mode: DeadlockMode::WaitsFor, ..base.clone() },
             SimParams { txns_per_thread: 999, ..base.clone() },
             SimParams { network_latency: SimDuration::micros(151), ..base.clone() },
-            SimParams { victimize_eager_holders: false, ..base.clone() },
             SimParams {
                 faults: FaultPlan::none().crash(
                     repl_types::SiteId(0),
@@ -418,8 +406,11 @@ mod tests {
                 ..base.clone()
             },
             SimParams { replay_cpu: SimDuration::micros(51), ..base.clone() },
-            SimParams { snapshot_reads: true, ..base.clone() },
-            SimParams { group_commit_batch: 8, ..base.clone() },
+            tuned(Tuning { epoch_period: Duration::from_millis(51), ..Tuning::PAPER }),
+            tuned(Tuning { heartbeat_period: Duration::from_millis(26), ..Tuning::PAPER }),
+            tuned(Tuning { eager_timeout: Duration::from_millis(51), ..Tuning::PAPER }),
+            tuned(Tuning { mvcc_reads: true, ..Tuning::PAPER }),
+            tuned(Tuning { group_commit_batch: NonZeroUsize::new(8).unwrap(), ..Tuning::PAPER }),
             SimParams { fsync_cpu: SimDuration::micros(100), ..base.clone() },
         ];
         for v in &variants {

@@ -163,16 +163,15 @@ impl Engine {
         self.run_commands(now, site, cmds);
     }
 
-    /// Execute a machine-issued `ArmEagerTimeout`: a generous safety
-    /// backstop on the eager wait. No aggressive timeout here — only
-    /// *lock* waits time out (§5); global deadlocks resolve through
-    /// blocker inspection (see `break_backedge_blockers`).
+    /// Execute a machine-issued `ArmEagerTimeout`: abort the eager wait
+    /// after `Tuning::eager_timeout`, jittered like a lock wait. A global
+    /// deadlock may resolve earlier through blocker inspection (see
+    /// `break_backedge_blockers`).
     pub(crate) fn arm_eager_timeout(&mut self, now: SimTime, site: SiteId, gid: GlobalTxnId) {
         let Some(thread) = self.thread_waiting_backedge(site, gid) else { return };
         let wait_seq =
             self.active(site, thread).expect("found by thread_waiting_backedge").wait_seq;
-        let factor = self.params.eager_wait_timeout_factor.max(1);
-        let wait = self.params.deadlock_timeout.times(factor);
+        let wait = self.eager_wait;
         let extra = self.jitter(SimDuration::micros(wait.as_micros() / 10 + 1));
         self.queue.push_at(
             now + wait + extra,
@@ -266,9 +265,6 @@ impl Engine {
         site: SiteId,
         blocked: repl_storage::TxnId,
     ) {
-        if !self.params.victimize_eager_holders {
-            return;
-        }
         let Some(item) = self.sites[site.index()].store.locks().waiting_on(blocked) else {
             return;
         };

@@ -183,7 +183,7 @@ impl Engine {
                 // pre-crash ones.
                 let _cmds = self.machine_input(site, Input::EpochTick);
                 debug_assert!(_cmds.is_empty(), "an epoch tick produces no commands");
-                self.queue.push_at(now + self.params.epoch_period, Event::EpochTick { site, gen });
+                self.queue.push_at(now + self.epoch, Event::EpochTick { site, gen });
             }
             if self.graph.children(site).next().is_some() {
                 self.queue

@@ -35,7 +35,7 @@ use repl_sim::{EventQueue, Network, SimDuration, SimTime};
 use repl_storage::TxnId;
 use repl_types::{GlobalTxnId, ItemId, Op, SiteId, Value};
 
-use crate::config::{ProtocolKind, SimParams, TreeKind};
+use crate::config::{ProtocolKind, SimParams, TreeKind, Tuning};
 use crate::history::{History, SerializationCycle};
 use crate::metrics::{Metrics, MetricsSummary};
 use crate::scenario;
@@ -109,6 +109,12 @@ pub struct Engine {
     pub(crate) metrics: Metrics,
     /// Threads that have not yet finished their programs.
     pub(crate) live_threads: u64,
+    /// `params.tuning`, as [`Engine::new`] read it.
+    pub(crate) epoch: SimDuration,
+    pub(crate) heartbeat: SimDuration,
+    pub(crate) eager_wait: SimDuration,
+    pub(crate) mvcc: bool,
+    pub(crate) group_commit: usize,
     /// Deterministic jitter source (see [`Engine::jitter`]).
     jitter_state: u64,
     stalled: bool,
@@ -206,6 +212,15 @@ impl Engine {
         }
 
         let num_sites = placement.num_sites();
+        // No `..`: a new `Tuning` field fails to compile until read here.
+        let sim = |d: std::time::Duration| SimDuration::micros(d.as_micros() as u64);
+        let Tuning {
+            epoch_period,
+            heartbeat_period,
+            eager_timeout,
+            mvcc_reads,
+            group_commit_batch,
+        } = params.tuning;
         let mut engine = Engine {
             params: params.clone(),
             placement,
@@ -218,6 +233,11 @@ impl Engine {
             history: History::new(),
             metrics: Metrics::new(num_sites),
             live_threads: 0,
+            epoch: sim(epoch_period),
+            heartbeat: sim(heartbeat_period),
+            eager_wait: sim(eager_timeout),
+            mvcc: mvcc_reads,
+            group_commit: group_commit_batch.get(),
             jitter_state: 0x243F_6A88_85A3_08D3,
             stalled: false,
         };
@@ -271,10 +291,8 @@ impl Engine {
         if self.params.protocol == ProtocolKind::DagT {
             let sources = self.graph.sources();
             for s in sources {
-                self.queue.push_at(
-                    SimTime::ZERO + self.params.epoch_period,
-                    Event::EpochTick { site: s, gen: 0 },
-                );
+                self.queue
+                    .push_at(SimTime::ZERO + self.epoch, Event::EpochTick { site: s, gen: 0 });
             }
             for s in 0..self.sites.len() as u32 {
                 let site = SiteId(s);
@@ -568,11 +586,6 @@ impl Engine {
         &self.history
     }
 
-    /// The copy graph of the placement under simulation.
-    pub fn copy_graph(&self) -> &CopyGraph {
-        &self.graph
-    }
-
     /// The propagation tree, if the protocol uses one.
     pub fn tree(&self) -> Option<&PropagationTree> {
         self.tree.as_deref()
@@ -586,10 +599,5 @@ impl Engine {
     /// The data placement under simulation.
     pub fn placement(&self) -> &DataPlacement {
         &self.placement
-    }
-
-    /// Total network messages sent so far.
-    pub fn messages_sent(&self) -> u64 {
-        self.net.total_messages()
     }
 }

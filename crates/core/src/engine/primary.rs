@@ -17,7 +17,7 @@ impl Engine {
     /// of an item with a local copy (remote reads still go through PSL's
     /// proxy path, which needs real locks).
     fn snapshot_eligible(&self, site: SiteId, thread: u32) -> bool {
-        if !self.params.snapshot_reads {
+        if !self.mvcc {
             return false;
         }
         let ops = self.sites[site.index()].threads[thread as usize].current_ops();
@@ -275,7 +275,7 @@ impl Engine {
         if updates {
             let st = &mut self.sites[site.index()];
             st.commits_since_fsync += 1;
-            if st.commits_since_fsync >= self.params.group_commit_batch.max(1) {
+            if st.commits_since_fsync >= self.group_commit {
                 st.commits_since_fsync = 0;
                 cost = cost + self.params.fsync_cpu;
             }

@@ -221,7 +221,7 @@ impl Engine {
         }
         let cmds = self.machine_input(site, Input::EpochTick);
         self.run_commands(now, site, cmds);
-        self.queue.push_at(now + self.params.epoch_period, Event::EpochTick { site, gen });
+        self.queue.push_at(now + self.epoch, Event::EpochTick { site, gen });
     }
 
     /// Report links idle longer than the heartbeat period; the machine
@@ -238,7 +238,7 @@ impl Engine {
                 self.sites[site.index()]
                     .last_sent
                     .get(c)
-                    .map(|&t| now - t >= self.params.heartbeat_period)
+                    .map(|&t| now - t >= self.heartbeat)
                     .unwrap_or(true)
             })
             .collect();
@@ -246,6 +246,6 @@ impl Engine {
             let cmds = self.machine_input(site, Input::HeartbeatTick { idle_children });
             self.run_commands(now, site, cmds);
         }
-        self.queue.push_at(now + self.params.heartbeat_period, Event::HeartbeatTick { site, gen });
+        self.queue.push_at(now + self.heartbeat, Event::HeartbeatTick { site, gen });
     }
 }

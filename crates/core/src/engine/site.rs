@@ -73,7 +73,7 @@ pub struct ActivePrimary {
     /// Sites where a proxy holds locks for this attempt.
     pub proxy_sites: Vec<SiteId>,
     /// MVCC: the snapshot this read-only transaction reads from. `Some`
-    /// only when `SimParams::snapshot_reads` is on and every operation
+    /// only when `Tuning::mvcc_reads` is on and every operation
     /// is a read with a local copy; such attempts take zero locks.
     pub snapshot: Option<SnapshotId>,
     /// MVCC: reads served from the snapshot, as `(item, version writer)`.
@@ -237,8 +237,8 @@ pub struct SiteState {
     /// exactly one chain of each.
     pub tick_gen: u64,
     /// Update commits since the last fsync-equivalent (group commit):
-    /// every `SimParams::group_commit_batch`-th one pays `fsync_cpu`.
-    pub commits_since_fsync: u32,
+    /// every `Tuning::group_commit_batch`-th one pays `fsync_cpu`.
+    pub commits_since_fsync: usize,
 }
 
 impl SiteState {

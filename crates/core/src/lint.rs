@@ -32,7 +32,7 @@ pub fn lint_config(params: &SimParams) -> LintConfig {
         network_latency_us: params.network_latency.as_micros(),
         deadlock_timeout_us: params.deadlock_timeout.as_micros(),
         retry_backoff_us: params.retry_backoff.as_micros(),
-        epoch_period_us: params.epoch_period.as_micros(),
+        epoch_period_us: params.tuning.epoch_period.as_micros() as u64,
         crash_faults: !params.faults.crashes.is_empty(),
     }
 }
@@ -124,10 +124,11 @@ mod tests {
 
     #[test]
     fn timing_warnings_do_not_panic() {
-        use repl_sim::SimDuration;
+        use crate::config::Tuning;
+        use std::time::Duration;
         let params = SimParams {
             protocol: ProtocolKind::DagT,
-            epoch_period: SimDuration::micros(10),
+            tuning: Tuning { epoch_period: Duration::from_micros(10), ..Tuning::PAPER },
             ..SimParams::default()
         };
         let diags = assert_clean(&scenario::example_1_1_placement(), &params);

@@ -139,11 +139,6 @@ impl Metrics {
         self.commits_per_site.iter().sum()
     }
 
-    /// Total aborted attempts so far.
-    pub fn total_aborts(&self) -> u64 {
-        self.aborts
-    }
-
     /// Transactions whose propagation has not finished yet.
     pub fn unpropagated(&self) -> usize {
         self.pending.len()

@@ -243,7 +243,7 @@ fn snapshot_reads_serializable_and_converge() {
     {
         let p = if cyclic { cyclic_placement() } else { dag_placement() };
         let mut params = quick(proto);
-        params.snapshot_reads = true;
+        params.tuning.mvcc_reads = true;
         let programs = scenario::generate_programs(
             &p,
             &WorkloadMix { ops_per_txn: 6, read_txn_prob: 0.6, read_op_prob: 0.5 },
@@ -274,7 +274,7 @@ fn snapshot_reads_commit_the_same_workload() {
     );
     let locked = quick(ProtocolKind::DagWt);
     let mut mvcc = locked.clone();
-    mvcc.snapshot_reads = true;
+    mvcc.tuning.mvcc_reads = true;
     let r1 = Engine::new(&p, &locked, programs.clone()).unwrap().run();
     let r2 = Engine::new(&p, &mvcc, programs).unwrap().run();
     assert_eq!(r1.summary.commits, r2.summary.commits);
@@ -292,7 +292,7 @@ fn group_commit_amortizes_fsync_cost() {
     let mut per_commit = quick(ProtocolKind::DagWt);
     per_commit.fsync_cpu = SimDuration::micros(2_000);
     let mut batched = per_commit.clone();
-    batched.group_commit_batch = 8;
+    batched.tuning.group_commit_batch = std::num::NonZeroUsize::new(8).unwrap();
     let (r1, _) = run(&p, &per_commit, 24);
     let (r2, _) = run(&p, &batched, 24);
     assert_complete(&r1, &per_commit, &p);

@@ -42,10 +42,12 @@ pub mod digest;
 pub mod machine;
 pub mod route;
 pub mod timestamp;
+pub mod tuning;
 pub mod wire;
 
 pub use digest::StableDigest;
 pub use machine::{Command, Input, ProtocolError, ProtocolId, SeededBug, SiteMachine};
 pub use route::{destinations, dummy_gid, planned_writes, write_set_in_order, writes_for_site};
 pub use timestamp::Timestamp;
+pub use tuning::Tuning;
 pub use wire::{Payload, Subtxn, SubtxnKind};

@@ -248,11 +248,10 @@ impl Cluster {
         static CLUSTERS: AtomicU64 = AtomicU64::new(0);
         let structure = build_structure(placement, protocol)?;
         let n = placement.num_sites() as usize;
-        let batch = options.group_commit_batch;
         let salt = (u64::from(std::process::id()) << 32) | CLUSTERS.fetch_add(1, Ordering::Relaxed);
         let mut cluster = Cluster {
             sites: (0..n).map(|_| None).collect(),
-            parked: (0..n).map(|_| Some(SiteParts::new(n, batch))).collect(),
+            parked: (0..n).map(|_| Some(SiteParts::new(n))).collect(),
             protocol,
             structure,
             placement: Arc::new(placement.clone()),

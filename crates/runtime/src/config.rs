@@ -7,6 +7,7 @@
 //! launcher hands a child. Flags apply over the file wherever they
 //! stand, and `--peer` entries are added to its `[peers]`.
 
+use std::num::{IntErrorKind, NonZeroU64, NonZeroUsize, ParseIntError};
 use std::str::FromStr;
 use std::time::Duration;
 
@@ -41,7 +42,8 @@ NetFaultPlan::parse; give every site the same spec);
 (at least 1); --outbox-high-water caps per-link outbox growth before
 writes are refused with a backpressure error (at least 1). --mvcc
 serves all-read transactions from lock-free MVCC snapshots;
---group-commit batches N update commits per WAL flush (default 1).
+--group-commit batches N update commits per WAL flush (default 1,
+at least 1).
 --transport, --link-batch and --apply-pool were removed and are
 refused: every site is an epoll reactor over TCP, applies one
 transaction at a time and sends one frame per payload.";
@@ -161,7 +163,7 @@ const SETTINGS: &[Setting] = &[
         form: Form::Bare,
         set: |d, name, v| {
             let ms = positive(name, v, "0 is a deadline already past when the eager phase starts");
-            ms.map(|ms| d.options.eager_timeout = Duration::from_millis(ms))
+            ms.map(|ms| d.options.tuning.eager_timeout = Duration::from_millis(NonZeroU64::get(ms)))
         },
         launch: |l| l.options.eager_timeout_ms.map(|ms| ms.to_string()),
     },
@@ -169,7 +171,8 @@ const SETTINGS: &[Setting] = &[
         key: "outbox_high_water",
         form: Form::Bare,
         set: |d, name, v| {
-            positive(name, v, "0 refuses every write").map(|hw| d.options.outbox_high_water = hw)
+            let hw = positive(name, v, "0 refuses every write");
+            hw.map(|hw| d.options.outbox_high_water = NonZeroUsize::get(hw))
         },
         launch: |l| l.options.outbox_high_water.map(|hw| hw.to_string()),
     },
@@ -178,14 +181,17 @@ const SETTINGS: &[Setting] = &[
         form: Form::Switch,
         set: |d, name, v| {
             let on = v.parse().map_err(|_| format!("{name} must be true or false"));
-            on.map(|on| d.options.mvcc_reads = on)
+            on.map(|on| d.options.tuning.mvcc_reads = on)
         },
         launch: |l| l.options.mvcc.then(String::new),
     },
     Setting {
         key: "group_commit",
         form: Form::Bare,
-        set: |d, name, v| number(name, v).map(|n: usize| d.options.group_commit_batch = n.max(1)),
+        set: |d, name, v| {
+            let n = positive(name, v, "0 never flushes a commit");
+            n.map(|n| d.options.tuning.group_commit_batch = n)
+        },
         launch: |l| l.options.group_commit.map(|batch| batch.to_string()),
     },
     Setting {
@@ -218,16 +224,13 @@ fn number<T: FromStr>(name: &str, v: &str) -> Result<T, String> {
     v.parse().map_err(|_| format!("{name} must be an integer"))
 }
 
-/// A number that must be at least 1; `zero` says why 0 is refused.
-fn positive<T: FromStr + Default + PartialEq>(
-    name: &str,
-    v: &str,
-    zero: &str,
-) -> Result<T, String> {
-    match number(name, v)? {
-        n if n == T::default() => Err(format!("{name} must be at least 1 ({zero})")),
-        n => Ok(n),
-    }
+/// A number that must be at least 1, parsed into a `NonZero` type;
+/// `zero` says why 0 is refused.
+fn positive<T: FromStr<Err = ParseIntError>>(name: &str, v: &str, zero: &str) -> Result<T, String> {
+    v.parse().map_err(|e: ParseIntError| match e.kind() {
+        IntErrorKind::Zero => format!("{name} must be at least 1 ({zero})"),
+        _ => format!("{name} must be an integer"),
+    })
 }
 
 impl Draft {
@@ -377,6 +380,7 @@ fn unquote(value: &str) -> Option<&str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Tuning;
 
     fn flags(args: &[&str]) -> Result<Draft, String> {
         Draft::from_args(args.iter().map(|arg| arg.to_string()))
@@ -413,10 +417,10 @@ mod tests {
         assert_eq!(cfg.protocol, RuntimeProtocol::DagWt);
         assert_eq!(cfg.placement.num_items(), 3000);
         assert_eq!(cfg.options.nemesis, NetFaultPlan::parse("seed=7;part=0-1@100..400").ok());
-        assert_eq!(cfg.options.eager_timeout, Duration::from_millis(250));
+        assert_eq!(cfg.options.tuning.eager_timeout, Duration::from_millis(250));
         assert_eq!(cfg.options.outbox_high_water, 4096);
-        assert!(cfg.options.mvcc_reads);
-        assert_eq!(cfg.options.group_commit_batch, 8);
+        assert!(cfg.options.tuning.mvcc_reads);
+        assert_eq!(cfg.options.tuning.group_commit_batch.get(), 8);
         assert_eq!(cfg.peers.len(), 3);
         assert_eq!(cfg.peers.get(SiteId(2)), Some("127.0.0.1:7102"));
     }
@@ -440,6 +444,7 @@ mod tests {
             ("outbox_high_water = 0", "outbox_high_water must be at least 1"),
             ("mvcc = \"yes\"", "true or false"),
             ("group_commit = \"many\"", "integer"),
+            ("group_commit = 0", "group_commit must be at least 1 (0 never flushes a commit)"),
             ("link_batch = 8", "link_batch was removed in PR 23"),
             ("apply_pool = 4", "apply_pool was removed in PR 23"),
         ] {
@@ -489,7 +494,7 @@ mod tests {
         let parse = |ms: &str| flags(&["--eager-timeout-ms", ms]);
         let err = parse("0").unwrap_err();
         assert!(err.contains("--eager-timeout-ms must be at least 1"), "{err}");
-        assert_eq!(parse("1").unwrap().options.eager_timeout, Duration::from_millis(1));
+        assert_eq!(parse("1").unwrap().options.tuning.eager_timeout, Duration::from_millis(1));
     }
 
     /// [`zero_eager_timeout_flag_is_refused`], spelled as a file key.
@@ -498,7 +503,18 @@ mod tests {
         let err = file("eager_timeout_ms = 0").unwrap_err();
         assert!(err.contains("line 1: eager_timeout_ms must be at least 1"), "{err}");
         let cfg = file("eager_timeout_ms = 1").unwrap();
-        assert_eq!(cfg.options.eager_timeout, Duration::from_millis(1));
+        assert_eq!(cfg.options.tuning.eager_timeout, Duration::from_millis(1));
+    }
+
+    /// A group-commit batch of 0 would stage commits that no batch-full
+    /// ever flushes. The flag is refused, as the key is in
+    /// [`rejects_malformed_lines`].
+    #[test]
+    fn zero_group_commit_flag_is_refused() {
+        let parse = |n: &str| flags(&["--group-commit", n]);
+        let err = parse("0").unwrap_err();
+        assert!(err.contains("--group-commit must be at least 1"), "{err}");
+        assert_eq!(parse("1").unwrap().options.tuning.group_commit_batch.get(), 1);
     }
 
     /// The arguments `ProcCluster` gives a child for a `LaunchOptions`
@@ -527,11 +543,13 @@ mod tests {
         let cfg = ServeConfig::from_args(launch_args(&launch)).unwrap();
         let in_process = RuntimeOptions {
             nemesis: Some(plan),
-            eager_timeout: Duration::from_millis(250),
+            tuning: Tuning {
+                eager_timeout: Duration::from_millis(250),
+                mvcc_reads: true,
+                group_commit_batch: NonZeroUsize::new(4).unwrap(),
+                ..Tuning::LIVE
+            },
             outbox_high_water: 64,
-            mvcc_reads: true,
-            group_commit_batch: 4,
-            ..RuntimeOptions::default()
         };
         assert_eq!(cfg.options, in_process);
         assert_eq!(

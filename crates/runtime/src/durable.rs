@@ -70,13 +70,13 @@ pub(crate) struct DurableSite {
 }
 
 impl DurableSite {
-    pub fn new(sites: usize, group_commit_batch: usize) -> Self {
+    pub fn new(sites: usize) -> Self {
         DurableSite {
             wal: WriteAheadLog::new(),
             checkpoint: Vec::new(),
             next_seq: 0,
             applied_from: vec![0; sites],
-            pipeline: CommitPipeline::new(group_commit_batch),
+            pipeline: CommitPipeline::new(1),
         }
     }
 

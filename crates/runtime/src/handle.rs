@@ -67,7 +67,7 @@ pub trait ClusterHandle {
     /// sugar over [`ClusterHandle::execute`] with all-read op lists —
     /// the op shape deployments serve from a lock-free MVCC snapshot
     /// when launched with MVCC reads enabled (`--mvcc` /
-    /// `RuntimeOptions::mvcc_reads`).
+    /// `Tuning::mvcc_reads`).
     fn execute_read_only(
         &self,
         site: SiteId,

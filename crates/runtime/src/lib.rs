@@ -63,7 +63,8 @@ mod transport;
 pub use cluster::{Cluster, ClusterError, RuntimeProtocol, TxnHandle};
 pub use handle::{ClusterHandle, SiteStats};
 pub use nemesis::{NetFaultPlan, PartitionWindow, PauseWindow};
-pub use policy::{RetryPolicy, RuntimeOptions};
+pub use policy::RuntimeOptions;
 pub use proc::{repld_bin, LaunchOptions, ProcCluster};
 pub use reactor::{serve_epoll, ServeConfig};
 pub use repl_net::HistoryTxn;
+pub use repl_protocol::Tuning;

@@ -97,7 +97,7 @@ use repl_types::{AddressMap, GlobalTxnId, Op, SiteId};
 use crate::cluster::{build_structure, ClusterError, RuntimeProtocol};
 use crate::link::{link_marks, WriteBuf};
 use crate::nemesis::ChaosWire;
-use crate::policy::RuntimeOptions;
+use crate::policy::{dial_delay, RuntimeOptions};
 use crate::site::{SiteCore, SiteParts, SiteSetup, Started};
 use crate::transport::{Direct, Transport};
 
@@ -229,7 +229,7 @@ pub fn serve_epoll(cfg: ServeConfig) -> io::Result<()> {
         // The first address recorded for a site, as `AddressMap::get`.
         slot.get_or_insert(addr);
     }
-    let parts = SiteParts::new(n, cfg.options.group_commit_batch);
+    let parts = SiteParts::new(n);
     let fingerprint = cluster_fingerprint(cfg.placement.per_item_spec(), cfg.protocol.name());
     // The one copy of the placement in this process.
     let placement = Arc::new(cfg.placement);
@@ -290,7 +290,7 @@ pub(crate) struct Reactor {
     /// Client request frames refused because they did not decode.
     decode_errors: u64,
     /// Consecutive failed dial attempts per peer — the exponent fed to
-    /// the [`crate::RetryPolicy`] backoff; reset on successful connect.
+    /// the [`dial_delay`] backoff; reset on successful connect.
     dial_attempts: Vec<u32>,
     /// Per-peer earliest next dial time (jittered exponential backoff).
     next_dial: Vec<Instant>,
@@ -594,7 +594,7 @@ impl Reactor {
 
     /// Dial pass: one nonblocking-after-connect attempt per peer
     /// missing its outgoing link and past its per-peer backoff deadline
-    /// ([`crate::RetryPolicy`] jittered exponential — a dead peer is
+    /// ([`dial_delay`]'s jittered exponential — a dead peer is
     /// probed ever less often, a fresh failure retries fast).
     fn dial_missing(&mut self) {
         let now = Instant::now();
@@ -614,8 +614,8 @@ impl Reactor {
             if ok {
                 self.dial_attempts[p.index()] = 0;
             } else {
-                let retry = &self.core.opts.retry;
-                self.next_dial[p.index()] = now + retry.delay(self.dial_attempts[p.index()]);
+                let delay = dial_delay(self.me, p, self.dial_attempts[p.index()]);
+                self.next_dial[p.index()] = now + delay;
                 self.dial_attempts[p.index()] = self.dial_attempts[p.index()].saturating_add(1);
             }
         }
@@ -626,8 +626,7 @@ impl Reactor {
     /// asynchronously on the readiness loop).
     fn dial_one(&mut self, p: SiteId) -> bool {
         let Some(addr) = self.peers[p.index()] else { return false };
-        let connect_timeout = self.core.opts.retry.connect_timeout;
-        let Ok(stream) = sock::Stream::connect(&addr, connect_timeout) else {
+        let Ok(stream) = sock::Stream::connect(&addr) else {
             return false;
         };
         let Some(tok) = self.install_conn(stream, Role::PeerOutHs { peer: p }) else {
@@ -661,7 +660,7 @@ impl Reactor {
                 true
             }
             ClientMsg::Stats => {
-                let (peers_up, peers_suspect, peers_down) = self.core.health_counts();
+                let (peers_up, peers_suspect, peers_down) = self.core.net.health_counts();
                 let reply = ClientReply::Stats {
                     outstanding: self.core.outstanding,
                     committed: self.core.history.committed_count(),
@@ -932,7 +931,8 @@ mod sock {
     use std::io::{self, Read, Write};
     use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
     use std::os::fd::{AsRawFd, RawFd};
-    use std::time::Duration;
+
+    use crate::policy::CONNECT_TIMEOUT;
 
     /// A connected nonblocking socket with `TCP_NODELAY` set.
     pub(super) struct Stream(TcpStream);
@@ -945,9 +945,9 @@ mod sock {
         }
 
         /// Dial `addr`. The connect is the reactor's one wait, capped
-        /// at `timeout` and paced by the dialer's backoff.
-        pub(super) fn connect(addr: &SocketAddr, timeout: Duration) -> io::Result<Stream> {
-            Stream::adopt(TcpStream::connect_timeout(addr, timeout)?)
+        /// at [`CONNECT_TIMEOUT`] and paced by the dialer's backoff.
+        pub(super) fn connect(addr: &SocketAddr) -> io::Result<Stream> {
+            Stream::adopt(TcpStream::connect_timeout(addr, CONNECT_TIMEOUT)?)
         }
 
         pub(super) fn read_some(&mut self, buf: &mut [u8]) -> io::Result<usize> {

@@ -20,29 +20,21 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use repl_copygraph::{CopyGraph, DataPlacement};
+use repl_copygraph::DataPlacement;
 use repl_net::{frame_state_page_into, HistoryLog, Payload, PAGE_BYTES};
 use repl_protocol::{
     destinations, planned_writes, Command as ProtoCommand, Input, ProtocolError, SiteMachine,
-    Timestamp,
+    Timestamp, Tuning,
 };
-use repl_storage::{recover, Store};
+use repl_storage::{recover, CommitPipeline, Store};
 use repl_types::{GlobalTxnId, ItemId, Op, OpKind, SiteId, Value};
 
 use crate::cluster::{ClusterError, RuntimeProtocol, Structure};
 use crate::durable::DurableSite;
 use crate::link::{LinkState, Links};
-use crate::policy::RuntimeOptions;
+use crate::policy::{RuntimeOptions, REPLAY_PERIOD};
 use crate::transport::{Net, Transport};
 
-/// DAG(T) idle fallback: send a dummy on a copy-graph child link idle
-/// this long. A child waiting on this site's column because of a
-/// secondary this site applied gets its dummy at once
-/// ([`SiteCore::apply_frame`]); this period covers a parent that
-/// applies nothing the child is waiting on.
-const HEARTBEAT_PERIOD: Duration = Duration::from_millis(2);
-/// DAG(T): bump the epoch component this often.
-const EPOCH_PERIOD: Duration = Duration::from_millis(20);
 /// DAG(T): skip heartbeats into a lane already this deep (a down or
 /// slow peer must not accumulate unbounded dummies).
 const HEARTBEAT_LANE_CAP: usize = 64;
@@ -52,6 +44,9 @@ const HEARTBEAT_LANE_CAP: usize = 64;
 /// bumped. The *decision* of what a heartbeat or epoch tick does lives
 /// in the machine; durations cannot, so they live here.
 struct DagtTimers {
+    /// [`Tuning::epoch_period`] and [`Tuning::heartbeat_period`].
+    epoch: Duration,
+    heartbeat: Duration,
     /// Copy-graph children: heartbeat targets.
     children: Vec<SiteId>,
     /// Last send (real or dummy) per child, same indexing as `children`.
@@ -60,10 +55,9 @@ struct DagtTimers {
 }
 
 impl DagtTimers {
-    fn new(me: SiteId, graph: &CopyGraph) -> Self {
-        let now = Instant::now();
-        let children: Vec<SiteId> = graph.children(me).collect();
-        DagtTimers { last_sent: vec![now; children.len()], children, last_epoch: now }
+    fn new(children: Vec<SiteId>, epoch: Duration, heartbeat: Duration) -> Self {
+        let (now, n) = (Instant::now(), children.len());
+        DagtTimers { epoch, heartbeat, children, last_sent: vec![now; n], last_epoch: now }
     }
 }
 
@@ -92,9 +86,11 @@ pub(crate) struct SiteCore {
     pub outstanding: i64,
     /// The site's stable storage, which outlives this core.
     pub durable: DurableSite,
-    /// Deployment timing/bound knobs (retry, eager timeout, outbox
-    /// high-water, replay cadence, health windows).
+    /// Deployment knobs (outbox high-water, nemesis, the [`Tuning`]).
     pub opts: Arc<RuntimeOptions>,
+    /// [`Tuning::eager_timeout`] and [`Tuning::mvcc_reads`].
+    eager_wait: Duration,
+    mvcc: bool,
     /// The shared protocol state machine (also driven by the sim).
     machine: SiteMachine,
     /// DAG(T) timers, present iff the protocol is DAG(T).
@@ -130,9 +126,9 @@ pub(crate) struct SiteParts {
 
 impl SiteParts {
     /// A site that has never run, in a cluster of `sites`.
-    pub fn new(sites: usize, group_commit_batch: usize) -> Self {
+    pub fn new(sites: usize) -> Self {
         SiteParts {
-            durable: DurableSite::new(sites, group_commit_batch),
+            durable: DurableSite::new(sites),
             links: (0..sites).map(|_| LinkState::default()).collect(),
             history: HistoryLog::default(),
             outstanding: 0,
@@ -146,7 +142,8 @@ impl SiteParts {
 /// panic.
 pub(crate) struct SiteSetup {
     machine: SiteMachine,
-    timers: Option<DagtTimers>,
+    /// DAG(T) only: the copy-graph children heartbeats go to.
+    dagt_children: Option<Vec<SiteId>>,
     placement: Arc<DataPlacement>,
 }
 
@@ -157,10 +154,11 @@ impl SiteSetup {
         placement: Arc<DataPlacement>,
         Structure { graph, tree }: &Structure,
     ) -> Result<Self, ProtocolError> {
-        let timers = (protocol == RuntimeProtocol::DagT).then(|| DagtTimers::new(id, graph));
+        let dagt_children =
+            (protocol == RuntimeProtocol::DagT).then(|| graph.children(id).collect());
         let (graph, tree) = (graph.clone(), tree.clone());
         let machine = SiteMachine::new(id, protocol, placement.clone(), graph, tree)?;
-        Ok(SiteSetup { machine, timers, placement })
+        Ok(SiteSetup { machine, dagt_children, placement })
     }
 
     /// The site this half belongs to.
@@ -179,6 +177,17 @@ impl SiteSetup {
     ) -> SiteCore {
         let id = self.machine.me();
         let store = recovered_store(&self.placement, id, &mut parts.durable);
+        // No `..`: a new `Tuning` field fails to compile until read here.
+        let Tuning {
+            epoch_period,
+            heartbeat_period,
+            eager_timeout,
+            mvcc_reads,
+            group_commit_batch,
+        } = opts.tuning;
+        // Recovery flushed the staged batch, so the pipeline is empty.
+        parts.durable.pipeline = CommitPipeline::new(group_commit_batch.get());
+        let timers = self.dagt_children.map(|c| DagtTimers::new(c, epoch_period, heartbeat_period));
         SiteCore {
             id,
             store,
@@ -189,8 +198,10 @@ impl SiteSetup {
             outstanding: parts.outstanding,
             durable: parts.durable,
             opts,
+            eager_wait: eager_timeout,
+            mvcc: mvcc_reads,
             machine: self.machine,
-            timers: self.timers,
+            timers,
             home: None,
             eager_deadline: None,
             last_replay: Instant::now(),
@@ -235,7 +246,7 @@ impl SiteCore {
         self.retransmit_tick();
         let Some(t) = self.timers.as_mut() else { return };
         let now = Instant::now();
-        if now.duration_since(t.last_epoch) >= EPOCH_PERIOD {
+        if now.duration_since(t.last_epoch) >= t.epoch {
             t.last_epoch = now;
             let cmds = self.machine_input(Input::EpochTick);
             self.run_commands(cmds);
@@ -246,7 +257,7 @@ impl SiteCore {
             .children
             .iter()
             .enumerate()
-            .filter(|&(i, _)| now.duration_since(t.last_sent[i]) >= HEARTBEAT_PERIOD)
+            .filter(|&(i, _)| now.duration_since(t.last_sent[i]) >= t.heartbeat)
             .map(|(_, &c)| c)
             .collect();
         self.send_dummies(idle_children);
@@ -277,7 +288,7 @@ impl SiteCore {
         self.send_dummies(children);
     }
 
-    /// Stall recovery: every `replay_period`, replay any outgoing lane
+    /// Stall recovery: every [`REPLAY_PERIOD`], replay any outgoing lane
     /// whose oldest unacknowledged sequence has not moved since the
     /// last sweep. A frame a nemesis (or a dying connection) swallowed
     /// is still in the outbox; the receiver's dedup/gap marks make the
@@ -285,7 +296,7 @@ impl SiteCore {
     /// harmless. Lanes making ack progress are left alone — under a
     /// healthy wire this sweep sends nothing.
     fn retransmit_tick(&mut self) {
-        if self.last_replay.elapsed() < self.opts.replay_period {
+        if self.last_replay.elapsed() < REPLAY_PERIOD {
             return;
         }
         self.last_replay = Instant::now();
@@ -314,11 +325,6 @@ impl SiteCore {
             history: self.history,
             outstanding: self.outstanding,
         }
-    }
-
-    /// Peer-health counts for this site's stats: `(up, suspect, down)`.
-    pub fn health_counts(&self) -> (u32, u32, u32) {
-        self.net.health_counts(self.opts.suspect_after, self.opts.down_after)
     }
 
     /// If an armed eager-phase deadline has expired, abort the waiting
@@ -424,8 +430,7 @@ impl SiteCore {
     /// MVCC snapshot when the deployment enables it — same gid, same
     /// machine inputs, but the store's lock manager is never touched.
     pub fn complete_txn(&mut self, gid: GlobalTxnId, ops: &[Op]) {
-        let mvcc =
-            self.opts.mvcc_reads && !ops.is_empty() && ops.iter().all(|op| op.kind == OpKind::Read);
+        let mvcc = self.mvcc && !ops.is_empty() && ops.iter().all(|op| op.kind == OpKind::Read);
         let (writes, reads) = if mvcc {
             (Vec::new(), self.run_snapshot_txn(ops))
         } else {
@@ -533,7 +538,7 @@ impl SiteCore {
                 // arm a real deadline; the driver polls
                 // [`SiteCore::check_eager_timeout`] while waiting.
                 ProtoCommand::ArmEagerTimeout { gid } => {
-                    self.eager_deadline = Some((gid, Instant::now() + self.opts.eager_timeout));
+                    self.eager_deadline = Some((gid, Instant::now() + self.eager_wait));
                     Vec::new()
                 }
                 // No machine emits these (DESIGN.md §14).
@@ -739,7 +744,7 @@ mod tests {
         [0, 1].map(|s| {
             SiteSetup::new(SiteId(s), protocol, placement.clone(), &structure)
                 .expect("chain3 site")
-                .into_core(SiteParts::new(3, 1), Box::new(Direct), Arc::default())
+                .into_core(SiteParts::new(3), Box::new(Direct), Arc::default())
         })
     }
 
@@ -804,7 +809,7 @@ mod tests {
         [0, 1, 2].map(|s| {
             SiteSetup::new(SiteId(s), protocol, placement.clone(), &structure)
                 .expect("ring3 site")
-                .into_core(SiteParts::new(3, 1), Box::new(Direct), opts.clone())
+                .into_core(SiteParts::new(3), Box::new(Direct), opts.clone())
         })
     }
 
@@ -856,7 +861,8 @@ mod tests {
     /// s0's store and log as they were and releases the item.
     #[test]
     fn a_prepared_special_aborts_on_its_decision_and_releases() {
-        let opts = RuntimeOptions { eager_timeout: Duration::ZERO, ..RuntimeOptions::default() };
+        let tuning = Tuning { eager_timeout: Duration::ZERO, ..Tuning::LIVE };
+        let opts = RuntimeOptions { tuning, ..RuntimeOptions::default() };
         let mut sites = ring3(opts);
         let wal = sites[0].durable.wal.encode();
         let started = sites[2].start_txn(&[Op::write(BACK, 7)]).unwrap();
@@ -876,7 +882,8 @@ mod tests {
     /// and the special that then comes home completes nothing.
     #[test]
     fn an_eager_phase_past_its_deadline_aborts_down_its_path() {
-        let opts = RuntimeOptions { eager_timeout: Duration::ZERO, ..RuntimeOptions::default() };
+        let tuning = Tuning { eager_timeout: Duration::ZERO, ..Tuning::LIVE };
+        let opts = RuntimeOptions { tuning, ..RuntimeOptions::default() };
         let mut sites = ring3(opts);
         let started = sites[2].start_txn(&[Op::write(BACK, 7)]).unwrap();
         let special = take_sent(&mut sites[2]);
@@ -909,7 +916,7 @@ mod tests {
         let mut site =
             SiteSetup::new(SiteId(0), RuntimeProtocol::DagWt, placement.into(), &structure)
                 .unwrap()
-                .into_core(SiteParts::new(1, 1), Box::new(Direct), Arc::default());
+                .into_core(SiteParts::new(1), Box::new(Direct), Arc::default());
         for i in 0..INTS + 20 {
             let value =
                 if i < INTS { Value::int(i.into()) } else { Value::Bytes(vec![i as u8; 62 << 10]) };

@@ -36,12 +36,13 @@
 //! ([`Net::take_ack`]).
 
 use std::io;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use repl_net::Payload;
 use repl_types::SiteId;
 
 use crate::link::{write_taken, LinkState, Links, Sink};
+use crate::policy::{DOWN_AFTER, SUSPECT_AFTER};
 
 /// This site's progress record of one peer.
 #[derive(Clone)]
@@ -194,7 +195,7 @@ impl Net {
     /// *progress* — a frame, an ack or a successful dial — not pings,
     /// and a peer is only demoted while we are trying to talk to it
     /// (its lane non-empty or its dials failing).
-    pub fn health_counts(&self, suspect_after: Duration, down_after: Duration) -> (u32, u32, u32) {
+    pub fn health_counts(&self) -> (u32, u32, u32) {
         let (mut up, mut suspect, mut down) = (0, 0, 0);
         for (p, cell) in self.health.iter().enumerate() {
             let peer = SiteId(p as u32);
@@ -203,9 +204,9 @@ impl Net {
             }
             let pending = self.lane_len(peer) > 0 || cell.dial_failures > 0;
             let silent = cell.last_progress.elapsed();
-            if !pending || silent < suspect_after {
+            if !pending || silent < SUSPECT_AFTER {
                 up += 1;
-            } else if silent < down_after {
+            } else if silent < DOWN_AFTER {
                 suspect += 1;
             } else {
                 down += 1;

@@ -20,7 +20,7 @@ use repl_copygraph::DataPlacement;
 use repl_core::history::History;
 use repl_runtime::{
     Cluster, ClusterError, ClusterHandle, LaunchOptions, NetFaultPlan, ProcCluster, RuntimeOptions,
-    RuntimeProtocol,
+    RuntimeProtocol, Tuning,
 };
 use repl_types::{ItemId, Op, SiteId};
 
@@ -55,7 +55,7 @@ fn fan_placement() -> DataPlacement {
 fn eager_phase_partition_aborts_and_heals() {
     let placement = cyclic_placement();
     let options = RuntimeOptions {
-        eager_timeout: Duration::from_millis(150),
+        tuning: Tuning { eager_timeout: Duration::from_millis(150), ..Tuning::LIVE },
         nemesis: Some(NetFaultPlan::seeded(0x00EA_9E12).partition(SiteId(0), SiteId(2), 0, 600)),
         ..RuntimeOptions::default()
     };

@@ -20,6 +20,7 @@
 //! `tools/ci.sh` re-runs this file at `DIFF_MATRIX_TXNS=6` as a gate.
 
 use std::path::Path;
+use std::time::Duration;
 
 use repl_copygraph::DataPlacement;
 use repl_core::config::{ProtocolKind, SimParams};
@@ -27,7 +28,7 @@ use repl_core::engine::Engine;
 use repl_net::{decode_cells, encode_cells};
 use repl_runtime::{
     Cluster, ClusterHandle, LaunchOptions, NetFaultPlan, ProcCluster, RuntimeOptions,
-    RuntimeProtocol,
+    RuntimeProtocol, Tuning,
 };
 use repl_types::{GlobalTxnId, ItemId, Op, SiteId, Value};
 
@@ -189,23 +190,24 @@ fn sim_final_state_opts(
     protocol: ProtocolKind,
     progs: &[Vec<Vec<Vec<Op>>>],
     txns_per_site: u32,
-    snapshot_reads: bool,
+    mvcc_reads: bool,
 ) -> Vec<bytes::Bytes> {
     let mut params = SimParams::quick_test(protocol);
     params.threads_per_site = 1;
     params.txns_per_thread = txns_per_site;
-    params.snapshot_reads = snapshot_reads;
-    // A sim-side eager timeout retries the transaction under a fresh
-    // gid, which would skew the writer ids; the runtime's 10 s eager
-    // deadline never fires on this conflict-free workload, so neither
-    // may the simulator's.
-    params.eager_wait_timeout_factor = 1_000_000;
+    // Every executor of a cell runs the live fleet's `Tuning`, but for
+    // the eager timeout: a sim-side eager timeout retries the
+    // transaction under a fresh gid, which would skew the writer ids;
+    // the runtime's 10 s eager deadline never fires on this
+    // conflict-free workload, so neither may the simulator's.
+    params.tuning =
+        Tuning { mvcc_reads, eager_timeout: Duration::from_secs(50_000), ..Tuning::LIVE };
     let mut engine = Engine::new(placement, &params, progs.to_vec()).expect("engine builds");
     let report = engine.run();
     assert!(!report.stalled, "{protocol:?} sim stalled");
     assert_eq!(report.summary.incomplete_propagations, 0);
     assert_eq!(report.summary.aborts, 0, "{protocol:?}: conflict-free workload aborted");
-    if snapshot_reads {
+    if mvcc_reads {
         assert!(report.serializable, "{protocol:?} MVCC sim not 1SR: {:?}", report.cycle);
     }
     (0..placement.num_sites())
@@ -336,8 +338,8 @@ fn assert_history_1sr(label: &str, cluster: &dyn ClusterHandle) {
 
 /// The MVCC column: a mixed read/write workload with snapshot reads
 /// enabled in every deployment — the simulator runs with
-/// `SimParams::snapshot_reads`, the in-process cluster with
-/// `RuntimeOptions::mvcc_reads`, and the `repld` fleet with `--mvcc`.
+/// `Tuning::mvcc_reads` in `SimParams`, the in-process cluster with it
+/// in `RuntimeOptions`, and the `repld` fleet with `--mvcc`.
 /// Final copy state must stay byte-identical to the simulator and every
 /// live history must be one-copy serializable.
 #[test]
@@ -363,7 +365,8 @@ fn mvcc_snapshot_read_matrix() {
         let progs = mixed_programs(&placement, txns, seed);
         let sim_state = sim_final_state_opts(&placement, sim, &progs, txns, true);
 
-        let options = RuntimeOptions { mvcc_reads: true, ..RuntimeOptions::default() };
+        let tuning = Tuning { mvcc_reads: true, ..Tuning::LIVE };
+        let options = RuntimeOptions { tuning, ..RuntimeOptions::default() };
         let cluster = Cluster::start_with(&placement, runtime, options).expect("cluster starts");
         let in_process_state = drive_final_state(&cluster, &progs);
         assert_history_1sr(label, &cluster);

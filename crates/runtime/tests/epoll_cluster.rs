@@ -435,6 +435,23 @@ fn zero_eager_timeout_is_refused_before_any_child_is_spawned() {
     assert!(err.to_string().contains("--eager-timeout-ms must be at least 1"), "{err}");
 }
 
+/// A group-commit batch of 0 in `LaunchOptions` is refused like the
+/// flag it becomes, before anything is spawned.
+#[test]
+fn zero_group_commit_is_refused_before_any_child_is_spawned() {
+    let options = LaunchOptions { group_commit: Some(0), ..LaunchOptions::default() };
+    let err = ProcCluster::launch_with_options(
+        Path::new("/nonexistent/repld"),
+        &cyclic_placement(),
+        RuntimeProtocol::BackEdge,
+        &options,
+    )
+    .err()
+    .expect("refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    assert!(err.to_string().contains("--group-commit must be at least 1"), "{err}");
+}
+
 /// `repld` itself refuses the removed flags at startup: exit 2 and one
 /// message that names both removals, from `repld` and the simulator.
 #[test]

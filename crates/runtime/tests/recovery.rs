@@ -1,9 +1,11 @@
 //! Crash-recovery over the threaded runtime: snapshot-replay equality
 //! and *live* crash/rejoin equivalence against an uncrashed control.
 
+use std::num::NonZeroUsize;
+
 use repl_copygraph::DataPlacement;
 use repl_core::scenario;
-use repl_runtime::{Cluster, RuntimeOptions, RuntimeProtocol};
+use repl_runtime::{Cluster, RuntimeOptions, RuntimeProtocol, Tuning};
 use repl_storage::{recover, WriteAheadLog, SEGMENT_BYTES};
 use repl_types::{GlobalTxnId, ItemId, Op, SiteId, Value};
 
@@ -193,7 +195,9 @@ fn crash_after_checkpoint_cuts_rejoins_identical_to_control() {
     };
 
     for group_commit_batch in [1, 8] {
-        let opts = || RuntimeOptions { group_commit_batch, ..RuntimeOptions::default() };
+        let group_commit_batch = NonZeroUsize::new(group_commit_batch).unwrap();
+        let tuning = Tuning { group_commit_batch, ..Tuning::LIVE };
+        let opts = || RuntimeOptions { tuning, ..RuntimeOptions::default() };
         let control = Cluster::start_with(&placement, RuntimeProtocol::DagWt, opts()).unwrap();
         let mut faulted = Cluster::start_with(&placement, RuntimeProtocol::DagWt, opts()).unwrap();
         let seed: Vec<Op> = hot.iter().chain(&cold).map(|&i| Op::write(i, -1)).collect();

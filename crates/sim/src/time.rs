@@ -40,11 +40,6 @@ impl SimDuration {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
     }
-
-    /// Scale by an integer factor.
-    pub const fn times(self, k: u64) -> Self {
-        SimDuration(self.0 * k)
-    }
 }
 
 impl fmt::Debug for SimDuration {
@@ -145,7 +140,6 @@ mod tests {
         assert_eq!(format!("{:?}", SimDuration::micros(10)), "10us");
         assert_eq!(format!("{:?}", SimDuration::millis(50)), "50.000ms");
         assert_eq!(format!("{:?}", SimDuration::secs(2)), "2.000s");
-        assert_eq!(SimDuration::micros(150).times(4), SimDuration::micros(600));
     }
 
     #[test]

@@ -175,11 +175,6 @@ impl Store {
         self.cells.contains(item)
     }
 
-    /// Number of item copies stored.
-    pub fn item_count(&self) -> usize {
-        self.cells.len()
-    }
-
     /// Non-transactional inspection of a copy's committed value and
     /// writer (used by checkpoints, convergence tests and examples).
     ///
@@ -336,12 +331,6 @@ impl Store {
         let state = self.txns.remove(txn).ok_or(StorageError::NoSuchTxn(txn))?;
         self.retire(state);
         Ok(self.locks.release_all(txn))
-    }
-
-    /// The store's current commit timestamp (what a snapshot opened now
-    /// would read at).
-    pub fn current_commit_ts(&self) -> u64 {
-        self.commit_ts
     }
 
     /// Open a read-only snapshot at the current commit timestamp.
