@@ -322,8 +322,13 @@ impl Draft {
         Ok(draft)
     }
 
-    /// The mandatory-field check.
+    /// The mandatory-field check, and the settings checked against the
+    /// placement.
     fn finish(self) -> Result<ServeConfig, String> {
+        if let (Some(plan), Some(placement)) = (&self.options.nemesis, &self.placement) {
+            plan.check_sites(placement.num_sites())
+                .map_err(|e| format!("bad nemesis spec: {e}"))?;
+        }
         Ok(ServeConfig {
             site: self.site.ok_or("missing site id (--site or `site =` in the config)")?,
             listen: self.listen.ok_or("missing listen address (--listen)")?,
@@ -495,6 +500,47 @@ mod tests {
         let err = parse("0").unwrap_err();
         assert!(err.contains("--eager-timeout-ms must be at least 1"), "{err}");
         assert_eq!(parse("1").unwrap().options.tuning.eager_timeout, Duration::from_millis(1));
+    }
+
+    /// Nemesis specs a site used to start with: a permille that `as u16`
+    /// wrapped (66536 → 1000, every frame dropped) or that is above
+    /// 1000, a site id that `as u32` wrapped to 0, a site cut off from
+    /// itself, and a window naming a site the placement does not have.
+    const BAD_NEMESIS: [(&str, &str); 5] = [
+        ("seed=1;drop=66536", "more than 1000 permille"),
+        ("seed=1;drop=1500", "more than 1000 permille"),
+        ("seed=1;part=4294967296-1@0..10", "not a site id"),
+        ("seed=1;part=0-0@0..10", "cut off from itself"),
+        ("seed=1;pause=3@0..10", "site 3 is outside a 3-site placement"),
+    ];
+
+    #[test]
+    fn out_of_range_nemesis_flag_is_refused() {
+        let parse = |spec: &str| {
+            let args = ["--site", "0", "--listen", "127.0.0.1:0", "--protocol", "dagwt"];
+            let args = args.into_iter().chain(["--placement", "3|0*2", "--nemesis", spec]);
+            ServeConfig::from_args(args.map(String::from))
+        };
+        for (spec, needle) in BAD_NEMESIS {
+            let err = parse(spec).map(drop).unwrap_err();
+            assert!(err.contains("bad nemesis spec") && err.contains(needle), "{spec}: {err}");
+        }
+        assert!(parse("seed=1;drop=1000;part=0-2@0..10;pause=2@0..10").is_ok());
+    }
+
+    /// [`out_of_range_nemesis_flag_is_refused`], spelled as a file key.
+    #[test]
+    fn out_of_range_nemesis_key_is_refused() {
+        let parse = |spec: &str| {
+            let head = "site = 0\nlisten = \"127.0.0.1:0\"\nprotocol = \"dagwt\"\n";
+            file(&format!("{head}placement = \"3|0*2\"\nnemesis = \"{spec}\""))
+                .and_then(Draft::finish)
+        };
+        for (spec, needle) in BAD_NEMESIS {
+            let err = parse(spec).map(drop).unwrap_err();
+            assert!(err.contains("bad nemesis spec") && err.contains(needle), "{spec}: {err}");
+        }
+        assert!(parse("seed=1;drop=1000;part=0-2@0..10;pause=2@0..10").is_ok());
     }
 
     /// [`zero_eager_timeout_flag_is_refused`], spelled as a file key.

@@ -230,7 +230,8 @@ impl NetFaultPlan {
 
     /// Parse the spec format, e.g.
     /// `seed=7;jitter=2;drop=50;dup=30;part=0-1@100..400;pause=2@150..250`.
-    /// Inverse of [`NetFaultPlan::to_spec`].
+    /// Inverse of [`NetFaultPlan::to_spec`]. A probability above 1000 ‰,
+    /// a site id past `u32` and a cut from a site to itself are refused.
     pub fn parse(spec: &str) -> Result<NetFaultPlan, String> {
         let mut plan = NetFaultPlan::default();
         for field in spec.split(';').map(str::trim).filter(|f| !f.is_empty()) {
@@ -239,13 +240,21 @@ impl NetFaultPlan {
                 .ok_or_else(|| format!("expected key=value, got {field:?}"))?;
             let num =
                 |v: &str| v.parse::<u64>().map_err(|_| format!("bad number {v:?} in {field:?}"));
+            let permille = |v: &str| match u16::try_from(num(v)?) {
+                Ok(p) if p <= 1000 => Ok(p),
+                _ => Err(format!("{v} is more than 1000 permille in {field:?}")),
+            };
+            let site = |v: &str| {
+                let id = u32::try_from(num(v)?);
+                id.map(SiteId).map_err(|_| format!("site {v} is not a site id in {field:?}"))
+            };
             match key {
                 "seed" => plan.seed = num(value)?,
                 "jitter" => plan.max_jitter_ms = num(value)?,
-                "drop" => plan.drop_permille = num(value)? as u16,
-                "dup" => plan.dup_permille = num(value)? as u16,
-                "corrupt" => plan.corrupt_permille = num(value)? as u16,
-                "trunc" => plan.truncate_permille = num(value)? as u16,
+                "drop" => plan.drop_permille = permille(value)?,
+                "dup" => plan.dup_permille = permille(value)?,
+                "corrupt" => plan.corrupt_permille = permille(value)?,
+                "trunc" => plan.truncate_permille = permille(value)?,
                 "part" | "oneway" => {
                     let (pair, window) = value
                         .split_once('@')
@@ -253,30 +262,40 @@ impl NetFaultPlan {
                     let (a, b) = pair
                         .split_once('-')
                         .ok_or_else(|| format!("expected A-B site pair in {field:?}"))?;
+                    let (a, b) = (site(a)?, site(b)?);
+                    if a == b {
+                        return Err(format!("a site cut off from itself in {field:?}"));
+                    }
                     let (start, end) = parse_window(window, field)?;
                     plan.partitions.push(PartitionWindow {
-                        a: SiteId(num(a)? as u32),
-                        b: SiteId(num(b)? as u32),
+                        a,
+                        b,
                         symmetric: key == "part",
                         start_ms: start,
                         end_ms: end,
                     });
                 }
                 "pause" => {
-                    let (site, window) = value
+                    let (id, window) = value
                         .split_once('@')
                         .ok_or_else(|| format!("expected SITE@S..E in {field:?}"))?;
                     let (start, end) = parse_window(window, field)?;
-                    plan.pauses.push(PauseWindow {
-                        site: SiteId(num(site)? as u32),
-                        start_ms: start,
-                        end_ms: end,
-                    });
+                    plan.pauses.push(PauseWindow { site: site(id)?, start_ms: start, end_ms: end });
                 }
                 other => return Err(format!("unknown nemesis field {other:?}")),
             }
         }
         Ok(plan)
+    }
+
+    /// Refuse a window naming a site a fleet of `num_sites` does not
+    /// have: it would never cut anything.
+    pub fn check_sites(&self, num_sites: u32) -> Result<(), String> {
+        let parts = self.partitions.iter().flat_map(|w| [w.a, w.b]);
+        match parts.chain(self.pauses.iter().map(|w| w.site)).find(|s| s.0 >= num_sites) {
+            Some(s) => Err(format!("site {} is outside a {num_sites}-site placement", s.0)),
+            None => Ok(()),
+        }
     }
 }
 
@@ -504,6 +523,10 @@ mod tests {
             ("part=01@5..9", "site pair"),
             ("part=0-1@9..5", "ends before"),
             ("pause=1@5", "S..E"),
+            ("drop=66536", "more than 1000 permille"),
+            ("dup=1001", "more than 1000 permille"),
+            ("part=4294967296-1@0..10", "not a site id"),
+            ("oneway=2-2@0..10", "cut off from itself"),
         ] {
             let err = NetFaultPlan::parse(spec).unwrap_err();
             assert!(err.contains(needle), "{spec:?} → {err:?} missing {needle:?}");
@@ -626,5 +649,16 @@ mod tests {
         for keep in 0..clean.len() {
             ChaosWire::exercise_decoder(&clean[..keep]);
         }
+    }
+
+    #[test]
+    fn check_sites_refuses_a_site_outside_the_placement() {
+        let plan = NetFaultPlan::parse("seed=1;part=0-2@0..10;pause=1@0..10").unwrap();
+        assert_eq!(plan.check_sites(3), Ok(()));
+        let err = plan.check_sites(2).unwrap_err();
+        assert!(err.contains("site 2 is outside a 2-site placement"), "{err}");
+        let pause = NetFaultPlan::parse("seed=1;pause=3@0..10").unwrap();
+        assert!(pause.check_sites(3).is_err());
+        assert_eq!(NetFaultPlan::parse("drop=1000").unwrap().drop_permille, 1000);
     }
 }

@@ -152,6 +152,11 @@ impl ProcCluster {
         &self.addrs
     }
 
+    /// The process id of `site`'s `repld`.
+    pub fn pid(&self, site: SiteId) -> Option<u32> {
+        self.children.get(site.index()).map(Child::id)
+    }
+
     /// The placement this cluster serves.
     pub fn placement(&self) -> &DataPlacement {
         &self.placement

@@ -435,6 +435,24 @@ fn zero_eager_timeout_is_refused_before_any_child_is_spawned() {
     assert!(err.to_string().contains("--eager-timeout-ms must be at least 1"), "{err}");
 }
 
+/// A nemesis plan with a drop probability over 1000 ‰ is refused like
+/// the flag it becomes, before anything is spawned.
+#[test]
+fn out_of_range_nemesis_is_refused_before_any_child_is_spawned() {
+    let plan = NetFaultPlan::seeded(1).drop_frames(1500);
+    let options = LaunchOptions { nemesis: Some(plan.to_spec()), ..LaunchOptions::default() };
+    let err = ProcCluster::launch_with_options(
+        Path::new("/nonexistent/repld"),
+        &cyclic_placement(),
+        RuntimeProtocol::BackEdge,
+        &options,
+    )
+    .err()
+    .expect("refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    assert!(err.to_string().contains("1500 is more than 1000 permille"), "{err}");
+}
+
 /// A group-commit batch of 0 in `LaunchOptions` is refused like the
 /// flag it becomes, before anything is spawned.
 #[test]
