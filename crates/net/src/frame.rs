@@ -24,8 +24,10 @@ pub const MAX_FRAME_LEN: u32 = 1 << 20;
 /// — the transactions of a `History` page, the cells of a `CopyState`
 /// one; a record or cell larger than this is a page of its own. A site
 /// frames a page straight into the asking connection's write buffer, so
-/// this bounds what a bulk fetch stages there. A constant, not a knob.
-pub const PAGE_BYTES: usize = 16 * 1024;
+/// this bounds what a bulk fetch stages there. It is the log segment
+/// size, so a `History` page is the rest of one segment. A constant, not
+/// a knob.
+pub const PAGE_BYTES: usize = repl_storage::SEGMENT_BYTES;
 
 /// Errors raised while reading a frame from a stream.
 #[derive(Debug)]

@@ -9,11 +9,11 @@
 //! that grows with every commit and is never cut, so that encoding is
 //! all varints: an entry costs its wire size, 43 bytes for a 6-read,
 //! 4-write Table-1 update while item ids and sequence numbers are below
-//! 2¹⁴ (138 with fixed-width fields). The log grows a 64 KiB
+//! 2¹⁴ (138 with fixed-width fields). The log grows a 16 KiB
 //! segment at a time, and a checker fetches it a page per reply
 //! ([`HistoryLog::frame_page_into`]): a reply is a header plus one copy
-//! of at most [`PAGE_BYTES`] of whole transactions, inside one segment,
-//! however long the history is. The indexed
+//! of the rest of one segment, at most [`PAGE_BYTES`] of whole
+//! transactions, however long the history is. The indexed
 //! `repl_analysis::history::History` is built only where a
 //! serializability verdict is wanted, from [`HistoryLog::txns`] or from
 //! the decoded replies.
@@ -26,7 +26,7 @@ use bytes::BufMut;
 use repl_storage::SegLog;
 use repl_types::{GlobalTxnId, ItemId};
 
-use crate::frame::{framed, PAGE_BYTES};
+use crate::frame::framed;
 use crate::msg::{
     get_history_txn, history_txn_len, put_history_txn, HistoryTxn, MSG_REPLY, REPLY_HISTORY,
 };
@@ -82,9 +82,10 @@ impl HistoryLog {
 
     /// Append to `out` the frame of the [`crate::ClientReply::History`]
     /// reply to `ClientMsg::History { from }`: the transactions from
-    /// number `from` (counting from 0, in commit order) on, as many as
-    /// fit [`PAGE_BYTES`] (at least one) and no further than the end of
-    /// the segment that holds it — byte-identical to encoding
+    /// number `from` (counting from 0, in commit order) to the end of
+    /// the segment that holds it — at most [`crate::PAGE_BYTES`], the
+    /// segment size, unless the segment holds one larger transaction
+    /// alone — byte-identical to encoding
     /// `WireMsg::Reply(ClientReply::History(page))` for that slice of
     /// [`HistoryLog::txns`]. At or past the end of the history the page
     /// is empty, which is how a caller adding each page's length to its
@@ -93,15 +94,7 @@ impl HistoryLog {
         let page = usize::try_from(from).ok().and_then(|from| self.txns.page_of(from));
         let (count, bytes) = page.map_or((0, &[][..]), |(skip, page)| {
             let start = (0..skip).fold(0, |at, _| at + encoded_txn_len(&page.bytes[at..]));
-            let (mut end, mut count) = (start, 0);
-            while count < page.records - skip {
-                let next = end + encoded_txn_len(&page.bytes[end..]);
-                if count > 0 && next - start > PAGE_BYTES {
-                    break;
-                }
-                (end, count) = (next, count + 1);
-            }
-            (count, &page.bytes[start..end])
+            (page.records - skip, &page.bytes[start..])
         });
         // Exactly: pages differ by a few bytes, and growing by doubling
         // for the second one would hold two pages' worth for one.
@@ -134,7 +127,7 @@ impl HistoryLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{decode_framed, encode_framed, ClientReply, WireMsg};
+    use crate::{decode_framed, encode_framed, ClientReply, WireMsg, PAGE_BYTES};
     use bytes::BytesMut;
     use proptest::prelude::*;
     use repl_storage::SEGMENT_BYTES;
@@ -198,7 +191,7 @@ mod tests {
 
     /// `n` Table-1 updates (6 reads of written versions, 4 writes), item
     /// ids and sequence numbers in the two-byte varint range: 43 bytes
-    /// each, 381 to a page and 1524 to a segment.
+    /// each, 381 to a page and to a segment.
     fn table1_txns(n: u64) -> Vec<HistoryTxn> {
         (0..n)
             .map(|k| {
@@ -244,21 +237,26 @@ mod tests {
     fn pages_hold_a_page_of_whole_txns_inside_a_segment_and_the_cursor_collects_them() {
         const PER_PAGE: usize = PAGE_BYTES / 43;
         const PER_SEGMENT: usize = SEGMENT_BYTES / 43;
-        let txns = table1_txns(4000);
+        const N: usize = 4000;
+        const { assert!(PER_PAGE <= PER_SEGMENT && 3 * PER_SEGMENT < N) };
+        let txns = table1_txns(N as u64);
         let log = log_of(&txns);
-        assert_eq!(log.encoded_len(), 4000 * 43);
-        // From anywhere: as many whole transactions as fit a page.
-        assert_eq!(page(&log, 0), txns[..PER_PAGE]);
-        assert_eq!(page(&log, PER_PAGE as u64), txns[PER_PAGE..2 * PER_PAGE]);
-        assert_eq!(page(&log, 1000), txns[1000..1000 + PER_PAGE]);
-        // No further than the end of the segment that holds `from`.
-        assert_eq!(page(&log, 1500), txns[1500..PER_SEGMENT]);
-        assert_eq!(page(&log, PER_SEGMENT as u64 - 1), txns[PER_SEGMENT - 1..][..1]);
-        assert_eq!(page(&log, PER_SEGMENT as u64), txns[PER_SEGMENT..][..PER_PAGE]);
+        assert_eq!(log.encoded_len(), N * 43);
+        // From anywhere: as many whole transactions as fit a page, and
+        // no further than the end of the segment that holds `from` (one
+        // from a segment's last).
+        let expected = |from: usize| {
+            let segment_end = (from / PER_SEGMENT + 1) * PER_SEGMENT;
+            &txns[from..(from + PER_PAGE).min(segment_end).min(N)]
+        };
+        for from in [0, PER_PAGE, 1000, 1500, PER_SEGMENT - 1, PER_SEGMENT, 2 * PER_SEGMENT + 7] {
+            assert_eq!(page(&log, from as u64), expected(from), "from {from}");
+        }
+        assert_eq!(page(&log, PER_SEGMENT as u64 - 1).len(), 1);
         // The last segment is partly filled.
-        assert_eq!(page(&log, 3999), txns[3999..]);
+        assert_eq!(page(&log, N as u64 - 1), txns[N - 1..]);
         // At and past the end: the empty page.
-        assert_eq!(page(&log, 4000), vec![]);
+        assert_eq!(page(&log, N as u64), vec![]);
         assert_eq!(page(&log, u64::MAX), vec![]);
         assert_eq!(page(&HistoryLog::new(), 0), vec![]);
         // Following the cursor from anywhere collects the rest.

@@ -2,7 +2,7 @@
 //! history — counted by a `GlobalAlloc` wrapper on the test's own
 //! thread.
 //!
-//! Both sit on `repl_storage::SegLog`: a log's memory is 64 KiB segments
+//! Both sit on `repl_storage::SegLog`: a log's memory is 16 KiB segments
 //! allocated once each and never reallocated, so growing a log copies
 //! nothing and leaves no outgrown buffers behind in the heap.
 #![allow(unsafe_code)]
@@ -69,8 +69,8 @@ const COMMITS: u64 = 2000;
 
 /// 2000 Table-1 commits (6 reads of written versions, 4 integer writes;
 /// item ids and sequence numbers two-byte varints, as at a site of a
-/// thousand items) cost each log exactly ⌈bytes / 64 KiB⌉ segment
-/// allocations — 200 000 bytes of WAL in 4, 86 000 of history in 2 —
+/// thousand items) cost each log exactly ⌈bytes / 16 KiB⌉ segment
+/// allocations — 200 000 bytes of WAL in 13, 86 000 of history in 6 —
 /// and not one reallocation or odd-sized block, at group-commit batch 1
 /// and 8 (the group-commit staging buffer holds a batch, under a
 /// kilobyte).

@@ -427,7 +427,7 @@ impl Cluster {
     /// The serialized resident redo log a crashed `site` parked — what
     /// its restart recovers from: what it committed since its last
     /// checkpoint cut, in commit order. Until the log first fills a
-    /// segment (64 KiB, 655 Table-1 commits) that is everything the site
+    /// segment (16 KiB, 163 Table-1 commits) that is everything the site
     /// ever committed, and replaying it over a fresh store of the site's
     /// items reproduces the site. `None` while the site runs.
     pub fn snapshot_wal(&self, site: SiteId) -> Option<bytes::Bytes> {

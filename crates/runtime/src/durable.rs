@@ -32,7 +32,7 @@
 //! [`DurableSite::flush_log`] first so no committed record is ever
 //! invisible to a reader.
 //!
-//! **The cut.** The WAL lives in one 64 KiB segment
+//! **The cut.** The WAL lives in one 16 KiB segment
 //! ([`repl_storage::SEGMENT_BYTES`]). When a flush would not fit what
 //! is left of it ([`DurableSite::flush_would_roll`]), the site driver
 //! (`SiteCore`, which owns the store) first encodes the store into

@@ -110,8 +110,8 @@ fn a_burst_of_link_frames_is_applied_in_place_of_a_vector_of_them() {
     let items: Vec<ItemId> = (first..first + ITEMS).map(ItemId).collect();
     let mut cluster = Cluster::start(&placement, RuntimeProtocol::DagWt).unwrap();
 
-    // 16 writes an update: 400 bytes of s2's WAL each, past one 64 KiB
-    // segment in 200, so s2 has cut its log and allocated its
+    // 16 writes an update: 400 bytes of s2's WAL each, past one 16 KiB
+    // segment in 41, so s2 has cut its log and allocated its
     // checkpoint before the burst.
     for k in 0..WARM_UP {
         let ops = items.iter().map(|&i| Op::write(i, k as i64)).collect();

@@ -23,6 +23,12 @@ const DT_FLAGS: u64 = 30;
 const DF_BIND_NOW: u64 = 0x8;
 const DT_FLAGS_1: u64 = 0x6fff_fffb;
 const DF_1_NOW: u64 = 0x1;
+const PT_LOAD: u32 = 1;
+const DT_RELA: u64 = 7;
+const DT_RELASZ: u64 = 8;
+const DT_RELRSZ: u64 = 35;
+const DT_RELR: u64 = 36;
+const R_X86_64_RELATIVE: u64 = 8;
 
 fn repld() -> &'static Path {
     Path::new(env!("CARGO_BIN_EXE_repld"))
@@ -40,11 +46,13 @@ fn u64_at(b: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(b[at..at + 8].try_into().unwrap())
 }
 
-/// One ELF64 program header: type, flags, file offset, file size.
+/// One ELF64 program header: type, flags, file offset, address, file
+/// size.
 struct Segment {
     kind: u32,
     flags: u32,
     offset: usize,
+    vaddr: usize,
     size: usize,
 }
 
@@ -61,6 +69,7 @@ fn program_headers(elf: &[u8]) -> (u16, Vec<Segment>) {
                 kind: u32_at(ph, 0),
                 flags: u32_at(ph, 4),
                 offset: u64_at(ph, 8) as usize,
+                vaddr: u64_at(ph, 16) as usize,
                 size: u64_at(ph, 32) as usize,
             }
         })
@@ -95,6 +104,37 @@ fn repld_is_a_static_pie_with_relro_bind_now_and_an_nx_stack() {
     }
     assert_eq!(needed, 0, "links {needed} shared libraries");
     assert!(bind_now, "no BIND_NOW");
+}
+
+/// The relative relocations a static PIE applies to itself at start-up
+/// are packed (`DT_RELR`, `-z pack-relative-relocs` in `build.rs`): a
+/// bitmap of ≈ 0.7 kB instead of ≈ 63 kB of `R_X86_64_RELATIVE` entries
+/// in `.rela.dyn`, which a site reads once and keeps mapped. What stays
+/// in `.rela.dyn` is the `R_X86_64_IRELATIVE` entries of the IFUNCs.
+#[test]
+fn repld_packs_its_relative_relocations() {
+    let elf = std::fs::read(repld()).unwrap();
+    let (_, segments) = program_headers(&elf);
+    let dynamic = segments.iter().find(|s| s.kind == PT_DYNAMIC).expect("no dynamic section");
+    let entries: Vec<(u64, u64)> = elf[dynamic.offset..dynamic.offset + dynamic.size]
+        .chunks_exact(16)
+        .map(|e| (u64_at(e, 0), u64_at(e, 8)))
+        .take_while(|&(tag, _)| tag != 0)
+        .collect();
+    let value = |tag| entries.iter().find(|&&(t, _)| t == tag).map(|&(_, v)| v as usize);
+    assert!(value(DT_RELR).is_some(), "no DT_RELR: the relative relocations are not packed");
+    assert!(value(DT_RELRSZ).is_some_and(|n| n > 0), "no or an empty DT_RELRSZ");
+
+    let (Some(rela), Some(size)) = (value(DT_RELA), value(DT_RELASZ)) else { return };
+    let load = segments
+        .iter()
+        .find(|s| s.kind == PT_LOAD && (s.vaddr..s.vaddr + s.size).contains(&rela))
+        .expect(".rela.dyn is in no loaded segment");
+    let at = rela - load.vaddr + load.offset;
+    let relative = elf[at..at + size]
+        .chunks_exact(24)
+        .filter(|r| u64_at(r, 8) & 0xffff_ffff == R_X86_64_RELATIVE);
+    assert_eq!(relative.count(), 0, ".rela.dyn holds R_X86_64_RELATIVE entries");
 }
 
 /// A booted site's address space holds no file but `repld` itself: no

@@ -26,11 +26,12 @@
 //! bytes take the caller's `record_len` to walk with.
 
 /// Capacity of a segment: the unit a log grows, is paged out and is cut
-/// by. A constant, not a tuning knob — 64 KiB is 655 Table-1 commits of
-/// redo log or 474 of history, stays below the allocator's mmap
-/// threshold (a dropped segment's memory is the next segment's), and
-/// bounds a history reply far below the 1 MiB frame cap.
-pub const SEGMENT_BYTES: usize = 64 * 1024;
+/// by. A constant, not a tuning knob — 16 KiB is 163 Table-1 commits of
+/// redo log or 381 of history, stays below the allocator's mmap
+/// threshold (a dropped segment's memory is the next segment's), and is
+/// one page of a history reply (`repl-net`'s `PAGE_BYTES`), far below
+/// the 1 MiB frame cap.
+pub const SEGMENT_BYTES: usize = 16 * 1024;
 
 #[derive(Debug)]
 struct Segment {
@@ -381,15 +382,16 @@ mod tests {
     fn an_empty_log_allocates_nothing_and_rolls_at_the_segment_size() {
         let mut log = SegLog::new();
         assert_eq!((log.segments(), log.room()), (0, SEGMENT_BYTES));
-        let r = record(96, 7); // 100-byte records: 655 to a segment
-        for _ in 0..655 {
+        let r = record(96, 7); // 100-byte records: 163 to a 16 KiB segment
+        let per_segment = SEGMENT_BYTES / 100;
+        for _ in 0..per_segment {
             log.append(1, r.len(), |buf| buf.extend_from_slice(&r));
         }
-        assert_eq!((log.segments(), log.room()), (1, 36));
+        assert_eq!((log.segments(), log.room()), (1, SEGMENT_BYTES % 100));
         log.append(1, r.len(), |buf| buf.extend_from_slice(&r));
         assert_eq!((log.segments(), log.room()), (2, SEGMENT_BYTES - 100));
         // Cutting the full segment away leaves the other untouched.
-        log.truncate_prefix(655, record_len);
+        log.truncate_prefix(per_segment, record_len);
         assert_eq!((log.segments(), log.len(), log.byte_len()), (1, 1, 100));
         // Clearing keeps that segment for the records to come.
         log.clear();

@@ -10,7 +10,7 @@
 //!   in commit order, stored in its serialized byte form
 //!   ([`WriteAheadLog::encode`] / [`WriteAheadLog::decode`]) so it can
 //!   be shipped or persisted as is; [`LogRecord`]s are decoded on
-//!   demand ([`WriteAheadLog::records`]). The bytes sit in 64 KiB
+//!   demand ([`WriteAheadLog::records`]). The bytes sit in 16 KiB
 //!   segments ([`crate::SegLog`]), so the log grows without copying and
 //!   [`WriteAheadLog::clear`] behind a checkpoint keeps the one segment
 //!   it refills instead of allocating another;
@@ -74,7 +74,7 @@ fn encoded_record_len(bytes: &[u8]) -> usize {
 /// Records are kept in their encoded form — the body of
 /// [`WriteAheadLog::encode`]'s image — so a record costs its wire size
 /// (25 bytes for an integer write) instead of a heap `LogRecord`. The
-/// bytes live in a [`SegLog`]: the log grows a 64 KiB segment at a time
+/// bytes live in a [`SegLog`]: the log grows a 16 KiB segment at a time
 /// without ever copying what it holds, and [`WriteAheadLog::clear`]
 /// behind a checkpoint frees every segment but one.
 #[derive(Clone, Debug, Default)]
@@ -206,7 +206,7 @@ impl WriteAheadLog {
     }
 
     /// Bytes of records the log can still take before it needs another
-    /// 64 KiB segment. A log cut ([`WriteAheadLog::clear`]) behind a
+    /// 16 KiB segment. A log cut ([`WriteAheadLog::clear`]) behind a
     /// checkpoint whenever the next append would not fit stays in the
     /// one segment it first allocated, however much is logged.
     pub fn room(&self) -> usize {
@@ -439,18 +439,20 @@ mod tests {
     #[test]
     fn a_log_of_many_segments_encodes_decodes_and_truncates() {
         use crate::SEGMENT_BYTES;
-        const COMMITS: u64 = 2000; // 200 000 B: three sealed segments and a tail
-        let wal = table1_log(COMMITS);
+        const COMMITS: usize = 2000; // 200 000 B: twelve sealed segments and a tail
+        let wal = table1_log(COMMITS as u64);
         assert_eq!((wal.len(), wal.encoded_len()), (8000, 200_000));
-        // A commit's records share a segment: 655 whole commits each.
-        let per_segment = 4 * (SEGMENT_BYTES / 100);
-        assert_eq!(wal.records.segments(), 4);
-        assert_eq!(wal.room(), SEGMENT_BYTES - 25 * (8000 - 3 * per_segment));
+        // A commit's records share a segment: 163 whole commits each.
+        let per_segment = SEGMENT_BYTES / 100;
+        let (sealed, tail) = (COMMITS / per_segment, COMMITS % per_segment);
+        assert!(sealed >= 3 && tail > 0, "{sealed} sealed segments and {tail} commits");
+        assert_eq!(wal.records.segments(), sealed + 1);
+        assert_eq!(wal.room(), SEGMENT_BYTES - 100 * tail);
         let image = wal.encode();
         assert_eq!(image.len(), 8 + 200_000);
         let decoded = WriteAheadLog::decode(image.clone()).unwrap();
         assert_eq!(decoded.encode(), image);
-        assert_eq!(decoded.records.segments(), 4);
+        assert_eq!(decoded.records.segments(), sealed + 1);
         assert!(decoded.records().eq(wal.records()));
         assert_eq!(wal.records().count(), 8000);
         // Cleared, the log is empty and keeps one segment to refill.
