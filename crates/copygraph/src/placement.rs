@@ -2,6 +2,7 @@
 
 use std::fmt;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use repl_types::{ItemId, SiteId};
 
@@ -63,37 +64,42 @@ impl std::error::Error for SpecError {}
 /// item, which sites hold copies, which items have a copy at a given site.
 ///
 /// Items are only ever appended, and real placements put long runs of
-/// consecutive items on the same sites (§5.2's per-site classes), so an
-/// item stores nothing but the index of its run's [`Layout`]: a run is
-/// kept once, however long. Memory is 4 bytes per item plus the per-site
-/// indexes, in a number of allocations that depends on the sites and
-/// runs, not on the items.
+/// consecutive items on the same sites (§5.2's per-site classes), so the
+/// placement stores its runs and nothing per item: an item's run is
+/// found by a binary search over the runs' first ids. Memory is
+/// O(runs), whatever the item count. The per-site item lists
+/// ([`DataPlacement::items_at`], [`DataPlacement::primaries_at`]) cost
+/// 4 bytes an entry, and are built only for a site that is asked for
+/// one; a site walks its own copies run by run instead
+/// ([`DataPlacement::copies_at`]).
 #[derive(Clone, Debug)]
 pub struct DataPlacement {
     num_sites: u32,
-    /// item index → index into `layouts`
-    layout_of: Vec<u32>,
+    num_items: u32,
     /// The maximal runs, in item order.
     layouts: Vec<Layout>,
     /// The layouts' replica sets back to back (each sorted, never
     /// containing its layout's primary).
     replica_sites: Vec<SiteId>,
-    /// site index → items with a copy (primary or replica) at that site
-    items_at: Vec<Vec<ItemId>>,
-    /// site index → items whose primary copy is at that site
-    primaries_at: Vec<Vec<ItemId>>,
+    /// site index → items with a copy (primary or replica) at that
+    /// site, built on first ask
+    items_at: Vec<OnceLock<Vec<ItemId>>>,
+    /// site index → items whose primary copy is at that site, built on
+    /// first ask
+    primaries_at: Vec<OnceLock<Vec<ItemId>>>,
 }
 
 impl DataPlacement {
     /// Create an empty placement over `num_sites` sites.
     pub fn new(num_sites: u32) -> Self {
+        let lazy = || (0..num_sites).map(|_| OnceLock::new()).collect();
         DataPlacement {
             num_sites,
-            layout_of: Vec::new(),
+            num_items: 0,
             layouts: Vec::new(),
             replica_sites: Vec::new(),
-            items_at: vec![Vec::new(); num_sites as usize],
-            primaries_at: vec![Vec::new(); num_sites as usize],
+            items_at: lazy(),
+            primaries_at: lazy(),
         }
     }
 
@@ -109,7 +115,7 @@ impl DataPlacement {
 
     /// Number of distinct logical items (not counting replicas).
     pub fn num_items(&self) -> u32 {
-        self.layout_of.len() as u32
+        self.num_items
     }
 
     /// Iterate over all item ids.
@@ -164,13 +170,8 @@ impl DataPlacement {
             let replicas = start..self.replica_sites.len() as u32;
             self.layouts.push(Layout { primary, replicas, first });
         }
-        self.layout_of.resize(end as usize, self.layouts.len() as u32 - 1);
-        let ids = (first..end).map(ItemId);
-        for r in reps {
-            self.items_at[r.index()].extend(ids.clone());
-        }
-        self.items_at[primary.index()].extend(ids.clone());
-        self.primaries_at[primary.index()].extend(ids);
+        self.num_items = end;
+        self.items_at.iter_mut().chain(&mut self.primaries_at).for_each(|list| drop(list.take()));
         ItemId(first)
     }
 
@@ -184,8 +185,15 @@ impl DataPlacement {
         })
     }
 
+    /// The run holding `item`: the last whose first id is at most
+    /// `item`'s.
+    ///
+    /// # Panics
+    /// If `item` is not below [`DataPlacement::num_items`].
     fn layout(&self, item: ItemId) -> &Layout {
-        &self.layouts[self.layout_of[item.index()] as usize]
+        assert!(item.0 < self.num_items, "item {item:?} is not in the placement");
+        let next = self.layouts.partition_point(|run| run.first <= item.0);
+        &self.layouts[next - 1]
     }
 
     /// The primary site of `item`.
@@ -203,16 +211,63 @@ impl DataPlacement {
         self.primary_of(item) == site || self.replicas_of(item).binary_search(&site).is_ok()
     }
 
-    /// All items with a copy at `site`, ascending by id (ids are handed
-    /// out in order and each item is listed as it is added).
+    /// All items with a copy at `site`, ascending by id. The list is
+    /// built from the runs on the first call for `site` and kept until
+    /// the placement next changes; [`DataPlacement::copies_at`] walks
+    /// the same items without building it.
     pub fn items_at(&self, site: SiteId) -> &[ItemId] {
-        &self.items_at[site.index()]
+        self.items_at[site.index()].get_or_init(|| self.copies_at(site).collect())
     }
 
     /// All items whose primary copy is at `site` (the only items a
-    /// transaction originating at `site` may update, §1.1).
+    /// transaction originating at `site` may update, §1.1), built and
+    /// kept as [`DataPlacement::items_at`]'s list is.
     pub fn primaries_at(&self, site: SiteId) -> &[ItemId] {
-        &self.primaries_at[site.index()]
+        self.primaries_at[site.index()].get_or_init(|| {
+            let runs = self.runs_where(|run| run.primary == site);
+            runs.flat_map(|run| run.map(ItemId)).collect()
+        })
+    }
+
+    /// The runs of items with a copy at `site`, as ascending ranges of
+    /// item ids: O(runs) to walk, and nothing allocated.
+    pub fn runs_at(&self, site: SiteId) -> impl Iterator<Item = Range<u32>> + Clone + '_ {
+        self.runs_where(move |run| {
+            run.primary == site || self.replica_sites[as_usize(&run.replicas)].contains(&site)
+        })
+    }
+
+    /// The item ranges of the runs `keep` accepts, in item order.
+    fn runs_where<'a>(
+        &'a self,
+        keep: impl Fn(&Layout) -> bool + Clone + 'a,
+    ) -> impl Iterator<Item = Range<u32>> + Clone + 'a {
+        let ends = self.layouts.iter().skip(1).map(|next| next.first).chain([self.num_items]);
+        self.layouts
+            .iter()
+            .zip(ends)
+            .filter(move |(run, _)| keep(run))
+            .map(|(run, end)| run.first..end)
+    }
+
+    /// The items with a copy at `site`, ascending by id, walked run by
+    /// run ([`DataPlacement::runs_at`]): an exact-size iterator whose
+    /// `nth` (and so `skip`) steps over whole runs.
+    pub fn copies_at(&self, site: SiteId) -> Copies<impl Iterator<Item = Range<u32>> + Clone + '_> {
+        let runs = self.runs_at(site);
+        let left = runs.clone().map(|run| run.len()).sum();
+        Copies { runs, run: 0..0, left }
+    }
+
+    /// Heap bytes this placement holds: its runs, their replica sets,
+    /// and whichever per-site lists have been built.
+    pub fn heap_bytes(&self) -> usize {
+        let lists = self.items_at.iter().chain(&self.primaries_at);
+        let built: usize = lists.filter_map(OnceLock::get).map(|l| l.capacity() * 4).sum();
+        self.layouts.capacity() * size_of::<Layout>()
+            + self.replica_sites.capacity() * size_of::<SiteId>()
+            + 2 * self.items_at.capacity() * size_of::<OnceLock<Vec<ItemId>>>()
+            + built
     }
 
     /// Total number of replicas in the system (secondary copies only).
@@ -244,8 +299,7 @@ impl DataPlacement {
     /// Parse a spec in [`DataPlacement::to_spec`]'s grammar. A field
     /// without `*count` is a run of one, so the per-item form of a
     /// placement parses to the same placement as its run form. Work and
-    /// allocations are per field and per site, beyond the per-item
-    /// indexes themselves, which are sized once from the checked total.
+    /// allocations are per field and per site, never per item.
     pub fn from_spec(spec: &str) -> Result<DataPlacement, SpecError> {
         let (sites, rest) = match spec.split_once('|') {
             Some((sites, rest)) => (sites, Some(rest)),
@@ -257,33 +311,68 @@ impl DataPlacement {
             return Err(SpecError::ZeroSites);
         }
         let fields = || rest.into_iter().flat_map(|rest| rest.split('|'));
-        // First pass: validate every field and size every array, so the
-        // second pass allocates nothing per item.
+        // Nothing is kept per item, so one pass validates and builds:
+        // the item count is checked before each run is added.
         let mut p = DataPlacement::new(sites);
-        let mut copies = vec![0usize; sites as usize];
-        let mut primaries = vec![0usize; sites as usize];
         let mut replicas = Vec::new();
-        let mut items = 0u32;
         for field in fields() {
             let (primary, count) = parse_field(field, sites, &mut replicas)?;
-            items = items.checked_add(count).ok_or(SpecError::TooManyItems)?;
-            let count = count as usize;
-            primaries[primary.index()] += count;
-            copies[primary.index()] += count;
-            replicas.iter().for_each(|r| copies[r.index()] += count);
-        }
-        p.layout_of.reserve_exact(items as usize);
-        for site in 0..sites as usize {
-            p.items_at[site].reserve_exact(copies[site]);
-            p.primaries_at[site].reserve_exact(primaries[site]);
-        }
-        for field in fields() {
-            let (primary, count) = parse_field(field, sites, &mut replicas)?;
+            p.num_items.checked_add(count).ok_or(SpecError::TooManyItems)?;
             p.add_run_sorted(primary, &replicas, count);
         }
+        p.layouts.shrink_to_fit();
+        p.replica_sites.shrink_to_fit();
         Ok(p)
     }
 }
+
+/// The items with a copy at one site, ascending by id
+/// ([`DataPlacement::copies_at`]).
+#[derive(Clone, Debug)]
+pub struct Copies<R> {
+    /// The site's runs not yet started.
+    runs: R,
+    /// What is left of the current run.
+    run: Range<u32>,
+    /// Items left, over `run` and `runs`.
+    left: usize,
+}
+
+impl<R: Iterator<Item = Range<u32>>> Iterator for Copies<R> {
+    type Item = ItemId;
+
+    fn next(&mut self) -> Option<ItemId> {
+        loop {
+            if let Some(id) = self.run.next() {
+                self.left -= 1;
+                return Some(ItemId(id));
+            }
+            self.run = self.runs.next()?;
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+
+    /// Skip `n` items a run at a time.
+    fn nth(&mut self, mut n: usize) -> Option<ItemId> {
+        while n >= self.run.len() {
+            n -= self.run.len();
+            self.left -= self.run.len();
+            let Some(run) = self.runs.next() else {
+                self.run = 0..0;
+                return None;
+            };
+            self.run = run;
+        }
+        self.run.start += n as u32;
+        self.left -= n;
+        self.next()
+    }
+}
+
+impl<R: Iterator<Item = Range<u32>>> ExactSizeIterator for Copies<R> {}
 
 fn as_usize(r: &Range<u32>) -> Range<usize> {
     r.start as usize..r.end as usize
@@ -421,6 +510,31 @@ mod tests {
         }
     }
 
+    /// Walking a site's copies run by run gives its list exactly, from
+    /// any starting copy, with an exact length; skipping steps over
+    /// whole runs.
+    #[test]
+    fn copies_at_walks_items_at_from_any_copy() {
+        let p = DataPlacement::from_spec("4|0:1*3|1:2,3*2|2|0:3*5|3:0,1*4").unwrap();
+        for site in p.sites() {
+            let list = p.items_at(site);
+            let ranges: Vec<_> = p.runs_at(site).collect();
+            assert!(ranges.iter().cloned().flatten().map(ItemId).eq(list.iter().copied()));
+            for from in 0..=list.len() + 2 {
+                let copies = p.copies_at(site).skip(from);
+                assert_eq!(copies.len(), list.len().saturating_sub(from), "{site:?} from {from}");
+                assert!(copies.eq(list.get(from..).unwrap_or_default().iter().copied()));
+            }
+            let mut copies = p.copies_at(site);
+            let mut k = 0;
+            while let Some(item) = copies.nth(1) {
+                assert_eq!(item, list[k + 1]);
+                k += 2;
+                assert_eq!(copies.len(), list.len() - k);
+            }
+        }
+    }
+
     #[test]
     fn replica_dedup_and_sort() {
         let mut p = DataPlacement::new(4);
@@ -512,7 +626,8 @@ mod tests {
             assert_eq!(runs.items_at(site), items.items_at(site));
             assert_eq!(runs.primaries_at(site), items.primaries_at(site));
         }
-        assert!(runs.items().all(|i| runs.layout_of[i.index()] == items.layout_of[i.index()]));
+        assert!(runs.items().all(|i| runs.primary_of(i) == items.primary_of(i)
+            && runs.replicas_of(i) == items.replicas_of(i)));
     }
 
     #[test]
@@ -541,9 +656,10 @@ mod tests {
         for site in p.sites() {
             assert_eq!(q.items_at(site), p.items_at(site));
             assert_eq!(q.primaries_at(site), p.primaries_at(site));
-            assert_eq!(q.items_at[site.index()].capacity(), q.items_at(site).len());
+            let built = q.items_at[site.index()].get().map(Vec::capacity);
+            assert_eq!(built, Some(q.items_at(site).len()));
         }
-        assert_eq!(q.layout_of.capacity(), 201);
+        assert_eq!((q.layouts.capacity(), q.replica_sites.capacity()), (3, 5));
     }
 
     #[test]

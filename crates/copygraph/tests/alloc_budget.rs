@@ -1,9 +1,9 @@
 //! Allocation budget of a parsed [`DataPlacement`], counted by a
-//! `GlobalAlloc` wrapper on the test's own thread: four bytes an item
-//! for its run index plus four per copy and per primary in the per-site
-//! indexes, in a number of allocations that does not depend on how many
+//! `GlobalAlloc` wrapper on the test's own thread: its runs and nothing
+//! per item, in bytes and allocations that do not depend on how many
 //! items there are — nor on whether the spec names them run by run or
-//! item by item.
+//! item by item. A per-site item list costs four bytes an entry, and
+//! only once it is asked for.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -68,20 +68,28 @@ fn parse_cost(spec: &str) -> (isize, usize, DataPlacement) {
 }
 
 #[test]
-fn chain3_placement_is_sixteen_bytes_an_item() {
+fn chain3_placement_costs_the_same_bytes_at_any_item_count() {
     let spec = chain3_runs(1000);
     let (live, allocs, placement) = parse_cost(&spec);
     assert_eq!(placement.num_items(), 3000);
     assert_eq!(placement.to_spec(), spec);
-    // 4 B run index + 4 B per copy (two on average) + 4 B primary
-    // index = 16 B an item; the rest is per site and per run.
-    const FIXED: isize = 256;
-    assert!(live <= 16 * 3000 + FIXED, "{live} live bytes for 3000 items");
-    assert!(allocs <= 16, "{allocs} allocations");
+    // Three runs, three replica entries and two lazy list slots a site.
+    assert!(live <= 512, "{live} live bytes for 3000 items");
+    assert!(allocs <= 8, "{allocs} allocations");
+    assert_eq!(placement.heap_bytes(), live as usize);
 
-    let (live2, allocs2, _twice) = parse_cost(&chain3_runs(2000));
-    assert_eq!(allocs2, allocs, "allocation count depends on the item count");
-    assert_eq!(live2 - live, 16 * 3000, "a further 3000 items are not 16 B each");
+    let (live2, allocs2, large) = parse_cost(&chain3_runs(100_000));
+    assert_eq!(large.num_items(), 300_000);
+    assert_eq!((live2, allocs2), (live, allocs), "parsing cost depends on the item count");
+
+    // A per-site list is paid when it is asked for, 4 B an entry: s2
+    // holds every item, s0 is the primary of a third of them.
+    let (before, _) = COUNTS.with(Cell::get);
+    assert_eq!(large.items_at(repl_types::SiteId(2)).len(), 300_000);
+    assert_eq!(large.primaries_at(repl_types::SiteId(0)).len(), 100_000);
+    let (after, _) = COUNTS.with(Cell::get);
+    assert_eq!(after - before, 4 * 400_000);
+    assert_eq!(large.heap_bytes(), live as usize + 4 * 400_000);
 }
 
 /// The per-item form is the count-one case of the same grammar: it

@@ -187,7 +187,7 @@ impl Engine {
             .enumerate()
             .map(|(i, p)| {
                 let id = SiteId(i as u32);
-                let copies = placement.items_at(id).iter().map(|&item| (item, Value::Initial));
+                let copies = placement.copies_at(id).map(|item| (item, Value::Initial));
                 SiteState::new(id, p, copies.collect())
             })
             .collect();

@@ -155,14 +155,20 @@ pub fn decode_framed(buf: &mut BytesMut) -> Result<Option<WireMsg>, NetError> {
 
 /// An incremental frame decoder for nonblocking readers.
 ///
-/// A reactor reads whatever bytes the socket has ready, [`feed`]s them
+/// A reader reads whatever bytes the socket has ready, [`feed`]s them
 /// in, and pulls complete messages with [`next_msg`] — the
 /// sans-I/O counterpart of the blocking [`read_msg`]. Partial frames
 /// simply stay buffered until more bytes arrive; a decode error means
 /// framing is lost and the connection should be dropped.
 ///
+/// A reader that owns its read buffer can skip the copy:
+/// [`next_from`] decodes whole frames where they lie in that buffer and
+/// keeps only a frame the read cut short, so the reader holds at most
+/// one partial frame between reads.
+///
 /// [`feed`]: FrameReader::feed
 /// [`next_msg`]: FrameReader::next_msg
+/// [`next_from`]: FrameReader::next_from
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: BytesMut,
@@ -187,10 +193,69 @@ impl FrameReader {
         decode_framed(&mut self.buf)
     }
 
+    /// Decode the next whole frame from the buffered partial frame, if
+    /// any, followed by `input`, and advance `input` past the bytes
+    /// used. A frame that lies wholly in `input` is decoded in place;
+    /// a partial one at its end is copied into the reader, and
+    /// `Ok(None)` then means `input` is used up. A buffer above
+    /// 512 bytes that a completed frame empties is given
+    /// back.
+    pub fn next_from(&mut self, input: &mut &[u8]) -> Result<Option<WireMsg>, NetError> {
+        if self.buf.is_empty() {
+            if let Some(len) = frame_len(input)? {
+                if let Some((frame, rest)) = input.split_at_checked(4 + len) {
+                    *input = rest;
+                    return WireMsg::decode(Bytes::from(&frame[4..])).map(Some);
+                }
+            }
+            self.buf.put_slice(input);
+            *input = &[];
+            return Ok(None);
+        }
+        // Top up the partial frame: its length prefix, then its body.
+        let mut top_up = |buf: &mut BytesMut, upto: usize| {
+            let (head, rest) = input.split_at(input.len().min(upto.saturating_sub(buf.len())));
+            buf.put_slice(head);
+            *input = rest;
+        };
+        top_up(&mut self.buf, 4);
+        let Some(len) = frame_len(&self.buf)? else { return Ok(None) };
+        top_up(&mut self.buf, 4 + len);
+        if self.buf.len() < 4 + len {
+            return Ok(None);
+        }
+        let msg = decode_framed(&mut self.buf);
+        if self.buf.is_empty() && self.buf.capacity() > KEPT_PARTIAL_BYTES {
+            self.buf = BytesMut::new();
+        }
+        msg
+    }
+
     /// Bytes buffered but not yet decoded (observability, tests).
     pub fn buffered(&self) -> usize {
         self.buf.len()
     }
+
+    /// Heap bytes of the buffer.
+    pub fn heap_bytes(&self) -> usize {
+        self.buf.capacity()
+    }
+}
+
+/// The largest buffer a [`FrameReader`] keeps once a partial frame it
+/// held completes: room for any link frame, so a steady stream of
+/// them, each cut by a read at a different place, allocates nothing.
+const KEPT_PARTIAL_BYTES: usize = 512;
+
+/// The body length a frame's 4-byte prefix announces, once `bytes`
+/// holds the prefix; an error if no frame may have that length.
+fn frame_len(bytes: &[u8]) -> Result<Option<usize>, NetError> {
+    let Some(prefix) = bytes.first_chunk::<4>() else { return Ok(None) };
+    let len = u32::from_be_bytes(*prefix);
+    if len == 0 || len > MAX_FRAME_LEN {
+        return Err(NetError::Oversized(u64::from(len)));
+    }
+    Ok(Some(len as usize))
 }
 
 /// Write one framed message to a stream.
@@ -331,6 +396,65 @@ mod tests {
         let mut reader = FrameReader::new();
         reader.feed(&u32::MAX.to_be_bytes());
         assert!(matches!(reader.next_msg(), Err(NetError::Oversized(_))));
+    }
+
+    /// Decoding in place from each read gives the frames `feed` and
+    /// `next_msg` give, whatever the reads' sizes, and between reads
+    /// the reader holds at most the one frame a read cut short.
+    #[test]
+    fn next_from_decodes_in_place_and_keeps_one_partial_frame() {
+        let msgs: Vec<WireMsg> = (0..40)
+            .map(|k| match k % 3 {
+                0 => WireMsg::Ack { seq: k },
+                1 => WireMsg::Reject("x".repeat(k as usize * 37)),
+                _ => WireMsg::Link {
+                    seq: k,
+                    payload: Payload::Decision {
+                        gid: GlobalTxnId::new(repl_types::SiteId(1), k),
+                        commit: true,
+                    },
+                },
+            })
+            .collect();
+        let mut wire = Vec::new();
+        msgs.iter().for_each(|m| wire.extend_from_slice(&encode_framed(m)));
+        let longest = msgs.iter().map(|m| encode_framed(m).len()).max().unwrap();
+        for chunk in [1, 2, 3, 4, 5, 7, 64, 100, 1000, wire.len()] {
+            let mut reader = FrameReader::new();
+            let mut out = Vec::new();
+            for mut read in wire.chunks(chunk) {
+                while let Some(m) = reader.next_from(&mut read).unwrap() {
+                    out.push(m);
+                }
+                assert!(read.is_empty());
+                assert!(reader.buffered() < longest, "{chunk}: {} buffered", reader.buffered());
+                assert!(reader.heap_bytes() <= longest.max(KEPT_PARTIAL_BYTES) * 2);
+            }
+            assert_eq!(out, msgs, "reads of {chunk}");
+            assert_eq!(reader.buffered(), 0);
+            assert!(reader.heap_bytes() <= KEPT_PARTIAL_BYTES, "{chunk}");
+        }
+        // Bytes `feed` left whole stay decodable through `next_from`.
+        let mut reader = FrameReader::new();
+        reader.feed(&wire[..wire.len() / 2]);
+        let mut rest = &wire[wire.len() / 2..];
+        let mut out = Vec::new();
+        while let Some(m) = reader.next_from(&mut rest).unwrap() {
+            out.push(m);
+        }
+        assert_eq!(out, msgs);
+    }
+
+    #[test]
+    fn next_from_surfaces_a_bad_prefix_split_or_whole() {
+        let bad = u32::MAX.to_be_bytes();
+        let mut reader = FrameReader::new();
+        assert!(matches!(reader.next_from(&mut &bad[..]), Err(NetError::Oversized(_))));
+        let mut reader = FrameReader::new();
+        assert!(reader.next_from(&mut &bad[..2]).unwrap().is_none());
+        assert!(matches!(reader.next_from(&mut &bad[2..]), Err(NetError::Oversized(_))));
+        let mut reader = FrameReader::new();
+        assert!(matches!(reader.next_from(&mut &[0u8, 0, 0, 0][..]), Err(NetError::Oversized(0))));
     }
 
     #[test]

@@ -56,6 +56,11 @@ impl HistoryLog {
         Self::default()
     }
 
+    /// Heap bytes of the history's segments.
+    pub fn heap_bytes(&self) -> usize {
+        self.txns.heap_bytes()
+    }
+
     /// Record the commit of `gid`: its reads (each item with the gid of
     /// the version read, `None` for the initial version) and the
     /// distinct items it wrote.

@@ -47,7 +47,7 @@ pub use frame::{
 };
 pub use history::HistoryLog;
 pub use msg::{
-    cluster_fingerprint, decode_cells, encode_cells, encode_cells_into, ClientMsg, ClientReply,
-    ExecError, Hello, HelloAck, HistoryTxn, NetError, Payload, Subtxn, SubtxnKind, WireMsg,
-    MAX_BATCH_PAYLOADS,
+    cells_in, cluster_fingerprint, decode_cells, encode_cells, encode_cells_into, CellsIn,
+    ClientMsg, ClientReply, ExecError, Hello, HelloAck, HistoryTxn, NetError, Payload, Subtxn,
+    SubtxnKind, WireMsg, MAX_BATCH_PAYLOADS,
 };

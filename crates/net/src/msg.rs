@@ -207,6 +207,9 @@ pub enum ClientReply {
         /// site, and the highest it durably applied from it (`(0, 0)`
         /// for itself).
         links: Vec<(u64, u64)>,
+        /// The site's byte census: heap bytes per structure it owns, in
+        /// the order of the runtime's census table.
+        census: Vec<u64>,
     },
     /// Outcome of [`ClientMsg::CopyState`]: one page, itself an image
     /// in the [`encode_cells`] format.
@@ -566,6 +569,7 @@ fn put_reply(buf: &mut impl BufMut, reply: &ClientReply) {
             peers_suspect,
             peers_down,
             links,
+            census,
         } => {
             buf.put_u8(4);
             buf.put_i64(*outstanding);
@@ -579,6 +583,8 @@ fn put_reply(buf: &mut impl BufMut, reply: &ClientReply) {
                 buf.put_u64(*sent);
                 buf.put_u64(*applied);
             }
+            buf.put_u32(census.len() as u32);
+            census.iter().for_each(|&bytes| buf.put_u64(bytes));
         }
         ClientReply::State(bytes) => {
             buf.put_u8(REPLY_STATE);
@@ -721,6 +727,12 @@ fn get_reply(buf: &mut Bytes) -> Result<ClientReply, NetError> {
                 return Err(NetError::Truncated);
             }
             let links = (0..n).map(|_| (buf.get_u64(), buf.get_u64())).collect();
+            // So is the census count, at 8 bytes an entry.
+            let n = codec::get_u32(buf)? as usize;
+            if buf.len() / 8 < n {
+                return Err(NetError::Truncated);
+            }
+            let census = (0..n).map(|_| buf.get_u64()).collect();
             ClientReply::Stats {
                 outstanding,
                 committed,
@@ -729,6 +741,7 @@ fn get_reply(buf: &mut Bytes) -> Result<ClientReply, NetError> {
                 peers_suspect,
                 peers_down,
                 links,
+                census,
             }
         }
         5 => {
@@ -915,13 +928,56 @@ pub fn encode_cells_into<V: std::borrow::Borrow<Value>>(
 }
 
 /// Decode an image produced by [`encode_cells`].
-pub fn decode_cells(mut buf: Bytes) -> Result<Vec<(ItemId, Value, Option<GlobalTxnId>)>, NetError> {
-    let n = codec::get_u32(&mut buf)? as usize;
-    let mut cells = Vec::with_capacity(n.min(buf.len() / 6));
-    for _ in 0..n {
-        cells.push(codec::get_cell(&mut buf)?);
+pub fn decode_cells(buf: Bytes) -> Result<Vec<(ItemId, Value, Option<GlobalTxnId>)>, NetError> {
+    let cells = cells_in(&buf)?;
+    // The count is the sender's claim: reserve what the bytes can hold.
+    let mut out = Vec::with_capacity(cells.len().min(buf.len() / 6));
+    for cell in cells {
+        out.push(cell?);
     }
-    Ok(cells)
+    Ok(out)
+}
+
+/// The cells of an image in the [`encode_cells`] format, decoded one at
+/// a time from the borrowed bytes as the iterator is consumed — nothing
+/// is collected. A cell that does not decode is the last item.
+pub fn cells_in(mut image: &[u8]) -> Result<CellsIn<'_>, NetError> {
+    let left = codec::get_u32(&mut image)?;
+    Ok(CellsIn { image, left })
+}
+
+/// [`cells_in`]'s iterator.
+#[derive(Debug)]
+pub struct CellsIn<'a> {
+    image: &'a [u8],
+    /// Cells the image claims are still to come; 0 after an error.
+    left: u32,
+}
+
+impl CellsIn<'_> {
+    /// Cells the image claims are still to come (a claim, not a
+    /// promise: the bytes may end first).
+    pub fn len(&self) -> usize {
+        self.left as usize
+    }
+
+    /// True when the image claims no more cells.
+    pub fn is_empty(&self) -> bool {
+        self.left == 0
+    }
+}
+
+impl Iterator for CellsIn<'_> {
+    type Item = Result<(ItemId, Value, Option<GlobalTxnId>), NetError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.left = self.left.checked_sub(1)?;
+        let cell = codec::get_cell(&mut self.image).map_err(NetError::from);
+        if cell.is_err() {
+            self.left = 0;
+        }
+        Some(cell)
+    }
 }
 
 /// FNV-1a over whatever is formatted into it.
@@ -1092,6 +1148,7 @@ mod tests {
             peers_suspect: 1,
             peers_down: 1,
             links: vec![(0, 0), (7, 3), (u64::MAX, 1)],
+            census: vec![120_000, 0, u64::MAX],
         }));
         roundtrip(WireMsg::Reply(ClientReply::State(Bytes::from_static(&[1, 2, 3]))));
         roundtrip(WireMsg::Reply(ClientReply::Ok));
@@ -1106,9 +1163,10 @@ mod tests {
         ])));
     }
 
-    /// A `Stats` reply's link count is the sender's claim: one past what
-    /// its bytes hold, or `u32::MAX`, is refused as truncated before
-    /// anything is reserved for it.
+    /// A `Stats` reply's link and census counts are the sender's claims:
+    /// one past what its bytes hold, or `u32::MAX`, is refused as
+    /// truncated before anything is reserved for it, and a reply cut
+    /// before its census count is truncated too.
     #[test]
     fn stats_link_count_is_checked_against_the_bytes() {
         let stats = WireMsg::Reply(ClientReply::Stats {
@@ -1119,12 +1177,18 @@ mod tests {
             peers_suspect: 0,
             peers_down: 0,
             links: vec![(1, 2)],
+            census: vec![3, 4],
         });
         let raw = stats.encode().to_vec();
-        let count = raw.len() - 16 - 4;
-        for claim in [2, u32::MAX] {
+        let census = raw.len() - 2 * 8 - 4;
+        let links = census - 16 - 4;
+        for (at, claim) in [(links, 2), (links, u32::MAX), (census, 3), (census, u32::MAX)] {
             let mut raw = raw.clone();
-            raw[count..count + 4].copy_from_slice(&claim.to_be_bytes());
+            raw[at..at + 4].copy_from_slice(&claim.to_be_bytes());
+            assert!(matches!(WireMsg::decode(Bytes::from(raw)), Err(NetError::Truncated)));
+        }
+        for cut in [census, census + 3, raw.len() - 1] {
+            let raw = raw[..cut].to_vec();
             assert!(matches!(WireMsg::decode(Bytes::from(raw)), Err(NetError::Truncated)));
         }
     }

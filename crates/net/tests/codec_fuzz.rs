@@ -73,8 +73,34 @@ fn arb_history_txn() -> BoxedStrategy<HistoryTxn> {
         .boxed()
 }
 
+/// A `Stats` reply: counters, link marks and a census of any length.
+fn arb_stats() -> BoxedStrategy<WireMsg> {
+    (
+        (i64::MIN..i64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
+        (0u32..8, 0u32..8, 0u32..8),
+        prop::collection::vec((0u64..u64::MAX, 0u64..u64::MAX), 0..4),
+        prop::collection::vec(0u64..u64::MAX, 0..16),
+    )
+        .prop_map(
+            |((outstanding, committed, decode_errors), (up, suspect, down), links, census)| {
+                WireMsg::Reply(ClientReply::Stats {
+                    outstanding,
+                    committed,
+                    decode_errors,
+                    peers_up: up,
+                    peers_suspect: suspect,
+                    peers_down: down,
+                    links,
+                    census,
+                })
+            },
+        )
+        .boxed()
+}
+
 fn arb_msg() -> BoxedStrategy<WireMsg> {
     prop_oneof![
+        arb_stats(),
         (0u32..8, 0u16..8, 0u16..8, 0u64..u64::MAX).prop_map(|(s, lo, hi, c)| {
             WireMsg::Hello(Hello { site: SiteId(s), version_min: lo, version_max: hi, cluster: c })
         }),
@@ -154,6 +180,19 @@ proptest! {
         let raw = msg.encode();
         let cut = cut_seed % raw.len();
         prop_assert!(WireMsg::decode(raw.slice(0..cut)).is_err());
+    }
+
+    /// A `Stats` reply's census count is the sender's claim: one that
+    /// overruns the bytes left, by any amount, is refused as truncated
+    /// before anything is sized from it.
+    #[test]
+    fn stats_census_counts_are_distrusted(msg in arb_stats(), over in 1u32..=u32::MAX) {
+        let WireMsg::Reply(ClientReply::Stats { census, .. }) = &msg else { unreachable!() };
+        let mut raw = msg.encode().to_vec();
+        let at = raw.len() - 8 * census.len() - 4;
+        let claim = (census.len() as u32).saturating_add(over);
+        raw[at..at + 4].copy_from_slice(&claim.to_be_bytes());
+        prop_assert_eq!(WireMsg::decode(Bytes::from(raw)), Err(NetError::Truncated));
     }
 
     /// Stream framing: arbitrary bytes fed through the incremental frame

@@ -388,6 +388,33 @@ impl fmt::Debug for SiteMachine {
 }
 
 impl SiteMachine {
+    /// Heap bytes of the machine's queues and maps: the queues'
+    /// capacities and the records they hold, and a map entry as its key
+    /// and value (neither a B-tree's nodes nor what an entry's vector
+    /// holds: those are in-flight BackEdge specials, gone at rest). The
+    /// placement, graph and tree are shared, not the machine's.
+    pub fn heap_bytes(&self) -> usize {
+        fn record(sub: &Subtxn) -> usize {
+            sub.writes.capacity() * size_of::<(ItemId, Value)>()
+                + sub.dest_sites.capacity() * size_of::<SiteId>()
+                + sub.ts.as_ref().map_or(0, Timestamp::heap_bytes)
+        }
+        let queues: usize = self
+            .queues
+            .iter()
+            .map(|(_, q)| q.capacity() * size_of::<Subtxn>() + q.iter().map(record).sum::<usize>())
+            .sum();
+        let entry = size_of::<GlobalTxnId>();
+        self.queues.capacity() * size_of::<(SiteId, VecDeque<Subtxn>)>()
+            + queues
+            + self.busy.as_ref().map_or(0, |busy| record(&busy.sub))
+            + self.site_ts.heap_bytes()
+            + self.preparing.len() * (entry + size_of::<Subtxn>())
+            + self.prepared.len() * (entry + size_of::<Vec<(ItemId, Value)>>())
+            + self.pending_eager.len() * (entry + size_of::<Vec<SiteId>>())
+            + self.tombstones.len() * entry
+    }
+
     /// Build the machine for site `me`. Fails with
     /// [`ProtocolError::MissingTree`] if a tree-routed protocol is
     /// configured without a propagation tree.

@@ -37,6 +37,11 @@ pub struct Timestamp {
 }
 
 impl Timestamp {
+    /// Heap bytes of the tuples.
+    pub fn heap_bytes(&self) -> usize {
+        self.tuples.capacity() * size_of::<Tuple>()
+    }
+
     /// The initial timestamp of site `s`: epoch 0, single tuple `(s, 0)`.
     pub fn initial(site: SiteId) -> Self {
         Timestamp { epoch: 0, tuples: vec![(site, 0)] }

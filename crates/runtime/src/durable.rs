@@ -7,11 +7,12 @@
 //! back when the crashed thread is joined, so the image seeds the
 //! replacement:
 //!
-//! * the **checkpoint** — the store's committed copies, values *and*
-//!   writers, in the `CopyState` encoding
-//!   ([`repl_net::encode_cells_into`]), as of the last time the redo
-//!   log was cut; empty until then, which stands for the site's item
-//!   set at its initial values;
+//! * the **checkpoint** — the store's committed copies that a
+//!   transaction has written, values *and* writers, in the `CopyState`
+//!   encoding ([`repl_net::encode_cells`]), as of the last time the redo
+//!   log was cut. A copy it leaves out was never written: it is at its
+//!   initial value with no writer, as in the site's boot image. Empty
+//!   until the first cut, which stands for the boot image itself;
 //! * the **redo WAL** — the suffix of the commit stream the checkpoint
 //!   does not make redundant. Replaying it over the checkpoint
 //!   reproduces every committed copy (see [`repl_storage::recover`]);
@@ -35,11 +36,14 @@
 //! **The cut.** The WAL lives in one 16 KiB segment
 //! ([`repl_storage::SEGMENT_BYTES`]). When a flush would not fit what
 //! is left of it ([`DurableSite::flush_would_roll`]), the site driver
-//! (`SiteCore`, which owns the store) first encodes the store into
-//! [`DurableSite::install_checkpoint`], which empties the log, and only
-//! then flushes — so the resident log is at most one segment plus one
-//! checkpoint however many commits the site has applied, and the
-//! segment it refills is the one it allocated at its first commit. The
+//! (`SiteCore`, which owns the store) first encodes the store's written
+//! copies into [`DurableSite::install_checkpoint`], which empties the
+//! log, and only then flushes — so the resident log is at most one
+//! segment plus one checkpoint of the copies written since boot,
+//! however many commits the site has applied, and the segment it
+//! refills is the one it allocated at its first commit. The checkpoint
+//! is sized before it is encoded, so the old and the new image never
+//! coexist. The
 //! store a checkpoint is taken from holds every commit that was ever
 //! logged *or staged* (a commit reaches the store before its record is
 //! staged, and the site is serial), so the checkpoint covers the whole
@@ -50,7 +54,7 @@
 //! reactor passes, so a recovery never sees a new checkpoint with the
 //! old log or the reverse.
 
-use repl_storage::{CommitPipeline, WriteAheadLog};
+use repl_storage::{CommitPipeline, Store, WriteAheadLog};
 use repl_types::{GlobalTxnId, ItemId, Value};
 
 /// State of one site that survives its crash.
@@ -58,8 +62,8 @@ pub(crate) struct DurableSite {
     /// Redo log of the commits applied at this site since the
     /// checkpoint was taken, in commit order.
     pub wal: WriteAheadLog,
-    /// `CopyState` image of the store when the log was last cut; empty
-    /// before the first cut.
+    /// `CopyState` image of the store's written copies when the log was
+    /// last cut; empty before the first cut.
     pub checkpoint: Vec<u8>,
     /// Next local sequence number for [`repl_types::GlobalTxnId`]s.
     pub next_seq: u64,
@@ -101,17 +105,28 @@ impl DurableSite {
         self.pipeline.flush(&mut self.wal);
     }
 
-    /// Replace the checkpoint with `cells` — every copy the site's
-    /// store holds, ascending by item, as of now — and empty the WAL,
-    /// all of which it makes redundant.
-    pub fn install_checkpoint<V: std::borrow::Borrow<Value>>(
+    /// Replace the checkpoint with the image of `store`'s copies among
+    /// `items` (the site's copies, ascending) that a transaction has
+    /// written, as of now, and empty the WAL, all of which it makes
+    /// redundant. A checkpoint that outgrows its buffer drops the old
+    /// one before the new one is allocated, at its exact size.
+    pub fn install_checkpoint(
         &mut self,
-        cells: impl ExactSizeIterator<Item = (ItemId, V, Option<GlobalTxnId>)>,
+        store: &Store,
+        items: impl Iterator<Item = ItemId> + Clone,
     ) {
+        let len = store.written_image_len(items.clone());
+        if self.checkpoint.capacity() < len {
+            self.checkpoint = Vec::new();
+            self.checkpoint.reserve_exact(len);
+        }
         self.checkpoint.clear();
-        // An integer cell with a writer is 26 bytes.
-        self.checkpoint.reserve(4 + cells.len() * 26);
-        repl_net::encode_cells_into(&mut self.checkpoint, cells);
+        store.encode_written(items, &mut self.checkpoint);
         self.wal.clear();
+    }
+
+    /// Heap bytes of the WAL's segments and the group-commit staging.
+    pub fn wal_bytes(&self) -> usize {
+        self.wal.heap_bytes() + self.pipeline.heap_bytes()
     }
 }

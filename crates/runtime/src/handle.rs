@@ -52,6 +52,9 @@ pub struct SiteStats {
     /// the last link sequence it assigned toward that site, and the
     /// highest it durably applied from it (`(0, 0)` for itself).
     pub links: Vec<(u64, u64)>,
+    /// The site's byte census: heap bytes per structure, in
+    /// [`crate::CENSUS`] order (empty for a crashed in-process site).
+    pub census: Vec<u64>,
 }
 
 /// The operations every deployment answers, for deployment-generic
@@ -218,6 +221,7 @@ impl Session {
                 peers_suspect,
                 peers_down,
                 links,
+                census,
             } => Ok(SiteStats {
                 outstanding,
                 committed,
@@ -226,6 +230,7 @@ impl Session {
                 peers_suspect,
                 peers_down,
                 links,
+                census,
             }),
             other => Err(io::Error::other(format!("unexpected stats reply: {other:?}"))),
         }

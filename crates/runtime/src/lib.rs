@@ -48,6 +48,7 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
 )]
 
+mod census;
 mod cluster;
 pub mod config;
 mod durable;
@@ -60,6 +61,7 @@ mod reactor;
 mod site;
 mod transport;
 
+pub use census::{census_line, CENSUS};
 pub use cluster::{Cluster, ClusterError, RuntimeProtocol, TxnHandle};
 pub use handle::{ClusterHandle, SiteStats};
 pub use nemesis::{NetFaultPlan, PartitionWindow, PauseWindow};

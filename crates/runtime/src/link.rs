@@ -112,6 +112,10 @@ impl WriteBuf {
         self.len() == 0
     }
 
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.buf.capacity()
+    }
+
     /// Drop the first `n` live bytes, reclaiming the consumed prefix
     /// once it outweighs what is left, so the footprint tracks the
     /// backlog, not the traffic since it began.
@@ -156,6 +160,11 @@ pub(crate) struct LinkState {
 }
 
 impl LinkState {
+    /// Heap bytes of the log.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.log.heap_bytes()
+    }
+
     /// Assign `payload` the next sequence number and append its frame.
     pub(crate) fn push(&mut self, payload: &Payload) {
         self.last += 1;

@@ -30,10 +30,11 @@
 //! 0. Return at once if the stop flag is set (an in-process crash).
 //! 1. `epoll_wait` (1 ms timeout — the protocol tick). For each ready
 //!    fd: accept new connections, or read — until a short read drains
-//!    the socket, or [`READS_PER_EVENT`] chunks — through a
-//!    [`FrameReader`] and act on each frame as it decodes (a `Link`
-//!    frame is applied before the next is decoded), or flush a
-//!    write-blocked connection.
+//!    the socket, or [`READS_PER_EVENT`] chunks — and act on each frame
+//!    as it decodes from the read buffer (a `Link` frame is applied
+//!    before the next is decoded; only a frame the read cut short waits
+//!    in the connection's [`FrameReader`]), or flush a write-blocked
+//!    connection.
 //! 2. Re-dial missing peer connections (paced, nonblocking after
 //!    connect) and run the site's timers ([`SiteCore::tick`]).
 //! 3. Finish an eager-phase transaction whose BackEdge special came
@@ -79,7 +80,7 @@
 //! epoll reports the unread rest on the next one.
 
 use std::collections::VecDeque;
-use std::io;
+use std::io::{self, Write as _};
 use std::net::SocketAddr;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -94,6 +95,7 @@ use repl_net::{
 };
 use repl_types::{AddressMap, GlobalTxnId, Op, SiteId};
 
+use crate::census::{census_line, CENSUS};
 use crate::cluster::{build_structure, ClusterError, RuntimeProtocol};
 use crate::link::{link_marks, WriteBuf};
 use crate::nemesis::ChaosWire;
@@ -241,7 +243,15 @@ pub fn serve_epoll(cfg: ServeConfig) -> io::Result<()> {
     let mut reactor = Reactor::boot(listener, setup, parts, opts, fingerprint, peers, stop);
     // The launcher contract: exactly this line, first, on stdout.
     println!("repld: site {} listening on {addr}", cfg.site.0);
-    reactor.run()
+    let served = reactor.run();
+    // One write, so sites sharing a stderr do not interleave their lines.
+    let census = format!("repld: site {} census {}\n", cfg.site.0, census_line(&reactor.census()));
+    let _ = io::stderr().write_all(census.as_bytes());
+    // The process exits next, and the kernel takes the site's memory and
+    // sockets back whole: nothing is dropped structure by structure, so
+    // no teardown code runs (or sits among the hot text).
+    std::mem::forget(reactor);
+    served
 }
 
 /// A listening socket in a fresh epoll set: the fallible half of a
@@ -355,6 +365,43 @@ impl Reactor {
         self.core.into_parts()
     }
 
+    /// The site's byte census, in [`CENSUS`] order.
+    pub(crate) fn census(&self) -> [u64; CENSUS.len()] {
+        let core = &self.core;
+        let conns: usize = self
+            .conns
+            .iter()
+            .flatten()
+            .map(|conn| conn.reader.heap_bytes() + conn.wbuf.heap_bytes())
+            .sum();
+        let ops = |ops: &Vec<Op>| ops.capacity() * size_of::<Op>();
+        let exec = self.exec_queue.capacity() * size_of::<(usize, Vec<Op>)>()
+            + self.exec_queue.iter().map(|(_, queued)| ops(queued)).sum::<usize>()
+            + self.in_flight.as_ref().map_or(0, |parked| ops(&parked.ops))
+            + self.events.capacity() * size_of::<epoll::Event>()
+            + self.free.capacity() * size_of::<usize>()
+            + (self.out_conn.capacity() + self.in_conn.capacity()) * size_of::<Option<usize>>()
+            + self.peers.capacity() * size_of::<Option<SocketAddr>>()
+            + self.dial_attempts.capacity() * size_of::<u32>()
+            + self.next_dial.capacity() * size_of::<Instant>();
+        [
+            core.store.cell_bytes(),
+            core.durable.checkpoint.capacity(),
+            core.durable.wal_bytes(),
+            core.history.heap_bytes(),
+            core.net.heap_bytes(),
+            core.placement.heap_bytes(),
+            self.conns.capacity() * size_of::<Option<Conn>>() + conns,
+            // Allocated once at boot; lent out while a read's frames are
+            // acted on, which is when a `Stats` request is answered.
+            READ_CHUNK,
+            core.machine_bytes(),
+            core.store.lock_bytes(),
+            exec,
+        ]
+        .map(|bytes| bytes as u64)
+    }
+
     /// Serve until a client's `Shutdown` has drained or `stop` is set.
     pub(crate) fn run(&mut self) -> io::Result<()> {
         loop {
@@ -442,38 +489,46 @@ impl Reactor {
         Some(tok)
     }
 
+    /// Read into the scratch buffer, lent out of the reactor meanwhile
+    /// ([`Reactor::read_frames`]).
+    fn handle_readable(&mut self, tok: usize) {
+        let mut scratch = std::mem::take(&mut self.read_buf);
+        self.read_frames(tok, &mut scratch);
+        self.read_buf = scratch;
+    }
+
     /// Read until a short read, `WouldBlock`, EOF or [`READS_PER_EVENT`]
     /// full reads, acting on each frame as it decodes — until one closes
-    /// or re-fates the connection; the rest is dropped. Under
+    /// or re-fates the connection; the rest is dropped. Frames are
+    /// decoded where they lie in `scratch`: only one a read cut short is
+    /// copied, into the connection's [`FrameReader`]. Under
     /// level-triggered epoll a short read means the socket was drained:
     /// whatever arrives after it, EOF included, is reported again, so no
     /// read is spent on the `WouldBlock`; after the last full read the
     /// unread rest is reported again the same way.
-    fn handle_readable(&mut self, tok: usize) {
+    fn read_frames(&mut self, tok: usize, scratch: &mut [u8]) {
         let mut acting = true;
         let mut reads = 0;
         loop {
             let Some(conn) = self.conns[tok].as_mut() else { return };
-            let count = match conn.stream.read_some(&mut self.read_buf) {
+            let count = match conn.stream.read_some(scratch) {
                 Ok(0) => break,
                 Ok(count) => count,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => break,
             };
-            if acting {
-                conn.reader.feed(&self.read_buf[..count]);
-            }
+            let mut input = &scratch[..count];
             while acting {
                 let Some(conn) = self.conns[tok].as_mut() else { return };
-                match conn.reader.next_msg() {
+                match conn.reader.next_from(&mut input) {
                     Ok(Some(msg)) => acting = self.process_msg(tok, msg),
                     Ok(None) => break,
                     Err(e) => return self.on_decode_error(tok, e),
                 }
             }
             reads += 1;
-            if count < self.read_buf.len() || reads == READS_PER_EVENT {
+            if count < scratch.len() || reads == READS_PER_EVENT {
                 return;
             }
         }
@@ -669,6 +724,7 @@ impl Reactor {
                     peers_suspect,
                     peers_down,
                     links: link_marks(self.core.net.links(), &self.core.durable.applied_from),
+                    census: self.census().to_vec(),
                 };
                 self.queue_reply(tok, reply);
                 true

@@ -211,21 +211,28 @@ impl SiteSetup {
     }
 }
 
-/// A site's store rebuilt from stable storage: its checkpoint — before
-/// the first one, its item set at the initial values — plus a replay of
-/// the redo-WAL suffix. With nothing logged yet this is the boot image;
-/// after a crash it is the recovery image.
+/// A site's store rebuilt from stable storage: its item set at the
+/// initial values, streamed from the placement's runs, with the
+/// checkpoint's written copies laid over it as they decode, then a
+/// replay of the redo-WAL suffix. No list of items or cells is built.
+/// With nothing logged yet this is the boot image; after a crash it is
+/// the recovery image.
 fn recovered_store(placement: &DataPlacement, site: SiteId, durable: &mut DurableSite) -> Store {
     // Commits still in the group-commit staging buffer are durable too.
     durable.flush_log();
-    if durable.checkpoint.is_empty() {
-        let boot = placement.items_at(site).iter().map(|&i| (i, Value::Initial, None));
-        return recover(boot, &durable.wal);
-    }
+    let written = (!durable.checkpoint.is_empty()).then(|| repl_net::cells_in(&durable.checkpoint));
     #[expect(clippy::expect_used, reason = "the image is this site's own encoding, kept in memory")]
-    let cells = repl_net::decode_cells(durable.checkpoint.as_slice().into())
-        .expect("a site's checkpoint is its own CopyState encoding");
-    recover(cells, &durable.wal)
+    let mut written = written
+        .transpose()
+        .expect("a site's checkpoint is its own CopyState encoding")
+        .into_iter()
+        .flatten()
+        .map(|cell| cell.expect("a site's checkpoint is its own CopyState encoding"))
+        .peekable();
+    let image = placement.copies_at(site).map(|item| {
+        written.next_if(|(at, _, _)| *at == item).unwrap_or((item, Value::Initial, None))
+    });
+    recover(image, &durable.wal)
 }
 
 /// Write set of a local commit: item → final value.
@@ -317,6 +324,21 @@ impl SiteCore {
         }
     }
 
+    /// Heap bytes of the protocol machine and the site's own per-peer
+    /// marks, prepared specials and DAG(T) timers.
+    pub fn machine_bytes(&self) -> usize {
+        let timers = self.timers.as_ref().map_or(0, |t| {
+            t.children.capacity() * size_of::<SiteId>()
+                + t.last_sent.capacity() * size_of::<Instant>()
+        });
+        let prepared: usize = self.prepared.iter().map(|(_, items)| items.capacity() * 4).sum();
+        self.machine.heap_bytes()
+            + self.front_marks.capacity() * size_of::<u64>()
+            + self.prepared.capacity() * size_of::<(GlobalTxnId, Vec<ItemId>)>()
+            + prepared
+            + timers
+    }
+
     /// What outlives this run of the site, handed back as one value.
     pub fn into_parts(self) -> SiteParts {
         SiteParts {
@@ -353,8 +375,12 @@ impl SiteCore {
         if let Some(e) = &self.poisoned {
             return Err(ClusterError::Protocol(e.clone()));
         }
-        // Validate before touching the store.
+        // Validate before touching the store. An id past the placement
+        // names no copy anywhere, and the placement's answers assume one.
         for op in ops {
+            if op.item.0 >= self.placement.num_items() {
+                return Err(ClusterError::NoCopy(self.id, op.item));
+            }
             match op.kind {
                 OpKind::Read => {
                     if !self.placement.has_copy(self.id, op.item) {
@@ -462,8 +488,7 @@ impl SiteCore {
     /// exceeds one segment plus the checkpoint.
     fn flush_log(&mut self) {
         if self.durable.flush_would_roll() {
-            let items = self.placement.items_at(self.id).iter();
-            self.durable.install_checkpoint(items.map(|&i| cell(&self.store, i)));
+            self.durable.install_checkpoint(&self.store, self.placement.copies_at(self.id));
         }
         self.durable.flush_log();
     }
@@ -689,9 +714,9 @@ impl SiteCore {
         &self,
         from: usize,
     ) -> impl ExactSizeIterator<Item = (ItemId, Value, Option<GlobalTxnId>)> + '_ {
-        // `items_at` is ascending: the placement hands out ids in order.
-        let items = self.placement.items_at(self.id);
-        items.get(from..).unwrap_or_default().iter().map(|&i| cell(&self.store, i))
+        // Ascending: the placement hands out ids in order. The skip
+        // steps over whole runs.
+        self.placement.copies_at(self.id).skip(from).map(|i| cell(&self.store, i))
     }
 }
 
@@ -903,6 +928,19 @@ mod tests {
         assert_eq!(sites[2].peek(BACK), Some((Value::Initial, None)));
     }
 
+    /// A client naming an item past the placement gets a typed error,
+    /// for a read and for a write, and the site serves the next request.
+    #[test]
+    fn an_item_past_the_placement_is_refused_not_a_panic() {
+        let mut sites = ring3(RuntimeOptions::default());
+        let past = ItemId(sites[0].placement.num_items());
+        for op in [Op::read(past), Op::write(past, 1)] {
+            let refused = sites[0].start_txn(&[op]).map(|started| started.gid);
+            assert_eq!(refused, Err(ClusterError::NoCopy(SiteId(0), past)));
+        }
+        assert!(sites[0].start_txn(&[Op::read(ItemId(0))]).is_ok());
+    }
+
     /// A store of 1000 integer copies and then 20 of 62 KiB values —
     /// 1.27 MB, past the frame cap — is served in pages of at most
     /// `PAGE_BYTES` of cells, a 62 KiB cell a page of its own, and the
@@ -949,5 +987,60 @@ mod tests {
         want.extend([1; 20]);
         want.push(0);
         assert_eq!(pages, want);
+    }
+
+    proptest::proptest! {
+        /// Recovery from the checkpoint of written copies plus a WAL
+        /// gives, cell by cell, value and writer, what recovery from an
+        /// image of every copy (the checkpoint as it was before it held
+        /// written copies only) plus the same WAL gives — at each site of
+        /// `chain3` and `ring3`, for any written subset: a copy never
+        /// written is `(Initial, None)` in both.
+        #[test]
+        fn a_checkpoint_of_written_copies_recovers_what_a_full_image_does(
+            ring in proptest::bool::ANY,
+            site in 0u32..3,
+            written in proptest::collection::vec((0u32..60, 0u8..4, 0u32..3), 0..40),
+            logged in proptest::collection::vec((0u32..60, 1i64..100), 0..12),
+        ) {
+            let spec = if ring { "3|0:1*20|1:2*20|2:0*20" } else { "3|0:1,2*20|1:2*20|2*20" };
+            let placement = DataPlacement::from_spec(spec).unwrap();
+            let site = SiteId(site);
+            let boot = placement.copies_at(site).map(|i| (i, Value::Initial, None));
+            let mut store = recover(boot, &repl_storage::WriteAheadLog::new());
+            for (k, &(item, kind, origin)) in written.iter().enumerate() {
+                let value = match kind {
+                    0 => Value::Initial,
+                    1 => Value::Bytes(vec![k as u8; k % 5]),
+                    _ => Value::int(k as i64),
+                };
+                let writer = GlobalTxnId::new(SiteId(origin), k as u64);
+                let txn = store.begin();
+                if store.write(txn, ItemId(item), value, writer).is_ok() {
+                    store.commit(txn).unwrap();
+                }
+            }
+            let mut durable = DurableSite::new(3);
+            durable.install_checkpoint(&store, placement.copies_at(site));
+            for (k, &(item, v)) in logged.iter().enumerate() {
+                if placement.has_copy(site, ItemId(item)) {
+                    let gid = GlobalTxnId::new(site, 1000 + k as u64);
+                    durable.stage_commit(gid, &[(ItemId(item), Value::int(v))]);
+                    durable.flush_log();
+                }
+            }
+            let mut full = Vec::new();
+            let every = placement.copies_at(site).map(|i| {
+                let r = store.peek(i).unwrap();
+                (i, r.value, r.writer)
+            });
+            repl_net::encode_cells_into(&mut full, every);
+            proptest::prop_assert!(durable.checkpoint.len() <= full.len());
+            let from_full = recover(decode_cells(full.into()).unwrap(), &durable.wal);
+            let from_written = recovered_store(&placement, site, &mut durable);
+            for item in placement.items() {
+                proptest::prop_assert_eq!(from_written.peek(item), from_full.peek(item), "{:?}", item);
+            }
+        }
     }
 }

@@ -137,6 +137,15 @@ impl Net {
         self.links
     }
 
+    /// Heap bytes of the link logs and the per-peer link state (the
+    /// wire's own staging, a nemesis's, is not counted).
+    pub fn heap_bytes(&self) -> usize {
+        self.links.capacity() * size_of::<LinkState>()
+            + self.links.iter().map(LinkState::heap_bytes).sum::<usize>()
+            + self.health.capacity() * size_of::<HealthCell>()
+            + self.owed.capacity() * size_of::<u64>()
+    }
+
     /// Encode `payload` into the log to `to`. The frame is in the log
     /// before any write, so a failed (or half-failed: queued at a
     /// receiver that dies before applying) delivery is always

@@ -72,6 +72,11 @@ impl Default for CommitPipeline {
 }
 
 impl CommitPipeline {
+    /// Heap bytes of the staged batch's buffers.
+    pub fn heap_bytes(&self) -> usize {
+        self.batch.staged.capacity() + self.batch.gids.capacity() * size_of::<GlobalTxnId>()
+    }
+
     /// A pipeline flushing every `max_batch` commits (`0` is treated as
     /// `1`: flush on every commit, the classic non-batched path).
     pub fn new(max_batch: usize) -> Self {

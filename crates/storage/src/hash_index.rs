@@ -51,6 +51,12 @@ impl<V> Default for HashIndex<V> {
 }
 
 impl<V> HashIndex<V> {
+    /// Heap bytes of the slot array, plus `inner` of each value.
+    pub fn heap_bytes(&self, inner: impl Fn(&V) -> usize) -> usize {
+        self.slots.capacity() * size_of::<Option<Slot<V>>>()
+            + self.iter().map(|(_, value)| inner(value)).sum::<usize>()
+    }
+
     /// Create an empty index, which allocates at its first insertion.
     pub fn new() -> Self {
         HashIndex { slots: Vec::new(), len: 0, mask: 0 }

@@ -173,6 +173,16 @@ impl LockManager {
         Self::default()
     }
 
+    /// Heap bytes of the lock table and the per-transaction lists.
+    pub fn heap_bytes(&self) -> usize {
+        let state = |s: &LockState| {
+            s.holders.rest.capacity() * size_of::<(TxnId, LockMode)>()
+                + s.queue.capacity() * size_of::<Request>()
+        };
+        self.table.heap_bytes(state)
+            + self.txns.heap_bytes(|t| t.held.capacity() * size_of::<ItemId>())
+    }
+
     /// Register (or re-register) the arrival ordinal of `txn` explicitly.
     ///
     /// Used by the engine to keep a resubmitted secondary subtransaction's

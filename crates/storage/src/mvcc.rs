@@ -103,6 +103,13 @@ impl SideChains {
     pub fn total_versions(&self) -> usize {
         self.chains.values().map(Vec::len).sum()
     }
+
+    /// Heap bytes of the chains, counting a map entry as its key and
+    /// vector (the B-tree's node overhead is not counted).
+    pub fn heap_bytes(&self) -> usize {
+        let entry = size_of::<ItemId>() + size_of::<Vec<Version>>();
+        self.chains.values().map(|chain| entry + chain.capacity() * size_of::<Version>()).sum()
+    }
 }
 
 #[cfg(test)]

@@ -92,6 +92,12 @@ pub struct SegLog {
 }
 
 impl SegLog {
+    /// Heap bytes of the segments and the array that lists them.
+    pub fn heap_bytes(&self) -> usize {
+        self.segs.capacity() * size_of::<Segment>()
+            + self.segs.iter().map(|seg| seg.buf.capacity()).sum::<usize>()
+    }
+
     /// An empty log. Allocates nothing until the first append.
     pub fn new() -> Self {
         Self::default()

@@ -94,11 +94,10 @@ pub(crate) fn read_at(
 ) -> Result<ReadResult, StorageError> {
     let ts = snapshots.ts_of(snap).ok_or(StorageError::NoSuchSnapshot(snap.0))?;
     let cell = cells.get(item).ok_or(StorageError::NoSuchItem(item))?;
-    let version = if cell.commit_ts <= ts {
-        cell
-    } else {
-        superseded.visible_at(item, ts).ok_or(StorageError::NoSuchItem(item))?
-    };
+    if cell.commit_ts() <= ts {
+        return Ok(ReadResult { value: cell.value(), writer: cell.writer() });
+    }
+    let version = superseded.visible_at(item, ts).ok_or(StorageError::NoSuchItem(item))?;
     Ok(ReadResult { value: version.value.clone(), writer: version.writer })
 }
 

@@ -34,9 +34,11 @@
 //! `read`, `write`, `commit` and `abort` allocate nothing but the two
 //! vectors of the [`CommitInfo`] handed to the caller.
 
+use bytes::BufMut;
 use repl_types::{GlobalTxnId, ItemId, StorageError, TxnId, Value};
 
-use crate::cells::Cells;
+use crate::cells::{CellRef, Cells};
+use crate::codec;
 use crate::lock::{LockManager, LockMode, LockOutcome};
 use crate::mvcc::{SideChains, Version};
 use crate::snapshot::{self, SnapshotId, SnapshotManager};
@@ -73,6 +75,15 @@ struct TxnState {
     /// Logical writer of this transaction's writes, stamped onto the
     /// cells installed at commit.
     writer: Option<GlobalTxnId>,
+}
+
+impl TxnState {
+    /// Heap bytes of the read and write buffers (not of values a write
+    /// boxes).
+    fn heap_bytes(&self) -> usize {
+        self.reads.capacity() * size_of::<(ItemId, Option<GlobalTxnId>)>()
+            + self.writes.capacity() * size_of::<(ItemId, Value)>()
+    }
 }
 
 /// Read/write sets returned by [`Store::commit`].
@@ -159,7 +170,7 @@ impl Store {
     }
 
     /// Create an empty store with room for `items` copies whose ids are
-    /// below `items`, in two allocations of 60 bytes per copy together.
+    /// below `items`, in two allocations of 44 bytes per copy together.
     pub fn with_capacity(items: usize) -> Self {
         Store { cells: Cells::with_capacity(items), ..Self::default() }
     }
@@ -181,7 +192,7 @@ impl Store {
     /// Takes **no lock**: the store belongs to one thread, so nothing can
     /// commit while a peek runs, and cells hold committed values only.
     pub fn peek(&self, item: ItemId) -> Option<ReadResult> {
-        self.cells.get(item).map(|c| ReadResult { value: c.value.clone(), writer: c.writer })
+        self.cells.get(item).map(|c| ReadResult { value: c.value(), writer: c.writer() })
     }
 
     /// Begin a new local (sub)transaction.
@@ -243,7 +254,7 @@ impl Store {
             LockOutcome::Granted => {
                 let result = match state.writes.iter().rev().find(|(i, _)| *i == item) {
                     Some((_, value)) => ReadResult { value: value.clone(), writer: state.writer },
-                    None => ReadResult { value: cell.value.clone(), writer: cell.writer },
+                    None => ReadResult { value: cell.value(), writer: cell.writer() },
                 };
                 state.reads.push((item, result.writer));
                 Ok(result)
@@ -306,13 +317,13 @@ impl Store {
             self.commit_ts += 1;
             let keep_superseded = self.snapshots.active_count() > 0;
             for (item, value) in &info.writes {
-                let cell = self.cells.get_mut(*item).expect("write checked the item exists");
                 let installed = Version {
                     commit_ts: self.commit_ts,
                     value: value.clone(),
                     writer: state.writer,
                 };
-                let superseded = std::mem::replace(cell, installed);
+                let superseded =
+                    self.cells.replace(*item, installed).expect("write checked the item exists");
                 if keep_superseded {
                     self.superseded.push(*item, superseded);
                 }
@@ -355,7 +366,8 @@ impl Store {
         // there is nothing to collect unless the oldest snapshot closed.
         if ts < low_water {
             let cells = &self.cells;
-            self.superseded.gc_below(low_water, |item| cells.get(item).map_or(0, |c| c.commit_ts));
+            self.superseded
+                .gc_below(low_water, |item| cells.get(item).map_or(0, |c| c.commit_ts()));
         }
     }
 
@@ -390,6 +402,51 @@ impl Store {
         item: ItemId,
     ) -> Result<ReadResult, StorageError> {
         snapshot::read_at(&self.snapshots, &self.cells, &self.superseded, snap, item)
+    }
+
+    /// The copies among `items` that a transaction has written, with
+    /// their cells, in `items`' order.
+    fn written(
+        &self,
+        items: impl Iterator<Item = ItemId>,
+    ) -> impl Iterator<Item = (ItemId, CellRef<'_>)> {
+        items
+            .filter_map(|item| Some((item, self.cells.get(item)?)))
+            .filter(|(_, cell)| cell.writer().is_some())
+    }
+
+    /// Bytes of [`Store::encode_written`]'s image of `items`.
+    pub fn written_image_len(&self, items: impl Iterator<Item = ItemId>) -> usize {
+        let cell_len =
+            |cell: CellRef| cell.with_value(|value| codec::cell_len(value, cell.writer()));
+        4 + self.written(items).map(|(_, cell)| cell_len(cell)).sum::<usize>()
+    }
+
+    /// Append to `out` the copy-state image of the copies among `items`
+    /// that a transaction has written: a `u32` count, then each cell as
+    /// [`codec::put_cell`] writes it, in `items`' order. A copy never
+    /// written is `(Initial, None)` in the store and in any full image,
+    /// so overlaying this on the site's item set at the initial values
+    /// gives the full image back.
+    pub fn encode_written(&self, items: impl Iterator<Item = ItemId>, out: &mut Vec<u8>) {
+        let at = out.len();
+        out.put_u32(0); // the count, patched below
+        let mut count = 0u32;
+        for (item, cell) in self.written(items) {
+            cell.with_value(|value| codec::put_cell(out, item, value, cell.writer()));
+            count += 1;
+        }
+        out[at..at + 4].copy_from_slice(&count.to_be_bytes());
+    }
+
+    /// Heap bytes of the cells, their index and the side chains.
+    pub fn cell_bytes(&self) -> usize {
+        self.cells.heap_bytes() + self.superseded.heap_bytes()
+    }
+
+    /// Heap bytes of the lock table and the transaction slabs.
+    pub fn lock_bytes(&self) -> usize {
+        self.locks.heap_bytes() + self.txns.heap_bytes(TxnState::heap_bytes)
     }
 }
 

@@ -36,6 +36,17 @@ impl<T> Default for TxnSlab<T> {
     }
 }
 
+impl<T> TxnSlab<T> {
+    /// Heap bytes of the slab's two arrays, plus `inner` of each state
+    /// live or spare.
+    pub(crate) fn heap_bytes(&self, inner: impl Fn(&T) -> usize) -> usize {
+        self.live.capacity() * size_of::<(TxnId, T)>()
+            + self.spare.capacity() * size_of::<T>()
+            + self.live.iter().map(|(_, state)| inner(state)).sum::<usize>()
+            + self.spare.iter().map(&inner).sum::<usize>()
+    }
+}
+
 impl<T: Default> TxnSlab<T> {
     /// Where `txn` is (`Ok`) or would be inserted (`Err`).
     fn position(&self, txn: TxnId) -> Result<usize, usize> {

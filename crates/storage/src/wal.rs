@@ -154,6 +154,11 @@ impl Iterator for Records<'_> {
 impl ExactSizeIterator for Records<'_> {}
 
 impl WriteAheadLog {
+    /// Heap bytes of the log's segments.
+    pub fn heap_bytes(&self) -> usize {
+        self.records.heap_bytes()
+    }
+
     /// An empty log.
     pub fn new() -> Self {
         Self::default()

@@ -3,7 +3,7 @@
 //! the test's own thread.
 //!
 //! One resident version per item: the dense cell array and its direct
-//! index are the only per-item memory — 60 bytes a copy in two
+//! index are the only per-item memory — 36 bytes a copy in two
 //! allocations, whatever the item count — and with no snapshot open a
 //! stream of updates leaves the live byte count exactly where it was.
 //! Once its tables are warm, a transaction allocates the read and write
@@ -72,16 +72,16 @@ fn table1_update(store: &mut Store, items: u32, seq: u64, rng: &mut u64) -> Comm
     store.commit(txn).unwrap().0
 }
 
-/// A store of `items` copies costs at most 64 bytes a copy in exactly
+/// A store of `items` copies costs at most 36 bytes a copy in exactly
 /// two allocations (with hashed slots it was 131 at 1000 and 2000, 87
-/// at 3000), keeps nothing per update, and gives back every version a
-/// snapshot made it keep.
+/// at 3000; with unpacked 56-byte cells, 60), keeps nothing per update,
+/// and gives back every version a snapshot made it keep.
 fn store_is_one_version_per_item(items: u32) {
     let (live0, allocs0) = counts();
     let mut store: Store = (0..items).map(|i| (ItemId(i), Value::Initial)).collect();
     let (live1, allocs1) = counts();
     let per_item = (live1 - live0) as f64 / f64::from(items);
-    assert!(per_item <= 64.0, "{per_item} live bytes per item");
+    assert!(per_item <= 36.0, "{per_item} live bytes per item");
     assert_eq!(allocs1 - allocs0, 2, "allocations");
 
     // One update sizes the transaction and lock tables; from there on

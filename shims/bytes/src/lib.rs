@@ -153,6 +153,10 @@ impl BytesMut {
         self.data.len() - self.start
     }
 
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
     /// True when empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0

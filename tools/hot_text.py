@@ -24,8 +24,10 @@ the harness starts runs under a ptrace tracer that
   window, and the pages resident when the site exits are the ones it
   read.
 
-The file is the union of first hits over every site process, sorted by
-name, then every IFUNC sibling of an executed string function
+The file is the union of first hits over every site process and glibc's
+mmap allocation path (`MMAP_PATH`, which a run takes or not by how far
+its buffers grow), sorted by name, then every IFUNC sibling of an
+executed string function
 (`__memmove_evex_…` beside `__memmove_avx_…`), so a CPU that resolves a
 different variant still finds it next to the hot region. Under `# data`
 follow the named symbols of the `.rodata` input sections a site read
@@ -101,6 +103,12 @@ class Regs(ctypes.Structure):
 # The string-function variants glibc picks between at start-up (IFUNC)
 # are named `__<family>_<isa>…`.
 ISA_TAGS = ("sse2", "ssse3", "sse4", "avx", "evex", "erms")
+
+# glibc serves a block at or past its mmap threshold (128 KiB) from its
+# own mapping. Whether a site takes that path in a run depends on how far
+# a link log or a reply buffer grows in it, not on the code, so these
+# are listed whether or not a traced run took them.
+MMAP_PATH = ("munmap_chunk", "sysmalloc_mmap.constprop.0")
 
 
 def libc():
@@ -499,6 +507,7 @@ def main():
                 touched.update(int(line) for line in f)
 
     executed = {name for addr in hit for name in by_addr[addr]}
+    executed |= {name for name in MMAP_PATH if name in sizes}
     siblings = ifunc_siblings(executed, sizes)
     data, unnamed = hot_data(sections, touched)
     with open(ORDER, "w") as f:
