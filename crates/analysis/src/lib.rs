@@ -5,8 +5,10 @@
 //! 1. **Configuration linter** ([`lint`]) — checks a data placement, its
 //!    copy graph, and the run's timing parameters against the protocol
 //!    preconditions of Breitbart et al. *before* any simulation runs
-//!    (codes `RA001`–`RA009`). The engine and every bench binary call
-//!    [`lint::lint_scenario`] and fail fast on errors.
+//!    (codes `RA001`–`RA010`). The engine and every bench binary call
+//!    [`lint::lint_scenario`] and fail fast on errors. It takes the
+//!    propagation structure from `repl_protocol::Routing::build`, as
+//!    every executor does, and checks its witnesses.
 //! 2. **Model checker** ([`mc`], `replmc` binary) — a stateless DFS
 //!    explorer that drives the sans-I/O `SiteMachine`s through *every*
 //!    interleaving of deliverable inputs for bounded workloads, with
@@ -30,4 +32,4 @@ pub mod mc;
 
 pub use diag::{has_errors, render, Diagnostic, Severity, Witness};
 pub use history::History;
-pub use lint::{check_address_map, lint_scenario, LintConfig, LintProtocol, LintTree};
+pub use lint::{lint_scenario, LintConfig};

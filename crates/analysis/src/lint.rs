@@ -18,7 +18,6 @@
 //! | RA008 | warning  | retry backoff at or above the deadlock timeout |
 //! | RA009 | error    | DAG(T) site numbering is not a topological order (§3.1) |
 //! | RA010 | error    | crash faults injected under a protocol without crash recovery |
-//! | RA011 | error    | malformed cluster address map (duplicate/out-of-range site, missing peer, shared address, bad host:port) |
 //!
 //! The structural checks are also exported individually
 //! ([`check_copy_graph`], [`check_tree`], [`check_backedge_set`],
@@ -26,66 +25,20 @@
 //! corrupted inputs.
 
 use repl_copygraph::{BackEdgeSet, CopyGraph, DataPlacement, PropagationTree};
-use repl_types::{AddressMap, SiteId};
+use repl_protocol::{ProtocolKind, Routing, TreeKind};
+use repl_types::SiteId;
 
 use crate::diag::{Diagnostic, Witness};
 
-/// Protocol under lint — mirrors `repl-core`'s `ProtocolKind` without
-/// depending on it (the core crate sits *above* this one so its engine can
-/// invoke the linter).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum LintProtocol {
-    /// Indiscriminate lazy propagation (Example 1.1 strawman).
-    NaiveLazy,
-    /// DAG(WT): tree-routed lazy propagation (§2). Needs a DAG.
-    DagWt,
-    /// DAG(T): timestamped lazy propagation with epochs (§3). Needs a DAG
-    /// whose site numbering is topological.
-    DagT,
-    /// BackEdge: eager along backedges, lazy elsewhere (§4).
-    BackEdge,
-    /// Primary-site locking baseline (§5.1).
-    Psl,
-    /// Eager read-one-write-all baseline.
-    Eager,
-}
-
-impl LintProtocol {
-    /// True if the protocol's precondition is an acyclic copy graph.
-    pub fn requires_dag(self) -> bool {
-        matches!(self, LintProtocol::DagWt | LintProtocol::DagT)
-    }
-
-    /// True if the engine's crash-recovery path covers this protocol.
-    ///
-    /// BackEdge loses eagerly prepared writes and Eager loses provisional
-    /// remote X-lock state when a participating site crashes; neither has
-    /// a recovery story in the paper, so a crash plan under them would
-    /// diverge silently. The lazy protocols recover from the WAL plus the
-    /// delivery backlog (§3.3).
-    pub fn supports_crash_faults(self) -> bool {
-        !matches!(self, LintProtocol::BackEdge | LintProtocol::Eager)
-    }
-}
-
-/// Propagation-tree shape, mirroring `repl-core`'s `TreeKind`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum LintTree {
-    /// Chain over a topological order (the paper's prototype, §5.1).
-    Chain,
-    /// General branching tree (§2).
-    General,
-}
-
 /// Everything the linter needs to know about a run configuration.
-/// Durations are in microseconds to keep this crate's dependencies to
-/// `repl-types` + `repl-copygraph`.
+/// Durations are in microseconds to keep this crate off the simulator's
+/// clock types.
 #[derive(Clone, Debug)]
 pub struct LintConfig {
     /// Protocol the run will deploy.
-    pub protocol: LintProtocol,
+    pub protocol: ProtocolKind,
     /// Tree construction used by DAG(WT)/BackEdge.
-    pub tree: LintTree,
+    pub tree: TreeKind,
     /// One-way network latency, µs.
     pub network_latency_us: u64,
     /// Lock-wait deadlock timeout, µs.
@@ -98,51 +51,31 @@ pub struct LintConfig {
     pub crash_faults: bool,
 }
 
-/// Lint a full scenario: derive the copy graph and the protocol's
-/// propagation structure from `placement` exactly as the engine would,
-/// then run every applicable check.
+/// Lint a full scenario: check the copy graph against the protocol's
+/// preconditions, take the propagation structure every executor runs on
+/// from [`Routing::build`], and check its witnesses.
 pub fn lint_scenario(placement: &DataPlacement, cfg: &LintConfig) -> Vec<Diagnostic> {
     let graph = CopyGraph::from_placement(placement);
-    let mut diags = Vec::new();
-
-    diags.extend(check_copy_graph(&graph, cfg.protocol));
-
-    match cfg.protocol {
-        LintProtocol::DagWt => {
-            if let Ok(tree) = build_tree(&graph, cfg.tree) {
-                let constraints: Vec<_> =
-                    graph.edges().into_iter().map(|(u, v, _)| (u, v)).collect();
-                diags.extend(check_tree(&tree, &constraints));
-                diags.extend(check_replica_reachability(placement, &tree, None));
-            }
-        }
-        LintProtocol::DagT => {
-            diags.extend(check_site_order_topological(&graph));
-        }
-        LintProtocol::BackEdge => {
-            let backedges = BackEdgeSet::by_site_order(&graph);
-            diags.extend(check_backedge_set(&graph, &backedges));
-            if backedges.is_valid(&graph) {
-                let cg = backedges.augmented_graph(&graph);
-                if let Ok(tree) = build_tree(&cg, cfg.tree) {
-                    diags.extend(check_tree(&tree, &backedges.augmented_constraints(&graph)));
-                    diags.extend(check_replica_reachability(placement, &tree, Some(&backedges)));
-                }
-            }
-        }
-        LintProtocol::NaiveLazy | LintProtocol::Psl | LintProtocol::Eager => {}
+    let mut diags = check_copy_graph(&graph, cfg.protocol);
+    if cfg.protocol == ProtocolKind::DagT {
+        diags.extend(check_site_order_topological(&graph));
     }
-
+    if let Ok(Routing { graph, tree: Some(tree), backedges }) =
+        Routing::build(cfg.protocol, placement, cfg.tree)
+    {
+        let constraints = match &backedges {
+            Some(backedges) => {
+                diags.extend(check_backedge_set(&graph, backedges));
+                backedges.augmented_constraints(&graph)
+            }
+            None => graph.edges().into_iter().map(|(u, v, _)| (u, v)).collect(),
+        };
+        diags.extend(check_tree(&tree, &constraints));
+        diags.extend(check_replica_reachability(placement, &tree, backedges.as_ref()));
+    }
     diags.extend(check_timing(cfg));
     diags.extend(check_fault_plan(cfg));
     diags
-}
-
-fn build_tree(graph: &CopyGraph, kind: LintTree) -> Result<PropagationTree, ()> {
-    match kind {
-        LintTree::Chain => PropagationTree::chain(graph).map_err(|_| ()),
-        LintTree::General => PropagationTree::general(graph).map_err(|_| ()),
-    }
 }
 
 /// Find one directed cycle in `graph`, as the ordered list of sites on it.
@@ -189,7 +122,7 @@ pub fn find_cycle(graph: &CopyGraph) -> Option<Vec<SiteId>> {
 }
 
 /// RA001: the protocol requires a DAG but the copy graph has a cycle.
-pub fn check_copy_graph(graph: &CopyGraph, protocol: LintProtocol) -> Vec<Diagnostic> {
+pub fn check_copy_graph(graph: &CopyGraph, protocol: ProtocolKind) -> Vec<Diagnostic> {
     if !protocol.requires_dag() {
         return Vec::new();
     }
@@ -326,7 +259,7 @@ pub fn check_site_order_topological(graph: &CopyGraph) -> Vec<Diagnostic> {
 /// RA006–RA008: timing-parameter sanity.
 pub fn check_timing(cfg: &LintConfig) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    if cfg.protocol == LintProtocol::DagT && cfg.epoch_period_us < cfg.network_latency_us {
+    if cfg.protocol == ProtocolKind::DagT && cfg.epoch_period_us < cfg.network_latency_us {
         diags.push(Diagnostic::warning(
             "RA006",
             format!(
@@ -365,10 +298,12 @@ pub fn check_timing(cfg: &LintConfig) -> Vec<Diagnostic> {
 
 /// RA010: the fault plan schedules site crashes but the protocol has no
 /// crash-recovery path — BackEdge's eagerly prepared subtransactions and
-/// Eager's provisional remote writes are lost with the crashed site, so
-/// the run would silently diverge instead of recovering.
+/// Eager's provisional remote X-lock state are lost with the crashed
+/// site, and neither has a recovery story in the paper, so the run would
+/// silently diverge instead of recovering. The lazy protocols recover
+/// from the WAL plus the delivery backlog (§3.3).
 pub fn check_fault_plan(cfg: &LintConfig) -> Vec<Diagnostic> {
-    if cfg.crash_faults && !cfg.protocol.supports_crash_faults() {
+    if cfg.crash_faults && matches!(cfg.protocol, ProtocolKind::BackEdge | ProtocolKind::Eager) {
         return vec![Diagnostic::error(
             "RA010",
             format!(
@@ -383,87 +318,6 @@ pub fn check_fault_plan(cfg: &LintConfig) -> Vec<Diagnostic> {
     Vec::new()
 }
 
-/// RA011: validate a cluster address map before any socket is opened.
-///
-/// A process-per-site deployment dials every peer from this map, so a
-/// malformed map produces confusing runtime failures (two sites
-/// answering for one id, a dialer spinning forever on a missing peer, a
-/// site handshaking with itself). Each problem is reported as an error:
-///
-/// - a site id listed more than once,
-/// - a site id outside `0..num_sites`,
-/// - a site in `0..num_sites` with no entry (the dialer would wait for
-///   an address that never arrives),
-/// - one address shared by two different sites (a dialer would reach the
-///   wrong peer — or itself, the self-dial case),
-/// - an address that is not `host:port` with a numeric port.
-pub fn check_address_map(map: &AddressMap, num_sites: u32) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let entries = map.entries();
-    for window in entries.windows(2) {
-        // Entries are kept sorted by site id, so duplicates are adjacent.
-        if window[0].0 == window[1].0 {
-            diags.push(Diagnostic::error(
-                "RA011",
-                format!(
-                    "site {} has multiple addresses ({:?} and {:?}); a dialer would \
-                     pick one arbitrarily",
-                    window[0].0 .0, window[0].1, window[1].1,
-                ),
-                Witness::None,
-            ));
-        }
-    }
-    for (site, addr) in entries {
-        if site.0 >= num_sites {
-            diags.push(Diagnostic::error(
-                "RA011",
-                format!(
-                    "address map names site {} but the placement has only {num_sites} \
-                     sites (0..{num_sites})",
-                    site.0,
-                ),
-                Witness::None,
-            ));
-        }
-        let well_formed = addr
-            .rsplit_once(':')
-            .is_some_and(|(host, port)| !host.is_empty() && port.parse::<u16>().is_ok());
-        if !well_formed {
-            diags.push(Diagnostic::error(
-                "RA011",
-                format!("site {} address {addr:?} is not host:port with a numeric port", site.0),
-                Witness::None,
-            ));
-        }
-    }
-    for site in (0..num_sites).map(SiteId) {
-        if map.get(site).is_none() {
-            diags.push(Diagnostic::error(
-                "RA011",
-                format!("site {} has no address; its peers could never dial it", site.0),
-                Witness::None,
-            ));
-        }
-    }
-    for (i, (site_a, addr_a)) in entries.iter().enumerate() {
-        for (site_b, addr_b) in &entries[i + 1..] {
-            if site_a != site_b && addr_a == addr_b {
-                diags.push(Diagnostic::error(
-                    "RA011",
-                    format!(
-                        "sites {} and {} share address {addr_a:?}; site {} dialing \
-                         that address would reach the wrong process (self-dial)",
-                        site_a.0, site_b.0, site_a.0,
-                    ),
-                    Witness::Edge { from: *site_a, to: *site_b },
-                ));
-            }
-        }
-    }
-    diags
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -473,10 +327,10 @@ mod tests {
         SiteId(n)
     }
 
-    fn defaults(protocol: LintProtocol) -> LintConfig {
+    fn defaults(protocol: ProtocolKind) -> LintConfig {
         LintConfig {
             protocol,
-            tree: LintTree::Chain,
+            tree: TreeKind::Chain,
             network_latency_us: 150,
             deadlock_timeout_us: 50_000,
             retry_backoff_us: 5_000,
@@ -502,12 +356,12 @@ mod tests {
     #[test]
     fn clean_scenarios_lint_clean() {
         for proto in [
-            LintProtocol::DagWt,
-            LintProtocol::DagT,
-            LintProtocol::BackEdge,
-            LintProtocol::Psl,
-            LintProtocol::Eager,
-            LintProtocol::NaiveLazy,
+            ProtocolKind::DagWt,
+            ProtocolKind::DagT,
+            ProtocolKind::BackEdge,
+            ProtocolKind::Psl,
+            ProtocolKind::Eager,
+            ProtocolKind::NaiveLazy,
         ] {
             let diags = lint_scenario(&example_1_1(), &defaults(proto));
             assert!(diags.is_empty(), "{proto:?}: {:?}", diags);
@@ -517,7 +371,7 @@ mod tests {
     #[test]
     fn cycle_is_an_error_for_dag_protocols_only() {
         let p = example_4_1();
-        for proto in [LintProtocol::DagWt, LintProtocol::DagT] {
+        for proto in [ProtocolKind::DagWt, ProtocolKind::DagT] {
             let diags = lint_scenario(&p, &defaults(proto));
             assert!(has_errors(&diags), "{proto:?}");
             let d = &diags[0];
@@ -527,7 +381,7 @@ mod tests {
                 w => panic!("wrong witness {w:?}"),
             }
         }
-        for proto in [LintProtocol::BackEdge, LintProtocol::Psl, LintProtocol::NaiveLazy] {
+        for proto in [ProtocolKind::BackEdge, ProtocolKind::Psl, ProtocolKind::NaiveLazy] {
             let diags = lint_scenario(&p, &defaults(proto));
             assert!(!has_errors(&diags), "{proto:?}: {:?}", diags);
         }
@@ -603,13 +457,13 @@ mod tests {
         // Acyclic but 1 -> 0 points to a lower id.
         let mut p = DataPlacement::new(2);
         p.add_item(s(1), &[s(0)]);
-        let diags = lint_scenario(&p, &defaults(LintProtocol::DagT));
+        let diags = lint_scenario(&p, &defaults(ProtocolKind::DagT));
         assert!(diags.iter().any(|d| d.code == "RA009" && d.severity == Severity::Error));
     }
 
     #[test]
     fn crash_faults_rejected_for_eager_protocols_only() {
-        for proto in [LintProtocol::BackEdge, LintProtocol::Eager] {
+        for proto in [ProtocolKind::BackEdge, ProtocolKind::Eager] {
             let mut cfg = defaults(proto);
             cfg.crash_faults = true;
             let diags = lint_scenario(&example_1_1(), &cfg);
@@ -621,7 +475,7 @@ mod tests {
             assert!(lint_scenario(&example_1_1(), &defaults(proto)).is_empty());
         }
         for proto in
-            [LintProtocol::DagWt, LintProtocol::DagT, LintProtocol::NaiveLazy, LintProtocol::Psl]
+            [ProtocolKind::DagWt, ProtocolKind::DagT, ProtocolKind::NaiveLazy, ProtocolKind::Psl]
         {
             let mut cfg = defaults(proto);
             cfg.crash_faults = true;
@@ -632,7 +486,7 @@ mod tests {
 
     #[test]
     fn timing_warnings_fire() {
-        let mut cfg = defaults(LintProtocol::DagT);
+        let mut cfg = defaults(ProtocolKind::DagT);
         cfg.epoch_period_us = 100;
         cfg.network_latency_us = 100_000;
         cfg.deadlock_timeout_us = 50_000;
@@ -641,58 +495,5 @@ mod tests {
         let codes: Vec<_> = diags.iter().map(|d| d.code).collect();
         assert_eq!(codes, vec!["RA006", "RA007", "RA008"]);
         assert!(diags.iter().all(|d| d.severity == Severity::Warning));
-    }
-
-    #[test]
-    fn address_map_lint_accepts_well_formed_map() {
-        let map: AddressMap = (0..3).map(|i| (s(i), format!("127.0.0.1:710{i}"))).collect();
-        assert!(check_address_map(&map, 3).is_empty());
-    }
-
-    #[test]
-    fn address_map_lint_rejects_malformed_maps() {
-        let full = |n: u32| -> AddressMap {
-            (0..n).map(|i| (s(i), format!("127.0.0.1:710{i}"))).collect()
-        };
-        // Duplicate site id.
-        let mut map = full(2);
-        map.insert(s(1), "127.0.0.1:7199".to_string());
-        assert!(check_address_map(&map, 2)
-            .iter()
-            .any(|d| d.code == "RA011" && d.message.contains("multiple addresses")));
-        // Out-of-range site id.
-        let mut map = full(2);
-        map.insert(s(9), "127.0.0.1:7109".to_string());
-        assert!(check_address_map(&map, 2)
-            .iter()
-            .any(|d| d.code == "RA011" && d.message.contains("only 2 sites")));
-        // Missing peer.
-        let map: AddressMap = [(s(0), "127.0.0.1:7100".to_string())].into_iter().collect();
-        assert!(check_address_map(&map, 2)
-            .iter()
-            .any(|d| d.code == "RA011" && d.message.contains("no address")));
-        // Shared address (self-dial).
-        let map: AddressMap =
-            [(s(0), "127.0.0.1:7100".to_string()), (s(1), "127.0.0.1:7100".to_string())]
-                .into_iter()
-                .collect();
-        let diags = check_address_map(&map, 2);
-        assert!(diags
-            .iter()
-            .any(|d| d.code == "RA011" && matches!(d.witness, Witness::Edge { .. })));
-        // Malformed host:port.
-        for bad in ["localhost", ":7100", "host:", "host:notaport", "host:99999"] {
-            let mut map = full(2);
-            map.insert(s(1), bad.to_string());
-            // The duplicate entry for site 1 also fires; look only for the
-            // host:port message.
-            assert!(
-                check_address_map(&map, 2)
-                    .iter()
-                    .any(|d| d.code == "RA011" && d.message.contains("host:port")),
-                "{bad:?} accepted"
-            );
-        }
-        assert!(has_errors(&check_address_map(&full(1), 2)));
     }
 }

@@ -56,9 +56,11 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
-use repl_copygraph::{BackEdgeSet, CopyGraph, DataPlacement, PropagationTree};
+use repl_copygraph::{CopyGraph, DataPlacement, PropagationTree};
 use repl_protocol::digest::{digest_gid, digest_payload, digest_site, digest_value, digest_writes};
-use repl_protocol::{Command, Input, Payload, ProtocolId, SeededBug, SiteMachine, StableDigest};
+use repl_protocol::{
+    Command, Input, Payload, ProtocolId, Routing, SeededBug, SiteMachine, StableDigest, TreeKind,
+};
 use repl_types::{GlobalTxnId, ItemId, SiteId, Value};
 
 use super::scenario::{PlannedTxn, Scenario};
@@ -235,34 +237,17 @@ impl World {
         if plan.len() != n {
             return Err(format!("plan covers {} sites, placement has {n}", plan.len()));
         }
-        let graph = CopyGraph::from_placement(&placement);
-        if matches!(protocol, ProtocolId::DagWt | ProtocolId::DagT) && !graph.is_dag() {
-            return Err(format!("{protocol} requires a DAG copy graph; this one is cyclic"));
-        }
-        // DAG(T) orders by site id; else a walk reports this as MC002.
-        let misordered = crate::lint::check_site_order_topological(&graph);
-        if let (ProtocolId::DagT, Some(d)) = (protocol, misordered.first()) {
-            return Err(d.to_string());
-        }
-        let tree = match protocol {
-            ProtocolId::DagWt => Some(
-                PropagationTree::chain(&graph)
-                    .map_err(|_| "chain tree on a non-DAG".to_string())?,
-            ),
-            ProtocolId::BackEdge => Some(
-                PropagationTree::chain(&BackEdgeSet::by_site_order(&graph).augmented_graph(&graph))
-                    .map_err(|_| "augmented constraints are cyclic".to_string())?,
-            ),
-            ProtocolId::NaiveLazy | ProtocolId::DagT => None,
-        };
+        // DAG(T) orders by site id; a misnumbered placement is refused
+        // here, else a walk would report it as MC002.
+        let Routing { graph, tree, .. } =
+            Routing::build(protocol.into(), &placement, TreeKind::Chain)
+                .map_err(|e| e.to_string())?;
         let mut txn_info = BTreeMap::new();
         for t in plan.iter().flatten() {
             txn_info.insert(t.gid, t.clone());
         }
         let sources = graph.sources();
         let placement = Arc::new(placement);
-        let graph = Arc::new(graph);
-        let tree = tree.map(Arc::new);
         let mut machines = Vec::with_capacity(n);
         for s in 0..n {
             let mut m = SiteMachine::new(

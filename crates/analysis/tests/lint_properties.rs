@@ -7,16 +7,16 @@ use proptest::prelude::*;
 
 use repl_analysis::lint::{
     check_backedge_set, check_copy_graph, check_tree, find_cycle, lint_scenario, LintConfig,
-    LintProtocol, LintTree,
 };
 use repl_analysis::{has_errors, Severity, Witness};
 use repl_copygraph::{BackEdgeSet, CopyGraph, PropagationTree};
+use repl_protocol::{ProtocolKind, TreeKind};
 use repl_workload::{build_placement, TableOneParams};
 
-fn defaults(protocol: LintProtocol) -> LintConfig {
+fn defaults(protocol: ProtocolKind) -> LintConfig {
     LintConfig {
         protocol,
-        tree: LintTree::Chain,
+        tree: TreeKind::Chain,
         network_latency_us: 150,
         deadlock_timeout_us: 50_000,
         retry_backoff_us: 5_000,
@@ -47,10 +47,10 @@ proptest! {
     ) {
         let placement = build_placement(&table(m, r, b), seed);
         for protocol in [
-            LintProtocol::BackEdge,
-            LintProtocol::Psl,
-            LintProtocol::Eager,
-            LintProtocol::NaiveLazy,
+            ProtocolKind::BackEdge,
+            ProtocolKind::Psl,
+            ProtocolKind::Eager,
+            ProtocolKind::NaiveLazy,
         ] {
             let diags = lint_scenario(&placement, &defaults(protocol));
             prop_assert!(diags.is_empty(), "{protocol:?}: {diags:?}");
@@ -66,7 +66,7 @@ proptest! {
         seed in 0u64..30,
     ) {
         let placement = build_placement(&table(m, r, 0.0), seed);
-        for protocol in [LintProtocol::DagWt, LintProtocol::DagT] {
+        for protocol in [ProtocolKind::DagWt, ProtocolKind::DagT] {
             let diags = lint_scenario(&placement, &defaults(protocol));
             prop_assert!(diags.is_empty(), "{protocol:?}: {diags:?}");
         }
@@ -86,7 +86,7 @@ proptest! {
         let (u, v, _) = graph.edges()[0];
         placement.add_item(v, &[u]); // reverse edge: v -> u closes a cycle
 
-        let diags = lint_scenario(&placement, &defaults(LintProtocol::DagWt));
+        let diags = lint_scenario(&placement, &defaults(ProtocolKind::DagWt));
         prop_assert!(has_errors(&diags));
         let ra001 = diags.iter().find(|d| d.code == "RA001").expect("RA001 expected");
         prop_assert_eq!(ra001.severity, Severity::Error);
@@ -201,10 +201,10 @@ proptest! {
         }
         prop_assert_eq!(find_cycle(&g).is_some(), !g.is_dag());
         prop_assert_eq!(
-            !check_copy_graph(&g, LintProtocol::DagWt).is_empty(),
+            !check_copy_graph(&g, ProtocolKind::DagWt).is_empty(),
             !g.is_dag()
         );
         // Cycle-tolerant protocols never get RA001.
-        prop_assert!(check_copy_graph(&g, LintProtocol::BackEdge).is_empty());
+        prop_assert!(check_copy_graph(&g, ProtocolKind::BackEdge).is_empty());
     }
 }

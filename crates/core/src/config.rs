@@ -1,7 +1,7 @@
 //! Simulation parameters (the knobs of Table 1) and protocol selection,
 //! plus the stable parameter hashing the experiment cache is keyed on.
 
-pub use repl_protocol::Tuning;
+pub use repl_protocol::{ProtocolKind, TreeKind, Tuning};
 use repl_sim::{FaultPlan, SimDuration};
 
 /// 128-bit FNV-1a hasher with a *stable* digest: unlike
@@ -132,83 +132,10 @@ impl StableHash for Tuning {
     }
 }
 
-/// Which update-propagation protocol the engine runs.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum ProtocolKind {
-    /// Indiscriminate lazy propagation — the commercial-style strawman of
-    /// §1/Example 1.1. **Not serializable**; included to demonstrate the
-    /// anomaly against the checker.
-    NaiveLazy,
-    /// DAG(WT): lazy propagation along a propagation tree, FIFO per
-    /// parent (§2). Requires an acyclic copy graph.
-    DagWt,
-    /// DAG(T): lazy propagation along copy-graph edges, ordered by
-    /// timestamps with epochs (§3). Requires an acyclic copy graph whose
-    /// site numbering is a topological order.
-    DagT,
-    /// BackEdge: eager along backedges, DAG(WT)-lazy elsewhere (§4).
-    /// Handles arbitrary copy graphs.
-    BackEdge,
-    /// Primary-site locking (§5.1): remote S-locks + value shipping for
-    /// replica reads, no explicit propagation. The paper's baseline.
-    Psl,
-    /// Eager read-one-write-all with a commit broadcast (the §1
-    /// motivation for laziness; not in the paper's measurements).
-    Eager,
-}
-
-impl ProtocolKind {
-    /// All protocols, for exhaustive test sweeps.
-    pub const ALL: [ProtocolKind; 6] = [
-        ProtocolKind::NaiveLazy,
-        ProtocolKind::DagWt,
-        ProtocolKind::DagT,
-        ProtocolKind::BackEdge,
-        ProtocolKind::Psl,
-        ProtocolKind::Eager,
-    ];
-
-    /// All protocols that guarantee serializability.
-    pub const SERIALIZABLE: [ProtocolKind; 5] = [
-        ProtocolKind::DagWt,
-        ProtocolKind::DagT,
-        ProtocolKind::BackEdge,
-        ProtocolKind::Psl,
-        ProtocolKind::Eager,
-    ];
-
-    /// Short display name used in experiment tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            ProtocolKind::NaiveLazy => "NaiveLazy",
-            ProtocolKind::DagWt => "DAG(WT)",
-            ProtocolKind::DagT => "DAG(T)",
-            ProtocolKind::BackEdge => "BackEdge",
-            ProtocolKind::Psl => "PSL",
-            ProtocolKind::Eager => "Eager",
-        }
-    }
-
-    /// True if the protocol requires the copy graph to be a DAG.
-    pub fn requires_dag(self) -> bool {
-        matches!(self, ProtocolKind::DagWt | ProtocolKind::DagT)
-    }
-}
-
 impl StableHash for ProtocolKind {
     fn stable_hash(&self, h: &mut StableHasher) {
         h.write_str(self.name());
     }
-}
-
-/// Propagation-tree shape for DAG(WT)/BackEdge.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum TreeKind {
-    /// The chain over a topological order — what the paper's prototype
-    /// used (§5.1).
-    Chain,
-    /// The general branching tree (§2); expected to dominate the chain.
-    General,
 }
 
 impl StableHash for TreeKind {

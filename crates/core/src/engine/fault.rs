@@ -168,7 +168,7 @@ impl Engine {
 
         if self.params.protocol == ProtocolKind::DagT {
             let gen = self.sites[site.index()].tick_gen;
-            if self.graph.parents(site).next().is_none() {
+            if self.routing.graph.parents(site).next().is_none() {
                 // §3.3: a recovering *source* advances its epoch so every
                 // timestamp it mints after recovery dominates its
                 // pre-crash ones (Def. 3.3 compares epochs first), and the
@@ -185,7 +185,7 @@ impl Engine {
                 debug_assert!(_cmds.is_empty(), "an epoch tick produces no commands");
                 self.queue.push_at(now + self.epoch, Event::EpochTick { site, gen });
             }
-            if self.graph.children(site).next().is_some() {
+            if self.routing.graph.children(site).next().is_some() {
                 self.queue
                     .push_at(now + SimDuration::micros(1), Event::HeartbeatTick { site, gen });
             }

@@ -27,15 +27,15 @@ mod secondary;
 
 use std::sync::Arc;
 
-use repl_copygraph::{BackEdgeSet, CopyGraph, DataPlacement, PropagationTree};
+use repl_copygraph::{BackEdgeSet, DataPlacement, PropagationTree};
 use repl_protocol::{
-    Command as ProtoCommand, Input, Payload, ProtocolError, ProtocolId, SiteMachine,
+    Command as ProtoCommand, Input, Payload, ProtocolError, Routing, RoutingError, SiteMachine,
 };
 use repl_sim::{EventQueue, Network, SimDuration, SimTime};
 use repl_storage::TxnId;
 use repl_types::{GlobalTxnId, ItemId, Op, SiteId, Value};
 
-use crate::config::{ProtocolKind, SimParams, TreeKind, Tuning};
+use crate::config::{ProtocolKind, SimParams, Tuning};
 use crate::history::{History, SerializationCycle};
 use crate::metrics::{Metrics, MetricsSummary};
 use crate::scenario;
@@ -80,6 +80,15 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
+impl From<RoutingError> for BuildError {
+    fn from(e: RoutingError) -> Self {
+        match e {
+            RoutingError::CopyGraphCyclic => BuildError::CopyGraphCyclic,
+            RoutingError::SiteOrderNotTopological => BuildError::SiteOrderNotTopological,
+        }
+    }
+}
+
 /// The outcome of one simulation run.
 #[derive(Clone, Debug)]
 pub struct RunReport {
@@ -97,11 +106,8 @@ pub struct RunReport {
 pub struct Engine {
     pub(crate) params: SimParams,
     pub(crate) placement: Arc<DataPlacement>,
-    pub(crate) graph: Arc<CopyGraph>,
-    /// Propagation tree (DAG(WT)/BackEdge).
-    pub(crate) tree: Option<Arc<PropagationTree>>,
-    /// Backedge set (BackEdge protocol).
-    pub(crate) backedges: Option<BackEdgeSet>,
+    /// Copy graph, propagation tree and backedge set.
+    pub(crate) routing: Routing,
     pub(crate) queue: EventQueue<Event>,
     pub(crate) net: Network,
     pub(crate) sites: Vec<SiteState>,
@@ -136,7 +142,6 @@ impl Engine {
         params: &SimParams,
         programs: Vec<Vec<Vec<Vec<Op>>>>,
     ) -> Result<Self, BuildError> {
-        let graph = CopyGraph::from_placement(placement);
         if programs.len() != placement.num_sites() as usize {
             return Err(BuildError::BadPrograms(format!(
                 "{} sites of programs for {} sites",
@@ -144,42 +149,7 @@ impl Engine {
                 placement.num_sites()
             )));
         }
-
-        // Protocol-specific structure.
-        let mut tree = None;
-        let mut backedges = None;
-        match params.protocol {
-            ProtocolKind::DagWt => {
-                let t = match params.tree {
-                    TreeKind::Chain => PropagationTree::chain(&graph),
-                    TreeKind::General => PropagationTree::general(&graph),
-                }
-                .map_err(|_| BuildError::CopyGraphCyclic)?;
-                tree = Some(t);
-            }
-            ProtocolKind::DagT => {
-                let order = graph.topo_order().ok_or(BuildError::CopyGraphCyclic)?;
-                if order.windows(2).any(|w| w[0] > w[1]) {
-                    // topo_order() is the id-minimal order; if even it is
-                    // not ascending, ids are not topological.
-                    return Err(BuildError::SiteOrderNotTopological);
-                }
-            }
-            ProtocolKind::BackEdge => {
-                let b = BackEdgeSet::by_site_order(&graph);
-                // Build the tree over Gdag plus reversed backedges so
-                // backedge targets are tree ancestors of their sources.
-                let cg = b.augmented_graph(&graph);
-                let t = match params.tree {
-                    TreeKind::Chain => PropagationTree::chain(&cg),
-                    TreeKind::General => PropagationTree::general(&cg),
-                }
-                .expect("augmented constraints of a minimal backedge set are acyclic");
-                tree = Some(t);
-                backedges = Some(b);
-            }
-            ProtocolKind::NaiveLazy | ProtocolKind::Psl | ProtocolKind::Eager => {}
-        }
+        let routing = Routing::build(params.protocol, placement, params.tree)?;
 
         // Sites and stores.
         let mut sites: Vec<SiteState> = programs
@@ -195,19 +165,11 @@ impl Engine {
         // The shared propagation machines (lazy protocols only; PSL and
         // Eager never ship subtransactions).
         let placement = Arc::new(placement.clone());
-        let graph = Arc::new(graph);
-        let tree = tree.map(Arc::new);
-        let machine_protocol = match params.protocol {
-            ProtocolKind::NaiveLazy => Some(ProtocolId::NaiveLazy),
-            ProtocolKind::DagWt => Some(ProtocolId::DagWt),
-            ProtocolKind::DagT => Some(ProtocolId::DagT),
-            ProtocolKind::BackEdge => Some(ProtocolId::BackEdge),
-            ProtocolKind::Psl | ProtocolKind::Eager => None,
-        };
-        if let Some(pid) = machine_protocol {
+        if let Some(pid) = params.protocol.propagation() {
             for s in &mut sites {
-                let m = SiteMachine::new(s.id, pid, placement.clone(), graph.clone(), tree.clone());
-                s.machine = Some(m.expect("engine builds a tree for tree-routed protocols"));
+                let (graph, tree) = (routing.graph.clone(), routing.tree.clone());
+                let m = SiteMachine::new(s.id, pid, placement.clone(), graph, tree);
+                s.machine = Some(m.expect("the routing carries a tree for tree-routed protocols"));
             }
         }
 
@@ -224,9 +186,7 @@ impl Engine {
         let mut engine = Engine {
             params: params.clone(),
             placement,
-            graph,
-            tree,
-            backedges,
+            routing,
             queue: EventQueue::new(),
             net: Network::new(num_sites, params.network_latency),
             sites,
@@ -289,14 +249,14 @@ impl Engine {
             }
         }
         if self.params.protocol == ProtocolKind::DagT {
-            let sources = self.graph.sources();
+            let sources = self.routing.graph.sources();
             for s in sources {
                 self.queue
                     .push_at(SimTime::ZERO + self.epoch, Event::EpochTick { site: s, gen: 0 });
             }
             for s in 0..self.sites.len() as u32 {
                 let site = SiteId(s);
-                if self.graph.children(site).next().is_some() {
+                if self.routing.graph.children(site).next().is_some() {
                     self.queue.push_at(
                         SimTime::ZERO + SimDuration::micros(1),
                         Event::HeartbeatTick { site, gen: 0 },
@@ -588,12 +548,12 @@ impl Engine {
 
     /// The propagation tree, if the protocol uses one.
     pub fn tree(&self) -> Option<&PropagationTree> {
-        self.tree.as_deref()
+        self.routing.tree.as_deref()
     }
 
     /// The backedge set, if the protocol is BackEdge.
     pub fn backedge_set(&self) -> Option<&BackEdgeSet> {
-        self.backedges.as_ref()
+        self.routing.backedges.as_ref()
     }
 
     /// The data placement under simulation.

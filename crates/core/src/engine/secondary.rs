@@ -232,6 +232,7 @@ impl Engine {
             return; // done, or a tick chain orphaned by a crash
         }
         let idle_children: Vec<SiteId> = self
+            .routing
             .graph
             .children(site)
             .filter(|c| {

@@ -1,34 +1,22 @@
-//! Bridge to the `repl-analysis` configuration linter.
-//!
-//! `repl-analysis` sits *below* this crate in the dependency graph, so it
-//! cannot name [`ProtocolKind`]/[`SimParams`] directly; this module maps
-//! them onto the linter's own [`LintConfig`] and offers the two
-//! entry points the engine and the bench harness use:
+//! The engine's entry points to the `repl-analysis` configuration
+//! linter. [`SimParams`] is this crate's, so the translation to the
+//! linter's [`LintConfig`] lives here; the protocol and tree names are
+//! `repl-protocol`'s and pass through unchanged.
 //!
 //! * [`lint`] — run every check, return the raw diagnostics;
 //! * [`assert_clean`] — panic with the rendered findings if any
 //!   error-severity diagnostic fires (warnings pass).
 
-use repl_analysis::{lint_scenario, Diagnostic, LintConfig, LintProtocol, LintTree};
+use repl_analysis::{lint_scenario, Diagnostic, LintConfig};
 use repl_copygraph::DataPlacement;
 
-use crate::config::{ProtocolKind, SimParams, TreeKind};
+use crate::config::SimParams;
 
 /// Translate engine parameters into the linter's configuration.
 pub fn lint_config(params: &SimParams) -> LintConfig {
     LintConfig {
-        protocol: match params.protocol {
-            ProtocolKind::NaiveLazy => LintProtocol::NaiveLazy,
-            ProtocolKind::DagWt => LintProtocol::DagWt,
-            ProtocolKind::DagT => LintProtocol::DagT,
-            ProtocolKind::BackEdge => LintProtocol::BackEdge,
-            ProtocolKind::Psl => LintProtocol::Psl,
-            ProtocolKind::Eager => LintProtocol::Eager,
-        },
-        tree: match params.tree {
-            TreeKind::Chain => LintTree::Chain,
-            TreeKind::General => LintTree::General,
-        },
+        protocol: params.protocol,
+        tree: params.tree,
         network_latency_us: params.network_latency.as_micros(),
         deadlock_timeout_us: params.deadlock_timeout.as_micros(),
         retry_backoff_us: params.retry_backoff.as_micros(),
@@ -61,6 +49,7 @@ pub fn assert_clean(placement: &DataPlacement, params: &SimParams) -> Vec<Diagno
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ProtocolKind;
     use crate::scenario;
     use repl_analysis::Severity;
 

@@ -45,9 +45,10 @@ use crate::wire::{Payload, Subtxn, SubtxnKind};
 
 /// Which propagation protocol a machine runs.
 ///
-/// Only the four *propagation* protocols live here; the PSL and Eager
-/// baselines are synchronous locking schemes with no propagation state
-/// machine and remain simulator-only.
+/// Only the four *propagation* protocols have a machine. The PSL and
+/// Eager baselines are synchronous locking schemes with no propagation
+/// state: their *names* live here too ([`ProtocolKind`]), their logic
+/// stays in the simulator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProtocolId {
     /// Indiscriminate direct propagation (Example 1.1's failure mode).
@@ -87,6 +88,93 @@ impl ProtocolId {
 impl fmt::Display for ProtocolId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// Every protocol a deployment or an experiment can name: the four
+/// propagation protocols and the two baselines that have no machine.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum ProtocolKind {
+    /// Indiscriminate lazy propagation — the commercial-style strawman of
+    /// §1/Example 1.1. **Not serializable**; included to demonstrate the
+    /// anomaly against the checker.
+    NaiveLazy,
+    /// DAG(WT): lazy propagation along a propagation tree, FIFO per
+    /// parent (§2). Requires an acyclic copy graph.
+    DagWt,
+    /// DAG(T): lazy propagation along copy-graph edges, ordered by
+    /// timestamps with epochs (§3). Requires an acyclic copy graph whose
+    /// site numbering is a topological order.
+    DagT,
+    /// BackEdge: eager along backedges, DAG(WT)-lazy elsewhere (§4).
+    /// Handles arbitrary copy graphs.
+    BackEdge,
+    /// Primary-site locking (§5.1): remote S-locks + value shipping for
+    /// replica reads, no explicit propagation. The paper's baseline.
+    Psl,
+    /// Eager read-one-write-all with a commit broadcast (the §1
+    /// motivation for laziness; not in the paper's measurements).
+    Eager,
+}
+
+impl ProtocolKind {
+    /// All protocols, for exhaustive test sweeps.
+    pub const ALL: [ProtocolKind; 6] = [
+        ProtocolKind::NaiveLazy,
+        ProtocolKind::DagWt,
+        ProtocolKind::DagT,
+        ProtocolKind::BackEdge,
+        ProtocolKind::Psl,
+        ProtocolKind::Eager,
+    ];
+
+    /// All protocols that guarantee serializability.
+    pub const SERIALIZABLE: [ProtocolKind; 5] = [
+        ProtocolKind::DagWt,
+        ProtocolKind::DagT,
+        ProtocolKind::BackEdge,
+        ProtocolKind::Psl,
+        ProtocolKind::Eager,
+    ];
+
+    /// Short display name used in experiment tables.
+    pub fn name(self) -> &'static str {
+        match self {
+            ProtocolKind::NaiveLazy => "NaiveLazy",
+            ProtocolKind::DagWt => "DAG(WT)",
+            ProtocolKind::DagT => "DAG(T)",
+            ProtocolKind::BackEdge => "BackEdge",
+            ProtocolKind::Psl => "PSL",
+            ProtocolKind::Eager => "Eager",
+        }
+    }
+
+    /// True if the protocol requires the copy graph to be a DAG.
+    pub fn requires_dag(self) -> bool {
+        matches!(self, ProtocolKind::DagWt | ProtocolKind::DagT)
+    }
+
+    /// The machine this protocol runs on, or `None` for the baselines,
+    /// which never ship a subtransaction.
+    pub fn propagation(self) -> Option<ProtocolId> {
+        match self {
+            ProtocolKind::NaiveLazy => Some(ProtocolId::NaiveLazy),
+            ProtocolKind::DagWt => Some(ProtocolId::DagWt),
+            ProtocolKind::DagT => Some(ProtocolId::DagT),
+            ProtocolKind::BackEdge => Some(ProtocolId::BackEdge),
+            ProtocolKind::Psl | ProtocolKind::Eager => None,
+        }
+    }
+}
+
+impl From<ProtocolId> for ProtocolKind {
+    fn from(id: ProtocolId) -> Self {
+        match id {
+            ProtocolId::NaiveLazy => ProtocolKind::NaiveLazy,
+            ProtocolId::DagWt => ProtocolKind::DagWt,
+            ProtocolId::DagT => ProtocolKind::DagT,
+            ProtocolId::BackEdge => ProtocolKind::BackEdge,
+        }
     }
 }
 
@@ -1048,6 +1136,21 @@ mod tests {
         assert_eq!(ProtocolId::parse("dag-t"), Some(ProtocolId::DagT));
         assert_eq!(ProtocolId::parse("naive"), Some(ProtocolId::NaiveLazy));
         assert_eq!(ProtocolId::parse("eager"), None);
+    }
+
+    /// A protocol with a machine names it under the same name, and the
+    /// baselines have none.
+    #[test]
+    fn every_kind_with_a_machine_round_trips_through_its_id() {
+        for kind in ProtocolKind::ALL {
+            match kind.propagation() {
+                Some(id) => {
+                    assert_eq!(ProtocolKind::from(id), kind);
+                    assert_eq!(id.name(), kind.name());
+                }
+                None => assert!(matches!(kind, ProtocolKind::Psl | ProtocolKind::Eager)),
+            }
+        }
     }
 
     /// Site 1 of a two-site DAG(WT) chain, and two items s0 replicates

@@ -26,8 +26,8 @@
 //! `ProcCluster`, which then pushes the full address map over the client
 //! protocol instead of `--peer` flags.
 //!
-//! A non-empty address map is linted (RA011) before any socket opens;
-//! lint errors abort the process with the rendered diagnostics.
+//! An address map the settings refuse (a host name, a site twice or
+//! missing, two sites at one address) exits 2 before any socket opens.
 
 #![cfg_attr(
     not(test),
@@ -36,7 +36,6 @@
 
 use std::process::ExitCode;
 
-use repl_analysis::{check_address_map, has_errors, render};
 use repl_runtime::config::USAGE;
 use repl_runtime::{serve_epoll, ServeConfig};
 
@@ -57,12 +56,6 @@ fn main() -> ExitCode {
 
 fn run(args: Vec<String>) -> Result<(), String> {
     let cfg = ServeConfig::from_args(args)?;
-    if !cfg.peers.is_empty() {
-        let diags = check_address_map(&cfg.peers, cfg.placement.num_sites());
-        if has_errors(&diags) {
-            return Err(format!("malformed address map:\n{}", render(&diags)));
-        }
-    }
     serve_epoll(cfg).map_err(|e| e.to_string())
 }
 
@@ -99,7 +92,6 @@ mod tests {
         let placement = cfg.placement;
         assert_eq!((placement.num_sites(), placement.num_items()), (3, 3000));
         assert_eq!(Some(placement.to_spec()), spec);
-        assert!(!has_errors(&check_address_map(&cfg.peers, placement.num_sites())));
         assert!(USAGE.contains("SPEC is `sites|primary[:r1,r2][*count]|…`"));
         let usage_example =
             USAGE.split("Example 1.1 is ").nth(1).and_then(|s| s.split(".\n").next());

@@ -14,10 +14,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use repl_copygraph::{BackEdgeSet, CopyGraph, DataPlacement, PropagationTree};
+use repl_copygraph::DataPlacement;
 use repl_core::history::SerializationCycle;
 use repl_net::{cluster_fingerprint, ClientMsg};
-use repl_protocol::ProtocolError;
+use repl_protocol::{ProtocolError, Routing, RoutingError, TreeKind};
 use repl_types::{GlobalTxnId, ItemId, Op, SiteId, Value};
 
 use crate::handle::{io_error, ClusterHandle, Session};
@@ -90,12 +90,8 @@ pub enum ClusterError {
 impl fmt::Display for ClusterError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ClusterError::CopyGraphCyclic => {
-                write!(f, "copy graph is cyclic; DAG protocols need a DAG")
-            }
-            ClusterError::SiteOrderNotTopological => {
-                write!(f, "DAG(T) requires site ids in topological order of the copy graph")
-            }
+            ClusterError::CopyGraphCyclic => RoutingError::CopyGraphCyclic.fmt(f),
+            ClusterError::SiteOrderNotTopological => RoutingError::SiteOrderNotTopological.fmt(f),
             ClusterError::NoCopy(s, i) => write!(f, "site {s} has no copy of {i}"),
             ClusterError::NotPrimary(s, i) => {
                 write!(f, "site {s} does not own the primary copy of {i}")
@@ -126,55 +122,20 @@ impl fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
+impl From<RoutingError> for ClusterError {
+    fn from(e: RoutingError) -> Self {
+        match e {
+            RoutingError::CopyGraphCyclic => ClusterError::CopyGraphCyclic,
+            RoutingError::SiteOrderNotTopological => ClusterError::SiteOrderNotTopological,
+        }
+    }
+}
+
 /// A committed transaction's identity, as returned to the client.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TxnHandle {
     /// Globally unique id of the committed transaction.
     pub gid: GlobalTxnId,
-}
-
-/// The propagation structures a deployment runs on: the copy graph and
-/// (for tree-routed protocols) the propagation tree. Built once per
-/// `repld` process, and once for all the sites of a [`Cluster`].
-pub(crate) struct Structure {
-    pub tree: Option<Arc<PropagationTree>>,
-    pub graph: Arc<CopyGraph>,
-}
-
-/// Validate `placement` for `protocol` and build its routing structure.
-pub(crate) fn build_structure(
-    placement: &DataPlacement,
-    protocol: RuntimeProtocol,
-) -> Result<Structure, ClusterError> {
-    let graph = CopyGraph::from_placement(placement);
-    let tree = match protocol {
-        RuntimeProtocol::DagWt => Some(Arc::new(
-            PropagationTree::chain(&graph).map_err(|_| ClusterError::CopyGraphCyclic)?,
-        )),
-        RuntimeProtocol::NaiveLazy => None,
-        RuntimeProtocol::DagT => {
-            // §3's timestamp construction assumes site ids already form
-            // a topological order — same check as the simulation engine.
-            let order = graph.topo_order().ok_or(ClusterError::CopyGraphCyclic)?;
-            if order.windows(2).any(|w| w[0] > w[1]) {
-                return Err(ClusterError::SiteOrderNotTopological);
-            }
-            None
-        }
-        RuntimeProtocol::BackEdge => {
-            // §4: break cycles with a backedge set, then route lazy
-            // traffic on a tree over the augmented (always acyclic)
-            // constraint graph.
-            let dag = BackEdgeSet::by_site_order(&graph).augmented_graph(&graph);
-            #[expect(
-                clippy::expect_used,
-                reason = "the augmented graph is acyclic by construction"
-            )]
-            let tree = PropagationTree::chain(&dag).expect("augmented constraint graph is acyclic");
-            Some(Arc::new(tree))
-        }
-    };
-    Ok(Structure { tree, graph: Arc::new(graph) })
 }
 
 /// A running in-process replication cluster: one [`Reactor`] per site
@@ -189,7 +150,7 @@ pub struct Cluster {
     /// while it runs (its reactor owns it then).
     parked: Vec<Option<SiteParts>>,
     protocol: RuntimeProtocol,
-    structure: Structure,
+    routing: Routing,
     placement: Arc<DataPlacement>,
     opts: Arc<RuntimeOptions>,
     /// The handshake fingerprint, salted so that no two clusters wire
@@ -246,14 +207,14 @@ impl Cluster {
         options: RuntimeOptions,
     ) -> Result<Self, ClusterError> {
         static CLUSTERS: AtomicU64 = AtomicU64::new(0);
-        let structure = build_structure(placement, protocol)?;
+        let routing = Routing::build(protocol.into(), placement, TreeKind::Chain)?;
         let n = placement.num_sites() as usize;
         let salt = (u64::from(std::process::id()) << 32) | CLUSTERS.fetch_add(1, Ordering::Relaxed);
         let mut cluster = Cluster {
             sites: (0..n).map(|_| None).collect(),
             parked: (0..n).map(|_| Some(SiteParts::new(n))).collect(),
             protocol,
-            structure,
+            routing,
             placement: Arc::new(placement.clone()),
             opts: Arc::new(options),
             fingerprint: cluster_fingerprint(placement.per_item_spec(), protocol.name()) ^ salt,
@@ -271,7 +232,7 @@ impl Cluster {
     /// every live peer is told its address.
     fn boot_site(&mut self, site: SiteId) -> Result<(), ClusterError> {
         let i = site.index();
-        let setup = SiteSetup::new(site, self.protocol, self.placement.clone(), &self.structure)
+        let setup = SiteSetup::new(site, self.protocol, self.placement.clone(), &self.routing)
             .map_err(ClusterError::Protocol)?;
         let peers = self.sites.iter().map(|live| live.as_ref().map(|live| live.addr)).collect();
         let listener =

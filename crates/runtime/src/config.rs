@@ -7,6 +7,7 @@
 //! launcher hands a child. Flags apply over the file wherever they
 //! stand, and `--peer` entries are added to its `[peers]`.
 
+use std::net::SocketAddr;
 use std::num::{IntErrorKind, NonZeroU64, NonZeroUsize, ParseIntError};
 use std::str::FromStr;
 use std::time::Duration;
@@ -325,9 +326,12 @@ impl Draft {
     /// The mandatory-field check, and the settings checked against the
     /// placement.
     fn finish(self) -> Result<ServeConfig, String> {
-        if let (Some(plan), Some(placement)) = (&self.options.nemesis, &self.placement) {
-            plan.check_sites(placement.num_sites())
-                .map_err(|e| format!("bad nemesis spec: {e}"))?;
+        if let Some(placement) = &self.placement {
+            if let Some(plan) = &self.options.nemesis {
+                plan.check_sites(placement.num_sites())
+                    .map_err(|e| format!("bad nemesis spec: {e}"))?;
+            }
+            check_peers(&self.peers, placement.num_sites())?;
         }
         Ok(ServeConfig {
             site: self.site.ok_or("missing site id (--site or `site =` in the config)")?,
@@ -340,10 +344,40 @@ impl Draft {
     }
 }
 
+/// Refuse an address map a site would dial wrongly: an address that is
+/// not an IP and a port, a site listed twice or outside the placement,
+/// two sites at one address (a site could dial itself), and — once any
+/// peer is given — a site with none, whose peers would wait for it
+/// forever.
+fn check_peers(peers: &AddressMap, sites: u32) -> Result<(), String> {
+    let mut addrs: Vec<Option<SocketAddr>> = vec![None; sites as usize];
+    for (site, addr) in peers.iter() {
+        let parsed = addr.parse().map_err(|_| {
+            format!("peer {} address {addr:?} is not an IP address and a port", site.0)
+        })?;
+        match addrs.get(site.index()) {
+            None => return Err(format!("peer {} is outside a {sites}-site placement", site.0)),
+            Some(Some(_)) => return Err(format!("peer {} is given more than one address", site.0)),
+            Some(None) => {}
+        }
+        if let Some(other) = addrs.iter().position(|a| *a == Some(parsed)) {
+            return Err(format!("peers {other} and {} share address {addr:?}", site.0));
+        }
+        addrs[site.index()] = Some(parsed);
+    }
+    match addrs.iter().position(Option::is_none) {
+        Some(missing) if !peers.is_empty() => {
+            Err(format!("peer {missing} has no address; its peers could never dial it"))
+        }
+        _ => Ok(()),
+    }
+}
+
 impl ServeConfig {
     /// Parse `repld`'s command line (without the program name): an
     /// optional `--config FILE`, flags over it, then the check that
-    /// site, listen address, protocol and placement are all given.
+    /// site, listen address, protocol and placement are all given, and
+    /// the nemesis plan and address map checked against the placement.
     pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<ServeConfig, String> {
         Draft::from_args(args)?.finish()
     }
@@ -384,6 +418,8 @@ fn unquote(value: &str) -> Option<&str> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     use super::*;
     use crate::Tuning;
 
@@ -604,6 +640,66 @@ mod tests {
         );
         assert_eq!(cfg.placement.to_spec(), placement);
         assert!(cfg.peers.is_empty());
+    }
+
+    /// Site 0 of a two-site placement, with `peers` given once as
+    /// `--peer` flags and once as the `[peers]` table of a `--config`
+    /// file.
+    fn with_peers(peers: &[(u32, &str)]) -> [Result<ServeConfig, String>; 2] {
+        static FILES: AtomicUsize = AtomicUsize::new(0);
+        let head = ["--site", "0", "--listen", "127.0.0.1:0", "--protocol", "dagwt"];
+        let head = head.into_iter().chain(["--placement", "2|0:1|1"]).map(String::from);
+        let flags =
+            peers.iter().flat_map(|(site, addr)| ["--peer".into(), format!("{site}={addr}")]);
+        let by_flag = ServeConfig::from_args(head.clone().chain(flags));
+        let n = FILES.fetch_add(1, Ordering::Relaxed);
+        let path =
+            std::env::temp_dir().join(format!("repld-peers-{}-{n}.toml", std::process::id()));
+        let table: String =
+            peers.iter().map(|(site, addr)| format!("{site} = \"{addr}\"\n")).collect();
+        std::fs::write(&path, format!("[peers]\n{table}")).unwrap();
+        let by_key =
+            ServeConfig::from_args(head.chain(["--config".into(), path.to_str().unwrap().into()]));
+        std::fs::remove_file(&path).unwrap();
+        [by_flag, by_key]
+    }
+
+    #[test]
+    fn a_well_formed_address_map_is_accepted() {
+        for cfg in with_peers(&[(0, "127.0.0.1:7100"), (1, "127.0.0.1:7101")]) {
+            assert_eq!(cfg.unwrap().peers.get(SiteId(1)), Some("127.0.0.1:7101"));
+        }
+        for cfg in with_peers(&[]) {
+            assert!(cfg.unwrap().peers.is_empty(), "a launcher pushes the map later");
+        }
+    }
+
+    /// An address map a site would dial wrongly is refused where it is
+    /// parsed, under either spelling, by an error that names the peer.
+    #[test]
+    fn a_malformed_address_map_is_refused_under_both_spellings() {
+        const OK: (u32, &str) = (0, "127.0.0.1:7100");
+        let mut cases = vec![
+            (
+                vec![OK, (1, "127.0.0.1:7101"), (1, "127.0.0.1:7199")],
+                "peer 1 is given more than one address",
+            ),
+            (
+                vec![OK, (1, "127.0.0.1:7101"), (9, "127.0.0.1:7109")],
+                "peer 9 is outside a 2-site placement",
+            ),
+            (vec![OK], "peer 1 has no address"),
+            (vec![OK, (1, "127.0.0.1:7100")], "peers 0 and 1 share address \"127.0.0.1:7100\""),
+        ];
+        for bad in ["localhost", ":7100", "host:", "host:notaport", "host:99999", "a:1"] {
+            cases.push((vec![OK, (1, bad)], "is not an IP address and a port"));
+        }
+        for (peers, needle) in cases {
+            for cfg in with_peers(&peers) {
+                let err = cfg.map(drop).unwrap_err();
+                assert!(err.contains(needle), "{peers:?}: {err:?} missing {needle:?}");
+            }
+        }
     }
 
     /// `USAGE` and the table name the same flags: every setting appears

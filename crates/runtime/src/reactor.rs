@@ -93,10 +93,11 @@ use repl_net::{
     cluster_fingerprint, negotiate, ClientMsg, ClientReply, ExecError, FrameReader, Hello,
     HelloAck, NetError, WireMsg, VERSION_MAX, VERSION_MIN,
 };
+use repl_protocol::{Routing, TreeKind};
 use repl_types::{AddressMap, GlobalTxnId, Op, SiteId};
 
 use crate::census::{census_line, CENSUS};
-use crate::cluster::{build_structure, ClusterError, RuntimeProtocol};
+use crate::cluster::{ClusterError, RuntimeProtocol};
 use crate::link::{link_marks, WriteBuf};
 use crate::nemesis::ChaosWire;
 use crate::policy::{dial_delay, RuntimeOptions};
@@ -179,9 +180,9 @@ pub struct ServeConfig {
     /// ephemerally — the bound address is printed to stdout for
     /// launchers to harvest.
     pub listen: String,
-    /// Peer addresses, each an IP and a port. May be incomplete (even
-    /// empty) at start; a launcher can push the full map later with
-    /// [`ClientMsg::Peers`].
+    /// Peer addresses, each an IP and a port. May be empty at start
+    /// ([`ServeConfig::from_args`] refuses an incomplete map); a
+    /// launcher can push the full map later with [`ClientMsg::Peers`].
     pub peers: AddressMap,
     /// Timing/bound knobs, including the optional nemesis plan
     /// (`repld --nemesis`). [`RuntimeOptions::default`] for a clean
@@ -216,8 +217,8 @@ fn socket_addr(addr: &str) -> Result<SocketAddr, String> {
 /// connections until a client sends [`ClientMsg::Shutdown`].
 pub fn serve_epoll(cfg: ServeConfig) -> io::Result<()> {
     let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidInput, e);
-    let structure =
-        build_structure(&cfg.placement, cfg.protocol).map_err(|e| invalid(e.to_string()))?;
+    let routing = Routing::build(cfg.protocol.into(), &cfg.placement, TreeKind::Chain)
+        .map_err(|e| invalid(e.to_string()))?;
     let n = cfg.placement.num_sites() as usize;
     if cfg.site.index() >= n {
         return Err(invalid("site id out of range".into()));
@@ -235,7 +236,7 @@ pub fn serve_epoll(cfg: ServeConfig) -> io::Result<()> {
     let fingerprint = cluster_fingerprint(cfg.placement.per_item_spec(), cfg.protocol.name());
     // The one copy of the placement in this process.
     let placement = Arc::new(cfg.placement);
-    let setup = SiteSetup::new(cfg.site, cfg.protocol, placement, &structure)
+    let setup = SiteSetup::new(cfg.site, cfg.protocol, placement, &routing)
         .map_err(|e| invalid(e.to_string()))?;
     let (opts, stop) = (Arc::new(cfg.options), Arc::default());
     let listener = Listener::bind(listen)?;

@@ -23,13 +23,13 @@ use std::time::{Duration, Instant};
 use repl_copygraph::DataPlacement;
 use repl_net::{frame_state_page_into, HistoryLog, Payload, PAGE_BYTES};
 use repl_protocol::{
-    destinations, planned_writes, Command as ProtoCommand, Input, ProtocolError, SiteMachine,
-    Timestamp, Tuning,
+    destinations, planned_writes, Command as ProtoCommand, Input, ProtocolError, Routing,
+    SiteMachine, Timestamp, Tuning,
 };
 use repl_storage::{recover, CommitPipeline, Store};
 use repl_types::{GlobalTxnId, ItemId, Op, OpKind, SiteId, Value};
 
-use crate::cluster::{ClusterError, RuntimeProtocol, Structure};
+use crate::cluster::{ClusterError, RuntimeProtocol};
 use crate::durable::DurableSite;
 use crate::link::{LinkState, Links};
 use crate::policy::{RuntimeOptions, REPLAY_PERIOD};
@@ -152,7 +152,7 @@ impl SiteSetup {
         id: SiteId,
         protocol: RuntimeProtocol,
         placement: Arc<DataPlacement>,
-        Structure { graph, tree }: &Structure,
+        Routing { graph, tree, .. }: &Routing,
     ) -> Result<Self, ProtocolError> {
         let dagt_children =
             (protocol == RuntimeProtocol::DagT).then(|| graph.children(id).collect());
@@ -730,11 +730,10 @@ fn cell(store: &Store, item: ItemId) -> (ItemId, Value, Option<GlobalTxnId>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::build_structure;
     use crate::handle::join_state_pages;
     use crate::transport::Direct;
     use repl_net::{decode_cells, decode_framed, encode_cells, ClientReply, FrameReader, WireMsg};
-    use repl_protocol::SubtxnKind;
+    use repl_protocol::{ProtocolKind, SubtxnKind, TreeKind};
 
     /// The frames `site` sent since the last look: each peer's log
     /// flushed to a socket that takes everything, decoded.
@@ -764,10 +763,11 @@ mod tests {
         placement.add_run(SiteId(0), &[SiteId(1), SiteId(2)], 1);
         placement.add_run(SiteId(1), &[SiteId(2)], 1);
         placement.add_run(SiteId(2), &[], 1);
-        let structure = build_structure(&placement, protocol).expect("chain3 is a DAG");
+        let routing =
+            Routing::build(protocol.into(), &placement, TreeKind::Chain).expect("chain3 is a DAG");
         let placement = Arc::new(placement);
         [0, 1].map(|s| {
-            SiteSetup::new(SiteId(s), protocol, placement.clone(), &structure)
+            SiteSetup::new(SiteId(s), protocol, placement.clone(), &routing)
                 .expect("chain3 site")
                 .into_core(SiteParts::new(3), Box::new(Direct), Arc::default())
         })
@@ -829,10 +829,11 @@ mod tests {
         placement.add_run(SiteId(1), &[SiteId(2)], 1);
         placement.add_run(SiteId(2), &[SiteId(0)], 1);
         let protocol = RuntimeProtocol::BackEdge;
-        let structure = build_structure(&placement, protocol).expect("BackEdge takes any graph");
+        let routing = Routing::build(protocol.into(), &placement, TreeKind::Chain)
+            .expect("BackEdge takes any graph");
         let (placement, opts) = (Arc::new(placement), Arc::new(opts));
         [0, 1, 2].map(|s| {
-            SiteSetup::new(SiteId(s), protocol, placement.clone(), &structure)
+            SiteSetup::new(SiteId(s), protocol, placement.clone(), &routing)
                 .expect("ring3 site")
                 .into_core(SiteParts::new(3), Box::new(Direct), opts.clone())
         })
@@ -950,9 +951,9 @@ mod tests {
         const INTS: u32 = 1000;
         let mut placement = DataPlacement::new(1);
         placement.add_run(SiteId(0), &[], INTS + 20);
-        let structure = build_structure(&placement, RuntimeProtocol::DagWt).unwrap();
+        let routing = Routing::build(ProtocolKind::DagWt, &placement, TreeKind::Chain).unwrap();
         let mut site =
-            SiteSetup::new(SiteId(0), RuntimeProtocol::DagWt, placement.into(), &structure)
+            SiteSetup::new(SiteId(0), RuntimeProtocol::DagWt, placement.into(), &routing)
                 .unwrap()
                 .into_core(SiteParts::new(1), Box::new(Direct), Arc::default());
         for i in 0..INTS + 20 {

@@ -4,10 +4,10 @@
 //! a map from site id to a `host:port` string (`repld` itself takes only
 //! an IP address for the host, and resolves no names). The map is a
 //! plain sorted vector rather than a hash map so iteration order is
-//! deterministic and duplicate entries remain *representable* — the
-//! `repl-analysis` RA011 lint wants to see malformed maps (duplicate
-//! site ids, duplicate addresses, missing peers) as data, not have them
-//! silently collapsed by insertion.
+//! deterministic and duplicate entries remain *representable* — `repld`'s
+//! settings check wants to see malformed maps (duplicate site ids,
+//! duplicate addresses, missing peers) as data, to refuse them, not have
+//! them silently collapsed by insertion.
 //!
 //! Addresses are kept as strings: this crate (and everything below
 //! `repl-runtime`) stays free of `std::net` sockets, which the
@@ -28,7 +28,7 @@ impl AddressMap {
     }
 
     /// Add an entry. Keeps the map sorted by site id; duplicates are
-    /// retained (the linter flags them, [`AddressMap::get`] returns the
+    /// retained (`repld` refuses them, [`AddressMap::get`] returns the
     /// first).
     pub fn insert(&mut self, site: SiteId, addr: impl Into<String>) {
         let addr = addr.into();

@@ -8,8 +8,8 @@
 //! then receives a replica with probability `s`.
 //!
 //! The induced copy graph treats an edge `si → sj` with `j < i` as a
-//! backedge, exactly the convention the BackEdge implementation in
-//! `repl-core` uses ([`repl_copygraph::BackEdgeSet::by_site_order`]).
+//! backedge, exactly the convention every executor's BackEdge routing
+//! uses (`repl_protocol::Routing::build`).
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

@@ -11,8 +11,9 @@ It builds release `replbench` (and puts `benchmark/Cargo.lock` back, as
 `tools/ci.sh` does) and a probe `repld` under `target/hot_text`: the
 release link with every `.rodata` input section on a page of its own,
 so a page read names the section read. Then it runs every workload of
-BENCHMARK.json for 2 s with `--trace 0` and `--trace 1`. Each `repld`
-the harness starts runs under a ptrace tracer that
+BENCHMARK.json for 2 s with `--trace 0` and `--trace 1`, in two passes
+(`PASSES`). Each `repld` the harness starts runs under a ptrace tracer
+that
 
 * sets a one-shot `int3` on every function of its `.text` and records
   the ones hit;
@@ -24,8 +25,8 @@ the harness starts runs under a ptrace tracer that
   window, and the pages resident when the site exits are the ones it
   read.
 
-The file is the union of first hits over every site process and glibc's
-mmap allocation path (`MMAP_PATH`, which a run takes or not by how far
+The file is the union of first hits over every site process of both
+passes and glibc's mmap allocation path (`MMAP_PATH`, which a run takes or not by how far
 its buffers grow), sorted by name, then every IFUNC sibling of an
 executed string function
 (`__memmove_evex_…` beside `__memmove_avx_…`), so a CPU that resolves a
@@ -35,7 +36,9 @@ follow the named symbols of the `.rodata` input sections a site read
 constants, merged strings, literal pools and jump tables have no names;
 `repld.ld` places them first wholesale, and the tool lists any other
 section read without a name, for `repld.ld` to name. The same traces
-give the same file.
+give the same file. Timing decides a few names (a connect's error path,
+a drop the last frame of a run takes or not), so one pass can miss what
+the other hits; the tool prints every name the passes disagree on.
 
 Python 3 standard library only (ptrace through ctypes, symbols from
 `nm`); x86_64 Linux. A maintenance tool: cargo, the tests and the
@@ -61,9 +64,10 @@ import traceback
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ORDER = os.path.join(ROOT, "crates", "runtime", "repld.order")
-# Every run's `replbench --seed` and `--seconds`. Ten runs start 195
-# site processes; two tool runs on one tree differ by a name or none.
-SEED, SECONDS = 1, 2
+# Every run's `replbench --seed` and `--seconds`. A pass is ten runs
+# (195 site processes); two passes on one tree differ by a name or none,
+# and the file is their union.
+SEED, SECONDS, PASSES = 1, 2, 2
 
 PTRACE_PEEKUSER = 3
 PTRACE_POKEUSER = 6
@@ -485,27 +489,19 @@ def main():
         segment, by_addr, sizes = symbols(repld)
         rodata = read_only_segment(repld)
         sections = input_sections(probe_map, *rodata)
-        with open(os.path.join(outdir, "symbols.json"), "w") as f:
-            json.dump({"segment": segment, "rodata": rodata, "addrs": sorted(by_addr)}, f)
-        env = dict(os.environ, REPLD_BIN=os.path.abspath(__file__), HOT_TEXT_REPLD=repld, HOT_TEXT_DIR=outdir)
-        for workload in workloads:
-            for traced in ("0", "1"):
-                cmd = [replbench, "--workload", workload, "--seed", str(SEED)]
-                cmd += ["--seconds", str(SECONDS), "--trace", traced]
-                print(f"hot_text: {' '.join(cmd[1:])}", file=sys.stderr)
-                done = subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL)
-                if done.returncode != 0:
-                    # Traced sites are slow to their first hits, and an open-loop
-                    # run can miss its offered rate; the sites ran all the same.
-                    print(f"hot_text: replbench exited {done.returncode}; its traces are kept", file=sys.stderr)
-        runs = wait_for_tracers(outdir)
-        hit, touched = set(), set()
-        for run in runs:
-            with open(os.path.join(outdir, f"{run}.hits")) as f:
-                hit.update(int(line) for line in f)
-            with open(os.path.join(outdir, f"{run}.pages")) as f:
-                touched.update(int(line) for line in f)
-
+        table = {"segment": segment, "rodata": rodata, "addrs": sorted(by_addr)}
+        passes = [trace_pass(n, outdir, table, repld, replbench, workloads) for n in range(PASSES)]
+    runs = sum(len(r) for r, _, _ in passes)
+    hit = set().union(*(h for _, h, _ in passes))
+    touched = set().union(*(t for _, _, t in passes))
+    per_pass = [
+        ("function", [{name for addr in h for name in by_addr[addr]} for _, h, _ in passes]),
+        ("data", [set(hot_data(sections, t)[0]) for _, _, t in passes]),
+    ]
+    for kind, names in per_pass:
+        for name in sorted(set.union(*names) - set.intersection(*names)):
+            seen = ", ".join(str(n + 1) for n, pass_names in enumerate(names) if name in pass_names)
+            print(f"hot_text: {kind} {name}: pass {seen} only", file=sys.stderr)
     executed = {name for addr in hit for name in by_addr[addr]}
     executed |= {name for name in MMAP_PATH if name in sizes}
     siblings = ifunc_siblings(executed, sizes)
@@ -514,8 +510,8 @@ def main():
         f.write(
             "# The functions a `repld` site executes, placed first in its .text by\n"
             "# the release link (crates/runtime/build.rs). Generated by\n"
-            "# `python3 tools/hot_text.py`: the union of first hits over every\n"
-            "# BENCHMARK.json workload at --trace 0 and 1, sorted by name.\n"
+            "# `python3 tools/hot_text.py`: the union of first hits over two passes\n"
+            "# of every BENCHMARK.json workload at --trace 0 and 1, sorted by name.\n"
         )
         f.write("".join(f"{n}\n" for n in sorted(executed)))
         f.write("# IFUNC siblings of the executed string functions.\n")
@@ -527,7 +523,7 @@ def main():
         f.write("".join(f"{n}\n" for n in data))
     kb = lambda names: sum(sizes[n] for n in names) / 1024
     print(
-        f"hot_text: {len(runs)} site processes; {len(hit)} functions executed "
+        f"hot_text: {runs} site processes; {len(hit)} functions executed "
         f"({len(executed)} names, {sum(sizes[by_addr[a][0]] for a in hit) / 1024:.0f} kB), "
         f"{len(siblings)} IFUNC siblings ({kb(siblings):.0f} kB); "
         f"{len(data)} data names -> {os.path.relpath(ORDER, ROOT)}",
@@ -545,6 +541,34 @@ def main():
             print(f"hot_text: read {desc} ({size} B): its pages {pages}", file=sys.stderr)
     for desc in unnamed:
         print(f"hot_text: read, no name to order by: {desc}", file=sys.stderr)
+
+
+def trace_pass(n, outdir, table, repld, replbench, workloads):
+    """Run every workload under the tracer once, in a directory of its
+    own; return the pass's site pids, function hits and read pages."""
+    passdir = os.path.join(outdir, f"pass{n + 1}")
+    os.mkdir(passdir)
+    with open(os.path.join(passdir, "symbols.json"), "w") as f:
+        json.dump(table, f)
+    env = dict(os.environ, REPLD_BIN=os.path.abspath(__file__), HOT_TEXT_REPLD=repld, HOT_TEXT_DIR=passdir)
+    for workload in workloads:
+        for traced in ("0", "1"):
+            cmd = [replbench, "--workload", workload, "--seed", str(SEED)]
+            cmd += ["--seconds", str(SECONDS), "--trace", traced]
+            print(f"hot_text: pass {n + 1}: {' '.join(cmd[1:])}", file=sys.stderr)
+            done = subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL)
+            if done.returncode != 0:
+                # Traced sites are slow to their first hits, and an open-loop
+                # run can miss its offered rate; the sites ran all the same.
+                print(f"hot_text: replbench exited {done.returncode}; its traces are kept", file=sys.stderr)
+    runs = wait_for_tracers(passdir)
+    hit, touched = set(), set()
+    for run in runs:
+        with open(os.path.join(passdir, f"{run}.hits")) as f:
+            hit.update(int(line) for line in f)
+        with open(os.path.join(passdir, f"{run}.pages")) as f:
+            touched.update(int(line) for line in f)
+    return runs, hit, touched
 
 
 def wait_for_tracers(outdir, timeout_s=30):
