@@ -49,6 +49,21 @@ pub struct History {
     version_of: BTreeMap<(GlobalTxnId, ItemId), u64>,
 }
 
+/// A history from `(gid, reads, writes)` commits in commit order — the
+/// shape a live site's history pages carry (`repl_net::HistoryTxn`).
+impl FromIterator<(GlobalTxnId, Vec<(ItemId, Option<GlobalTxnId>)>, Vec<ItemId>)> for History {
+    fn from_iter<I>(commits: I) -> Self
+    where
+        I: IntoIterator<Item = (GlobalTxnId, Vec<(ItemId, Option<GlobalTxnId>)>, Vec<ItemId>)>,
+    {
+        let mut history = History::new();
+        for (gid, reads, writes) in commits {
+            history.record_commit(gid, reads, writes);
+        }
+        history
+    }
+}
+
 /// A serializability violation: a cycle in the serialization graph.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SerializationCycle {

@@ -844,15 +844,15 @@ impl World {
     /// snapshotting every copy a reader there could get a lock on — all
     /// but those a prepared special still holds.
     fn observed_history(&self) -> History {
-        let mut h = History::new();
-        for log in &self.commit_log {
-            for gid in log {
-                let t = &self.fleet.txn_info[gid];
+        let mut h: History = self
+            .commit_log
+            .iter()
+            .flatten()
+            .map(|gid| {
                 let reads = self.txn_reads.get(gid).cloned().unwrap_or_default();
-                let writes: Vec<ItemId> = t.writes.iter().map(|(i, _)| *i).collect();
-                h.record_commit(*gid, reads, writes);
-            }
-        }
+                (*gid, reads, self.fleet.txn_info[gid].writes.iter().map(|(i, _)| *i).collect())
+            })
+            .collect();
         for s in 0..self.num_sites() {
             let site = SiteId(s as u32);
             let reads: Vec<(ItemId, Option<GlobalTxnId>)> = self

@@ -14,7 +14,9 @@
 //!
 //! Per-cell metrics (commits, backpressure retries, post-heal recovery
 //! time, convergence and serializability verdicts) are appended to a
-//! JSON report (`--out`, default `BENCH_chaos.json`). Any cell that
+//! JSON report (`--out`, default `BENCH_chaos.json`), and not to stdout:
+//! recovery times are wall-clock, while every experiment's stdout is
+//! the same from run to run. Any cell that
 //! fails a check turns the exit status nonzero after the report is
 //! written.
 //!
@@ -26,6 +28,7 @@
 
 use std::time::{Duration, Instant};
 
+use repl_analysis::history::History;
 use repl_copygraph::DataPlacement;
 use repl_runtime::{
     repld_bin, Cluster, ClusterError, ClusterHandle, LaunchOptions, NetFaultPlan, ProcCluster,
@@ -164,7 +167,6 @@ pub fn main(args: &[String]) -> Result<(), Failure> {
 
     let json = render_json(&cells, &cfg);
     std::fs::write(&cfg.out, &json).map_err(|e| format!("cannot write {}: {e}", cfg.out))?;
-    println!("{json}");
     eprintln!("chaos_soak: wrote {}", cfg.out);
     if cells.iter().any(|c| !c.converged || !c.serializable) {
         return Err(Failure::Error(
@@ -236,7 +238,8 @@ fn measure(
         );
     }
 
-    let serializable = handle.check_serializability().map_err(|e| e.to_string())?.is_ok();
+    let history = History::from_iter(handle.history().map_err(|e| e.to_string())?);
+    let serializable = history.check_serializability().is_ok();
 
     Ok(CellReport {
         protocol: proto_name,

@@ -88,7 +88,7 @@ mod tests {
         assert_eq!(args[0], "repld");
         let spec = args.iter().skip_while(|arg| *arg != "--placement").nth(1).cloned();
         let cfg = ServeConfig::from_args(args.into_iter().skip(1)).unwrap();
-        assert_eq!((cfg.site, cfg.peers.len()), (SiteId(0), 3));
+        assert_eq!((cfg.site, cfg.peers.iter().flatten().count()), (SiteId(0), 3));
         let placement = cfg.placement;
         assert_eq!((placement.num_sites(), placement.num_items()), (3, 3000));
         assert_eq!(Some(placement.to_spec()), spec);

@@ -15,7 +15,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use repl_copygraph::DataPlacement;
-use repl_core::history::SerializationCycle;
 use repl_net::{cluster_fingerprint, ClientMsg};
 use repl_protocol::{ProtocolError, Routing, RoutingError, TreeKind};
 use repl_types::{GlobalTxnId, ItemId, Op, SiteId, Value};
@@ -395,13 +394,6 @@ impl Cluster {
         self.parked(site).map(|parts| parts.durable.wal.encode())
     }
 
-    /// Run the one-copy-serializability oracle over everything committed
-    /// so far, crashed sites' commits included
-    /// ([`ClusterHandle::check_serializability`]).
-    pub fn check_serializability(&self) -> Result<(), SerializationCycle> {
-        answered(ClusterHandle::check_serializability(self))
-    }
-
     /// Number of transactions committed so far, crashed sites' included.
     pub fn committed_count(&self) -> usize {
         answered(ClusterHandle::committed_count(self))
@@ -452,7 +444,7 @@ impl SiteClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use repl_core::scenario;
+    use repl_core::{scenario, History};
 
     #[test]
     fn basic_write_propagates() {
@@ -464,7 +456,7 @@ mod tests {
         for site in [SiteId(0), SiteId(1), SiteId(2)] {
             assert_eq!(cluster.peek(site, a).unwrap().0, Value::int(5));
         }
-        assert!(cluster.check_serializability().is_ok());
+        assert!(History::from_iter(cluster.history().unwrap()).check_serializability().is_ok());
         cluster.shutdown();
     }
 
@@ -531,7 +523,7 @@ mod tests {
         cluster.restart(SiteId(1)).unwrap();
         cluster.execute(SiteId(1), vec![Op::write(ItemId(1), 9)]).unwrap();
         cluster.quiesce();
-        assert!(cluster.check_serializability().is_ok());
+        assert!(History::from_iter(cluster.history().unwrap()).check_serializability().is_ok());
         cluster.shutdown();
     }
 
@@ -607,7 +599,7 @@ mod tests {
             assert!(resident <= SEGMENT_BYTES);
         }
         cluster.quiesce();
-        assert!(cluster.check_serializability().is_ok());
+        assert!(History::from_iter(cluster.history().unwrap()).check_serializability().is_ok());
         cluster.shutdown();
     }
 

@@ -13,8 +13,8 @@ use std::str::FromStr;
 use std::time::Duration;
 
 use repl_copygraph::DataPlacement;
-use repl_core::deploy::{removed_batching_knob, ReactorKind};
-use repl_types::{AddressMap, SiteId};
+use repl_protocol::{Routing, TreeKind};
+use repl_types::SiteId;
 
 use crate::{LaunchOptions, NetFaultPlan, RuntimeOptions, RuntimeProtocol, ServeConfig};
 
@@ -54,10 +54,12 @@ transaction at a time and sends one frame per payload.";
 #[derive(Debug, Default)]
 struct Draft {
     site: Option<SiteId>,
-    listen: Option<String>,
+    listen: Option<SocketAddr>,
     protocol: Option<RuntimeProtocol>,
     placement: Option<DataPlacement>,
-    peers: AddressMap,
+    /// In the order given, a site twice included: [`check_peers`]
+    /// refuses that once the placement is known.
+    peers: Vec<(SiteId, SocketAddr)>,
     options: RuntimeOptions,
 }
 
@@ -114,9 +116,8 @@ const SETTINGS: &[Setting] = &[
     Setting {
         key: "listen",
         form: Form::Quoted,
-        set: |d, _, v| {
-            d.listen = Some(v.to_string());
-            Ok(())
+        set: |d, name, v| {
+            socket_addr(v).map(|a| d.listen = Some(a)).map_err(|e| format!("{name} {e}"))
         },
         // Port 0: the child binds ephemerally and announces the address.
         launch: |_| Some("127.0.0.1:0".to_string()),
@@ -234,13 +235,68 @@ fn positive<T: FromStr<Err = ParseIntError>>(name: &str, v: &str, zero: &str) ->
     })
 }
 
+/// Parse a listen or peer address: an IP literal and a port. A host
+/// name is refused, not resolved — resolving would block the site's one
+/// thread on the system resolver at every dial.
+pub(crate) fn socket_addr(addr: &str) -> Result<SocketAddr, String> {
+    addr.parse().map_err(|_| format!("address {addr:?} is not an IP address and a port"))
+}
+
+/// The I/O driver a `repld` process runs its site on. There is one:
+/// the thread-per-connection driver was removed (it was an order of
+/// magnitude behind on every benchmark workload; DESIGN.md §11.3).
+/// The type and `repld --reactor epoll` remain only because
+/// `benchmark/` names them (as `repl_core::deploy::ReactorKind`); they
+/// go with the benchmark's own `--reactor` flag.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub enum ReactorKind {
+    /// A single-threaded nonblocking epoll readiness loop owning every
+    /// connection.
+    #[default]
+    Epoll,
+}
+
+impl ReactorKind {
+    /// Parse a config/flag spelling.
+    pub fn parse(s: &str) -> Result<ReactorKind, String> {
+        match s.trim().to_ascii_lowercase().as_str() {
+            "epoll" | "reactor" => Ok(ReactorKind::Epoll),
+            "threads" | "thread" | "blocking" => Err(format!(
+                "reactor {s:?} was removed in PR 21: epoll is the only TCP driver \
+                 (drop the setting, or say \"epoll\")"
+            )),
+            other => Err(format!("unknown reactor {other:?} (expected \"epoll\")")),
+        }
+    }
+
+    /// The canonical flag spelling (what `--reactor` accepts back).
+    pub fn name(self) -> &'static str {
+        match self {
+            ReactorKind::Epoll => "epoll",
+        }
+    }
+}
+
+/// The refusal for a removed live batching knob, by the spelling it was
+/// asked for under (`link_batch`, `--apply-pool`, …): the settings
+/// table answers a file key, a flag and a `ProcCluster` launch with this
+/// one message.
+fn removed_batching_knob(name: &str) -> String {
+    format!(
+        "{name} was removed in PR 23: link batching and the apply window were removed from \
+         `repld` in PR 23 and from the simulator in PR 33; a site applies one transaction at \
+         a time and sends one frame per payload (drop the setting)"
+    )
+}
+
 impl Draft {
     /// Add one `[peers]` entry or `--peer` flag, as `N=IP:PORT`.
     fn peer(&mut self, name: &str, v: &str) -> Result<(), String> {
         let (site, addr) =
             v.split_once('=').ok_or_else(|| format!("{name} wants N=IP:PORT, got {v:?}"))?;
         let id = site.parse().map_err(|_| format!("peer key {site:?} is not a site id"))?;
-        self.peers.insert(SiteId(id), addr);
+        let addr = socket_addr(addr).map_err(|e| format!("peer {id} {e}"))?;
+        self.peers.push((SiteId(id), addr));
         Ok(())
     }
 
@@ -324,52 +380,53 @@ impl Draft {
     }
 
     /// The mandatory-field check, and the settings checked against the
-    /// placement.
+    /// placement: the site id, the nemesis plan, the address map and the
+    /// protocol's routing.
     fn finish(self) -> Result<ServeConfig, String> {
-        if let Some(placement) = &self.placement {
-            if let Some(plan) = &self.options.nemesis {
-                plan.check_sites(placement.num_sites())
-                    .map_err(|e| format!("bad nemesis spec: {e}"))?;
-            }
-            check_peers(&self.peers, placement.num_sites())?;
+        let site = self.site.ok_or("missing site id (--site or `site =` in the config)")?;
+        let listen = self.listen.ok_or("missing listen address (--listen)")?;
+        let protocol = self.protocol.ok_or("missing protocol (--protocol)")?;
+        let placement = self.placement.ok_or("missing placement (--placement)")?;
+        let sites = placement.num_sites();
+        if site.0 >= sites {
+            return Err(format!("site {} is outside a {sites}-site placement", site.0));
         }
-        Ok(ServeConfig {
-            site: self.site.ok_or("missing site id (--site or `site =` in the config)")?,
-            listen: self.listen.ok_or("missing listen address (--listen)")?,
-            protocol: self.protocol.ok_or("missing protocol (--protocol)")?,
-            placement: self.placement.ok_or("missing placement (--placement)")?,
-            peers: self.peers,
-            options: self.options,
-        })
+        if let Some(plan) = &self.options.nemesis {
+            plan.check_sites(sites).map_err(|e| format!("bad nemesis spec: {e}"))?;
+        }
+        let peers = check_peers(&self.peers, sites)?;
+        let routing = Routing::build(protocol.into(), &placement, TreeKind::Chain)
+            .map_err(|e| format!("protocol {} cannot run this placement: {e}", protocol.name()))?;
+        Ok(ServeConfig { site, listen, protocol, placement, routing, peers, options: self.options })
     }
 }
 
-/// Refuse an address map a site would dial wrongly: an address that is
-/// not an IP and a port, a site listed twice or outside the placement,
-/// two sites at one address (a site could dial itself), and — once any
-/// peer is given — a site with none, whose peers would wait for it
-/// forever.
-fn check_peers(peers: &AddressMap, sites: u32) -> Result<(), String> {
+/// The peer table a site dials from, indexed by site: refused when a
+/// site would dial wrongly — a site listed twice or outside the
+/// placement, two sites at one address (a site could dial itself), and,
+/// once any peer is given, a site with none, whose peers would wait for
+/// it forever.
+fn check_peers(
+    peers: &[(SiteId, SocketAddr)],
+    sites: u32,
+) -> Result<Vec<Option<SocketAddr>>, String> {
     let mut addrs: Vec<Option<SocketAddr>> = vec![None; sites as usize];
-    for (site, addr) in peers.iter() {
-        let parsed = addr.parse().map_err(|_| {
-            format!("peer {} address {addr:?} is not an IP address and a port", site.0)
-        })?;
+    for &(site, addr) in peers {
         match addrs.get(site.index()) {
             None => return Err(format!("peer {} is outside a {sites}-site placement", site.0)),
             Some(Some(_)) => return Err(format!("peer {} is given more than one address", site.0)),
             Some(None) => {}
         }
-        if let Some(other) = addrs.iter().position(|a| *a == Some(parsed)) {
-            return Err(format!("peers {other} and {} share address {addr:?}", site.0));
+        if let Some(other) = addrs.iter().position(|a| *a == Some(addr)) {
+            return Err(format!("peers {other} and {} share address \"{addr}\"", site.0));
         }
-        addrs[site.index()] = Some(parsed);
+        addrs[site.index()] = Some(addr);
     }
     match addrs.iter().position(Option::is_none) {
         Some(missing) if !peers.is_empty() => {
             Err(format!("peer {missing} has no address; its peers could never dial it"))
         }
-        _ => Ok(()),
+        _ => Ok(addrs),
     }
 }
 
@@ -377,7 +434,8 @@ impl ServeConfig {
     /// Parse `repld`'s command line (without the program name): an
     /// optional `--config FILE`, flags over it, then the check that
     /// site, listen address, protocol and placement are all given, and
-    /// the nemesis plan and address map checked against the placement.
+    /// the site id, nemesis plan, address map and the protocol's routing
+    /// checked against the placement.
     pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<ServeConfig, String> {
         Draft::from_args(args)?.finish()
     }
@@ -432,6 +490,10 @@ mod tests {
         draft.apply_file(text).map(|()| draft)
     }
 
+    fn ip(addr: &str) -> SocketAddr {
+        addr.parse().unwrap()
+    }
+
     #[test]
     fn parses_full_config() {
         let text = r#"
@@ -454,7 +516,7 @@ mod tests {
         "#;
         let cfg = file(text).unwrap().finish().unwrap();
         assert_eq!(cfg.site, SiteId(1));
-        assert_eq!(cfg.listen, "127.0.0.1:7101");
+        assert_eq!(cfg.listen, ip("127.0.0.1:7101"));
         assert_eq!(cfg.protocol, RuntimeProtocol::DagWt);
         assert_eq!(cfg.placement.num_items(), 3000);
         assert_eq!(cfg.options.nemesis, NetFaultPlan::parse("seed=7;part=0-1@100..400").ok());
@@ -462,8 +524,8 @@ mod tests {
         assert_eq!(cfg.options.outbox_high_water, 4096);
         assert!(cfg.options.tuning.mvcc_reads);
         assert_eq!(cfg.options.tuning.group_commit_batch.get(), 8);
-        assert_eq!(cfg.peers.len(), 3);
-        assert_eq!(cfg.peers.get(SiteId(2)), Some("127.0.0.1:7102"));
+        assert_eq!(cfg.peers.iter().flatten().count(), 3);
+        assert_eq!(cfg.peers[2], Some(ip("127.0.0.1:7102")));
     }
 
     #[test]
@@ -471,11 +533,11 @@ mod tests {
         for (text, needle) in [
             ("site = x", "integer"),
             ("listen = 127.0.0.1:7100", "quoted"),
-            ("[peers\n0 = \"a:1\"", "unterminated"),
+            ("[peers\n0 = \"127.0.0.1:1\"", "unterminated"),
             ("[cluster]", "unknown section"),
             ("frobnicate = 3", "unknown key"),
             ("just a line", "key = value"),
-            ("[peers]\nzero = \"a:1\"", "site id"),
+            ("[peers]\nzero = \"127.0.0.1:1\"", "site id"),
             ("transport = \"tcp\"", "transport was removed"),
             ("reactor = \"fibers\"", "unknown reactor"),
             ("reactor = \"threads\"", "removed in PR 21"),
@@ -499,7 +561,7 @@ mod tests {
     #[test]
     fn flags_override_file() {
         let path = std::env::temp_dir().join(format!("repld-override-{}.toml", std::process::id()));
-        std::fs::write(&path, "site = 0\nlisten = \"a:1\"\nnemesis = \"seed=1\"").unwrap();
+        std::fs::write(&path, "site = 0\nlisten = \"127.0.0.1:1\"\nnemesis = \"seed=1\"").unwrap();
         let merged = flags(&[
             "--site",
             "2",
@@ -510,21 +572,26 @@ mod tests {
             "--outbox-high-water",
             "64",
             "--peer",
-            "0=b:2",
+            "0=127.0.0.2:2",
         ]);
         std::fs::remove_file(&path).unwrap();
         let merged = merged.unwrap();
         assert_eq!(merged.site, Some(SiteId(2)));
-        assert_eq!(merged.listen.as_deref(), Some("a:1"));
+        assert_eq!(merged.listen, Some(ip("127.0.0.1:1")));
         assert_eq!(merged.options.nemesis, NetFaultPlan::parse("seed=2;drop=50").ok());
         assert_eq!(merged.options.outbox_high_water, 64);
-        assert_eq!(merged.peers.get(SiteId(0)), Some("b:2"));
+        assert_eq!(merged.peers, [(SiteId(0), ip("127.0.0.2:2"))]);
     }
 
+    /// A `#` inside a quoted value reaches its setting whole.
     #[test]
     fn comments_respect_strings() {
-        let cfg = file("listen = \"host#0:99\" # trailing").unwrap();
-        assert_eq!(cfg.listen.as_deref(), Some("host#0:99"));
+        let err = file("listen = \"host#0:99\" # trailing").unwrap_err();
+        assert!(err.contains("address \"host#0:99\" is not an IP address"), "{err}");
+        assert_eq!(
+            file("listen = \"127.0.0.1:99\" # trailing").unwrap().listen,
+            Some(ip("127.0.0.1:99"))
+        );
     }
 
     /// An eager timeout of 0 arms a deadline already past: a BackEdge
@@ -635,42 +702,80 @@ mod tests {
         };
         assert_eq!(cfg.options, in_process);
         assert_eq!(
-            (cfg.site, cfg.protocol, cfg.listen.as_str()),
-            (SiteId(2), RuntimeProtocol::BackEdge, "127.0.0.1:0")
+            (cfg.site, cfg.protocol, cfg.listen),
+            (SiteId(2), RuntimeProtocol::BackEdge, ip("127.0.0.1:0"))
         );
         assert_eq!(cfg.placement.to_spec(), placement);
-        assert!(cfg.peers.is_empty());
+        assert_eq!(cfg.peers, [None; 3]);
     }
 
-    /// Site 0 of a two-site placement, with `peers` given once as
-    /// `--peer` flags and once as the `[peers]` table of a `--config`
-    /// file.
-    fn with_peers(peers: &[(u32, &str)]) -> [Result<ServeConfig, String>; 2] {
+    /// `settings` and `peers` given once as flags (`--key value`,
+    /// `--peer N=ADDR`) and once as a `--config` file alone.
+    fn both_spellings(
+        settings: &[(&str, &str)],
+        peers: &[(u32, &str)],
+    ) -> [Result<ServeConfig, String>; 2] {
         static FILES: AtomicUsize = AtomicUsize::new(0);
-        let head = ["--site", "0", "--listen", "127.0.0.1:0", "--protocol", "dagwt"];
-        let head = head.into_iter().chain(["--placement", "2|0:1|1"]).map(String::from);
-        let flags =
-            peers.iter().flat_map(|(site, addr)| ["--peer".into(), format!("{site}={addr}")]);
-        let by_flag = ServeConfig::from_args(head.clone().chain(flags));
+        let flags = settings.iter().flat_map(|(key, v)| [format!("--{key}"), v.to_string()]);
+        let peer_flags =
+            peers.iter().flat_map(|(site, v)| ["--peer".into(), format!("{site}={v}")]);
+        let by_flag = ServeConfig::from_args(flags.chain(peer_flags));
+        let quoted = |key: &str| SETTINGS.iter().any(|s| s.key == key && s.form == Form::Quoted);
+        let mut text: String = settings
+            .iter()
+            .map(|(key, v)| format!("{key} = {q}{v}{q}\n", q = if quoted(key) { "\"" } else { "" }))
+            .collect();
+        text += "[peers]\n";
+        text.extend(peers.iter().map(|(site, addr)| format!("{site} = \"{addr}\"\n")));
         let n = FILES.fetch_add(1, Ordering::Relaxed);
         let path =
-            std::env::temp_dir().join(format!("repld-peers-{}-{n}.toml", std::process::id()));
-        let table: String =
-            peers.iter().map(|(site, addr)| format!("{site} = \"{addr}\"\n")).collect();
-        std::fs::write(&path, format!("[peers]\n{table}")).unwrap();
-        let by_key =
-            ServeConfig::from_args(head.chain(["--config".into(), path.to_str().unwrap().into()]));
+            std::env::temp_dir().join(format!("repld-spellings-{}-{n}.toml", std::process::id()));
+        std::fs::write(&path, text).unwrap();
+        let by_key = ServeConfig::from_args(["--config".into(), path.to_str().unwrap().into()]);
         std::fs::remove_file(&path).unwrap();
         [by_flag, by_key]
     }
 
+    /// Site 0 of a two-site placement whose copy graph is one edge.
+    const SITE: [(&str, &str); 4] =
+        [("site", "0"), ("listen", "127.0.0.1:0"), ("protocol", "dagwt"), ("placement", "2|0:1|1")];
+    /// s0 and s1 replicate each other's items.
+    const CYCLIC: &str = "2|0:1|1:0";
+
+    /// A site that could not start is refused where its settings are
+    /// parsed, under either spelling: a host name to listen on, a site
+    /// the placement does not have, and DAG(WT) over a cyclic copy
+    /// graph, which BackEdge runs.
+    #[test]
+    fn a_site_that_cannot_start_is_refused_under_both_spellings() {
+        for (key, bad, needle) in [
+            ("listen", "localhost:7100", "address \"localhost:7100\" is not an IP address"),
+            ("site", "2", "site 2 is outside a 2-site placement"),
+            (
+                "placement",
+                CYCLIC,
+                "protocol DAG(WT) cannot run this placement: copy graph is cyclic",
+            ),
+        ] {
+            let settings = SITE.map(|(k, v)| (k, if k == key { bad } else { v }));
+            for cfg in both_spellings(&settings, &[]) {
+                let err = cfg.map(drop).unwrap_err();
+                assert!(err.contains(needle), "{key} = {bad:?}: {err:?} missing {needle:?}");
+            }
+        }
+        let backedge = [SITE[0], SITE[1], ("protocol", "backedge"), ("placement", CYCLIC)];
+        for cfg in both_spellings(&SITE, &[]).into_iter().chain(both_spellings(&backedge, &[])) {
+            assert!(cfg.is_ok());
+        }
+    }
+
     #[test]
     fn a_well_formed_address_map_is_accepted() {
-        for cfg in with_peers(&[(0, "127.0.0.1:7100"), (1, "127.0.0.1:7101")]) {
-            assert_eq!(cfg.unwrap().peers.get(SiteId(1)), Some("127.0.0.1:7101"));
+        for cfg in both_spellings(&SITE, &[(0, "127.0.0.1:7100"), (1, "127.0.0.1:7101")]) {
+            assert_eq!(cfg.unwrap().peers[1], Some(ip("127.0.0.1:7101")));
         }
-        for cfg in with_peers(&[]) {
-            assert!(cfg.unwrap().peers.is_empty(), "a launcher pushes the map later");
+        for cfg in both_spellings(&SITE, &[]) {
+            assert_eq!(cfg.unwrap().peers, [None; 2], "a launcher pushes the map later");
         }
     }
 
@@ -695,7 +800,7 @@ mod tests {
             cases.push((vec![OK, (1, bad)], "is not an IP address and a port"));
         }
         for (peers, needle) in cases {
-            for cfg in with_peers(&peers) {
+            for cfg in both_spellings(&SITE, &peers) {
                 let err = cfg.map(drop).unwrap_err();
                 assert!(err.contains(needle), "{peers:?}: {err:?} missing {needle:?}");
             }

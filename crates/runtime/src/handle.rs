@@ -14,7 +14,6 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use repl_core::history::{History, SerializationCycle};
 use repl_net::{read_msg, write_msg, ClientMsg, ClientReply, ExecError, HistoryTxn, WireMsg};
 use repl_types::{GlobalTxnId, ItemId, Op, SiteId, Value};
 
@@ -105,27 +104,16 @@ pub trait ClusterHandle {
 
     /// Every transaction committed anywhere in the deployment, as
     /// `(gid, reads, writes)` tuples — `reads` pairing each item with
-    /// the gid of the version read. Feed into
-    /// `repl_core::history::History` to run the one-copy
-    /// serializability checker over a live run.
+    /// the gid of the version read, crashed sites' commits included.
+    /// `repl_analysis::history::History::from_iter` of them runs the
+    /// one-copy serializability checker over a live run; the site links
+    /// no checker.
     fn history(&self) -> Result<Vec<HistoryTxn>, ClusterError>;
 
     /// Number of transactions committed so far, deployment-wide.
     fn committed_count(&self) -> Result<usize, ClusterError> {
         let sites = (0..self.num_sites()).map(SiteId);
         sites.map(|s| Ok(self.stats(s)?.committed as usize)).sum()
-    }
-
-    /// Run the one-copy-serializability oracle over everything
-    /// committed so far; the outer error is a site that could not be
-    /// asked. The checker's indexed [`History`] is built here, when a
-    /// verdict is wanted.
-    fn check_serializability(&self) -> Result<Result<(), SerializationCycle>, ClusterError> {
-        let mut history = History::new();
-        for (gid, reads, writes) in self.history()? {
-            history.record_commit(gid, reads, writes);
-        }
-        Ok(history.check_serializability())
     }
 
     /// Updates sent to `site` that it has not durably applied: over the

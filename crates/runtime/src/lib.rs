@@ -15,9 +15,10 @@
 //! relevant-children routing, replica application, quiescence. That is
 //! where Example 1.1 lives: the [`RuntimeProtocol::NaiveLazy`] mode can
 //! produce real non-serializable interleavings on a real scheduler,
-//! while [`RuntimeProtocol::DagWt`] provably cannot (Theorem 2.1) — both
-//! are checked against the same [`repl_core::History`] oracle as the
-//! simulator.
+//! while [`RuntimeProtocol::DagWt`] provably cannot (Theorem 2.1). Both
+//! are judged by the simulator's one-copy-serializability oracle, which
+//! the caller runs over [`ClusterHandle::history`]: a site links no
+//! simulator and no checker (DESIGN.md §2).
 //!
 //! Faults are first-class: [`Cluster::crash`] stops a site's reactor
 //! abruptly and [`Cluster::restart`] boots a replacement from the site's
@@ -25,8 +26,8 @@
 //! see the `link` and `durable` modules.
 //!
 //! ```
-//! use repl_core::scenario;
-//! use repl_runtime::{Cluster, RuntimeProtocol};
+//! use repl_core::{scenario, History};
+//! use repl_runtime::{Cluster, ClusterHandle, RuntimeProtocol};
 //! use repl_types::{ItemId, Op, SiteId};
 //!
 //! let placement = scenario::example_1_1_placement();
@@ -35,7 +36,8 @@
 //! cluster.quiesce();
 //! let (value, _) = cluster.peek(SiteId(2), ItemId(0)).unwrap();
 //! assert_eq!(value, repl_types::Value::int(7));
-//! assert!(cluster.check_serializability().is_ok());
+//! let history = History::from_iter(cluster.history().unwrap());
+//! assert!(history.check_serializability().is_ok());
 //! cluster.shutdown();
 //! ```
 

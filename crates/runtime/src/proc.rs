@@ -16,12 +16,11 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 
 use repl_copygraph::DataPlacement;
-use repl_core::deploy::ReactorKind;
 use repl_net::{ClientMsg, ExecError, HistoryTxn};
 use repl_types::{GlobalTxnId, ItemId, Op, SiteId, Value};
 
 use crate::cluster::RuntimeProtocol;
-use crate::config::{self, Launch};
+use crate::config::{self, Launch, ReactorKind};
 use crate::handle::{Session, SiteStats};
 use crate::ServeConfig;
 

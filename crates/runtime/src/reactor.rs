@@ -93,11 +93,12 @@ use repl_net::{
     cluster_fingerprint, negotiate, ClientMsg, ClientReply, ExecError, FrameReader, Hello,
     HelloAck, NetError, WireMsg, VERSION_MAX, VERSION_MIN,
 };
-use repl_protocol::{Routing, TreeKind};
-use repl_types::{AddressMap, GlobalTxnId, Op, SiteId};
+use repl_protocol::Routing;
+use repl_types::{GlobalTxnId, Op, SiteId};
 
 use crate::census::{census_line, CENSUS};
 use crate::cluster::{ClusterError, RuntimeProtocol};
+use crate::config::socket_addr;
 use crate::link::{link_marks, WriteBuf};
 use crate::nemesis::ChaosWire;
 use crate::policy::{dial_delay, RuntimeOptions};
@@ -168,22 +169,26 @@ struct InFlight {
     ops: Vec<Op>,
 }
 
-/// Configuration of one `repld` site process.
+/// Configuration of one `repld` site process, checked where it was
+/// parsed: [`ServeConfig::from_args`] is the only way to build one
+/// outside this crate, so [`serve_epoll`] checks nothing again.
+#[non_exhaustive]
 pub struct ServeConfig {
-    /// This process's site.
+    /// This process's site, inside the placement.
     pub site: SiteId,
     /// The cluster-wide placement (identical in every process).
     pub placement: DataPlacement,
     /// The propagation protocol (identical in every process).
     pub protocol: RuntimeProtocol,
-    /// Listen address, an IP and a port; use port 0 to bind
-    /// ephemerally — the bound address is printed to stdout for
-    /// launchers to harvest.
-    pub listen: String,
-    /// Peer addresses, each an IP and a port. May be empty at start
-    /// ([`ServeConfig::from_args`] refuses an incomplete map); a
-    /// launcher can push the full map later with [`ClientMsg::Peers`].
-    pub peers: AddressMap,
+    /// The structure `protocol` propagates on over `placement`.
+    pub routing: Routing,
+    /// Listen address; use port 0 to bind ephemerally — the bound
+    /// address is printed to stdout for launchers to harvest.
+    pub listen: SocketAddr,
+    /// Each site's address, indexed by site. All `None` at start when
+    /// no peer was given; a launcher can push the full map later with
+    /// [`ClientMsg::Peers`].
+    pub peers: Vec<Option<SocketAddr>>,
     /// Timing/bound knobs, including the optional nemesis plan
     /// (`repld --nemesis`). [`RuntimeOptions::default`] for a clean
     /// deployment.
@@ -203,45 +208,22 @@ fn exec_error(e: ClusterError) -> ExecError {
     }
 }
 
-/// Parse a listen or peer address: an IP literal and a port. A host
-/// name is refused, not resolved — resolving would block the site's one
-/// thread on the system resolver at every dial.
-fn socket_addr(addr: &str) -> Result<SocketAddr, String> {
-    addr.parse().map_err(|_| format!("address {addr:?} is not an IP address and a port"))
-}
-
 /// Run one site as this process on a single-threaded nonblocking epoll
-/// reactor — what `repld` does. Parses every address, binds
-/// `cfg.listen`, prints the `repld: site N listening on ADDR` banner
-/// first on stdout (the launcher contract), and serves peer and client
-/// connections until a client sends [`ClientMsg::Shutdown`].
+/// reactor — what `repld` does. Binds `cfg.listen`, prints the
+/// `repld: site N listening on ADDR` banner first on stdout (the
+/// launcher contract), and serves peer and client connections until a
+/// client sends [`ClientMsg::Shutdown`].
 pub fn serve_epoll(cfg: ServeConfig) -> io::Result<()> {
-    let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidInput, e);
-    let routing = Routing::build(cfg.protocol.into(), &cfg.placement, TreeKind::Chain)
-        .map_err(|e| invalid(e.to_string()))?;
-    let n = cfg.placement.num_sites() as usize;
-    if cfg.site.index() >= n {
-        return Err(invalid("site id out of range".into()));
-    }
-    let listen = socket_addr(&cfg.listen).map_err(|e| invalid(format!("listen {e}")))?;
-    let mut peers = vec![None; n];
-    for (site, addr) in cfg.peers.iter() {
-        let slot =
-            peers.get_mut(site.index()).ok_or_else(|| invalid(format!("no such site {site}")))?;
-        let addr = socket_addr(addr).map_err(|e| invalid(format!("peer {site} {e}")))?;
-        // The first address recorded for a site, as `AddressMap::get`.
-        slot.get_or_insert(addr);
-    }
-    let parts = SiteParts::new(n);
+    let parts = SiteParts::new(cfg.placement.num_sites() as usize);
     let fingerprint = cluster_fingerprint(cfg.placement.per_item_spec(), cfg.protocol.name());
     // The one copy of the placement in this process.
     let placement = Arc::new(cfg.placement);
-    let setup = SiteSetup::new(cfg.site, cfg.protocol, placement, &routing)
-        .map_err(|e| invalid(e.to_string()))?;
+    let setup = SiteSetup::new(cfg.site, cfg.protocol, placement, &cfg.routing)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
     let (opts, stop) = (Arc::new(cfg.options), Arc::default());
-    let listener = Listener::bind(listen)?;
+    let listener = Listener::bind(cfg.listen)?;
     let addr = listener.local_addr()?;
-    let mut reactor = Reactor::boot(listener, setup, parts, opts, fingerprint, peers, stop);
+    let mut reactor = Reactor::boot(listener, setup, parts, opts, fingerprint, cfg.peers, stop);
     // The launcher contract: exactly this line, first, on stdout.
     println!("repld: site {} listening on {addr}", cfg.site.0);
     let served = reactor.run();

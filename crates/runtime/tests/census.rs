@@ -14,6 +14,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
 
 use repl_copygraph::DataPlacement;
+use repl_core::History;
 use repl_runtime::{census_line, Cluster, ClusterHandle, RuntimeProtocol, CENSUS};
 use repl_types::{ItemId, Op, SiteId};
 
@@ -119,6 +120,6 @@ fn the_census_explains_each_sites_heap() {
         assert!(total * 100 >= live * 95, "{site}: the census explains {total} of {live} bytes");
         assert!(total <= live + 4096, "{site}: the census claims {total} of {live} bytes");
     }
-    assert!(cluster.check_serializability().is_ok());
+    assert!(History::from_iter(cluster.history().unwrap()).check_serializability().is_ok());
     cluster.shutdown();
 }

@@ -87,14 +87,9 @@ fn eager_phase_partition_aborts_and_heals() {
 
     // The aborted transaction must not have reached the history, and
     // what did reach it must be one-copy serializable.
-    let mut history = History::new();
-    let mut saw_committed = false;
-    for (gid, reads, writes) in handle.history().expect("history") {
-        assert_ne!(gid, aborted, "aborted gid leaked into the committed history");
-        saw_committed |= gid == committed;
-        history.record_commit(gid, reads, writes);
-    }
-    assert!(saw_committed, "post-heal commit missing from history");
+    let history = History::from_iter(handle.history().expect("history"));
+    assert!(history.txns().iter().all(|t| t.gid != aborted), "aborted gid leaked into history");
+    assert!(history.txns().iter().any(|t| t.gid == committed), "post-heal commit missing");
     history.check_serializability().expect("history serializes");
 
     cluster.shutdown();
@@ -134,11 +129,8 @@ fn eager_phase_partition_aborts_and_heals_on_repld() {
         let (value, writer) = handle.peek(site, ItemId(2)).expect("copy exists");
         assert_eq!((value.as_int(), writer), (Some(2), Some(committed)), "site {site}");
     }
-    let mut history = History::new();
-    for (gid, reads, writes) in handle.history().expect("history") {
-        assert_ne!(gid, aborted, "aborted gid leaked into the committed history");
-        history.record_commit(gid, reads, writes);
-    }
+    let history = History::from_iter(handle.history().expect("history"));
+    assert!(history.txns().iter().all(|t| t.gid != aborted), "aborted gid leaked into history");
     assert!(history.txns().iter().any(|t| t.gid == committed), "post-heal commit missing");
     history.check_serializability().expect("history serializes");
     cluster.shutdown();

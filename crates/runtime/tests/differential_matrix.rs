@@ -325,10 +325,7 @@ fn assert_matrix_cell(
 /// serializability checker, and require that read-only transactions
 /// actually committed reads (the MVCC column must not be degenerate).
 fn assert_history_1sr(label: &str, cluster: &dyn ClusterHandle) {
-    let mut history = repl_core::History::new();
-    for (gid, reads, writes) in cluster.history().expect("history") {
-        history.record_commit(gid, reads, writes);
-    }
+    let history = repl_core::History::from_iter(cluster.history().expect("history"));
     assert!(history.check_serializability().is_ok(), "{label}: live history is not 1SR");
     assert!(
         history.txns().iter().any(|t| t.writes.is_empty() && !t.reads.is_empty()),

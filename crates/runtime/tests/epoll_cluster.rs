@@ -26,6 +26,7 @@ use std::time::{Duration, Instant};
 
 use repl_copygraph::DataPlacement;
 use repl_core::scenario::{self, WorkloadMix};
+use repl_core::History;
 use repl_net::{
     cluster_fingerprint, decode_cells, encode_framed, read_msg, write_msg, ClientMsg, ClientReply,
     Hello, Payload, ReadError, WireMsg,
@@ -250,7 +251,7 @@ fn epoll_backedge_cyclic_matches_in_process() {
     chan_cluster.shutdown();
     let epoll = epoll_cluster(&placement, RuntimeProtocol::BackEdge);
     let epoll_state = final_state(&epoll, &progs, None);
-    let verdict = epoll.check_serializability().expect("history");
+    let verdict = History::from_iter(epoll.history().expect("history")).check_serializability();
     epoll.shutdown();
     assert_eq!(chan, epoll_state, "BackEdge final copy state differs between deployments");
     verdict.expect("Theorem 4.1: BackEdge histories are serializable");
@@ -378,7 +379,7 @@ fn epoll_dagt_conflicting_heads_queued_behind_a_dummy_converge() {
     }
     assert_eq!(cluster.committed_count().expect("stats"), 600);
     assert!(
-        cluster.check_serializability().expect("history").is_ok(),
+        History::from_iter(cluster.history().expect("history")).check_serializability().is_ok(),
         "DAG(T) live history is not 1SR"
     );
     cluster.shutdown();
@@ -468,6 +469,23 @@ fn zero_group_commit_is_refused_before_any_child_is_spawned() {
     .expect("refused");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
     assert!(err.to_string().contains("--group-commit must be at least 1"), "{err}");
+}
+
+/// DAG(WT) over a cyclic copy graph is refused by the routing check
+/// every child would run, before anything is spawned, rather than by
+/// each child exiting 2 before it announces an address.
+#[test]
+fn a_cyclic_copy_graph_under_dag_wt_is_refused_before_any_child_is_spawned() {
+    let err = ProcCluster::launch_with_options(
+        Path::new("/nonexistent/repld"),
+        &cyclic_placement(),
+        RuntimeProtocol::DagWt,
+        &LaunchOptions::default(),
+    )
+    .err()
+    .expect("refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    assert!(err.to_string().contains("copy graph is cyclic"), "{err}");
 }
 
 /// `repld` itself refuses the removed flags at startup: exit 2 and one

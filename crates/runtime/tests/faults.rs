@@ -7,7 +7,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use repl_copygraph::DataPlacement;
-use repl_runtime::{Cluster, ClusterError, RuntimeProtocol};
+use repl_core::History;
+use repl_runtime::{Cluster, ClusterError, ClusterHandle, RuntimeProtocol};
 use repl_types::{Op, SiteId};
 
 /// The 5-site forward-edge placement shared with the threaded tests.
@@ -57,7 +58,10 @@ fn messages_to_a_down_site_are_parked_then_retransmitted() {
                 assert_eq!(cluster.peek(r, item).unwrap(), primary, "{protocol:?}: {item} at {r}");
             }
         }
-        assert!(cluster.check_serializability().is_ok(), "{protocol:?}");
+        assert!(
+            History::from_iter(cluster.history().unwrap()).check_serializability().is_ok(),
+            "{protocol:?}"
+        );
         cluster.shutdown();
     }
 }
@@ -113,7 +117,7 @@ fn concurrent_load_survives_repeated_crash_cycles() {
 
     assert_eq!(cluster.committed_count() as u64, committed);
     assert!(
-        cluster.check_serializability().is_ok(),
+        History::from_iter(cluster.history().unwrap()).check_serializability().is_ok(),
         "DAG(WT) must stay serializable across crash/recovery cycles"
     );
     for item in placement.items() {

@@ -50,11 +50,7 @@ fn ten_thousand_updates_are_fetched_and_checked_over_every_transport() {
     let expected = run(&in_process, &items);
     in_process.shutdown();
     assert_eq!(expected.len(), UPDATES + 1);
-    let mut history = History::new();
-    for (gid, reads, writes) in expected.iter().cloned() {
-        history.record_commit(gid, reads, writes);
-    }
-    assert!(history.check_serializability().is_ok());
+    assert!(History::from_iter(expected.iter().cloned()).check_serializability().is_ok());
 
     let repld = Path::new(env!("CARGO_BIN_EXE_repld"));
     let cluster = ProcCluster::launch_with_options(

@@ -5,7 +5,8 @@
 
 use repl_copygraph::DataPlacement;
 use repl_core::scenario::{self, WorkloadMix};
-use repl_runtime::{Cluster, RuntimeProtocol};
+use repl_core::History;
+use repl_runtime::{Cluster, ClusterHandle, RuntimeProtocol};
 use repl_types::SiteId;
 
 /// A 4-site forward-edge placement (site numbering is topological, as
@@ -83,7 +84,9 @@ fn dagt_converges_and_is_serializable() {
     let cluster = Cluster::start(&placement, RuntimeProtocol::DagT).unwrap();
     run_workload(&cluster, &placement, 40, 0xDA97);
     assert_converged(&cluster, &placement);
-    cluster.check_serializability().expect("Theorem 3.1: DAG(T) histories are serializable");
+    History::from_iter(cluster.history().unwrap())
+        .check_serializability()
+        .expect("Theorem 3.1: DAG(T) histories are serializable");
     cluster.shutdown();
 }
 
@@ -143,7 +146,9 @@ fn dagt_conflicting_heads_queued_behind_a_dummy_converge() {
     });
     cluster.quiesce();
     assert_converged(&cluster, &placement);
-    cluster.check_serializability().expect("Theorem 3.1: DAG(T) histories are serializable");
+    History::from_iter(cluster.history().unwrap())
+        .check_serializability()
+        .expect("Theorem 3.1: DAG(T) histories are serializable");
     cluster.shutdown();
 }
 
@@ -153,7 +158,9 @@ fn backedge_cyclic_graph_converges_and_is_serializable() {
     let cluster = Cluster::start(&placement, RuntimeProtocol::BackEdge).unwrap();
     run_workload(&cluster, &placement, 40, 0xBE);
     assert_converged(&cluster, &placement);
-    cluster.check_serializability().expect("Theorem 4.1: BackEdge histories are serializable");
+    History::from_iter(cluster.history().unwrap())
+        .check_serializability()
+        .expect("Theorem 4.1: BackEdge histories are serializable");
     cluster.shutdown();
 }
 
@@ -165,7 +172,7 @@ fn backedge_on_a_dag_degenerates_to_lazy_and_converges() {
     let cluster = Cluster::start(&placement, RuntimeProtocol::BackEdge).unwrap();
     run_workload(&cluster, &placement, 30, 0xD46);
     assert_converged(&cluster, &placement);
-    cluster.check_serializability().unwrap();
+    History::from_iter(cluster.history().unwrap()).check_serializability().unwrap();
     cluster.shutdown();
 }
 

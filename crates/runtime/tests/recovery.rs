@@ -5,7 +5,8 @@ use std::num::NonZeroUsize;
 
 use repl_copygraph::DataPlacement;
 use repl_core::scenario;
-use repl_runtime::{Cluster, RuntimeOptions, RuntimeProtocol, Tuning};
+use repl_core::History;
+use repl_runtime::{Cluster, ClusterHandle, RuntimeOptions, RuntimeProtocol, Tuning};
 use repl_storage::{recover, WriteAheadLog, SEGMENT_BYTES};
 use repl_types::{GlobalTxnId, ItemId, Op, SiteId, Value};
 
@@ -143,7 +144,10 @@ fn live_crash_rejoin_matches_uncrashed_control() {
             copy_state(&control, &placement),
             "{protocol:?}: crashed-and-rejoined cluster diverged from control"
         );
-        assert!(faulted.check_serializability().is_ok(), "{protocol:?}");
+        assert!(
+            History::from_iter(faulted.history().unwrap()).check_serializability().is_ok(),
+            "{protocol:?}"
+        );
         control.shutdown();
         faulted.shutdown();
     }
@@ -238,7 +242,7 @@ fn crash_after_checkpoint_cuts_rejoins_identical_to_control() {
         // The cold copies were restored from a checkpoint, writer and all.
         let first = GlobalTxnId::new(SiteId(0), 0);
         assert_eq!(faulted.peek(victim, cold[0]).unwrap(), (Value::int(-1), Some(first)));
-        assert!(faulted.check_serializability().is_ok());
+        assert!(History::from_iter(faulted.history().unwrap()).check_serializability().is_ok());
         control.shutdown();
         faulted.shutdown();
     }

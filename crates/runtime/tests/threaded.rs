@@ -6,7 +6,8 @@ use rand::{RngExt, SeedableRng};
 
 use repl_copygraph::DataPlacement;
 use repl_core::scenario;
-use repl_runtime::{Cluster, RuntimeProtocol};
+use repl_core::History;
+use repl_runtime::{Cluster, ClusterHandle, RuntimeProtocol};
 use repl_types::{ItemId, Op, SiteId, Value};
 
 /// A 5-site forward-edge placement with a reasonable item count.
@@ -69,7 +70,7 @@ fn dag_wt_concurrent_clients_serializable() {
 
     assert_eq!(cluster.committed_count(), 5 * 200);
     assert!(
-        cluster.check_serializability().is_ok(),
+        History::from_iter(cluster.history().unwrap()).check_serializability().is_ok(),
         "DAG(WT) must be serializable on a real scheduler"
     );
     // Convergence: replicas equal primaries after quiescence.
@@ -127,7 +128,7 @@ fn quiesce_then_read_sees_latest() {
     }
     cluster.quiesce();
     assert_eq!(cluster.peek(SiteId(2), a).unwrap().0, Value::int(20));
-    assert!(cluster.check_serializability().is_ok());
+    assert!(History::from_iter(cluster.history().unwrap()).check_serializability().is_ok());
     cluster.shutdown();
 }
 
@@ -165,7 +166,7 @@ fn naive_lazy_anomaly_witnesses_are_well_formed() {
         t1.join().unwrap();
         t2.join().unwrap();
         cluster.quiesce();
-        if let Err(cycle) = cluster.check_serializability() {
+        if let Err(cycle) = History::from_iter(cluster.history().unwrap()).check_serializability() {
             assert!(cycle.cycle.len() >= 2, "round {round}: degenerate cycle");
             cluster.shutdown();
             return; // found a real anomaly with a well-formed witness

@@ -15,12 +15,10 @@
 pub mod error;
 pub mod id;
 pub mod json;
-pub mod netaddr;
 pub mod op;
 pub mod value;
 
 pub use error::{StorageError, TxnError};
 pub use id::{GlobalTxnId, ItemId, SiteId, ThreadId, TxnId};
-pub use netaddr::AddressMap;
 pub use op::{Op, OpKind};
 pub use value::Value;

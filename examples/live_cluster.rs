@@ -15,7 +15,8 @@
 use std::time::Instant;
 
 use repl_copygraph::DataPlacement;
-use repl_runtime::{Cluster, RuntimeProtocol};
+use repl_core::History;
+use repl_runtime::{Cluster, ClusterHandle, RuntimeProtocol};
 use repl_types::{Op, SiteId};
 
 fn main() {
@@ -76,7 +77,7 @@ fn main() {
         committed as f64 / elapsed.as_secs_f64()
     );
 
-    match cluster.check_serializability() {
+    match History::from_iter(cluster.history().unwrap()).check_serializability() {
         Ok(()) => println!("serializability: OK (real-thread execution, Theorem 2.1)"),
         Err(cycle) => panic!("DAG(WT) produced a cycle?! {cycle}"),
     }
