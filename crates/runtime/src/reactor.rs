@@ -78,6 +78,12 @@
 //! chunks before the pass moves on to its flush. A peer that keeps the
 //! socket full therefore still gets its `Ack` every pass; level-triggered
 //! epoll reports the unread rest on the next one.
+//!
+//! **The boot text.** A `repld` drops the resident pages of the text it
+//! ran only before steady state once, on the first pass that finds every
+//! peer connected both ways ([`TextDrop`], `epoll::drop_boot_text`;
+//! DESIGN.md §9.5). The in-process `Cluster`'s reactors share their
+//! binary's text and never drop it.
 
 use std::collections::VecDeque;
 use std::io::{self, Write as _};
@@ -224,17 +230,53 @@ pub fn serve_epoll(cfg: ServeConfig) -> io::Result<()> {
     let listener = Listener::bind(cfg.listen)?;
     let addr = listener.local_addr()?;
     let mut reactor = Reactor::boot(listener, setup, parts, opts, fingerprint, cfg.peers, stop);
+    // This process's text is the site's alone.
+    reactor.text_drop.armed = true;
     // The launcher contract: exactly this line, first, on stdout.
     println!("repld: site {} listening on {addr}", cfg.site.0);
     let served = reactor.run();
     // One write, so sites sharing a stderr do not interleave their lines.
-    let census = format!("repld: site {} census {}\n", cfg.site.0, census_line(&reactor.census()));
+    let census = format!(
+        "repld: site {} census {}; boot_text_dropped={}\n",
+        cfg.site.0,
+        census_line(&reactor.census()),
+        reactor.text_dropped
+    );
     let _ = io::stderr().write_all(census.as_bytes());
     // The process exits next, and the kernel takes the site's memory and
     // sockets back whole: nothing is dropped structure by structure, so
     // no teardown code runs (or sits among the hot text).
     std::mem::forget(reactor);
     served
+}
+
+/// When a reactor drops its process's boot text: only once armed, which
+/// [`serve_epoll`] alone does, on the first pass where every peer `p ≠
+/// me` has a connection this site dialed and one it accepted, and never
+/// again, whatever re-dials later. Disarmed, the check is one `bool` a
+/// pass.
+#[derive(Debug, Default)]
+struct TextDrop {
+    armed: bool,
+}
+
+impl TextDrop {
+    /// Whether to drop now; disarms itself when it says so.
+    fn due(&mut self, me: SiteId, out_conn: &[Option<usize>], in_conn: &[Option<usize>]) -> bool {
+        if self.armed && mesh_up(me, out_conn, in_conn) {
+            self.armed = false;
+            return true;
+        }
+        false
+    }
+}
+
+/// Every peer of `me` has a connection `me` dialed and one it accepted
+/// (a one-site placement's mesh is always up).
+fn mesh_up(me: SiteId, out_conn: &[Option<usize>], in_conn: &[Option<usize>]) -> bool {
+    (0..out_conn.len()).all(|p| {
+        p == me.index() || (out_conn[p].is_some() && in_conn.get(p).is_some_and(Option::is_some))
+    })
 }
 
 /// A listening socket in a fresh epoll set: the fallible half of a
@@ -294,6 +336,10 @@ pub(crate) struct Reactor {
     read_buf: Vec<u8>,
     /// Checked once a pass: when set, [`Reactor::run`] returns.
     stop: Arc<AtomicBool>,
+    /// When to drop the boot text; unarmed unless [`serve_epoll`] arms it.
+    text_drop: TextDrop,
+    /// The bytes the boot-text drop covered (0 before it, or without one).
+    text_dropped: usize,
 }
 
 impl Reactor {
@@ -339,6 +385,8 @@ impl Reactor {
             events: Vec::new(),
             read_buf: vec![0; READ_CHUNK],
             stop,
+            text_drop: TextDrop::default(),
+            text_dropped: 0,
         }
     }
 
@@ -404,6 +452,10 @@ impl Reactor {
             self.finish_in_flight();
             self.pump_exec();
             self.flush_all();
+            if self.text_drop.due(self.me, &self.out_conn, &self.in_conn) {
+                // A failed drop keeps the text resident and costs nothing else.
+                self.text_dropped = epoll::drop_boot_text().unwrap_or(0);
+            }
 
             if let Some(deadline) = self.shutdown {
                 let drained = self.conns.iter().flatten().all(|c| c.wbuf.is_empty());
@@ -1031,5 +1083,59 @@ mod sock {
         fn as_raw_fd(&self) -> RawFd {
             self.0.as_raw_fd()
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const S: [SiteId; 3] = [SiteId(0), SiteId(1), SiteId(2)];
+
+    #[test]
+    fn the_mesh_is_up_once_every_peer_is_connected_both_ways() {
+        // One site: no peer, up at once.
+        assert!(mesh_up(S[0], &[None], &[None]));
+        // Two sites, seen from s1.
+        assert!(!mesh_up(S[1], &[None, None], &[None, None]));
+        assert!(!mesh_up(S[1], &[Some(4), None], &[None, None]));
+        assert!(mesh_up(S[1], &[Some(4), None], &[Some(5), None]));
+        // Three sites, seen from s0: an accepted link missing.
+        assert!(!mesh_up(S[0], &[None, Some(1), Some(2)], &[None, Some(3), None]));
+        assert!(!mesh_up(S[0], &[None, None, Some(2)], &[None, Some(3), Some(4)]));
+        assert!(mesh_up(S[0], &[None, Some(1), Some(2)], &[None, Some(3), Some(4)]));
+        // Its own slots do not count.
+        assert!(mesh_up(S[2], &[Some(1), Some(2), Some(9)], &[Some(3), Some(4), None]));
+    }
+
+    #[test]
+    fn an_armed_drop_fires_once_and_a_re_dial_does_not_fire_it_again() {
+        let (up, half) = ([None, Some(1), Some(2)], [None, Some(3), None]);
+        let full = [None, Some(3), Some(4)];
+        let mut drop = TextDrop { armed: true };
+        assert!(!drop.due(S[0], &up, &half));
+        assert!(drop.due(S[0], &up, &full));
+        // The link to s2 drops and is dialed again: no second drop.
+        assert!(!drop.due(S[0], &[None, Some(1), None], &full));
+        assert!(!drop.due(S[0], &up, &full));
+        // Unarmed, as an in-process cluster's reactors are: never.
+        assert!(!TextDrop::default().due(S[0], &up, &full));
+    }
+
+    /// An in-process cluster's reactors share this test binary's text:
+    /// none drops it, not even a one-site placement whose mesh is up on
+    /// its first pass. No test in this binary runs `serve_epoll`.
+    #[test]
+    fn in_process_reactors_never_drop_text() {
+        for spec in ["1|0*4", "3|0:1,2*4|1:2*4|2*4"] {
+            let placement = DataPlacement::from_spec(spec).unwrap();
+            let cluster = crate::Cluster::start(&placement, RuntimeProtocol::DagWt).unwrap();
+            for i in 0..4 {
+                cluster.execute(SiteId(0), vec![Op::write(repl_types::ItemId(i), 1)]).unwrap();
+            }
+            cluster.quiesce();
+            cluster.shutdown();
+        }
+        assert_eq!(epoll::boot_text_drops(), 0);
     }
 }

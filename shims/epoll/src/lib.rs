@@ -1,4 +1,5 @@
-//! Offline shim: a minimal, level-triggered epoll wrapper.
+//! Offline shim: a minimal, level-triggered epoll wrapper, and the one
+//! non-epoll call a site makes.
 //!
 //! The container has no registry access, so instead of `mio`/`libc`
 //! crates this shim declares the four epoll-related libc symbols
@@ -9,6 +10,9 @@
 //! * [`Epoll::add`] / [`Epoll::modify`] / [`Epoll::delete`] —
 //!   `epoll_ctl`, registering a caller-chosen `u64` token per fd.
 //! * [`Epoll::wait`] — `epoll_wait` into a caller-owned event buffer.
+//! * [`drop_boot_text`] — one `madvise(MADV_DONTNEED)` over the text a
+//!   binary runs only before steady state, from its first function
+//!   `boot_text_start` to the linker's `etext`.
 //!
 //! Level-triggered only (the default): readiness is re-reported on
 //! every `wait` until the condition is drained, which makes the caller's
@@ -18,7 +22,8 @@
 
 use std::io;
 use std::os::fd::RawFd;
-use std::os::raw::c_int;
+use std::os::raw::{c_int, c_void};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 // From <sys/epoll.h> on Linux.
 const EPOLL_CLOEXEC: c_int = 0o2000000;
@@ -47,7 +52,16 @@ extern "C" {
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
     fn close(fd: c_int) -> c_int;
+    fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+    /// The end of the executable segment's last section; the linker
+    /// defines it for a binary that names it.
+    static etext: u8;
 }
+
+// From <sys/mman.h> on Linux.
+const MADV_DONTNEED: c_int = 4;
+/// The page `madvise` works in on x86-64 Linux.
+const PAGE: usize = 4096;
 
 /// Which readiness conditions to watch on a registered fd.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -152,6 +166,64 @@ impl Drop for Epoll {
     }
 }
 
+/// The first function of the boot text: the release `repld` is linked
+/// with the functions a site runs after its mesh is up (steady state)
+/// first, then this one, then the functions it runs only before
+/// (`crates/runtime/repld.order`). Never called; its address is where
+/// [`drop_boot_text`] starts.
+#[no_mangle]
+#[inline(never)]
+extern "C" fn boot_text_start() {}
+
+/// What [`drop_boot_text`] calls last, with the bytes it covered: a
+/// fixed address a tracer can break on once the drop has returned
+/// (`tools/hot_text.py`).
+#[no_mangle]
+#[inline(never)]
+extern "C" fn boot_text_dropped(bytes: usize) -> usize {
+    std::hint::black_box(bytes)
+}
+
+/// Calls of [`drop_boot_text`] that dropped text, in this process.
+static BOOT_TEXT_DROPS: AtomicUsize = AtomicUsize::new(0);
+
+/// The whole pages of `[start, end)`: `start` rounded up and `end` down
+/// to a page, or `None` when no whole page lies between them.
+fn boot_text_range(start: usize, end: usize) -> Option<(usize, usize)> {
+    let lo = start.checked_next_multiple_of(PAGE)?;
+    let hi = end - end % PAGE;
+    (lo < hi).then_some((lo, hi))
+}
+
+/// Drop this process's resident pages of the text from
+/// `boot_text_start` to `etext`: one `madvise(MADV_DONTNEED)` on the
+/// whole pages between them. Text is a read-only, file-backed private
+/// mapping, so the call only unmaps its pages, and a later call into
+/// the range faults them back from the page cache. Returns the bytes
+/// covered; 0, and no call, when the range holds no whole page.
+#[no_mangle]
+#[inline(never)]
+pub fn drop_boot_text() -> io::Result<usize> {
+    let start = boot_text_start as *const () as usize;
+    let end = std::ptr::addr_of!(etext) as usize;
+    let Some((lo, hi)) = boot_text_range(start, end) else { return Ok(0) };
+    // SAFETY: `[lo, hi)` is whole pages of this binary's own text, from
+    // its boot marker to the end of its executable segment: a read-only,
+    // file-backed private mapping. `MADV_DONTNEED` only unmaps those
+    // pages, and the next access faults each back from the file, so no
+    // byte this process reads changes and nothing it can write is lost.
+    if unsafe { madvise(lo as *mut c_void, hi - lo, MADV_DONTNEED) } != 0 {
+        return Err(io::Error::last_os_error());
+    }
+    BOOT_TEXT_DROPS.fetch_add(1, Ordering::Relaxed);
+    Ok(boot_text_dropped(hi - lo))
+}
+
+/// How many times [`drop_boot_text`] has dropped text in this process.
+pub fn boot_text_drops() -> usize {
+    BOOT_TEXT_DROPS.load(Ordering::Relaxed)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,5 +304,30 @@ mod tests {
         let ev = events.iter().find(|e| e.token == 3).expect("hangup event");
         // A clean FIN reads as EOF; readable wakes the reader to see it.
         assert!(ev.readable);
+    }
+
+    #[test]
+    fn the_boot_range_is_the_whole_pages_between_marker_and_etext() {
+        // Both ends rounded inward to a page.
+        assert_eq!(boot_text_range(0x1010, 0x5ff0), Some((0x2000, 0x5000)));
+        // Ends already on a page stay.
+        assert_eq!(boot_text_range(0x2000, 0x5000), Some((0x2000, 0x5000)));
+        // One whole page.
+        assert_eq!(boot_text_range(0x1fff, 0x3000), Some((0x2000, 0x3000)));
+        // Less than a whole page: no call.
+        assert_eq!(boot_text_range(0x1010, 0x2ff0), None);
+        // The marker at or after `etext`: no call.
+        assert_eq!(boot_text_range(0x5000, 0x5000), None);
+        assert_eq!(boot_text_range(0x6000, 0x5000), None);
+        // A marker in the last page of the address space.
+        assert_eq!(boot_text_range(usize::MAX - 10, usize::MAX), None);
+    }
+
+    #[test]
+    fn the_boot_marker_lies_before_etext() {
+        // The linker defines `etext` past every function of the binary.
+        let end = std::ptr::addr_of!(etext) as usize;
+        assert!((boot_text_start as *const () as usize) < end);
+        assert!((boot_text_dropped as *const () as usize) < end);
     }
 }

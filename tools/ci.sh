@@ -24,7 +24,7 @@ cargo build --release
 echo "==> cargo test"
 cargo test -q
 
-echo "==> hot text gate (release repld: every repld.order name resolves, and a chain3 site maps <= 512 kB of its 1.2 MB of text and <= 128 kB of its 288 kB read-only segment after a fixed pass; tier-1 links repld in debug, where the order names nothing)"
+echo "==> hot text gate (release repld: every repld.order name resolves, steady names lie before the boot marker and boot names after it, the exit line reports the boot-text drop, and a chain3 site holds <= 256 kB of its 1.2 MB of text after dropping its boot text and <= 128 kB of its 288 kB read-only segment after a fixed pass; tier-1 links repld in debug, where the order names nothing)"
 cargo test --release -q -p repl-runtime --test hot_text
 
 echo "==> mc_smoke (exhaustive bounded model check, 3 sites / 2 txns, all four protocols)"

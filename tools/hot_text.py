@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Regenerate `crates/runtime/repld.order`: the functions a `repld` site
-executes, which the release link places first in `.text`, and the named
-read-only data it reads, placed first in `.rodata`
-(`crates/runtime/build.rs`, `crates/runtime/repld.ld`; DESIGN.md §9.5,
-"hot text first").
+executes, which the release link places first in `.text` — those it
+runs in steady state, then those it runs only before, which the site
+drops once its mesh is up — and the named read-only data it reads,
+placed first in `.rodata` (`crates/runtime/build.rs`,
+`crates/runtime/repld.ld`; DESIGN.md §9.5, "hot text first" and "the
+boot text").
 
     python3 tools/hot_text.py
 
@@ -17,6 +19,11 @@ that
 
 * sets a one-shot `int3` on every function of its `.text` and records
   the ones hit;
+* breaks where the site's boot-text drop returns (`boot_text_dropped`,
+  which `epoll::drop_boot_text` calls once its `madvise` is done): the
+  `madvise` also discarded the patched copies of the dropped pages, so
+  it arms every function again and records the later hits apart, and
+  records the functions with a frame on the stack there;
 * makes every page of its read-only segment a mapping of its own
   (`mprotect`, alternating `PROT_READ` and `PROT_READ|PROT_WRITE`, so
   neighbours do not merge) and drops them all (`madvise(MADV_DONTNEED)`),
@@ -25,12 +32,21 @@ that
   window, and the pages resident when the site exits are the ones it
   read.
 
-The file is the union of first hits over every site process of both
-passes and glibc's mmap allocation path (`MMAP_PATH`, which a run takes or not by how far
-its buffers grow), sorted by name, then every IFUNC sibling of an
-executed string function
-(`__memmove_evex_…` beside `__memmove_avx_…`), so a CPU that resolves a
-different variant still finds it next to the hot region. Under `# data`
+A function is *steady* if some site process of either pass hit it after
+its drop or had a frame on the stack at the drop, and *boot* if every
+hit came before. The drop's own path (`SHED_PATH`), glibc's mmap
+allocation path (`MMAP_PATH`, which a run takes or not by how far its
+buffers grow) and the dial path (`DIAL_PATH`, which a site takes after
+its drop only if a link breaks, in a benchmark run only as its fleet
+shuts down) are steady whatever a run did. The file lists the steady
+names, sorted by name; then, under `# boot`, the marker the drop starts
+at (`boot_text_start`) and the boot names, sorted by name; then every
+IFUNC sibling of an executed string function (`__memmove_evex_…` beside
+`__memmove_avx_…`), so a CPU that resolves a different variant finds it
+in the text a site drops rather than in a cold window. The probe links
+`SHED_PATH` first, so its drop never covers its own return path or the
+break. The tool refuses to write the file when a traced site never
+reached its drop, and prints the steady and boot sizes. Under `# data`
 follow the named symbols of the `.rodata` input sections a site read
 (the probe's link map names them), smallest section first. Anonymous
 constants, merged strings, literal pools and jump tables have no names;
@@ -38,7 +54,8 @@ constants, merged strings, literal pools and jump tables have no names;
 section read without a name, for `repld.ld` to name. The same traces
 give the same file. Timing decides a few names (a connect's error path,
 a drop the last frame of a run takes or not), so one pass can miss what
-the other hits; the tool prints every name the passes disagree on.
+the other hits, or hit it on the other side of the drop; the tool
+prints every name the passes disagree on.
 
 Python 3 standard library only (ptrace through ctypes, symbols from
 `nm`); x86_64 Linux. A maintenance tool: cargo, the tests and the
@@ -51,9 +68,11 @@ in place of `repld`; it forks the tracer, lets it attach
 and parent, so the harness's `/proc` view of its sites is unchanged.
 """
 
+import bisect
 import ctypes
 import json
 import os
+import re
 import signal
 import struct
 import subprocess
@@ -111,8 +130,25 @@ ISA_TAGS = ("sse2", "ssse3", "sse4", "avx", "evex", "erms")
 # glibc serves a block at or past its mmap threshold (128 KiB) from its
 # own mapping. Whether a site takes that path in a run depends on how far
 # a link log or a reply buffer grows in it, not on the code, so these
-# are listed whether or not a traced run took them.
-MMAP_PATH = ("munmap_chunk", "sysmalloc_mmap.constprop.0")
+# are listed, steady, whether or not a traced run took them.
+MMAP_PATH = ("munmap_chunk", "sysmalloc_mmap.constprop.0", "mmap", "__mmap", "mmap64", "__mmap64", "munmap", "__munmap")
+
+# A site dials a peer again whenever a link breaks, which in a benchmark
+# run happens only while a fleet shuts down: whether a trace sees the
+# dial after a site's drop is timing, so its path is listed steady
+# always. The C names exactly, the Rust ones by a pattern of their last
+# path segments (the rest of a name carries a crate hash).
+DIAL_PATH = ("connect", "__connect", "__libc_connect", "socket", "__socket", "poll", "__poll", "__libc_poll",
+             "getsockopt", "__getsockopt")
+DIAL_PATH_RUST = (r"9TcpStream15connect_timeout", r"6Socket10take_error", r"13drop_in_placeNtNtNt\w+_3std2io5error5ErrorE")
+
+# The boot-text drop (`shims/epoll`): the function the boot part starts
+# with, which nothing calls, and the one the drop calls once `madvise`
+# has returned. The drop's path stays in the steady part: placed in the
+# dropped range, returning from `madvise` would fault its windows back.
+BOOT_MARKER = "boot_text_start"
+DROPPED_MARKER = "boot_text_dropped"
+SHED_PATH = ("drop_boot_text", "__madvise", "madvise", DROPPED_MARKER)
 
 
 def libc():
@@ -227,6 +263,7 @@ def trace(tracee, real, outdir, go_r, ready_w):
         table = json.load(f)
     lo, hi = table["segment"]
     rlo, rhi = table["rodata"]
+    dropped = table["dropped"]
     lib = libc()
     os.read(go_r, 1)
     options = PTRACE_O_TRACEEXEC | PTRACE_O_TRACECLONE | PTRACE_O_TRACEEXIT | PTRACE_O_EXITKILL
@@ -234,6 +271,9 @@ def trace(tracee, real, outdir, go_r, ready_w):
     open(os.path.join(outdir, f"{tracee}.run"), "w").close()
     os.write(ready_w, b"r")
     base, mem, original, hits, pages = None, None, {}, set(), set()
+    # The hits after the drop, once it has returned; the registers and
+    # the stack then.
+    after, stack = None, None
     while True:
         pid, status = os.waitpid(-1, WALL)
         if os.WIFEXITED(status) or os.WIFSIGNALED(status):
@@ -251,8 +291,7 @@ def trace(tracee, real, outdir, go_r, ready_w):
             text = bytearray(os.pread(mem, hi - lo, base + lo))
             for addr in table["addrs"]:
                 original[addr] = bytes(text[addr - lo : addr - lo + 1])
-                text[addr - lo] = INT3
-            os.pwrite(mem, bytes(text), base + lo)
+            arm(mem, base, lo, hi, table["addrs"])
             sig = 0
         elif event == PTRACE_EVENT_EXIT:
             # The address space outlives the stop: read what is resident.
@@ -270,9 +309,16 @@ def trace(tracee, real, outdir, go_r, ready_w):
             if addr in original:
                 # First hit: put the byte back and re-run the instruction.
                 # Another thread may have trapped on it too; both rewind.
-                if addr not in hits:
+                seen = hits if after is None else after
+                if addr not in seen:
                     os.pwrite(mem, original[addr], base + addr)
-                    hits.add(addr)
+                    seen.add(addr)
+                if addr == dropped and after is None:
+                    # The drop has returned: arm everything again, and
+                    # note who is on the stack.
+                    after = {addr}
+                    arm(mem, base, lo, hi, [a for a in table["addrs"] if a != dropped])
+                    stack = stack_at(lib, pid, mem, base)
                 ptrace(lib, PTRACE_POKEUSER, pid, RIP, rip - 1)
                 sig = 0
         ptrace(lib, PTRACE_CONT, pid, 0, sig)
@@ -280,8 +326,36 @@ def trace(tracee, real, outdir, go_r, ready_w):
         f.write("".join(f"{(p - base - rlo) // PAGE}\n" for p in sorted(pages)))
     path = os.path.join(outdir, f"{tracee}.hits")
     with open(path + ".tmp", "w") as f:
-        f.write("".join(f"{a}\n" for a in sorted(hits)))
+        json.dump({"before": sorted(hits), "after": sorted(after or ()), "stack": stack,
+                   "dropped": after is not None}, f)
     os.rename(path + ".tmp", path)
+
+
+def arm(mem, base, lo, hi, addrs):
+    """Set an `int3` on the first byte of each function at `addrs`, with
+    one write of the whole text segment."""
+    text = bytearray(os.pread(mem, hi - lo, base + lo))
+    for addr in addrs:
+        text[addr - lo] = INT3
+    os.pwrite(mem, bytes(text), base + lo)
+
+
+def stack_at(lib, pid, mem, base):
+    """`pid`'s return address, stack pointer and frame pointer (the
+    first relative to `base`), and its stack from the stack pointer to
+    the top of the mapping, as hex: what `live_frames` unwinds."""
+    regs = Regs()
+    ptrace(lib, PTRACE_GETREGS, pid, 0, ctypes.addressof(regs))
+    with open(f"/proc/{pid}/maps") as maps:
+        for line in maps:
+            start, end = (int(x, 16) for x in line.split()[0].split("-"))
+            if start <= regs.rsp < end:
+                break
+        else:
+            raise RuntimeError(f"{pid}: the stack pointer {regs.rsp:#x} is in no mapping")
+    # Stopped on the `int3` at a function's first byte.
+    return {"base": base, "rip": regs.rip - 1 - base, "rsp": regs.rsp, "rbp": regs.rbp,
+            "stack": os.pread(mem, end - regs.rsp, regs.rsp).hex()}
 
 
 def split_pages(lib, pid, mem, lo, hi):
@@ -355,6 +429,74 @@ def load_base(pid, real):
 # ---- driver ---------------------------------------------------------------
 
 
+def frame_rules(path):
+    """The call frame rules of `path`'s `.eh_frame`, as `readelf` decodes
+    them: `(lo, hi, rows)` sorted by `lo`, a row `(loc, CFA register,
+    CFA offset, rbp's offset from the CFA or None, whether the return
+    address is defined)`. A function whose FDE has no rows of its own
+    keeps its CIE's."""
+    out = subprocess.run(["readelf", "--debug-dump=frames-interp", path], check=True, capture_output=True, text=True)
+    cies, fdes, rows, cols = {}, [], None, []
+    for line in out.stdout.splitlines():
+        f = line.split()
+        if len(f) >= 4 and f[3] == "CIE":
+            rows = cies.setdefault(f[0], [])
+        elif len(f) >= 6 and f[3] == "FDE":
+            lo, hi = (int(x, 16) for x in f[5].partition("=")[2].split(".."))
+            rows = []
+            fdes.append((lo, hi, rows, f[4].partition("=")[2]))
+        elif f and f[0] == "LOC":
+            cols = f
+        elif rows is not None and len(f) == len(cols) and len(f[0]) == 16:
+            rule = dict(zip(cols, f))
+            reg, plus, off = rule["CFA"].partition("+")
+            rbp = rule.get("rbp", "u")
+            rows.append((
+                int(f[0], 16),
+                reg if plus and off.isdigit() else None,
+                int(off) if plus and off.isdigit() else 0,
+                int(rbp[1:]) if rbp.startswith("c") else None,
+                rule.get("ra", "u") != "u",
+            ))
+    table = [(lo, hi, rows or cies.get(cie, [])) for lo, hi, rows, cie in fdes]
+    return sorted(t for t in table if t[2])
+
+
+def live_frames(rules, at):
+    """The text addresses of the frames live on a stack (`stack_at`):
+    the stopped function's, then each caller's call site, by the frame
+    rules."""
+    base, stack, rsp0 = at["base"], bytes.fromhex(at["stack"]), at["rsp"]
+    los = [lo for lo, _, _ in rules]
+
+    def word(addr):
+        i = addr - rsp0
+        return int.from_bytes(stack[i : i + 8], "little") if 0 <= i <= len(stack) - 8 else None
+
+    pc, regs, frames = at["rip"], {"rsp": at["rsp"], "rbp": at["rbp"]}, []
+    while len(frames) < 64:
+        frames.append(pc)
+        i = bisect.bisect_right(los, pc) - 1
+        if i < 0 or pc >= rules[i][1]:
+            break
+        rows = rules[i][2]
+        _, reg, off, rbp, ra = [r for r in rows if r[0] <= pc][-1] if rows[0][0] <= pc else rows[0]
+        if reg not in regs or not ra:
+            break
+        cfa = regs[reg] + off
+        ret = word(cfa - 8)
+        if rbp is not None:
+            regs["rbp"] = word(cfa + rbp)
+        regs["rsp"] = cfa
+        if ret is None or regs["rbp"] is None or ret <= base:
+            break
+        # The caller's call site: the return address may be the first
+        # byte after a function that ends in a call.
+        pc = ret - base - 1
+    return frames
+
+
+
 def build_replbench(bench_target):
     lock = os.path.join(ROOT, "benchmark", "Cargo.lock")
     with open(lock, "rb") as f:
@@ -372,20 +514,28 @@ def link_repld(target, link_map, probe=None):
     """Release `repld`, linked into its own target directory (so the
     workspace's `repld` is never the probe) with a link map. A `probe`
     script goes in front of `repld.ld` for the link, so its patterns
-    claim their sections first. New arguments make cargo relink."""
+    claim their sections first, and `SHED_PATH` in front of
+    `repld.order`, so the probe's drop covers neither its own return
+    path nor the break the tracer waits for, whatever the file says. New
+    arguments make cargo relink."""
     script = os.path.join(ROOT, "crates", "runtime", "repld.ld")
-    with open(script) as f:
-        saved = f.read()
+    saved = {}
+    for path in (script, ORDER):
+        with open(path) as f:
+            saved[path] = f.read()
     cargo = ["cargo", "rustc", "--release", "--offline", "-p", "repl-runtime", "--bin", "repld"]
     cargo += ["--", "-C", f"link-arg=-Wl,-Map={link_map},--no-demangle"]
     try:
         if probe:
             with open(script, "w") as f:
-                f.write(probe + saved)
+                f.write(probe + saved[script])
+            with open(ORDER, "w") as f:
+                f.write("".join(f"{n}\n" for n in SHED_PATH) + saved[ORDER])
         subprocess.run(cargo, cwd=ROOT, env=dict(os.environ, CARGO_TARGET_DIR=target), check=True)
     finally:
-        with open(script, "w") as f:
-            f.write(saved)
+        for path, text in saved.items():
+            with open(path, "w") as f:
+                f.write(text)
     return os.path.join(target, "release", "repld")
 
 
@@ -478,8 +628,8 @@ def main():
 
     with tempfile.TemporaryDirectory(prefix="hot_text.") as outdir:
         # Trace a probe `repld`: the release link with every `.rodata`
-        # input section on pages of its own. Its text is the release
-        # text; only the read-only data moves.
+        # input section on pages of its own, and the drop's path first.
+        # Its text is otherwise the release text; the read-only data moves.
         probe_target = os.path.join(os.path.abspath(target), "hot_text")
         release_map, probe_map = os.path.join(outdir, "release.map"), os.path.join(outdir, "probe.map")
         repld = link_repld(probe_target, release_map)
@@ -487,33 +637,99 @@ def main():
         repld = link_repld(probe_target, probe_map, probe)
         replbench = build_replbench(os.path.abspath(bench_target))
         segment, by_addr, sizes = symbols(repld)
+        addr_of = {n: a for a, names in by_addr.items() for n in names}
+        for name in (BOOT_MARKER, DROPPED_MARKER):
+            if name not in addr_of:
+                sys.exit(f"hot_text: the probe repld has no function {name}")
         rodata = read_only_segment(repld)
         sections = input_sections(probe_map, *rodata)
-        table = {"segment": segment, "rodata": rodata, "addrs": sorted(by_addr)}
+        table = {"segment": segment, "rodata": rodata, "addrs": sorted(by_addr), "dropped": addr_of[DROPPED_MARKER]}
+        rules = frame_rules(repld)
+        text_sections = input_sections(probe_map, *segment)
         passes = [trace_pass(n, outdir, table, repld, replbench, workloads) for n in range(PASSES)]
-    runs = sum(len(r) for r, _, _ in passes)
-    hit = set().union(*(h for _, h, _ in passes))
-    touched = set().union(*(t for _, _, t in passes))
-    per_pass = [
-        ("function", [{name for addr in h for name in by_addr[addr]} for _, h, _ in passes]),
-        ("data", [set(hot_data(sections, t)[0]) for _, _, t in passes]),
+    runs = [run for p in passes for run in p["runs"]]
+    short = [run for p in passes for run in p["runs"] if not p["traces"][run]["dropped"]]
+    if short:
+        sys.exit(
+            f"hot_text: {len(short)} of {len(runs)} traced sites never reached {DROPPED_MARKER} "
+            f"(pids {' '.join(short[:10])}); {os.path.relpath(ORDER, ROOT)} is not written"
+        )
+    print(f"hot_text: {len(runs)} of {len(runs)} traced sites reached {DROPPED_MARKER}", file=sys.stderr)
+
+    starts = sorted(by_addr)
+    size_at = {a: max(sizes[n] for n in by_addr[a]) for a in starts}
+
+    def function_at(addr):
+        """The function whose body holds `addr`, if any."""
+        i = bisect.bisect_right(starts, addr) - 1
+        return starts[i] if i >= 0 and addr < starts[i] + size_at[starts[i]] else None
+
+    def names(addrs):
+        return {n for a in addrs for n in by_addr[a]}
+
+    traces = [t for p in passes for t in p["traces"].values()]
+    for t in traces:
+        t["live"] = {function_at(a) for a in live_frames(rules, t["stack"])} - {None}
+
+    def classify(traces):
+        """`{name: "steady" | "boot"}` over some site processes."""
+        hit, steady = set(), set()
+        for t in traces:
+            hit |= set(t["before"]) | set(t["after"]) | t["live"]
+            steady |= set(t["after"]) | t["live"]
+        kinds = {n: "boot" for n in names(hit)}
+        kinds.update({n: "steady" for n in names(steady)})
+        return kinds
+
+    per_pass = [classify(p["traces"].values()) for p in passes]
+    kinds = classify(traces)
+    touched = set().union(*(p["touched"] for p in passes))
+    disagree = [
+        ("function", [set(k) for k in per_pass]),
+        ("steady function", [{n for n, kind in k.items() if kind == "steady"} for k in per_pass]),
+        ("data", [set(hot_data(sections, p["touched"])[0]) for p in passes]),
     ]
-    for kind, names in per_pass:
-        for name in sorted(set.union(*names) - set.intersection(*names)):
-            seen = ", ".join(str(n + 1) for n, pass_names in enumerate(names) if name in pass_names)
+    for kind, sets in disagree:
+        for name in sorted(set.union(*sets) - set.intersection(*sets)):
+            seen = ", ".join(str(n + 1) for n, pass_names in enumerate(sets) if name in pass_names)
             print(f"hot_text: {kind} {name}: pass {seen} only", file=sys.stderr)
-    executed = {name for addr in hit for name in by_addr[addr]}
-    executed |= {name for name in MMAP_PATH if name in sizes}
-    siblings = ifunc_siblings(executed, sizes)
+    stacked = set().union(*(t["live"] for t in traces)) - set().union(*(set(t["after"]) for t in traces))
+    print(f"hot_text: steady by a frame at the drop alone: {' '.join(sorted(names(stacked)))}", file=sys.stderr)
+    forced = {name for name in SHED_PATH + MMAP_PATH + DIAL_PATH if name in sizes}
+    forced |= {name for name in sizes if any(re.search(p, name) for p in DIAL_PATH_RUST)}
+    steady = ({n for n, kind in kinds.items() if kind == "steady"} | forced) - {BOOT_MARKER}
+    boot = set(kinds) - steady - {BOOT_MARKER}
+    siblings = ifunc_siblings(steady | boot, sizes)
+    # glibc builds some objects into one text section, and the link
+    # places a section by its first listed name: a boot function that
+    # shares a section with a steady one sits in the steady part, and is
+    # listed there.
+    section_of = {n: desc for _, _, _, desc, syms in text_sections for _, n in syms}
+    shared = {section_of[n] for n in steady if n in section_of}
+    riders = {n for n in boot | set(siblings) if section_of.get(n) in shared}
+    steady, boot = steady | riders, boot - riders
+    siblings = [n for n in siblings if n not in riders]
+    for desc in sorted({section_of[n] for n in riders}):
+        ride = sorted(n for n in riders if section_of[n] == desc)
+        print(f"hot_text: {desc} holds steady functions, and boot ones placed with them: {' '.join(ride)}", file=sys.stderr)
     data, unnamed = hot_data(sections, touched)
     with open(ORDER, "w") as f:
         f.write(
             "# The functions a `repld` site executes, placed first in its .text by\n"
             "# the release link (crates/runtime/build.rs). Generated by\n"
-            "# `python3 tools/hot_text.py`: the union of first hits over two passes\n"
-            "# of every BENCHMARK.json workload at --trace 0 and 1, sorted by name.\n"
+            "# `python3 tools/hot_text.py` from two passes of every BENCHMARK.json\n"
+            "# workload at --trace 0 and 1. First the steady part, sorted by name:\n"
+            "# what some site ran after it dropped its boot text, or had on its\n"
+            "# stack then, and the drop's own, the mmap and the dial paths.\n"
         )
-        f.write("".join(f"{n}\n" for n in sorted(executed)))
+        f.write("".join(f"{n}\n" for n in sorted(steady)))
+        f.write(
+            "# boot: what every site ran only before the drop, sorted by name, after\n"
+            "# the marker the drop starts at. A site drops these pages once its mesh\n"
+            "# is up (DESIGN.md §9.5).\n"
+        )
+        f.write(f"{BOOT_MARKER}\n")
+        f.write("".join(f"{n}\n" for n in sorted(boot)))
         f.write("# IFUNC siblings of the executed string functions.\n")
         f.write("".join(f"{n}\n" for n in siblings))
         f.write(
@@ -523,10 +739,9 @@ def main():
         f.write("".join(f"{n}\n" for n in data))
     kb = lambda names: sum(sizes[n] for n in names) / 1024
     print(
-        f"hot_text: {runs} site processes; {len(hit)} functions executed "
-        f"({len(executed)} names, {sum(sizes[by_addr[a][0]] for a in hit) / 1024:.0f} kB), "
-        f"{len(siblings)} IFUNC siblings ({kb(siblings):.0f} kB); "
-        f"{len(data)} data names -> {os.path.relpath(ORDER, ROOT)}",
+        f"hot_text: {len(runs)} site processes; steady {len(steady)} names ({kb(steady):.0f} kB), "
+        f"boot {len(boot)} names ({kb(boot):.0f} kB), {len(siblings)} IFUNC siblings "
+        f"({kb(siblings):.0f} kB); {len(data)} data names -> {os.path.relpath(ORDER, ROOT)}",
         file=sys.stderr,
     )
     for out in dict.fromkeys(out for _, _, out, _, _ in sections):
@@ -545,7 +760,9 @@ def main():
 
 def trace_pass(n, outdir, table, repld, replbench, workloads):
     """Run every workload under the tracer once, in a directory of its
-    own; return the pass's site pids, function hits and read pages."""
+    own; return the pass's site pids, each one's trace (hits before and
+    after its drop, text addresses on its stack at the drop) and the
+    pages read."""
     passdir = os.path.join(outdir, f"pass{n + 1}")
     os.mkdir(passdir)
     with open(os.path.join(passdir, "symbols.json"), "w") as f:
@@ -562,13 +779,13 @@ def trace_pass(n, outdir, table, repld, replbench, workloads):
                 # run can miss its offered rate; the sites ran all the same.
                 print(f"hot_text: replbench exited {done.returncode}; its traces are kept", file=sys.stderr)
     runs = wait_for_tracers(passdir)
-    hit, touched = set(), set()
+    traces, touched = {}, set()
     for run in runs:
         with open(os.path.join(passdir, f"{run}.hits")) as f:
-            hit.update(int(line) for line in f)
+            traces[run] = json.load(f)
         with open(os.path.join(passdir, f"{run}.pages")) as f:
             touched.update(int(line) for line in f)
-    return runs, hit, touched
+    return {"runs": runs, "traces": traces, "touched": touched}
 
 
 def wait_for_tracers(outdir, timeout_s=30):
