@@ -1,23 +1,22 @@
-//! Static and dynamic analyses for the replication suite.
+//! The model checker for the replication suite, and the
+//! serializability oracle every executor's history goes through.
 //!
-//! Two independent passes, one diagnostic vocabulary ([`Diagnostic`]):
+//! * **Model checker** ([`mc`], `replmc` binary) — a stateless DFS
+//!   explorer that drives the sans-I/O `SiteMachine`s through *every*
+//!   interleaving of deliverable inputs for bounded workloads, with
+//!   sleep-set pruning and state-fingerprint dedup, and checks
+//!   convergence, one-copy serializability, link FIFO discipline, epoch
+//!   monotonicity and crash silence (codes `MC001`–`MC006`, reported as
+//!   [`Diagnostic`]s).
+//! * **Serializability oracle** ([`history::History`]) — lives here
+//!   (re-exported by `repl-core`) so both the engine and the model
+//!   checker can share it.
 //!
-//! 1. **Configuration linter** ([`lint`]) — checks a data placement, its
-//!    copy graph, and the run's timing parameters against the protocol
-//!    preconditions of Breitbart et al. *before* any simulation runs
-//!    (codes `RA001`–`RA010`). The engine and every bench binary call
-//!    [`lint::lint_scenario`] and fail fast on errors. It takes the
-//!    propagation structure from `repl_protocol::Routing::build`, as
-//!    every executor does, and checks its witnesses.
-//! 2. **Model checker** ([`mc`], `replmc` binary) — a stateless DFS
-//!    explorer that drives the sans-I/O `SiteMachine`s through *every*
-//!    interleaving of deliverable inputs for bounded workloads, with
-//!    sleep-set pruning and state-fingerprint dedup, and checks
-//!    convergence, one-copy serializability, link FIFO discipline, epoch
-//!    monotonicity and crash silence (codes `MC001`–`MC006`). The
-//!    serializability oracle reuses [`history::History`], which lives
-//!    here (re-exported by `repl-core`) so both the engine and the model
-//!    checker can share it.
+//! What a run needs of its configuration — an acyclic copy graph, a
+//! topological site order, a tree with the ancestor property, a
+//! backedge set that breaks every cycle — is refused or built by one
+//! function, `repl_protocol::Routing::build`, and its property test
+//! (`tests/routing.rs`) holds what it builds to those postconditions.
 //!
 //! The source rules that keep runs reproducible from their seeds — no
 //! wall clock, no sleep, no socket and no hash-ordered map in the
@@ -27,9 +26,7 @@
 
 pub mod diag;
 pub mod history;
-pub mod lint;
 pub mod mc;
 
-pub use diag::{has_errors, render, Diagnostic, Severity, Witness};
+pub use diag::{render, Diagnostic, Witness};
 pub use history::History;
-pub use lint::{lint_scenario, LintConfig};

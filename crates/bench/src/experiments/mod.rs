@@ -367,8 +367,8 @@ pub fn ablation_eager(scale: &Scale) -> Sweep {
 /// The x axis is the number of seeded crash/restart windows injected
 /// into the run ([`FaultPlan::random_crashes`]); every window lands in
 /// the first virtual second, well inside even `REPRO_SCALE=quick` runs.
-/// Swept over the crash-capable protocols (RA010 rejects the eager
-/// family): the figure shows how much throughput each protocol gives up
+/// Swept over the crash-capable protocols (`Engine::new` refuses a crash
+/// plan under the eager family): the figure shows how much throughput each protocol gives up
 /// per crash and how quickly a rejoined site catches up (WAL replay plus
 /// backlog drain). The strawman NaiveLazy is omitted — its points would
 /// only render as `ERR:1SR` cells.

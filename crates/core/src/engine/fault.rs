@@ -29,8 +29,8 @@
 //! Crash faults are supported for DAG(WT), DAG(T), NaiveLazy and PSL.
 //! BackEdge and Eager hold prepared/provisional remote writes that an
 //! abrupt crash would silently lose (a lost-update divergence, not a
-//! stall), so the `repl-analysis` linter rejects crash plans for them
-//! at error severity.
+//! stall), so [`Engine::new`] refuses a crash plan under them with
+//! [`crate::engine::BuildError::CrashUnrecoverable`].
 
 use repl_protocol::Input;
 use repl_sim::{SimDuration, SimTime};

@@ -55,10 +55,15 @@ pub enum BuildError {
     SiteOrderNotTopological,
     /// Program shape does not match the placement (sites/threads).
     BadPrograms(String),
-    /// The `repl-analysis` configuration linter found error-severity
-    /// diagnostics (rendered findings attached). Only raised by
-    /// [`Engine::build`]; [`Engine::new`] assumes the caller linted.
-    LintRejected(String),
+    /// The fault plan crashes a site under a protocol with no crash
+    /// recovery. BackEdge's prepared specials and Eager's remote locks
+    /// are lost with the site, and the paper gives neither a recovery
+    /// path, so the run would diverge instead of recovering. The lazy
+    /// protocols recover from the WAL and the delivery backlog (§3.3).
+    CrashUnrecoverable {
+        /// The protocol the plan was paired with.
+        protocol: ProtocolKind,
+    },
 }
 
 impl std::fmt::Display for BuildError {
@@ -71,9 +76,11 @@ impl std::fmt::Display for BuildError {
                 write!(f, "DAG(T) requires site ids to form a topological order of the copy graph")
             }
             BuildError::BadPrograms(s) => write!(f, "bad program shape: {s}"),
-            BuildError::LintRejected(s) => {
-                write!(f, "configuration failed pre-run lint:\n{s}")
-            }
+            BuildError::CrashUnrecoverable { protocol } => write!(
+                f,
+                "the fault plan crashes a site but {} has no crash recovery",
+                protocol.name()
+            ),
         }
     }
 }
@@ -133,10 +140,11 @@ impl Engine {
     /// This is the **canonical constructor**: every other way of making an
     /// engine (including [`Engine::build`]) delegates here. Bench and
     /// production code should call this (or the `repl-bench` runner on top
-    /// of it) and handle the [`BuildError`]; it performs only the
-    /// structural checks the protocols cannot run without (DAG-ness,
-    /// topological site order, program shape) — run the `repl-analysis`
-    /// linter separately if you also want the full configuration lint.
+    /// of it) and handle the [`BuildError`]. It refuses what the protocols
+    /// cannot run: program shape, what [`Routing::build`] refuses (a
+    /// cyclic copy graph under DAG(WT)/DAG(T), a non-topological site
+    /// order under DAG(T)), and a crash plan under a protocol without
+    /// crash recovery.
     pub fn new(
         placement: &DataPlacement,
         params: &SimParams,
@@ -150,6 +158,10 @@ impl Engine {
             )));
         }
         let routing = Routing::build(params.protocol, placement, params.tree)?;
+        let unrecoverable = matches!(params.protocol, ProtocolKind::BackEdge | ProtocolKind::Eager);
+        if unrecoverable && !params.faults.crashes.is_empty() {
+            return Err(BuildError::CrashUnrecoverable { protocol: params.protocol });
+        }
 
         // Sites and stores.
         let mut sites: Vec<SiteState> = programs
@@ -209,23 +221,15 @@ impl Engine {
 
     /// Convenience constructor: generate §5.2-style default programs
     /// (10 ops, 50% read-only transactions, 70% read operations) from
-    /// `seed`, run the `repl-analysis` configuration linter, and delegate
-    /// to the canonical [`Engine::new`].
-    ///
-    /// Error-severity lint findings surface as
-    /// [`BuildError::LintRejected`]. Tests and examples should call this
+    /// `seed` and delegate to the canonical [`Engine::new`], which
+    /// refuses what it cannot run. Tests and examples should call this
     /// (typically with `.expect(..)`); code that generates its own
-    /// programs — the bench harness, the threaded runtime — should call
-    /// [`Engine::new`].
+    /// programs — the bench harness — should call [`Engine::new`].
     pub fn build(
         placement: &DataPlacement,
         params: &SimParams,
         seed: u64,
     ) -> Result<Self, BuildError> {
-        let diags = crate::lint::lint(placement, params);
-        if repl_analysis::has_errors(&diags) {
-            return Err(BuildError::LintRejected(repl_analysis::render(&diags)));
-        }
         let programs = scenario::generate_programs(
             placement,
             &scenario::WorkloadMix::default(),

@@ -41,7 +41,6 @@
 pub mod config;
 pub mod deploy;
 pub mod engine;
-pub mod lint;
 pub mod metrics;
 pub mod scenario;
 pub mod timestamp;

@@ -6,12 +6,13 @@
 
 use repl_copygraph::DataPlacement;
 use repl_core::config::{ProtocolKind, SimParams};
-use repl_core::engine::Engine;
+use repl_core::engine::{BuildError, Engine};
 use repl_core::Timestamp;
 use repl_sim::{FaultPlan, SimDuration, SimTime};
 use repl_types::SiteId;
 
-/// Protocols with a crash-recovery path (RA010 rejects the rest).
+/// Protocols with a crash-recovery path (`Engine::new` refuses a crash
+/// plan under the rest with `BuildError::CrashUnrecoverable`).
 const CRASH_PROTOCOLS: [ProtocolKind; 4] =
     [ProtocolKind::DagWt, ProtocolKind::DagT, ProtocolKind::NaiveLazy, ProtocolKind::Psl];
 
@@ -65,6 +66,25 @@ fn assert_converged(engine: &Engine, placement: &DataPlacement) {
             let replica = engine.value_at(r, item).expect("replica exists");
             assert_eq!(replica, primary, "replica of {item} at {r} diverged from primary");
         }
+    }
+}
+
+/// A crash plan meets the protocol in `Engine::new`: BackEdge and
+/// Eager, which have no crash recovery, refuse it; the four protocols
+/// with one build and run it.
+#[test]
+fn crash_plan_rejected_for_protocols_without_recovery() {
+    let p = dag_placement();
+    for protocol in ProtocolKind::ALL {
+        let params = SimParams { faults: fault_plan(), ..SimParams::quick_test(protocol) };
+        let built = Engine::build(&p, &params, 11);
+        if CRASH_PROTOCOLS.contains(&protocol) {
+            assert!(built.is_ok(), "{protocol:?}: {:?}", built.err());
+        } else {
+            assert_eq!(built.err(), Some(BuildError::CrashUnrecoverable { protocol }));
+        }
+        let clean = SimParams::quick_test(protocol);
+        assert!(Engine::build(&p, &clean, 11).is_ok(), "{protocol:?} without crashes");
     }
 }
 

@@ -229,6 +229,15 @@ pub enum ProtocolError {
         /// The site whose machine emitted the command.
         at: SiteId,
     },
+    /// [`Input::EpochTick`] at a site with copy-graph parents. Epochs
+    /// dominate the timestamp comparison, so a bump there would order
+    /// the site's next local transactions after every parent update it
+    /// has not applied yet (§3.3 bumps at the sources). The machine
+    /// changes nothing on this error.
+    EpochAtNonSource {
+        /// The site that was fed the tick.
+        at: SiteId,
+    },
 }
 
 impl fmt::Display for ProtocolError {
@@ -254,6 +263,9 @@ impl fmt::Display for ProtocolError {
             }
             ProtocolError::UnrequestedBatch { at } => {
                 write!(f, "{at} emitted a batched command, which no machine emits")
+            }
+            ProtocolError::EpochAtNonSource { at } => {
+                write!(f, "{at} has copy-graph parents and may not bump its epoch")
             }
         }
     }
@@ -313,7 +325,9 @@ pub enum Input {
         /// Children due for a dummy.
         idle_children: Vec<SiteId>,
     },
-    /// DAG(T) epoch timer (§3.3): increment the epoch number.
+    /// DAG(T) epoch timer (§3.3): increment the epoch number. Only a
+    /// copy-graph source ([`SiteMachine::is_source`]) takes it; anywhere
+    /// else it is refused with [`ProtocolError::EpochAtNonSource`].
     EpochTick,
     /// The site crashed: volatile protocol state (in-flight applies,
     /// prepared specials, pending eager phases) is lost; queue contents
@@ -563,6 +577,12 @@ impl SiteMachine {
         self.protocol
     }
 
+    /// True when this site has no copy-graph parents: the only place a
+    /// DAG(T) epoch may advance ([`Input::EpochTick`]).
+    pub fn is_source(&self) -> bool {
+        self.graph.parents(self.me).next().is_none()
+    }
+
     /// The current DAG(T) site timestamp.
     pub fn site_ts(&self) -> &Timestamp {
         &self.site_ts
@@ -668,7 +688,8 @@ impl SiteMachine {
             Input::Prepared { gid } => self.prepared_done(gid, &mut out)?,
             Input::AbortEager { gid } => self.abort_eager(gid, &mut out),
             Input::HeartbeatTick { idle_children } => self.heartbeat(&idle_children, &mut out),
-            Input::EpochTick => self.site_ts.epoch += 1,
+            Input::EpochTick if self.is_source() => self.site_ts.epoch += 1,
+            Input::EpochTick => return Err(ProtocolError::EpochAtNonSource { at: self.me }),
             Input::Crashed => self.crashed(),
         }
         Ok(out)
@@ -1257,5 +1278,19 @@ mod tests {
         );
         assert_eq!(digest(&m), digest(&idle));
         assert!(m.secondaries_idle());
+    }
+
+    /// Only a copy-graph source bumps its epoch: s1 of the two-site
+    /// chain has s0 as a parent and refuses the tick, unchanged.
+    #[test]
+    fn an_epoch_tick_off_a_source_is_refused_and_changes_nothing() {
+        let (mut m, ..) = replica();
+        assert!(!m.is_source());
+        let before = m.site_ts().clone();
+        assert_eq!(
+            m.on_input(Input::EpochTick),
+            Err(ProtocolError::EpochAtNonSource { at: SiteId(1) })
+        );
+        assert_eq!(m.site_ts(), &before);
     }
 }

@@ -44,8 +44,10 @@ const HEARTBEAT_LANE_CAP: usize = 64;
 /// bumped. The *decision* of what a heartbeat or epoch tick does lives
 /// in the machine; durations cannot, so they live here.
 struct DagtTimers {
-    /// [`Tuning::epoch_period`] and [`Tuning::heartbeat_period`].
-    epoch: Duration,
+    /// [`Tuning::epoch_period`], at a site the machine calls a source
+    /// ([`SiteMachine::is_source`]) only: it refuses a tick elsewhere.
+    epoch: Option<Duration>,
+    /// [`Tuning::heartbeat_period`].
     heartbeat: Duration,
     /// Copy-graph children: heartbeat targets.
     children: Vec<SiteId>,
@@ -55,7 +57,7 @@ struct DagtTimers {
 }
 
 impl DagtTimers {
-    fn new(children: Vec<SiteId>, epoch: Duration, heartbeat: Duration) -> Self {
+    fn new(children: Vec<SiteId>, epoch: Option<Duration>, heartbeat: Duration) -> Self {
         let (now, n) = (Instant::now(), children.len());
         DagtTimers { epoch, heartbeat, children, last_sent: vec![now; n], last_epoch: now }
     }
@@ -187,7 +189,8 @@ impl SiteSetup {
         } = opts.tuning;
         // Recovery flushed the staged batch, so the pipeline is empty.
         parts.durable.pipeline = CommitPipeline::new(group_commit_batch.get());
-        let timers = self.dagt_children.map(|c| DagtTimers::new(c, epoch_period, heartbeat_period));
+        let epoch = self.machine.is_source().then_some(epoch_period);
+        let timers = self.dagt_children.map(|c| DagtTimers::new(c, epoch, heartbeat_period));
         SiteCore {
             id,
             store,
@@ -242,7 +245,8 @@ type Reads = Vec<(ItemId, Option<GlobalTxnId>)>;
 
 impl SiteCore {
     /// Periodic work every driver runs: the protocol-independent
-    /// stall-replay sweep, then the DAG(T) heartbeat/epoch timers. The
+    /// stall-replay sweep, then the DAG(T) heartbeat timer and, at a
+    /// copy-graph source, the epoch timer. The
     /// driver measures idleness and period expiry, the machine decides
     /// what (if anything) to send.
     pub fn tick(&mut self) {
@@ -253,7 +257,7 @@ impl SiteCore {
         self.retransmit_tick();
         let Some(t) = self.timers.as_mut() else { return };
         let now = Instant::now();
-        if now.duration_since(t.last_epoch) >= t.epoch {
+        if t.epoch.is_some_and(|epoch| now.duration_since(t.last_epoch) >= epoch) {
             t.last_epoch = now;
             let cmds = self.machine_input(Input::EpochTick);
             self.run_commands(cmds);
@@ -286,7 +290,7 @@ impl SiteCore {
     /// child got those transactions from their origin and may now be
     /// waiting on this site's column (§3.3); the timestamp only grows,
     /// so no frame sent before carries the moved one. When the merge
-    /// left it where it was (this site's epoch leads), nothing goes.
+    /// left it where it was, nothing goes.
     fn dummies_after_merge(&mut self, before: &Timestamp) {
         if self.machine.site_ts() == before {
             return;
@@ -732,6 +736,7 @@ mod tests {
     use super::*;
     use crate::handle::join_state_pages;
     use crate::transport::Direct;
+    use repl_core::History;
     use repl_net::{decode_cells, decode_framed, encode_cells, ClientReply, FrameReader, WireMsg};
     use repl_protocol::{ProtocolKind, SubtxnKind, TreeKind};
 
@@ -756,9 +761,9 @@ mod tests {
         sent
     }
 
-    /// s0 and s1 of `chain3` with one item a site (s0's copied at s1
-    /// and s2, s1's at s2).
-    fn chain3_s0_s1(protocol: RuntimeProtocol) -> [SiteCore; 2] {
+    /// `chain3` with one item a site (s0's copied at s1 and s2, s1's at
+    /// s2), under `tuning`.
+    fn chain3(protocol: RuntimeProtocol, tuning: Tuning) -> [SiteCore; 3] {
         let mut placement = DataPlacement::new(3);
         placement.add_run(SiteId(0), &[SiteId(1), SiteId(2)], 1);
         placement.add_run(SiteId(1), &[SiteId(2)], 1);
@@ -766,10 +771,11 @@ mod tests {
         let routing =
             Routing::build(protocol.into(), &placement, TreeKind::Chain).expect("chain3 is a DAG");
         let placement = Arc::new(placement);
-        [0, 1].map(|s| {
+        let opts = Arc::new(RuntimeOptions { tuning, ..RuntimeOptions::default() });
+        [0, 1, 2].map(|s| {
             SiteSetup::new(SiteId(s), protocol, placement.clone(), &routing)
                 .expect("chain3 site")
-                .into_core(SiteParts::new(3), Box::new(Direct), Arc::default())
+                .into_core(SiteParts::new(3), Box::new(Direct), opts.clone())
         })
     }
 
@@ -786,12 +792,13 @@ mod tests {
 
     /// Under DAG(T), s2 holds s0's update from s0 itself and may wait on
     /// s1's column: the secondary s1 applies moves s1's timestamp, and
-    /// s1 sends s2 one dummy carrying it before any timer runs. Once
-    /// s1's epoch leads, a secondary leaves the timestamp where it was
-    /// and nothing goes. Under DAG(WT), s1 only forwards.
+    /// s1 sends s2 one dummy carrying it before any timer runs. s1 is
+    /// not a source, so it refuses an epoch tick; a dummy from s0 that
+    /// leaves its timestamp where it was sends nothing. Under DAG(WT),
+    /// s1 only forwards.
     #[test]
     fn an_applied_secondary_that_moves_the_timestamp_sends_the_child_a_dummy() {
-        let [mut s0, mut s1] = chain3_s0_s1(RuntimeProtocol::DagT);
+        let [mut s0, mut s1, _] = chain3(RuntimeProtocol::DagT, Tuning::LIVE);
         let (seq, sub) = commit_at_s0(&mut s0, 1);
         let before = s1.machine.site_ts().clone();
         s1.apply_frame(SiteId(0), seq, sub);
@@ -805,18 +812,63 @@ mod tests {
             sent => panic!("expected one dummy to s2, sent {sent:?}"),
         }
 
-        assert!(s1.machine_input(Input::EpochTick).is_empty());
-        let ts = s1.machine.site_ts().clone();
-        let (seq, sub) = commit_at_s0(&mut s0, 2);
-        s1.apply_frame(SiteId(0), seq, sub);
-        assert_eq!(s1.peek(ItemId(0)).map(|(v, _)| v), Some(Value::int(2)));
+        assert_eq!(
+            s1.machine.on_input(Input::EpochTick),
+            Err(ProtocolError::EpochAtNonSource { at: SiteId(1) })
+        );
+        s0.send_dummies(vec![SiteId(1)]);
+        let (_, seq, dummy) = take_sent(&mut s0).pop().expect("a dummy to s1");
+        s1.apply_frame(SiteId(0), seq, dummy);
         assert_eq!(s1.machine.site_ts(), &ts);
         assert_eq!(take_sent(&mut s1), []);
 
-        let [mut s0, mut s1] = chain3_s0_s1(RuntimeProtocol::DagWt);
+        let [mut s0, mut s1, _] = chain3(RuntimeProtocol::DagWt, Tuning::LIVE);
         let (seq, sub) = commit_at_s0(&mut s0, 1);
         s1.apply_frame(SiteId(0), seq, sub.clone());
         assert_eq!(take_sent(&mut s1), [(SiteId(2), 1, sub)]);
+    }
+
+    /// The DAG(T) epoch is the sources' alone. s1 of `chain3` runs its
+    /// timers with its epoch due, then a local update that reads s0's
+    /// item before it applies s0's write to it, so the update must
+    /// serialize first. Had s1's epoch advanced, the update's timestamp
+    /// would order it after s0's write at s2, and a reader at s2 between
+    /// the two would close a cycle. No clock decides anything here: the
+    /// epoch period is zero and the heartbeat period out of reach.
+    #[test]
+    fn a_non_source_epoch_never_orders_its_update_after_an_unapplied_parent_write() {
+        let tuning = Tuning {
+            epoch_period: Duration::ZERO,
+            heartbeat_period: Duration::MAX,
+            ..Tuning::LIVE
+        };
+        let mut sites = chain3(RuntimeProtocol::DagT, tuning);
+        sites[1].tick();
+        let commit = |site: &mut SiteCore, ops: &[Op]| {
+            let started = site.start_txn(ops).expect("a valid transaction");
+            assert!(started.immediate);
+            site.complete_txn(started.gid, ops);
+        };
+        commit(&mut sites[0], &[Op::write(ItemId(0), 1)]);
+        commit(&mut sites[1], &[Op::read(ItemId(0)), Op::write(ItemId(1), 1)]);
+        // s2 hears from both origins, and a reader runs there, before
+        // s1 applies s0's write.
+        let mut to_s1 = Vec::new();
+        for from in [SiteId(0), SiteId(1)] {
+            for (to, seq, payload) in take_sent(&mut sites[from.index()]) {
+                match to {
+                    SiteId(2) => sites[2].apply_frame(from, seq, payload),
+                    _ => to_s1.push((seq, payload)),
+                }
+            }
+        }
+        commit(&mut sites[2], &[Op::read(ItemId(0)), Op::read(ItemId(1))]);
+        for (seq, payload) in to_s1 {
+            sites[1].apply_frame(SiteId(0), seq, payload);
+        }
+        pump(&mut sites, |_, _| true);
+        let history = History::from_iter(sites.iter().flat_map(|site| site.history.txns()));
+        assert_eq!(history.check_serializability(), Ok(()));
     }
 
     /// `ring3` under BackEdge, one item a site — s0's copied at s1, s1's
