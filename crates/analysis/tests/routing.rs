@@ -87,6 +87,18 @@ fn a_stranded_replica_is_caught() {
     assert_eq!(stranded_replicas(&p, &tree, None), [(item, SiteId(0))]);
 }
 
+/// A §5.2 placement of 40 items over `m` sites.
+fn generated(m: u32, replication_prob: f64, backedge_prob: f64, seed: u64) -> DataPlacement {
+    let table = TableOneParams {
+        num_sites: m,
+        num_items: 40,
+        replication_prob,
+        backedge_prob,
+        ..Default::default()
+    };
+    build_placement(&table, seed)
+}
+
 proptest! {
     #[test]
     fn routing_refuses_exactly_the_preconditions_and_builds_what_it_promises(
@@ -96,14 +108,7 @@ proptest! {
         b in 0.01f64..1.0,
         seed in 0u64..30,
     ) {
-        let table = TableOneParams {
-            num_sites: m,
-            num_items: 40,
-            replication_prob: r,
-            backedge_prob: if with_backedges { b } else { 0.0 },
-            ..Default::default()
-        };
-        let placement = build_placement(&table, seed);
+        let placement = generated(m, r, if with_backedges { b } else { 0.0 }, seed);
         let graph = CopyGraph::from_placement(&placement);
         let descending = graph.edges().iter().any(|&(from, to, _)| to < from);
         for protocol in ProtocolKind::ALL {
@@ -135,5 +140,84 @@ proptest! {
                 prop_assert!(stranded.is_empty(), "{:?}: {:?}", protocol, stranded);
             }
         }
+    }
+
+    /// With backedge probability zero the generator replicates only
+    /// "forward", so both DAG protocols route every such placement.
+    #[test]
+    fn forward_placements_route_under_the_dag_protocols(
+        m in 2u32..12,
+        r in 0.0f64..1.0,
+        seed in 0u64..30,
+    ) {
+        let placement = generated(m, r, 0.0, seed);
+        for protocol in [ProtocolKind::DagWt, ProtocolKind::DagT] {
+            for tree in [TreeKind::Chain, TreeKind::General] {
+                let built = Routing::build(protocol, &placement, tree);
+                prop_assert!(built.is_ok(), "{:?}: {:?}", protocol, built.err());
+            }
+        }
+    }
+
+    /// Seeded corruption: an item whose replica reverses a copy-graph edge
+    /// closes a cycle, which both DAG protocols refuse and BackEdge routes.
+    #[test]
+    fn an_injected_cycle_edge_is_refused_by_the_dag_protocols(
+        m in 2u32..12,
+        seed in 0u64..30,
+    ) {
+        let mut placement = generated(m, 0.5, 0.0, seed);
+        let edges = CopyGraph::from_placement(&placement).edges();
+        prop_assume!(!edges.is_empty());
+        let (u, v, _) = edges[0];
+        placement.add_item(v, &[u]);
+        for protocol in [ProtocolKind::DagWt, ProtocolKind::DagT] {
+            let built = Routing::build(protocol, &placement, TreeKind::Chain);
+            prop_assert_eq!(built.err(), Some(RoutingError::CopyGraphCyclic), "{:?}", protocol);
+        }
+        prop_assert!(Routing::build(ProtocolKind::BackEdge, &placement, TreeKind::Chain).is_ok());
+    }
+
+    /// Seeded corruption: a minimal backedge set with one edge removed
+    /// leaves a cycle unbroken; the intact set breaks them all.
+    #[test]
+    fn a_backedge_set_missing_one_edge_leaves_a_cycle(
+        m in 2u32..12,
+        r in 0.3f64..1.0,
+        seed in 0u64..30,
+    ) {
+        let graph = CopyGraph::from_placement(&generated(m, r, 1.0, seed));
+        let full = BackEdgeSet::by_site_order(&graph);
+        prop_assume!(!full.is_empty());
+        prop_assert!(breaks_every_cycle(&graph, &full));
+        let mut edges = full.edges().to_vec();
+        edges.remove(0);
+        prop_assert!(!breaks_every_cycle(&graph, &BackEdgeSet::from_edges(edges)));
+    }
+
+    /// Seeded corruption: a tree built without the constraints that point
+    /// at one site attaches it as a root, and the ancestor predicate
+    /// names exactly the dropped constraints.
+    #[test]
+    fn a_reparented_tree_node_loses_the_ancestor_property(
+        m in 2u32..12,
+        seed in 0u64..30,
+    ) {
+        let graph = CopyGraph::from_placement(&generated(m, 0.6, 0.0, seed));
+        let constraints: Vec<_> = graph.edges().into_iter().map(|(u, v, _)| (u, v)).collect();
+        let order = graph.topo_order().expect("forward placements are acyclic");
+        // The topologically last site with a parent: attached as a root,
+        // no later node's splice can reparent it.
+        let Some(&victim) =
+            order.iter().rev().find(|site| constraints.iter().any(|&(_, v)| v == **site))
+        else {
+            return Ok(());
+        };
+        let (dropped, kept): (Vec<_>, Vec<_>) =
+            constraints.iter().copied().partition(|&(_, v)| v == victim);
+        let corrupt = PropagationTree::from_constraints(graph.num_sites(), &kept, &order);
+        prop_assert_eq!(ancestor_violations(&corrupt, &constraints), dropped);
+        let clean = PropagationTree::from_constraints(graph.num_sites(), &constraints, &order);
+        prop_assert!(ancestor_violations(&clean, &constraints).is_empty());
     }
 }
