@@ -96,7 +96,7 @@ pub enum Action {
     Epoch(SiteId),
     /// DAG(T): crash this site (consumes the crash budget).
     Crash(SiteId),
-    /// Recover a crashed site (sources bump their epoch, §3.3).
+    /// Recover a crashed site.
     Restart(SiteId),
     /// BackEdge: victimize this eager phase (deadlock/timeout).
     AbortEager(GlobalTxnId),
@@ -118,18 +118,18 @@ impl fmt::Display for Action {
     }
 }
 
-/// How the scheduler may fire DAG(T)'s two timers.
+/// How the scheduler may fire DAG(T)'s two timers. The world has no
+/// clock: it explores *which* children get a dummy, never *when*.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Timers {
     /// Exhaustive exploration: each site may heartbeat this many times,
     /// and only towards children whose link *and* queue from it are
     /// empty (a dummy behind queued work changes nothing an oracle sees,
-    /// so the filter is a state-space bound, not a protocol rule); the
-    /// epoch ticks only inside [`Action::Restart`].
+    /// so the filter is a state-space bound, not a protocol rule); an
+    /// epoch moves only when a source's machine takes a crash.
     Budgeted(u32),
-    /// Random walks: what the live `tick()` does once its periods have
-    /// passed — any site may declare *every* child idle, whatever is
-    /// queued, and any copy-graph source may tick its epoch
+    /// Random walks: any site may declare *every* child idle, whatever
+    /// is queued, and any copy-graph source may tick its epoch
     /// ([`Action::Epoch`]), at any step and without a budget. The state
     /// space is infinite; only a bounded walk makes sense of it.
     Free,
@@ -157,8 +157,6 @@ pub(crate) struct Fleet {
     /// Plan entries by gid.
     pub txn_info: BTreeMap<GlobalTxnId, PlannedTxn>,
     pub budgets: Budgets,
-    /// Copy-graph sources (epoch owners, §3.3).
-    pub sources: Vec<SiteId>,
 }
 
 /// Work occupying a site's single applier slot.
@@ -246,7 +244,6 @@ impl World {
         for t in plan.iter().flatten() {
             txn_info.insert(t.gid, t.clone());
         }
-        let sources = graph.sources();
         let placement = Arc::new(placement);
         let mut machines = Vec::with_capacity(n);
         for s in 0..n {
@@ -267,8 +264,7 @@ impl World {
             Timers::Budgeted(per_site) => per_site,
             Timers::Free => u32::MAX,
         };
-        let fleet =
-            Arc::new(Fleet { protocol, placement, graph, tree, plan, txn_info, budgets, sources });
+        let fleet = Arc::new(Fleet { protocol, placement, graph, tree, plan, txn_info, budgets });
         Ok(World {
             machines,
             stores: vec![BTreeMap::new(); n],
@@ -376,7 +372,7 @@ impl World {
                 if self.hb_budget[s] > 0 && !self.heartbeat_targets(site).is_empty() {
                     acts.push(Action::Heartbeat(site));
                 }
-                if self.fleet.budgets.timers == Timers::Free && self.fleet.sources.contains(&site) {
+                if self.fleet.budgets.timers == Timers::Free && self.machines[s].is_source() {
                     acts.push(Action::Epoch(site));
                 }
                 if self.crash_budget > 0 {
@@ -501,16 +497,7 @@ impl World {
                 self.direct_preps[site.index()].clear();
                 self.special_locks[site.index()].clear();
             }
-            Action::Restart(site) => {
-                self.crashed[site.index()] = false;
-                // §3.3: recovery bumps the epoch at the copy-graph
-                // sources so post-crash timestamps dominate stragglers.
-                for &src in &self.fleet.sources.clone() {
-                    if !self.crashed[src.index()] {
-                        self.feed(src, Input::EpochTick, diags);
-                    }
-                }
-            }
+            Action::Restart(site) => self.crashed[site.index()] = false,
             Action::AbortEager(gid) => {
                 self.eager_waiting.remove(&gid);
                 self.aborted.insert(gid);
@@ -1003,18 +990,9 @@ impl World {
     fn touched(&self, a: Action) -> Vec<SiteId> {
         match a {
             Action::Commit(s) | Action::Complete(s) | Action::Prep(s) | Action::Crash(s) => vec![s],
+            Action::Restart(s) | Action::Heartbeat(s) | Action::Epoch(s) => vec![s],
             Action::Deliver(_, to) => vec![to],
             Action::AbortEager(g) => vec![g.origin],
-            Action::Heartbeat(s) | Action::Epoch(s) => vec![s],
-            Action::Restart(s) => {
-                let mut v = vec![s];
-                for &src in &self.fleet.sources {
-                    if !v.contains(&src) {
-                        v.push(src);
-                    }
-                }
-                v
-            }
         }
     }
 }

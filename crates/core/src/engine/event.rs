@@ -165,18 +165,11 @@ pub enum Event {
         /// Thread index.
         thread: u32,
     },
-    /// DAG(T): a source site increments its epoch (§3.3).
-    EpochTick {
-        /// The source site.
+    /// DAG(T): the site's machine is due a `Timer` input (§3.3).
+    Timer {
+        /// The site.
         site: SiteId,
-        /// Tick-chain generation (stale after a crash).
-        gen: u64,
-    },
-    /// DAG(T): check idle links and send dummy subtransactions (§3.3).
-    HeartbeatTick {
-        /// The sending site.
-        site: SiteId,
-        /// Tick-chain generation (stale after a crash).
+        /// Timer-chain generation (stale after a crash).
         gen: u64,
     },
     /// CPU slice for one write of a directly-sent backedge
@@ -197,8 +190,8 @@ pub enum Event {
         site: SiteId,
     },
     /// The site rejoins: it replays its WAL, drains the message backlog
-    /// buffered while it was down, and (DAG(T)) bumps its epoch so
-    /// post-recovery timestamps dominate (§3.3).
+    /// buffered while it was down, and re-arms its machine's timers (a
+    /// DAG(T) source's machine bumped its epoch at the crash, §3.3).
     SiteRestart {
         /// The recovering site.
         site: SiteId,
@@ -217,8 +210,7 @@ impl Event {
             | Event::SecondaryStepDone { site, .. }
             | Event::SecondaryCommitDone { site, .. }
             | Event::RetryThread { site, .. }
-            | Event::EpochTick { site, .. }
-            | Event::HeartbeatTick { site, .. }
+            | Event::Timer { site, .. }
             | Event::BackedgeStepDone { site, .. }
             | Event::SiteCrash { site }
             | Event::SiteRestart { site } => site,

@@ -20,11 +20,9 @@
 //!   backlog is drained *inline* at restart, before any later delivery
 //!   can be dispatched.
 //! * **At restart:** the CPU is cleared, WAL replay is charged, worker
-//!   threads resume their programs after replay, a recovering DAG(T)
-//!   *source* bumps its epoch so post-recovery timestamps dominate its
-//!   pre-crash ones (§3.3, Def. 3.3; non-sources must not — see
-//!   [`Engine::site_restart`]), and the tick chains are re-armed under
-//!   a fresh generation.
+//!   threads resume their programs after replay, and the machine's
+//!   DAG(T) timers are re-armed under a fresh generation. A DAG(T)
+//!   *source*'s machine bumped its epoch at the crash (§3.3).
 //!
 //! Crash faults are supported for DAG(WT), DAG(T), NaiveLazy and PSL.
 //! BackEdge and Eager hold prepared/provisional remote writes that an
@@ -35,8 +33,6 @@
 use repl_protocol::Input;
 use repl_sim::{SimDuration, SimTime};
 use repl_types::{GlobalTxnId, SiteId};
-
-use crate::config::ProtocolKind;
 
 use super::event::Event;
 use super::Engine;
@@ -148,7 +144,7 @@ impl Engine {
     }
 
     /// Recovery: WAL replay, thread restart, backlog drain, and (DAG(T))
-    /// the §3.3 epoch bump.
+    /// the machine's timers re-armed from now.
     pub(crate) fn site_restart(&mut self, now: SimTime, site: SiteId) {
         if self.sites[site.index()].up {
             return; // never crashed (or already restarted)
@@ -166,29 +162,9 @@ impl Engine {
         };
         self.metrics.on_restart(site, now);
 
-        if self.params.protocol == ProtocolKind::DagT {
-            let gen = self.sites[site.index()].tick_gen;
-            if self.routing.graph.parents(site).next().is_none() {
-                // §3.3: a recovering *source* advances its epoch so every
-                // timestamp it mints after recovery dominates its
-                // pre-crash ones (Def. 3.3 compares epochs first), and the
-                // bump flows downstream through its normal sends. Only
-                // sources may do this: a mid-DAG site that jumped its own
-                // epoch would timestamp post-recovery local commits ahead
-                // of still-unapplied parent updates stamped in the old
-                // epoch, making its reads appear *after* writers it never
-                // observed — a serialization cycle. Non-sources instead
-                // rely on their durable tuple counters, which already
-                // order every post-recovery timestamp above their own
-                // pre-crash ones.
-                let _cmds = self.machine_input(site, Input::EpochTick);
-                debug_assert!(_cmds.is_empty(), "an epoch tick produces no commands");
-                self.queue.push_at(now + self.epoch, Event::EpochTick { site, gen });
-            }
-            if self.routing.graph.children(site).next().is_some() {
-                self.queue
-                    .push_at(now + SimDuration::micros(1), Event::HeartbeatTick { site, gen });
-            }
+        if self.sites[site.index()].machine.is_some() {
+            self.machine_input(site, Input::Timer { now_us: now.as_micros() }); // re-arms only
+            self.arm_timer(site);
         }
 
         // Worker threads resume their programs once replay finishes

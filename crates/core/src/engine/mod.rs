@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use repl_copygraph::{BackEdgeSet, DataPlacement, PropagationTree};
 use repl_protocol::{
-    Command as ProtoCommand, Input, Payload, ProtocolError, Routing, RoutingError, SiteMachine,
+    Command as ProtoCommand, Input, ProtocolError, Routing, RoutingError, SiteMachine,
 };
 use repl_sim::{EventQueue, Network, SimDuration, SimTime};
 use repl_storage::TxnId;
@@ -123,8 +123,6 @@ pub struct Engine {
     /// Threads that have not yet finished their programs.
     pub(crate) live_threads: u64,
     /// `params.tuning`, as [`Engine::new`] read it.
-    pub(crate) epoch: SimDuration,
-    pub(crate) heartbeat: SimDuration,
     pub(crate) eager_wait: SimDuration,
     pub(crate) mvcc: bool,
     pub(crate) group_commit: usize,
@@ -181,7 +179,8 @@ impl Engine {
             for s in &mut sites {
                 let (graph, tree) = (routing.graph.clone(), routing.tree.clone());
                 let m = SiteMachine::new(s.id, pid, placement.clone(), graph, tree);
-                s.machine = Some(m.expect("the routing carries a tree for tree-routed protocols"));
+                let m = m.expect("the routing carries a tree for tree-routed protocols");
+                s.machine = Some(m.with_tuning(&params.tuning));
             }
         }
 
@@ -189,8 +188,8 @@ impl Engine {
         // No `..`: a new `Tuning` field fails to compile until read here.
         let sim = |d: std::time::Duration| SimDuration::micros(d.as_micros() as u64);
         let Tuning {
-            epoch_period,
-            heartbeat_period,
+            epoch_period: _,
+            heartbeat_period: _,
             eager_timeout,
             mvcc_reads,
             group_commit_batch,
@@ -205,8 +204,6 @@ impl Engine {
             history: History::new(),
             metrics: Metrics::new(num_sites),
             live_threads: 0,
-            epoch: sim(epoch_period),
-            heartbeat: sim(heartbeat_period),
             eager_wait: sim(eager_timeout),
             mvcc: mvcc_reads,
             group_commit: group_commit_batch.get(),
@@ -252,21 +249,8 @@ impl Engine {
                 }
             }
         }
-        if self.params.protocol == ProtocolKind::DagT {
-            let sources = self.routing.graph.sources();
-            for s in sources {
-                self.queue
-                    .push_at(SimTime::ZERO + self.epoch, Event::EpochTick { site: s, gen: 0 });
-            }
-            for s in 0..self.sites.len() as u32 {
-                let site = SiteId(s);
-                if self.routing.graph.children(site).next().is_some() {
-                    self.queue.push_at(
-                        SimTime::ZERO + SimDuration::micros(1),
-                        Event::HeartbeatTick { site, gen: 0 },
-                    );
-                }
-            }
+        for s in 0..self.sites.len() as u32 {
+            self.arm_timer(SiteId(s));
         }
     }
 
@@ -335,8 +319,7 @@ impl Engine {
             Event::SecondaryStepDone { site, gen } => self.secondary_step_done(now, site, gen),
             Event::SecondaryCommitDone { site, gen } => self.secondary_commit_done(now, site, gen),
             Event::RetryThread { site, thread } => self.retry_thread(now, site, thread),
-            Event::EpochTick { site, gen } => self.epoch_tick(now, site, gen),
-            Event::HeartbeatTick { site, gen } => self.heartbeat_tick(now, site, gen),
+            Event::Timer { site, gen } => self.timer(now, site, gen),
             Event::BackedgeStepDone { site, gid, idx } => {
                 self.backedge_step_done(now, site, gid, idx)
             }
@@ -377,14 +360,24 @@ impl Engine {
     // The protocol-machine adapter.
     // ------------------------------------------------------------------
 
-    /// Feed `input` to `site`'s propagation machine and return the
-    /// commands to execute. A [`repl_protocol::ProtocolError`] here means
-    /// the engine fed the machine inconsistent structure — an internal
-    /// invariant violation, so it aborts the simulation loudly.
+    /// Feed `input` to `site`'s propagation machine at the calendar's
+    /// time and return the commands to execute. A
+    /// [`repl_protocol::ProtocolError`] here means the engine fed the
+    /// machine inconsistent structure — an internal invariant violation,
+    /// so it aborts the simulation loudly.
     pub(crate) fn machine_input(&mut self, site: SiteId, input: Input) -> Vec<ProtoCommand> {
         let st = &mut self.sites[site.index()];
         let m = st.machine.as_mut().expect("lazy-protocol site has a machine");
+        m.set_now(self.queue.now().as_micros());
         m.on_input(input).unwrap_or_else(|e| panic!("protocol invariant violated at {site}: {e}"))
+    }
+
+    /// Schedule `site`'s next [`Event::Timer`] at its machine's deadline.
+    pub(crate) fn arm_timer(&mut self, site: SiteId) {
+        let st = &self.sites[site.index()];
+        if let Some(at) = st.machine.as_ref().and_then(SiteMachine::next_deadline) {
+            self.queue.push_at(SimTime(at), Event::Timer { site, gen: st.tick_gen });
+        }
     }
 
     /// Execute machine commands: cost them onto the simulated CPUs, locks
@@ -393,7 +386,9 @@ impl Engine {
     pub(crate) fn run_commands(&mut self, now: SimTime, site: SiteId, cmds: Vec<ProtoCommand>) {
         for cmd in cmds {
             match cmd {
-                ProtoCommand::Send { to, payload } => self.send_link(now, site, to, payload),
+                ProtoCommand::Send { to, payload } => {
+                    self.send(now, site, to, Message::Link { from: site, payload })
+                }
                 ProtoCommand::CommitLocal { gid } => self.commit_local_ready(now, site, gid),
                 ProtoCommand::Apply { gid, writes } => {
                     self.start_applier(now, site, gid, writes, false)
@@ -417,18 +412,6 @@ impl Engine {
         // Machine inputs can drain the last real update at a recovering
         // site (e.g. a dummy consumed inline), so check here.
         self.maybe_mark_recovered(now, site);
-    }
-
-    /// Put one machine-emitted link payload on the wire. DAG(T) also
-    /// remembers when the link last carried a subtransaction, so
-    /// heartbeats skip busy links (§3.3).
-    fn send_link(&mut self, now: SimTime, site: SiteId, to: SiteId, payload: Payload) {
-        if self.params.protocol == ProtocolKind::DagT {
-            if let Payload::Subtxn(_) = payload {
-                self.sites[site.index()].last_sent.insert(to, now);
-            }
-        }
-        self.send(now, site, to, Message::Link { from: site, payload });
     }
 
     // ------------------------------------------------------------------

@@ -204,49 +204,24 @@ impl Engine {
     }
 
     // ------------------------------------------------------------------
-    // DAG(T) progress machinery (§3.3) — the driver owns the clocks.
+    // DAG(T) progress machinery (§3.3) — the engine keeps the time.
     // ------------------------------------------------------------------
 
     /// True while the DAG(T) progress machinery still has work to push
     /// forward; once the workload is done and every update has landed,
-    /// ticks stop so the calendar can drain.
+    /// timers stop so the calendar can drain.
     fn ticks_needed(&self) -> bool {
         self.live_threads > 0 || self.metrics.unpropagated() > 0
     }
 
-    /// Source sites periodically increment their epoch.
-    pub(crate) fn epoch_tick(&mut self, now: SimTime, site: SiteId, gen: u64) {
+    /// Tell the site's machine the time — it fires what is due — and
+    /// schedule the next timer at its deadline.
+    pub(crate) fn timer(&mut self, now: SimTime, site: SiteId, gen: u64) {
         if !self.ticks_needed() || gen != self.sites[site.index()].tick_gen {
-            return; // done, or a tick chain orphaned by a crash
+            return; // done, or a timer chain orphaned by a crash
         }
-        let cmds = self.machine_input(site, Input::EpochTick);
+        let cmds = self.machine_input(site, Input::Timer { now_us: now.as_micros() });
         self.run_commands(now, site, cmds);
-        self.queue.push_at(now + self.epoch, Event::EpochTick { site, gen });
-    }
-
-    /// Report links idle longer than the heartbeat period; the machine
-    /// emits dummy subtransactions for them so children can always
-    /// compute their minimum.
-    pub(crate) fn heartbeat_tick(&mut self, now: SimTime, site: SiteId, gen: u64) {
-        if !self.ticks_needed() || gen != self.sites[site.index()].tick_gen {
-            return; // done, or a tick chain orphaned by a crash
-        }
-        let idle_children: Vec<SiteId> = self
-            .routing
-            .graph
-            .children(site)
-            .filter(|c| {
-                self.sites[site.index()]
-                    .last_sent
-                    .get(c)
-                    .map(|&t| now - t >= self.heartbeat)
-                    .unwrap_or(true)
-            })
-            .collect();
-        if !idle_children.is_empty() {
-            let cmds = self.machine_input(site, Input::HeartbeatTick { idle_children });
-            self.run_commands(now, site, cmds);
-        }
-        self.queue.push_at(now + self.heartbeat, Event::HeartbeatTick { site, gen });
+        self.arm_timer(site);
     }
 }

@@ -208,9 +208,6 @@ pub struct SiteState {
     pub sec_wait_seq: u64,
     /// Arrival ordinal source for secondaries (fair victim policy).
     pub next_arrival: u64,
-    /// DAG(T): last time anything was sent to each copy-graph child
-    /// (drives dummy generation, §3.3).
-    pub last_sent: BTreeMap<SiteId, SimTime>,
     /// Per-attempt counter feeding [`GlobalTxnId`]s.
     pub next_seq: u64,
     /// PSL/Eager proxies keyed by remote transaction.
@@ -232,9 +229,8 @@ pub struct SiteState {
     /// True between a restart and the moment the site has caught up
     /// (applier idle, queues drained).
     pub recovering: bool,
-    /// Generation of the site's DAG(T) tick chains (epoch/heartbeat);
-    /// bumped at crash so pre-crash ticks die and the restart can re-arm
-    /// exactly one chain of each.
+    /// Generation of the site's DAG(T) timer chain; bumped at crash so
+    /// the pre-crash timer dies and the restart re-arms exactly one.
     pub tick_gen: u64,
     /// Update commits since the last fsync-equivalent (group commit):
     /// every `Tuning::group_commit_batch`-th one pays `fsync_cpu`.
@@ -259,7 +255,6 @@ impl SiteState {
             applier_gen: 0,
             sec_wait_seq: 0,
             next_arrival: 0,
-            last_sent: BTreeMap::new(),
             next_seq: 0,
             proxies: BTreeMap::new(),
             backedge_txns: BTreeMap::new(),

@@ -2,26 +2,25 @@
 //!
 //! One [`SiteMachine`] holds everything a site needs to *decide* what the
 //! propagation protocol does next — incoming subtransaction queues, the
-//! DAG(T) site timestamp, BackEdge prepared-special bookkeeping — and
-//! nothing it needs to *do* it. Every state transition is a call to
-//! [`SiteMachine::on_input`], which returns the [`Command`]s the driver
-//! must carry out. The machine never blocks, never sleeps, never
-//! allocates a transaction id, and never looks at a clock: timers are
-//! inputs ([`Input::HeartbeatTick`], [`Input::EpochTick`]) fired by the
-//! driver, and durations live entirely on the driver's side.
+//! DAG(T) site timestamp and timers, BackEdge prepared-special
+//! bookkeeping — and nothing it needs to *do* it. Every state transition
+//! is a call to [`SiteMachine::on_input`], which returns the [`Command`]s
+//! the driver must carry out. The machine never blocks, never sleeps,
+//! never allocates a transaction id, and never reads a clock: the driver
+//! tells it the time in microseconds ([`Input::Timer`]).
 //!
 //! The split of responsibilities:
 //!
 //! * **machine** — queue admission (which parent link feeds which queue),
 //!   the DAG(T) §3.2.3 minimum-timestamp scheduling rule, dummy and epoch
-//!   handling (§3.3), tree routing (§2 relevant children), the BackEdge
-//!   eager special phase (§4.1: farthest-ancestor targeting, the
+//!   handling and timing (§3.3), tree routing (§2 relevant children), the
+//!   BackEdge eager special phase (§4.1: farthest-ancestor targeting, the
 //!   prepare/forward snake, home arrival through the FIFO queue,
 //!   decisions), and abort tombstones.
 //! * **driver** — executing [`Command::Apply`] against a real store
 //!   (locks, CPU cost, WAL, metrics), shipping [`Command::Send`] payloads
 //!   over a transport with reliable-FIFO delivery, allocating transaction
-//!   ids, measuring idleness for heartbeats, and arming real timeouts.
+//!   ids, keeping time, and arming real timeouts.
 //!
 //! The driver reports completion of the slow commands back as inputs
 //! ([`Input::Applied`], [`Input::Prepared`]), which is what lets the
@@ -41,6 +40,7 @@ use crate::digest::StableDigest;
 use crate::digest::{digest_gid, digest_site, digest_subtxn, digest_timestamp, digest_writes};
 use crate::route::{destinations, dummy_gid, writes_for_site};
 use crate::timestamp::Timestamp;
+use crate::tuning::Tuning;
 use crate::wire::{Payload, Subtxn, SubtxnKind};
 
 /// Which propagation protocol a machine runs.
@@ -318,21 +318,32 @@ pub enum Input {
         /// The abandoned eager transaction.
         gid: GlobalTxnId,
     },
-    /// DAG(T) heartbeat timer: `idle_children` are the copy-graph
-    /// children whose links have been quiet for at least one heartbeat
-    /// period (idleness is a clock question, so the driver computes it).
+    /// DAG(T): a dummy to each of `idle_children` now (§3.3), untimed —
+    /// for a driver that picks the children itself; a clocked machine
+    /// picks the idle ones at [`Input::Timer`].
     HeartbeatTick {
         /// Children due for a dummy.
         idle_children: Vec<SiteId>,
     },
-    /// DAG(T) epoch timer (§3.3): increment the epoch number. Only a
+    /// DAG(T): increment the epoch number now (§3.3), untimed. Only a
     /// copy-graph source ([`SiteMachine::is_source`]) takes it; anywhere
     /// else it is refused with [`ProtocolError::EpochAtNonSource`].
     EpochTick,
+    /// The time is `now_us`, never earlier than last told. A machine
+    /// with a [`Tuning`] ([`SiteMachine::with_tuning`]) fires what is
+    /// due: a source's epoch bump each `epoch_period`, and each
+    /// `heartbeat_period` a dummy to every child no subtransaction went
+    /// to for a period, or ever. The first `Timer` after a crash re-arms
+    /// both from `now_us` and fires nothing.
+    Timer {
+        /// The driver's time, in microseconds.
+        now_us: u64,
+    },
     /// The site crashed: volatile protocol state (in-flight applies,
     /// prepared specials, pending eager phases) is lost; queue contents
     /// survive because the reliable link layer redelivers anything not
-    /// durably applied.
+    /// durably applied. A DAG(T) source bumps its epoch (§3.3), and
+    /// timers stop until the next [`Input::Timer`].
     Crashed,
 }
 
@@ -438,6 +449,37 @@ struct InFlight {
     prepare: bool,
 }
 
+/// DAG(T)'s two timers (§3.3), once a driver attached a [`Tuning`].
+/// Times are the driver's microseconds; `u64::MAX` is never.
+#[derive(Clone)]
+struct Clock {
+    /// The heartbeat period, and the epoch period at a copy-graph source
+    /// (`u64::MAX` elsewhere, where an epoch may not move); the latest
+    /// time the driver told.
+    heartbeat: u64,
+    epoch: u64,
+    now: u64,
+    /// When the heartbeat and the epoch are next due; `None` from a
+    /// crash to the [`Input::Timer`] that re-arms.
+    due: Option<(u64, u64)>,
+    /// Per copy-graph child, when a subtransaction last went to it.
+    last_sent: Vec<(SiteId, Option<u64>)>,
+}
+
+impl Clock {
+    /// Start both cadences at `now`: heartbeats from 1 µs on (if the site
+    /// has children), the epoch one period on.
+    fn arm(&mut self, now: u64) {
+        let heartbeat = if self.last_sent.is_empty() { u64::MAX } else { now.saturating_add(1) };
+        self.due = Some((heartbeat, now.saturating_add(self.epoch)));
+    }
+}
+
+/// A period in whole microseconds, saturating.
+fn micros(d: core::time::Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
 /// The pure protocol state machine for one site. See the module docs for
 /// the machine/driver split.
 #[derive(Clone)]
@@ -475,6 +517,8 @@ pub struct SiteMachine {
     /// A deliberately injected protocol bug ([`SeededBug`]), used only
     /// by correctness harnesses; `None` in every production driver.
     bug: Option<SeededBug>,
+    /// DAG(T)'s timers; not in [`SiteMachine::fingerprint`].
+    clock: Option<Clock>,
 }
 
 impl fmt::Debug for SiteMachine {
@@ -490,10 +534,10 @@ impl fmt::Debug for SiteMachine {
 }
 
 impl SiteMachine {
-    /// Heap bytes of the machine's queues and maps: the queues'
-    /// capacities and the records they hold, and a map entry as its key
-    /// and value (neither a B-tree's nodes nor what an entry's vector
-    /// holds: those are in-flight BackEdge specials, gone at rest). The
+    /// Heap bytes of the machine's queues, maps and send times: the
+    /// queues' capacities and the records they hold, and a map entry as
+    /// its key and value (neither a B-tree's nodes nor what an entry's
+    /// vector holds: in-flight BackEdge specials, gone at rest). The
     /// placement, graph and tree are shared, not the machine's.
     pub fn heap_bytes(&self) -> usize {
         fn record(sub: &Subtxn) -> usize {
@@ -515,6 +559,10 @@ impl SiteMachine {
             + self.prepared.len() * (entry + size_of::<Vec<(ItemId, Value)>>())
             + self.pending_eager.len() * (entry + size_of::<Vec<SiteId>>())
             + self.tombstones.len() * entry
+            + self
+                .clock
+                .as_ref()
+                .map_or(0, |c| c.last_sent.capacity() * size_of::<(SiteId, Option<u64>)>())
     }
 
     /// Build the machine for site `me`. Fails with
@@ -558,7 +606,50 @@ impl SiteMachine {
             pending_eager: BTreeMap::new(),
             tombstones: BTreeSet::new(),
             bug: None,
+            clock: None,
         })
+    }
+
+    /// Attach DAG(T)'s timers with `tuning`'s two periods, armed at time
+    /// 0 of the driver's clock. Any other protocol has no timer. Without
+    /// this call [`Input::Timer`] changes nothing and
+    /// [`SiteMachine::next_deadline`] is `None`.
+    #[must_use]
+    pub fn with_tuning(mut self, tuning: &Tuning) -> Self {
+        if self.protocol == ProtocolId::DagT {
+            let mut clock = Clock {
+                heartbeat: micros(tuning.heartbeat_period),
+                epoch: if self.is_source() { micros(tuning.epoch_period) } else { u64::MAX },
+                now: 0,
+                due: None,
+                last_sent: self.graph.children(self.me).map(|c| (c, None)).collect(),
+            };
+            clock.arm(0);
+            self.clock = Some(clock);
+        }
+        self
+    }
+
+    /// Tell the time without firing a timer, to stamp what the machine
+    /// sends next: a driver calls this before every input.
+    pub fn set_now(&mut self, now_us: u64) {
+        if let Some(c) = &mut self.clock {
+            c.now = c.now.max(now_us);
+        }
+    }
+
+    /// When the machine next needs an [`Input::Timer`]: the earlier of the
+    /// heartbeat and epoch due times. `None` without a clock, at a site
+    /// with neither children nor a source's epoch, and from a crash to
+    /// the `Timer` that re-arms.
+    pub fn next_deadline(&self) -> Option<u64> {
+        let (heartbeat, epoch) = self.clock.as_ref()?.due?;
+        Some(heartbeat.min(epoch)).filter(|&due| due < u64::MAX)
+    }
+
+    /// This site's copy-graph children.
+    pub fn children(&self) -> impl Iterator<Item = SiteId> + '_ {
+        self.graph.children(self.me)
     }
 
     /// Seed a known protocol bug into this machine (verification
@@ -578,7 +669,7 @@ impl SiteMachine {
     }
 
     /// True when this site has no copy-graph parents: the only place a
-    /// DAG(T) epoch may advance ([`Input::EpochTick`]).
+    /// DAG(T) epoch may advance.
     pub fn is_source(&self) -> bool {
         self.graph.parents(self.me).next().is_none()
     }
@@ -690,7 +781,17 @@ impl SiteMachine {
             Input::HeartbeatTick { idle_children } => self.heartbeat(&idle_children, &mut out),
             Input::EpochTick if self.is_source() => self.site_ts.epoch += 1,
             Input::EpochTick => return Err(ProtocolError::EpochAtNonSource { at: self.me }),
+            Input::Timer { now_us } => self.timer(now_us, &mut out),
             Input::Crashed => self.crashed(),
+        }
+        if let Some(c) = &mut self.clock {
+            // Under DAG(T) every subtransaction goes to a child.
+            for cmd in &out {
+                if let Command::Send { to, payload: Payload::Subtxn(_) } = cmd {
+                    let child = c.last_sent.iter_mut().filter(|(child, _)| child == to);
+                    child.for_each(|(_, at)| *at = Some(c.now));
+                }
+            }
         }
         Ok(out)
     }
@@ -1120,6 +1221,28 @@ impl SiteMachine {
         }
     }
 
+    /// §3.3's timers: a source's epoch bump first, so the dummies carry
+    /// it, then the dummies. Each re-arms one period after `now`.
+    fn timer(&mut self, now: u64, out: &mut Vec<Command>) {
+        let Some(c) = &mut self.clock else { return };
+        c.now = c.now.max(now);
+        let now = c.now;
+        let Some((heartbeat_due, epoch_due)) = c.due else { return c.arm(now) };
+        if now >= epoch_due {
+            self.site_ts.epoch += 1;
+        }
+        let idle: Vec<SiteId> = c
+            .last_sent
+            .iter()
+            .filter(|(_, at)| at.is_none_or(|at| now.saturating_sub(at) >= c.heartbeat))
+            .map(|&(child, _)| child)
+            .filter(|_| now >= heartbeat_due)
+            .collect();
+        let next = |due, period| if now >= due { now.saturating_add(period) } else { due };
+        c.due = Some((next(heartbeat_due, c.heartbeat), next(epoch_due, c.epoch)));
+        self.heartbeat(&idle, out);
+    }
+
     /// Crash semantics: the subtransaction in the slot goes back to the
     /// front of its queue (the driver's store rolled it back; the link
     /// layer's durable high-water mark means it will not be
@@ -1129,7 +1252,10 @@ impl SiteMachine {
     /// layer's replay against the durable applied marks, the latter is
     /// reconstructed by WAL replay before the machine is consulted
     /// again. Tombstones persist so a post-restart special arrival is
-    /// still dropped.
+    /// still dropped. A DAG(T) source bumps its epoch (§3.3, Def. 3.3:
+    /// what it mints after recovery dominates what it minted before; a
+    /// site with parents must not). Timers stop until the restart's
+    /// [`Input::Timer`].
     fn crashed(&mut self) {
         if let Some(f) = self.busy.take() {
             self.queues[f.queue].1.push_front(f.sub);
@@ -1137,6 +1263,12 @@ impl SiteMachine {
         self.preparing.clear();
         self.prepared.clear();
         self.pending_eager.clear();
+        if self.protocol == ProtocolId::DagT && self.is_source() {
+            self.site_ts.epoch += 1;
+        }
+        if let Some(c) = &mut self.clock {
+            c.due = None;
+        }
     }
 }
 

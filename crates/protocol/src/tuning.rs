@@ -1,7 +1,8 @@
 //! The settings the simulator's `Engine` and the live runtime's
 //! `SiteCore` both read and mean the same way, spelled once. Each
 //! executor reads a [`Tuning`] through one exhaustive destructure, so a
-//! field added here fails to compile in both until both use it.
+//! field added here fails to compile in both until both use it; the two
+//! DAG(T) periods they pass on to `SiteMachine::with_tuning`.
 
 use core::num::NonZeroUsize;
 use core::time::Duration;
@@ -10,11 +11,14 @@ use core::time::Duration;
 /// live fleet, in two profiles: [`Tuning::PAPER`] and [`Tuning::LIVE`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Tuning {
-    /// DAG(T): a source site bumps its epoch this often (§3.3).
+    /// DAG(T): a source's machine bumps its epoch this often (§3.3),
+    /// from boot and from each restart.
     pub epoch_period: Duration,
-    /// DAG(T) idle fallback: a copy-graph child link idle this long gets
-    /// a dummy (§3.3 "no communication for a while"); a child waiting on
-    /// a secondary its parent applied gets one at once.
+    /// DAG(T) idle fallback: this often, from 1 µs after boot or restart,
+    /// the machine sends a dummy to each copy-graph child no
+    /// subtransaction went to for this long (§3.3 "no communication for
+    /// a while"); the live site sends one at once to a child waiting on a
+    /// secondary it applied.
     pub heartbeat_period: Duration,
     /// BackEdge (§4): a primary whose special has not come home this
     /// long after its eager phase began aborts. The paper's prototype

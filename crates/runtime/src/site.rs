@@ -7,7 +7,7 @@
 //! client commits as [`Input`]s and carries out the returned
 //! [`ProtoCommand`]s — local transactions against the store, WAL records,
 //! outstanding-counter bookkeeping, handing [`Payload`]s to the reliable
-//! link layer ([`Net`]) — plus the clock side of the DAG(T) timers.
+//! link layer ([`Net`]) — and keeps the machine's time.
 //! Nothing in it blocks: an eager phase parks the *transaction*
 //! ([`Started::immediate`] = false) until [`SiteCore::take_home`].
 //!
@@ -23,8 +23,8 @@ use std::time::{Duration, Instant};
 use repl_copygraph::DataPlacement;
 use repl_net::{frame_state_page_into, HistoryLog, Payload, PAGE_BYTES};
 use repl_protocol::{
-    destinations, planned_writes, Command as ProtoCommand, Input, ProtocolError, Routing,
-    SiteMachine, Timestamp, Tuning,
+    destinations, planned_writes, Command as ProtoCommand, Input, ProtocolError, ProtocolId,
+    Routing, SiteMachine, SubtxnKind, Timestamp, Tuning,
 };
 use repl_storage::{recover, CommitPipeline, Store};
 use repl_types::{GlobalTxnId, ItemId, Op, OpKind, SiteId, Value};
@@ -35,33 +35,9 @@ use crate::link::{LinkState, Links};
 use crate::policy::{RuntimeOptions, REPLAY_PERIOD};
 use crate::transport::{Net, Transport};
 
-/// DAG(T): skip heartbeats into a lane already this deep (a down or
+/// DAG(T): drop a dummy bound for a lane already this deep (a down or
 /// slow peer must not accumulate unbounded dummies).
 const HEARTBEAT_LANE_CAP: usize = 64;
-
-/// The clock side of DAG(T)'s progress machinery (§3.3): when the last
-/// real send per copy-graph child happened and when the epoch last
-/// bumped. The *decision* of what a heartbeat or epoch tick does lives
-/// in the machine; durations cannot, so they live here.
-struct DagtTimers {
-    /// [`Tuning::epoch_period`], at a site the machine calls a source
-    /// ([`SiteMachine::is_source`]) only: it refuses a tick elsewhere.
-    epoch: Option<Duration>,
-    /// [`Tuning::heartbeat_period`].
-    heartbeat: Duration,
-    /// Copy-graph children: heartbeat targets.
-    children: Vec<SiteId>,
-    /// Last send (real or dummy) per child, same indexing as `children`.
-    last_sent: Vec<Instant>,
-    last_epoch: Instant,
-}
-
-impl DagtTimers {
-    fn new(children: Vec<SiteId>, epoch: Option<Duration>, heartbeat: Duration) -> Self {
-        let (now, n) = (Instant::now(), children.len());
-        DagtTimers { epoch, heartbeat, children, last_sent: vec![now; n], last_epoch: now }
-    }
-}
 
 /// Outcome of [`SiteCore::start_txn`]: the allocated gid, and whether
 /// the machine committed locally at once (`immediate`) or opened a
@@ -95,8 +71,8 @@ pub(crate) struct SiteCore {
     mvcc: bool,
     /// The shared protocol state machine (also driven by the sim).
     machine: SiteMachine,
-    /// DAG(T) timers, present iff the protocol is DAG(T).
-    timers: Option<DagtTimers>,
+    /// Time 0 of the machine's clock: when this run of the site began.
+    booted: Instant,
     /// Set by a [`ProtoCommand::CommitLocal`] while an eager phase
     /// waits for its special to come home.
     home: Option<GlobalTxnId>,
@@ -144,8 +120,6 @@ impl SiteParts {
 /// panic.
 pub(crate) struct SiteSetup {
     machine: SiteMachine,
-    /// DAG(T) only: the copy-graph children heartbeats go to.
-    dagt_children: Option<Vec<SiteId>>,
     placement: Arc<DataPlacement>,
 }
 
@@ -156,11 +130,9 @@ impl SiteSetup {
         placement: Arc<DataPlacement>,
         Routing { graph, tree, .. }: &Routing,
     ) -> Result<Self, ProtocolError> {
-        let dagt_children =
-            (protocol == RuntimeProtocol::DagT).then(|| graph.children(id).collect());
         let (graph, tree) = (graph.clone(), tree.clone());
         let machine = SiteMachine::new(id, protocol, placement.clone(), graph, tree)?;
-        Ok(SiteSetup { machine, dagt_children, placement })
+        Ok(SiteSetup { machine, placement })
     }
 
     /// The site this half belongs to.
@@ -180,17 +152,17 @@ impl SiteSetup {
         let id = self.machine.me();
         let store = recovered_store(&self.placement, id, &mut parts.durable);
         // No `..`: a new `Tuning` field fails to compile until read here.
+        // The DAG(T) periods are the machine's.
         let Tuning {
-            epoch_period,
-            heartbeat_period,
+            epoch_period: _,
+            heartbeat_period: _,
             eager_timeout,
             mvcc_reads,
             group_commit_batch,
         } = opts.tuning;
         // Recovery flushed the staged batch, so the pipeline is empty.
         parts.durable.pipeline = CommitPipeline::new(group_commit_batch.get());
-        let epoch = self.machine.is_source().then_some(epoch_period);
-        let timers = self.dagt_children.map(|c| DagtTimers::new(c, epoch, heartbeat_period));
+        let machine = self.machine.with_tuning(&opts.tuning);
         SiteCore {
             id,
             store,
@@ -203,8 +175,8 @@ impl SiteSetup {
             opts,
             eager_wait: eager_timeout,
             mvcc: mvcc_reads,
-            machine: self.machine,
-            timers,
+            machine,
+            booted: Instant::now(),
             home: None,
             eager_deadline: None,
             last_replay: Instant::now(),
@@ -245,43 +217,24 @@ type Reads = Vec<(ItemId, Option<GlobalTxnId>)>;
 
 impl SiteCore {
     /// Periodic work every driver runs: the protocol-independent
-    /// stall-replay sweep, then the DAG(T) heartbeat timer and, at a
-    /// copy-graph source, the epoch timer. The
-    /// driver measures idleness and period expiry, the machine decides
-    /// what (if anything) to send.
+    /// stall-replay sweep, then [`Input::Timer`] once the machine's
+    /// deadline has passed (only ever under DAG(T)).
     pub fn tick(&mut self) {
         // Group commit: a partially filled batch must not wait for more
         // traffic forever — drain it whenever the site comes up for air
         // (a no-op when the pipeline is empty or the batch size is 1).
         self.flush_log();
         self.retransmit_tick();
-        let Some(t) = self.timers.as_mut() else { return };
-        let now = Instant::now();
-        if t.epoch.is_some_and(|epoch| now.duration_since(t.last_epoch) >= epoch) {
-            t.last_epoch = now;
-            let cmds = self.machine_input(Input::EpochTick);
+        let now_us = self.now_us();
+        if self.machine.next_deadline().is_some_and(|due| now_us >= due) {
+            let cmds = self.machine_input(Input::Timer { now_us });
             self.run_commands(cmds);
         }
-        #[expect(clippy::expect_used, reason = "timers is Some for the lifetime of a DAG(T) site")]
-        let t = self.timers.as_ref().expect("still DAG(T)");
-        let idle_children: Vec<SiteId> = t
-            .children
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| now.duration_since(t.last_sent[i]) >= t.heartbeat)
-            .map(|(_, &c)| c)
-            .collect();
-        self.send_dummies(idle_children);
     }
 
-    /// DAG(T): feed the machine a heartbeat for `children`, less those
-    /// whose lane is already [`HEARTBEAT_LANE_CAP`] deep.
-    fn send_dummies(&mut self, mut children: Vec<SiteId>) {
-        children.retain(|&c| self.net.lane_len(c) < HEARTBEAT_LANE_CAP);
-        if !children.is_empty() {
-            let cmds = self.machine_input(Input::HeartbeatTick { idle_children: children });
-            self.run_commands(cmds);
-        }
+    /// The machine's clock: microseconds since this run began.
+    fn now_us(&self) -> u64 {
+        u64::try_from(self.booted.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
 
     /// DAG(T): if the secondaries a delivery just applied moved the
@@ -295,8 +248,9 @@ impl SiteCore {
         if self.machine.site_ts() == before {
             return;
         }
-        let children = self.timers.as_ref().map_or_else(Vec::new, |t| t.children.clone());
-        self.send_dummies(children);
+        let idle_children = self.machine.children().collect();
+        let cmds = self.machine_input(Input::HeartbeatTick { idle_children });
+        self.run_commands(cmds);
     }
 
     /// Stall recovery: every [`REPLAY_PERIOD`], replay any outgoing lane
@@ -329,18 +283,13 @@ impl SiteCore {
     }
 
     /// Heap bytes of the protocol machine and the site's own per-peer
-    /// marks, prepared specials and DAG(T) timers.
+    /// marks and prepared specials.
     pub fn machine_bytes(&self) -> usize {
-        let timers = self.timers.as_ref().map_or(0, |t| {
-            t.children.capacity() * size_of::<SiteId>()
-                + t.last_sent.capacity() * size_of::<Instant>()
-        });
         let prepared: usize = self.prepared.iter().map(|(_, items)| items.capacity() * 4).sum();
         self.machine.heap_bytes()
             + self.front_marks.capacity() * size_of::<u64>()
             + self.prepared.capacity() * size_of::<(GlobalTxnId, Vec<ItemId>)>()
             + prepared
-            + timers
     }
 
     /// What outlives this run of the site, handed back as one value.
@@ -418,7 +367,7 @@ impl SiteCore {
         // The write set is known up front (last write per item), so the
         // machine can decide eager-vs-immediate before execution.
         let planned = planned_writes(ops);
-        let cmds = match self.machine.on_input(Input::CommitIntent { gid, writes: planned }) {
+        let cmds = match self.step(Input::CommitIntent { gid, writes: planned }) {
             Ok(cmds) => cmds,
             Err(e) => {
                 self.poisoned.get_or_insert(e.clone());
@@ -505,16 +454,19 @@ impl SiteCore {
         gid
     }
 
+    /// Feed the machine one input at the current time.
+    fn step(&mut self, input: Input) -> Result<Vec<ProtoCommand>, ProtocolError> {
+        self.machine.set_now(self.now_us());
+        self.machine.on_input(input)
+    }
+
     /// Feed one input to the machine; a protocol error poisons the site
     /// (reported to the next client) instead of panicking the driver.
     fn machine_input(&mut self, input: Input) -> Vec<ProtoCommand> {
-        match self.machine.on_input(input) {
-            Ok(cmds) => cmds,
-            Err(e) => {
-                self.poisoned.get_or_insert(e);
-                Vec::new()
-            }
-        }
+        self.step(input).unwrap_or_else(|e| {
+            self.poisoned.get_or_insert(e);
+            Vec::new()
+        })
     }
 
     /// Carry out machine commands in order. Commands whose completion
@@ -527,8 +479,11 @@ impl SiteCore {
         while let Some(cmd) = work.pop_front() {
             let responses = match cmd {
                 ProtoCommand::Send { to, payload } => {
-                    self.note_sent(to, &payload);
-                    self.net.send(to, &payload);
+                    let dummy =
+                        matches!(&payload, Payload::Subtxn(sub) if sub.kind == SubtxnKind::Dummy);
+                    if !dummy || self.net.lane_len(to) < HEARTBEAT_LANE_CAP {
+                        self.net.send(to, &payload);
+                    }
                     Vec::new()
                 }
                 ProtoCommand::Apply { gid, writes } => {
@@ -578,16 +533,6 @@ impl SiteCore {
             };
             for r in responses.into_iter().rev() {
                 work.push_front(r);
-            }
-        }
-    }
-
-    /// Refresh the DAG(T) idle-tracking when a real subtransaction (or
-    /// dummy) goes out to a copy-graph child.
-    fn note_sent(&mut self, to: SiteId, payload: &Payload) {
-        if let (Some(t), Payload::Subtxn(_)) = (self.timers.as_mut(), payload) {
-            if let Some(i) = t.children.iter().position(|&c| c == to) {
-                t.last_sent[i] = Instant::now();
             }
         }
     }
@@ -693,7 +638,8 @@ impl SiteCore {
         let cmds = self.machine_input(Input::Deliver { from, payload });
         // DAG(T): the site timestamp before this delivery's secondaries
         // apply (a delivered dummy has already merged inside `Deliver`).
-        let before = self.timers.is_some().then(|| self.machine.site_ts().clone());
+        let dagt = self.machine.protocol() == ProtocolId::DagT;
+        let before = dagt.then(|| self.machine.site_ts().clone());
         self.run_commands(cmds);
         if let Some(before) = before {
             self.dummies_after_merge(&before);
@@ -816,7 +762,8 @@ mod tests {
             s1.machine.on_input(Input::EpochTick),
             Err(ProtocolError::EpochAtNonSource { at: SiteId(1) })
         );
-        s0.send_dummies(vec![SiteId(1)]);
+        let cmds = s0.machine_input(Input::HeartbeatTick { idle_children: vec![SiteId(1)] });
+        s0.run_commands(cmds);
         let (_, seq, dummy) = take_sent(&mut s0).pop().expect("a dummy to s1");
         s1.apply_frame(SiteId(0), seq, dummy);
         assert_eq!(s1.machine.site_ts(), &ts);
@@ -869,6 +816,23 @@ mod tests {
         pump(&mut sites, |_, _| true);
         let history = History::from_iter(sites.iter().flat_map(|site| site.history.txns()));
         assert_eq!(history.check_serializability(), Ok(()));
+    }
+
+    /// A DAG(T) site whose child never acks holds at most
+    /// [`HEARTBEAT_LANE_CAP`] dummies in that child's lane, however often
+    /// its heartbeat fires; a real commit still queues its frame there.
+    #[test]
+    fn dummies_stop_at_the_lane_cap_and_a_commit_still_queues() {
+        let tuning = Tuning { heartbeat_period: Duration::ZERO, ..Tuning::LIVE };
+        let [mut s0, ..] = chain3(RuntimeProtocol::DagT, tuning);
+        for _ in 0..10 * HEARTBEAT_LANE_CAP {
+            s0.tick();
+        }
+        assert_eq!(s0.net.lane_len(SiteId(1)), HEARTBEAT_LANE_CAP);
+        let ops = [Op::write(ItemId(0), 1)];
+        let started = s0.start_txn(&ops).expect("s0 is the item's primary");
+        s0.complete_txn(started.gid, &ops);
+        assert_eq!(s0.net.lane_len(SiteId(1)), HEARTBEAT_LANE_CAP + 1);
     }
 
     /// `ring3` under BackEdge, one item a site — s0's copied at s1, s1's
