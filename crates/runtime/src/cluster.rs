@@ -167,10 +167,19 @@ struct Incarnation {
 }
 
 impl Incarnation {
-    /// Return the reactor at its next pass, join its thread and take
-    /// back what it owned (`None`: the reactor panicked).
-    fn stop(self) -> Option<SiteParts> {
+    /// Flag the reactor to return, and wake it: a reactor asleep with
+    /// nothing due takes its next pass only on I/O, so its client
+    /// session shuts down, and the EOF is that I/O.
+    fn signal(&self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.session.close();
+    }
+
+    /// Return the reactor at the pass [`Incarnation::signal`] wakes, join
+    /// its thread and take back what it owned (`None`: the reactor
+    /// panicked).
+    fn stop(self) -> Option<SiteParts> {
+        self.signal();
         self.thread.join().ok()
     }
 }
@@ -237,6 +246,10 @@ impl Cluster {
         let listener =
             Listener::bind(SocketAddr::from((Ipv4Addr::LOCALHOST, 0))).map_err(io_error)?;
         let addr = listener.local_addr().map_err(io_error)?;
+        // The socket listens already: the session queues until the
+        // reactor has recovered the store and accepts it. Connected
+        // first, it is there to wake the reactor whenever it stops.
+        let session = Session::connect(addr).map_err(io_error)?;
         let lost =
             || ClusterError::Io(format!("site {site} lost its state with its reactor thread"));
         let parts = self.parked[i].take().ok_or_else(lost)?;
@@ -253,16 +266,6 @@ impl Cluster {
                 reactor.into_parts()
             })
             .map_err(io_error)?;
-        // The socket listens already: the session queues until the
-        // reactor has recovered the store and accepts it.
-        let session = match Session::connect(addr) {
-            Ok(session) => session,
-            Err(e) => {
-                stop.store(true, Ordering::SeqCst);
-                self.parked[i] = thread.join().ok();
-                return Err(io_error(e));
-            }
-        };
         self.sites[i] = Some(Incarnation { addr, session, stop, thread });
         let announce = ClientMsg::Peers(vec![(site, addr.to_string())]);
         for (s, live) in self.sites.iter().enumerate() {
@@ -309,11 +312,12 @@ impl Cluster {
         }
     }
 
-    /// Abruptly kill `site`: its reactor returns at its next pass
-    /// without flushing, losing its store, its sockets and every frame
-    /// buffered in them. What it hands back — its durable image,
-    /// outboxes, history and outstanding share — waits here for
-    /// [`Cluster::restart`]. Idempotent while down. Its clients get
+    /// Abruptly kill `site`: its reactor is flagged and woken (its client
+    /// session shuts down), and returns at that pass without flushing,
+    /// losing its store, its sockets and every frame buffered in them.
+    /// What it hands back — its durable image, outboxes, history and
+    /// outstanding share — waits here for [`Cluster::restart`].
+    /// Idempotent while down. Its clients get
     /// [`ClusterError::Disconnected`]; updates for it park in their
     /// senders' outboxes.
     pub fn crash(&mut self, site: SiteId) -> Result<(), ClusterError> {
@@ -409,10 +413,10 @@ impl Cluster {
         self.stop_all();
     }
 
-    /// Flag every reactor, then join them.
+    /// Flag and wake every reactor, then join them.
     fn stop_all(&mut self) {
         for live in self.sites.iter().flatten() {
-            live.stop.store(true, Ordering::SeqCst);
+            live.signal();
         }
         for live in self.sites.iter_mut().filter_map(Option::take) {
             live.stop();
@@ -421,8 +425,9 @@ impl Cluster {
 }
 
 impl Drop for Cluster {
-    /// Never hangs: a reactor returns within a pass of its stop flag,
-    /// whatever its outboxes hold.
+    /// Never hangs: each reactor is flagged and woken by its client
+    /// session's shutdown, and returns at that pass, whatever its
+    /// outboxes hold or however long it would have slept.
     fn drop(&mut self) {
         self.stop_all();
     }

@@ -99,8 +99,8 @@ impl DurableSite {
     }
 
     /// Drain any staged commit records into the WAL. Called when a
-    /// batch fills, at site idle ticks and before anything reads the
-    /// log.
+    /// batch fills, at the end of every reactor pass and before anything
+    /// reads the log.
     pub fn flush_log(&mut self) {
         self.pipeline.flush(&mut self.wal);
     }

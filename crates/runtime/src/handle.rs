@@ -10,16 +10,16 @@
 //! state it handed back ([`Fleet::parked`]).
 
 use std::io;
-use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::net::{Shutdown, TcpStream, ToSocketAddrs};
+use std::sync::{Mutex, PoisonError};
+use std::time::Duration;
 
 use repl_net::{read_msg, write_msg, ClientMsg, ClientReply, ExecError, HistoryTxn, WireMsg};
 use repl_types::{GlobalTxnId, ItemId, Op, SiteId, Value};
 
 use crate::cluster::{Cluster, ClusterError};
 use crate::link::link_marks;
-use crate::policy;
+use crate::policy::{self, Clock};
 use crate::proc::ProcCluster;
 use crate::site::SiteParts;
 
@@ -139,11 +139,11 @@ pub(crate) struct Session(Mutex<TcpStream>);
 impl Session {
     /// Connect to `addr`, retrying while the site comes up.
     pub fn connect(addr: impl ToSocketAddrs + Copy) -> io::Result<Session> {
-        let start = Instant::now();
+        let clock = Clock::start();
         let stream = loop {
             match TcpStream::connect(addr) {
                 Ok(stream) => break stream,
-                Err(_) if start.elapsed() < CONNECT_WINDOW => {
+                Err(_) if clock.elapsed() < CONNECT_WINDOW => {
                     policy::pace(Duration::from_millis(5));
                 }
                 Err(e) => return Err(e),
@@ -151,6 +151,14 @@ impl Session {
         };
         let _ = stream.set_nodelay(true);
         Ok(Session(Mutex::new(stream)))
+    }
+
+    /// Shut the connection down both ways: the site reads EOF, which
+    /// wakes its reactor however long it meant to sleep.
+    pub fn close(&self) {
+        // A poisoned session is out of step, but it can still be shut.
+        let conn = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        let _ = conn.shutdown(Shutdown::Both);
     }
 
     fn request(&self, msg: ClientMsg) -> io::Result<ClientReply> {
@@ -351,7 +359,7 @@ impl<F: Fleet> ClusterHandle for F {
     /// the share's later values — so a zero *sum* of sequential reads
     /// implies a zero cluster-wide count at the time of the last read.
     fn quiesce(&self) -> Result<(), ClusterError> {
-        let start = Instant::now();
+        let clock = Clock::start();
         loop {
             let mut per_site = Vec::with_capacity(self.site_count() as usize);
             let mut total = 0i64;
@@ -363,7 +371,7 @@ impl<F: Fleet> ClusterHandle for F {
             if total == 0 {
                 return Ok(());
             }
-            if start.elapsed() >= policy::QUIESCE_TIMEOUT {
+            if clock.elapsed() >= policy::QUIESCE_TIMEOUT {
                 per_site.retain(|(_, outstanding)| *outstanding != 0);
                 return Err(ClusterError::QuiesceTimeout { outstanding: per_site });
             }

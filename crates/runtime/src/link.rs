@@ -358,7 +358,7 @@ mod tests {
         net.on_ack(PEER, 8);
         net.flush(PEER, &mut socket.sink()).unwrap();
         assert_eq!(seqs(&socket.taken), (1..=8).collect::<Vec<_>>());
-        assert_eq!((net.lane_len(PEER), net.front_seq(PEER)), (0, None));
+        assert_eq!((net.lane_len(PEER), lane(&net).front_seq()), (0, None));
     }
 
     #[derive(Clone, Debug)]
@@ -370,7 +370,8 @@ mod tests {
         Ack(u64),
         /// A reconnect, the peer having applied the first `k`.
         Resume(u64),
-        /// The lane stalled: replay it on the live connection.
+        /// The lane stalls: its front stands still for a replay period,
+        /// and the sweep replays it on the live connection.
         Replay,
         /// Flush to a socket with `room` bytes left that takes at most
         /// `chunk` a write.
@@ -445,6 +446,7 @@ mod tests {
         ) {
             let mut net = net();
             let mut model = Model::default();
+            let mut now = 0;
             for (n, step) in steps.into_iter().enumerate() {
                 match step {
                     Step::Send { writes, bytes } => {
@@ -468,8 +470,13 @@ mod tests {
                         net.resume(PEER, seq);
                     }
                     Step::Replay => {
-                        model.replaying = true;
-                        net.replay(PEER);
+                        // The first sweep sees the front; one period on,
+                        // the second replays the lane unless it is empty.
+                        net.replay_stalled();
+                        now += crate::policy::micros(crate::policy::REPLAY_PERIOD);
+                        net.set_now(now);
+                        net.replay_stalled();
+                        model.replaying |= !model.unacked.is_empty();
                     }
                     Step::Flush { room, chunk } => {
                         let mut socket = Socket { room, chunk, taken: Vec::new() };
@@ -500,7 +507,7 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(net.lane_len(PEER), model.unacked.len());
-                prop_assert_eq!(net.front_seq(PEER), model.unacked.front().map(|(s, _)| *s));
+                prop_assert_eq!(lane(&net).front_seq(), model.unacked.front().map(|(s, _)| *s));
                 let lane = lane(&net);
                 prop_assert_eq!(link_marks(net.links(), &[0, 0])[PEER.index()], (model.next_seq, 0));
                 let kept = model.encoded(lane.dropped);

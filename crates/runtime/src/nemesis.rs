@@ -44,17 +44,19 @@
 //! its own: its held frames, its duplicates, and the rest of a frame
 //! the socket took only part of. Staged bytes go before anything new,
 //! and a new connection drops them (the log replays from the peer's
-//! mark) That per-link state is plain data of the one
-//! reactor that owns the wire, as the link logs are.
+//! mark). That per-link state is plain data of the one reactor that owns
+//! the wire, as the link logs are.
 //!
-//! Time is wall-clock relative to [`ChaosWire`] construction (each site
-//! anchors its plan when its reactor boots), quantized to milliseconds
-//! in the plan.
+//! Time is the site's: the reactor's pass time, in microseconds since
+//! the site booted, which the link layer hands the wire with every write
+//! (so each site anchors its plan at its own boot). The plan's windows
+//! are whole milliseconds of it. A held frame's release time is a
+//! deadline the wire reports ([`Transport::next_deadline`]), so the
+//! reactor wakes for it.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io;
-use std::time::{Duration, Instant};
 
 use repl_net::FrameReader;
 use repl_types::SiteId;
@@ -316,8 +318,8 @@ struct ChaosLane {
     /// Frames attempted on this link so far (the per-frame draw index).
     msg_index: u64,
     /// Frames parked by delay: `(release_at, frame bytes)`, in FIFO
-    /// order with monotone release times.
-    held: VecDeque<(Duration, Vec<u8>)>,
+    /// order with monotone release times (µs since the site booted).
+    held: VecDeque<(u64, Vec<u8>)>,
     /// Bytes the socket is owed before anything else: the rest of a
     /// frame it took part of, and a duplicate it had no room for.
     staged: WriteBuf,
@@ -337,10 +339,10 @@ impl ChaosLane {
         &mut self,
         plan: &NetFaultPlan,
         (from, to): (SiteId, SiteId),
-        now: Duration,
+        now: u64,
         frame: &[u8],
     ) -> Fate {
-        if plan.cuts(from, to, now.as_millis() as u64) {
+        if plan.cuts(from, to, now / 1000) {
             // Black hole: the wire takes the frame and loses it, which
             // is exactly what the log must mask.
             return Fate::Lost;
@@ -374,7 +376,7 @@ impl ChaosLane {
         if delay_ms > 0 || !self.held.is_empty() {
             // Park it — behind any earlier parked frame, so per-link
             // FIFO survives the jitter.
-            let due = now + Duration::from_millis(delay_ms);
+            let due = now.saturating_add(delay_ms.saturating_mul(1000));
             return Fate::Held(self.held.back().map_or(due, |(tail_due, _)| due.max(*tail_due)));
         }
         let dup = plan.dup_permille > 0 && draw(&mut stream) % 1000 < u64::from(plan.dup_permille);
@@ -387,7 +389,7 @@ enum Fate {
     /// Black-holed, dropped, or damaged and discarded: never written.
     Lost,
     /// Parked until the given time.
-    Held(Duration),
+    Held(u64),
     /// Written now, once or (duplicated) twice.
     Sent { copies: usize },
 }
@@ -397,23 +399,13 @@ enum Fate {
 pub(crate) struct ChaosWire {
     me: SiteId,
     plan: NetFaultPlan,
-    start: Instant,
     /// Indexed by destination.
     lanes: Vec<ChaosLane>,
 }
 
 impl ChaosWire {
     pub fn new(me: SiteId, plan: NetFaultPlan, sites: usize) -> Self {
-        ChaosWire {
-            me,
-            plan,
-            start: Instant::now(),
-            lanes: (0..sites).map(|_| ChaosLane::default()).collect(),
-        }
-    }
-
-    fn elapsed(&self) -> Duration {
-        self.start.elapsed()
+        ChaosWire { me, plan, lanes: (0..sites).map(|_| ChaosLane::default()).collect() }
     }
 
     /// Push damaged wire bytes through a real frame decoder — the
@@ -442,11 +434,11 @@ impl Transport for ChaosWire {
     fn try_send(
         &mut self,
         _: SendPermit,
+        now: u64,
         to: SiteId,
         offered: &[u8],
         sink: &mut Sink<'_>,
     ) -> io::Result<usize> {
-        let now = self.elapsed();
         let lane = &mut self.lanes[to.index()];
         lane.staged.flush(sink)?;
         while lane.staged.is_empty() && lane.held.front().is_some_and(|(due, _)| *due <= now) {
@@ -482,14 +474,21 @@ impl Transport for ChaosWire {
 
     /// The ack physically travels me → from. Only a cut loses acks:
     /// they are cumulative, so anything subtler is invisible anyway.
-    fn passes_ack(&self, from: SiteId) -> bool {
-        !self.plan.cuts(self.me, from, self.elapsed().as_millis() as u64)
+    fn passes_ack(&self, now: u64, from: SiteId) -> bool {
+        !self.plan.cuts(self.me, from, now / 1000)
     }
 
     fn reset(&mut self, to: SiteId) {
         let lane = &mut self.lanes[to.index()];
         lane.held.clear();
         lane.staged = WriteBuf::default();
+    }
+
+    /// The earliest release time after `now` among each link's first
+    /// held frame; the frames behind it go no earlier.
+    fn next_deadline(&self, now: u64) -> Option<u64> {
+        let fronts = self.lanes.iter().filter_map(|lane| lane.held.front());
+        fronts.map(|(due, _)| *due).filter(|&due| due > now).min()
     }
 }
 
@@ -597,7 +596,7 @@ mod tests {
         let mut stream = Vec::new();
         for _ in 0..50 {
             let mut sink = socket(&mut stream, 40);
-            log.offer(|frames| wire.try_send(SendPermit::for_test(), to, frames, &mut sink))
+            log.offer(|frames| wire.try_send(SendPermit::for_test(), 0, to, frames, &mut sink))
                 .unwrap();
         }
         assert_eq!(seqs(&stream), [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]);
@@ -606,7 +605,7 @@ mod tests {
         log.resume(0);
         let mut old = Vec::new();
         log.offer(|frames| {
-            wire.try_send(SendPermit::for_test(), to, frames, &mut socket(&mut old, 7))
+            wire.try_send(SendPermit::for_test(), 0, to, frames, &mut socket(&mut old, 7))
         })
         .unwrap();
         assert_eq!(old.len(), 7);
@@ -614,7 +613,13 @@ mod tests {
         wire.reset(to);
         let mut fresh = Vec::new();
         log.offer(|frames| {
-            wire.try_send(SendPermit::for_test(), to, frames, &mut socket(&mut fresh, usize::MAX))
+            wire.try_send(
+                SendPermit::for_test(),
+                0,
+                to,
+                frames,
+                &mut socket(&mut fresh, usize::MAX),
+            )
         })
         .unwrap();
         assert_eq!(seqs(&fresh), [3, 3, 4, 4, 5, 5]);

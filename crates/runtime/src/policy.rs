@@ -11,10 +11,11 @@
 //! identically — no OS entropy, matching the determinism story of the
 //! simulator's `FaultPlan`.
 //!
-//! `crates/runtime/clippy.toml` disallows `std::thread::sleep` in the
-//! crate, and the sanctioned sleep is [`pace`], its one `#[expect]`.
+//! `crates/runtime/clippy.toml` disallows `std::thread::sleep` and the
+//! wall-clock reads in the crate: the sanctioned sleep is [`pace`], and
+//! the sanctioned read is [`Clock`]'s, each with its one `#[expect]`.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use repl_protocol::Tuning;
 use repl_types::SiteId;
@@ -52,6 +53,41 @@ pub(crate) const DOWN_AFTER: Duration = Duration::from_secs(1);
 #[expect(clippy::disallowed_methods, reason = "the one sanctioned sleep of the runtime")]
 pub(crate) fn pace(d: Duration) {
     std::thread::sleep(d);
+}
+
+/// A monotonic clock anchored where it started. A site's reactor
+/// starts one at boot and reads it once a pass: every time a site
+/// decides by is microseconds since its boot, as a `u64`.
+pub(crate) struct Clock(Instant);
+
+impl Clock {
+    /// A clock reading 0 now.
+    pub(crate) fn start() -> Clock {
+        Clock(instant())
+    }
+
+    /// The time since [`Clock::start`].
+    pub(crate) fn elapsed(&self) -> Duration {
+        instant().saturating_duration_since(self.0)
+    }
+
+    /// [`Clock::elapsed`] in whole microseconds.
+    pub(crate) fn now_us(&self) -> u64 {
+        micros(self.elapsed())
+    }
+}
+
+/// The sanctioned wall-clock read of the runtime crate: every time it
+/// decides by goes through [`Clock`], and `crates/runtime/clippy.toml`
+/// disallows `Instant::now` and `Instant::elapsed` everywhere else.
+#[expect(clippy::disallowed_methods, reason = "the one sanctioned clock read of the runtime")]
+fn instant() -> Instant {
+    Instant::now()
+}
+
+/// `d` in whole microseconds, saturating.
+pub(crate) fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// The delay `me` waits before dial retry number `attempt` (0-based)

@@ -28,23 +28,41 @@
 //! Structure of the loop, in the order each iteration runs it:
 //!
 //! 0. Return at once if the stop flag is set (an in-process crash).
-//! 1. `epoll_wait` (1 ms timeout — the protocol tick). For each ready
-//!    fd: accept new connections, or read — until a short read drains
-//!    the socket, or [`READS_PER_EVENT`] chunks — and act on each frame
-//!    as it decodes from the read buffer (a `Link` frame is applied
-//!    before the next is decoded; only a frame the read cut short waits
-//!    in the connection's [`FrameReader`]), or flush a write-blocked
-//!    connection.
-//! 2. Re-dial missing peer connections (paced, nonblocking after
-//!    connect) and run the site's timers ([`SiteCore::tick`]).
+//! 1. `epoll_wait` until I/O or the site's next deadline, then read the
+//!    clock: the pass's one read, which everything below decides by
+//!    (see **One clock**). For each ready fd: accept new connections, or
+//!    read — until a short read drains the socket, or
+//!    [`READS_PER_EVENT`] chunks — and act on each frame as it decodes
+//!    from the read buffer (a `Link` frame is applied before the next is
+//!    decoded; only a frame the read cut short waits in the connection's
+//!    [`FrameReader`]), or flush a write-blocked connection.
+//! 2. Re-dial missing peer connections past their backoff (paced,
+//!    nonblocking after connect) and fire the machine's due timers
+//!    ([`SiteCore::tick`]).
 //! 3. Finish an eager-phase transaction whose BackEdge special came
-//!    home, and start queued client transactions
-//!    ([`Reactor::pump_exec`]).
-//! 4. Flush every connection: its private bytes (handshakes, client
+//!    home, or abort one past its deadline, and start queued client
+//!    transactions ([`Reactor::pump_exec`]).
+//! 4. End-of-pass work: flush a staged group-commit batch to the log
+//!    ([`SiteCore::flush_log`]), and replay the links whose front stalled
+//!    ([`Net::replay_stalled`](crate::transport::Net::replay_stalled)).
+//! 5. Flush every connection: its private bytes (handshakes, client
 //!    replies), then a dialed peer link's log from its send cursor, or an
 //!    accepted one's owed cumulative `Ack`. Register `EPOLLOUT` interest
 //!    only while the socket refused bytes (the level-triggered discipline
 //!    — otherwise an idle writable socket would wake the loop forever).
+//!
+//! **One clock.** The reactor is the site's only clock reader and its
+//! only timer. Its [`Clock`] starts at boot; a pass reads it once, as
+//! microseconds since boot, and hands that `now` to the site
+//! ([`SiteCore::set_now`]), which hands it to the link layer and its
+//! wire. Each holds its times as such `u64`s and answers
+//! `next_deadline() -> Option<u64>`, the contract of
+//! `SiteMachine::next_deadline`: the machine's DAG(T) timers, an armed
+//! eager deadline, a non-empty lane's replay, a held nemesis frame, a
+//! backed-off dial and the shutdown grace. `epoll_wait` sleeps until the
+//! earliest, rounded up to whole milliseconds ([`wait_ms`]), or with
+//! none for I/O alone: an idle site does not wake. A stopped in-process
+//! reactor is woken by its owner, which shuts its client session down.
 //!
 //! **Backpressure.** Sends never block and never retry: a send appends
 //! to the link's log ([`crate::link`]), and the flush writes the log
@@ -91,7 +109,7 @@ use std::net::SocketAddr;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use epoll::{Epoll, Interest};
 use repl_copygraph::DataPlacement;
@@ -107,15 +125,13 @@ use crate::cluster::{ClusterError, RuntimeProtocol};
 use crate::config::socket_addr;
 use crate::link::{link_marks, WriteBuf};
 use crate::nemesis::ChaosWire;
-use crate::policy::{dial_delay, RuntimeOptions};
+use crate::policy::{dial_delay, micros, Clock, RuntimeOptions};
 use crate::site::{SiteCore, SiteParts, SiteSetup, Started};
 use crate::transport::{Direct, Transport};
 
 /// The epoll token of the listening socket; connection tokens are slab
 /// indices, far below.
 const LISTENER: u64 = u64::MAX;
-/// `epoll_wait` timeout — the protocol tick granularity.
-const TICK_MS: i32 = 1;
 /// A client connection whose reply buffer exceeds this is not reading
 /// its replies; it is dropped rather than allowed to grow the buffer
 /// unboundedly.
@@ -327,10 +343,15 @@ pub(crate) struct Reactor {
     /// Consecutive failed dial attempts per peer — the exponent fed to
     /// the [`dial_delay`] backoff; reset on successful connect.
     dial_attempts: Vec<u32>,
-    /// Per-peer earliest next dial time (jittered exponential backoff).
-    next_dial: Vec<Instant>,
+    /// Per-peer earliest next dial time (jittered exponential backoff),
+    /// µs since boot.
+    next_dial: Vec<u64>,
     /// Set when a client requested shutdown: drain-and-exit deadline.
-    shutdown: Option<Instant>,
+    shutdown: Option<u64>,
+    /// The site's clock, started at boot.
+    clock: Clock,
+    /// The pass's time: `clock` read once, after `epoll_wait` returns.
+    now: u64,
     events: Vec<epoll::Event>,
     /// What `read` fills on a readable event, allocated once.
     read_buf: Vec<u8>,
@@ -344,10 +365,13 @@ pub(crate) struct Reactor {
 
 impl Reactor {
     /// Boot a site on `listener` from `setup` and the `parts` it takes
-    /// over, its wire under the nemesis if `opts` carry one. `stop` makes
-    /// [`Reactor::run`] return at its next pass, and
-    /// [`Reactor::into_parts`] hands the parts back; call both on the
-    /// booting thread, which recovered the store.
+    /// over, its wire under the nemesis if `opts` carry one; the site's
+    /// clock starts here. `stop` makes [`Reactor::run`] return at the
+    /// start of its next pass, which a reactor asleep with nothing due
+    /// takes only on I/O: whoever sets it must wake the reactor, as
+    /// `Cluster` does by shutting its client session down.
+    /// [`Reactor::into_parts`] hands the parts back; call it and `run` on
+    /// the booting thread, which recovered the store.
     pub(crate) fn boot(
         Listener { epoll, listener }: Listener,
         setup: SiteSetup,
@@ -380,8 +404,10 @@ impl Reactor {
             in_flight: None,
             decode_errors: 0,
             dial_attempts: vec![0; n],
-            next_dial: vec![Instant::now(); n],
+            next_dial: vec![0; n],
             shutdown: None,
+            clock: Clock::start(),
+            now: 0,
             events: Vec::new(),
             read_buf: vec![0; READ_CHUNK],
             stop,
@@ -414,7 +440,7 @@ impl Reactor {
             + (self.out_conn.capacity() + self.in_conn.capacity()) * size_of::<Option<usize>>()
             + self.peers.capacity() * size_of::<Option<SocketAddr>>()
             + self.dial_attempts.capacity() * size_of::<u32>()
-            + self.next_dial.capacity() * size_of::<Instant>();
+            + self.next_dial.capacity() * size_of::<u64>();
         [
             core.store.cell_bytes(),
             core.durable.checkpoint.capacity(),
@@ -434,14 +460,19 @@ impl Reactor {
     }
 
     /// Serve until a client's `Shutdown` has drained or `stop` is set.
+    /// The first pass polls; each later one waits for I/O or the
+    /// deadline the pass before left ([`Reactor::next_deadline`]).
     pub(crate) fn run(&mut self) -> io::Result<()> {
+        let mut timeout = 0;
         loop {
             if self.stop.load(Ordering::Relaxed) {
                 return Ok(());
             }
             let mut events = std::mem::take(&mut self.events);
             events.clear();
-            self.epoll.wait(&mut events, TICK_MS)?;
+            self.epoll.wait(&mut events, timeout)?;
+            self.now = self.clock.now_us();
+            self.core.set_now(self.now);
             for ev in &events {
                 self.on_event(*ev);
             }
@@ -451,6 +482,11 @@ impl Reactor {
             self.core.tick();
             self.finish_in_flight();
             self.pump_exec();
+            // A partly filled group-commit batch goes to the log before
+            // the pass sleeps, and the sweep sees every send and ack of
+            // the pass before the flush writes what it replays.
+            self.core.flush_log();
+            self.core.net.replay_stalled();
             self.flush_all();
             if self.text_drop.due(self.me, &self.out_conn, &self.in_conn) {
                 // A failed drop keeps the text resident and costs nothing else.
@@ -459,11 +495,25 @@ impl Reactor {
 
             if let Some(deadline) = self.shutdown {
                 let drained = self.conns.iter().flatten().all(|c| c.wbuf.is_empty());
-                if drained || Instant::now() >= deadline {
+                if drained || self.now >= deadline {
                     return Ok(());
                 }
             }
+            timeout = wait_ms(self.next_deadline(), self.now);
         }
+    }
+
+    /// The site's earliest deadline, µs since boot: its timers
+    /// ([`SiteCore::next_deadline`]), its links' replays and held frames
+    /// ([`Net::next_deadline`](crate::transport::Net::next_deadline)), a missing peer's backed-off dial, and the
+    /// shutdown grace. `None`: nothing is due until I/O. A peer without
+    /// an address has no dial to wait for.
+    fn next_deadline(&self) -> Option<u64> {
+        let dials = (0..self.num_sites).filter(|&p| {
+            p != self.me.index() && self.out_conn[p].is_none() && self.peers[p].is_some()
+        });
+        let timers = [self.core.next_deadline(), self.core.net.next_deadline(), self.shutdown];
+        dials.map(|p| self.next_dial[p]).chain(timers.into_iter().flatten()).min()
     }
 
     fn on_event(&mut self, ev: epoll::Event) {
@@ -687,7 +737,7 @@ impl Reactor {
     /// ([`dial_delay`]'s jittered exponential — a dead peer is
     /// probed ever less often, a fresh failure retries fast).
     fn dial_missing(&mut self) {
-        let now = Instant::now();
+        let now = self.now;
         for p in (0..self.num_sites as u32).map(SiteId) {
             if p == self.me || self.out_conn[p.index()].is_some() || now < self.next_dial[p.index()]
             {
@@ -705,7 +755,7 @@ impl Reactor {
                 self.dial_attempts[p.index()] = 0;
             } else {
                 let delay = dial_delay(self.me, p, self.dial_attempts[p.index()]);
-                self.next_dial[p.index()] = now + delay;
+                self.next_dial[p.index()] = now.saturating_add(micros(delay));
                 self.dial_attempts[p.index()] = self.dial_attempts[p.index()].saturating_add(1);
             }
         }
@@ -797,12 +847,11 @@ impl Reactor {
                         return true;
                     }
                 };
-                let now = Instant::now();
                 for (site, addr) in entries {
                     // A newly learned (or changed) address is dialed on
                     // this very pass, not after a backoff it never earned.
                     if self.peers[site.index()] != Some(addr) {
-                        self.next_dial[site.index()] = now;
+                        self.next_dial[site.index()] = self.now;
                         self.dial_attempts[site.index()] = 0;
                     }
                     self.peers[site.index()] = Some(addr);
@@ -826,7 +875,7 @@ impl Reactor {
             }
             ClientMsg::Shutdown => {
                 self.queue_reply(tok, ClientReply::Ok);
-                self.shutdown = Some(Instant::now() + SHUTDOWN_GRACE);
+                self.shutdown = Some(self.now.saturating_add(micros(SHUTDOWN_GRACE)));
                 true
             }
         }
@@ -1012,6 +1061,14 @@ impl Reactor {
     }
 }
 
+/// `epoll_wait`'s timeout at `now` for `deadline`: the time left in whole
+/// milliseconds, rounded up so the pass it wakes finds the deadline due;
+/// 0 once it is, and -1 (wait for I/O alone) without one.
+fn wait_ms(deadline: Option<u64>, now: u64) -> i32 {
+    deadline
+        .map_or(-1, |due| i32::try_from(due.saturating_sub(now).div_ceil(1000)).unwrap_or(i32::MAX))
+}
+
 /// The reactor's sockets: the only raw socket calls of the site loop.
 /// Each newtype puts its fd in nonblocking mode when it wraps it, and
 /// offers the nonblocking calls only, so a read, a write or an accept
@@ -1091,6 +1148,20 @@ mod tests {
     use super::*;
 
     const S: [SiteId; 3] = [SiteId(0), SiteId(1), SiteId(2)];
+
+    /// The wait rounds up to whole milliseconds, never wakes before the
+    /// deadline, polls once it is due, and without one waits for I/O.
+    #[test]
+    fn the_wait_is_the_time_to_the_deadline_rounded_up_to_whole_ms() {
+        assert_eq!(wait_ms(None, 5), -1);
+        assert_eq!(wait_ms(Some(5), 5), 0);
+        assert_eq!(wait_ms(Some(4), 5), 0);
+        assert_eq!(wait_ms(Some(6), 5), 1);
+        assert_eq!(wait_ms(Some(1005), 5), 1);
+        assert_eq!(wait_ms(Some(1006), 5), 2);
+        assert_eq!(wait_ms(Some(25_000), 0), 25);
+        assert_eq!(wait_ms(Some(u64::MAX), 0), i32::MAX);
+    }
 
     #[test]
     fn the_mesh_is_up_once_every_peer_is_connected_both_ways() {

@@ -11,6 +11,11 @@
 //! Nothing in it blocks: an eager phase parks the *transaction*
 //! ([`Started::immediate`] = false) until [`SiteCore::take_home`].
 //!
+//! It reads no clock. Its time is the `now` the reactor tells it once a
+//! pass ([`SiteCore::set_now`], microseconds since the site booted), and
+//! [`SiteCore::next_deadline`] says when it next needs a pass, so a test
+//! steps it through any schedule of times it likes.
+//!
 //! A site shares nothing: its store, durable image, history log,
 //! outstanding share and link logs are plain fields of the one reactor
 //! thread that runs it. What outlives a crash ([`SiteParts`]) moves in
@@ -18,7 +23,6 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use repl_copygraph::DataPlacement;
 use repl_net::{frame_state_page_into, HistoryLog, Payload, PAGE_BYTES};
@@ -32,7 +36,7 @@ use repl_types::{GlobalTxnId, ItemId, Op, OpKind, SiteId, Value};
 use crate::cluster::{ClusterError, RuntimeProtocol};
 use crate::durable::DurableSite;
 use crate::link::{LinkState, Links};
-use crate::policy::{RuntimeOptions, REPLAY_PERIOD};
+use crate::policy::{micros, RuntimeOptions};
 use crate::transport::{Net, Transport};
 
 /// DAG(T): drop a dummy bound for a lane already this deep (a down or
@@ -66,24 +70,21 @@ pub(crate) struct SiteCore {
     pub durable: DurableSite,
     /// Deployment knobs (outbox high-water, nemesis, the [`Tuning`]).
     pub opts: Arc<RuntimeOptions>,
-    /// [`Tuning::eager_timeout`] and [`Tuning::mvcc_reads`].
-    eager_wait: Duration,
+    /// [`Tuning::eager_timeout`] in µs, and [`Tuning::mvcc_reads`].
+    eager_wait: u64,
     mvcc: bool,
     /// The shared protocol state machine (also driven by the sim).
     machine: SiteMachine,
-    /// Time 0 of the machine's clock: when this run of the site began.
-    booted: Instant,
+    /// The pass's time, µs since this run of the site booted
+    /// ([`SiteCore::set_now`]).
+    now: u64,
     /// Set by a [`ProtoCommand::CommitLocal`] while an eager phase
     /// waits for its special to come home.
     home: Option<GlobalTxnId>,
     /// Armed by [`ProtoCommand::ArmEagerTimeout`]: abort the eager
-    /// phase of `gid` if its special has not come home by the deadline.
-    eager_deadline: Option<(GlobalTxnId, Instant)>,
-    /// Last stall-replay sweep ([`SiteCore::tick`]).
-    last_replay: Instant,
-    /// Front-of-outbox sequence per peer at the last sweep; an
-    /// unchanged non-empty front means no ack progress → replay.
-    front_marks: Vec<u64>,
+    /// phase of `gid` if its special has not come home by the deadline
+    /// (µs since boot).
+    eager_deadline: Option<(GlobalTxnId, u64)>,
     /// The items each prepared BackEdge special holds until its
     /// decision ([`SiteCore::blocked`]).
     prepared: Vec<(GlobalTxnId, Vec<ItemId>)>,
@@ -167,19 +168,17 @@ impl SiteSetup {
             id,
             store,
             net: Net::new(id, parts.links, wire),
-            front_marks: vec![0; self.placement.num_sites() as usize],
             placement: self.placement,
             history: parts.history,
             outstanding: parts.outstanding,
             durable: parts.durable,
             opts,
-            eager_wait: eager_timeout,
+            eager_wait: micros(eager_timeout),
             mvcc: mvcc_reads,
             machine,
-            booted: Instant::now(),
+            now: 0,
             home: None,
             eager_deadline: None,
-            last_replay: Instant::now(),
             prepared: Vec::new(),
             poisoned: None,
         }
@@ -216,25 +215,35 @@ type Writes = Vec<(ItemId, Value)>;
 type Reads = Vec<(ItemId, Option<GlobalTxnId>)>;
 
 impl SiteCore {
-    /// Periodic work every driver runs: the protocol-independent
-    /// stall-replay sweep, then [`Input::Timer`] once the machine's
-    /// deadline has passed (only ever under DAG(T)).
+    /// Tell the site the pass's time, `now` µs since this run of it
+    /// booted, before anything else the pass does: every machine input
+    /// is stamped with it, the deadlines are judged by it, and the link
+    /// layer gets it too ([`Net::set_now`]).
+    pub fn set_now(&mut self, now: u64) {
+        self.now = now;
+        self.net.set_now(now);
+    }
+
+    /// The machine's timers at the time last set: [`Input::Timer`] once
+    /// its deadline has passed (only ever under DAG(T)), and nothing
+    /// before. The other periodic work is not here: the stall replay is
+    /// the link layer's ([`Net::replay_stalled`]), the eager deadline is
+    /// [`SiteCore::check_eager_timeout`]'s, and the group-commit flush
+    /// ends every pass ([`SiteCore::flush_log`]).
     pub fn tick(&mut self) {
-        // Group commit: a partially filled batch must not wait for more
-        // traffic forever — drain it whenever the site comes up for air
-        // (a no-op when the pipeline is empty or the batch size is 1).
-        self.flush_log();
-        self.retransmit_tick();
-        let now_us = self.now_us();
-        if self.machine.next_deadline().is_some_and(|due| now_us >= due) {
-            let cmds = self.machine_input(Input::Timer { now_us });
+        if self.machine.next_deadline().is_some_and(|due| self.now >= due) {
+            let cmds = self.machine_input(Input::Timer { now_us: self.now });
             self.run_commands(cmds);
         }
     }
 
-    /// The machine's clock: microseconds since this run began.
-    fn now_us(&self) -> u64 {
-        u64::try_from(self.booted.elapsed().as_micros()).unwrap_or(u64::MAX)
+    /// When the site next needs [`SiteCore::tick`] or
+    /// [`SiteCore::check_eager_timeout`]: the earlier of the machine's
+    /// deadline and an armed eager deadline, µs since boot. `None`: no
+    /// timer is pending.
+    pub fn next_deadline(&self) -> Option<u64> {
+        let eager = self.eager_deadline.map(|(_, due)| due);
+        self.machine.next_deadline().into_iter().chain(eager).min()
     }
 
     /// DAG(T): if the secondaries a delivery just applied moved the
@@ -253,41 +262,11 @@ impl SiteCore {
         self.run_commands(cmds);
     }
 
-    /// Stall recovery: every [`REPLAY_PERIOD`], replay any outgoing lane
-    /// whose oldest unacknowledged sequence has not moved since the
-    /// last sweep. A frame a nemesis (or a dying connection) swallowed
-    /// is still in the outbox; the receiver's dedup/gap marks make the
-    /// replay exactly-once, so replaying a lane that was merely slow is
-    /// harmless. Lanes making ack progress are left alone — under a
-    /// healthy wire this sweep sends nothing.
-    fn retransmit_tick(&mut self) {
-        if self.last_replay.elapsed() < REPLAY_PERIOD {
-            return;
-        }
-        self.last_replay = Instant::now();
-        for p in 0..self.front_marks.len() {
-            let peer = SiteId(p as u32);
-            if peer == self.id {
-                continue;
-            }
-            match self.net.front_seq(peer) {
-                None => self.front_marks[p] = 0,
-                Some(front) => {
-                    if self.front_marks[p] == front {
-                        self.net.replay(peer);
-                    }
-                    self.front_marks[p] = front;
-                }
-            }
-        }
-    }
-
-    /// Heap bytes of the protocol machine and the site's own per-peer
-    /// marks and prepared specials.
+    /// Heap bytes of the protocol machine and the site's prepared
+    /// specials.
     pub fn machine_bytes(&self) -> usize {
         let prepared: usize = self.prepared.iter().map(|(_, items)| items.capacity() * 4).sum();
         self.machine.heap_bytes()
-            + self.front_marks.capacity() * size_of::<u64>()
             + self.prepared.capacity() * size_of::<(GlobalTxnId, Vec<ItemId>)>()
             + prepared
     }
@@ -302,14 +281,14 @@ impl SiteCore {
         }
     }
 
-    /// If an armed eager-phase deadline has expired, abort the waiting
-    /// transaction through the machine ([`Input::AbortEager`]: drop the
-    /// pending special, tombstone the gid, send abort decisions down
-    /// every path) and return its gid. The driver turns this into a
-    /// typed client error.
+    /// If an armed eager-phase deadline has passed by the time last set,
+    /// abort the waiting transaction through the machine
+    /// ([`Input::AbortEager`]: drop the pending special, tombstone the
+    /// gid, send abort decisions down every path) and return its gid.
+    /// The driver turns this into a typed client error.
     pub fn check_eager_timeout(&mut self) -> Option<GlobalTxnId> {
         let (gid, deadline) = self.eager_deadline?;
-        if Instant::now() < deadline {
+        if self.now < deadline {
             return None;
         }
         self.eager_deadline = None;
@@ -352,8 +331,7 @@ impl SiteCore {
         // retry commits with the id the transaction would have had —
         // convergence stays byte-identical to an unthrottled run.
         if ops.iter().any(|op| op.kind == OpKind::Write) {
-            for p in 0..self.front_marks.len() {
-                let peer = SiteId(p as u32);
+            for peer in self.placement.sites() {
                 if peer == self.id {
                     continue;
                 }
@@ -438,8 +416,10 @@ impl SiteCore {
     /// store, which already holds every commit logged or staged, is
     /// checkpointed and the log starts its segment over. Every flush
     /// this driver makes goes through here, so the resident log never
-    /// exceeds one segment plus the checkpoint.
-    fn flush_log(&mut self) {
+    /// exceeds one segment plus the checkpoint. The reactor calls it at
+    /// the end of every pass, so a partly filled group-commit batch never
+    /// waits for more traffic (a no-op when nothing is staged).
+    pub fn flush_log(&mut self) {
         if self.durable.flush_would_roll() {
             self.durable.install_checkpoint(&self.store, self.placement.copies_at(self.id));
         }
@@ -454,9 +434,9 @@ impl SiteCore {
         gid
     }
 
-    /// Feed the machine one input at the current time.
+    /// Feed the machine one input at the time last set.
     fn step(&mut self, input: Input) -> Result<Vec<ProtoCommand>, ProtocolError> {
-        self.machine.set_now(self.now_us());
+        self.machine.set_now(self.now);
         self.machine.on_input(input)
     }
 
@@ -519,10 +499,12 @@ impl SiteCore {
                 }
                 // Serial sites cannot deadlock inside the eager phase,
                 // but a partitioned/down peer can swallow the special —
-                // arm a real deadline; the driver polls
+                // arm a deadline; the driver wakes for it
+                // ([`SiteCore::next_deadline`]) and checks
                 // [`SiteCore::check_eager_timeout`] while waiting.
                 ProtoCommand::ArmEagerTimeout { gid } => {
-                    self.eager_deadline = Some((gid, Instant::now() + self.eager_wait));
+                    let due = self.now.saturating_add(self.eager_wait);
+                    self.eager_deadline = Some((gid, due));
                     Vec::new()
                 }
                 // No machine emits these (DESIGN.md §14).
@@ -708,16 +690,15 @@ mod tests {
     }
 
     /// `chain3` with one item a site (s0's copied at s1 and s2, s1's at
-    /// s2), under `tuning`.
-    fn chain3(protocol: RuntimeProtocol, tuning: Tuning) -> [SiteCore; 3] {
+    /// s2), on the live settings.
+    fn chain3(protocol: RuntimeProtocol) -> [SiteCore; 3] {
         let mut placement = DataPlacement::new(3);
         placement.add_run(SiteId(0), &[SiteId(1), SiteId(2)], 1);
         placement.add_run(SiteId(1), &[SiteId(2)], 1);
         placement.add_run(SiteId(2), &[], 1);
         let routing =
             Routing::build(protocol.into(), &placement, TreeKind::Chain).expect("chain3 is a DAG");
-        let placement = Arc::new(placement);
-        let opts = Arc::new(RuntimeOptions { tuning, ..RuntimeOptions::default() });
+        let (placement, opts) = (Arc::new(placement), Arc::new(RuntimeOptions::default()));
         [0, 1, 2].map(|s| {
             SiteSetup::new(SiteId(s), protocol, placement.clone(), &routing)
                 .expect("chain3 site")
@@ -744,7 +725,7 @@ mod tests {
     /// s1 only forwards.
     #[test]
     fn an_applied_secondary_that_moves_the_timestamp_sends_the_child_a_dummy() {
-        let [mut s0, mut s1, _] = chain3(RuntimeProtocol::DagT, Tuning::LIVE);
+        let [mut s0, mut s1, _] = chain3(RuntimeProtocol::DagT);
         let (seq, sub) = commit_at_s0(&mut s0, 1);
         let before = s1.machine.site_ts().clone();
         s1.apply_frame(SiteId(0), seq, sub);
@@ -769,28 +750,37 @@ mod tests {
         assert_eq!(s1.machine.site_ts(), &ts);
         assert_eq!(take_sent(&mut s1), []);
 
-        let [mut s0, mut s1, _] = chain3(RuntimeProtocol::DagWt, Tuning::LIVE);
+        let [mut s0, mut s1, _] = chain3(RuntimeProtocol::DagWt);
         let (seq, sub) = commit_at_s0(&mut s0, 1);
         s1.apply_frame(SiteId(0), seq, sub.clone());
         assert_eq!(take_sent(&mut s1), [(SiteId(2), 1, sub)]);
     }
 
-    /// The DAG(T) epoch is the sources' alone. s1 of `chain3` runs its
-    /// timers with its epoch due, then a local update that reads s0's
-    /// item before it applies s0's write to it, so the update must
-    /// serialize first. Had s1's epoch advanced, the update's timestamp
-    /// would order it after s0's write at s2, and a reader at s2 between
-    /// the two would close a cycle. No clock decides anything here: the
-    /// epoch period is zero and the heartbeat period out of reach.
+    /// The DAG(T) epoch is the sources' alone. At one epoch period, and
+    /// not a microsecond before, the source s0's epoch moves; s1 of
+    /// `chain3` runs its timers then too, and its epoch stays. s1 then
+    /// runs a local update that reads s0's item before it applies s0's
+    /// write to it, so the update must serialize first. Had s1's epoch
+    /// advanced, the update's timestamp would order it after s0's write
+    /// at s2, and a reader at s2 between the two would close a cycle.
     #[test]
     fn a_non_source_epoch_never_orders_its_update_after_an_unapplied_parent_write() {
-        let tuning = Tuning {
-            epoch_period: Duration::ZERO,
-            heartbeat_period: Duration::MAX,
-            ..Tuning::LIVE
+        let epoch = micros(Tuning::LIVE.epoch_period);
+        let epochs = |sites: &mut [SiteCore; 3], now| {
+            sites.each_mut().map(|site| {
+                site.set_now(now);
+                site.tick();
+                site.machine.site_ts().epoch
+            })
         };
-        let mut sites = chain3(RuntimeProtocol::DagT, tuning);
+        let mut timed = chain3(RuntimeProtocol::DagT);
+        assert_eq!(epochs(&mut timed, epoch - 1), [0, 0, 0]);
+        assert_eq!(epochs(&mut timed, epoch), [1, 0, 0]);
+
+        let mut sites = chain3(RuntimeProtocol::DagT);
+        sites[1].set_now(epoch);
         sites[1].tick();
+        assert_eq!(sites[1].machine.site_ts().epoch, 0);
         let commit = |site: &mut SiteCore, ops: &[Op]| {
             let started = site.start_txn(ops).expect("a valid transaction");
             assert!(started.immediate);
@@ -821,11 +811,19 @@ mod tests {
     /// A DAG(T) site whose child never acks holds at most
     /// [`HEARTBEAT_LANE_CAP`] dummies in that child's lane, however often
     /// its heartbeat fires; a real commit still queues its frame there.
+    /// The first heartbeat is due 1 µs after boot: at 0 nothing goes.
     #[test]
     fn dummies_stop_at_the_lane_cap_and_a_commit_still_queues() {
-        let tuning = Tuning { heartbeat_period: Duration::ZERO, ..Tuning::LIVE };
-        let [mut s0, ..] = chain3(RuntimeProtocol::DagT, tuning);
+        let [mut s0, ..] = chain3(RuntimeProtocol::DagT);
+        assert_eq!(s0.next_deadline(), Some(1));
+        s0.tick();
+        assert_eq!(s0.net.lane_len(SiteId(1)), 0);
+        s0.set_now(1);
+        s0.tick();
+        assert_eq!(s0.net.lane_len(SiteId(1)), 1);
         for _ in 0..10 * HEARTBEAT_LANE_CAP {
+            let due = s0.next_deadline().expect("a site with children keeps a heartbeat");
+            s0.set_now(due);
             s0.tick();
         }
         assert_eq!(s0.net.lane_len(SiteId(1)), HEARTBEAT_LANE_CAP);
@@ -836,10 +834,10 @@ mod tests {
     }
 
     /// `ring3` under BackEdge, one item a site — s0's copied at s1, s1's
-    /// at s2, s2's at s0 — with `opts`: the copy edge s2 → s0 is the
-    /// backedge, so a write at s2 to its item runs an eager phase whose
-    /// special prepares at s0.
-    fn ring3(opts: RuntimeOptions) -> [SiteCore; 3] {
+    /// at s2, s2's at s0 — on the live settings: the copy edge s2 → s0 is
+    /// the backedge, so a write at s2 to its item runs an eager phase
+    /// whose special prepares at s0.
+    fn ring3() -> [SiteCore; 3] {
         let mut placement = DataPlacement::new(3);
         placement.add_run(SiteId(0), &[SiteId(1)], 1);
         placement.add_run(SiteId(1), &[SiteId(2)], 1);
@@ -847,7 +845,7 @@ mod tests {
         let protocol = RuntimeProtocol::BackEdge;
         let routing = Routing::build(protocol.into(), &placement, TreeKind::Chain)
             .expect("BackEdge takes any graph");
-        let (placement, opts) = (Arc::new(placement), Arc::new(opts));
+        let (placement, opts) = (Arc::new(placement), Arc::new(RuntimeOptions::default()));
         [0, 1, 2].map(|s| {
             SiteSetup::new(SiteId(s), protocol, placement.clone(), &routing)
                 .expect("ring3 site")
@@ -882,7 +880,7 @@ mod tests {
     /// it, and releases the item a reader at s0 waited on.
     #[test]
     fn a_prepared_special_commits_on_its_decision_and_releases() {
-        let mut sites = ring3(RuntimeOptions::default());
+        let mut sites = ring3();
         let ops = [Op::write(BACK, 7)];
         let started = sites[2].start_txn(&ops).unwrap();
         assert!(!started.immediate, "a backedge write waits for its special");
@@ -898,20 +896,28 @@ mod tests {
         assert!(sites[0].durable.wal.records().any(|r| r.writer == started.gid));
     }
 
+    /// The eager deadline of a transaction s2 starts at `start`: one
+    /// [`Tuning::eager_timeout`] later, which is also s2's next deadline.
+    fn eager_deadline(sites: &[SiteCore; 3], start: u64) -> u64 {
+        let due = start + micros(Tuning::LIVE.eager_timeout);
+        assert_eq!(sites[2].next_deadline(), Some(due));
+        due
+    }
+
     /// A prepared special's abort decision: s2's eager phase times out
     /// before its special comes home, and the abort it sends s0 leaves
     /// s0's store and log as they were and releases the item.
     #[test]
     fn a_prepared_special_aborts_on_its_decision_and_releases() {
-        let tuning = Tuning { eager_timeout: Duration::ZERO, ..Tuning::LIVE };
-        let opts = RuntimeOptions { tuning, ..RuntimeOptions::default() };
-        let mut sites = ring3(opts);
+        let mut sites = ring3();
         let wal = sites[0].durable.wal.encode();
         let started = sites[2].start_txn(&[Op::write(BACK, 7)]).unwrap();
+        let due = eager_deadline(&sites, 0);
         // Only s2's frames arrive: s0 prepares the special and loses it.
         pump(&mut sites, |from, _| from == SiteId(2));
         assert!(sites[0].blocked(&[Op::read(BACK)]), "s0 prepared the special");
 
+        sites[2].set_now(due);
         assert_eq!(sites[2].check_eager_timeout(), Some(started.gid));
         pump(&mut sites, |from, _| from == SiteId(2));
         assert!(!sites[0].blocked(&[Op::read(BACK)]), "the abort released the item");
@@ -919,19 +925,26 @@ mod tests {
         assert_eq!(sites[0].durable.wal.encode(), wal);
     }
 
-    /// An eager phase past its deadline: `check_eager_timeout` aborts it
-    /// and names it, an abort decision is in the log to the path site s0,
-    /// and the special that then comes home completes nothing.
+    /// An eager phase past its deadline: `check_eager_timeout` leaves it
+    /// alone 1 µs before, and at the deadline aborts it and names it; an
+    /// abort decision is in the log to the path site s0, and the special
+    /// that then comes home completes nothing.
     #[test]
     fn an_eager_phase_past_its_deadline_aborts_down_its_path() {
-        let tuning = Tuning { eager_timeout: Duration::ZERO, ..Tuning::LIVE };
-        let opts = RuntimeOptions { tuning, ..RuntimeOptions::default() };
-        let mut sites = ring3(opts);
+        let mut sites = ring3();
+        let start = 5_000;
+        sites[2].set_now(start);
         let started = sites[2].start_txn(&[Op::write(BACK, 7)]).unwrap();
+        let due = eager_deadline(&sites, start);
         let special = take_sent(&mut sites[2]);
         assert!(!special.is_empty());
 
+        sites[2].set_now(due - 1);
+        assert_eq!(sites[2].check_eager_timeout(), None);
+        assert!(take_sent(&mut sites[2]).is_empty(), "nothing goes before the deadline");
+        sites[2].set_now(due);
         assert_eq!(sites[2].check_eager_timeout(), Some(started.gid));
+        assert_eq!(sites[2].next_deadline(), None);
         let abort = Payload::Decision { gid: started.gid, commit: false };
         let sent = take_sent(&mut sites[2]);
         assert!(sent.iter().any(|(to, _, p)| *to == SiteId(0) && *p == abort), "{sent:?}");
@@ -949,7 +962,7 @@ mod tests {
     /// for a read and for a write, and the site serves the next request.
     #[test]
     fn an_item_past_the_placement_is_refused_not_a_panic() {
-        let mut sites = ring3(RuntimeOptions::default());
+        let mut sites = ring3();
         let past = ItemId(sites[0].placement.num_items());
         for op in [Op::read(past), Op::write(past, 1)] {
             let refused = sites[0].start_txn(&[op]).map(|started| started.gid);

@@ -20,9 +20,14 @@
 //! acknowledged, so delivery is recovered by writing on from the cursor
 //! on the next pass or by replay — a reconnect ([`Net::resume`] from the
 //! peer's `HelloAck.resume_seq`, which is also how a restarted site
-//! catches up) or a stalled lane's periodic replay ([`Net::replay`]) —
+//! catches up) or a stalled lane's replay ([`Net::replay_stalled`]) —
 //! and the receiver's durable dedup/gap marks make the replays
 //! exactly-once.
+//!
+//! Time is the reactor's: [`Net::set_now`] tells the pass's time once,
+//! in microseconds since the site booted, and peer health, the stall
+//! replay and the wire's fault windows decide by it. [`Net::next_deadline`]
+//! says when the link layer next needs a pass.
 //!
 //! Only [`Net::flush`] can call [`Transport::try_send`]: the call takes
 //! a [`SendPermit`], which only this module can make. So every byte on
@@ -36,18 +41,18 @@
 //! ([`Net::take_ack`]).
 
 use std::io;
-use std::time::Instant;
 
 use repl_net::Payload;
 use repl_types::SiteId;
 
 use crate::link::{write_taken, LinkState, Links, Sink};
-use crate::policy::{DOWN_AFTER, SUSPECT_AFTER};
+use crate::policy::{micros, DOWN_AFTER, REPLAY_PERIOD, SUSPECT_AFTER};
 
 /// This site's progress record of one peer.
 #[derive(Clone)]
 struct HealthCell {
-    last_progress: Instant,
+    /// When a frame, an ack or a dial last came through (µs since boot).
+    last_progress: u64,
     dial_failures: u32,
 }
 
@@ -68,26 +73,36 @@ impl SendPermit {
 /// is the same with or without a fault plan in between.
 pub(crate) trait Transport: Send {
     /// Write to `sink`, `to`'s socket, without blocking, what it takes
-    /// of `frames`: the link log from its send cursor, which starts on a
-    /// frame boundary unless this wire left one half-written. Returns the
-    /// bytes of `frames` taken; an error means the connection is broken.
+    /// of `frames` at `now`: the link log from its send cursor, which
+    /// starts on a frame boundary unless this wire left one
+    /// half-written. Returns the bytes of `frames` taken; an error means
+    /// the connection is broken.
     fn try_send(
         &mut self,
         permit: SendPermit,
+        now: u64,
         to: SiteId,
         frames: &[u8],
         sink: &mut Sink<'_>,
     ) -> io::Result<usize>;
 
-    /// Whether an acknowledgement may go to `from` now. A withheld one
-    /// only delays pruning: the next is cumulative, and the handshake's
-    /// `resume_seq` re-synchronizes after drops.
-    fn passes_ack(&self, _from: SiteId) -> bool {
+    /// Whether an acknowledgement may go to `from` at `now`. A withheld
+    /// one only delays pruning: the next is cumulative, and the
+    /// handshake's `resume_seq` re-synchronizes after drops.
+    fn passes_ack(&self, _now: u64, _from: SiteId) -> bool {
         true
     }
 
     /// A new connection to `to`: forget what was staged for the old one.
     fn reset(&mut self, _to: SiteId) {}
+
+    /// The first time after `now` at which a frame this wire holds falls
+    /// due. A frame already due and still held waits on its connection
+    /// (a refused write, or no connection yet), whose I/O wakes the
+    /// reactor instead.
+    fn next_deadline(&self, _now: u64) -> Option<u64> {
+        None
+    }
 }
 
 /// The wire without a fault plan: the log's bytes go straight to the
@@ -98,6 +113,7 @@ impl Transport for Direct {
     fn try_send(
         &mut self,
         _: SendPermit,
+        _: u64,
         _: SiteId,
         frames: &[u8],
         sink: &mut Sink<'_>,
@@ -118,13 +134,34 @@ pub(crate) struct Net {
     /// Indexed by peer: the highest sequence applied from it that its
     /// connection has not been told of (0: none owed).
     owed: Vec<u64>,
+    /// Indexed by peer: the front sequence of its lane at the last
+    /// [`Net::replay_stalled`] (0: empty), and since when it has stood
+    /// there.
+    fronts: Vec<(u64, u64)>,
+    /// The pass's time, µs since the site booted ([`Net::set_now`]).
+    now: u64,
 }
 
 impl Net {
+    /// The link layer of a site booting now (time 0).
     pub fn new(me: SiteId, links: Links, raw: Box<dyn Transport>) -> Self {
         let n = links.len();
-        let fresh = HealthCell { last_progress: Instant::now(), dial_failures: 0 };
-        Net { me, health: vec![fresh; n], owed: vec![0; n], links, raw }
+        let fresh = HealthCell { last_progress: 0, dial_failures: 0 };
+        Net {
+            me,
+            health: vec![fresh; n],
+            owed: vec![0; n],
+            fronts: vec![(0, 0); n],
+            now: 0,
+            links,
+            raw,
+        }
+    }
+
+    /// The pass's time, µs since the site booted: what the peer health,
+    /// the stall replay and the wire decide by until the next call.
+    pub fn set_now(&mut self, now: u64) {
+        self.now = now;
     }
 
     /// The outgoing links, indexed by destination.
@@ -144,6 +181,7 @@ impl Net {
             + self.links.iter().map(LinkState::heap_bytes).sum::<usize>()
             + self.health.capacity() * size_of::<HealthCell>()
             + self.owed.capacity() * size_of::<u64>()
+            + self.fronts.capacity() * size_of::<(u64, u64)>()
     }
 
     /// Encode `payload` into the log to `to`. The frame is in the log
@@ -159,8 +197,8 @@ impl Net {
     /// Write the log to `to` from its cursor to `sink`, `to`'s socket, as
     /// far as it takes it. An error means the connection is broken.
     pub fn flush(&mut self, to: SiteId, sink: &mut Sink<'_>) -> io::Result<()> {
-        let raw = &mut self.raw;
-        self.links[to.index()].offer(|frames| raw.try_send(SendPermit(()), to, frames, sink))
+        let (raw, now) = (&mut self.raw, self.now);
+        self.links[to.index()].offer(|frames| raw.try_send(SendPermit(()), now, to, frames, sink))
     }
 
     /// Receiver side: `seq` on the link from `from` is durably applied;
@@ -175,7 +213,7 @@ impl Net {
     /// withholds it (then it is not owed any more either).
     pub fn take_ack(&mut self, from: SiteId) -> Option<u64> {
         let seq = std::mem::take(&mut self.owed[from.index()]);
-        (seq > 0 && self.raw.passes_ack(from)).then_some(seq)
+        (seq > 0 && self.raw.passes_ack(self.now, from)).then_some(seq)
     }
 
     /// Sender side: `to` acknowledged everything up to `seq`.
@@ -187,7 +225,7 @@ impl Net {
 
     /// A frame or an ack came from `peer`, whatever it was.
     pub fn note_progress(&mut self, peer: SiteId) {
-        self.health[peer.index()] = HealthCell { last_progress: Instant::now(), dial_failures: 0 };
+        self.health[peer.index()] = HealthCell { last_progress: self.now, dial_failures: 0 };
     }
 
     /// A dial attempt to `peer` finished.
@@ -212,25 +250,16 @@ impl Net {
                 continue;
             }
             let pending = self.lane_len(peer) > 0 || cell.dial_failures > 0;
-            let silent = cell.last_progress.elapsed();
-            if !pending || silent < SUSPECT_AFTER {
+            let silent = self.now.saturating_sub(cell.last_progress);
+            if !pending || silent < micros(SUSPECT_AFTER) {
                 up += 1;
-            } else if silent < DOWN_AFTER {
+            } else if silent < micros(DOWN_AFTER) {
                 suspect += 1;
             } else {
                 down += 1;
             }
         }
         (up, suspect, down)
-    }
-
-    /// Sequence number at the head of the log to `to` (the oldest
-    /// unacknowledged message), or `None` when the lane is empty. The
-    /// stall-replay driver watches this: a non-empty lane whose front
-    /// does not move between checks has made no ack progress and gets
-    /// replayed.
-    pub fn front_seq(&self, to: SiteId) -> Option<u64> {
-        self.links[to.index()].front_seq()
     }
 
     /// Re-synchronize the link to `to` on a new connection (a reconnect,
@@ -242,15 +271,144 @@ impl Net {
         self.raw.reset(to);
     }
 
-    /// The lane to `to` stalled: write its log again from the front, on
-    /// the connection it has, once the frame in progress is whole.
-    pub fn replay(&mut self, to: SiteId) {
-        self.links[to.index()].replay();
+    /// Stall recovery, once a pass after its sends and acks: replay
+    /// every lane whose front — its oldest unacknowledged sequence — has
+    /// stood still for [`REPLAY_PERIOD`], and start the period again. A
+    /// front first seen now starts its period now. The log is written
+    /// again from its front on the connection it has, once the frame in
+    /// progress is whole. A frame a nemesis (or a dying connection)
+    /// swallowed is still in the log; the receiver's dedup/gap marks make
+    /// the replay exactly-once, so replaying a lane that was merely slow
+    /// is harmless. Lanes making ack progress are left alone: under a
+    /// healthy wire this sends nothing.
+    pub fn replay_stalled(&mut self) {
+        let period = micros(REPLAY_PERIOD);
+        for (lane, (front, since)) in self.links.iter_mut().zip(&mut self.fronts) {
+            let now_front = lane.front_seq().unwrap_or(0);
+            if now_front != *front {
+                (*front, *since) = (now_front, self.now);
+            } else if *front != 0 && self.now >= since.saturating_add(period) {
+                lane.replay();
+                *since = self.now;
+            }
+        }
+    }
+
+    /// When the link layer next needs a pass: a non-empty lane's replay,
+    /// one [`REPLAY_PERIOD`] after [`Net::replay_stalled`] last saw its
+    /// front move (never later than it is due), or a frame the wire holds
+    /// falling due. `None` while every lane is empty and the wire holds
+    /// nothing.
+    pub fn next_deadline(&self) -> Option<u64> {
+        let period = micros(REPLAY_PERIOD);
+        let stalled = self.links.iter().zip(&self.fronts).filter(|(lane, _)| lane.len() > 0);
+        let replays = stalled.map(|(_, &(_, since))| since.saturating_add(period));
+        replays.chain(self.raw.next_deadline(self.now)).min()
     }
 
     /// Messages awaiting acknowledgement on the lane to `to` (send
     /// throttling).
     pub fn lane_len(&self, to: SiteId) -> usize {
         self.links[to.index()].len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::link::LinkState;
+    use crate::nemesis::{ChaosWire, NetFaultPlan};
+
+    const PEER: SiteId = SiteId(1);
+
+    fn net(raw: Box<dyn Transport>) -> Net {
+        Net::new(SiteId(0), (0..2).map(|_| LinkState::default()).collect(), raw)
+    }
+
+    fn decision(n: u64) -> Payload {
+        Payload::Decision { gid: repl_types::GlobalTxnId::new(SiteId(0), n), commit: true }
+    }
+
+    /// The bytes a flush to [`PEER`] writes to a socket that takes all.
+    fn flushed(net: &mut Net) -> usize {
+        let mut written = 0;
+        let mut socket = |bytes: &[u8]| {
+            written += bytes.len();
+            Ok(bytes.len())
+        };
+        net.flush(PEER, &mut socket).unwrap();
+        written
+    }
+
+    /// No lane holds anything: the link layer has no deadline. A lane
+    /// whose front stands still from `t` is replayed at `t + period` and
+    /// not a microsecond before, and again one period later; an ack that
+    /// moves the front starts its period over, and one that empties the
+    /// lane ends it.
+    #[test]
+    fn a_stalled_lane_is_replayed_one_period_after_its_front_stopped() {
+        let period = micros(REPLAY_PERIOD);
+        let mut net = net(Box::new(Direct));
+        assert_eq!(net.next_deadline(), None);
+        net.replay_stalled();
+        assert_eq!(net.next_deadline(), None);
+
+        let t = 7_000;
+        net.set_now(t);
+        net.send(PEER, &decision(1));
+        net.send(PEER, &decision(2));
+        let frames = flushed(&mut net);
+        net.replay_stalled();
+        assert_eq!(net.next_deadline(), Some(t + period));
+
+        net.set_now(t + period - 1);
+        net.replay_stalled();
+        assert_eq!(flushed(&mut net), 0, "replayed before its period");
+        net.set_now(t + period);
+        net.replay_stalled();
+        assert_eq!(flushed(&mut net), frames);
+        assert_eq!(net.next_deadline(), Some(t + 2 * period));
+
+        // Progress: the front moves at `u`, and its period starts there.
+        let u = t + period + 10;
+        net.set_now(u);
+        net.on_ack(PEER, 1);
+        net.replay_stalled();
+        assert_eq!(net.next_deadline(), Some(u + period));
+        net.on_ack(PEER, 2);
+        net.replay_stalled();
+        assert_eq!(net.next_deadline(), None);
+    }
+
+    /// A frame a nemesis holds is the wire's deadline: due at its release
+    /// time, written then and not a microsecond before, and no deadline
+    /// once it went.
+    #[test]
+    fn a_held_frame_is_due_at_its_release_time() {
+        // The first seed whose first frame draws a delay.
+        let (mut net, due) = (0..)
+            .find_map(|seed| {
+                let plan = NetFaultPlan::seeded(seed).jitter(40);
+                let mut net = net(Box::new(ChaosWire::new(SiteId(0), plan, 2)));
+                net.set_now(3_000);
+                net.send(PEER, &decision(1));
+                if flushed(&mut net) > 0 {
+                    return None;
+                }
+                net.replay_stalled();
+                let due = net.raw.next_deadline(3_000)?;
+                Some((net, due))
+            })
+            .unwrap();
+        assert!(3_000 < due && due <= 3_000 + 40_000, "{due}");
+        // The link layer's deadline is the earlier of it and the replay.
+        let replay = 3_000 + micros(REPLAY_PERIOD);
+        assert_eq!(net.next_deadline(), Some(due.min(replay)));
+
+        net.set_now(due - 1);
+        assert_eq!(flushed(&mut net), 0, "released before its time");
+        net.set_now(due);
+        assert!(flushed(&mut net) > 0);
+        assert_eq!(net.raw.next_deadline(due), None);
     }
 }

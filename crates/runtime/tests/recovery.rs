@@ -1,5 +1,6 @@
 //! Crash-recovery over the threaded runtime: snapshot-replay equality
 //! and *live* crash/rejoin equivalence against an uncrashed control.
+#![expect(clippy::disallowed_methods, reason = "a test paces a live fleet by the wall clock")]
 
 use std::num::NonZeroUsize;
 
