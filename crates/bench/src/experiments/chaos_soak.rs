@@ -37,6 +37,7 @@ use repl_runtime::{
 use repl_types::{Op, SiteId};
 
 use super::Failure;
+use crate::positive;
 
 const USAGE: &str = "\
 usage: repro chaos_soak [--seeds N] [--txns N] [--out FILE] [--smoke]
@@ -70,12 +71,10 @@ fn parse_args(args: &[String]) -> Result<Config, String> {
         let mut value =
             |name: &str| it.next().ok_or_else(|| format!("{name} needs a value\n\n{USAGE}"));
         match arg.as_str() {
-            "--seeds" => {
-                cfg.seeds = value("--seeds")?.parse().map_err(|_| "--seeds must be an integer")?;
-            }
-            "--txns" => {
-                cfg.txns = value("--txns")?.parse().map_err(|_| "--txns must be an integer")?;
-            }
+            // 0 seeds or 0 transactions would soak nothing and still
+            // report every cell `ok`.
+            "--seeds" => cfg.seeds = positive("--seeds", value("--seeds")?)?.into(),
+            "--txns" => cfg.txns = positive("--txns", value("--txns")?)?,
             "--out" => cfg.out = value("--out")?.clone(),
             "--smoke" => cfg.smoke = true,
             "--help" | "-h" => return Err(USAGE.to_string()),
@@ -401,4 +400,27 @@ fn render_json(cells: &[CellReport], cfg: &Config) -> String {
     }
     out.push_str("  ]\n}\n");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Config, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn a_count_flag_that_is_not_a_positive_integer_is_refused_by_name() {
+        for flag in ["--seeds", "--txns"] {
+            for bad in ["0", "-1", "abc", ""] {
+                let err = parse(&[flag, bad]).err().unwrap_or_else(|| panic!("{flag} {bad:?}"));
+                assert!(err.starts_with(&format!("{flag} must be a positive integer")), "{err}");
+            }
+            let err = parse(&[flag]).err().unwrap_or_else(|| panic!("{flag} with no value"));
+            assert!(err.starts_with(&format!("{flag} needs a value")), "{err}");
+        }
+        let cfg = parse(&["--seeds", "2", "--txns", "5"]).unwrap();
+        assert_eq!((cfg.seeds, cfg.txns), (2, 5));
+    }
 }

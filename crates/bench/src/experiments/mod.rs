@@ -379,8 +379,7 @@ pub fn fault_sweep(scale: &Scale) -> Sweep {
         .table(TableOneParams { backedge_prob: 0.0, ..scale.table() })
         .axis("crashes", [0.0, 1.0, 2.0, 3.0, 4.0], |t, sim, c| {
             // One deterministic plan per x value: the plan is part of
-            // the point's configuration (and its cache key), not of
-            // the seed.
+            // the point's configuration, not of the seed.
             sim.faults = FaultPlan::random_crashes(
                 0xFA57 + c as u64,
                 t.num_sites,
@@ -409,8 +408,7 @@ mod tests {
 
     #[test]
     fn each_sweep_spec_id_is_its_registry_name() {
-        let scale =
-            Scale { txns: 10, seeds: 1, workers: 1, cache: false, emit: crate::Emit::default() };
+        let scale = Scale { txns: 10, seeds: 1, workers: 1, emit: crate::Emit::default() };
         let mut sweeps = 0;
         for &(name, _, run) in EXPERIMENTS {
             if let Run::Sweep(build) = run {

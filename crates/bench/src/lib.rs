@@ -10,8 +10,9 @@
 //! Figures are declared with [`runner::ExperimentSpec`] and executed by
 //! the parallel [`runner::Runner`]: every point is a pure function of
 //! `(Params, seed)`, so the pool schedules points across `REPRO_WORKERS`
-//! threads, serves repeats from the content-addressed cache under
-//! `results/cache/`, and still aggregates byte-identical output.
+//! threads and still aggregates byte-identical output. Every point is
+//! computed on every run; `repro` writes a file only where `REPRO_EMIT`
+//! or an experiment's `--out` asks for one.
 //!
 //! Scale knobs (environment variables, so the full paper-scale run and a
 //! quick smoke run share one binary), read once by [`Scale::from_env`]:
@@ -20,8 +21,6 @@
 //! * `REPRO_SEEDS`    — seeds averaged per point (default 1);
 //! * `REPRO_SCALE`    — shorthand: `quick` sets `REPRO_TXNS=150`;
 //! * `REPRO_WORKERS`  — worker threads (default: all cores);
-//! * `REPRO_NO_CACHE` — `1` disables the on-disk point cache (`0`
-//!   keeps it);
 //! * `REPRO_EMIT`     — comma list of `csv`,`json`: also write
 //!   `results/<figure>.<ext>` next to the printed table.
 //!
@@ -34,8 +33,8 @@ pub mod experiments;
 pub mod runner;
 
 pub use runner::{
-    try_run_point_with, Column, Emit, ExperimentSpec, PointCache, PointJob, RunError, Runner,
-    RunnerStats, SweepResult, SweepRow, CACHE_VERSION,
+    try_run_point_with, Column, Emit, ExperimentSpec, PointJob, RunError, Runner, RunnerStats,
+    SweepResult, SweepRow,
 };
 
 use repl_core::config::{ProtocolKind, SimParams};
@@ -52,9 +51,6 @@ pub struct Scale {
     pub seeds: u64,
     /// Worker threads (`REPRO_WORKERS`; default: all cores).
     pub workers: usize,
-    /// Whether the on-disk point cache is used (`REPRO_NO_CACHE=1` turns
-    /// it off).
-    pub cache: bool,
     /// The files a printed sweep also writes (`REPRO_EMIT`; default
     /// none).
     pub emit: Emit,
@@ -68,28 +64,16 @@ impl Scale {
 
     /// Read the knobs through `var`. A knob that is set to a value it
     /// does not take — a numeric one that does not parse or is 0, a
-    /// `REPRO_SCALE` other than `quick`, a `REPRO_NO_CACHE` other than
-    /// `0` or `1`, a `REPRO_EMIT` entry other than `csv` or `json` — is
-    /// an error naming the variable.
+    /// `REPRO_SCALE` other than `quick`, a `REPRO_EMIT` entry other than
+    /// `csv` or `json` — is an error naming the variable.
     fn parse(var: impl Fn(&str) -> Option<String>) -> Result<Scale, String> {
-        let positive = |name: &str| match var(name) {
-            None => Ok(None),
-            Some(raw) => match raw.parse::<u32>() {
-                Ok(n) if n > 0 => Ok(Some(n)),
-                _ => Err(format!("{name} must be a positive integer, got {raw:?}")),
-            },
-        };
-        let (txns, seeds) = (positive("REPRO_TXNS")?, positive("REPRO_SEEDS")?);
-        let workers = positive("REPRO_WORKERS")?;
+        let count = |name: &str| var(name).map(|raw| positive(name, &raw)).transpose();
+        let (txns, seeds) = (count("REPRO_TXNS")?, count("REPRO_SEEDS")?);
+        let workers = count("REPRO_WORKERS")?;
         let quick = match var("REPRO_SCALE").as_deref() {
             None => false,
             Some("quick") => true,
             Some(raw) => return Err(format!("REPRO_SCALE must be quick or unset, got {raw:?}")),
-        };
-        let cache = match var("REPRO_NO_CACHE").as_deref() {
-            None | Some("0") => true,
-            Some("1") => false,
-            Some(raw) => return Err(format!("REPRO_NO_CACHE must be 0 or 1, got {raw:?}")),
         };
         let emit = match var("REPRO_EMIT") {
             None => Emit::default(),
@@ -102,7 +86,6 @@ impl Scale {
                 || std::thread::available_parallelism().map_or(1, |n| n.get()),
                 |n| n as usize,
             ),
-            cache,
             emit,
         })
     }
@@ -118,15 +101,18 @@ impl Scale {
         ExperimentSpec::new(id, title).table(self.table()).seeds(self.seeds)
     }
 
-    /// The pool at this scale: its workers, the shared `results/cache`
-    /// unless the cache is off, progress on stderr, and the files its
-    /// sweeps also write.
+    /// The pool at this scale: its workers, progress on stderr, and the
+    /// files its sweeps also write.
     pub fn runner(&self) -> Runner {
-        Runner::new()
-            .workers(self.workers)
-            .cache_dir(self.cache.then(|| "results/cache".into()))
-            .progress(true)
-            .emit(self.emit)
+        Runner::new().workers(self.workers).progress(true).emit(self.emit)
+    }
+}
+
+/// Parse a count that must be at least 1; the error names `name`.
+pub(crate) fn positive(name: &str, raw: &str) -> Result<u32, String> {
+    match raw.parse::<u32>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("{name} must be a positive integer, got {raw:?}")),
     }
 }
 
@@ -158,11 +144,9 @@ mod tests {
     fn unset_knobs_take_paper_defaults() {
         let s = parse(&[("REPRO_WORKERS", "3")]).unwrap();
         let none = Emit::default();
-        assert_eq!(s, Scale { txns: 1000, seeds: 1, workers: 3, cache: true, emit: none });
+        assert_eq!(s, Scale { txns: 1000, seeds: 1, workers: 3, emit: none });
         let quick = parse(&[("REPRO_SCALE", "quick"), ("REPRO_TXNS", "40")]).unwrap();
         assert_eq!(quick.txns, 150, "quick wins over REPRO_TXNS, as it always has");
-        assert!(!parse(&[("REPRO_NO_CACHE", "1")]).unwrap().cache);
-        assert!(parse(&[("REPRO_NO_CACHE", "0")]).unwrap().cache);
         let both = Emit { csv: true, json: true };
         assert_eq!(parse(&[("REPRO_EMIT", "csv, json")]).unwrap().emit, both);
         assert_eq!(parse(&[("REPRO_EMIT", "json")]).unwrap().emit, Emit { json: true, ..none });
@@ -178,11 +162,10 @@ mod tests {
         }
         // Validated even where REPRO_SCALE=quick overrides the value.
         assert!(parse(&[("REPRO_SCALE", "quick"), ("REPRO_TXNS", "abc")]).is_err());
-        // A misspelt word would otherwise run at full scale, keep the
-        // cache, or write no file, and exit 0.
+        // A misspelt word would otherwise run at full scale or write no
+        // file, and exit 0.
         let words = [
             ("REPRO_SCALE", &["Quick", "fast", "full", ""][..]),
-            ("REPRO_NO_CACHE", &["true", "yes", "2", ""]),
             ("REPRO_EMIT", &["jsn", "CSV", "csv,", ""]),
         ];
         for (name, spellings) in words {

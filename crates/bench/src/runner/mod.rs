@@ -14,25 +14,24 @@
 //!   threads claiming job indices from one shared counter, per-sweep
 //!   progress and wall-clock reporting on stderr, deterministic
 //!   aggregation;
-//! * [`cache`] — the content-addressed on-disk result cache under
-//!   `results/cache/`, keyed by a stable hash of every parameter that can
-//!   influence a point (`REPRO_NO_CACHE=1` opts out).
+//! * `emit` — the text table, CSV and JSON a finished sweep prints or
+//!   writes.
+//!
+//! Every point is computed on every run: the runner reads and writes no
+//! file of its own.
 
-mod cache;
 mod emit;
 mod spec;
 
-pub use cache::{PointCache, CACHE_VERSION};
 pub use emit::{Column, Emit};
 pub use spec::{ExperimentSpec, SweepResult, SweepRow};
 
 use std::io::{IsTerminal, Write as _};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use repl_core::config::{SimParams, StableHash, StableHasher};
+use repl_core::config::SimParams;
 use repl_core::engine::{BuildError, Engine};
 use repl_core::metrics::MetricsSummary;
 use repl_core::scenario::generate_programs;
@@ -148,20 +147,7 @@ pub struct PointJob {
 }
 
 impl PointJob {
-    /// Content-addressed cache key: a stable 128-bit digest of everything
-    /// that can influence the point's outcome — the full Table-1
-    /// parameters, the *folded* engine parameters and the seed, plus
-    /// [`CACHE_VERSION`] so semantic engine changes invalidate en masse.
-    pub fn cache_key(&self) -> String {
-        let mut h = StableHasher::new();
-        h.write_u32(CACHE_VERSION);
-        self.table.stable_hash(&mut h);
-        self.table.sim_params(&self.sim).stable_hash(&mut h);
-        h.write_u64(self.seed);
-        h.hex()
-    }
-
-    /// Execute the point (no cache involvement).
+    /// Execute the point.
     pub fn run(&self) -> Result<MetricsSummary, RunError> {
         try_run_point_with(&self.table, &self.sim, self.seed)
     }
@@ -170,12 +156,8 @@ impl PointJob {
 /// Aggregate statistics of one runner invocation.
 #[derive(Clone, Debug, Default)]
 pub struct RunnerStats {
-    /// Total points the sweep expanded to.
+    /// Total points the sweep expanded to; each ran through the engine.
     pub points: usize,
-    /// Points that ran through the engine.
-    pub executed: usize,
-    /// Points served from the on-disk cache.
-    pub cache_hits: usize,
     /// Points that finished with a [`RunError`].
     pub failed: usize,
     /// Worker threads used.
@@ -187,31 +169,24 @@ pub struct RunnerStats {
 /// The worker-pool executor.
 ///
 /// `repro` builds one with [`crate::Scale::runner`] (honours
-/// `REPRO_WORKERS` / `REPRO_NO_CACHE`); tests configure [`Runner::new`]
+/// `REPRO_WORKERS` / `REPRO_EMIT`); tests configure [`Runner::new`]
 /// explicitly, independent of the environment.
 #[derive(Debug)]
 pub struct Runner {
     workers: usize,
-    cache: Option<PointCache>,
     progress: bool,
     emit: Emit,
 }
 
 impl Runner {
-    /// A serial runner with no cache and no progress output.
+    /// A serial runner with no progress output.
     pub fn new() -> Self {
-        Runner { workers: 1, cache: None, progress: false, emit: Emit::default() }
+        Runner { workers: 1, progress: false, emit: Emit::default() }
     }
 
     /// Set the worker-thread count (clamped to ≥ 1).
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n.max(1);
-        self
-    }
-
-    /// Use (or disable) an explicit cache directory.
-    pub fn cache_dir(mut self, dir: Option<PathBuf>) -> Self {
-        self.cache = dir.map(PointCache::at);
         self
     }
 
@@ -254,7 +229,7 @@ impl Runner {
         // no other data; results travel over the channel), and results come
         // back tagged with their index, so completion order never shows.
         let next = AtomicUsize::new(0);
-        let (res_tx, res_rx) = mpsc::channel::<(usize, Result<MetricsSummary, RunError>, bool)>();
+        let (res_tx, res_rx) = mpsc::channel::<(usize, Result<MetricsSummary, RunError>)>();
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 let res_tx = res_tx.clone();
@@ -262,8 +237,7 @@ impl Runner {
                 scope.spawn(move || loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(job) = jobs.get(i) else { break };
-                    let (result, cached) = self.run_job(job);
-                    if res_tx.send((i, result, cached)).is_err() {
+                    if res_tx.send((i, job.run())).is_err() {
                         break;
                     }
                 });
@@ -272,22 +246,16 @@ impl Runner {
 
             let fancy = self.progress && std::io::stderr().is_terminal();
             let mut done = 0usize;
-            for (i, result, cached) in res_rx {
+            for (i, result) in res_rx {
                 done += 1;
-                if cached {
-                    stats.cache_hits += 1;
-                } else {
-                    stats.executed += 1;
-                }
                 if result.is_err() {
                     stats.failed += 1;
                 }
                 slots[i] = Some(result);
                 if fancy {
                     eprint!(
-                        "\r[{label}] {done}/{} points ({} cached, {} failed) {:.1}s",
+                        "\r[{label}] {done}/{} points ({} failed) {:.1}s",
                         jobs.len(),
-                        stats.cache_hits,
                         stats.failed,
                         started.elapsed().as_secs_f64()
                     );
@@ -302,11 +270,9 @@ impl Runner {
         stats.wall = started.elapsed();
         if self.progress {
             eprintln!(
-                "[{label}] {} points in {:.2}s ({} executed, {} cached, {} failed, {} workers)",
+                "[{label}] {} points in {:.2}s ({} failed, {} workers)",
                 stats.points,
                 stats.wall.as_secs_f64(),
-                stats.executed,
-                stats.cache_hits,
                 stats.failed,
                 stats.workers
             );
@@ -314,21 +280,6 @@ impl Runner {
         let results =
             slots.into_iter().map(|s| s.expect("every job index reported exactly once")).collect();
         (results, stats)
-    }
-
-    /// Serve `job` from the cache, or run it and cache a success. The
-    /// flag says whether the cache served it.
-    fn run_job(&self, job: &PointJob) -> (Result<MetricsSummary, RunError>, bool) {
-        let Some(cache) = &self.cache else { return (job.run(), false) };
-        let key = job.cache_key();
-        if let Some(summary) = cache.load(&key) {
-            return (Ok(summary), true);
-        }
-        let result = job.run();
-        if let Ok(s) = &result {
-            cache.store(&key, s);
-        }
-        (result, false)
     }
 }
 
@@ -369,21 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_key_is_sensitive_to_each_input() {
-        let a = PointJob { table: tiny(), sim: SimParams::default(), seed: 42 };
-        let mut b = a.clone();
-        b.seed = 43;
-        let mut c = a.clone();
-        c.table.backedge_prob = 0.7;
-        let mut d = a.clone();
-        d.sim.protocol = ProtocolKind::Psl;
-        assert_eq!(a.cache_key(), a.clone().cache_key());
-        assert_ne!(a.cache_key(), b.cache_key());
-        assert_ne!(a.cache_key(), c.cache_key());
-        assert_ne!(a.cache_key(), d.cache_key());
-    }
-
-    #[test]
     fn pool_preserves_job_order_at_any_worker_count() {
         // Different seeds produce different histories; results must land
         // at their job index regardless of completion order, also when
@@ -392,10 +328,10 @@ mod tests {
             .map(|s| PointJob { table: tiny(), sim: SimParams::default(), seed: 42 + s })
             .collect();
         let (serial, s1) = Runner::new().run_points("test", &jobs);
-        assert_eq!(s1.executed, 6);
+        assert_eq!(s1.points, 6);
         for (asked, used) in [(4, 4), (8, 6)] {
             let (parallel, stats) = Runner::new().workers(asked).run_points("test", &jobs);
-            assert_eq!((stats.executed, stats.workers), (6, used));
+            assert_eq!((stats.points, stats.workers), (6, used));
             for (a, b) in serial.iter().zip(parallel.iter()) {
                 let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
                 assert_eq!(a.commits, b.commits);
@@ -409,6 +345,6 @@ mod tests {
     fn pool_returns_at_once_with_no_jobs() {
         let (results, stats) = Runner::new().workers(4).run_points("empty", &[]);
         assert!(results.is_empty());
-        assert_eq!((stats.points, stats.executed, stats.workers), (0, 0, 1));
+        assert_eq!((stats.points, stats.workers), (0, 1));
     }
 }

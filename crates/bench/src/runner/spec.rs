@@ -225,7 +225,7 @@ pub struct SweepResult {
     pub series: Vec<String>,
     /// One row per swept x value.
     pub rows: Vec<SweepRow>,
-    /// Pool statistics (executed/cached/wall clock).
+    /// Pool statistics (points, failures, workers, wall clock).
     pub stats: RunnerStats,
     /// The files [`SweepResult::print`] also writes.
     pub emit: Emit,

@@ -1,5 +1,5 @@
 //! Simulation parameters (the knobs of Table 1) and protocol selection,
-//! plus the stable parameter hashing the experiment cache is keyed on.
+//! plus a stable hasher that run summaries are digested with.
 
 pub use repl_protocol::{ProtocolKind, TreeKind, Tuning};
 use repl_sim::{FaultPlan, SimDuration};
@@ -7,7 +7,7 @@ use repl_sim::{FaultPlan, SimDuration};
 /// 128-bit FNV-1a hasher with a *stable* digest: unlike
 /// [`std::hash::Hasher`] implementations, the result is guaranteed
 /// identical across processes, platforms and compiler versions, which is
-/// what makes it usable as an on-disk cache key for experiment results.
+/// what lets a test pin a run's digest as a constant.
 #[derive(Clone, Debug)]
 pub struct StableHasher {
     state: u128,
@@ -41,109 +41,14 @@ impl StableHasher {
         self.write_bytes(&v.to_le_bytes());
     }
 
-    /// Fold a `u32` into the digest.
-    pub fn write_u32(&mut self, v: u32) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
     /// Fold an `f64` into the digest via its exact bit pattern.
     pub fn write_f64(&mut self, v: f64) {
         self.write_bytes(&v.to_bits().to_le_bytes());
     }
 
-    /// Fold a `bool` into the digest.
-    pub fn write_bool(&mut self, v: bool) {
-        self.write_bytes(&[v as u8]);
-    }
-
-    /// Fold a length-prefixed string into the digest.
-    pub fn write_str(&mut self, s: &str) {
-        self.write_u64(s.len() as u64);
-        self.write_bytes(s.as_bytes());
-    }
-
     /// The current digest.
     pub fn finish(&self) -> u128 {
         self.state
-    }
-
-    /// The digest as 32 lowercase hex characters (cache file stem).
-    pub fn hex(&self) -> String {
-        format!("{:032x}", self.state)
-    }
-}
-
-/// Types whose parameter content can be folded into a [`StableHasher`].
-///
-/// Implementations must be *total* (every field that influences a
-/// simulation's outcome is hashed) so that equal hashes imply equal
-/// runs; the experiment result cache relies on this.
-pub trait StableHash {
-    /// Fold `self` into `h`.
-    fn stable_hash(&self, h: &mut StableHasher);
-}
-
-impl StableHash for SimDuration {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        h.write_u64(self.as_micros());
-    }
-}
-
-impl StableHash for FaultPlan {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        // Destructured like SimParams below: a new fault field that is
-        // not hashed would let the cache serve results for a different
-        // failure schedule.
-        let FaultPlan { crashes, outages, max_jitter, seed } = self;
-        h.write_u64(crashes.len() as u64);
-        for c in crashes {
-            h.write_u32(c.site.0);
-            h.write_u64(c.at.as_micros());
-            h.write_bool(c.restart.is_some());
-            h.write_u64(c.restart.map_or(0, |r| r.as_micros()));
-        }
-        h.write_u64(outages.len() as u64);
-        for o in outages {
-            h.write_u32(o.from.0);
-            h.write_u32(o.to.0);
-            h.write_u64(o.start.as_micros());
-            h.write_u64(o.end.as_micros());
-        }
-        max_jitter.stable_hash(h);
-        h.write_u64(*seed);
-    }
-}
-
-impl StableHash for Tuning {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        // Destructured like SimParams below.
-        let Tuning {
-            epoch_period,
-            heartbeat_period,
-            eager_timeout,
-            mvcc_reads,
-            group_commit_batch,
-        } = self;
-        for d in [epoch_period, heartbeat_period, eager_timeout] {
-            h.write_u64(d.as_micros() as u64);
-        }
-        h.write_bool(*mvcc_reads);
-        h.write_u64(group_commit_batch.get() as u64);
-    }
-}
-
-impl StableHash for ProtocolKind {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        h.write_str(self.name());
-    }
-}
-
-impl StableHash for TreeKind {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        h.write_str(match self {
-            TreeKind::Chain => "chain",
-            TreeKind::General => "general",
-        });
     }
 }
 
@@ -157,15 +62,6 @@ pub enum DeadlockMode {
     /// latest-arrival victim policy. Global deadlocks still fall back to
     /// the timeout.
     WaitsFor,
-}
-
-impl StableHash for DeadlockMode {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        h.write_str(match self {
-            DeadlockMode::Timeout => "timeout",
-            DeadlockMode::WaitsFor => "waitsfor",
-        });
-    }
 }
 
 /// All engine parameters. Workload-shape parameters (Table 1) live in
@@ -242,55 +138,8 @@ impl SimParams {
     }
 }
 
-impl StableHash for SimParams {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        // Destructure so that adding a field without extending the hash is
-        // a compile error — a silently incomplete hash would let the
-        // result cache serve stale summaries.
-        let SimParams {
-            protocol,
-            tree,
-            deadlock_mode,
-            threads_per_site,
-            txns_per_thread,
-            network_latency,
-            deadlock_timeout,
-            op_cpu,
-            commit_cpu,
-            msg_cpu,
-            apply_cpu,
-            retry_backoff,
-            tuning,
-            max_virtual_time,
-            faults,
-            replay_cpu,
-            fsync_cpu,
-        } = self;
-        protocol.stable_hash(h);
-        tree.stable_hash(h);
-        deadlock_mode.stable_hash(h);
-        h.write_u32(*threads_per_site);
-        h.write_u32(*txns_per_thread);
-        network_latency.stable_hash(h);
-        deadlock_timeout.stable_hash(h);
-        op_cpu.stable_hash(h);
-        commit_cpu.stable_hash(h);
-        msg_cpu.stable_hash(h);
-        apply_cpu.stable_hash(h);
-        retry_backoff.stable_hash(h);
-        tuning.stable_hash(h);
-        max_virtual_time.stable_hash(h);
-        faults.stable_hash(h);
-        replay_cpu.stable_hash(h);
-        fsync_cpu.stable_hash(h);
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use std::num::NonZeroUsize;
-    use std::time::Duration;
-
     use super::*;
 
     #[test]
@@ -302,63 +151,24 @@ mod tests {
         assert_eq!(p.deadlock_timeout, SimDuration::millis(50));
     }
 
-    fn digest<T: StableHash>(v: &T) -> u128 {
-        let mut h = StableHasher::new();
-        v.stable_hash(&mut h);
-        h.finish()
-    }
-
-    #[test]
-    fn stable_hash_is_reproducible_and_sensitive() {
-        let base = SimParams::default();
-        assert_eq!(digest(&base), digest(&base.clone()));
-        let tuned = |tuning| SimParams { tuning, ..base.clone() };
-        // Every kind of knob moves the digest.
-        let variants = [
-            SimParams { protocol: ProtocolKind::Psl, ..base.clone() },
-            SimParams { tree: TreeKind::General, ..base.clone() },
-            SimParams { deadlock_mode: DeadlockMode::WaitsFor, ..base.clone() },
-            SimParams { txns_per_thread: 999, ..base.clone() },
-            SimParams { network_latency: SimDuration::micros(151), ..base.clone() },
-            SimParams {
-                faults: FaultPlan::none().crash(
-                    repl_types::SiteId(0),
-                    repl_sim::SimTime(1_000),
-                    None,
-                ),
-                ..base.clone()
-            },
-            SimParams {
-                faults: FaultPlan::none().jitter(SimDuration::micros(10)).seeded(3),
-                ..base.clone()
-            },
-            SimParams { replay_cpu: SimDuration::micros(51), ..base.clone() },
-            tuned(Tuning { epoch_period: Duration::from_millis(51), ..Tuning::PAPER }),
-            tuned(Tuning { heartbeat_period: Duration::from_millis(26), ..Tuning::PAPER }),
-            tuned(Tuning { eager_timeout: Duration::from_millis(51), ..Tuning::PAPER }),
-            tuned(Tuning { mvcc_reads: true, ..Tuning::PAPER }),
-            tuned(Tuning { group_commit_batch: NonZeroUsize::new(8).unwrap(), ..Tuning::PAPER }),
-            SimParams { fsync_cpu: SimDuration::micros(100), ..base.clone() },
-        ];
-        for v in &variants {
-            assert_ne!(digest(&base), digest(v), "digest blind to a field: {v:?}");
-        }
-    }
-
     #[test]
     fn stable_hasher_primitives() {
         // Empty input hashes to the offset basis.
         assert_eq!(StableHasher::new().finish(), StableHasher::OFFSET);
-        let mut a = StableHasher::new();
-        a.write_str("ab");
-        let mut b = StableHasher::new();
-        b.write_str("a");
-        let mut c = b.clone();
-        b.write_str("b"); // length prefix keeps "ab" != "a","b"
-        c.write_bytes(b"b");
-        assert_ne!(a.finish(), b.finish());
-        assert_ne!(a.finish(), c.finish());
-        assert_eq!(a.hex().len(), 32);
+        let digest = |write: &dyn Fn(&mut StableHasher)| {
+            let mut h = StableHasher::new();
+            write(&mut h);
+            h.finish()
+        };
+        // Integers fold little-endian, floats by their exact bit pattern.
+        let v = 0x0102_0304_0506_0708_u64;
+        assert_eq!(digest(&|h| h.write_u64(v)), digest(&|h| h.write_bytes(&v.to_le_bytes())));
+        let bits = 1.5f64.to_bits().to_le_bytes();
+        assert_eq!(digest(&|h| h.write_f64(1.5)), digest(&|h| h.write_bytes(&bits)));
+        assert_ne!(digest(&|h| h.write_f64(0.0)), digest(&|h| h.write_f64(-0.0)));
+        // Order matters: the digest is not a sum of its inputs.
+        let (ab, ba) = (digest(&|h| h.write_bytes(b"ab")), digest(&|h| h.write_bytes(b"ba")));
+        assert_ne!(ab, ba);
     }
 
     #[test]

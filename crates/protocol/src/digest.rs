@@ -9,8 +9,8 @@
 //! deterministic order, so hashing fields in declaration order with a
 //! fixed byte encoding gives both properties for free.
 //!
-//! The hash is FNV-1a over 128 bits (the same construction the bench
-//! cache uses for its content addresses): cheap, dependency-free, and
+//! The hash is FNV-1a over 128 bits (the same construction as the
+//! simulator's `StableHasher`): cheap, dependency-free, and
 //! with a collision probability around `n²/2¹²⁸` — negligible at model
 //! checking scale (millions of states). `std::hash::Hasher` is
 //! deliberately not used: its output is documented to be unstable across

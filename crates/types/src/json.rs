@@ -1,6 +1,6 @@
 //! A small JSON writer for the two kinds of record the tree writes:
 //! analysis diagnostics (`replmc --json`) and a run's metrics
-//! summary (`repro`'s emitted sweeps and its point cache).
+//! summary (`repro`'s emitted sweeps).
 //!
 //! Each record writes itself field by field through [`Object`]. Strings
 //! are escaped by [`string`]; numbers are written with Rust's

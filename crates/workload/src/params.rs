@@ -1,6 +1,6 @@
 //! Table 1: parameter settings of the paper's performance study.
 
-use repl_core::config::{SimParams, StableHash, StableHasher};
+use repl_core::config::SimParams;
 use repl_core::scenario::WorkloadMix;
 use repl_sim::SimDuration;
 
@@ -58,40 +58,6 @@ impl Default for TableOneParams {
             network_latency: SimDuration::micros(150),
             deadlock_timeout: SimDuration::millis(50),
         }
-    }
-}
-
-impl StableHash for TableOneParams {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        // Destructured so a new field cannot silently escape the hash (the
-        // experiment cache would otherwise serve results for a different
-        // placement or workload).
-        let TableOneParams {
-            num_sites,
-            num_items,
-            replication_prob,
-            site_prob,
-            backedge_prob,
-            ops_per_txn,
-            threads_per_site,
-            txns_per_thread,
-            read_op_prob,
-            read_txn_prob,
-            network_latency,
-            deadlock_timeout,
-        } = self;
-        h.write_u32(*num_sites);
-        h.write_u32(*num_items);
-        h.write_f64(*replication_prob);
-        h.write_f64(*site_prob);
-        h.write_f64(*backedge_prob);
-        h.write_u32(*ops_per_txn);
-        h.write_u32(*threads_per_site);
-        h.write_u32(*txns_per_thread);
-        h.write_f64(*read_op_prob);
-        h.write_f64(*read_txn_prob);
-        network_latency.stable_hash(h);
-        deadlock_timeout.stable_hash(h);
     }
 }
 
@@ -230,27 +196,6 @@ mod tests {
             "0.15 - 100 millisec",
         ] {
             assert!(t.contains(needle), "missing row: {needle}\n{t}");
-        }
-    }
-
-    #[test]
-    fn stable_hash_covers_placement_fields() {
-        fn digest(t: &TableOneParams) -> u128 {
-            let mut h = StableHasher::new();
-            t.stable_hash(&mut h);
-            h.finish()
-        }
-        let base = TableOneParams::default();
-        assert_eq!(digest(&base), digest(&base.clone()));
-        let variants = [
-            TableOneParams { num_sites: 10, ..base.clone() },
-            TableOneParams { replication_prob: 0.21, ..base.clone() },
-            TableOneParams { backedge_prob: 0.0, ..base.clone() },
-            TableOneParams { txns_per_thread: 10, ..base.clone() },
-            TableOneParams { network_latency: SimDuration::micros(151), ..base.clone() },
-        ];
-        for v in &variants {
-            assert_ne!(digest(&base), digest(v), "digest blind to a field: {v:?}");
         }
     }
 

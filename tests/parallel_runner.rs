@@ -1,12 +1,11 @@
 //! Integration tests for the sweep runner: parallel execution must be
-//! byte-identical to serial, and a warm cache must serve every point
-//! without touching the engine.
+//! byte-identical to serial, and a failed point must surface as an error
+//! cell.
 //!
-//! Specs are configured explicitly (workers, cache dir, seeds) rather
-//! than through `REPRO_*` so the tests neither read nor race on process
-//! environment.
+//! Specs are configured explicitly (workers, seeds) rather than through
+//! `REPRO_*` so the tests neither read nor race on process environment.
 
-use repl_bench::{Column, ExperimentSpec, PointCache, Runner};
+use repl_bench::{Column, ExperimentSpec, Runner};
 use repl_core::config::ProtocolKind;
 use repl_workload::TableOneParams;
 
@@ -19,10 +18,6 @@ fn quick_fig2a() -> ExperimentSpec {
         .axis("b", [0.0, 0.5, 1.0], |t, _, b| t.backedge_prob = b)
         .protocols(&[ProtocolKind::BackEdge, ProtocolKind::Psl])
         .seeds(2)
-}
-
-fn temp_cache(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("repl-runner-test-{}-{tag}", std::process::id()))
 }
 
 #[test]
@@ -40,62 +35,6 @@ fn parallel_sweep_is_byte_identical_to_serial() {
     assert_eq!(serial.text(COLS), parallel.text(COLS));
     assert_eq!(serial.csv(COLS), parallel.csv(COLS));
     assert_eq!(serial.json(), parallel.json());
-}
-
-#[test]
-fn warm_cache_serves_every_point_without_executing() {
-    let dir = temp_cache("warm");
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let spec = quick_fig2a;
-    let cold = Runner::new().workers(4).cache_dir(Some(dir.clone())).run(&spec());
-    assert_eq!(cold.stats.executed, cold.stats.points, "cold cache runs everything");
-    assert_eq!(cold.stats.cache_hits, 0);
-
-    let warm = Runner::new().workers(4).cache_dir(Some(dir.clone())).run(&spec());
-    assert_eq!(warm.stats.executed, 0, "warm cache must not touch the engine");
-    assert_eq!(warm.stats.cache_hits, warm.stats.points);
-
-    // Cached results reproduce the original figure exactly.
-    assert_eq!(cold.text(COLS), warm.text(COLS));
-    assert_eq!(cold.csv(COLS), warm.csv(COLS));
-    assert_eq!(cold.json(), warm.json());
-
-    // And a serial cacheless run agrees too: the cache changed nothing.
-    let fresh = Runner::new().run(&spec());
-    assert_eq!(fresh.csv(COLS), warm.csv(COLS));
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn cache_entries_land_under_the_versioned_directory() {
-    let dir = temp_cache("layout");
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let spec = ExperimentSpec::new("layout", "cache layout")
-        .table(TableOneParams { txns_per_thread: 20, ..Default::default() })
-        .protocols(&[ProtocolKind::BackEdge])
-        .seeds(1);
-    let result = Runner::new().cache_dir(Some(dir.clone())).run(&spec);
-    assert_eq!(result.stats.executed, 1);
-
-    let versioned = PointCache::at(dir.clone());
-    let shards: Vec<_> = std::fs::read_dir(versioned.dir())
-        .expect("versioned cache dir exists")
-        .collect::<Result<Vec<_>, _>>()
-        .expect("readable");
-    assert_eq!(shards.len(), 1, "one point -> one shard dir");
-    let entries: Vec<_> = std::fs::read_dir(shards[0].path())
-        .expect("shard readable")
-        .collect::<Result<Vec<_>, _>>()
-        .expect("readable");
-    assert_eq!(entries.len(), 1);
-    let name = entries[0].file_name().into_string().expect("utf8");
-    assert!(name.ends_with(".json"), "{name}");
-    assert_eq!(name.trim_end_matches(".json").len(), 32, "32-hex-char stable key");
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

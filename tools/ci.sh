@@ -44,14 +44,14 @@ echo "==> differential matrix gate (sim vs in-process vs repld at 6 txns a site,
 DIFF_MATRIX_TXNS=6 cargo test -q -p repl-runtime --test differential_matrix
 
 echo "==> MVCC smoke gate (quick read-heavy sweep; exits 1 unless MVCC beats 2PL at read-pct >= 0.8)"
-REPRO_SCALE=quick REPRO_WORKERS=4 REPRO_NO_CACHE=1 ./target/release/repro read_sweep \
+REPRO_SCALE=quick REPRO_WORKERS=4 ./target/release/repro read_sweep \
     --out /tmp/bench_mvcc_smoke.json > /dev/null
 
-echo "==> smoke sweep (quick fig2a on the 4-worker pool, cache off)"
-REPRO_SCALE=quick REPRO_WORKERS=4 REPRO_NO_CACHE=1 ./target/release/repro fig2a > /dev/null
+echo "==> smoke sweep (quick fig2a on the 4-worker pool)"
+REPRO_SCALE=quick REPRO_WORKERS=4 ./target/release/repro fig2a > /dev/null
 
-echo "==> fault smoke sweep (seeded crash plans, cache off)"
-REPRO_SCALE=quick REPRO_WORKERS=4 REPRO_NO_CACHE=1 ./target/release/repro fault_sweep > /dev/null
+echo "==> fault smoke sweep (seeded crash plans)"
+REPRO_SCALE=quick REPRO_WORKERS=4 ./target/release/repro fault_sweep > /dev/null
 
 echo "==> fleet smoke (the benchmark's read_closed workload against a 3-process repld fleet, 2 s, correctness pass included)"
 bash benchmark/run.sh --workload read_closed --seed 1 --seconds 2 --trace 0 > /dev/null
