@@ -8,8 +8,11 @@
 //! state.
 
 use repl_analysis::diag::Witness;
-use repl_analysis::mc::{check_scenario, replay, Config, Finding, Scenario, Topology};
+use repl_analysis::mc::{
+    check_scenario, gate_matrix, replay, Action, Config, Finding, Scenario, Topology,
+};
 use repl_protocol::{ProtocolId, SeededBug};
+use repl_types::SiteId;
 
 /// Run the checker, assert it reports `code`, and replay the shrunk
 /// trace twice to prove the witness is deterministic and reproducing.
@@ -74,10 +77,27 @@ fn skip_forward_is_caught_as_divergence() {
 #[test]
 fn skip_min_timestamp_is_caught_as_serializability_violation() {
     let mut s = Scenario::new(ProtocolId::DagT, Topology::Chain, 3, 2);
-    s.heartbeat_budget = 1;
+    s.timer_budget = 1;
     s.bug = Some(SeededBug::SkipMinTimestamp);
     let finding = assert_caught(s, "MC002");
     assert!(!finding.trace.is_empty());
+}
+
+/// DAG(T): the epoch cadence armed at a site with parents too (§3.3
+/// bumps only at the sources). s1's third `Timer` bumps its epoch, so
+/// its next commit, which read s0's item before s0's write reached it,
+/// orders after that write at s2, where an observer closes a cycle. The
+/// gate's own scenario, at its default budgets, catches it.
+#[test]
+fn epoch_at_every_site_is_caught_by_the_gate_scenario() {
+    let mut s = gate_matrix()
+        .into_iter()
+        .find(|s| s.protocol == ProtocolId::DagT)
+        .expect("the gate runs DAG(T)");
+    s.bug = Some(SeededBug::EpochAtEverySite);
+    let finding = assert_caught(s, "MC002");
+    let s1_timers = finding.trace.iter().filter(|&&a| a == Action::Timer(SiteId(1))).count();
+    assert_eq!(s1_timers, 3, "{:?}", finding.trace);
 }
 
 /// Without a seeded bug the same scenarios are clean — the mutation

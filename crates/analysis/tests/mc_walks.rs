@@ -4,7 +4,7 @@
 //! scenario; these properties sample schedules of worlds that bound
 //! cannot reach — generated placements of 2–5 sites and 3–11 items
 //! (cyclic ones included), up to 23 transactions of 1–2 writes, DAG(T)
-//! heartbeat and epoch timers firing at arbitrary points, eager phases
+//! timers and untimed dummies firing at arbitrary points, eager phases
 //! victimized at random. The executor and the oracles are the same
 //! `World`: a walk differs from an exploration only in how the next
 //! [`Action`] is picked (a coin, not a DFS), so MC001–MC006 — replica
@@ -18,9 +18,10 @@
 //! parent's dummy is consumed as the minimum, its queue empties, and the
 //! same site heartbeats again with an unchanged timestamp until the
 //! bound is gone (63 of these 64 DAG(T) cases were still not quiescent
-//! after 40 000 such steps). So: every non-timer action to exhaustion; if that is not quiescence, one
-//! `Epoch` at each source and one `Heartbeat` at each site, so every
-//! merge sees a fresh minimum from every parent at once; repeat.
+//! after 40 000 such steps). So: every non-timer action to exhaustion;
+//! if that is not quiescence, one `Timer` and one `Heartbeat` at each
+//! site, so every merge sees a fresh minimum from every parent at once;
+//! repeat.
 //!
 //! NaiveLazy is excused MC002: on a cyclic placement Example 1.1's
 //! non-serializable history is the expected outcome, and the walk keeps
@@ -125,7 +126,7 @@ fn walk(
         }
         step(world, acts[usize::from(coin) % acts.len()])?;
     }
-    let is_timer = |a: &Action| matches!(a, Action::Heartbeat(_) | Action::Epoch(_));
+    let is_timer = |a: &Action| matches!(a, Action::Timer(_) | Action::Heartbeat(_));
     let is_work = |a: &Action| !is_timer(a) && !matches!(a, Action::AbortEager(_));
     for _ in 0..max_rounds {
         while let Some(a) = world.enabled_actions().into_iter().find(is_work) {
@@ -134,11 +135,9 @@ fn walk(
         if world.quiescent() {
             return Ok(());
         }
-        // Only timers and eager timeouts are left. Epochs go first, so
-        // the round's dummies carry them.
-        let (mut timers, aborts): (Vec<_>, Vec<_>) =
+        // Only timers and eager timeouts are left.
+        let (timers, aborts): (Vec<_>, Vec<_>) =
             world.enabled_actions().into_iter().partition(is_timer);
-        timers.sort_by_key(|a| !matches!(a, Action::Epoch(_)));
         for a in timers {
             step(world, a)?;
         }

@@ -739,10 +739,6 @@ mod tests {
             sent => panic!("expected one dummy to s2, sent {sent:?}"),
         }
 
-        assert_eq!(
-            s1.machine.on_input(Input::EpochTick),
-            Err(ProtocolError::EpochAtNonSource { at: SiteId(1) })
-        );
         let cmds = s0.machine_input(Input::HeartbeatTick { idle_children: vec![SiteId(1)] });
         s0.run_commands(cmds);
         let (_, seq, dummy) = take_sent(&mut s0).pop().expect("a dummy to s1");
