@@ -9,10 +9,10 @@
 //!
 //! Options: `--sites N` (default 3), `--txns N` (default 2), `--crash`
 //! (allow one DAG(T) crash), `--timers N` (DAG(T) timers a site,
-//! default 3), `--aborts`/`--no-aborts` (BackEdge eager victimization),
+//! default 2), `--aborts`/`--no-aborts` (BackEdge eager victimization),
 //! `--inject skip-forward|skip-min-timestamp|epoch-at-every-site`
-//! (seeded mutation), `--max-states N`, `--max-depth N`, `--no-sleep`,
-//! `--no-dedup`.
+//! (seeded mutation), `--max-states N`, `--max-depth N` (at least 1:
+//! a zero bound truncates every scenario), `--no-sleep`, `--no-dedup`.
 //!
 //! Exits 0 when every scenario explores exhaustively with zero
 //! diagnostics, 1 on any diagnostic, 2 on usage or truncation (a
@@ -127,8 +127,8 @@ fn parse_args() -> Cli {
             "--timers" => cli.timers = Some(count(&arg, &value(&mut args, &arg))),
             "--max-states" | "--max-depth" => {
                 let v = value(&mut args, &arg);
-                let n: usize = v.parse().unwrap_or_else(|_| {
-                    eprintln!("replmc: {arg} needs a number, got {v:?}");
+                let n: usize = v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
+                    eprintln!("replmc: {arg} needs a number of at least 1, got {v:?}");
                     usage()
                 });
                 match arg.as_str() {

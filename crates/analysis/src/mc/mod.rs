@@ -83,8 +83,8 @@ mod tests {
     /// `replmc --stats` on the gate matrix, pinned: a storage or protocol
     /// change that is meant to leave the machines' behaviour alone must
     /// leave the explored graph alone too. DAG(T) runs on each site's
-    /// clock under `Tuning::PAPER` with 3 timers a site, so a source's
-    /// epoch moves within the bound.
+    /// clock with 2 timers a site, so a source's epoch moves within the
+    /// bound.
     #[test]
     fn gate_matrix_stats_are_pinned() {
         let stats: Vec<_> = gate_matrix()
@@ -98,7 +98,7 @@ mod tests {
             .collect();
         assert_eq!(
             stats,
-            [(53, 52, 1, 10), (30, 29, 2, 8), (61643, 61642, 18, 21), (134, 133, 4, 12)]
+            [(53, 52, 1, 10), (30, 29, 2, 8), (6565, 6564, 6, 16), (134, 133, 4, 12)]
         );
     }
 }

@@ -160,8 +160,8 @@ impl Scenario {
             topology,
             sites,
             txns,
-            // Under `Tuning::PAPER` a source's third `Timer` moves its epoch.
-            timer_budget: if protocol == ProtocolId::DagT { 3 } else { 0 },
+            // Under the checker's tuning a source's second `Timer` moves its epoch.
+            timer_budget: if protocol == ProtocolId::DagT { 2 } else { 0 },
             crash_budget: 0,
             allow_aborts: protocol == ProtocolId::BackEdge,
             bug: None,

@@ -20,6 +20,6 @@ fn dag_t_crash_exploration_is_clean_and_pinned() {
     let st = r.stats;
     assert_eq!(
         (st.states, st.transitions, st.quiescent_states, st.max_depth_seen),
-        (703051, 703050, 165, 23)
+        (68060, 68059, 36, 18)
     );
 }

@@ -48,8 +48,9 @@ fn dag_wt_chain_matches_brute_force() {
 
 #[test]
 fn dag_t_chain_matches_brute_force() {
-    // s0's third `Timer` moves its epoch (`Tuning::PAPER`); one moves none.
-    for timers in [1, 3] {
+    // s0's second `Timer` moves its epoch and a third sends a heartbeat;
+    // one moves none.
+    for timers in [1, 2, 3] {
         let mut s = Scenario::new(ProtocolId::DagT, Topology::Chain, 2, 2);
         s.timer_budget = timers;
         differential(s);

@@ -1,7 +1,9 @@
 //! `replmc`'s count flags, against the built binary. `--sites`, `--txns`
 //! and `--timers` go through one `u32` parser: a value past `u32::MAX`
 //! would wrap to another scenario, and zero sites or transactions
-//! explore nothing, so each exits 2 naming its flag.
+//! explore nothing, so each exits 2 naming its flag. A zero
+//! `--max-states` or `--max-depth` truncates every scenario, so it
+//! checks nothing and exits 2 the same way.
 
 /// `replmc` on DAG(WT)/chain3x2 with `flag value` added.
 fn run(flag: &str, value: &str) -> std::process::Output {
@@ -25,6 +27,11 @@ fn refused(flags: &[&str], value: &str) {
 fn zero_sites_or_transactions_are_refused() {
     refused(&["--sites", "--txns"], "0");
     assert_eq!(run("--timers", "0").status.code(), Some(0), "zero timers is a budget");
+}
+
+#[test]
+fn a_zero_state_or_depth_bound_is_refused() {
+    refused(&["--max-states", "--max-depth"], "0");
 }
 
 #[test]

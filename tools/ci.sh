@@ -27,8 +27,9 @@ cargo test -q
 echo "==> hot text gate (release repld: every repld.order name resolves, steady names lie before the boot marker and boot names after it, the exit line reports the boot-text drop, and a chain3 site holds <= 256 kB of its 1.2 MB of text after dropping its boot text and <= 128 kB of its 288 kB read-only segment after a fixed pass; tier-1 links repld in debug, where the order names nothing)"
 cargo test --release -q -p repl-runtime --test hot_text
 
-echo "==> mc_smoke (exhaustive bounded model check, 3 sites / 2 txns, all four protocols; DAG(T) on each site's logical clock, 3 timers a site)"
+echo "==> mc_smoke (exhaustive bounded model check, 3 sites / 2 txns, all four protocols, then DAG(T) on the 4-site diamond, its merge shape; DAG(T) on each site's logical clock)"
 ./target/release/replmc --stats --max-states 2000000
+./target/release/replmc --protocol dagt --topology diamond --sites 4 --stats
 
 # Building the benchmark package (this gate and the fleet smoke) prunes
 # `benchmark/Cargo.lock` of packages the workspace no longer has; the
