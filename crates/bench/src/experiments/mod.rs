@@ -20,8 +20,8 @@ use crate::{Column, ExperimentSpec, Scale, SweepResult};
 /// How an experiment fails; `repro` turns it into its exit code.
 #[derive(Debug)]
 pub enum Failure {
-    /// The acceptance bar was missed (exit 1). The experiment has already
-    /// said where on stderr.
+    /// The acceptance bar was missed, or a sweep point failed (exit 1).
+    /// The experiment has already said where.
     Bar,
     /// Bad arguments or environment, an unwritable output file, or a
     /// failed chaos cell (exit 2).
@@ -41,7 +41,8 @@ pub type Sweep = (ExperimentSpec, fn(&SweepResult));
 /// How a registered experiment runs.
 #[derive(Clone, Copy, Debug)]
 pub enum Run {
-    /// A sweep built at the environment's scale; it takes no arguments.
+    /// A sweep built at the environment's scale; it takes no arguments,
+    /// and fails with [`Failure::Bar`] when a point failed.
     Sweep(fn(&Scale) -> Sweep),
     /// An experiment that parses its own arguments.
     Main(fn(&[String]) -> Result<(), Failure>),
@@ -54,8 +55,15 @@ impl Run {
             Run::Sweep(build) => {
                 let scale = no_args(args)?;
                 let (spec, print) = build(&scale);
-                print(&scale.runner().run(&spec));
-                Ok(())
+                let result = scale.runner().run(&spec);
+                print(&result);
+                match result.errors().len() {
+                    0 => Ok(()),
+                    n => {
+                        eprintln!("[{}] {n} failed points (the `!` lines above)", spec.id());
+                        Err(Failure::Bar)
+                    }
+                }
             }
             Run::Main(main) => main(args),
         }

@@ -330,7 +330,13 @@ mod tests {
                     x: 0.5,
                     cells: vec![
                         Ok(summary(99.0)),
-                        Err(RunError::Stalled { protocol: "PSL", virtual_us: 7 }),
+                        Err(RunError::Stalled {
+                            protocol: "PSL",
+                            span_s: 60,
+                            virtual_us: 7,
+                            last_progress_us: 0,
+                            head: None,
+                        }),
                     ],
                 },
             ],

@@ -32,7 +32,7 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use repl_core::config::SimParams;
-use repl_core::engine::{BuildError, Engine};
+use repl_core::engine::{progress_span, BuildError, Engine, QueueHead};
 use repl_core::metrics::MetricsSummary;
 use repl_core::scenario::generate_programs;
 use repl_workload::{build_placement, TableOneParams};
@@ -48,12 +48,21 @@ use repl_workload::{build_placement, TableOneParams};
 pub enum RunError {
     /// The engine could not be assembled from the placement/params.
     Build(BuildError),
-    /// The run hit the virtual-time safety valve before quiescing.
+    /// Nothing progressed for the protocol's [`progress_span`] while the
+    /// run still had work it could do.
     Stalled {
         /// Protocol display name.
         protocol: &'static str,
-        /// Virtual microseconds elapsed when the valve fired.
+        /// The protocol's progress span, in virtual seconds.
+        span_s: u64,
+        /// Virtual microseconds elapsed when the run stopped.
         virtual_us: u64,
+        /// Virtual microseconds at the last primary commit or replica
+        /// application.
+        last_progress_us: u64,
+        /// The oldest applier occupant at an up site, and what it waits
+        /// for.
+        head: Option<QueueHead>,
     },
     /// The recorded history failed the one-copy-serializability check.
     NotSerializable {
@@ -79,8 +88,19 @@ impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RunError::Build(e) => write!(f, "engine build failed: {e}"),
-            RunError::Stalled { protocol, virtual_us } => {
-                write!(f, "{protocol} run stalled (virtual time {virtual_us} us)")
+            RunError::Stalled { protocol, span_s, virtual_us, last_progress_us, head } => {
+                let secs = |us: u64| us as f64 / 1e6;
+                write!(
+                    f,
+                    "{protocol} run stalled: nothing progressed for {span_s} s after t = {:.3} s \
+                     (stopped at {:.3} s); ",
+                    secs(*last_progress_us),
+                    secs(*virtual_us)
+                )?;
+                match head {
+                    Some(head) => write!(f, "{head}"),
+                    None => f.write_str("no subtransaction at any applier"),
+                }
             }
             RunError::NotSerializable { protocol, cycle } => {
                 write!(f, "{protocol} produced a non-serializable history: {cycle}")
@@ -121,7 +141,10 @@ pub fn try_run_point_with(
     if report.stalled {
         return Err(RunError::Stalled {
             protocol: base.protocol.name(),
+            span_s: progress_span(base.protocol).as_micros() / 1_000_000,
             virtual_us: report.summary.virtual_duration.as_micros(),
+            last_progress_us: report.last_progress.as_micros(),
+            head: report.blocked,
         });
     }
     if !report.serializable {

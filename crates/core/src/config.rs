@@ -94,8 +94,6 @@ pub struct SimParams {
     pub retry_backoff: SimDuration,
     /// The settings the live fleet reads too ([`Tuning::PAPER`] here).
     pub tuning: Tuning,
-    /// Safety valve: the run aborts if virtual time exceeds this.
-    pub max_virtual_time: SimDuration,
     /// Injected faults: site crash/restart windows, link outages, delay
     /// jitter. The empty plan (the default) is the reliable §1.1 network.
     pub faults: FaultPlan,
@@ -122,7 +120,6 @@ impl Default for SimParams {
             apply_cpu: SimDuration::micros(800),
             retry_backoff: SimDuration::millis(5),
             tuning: Tuning::PAPER,
-            max_virtual_time: SimDuration::secs(36_000),
             faults: FaultPlan::none(),
             replay_cpu: SimDuration::micros(50),
             fsync_cpu: SimDuration::micros(0),
@@ -131,8 +128,8 @@ impl Default for SimParams {
 }
 
 impl SimParams {
-    /// A configuration sized for fast tests: few transactions, small
-    /// timeouts.
+    /// A configuration sized for fast tests: 2 threads a site of 30
+    /// transactions each, every other setting the default.
     pub fn quick_test(protocol: ProtocolKind) -> Self {
         SimParams { protocol, txns_per_thread: 30, threads_per_site: 2, ..SimParams::default() }
     }

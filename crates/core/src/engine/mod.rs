@@ -96,6 +96,28 @@ impl From<RoutingError> for BuildError {
     }
 }
 
+/// How long a run under `protocol` may go without progress — no primary
+/// commit and no replica application of an update anywhere — before it
+/// stops. Progress events are finite (commits are at most the workload's
+/// transactions, applications at most commits × replicas), so every run
+/// ends within (progress events + 1) × this span of virtual time.
+///
+/// Each span has a margin over the longest progress-free gap of any
+/// point that finishes, over the sweeps at quick and paper scale, seeds
+/// 42–44, and the crash plans of `fault_sweep` and the fault tests
+/// (EXPERIMENTS.md "One stop rule for the simulator" has the table).
+/// BackEdge's livelocks of §4.1 global deadlocks can break on their own
+/// after hours (6 498 s at paper-scale `fig3b`), so its span is four
+/// hours, 2.2 times that. No other protocol went 5 s without progress
+/// (4.8 s: PSL at 100 ms latency, whose lock timeouts are 2.5 s), so
+/// theirs is one minute, 12.5 times that.
+pub const fn progress_span(protocol: ProtocolKind) -> SimDuration {
+    match protocol {
+        ProtocolKind::BackEdge => SimDuration::secs(4 * 3_600),
+        _ => SimDuration::secs(60),
+    }
+}
+
 /// The outcome of one simulation run.
 #[derive(Clone, Debug)]
 pub struct RunReport {
@@ -105,8 +127,59 @@ pub struct RunReport {
     pub serializable: bool,
     /// The witness cycle when it did not.
     pub cycle: Option<SerializationCycle>,
-    /// True if the run hit the virtual-time safety valve before finishing.
+    /// True if the run stopped with work it could still do (see
+    /// [`Engine::run`]): an up site had transactions left, or propagation
+    /// was pending while every site was up.
     pub stalled: bool,
+    /// When a primary last committed or a replica last applied an update.
+    pub last_progress: SimTime,
+    /// A stalled run's oldest applier occupant, if any up site has one.
+    pub blocked: Option<QueueHead>,
+}
+
+/// The subtransaction that has held an up site's applier slot longest,
+/// with what it still waits for: the queue head of a stalled run.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct QueueHead {
+    /// The site whose applier it occupies.
+    pub site: SiteId,
+    /// The transaction whose writes it applies.
+    pub gid: GlobalTxnId,
+    /// True for a BackEdge special, false for a secondary.
+    pub special: bool,
+    /// When the machine admitted it into the slot.
+    pub since: SimTime,
+    /// How many times a deadlock abort resubmitted it.
+    pub resubmits: u64,
+    /// The items it has still to write, each with the transactions that
+    /// hold its lock and what each is doing.
+    pub waits: Vec<(ItemId, Vec<(GlobalTxnId, &'static str)>)>,
+}
+
+impl std::fmt::Display for QueueHead {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} applies {} ({}, at its applier since {:.3} s, resubmitted {} times)",
+            self.site,
+            self.gid,
+            if self.special { "special" } else { "secondary" },
+            self.since.as_secs_f64(),
+            self.resubmits
+        )?;
+        for (i, (item, holders)) in self.waits.iter().enumerate() {
+            f.write_str(if i == 0 { ", waiting for " } else { ", " })?;
+            write!(f, "{item} (")?;
+            if holders.is_empty() {
+                f.write_str("free")?;
+            }
+            for (j, (gid, phase)) in holders.iter().enumerate() {
+                write!(f, "{}held by {gid} {phase}", if j == 0 { "" } else { "; " })?;
+            }
+            f.write_str(")")?;
+        }
+        Ok(())
+    }
 }
 
 /// The multi-site protocol engine.
@@ -128,7 +201,6 @@ pub struct Engine {
     pub(crate) group_commit: usize,
     /// Deterministic jitter source (see [`Engine::jitter`]).
     jitter_state: u64,
-    stalled: bool,
 }
 
 impl Engine {
@@ -208,7 +280,6 @@ impl Engine {
             mvcc: mvcc_reads,
             group_commit: group_commit_batch.get(),
             jitter_state: 0x243F_6A88_85A3_08D3,
-            stalled: false,
         };
         engine.net.set_faults(params.faults.clone());
         engine.seed_events();
@@ -254,19 +325,21 @@ impl Engine {
         }
     }
 
-    /// Run the simulation to quiescence and report.
+    /// Run the simulation until it is done, its calendar is empty, or
+    /// nothing has progressed for [`progress_span`], and report.
     pub fn run(&mut self) -> RunReport {
-        let horizon = SimTime::ZERO + self.params.max_virtual_time;
-        while let Some((now, ev)) = self.queue.pop() {
-            if now > horizon {
-                self.stalled = true;
+        let span = progress_span(self.params.protocol);
+        while let Some(at) = self.queue.peek_time() {
+            if at - self.metrics.last_progress() > span {
                 break;
             }
+            let (now, ev) = self.queue.pop().expect("an event was peeked");
             self.dispatch(now, ev);
             if self.done() {
                 break;
             }
         }
+        let stalled = self.stalled();
         let check = self.history.check_serializability();
         RunReport {
             summary: self.metrics.summarize(
@@ -276,7 +349,9 @@ impl Engine {
             ),
             serializable: check.is_ok(),
             cycle: check.err(),
-            stalled: self.stalled,
+            stalled,
+            last_progress: self.metrics.last_progress(),
+            blocked: if stalled { self.queue_head() } else { None },
         }
     }
 
@@ -285,6 +360,57 @@ impl Engine {
         self.live_threads == 0
             && self.metrics.unpropagated() == 0
             && self.sites.iter().all(|s| s.secondaries_idle())
+    }
+
+    /// Whether the run stopped with work it could still do: an up site
+    /// has transactions to run, or propagation is pending while every
+    /// site is up (DAG(T) dummies left queued when the timers stop are
+    /// not pending work). Otherwise it drained all a down site left it,
+    /// and what never reached that site counts in
+    /// `incomplete_propagations`.
+    fn stalled(&self) -> bool {
+        let work_left = |s: &SiteState| s.up && s.threads.iter().any(|t| !t.finished());
+        let pending = self.metrics.unpropagated() > 0
+            || !self.sites.iter().all(SiteState::no_pending_updates);
+        self.sites.iter().any(work_left) || (pending && self.sites.iter().all(|s| s.up))
+    }
+
+    /// The subtransaction that has held an up site's applier longest, the
+    /// items it has still to write and who holds their locks.
+    fn queue_head(&self) -> Option<QueueHead> {
+        let (st, a) = self
+            .sites
+            .iter()
+            .filter(|s| s.up)
+            .filter_map(|s| Some((s, s.applier.as_ref()?)))
+            .min_by_key(|(s, a)| (a.since, s.id))?;
+        let locks = st.store.locks();
+        let holder = |txn| match st.owner.get(&txn)? {
+            Owner::Primary { thread } => {
+                let p = st.threads[*thread as usize].active.as_ref()?;
+                Some((p.gid, p.phase.describe()))
+            }
+            Owner::Backedge { gid } => {
+                let prepared = st.backedge_txns.get(gid).is_some_and(|r| r.prepared);
+                Some((*gid, if prepared { "prepared special" } else { "executing special" }))
+            }
+            Owner::Proxy { gid } => Some((*gid, "proxy")),
+            Owner::Secondary => None,
+        };
+        let waits = a.writes[a.write_idx..]
+            .iter()
+            .map(|&(item, _)| {
+                (item, locks.holders_of(item).into_iter().filter_map(holder).collect())
+            })
+            .collect();
+        Some(QueueHead {
+            site: st.id,
+            gid: a.gid,
+            special: a.special,
+            since: a.since,
+            resubmits: a.resubmits,
+            waits,
+        })
     }
 
     fn dispatch(&mut self, now: SimTime, ev: Event) {

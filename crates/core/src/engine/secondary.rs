@@ -58,6 +58,8 @@ impl Engine {
             blocked: false,
             committing: false,
             wait_seq: 0,
+            since: now,
+            resubmits: 0,
         });
         self.exec_secondary_step(now, site, gen);
     }
@@ -181,6 +183,7 @@ impl Engine {
         a.committing = false;
         a.gen = new_gen;
         a.wait_seq = 0;
+        a.resubmits += 1;
         self.exec_secondary_step(now, site, new_gen);
     }
 

@@ -53,6 +53,19 @@ pub enum PrimaryPhase {
     Committing,
 }
 
+impl PrimaryPhase {
+    /// The phase in words, for a stall report.
+    pub fn describe(self) -> &'static str {
+        match self {
+            PrimaryPhase::Executing => "executing",
+            PrimaryPhase::WaitingLock => "waiting for a local lock",
+            PrimaryPhase::WaitingRemote(_) => "waiting for a remote lock",
+            PrimaryPhase::WaitingBackedge => "in its eager phase",
+            PrimaryPhase::Committing => "committing",
+        }
+    }
+}
+
 /// An in-flight primary subtransaction attempt.
 #[derive(Clone, Debug)]
 pub struct ActivePrimary {
@@ -134,6 +147,11 @@ pub struct ActiveSecondary {
     pub committing: bool,
     /// Wait-sequence guard for this applier's lock-wait timeouts.
     pub wait_seq: u64,
+    /// When the machine admitted it into the slot (kept across
+    /// deadlock resubmissions).
+    pub since: SimTime,
+    /// How many times a deadlock abort resubmitted it.
+    pub resubmits: u64,
 }
 
 /// A BackEdge backedge/special subtransaction executing or prepared at a

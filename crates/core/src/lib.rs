@@ -51,7 +51,7 @@ pub mod timestamp;
 pub use repl_analysis::history;
 
 pub use config::{DeadlockMode, ProtocolKind, SimParams, TreeKind};
-pub use engine::{Engine, RunReport};
+pub use engine::{progress_span, Engine, QueueHead, RunReport};
 pub use history::History;
 pub use metrics::Metrics;
 pub use timestamp::Timestamp;

@@ -27,6 +27,7 @@ pub struct Metrics {
     prop_count: u64,
     prop_max_us: u64,
     last_commit: SimTime,
+    last_progress: SimTime,
     crashes: u64,
     down_since: Vec<Option<SimTime>>,
     downtime_us: Vec<u64>,
@@ -49,6 +50,7 @@ impl Metrics {
             prop_count: 0,
             prop_max_us: 0,
             last_commit: SimTime::ZERO,
+            last_progress: SimTime::ZERO,
             crashes: 0,
             down_since: vec![None; num_sites as usize],
             downtime_us: vec![0; num_sites as usize],
@@ -90,6 +92,7 @@ impl Metrics {
         self.response_total_us += (now - first_started).as_micros();
         self.response_count += 1;
         self.last_commit = self.last_commit.max(now);
+        self.last_progress = now;
     }
 
     /// A primary subtransaction attempt aborted (deadlock victim or
@@ -121,6 +124,7 @@ impl Metrics {
 
     /// One replica application of `gid`'s updates completed at `now`.
     pub fn on_apply(&mut self, gid: GlobalTxnId, now: SimTime) {
+        self.last_progress = now;
         if let Some(p) = self.pending.get_mut(&gid) {
             p.remaining -= 1;
             p.last_apply = p.last_apply.max(now);
@@ -137,6 +141,12 @@ impl Metrics {
     /// Total commits so far.
     pub fn total_commits(&self) -> u64 {
         self.commits_per_site.iter().sum()
+    }
+
+    /// When the run last progressed: the latest primary commit or
+    /// replica application ([`Metrics::on_commit`], [`Metrics::on_apply`]).
+    pub fn last_progress(&self) -> SimTime {
+        self.last_progress
     }
 
     /// Transactions whose propagation has not finished yet.

@@ -7,7 +7,7 @@
 use repl_copygraph::DataPlacement;
 use repl_core::config::{ProtocolKind, SimParams};
 use repl_core::engine::{BuildError, Engine};
-use repl_core::Timestamp;
+use repl_core::{progress_span, Timestamp};
 use repl_sim::{FaultPlan, SimDuration, SimTime};
 use repl_types::SiteId;
 
@@ -157,24 +157,42 @@ fn random_crash_plans_stay_serializable() {
 
 #[test]
 fn permanent_crash_degrades_but_stays_serializable() {
-    // Site 4 (a leaf of the DAG) crashes and never restarts: its threads'
-    // remaining transactions are lost and propagation to it stops, but the
-    // committed prefix must stay serializable and the run must end in a
-    // drained queue, not the stall valve.
+    // A site crashes and never restarts: its threads' remaining
+    // transactions are lost and propagation to it stops, but the
+    // committed prefix must stay serializable and the run must end
+    // drained, not stalled. DAG(WT)'s calendar empties once the rest is
+    // applied; DAG(T)'s heartbeats keep it busy, so the run ends one
+    // progress span after its last progress. Under DAG(T) every site
+    // is tried: the source whose heartbeats the others wait on, and the
+    // leaf.
     let p = dag_placement();
-    let faults = FaultPlan::none().crash(SiteId(4), ms(300), None);
-    let (report, _engine) = run_with(&p, ProtocolKind::DagWt, faults, 11);
-    assert!(!report.stalled, "permanent crash must drain, not stall");
-    assert!(report.serializable, "cycle: {:?}", report.cycle);
-    let params = SimParams::quick_test(ProtocolKind::DagWt);
-    let expected = (params.txns_per_thread * params.threads_per_site) as u64 * p.num_sites() as u64;
-    assert!(report.summary.commits < expected, "crashed site kept committing");
-    assert!(report.summary.incomplete_propagations > 0, "lost deliveries must be reported");
-    assert_eq!(report.summary.crashes, 1);
-    // The site stays down to the end of the run: 1 of 5 sites down for
-    // most of the run puts availability well under the fleet ceiling.
-    assert!(report.summary.availability_pct < 90.0, "{}", report.summary.availability_pct);
-    assert_eq!(report.summary.mean_recovery_ms, 0.0, "nothing ever recovered");
+    let runs = std::iter::once((ProtocolKind::DagWt, SiteId(4)))
+        .chain((0..5).map(|s| (ProtocolKind::DagT, SiteId(s))));
+    for (protocol, site) in runs {
+        let faults = FaultPlan::none().crash(site, ms(300), None);
+        let (report, _engine) = run_with(&p, protocol, faults, 11);
+        let run = format!("{protocol:?} with {site} down");
+        assert!(!report.stalled, "{run}: a permanent crash must drain, not stall");
+        assert!(report.serializable, "{run}: cycle: {:?}", report.cycle);
+        let params = SimParams::quick_test(protocol);
+        let expected =
+            (params.txns_per_thread * params.threads_per_site) as u64 * p.num_sites() as u64;
+        assert!(report.summary.commits < expected, "{run}: crashed site kept committing");
+        assert_eq!(report.summary.crashes, 1, "{run}");
+        let end = SimTime::ZERO + report.summary.virtual_duration;
+        let span = progress_span(protocol);
+        assert!(end <= report.last_progress + span, "{run}: ran past the span");
+        // The site stays down to the end of the run: 1 of 5 sites down
+        // for most of the run puts availability well under the ceiling.
+        let availability = report.summary.availability_pct;
+        assert!(availability < 90.0, "{run}: {availability}");
+        assert_eq!(report.summary.mean_recovery_ms, 0.0, "{run}: nothing ever recovered");
+        if site == SiteId(4) {
+            // The leaf holds replicas, so deliveries to it are lost.
+            let lost = report.summary.incomplete_propagations;
+            assert!(lost > 0, "{run}: lost deliveries must be reported");
+        }
+    }
 }
 
 #[test]

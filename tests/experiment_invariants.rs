@@ -3,8 +3,9 @@
 //! abort rates move. These guard the reproduction's shape against
 //! regressions in the engine or cost model.
 
-use repl_bench::{run_point, run_point_with};
+use repl_bench::{run_point, run_point_with, try_run_point_with};
 use repl_core::config::{ProtocolKind, SimParams};
+use repl_sim::SimDuration;
 use repl_workload::TableOneParams;
 
 fn small() -> TableOneParams {
@@ -187,4 +188,30 @@ fn tree_kinds_agree_on_commits() {
         42,
     );
     assert_eq!(chain.commits, general.commits);
+}
+
+/// The quick-scale points with the longest progress-free gaps of any
+/// that finish (EXPERIMENTS.md "One stop rule for the simulator"), one
+/// a progress span: BackEdge at `sweep_sites` 15 sites, seed 43, where a
+/// livelock holds every site for 3 653 s before it breaks, and PSL at
+/// `sweep_latency` 100 ms, seed 42, 4.8 s between commits under 2.5 s
+/// lock timeouts. Each must finish inside its span: a change that
+/// lengthens a wait past it fails here, not as an `ERR:stall` at paper
+/// scale.
+#[test]
+fn the_longest_finishing_gaps_fit_their_spans() {
+    let quick = TableOneParams { txns_per_thread: 150, ..Default::default() };
+    let sites = TableOneParams { num_sites: 15, ..quick.clone() };
+    let backedge = SimParams { protocol: ProtocolKind::BackEdge, ..Default::default() };
+    let slow = TableOneParams {
+        network_latency: SimDuration::millis(100),
+        deadlock_timeout: SimDuration::millis(2_500),
+        ..quick
+    };
+    let mut psl = SimParams { protocol: ProtocolKind::Psl, ..Default::default() };
+    psl.tuning.eager_timeout = std::time::Duration::from_millis(2_500);
+    for (t, base, seed) in [(&sites, &backedge, 43), (&slow, &psl, 42)] {
+        let s = try_run_point_with(t, base, seed).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(s.incomplete_propagations, 0, "{:?}", base.protocol);
+    }
 }
