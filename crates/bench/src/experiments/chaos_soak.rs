@@ -34,7 +34,7 @@ use repl_runtime::{
     repld_bin, Cluster, ClusterError, ClusterHandle, LaunchOptions, NetFaultPlan, ProcCluster,
     RuntimeOptions, RuntimeProtocol,
 };
-use repl_types::{Op, SiteId};
+use repl_types::{splitmix64, Op, SiteId, SPLITMIX64_GAMMA};
 
 use super::Failure;
 use crate::positive;
@@ -313,11 +313,11 @@ fn seeded_plan(seed: u64, smoke: bool) -> NetFaultPlan {
     // and quiesce has to ride out the heal.
     let mut state = seed;
     let scale: u64 = if smoke { 1 } else { 2 };
-    let p_start = splitmix64(&mut state) % 10;
-    let p_len = (100 + splitmix64(&mut state) % 150) * scale;
-    let o_start = splitmix64(&mut state) % 30;
-    let o_len = (80 + splitmix64(&mut state) % 120) * scale;
-    let pair = splitmix64(&mut state) % 3;
+    let p_start = draw(&mut state) % 10;
+    let p_len = (100 + draw(&mut state) % 150) * scale;
+    let o_start = draw(&mut state) % 30;
+    let o_len = (80 + draw(&mut state) % 120) * scale;
+    let pair = draw(&mut state) % 3;
     let (a, b) = match pair {
         0 => (SiteId(0), SiteId(1)),
         1 => (SiteId(0), SiteId(2)),
@@ -326,10 +326,10 @@ fn seeded_plan(seed: u64, smoke: bool) -> NetFaultPlan {
     NetFaultPlan::seeded(seed)
         .partition(a, b, p_start, p_start + p_len)
         .oneway(SiteId(2), SiteId(0), o_start, o_start + o_len)
-        .jitter(1 + splitmix64(&mut state) % 3)
-        .drop_frames(30 + (splitmix64(&mut state) % 30) as u16)
-        .duplicate_frames(20 + (splitmix64(&mut state) % 20) as u16)
-        .corrupt_frames(10 + (splitmix64(&mut state) % 15) as u16)
+        .jitter(1 + draw(&mut state) % 3)
+        .drop_frames(30 + (draw(&mut state) % 30) as u16)
+        .duplicate_frames(20 + (draw(&mut state) % 20) as u16)
+        .corrupt_frames(10 + (draw(&mut state) % 15) as u16)
 }
 
 /// The differential matrix's conflict-free program shape: each site
@@ -345,11 +345,11 @@ fn programs(placement: &DataPlacement, txns_per_site: u32, seed: u64) -> Vec<Vec
             }
             (0..txns_per_site)
                 .map(|_| {
-                    let width = 1 + (splitmix64(&mut state) % 2) as usize;
+                    let width = 1 + (draw(&mut state) % 2) as usize;
                     let mut ops: Vec<Op> = Vec::new();
                     for _ in 0..width {
-                        let item = primaries[splitmix64(&mut state) as usize % primaries.len()];
-                        let value = (splitmix64(&mut state) % 100_000) as i64;
+                        let item = primaries[draw(&mut state) as usize % primaries.len()];
+                        let value = (draw(&mut state) % 100_000) as i64;
                         if !ops.iter().any(|o| o.item == item) {
                             ops.push(Op::write(item, value));
                         }
@@ -361,12 +361,11 @@ fn programs(placement: &DataPlacement, txns_per_site: u32, seed: u64) -> Vec<Vec
         .collect()
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// The next draw of the splitmix64 stream at `state`.
+fn draw(state: &mut u64) -> u64 {
+    let z = splitmix64(*state);
+    *state = state.wrapping_add(SPLITMIX64_GAMMA);
+    z
 }
 
 // ---------------------------------------------------------------------

@@ -11,7 +11,7 @@ use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion
 use repl_copygraph::DataPlacement;
 use repl_core::config::{ProtocolKind, SimParams};
 use repl_core::engine::Engine;
-use repl_types::{Op, SiteId};
+use repl_types::{splitmix64, Op, SiteId, SPLITMIX64_GAMMA};
 
 /// A 4-site diamond: s0 → {s1, s2} → s3, one item per site, each item
 /// replicated at every downstream site.
@@ -24,12 +24,11 @@ fn diamond() -> DataPlacement {
     p
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// The next draw of the splitmix64 stream at `state`.
+fn draw(state: &mut u64) -> u64 {
+    let z = splitmix64(*state);
+    *state = state.wrapping_add(SPLITMIX64_GAMMA);
+    z
 }
 
 /// One thread per site writing its own primary item — conflict-free, so
@@ -42,8 +41,8 @@ fn programs(placement: &DataPlacement, txns_per_site: u32) -> Vec<Vec<Vec<Vec<Op
             let primaries = placement.primaries_at(SiteId(s));
             let txns: Vec<Vec<Op>> = (0..txns_per_site)
                 .map(|_| {
-                    let item = primaries[splitmix64(&mut state) as usize % primaries.len()];
-                    vec![Op::write(item, (splitmix64(&mut state) % 100_000) as i64)]
+                    let item = primaries[draw(&mut state) as usize % primaries.len()];
+                    vec![Op::write(item, (draw(&mut state) % 100_000) as i64)]
                 })
                 .collect();
             vec![txns]

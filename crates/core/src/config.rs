@@ -1,56 +1,7 @@
-//! Simulation parameters (the knobs of Table 1) and protocol selection,
-//! plus a stable hasher that run summaries are digested with.
+//! Simulation parameters (the knobs of Table 1) and protocol selection.
 
 pub use repl_protocol::{ProtocolKind, TreeKind, Tuning};
 use repl_sim::{FaultPlan, SimDuration};
-
-/// 128-bit FNV-1a hasher with a *stable* digest: unlike
-/// [`std::hash::Hasher`] implementations, the result is guaranteed
-/// identical across processes, platforms and compiler versions, which is
-/// what lets a test pin a run's digest as a constant.
-#[derive(Clone, Debug)]
-pub struct StableHasher {
-    state: u128,
-}
-
-impl Default for StableHasher {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StableHasher {
-    const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-    const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-
-    /// A fresh hasher at the FNV offset basis.
-    pub fn new() -> Self {
-        StableHasher { state: Self::OFFSET }
-    }
-
-    /// Fold raw bytes into the digest.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= b as u128;
-            self.state = self.state.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    /// Fold a `u64` (little-endian) into the digest.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    /// Fold an `f64` into the digest via its exact bit pattern.
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_bytes(&v.to_bits().to_le_bytes());
-    }
-
-    /// The current digest.
-    pub fn finish(&self) -> u128 {
-        self.state
-    }
-}
 
 /// How local deadlocks are detected.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -146,26 +97,6 @@ mod tests {
         assert_eq!(p.txns_per_thread, 1000);
         assert_eq!(p.network_latency, SimDuration::micros(150));
         assert_eq!(p.deadlock_timeout, SimDuration::millis(50));
-    }
-
-    #[test]
-    fn stable_hasher_primitives() {
-        // Empty input hashes to the offset basis.
-        assert_eq!(StableHasher::new().finish(), StableHasher::OFFSET);
-        let digest = |write: &dyn Fn(&mut StableHasher)| {
-            let mut h = StableHasher::new();
-            write(&mut h);
-            h.finish()
-        };
-        // Integers fold little-endian, floats by their exact bit pattern.
-        let v = 0x0102_0304_0506_0708_u64;
-        assert_eq!(digest(&|h| h.write_u64(v)), digest(&|h| h.write_bytes(&v.to_le_bytes())));
-        let bits = 1.5f64.to_bits().to_le_bytes();
-        assert_eq!(digest(&|h| h.write_f64(1.5)), digest(&|h| h.write_bytes(&bits)));
-        assert_ne!(digest(&|h| h.write_f64(0.0)), digest(&|h| h.write_f64(-0.0)));
-        // Order matters: the digest is not a sum of its inputs.
-        let (ab, ba) = (digest(&|h| h.write_bytes(b"ab")), digest(&|h| h.write_bytes(b"ba")));
-        assert_ne!(ab, ba);
     }
 
     #[test]

@@ -15,150 +15,34 @@
 //!    2PC degenerates to this);
 //! 4. updates for descendant sites then propagate lazily à la DAG(WT).
 //!
-//! Routing, path bookkeeping and decisions are the machine's job; this
-//! module executes its `Prepare`/`CommitPrepared`/`AbortPrepared`
-//! commands against the store, and owns what the machine cannot see:
-//! lock waits, the timeout escape hatches (Example 4.1's global-deadlock
-//! rule), and CPU costing.
+//! Routing, path bookkeeping and decisions are the machine's job. The
+//! runner (`runner.rs`) executes each of its `Prepare`s, queued or
+//! direct, like any other subtransaction; this module holds what it
+//! prepared until the `CommitPrepared`/`AbortPrepared` decision, and owns
+//! what the machine cannot see: the eager-phase timeout and the escape
+//! hatches of Example 4.1's global-deadlock rule.
 
 use repl_protocol::Input;
 use repl_sim::{SimDuration, SimTime};
-use repl_types::{GlobalTxnId, ItemId, SiteId, StorageError, Value};
+use repl_types::{GlobalTxnId, SiteId};
 
 use super::event::{Event, Message, TimeoutScope};
-use super::site::{BackedgeRun, Owner, PrimaryPhase};
+use super::site::{Owner, PreparedHold, PrimaryPhase, Run, RunKey};
 use super::Engine;
 
 impl Engine {
-    /// Execute a machine-issued direct `Prepare`: `S1` arrived at the
-    /// farthest ancestor, run it as an independent (non-applier)
-    /// subtransaction. The writes are already filtered to this site.
-    pub(crate) fn start_direct_special(
-        &mut self,
-        now: SimTime,
-        site: SiteId,
-        gid: GlobalTxnId,
-        origin: SiteId,
-        writes: Vec<(ItemId, Value)>,
-    ) {
+    /// §4.1 step 2: the special at `key` executed every write. Move it
+    /// from the runner to the prepared table, keeping its locks, and tell
+    /// the machine, which forwards the special one hop toward its origin
+    /// (and, for a queued special, pumps the next subtransaction into the
+    /// freed applier).
+    pub(crate) fn hold_prepared(&mut self, now: SimTime, site: SiteId, key: RunKey) {
         let st = &mut self.sites[site.index()];
-        let local = st.store.begin();
-        st.owner.insert(local, Owner::Backedge { gid });
-        st.backedge_txns.insert(
-            gid,
-            BackedgeRun { local, origin, writes, idx: 0, prepared: false, blocked: false },
-        );
-        self.exec_backedge_step(now, site, gid);
-    }
-
-    /// Apply the next write of a direct backedge subtransaction.
-    fn exec_backedge_step(&mut self, now: SimTime, site: SiteId, gid: GlobalTxnId) {
-        let (local, next, idx) = {
-            let Some(run) = self.sites[site.index()].backedge_txns.get(&gid) else {
-                return; // aborted by a decision meanwhile
-            };
-            (run.local, run.writes.get(run.idx).cloned(), run.idx)
-        };
-        match next {
-            Some((item, value)) => {
-                match self.sites[site.index()].store.write(local, item, value, gid) {
-                    Ok(()) => {
-                        let at = self.sites[site.index()].cpu.run(now, self.params.apply_cpu);
-                        self.queue.push_at(at, Event::BackedgeStepDone { site, gid, idx });
-                    }
-                    Err(StorageError::WouldBlock(_)) => {
-                        if let Some(run) = self.sites[site.index()].backedge_txns.get_mut(&gid) {
-                            run.blocked = true;
-                        }
-                        // On timeout the blockers are inspected (the
-                        // subtransaction itself is never the victim —
-                        // §4.1: aborting it "does not help").
-                        self.schedule_timeout(now, site, TimeoutScope::BackedgeExec { gid }, 0);
-                        if matches!(
-                            self.params.deadlock_mode,
-                            crate::config::DeadlockMode::WaitsFor
-                        ) {
-                            self.detect_and_break_deadlock(now, site);
-                        }
-                    }
-                    Err(e) => panic!("backedge write failed at {site}: {e}"),
-                }
-            }
-            None => self.backedge_prepared(now, site, gid),
-        }
-    }
-
-    /// CPU slice for one backedge write finished.
-    pub(crate) fn backedge_step_done(
-        &mut self,
-        now: SimTime,
-        site: SiteId,
-        gid: GlobalTxnId,
-        idx: usize,
-    ) {
-        let valid = self.sites[site.index()]
-            .backedge_txns
-            .get(&gid)
-            .map(|r| !r.prepared && !r.blocked && r.idx == idx)
-            .unwrap_or(false);
-        if !valid {
-            return;
-        }
-        self.sites[site.index()].backedge_txns.get_mut(&gid).unwrap().idx += 1;
-        self.exec_backedge_step(now, site, gid);
-    }
-
-    /// A blocked backedge subtransaction's lock was granted.
-    pub(crate) fn resume_backedge_exec(&mut self, now: SimTime, site: SiteId, gid: GlobalTxnId) {
-        let resumable = self.sites[site.index()]
-            .backedge_txns
-            .get_mut(&gid)
-            .map(|r| {
-                let was = r.blocked;
-                r.blocked = false;
-                was && !r.prepared
-            })
-            .unwrap_or(false);
-        if resumable {
-            self.exec_backedge_step(now, site, gid);
-        }
-    }
-
-    /// §4.1 step 2: execution finished — hold locks and tell the machine,
-    /// which forwards the special one hop toward its origin.
-    fn backedge_prepared(&mut self, now: SimTime, site: SiteId, gid: GlobalTxnId) {
-        let local = {
-            let run =
-                self.sites[site.index()].backedge_txns.get_mut(&gid).expect("prepared run exists");
-            run.prepared = true;
-            run.local
-        };
-        let _ = self.sites[site.index()].store.prepare(local);
-        let cmds = self.machine_input(site, Input::Prepared { gid });
-        self.run_commands(now, site, cmds);
-    }
-
-    /// The applier at an intermediate site finished executing a special
-    /// subtransaction: transfer it to the prepared table (keeping its
-    /// locks) and tell the machine, which forwards the special and pumps
-    /// the next queued subtransaction into the freed applier.
-    pub(crate) fn special_executed(&mut self, now: SimTime, site: SiteId) {
-        let a = self.sites[site.index()].applier.take().expect("special in applier");
-        let gid = a.gid;
-        self.sites[site.index()].owner.insert(a.local, Owner::Backedge { gid });
-        let _ = self.sites[site.index()].store.prepare(a.local);
-        let idx = a.writes.len();
-        self.sites[site.index()].backedge_txns.insert(
-            gid,
-            BackedgeRun {
-                local: a.local,
-                origin: gid.origin,
-                writes: a.writes,
-                idx,
-                prepared: true,
-                blocked: false,
-            },
-        );
+        let Run { gid, origin, writes, local, .. } =
+            st.take_run(key).expect("the runner holds the special");
+        st.owner.insert(local, Owner::Prepared { gid });
+        let _ = st.store.prepare(local);
+        st.prepared.insert(gid, PreparedHold { local, origin, writes });
         let cmds = self.machine_input(site, Input::Prepared { gid });
         self.run_commands(now, site, cmds);
     }
@@ -182,40 +66,37 @@ impl Engine {
     /// Execute a machine-issued `CommitPrepared`: the commit decision for
     /// a prepared backedge/special subtransaction at this site.
     pub(crate) fn commit_prepared(&mut self, now: SimTime, site: SiteId, gid: GlobalTxnId) {
-        let Some(run) = self.sites[site.index()].backedge_txns.remove(&gid) else {
+        let Some(hold) = self.sites[site.index()].prepared.remove(&gid) else {
             debug_assert!(false, "commit decision with no prepared subtransaction at {site}");
             return;
         };
-        debug_assert!(run.prepared, "commit decision for an unprepared subtransaction");
-        self.sites[site.index()].owner.remove(&run.local);
+        self.sites[site.index()].owner.remove(&hold.local);
         let (_, granted) =
-            self.sites[site.index()].store.commit(run.local).expect("commit prepared backedge txn");
-        if !run.writes.is_empty() {
+            self.sites[site.index()].store.commit(hold.local).expect("commit prepared special");
+        if !hold.writes.is_empty() {
             self.metrics.on_apply(gid, now);
         }
         self.resume_granted(now, site, granted);
     }
 
-    /// Execute a machine-issued `AbortPrepared`: release a backedge/
-    /// special subtransaction — prepared, still executing directly, or
-    /// (for a queued special) still sitting in the applier slot.
+    /// Execute a machine-issued `AbortPrepared`: release a special —
+    /// prepared, or still in the runner (a direct special, or a queued
+    /// one in the applier slot, which the machine already cleared).
     pub(crate) fn abort_prepared(&mut self, now: SimTime, site: SiteId, gid: GlobalTxnId) {
-        if let Some(run) = self.sites[site.index()].backedge_txns.remove(&gid) {
-            self.sites[site.index()].owner.remove(&run.local);
-            let granted =
-                self.sites[site.index()].store.abort(run.local).expect("abort backedge txn");
-            self.resume_granted(now, site, granted);
-            return;
-        }
-        // The machine already cleared its busy slot; free the driver's.
-        if let Some(ap) = self.sites[site.index()].applier.take_if(|ap| ap.gid == gid) {
-            self.sites[site.index()].owner.remove(&ap.local);
-            let granted =
-                self.sites[site.index()].store.abort(ap.local).expect("abort special in applier");
-            self.resume_granted(now, site, granted);
-        }
-        // Otherwise the special has not arrived yet; the machine's
-        // tombstone discards it on arrival.
+        let st = &mut self.sites[site.index()];
+        let local = match st.prepared.remove(&gid) {
+            Some(hold) => hold.local,
+            None => {
+                let run = st.direct.remove(&gid).or_else(|| st.applier.take_if(|a| a.gid == gid));
+                // Otherwise the special has not arrived yet; the machine's
+                // tombstone discards it on arrival.
+                let Some(run) = run else { return };
+                run.local
+            }
+        };
+        st.owner.remove(&local);
+        let granted = st.store.abort(local).expect("abort special");
+        self.resume_granted(now, site, granted);
     }
 
     /// The origin's eager timeout fired (or a remote abort request came
@@ -227,30 +108,6 @@ impl Engine {
         let cmds = self.machine_input(site, Input::AbortEager { gid });
         self.run_commands(now, site, cmds);
         self.abort_primary(now, site, thread, false);
-    }
-
-    /// A blocked backedge subtransaction timed out: break its blockers if
-    /// they are eager-phase participants, then re-arm.
-    pub(crate) fn backedge_exec_timeout(
-        &mut self,
-        now: SimTime,
-        site: SiteId,
-        gid: GlobalTxnId,
-        _wait_seq: u64,
-    ) {
-        let Some(run) = self.sites[site.index()].backedge_txns.get(&gid) else { return };
-        if !run.blocked || run.prepared {
-            return;
-        }
-        let local = run.local;
-        self.break_backedge_blockers(now, site, local);
-        // Re-arm: if the blockers were ordinary primaries they will time
-        // out and release on their own; keep inspecting meanwhile.
-        let still_blocked =
-            self.sites[site.index()].backedge_txns.get(&gid).map(|r| r.blocked).unwrap_or(false);
-        if still_blocked {
-            self.schedule_timeout(now, site, TimeoutScope::BackedgeExec { gid }, 0);
-        }
     }
 
     /// §4.1 deadlock rule, generalized from the Example 4.1 trace: when a
@@ -280,9 +137,10 @@ impl Engine {
                         self.abort_eager_primary(now, site, thread);
                     }
                 }
-                Some(Owner::Backedge { gid }) => {
-                    let origin = self.sites[site.index()].backedge_txns.get(&gid).map(|r| r.origin);
-                    if let Some(origin) = origin {
+                Some(Owner::Prepared { gid } | Owner::Run(RunKey::Direct(gid))) => {
+                    let st = &self.sites[site.index()];
+                    let origin = st.prepared.get(&gid).map(|h| h.origin);
+                    if let Some(origin) = origin.or_else(|| st.direct.get(&gid).map(|r| r.origin)) {
                         self.send(now, site, origin, Message::BackedgeAbortReq { gid });
                     }
                 }

@@ -8,6 +8,8 @@
 use repl_protocol::Payload;
 use repl_types::{GlobalTxnId, ItemId, SiteId, Value};
 
+use super::site::RunKey;
+
 /// Network messages.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Message {
@@ -89,14 +91,10 @@ pub enum TimeoutScope {
         /// The waiting thread.
         thread: u32,
     },
-    /// The site's secondary applier blocked on a local lock.
-    Secondary,
-    /// A directly-sent backedge subtransaction (`S1`) blocked on a local
-    /// lock; the timeout re-inspects its blockers rather than aborting it
-    /// (§4.1: aborting the secondary "does not help").
-    BackedgeExec {
-        /// The transaction the subtransaction belongs to.
-        gid: GlobalTxnId,
+    /// A run of the subtransaction runner blocked on a local lock.
+    Run {
+        /// Where the run lives.
+        key: RunKey,
     },
 }
 
@@ -144,11 +142,13 @@ pub enum Event {
         /// Payload.
         msg: Message,
     },
-    /// CPU slice for one secondary item-write finished.
-    SecondaryStepDone {
-        /// Site whose applier stepped.
+    /// CPU slice for one item-write of a run finished.
+    StepDone {
+        /// Site of the run.
         site: SiteId,
-        /// Applier-generation guard.
+        /// Where the run lives.
+        key: RunKey,
+        /// Run-generation guard.
         gen: u64,
     },
     /// CPU slice for a secondary commit finished.
@@ -171,16 +171,6 @@ pub enum Event {
         site: SiteId,
         /// Timer-chain generation (stale after a crash).
         gen: u64,
-    },
-    /// CPU slice for one write of a directly-sent backedge
-    /// subtransaction (`S1`, §4.1) finished.
-    BackedgeStepDone {
-        /// Site executing the backedge subtransaction.
-        site: SiteId,
-        /// The transaction it belongs to.
-        gid: GlobalTxnId,
-        /// Write index the slice covered (stale-event guard).
-        idx: usize,
     },
     /// The site fails abruptly (fault plan): in-flight local work is
     /// aborted (its buffered writes dropped), volatile state is lost, and its event
@@ -207,11 +197,10 @@ impl Event {
             | Event::PrimaryOpDone { site, .. }
             | Event::PrimaryCommitDone { site, .. }
             | Event::Timeout { site, .. }
-            | Event::SecondaryStepDone { site, .. }
+            | Event::StepDone { site, .. }
             | Event::SecondaryCommitDone { site, .. }
             | Event::RetryThread { site, .. }
             | Event::Timer { site, .. }
-            | Event::BackedgeStepDone { site, .. }
             | Event::SiteCrash { site }
             | Event::SiteRestart { site } => site,
             Event::Deliver { to, .. } => to,

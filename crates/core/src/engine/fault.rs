@@ -75,6 +75,7 @@ impl Engine {
         }
         self.sites[site.index()].up = false;
         self.sites[site.index()].tick_gen += 1;
+        self.sites[site.index()].crash_seq = self.sites[site.index()].next_seq;
         self.metrics.on_crash(site, now);
 
         // The applier's partial work is undone, but its message was
@@ -84,7 +85,7 @@ impl Engine {
         {
             let st = &mut self.sites[site.index()];
             if let Some(a) = st.applier.take() {
-                st.applier_gen += 1;
+                st.run_gen += 1;
                 st.sec_wait_seq += 1;
                 if st.owner.remove(&a.local).is_some() {
                     let _ = st.store.abort(a.local);
@@ -119,18 +120,15 @@ impl Engine {
                     let _ = st.store.abort(p.local);
                 }
             }
-            for (_, r) in std::mem::take(&mut st.backedge_txns) {
-                if st.owner.remove(&r.local).is_some() {
-                    let _ = st.store.abort(r.local);
-                }
-            }
+            // No special is held here: BackEdge runs no crash plan.
             debug_assert!(st.owner.is_empty(), "crashed {site} leaked txn owners");
         }
 
         // Failure detector: proxies at *other* sites held for this
         // site's in-flight transactions are orphans — their origin can
         // never send a ProxyRelease. Abort them so their locks are
-        // freed for live work.
+        // freed for live work. A lock request still in flight from here
+        // is dropped on arrival (`recv_remote_lock_req`).
         for other in 0..self.sites.len() {
             if other == site.index() || !self.sites[other].up {
                 continue;

@@ -10,20 +10,21 @@
 //! lives here and in the sibling modules:
 //!
 //! * [`primary`] — worker threads executing primary subtransactions;
-//! * [`secondary`] — the per-site applier executing machine-issued
-//!   `Apply` commands (DAG(WT), DAG(T), NaiveLazy, BackEdge's lazy half);
+//! * [`runner`] — the one runner of every storage subtransaction the
+//!   machine hands the engine: `Apply` and queued `Prepare` commands in
+//!   the applier slot, direct `Prepare`s keyed by their transaction;
 //! * [`remote`] — PSL/Eager remote locking via proxy transactions;
-//! * [`backedge`] — the BackEdge eager phase (§4.1): executing machine-
-//!   issued `Prepare` commands and the deadlock-breaking escape hatches.
-
-pub mod event;
-pub mod site;
+//! * [`backedge`] — the BackEdge eager phase (§4.1): holding prepared
+//!   specials until the decision, and the deadlock-breaking escape
+//!   hatches.
 
 mod backedge;
+mod event;
 mod fault;
 mod primary;
 mod remote;
-mod secondary;
+mod runner;
+mod site;
 
 use std::sync::Arc;
 
@@ -33,15 +34,15 @@ use repl_protocol::{
 };
 use repl_sim::{EventQueue, Network, SimDuration, SimTime};
 use repl_storage::TxnId;
-use repl_types::{GlobalTxnId, ItemId, Op, SiteId, Value};
+use repl_types::{splitmix64, GlobalTxnId, ItemId, Op, SiteId, Value, SPLITMIX64_GAMMA};
 
-use crate::config::{ProtocolKind, SimParams, Tuning};
+use crate::config::{DeadlockMode, ProtocolKind, SimParams, Tuning};
 use crate::history::{History, SerializationCycle};
 use crate::metrics::{Metrics, MetricsSummary};
 use crate::scenario;
 
 use event::{Event, Message, TimeoutScope};
-use site::{Owner, SiteState};
+use site::{Owner, RunKey, SiteState};
 
 /// Errors raised while assembling an engine.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -133,21 +134,36 @@ pub struct RunReport {
     pub stalled: bool,
     /// When a primary last committed or a replica last applied an update.
     pub last_progress: SimTime,
-    /// A stalled run's oldest applier occupant, if any up site has one.
+    /// A stalled run's longest-running subtransaction, if any up site
+    /// has one.
     pub blocked: Option<QueueHead>,
 }
 
-/// The subtransaction that has held an up site's applier slot longest,
-/// with what it still waits for: the queue head of a stalled run.
+/// What a storage subtransaction the machine hands the engine is.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum RunKind {
+    /// A secondary: it commits when its writes are done.
+    Secondary,
+    /// A BackEdge special admitted into the applier slot like a
+    /// secondary, prepared when its writes are done (§4.1).
+    QueuedSpecial,
+    /// A BackEdge special sent directly, off the queue: `S1` at the
+    /// farthest ancestor, prepared when its writes are done (§4.1).
+    DirectSpecial,
+}
+
+/// The subtransaction that has run longest at an up site, with what it
+/// still waits for: the queue head of a stalled run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct QueueHead {
-    /// The site whose applier it occupies.
+    /// The site it runs at.
     pub site: SiteId,
     /// The transaction whose writes it applies.
     pub gid: GlobalTxnId,
-    /// True for a BackEdge special, false for a secondary.
-    pub special: bool,
-    /// When the machine admitted it into the slot.
+    /// What it is: a secondary or a queued special in the applier slot,
+    /// or a direct special.
+    pub kind: RunKind,
+    /// When the machine handed it to the engine.
     pub since: SimTime,
     /// How many times a deadlock abort resubmitted it.
     pub resubmits: u64,
@@ -158,15 +174,18 @@ pub struct QueueHead {
 
 impl std::fmt::Display for QueueHead {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} applies {} ({}, at its applier since {:.3} s, resubmitted {} times)",
-            self.site,
-            self.gid,
-            if self.special { "special" } else { "secondary" },
-            self.since.as_secs_f64(),
-            self.resubmits
-        )?;
+        let (site, gid, since) = (self.site, self.gid, self.since.as_secs_f64());
+        match self.kind {
+            RunKind::DirectSpecial => {
+                write!(f, "{site} applies {gid} (direct special, executing since {since:.3} s)")?
+            }
+            RunKind::Secondary | RunKind::QueuedSpecial => write!(
+                f,
+                "{site} applies {gid} ({}, at its applier since {since:.3} s, resubmitted {} times)",
+                if self.kind == RunKind::Secondary { "secondary" } else { "special" },
+                self.resubmits
+            )?,
+        }
         for (i, (item, holders)) in self.waits.iter().enumerate() {
             f.write_str(if i == 0 { ", waiting for " } else { ", " })?;
             write!(f, "{item} (")?;
@@ -375,29 +394,27 @@ impl Engine {
         self.sites.iter().any(work_left) || (pending && self.sites.iter().all(|s| s.up))
     }
 
-    /// The subtransaction that has held an up site's applier longest, the
-    /// items it has still to write and who holds their locks.
+    /// The subtransaction that has run longest at an up site, the items
+    /// it has still to write and who holds their locks.
     fn queue_head(&self) -> Option<QueueHead> {
-        let (st, a) = self
+        let (st, r) = self
             .sites
             .iter()
             .filter(|s| s.up)
-            .filter_map(|s| Some((s, s.applier.as_ref()?)))
-            .min_by_key(|(s, a)| (a.since, s.id))?;
+            .flat_map(|s| s.applier.iter().chain(s.direct.values()).map(move |r| (s, r)))
+            .min_by_key(|(s, r)| (r.since, s.id))?;
         let locks = st.store.locks();
         let holder = |txn| match st.owner.get(&txn)? {
             Owner::Primary { thread } => {
                 let p = st.threads[*thread as usize].active.as_ref()?;
                 Some((p.gid, p.phase.describe()))
             }
-            Owner::Backedge { gid } => {
-                let prepared = st.backedge_txns.get(gid).is_some_and(|r| r.prepared);
-                Some((*gid, if prepared { "prepared special" } else { "executing special" }))
-            }
+            Owner::Prepared { gid } => Some((*gid, "prepared special")),
+            Owner::Run(RunKey::Direct(gid)) => Some((*gid, "executing special")),
             Owner::Proxy { gid } => Some((*gid, "proxy")),
-            Owner::Secondary => None,
+            Owner::Run(RunKey::Applier) => None,
         };
-        let waits = a.writes[a.write_idx..]
+        let waits = r.writes[r.write_idx..]
             .iter()
             .map(|&(item, _)| {
                 (item, locks.holders_of(item).into_iter().filter_map(holder).collect())
@@ -405,10 +422,10 @@ impl Engine {
             .collect();
         Some(QueueHead {
             site: st.id,
-            gid: a.gid,
-            special: a.special,
-            since: a.since,
-            resubmits: a.resubmits,
+            gid: r.gid,
+            kind: r.kind,
+            since: r.since,
+            resubmits: r.resubmits,
             waits,
         })
     }
@@ -442,13 +459,10 @@ impl Engine {
                 self.handle_timeout(now, site, scope, wait_seq)
             }
             Event::Deliver { to, msg } => self.deliver(now, to, msg),
-            Event::SecondaryStepDone { site, gen } => self.secondary_step_done(now, site, gen),
+            Event::StepDone { site, key, gen } => self.step_done(now, site, key, gen),
             Event::SecondaryCommitDone { site, gen } => self.secondary_commit_done(now, site, gen),
             Event::RetryThread { site, thread } => self.retry_thread(now, site, thread),
             Event::Timer { site, gen } => self.timer(now, site, gen),
-            Event::BackedgeStepDone { site, gid, idx } => {
-                self.backedge_step_done(now, site, gid, idx)
-            }
             Event::SiteCrash { .. } | Event::SiteRestart { .. } => unreachable!("handled above"),
         }
     }
@@ -517,14 +531,11 @@ impl Engine {
                 }
                 ProtoCommand::CommitLocal { gid } => self.commit_local_ready(now, site, gid),
                 ProtoCommand::Apply { gid, writes } => {
-                    self.start_applier(now, site, gid, writes, false)
+                    self.start_run(now, site, RunKind::Secondary, gid, gid.origin, writes)
                 }
                 ProtoCommand::Prepare { gid, origin, writes, queued } => {
-                    if queued {
-                        self.start_applier(now, site, gid, writes, true);
-                    } else {
-                        self.start_direct_special(now, site, gid, origin, writes);
-                    }
+                    let kind = if queued { RunKind::QueuedSpecial } else { RunKind::DirectSpecial };
+                    self.start_run(now, site, kind, gid, origin, writes)
                 }
                 ProtoCommand::CommitPrepared { gid, .. } => self.commit_prepared(now, site, gid),
                 ProtoCommand::AbortPrepared { gid } => self.abort_prepared(now, site, gid),
@@ -557,11 +568,10 @@ impl Engine {
             let owner = self.sites[site.index()].owner.get(&txn).copied();
             match owner {
                 Some(Owner::Primary { thread }) => self.resume_primary(now, site, thread),
-                Some(Owner::Secondary) => self.resume_secondary(now, site, txn),
+                Some(Owner::Run(key)) => self.resume_run(now, site, key, txn),
                 Some(Owner::Proxy { gid }) => self.resume_proxy(now, site, gid),
-                Some(Owner::Backedge { gid }) => self.resume_backedge_exec(now, site, gid),
-                None => {
-                    debug_assert!(false, "granted lock for unowned txn {txn:?} at {site}");
+                Some(Owner::Prepared { .. }) | None => {
+                    debug_assert!(false, "granted lock for non-waiting txn {txn:?} at {site}");
                 }
             }
         }
@@ -574,12 +584,8 @@ impl Engine {
     /// could never exhibit). The sequence is a function of engine state
     /// only, so runs stay reproducible.
     pub(crate) fn jitter(&mut self, base: SimDuration) -> SimDuration {
-        // splitmix64 step.
-        self.jitter_state = self.jitter_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.jitter_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z = splitmix64(self.jitter_state);
+        self.jitter_state = self.jitter_state.wrapping_add(SPLITMIX64_GAMMA);
         SimDuration::micros(z % base.as_micros().max(1))
     }
 
@@ -607,10 +613,27 @@ impl Engine {
             | TimeoutScope::PrimaryEager { thread } => {
                 self.primary_timeout(now, site, thread, scope, wait_seq)
             }
-            TimeoutScope::Secondary => self.secondary_timeout(now, site, wait_seq),
-            TimeoutScope::BackedgeExec { gid } => {
-                self.backedge_exec_timeout(now, site, gid, wait_seq)
-            }
+            TimeoutScope::Run { key } => self.run_timeout(now, site, key, wait_seq),
+        }
+    }
+
+    /// A subtransaction at `site` just blocked on a lock (its caller
+    /// bumped the wait's guard). Arm its timeout, if it has one, in both
+    /// deadlock modes: waits-for detection only sees site-local cycles,
+    /// and PSL/Eager/BackEdge can weave global deadlocks through proxies
+    /// and prepared subtransactions that no local graph ever closes.
+    /// Under waits-for detection, also break a local cycle now.
+    pub(crate) fn lock_wait(
+        &mut self,
+        now: SimTime,
+        site: SiteId,
+        timeout: Option<(TimeoutScope, u64)>,
+    ) {
+        if let Some((scope, wait_seq)) = timeout {
+            self.schedule_timeout(now, site, scope, wait_seq);
+        }
+        if self.params.deadlock_mode == DeadlockMode::WaitsFor {
+            self.detect_and_break_deadlock(now, site);
         }
     }
 
@@ -625,22 +648,21 @@ impl Engine {
         let owner = self.sites[site.index()].owner.get(&victim).copied();
         match owner {
             Some(Owner::Primary { thread }) => self.abort_primary(now, site, thread, true),
-            Some(Owner::Secondary) => {
+            Some(Owner::Run(RunKey::Applier)) => {
                 let gen = self.sites[site.index()]
                     .applier
                     .as_ref()
                     .filter(|a| a.local == victim)
                     .map(|a| a.gen);
                 if let Some(gen) = gen {
-                    self.abort_and_resubmit_secondary(now, site, gen);
+                    self.abort_and_resubmit(now, site, gen);
                 }
             }
             Some(Owner::Proxy { gid }) => self.deny_proxy(now, site, gid),
-            Some(Owner::Backedge { .. }) | None => {
-                // Prepared backedge subtransactions never *wait*, so they
-                // cannot be victims; an executing one is Owner::Secondary
-                // (special in the applier) or resolved via its origin's
-                // eager timeout.
+            Some(Owner::Run(RunKey::Direct(_)) | Owner::Prepared { .. }) | None => {
+                // Prepared specials never *wait*, so they cannot be
+                // victims; a direct special is never one (aborting it
+                // "does not help", §4.1): its timeout breaks its blockers.
             }
         }
     }

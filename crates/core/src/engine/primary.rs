@@ -5,7 +5,7 @@ use repl_protocol::{destinations, write_set_in_order, Command as ProtoCommand, I
 use repl_sim::SimTime;
 use repl_types::{GlobalTxnId, OpKind, SiteId, StorageError};
 
-use crate::config::{DeadlockMode, ProtocolKind};
+use crate::config::ProtocolKind;
 
 use super::event::{Event, Message, TimeoutScope};
 use super::site::{ActivePrimary, Owner, PrimaryPhase};
@@ -169,14 +169,7 @@ impl Engine {
             a.wait_seq += 1;
             a.wait_seq
         };
-        // The timeout is scheduled in both modes: waits-for detection only
-        // sees site-local cycles, and PSL/Eager/BackEdge can weave global
-        // deadlocks through proxies and prepared subtransactions that no
-        // local graph ever closes.
-        self.schedule_timeout(now, site, TimeoutScope::PrimaryLocal { thread }, wait_seq);
-        if self.params.deadlock_mode == DeadlockMode::WaitsFor {
-            self.detect_and_break_deadlock(now, site);
-        }
+        self.lock_wait(now, site, Some((TimeoutScope::PrimaryLocal { thread }, wait_seq)));
     }
 
     pub(crate) fn primary_op_done(

@@ -110,6 +110,11 @@ impl Engine {
         origin_site: SiteId,
         origin_thread: u32,
     ) {
+        if gid.seq < self.sites[origin_site.index()].crash_seq {
+            // The origin crashed since it sent this: the failure detector
+            // (`site_crash`) would have aborted the proxy it makes.
+            return;
+        }
         let st = &mut self.sites[to.index()];
         let local = match st.proxies.get(&gid) {
             Some(p) => p.local,
@@ -135,9 +140,8 @@ impl Engine {
                 let st = &mut self.sites[to.index()];
                 st.proxies.get_mut(&gid).expect("inserted above").pending =
                     Some(PendingProxyReq { item, exclusive, value, origin_site, origin_thread });
-                if matches!(self.params.deadlock_mode, crate::config::DeadlockMode::WaitsFor) {
-                    self.detect_and_break_deadlock(now, to);
-                }
+                // The origin's remote wait carries the timeout.
+                self.lock_wait(now, to, None);
             }
             Err(e) => panic!("proxy access to {item} at {to} failed: {e}"),
         }

@@ -13,6 +13,7 @@ use repl_storage::{SnapshotId, Store, TxnId};
 use repl_types::{GlobalTxnId, ItemId, Op, SiteId};
 
 use super::event::Message;
+use super::RunKind;
 
 /// Who a site-local storage transaction belongs to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -22,10 +23,11 @@ pub enum Owner {
         /// Thread index.
         thread: u32,
     },
-    /// The site's secondary applier.
-    Secondary,
-    /// A prepared BackEdge backedge/special subtransaction.
-    Backedge {
+    /// A subtransaction the runner executes for the machine.
+    Run(RunKey),
+    /// A BackEdge special prepared here, holding its locks until the
+    /// decision (§4.1).
+    Prepared {
         /// The logical transaction it belongs to.
         gid: GlobalTxnId,
     },
@@ -34,6 +36,17 @@ pub enum Owner {
         /// The remote transaction.
         gid: GlobalTxnId,
     },
+}
+
+/// Where a run lives: the applier slot (a secondary or a queued special,
+/// one at a time in the machine's admission order), or, for a direct
+/// special (`S1` at the farthest ancestor, §4.1), its transaction.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum RunKey {
+    /// The site's applier slot.
+    Applier,
+    /// The direct special of this transaction.
+    Direct(GlobalTxnId),
 }
 
 /// Execution phase of an active primary subtransaction.
@@ -117,47 +130,50 @@ impl ThreadState {
     }
 }
 
-/// The secondary subtransaction in a site's applier slot. The machine
-/// picked it and pre-filtered the writes to this site's copies; the
-/// driver just executes them under the local lock manager.
+/// A storage subtransaction the runner executes for the machine. The
+/// machine picked it and pre-filtered the writes to this site's copies;
+/// the runner executes them under the local lock manager.
 #[derive(Clone, Debug)]
-pub struct ActiveSecondary {
+pub struct Run {
     /// The transaction whose writes these are.
     pub gid: GlobalTxnId,
+    /// What it is, and so how it ends: a secondary commits, a special is
+    /// *prepared* (§4.1).
+    pub kind: RunKind,
+    /// The site of that transaction (deadlock breaking routes a
+    /// special's abort requests there).
+    pub origin: SiteId,
     /// Writes applicable at this site (pre-filtered by the machine).
     pub writes: Vec<(ItemId, repl_types::Value)>,
-    /// True for a BackEdge special occupying the applier slot: on
-    /// completion it is *prepared*, not committed (§4.1).
-    pub special: bool,
     /// Local storage transaction of the current execution attempt.
     pub local: TxnId,
     /// Progress through `writes`.
     pub write_idx: usize,
-    /// Arrival ordinal retained across deadlock resubmissions, for the
-    /// fair victim policy (§2).
-    pub arrival_ord: u64,
-    /// Generation guard: unique per admitted applier (and bumped on
-    /// deadlock resubmission), so stale CPU-completion events are
-    /// ignored.
+    /// The arrival ordinal an applier run keeps across deadlock
+    /// resubmissions, for the fair victim policy (§2). A direct special
+    /// keeps the one the lock manager gave it.
+    pub arrival: Option<u64>,
+    /// Generation guard: unique per run (and bumped on deadlock
+    /// resubmission), so stale CPU-completion events are ignored.
     pub gen: u64,
     /// True while blocked on a local lock.
     pub blocked: bool,
     /// True once every write executed and the commit CPU slice is in
     /// flight.
     pub committing: bool,
-    /// Wait-sequence guard for this applier's lock-wait timeouts.
+    /// Wait-sequence guard for this run's lock-wait timeouts.
     pub wait_seq: u64,
-    /// When the machine admitted it into the slot (kept across
-    /// deadlock resubmissions).
+    /// When the machine handed it to the engine (kept across deadlock
+    /// resubmissions).
     pub since: SimTime,
     /// How many times a deadlock abort resubmitted it.
     pub resubmits: u64,
 }
 
-/// A BackEdge backedge/special subtransaction executing or prepared at a
-/// site (§4.1): it holds its locks until the distributed-commit decision.
+/// A BackEdge special prepared at a site (§4.1): its writes executed,
+/// it holds their locks until the distributed-commit decision.
 #[derive(Clone, Debug)]
-pub struct BackedgeRun {
+pub struct PreparedHold {
     /// The local storage transaction holding the locks.
     pub local: TxnId,
     /// The site whose eager phase this special belongs to (deadlock
@@ -165,13 +181,6 @@ pub struct BackedgeRun {
     pub origin: SiteId,
     /// Writes applicable at this site (pre-filtered by the machine).
     pub writes: Vec<(ItemId, repl_types::Value)>,
-    /// Progress through `writes`.
-    pub idx: usize,
-    /// True once execution finished and the special was forwarded; the
-    /// transaction then only awaits its commit/abort decision.
-    pub prepared: bool,
-    /// True while blocked on a local lock.
-    pub blocked: bool,
 }
 
 /// A PSL/Eager proxy at a primary site, holding locks on behalf of a
@@ -216,23 +225,27 @@ pub struct SiteState {
     /// The sans-I/O propagation state machine for this site. `None` for
     /// PSL/Eager, which do not propagate lazily.
     pub machine: Option<SiteMachine>,
-    /// The subtransaction being applied, mirroring the machine's
-    /// applier slot: one at a time, so the site commit order is the
-    /// machine's admission order.
-    pub applier: Option<ActiveSecondary>,
-    /// Monotone generation counter for applier guards.
-    pub applier_gen: u64,
+    /// The run in the applier slot, mirroring the machine's: one at a
+    /// time, so the site commit order is the machine's admission order.
+    pub applier: Option<Run>,
+    /// BackEdge: direct specials executing here, keyed by transaction.
+    pub direct: BTreeMap<GlobalTxnId, Run>,
+    /// Monotone generation counter for run guards.
+    pub run_gen: u64,
     /// Wait-sequence counter for the applier's timeouts.
     pub sec_wait_seq: u64,
     /// Arrival ordinal source for secondaries (fair victim policy).
     pub next_arrival: u64,
     /// Per-attempt counter feeding [`GlobalTxnId`]s.
     pub next_seq: u64,
+    /// `next_seq` at the site's last crash: every attempt numbered below
+    /// it is over, and no release will follow a lock request of one that
+    /// the crash ended.
+    pub crash_seq: u64,
     /// PSL/Eager proxies keyed by remote transaction.
     pub proxies: BTreeMap<GlobalTxnId, ProxyState>,
-    /// BackEdge: executing or prepared backedge/special subtransactions
-    /// keyed by transaction.
-    pub backedge_txns: BTreeMap<GlobalTxnId, BackedgeRun>,
+    /// BackEdge: prepared specials keyed by transaction.
+    pub prepared: BTreeMap<GlobalTxnId, PreparedHold>,
     /// False while the site is crashed (fault plan); its event stream is
     /// parked and deliveries are buffered into `backlog`.
     pub up: bool,
@@ -270,12 +283,14 @@ impl SiteState {
             owner: BTreeMap::new(),
             machine: None,
             applier: None,
-            applier_gen: 0,
+            direct: BTreeMap::new(),
+            run_gen: 0,
             sec_wait_seq: 0,
             next_arrival: 0,
             next_seq: 0,
+            crash_seq: 0,
             proxies: BTreeMap::new(),
-            backedge_txns: BTreeMap::new(),
+            prepared: BTreeMap::new(),
             up: true,
             backlog: Vec::new(),
             wal_len: 0,
@@ -298,9 +313,25 @@ impl SiteState {
         self.applier.is_none() && self.machine.as_ref().is_none_or(SiteMachine::secondaries_idle)
     }
 
-    /// The applier, if its generation guard is `gen`.
-    pub fn applier_by_gen(&mut self, gen: u64) -> Option<&mut ActiveSecondary> {
-        self.applier.as_mut().filter(|a| a.gen == gen)
+    /// The run at `key`, if any.
+    pub fn run_mut(&mut self, key: RunKey) -> Option<&mut Run> {
+        match key {
+            RunKey::Applier => self.applier.as_mut(),
+            RunKey::Direct(gid) => self.direct.get_mut(&gid),
+        }
+    }
+
+    /// The run at `key`, if its generation guard is `gen`.
+    pub fn run_by_gen(&mut self, key: RunKey, gen: u64) -> Option<&mut Run> {
+        self.run_mut(key).filter(|r| r.gen == gen)
+    }
+
+    /// Take the run at `key` out of the runner.
+    pub fn take_run(&mut self, key: RunKey) -> Option<Run> {
+        match key {
+            RunKey::Applier => self.applier.take(),
+            RunKey::Direct(gid) => self.direct.remove(&gid),
+        }
     }
 
     /// True when no *update-carrying* secondary work is pending: the

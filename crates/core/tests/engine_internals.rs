@@ -188,3 +188,34 @@ fn response_time_includes_retries() {
         assert!(r.summary.mean_response_ms > 2.0);
     }
 }
+
+#[test]
+fn a_stall_report_names_its_head_by_kind() {
+    use repl_core::engine::{QueueHead, RunKind};
+    use repl_sim::SimTime;
+    use repl_types::GlobalTxnId;
+    let head = |kind| QueueHead {
+        site: SiteId(2),
+        gid: GlobalTxnId::new(SiteId(1), 7),
+        kind,
+        since: SimTime(1_500_000),
+        resubmits: 3,
+        waits: vec![
+            (ItemId(4), vec![(GlobalTxnId::new(SiteId(2), 9), "proxy")]),
+            (ItemId(5), vec![]),
+        ],
+    };
+    let waits = "waiting for x4 (held by T9@s2 proxy), x5 (free)";
+    assert_eq!(
+        head(RunKind::Secondary).to_string(),
+        format!("s2 applies T7@s1 (secondary, at its applier since 1.500 s, resubmitted 3 times), {waits}")
+    );
+    assert_eq!(
+        head(RunKind::QueuedSpecial).to_string(),
+        format!("s2 applies T7@s1 (special, at its applier since 1.500 s, resubmitted 3 times), {waits}")
+    );
+    assert_eq!(
+        head(RunKind::DirectSpecial).to_string(),
+        format!("s2 applies T7@s1 (direct special, executing since 1.500 s), {waits}")
+    );
+}

@@ -1,5 +1,5 @@
 //! A golden for the simulator: one small fixed run per protocol, its
-//! `RunReport.summary` folded into a `StableHasher` digest and compared
+//! `RunReport.summary` folded into a `StableDigest` and compared
 //! against a pinned constant.
 //!
 //! The constants pin the engine's observable behaviour byte for byte —
@@ -10,9 +10,10 @@
 //! prints the summary and the digest it computed.
 
 use repl_copygraph::DataPlacement;
-use repl_core::config::{ProtocolKind, SimParams, StableHasher};
+use repl_core::config::{ProtocolKind, SimParams};
 use repl_core::engine::Engine;
 use repl_core::metrics::MetricsSummary;
+use repl_protocol::StableDigest;
 use repl_sim::{FaultPlan, SimTime};
 use repl_types::SiteId;
 
@@ -61,21 +62,21 @@ fn digest(s: &MetricsSummary) -> u128 {
         mean_recovery_ms,
         stall_ms,
     } = s;
-    let mut h = StableHasher::new();
+    let mut h = StableDigest::new();
     h.write_u64(*commits);
     h.write_u64(*aborts);
-    h.write_f64(*throughput_per_site);
-    h.write_f64(*abort_rate_pct);
-    h.write_f64(*mean_response_ms);
-    h.write_f64(*mean_propagation_ms);
-    h.write_f64(*max_propagation_ms);
+    h.write_u64(throughput_per_site.to_bits());
+    h.write_u64(abort_rate_pct.to_bits());
+    h.write_u64(mean_response_ms.to_bits());
+    h.write_u64(mean_propagation_ms.to_bits());
+    h.write_u64(max_propagation_ms.to_bits());
     h.write_u64(*incomplete_propagations);
     h.write_u64(*messages);
     h.write_u64(virtual_duration.as_micros());
     h.write_u64(*crashes);
-    h.write_f64(*availability_pct);
-    h.write_f64(*mean_recovery_ms);
-    h.write_f64(*stall_ms);
+    h.write_u64(availability_pct.to_bits());
+    h.write_u64(mean_recovery_ms.to_bits());
+    h.write_u64(stall_ms.to_bits());
     h.finish()
 }
 

@@ -9,8 +9,8 @@
 //! deterministic order, so hashing fields in declaration order with a
 //! fixed byte encoding gives both properties for free.
 //!
-//! The hash is FNV-1a over 128 bits (the same construction as the
-//! simulator's `StableHasher`): cheap, dependency-free, and
+//! The hash is FNV-1a over 128 bits (the simulator's golden test digests
+//! run summaries with it too): cheap, dependency-free, and
 //! with a collision probability around `n²/2¹²⁸` — negligible at model
 //! checking scale (millions of states). `std::hash::Hasher` is
 //! deliberately not used: its output is documented to be unstable across
@@ -186,6 +186,22 @@ mod tests {
             d.write_bytes(b"abc");
         }
         assert_eq!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn digest_primitives() {
+        // Empty input hashes to the offset basis.
+        assert_eq!(StableDigest::new().finish(), FNV_OFFSET);
+        let digest = |write: &dyn Fn(&mut StableDigest)| {
+            let mut d = StableDigest::new();
+            write(&mut d);
+            d.finish()
+        };
+        // Integers fold little-endian.
+        let v = 0x0102_0304_0506_0708_u64;
+        assert_eq!(digest(&|d| d.write_u64(v)), digest(&|d| d.write_bytes(&v.to_le_bytes())));
+        // Order matters: the digest is not a sum of its inputs.
+        assert_ne!(digest(&|d| d.write_bytes(b"ab")), digest(&|d| d.write_bytes(b"ba")));
     }
 
     #[test]

@@ -59,10 +59,9 @@ use std::fmt::Write as _;
 use std::io;
 
 use repl_net::FrameReader;
-use repl_types::SiteId;
+use repl_types::{splitmix64, SiteId};
 
 use crate::link::{frames, write_taken, Sink, WriteBuf};
-use crate::policy::splitmix64;
 use crate::transport::{SendPermit, Transport};
 
 /// One partition window: the directed link `a → b` (and `b → a` when

@@ -18,7 +18,7 @@
 use std::time::{Duration, Instant};
 
 use repl_protocol::Tuning;
-use repl_types::SiteId;
+use repl_types::{splitmix64, SiteId};
 
 use crate::nemesis::NetFaultPlan;
 
@@ -124,15 +124,6 @@ impl Default for RuntimeOptions {
     fn default() -> Self {
         RuntimeOptions { tuning: Tuning::LIVE, outbox_high_water: 100_000, nemesis: None }
     }
-}
-
-/// The repo-standard splitmix64 mix (same constants as the simulator's
-/// fault plan and the differential matrix).
-pub(crate) fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

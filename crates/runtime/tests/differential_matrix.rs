@@ -30,7 +30,7 @@ use repl_runtime::{
     Cluster, ClusterHandle, LaunchOptions, NetFaultPlan, ProcCluster, RuntimeOptions,
     RuntimeProtocol, Tuning,
 };
-use repl_types::{GlobalTxnId, ItemId, Op, SiteId, Value};
+use repl_types::{splitmix64, GlobalTxnId, ItemId, Op, SiteId, Value, SPLITMIX64_GAMMA};
 
 fn repld() -> &'static Path {
     Path::new(env!("CARGO_BIN_EXE_repld"))
@@ -79,12 +79,11 @@ fn cyclic_placement() -> DataPlacement {
 // Seeded conflict-free programs.
 // ---------------------------------------------------------------------
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// The next draw of the splitmix64 stream at `state`.
+fn draw(state: &mut u64) -> u64 {
+    let z = splitmix64(*state);
+    *state = state.wrapping_add(SPLITMIX64_GAMMA);
+    z
 }
 
 /// One thread per site; each transaction writes one or two of the
@@ -100,11 +99,11 @@ fn programs(placement: &DataPlacement, txns_per_site: u32, seed: u64) -> Vec<Vec
             } else {
                 (0..txns_per_site)
                     .map(|_| {
-                        let width = 1 + (splitmix64(&mut state) % 2) as usize;
+                        let width = 1 + (draw(&mut state) % 2) as usize;
                         let mut ops: Vec<Op> = Vec::new();
                         for _ in 0..width {
-                            let item = primaries[splitmix64(&mut state) as usize % primaries.len()];
-                            let value = (splitmix64(&mut state) % 100_000) as i64;
+                            let item = primaries[draw(&mut state) as usize % primaries.len()];
+                            let value = (draw(&mut state) % 100_000) as i64;
                             if !ops.iter().any(|o| o.item == item) {
                                 ops.push(Op::write(item, value));
                             }
@@ -139,20 +138,19 @@ fn mixed_programs(
             } else {
                 (0..txns_per_site)
                     .map(|t| {
-                        let width = 1 + (splitmix64(&mut state) % 2) as usize;
+                        let width = 1 + (draw(&mut state) % 2) as usize;
                         let mut ops: Vec<Op> = Vec::new();
                         if t % 3 == 2 {
                             for _ in 0..width {
-                                let item = local[splitmix64(&mut state) as usize % local.len()];
+                                let item = local[draw(&mut state) as usize % local.len()];
                                 if !ops.iter().any(|o| o.item == item) {
                                     ops.push(Op::read(item));
                                 }
                             }
                         } else {
                             for _ in 0..width {
-                                let item =
-                                    primaries[splitmix64(&mut state) as usize % primaries.len()];
-                                let value = (splitmix64(&mut state) % 100_000) as i64;
+                                let item = primaries[draw(&mut state) as usize % primaries.len()];
+                                let value = (draw(&mut state) % 100_000) as i64;
                                 if !ops.iter().any(|o| o.item == item) {
                                     ops.push(Op::write(item, value));
                                 }

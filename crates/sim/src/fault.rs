@@ -17,7 +17,7 @@
 //!   into `SiteCrash`/`SiteRestart` events at build time, so two runs of
 //!   the same plan replay the same failure history.
 
-use repl_types::SiteId;
+use repl_types::{splitmix64, SiteId};
 
 use crate::time::{SimDuration, SimTime};
 
@@ -61,15 +61,6 @@ pub struct FaultPlan {
     pub max_jitter: SimDuration,
     /// Seed for the jitter stream (and for generated plans).
     pub seed: u64,
-}
-
-/// SplitMix64 step — the same generator the engine uses for retry
-/// jitter; pure state-in/state-out, reproducible everywhere.
-fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl FaultPlan {

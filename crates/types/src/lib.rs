@@ -15,10 +15,12 @@
 pub mod error;
 pub mod id;
 pub mod json;
+pub mod mix;
 pub mod op;
 pub mod value;
 
 pub use error::{StorageError, TxnError};
 pub use id::{GlobalTxnId, ItemId, SiteId, ThreadId, TxnId};
+pub use mix::{splitmix64, SPLITMIX64_GAMMA};
 pub use op::{Op, OpKind};
 pub use value::Value;

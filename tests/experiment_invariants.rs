@@ -215,3 +215,26 @@ fn the_longest_finishing_gaps_fit_their_spans() {
         assert_eq!(s.incomplete_propagations, 0, "{:?}", base.protocol);
     }
 }
+
+/// PSL under crashes: a lock request its origin sent before crashing is
+/// dropped on arrival, as the failure detector aborted the origin's
+/// proxies. Made into a proxy, it held its lock for an attempt that
+/// would never release it, and every local thread that needed the item
+/// retried until the run stalled. The smallest `fault_sweep`-shaped point
+/// that stalled that way: 14 transactions a thread, two crash windows,
+/// seed 42.
+#[test]
+fn psl_drops_lock_requests_of_a_crashed_origin() {
+    use repl_sim::{FaultPlan, SimTime};
+    let table = TableOneParams { backedge_prob: 0.0, txns_per_thread: 14, ..Default::default() };
+    let mut sim = SimParams { protocol: ProtocolKind::Psl, ..SimParams::default() };
+    sim.faults = FaultPlan::random_crashes(
+        0xFA57 + 2,
+        table.num_sites,
+        SimTime(1_000_000),
+        2,
+        SimDuration::millis(150),
+    );
+    let s = try_run_point_with(&table, &sim, 42).expect("the run finishes, serializable");
+    assert!(s.crashes > 0, "the plan crashes a site");
+}

@@ -51,8 +51,8 @@ REPRO_SCALE=quick REPRO_WORKERS=4 ./target/release/repro read_sweep \
 echo "==> smoke sweep (quick fig2a on the 4-worker pool)"
 REPRO_SCALE=quick REPRO_WORKERS=4 ./target/release/repro fig2a > /dev/null
 
-echo "==> fault smoke sweep (seeded crash plans)"
-REPRO_SCALE=quick REPRO_WORKERS=4 ./target/release/repro fault_sweep > /dev/null
+echo "==> fault smoke sweep (seeded crash plans, seeds 42-44)"
+REPRO_SCALE=quick REPRO_SEEDS=3 REPRO_WORKERS=4 ./target/release/repro fault_sweep > /dev/null
 
 echo "==> fleet smoke (the benchmark's read_closed workload against a 3-process repld fleet, 2 s, correctness pass included)"
 bash benchmark/run.sh --workload read_closed --seed 1 --seconds 2 --trace 0 > /dev/null
