@@ -86,7 +86,7 @@ impl Engine {
             let st = &mut self.sites[site.index()];
             if let Some(a) = st.applier.take() {
                 st.run_gen += 1;
-                st.sec_wait_seq += 1;
+                st.run_wait_seq += 1;
                 if st.owner.remove(&a.local).is_some() {
                     let _ = st.store.abort(a.local);
                 }

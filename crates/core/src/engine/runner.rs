@@ -117,15 +117,8 @@ impl Engine {
             }
             Err(StorageError::WouldBlock(_)) => {
                 let st = &mut self.sites[site.index()];
-                // Every wait of a direct special carries sequence 0, so
-                // each of its timeouts that fires while it is blocked acts.
-                let seq = match key {
-                    RunKey::Applier => {
-                        st.sec_wait_seq += 1;
-                        st.sec_wait_seq
-                    }
-                    RunKey::Direct(_) => 0,
-                };
+                st.run_wait_seq += 1;
+                let seq = st.run_wait_seq;
                 let r = st.run_by_gen(key, gen).expect("run active");
                 r.blocked = true;
                 r.wait_seq = seq;

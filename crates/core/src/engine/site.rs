@@ -232,8 +232,10 @@ pub struct SiteState {
     pub direct: BTreeMap<GlobalTxnId, Run>,
     /// Monotone generation counter for run guards.
     pub run_gen: u64,
-    /// Wait-sequence counter for the applier's timeouts.
-    pub sec_wait_seq: u64,
+    /// Wait-sequence counter for every run's lock-wait timeouts, the
+    /// applier's and the direct specials' alike: each wait draws its
+    /// own, so a timeout acts only on the wait that armed it.
+    pub run_wait_seq: u64,
     /// Arrival ordinal source for secondaries (fair victim policy).
     pub next_arrival: u64,
     /// Per-attempt counter feeding [`GlobalTxnId`]s.
@@ -285,7 +287,7 @@ impl SiteState {
             applier: None,
             direct: BTreeMap::new(),
             run_gen: 0,
-            sec_wait_seq: 0,
+            run_wait_seq: 0,
             next_arrival: 0,
             next_seq: 0,
             crash_seq: 0,

@@ -219,3 +219,43 @@ fn a_stall_report_names_its_head_by_kind() {
         format!("s2 applies T7@s1 (direct special, executing since 1.500 s), {waits}")
     );
 }
+
+/// A direct special's lock-wait timeout acts only on the wait that armed
+/// it. Under BackEdge with the chain tree s0 > s1 > s2, T at s2 writes x
+/// and y, which only s1 holds, so its special runs direct at s1 (§4.1).
+/// There it blocks on x behind a local reader R, then, once R commits,
+/// on y behind P: a primary at s1 that read y and waits in its own eager
+/// phase, its special held up at s0 by the reader Q of z. The timeout
+/// armed for the x wait falls due while the special waits on y, well
+/// before y's own; had it acted, it would take P for an eager-phase
+/// deadlock and abort it. P's special comes home first, so nothing
+/// aborts. The eager deadline is long, so only lock waits time out.
+#[test]
+fn a_direct_special_times_out_only_the_wait_that_armed_it() {
+    let mut p = DataPlacement::new(3);
+    let x = p.add_item(SiteId(2), &[SiteId(1)]);
+    let y = p.add_item(SiteId(2), &[SiteId(1)]);
+    let z = p.add_item(SiteId(1), &[SiteId(0)]);
+    p.add_item(SiteId(0), &[SiteId(1)]);
+    let b = p.add_item(SiteId(1), &[SiteId(2)]);
+    let mut params = SimParams::quick_test(ProtocolKind::BackEdge);
+    params.threads_per_site = 2;
+    params.txns_per_thread = 1;
+    params.tuning.eager_timeout = std::time::Duration::from_secs(10);
+    let mut programs = empty_programs(&p, 2);
+    programs[0][0] = vec![vec![Op::read(z); 70]];
+    programs[1][0] = vec![vec![Op::read(x); 30]];
+    let mut eager = vec![Op::read(y)];
+    eager.extend(std::iter::repeat_n(Op::read(b), 15));
+    eager.push(Op::write(z, 1));
+    programs[1][1] = vec![eager];
+    programs[2][0] = vec![vec![Op::write(x, 2), Op::write(y, 2)]];
+    let mut engine = Engine::new(&p, &params, programs).unwrap();
+    assert_eq!(
+        engine.backedge_set().unwrap().edges(),
+        &[(SiteId(1), SiteId(0)), (SiteId(2), SiteId(1))]
+    );
+    let r = engine.run();
+    assert!(!r.stalled && r.serializable);
+    assert_eq!((r.summary.commits, r.summary.aborts), (4, 0));
+}

@@ -15,22 +15,23 @@
 //!   it crashes (`SiteParts`), so it survives the *sender* crashing too
 //!   — it models the durable commit record from which a recovering site
 //!   can always re-derive its propagation obligations.
-//! * The receiver drops anything ahead of its durable per-link
-//!   high-water mark (a gap: the missing message is still in the log
-//!   and will arrive in order) and re-acks anything at or below it (a
-//!   duplicate), so delivery is exactly-once and per-link FIFO even
-//!   across crash/retransmit and reconnect/replay races.
+//! * One connection carries each sequence number at most once: the
+//!   cursor only moves forward while the connection lives. A connection
+//!   that dies loses what it carried; the next one starts a fresh stream
+//!   at the log's front, on a frame boundary, after pruning to the
+//!   receiver's durable mark ([`LinkState::resume`]).
+//! * The receiver re-acks anything at or below its durable per-link
+//!   high-water mark (a duplicate) and drops anything ahead of
+//!   `mark + 1` (a gap), so delivery is exactly-once and per-link FIFO
+//!   even across crash and reconnect races.
 //! * Acknowledgement is receiver-driven and cumulative: the receiver
 //!   owes the sender its highest durably applied sequence `s`, and
 //!   writes that mark once a reactor pass; it prunes the log's frames
 //!   `<= s` at the sender.
-//! * A replay goes back to the front of the log on a frame boundary: a
-//!   reconnect starts a fresh stream, and a stall replay on a live one
-//!   first finishes the frame the socket is partway through.
 //!
 //! Only the "one nonblocking write of the log's bytes" step is the
-//! wire's ([`crate::transport::Transport`]); the sequencing, logging,
-//! acking and replay logic exists exactly once, here and in
+//! wire's ([`crate::transport::Transport`]); the sequencing, logging and
+//! acking logic exists exactly once, here and in
 //! [`crate::transport::Net`].
 
 use std::io;
@@ -151,12 +152,10 @@ pub(crate) struct LinkState {
     dropped: u64,
     /// Their frames, in sequence order.
     log: WriteBuf,
-    /// Bytes of the log the wire has taken: whole frames, and part of
-    /// the next one when the socket took only part of it.
+    /// Bytes of the log the wire has taken on this connection: whole
+    /// frames, and part of the next one when the socket took only part
+    /// of it.
     cursor: usize,
-    /// Set by a replay asked for while the cursor is inside a frame:
-    /// where that frame ends, at which the cursor returns to the front.
-    rewind_at: Option<usize>,
 }
 
 impl LinkState {
@@ -176,20 +175,12 @@ impl LinkState {
         (self.last - self.acked) as usize
     }
 
-    /// Offer `wire` the log past the cursor — the rest of the frame a
-    /// replay waits on first, then the log from its front — and move the
-    /// cursor past the bytes it takes.
+    /// Offer `wire` the log past the cursor, and move the cursor past
+    /// the bytes it takes.
     pub(crate) fn offer(
         &mut self,
-        mut wire: impl FnMut(&[u8]) -> io::Result<usize>,
+        wire: impl FnOnce(&[u8]) -> io::Result<usize>,
     ) -> io::Result<()> {
-        if let Some(end) = self.rewind_at {
-            self.cursor += wire(&self.log.bytes()[self.cursor..end])?;
-            if self.cursor < end {
-                return Ok(());
-            }
-            (self.cursor, self.rewind_at) = (0, None);
-        }
         self.cursor += wire(&self.log.bytes()[self.cursor..])?;
         // An ack that came while the socket was inside a frame it covers.
         self.prune(self.acked);
@@ -212,33 +203,13 @@ impl LinkState {
         }
         self.log.consume(pruned);
         self.cursor = self.cursor.saturating_sub(pruned);
-        self.rewind_at = self.rewind_at.map(|end| end - pruned);
     }
 
     /// A new connection: prune to `seq`, the peer's durable mark, and
     /// send the log from its front — a fresh stream starts on a frame.
     pub(crate) fn resume(&mut self, seq: u64) {
-        (self.cursor, self.rewind_at) = (0, None);
+        self.cursor = 0;
         self.prune(seq);
-    }
-
-    /// Send the log again from its front on the live connection, once
-    /// the frame the socket is partway through, if any, is whole.
-    pub(crate) fn replay(&mut self) {
-        let mut end = 0;
-        while end < self.cursor {
-            end += frame_len(&self.log.bytes()[end..]);
-        }
-        if end == self.cursor {
-            (self.cursor, self.rewind_at) = (0, None);
-        } else {
-            self.rewind_at = Some(end);
-        }
-    }
-
-    /// Sequence number of the oldest unacknowledged message, if any.
-    pub(crate) fn front_seq(&self) -> Option<u64> {
-        (self.acked < self.last).then_some(self.acked + 1)
     }
 }
 
@@ -300,6 +271,11 @@ mod tests {
         &net.links()[PEER.index()]
     }
 
+    /// Sequence number of the oldest unacknowledged message, if any.
+    fn front_seq(lane: &LinkState) -> Option<u64> {
+        (lane.acked < lane.last).then_some(lane.acked + 1)
+    }
+
     /// The sequence numbers of the `Link` frames in `bytes`.
     fn seqs(bytes: &[u8]) -> Vec<u64> {
         let mut reader = FrameReader::new();
@@ -358,7 +334,7 @@ mod tests {
         net.on_ack(PEER, 8);
         net.flush(PEER, &mut socket.sink()).unwrap();
         assert_eq!(seqs(&socket.taken), (1..=8).collect::<Vec<_>>());
-        assert_eq!((net.lane_len(PEER), lane(&net).front_seq()), (0, None));
+        assert_eq!((net.lane_len(PEER), front_seq(lane(&net))), (0, None));
     }
 
     #[derive(Clone, Debug)]
@@ -370,9 +346,6 @@ mod tests {
         Ack(u64),
         /// A reconnect, the peer having applied the first `k`.
         Resume(u64),
-        /// The lane stalls: its front stands still for a replay period,
-        /// and the sweep replays it on the live connection.
-        Replay,
         /// Flush to a socket with `room` bytes left that takes at most
         /// `chunk` a write.
         Flush { room: usize, chunk: usize },
@@ -383,7 +356,6 @@ mod tests {
             4 => (0usize..4, 0usize..40).prop_map(|(writes, bytes)| Step::Send { writes, bytes }),
             2 => (0u64..6).prop_map(Step::Ack),
             1 => (0u64..6).prop_map(Step::Resume),
-            1 => Just(Step::Replay),
             3 => (prop_oneof![0usize..300, Just(usize::MAX)], 1usize..100)
                 .prop_map(|(room, chunk)| Step::Flush { room, chunk }),
         ]
@@ -403,8 +375,6 @@ mod tests {
         last: Option<u64>,
         /// The sequence numbers the stream delivered.
         delivered: BTreeSet<u64>,
-        /// A replay was asked for since the stream last went back.
-        replaying: bool,
     }
 
     impl Model {
@@ -430,23 +400,22 @@ mod tests {
     }
 
     proptest! {
-        /// Random sends, acks, reconnects, stall replays and flushes to a
-        /// socket that takes any number of bytes a write, against the
-        /// outbox of decoded payloads: the bytes a connection carries
-        /// decode to whole frames of the model's payloads, in sequence
-        /// order, skipping only acknowledged ones and going back only
-        /// after a replay — so a replay lands on a frame boundary — and a
-        /// flush the socket takes whole leaves every unacknowledged frame
-        /// delivered. The counts the site reads (`lane_len`, `front_seq`,
-        /// the sent mark) agree with the model, and the log holds the
-        /// frames' encoded bytes and nothing else.
+        /// Random sends, acks, reconnects and flushes to a socket that
+        /// takes any number of bytes a write, against the outbox of
+        /// decoded payloads: the bytes a connection carries decode to
+        /// whole frames of the model's payloads, in sequence order,
+        /// skipping only acknowledged ones, each sequence number at most
+        /// once — a frame goes again only on a new connection, from a
+        /// frame boundary — and a flush the socket takes whole leaves
+        /// every unacknowledged frame delivered. The counts the site reads
+        /// (`lane_len`, `front_seq`, the sent mark) agree with the model,
+        /// and the log holds the frames' encoded bytes and nothing else.
         #[test]
         fn the_link_log_offers_what_the_payload_outbox_would(
             steps in prop::collection::vec(step(), 1..60),
         ) {
             let mut net = net();
             let mut model = Model::default();
-            let mut now = 0;
             for (n, step) in steps.into_iter().enumerate() {
                 match step {
                     Step::Send { writes, bytes } => {
@@ -466,17 +435,7 @@ mod tests {
                         model.prune(seq);
                         (model.stream, model.last) = (FrameReader::new(), None);
                         model.delivered.clear();
-                        model.replaying = false;
                         net.resume(PEER, seq);
-                    }
-                    Step::Replay => {
-                        // The first sweep sees the front; one period on,
-                        // the second replays the lane unless it is empty.
-                        net.replay_stalled();
-                        now += crate::policy::micros(crate::policy::REPLAY_PERIOD);
-                        net.set_now(now);
-                        net.replay_stalled();
-                        model.replaying |= !model.unacked.is_empty();
                     }
                     Step::Flush { room, chunk } => {
                         let mut socket = Socket { room, chunk, taken: Vec::new() };
@@ -487,17 +446,12 @@ mod tests {
                                 panic!("not a link frame: {msg:?}");
                             };
                             prop_assert_eq!(&payload, &model.sent[seq as usize - 1]);
+                            prop_assert!(model.delivered.insert(seq), "{} twice", seq);
                             if let Some(last) = model.last {
-                                if seq <= last {
-                                    prop_assert!(model.replaying, "{} after {}", seq, last);
-                                    model.replaying = false;
-                                } else {
-                                    // Skipped only what the peer acknowledged.
-                                    prop_assert!(seq - 1 == last || seq <= model.front());
-                                }
+                                // Forward, skipping only what the peer acknowledged.
+                                prop_assert!(seq - 1 == last || (last < seq && seq <= model.front()));
                             }
                             model.last = Some(seq);
-                            model.delivered.insert(seq);
                         }
                         if room == usize::MAX {
                             for (seq, _) in &model.unacked {
@@ -507,7 +461,7 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(net.lane_len(PEER), model.unacked.len());
-                prop_assert_eq!(lane(&net).front_seq(), model.unacked.front().map(|(s, _)| *s));
+                prop_assert_eq!(front_seq(lane(&net)), model.unacked.front().map(|(s, _)| *s));
                 let lane = lane(&net);
                 prop_assert_eq!(link_marks(net.links(), &[0, 0])[PEER.index()], (model.next_seq, 0));
                 let kept = model.encoded(lane.dropped);

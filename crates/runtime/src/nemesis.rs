@@ -10,26 +10,32 @@
 //! [`ChaosWire`] interprets a plan as a site's [`Transport`]: every
 //! fault is applied to the *write* of a frame from the link log to the
 //! peer's socket, and the reliable-link engine above
-//! ([`crate::transport::Net`]) never learns the wire was lying. That is
-//! the point — drops, duplicates and partitions must be masked by the
-//! log/replay/dedup machinery, and corruption must be survived by
-//! `repl-net`'s panic-free decoding, or the runtime has a robustness bug
-//! the chaos suite should expose.
+//! ([`crate::transport::Net`]) is the same with or without it. The wire
+//! lies only the way a TCP connection can: it stalls, it never reorders
+//! (the simulator's `LinkOutage` rule), and it loses bytes only together
+//! with the connection that carried them, which the reconnect recovers
+//! from the receiver's mark ([`crate::transport::Net::resume`]).
+//! Corruption must be survived by `repl-net`'s panic-free decoding, or
+//! the runtime has a robustness bug the chaos suite should expose.
 //!
 //! Fault semantics, per frame of the log offered, in order:
 //!
-//! 1. **Partition / pause**: if the plan cuts `from → to` at this
-//!    moment (a partition window covering the directed pair, or a pause
-//!    window covering either endpoint), the frame is black-holed. The
-//!    link's log keeps it; the sender's periodic stall replay retries it
-//!    after heal. Acks crossing a cut are dropped the same way.
-//! 2. **Drop**: black-holed as above, drawn per-frame by seeded coin.
+//! 1. **Partition / pause**: while the plan cuts `from → to` (a
+//!    partition window covering the directed pair, or a pause window
+//!    covering either endpoint), the wire takes no bytes at all. The
+//!    link's log keeps them behind its cursor, and the stream goes on
+//!    where it stopped when the cut heals, which the wire reports as its
+//!    deadline ([`Transport::next_deadline`]). An ack crossing a cut is
+//!    withheld the same way: its mark stays owed until the heal.
+//! 2. **Drop**: drawn per frame by seeded coin. The frame is not
+//!    written, and the write fails: the connection dies with it.
 //! 3. **Corrupt / truncate**: the frame's *wire bytes* are copied, a
 //!    seeded byte is flipped (or a seeded tail cut off), and the bytes
 //!    are pushed through a real [`FrameReader`] — exercising the
-//!    decoder's panic-freedom end-to-end — then discarded, modeling a
-//!    link-layer checksum rejecting the damaged frame. Corruption never
-//!    *delivers* a wrong payload: the paper's model (and the dedup
+//!    decoder's panic-freedom end-to-end — then discarded, and the write
+//!    fails as for a drop: a checksum that rejects a segment leaves a
+//!    hole in the stream that only a new connection mends. Corruption
+//!    never *delivers* a wrong payload: the paper's model (and the dedup
 //!    layer's) is lossy-but-not-byzantine links.
 //! 4. **Delay/jitter**: the frame is parked in a per-link hold queue
 //!    with a seeded release time. Later frames on the same link are
@@ -39,20 +45,26 @@
 //! 5. **Duplicate**: written twice back-to-back; the receiver's
 //!    durable dedup marks must absorb the copy.
 //!
+//! | fault | on the wire | recovered by |
+//! |---|---|---|
+//! | cut (partition, one-way, pause) | no bytes on the cut direction until the heal | the log's cursor and the owed ack, at the heal |
+//! | drop, corrupt, truncate | the connection breaks | the reconnect: the log from the peer's `resume_seq` |
+//! | jitter | the frame and those behind it wait | its release time |
+//! | duplicate | the frame twice | the receiver's mark |
+//!
 //! The wire takes whole frames off the log, so the link's cursor stays
 //! on frame boundaries, and it is the one wire that stages link bytes of
 //! its own: its held frames, its duplicates, and the rest of a frame
 //! the socket took only part of. Staged bytes go before anything new,
-//! and a new connection drops them (the log replays from the peer's
+//! and a new connection drops them (the log goes again from the peer's
 //! mark). That per-link state is plain data of the one reactor that owns
 //! the wire, as the link logs are.
 //!
 //! Time is the site's: the reactor's pass time, in microseconds since
 //! the site booted, which the link layer hands the wire with every write
 //! (so each site anchors its plan at its own boot). The plan's windows
-//! are whole milliseconds of it. A held frame's release time is a
-//! deadline the wire reports ([`Transport::next_deadline`]), so the
-//! reactor wakes for it.
+//! are whole milliseconds of it. A held frame's release time and a cut's
+//! heal are deadlines the wire reports, so the reactor wakes for them.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -192,14 +204,21 @@ impl NetFaultPlan {
 
     /// Is the directed link `from → to` cut at `now_ms`?
     pub fn cuts(&self, from: SiteId, to: SiteId, now_ms: u64) -> bool {
-        let part = self.partitions.iter().any(|w| {
-            (now_ms >= w.start_ms && now_ms < w.end_ms)
+        self.cutting(from, to, now_ms).next().is_some()
+    }
+
+    /// The end of every window that cuts `from → to` at `now_ms`.
+    fn cutting(&self, from: SiteId, to: SiteId, now_ms: u64) -> impl Iterator<Item = u64> + '_ {
+        let open = move |start, end| start <= now_ms && now_ms < end;
+        let parts = self.partitions.iter().filter(move |w| {
+            open(w.start_ms, w.end_ms)
                 && ((w.a == from && w.b == to) || (w.symmetric && w.a == to && w.b == from))
         });
-        part || self
+        let pauses = self
             .pauses
             .iter()
-            .any(|w| (w.site == from || w.site == to) && now_ms >= w.start_ms && now_ms < w.end_ms)
+            .filter(move |w| (w.site == from || w.site == to) && open(w.start_ms, w.end_ms));
+        parts.map(|w| w.end_ms).chain(pauses.map(|w| w.end_ms))
     }
 
     /// Render the compact spec string [`NetFaultPlan::parse`] reads
@@ -333,7 +352,8 @@ impl ChaosLane {
         Ok(())
     }
 
-    /// Apply `plan` to one frame on the link `from → to`.
+    /// Apply `plan` to one frame on the link `from → to`, which no
+    /// window cuts now.
     fn fate(
         &mut self,
         plan: &NetFaultPlan,
@@ -341,17 +361,12 @@ impl ChaosLane {
         now: u64,
         frame: &[u8],
     ) -> Fate {
-        if plan.cuts(from, to, now / 1000) {
-            // Black hole: the wire takes the frame and loses it, which
-            // is exactly what the log must mask.
-            return Fate::Lost;
-        }
         self.msg_index += 1;
         let mut stream = plan
             .seed
             .wrapping_add((u64::from(from.0) << 40) ^ (u64::from(to.0) << 20) ^ self.msg_index);
         if plan.drop_permille > 0 && draw(&mut stream) % 1000 < u64::from(plan.drop_permille) {
-            return Fate::Lost; // lost on the wire
+            return Fate::Lost;
         }
         let corrupt = plan.corrupt_permille > 0
             && draw(&mut stream) % 1000 < u64::from(plan.corrupt_permille);
@@ -368,7 +383,7 @@ impl ChaosLane {
                 bytes.truncate(keep);
             }
             ChaosWire::exercise_decoder(&bytes);
-            return Fate::Lost; // checksum failure: frame discarded
+            return Fate::Lost; // a checksum rejected it
         }
         let delay_ms =
             if plan.max_jitter_ms > 0 { draw(&mut stream) % (plan.max_jitter_ms + 1) } else { 0 };
@@ -385,7 +400,8 @@ impl ChaosLane {
 
 /// What the plan does with one frame.
 enum Fate {
-    /// Black-holed, dropped, or damaged and discarded: never written.
+    /// Dropped, or damaged and discarded: never written, and the
+    /// connection dies with it.
     Lost,
     /// Parked until the given time.
     Held(u64),
@@ -427,9 +443,11 @@ fn draw(state: &mut u64) -> u64 {
 }
 
 impl Transport for ChaosWire {
-    /// What the socket is owed goes first — staged bytes, then parked
-    /// frames now due — and new frames only once all of it went. A new
-    /// frame the socket refuses outright is not taken: the log keeps it.
+    /// Nothing while the link is cut. Otherwise what the socket is owed
+    /// goes first — staged bytes, then parked frames now due — and new
+    /// frames only once all of it went. A new frame the socket refuses
+    /// outright is not taken: the log keeps it. A frame the plan loses
+    /// breaks the connection: the error is the write's.
     fn try_send(
         &mut self,
         _: SendPermit,
@@ -438,6 +456,9 @@ impl Transport for ChaosWire {
         offered: &[u8],
         sink: &mut Sink<'_>,
     ) -> io::Result<usize> {
+        if self.plan.cuts(self.me, to, now / 1000) {
+            return Ok(0);
+        }
         let lane = &mut self.lanes[to.index()];
         lane.staged.flush(sink)?;
         while lane.staged.is_empty() && lane.held.front().is_some_and(|(due, _)| *due <= now) {
@@ -450,7 +471,12 @@ impl Transport for ChaosWire {
         let mut taken = 0;
         for frame in frames(offered) {
             match lane.fate(&self.plan, (self.me, to), now, frame) {
-                Fate::Lost => {}
+                Fate::Lost => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::ConnectionReset,
+                        "the nemesis lost a frame with its connection",
+                    ))
+                }
                 Fate::Held(due) => lane.held.push_back((due, frame.to_vec())),
                 Fate::Sent { copies } => {
                     let written = write_taken(sink, frame)?;
@@ -471,7 +497,7 @@ impl Transport for ChaosWire {
         Ok(taken)
     }
 
-    /// The ack physically travels me → from. Only a cut loses acks:
+    /// The ack physically travels me → from. Only a cut withholds acks:
     /// they are cumulative, so anything subtler is invisible anyway.
     fn passes_ack(&self, now: u64, from: SiteId) -> bool {
         !self.plan.cuts(self.me, from, now / 1000)
@@ -483,11 +509,17 @@ impl Transport for ChaosWire {
         lane.staged = WriteBuf::default();
     }
 
-    /// The earliest release time after `now` among each link's first
-    /// held frame; the frames behind it go no earlier.
+    /// The earliest of the release times after `now` of each link's
+    /// first held frame (the frames behind it go no earlier) and the
+    /// ends of the windows that cut a link from this site now, frames
+    /// and acks alike (a window that still cuts it then is the next
+    /// pass's deadline).
     fn next_deadline(&self, now: u64) -> Option<u64> {
         let fronts = self.lanes.iter().filter_map(|lane| lane.held.front());
-        fronts.map(|(due, _)| *due).filter(|&due| due > now).min()
+        let released = fronts.map(|(due, _)| *due).filter(|&due| due > now);
+        let peers = (0..self.lanes.len() as u32).map(SiteId).filter(|&p| p != self.me);
+        let heals = peers.filter_map(|p| self.plan.cutting(self.me, p, now / 1000).max());
+        released.chain(heals.map(|ms| ms.saturating_mul(1000))).min()
     }
 }
 
@@ -622,6 +654,64 @@ mod tests {
         })
         .unwrap();
         assert_eq!(seqs(&fresh), [3, 3, 4, 4, 5, 5]);
+    }
+
+    /// A cut takes no bytes until it heals — the log keeps them behind
+    /// its cursor — and the end of the windows cutting it is the wire's
+    /// deadline, window after window; then the stream goes on where it
+    /// stopped.
+    #[test]
+    fn a_cut_stalls_the_stream_until_its_heal() {
+        let plan = NetFaultPlan::seeded(3)
+            .oneway(SiteId(0), SiteId(1), 0, 10)
+            .pause(SiteId(1), 8, 20)
+            .partition(SiteId(1), SiteId(0), 20, 25);
+        let mut wire = ChaosWire::new(SiteId(0), plan, 2);
+        let to = SiteId(1);
+        let mut log = crate::link::LinkState::default();
+        for n in 1..=3 {
+            let gid = repl_types::GlobalTxnId::new(SiteId(0), n);
+            log.push(&repl_net::Payload::Decision { gid, commit: true });
+        }
+        let mut stream = Vec::new();
+        for (now, due) in [(2_000, 10_000), (9_000, 20_000), (24_999, 25_000)] {
+            log.offer(|frames| {
+                let mut sink = socket(&mut stream, usize::MAX);
+                wire.try_send(SendPermit::for_test(), now, to, frames, &mut sink)
+            })
+            .unwrap();
+            assert_eq!(wire.next_deadline(now), Some(due));
+        }
+        assert!(stream.is_empty());
+        log.offer(|frames| {
+            let mut sink = socket(&mut stream, usize::MAX);
+            wire.try_send(SendPermit::for_test(), 25_000, to, frames, &mut sink)
+        })
+        .unwrap();
+        assert_eq!((seqs(&stream), wire.next_deadline(25_000)), (vec![1, 2, 3], None));
+    }
+
+    /// A frame the plan drops is not written, and the write fails: the
+    /// connection dies with it. The frames before it went whole.
+    #[test]
+    fn a_lost_frame_breaks_its_connection() {
+        let mut wire = ChaosWire::new(SiteId(0), NetFaultPlan::seeded(9).drop_frames(500), 2);
+        let mut log = crate::link::LinkState::default();
+        for n in 1..=40 {
+            let gid = repl_types::GlobalTxnId::new(SiteId(0), n);
+            log.push(&repl_net::Payload::Decision { gid, commit: true });
+        }
+        let mut stream = Vec::new();
+        let err = log
+            .offer(|frames| {
+                let mut sink = socket(&mut stream, usize::MAX);
+                wire.try_send(SendPermit::for_test(), 0, SiteId(1), frames, &mut sink)
+            })
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
+        let written = seqs(&stream);
+        assert!(written.len() < 40, "nothing dropped in 40 frames at 50 %");
+        assert_eq!(written, (1..=written.len() as u64).collect::<Vec<_>>());
     }
 
     #[test]

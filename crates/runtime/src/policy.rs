@@ -36,11 +36,6 @@ pub(crate) const DIAL_MAX: Duration = Duration::from_millis(200);
 /// routes to a black hole).
 pub(crate) const CONNECT_TIMEOUT: Duration = Duration::from_millis(50);
 
-/// Stall-recovery cadence: how often a site checks each non-empty
-/// outgoing lane for ack progress and replays it if the front sequence
-/// has not moved (the live analogue of the simulator's loss-free
-/// network — frames a nemesis black-holed get retried).
-pub(crate) const REPLAY_PERIOD: Duration = Duration::from_millis(25);
 /// Peer health: no ack/frame progress for this long (with traffic
 /// pending) demotes Up → Suspect.
 pub(crate) const SUSPECT_AFTER: Duration = Duration::from_millis(150);

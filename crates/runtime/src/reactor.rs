@@ -23,7 +23,8 @@
 //! prunes `S`'s outbox and everything above it is replayed in sequence
 //! order ([`Net::resume`]), so delivery stays exactly-once in-order
 //! across real connection drops, and across an in-process site's crash
-//! and restart.
+//! and restart. That is the link's one recovery: a live connection is a
+//! FIFO stream that loses nothing, so the reactor never rewrites one.
 //!
 //! Structure of the loop, in the order each iteration runs it:
 //!
@@ -43,8 +44,7 @@
 //!    home, or abort one past its deadline, and start queued client
 //!    transactions ([`Reactor::pump_exec`]).
 //! 4. End-of-pass work: flush a staged group-commit batch to the log
-//!    ([`SiteCore::flush_log`]), and replay the links whose front stalled
-//!    ([`Net::replay_stalled`](crate::transport::Net::replay_stalled)).
+//!    ([`SiteCore::flush_log`]).
 //! 5. Flush every connection: its private bytes (handshakes, client
 //!    replies), then a dialed peer link's log from its send cursor, or an
 //!    accepted one's owed cumulative `Ack`. Register `EPOLLOUT` interest
@@ -58,7 +58,7 @@
 //! wire. Each holds its times as such `u64`s and answers
 //! `next_deadline() -> Option<u64>`, the contract of
 //! `SiteMachine::next_deadline`: the machine's DAG(T) timers, an armed
-//! eager deadline, a non-empty lane's replay, a held nemesis frame, a
+//! eager deadline, a held nemesis frame or a nemesis cut healing, a
 //! backed-off dial and the shutdown grace. `epoll_wait` sleeps until the
 //! earliest, rounded up to whole milliseconds ([`wait_ms`]), or with
 //! none for I/O alone: an idle site does not wake. A stopped in-process
@@ -483,10 +483,8 @@ impl Reactor {
             self.finish_in_flight();
             self.pump_exec();
             // A partly filled group-commit batch goes to the log before
-            // the pass sleeps, and the sweep sees every send and ack of
-            // the pass before the flush writes what it replays.
+            // the pass sleeps.
             self.core.flush_log();
-            self.core.net.replay_stalled();
             self.flush_all();
             if self.text_drop.due(self.me, &self.out_conn, &self.in_conn) {
                 // A failed drop keeps the text resident and costs nothing else.
@@ -504,9 +502,9 @@ impl Reactor {
     }
 
     /// The site's earliest deadline, µs since boot: its timers
-    /// ([`SiteCore::next_deadline`]), its links' replays and held frames
-    /// ([`Net::next_deadline`](crate::transport::Net::next_deadline)), a missing peer's backed-off dial, and the
-    /// shutdown grace. `None`: nothing is due until I/O. A peer without
+    /// ([`SiteCore::next_deadline`]), what its wire withholds
+    /// ([`Net::next_deadline`](crate::transport::Net::next_deadline)), a
+    /// missing peer's backed-off dial, and the shutdown grace. `None`: nothing is due until I/O. A peer without
     /// an address has no dial to wait for.
     fn next_deadline(&self) -> Option<u64> {
         let dials = (0..self.num_sites).filter(|&p| {

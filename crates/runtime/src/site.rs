@@ -226,9 +226,8 @@ impl SiteCore {
 
     /// The machine's timers at the time last set: [`Input::Timer`] once
     /// its deadline has passed (only ever under DAG(T)), and nothing
-    /// before. The other periodic work is not here: the stall replay is
-    /// the link layer's ([`Net::replay_stalled`]), the eager deadline is
-    /// [`SiteCore::check_eager_timeout`]'s, and the group-commit flush
+    /// before. The other periodic work is not here: the eager deadline
+    /// is [`SiteCore::check_eager_timeout`]'s, and the group-commit flush
     /// ends every pass ([`SiteCore::flush_log`]).
     pub fn tick(&mut self) {
         if self.machine.next_deadline().is_some_and(|due| self.now >= due) {
@@ -601,10 +600,10 @@ impl SiteCore {
 
     /// Apply one link frame. Delivery is exactly-once against the
     /// durable per-link high-water mark: a sequence at or below it is a
-    /// retransmitted duplicate (already applied and forwarded — just
-    /// re-ack the mark); one ahead of `mark + 1` raced past a message
-    /// lost on the wire (still in its sender's outbox) and is dropped so
-    /// the retransmission can arrive in FIFO order.
+    /// duplicate (already applied and forwarded — just re-ack the mark);
+    /// one ahead of `mark + 1` is dropped, so that a frame still in its
+    /// sender's log — it goes again on the next connection — is applied
+    /// first.
     pub fn apply_frame(&mut self, from: SiteId, seq: u64, payload: Payload) {
         // Any frame is liveness evidence, duplicates and gaps included.
         self.net.note_progress(from);

@@ -1,14 +1,14 @@
 //! The transport abstraction: one site's reliable-link engine over its
 //! wire.
 //!
-//! [`Net`] owns the site's sequencing/log/ack/replay logic and its
-//! state — the link logs ([`crate::link::Links`]), the peer-health
-//! records and the owed acks, all plain data of the one reactor thread
-//! that runs the site — and delegates the one step that touches the
-//! socket to a [`Transport`] it owns too. A send only appends the frame
-//! to the link's log; the reactor's flush step ([`Net::flush`]) then
-//! offers the wire the log from its send cursor together with the
-//! peer's socket, and the wire writes what the socket takes. [`Direct`] writes the
+//! [`Net`] owns the site's sequencing/log/ack logic and its state — the
+//! link logs ([`crate::link::Links`]), the peer-health records and the
+//! owed acks, all plain data of the one reactor thread that runs the
+//! site — and delegates the one step that touches the socket to a
+//! [`Transport`] it owns too. A send only appends the frame to the
+//! link's log; the reactor's flush step ([`Net::flush`]) then offers the
+//! wire the log from its send cursor together with the peer's socket,
+//! and the wire writes what the socket takes. [`Direct`] writes the
 //! log's bytes straight to the socket, so a frame is never copied on its
 //! way out, and part of a frame the kernel refused stays in the log
 //! behind the cursor. `crate::nemesis::ChaosWire` interprets a fault plan
@@ -17,28 +17,31 @@
 //!
 //! Every write is **single-shot and nonblocking**: the cursor moves past
 //! the bytes the socket took, and every frame stays in the log until
-//! acknowledged, so delivery is recovered by writing on from the cursor
-//! on the next pass or by replay — a reconnect ([`Net::resume`] from the
-//! peer's `HelloAck.resume_seq`, which is also how a restarted site
-//! catches up) or a stalled lane's replay ([`Net::replay_stalled`]) —
-//! and the receiver's durable dedup/gap marks make the replays
-//! exactly-once.
+//! acknowledged. A live connection is a reliable FIFO stream (TCP), so
+//! it carries each sequence number at most once: what the socket
+//! refused goes on the next pass from the cursor, and nothing is written
+//! twice. A frame is lost only with the connection carrying it, and is
+//! written again only on the next one: [`Net::resume`] prunes to the
+//! peer's `HelloAck.resume_seq` and writes the rest from the log's front
+//! (which is also how a restarted site catches up). The receiver's
+//! durable per-link mark makes that overlap exactly-once.
 //!
 //! Time is the reactor's: [`Net::set_now`] tells the pass's time once,
-//! in microseconds since the site booted, and peer health, the stall
-//! replay and the wire's fault windows decide by it. [`Net::next_deadline`]
-//! says when the link layer next needs a pass.
+//! in microseconds since the site booted, and peer health and the wire's
+//! fault windows decide by it. [`Net::next_deadline`] says when the link
+//! layer next needs a pass.
 //!
 //! Only [`Net::flush`] can call [`Transport::try_send`]: the call takes
 //! a [`SendPermit`], which only this module can make. So every byte on
 //! a peer socket is a link log's, written from its send cursor; a frame
-//! written around the log would have no replay entry and no place in
-//! the receiver's sequence.
+//! written around the log would have no place in the receiver's
+//! sequence, and none in a resumed stream.
 //!
 //! The receiving half is one owed mark per peer: the highest sequence
 //! applied from it ([`Net::ack_received`]), written as one cumulative
 //! `Ack` when the reactor next flushes that peer's connection
-//! ([`Net::take_ack`]).
+//! ([`Net::take_ack`]). A mark the wire withholds stays owed: nothing
+//! else would make the receiver ack again.
 
 use std::io;
 
@@ -46,7 +49,7 @@ use repl_net::Payload;
 use repl_types::SiteId;
 
 use crate::link::{write_taken, LinkState, Links, Sink};
-use crate::policy::{micros, DOWN_AFTER, REPLAY_PERIOD, SUSPECT_AFTER};
+use crate::policy::{micros, DOWN_AFTER, SUSPECT_AFTER};
 
 /// This site's progress record of one peer.
 #[derive(Clone)]
@@ -87,8 +90,8 @@ pub(crate) trait Transport: Send {
     ) -> io::Result<usize>;
 
     /// Whether an acknowledgement may go to `from` at `now`. A withheld
-    /// one only delays pruning: the next is cumulative, and the
-    /// handshake's `resume_seq` re-synchronizes after drops.
+    /// one stays owed ([`Net::take_ack`]) and goes once the wire passes
+    /// it: acks are cumulative, so the later mark covers the earlier.
     fn passes_ack(&self, _now: u64, _from: SiteId) -> bool {
         true
     }
@@ -96,10 +99,10 @@ pub(crate) trait Transport: Send {
     /// A new connection to `to`: forget what was staged for the old one.
     fn reset(&mut self, _to: SiteId) {}
 
-    /// The first time after `now` at which a frame this wire holds falls
-    /// due. A frame already due and still held waits on its connection
-    /// (a refused write, or no connection yet), whose I/O wakes the
-    /// reactor instead.
+    /// The first time after `now` at which this wire would write what it
+    /// withholds: a held frame falling due, or a cut healing. A frame
+    /// already due and still held waits on its connection (a refused
+    /// write, or no connection yet), whose I/O wakes the reactor instead.
     fn next_deadline(&self, _now: u64) -> Option<u64> {
         None
     }
@@ -134,10 +137,6 @@ pub(crate) struct Net {
     /// Indexed by peer: the highest sequence applied from it that its
     /// connection has not been told of (0: none owed).
     owed: Vec<u64>,
-    /// Indexed by peer: the front sequence of its lane at the last
-    /// [`Net::replay_stalled`] (0: empty), and since when it has stood
-    /// there.
-    fronts: Vec<(u64, u64)>,
     /// The pass's time, µs since the site booted ([`Net::set_now`]).
     now: u64,
 }
@@ -147,19 +146,11 @@ impl Net {
     pub fn new(me: SiteId, links: Links, raw: Box<dyn Transport>) -> Self {
         let n = links.len();
         let fresh = HealthCell { last_progress: 0, dial_failures: 0 };
-        Net {
-            me,
-            health: vec![fresh; n],
-            owed: vec![0; n],
-            fronts: vec![(0, 0); n],
-            now: 0,
-            links,
-            raw,
-        }
+        Net { me, health: vec![fresh; n], owed: vec![0; n], now: 0, links, raw }
     }
 
-    /// The pass's time, µs since the site booted: what the peer health,
-    /// the stall replay and the wire decide by until the next call.
+    /// The pass's time, µs since the site booted: what the peer health
+    /// and the wire decide by until the next call.
     pub fn set_now(&mut self, now: u64) {
         self.now = now;
     }
@@ -181,15 +172,14 @@ impl Net {
             + self.links.iter().map(LinkState::heap_bytes).sum::<usize>()
             + self.health.capacity() * size_of::<HealthCell>()
             + self.owed.capacity() * size_of::<u64>()
-            + self.fronts.capacity() * size_of::<(u64, u64)>()
     }
 
     /// Encode `payload` into the log to `to`. The frame is in the log
-    /// before any write, so a failed (or half-failed: queued at a
-    /// receiver that dies before applying) delivery is always
-    /// recoverable by replay — there is no retry loop and no sleeping
-    /// here, which is what lets the engine run inside a single-threaded
-    /// reactor.
+    /// before any write, so a delivery the connection lost (or that was
+    /// queued at a receiver that died before applying it) goes again on
+    /// the next connection ([`Net::resume`]) — there is no retry loop and
+    /// no sleeping here, which is what lets the engine run inside a
+    /// single-threaded reactor.
     pub fn send(&mut self, to: SiteId, payload: &Payload) {
         self.links[to.index()].push(payload);
     }
@@ -210,10 +200,14 @@ impl Net {
 
     /// Receiver side: the mark `from` is owed, to write as one
     /// cumulative `Ack` — `None` when nothing is owed, or the wire
-    /// withholds it (then it is not owed any more either).
+    /// withholds it. A withheld mark stays owed: the sender's log holds
+    /// its frames until an ack comes, and no other frame would provoke one.
     pub fn take_ack(&mut self, from: SiteId) -> Option<u64> {
-        let seq = std::mem::take(&mut self.owed[from.index()]);
-        (seq > 0 && self.raw.passes_ack(self.now, from)).then_some(seq)
+        let owed = &mut self.owed[from.index()];
+        if *owed == 0 || !self.raw.passes_ack(self.now, from) {
+            return None;
+        }
+        Some(std::mem::take(owed))
     }
 
     /// Sender side: `to` acknowledged everything up to `seq`.
@@ -271,39 +265,12 @@ impl Net {
         self.raw.reset(to);
     }
 
-    /// Stall recovery, once a pass after its sends and acks: replay
-    /// every lane whose front — its oldest unacknowledged sequence — has
-    /// stood still for [`REPLAY_PERIOD`], and start the period again. A
-    /// front first seen now starts its period now. The log is written
-    /// again from its front on the connection it has, once the frame in
-    /// progress is whole. A frame a nemesis (or a dying connection)
-    /// swallowed is still in the log; the receiver's dedup/gap marks make
-    /// the replay exactly-once, so replaying a lane that was merely slow
-    /// is harmless. Lanes making ack progress are left alone: under a
-    /// healthy wire this sends nothing.
-    pub fn replay_stalled(&mut self) {
-        let period = micros(REPLAY_PERIOD);
-        for (lane, (front, since)) in self.links.iter_mut().zip(&mut self.fronts) {
-            let now_front = lane.front_seq().unwrap_or(0);
-            if now_front != *front {
-                (*front, *since) = (now_front, self.now);
-            } else if *front != 0 && self.now >= since.saturating_add(period) {
-                lane.replay();
-                *since = self.now;
-            }
-        }
-    }
-
-    /// When the link layer next needs a pass: a non-empty lane's replay,
-    /// one [`REPLAY_PERIOD`] after [`Net::replay_stalled`] last saw its
-    /// front move (never later than it is due), or a frame the wire holds
-    /// falling due. `None` while every lane is empty and the wire holds
-    /// nothing.
+    /// When the link layer next needs a pass: when the wire next writes
+    /// what it withholds (a held frame falling due, a cut healing).
+    /// `None` while it withholds nothing: a lane's unwritten bytes wait on
+    /// their connection's I/O, or on its handshake.
     pub fn next_deadline(&self) -> Option<u64> {
-        let period = micros(REPLAY_PERIOD);
-        let stalled = self.links.iter().zip(&self.fronts).filter(|(lane, _)| lane.len() > 0);
-        let replays = stalled.map(|(_, &(_, since))| since.saturating_add(period));
-        replays.chain(self.raw.next_deadline(self.now)).min()
+        self.raw.next_deadline(self.now)
     }
 
     /// Messages awaiting acknowledgement on the lane to `to` (send
@@ -340,44 +307,38 @@ mod tests {
         written
     }
 
-    /// No lane holds anything: the link layer has no deadline. A lane
-    /// whose front stands still from `t` is replayed at `t + period` and
-    /// not a microsecond before, and again one period later; an ack that
-    /// moves the front starts its period over, and one that empties the
-    /// lane ends it.
+    /// A lane whose front stands still — the peer applies nothing and
+    /// acks nothing — for a second of passes, one a millisecond, on one
+    /// live connection: the flushes write each frame's bytes exactly
+    /// once, and the link layer asks for no pass of its own. Only an ack
+    /// or a new connection moves the lane.
     #[test]
-    fn a_stalled_lane_is_replayed_one_period_after_its_front_stopped() {
-        let period = micros(REPLAY_PERIOD);
+    fn a_stalled_lane_writes_each_frame_once_on_its_connection() {
         let mut net = net(Box::new(Direct));
-        assert_eq!(net.next_deadline(), None);
-        net.replay_stalled();
-        assert_eq!(net.next_deadline(), None);
-
         let t = 7_000;
         net.set_now(t);
         net.send(PEER, &decision(1));
         net.send(PEER, &decision(2));
-        let frames = flushed(&mut net);
-        net.replay_stalled();
-        assert_eq!(net.next_deadline(), Some(t + period));
+        let mut stream = Vec::new();
+        for now in (t..=t + 1_000_000).step_by(1_000) {
+            net.set_now(now);
+            let mut socket = |bytes: &[u8]| {
+                stream.extend_from_slice(bytes);
+                Ok(bytes.len())
+            };
+            net.flush(PEER, &mut socket).unwrap();
+            assert_eq!(net.next_deadline(), None, "a pass asked for at {now}");
+        }
+        let frame =
+            |seq| repl_net::encode_framed(&repl_net::WireMsg::Link { seq, payload: decision(seq) });
+        assert_eq!(stream, [&frame(1)[..], &frame(2)[..]].concat());
+        assert_eq!(net.lane_len(PEER), 2);
 
-        net.set_now(t + period - 1);
-        net.replay_stalled();
-        assert_eq!(flushed(&mut net), 0, "replayed before its period");
-        net.set_now(t + period);
-        net.replay_stalled();
-        assert_eq!(flushed(&mut net), frames);
-        assert_eq!(net.next_deadline(), Some(t + 2 * period));
-
-        // Progress: the front moves at `u`, and its period starts there.
-        let u = t + period + 10;
-        net.set_now(u);
-        net.on_ack(PEER, 1);
-        net.replay_stalled();
-        assert_eq!(net.next_deadline(), Some(u + period));
+        // A reconnect writes what the peer has not applied, from the front.
+        net.resume(PEER, 1);
+        assert_eq!(flushed(&mut net), frame(2).len());
         net.on_ack(PEER, 2);
-        net.replay_stalled();
-        assert_eq!(net.next_deadline(), None);
+        assert_eq!((net.lane_len(PEER), flushed(&mut net)), (0, 0));
     }
 
     /// A frame a nemesis holds is the wire's deadline: due at its release
@@ -395,20 +356,37 @@ mod tests {
                 if flushed(&mut net) > 0 {
                     return None;
                 }
-                net.replay_stalled();
                 let due = net.raw.next_deadline(3_000)?;
                 Some((net, due))
             })
             .unwrap();
         assert!(3_000 < due && due <= 3_000 + 40_000, "{due}");
-        // The link layer's deadline is the earlier of it and the replay.
-        let replay = 3_000 + micros(REPLAY_PERIOD);
-        assert_eq!(net.next_deadline(), Some(due.min(replay)));
+        assert_eq!(net.next_deadline(), Some(due));
 
         net.set_now(due - 1);
         assert_eq!(flushed(&mut net), 0, "released before its time");
         net.set_now(due);
         assert!(flushed(&mut net) > 0);
         assert_eq!(net.raw.next_deadline(due), None);
+    }
+
+    /// An ack the wire withholds while the ack direction is cut stays
+    /// owed, and goes — the later, cumulative mark — once the cut heals,
+    /// which is the wire's deadline meanwhile.
+    #[test]
+    fn a_withheld_ack_stays_owed_until_the_cut_heals() {
+        // Site 0 acks to PEER over the cut 0 → 1 for 0..10 ms.
+        let plan = NetFaultPlan::seeded(1).oneway(SiteId(0), PEER, 0, 10);
+        let mut net = net(Box::new(ChaosWire::new(SiteId(0), plan, 2)));
+        net.set_now(2_000);
+        net.ack_received(PEER, 3);
+        assert_eq!(net.take_ack(PEER), None);
+        assert_eq!(net.next_deadline(), Some(10_000));
+        net.ack_received(PEER, 4);
+        net.set_now(9_999);
+        assert_eq!(net.take_ack(PEER), None);
+        net.set_now(10_000);
+        assert_eq!(net.take_ack(PEER), Some(4));
+        assert_eq!((net.take_ack(PEER), net.next_deadline()), (None, None));
     }
 }

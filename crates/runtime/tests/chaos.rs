@@ -11,6 +11,9 @@
 //!   control refuses new writes with a typed backpressure error once
 //!   the lane passes its high-water mark, so memory stays bounded no
 //!   matter how long the partition lasts.
+//! - An ack a cut withholds. Nothing on a live connection is ever sent
+//!   twice, so no later frame provokes the ack again: the receiver keeps
+//!   it owed and sends it at the heal, or the sender's lane never empties.
 #![expect(clippy::disallowed_methods, reason = "a test paces a live fleet by the wall clock")]
 
 use std::path::Path;
@@ -172,8 +175,8 @@ fn sustained_partition_bounds_outbox() {
     assert!(accepted >= 1, "nothing committed before the mark");
 
     // Keep hammering: every further write is refused and the queue does
-    // not grow past the mark plus a small in-flight slack (replays and
-    // heartbeats re-enqueue nothing — the outbox is the only copy).
+    // not grow past the mark plus a small in-flight slack (a reconnect
+    // and heartbeats re-enqueue nothing — the outbox is the only copy).
     let mut last_queued = queued;
     for i in 0..100 {
         match cluster.execute(SiteId(0), vec![Op::write(ItemId(0), 1_000 + i)]) {
@@ -188,5 +191,36 @@ fn sustained_partition_bounds_outbox() {
 
     // No quiesce: the partition never heals, so undelivered frames are
     // deliberately still parked. Shutdown must cope with that.
+    cluster.shutdown();
+}
+
+/// A one-way cut in the ack direction only (s1 → s0) while s0 commits
+/// once, and no traffic after the heal: s1 applies the update inside the
+/// cut and owes s0 the ack, so s0 sees s1 suspect (its lane waits on an
+/// ack); after the heal plus `DOWN_AFTER` (1 s), s0 sees every peer up,
+/// because the ack went at the heal and emptied the lane.
+#[test]
+fn an_ack_a_cut_withholds_goes_at_the_heal() {
+    const CUT_MS: u64 = 600;
+    let start = std::time::Instant::now();
+    let options = RuntimeOptions {
+        nemesis: Some(NetFaultPlan::seeded(0xAC4).oneway(SiteId(1), SiteId(0), 0, CUT_MS)),
+        ..RuntimeOptions::default()
+    };
+    let cluster =
+        Cluster::start_with(&fan_placement(), RuntimeProtocol::DagWt, options).expect("start");
+    let handle: &dyn ClusterHandle = &cluster;
+    handle.execute(SiteId(0), vec![Op::write(ItemId(0), 7)]).expect("commit");
+    handle.quiesce().expect("applied at s1 and s2");
+    assert_eq!(handle.peek(SiteId(1), ItemId(0)).map(|c| c.0.as_int()), Some(Some(7)));
+
+    std::thread::sleep(Duration::from_millis(400).saturating_sub(start.elapsed()));
+    let stats = handle.stats(SiteId(0)).expect("stats");
+    assert!(start.elapsed() < Duration::from_millis(CUT_MS), "the cut healed before the check");
+    assert_eq!((stats.peers_up, stats.peers_suspect), (1, 1), "s1's ack crossed the cut");
+
+    std::thread::sleep(Duration::from_millis(CUT_MS + 1_200).saturating_sub(start.elapsed()));
+    let stats = handle.stats(SiteId(0)).expect("stats");
+    assert_eq!((stats.peers_up, stats.peers_suspect, stats.peers_down), (2, 0, 0));
     cluster.shutdown();
 }

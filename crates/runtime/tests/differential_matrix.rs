@@ -383,8 +383,9 @@ fn mvcc_snapshot_read_matrix() {
 /// partition-and-heal fault schedule (plus background jitter, drops,
 /// duplicates and corruption) on every live deployment must still end
 /// byte-identical to the fault-free simulator control. Partitions hold
-/// frames in the outbox, drops and corrupted frames are replayed,
-/// duplicates are deduped — none of it may leak into final state.
+/// frames in the outbox until the heal, a drop or a corrupted frame
+/// breaks its connection and goes again on the next, duplicates are
+/// deduped — none of it may leak into final state.
 #[test]
 fn partition_heal_matrix() {
     let placement = fan_placement();

@@ -619,9 +619,9 @@ fn epoll_refuses_a_peers_push_naming_a_site_outside_the_placement() {
 
 /// `pending_deliveries` on a `repld` fleet, read through the sites'
 /// `Stats` link marks: while a nemesis cuts s0 → s1, an update s0
-/// commits is sent toward s1 and not applied there; after the heal the
-/// stall replay delivers it, and once the fleet is quiescent nothing is
-/// pending anywhere.
+/// commits is sent toward s1 and not applied there; at the heal the
+/// link writes it from where its cursor stopped, and once the fleet is
+/// quiescent nothing is pending anywhere.
 #[test]
 fn epoll_pending_deliveries_count_a_cut_link_until_the_heal() {
     const CUT_MS: u64 = 2_000;
